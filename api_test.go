@@ -291,3 +291,40 @@ end
 		t.Error("privatized trace recorded no merged partials")
 	}
 }
+
+// TestGridRankCapEndToEnd drives a program whose directives imply a rank-8
+// processor grid (above the cap that lets owner sets pack their coordinates)
+// through the whole stack: the offending directives are skipped with W101
+// diagnostics and the program still runs, replicated, on both backends.
+func TestGridRankCapEndToEnd(t *testing.T) {
+	const src = `
+program t
+real a(2,2,2,2,2,2,2,2)
+!hpf$ processors p(2,2,2,2,2,2,2,2)
+!hpf$ distribute (block,block,block,block,block,block,block,block) :: a
+a(1,1,1,1,1,1,1,1) = 1.0
+end
+`
+	c, err := Compile(src, 4, SelectedOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped := 0
+	for _, d := range c.Diags() {
+		if d.Code == "W101" && strings.Contains(d.Msg, "rank 8") {
+			skipped++
+		}
+	}
+	if skipped != 2 {
+		t.Fatalf("want both rank-8 directives skipped with W101, got %d in %v", skipped, c.Diags())
+	}
+	for _, b := range []Backend{Simulator(), Concurrent()} {
+		rep, err := c.Execute(context.Background(), b, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name(), err)
+		}
+		if got := rep.Arrays["a"][0]; got != 1 {
+			t.Errorf("%s: a(1,...,1) = %v, want 1", b.Name(), got)
+		}
+	}
+}

@@ -377,3 +377,58 @@ func TestProcSetUnionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: on grids of every rank up to MaxRank, the packed ProcSet's
+// enumeration and summaries agree with membership decoded id by id.
+func TestProcSetPackedProperty(t *testing.T) {
+	check := func(rank uint8, ext [MaxRank]uint8, fix [MaxRank]uint8, other [MaxRank]uint8) bool {
+		shape := make([]int, int(rank)%MaxRank+1)
+		for d := range shape {
+			shape[d] = int(ext[d])%2 + 2 // >= 2: structure and membership coincide
+		}
+		g := NewGrid(shape...)
+		mk := func(sel [MaxRank]uint8) ProcSet {
+			s := AllProcs(g)
+			for d, n := range shape {
+				if sel[d]%2 == 0 {
+					s = s.WithDim(d, int(sel[d]/2)%n)
+				}
+			}
+			return s
+		}
+		s, o := mk(fix), mk(other)
+		var want []int
+		covers := true
+		for id := 0; id < g.Size(); id++ {
+			if s.Contains(id) {
+				want = append(want, id)
+			}
+			if o.Contains(id) && !s.Contains(id) {
+				covers = false
+			}
+		}
+		got := s.Procs()
+		if len(got) != len(want) || s.Count() != len(want) || s.First() != want[0] {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		id, single := s.IsSingle()
+		if single != (len(want) == 1) || (single && id != want[0]) {
+			return false
+		}
+		for d, n := range shape {
+			c, fixed := s.Fixed(d)
+			if fixed != (fix[d]%2 == 0) || (fixed && c != int(fix[d]/2)%n) {
+				return false
+			}
+		}
+		return s.CoversSet(o) == covers && s.IsAll() == (len(want) == g.Size()) && s.IsAll() == s.Equal(AllProcs(g))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}

@@ -9,32 +9,37 @@ import (
 	"strings"
 )
 
+// MaxRank caps the rank of a processor grid (Fortran's limit on array rank,
+// hence on the dimensions a DISTRIBUTE can partition) and MaxExtent the
+// processors along one grid dimension. The caps let a ProcSet pack its
+// coordinates into two machine words, so owner and execution sets are plain
+// values that travel in registers and never touch the heap. Resolve rejects
+// directives and processor counts beyond them before any grid is built.
+const (
+	MaxRank   = 7
+	MaxExtent = 1<<coordBits - 1
+)
+
 // Grid is a (virtual) processor grid of one or more dimensions.
 type Grid struct {
 	Shape []int
-
-	// all is the shared "every dimension spans" coordinate vector AllProcs
-	// hands out. ProcSet operations copy on write, so sharing is safe; it
-	// removes the allocation from the hottest set constructor. Lazily
-	// rebuilt for Grid values constructed without NewGrid.
-	all []int
 }
 
-// NewGrid returns a grid with the given shape.
+// NewGrid returns a grid with the given shape. A shape beyond MaxRank or
+// MaxExtent is a caller bug (Resolve validates what directives and processor
+// counts imply first) and panics.
 func NewGrid(shape ...int) *Grid {
+	if len(shape) > MaxRank {
+		panic(fmt.Sprintf("dist: grid rank %d exceeds the maximum %d", len(shape), MaxRank))
+	}
+	for _, n := range shape {
+		if n > MaxExtent {
+			panic(fmt.Sprintf("dist: grid extent %d exceeds the maximum %d", n, MaxExtent))
+		}
+	}
 	s := make([]int, len(shape))
 	copy(s, shape)
-	g := &Grid{Shape: s}
-	g.all = makeAll(len(s))
-	return g
-}
-
-func makeAll(rank int) []int {
-	a := make([]int, rank)
-	for i := range a {
-		a[i] = -1
-	}
-	return a
+	return &Grid{Shape: s}
 }
 
 // Rank returns the number of grid dimensions.
@@ -125,43 +130,47 @@ func FactorShape(nprocs, rank int) []int {
 // ProcSet is a rectangular set of processors described per grid dimension:
 // either a fixed coordinate or "all coordinates". This closed form covers
 // everything owner-computes needs (owners of a reference, replication sets,
-// reduction groups).
+// reduction groups). A ProcSet is a plain three-word value: copying it copies
+// the set and no operation allocates.
 type ProcSet struct {
 	grid *Grid
-	// coord[d] is the fixed coordinate in dimension d, or -1 for all.
-	coord []int
+	// lo packs dimensions 0-3 and hi dimensions 4-6, coordBits each, biased
+	// by one: 0 stands for all coordinates of the dimension, c+1 for the
+	// fixed coordinate c. Dimensions at and beyond the grid's rank stay 0.
+	lo, hi uint64
 }
 
-// AllProcs is the set of all processors in the grid. The returned set
-// shares the grid's canonical "all" coordinates; every ProcSet operation is
-// copy-on-write, so the sharing is invisible to callers.
-func AllProcs(g *Grid) ProcSet {
-	if len(g.all) != len(g.Shape) {
-		g.all = makeAll(len(g.Shape))
+const (
+	coordBits = 16
+	coordMask = 1<<coordBits - 1
+)
+
+// at returns dimension d's biased coordinate (0 = all).
+func (s ProcSet) at(d int) int {
+	if d < 4 {
+		return int(s.lo >> (uint(d) * coordBits) & coordMask)
 	}
-	return ProcSet{grid: g, coord: g.all}
+	return int(s.hi >> (uint(d-4) * coordBits) & coordMask)
 }
 
-// MutableAll is an all-covering set with private coordinate storage, for
-// builders that fix dimensions in place via FixDim (one allocation for a
-// whole WithDim chain). Sets from the other constructors may share storage
-// and must be narrowed with WithDim instead.
-func MutableAll(g *Grid) ProcSet {
-	return ProcSet{grid: g, coord: makeAll(g.Rank())}
+// rank returns the rank of the set's grid (0 for the zero ProcSet).
+func (s ProcSet) rank() int {
+	if s.grid == nil {
+		return 0
+	}
+	return len(s.grid.Shape)
 }
 
-// FixDim fixes dimension d to c in place and returns the receiver. Only
-// valid on sets created by MutableAll (see there).
-func (s ProcSet) FixDim(d, c int) ProcSet {
-	s.coord[d] = c
-	return s
-}
+// AllProcs is the set of all processors in the grid.
+func AllProcs(g *Grid) ProcSet { return ProcSet{grid: g} }
 
 // SingleProc is the singleton set {coords}.
 func SingleProc(g *Grid, coords []int) ProcSet {
-	c := make([]int, g.Rank())
-	copy(c, coords)
-	return ProcSet{grid: g, coord: c}
+	s := AllProcs(g)
+	for d := range g.Shape {
+		s = s.WithDim(d, coords[d])
+	}
+	return s
 }
 
 // Grid returns the grid this set ranges over.
@@ -169,46 +178,44 @@ func (s ProcSet) Grid() *Grid { return s.grid }
 
 // Fixed reports whether dimension d has a fixed coordinate, and which.
 func (s ProcSet) Fixed(d int) (int, bool) {
-	if s.coord[d] < 0 {
-		return 0, false
-	}
-	return s.coord[d], true
+	c := s.at(d)
+	return c - 1, c != 0
 }
 
 // WithDim returns a copy with dimension d fixed to c (or all if c == -1).
 func (s ProcSet) WithDim(d, c int) ProcSet {
-	nc := make([]int, len(s.coord))
-	copy(nc, s.coord)
-	nc[d] = c
-	return ProcSet{grid: s.grid, coord: nc}
+	if d < 4 {
+		sh := uint(d) * coordBits
+		s.lo = s.lo&^(coordMask<<sh) | uint64(c+1)<<sh
+	} else {
+		sh := uint(d-4) * coordBits
+		s.hi = s.hi&^(coordMask<<sh) | uint64(c+1)<<sh
+	}
+	return s
 }
 
 // IsAll reports whether the set covers the whole grid.
-func (s ProcSet) IsAll() bool {
-	for _, c := range s.coord {
-		if c >= 0 {
-			return false
-		}
-	}
-	return true
-}
+func (s ProcSet) IsAll() bool { return s.lo|s.hi == 0 }
 
 // IsSingle reports whether the set is a single processor, and its id.
 func (s ProcSet) IsSingle() (int, bool) {
-	for _, c := range s.coord {
-		if c < 0 {
+	id := 0
+	for d, n := range s.grid.Shape {
+		c := s.at(d)
+		if c == 0 {
 			return 0, false
 		}
+		id = id*n + c - 1
 	}
-	return s.grid.ID(s.coord), true
+	return id, true
 }
 
 // Count returns the number of processors in the set.
 func (s ProcSet) Count() int {
 	n := 1
-	for d, c := range s.coord {
-		if c < 0 {
-			n *= s.grid.Shape[d]
+	for d, ext := range s.grid.Shape {
+		if s.at(d) == 0 {
+			n *= ext
 		}
 	}
 	return n
@@ -218,11 +225,11 @@ func (s ProcSet) Count() int {
 func (s ProcSet) Contains(id int) bool {
 	// Decode the id inline (dimension 0 slowest) instead of materializing
 	// the coordinate vector; this runs on per-instance paths.
-	for d := len(s.coord) - 1; d >= 0; d-- {
+	for d := len(s.grid.Shape) - 1; d >= 0; d-- {
 		ext := s.grid.Shape[d]
 		c := id % ext
 		id /= ext
-		if w := s.coord[d]; w >= 0 && c != w {
+		if w := s.at(d); w != 0 && c != w-1 {
 			return false
 		}
 	}
@@ -233,41 +240,59 @@ func (s ProcSet) Contains(id int) bool {
 // representative Procs()[0] names, without building the slice).
 func (s ProcSet) First() int {
 	id := 0
-	for d, c := range s.coord {
-		if c < 0 {
-			c = 0
+	for d, n := range s.grid.Shape {
+		c := s.at(d)
+		if c != 0 {
+			c--
 		}
-		id = id*s.grid.Shape[d] + c
+		id = id*n + c
 	}
 	return id
 }
 
 // Each calls f for every processor id in the set, ascending.
 func (s ProcSet) Each(f func(id int)) {
-	if id, ok := s.IsSingle(); ok {
-		f(id)
+	shape := s.grid.Shape
+	if s.IsAll() {
+		for id, n := 0, s.grid.Size(); id < n; id++ {
+			f(id)
+		}
 		return
 	}
-	total := s.grid.Size()
-	for id := 0; id < total; id++ {
-		if s.Contains(id) {
-			f(id)
+	// An odometer over the free dimensions, the last one fastest, visits
+	// the ids in ascending order without decoding any of them.
+	var c [MaxRank]int
+	id := 0
+	for d, n := range shape {
+		if w := s.at(d); w != 0 {
+			c[d] = w - 1
+		}
+		id = id*n + c[d]
+	}
+	for {
+		f(id)
+		d, stride := len(shape)-1, 1
+		for ; d >= 0; d-- {
+			if s.at(d) == 0 {
+				if c[d]++; c[d] < shape[d] {
+					id += stride
+					break
+				}
+				id -= (shape[d] - 1) * stride
+				c[d] = 0
+			}
+			stride *= shape[d]
+		}
+		if d < 0 {
+			return
 		}
 	}
 }
 
 // Procs enumerates the processor ids in the set, ascending.
 func (s ProcSet) Procs() []int {
-	if id, ok := s.IsSingle(); ok {
-		return []int{id}
-	}
 	out := make([]int, 0, s.Count())
-	total := s.grid.Size()
-	for id := 0; id < total; id++ {
-		if s.Contains(id) {
-			out = append(out, id)
-		}
-	}
+	s.Each(func(id int) { out = append(out, id) })
 	return out
 }
 
@@ -275,25 +300,20 @@ func (s ProcSet) Procs() []int {
 // coordinates that differ become "all"). This over-approximation keeps
 // owner sets in closed form; exact for the patterns owner-computes yields.
 func (s ProcSet) Union(o ProcSet) ProcSet {
-	nc := make([]int, len(s.coord))
-	for d := range nc {
-		if s.coord[d] == o.coord[d] {
-			nc[d] = s.coord[d]
-		} else {
-			nc[d] = -1
+	for d := range s.grid.Shape {
+		if s.at(d) != o.at(d) {
+			s = s.WithDim(d, -1)
 		}
 	}
-	return ProcSet{grid: s.grid, coord: nc}
+	return s
 }
 
 // CoversSet reports whether every processor of o is in s.
 func (s ProcSet) CoversSet(o ProcSet) bool {
-	for d := range s.coord {
-		if s.coord[d] < 0 {
-			continue // s spans the dimension
-		}
-		if o.coord[d] != s.coord[d] {
-			return false // o has a different fixed coord, or spans the dim
+	for d := range s.grid.Shape {
+		// s spans the dimension, or o is fixed at the same coordinate.
+		if c := s.at(d); c != 0 && o.at(d) != c {
+			return false
 		}
 	}
 	return true
@@ -301,24 +321,16 @@ func (s ProcSet) CoversSet(o ProcSet) bool {
 
 // Equal reports set equality.
 func (s ProcSet) Equal(o ProcSet) bool {
-	if len(s.coord) != len(o.coord) {
-		return false
-	}
-	for d := range s.coord {
-		if s.coord[d] != o.coord[d] {
-			return false
-		}
-	}
-	return true
+	return s.rank() == o.rank() && s.lo == o.lo && s.hi == o.hi
 }
 
 func (s ProcSet) String() string {
-	parts := make([]string, len(s.coord))
-	for d, c := range s.coord {
-		if c < 0 {
-			parts[d] = "*"
-		} else {
+	parts := make([]string, s.rank())
+	for d := range parts {
+		if c, ok := s.Fixed(d); ok {
 			parts[d] = fmt.Sprintf("%d", c)
+		} else {
+			parts[d] = "*"
 		}
 	}
 	return "P(" + strings.Join(parts, ",") + ")"

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"phpf/internal/diag"
 	"phpf/internal/ir"
 	"phpf/internal/parser"
 )
@@ -142,5 +144,66 @@ func TestResolveLenientBadNprocs(t *testing.T) {
 	p := buildProg(t, lenientSrc)
 	if _, _, err := ResolveLenient(p, 0); err == nil {
 		t.Error("nprocs=0 must remain a hard error")
+	}
+}
+
+// rankCapSrc implies a rank-8 processor grid twice over: by the PROCESSORS
+// extents and by eight distributed dimensions of a. The rank-2 DISTRIBUTE of
+// b is fine and must survive.
+const rankCapSrc = `
+program t
+real a(2,2,2,2,2,2,2,2), b(4,4)
+!hpf$ processors p(2,2,2,2,2,2,2,2)
+!hpf$ distribute (block,block,block,block,block,block,block,block) :: a
+!hpf$ distribute (block,block) :: b
+a(1,1,1,1,1,1,1,1) = 1.0
+end
+`
+
+// TestResolveGridRankCap: a directive implying a grid rank above MaxRank is
+// a coded, positioned diagnostic — fatal in strict mode, W101 + skip in
+// lenient mode — never a panic or a silently truncated grid.
+func TestResolveGridRankCap(t *testing.T) {
+	p := buildProg(t, rankCapSrc)
+
+	_, err := Resolve(p, 4)
+	var d *diag.Diagnostic
+	if !errors.As(err, &d) || d.Code != diag.CodeDirective || d.Pos.Line != 4 ||
+		!strings.Contains(d.Msg, "rank 8") {
+		t.Fatalf("strict Resolve = %v, want a %s diagnostic about rank 8 at line 4", err, diag.CodeDirective)
+	}
+
+	m, probs, err := ResolveLenient(p, 4)
+	if err != nil {
+		t.Fatalf("lenient resolve: %v", err)
+	}
+	if len(probs) != 2 || probs[0].Pos.Line != 4 || probs[1].Pos.Line != 5 {
+		t.Fatalf("want the two rank-8 directives (lines 4, 5) skipped, got %v", probs)
+	}
+	for _, pr := range probs {
+		if pr.Code != diag.CodeDirective || pr.Severity != diag.Warning {
+			t.Errorf("problem %v: want a %s warning", pr, diag.CodeDirective)
+		}
+	}
+	if got := m.Grid.Rank(); got != 2 {
+		t.Fatalf("grid rank = %d, want 2 (from b's distribution alone)", got)
+	}
+	if a := m.Arrays[p.LookupVar("a")]; a == nil || !a.FullyReplicated() {
+		t.Errorf("a = %v, want the replication fallback", a)
+	}
+	if b := m.Arrays[p.LookupVar("b")]; b == nil || len(b.DistributedAxes()) != 2 {
+		t.Errorf("b = %v, want both dimensions distributed", b)
+	}
+}
+
+// TestResolveGridExtentCap: a processor count that cannot be packed into a
+// ProcSet is an error, not a panic.
+func TestResolveGridExtentCap(t *testing.T) {
+	p := buildProg(t, lenientSrc)
+	if _, _, err := ResolveLenient(p, MaxExtent+1); err == nil || !strings.Contains(err.Error(), "maximum") {
+		t.Fatalf("ResolveLenient(%d procs on a rank-1 grid) = %v, want an extent error", MaxExtent+1, err)
+	}
+	if _, _, err := ResolveLenient(p, MaxExtent); err != nil {
+		t.Fatalf("ResolveLenient(%d procs): %v", MaxExtent, err)
 	}
 }

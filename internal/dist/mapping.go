@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"strings"
 
 	"phpf/internal/ast"
 	"phpf/internal/diag"
@@ -85,20 +86,19 @@ func (a AxisMap) LocalCount(c, nproc int) int64 {
 // Owner returns the processor set owning element idx (1-based indices) of
 // the array.
 func (m *ArrayMap) Owner(g *Grid, idx []int64) ProcSet {
-	s := MutableAll(g)
+	s := AllProcs(g)
 	// Grid dims not replicated and not set by any axis default to
 	// coordinate 0 (cannot happen for well-formed mappings, but keep the
 	// ownership total).
-	for d := 0; d < g.Rank(); d++ {
-		if !m.Repl[d] {
-			s = s.FixDim(d, 0)
+	for d, repl := range m.Repl {
+		if !repl {
+			s = s.WithDim(d, 0)
 		}
 	}
-	for dim, ax := range m.Axes {
-		if !ax.Distributed {
-			continue
+	for dim := range m.Axes {
+		if ax := &m.Axes[dim]; ax.Distributed {
+			s = s.WithDim(ax.GridDim, ax.OwnerDim(idx[dim], g.Shape[ax.GridDim]))
 		}
-		s = s.FixDim(ax.GridDim, ax.OwnerDim(idx[dim], g.Shape[ax.GridDim]))
 	}
 	return s
 }
@@ -210,37 +210,48 @@ func resolve(p *ir.Program, nprocs int, lenient bool) (*Mapping, []diag.Diagnost
 		}
 		return diag.Errorf("mapping", diag.CodeDirective, pos, format, args...)
 	}
+	// A directive implying a grid rank above MaxRank is reported like any
+	// other bad directive and skipped: it neither shapes the grid nor maps
+	// its arrays (they fall back to replication in lenient mode).
 	rank := 0
 	for _, d := range p.Dirs {
-		switch x := d.(type) {
-		case *ast.ProcessorsDir:
-			if len(x.Extents) > rank {
-				rank = len(x.Extents)
+		n := impliedRank(d)
+		if n > MaxRank {
+			var pos diag.Pos
+			var subject string
+			switch x := d.(type) {
+			case *ast.ProcessorsDir:
+				pos, subject = diag.Pos{Line: x.Line, Col: x.Col}, x.Name
+			case *ast.DistributeDir:
+				pos, subject = diag.Pos{Line: x.Line, Col: x.Col}, strings.Join(x.Arrays, ",")
 			}
-		case *ast.DistributeDir:
-			n := 0
-			for _, f := range x.Formats {
-				if f.Kind != ast.DistNone {
-					n++
-				}
+			if err := report(pos, subject, "%s implies a processor grid of rank %d; the maximum is %d",
+				subject, n, MaxRank); err != nil {
+				return nil, nil, err
 			}
-			if n > rank {
-				rank = n
-			}
+			continue
+		}
+		if n > rank {
+			rank = n
 		}
 	}
 	if rank == 0 {
 		rank = 1
 	}
-	grid := NewGrid(FactorShape(nprocs, rank)...)
+	shape := FactorShape(nprocs, rank)
+	if shape[0] > MaxExtent { // FactorShape sorts descending
+		return nil, nil, fmt.Errorf("dist: %d processors put %d along one dimension of the rank-%d grid; the maximum is %d",
+			nprocs, shape[0], rank, MaxExtent)
+	}
+	grid := NewGrid(shape...)
 
 	m := &Mapping{Grid: grid, Arrays: map[*ir.Var]*ArrayMap{}}
 
 	// Pass 1: direct distributions.
 	for _, d := range p.Dirs {
 		dd, ok := d.(*ast.DistributeDir)
-		if !ok {
-			continue
+		if !ok || impliedRank(dd) > MaxRank {
+			continue // not a distribution, or reported above
 		}
 		for _, name := range dd.Arrays {
 			v := p.LookupVar(name)
@@ -365,6 +376,25 @@ func resolve(p *ir.Program, nprocs int, lenient bool) (*Mapping, []diag.Diagnost
 		}
 	}
 	return m, probs, nil
+}
+
+// impliedRank returns the processor-grid rank a directive asks for: the
+// extents of a PROCESSORS, the distributed dimensions of a DISTRIBUTE, zero
+// for anything else.
+func impliedRank(d ast.Directive) int {
+	switch x := d.(type) {
+	case *ast.ProcessorsDir:
+		return len(x.Extents)
+	case *ast.DistributeDir:
+		n := 0
+		for _, f := range x.Formats {
+			if f.Kind != ast.DistNone {
+				n++
+			}
+		}
+		return n
+	}
+	return 0
 }
 
 // DistributeArray builds the ArrayMap for a directly distributed array. The

@@ -40,15 +40,16 @@ func (s *State) InstanceOp(req *comm.Requirement, sp *spmd.StmtPlan, elemBytes i
 	if err != nil {
 		return InstanceOp{}, err
 	}
+	rc := &s.lowered().reqs[req.ID]
 	var src dist.ProcSet
-	if req.Use.Var.IsArray() {
+	if rc.srcOwner != nil {
 		// Evaluate under the dynamic (possibly redistributed) mapping.
-		src, err = s.OwnerSet(req.Use)
-		if err != nil {
-			return InstanceOp{}, err
+		var ok bool
+		if src, ok = s.ownerOf(rc.srcOwner); !ok {
+			return InstanceOp{}, s.takeErr()
 		}
 	} else {
-		src = s.PatternSet(req.SrcPat, nil)
+		src = rc.srcPat.eval(s)
 	}
 	if src.CoversSet(dst) {
 		return InstanceOp{Skip: true}, nil
@@ -58,6 +59,13 @@ func (s *State) InstanceOp(req *comm.Requirement, sp *spmd.StmtPlan, elemBytes i
 		from = src.First()
 	}
 	return InstanceOp{From: from, Dst: dst, Bytes: elemBytes}, nil
+}
+
+// UseValue evaluates the element a per-instance requirement transfers, on
+// the current memory image — the payload the concurrent backend checksums.
+func (s *State) UseValue(req *comm.Requirement) (float64, error) {
+	v := s.lowered().reqs[req.ID].use(s)
+	return v, s.takeErr()
 }
 
 // VecKind discriminates the resolved form of a vectorized communication.
@@ -97,12 +105,10 @@ type VectorizedOp struct {
 // already covers the destinations (e.g. a block shift that does not cross a
 // processor boundary here).
 func (s *State) VectorizedOp(req *comm.Requirement, elemBytes int64) (VectorizedOp, error) {
-	g := s.Grid()
+	g := s.grid
+	rc := &s.lowered().reqs[req.ID]
 	trips := int64(1)
-	for _, l := range req.Hoisted {
-		if !RefVariesIn(req.Use, l) {
-			continue
-		}
+	for _, l := range rc.trips {
 		t, err := s.TripCount(l)
 		if err != nil {
 			return VectorizedOp{}, err
@@ -116,9 +122,12 @@ func (s *State) VectorizedOp(req *comm.Requirement, elemBytes int64) (Vectorized
 	if trips <= 0 {
 		return VectorizedOp{Kind: VecSkip}, nil
 	}
-	srcEval := s.PatternSet(req.SrcPat, req.Hoisted)
-	dstEval := s.PatternSet(req.DstPat, req.Hoisted)
-	if s.vectorizedCovered(req) {
+	srcEval := rc.srcPat.eval(s)
+	dstEval := rc.dstPat.eval(s)
+	// Skip when, at this particular entry of the hoisted nest, the source
+	// data already resides wherever the destinations need it — e.g. a block
+	// shift whose (invariant) position does not cross a processor boundary.
+	if rc.covered.eval(s) {
 		return VectorizedOp{Kind: VecSkip}, nil
 	}
 	bytesTotal, ok := mulChecked(trips, elemBytes)
@@ -162,67 +171,13 @@ func (s *State) VectorizedOp(req *comm.Requirement, elemBytes int64) (Vectorized
 			Participants: dist.AllProcs(g)}, nil
 
 	case dist.CommBcast:
-		from := 0
-		if procs := srcEval.Procs(); len(procs) > 0 {
-			from = procs[0]
-		}
-		return VectorizedOp{Kind: VecBcast, From: from, Dst: dstEval,
+		return VectorizedOp{Kind: VecBcast, From: srcEval.First(), Dst: dstEval,
 			Bytes: bytesTotal}, nil
 
 	default:
 		return VectorizedOp{Kind: VecExchange, Src: srcEval, Dst: dstEval,
 			Bytes: bytesTotal}, nil
 	}
-}
-
-// vectorizedCovered reports whether, at this particular entry of the
-// hoisted nest, the source data already resides wherever the destinations
-// need it — e.g. a block shift whose (invariant) position does not cross a
-// processor boundary here. Dimensions whose positions vary within the
-// hoisted loops are covered only if source and destination are statically
-// identical there.
-func (s *State) vectorizedCovered(req *comm.Requirement) bool {
-	for d := range req.SrcPat.Dims {
-		sd, td := req.SrcPat.Dims[d], req.DstPat.Dims[d]
-		if sd.Repl {
-			continue
-		}
-		if td.Repl {
-			return false
-		}
-		// Statically identical determination covers regardless of hoisting.
-		sp := dist.OwnerPattern{Dims: []dist.DimPattern{sd}}
-		tp := dist.OwnerPattern{Dims: []dist.DimPattern{td}}
-		if dist.Covers(sp, tp) {
-			continue
-		}
-		varies := false
-		for _, l := range req.Hoisted {
-			if sd.Sub.VariesIn(l) || td.Sub.VariesIn(l) {
-				varies = true
-				break
-			}
-		}
-		if varies {
-			return false
-		}
-		// Both positions fixed for this entry: compare owner coordinates.
-		spos, err1 := s.EvalAffine(sd.Sub)
-		tpos, err2 := s.EvalAffine(td.Sub)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if sd.Kind != td.Kind || sd.Block != td.Block || sd.Extent != td.Extent {
-			return false
-		}
-		ax := dist.AxisMap{Distributed: true, Kind: sd.Kind, Offset: 0,
-			Extent: sd.Extent, Block: sd.Block}
-		n := s.Grid().Shape[d]
-		if ax.OwnerDim(spos+sd.Offset, n) != ax.OwnerDim(tpos+td.Offset, n) {
-			return false
-		}
-	}
-	return true
 }
 
 // RefVariesIn reports whether a reference denotes different data across
@@ -244,7 +199,7 @@ func RefVariesIn(u *ir.Ref, l *ir.Loop) bool {
 // cost (an all-to-all among all processors) is charged by the backend.
 func (s *State) ApplyRedistribute(st *ir.Stmt) error {
 	v := st.Redist.Array
-	nm, err := dist.DistributeArray(s.Grid(), v, st.Redist.Formats)
+	nm, err := dist.DistributeArray(s.grid, v, st.Redist.Formats)
 	if err != nil {
 		return &RedistError{Line: st.Line, Err: err}
 	}
@@ -258,7 +213,7 @@ func (s *State) ApplyRedistribute(st *ir.Stmt) error {
 // RedistBytesPerProc sizes the all-to-all a redistribution performs: each
 // processor's share of the array.
 func (s *State) RedistBytesPerProc(st *ir.Stmt, elemBytes int64) int64 {
-	return st.Redist.Array.Size() * elemBytes / int64(s.Grid().Size())
+	return st.Redist.Array.Size() * elemBytes / int64(s.grid.Size())
 }
 
 // RedistError is a failed executable redistribution.

@@ -1,0 +1,184 @@
+package eval
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"phpf/internal/core"
+	"phpf/internal/ir"
+	"phpf/internal/parser"
+	"phpf/internal/spmd"
+)
+
+// fuzzTemplate embeds one fuzzed right-hand side and one fuzzed subscript in
+// a small mapped program: the subscript indexes a block-distributed array on
+// both sides, so it flows through the store offset, the read offset, the
+// owner set behind the execution set and the per-instance communication
+// decision; the right-hand side may read any of the arrays.
+const fuzzTemplate = `
+program f
+parameter n = 6
+real a(n), c(n), b(n,n), x, y
+integer idx(n)
+integer i, j, k
+!hpf$ distribute (block) :: a
+!hpf$ align c(i) with a(i)
+!hpf$ align idx(i) with a(i)
+!hpf$ distribute (block,cyclic) :: b
+k = 2
+y = 0.5
+do i = 1, n
+  idx(i) = n + 1 - i
+  c(i) = i
+  a(i) = 1.0 / i
+  do j = 1, n
+    b(i,j) = i - j
+  end do
+end do
+do i = 1, n
+  do j = n, 1, -2
+    x = %s
+    c(%s) = x + a(%s)
+  end do
+end do
+end
+`
+
+// setChecker is a lowered walk's backend that recomputes every execution set
+// and per-instance communication decision through the oracle, on the same
+// memory image, and records the first disagreement.
+type setChecker struct {
+	s     *State
+	o     *oracle
+	wrong string
+}
+
+func (c *setChecker) LoopEntry(*ir.Loop, *spmd.LoopPlan) error { return nil }
+func (c *setChecker) LoopExit(*ir.Loop, *spmd.LoopPlan) error  { return nil }
+func (c *setChecker) Redistribute(*ir.Stmt) error              { return nil }
+func (c *setChecker) Tick() error                              { return nil }
+
+func (c *setChecker) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
+	for _, req := range sp.PerInstance {
+		got, gerr := c.s.InstanceOp(req, sp, 8)
+		want, werr := c.o.InstanceOp(req, sp, 8)
+		if errText(gerr) != errText(werr) || (gerr == nil && (got.Skip != want.Skip ||
+			got.From != want.From || got.Bytes != want.Bytes || !got.Dst.Equal(want.Dst))) {
+			c.note("s%d req %d: InstanceOp %+v (%v), oracle %+v (%v)", st.ID, req.ID, got, gerr, want, werr)
+		}
+		if gerr != nil {
+			return gerr
+		}
+	}
+	got, gerr := c.s.ExecSet(sp)
+	want, werr := c.o.ExecSet(sp)
+	if errText(gerr) != errText(werr) || (gerr == nil && !got.Equal(want)) {
+		c.note("s%d: ExecSet %v (%v), oracle %v (%v)", st.ID, got, gerr, want, werr)
+	}
+	return gerr
+}
+
+func (c *setChecker) note(format string, args ...any) {
+	if c.wrong == "" {
+		c.wrong = fmt.Sprintf(format, args...)
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// nopOracleBackend observes nothing: the oracle walk's value semantics only.
+type nopOracleBackend struct{ o *oracle }
+
+func (nopOracleBackend) LoopEntry(*ir.Loop, *spmd.LoopPlan) error { return nil }
+func (nopOracleBackend) LoopExit(*ir.Loop, *spmd.LoopPlan) error  { return nil }
+func (nopOracleBackend) Redistribute(*ir.Stmt) error              { return nil }
+
+// Statement evaluates what setChecker's does, so both walks fail at the same
+// point when a set computation fails.
+func (b nopOracleBackend) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
+	for _, req := range sp.PerInstance {
+		if _, err := b.o.InstanceOp(req, sp, 8); err != nil {
+			return err
+		}
+	}
+	_, err := b.o.ExecSet(sp)
+	return err
+}
+
+// FuzzLowerExpr: for any expression and subscript the front end accepts, the
+// lowered form computes the same values, sets and communication decisions as
+// the tree-walking oracle, and fails with the same error at the same point.
+func FuzzLowerExpr(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"a(i) + b(i,j) * 0.5", "i"},
+		{"b(j, mod(i*k, n) + 1)", "2*i - 1"},
+		{"sqrt(abs(x - y)) / (y - y)", "n + 1 - i"},
+		{"a(idx(i)) + c(idx(idx(j)))", "idx(i)"},
+		{"max(i, j, k) - min(x, y) + exp(0.0)", "(i*4 + 2)/2 - i"},
+		{"-b(i, j) * (i < j or not (i == 3 and j >= 2))", "mod(i + j, n) + 1"},
+		{"i * 9007199254740993 - i * 9007199254740992", "i * 9007199254740993 - i * 9007199254740992"},
+		{"a(i + 1)", "j + 4"},
+		{"1.0e300 * 1.0e300 - x", "i * 3000000000 * 3000000000 / 9"},
+		{"a(b(i,j))", "c(i) / 2 + 1.6"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, rhs, sub string) {
+		for _, e := range []string{rhs, sub} {
+			if len(e) == 0 || len(e) > 80 || strings.ContainsFunc(e, func(r rune) bool {
+				return !strings.ContainsRune("abcdefghijklmnopqrstuvwxyz0123456789 +-*/(),.<>=", r)
+			}) {
+				return // keep the input one expression: no new statements or directives
+			}
+		}
+		ap, err := parser.Parse(fmt.Sprintf(fuzzTemplate, rhs, sub, sub))
+		if err != nil {
+			return
+		}
+		res, err := core.BuildAndAnalyze(ap, 4, core.DefaultOptions())
+		if err != nil {
+			return
+		}
+		p := spmd.Generate(res)
+
+		ls, err := NewState(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := &setChecker{s: ls, o: newOracle(ls)}
+		lerr := Walk(ls, check)
+
+		os, err := NewState(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := newOracle(os)
+		oerr := oracleWalk(o, nopOracleBackend{o})
+
+		if check.wrong != "" {
+			t.Fatal(check.wrong)
+		}
+		if errText(lerr) != errText(oerr) {
+			t.Fatalf("lowered walk: %v\noracle walk:  %v", lerr, oerr)
+		}
+		for slot, want := range os.scalars {
+			if got := ls.scalars[slot]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s = %v, oracle %v", os.slots[slot].Name, got, want)
+			}
+		}
+		for slot, want := range os.arrays {
+			for i := range want {
+				if got := ls.arrays[slot][i]; math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("%s[%d] = %v, oracle %v", os.slots[slot].Name, i, got, want[i])
+				}
+			}
+		}
+	})
+}

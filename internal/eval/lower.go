@@ -1,0 +1,944 @@
+// The lowered form of an spmd.Program: what the interpreter executes.
+//
+// The compiler resolves the owner-computes guard and every mapping decision
+// at compile time; the runtime should only have to evaluate them. Lowering
+// turns each statement's right-hand side, definition, condition and reduction
+// operand, every loop's bounds, and the owner / execution-set computation of
+// every statement plan and communication requirement into slot-indexed
+// closures over a State, once per program. Affine subscripts and bounds run
+// in int64 straight from their ir.Affine form (fused with the bounds guard
+// and the offset computation for array accesses); everything else runs the
+// lowered float expression under the same range checks the tree-walking
+// evaluator applied. Owner sets come out of dist.ProcSet values with inline
+// coordinates, so a statement instance touches the heap nowhere.
+//
+// The lowered form is immutable and cached on the spmd.Program
+// (Program.Lowered), built on the first execution rather than by the
+// compiler: compiling alone pays nothing for it, every State of every run
+// shares it, and anything that can only fail when executed (an unknown
+// variable in a hand-built tree, a zero step, an out-of-range subscript)
+// still fails when — and only when — execution reaches it.
+//
+// Error discipline: lowered expressions return bare values. The first error
+// of an evaluation is parked on the State (State.fail) and evaluation runs
+// on over harmless zero values; every entry point into lowered code checks
+// and clears it (State.takeErr) before any effect of the failed evaluation
+// could become visible. Evaluation order is the tree's, depth first and left
+// to right, so the parked error is the one a stop-at-first-error evaluator
+// reports, and floating-point operations happen in the same order.
+package eval
+
+import (
+	"fmt"
+	"math"
+
+	"phpf/internal/ast"
+	"phpf/internal/comm"
+	"phpf/internal/core"
+	"phpf/internal/dist"
+	"phpf/internal/ir"
+	"phpf/internal/spmd"
+)
+
+// fexpr is a lowered floating-point expression.
+type fexpr func(s *State) float64
+
+// code is the lowered form of one program, indexed by the dense IDs the
+// plan's statements, loops, references and requirements carry.
+type code struct {
+	stmts  []stmtCode
+	loops  []loopCode
+	reqs   []reqCode
+	owners []*ownerCode // by Ref.ID; nil for scalar references
+	// scalars holds the owner set of every mapped scalar definition
+	// (reduction combines, lastprivate copy-outs).
+	scalars map[*core.ScalarMapping]*patCode
+}
+
+// lowered returns the program's lowered form, building it on first use.
+func (s *State) lowered() *code {
+	if s.code == nil {
+		s.code = s.Prog.Lowered(func() any { return lower(s.Prog) }).(*code)
+	}
+	return s.code
+}
+
+// fail parks the first error of the evaluation in flight.
+func (s *State) fail(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+}
+
+// takeErr returns and clears the parked error.
+func (s *State) takeErr() error {
+	err := s.err
+	s.err = nil
+	return err
+}
+
+// ---------------------------------------------------------------------------
+// Integer-valued code: subscripts, loop bounds, pattern positions
+
+// unlimited is the lim of an affine form with no exactness constraint: above
+// every loop index (bounds are range-checked to 2^53), small enough that
+// eval's range test cannot wrap.
+const unlimited = int64(1) << 62
+
+// affTerm is one linear term of an affine form: coef times the loop index
+// in slot.
+type affTerm struct {
+	slot int32
+	coef int64
+}
+
+// intCode evaluates an integer-valued expression. When affine it computes
+// c + Σ coef·index in int64 as long as every index magnitude is within lim —
+// the range over which the float evaluation of the original tree is exact at
+// every node and so yields the same integer (see exactLimit). Beyond it, and
+// for non-affine expressions, it evaluates fn and converts under the 2^53
+// range check.
+type intCode struct {
+	// single marks the commonest subscript, c + coef·index[slot], which eval
+	// computes ahead of the general term loop.
+	single bool
+	slot   int32
+	coef   int64
+
+	c      int64
+	lim    int64
+	affine bool
+	terms  []affTerm
+	fn     fexpr
+}
+
+func (ic *intCode) eval(s *State) (int64, bool) {
+	if ic.single {
+		if v := s.indices[ic.slot]; uint64(v+ic.lim) <= uint64(2*ic.lim) { // |v| <= lim
+			return ic.c + ic.coef*v, true
+		}
+	}
+	return ic.evalGeneral(s)
+}
+
+func (ic *intCode) evalGeneral(s *State) (int64, bool) {
+	if ic.affine {
+		x, exact := ic.c, true
+		for _, t := range ic.terms {
+			v := s.indices[t.slot]
+			exact = exact && uint64(v+ic.lim) <= uint64(2*ic.lim)
+			x += t.coef * v
+		}
+		if exact {
+			return x, true
+		}
+	}
+	// Through the float expression, rejecting values outside the exactly
+	// representable range instead of wrapping through the conversion.
+	x := ic.fn(s)
+	if s.err != nil {
+		return 0, false
+	}
+	if math.IsNaN(x) || x > float64(maxExactInt) || x < -float64(maxExactInt) {
+		s.fail(&NumericError{What: "integer value", Val: x})
+		return 0, false
+	}
+	return int64(math.Round(x)), true
+}
+
+// exactLimit returns the largest index magnitude M for which the float
+// evaluation of the affine expression e is exact: every node of e is an
+// integer of magnitude at most k + m·M (k from constants, m from index
+// terms), and all of them stay below 2^52 — integers that size add, subtract
+// and multiply exactly, and the divisions the affine analysis accepts divide
+// evenly. The factor two below 2^53 absorbs the rounding of the bound
+// arithmetic itself. Zero means no usable range.
+func exactLimit(e ast.Expr) int64 {
+	worst := 1.0
+	var bound func(e ast.Expr) (k, m float64)
+	bound = func(e ast.Expr) (k, m float64) {
+		switch x := e.(type) {
+		case *ast.IntConst:
+			k = math.Abs(float64(x.Value))
+		case *ast.Ref:
+			m = 1
+		case *ast.UnaryMinus:
+			k, m = bound(x.X)
+		case *ast.BinOp:
+			lk, lm := bound(x.L)
+			rk, rm := bound(x.R)
+			switch x.Op {
+			case ast.Mul:
+				// One side is index-free (or the form would not be affine).
+				k, m = lk*rk, lk*rm+rk*lm
+			case ast.Div:
+				k, m = lk, lm // an integer divisor only shrinks the value
+			default:
+				k, m = lk+rk, lm+rm
+			}
+		}
+		worst = math.Max(worst, k+m)
+		return k, m
+	}
+	bound(e)
+	return int64(float64(int64(1)<<52) / worst)
+}
+
+// ---------------------------------------------------------------------------
+// The lowerer
+
+type lowerer struct {
+	p    *spmd.Program
+	prog *ir.Program
+	c    *code
+}
+
+// lower builds the lowered form of p. It cannot fail: whatever could not be
+// executed lowers to code that reports the error when reached.
+func lower(p *spmd.Program) *code {
+	prog := p.Res.Prog
+	lw := &lowerer{p: p, prog: prog, c: &code{
+		stmts:   make([]stmtCode, len(prog.Stmts)),
+		loops:   make([]loopCode, len(prog.Loops)),
+		reqs:    make([]reqCode, len(p.Plan.Reqs)),
+		owners:  make([]*ownerCode, len(prog.Refs)),
+		scalars: make(map[*core.ScalarMapping]*patCode, len(p.Res.Scalars)),
+	}}
+	for _, r := range prog.Refs {
+		if r.Var.IsArray() {
+			lw.owner(r)
+		}
+	}
+	for _, m := range p.Res.Scalars {
+		var encl *ir.Loop
+		if m.Def != nil && m.Def.Stmt != nil {
+			encl = m.Def.Stmt.Loop
+		}
+		lw.c.scalars[m] = lw.pattern(m.Pattern, nil, encl)
+	}
+	for _, l := range prog.Loops {
+		lc := &lw.c.loops[l.ID]
+		lc.plan = p.LoopPlanOf(l)
+		lc.lo = lw.integer(l.Lo, l.Parent)
+		lc.hi = lw.integer(l.Hi, l.Parent)
+		if l.Step != nil {
+			step := lw.integer(l.Step, l.Parent)
+			lc.step = &step
+		}
+	}
+	for _, st := range prog.Stmts {
+		lw.stmt(st)
+	}
+	for _, req := range p.Plan.Reqs {
+		lw.req(req)
+	}
+	return lw.c
+}
+
+// integer lowers an integer-valued expression evaluated inside loop encl.
+func (lw *lowerer) integer(e ast.Expr, encl *ir.Loop) intCode {
+	return lw.affine(ir.AnalyzeAffine(e, encl, nil), encl, true)
+}
+
+// affine lowers an analyzed subscript or position. exact marks forms the
+// tree-walking evaluator computed through the float expression (subscripts,
+// bounds): their int64 path is limited to the range where the two agree.
+// Pattern positions were always evaluated from the affine form itself.
+func (lw *lowerer) affine(a ir.Affine, encl *ir.Loop, exact bool) intCode {
+	ic := intCode{c: a.Const, lim: unlimited}
+	if a.OK {
+		ic.affine = true
+		for _, t := range a.Terms {
+			ic.terms = append(ic.terms, affTerm{slot: t.Loop.Index.Slot, coef: t.Coef})
+		}
+		if !exact {
+			return ic.finish()
+		}
+		if ic.lim = exactLimit(a.Expr); ic.lim == 0 {
+			ic.affine = false
+		}
+	}
+	ic.fn = lw.expr(a.Expr, encl)
+	return ic.finish()
+}
+
+// finish derives the single-term fast path from the affine form.
+func (ic intCode) finish() intCode {
+	if ic.affine && len(ic.terms) == 1 {
+		ic.single, ic.slot, ic.coef = true, ic.terms[0].slot, ic.terms[0].coef
+	}
+	return ic
+}
+
+// expr lowers a floating-point expression evaluated inside loop encl.
+func (lw *lowerer) expr(e ast.Expr, encl *ir.Loop) fexpr {
+	switch x := e.(type) {
+	case *ast.IntConst:
+		v := float64(x.Value)
+		return func(*State) float64 { return v }
+	case *ast.RealConst:
+		v := x.Value
+		return func(*State) float64 { return v }
+	case *ast.Ref:
+		return lw.ref(x, encl)
+	case *ast.UnaryMinus:
+		arg := lw.expr(x.X, encl)
+		return func(s *State) float64 { return -arg(s) }
+	case *ast.Not:
+		arg := lw.expr(x.X, encl)
+		return func(s *State) float64 { return b2f(arg(s) == 0) }
+	case *ast.BinOp:
+		return binary(x.Op, lw.expr(x.L, encl), lw.expr(x.R, encl))
+	case *ast.Call:
+		args := make([]fexpr, len(x.Args))
+		for k, a := range x.Args {
+			args[k] = lw.expr(a, encl)
+		}
+		return call(x.Name, args)
+	}
+	return failing(fmt.Errorf("unsupported expression %T", e))
+}
+
+// failing lowers something that cannot be evaluated: the error surfaces
+// when (and only when) execution reaches it.
+func failing(err error) fexpr {
+	return func(s *State) float64 {
+		s.fail(err)
+		return 0
+	}
+}
+
+func (lw *lowerer) ref(x *ast.Ref, encl *ir.Loop) fexpr {
+	v := lw.prog.LookupVar(x.Name)
+	if v == nil {
+		return failing(fmt.Errorf("unknown variable %s", x.Name))
+	}
+	slot := v.Slot
+	switch {
+	case v.IsLoopIndex:
+		return func(s *State) float64 { return float64(s.indices[slot]) }
+	case !v.IsArray():
+		return func(s *State) float64 { return s.scalars[slot] }
+	}
+	ac := lw.array(v, x, encl, 0)
+	return func(s *State) float64 {
+		off, ok := ac.offset(s)
+		if !ok {
+			return 0
+		}
+		return s.arrays[slot][off]
+	}
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// binary lowers one operator application. Both operands are always
+// evaluated, left first (the logical operators do not short-circuit).
+func binary(op ast.Op, l, r fexpr) fexpr {
+	switch op {
+	case ast.Add:
+		return func(s *State) float64 { return l(s) + r(s) }
+	case ast.Sub:
+		return func(s *State) float64 { return l(s) - r(s) }
+	case ast.Mul:
+		return func(s *State) float64 { return l(s) * r(s) }
+	case ast.Div:
+		return func(s *State) float64 { return l(s) / r(s) }
+	case ast.OpEq:
+		return func(s *State) float64 { return b2f(l(s) == r(s)) }
+	case ast.OpNe:
+		return func(s *State) float64 { return b2f(l(s) != r(s)) }
+	case ast.OpLt:
+		return func(s *State) float64 { return b2f(l(s) < r(s)) }
+	case ast.OpLe:
+		return func(s *State) float64 { return b2f(l(s) <= r(s)) }
+	case ast.OpGt:
+		return func(s *State) float64 { return b2f(l(s) > r(s)) }
+	case ast.OpGe:
+		return func(s *State) float64 { return b2f(l(s) >= r(s)) }
+	case ast.OpAnd:
+		return func(s *State) float64 { a, b := l(s), r(s); return b2f(a != 0 && b != 0) }
+	case ast.OpOr:
+		return func(s *State) float64 { a, b := l(s), r(s); return b2f(a != 0 || b != 0) }
+	}
+	return func(s *State) float64 {
+		l(s)
+		r(s)
+		s.fail(fmt.Errorf("bad operator"))
+		return 0
+	}
+}
+
+// call lowers an intrinsic application. The parser fixes each intrinsic's
+// arity; any other shape falls through to the generic evaluator.
+func call(name string, args []fexpr) fexpr {
+	if len(args) == 1 {
+		a := args[0]
+		switch name {
+		case "abs":
+			return func(s *State) float64 { return math.Abs(a(s)) }
+		case "sqrt":
+			return func(s *State) float64 { return math.Sqrt(a(s)) }
+		case "exp":
+			return func(s *State) float64 { return math.Exp(a(s)) }
+		}
+	}
+	if len(args) == 2 {
+		a, b := args[0], args[1]
+		switch name {
+		case "max":
+			return func(s *State) float64 {
+				x, y := a(s), b(s)
+				if y > x {
+					return y
+				}
+				return x
+			}
+		case "min":
+			return func(s *State) float64 {
+				x, y := a(s), b(s)
+				if y < x {
+					return y
+				}
+				return x
+			}
+		case "mod":
+			return func(s *State) float64 { x, y := a(s), b(s); return math.Mod(x, y) }
+		}
+	}
+	return func(s *State) float64 {
+		var buf [4]float64
+		vals := buf[:0]
+		for _, a := range args {
+			vals = append(vals, a(s))
+		}
+		if s.err != nil {
+			return 0
+		}
+		v, err := evalCall(name, vals)
+		if err != nil {
+			s.fail(err)
+		}
+		return v
+	}
+}
+
+func evalCall(name string, args []float64) (float64, error) {
+	switch name {
+	case "abs":
+		return math.Abs(args[0]), nil
+	case "sqrt":
+		return math.Sqrt(args[0]), nil
+	case "exp":
+		return math.Exp(args[0]), nil
+	case "max":
+		best := args[0]
+		for _, a := range args[1:] {
+			if a > best {
+				best = a
+			}
+		}
+		return best, nil
+	case "min":
+		best := args[0]
+		for _, a := range args[1:] {
+			if a < best {
+				best = a
+			}
+		}
+		return best, nil
+	case "mod":
+		return math.Mod(args[0], args[1]), nil
+	}
+	return 0, fmt.Errorf("unknown intrinsic %s", name)
+}
+
+// ---------------------------------------------------------------------------
+// Array element access
+
+// arrCode is one lowered array access: subscript evaluation, the bounds
+// guard and the row-major offset, fused.
+type arrCode struct {
+	v       *ir.Var
+	subs    []intCode
+	strides []int64
+	// line > 0 marks a definition: its errors carry the source line.
+	line int
+	// wide is the first dimension at which the shape's stride product leaves
+	// int64 (-1: none). NewState rejects such shapes before any walk, so
+	// this only keeps the guard the offset arithmetic always had.
+	wide int
+}
+
+func (lw *lowerer) array(v *ir.Var, x *ast.Ref, encl *ir.Loop, line int) *arrCode {
+	ac := &arrCode{v: v, line: line, wide: -1,
+		subs: make([]intCode, v.Rank()), strides: make([]int64, v.Rank())}
+	stride := int64(1)
+	for k := range ac.subs {
+		ac.subs[k] = lw.integer(x.Subs[k], encl)
+		ac.strides[k] = stride
+		var ok bool
+		if stride, ok = mulChecked(stride, v.Dims[k]); !ok && ac.wide < 0 {
+			ac.wide = k
+		}
+	}
+	return ac
+}
+
+// offset computes the linear (row-major, 1-based) offset of the access at
+// the current indices, rejecting out-of-bounds subscripts. In-bounds
+// subscripts of a shape NewState accepted cannot overflow the arithmetic.
+func (ac *arrCode) offset(s *State) (int64, bool) {
+	off := int64(0)
+	for k := range ac.subs {
+		x, ok := ac.subs[k].eval(s)
+		if !ok {
+			return 0, false
+		}
+		if x < 1 || x > ac.v.Dims[k] {
+			s.fail(ac.boundsError(k, x))
+			return 0, false
+		}
+		if k == ac.wide {
+			s.fail(&NumericError{Line: ac.line, What: ac.v.Name + " stride", Val: float64(ac.v.Dims[k])})
+			return 0, false
+		}
+		off += (x - 1) * ac.strides[k]
+	}
+	return off, true
+}
+
+func (ac *arrCode) boundsError(k int, x int64) error {
+	if ac.line > 0 {
+		return fmt.Errorf("line %d: %s subscript %d out of bounds: %d (extent %d)",
+			ac.line, ac.v.Name, k+1, x, ac.v.Dims[k])
+	}
+	return fmt.Errorf("%s subscript %d out of bounds: %d (extent %d)",
+		ac.v.Name, k+1, x, ac.v.Dims[k])
+}
+
+// ---------------------------------------------------------------------------
+// Owner and execution sets
+
+// ownerCode computes the owners of one array reference under the dynamic
+// distribution, or — inside the array's privatization loop — under the
+// privatization override.
+type ownerCode struct {
+	slot int32
+	subs []intCode
+	// priv is the privatization governing this reference (nil outside the
+	// privatization loop); target owns the privatized grid dimensions.
+	priv   *core.ArrayPrivatization
+	target *ownerCode
+}
+
+func (lw *lowerer) owner(ref *ir.Ref) *ownerCode {
+	if oc := lw.c.owners[ref.ID]; oc != nil {
+		return oc
+	}
+	oc := &ownerCode{slot: ref.Var.Slot, subs: make([]intCode, len(ref.Subs))}
+	lw.c.owners[ref.ID] = oc
+	for k, a := range ref.Subs {
+		oc.subs[k] = lw.affine(a, ref.Stmt.Loop, true)
+	}
+	if ap := lw.p.Res.Arrays[ref.Var]; ap != nil && ir.Encloses(ap.Loop, ref.Stmt.Loop) {
+		oc.priv = ap
+		oc.target = lw.owner(ap.Target)
+	}
+	return oc
+}
+
+func (oc *ownerCode) eval(s *State) (dist.ProcSet, bool) {
+	var buf [8]int64
+	idx := buf[:0]
+	if len(oc.subs) > len(buf) {
+		idx = make([]int64, 0, len(oc.subs))
+	}
+	for k := range oc.subs {
+		x, ok := oc.subs[k].eval(s)
+		if !ok {
+			return dist.ProcSet{}, false
+		}
+		idx = append(idx, x)
+	}
+	if ap := oc.priv; ap != nil {
+		// Privatized grid dims follow the target reference's owner now;
+		// partitioned dims come from the privatization axes.
+		tgt, ok := s.ownerOf(oc.target)
+		if !ok {
+			return dist.ProcSet{}, false
+		}
+		set := dist.AllProcs(s.grid)
+		for d := range s.grid.Shape {
+			if ap.PrivGrid[d] {
+				if c, fixed := tgt.Fixed(d); fixed {
+					set = set.WithDim(d, c)
+				}
+			}
+		}
+		for dim := range ap.Axes {
+			if ax := &ap.Axes[dim]; ax.Distributed {
+				set = set.WithDim(ax.GridDim, ax.OwnerDim(idx[dim], s.grid.Shape[ax.GridDim]))
+			}
+		}
+		return set, true
+	}
+	am := s.dyn[oc.slot]
+	if am == nil {
+		return dist.AllProcs(s.grid), true
+	}
+	return am.Owner(s.grid, idx), true
+}
+
+// patCode evaluates an owner pattern: the grid dimensions whose coordinate
+// the pattern determines (replicated and widened dimensions are dropped at
+// lowering time), each with its distribution and position.
+type patCode struct {
+	dims []patDim
+}
+
+type patDim struct {
+	d   int
+	ax  dist.AxisMap
+	pos intCode
+}
+
+// pattern lowers an owner pattern. widen, when non-nil, lists loops whose
+// indices range over a whole aggregated transfer: dimensions varying in them
+// span all coordinates. encl is the loop the pattern's statement sits in.
+func (lw *lowerer) pattern(pat dist.OwnerPattern, widen []*ir.Loop, encl *ir.Loop) *patCode {
+	pc := &patCode{}
+dims:
+	for d, dp := range pat.Dims {
+		if dp.Repl || (!dp.Sub.OK && dp.Sub.Expr == nil) {
+			continue // everywhere, or an undefined position: the dimension stays wide
+		}
+		for _, l := range widen {
+			if dp.Sub.VariesIn(l) {
+				continue dims
+			}
+		}
+		pc.dims = append(pc.dims, patDim{d: d, pos: lw.affine(dp.Sub, encl, false),
+			ax: dist.AxisMap{Distributed: true, GridDim: d, Kind: dp.Kind,
+				Offset: dp.Offset, Extent: dp.Extent, Block: dp.Block}})
+	}
+	return pc
+}
+
+func (pc *patCode) eval(s *State) dist.ProcSet {
+	set := dist.AllProcs(s.grid)
+	for i := range pc.dims {
+		pd := &pc.dims[i]
+		pos, ok := pd.pos.eval(s)
+		if !ok {
+			s.err = nil // an unevaluable position leaves the dimension wide
+			continue
+		}
+		set = set.WithDim(pd.d, pd.ax.OwnerDim(pos, s.grid.Shape[pd.d]))
+	}
+	return set
+}
+
+// execCode computes a statement's execution set.
+type execCode struct {
+	kind  spmd.ExecKind
+	owner *ownerCode // ExecOwner
+	pat   *patCode   // ExecPattern
+	loop  *ir.Loop   // ExecUnion
+}
+
+func (ec *execCode) eval(s *State) (dist.ProcSet, bool) {
+	switch ec.kind {
+	case spmd.ExecOwner:
+		return s.ownerOf(ec.owner)
+	case spmd.ExecPattern:
+		return ec.pat.eval(s), true
+	case spmd.ExecUnion:
+		return s.UnionSet(ec.loop), true
+	}
+	return dist.AllProcs(s.grid), true
+}
+
+// union collects the contributions to l's union execution set: the owner
+// pattern of every owner-driven statement under l, widened over l's inner
+// loops. The result is non-nil even when empty.
+func (lw *lowerer) union(l *ir.Loop) []*patCode {
+	var inner []*ir.Loop
+	for _, ll := range lw.prog.Loops {
+		if ll != l && ir.Encloses(l, ll) {
+			inner = append(inner, ll)
+		}
+	}
+	parts := []*patCode{}
+	for _, st := range lw.prog.Stmts {
+		if st.Kind != ir.SAssign || !ir.Encloses(l, st.Loop) {
+			continue
+		}
+		switch sp := lw.p.PlanOf(st); sp.Kind {
+		case spmd.ExecOwner:
+			parts = append(parts, lw.pattern(lw.p.Res.RefPattern(sp.OwnerRef), inner, st.Loop))
+		case spmd.ExecPattern:
+			parts = append(parts, lw.pattern(sp.Scalar.Pattern, inner, st.Loop))
+		}
+	}
+	return parts
+}
+
+// ---------------------------------------------------------------------------
+// Statements and loops
+
+// stmtCode is one lowered statement: its execution set and value semantics.
+type stmtCode struct {
+	plan *spmd.StmtPlan
+	exec execCode
+
+	// SAssign: evaluate rhs, then store through the definition — an array
+	// element (def) or the scalar in slot, rounded when integer-typed.
+	rhs   fexpr
+	def   *arrCode
+	slot  int32
+	round bool
+	// red is the privatized form of a reduction update (nil for every other
+	// statement); it runs in place of the assignment while the combine's
+	// partial table is armed.
+	red *redCode
+
+	// SIf, SIfGoto
+	cond fexpr
+}
+
+// redCode is the privatized value semantics of one reduction update:
+// evaluate only the contribution and fold it into the partial row of the
+// processor that executes the instance.
+type redCode struct {
+	data   fexpr
+	negate bool
+	owner  *ownerCode // owners of the reduction's data reference; nil: processor 0
+	def    *arrCode   // elementwise reductions: the updated element
+}
+
+func (lw *lowerer) stmt(st *ir.Stmt) {
+	sc := &lw.c.stmts[st.ID]
+	sp := lw.p.PlanOf(st)
+	sc.plan = sp
+	sc.exec.kind = sp.Kind
+	switch sp.Kind {
+	case spmd.ExecOwner:
+		sc.exec.owner = lw.owner(sp.OwnerRef)
+	case spmd.ExecPattern:
+		sc.exec.pat = lw.pattern(sp.Scalar.Pattern, nil, st.Loop)
+	case spmd.ExecUnion:
+		sc.exec.loop = st.Loop
+		if l := st.Loop; l != nil && lw.c.loops[l.ID].union == nil {
+			lw.c.loops[l.ID].union = lw.union(l)
+		}
+	}
+	switch st.Kind {
+	case ir.SAssign:
+		v := st.Lhs.Var
+		sc.rhs = lw.expr(st.Rhs, st.Loop)
+		sc.slot = v.Slot
+		sc.round = v.Type == ast.Integer
+		if v.IsArray() {
+			sc.def = lw.array(v, st.Lhs.Ast, st.Loop, st.Line)
+		}
+		if c := sp.Combine; c != nil && c.Privatizable {
+			sc.red = &redCode{data: lw.expr(c.Red.Data, st.Loop), negate: c.Red.Negate, def: sc.def}
+			if c.Red.DataRef != nil {
+				sc.red.owner = lw.owner(c.Red.DataRef)
+			}
+		}
+	case ir.SIf, ir.SIfGoto:
+		sc.cond = lw.expr(st.Cond, st.Loop)
+	}
+}
+
+// assign runs the assignment's value semantics.
+func (sc *stmtCode) assign(s *State) {
+	val := sc.rhs(s)
+	if s.err != nil {
+		return
+	}
+	if sc.def == nil {
+		if sc.round {
+			val = math.Round(val)
+		}
+		s.scalars[sc.slot] = val
+		s.scalarSet[sc.slot] = true
+		return
+	}
+	if off, ok := sc.def.offset(s); ok {
+		s.arrays[sc.slot][off] = val
+	}
+}
+
+// accumulate folds one reduction-update instance into the partial table of
+// combine c. The real accumulator is untouched until MergePartials runs at
+// loop exit (it is stale while the loop runs, which is why only the
+// contribution is evaluated, never the full right-hand side).
+func (rc *redCode) accumulate(s *State, c *spmd.Combine) {
+	val := rc.data(s)
+	if s.err != nil {
+		return
+	}
+	if rc.negate {
+		val = -val
+	}
+	proc := 0
+	if rc.owner != nil {
+		set, ok := s.ownerOf(rc.owner)
+		if !ok {
+			return
+		}
+		proc = set.First()
+	}
+	off := int64(0)
+	if rc.def != nil {
+		var ok bool
+		if off, ok = rc.def.offset(s); !ok {
+			return
+		}
+	}
+	tab := s.partials[c.AccIndex]
+	i := int64(proc)*s.partialElems[c.AccIndex] + off
+	tab[i] = c.Red.Op.Fold(tab[i], val)
+}
+
+// loopCode is one lowered loop: its bounds, and the contributors to its
+// union execution set when some statement of its body executes on it.
+type loopCode struct {
+	plan   *spmd.LoopPlan
+	lo, hi intCode
+	step   *intCode // nil: 1
+	union  []*patCode
+}
+
+// bounds evaluates the loop's lower bound, upper bound and step (1 when
+// absent) at the current indices.
+func (lc *loopCode) bounds(s *State) (lo, hi, step int64, ok bool) {
+	if lo, ok = lc.lo.eval(s); !ok {
+		return
+	}
+	if hi, ok = lc.hi.eval(s); !ok {
+		return
+	}
+	step = 1
+	if lc.step != nil {
+		step, ok = lc.step.eval(s)
+	}
+	return
+}
+
+// ---------------------------------------------------------------------------
+// Communication requirements
+
+// reqCode is one lowered communication requirement. A per-instance
+// requirement carries the source-set computation and the value of the used
+// element; a vectorized one the trip-count loops, the widened source and
+// destination patterns, and the coverage test.
+type reqCode struct {
+	srcOwner *ownerCode // array uses: owners under the dynamic mapping
+	srcPat   *patCode   // scalar uses (per instance); every use (vectorized)
+	dstPat   *patCode
+	use      fexpr
+
+	// trips lists the hoisted loops the used reference varies in: the
+	// aggregated transfer counts an element once per iteration of those.
+	trips   []*ir.Loop
+	covered coverCode
+}
+
+// coverCode decides whether, at one entry of the hoisted nest, the source
+// data already resides wherever the destinations need it. never is the
+// static verdict (some dimension cannot be covered); otherwise every listed
+// dimension must map source and destination position to the same coordinate.
+type coverCode struct {
+	never bool
+	dims  []coverDim
+}
+
+type coverDim struct {
+	d          int
+	ax         dist.AxisMap
+	spos, tpos intCode
+	soff, toff int64
+}
+
+func (lw *lowerer) req(req *comm.Requirement) {
+	rc := &lw.c.reqs[req.ID]
+	encl := req.Stmt.Loop
+	if !req.Vectorized() {
+		if req.Use.Var.IsArray() {
+			rc.srcOwner = lw.owner(req.Use)
+		} else {
+			rc.srcPat = lw.pattern(req.SrcPat, nil, encl)
+		}
+		rc.use = lw.ref(req.Use.Ast, encl)
+		return
+	}
+	for _, l := range req.Hoisted {
+		if RefVariesIn(req.Use, l) {
+			rc.trips = append(rc.trips, l)
+		}
+	}
+	rc.srcPat = lw.pattern(req.SrcPat, req.Hoisted, encl)
+	rc.dstPat = lw.pattern(req.DstPat, req.Hoisted, encl)
+	for d := range req.SrcPat.Dims {
+		sd, td := req.SrcPat.Dims[d], req.DstPat.Dims[d]
+		if sd.Repl {
+			continue
+		}
+		if td.Repl {
+			rc.covered.never = true
+			return
+		}
+		// Statically identical determination covers regardless of hoisting.
+		if dist.Covers(dist.OwnerPattern{Dims: []dist.DimPattern{sd}},
+			dist.OwnerPattern{Dims: []dist.DimPattern{td}}) {
+			continue
+		}
+		// Positions varying within the hoisted loops are covered only when
+		// statically identical; fixed ones are compared per entry.
+		for _, l := range req.Hoisted {
+			if sd.Sub.VariesIn(l) || td.Sub.VariesIn(l) {
+				rc.covered.never = true
+				return
+			}
+		}
+		undefined := func(a ir.Affine) bool { return !a.OK && a.Expr == nil }
+		if undefined(sd.Sub) || undefined(td.Sub) ||
+			sd.Kind != td.Kind || sd.Block != td.Block || sd.Extent != td.Extent {
+			rc.covered.never = true
+			return
+		}
+		rc.covered.dims = append(rc.covered.dims, coverDim{d: d,
+			ax:   dist.AxisMap{Distributed: true, Kind: sd.Kind, Extent: sd.Extent, Block: sd.Block},
+			spos: lw.affine(sd.Sub, encl, false), tpos: lw.affine(td.Sub, encl, false),
+			soff: sd.Offset, toff: td.Offset})
+	}
+}
+
+func (cc *coverCode) eval(s *State) bool {
+	if cc.never {
+		return false
+	}
+	for i := range cc.dims {
+		cd := &cc.dims[i]
+		spos, ok1 := cd.spos.eval(s)
+		tpos, ok2 := cd.tpos.eval(s)
+		if !ok1 || !ok2 {
+			s.err = nil // an unevaluable position is not covered
+			return false
+		}
+		n := s.grid.Shape[cd.d]
+		if cd.ax.OwnerDim(spos+cd.soff, n) != cd.ax.OwnerDim(tpos+cd.toff, n) {
+			return false
+		}
+	}
+	return true
+}

@@ -17,7 +17,6 @@ import (
 	"phpf/internal/ast"
 	"phpf/internal/core"
 	"phpf/internal/diag"
-	"phpf/internal/ir"
 	"phpf/internal/spmd"
 )
 
@@ -133,42 +132,6 @@ func (s *State) PartialElems(c *spmd.Combine) int64 {
 		return 0
 	}
 	return s.partialElems[c.AccIndex]
-}
-
-// AccumulatePrivate is the privatized value semantics of one reduction-update
-// instance: evaluate only the contribution (never the full right-hand side —
-// the real accumulator is stale while the loop runs), and fold it into the
-// partial row of the processor that executes the instance (the first owner of
-// the reduction's data reference; processor 0 for all-scalar contributions).
-// The real accumulator is untouched until MergePartials runs at loop exit.
-func (s *State) AccumulatePrivate(st *ir.Stmt, c *spmd.Combine) error {
-	val, err := s.Eval(c.Red.Data)
-	if err != nil {
-		return err
-	}
-	if c.Red.Negate {
-		val = -val
-	}
-	acc := 0
-	if c.Red.DataRef != nil {
-		set, err := s.OwnerSet(c.Red.DataRef)
-		if err != nil {
-			return err
-		}
-		if p := set.First(); p >= 0 {
-			acc = p
-		}
-	}
-	off := int64(0)
-	if st.Lhs.Var.IsArray() {
-		if off, err = s.ArrayOffset(st.Lhs); err != nil {
-			return err
-		}
-	}
-	tab := s.partials[c.AccIndex]
-	i := int64(acc)*s.partialElems[c.AccIndex] + off
-	tab[i] = c.Red.Op.Fold(tab[i], val)
-	return nil
 }
 
 // MergeHop is one edge of the deterministic combining tree: Loser folds its

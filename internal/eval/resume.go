@@ -71,7 +71,7 @@ func (s *State) Cursor() (Cursor, bool) {
 // target loop's LoopEntry and runs normally from its recorded bounds.
 // The caller must have restored s to the matching checkpoint snapshot.
 func WalkResume(s *State, b Backend, from *Cursor) error {
-	w := &walker{s: s, b: b, track: true}
+	w := &walker{s: s, b: b, c: s.lowered(), track: true}
 	s.walk = w
 	if from != nil && from.valid {
 		w.seek = from.frames

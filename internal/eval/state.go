@@ -14,9 +14,7 @@ package eval
 
 import (
 	"fmt"
-	"math"
 
-	"phpf/internal/ast"
 	"phpf/internal/core"
 	"phpf/internal/diag"
 	"phpf/internal/dist"
@@ -75,8 +73,23 @@ type State struct {
 	indices   []int64   // by Var.Slot; current loop-index values
 	arrays    [][]float64
 	// dyn holds the current (possibly redistributed) mapping per array.
-	dyn  []*dist.ArrayMap
-	priv []*core.ArrayPrivatization // by Var.Slot; privatization override
+	dyn []*dist.ArrayMap
+
+	grid *dist.Grid
+	// code is the program's lowered form (see lower.go), fetched on first
+	// use; err parks the first error of the lowered evaluation in flight.
+	code *code
+	err  error
+
+	// Per-instance memo: while the walker is inside one statement instance
+	// (inst), the instance's execution set and the last owner set computed
+	// are kept, so the backend's queries, the per-instance communication
+	// decisions and the value semantics evaluate each of them once.
+	inst      bool
+	execPlan  *spmd.StmtPlan
+	execSet   dist.ProcSet
+	ownerCode *ownerCode
+	ownerSet  dist.ProcSet
 
 	// unionCache memoizes the per-iteration union execution set by
 	// Loop.ID; unionEpoch records the epoch an entry was computed at
@@ -85,13 +98,6 @@ type State struct {
 	unionCache []dist.ProcSet
 	unionEpoch []int64
 	epoch      int64
-
-	// unionPart caches, per loop, the statically known contributors to the
-	// loop's union execution set (built on first use).
-	unionPart [][]unionContrib
-
-	// idxScratch is the reusable subscript buffer OwnerSet evaluates into.
-	idxScratch []int64
 
 	// Privatized-reduction state (see reduce.go). partials[acc] is the
 	// combine's partial table — nprocs rows of partialElems[acc] elements,
@@ -105,13 +111,6 @@ type State struct {
 	// (nil outside WalkResume); Cursor reads the resume path through it.
 	// Deliberately excluded from snapshots.
 	walk *walker
-}
-
-// unionContrib is one owner-driven statement's static contribution to a
-// union execution set: its owner pattern and the inner loops that widen it.
-type unionContrib struct {
-	pat   dist.OwnerPattern
-	widen []*ir.Loop
 }
 
 // Budget bounds the resources one State may allocate. The zero value is
@@ -152,10 +151,9 @@ func NewStateBudget(p *spmd.Program, budget Budget) (*State, error) {
 		indices:    make([]int64, n),
 		arrays:     make([][]float64, n),
 		dyn:        make([]*dist.ArrayMap, n),
-		priv:       make([]*core.ArrayPrivatization, n),
+		grid:       p.Res.Mapping.Grid,
 		unionCache: make([]dist.ProcSet, len(prog.Loops)),
 		unionEpoch: make([]int64, len(prog.Loops)),
-		unionPart:  make([][]unionContrib, len(prog.Loops)),
 	}
 	for i := range s.unionEpoch {
 		s.unionEpoch[i] = -1
@@ -166,7 +164,6 @@ func NewStateBudget(p *spmd.Program, budget Budget) (*State, error) {
 	sizes := make([]int64, n)
 	total := int64(0)
 	for _, v := range prog.VarList {
-		s.priv[v.Slot] = p.Res.Arrays[v]
 		if !v.IsArray() {
 			continue
 		}
@@ -264,7 +261,7 @@ func (s *State) Dyn() map[*ir.Var]*dist.ArrayMap {
 }
 
 // Grid returns the processor grid the program is mapped onto.
-func (s *State) Grid() *dist.Grid { return s.Prog.Res.Mapping.Grid }
+func (s *State) Grid() *dist.Grid { return s.grid }
 
 // mulChecked multiplies two non-negative int64s, reporting overflow.
 func mulChecked(a, b int64) (int64, bool) {
@@ -288,104 +285,91 @@ func addChecked(a, b int64) (int64, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Value semantics
+// Execution sets
 
-// Store assigns val through a definition reference.
-func (s *State) Store(ref *ir.Ref, val float64) error {
-	v := ref.Var
-	if !v.IsArray() {
-		if v.Type == ast.Integer {
-			val = math.Round(val)
-		}
-		s.scalars[v.Slot] = val
-		s.scalarSet[v.Slot] = true
-		return nil
+// ExecSet evaluates a statement's execution set at the current indices.
+// Inside a statement instance the set is computed once and remembered.
+func (s *State) ExecSet(sp *spmd.StmtPlan) (dist.ProcSet, error) {
+	if s.inst && s.execPlan == sp {
+		return s.execSet, nil
 	}
-	off, err := s.ArrayOffset(ref)
-	if err != nil {
-		return err
+	set, ok := s.lowered().stmts[sp.Stmt.ID].exec.eval(s)
+	if !ok {
+		return dist.ProcSet{}, s.takeErr()
 	}
-	s.arrays[v.Slot][off] = val
-	return nil
+	if s.inst {
+		s.execPlan, s.execSet = sp, set
+	}
+	return set, nil
 }
 
-// ArrayOffset computes the linear (row-major, 1-based) offset of an array
-// reference, rejecting out-of-bounds subscripts and guarding the offset
-// arithmetic against int64 wrap on adversarial shapes.
-func (s *State) ArrayOffset(ref *ir.Ref) (int64, error) {
-	v := ref.Var
-	off := int64(0)
-	stride := int64(1)
-	for k := 0; k < v.Rank(); k++ {
-		x, err := s.EvalInt(ref.Ast.Subs[k])
-		if err != nil {
-			return 0, err
-		}
-		if x < 1 || x > v.Dims[k] {
-			return 0, fmt.Errorf("line %d: %s subscript %d out of bounds: %d (extent %d)",
-				ref.Stmt.Line, v.Name, k+1, x, v.Dims[k])
-		}
-		term, ok := mulChecked(x-1, stride)
-		if !ok {
-			return 0, &NumericError{Line: ref.Stmt.Line, What: v.Name + " offset", Val: float64(x)}
-		}
-		if off, ok = addChecked(off, term); !ok {
-			return 0, &NumericError{Line: ref.Stmt.Line, What: v.Name + " offset", Val: float64(x)}
-		}
-		if stride, ok = mulChecked(stride, v.Dims[k]); !ok {
-			return 0, &NumericError{Line: ref.Stmt.Line, What: v.Name + " stride", Val: float64(v.Dims[k])}
-		}
+// OwnerSet evaluates the owners of an array reference under the dynamic
+// distribution (plus privatization overrides).
+func (s *State) OwnerSet(ref *ir.Ref) (dist.ProcSet, error) {
+	if !ref.Var.IsArray() {
+		return dist.AllProcs(s.grid), nil // scalars have no mapping of their own
 	}
-	return off, nil
+	set, ok := s.ownerOf(s.lowered().owners[ref.ID])
+	if !ok {
+		return dist.ProcSet{}, s.takeErr()
+	}
+	return set, nil
 }
 
-// EvalInt evaluates an expression as an integer, rejecting values outside
-// the exactly representable range instead of wrapping through the float
-// conversion.
-func (s *State) EvalInt(e ast.Expr) (int64, error) {
-	x, err := s.Eval(e)
-	if err != nil {
-		return 0, err
+// ownerOf evaluates lowered owner code through the per-instance memo.
+func (s *State) ownerOf(oc *ownerCode) (dist.ProcSet, bool) {
+	if s.inst && s.ownerCode == oc {
+		return s.ownerSet, true
 	}
-	if math.IsNaN(x) || x > float64(maxExactInt) || x < -float64(maxExactInt) {
-		return 0, &NumericError{What: "integer value", Val: x}
+	set, ok := oc.eval(s)
+	if ok && s.inst {
+		s.ownerCode, s.ownerSet = oc, set
 	}
-	return int64(math.Round(x)), nil
+	return set, ok
 }
 
-// EvalAffine evaluates an affine form (falling back to the expression for
-// non-affine subscripts).
-func (s *State) EvalAffine(a ir.Affine) (int64, error) {
-	if a.OK {
-		x := a.Const
-		for _, t := range a.Terms {
-			x += t.Coef * s.indices[t.Loop.Index.Slot]
+// ScalarSet evaluates the owners of a mapped scalar's value at the current
+// indices: the processors a reduction combines over, or the owner a
+// lastprivate copy-out broadcasts from.
+func (s *State) ScalarSet(m *core.ScalarMapping) dist.ProcSet {
+	return s.lowered().scalars[m].eval(s)
+}
+
+// UnionSet computes (and memoizes per iteration) the union of the execution
+// sets of the loop body's owner-driven statements.
+func (s *State) UnionSet(l *ir.Loop) dist.ProcSet {
+	if l == nil {
+		return dist.AllProcs(s.grid)
+	}
+	if s.unionEpoch[l.ID] == s.epoch {
+		return s.unionCache[l.ID]
+	}
+	// The contributing statements and their owner patterns are static per
+	// program — lowered with it for every loop some statement executes on the
+	// union of; only their evaluation depends on the current indices.
+	parts := s.lowered().loops[l.ID].union
+	if parts == nil {
+		parts = (&lowerer{p: s.Prog, prog: s.Prog.Res.Prog}).union(l)
+	}
+	u := dist.AllProcs(s.grid)
+	for i, part := range parts {
+		if set := part.eval(s); i == 0 {
+			u = set
+		} else {
+			u = u.Union(set)
 		}
-		return x, nil
 	}
-	if a.Expr == nil {
-		return 0, fmt.Errorf("undefined pattern position")
-	}
-	return s.EvalInt(a.Expr)
+	s.unionCache[l.ID] = u
+	s.unionEpoch[l.ID] = s.epoch
+	return u
 }
 
 // TripCount evaluates a loop's trip count at the current indices. Bounds are
-// range-checked by EvalInt, so the (hi-lo)/step+1 arithmetic cannot wrap.
+// range-checked to 2^53, so the (hi-lo)/step+1 arithmetic cannot wrap.
 func (s *State) TripCount(l *ir.Loop) (int64, error) {
-	lo, err := s.EvalInt(l.Lo)
-	if err != nil {
-		return 0, err
-	}
-	hi, err := s.EvalInt(l.Hi)
-	if err != nil {
-		return 0, err
-	}
-	step := int64(1)
-	if l.Step != nil {
-		step, err = s.EvalInt(l.Step)
-		if err != nil {
-			return 0, err
-		}
+	lo, hi, step, ok := s.lowered().loops[l.ID].bounds(s)
+	if !ok {
+		return 0, s.takeErr()
 	}
 	if step == 0 {
 		return 0, fmt.Errorf("zero step in %s-loop at line %d", l.Index.Name, l.Line)
@@ -395,321 +379,4 @@ func (s *State) TripCount(l *ir.Loop) (int64, error) {
 		n = 0
 	}
 	return n, nil
-}
-
-// Eval evaluates an expression over the current memory image.
-func (s *State) Eval(e ast.Expr) (float64, error) {
-	switch x := e.(type) {
-	case *ast.IntConst:
-		return float64(x.Value), nil
-	case *ast.RealConst:
-		return x.Value, nil
-	case *ast.Ref:
-		var v *ir.Var
-		if x.Slot > 0 {
-			v = s.slots[x.Slot-1]
-		} else if v = s.Prog.Res.Prog.LookupVar(x.Name); v == nil {
-			return 0, fmt.Errorf("unknown variable %s", x.Name)
-		}
-		if v.IsLoopIndex {
-			return float64(s.indices[v.Slot]), nil
-		}
-		if !v.IsArray() {
-			return s.scalars[v.Slot], nil
-		}
-		off := int64(0)
-		stride := int64(1)
-		for k := 0; k < v.Rank(); k++ {
-			sub, err := s.EvalInt(x.Subs[k])
-			if err != nil {
-				return 0, err
-			}
-			if sub < 1 || sub > v.Dims[k] {
-				return 0, fmt.Errorf("%s subscript %d out of bounds: %d (extent %d)",
-					v.Name, k+1, sub, v.Dims[k])
-			}
-			off += (sub - 1) * stride
-			stride *= v.Dims[k]
-		}
-		return s.arrays[v.Slot][off], nil
-	case *ast.UnaryMinus:
-		r, err := s.Eval(x.X)
-		if err != nil {
-			return 0, err
-		}
-		return -r, nil
-	case *ast.Not:
-		r, err := s.Eval(x.X)
-		if err != nil {
-			return 0, err
-		}
-		if r == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	case *ast.BinOp:
-		l, err := s.Eval(x.L)
-		if err != nil {
-			return 0, err
-		}
-		r, err := s.Eval(x.R)
-		if err != nil {
-			return 0, err
-		}
-		return evalBin(x.Op, l, r)
-	case *ast.Call:
-		// The intrinsics are all short-arity; a stack buffer keeps the
-		// common case allocation-free.
-		var buf [4]float64
-		var args []float64
-		if len(x.Args) <= len(buf) {
-			args = buf[:len(x.Args)]
-		} else {
-			args = make([]float64, len(x.Args))
-		}
-		for k, aexp := range x.Args {
-			v, err := s.Eval(aexp)
-			if err != nil {
-				return 0, err
-			}
-			args[k] = v
-		}
-		return evalCall(x.Name, args)
-	}
-	return 0, fmt.Errorf("unsupported expression %T", e)
-}
-
-func evalBin(op ast.Op, l, r float64) (float64, error) {
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case ast.Add:
-		return l + r, nil
-	case ast.Sub:
-		return l - r, nil
-	case ast.Mul:
-		return l * r, nil
-	case ast.Div:
-		return l / r, nil
-	case ast.OpEq:
-		return b2f(l == r), nil
-	case ast.OpNe:
-		return b2f(l != r), nil
-	case ast.OpLt:
-		return b2f(l < r), nil
-	case ast.OpLe:
-		return b2f(l <= r), nil
-	case ast.OpGt:
-		return b2f(l > r), nil
-	case ast.OpGe:
-		return b2f(l >= r), nil
-	case ast.OpAnd:
-		return b2f(l != 0 && r != 0), nil
-	case ast.OpOr:
-		return b2f(l != 0 || r != 0), nil
-	}
-	return 0, fmt.Errorf("bad operator")
-}
-
-func evalCall(name string, args []float64) (float64, error) {
-	switch name {
-	case "abs":
-		return math.Abs(args[0]), nil
-	case "sqrt":
-		return math.Sqrt(args[0]), nil
-	case "exp":
-		return math.Exp(args[0]), nil
-	case "max":
-		best := args[0]
-		for _, a := range args[1:] {
-			if a > best {
-				best = a
-			}
-		}
-		return best, nil
-	case "min":
-		best := args[0]
-		for _, a := range args[1:] {
-			if a < best {
-				best = a
-			}
-		}
-		return best, nil
-	case "mod":
-		return math.Mod(args[0], args[1]), nil
-	}
-	return 0, fmt.Errorf("unknown intrinsic %s", name)
-}
-
-// ---------------------------------------------------------------------------
-// Execution sets
-
-// ExecSet evaluates a statement's execution set at the current indices.
-func (s *State) ExecSet(sp *spmd.StmtPlan) (dist.ProcSet, error) {
-	g := s.Grid()
-	switch sp.Kind {
-	case spmd.ExecAll:
-		return dist.AllProcs(g), nil
-	case spmd.ExecOwner:
-		return s.OwnerSet(sp.OwnerRef)
-	case spmd.ExecPattern:
-		return s.PatternSet(sp.Scalar.Pattern, nil), nil
-	case spmd.ExecUnion:
-		return s.UnionSet(sp.Stmt.Loop), nil
-	}
-	return dist.AllProcs(g), nil
-}
-
-// OwnerSet evaluates the owners of an array reference under the dynamic
-// distribution (plus privatization overrides).
-func (s *State) OwnerSet(ref *ir.Ref) (dist.ProcSet, error) {
-	g := s.Grid()
-	v := ref.Var
-	// Subscripts evaluate into a scratch buffer reused across calls; the
-	// privatization path below copies it out before recursing (OwnerSet on
-	// the target reference would clobber the scratch).
-	if cap(s.idxScratch) < len(ref.Ast.Subs) {
-		s.idxScratch = make([]int64, len(ref.Ast.Subs))
-	}
-	idx := s.idxScratch[:len(ref.Ast.Subs)]
-	for k, e := range ref.Ast.Subs {
-		x, err := s.EvalInt(e)
-		if err != nil {
-			return dist.ProcSet{}, err
-		}
-		idx[k] = x
-	}
-	if ap := s.priv[v.Slot]; ap != nil && ir.Encloses(ap.Loop, ref.Stmt.Loop) {
-		var buf [4]int64
-		own := append(buf[:0], idx...)
-		return s.privOwnerSet(ap, own)
-	}
-	am := s.dyn[v.Slot]
-	if am == nil {
-		return dist.AllProcs(g), nil
-	}
-	return am.Owner(g, idx), nil
-}
-
-// privOwnerSet computes the owner of a privatized array element: privatized
-// grid dims follow the target reference's owner now; partitioned dims from
-// the privatization axes.
-func (s *State) privOwnerSet(ap *core.ArrayPrivatization, idx []int64) (dist.ProcSet, error) {
-	g := s.Grid()
-	set := dist.MutableAll(g)
-	tgt, err := s.OwnerSet(ap.Target)
-	if err != nil {
-		return dist.ProcSet{}, err
-	}
-	for d := 0; d < g.Rank(); d++ {
-		if ap.PrivGrid[d] {
-			if c, ok := tgt.Fixed(d); ok {
-				set = set.FixDim(d, c)
-			}
-		}
-	}
-	for dim, ax := range ap.Axes {
-		if ax.Distributed {
-			set = set.FixDim(ax.GridDim, ax.OwnerDim(idx[dim], g.Shape[ax.GridDim]))
-		}
-	}
-	return set, nil
-}
-
-// PatternSet evaluates an owner pattern at the current indices. widen, when
-// non-nil, lists loops whose indices range over a whole aggregated transfer:
-// dimensions varying in them span all coordinates.
-func (s *State) PatternSet(pat dist.OwnerPattern, widen []*ir.Loop) dist.ProcSet {
-	g := s.Grid()
-	set := dist.MutableAll(g)
-	for d := range pat.Dims {
-		dp := pat.Dims[d]
-		if dp.Repl {
-			continue
-		}
-		wide := false
-		for _, l := range widen {
-			if dp.Sub.VariesIn(l) {
-				wide = true
-				break
-			}
-		}
-		if wide {
-			continue
-		}
-		pos, err := s.EvalAffine(dp.Sub)
-		if err != nil {
-			continue // undefined position: leave the dimension wide
-		}
-		ax := dist.AxisMap{Distributed: true, GridDim: d, Kind: dp.Kind,
-			Offset: dp.Offset, Extent: dp.Extent, Block: dp.Block}
-		set = set.FixDim(d, ax.OwnerDim(pos, g.Shape[d]))
-	}
-	return set
-}
-
-// UnionSet computes (and memoizes per iteration) the union of the execution
-// sets of the loop body's owner-driven statements.
-func (s *State) UnionSet(l *ir.Loop) dist.ProcSet {
-	g := s.Grid()
-	if l == nil {
-		return dist.AllProcs(g)
-	}
-	if s.unionEpoch[l.ID] == s.epoch {
-		return s.unionCache[l.ID]
-	}
-	// The contributing statements and their owner patterns are static per
-	// program; only the pattern evaluation depends on the current indices.
-	// Build the contributor list once per loop.
-	part := s.unionPart[l.ID]
-	if part == nil {
-		part = s.unionContribs(l)
-		s.unionPart[l.ID] = part
-	}
-	have := false
-	var u dist.ProcSet
-	for i := range part {
-		set := s.PatternSet(part[i].pat, part[i].widen)
-		if !have {
-			u, have = set, true
-		} else {
-			u = u.Union(set)
-		}
-	}
-	if !have {
-		u = dist.AllProcs(g)
-	}
-	s.unionCache[l.ID] = u
-	s.unionEpoch[l.ID] = s.epoch
-	return u
-}
-
-// unionContribs collects the owner-driven statements under l that shape its
-// union execution set. The result is non-nil even when empty, so the lazy
-// cache in UnionSet records "computed, no contributors".
-func (s *State) unionContribs(l *ir.Loop) []unionContrib {
-	var innerList []*ir.Loop
-	for _, ll := range s.Prog.Res.Prog.Loops {
-		if ll != l && ir.Encloses(l, ll) {
-			innerList = append(innerList, ll)
-		}
-	}
-	part := []unionContrib{}
-	for _, st := range s.Prog.Res.Prog.Stmts {
-		if st.Kind != ir.SAssign || !ir.Encloses(l, st.Loop) {
-			continue
-		}
-		sp := s.Prog.PlanOf(st)
-		switch sp.Kind {
-		case spmd.ExecOwner:
-			part = append(part, unionContrib{pat: s.Prog.Res.RefPattern(sp.OwnerRef), widen: innerList})
-		case spmd.ExecPattern:
-			part = append(part, unionContrib{pat: sp.Scalar.Pattern, widen: innerList})
-		}
-	}
-	return part
 }

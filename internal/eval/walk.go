@@ -46,7 +46,7 @@ func (e *GotoEscapeError) Error() string {
 // Walk interprets the program over s, reporting events to b. It returns the
 // first error a callback or the value semantics produce.
 func Walk(s *State, b Backend) error {
-	w := &walker{s: s, b: b}
+	w := &walker{s: s, b: b, c: s.lowered()}
 	ctl, err := w.nodes(s.Prog.Res.Prog.Body, false)
 	if err != nil {
 		return err
@@ -72,6 +72,7 @@ type control struct {
 type walker struct {
 	s *State
 	b Backend
+	c *code // the program's lowered form
 
 	// Resume-cursor tracking (see resume.go). Plain Walk leaves track off,
 	// so the simulator's hot path pays nothing for it.
@@ -134,26 +135,16 @@ func (w *walker) loop(l *ir.Loop) (control, error) {
 			return control{}, err
 		}
 	}
-	lo, err := s.EvalInt(l.Lo)
-	if err != nil {
-		return control{}, err
+	lc := &w.c.loops[l.ID]
+	lo, hi, step, ok := lc.bounds(s)
+	if !ok {
+		return control{}, s.takeErr()
 	}
-	hi, err := s.EvalInt(l.Hi)
-	if err != nil {
-		return control{}, err
-	}
-	step := int64(1)
-	if l.Step != nil {
-		step, err = s.EvalInt(l.Step)
-		if err != nil {
-			return control{}, err
-		}
-		if step == 0 {
-			return control{}, fmt.Errorf("zero loop step at line %d", l.Line)
-		}
+	if step == 0 {
+		return control{}, fmt.Errorf("zero loop step at line %d", l.Line)
 	}
 
-	lp := s.Prog.LoopPlanOf(l)
+	lp := lc.plan
 	if lp != nil {
 		// The loop index ranges over the whole iteration space for the
 		// purpose of any aggregated transfer; set it to lo so affine
@@ -218,8 +209,8 @@ func (w *walker) ifNode(ifn *ir.If) (control, error) {
 	if _, err := w.stmt(ifn.Cond); err != nil {
 		return control{}, err
 	}
-	c, err := w.s.Eval(ifn.Cond.Cond)
-	if err != nil {
+	c := w.c.stmts[ifn.Cond.ID].cond(w.s)
+	if err := w.s.takeErr(); err != nil {
 		return control{}, err
 	}
 	if c != 0 {
@@ -229,51 +220,45 @@ func (w *walker) ifNode(ifn *ir.If) (control, error) {
 }
 
 // stmt reports the statement to the backend (communication and computation
-// charges), then computes its value semantics.
+// charges), then computes its value semantics. The backend's callback and
+// the value semantics share one statement instance: execution and owner
+// sets evaluated in between are remembered (see State.inst).
 func (w *walker) stmt(st *ir.Stmt) (control, error) {
 	s := w.s
-	sp := s.Prog.PlanOf(st)
-	if err := w.b.Statement(st, sp); err != nil {
+	sc := &w.c.stmts[st.ID]
+	s.inst, s.execPlan, s.ownerCode = true, nil, nil
+	err := w.b.Statement(st, sc.plan)
+	if err != nil {
+		s.inst = false
 		return control{}, err
 	}
 
+	var ctl control
 	switch st.Kind {
 	case ir.SAssign:
-		if s.PrivatizedActive(sp.Combine) {
+		if c := sc.plan.Combine; sc.red != nil && s.PrivatizedActive(c) {
 			// A privatized reduction update accumulates into the partial
 			// tables; the real accumulator is only written by the loop-exit
 			// merge.
-			if err := s.AccumulatePrivate(st, sp.Combine); err != nil {
-				return control{}, err
-			}
-			return control{}, nil
+			sc.red.accumulate(s, c)
+		} else {
+			sc.assign(s)
 		}
-		val, err := s.Eval(st.Rhs)
-		if err != nil {
-			return control{}, err
-		}
-		if err := s.Store(st.Lhs, val); err != nil {
-			return control{}, err
-		}
+		err = s.takeErr()
 	case ir.SIfGoto:
-		c, err := s.Eval(st.Cond)
-		if err != nil {
-			return control{}, err
-		}
-		if c != 0 {
-			return control{kind: ctlGoto, label: st.Label}, nil
+		c := sc.cond(s)
+		if err = s.takeErr(); err == nil && c != 0 {
+			ctl = control{kind: ctlGoto, label: st.Label}
 		}
 	case ir.SGoto:
-		return control{kind: ctlGoto, label: st.Label}, nil
+		ctl = control{kind: ctlGoto, label: st.Label}
 	case ir.SRedistribute:
-		if err := s.ApplyRedistribute(st); err != nil {
-			return control{}, err
-		}
-		if err := w.b.Redistribute(st); err != nil {
-			return control{}, err
+		if err = s.ApplyRedistribute(st); err == nil {
+			err = w.b.Redistribute(st)
 		}
 	case ir.SContinue, ir.SIf, ir.SLoopBounds:
 		// No value semantics here (If predicates are evaluated by ifNode).
 	}
-	return control{}, nil
+	s.inst = false
+	return ctl, err
 }

@@ -202,12 +202,12 @@ type message struct {
 
 // Protocol tags for traffic that does not belong to a planned requirement.
 const (
-	tagReduce       = -2 // member -> root partial-value message
-	tagReduceResult = -3 // root -> member combined-result message
-	tagBarrier      = -4 // member -> coordinator redistribution barrier
-	tagRelease      = -5 // coordinator -> member barrier release
-	tagCkpt         = -6 // member -> coordinator checkpoint barrier
-	tagCkptRelease  = -7 // coordinator -> member checkpoint release
+	tagReduce       = -2  // member -> root partial-value message
+	tagReduceResult = -3  // root -> member combined-result message
+	tagBarrier      = -4  // member -> coordinator redistribution barrier
+	tagRelease      = -5  // coordinator -> member barrier release
+	tagCkpt         = -6  // member -> coordinator checkpoint barrier
+	tagCkptRelease  = -7  // coordinator -> member checkpoint release
 	tagRefetch      = -8  // survivor -> restarted recovery refetch
 	tagCopyOut      = -9  // lastprivate final-value broadcast, root -> member
 	tagMerge        = -10 // privatized-reduction tree-merge hop, loser -> winner
@@ -975,7 +975,7 @@ func (w *worker) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 			continue
 		}
 		m := c.Mapping
-		set := w.st.PatternSet(m.Pattern, nil)
+		set := w.st.ScalarSet(m)
 		if w.charges() {
 			w.mach.Reduce(set, w.elemBytes())
 		}
@@ -1030,7 +1030,7 @@ func (w *worker) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 		// the pattern's owners are the final iteration's owners. Replicated
 		// execution means every worker already holds the value; the real
 		// broadcast verifies bitwise agreement with the owner.
-		src := w.st.PatternSet(m.Pattern, nil)
+		src := w.st.ScalarSet(m)
 		all := dist.AllProcs(w.st.Grid())
 		if src.Count() == all.Count() {
 			continue // degenerate alignment: already everywhere
@@ -1267,7 +1267,7 @@ func (w *worker) batchInstance(req *comm.Requirement, st *ir.Stmt, op eval.Insta
 	}
 	b.count++
 	if w.proc == op.From || op.Dst.Contains(w.proc) {
-		local, lerr := w.st.Eval(req.Use.Ast)
+		local, lerr := w.st.UseValue(req)
 		if lerr != nil {
 			// The statement's own semantics will surface lerr; the batch
 			// just loses its verifiable payload.

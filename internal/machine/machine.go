@@ -354,12 +354,9 @@ func (m *Machine) Send(from, to int, bytes int64) {
 // destinations: ceil(log2(k+1)) rounds of α+bytes/β, synchronizing the
 // destinations behind the source.
 func (m *Machine) Multicast(from int, dst dist.ProcSet, bytes int64) {
-	procs := dst.Procs()
-	k := 0
-	for _, p := range procs {
-		if p != from {
-			k++
-		}
+	k := dst.Count()
+	if dst.Contains(from) {
+		k--
 	}
 	if k == 0 {
 		return
@@ -373,9 +370,9 @@ func (m *Machine) Multicast(from int, dst dist.ProcSet, bytes int64) {
 	cost += m.collectiveFaultDelay(k, bytes)
 	done := m.Clock[from] + cost
 	m.Clock[from] += float64(rounds) * m.Params.Overhead
-	for _, p := range procs {
+	dst.Each(func(p int) {
 		if p == from {
-			continue
+			return
 		}
 		if done > m.Clock[p] {
 			m.Clock[p] = done
@@ -387,7 +384,7 @@ func (m *Machine) Multicast(from int, dst dist.ProcSet, bytes int64) {
 			m.emit(trace.Send, from, p, start, 0, bytes)
 			m.emit(trace.Recv, p, from, done, 0, bytes)
 		}
-	}
+	})
 }
 
 // Shift models a collective nearest-neighbor shift among the processors of
@@ -395,52 +392,46 @@ func (m *Machine) Multicast(from int, dst dist.ProcSet, bytes int64) {
 // advance independently (no global barrier), which matches the pipelined
 // behavior of compiled shift communication.
 func (m *Machine) Shift(set dist.ProcSet, bytesPerProc int64) {
-	procs := set.Procs()
-	if len(procs) < 2 {
+	k := set.Count()
+	if k < 2 {
 		return
 	}
 	m.Stats.Shifts++
-	m.Stats.Messages += int64(len(procs))
-	m.Stats.BytesMoved += bytesPerProc * int64(len(procs))
+	m.Stats.Messages += int64(k)
+	m.Stats.BytesMoved += bytesPerProc * int64(k)
 	cost := m.Params.Overhead + m.xferTime(bytesPerProc)
-	// emitShift records participant i's ring transfer: a send to the next
-	// participant and a receive from the previous one — the same (p±1) ring
-	// the concurrent backend's workers actually exchange on.
-	emitShift := func(i int, depart, arrive float64) {
-		k := len(procs)
-		m.emit(trace.Send, procs[i], procs[(i+1)%k], depart, 0, bytesPerProc)
-		m.emit(trace.Recv, procs[i], procs[(i-1+k)%k], arrive, 0, bytesPerProc)
+	// Only the trace needs the participants as a list: participant i's ring
+	// transfer is a send to the next participant and a receive from the
+	// previous one — the same (p±1) ring the concurrent backend's workers
+	// actually exchange on.
+	var ring []int
+	if m.Rec != nil {
+		ring = set.Procs()
 	}
-	if m.Fault != nil {
-		// Each participant's message is lost independently; a lost shift
-		// stalls only its own receiver-sender pair.
-		rto := m.Fault.BaseRTO(m.Params.Latency)
-		for i, p := range procs {
-			extra := 0.0
-			r := rto
+	i := 0
+	set.Each(func(p int) {
+		extra := 0.0
+		if m.Fault != nil {
+			// Each participant's message is lost independently; a lost
+			// shift stalls only its own receiver-sender pair.
+			rto := m.Fault.BaseRTO(m.Params.Latency)
 			const maxRetries = 16
 			for try := 0; try < maxRetries && m.Fault.DropMessage(); try++ {
 				m.Stats.Retransmits++
 				m.Stats.Messages++
 				m.Stats.BytesMoved += bytesPerProc
-				extra += r
-				r *= 2
-			}
-			depart := m.Clock[p]
-			m.Clock[p] += cost + extra
-			if m.Rec != nil {
-				emitShift(i, depart, m.Clock[p])
+				extra += rto
+				rto *= 2
 			}
 		}
-		return
-	}
-	for i, p := range procs {
 		depart := m.Clock[p]
-		m.Clock[p] += cost
-		if m.Rec != nil {
-			emitShift(i, depart, m.Clock[p])
+		m.Clock[p] += cost + extra
+		if ring != nil {
+			m.emit(trace.Send, p, ring[(i+1)%k], depart, 0, bytesPerProc)
+			m.emit(trace.Recv, p, ring[(i-1+k)%k], m.Clock[p], 0, bytesPerProc)
 		}
-	}
+		i++
+	})
 }
 
 // Reduce models a combining tree over set (result available on the whole

@@ -25,6 +25,9 @@ func FuzzParse(f *testing.F) {
 	f.Add("program t\ndo i = 1, 10\nend\n")
 	f.Add("!hpf$ align b(i) with a(i+1)\n")
 	f.Add("program t\nif (x .gt. 0) goto 10\n10 continue\nend\n")
+	// A directive implying a rank-8 processor grid (above dist.MaxRank).
+	f.Add("program t\nreal a(2,2,2,2,2,2,2,2)\n!hpf$ processors p(2,2,2,2,2,2,2,2)\n" +
+		"!hpf$ distribute (block,block,block,block,block,block,block,block) :: a\na(1,1,1,1,1,1,1,1) = 1.0\nend\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Parse(src)

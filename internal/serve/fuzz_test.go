@@ -29,6 +29,8 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add([]byte(fmt.Sprintf(`{"source":%q,"procs":8,"reduce":"privatize"}`, phpf.HistogramSource(64, 16, 2))))
 	f.Add([]byte(fmt.Sprintf(`{"source":%q,"procs":4,"reduce":"collective","return_arrays":true}`, phpf.DotSweepSource(16, 12))))
 	f.Add([]byte(`{"figure":"figure1","procs":4,"reduce":"bogus"}`))
+	// A directive implying a rank-8 processor grid (above dist.MaxRank).
+	f.Add([]byte(`{"source":"program t\nreal a(2,2,2,2,2,2,2,2)\n!hpf$ processors p(2,2,2,2,2,2,2,2)\n!hpf$ distribute (block,block,block,block,block,block,block,block) :: a\na(1,1,1,1,1,1,1,1) = 1.0\nend\n","procs":4}`))
 	// ...and with malformed shapes the decoder must reject, not choke on.
 	f.Add([]byte(`{"figure":"figure1","procs":4`))
 	f.Add([]byte(`{"figure":"figure1","procs":4} trailing`))

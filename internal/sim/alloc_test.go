@@ -1,0 +1,61 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+
+	"phpf/internal/core"
+	"phpf/internal/parser"
+	"phpf/internal/spmd"
+)
+
+// tpSource is the throughput kernel of BenchmarkSimulatorThroughput at a
+// chosen trip count: 2*iters*n statement instances, no communication.
+func tpSource(n, iters int) string {
+	return fmt.Sprintf(`
+program tp
+parameter n = %d
+real a(n), bb(n)
+integer i, it
+!hpf$ align bb(i) with a(i)
+!hpf$ distribute (block) :: a
+do it = 1, %d
+  do i = 1, n
+    a(i) = bb(i) * 0.5 + 1.0
+  end do
+  do i = 1, n
+    bb(i) = a(i)
+  end do
+end do
+end
+`, n, iters)
+}
+
+// TestZeroAllocationPerStatementInstance guards the lowered interpreter's
+// acceptance criterion directly: simulating a compiled program allocates a
+// count that does not depend on how many statement instances it executes —
+// per instance, expression evaluation, the bounds guard, the owner set and
+// the machine charge touch the heap nowhere.
+func TestZeroAllocationPerStatementInstance(t *testing.T) {
+	allocs := func(n, iters int) float64 {
+		ap, err := parser.Parse(tpSource(n, iters))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.BuildAndAnalyze(ap, 8, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := spmd.Generate(res)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(p, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(100, 2), allocs(1000, 20)
+	if short != long {
+		t.Fatalf("a run of 400 statement instances allocates %v times, one of 40000 instances %v: allocations scale with the trip count",
+			short, long)
+	}
+}

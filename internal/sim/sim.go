@@ -376,7 +376,7 @@ func (in *interp) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 			// its reference execution is plain per-instance owner-computes.
 			continue
 		}
-		set := in.st.PatternSet(c.Mapping.Pattern, nil)
+		set := in.st.ScalarSet(c.Mapping)
 		stmt := -1
 		if c.Mapping.Def != nil && c.Mapping.Def.Stmt != nil {
 			stmt = c.Mapping.Def.Stmt.ID
@@ -387,7 +387,7 @@ func (in *interp) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 	for _, m := range lp.CopyOuts {
 		// The walker leaves the loop index at its final executed value, so
 		// the pattern's owners are the final iteration's owners.
-		src := in.st.PatternSet(m.Pattern, nil)
+		src := in.st.ScalarSet(m)
 		all := dist.AllProcs(in.st.Grid())
 		if src.Count() == all.Count() {
 			continue // degenerate alignment: already everywhere

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"phpf/internal/ast"
 	"phpf/internal/comm"
@@ -166,6 +167,21 @@ type Program struct {
 	// Diags are the diagnostics communication analysis and SPMD generation
 	// emitted (placement notes, generation fallbacks), in emission order.
 	Diags []diag.Diagnostic
+
+	// lowered caches the executable form the interpreter derives from the
+	// plan (see Lowered); built at most once, on first execution.
+	lowerOnce sync.Once
+	lowered   any
+}
+
+// Lowered returns the program's executable form, calling build to derive it
+// on first use. The form belongs to the interpretation core (internal/eval,
+// which this package cannot import); it is cached here so every run of one
+// compiled program — including concurrent ones — shares a single immutable
+// lowering, and so compiling alone never pays for it.
+func (p *Program) Lowered(build func() any) any {
+	p.lowerOnce.Do(func() { p.lowered = build() })
+	return p.lowered
 }
 
 // Grid returns the processor grid the program is mapped onto.

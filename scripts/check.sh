@@ -9,6 +9,12 @@ go build ./...
 go vet ./...
 go test -race ./...
 
+# The benchmark is a module of its own (bench/go.mod) that the commands above
+# neither build nor test, yet it compiles against this module's internal
+# packages: vet and smoke-test it here so an internal rename cannot break the
+# benchmark unnoticed.
+(cd bench && go vet . && go test .)
+
 # Deprecated-API gate: the legacy execution surface (Compiled.Run,
 # Compiled.RunConcurrent, Compiled.DiffBackends, FormatProfile, and the
 # RunConfig/RunResult/ExecConfig/ExecResult types) was retired in favor of
@@ -20,16 +26,27 @@ if grep -rnE 'func \(c \*Compiled\) (Run|RunConcurrent|DiffBackends|FormatProfil
     exit 1
 fi
 
+# Oracle gate: execution runs the lowered form (internal/eval/lower.go); the
+# tree-walking evaluator survives only as the test oracle. Fail if non-test
+# code calls an Eval/EvalInt method again — that would be a second engine.
+if grep -rnE '\.(Eval|EvalInt)\(' --include='*.go' . | grep -v '_test\.go:'; then
+    echo "check: non-test code calls the tree-walking evaluator (Eval/EvalInt); it is the test oracle only" >&2
+    exit 1
+fi
+
 # Fuzz smoke: a small budget per front-end target, enough to catch gross
 # regressions in the robustness contracts (never panic, positioned errors)
-# without turning the gate into a fuzzing campaign. Go allows one -fuzz
-# target per invocation, so each runs separately.
+# without turning the gate into a fuzzing campaign; FuzzLowerExpr holds the
+# lowered interpreter to the tree-walking oracle on random expressions and
+# subscripts. Go allows one -fuzz target per invocation, so each runs
+# separately.
 fuzztime="${FUZZTIME:-10s}"
 go test -run=^$ -fuzz=FuzzLex -fuzztime="$fuzztime" ./internal/lexer
 go test -run=^$ -fuzz=FuzzParse -fuzztime="$fuzztime" ./internal/parser
 go test -run=^$ -fuzz=FuzzParseCrashes -fuzztime="$fuzztime" ./internal/fault
 go test -run=^$ -fuzz=FuzzParseSlowdowns -fuzztime="$fuzztime" ./internal/fault
 go test -run=^$ -fuzz=FuzzServeRequest -fuzztime="$fuzztime" ./internal/serve
+go test -run=^$ -fuzz=FuzzLowerExpr -fuzztime="$fuzztime" ./internal/eval
 go test -run=^$ -fuzz=FuzzAutoPriv -fuzztime="$fuzztime" .
 
 # Chaos gate: every seeded fault plan (loss, duplication, slowdown,

@@ -155,6 +155,43 @@ func TestCompiledConcurrentReuse(t *testing.T) {
 	}
 }
 
+// TestCompiledConcurrentFirstExecution races the very first executions of a
+// freshly compiled program (run under -race in CI): the lowered form is built
+// lazily on first execution and cached on the compiled program, so that build
+// must happen exactly once however many runs — on either backend — start
+// together, and all of them must see the same result.
+func TestCompiledConcurrentFirstExecution(t *testing.T) {
+	c, err := Compile(SmoothSource(32, 2), 4, SelectedOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	reps := make([]*Report, goroutines)
+	errs := make([]error, goroutines)
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b := Simulator()
+			if i%2 == 1 {
+				b = Concurrent()
+			}
+			reps[i], errs[i] = c.Execute(context.Background(), b, RunOptions{})
+		}(i)
+	}
+	wg.Wait()
+	for i := range reps {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		if reps[i].Time != reps[0].Time || reps[i].Stats != reps[0].Stats {
+			t.Errorf("goroutine %d: time %v stats %+v, goroutine 0 had %v %+v",
+				i, reps[i].Time, reps[i].Stats, reps[0].Time, reps[0].Stats)
+		}
+	}
+}
+
 // TestCacheKeyStability pins the cache key's discriminants: source, procs,
 // options, and the reduce mode all partition the key space; identical
 // inputs collide.
