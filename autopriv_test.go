@@ -120,57 +120,6 @@ func compareReports(t *testing.T, procs int, a, b *Report) {
 	}
 }
 
-// TestAutoPrivatizeArraysAlias pins the deprecated option spelling: setting
-// AutoPrivatizeArrays must behave exactly like Privatization: PrivInfer, and
-// an explicit non-default Privatization wins over the alias.
-func TestAutoPrivatizeArraysAlias(t *testing.T) {
-	legacy := SelectedOptions()
-	legacy.Privatization = PrivDirectives
-	legacy.AutoPrivatizeArrays = true
-	if got := legacy.PrivatizationMode(); got != PrivInfer {
-		t.Fatalf("AutoPrivatizeArrays alias resolves to %v, want PrivInfer", got)
-	}
-	strict := legacy
-	strict.Privatization = PrivInferStrict
-	if got := strict.PrivatizationMode(); got != PrivInferStrict {
-		t.Fatalf("explicit Privatization should win over the alias, got %v", got)
-	}
-	if got := SelectedOptions().PrivatizationMode(); got != PrivInfer {
-		t.Fatalf("SelectedOptions default mode = %v, want PrivInfer", got)
-	}
-
-	// Both spellings must produce the identical compiled program.
-	src := `
-program sweep
-parameter n = 64
-real a(n,n), w(n)
-integer i, k
-!hpf$ distribute (*,block) :: a
-do k = 1, n
-  do i = 1, n
-    w(i) = a(i,k) * 2.0
-  end do
-  do i = 1, n
-    a(i,k) = w(i) + 1.0
-  end do
-end do
-end
-`
-	modern := SelectedOptions()
-	modern.Privatization = PrivInfer
-	cLegacy, err := Compile(src, 8, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cModern, err := Compile(src, 8, modern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dl, dm := cLegacy.DumpSPMD(), cModern.DumpSPMD(); dl != dm {
-		t.Errorf("alias and new spelling compile differently:\n--- legacy ---\n%s--- modern ---\n%s", dl, dm)
-	}
-}
-
 // FuzzAutoPriv: infer-mode compilation must never panic, and whenever both
 // directive mode and infer mode accept a program, their runs must agree
 // bitwise on final memory (inference may only remove communication, never

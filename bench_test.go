@@ -262,10 +262,10 @@ do k = 1, n
 end do
 end
 `
-	auto := SelectedOptions()
-	auto.AutoPrivatizeArrays = true
-	b.Run("auto", func(b *testing.B) { benchCell(b, src, 8, auto) })
-	b.Run("off", func(b *testing.B) { benchCell(b, src, 8, SelectedOptions()) })
+	off := SelectedOptions()
+	off.Privatization = PrivDirectives
+	b.Run("auto", func(b *testing.B) { benchCell(b, src, 8, SelectedOptions()) })
+	b.Run("off", func(b *testing.B) { benchCell(b, src, 8, off) })
 }
 
 // --- Fault tolerance: recovery overhead --------------------------------------
@@ -336,6 +336,11 @@ end
 `
 	c, err := Compile(src, 8, SelectedOptions())
 	if err != nil {
+		b.Fatal(err)
+	}
+	// The first execution lowers the program (once per Compiled): keep that
+	// out of the loop, or allocs/op depends on how many iterations share it.
+	if _, err := c.Execute(context.Background(), Simulator(), RunOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -14,7 +14,7 @@ import (
 // target is valid throughout the loop, partially (partition + privatize)
 // otherwise. Strict inference ignores the directive-asserted sources.
 func (a *analyzer) privatizeArrays() {
-	strict := a.opts.PrivatizationMode() == PrivInferStrict
+	strict := a.opts.Privatization == PrivInferStrict
 	for _, L := range a.prog.Loops {
 		var cands []*ir.Var
 		seen := map[*ir.Var]bool{}

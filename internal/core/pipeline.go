@@ -20,7 +20,7 @@ import (
 // and freezes the dense variable numbering the interpreter's slot-indexed
 // state relies on.
 func Pipeline(opts Options, out **Result) []pass.Pass {
-	mode := opts.PrivatizationMode()
+	mode := opts.Privatization
 	analyze := &pass.Funcs{
 		PassName: "analyze",
 		Needs: []pass.Fact{pass.FactIR, pass.FactSSA, pass.FactConsts,

@@ -211,7 +211,7 @@ func (a *analyzer) privatizationLoop(def *ssa.Value) (*ir.Loop, bool) {
 	if _, l := dataflow.PrivatizationLevel(a.ssa, def); l != nil {
 		return l, false
 	}
-	strict := a.opts.PrivatizationMode() == PrivInferStrict
+	strict := a.opts.Privatization == PrivInferStrict
 	for l := def.Stmt.Loop; l != nil; l = l.Parent {
 		if !strict {
 			for _, name := range l.New {
@@ -247,7 +247,7 @@ func (a *analyzer) privatizableWrt(def *ssa.Value, l *ir.Loop) bool {
 	if !ir.Encloses(l, def.Stmt.Loop) {
 		return false
 	}
-	if a.opts.PrivatizationMode() != PrivInferStrict {
+	if a.opts.Privatization != PrivInferStrict {
 		for _, name := range l.New {
 			if name == def.Var.Name {
 				return true

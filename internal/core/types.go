@@ -151,11 +151,6 @@ type Options struct {
 	// value (PrivDirectives) reproduces the paper's directive-driven
 	// prototype, DefaultOptions selects PrivInfer.
 	Privatization PrivMode
-	// AutoPrivatizeArrays is the deprecated spelling of
-	// Privatization: PrivInfer, kept so existing option structs keep
-	// working; setting it while Privatization is PrivDirectives upgrades
-	// the effective mode to PrivInfer (see PrivatizationMode).
-	AutoPrivatizeArrays bool
 	// PartialPrivatization enables §3.2 (partition + privatize) when full
 	// privatization is invalid.
 	PartialPrivatization bool
@@ -180,15 +175,6 @@ type Options struct {
 	// "induction", "autopriv", "mapping", "analyze") whose post-state
 	// snapshot is captured into Result.Profile.Dumps (empty: no snapshots).
 	DumpAfter string
-}
-
-// PrivatizationMode returns the effective privatization mode after applying
-// the deprecated AutoPrivatizeArrays shim.
-func (o Options) PrivatizationMode() PrivMode {
-	if o.Privatization == PrivDirectives && o.AutoPrivatizeArrays {
-		return PrivInfer
-	}
-	return o.Privatization
 }
 
 // DefaultOptions enables everything (the "selected alignment" compiler).

@@ -158,8 +158,8 @@ func (s *State) VectorizedOp(req *comm.Requirement, elemBytes int64) (Vectorized
 					delta = dp.Block
 				}
 				// Fraction of the aggregated elements near the boundary.
-				share := trips * delta / max64(dp.Extent, 1)
-				perProc += max64(share, delta) * elemBytes
+				share := trips * delta / max(dp.Extent, 1)
+				perProc += max(share, delta) * elemBytes
 			} else {
 				perProc += bytesTotal / int64(g.Size())
 			}
@@ -224,10 +224,3 @@ type RedistError struct {
 
 func (e *RedistError) Error() string { return fmt.Sprintf("line %d: %v", e.Line, e.Err) }
 func (e *RedistError) Unwrap() error { return e.Err }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

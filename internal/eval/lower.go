@@ -226,6 +226,7 @@ func lower(p *spmd.Program) *code {
 			lc.step = &step
 		}
 	}
+	lw.paths(prog.Body, nil)
 	for _, st := range prog.Stmts {
 		lw.stmt(st)
 	}
@@ -233,6 +234,23 @@ func lower(p *spmd.Program) *code {
 		lw.req(req)
 	}
 	return lw.c
+}
+
+// paths records every loop's route from the program body: the position of
+// each node to descend into, list by list, followed by the branch (0 then,
+// 1 else) when that node is a block IF.
+func (lw *lowerer) paths(list []ir.Node, route []int32) {
+	extend := func(tail ...int32) []int32 { return append(route[:len(route):len(route)], tail...) }
+	for i, n := range list {
+		switch x := n.(type) {
+		case *ir.Loop:
+			lw.c.loops[x.ID].path = extend(int32(i))
+			lw.paths(x.Body, lw.c.loops[x.ID].path)
+		case *ir.If:
+			lw.paths(x.Then, extend(int32(i), 0))
+			lw.paths(x.Else, extend(int32(i), 1))
+		}
+	}
 }
 
 // integer lowers an integer-valued expression evaluated inside loop encl.
@@ -809,13 +827,16 @@ func (rc *redCode) accumulate(s *State, c *spmd.Combine) {
 	tab[i] = c.Red.Op.Fold(tab[i], val)
 }
 
-// loopCode is one lowered loop: its bounds, and the contributors to its
-// union execution set when some statement of its body executes on it.
+// loopCode is one lowered loop: its bounds, the contributors to its union
+// execution set when some statement of its body executes on it, and its
+// static route from the program body (see paths), which a resuming walk
+// follows back to it.
 type loopCode struct {
 	plan   *spmd.LoopPlan
 	lo, hi intCode
 	step   *intCode // nil: 1
 	union  []*patCode
+	path   []int32
 }
 
 // bounds evaluates the loop's lower bound, upper bound and step (1 when

@@ -504,8 +504,8 @@ func (o *oracle) VectorizedOp(req *comm.Requirement, elemBytes int64) (Vectorize
 				if delta > dp.Block {
 					delta = dp.Block
 				}
-				share := trips * delta / max64(dp.Extent, 1)
-				perProc += max64(share, delta) * elemBytes
+				share := trips * delta / max(dp.Extent, 1)
+				perProc += max(share, delta) * elemBytes
 			} else {
 				perProc += bytesTotal / int64(g.Size())
 			}
@@ -875,13 +875,7 @@ func OracleSimulate(p *spmd.Program, reduce core.ReduceMode) (*OracleResult, err
 		}
 		return nil, err
 	}
-	res := &OracleResult{Time: in.mach.Time(), Stats: in.mach.Stats,
-		Scalars: map[string]float64{}, Arrays: map[string][]float64{}}
-	for v, x := range st.Scalars() {
-		res.Scalars[v.Name] = x
-	}
-	for v, a := range st.Arrays() {
-		res.Arrays[v.Name] = a
-	}
+	res := &OracleResult{Time: in.mach.Time(), Stats: in.mach.Stats}
+	res.Scalars, res.Arrays = st.Export()
 	return res, nil
 }

@@ -1,7 +1,7 @@
-// Checkpoint and recovery sizing, shared by both backends: the simulator
-// charges these sizes to its cost model, and the concurrent executor both
-// replays the same charges and uses the itemization to drive its real
-// refetch protocol — which is how the two stay message-for-message aligned.
+// Checkpoint and recovery sizing: the accountant charges these sizes to the
+// cost model, and the concurrent executor uses the same itemization to drive
+// its real refetch protocol — which is how the two stay message-for-message
+// aligned.
 package eval
 
 import (
@@ -80,14 +80,4 @@ func RefetchItems(s *State, p int, elemBytes int64) []RefetchItem {
 		out = append(out, RefetchItem{Var: v, Elems: 1, Bytes: elemBytes})
 	}
 	return out
-}
-
-// RefetchCost sums RefetchItems into the (bytes, messages) pair the cost
-// model charges for recovering processor p.
-func RefetchCost(s *State, p int, elemBytes int64) (bytes, msgs int64) {
-	for _, it := range RefetchItems(s, p, elemBytes) {
-		bytes += it.Bytes
-		msgs++
-	}
-	return bytes, msgs
 }

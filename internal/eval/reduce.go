@@ -20,13 +20,20 @@ import (
 	"phpf/internal/spmd"
 )
 
-// fnvOffset/fnvPrime are the FNV-1a constants used to checksum partial rows
-// for the executor's merge-verification messages (same constants the
-// executor uses for its batch checksums).
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// FNVOffset starts, and FNVAdd extends, the FNV-1a checksum the executor's
+// verification messages carry: of a partial row here, of batched and
+// refetched values there.
+const FNVOffset uint64 = 14695981039346656037
+
+// FNVAdd folds one 64-bit value into an FNV-1a checksum.
+func FNVAdd(sum, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		sum ^= v & 0xff
+		sum *= 1099511628211
+		v >>= 8
+	}
+	return sum
+}
 
 // ConfigureReduce arms the privatized-reduction machinery for one run. It
 // must be called after NewStateBudget and before Walk, with the same mode
@@ -44,7 +51,6 @@ const (
 // memory image (each table holds one row per processor), so a serving path
 // cannot be pushed past its footprint bound by flipping the reduce knob.
 func (s *State) ConfigureReduce(mode core.ReduceMode, budget Budget) error {
-	s.reduceMode = mode
 	s.partials = nil
 	s.partialElems = nil
 	if mode == core.ReduceCollective {
@@ -113,11 +119,6 @@ func (s *State) ConfigureReduce(mode core.ReduceMode, budget Budget) error {
 	}
 	return nil
 }
-
-// ReduceMode returns the mode the State was configured with (ReduceAuto when
-// ConfigureReduce was never called, matching its default behavior of zero
-// active combines because no partial tables exist).
-func (s *State) ReduceMode() core.ReduceMode { return s.reduceMode }
 
 // PrivatizedActive reports whether a combine runs privatized in this State:
 // the reduceplan cleared it and ConfigureReduce armed its partial table.
@@ -194,13 +195,9 @@ func (s *State) MergePartials(c *spmd.Combine) ([]MergeHop, error) {
 
 // rowCheck is the FNV-1a checksum of a partial row's bit patterns.
 func rowCheck(row []float64) uint64 {
-	h := uint64(fnvOffset)
+	h := FNVOffset
 	for _, x := range row {
-		b := math.Float64bits(x)
-		for k := 0; k < 64; k += 8 {
-			h ^= (b >> k) & 0xff
-			h *= fnvPrime
-		}
+		h = FNVAdd(h, math.Float64bits(x))
 	}
 	return h
 }

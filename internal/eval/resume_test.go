@@ -93,10 +93,85 @@ end do
 end
 `
 
-// TestWalkResumeMatchesWalk: a tracked walk with no cursor produces the
-// same event stream and final memory image as the plain walk.
+// resumeSources are the tree shapes a cursor must find its way back through:
+// a plain nest, a loop inside an ELSE branch, a loop inside a list that a
+// backward goto re-runs, and a loop at depth three.
+var resumeSources = map[string]string{
+	"nest": resumeSrc,
+	"else": `
+program t
+parameter n = 6
+real a(n)
+real s
+integer i, j
+!hpf$ distribute (block) :: a
+s = 0.0
+do i = 1, n
+  if (i > 3) then
+    a(i) = 1.0
+  else
+    a(i) = 2.0
+    do j = 1, 2
+      s = s + a(i)
+    end do
+  end if
+end do
+end
+`,
+	"goto": `
+program t
+parameter n = 4
+real a(n)
+real s
+integer i, k
+!hpf$ distribute (block) :: a
+s = 0.0
+k = 0
+10 continue
+k = k + 1
+do i = 1, n
+  a(i) = a(i) + k
+  s = s + a(i)
+end do
+if (k < 3) goto 10
+s = s * 2.0
+end
+`,
+	"depth3": `
+program t
+parameter n = 3
+real a(n,n,n)
+real s
+integer i, j, k
+!hpf$ distribute (block,*,*) :: a
+s = 0.0
+do i = 1, n
+  do j = 1, 2
+    s = s + 1.0
+    do k = 1, n
+      a(i,j,k) = s + k
+    end do
+  end do
+end do
+end
+`,
+}
+
+// eachResumeSource runs f on every resume shape.
+func eachResumeSource(t *testing.T, f func(t *testing.T, p *spmd.Program)) {
+	for name, src := range resumeSources {
+		t.Run(name, func(t *testing.T) { f(t, compile(t, src, 2)) })
+	}
+}
+
+// TestWalkResumeMatchesWalk: a walk with no cursor — Walk itself, and
+// WalkResume from nil and from the zero cursor — produces one event stream
+// and one final memory image.
 func TestWalkResumeMatchesWalk(t *testing.T) {
-	p := compile(t, resumeSrc, 2)
+	eachResumeSource(t, testWalkResumeMatchesWalk)
+}
+
+func testWalkResumeMatchesWalk(t *testing.T, p *spmd.Program) {
 
 	plain, _ := NewState(p)
 	rp := &recBackend{st: plain}
@@ -114,6 +189,15 @@ func TestWalkResumeMatchesWalk(t *testing.T) {
 		t.Fatalf("tracked walk diverged:\nplain:   %v\ntracked: %v", rp.events, rt.events)
 	}
 	compareStates(t, plain, tracked)
+
+	zero, _ := NewState(p)
+	rz := &recBackend{st: zero}
+	if err := WalkResume(zero, rz, &Cursor{}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(rp.events) != fmt.Sprint(rz.events) {
+		t.Fatalf("walk from the zero cursor diverged:\nplain: %v\nzero:  %v", rp.events, rz.events)
+	}
 }
 
 // TestCheckpointRestartResume: capture a cursor+snapshot at a mid-program
@@ -122,7 +206,10 @@ func TestWalkResumeMatchesWalk(t *testing.T) {
 // checkpoint boundary onward and end in the same memory image as an
 // uninterrupted run.
 func TestCheckpointRestartResume(t *testing.T) {
-	p := compile(t, resumeSrc, 2)
+	eachResumeSource(t, testCheckpointRestartResume)
+}
+
+func testCheckpointRestartResume(t *testing.T, p *spmd.Program) {
 
 	// Reference run: full event stream, no interruption.
 	ref, _ := NewState(p)
@@ -186,6 +273,36 @@ func TestCheckpointRestartResume(t *testing.T) {
 					ckpt, crashDelta, want, got)
 			}
 			compareStates(t, ref, st)
+		}
+	}
+}
+
+// TestResumeRejectsCorruptedCursor: a cursor that does not describe a loop
+// entry of this program — a loop of another program, a wrong nesting depth —
+// is refused with errBadCursor before anything runs, never a panic.
+func TestResumeRejectsCorruptedCursor(t *testing.T) {
+	p := compile(t, resumeSources["depth3"], 2)
+	st, _ := NewState(p)
+	r := &recBackend{st: st, ckptAt: 3}
+	if err := Walk(st, r); err != nil {
+		t.Fatal(err)
+	}
+	if !r.hasCkpt || len(r.cursor.iters) < 2 {
+		t.Fatalf("no nested cursor captured: %+v", r.cursor)
+	}
+	other := compile(t, resumeSources["depth3"], 2)
+	foreign, shallow, deep := r.cursor, r.cursor, r.cursor
+	foreign.loop = other.Res.Prog.Loops[r.cursor.loop.ID]
+	shallow.iters = shallow.iters[:len(shallow.iters)-1]
+	deep.iters = append(append([]iter(nil), deep.iters...), iter{v: 1, hi: 1, step: 1})
+	for name, cur := range map[string]Cursor{"foreign loop": foreign, "missing level": shallow, "extra level": deep} {
+		fresh, _ := NewState(p)
+		rb := &recBackend{st: fresh}
+		if err := WalkResume(fresh, rb, &cur); !errors.Is(err, errBadCursor) {
+			t.Errorf("%s: resume returned %v, want errBadCursor", name, err)
+		}
+		if len(rb.events) != 0 {
+			t.Errorf("%s: %d events fired before the cursor was refused", name, len(rb.events))
 		}
 	}
 }

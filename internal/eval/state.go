@@ -7,13 +7,19 @@
 // one of the backends — the property the differential oracle (exec.Differ)
 // checks.
 //
-// The core is deliberately free of cost accounting: backends observe the
-// walk through the Backend interface (see walk.go) and charge their own
-// machine models or perform real message passing at the decision points.
+// The core also owns what the backends must agree on beyond values: the
+// schedule (schedule.go) that turns the walk's events into operations — which
+// communication happens where, in which order, and where the checkpoint and
+// crash sites fall — and the accountant (account.go) that charges each
+// operation to the simulated machine. A backend implements the operations
+// (Ops): the simulator is the accountant plus a time limit, the executor
+// adds real message passing. The walk itself (walk.go) knows nothing of
+// either and reports to any Backend.
 package eval
 
 import (
 	"fmt"
+	"math"
 
 	"phpf/internal/core"
 	"phpf/internal/diag"
@@ -60,8 +66,7 @@ func (e *NumericError) Error() string {
 // The memory image is slot-indexed: every variable carries a dense slot
 // number (ir.AssignSlots), and values live in flat slices indexed by it, so
 // the innermost interpretation path costs an array index instead of a
-// pointer-keyed map probe. The former map fields survive as view methods
-// (Scalars, Arrays, Indices, Dyn) that materialize the equivalent maps.
+// pointer-keyed map probe.
 type State struct {
 	Prog *spmd.Program
 
@@ -103,14 +108,14 @@ type State struct {
 	// combine's partial table — nprocs rows of partialElems[acc] elements,
 	// row p holding processor p's private partial — or nil when the combine
 	// runs collectively. Indexed by spmd.Combine.AccIndex.
-	reduceMode   core.ReduceMode
 	partials     [][]float64
 	partialElems []int64
 
-	// walk points at the tracked walker currently interpreting this state
-	// (nil outside WalkResume); Cursor reads the resume path through it.
-	// Deliberately excluded from snapshots.
-	walk *walker
+	// Resume-cursor material (see Cursor): the upper bound and step of every
+	// loop in flight, by Loop.ID, and the loop whose LoopEntry callback is
+	// running (nil anywhere else). Deliberately excluded from snapshots.
+	live     []iter
+	entering *ir.Loop
 }
 
 // Budget bounds the resources one State may allocate. The zero value is
@@ -154,6 +159,7 @@ func NewStateBudget(p *spmd.Program, budget Budget) (*State, error) {
 		grid:       p.Res.Mapping.Grid,
 		unionCache: make([]dist.ProcSet, len(prog.Loops)),
 		unionEpoch: make([]int64, len(prog.Loops)),
+		live:       make([]iter, len(prog.Loops)),
 	}
 	for i := range s.unionEpoch {
 		s.unionEpoch[i] = -1
@@ -200,7 +206,7 @@ func NewStateBudget(p *spmd.Program, budget Budget) (*State, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-variable accessors and map-compatibility views
+// Per-variable accessors and the final-memory export
 
 // Scalar returns the current value of a scalar variable (0 if unassigned).
 func (s *State) Scalar(v *ir.Var) float64 { return s.scalars[v.Slot] }
@@ -214,50 +220,37 @@ func (s *State) Array(v *ir.Var) []float64 { return s.arrays[v.Slot] }
 // DynMap returns the variable's current (possibly redistributed) mapping.
 func (s *State) DynMap(v *ir.Var) *dist.ArrayMap { return s.dyn[v.Slot] }
 
-// Scalars materializes the map view of all assigned scalars — the pre-slot
-// map field kept as a compatibility view for result export and tests.
-func (s *State) Scalars() map[*ir.Var]float64 {
-	m := map[*ir.Var]float64{}
-	for i, set := range s.scalarSet {
-		if set {
-			m[s.slots[i]] = s.scalars[i]
+// Export returns the final memory by variable name — every assigned scalar
+// and every array — for validation against reference implementations. The
+// array slices alias the live image.
+func (s *State) Export() (scalars map[string]float64, arrays map[string][]float64) {
+	scalars, arrays = map[string]float64{}, map[string][]float64{}
+	for i, v := range s.slots {
+		if s.scalarSet[i] {
+			scalars[v.Name] = s.scalars[i]
+		}
+		if s.arrays[i] != nil {
+			arrays[v.Name] = s.arrays[i]
 		}
 	}
-	return m
+	return scalars, arrays
 }
 
-// Arrays materializes the map view of all array stores (the slices alias
-// the live image, as the former map field did).
-func (s *State) Arrays() map[*ir.Var][]float64 {
-	m := map[*ir.Var][]float64{}
-	for i, a := range s.arrays {
-		if a != nil {
-			m[s.slots[i]] = a
+// Diff finds the first place, in slot order, where o's memory image differs
+// bitwise from s's: the variable, the element (-1 for a scalar) and the two
+// values. The concurrent backend's replicated images must not differ at all.
+func (s *State) Diff(o *State) (v *ir.Var, elem int, want, got float64, differ bool) {
+	for i, v := range s.slots {
+		if math.Float64bits(s.scalars[i]) != math.Float64bits(o.scalars[i]) {
+			return v, -1, s.scalars[i], o.scalars[i], true
+		}
+		for e, x := range s.arrays[i] {
+			if math.Float64bits(x) != math.Float64bits(o.arrays[i][e]) {
+				return v, e, x, o.arrays[i][e], true
+			}
 		}
 	}
-	return m
-}
-
-// Indices materializes the map view of the current loop-index values.
-func (s *State) Indices() map[*ir.Var]int64 {
-	m := map[*ir.Var]int64{}
-	for _, v := range s.slots {
-		if v.IsLoopIndex {
-			m[v] = s.indices[v.Slot]
-		}
-	}
-	return m
-}
-
-// Dyn materializes the map view of the current array mappings.
-func (s *State) Dyn() map[*ir.Var]*dist.ArrayMap {
-	m := map[*ir.Var]*dist.ArrayMap{}
-	for i, am := range s.dyn {
-		if am != nil {
-			m[s.slots[i]] = am
-		}
-	}
-	return m
+	return nil, 0, 0, 0, false
 }
 
 // Grid returns the processor grid the program is mapped onto.

@@ -102,9 +102,9 @@ func TestRedistributeInvalidatesUnionCache(t *testing.T) {
 	}
 }
 
-// TestSlotViews pins the map-compatibility views over the slot-indexed state:
-// the accessors and the materialized maps must agree, and the array view must
-// alias the live image (as the former map fields did).
+// TestSlotViews pins the per-variable accessors and the name-keyed export
+// over the slot-indexed state: they must agree, the exported arrays must
+// alias the live image, and only assigned scalars are exported.
 func TestSlotViews(t *testing.T) {
 	p := compile(t, redistSrc, 4)
 	s, err := NewState(p)
@@ -120,24 +120,35 @@ func TestSlotViews(t *testing.T) {
 		t.Fatalf("len(Array(a)) = %d, want 256", got)
 	}
 	s.Array(a)[5] = 42
-	if got := s.Arrays()[a][5]; got != 42 {
-		t.Fatalf("Arrays() view does not alias the live image: got %v", got)
+	scalars, arrays := s.Export()
+	if got := arrays["a"][5]; got != 42 {
+		t.Fatalf("exported array does not alias the live image: got %v", got)
+	}
+	if len(arrays) != 1 {
+		t.Fatalf("export lists %d arrays, want 1", len(arrays))
 	}
 	s.indices[iv.Slot] = 7
-	if got := s.Indices()[iv]; got != 7 {
-		t.Fatalf("Indices() view = %v, want 7", got)
-	}
 	if got := s.Index(iv); got != 7 {
 		t.Fatalf("Index(i) = %v, want 7", got)
 	}
-	// Scalars() lists only assigned scalars.
-	if got := len(s.Scalars()); got != 0 {
-		t.Fatalf("Scalars() on a fresh state has %d entries, want 0", got)
+	// Only assigned scalars are exported (loop indices never are).
+	if len(scalars) != 0 {
+		t.Fatalf("export of a fresh state has %d scalars, want 0", len(scalars))
 	}
-	if s.Dyn()[a] == nil {
-		t.Fatal("Dyn() view misses the distributed array")
+	if s.Scalar(iv) != 0 {
+		t.Fatalf("Scalar of an unassigned variable = %v, want 0", s.Scalar(iv))
 	}
-	if s.Dyn()[a] != s.DynMap(a) {
-		t.Fatal("Dyn() view disagrees with DynMap")
+	if s.DynMap(a) == nil || s.DynMap(a) != p.Res.Mapping.Arrays[a] {
+		t.Fatal("DynMap misses the distributed array's mapping")
+	}
+
+	// Diff sees exactly the element that differs between two images.
+	o, _ := NewState(p)
+	if v, elem, want, got, differ := s.Diff(o); !differ || v != a || elem != 5 || want != 42 || got != 0 {
+		t.Fatalf("Diff = %v[%d] %v/%v (%v), want a[5] 42/0", v, elem, want, got, differ)
+	}
+	o.Array(a)[5] = 42
+	if _, _, _, _, differ := s.Diff(o); differ {
+		t.Fatal("Diff reports identical images as different")
 	}
 }

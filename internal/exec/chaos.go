@@ -1,15 +1,15 @@
 // Chaos mode: wall-clock fault tolerance for the concurrent backend.
 //
 // When the run has an active fault plan or a checkpoint interval, every
-// worker replays the cost model on its own machine with its own seeded
-// injector — the identical call sequence the simulator makes, so modeled
+// worker keeps its own eval.Account — machine and seeded injector — charged
+// by the same operations, in the same order, as the simulator's, so modeled
 // Stats, simulated Time, and fault-event counts agree with sim bitwise by
 // construction (the differential oracle demands exactly that).
 //
-// Crash recovery has two paths. The default, coordinated path mirrors the
-// simulator's model: a scheduled fail-stop crash fires at the same
-// crash-check site on every worker (same injector, same draw), each worker
-// replays the simulator's Recover charge, restores its own memory from the
+// Crash recovery has two paths. On the default, coordinated path a scheduled
+// fail-stop crash fires at the same crash site of the shared schedule on
+// every worker (same injector, same draw), each worker's account takes the
+// simulator's Recover charge, and the worker restores its own memory from the
 // last coordinated checkpoint snapshot, physically refetches the crashed
 // processor's non-replicated state from a survivor, and re-executes the
 // lost interval with accounting and tracing suppressed — so the final cost
@@ -26,24 +26,20 @@ import (
 
 	"phpf/internal/eval"
 	"phpf/internal/fault"
-	"phpf/internal/machine"
 )
 
 // workerSnap is one worker's published checkpoint: everything needed to
 // rebuild the worker at that boundary. The memory snapshot serves the
-// coordinated in-band restore; the rest (sequence counters, machine
-// accounting, injector draw position) serves the run-level heal, which
-// rebuilds transport from scratch.
+// coordinated in-band restore; the rest (sequence counters, the account's
+// clocks, statistics and injector draw position) serves the run-level heal,
+// which rebuilds transport from scratch.
 type workerSnap struct {
-	gen      int64
-	state    *eval.Snapshot
-	cursor   eval.Cursor
-	sendSeq  []uint64
-	recvSeq  []uint64
-	mach     machine.State
-	inj      *fault.Injector
-	lastCkpt float64
-	valid    bool
+	gen     int64 // from 1; 0 marks an empty slot
+	state   *eval.Snapshot
+	cursor  eval.Cursor
+	sendSeq []uint64
+	recvSeq []uint64
+	acct    eval.AccountState
 }
 
 // crashSignal unwinds a worker's walk when scheduled fail-stop crashes fire
@@ -72,102 +68,74 @@ type failStop struct {
 type healState struct {
 	snaps []workerSnap
 	crash *fault.Crash
-	at    float64 // replayed clock of the crash (0 when crash is nil)
+	at    float64 // replayed clock of the crash (0: no modeled crash time)
 }
 
-// setupChaos equips every worker with its replay machine and injector and,
-// on a heal, rewinds them to the heal's checkpoint generation. It runs on
-// Run's goroutine before workers spawn, so worker 0's shard-0 trace
-// emission from the Recover charge below is race-free.
+// setupChaos wires worker 0's account into the trace and, on a heal, rewinds
+// every worker to the heal's checkpoint generation. It runs on Run's
+// goroutine before workers spawn, so worker 0's shard-0 trace emission from
+// the Heal charge below is race-free.
 func (ex *executor) setupChaos(workers []*worker, heal *healState) {
-	ex.machines = make([]*machine.Machine, ex.n)
-	for p, w := range workers {
-		m := machine.New(ex.prog.Grid(), ex.cfg.Params)
-		inj := fault.NewInjector(ex.cfg.Fault)
-		if heal != nil {
-			snap := heal.snaps[p]
-			m.RestoreState(snap.mach)
-			inj = snap.inj.Clone()
-			w.gen = snap.gen
-			w.lastCkpt = snap.lastCkpt
-			copy(w.sendSeq, snap.sendSeq)
-			copy(w.recvSeq, snap.recvSeq)
-			cur := snap.cursor
-			w.resume = &cur
-			// Re-seed the published snapshots so a second failure before
-			// the next checkpoint can heal from the same generation.
-			ex.snaps[p] = snap
-			ex.prevSnaps[p] = workerSnap{}
-		}
-		m.Fault = inj
-		if p == 0 {
-			ex.mach = m
-			if ex.rec != nil {
-				// Worker 0's replay machine contributes the fault-protocol
-				// events (checkpoint/restart/fault) stamped with wall time;
-				// everything else the workers emit themselves from real
-				// activity, so nothing is double-counted.
-				m.Rec = ex.rec
-				m.FaultEventsOnly = true
-				m.Now = ex.wall
-			}
-		}
-		ex.machines[p] = m
-		w.mach = m
-		w.inj = inj
+	if ex.rec != nil {
+		// Worker 0's machine contributes the fault-protocol events
+		// (checkpoint/restart/fault) stamped with wall time; everything else
+		// the workers emit themselves from real activity, so nothing is
+		// double-counted.
+		m := workers[0].acct.M
+		m.Rec, m.FaultEventsOnly, m.Now = ex.rec, true, ex.wall
 	}
-	if heal == nil || heal.crash == nil {
+	if heal == nil {
 		return
 	}
-	// Replay the simulator's recovery accounting for the healed crash on
-	// every machine, mark the crash consumed so it cannot refire, and
-	// schedule the physical refetch at worker start.
 	for p, w := range workers {
 		snap := heal.snaps[p]
-		lost := heal.at - snap.lastCkpt
-		if lost < 0 {
-			lost = 0
+		w.acct.Restore(snap.acct)
+		w.gen = snap.gen
+		copy(w.sendSeq, snap.sendSeq)
+		copy(w.recvSeq, snap.recvSeq)
+		w.resume = snap.cursor
+		// Re-seed the published snapshots so a second failure before
+		// the next checkpoint can heal from the same generation.
+		ex.snaps[p] = snap
+		ex.prevSnaps[p] = workerSnap{}
+		if heal.crash != nil {
+			// Take the simulator's recovery charge for the healed crash,
+			// mark it fired so it cannot refire, and schedule the physical
+			// refetch at worker start.
+			w.acct.Heal(*heal.crash, heal.at)
+			w.healCrash = heal.crash
 		}
-		bytes, msgs := eval.RefetchCost(w.st, heal.crash.Proc, int64(ex.cfg.Params.ElemBytes))
-		ex.machines[p].Recover(heal.crash.Proc, lost, bytes, msgs)
-		w.lastCkpt = ex.machines[p].Time()
-		w.inj.Consume(*heal.crash)
-		w.healCrash = heal.crash
 	}
 }
 
-// runChaosWorker is the chaos-mode worker driver: a tracked walk wrapped in
-// the coordinated restore loop.
-func (ex *executor) runChaosWorker(w *worker) error {
-	if w.resume == nil {
+// runWorker drives one worker goroutine: one pass over the schedule, in chaos
+// mode wrapped in the coordinated restore loop.
+func (ex *executor) runWorker(w *worker) error {
+	if !ex.chaos {
+		return w.run(eval.Cursor{})
+	}
+	if w.gen == 0 {
 		// The program start is a free, trivially consistent checkpoint:
 		// gen 1 with a zero cursor (resume from the top).
 		w.takeSnapshot()
 	} else if w.healCrash != nil {
-		c := *w.healCrash
-		w.healCrash = nil
-		if err := w.refetchAll([]fault.Crash{c}); err != nil {
+		if err := w.refetchAll([]fault.Crash{*w.healCrash}); err != nil {
 			return err
 		}
 	}
 	cur := w.resume
-	w.resume = nil
 	for {
-		err := eval.WalkResume(w.st, w, cur)
-		if err == nil {
-			// Drain any message batch left open by trailing statements.
-			err = w.flushBatch()
-		}
+		err := w.run(cur)
 		var cs *crashSignal
 		if !errors.As(err, &cs) {
 			return err
 		}
 		// Coordinated restore: every worker caught the same signal at the
-		// same site. Memory rolls back to the last checkpoint; the machine
-		// and injector do NOT (they went through Recover, exactly like the
-		// simulator's, and replay suppression keeps their draw streams
-		// aligned); sequence counters roll forward so re-executed sends get
-		// fresh, consistent numbers on every edge.
+		// same site. Memory rolls back to the last checkpoint; the account
+		// does NOT (it went through Recover, exactly like the simulator's,
+		// and replay suppression keeps the draw streams aligned); sequence
+		// counters roll forward so re-executed sends get fresh, consistent
+		// numbers on every edge.
 		snap := ex.snaps[w.proc]
 		w.st.Restore(snap.state)
 		w.batch = openBatch{}
@@ -180,17 +148,17 @@ func (ex *executor) runChaosWorker(w *worker) error {
 		if err := w.refetchAll(cs.crashes); err != nil {
 			return err
 		}
-		c2 := snap.cursor
-		cur = &c2
+		cur = snap.cursor
 	}
 }
 
-// crashCheck is one crash-check site — placed exactly where the simulator
-// calls checkTime (per loop tick, after each hoisted communication, after
-// each non-skipped per-instance communication, after a redistribution).
+// CrashSite is one crash site of the shared schedule (chaos mode only).
 // During replay it only advances the site counter, lifting suppression at
 // the recorded crash site.
-func (w *worker) crashCheck() error {
+func (w *worker) CrashSite() error {
+	if !w.ex.chaos {
+		return nil
+	}
 	w.sites++
 	if w.replay {
 		if w.sites >= w.replayTarget {
@@ -198,58 +166,34 @@ func (w *worker) crashCheck() error {
 		}
 		return nil
 	}
-	if w.inj == nil {
+	if w.ex.cfg.HardCrashes {
+		// The doomed worker dies for real; its peers let its panic tear the
+		// attempt down and the run-level heal restore everyone (their own
+		// injector is rebuilt from the snapshot then, so draining here is
+		// safe).
+		for c := w.acct.PendingCrash(); c != nil; c = w.acct.PendingCrash() {
+			if c.Proc == w.proc {
+				panic(&failStop{crash: *c, at: w.acct.M.Time()})
+			}
+		}
 		return nil
 	}
-	var crashes []fault.Crash
-	// Drain until quiescent, like the simulator: each Recover advances the
-	// clocks, which may bring the next scheduled crash due.
-	for {
-		c := w.inj.PendingCrash(w.mach.Time())
-		if c == nil {
-			break
-		}
-		if w.ex.cfg.HardCrashes {
-			if c.Proc == w.proc {
-				panic(&failStop{crash: *c, at: w.mach.Time()})
-			}
-			// Peers let the doomed worker's panic tear the attempt down;
-			// the run-level heal restores everyone (their own injector is
-			// rebuilt from the snapshot then, so consuming here is safe).
-			continue
-		}
-		lost := w.mach.Time() - w.lastCkpt
-		if lost < 0 {
-			lost = 0
-		}
-		bytes, msgs := eval.RefetchCost(w.st, c.Proc, w.elemBytes())
-		w.mach.Recover(c.Proc, lost, bytes, msgs)
-		w.lastCkpt = w.mach.Time()
-		crashes = append(crashes, *c)
-	}
+	crashes := w.acct.RecoverCrashes()
 	if len(crashes) == 0 {
 		return nil
 	}
 	return &crashSignal{crashes: crashes, target: w.sites}
 }
 
-// maybeCheckpoint takes a coordinated checkpoint when the replayed clock
-// has advanced past the interval — the same condition, at the same
-// loop-entry boundaries, as the simulator — then synchronizes all workers
-// with a real barrier and publishes a snapshot. Suppressed during replay:
-// by definition no checkpoint fired between the restored checkpoint and the
-// crash, so none may fire during re-execution either.
-func (w *worker) maybeCheckpoint() error {
-	if w.replay || w.ex.cfg.CheckpointInterval <= 0 {
+// CheckpointSite takes a coordinated checkpoint when the account says one is
+// due — the same condition, at the same sites, as the simulator — then
+// synchronizes all workers with a real barrier and publishes a snapshot.
+// Suppressed during replay: by definition no checkpoint fired between the
+// restored checkpoint and the crash, so none may fire during re-execution.
+func (w *worker) CheckpointSite() error {
+	if !w.ex.chaos || w.replay || !w.acct.Checkpoint() {
 		return nil
 	}
-	now := w.mach.Time()
-	if now-w.lastCkpt < w.ex.cfg.CheckpointInterval {
-		return nil
-	}
-	w.mach.ClearAttr()
-	w.mach.Checkpoint(eval.CheckpointBytes(w.st, w.elemBytes()))
-	w.lastCkpt = w.mach.Time()
 	// The barrier before the snapshot bounds generation skew to one: a
 	// worker publishing gen k+1 proves every worker reached this boundary,
 	// so all hold at least gen k — the run-level heal relies on that.
@@ -265,18 +209,15 @@ func (w *worker) maybeCheckpoint() error {
 // worker writes only its own slot; Run reads the slots after the workers
 // join, so the accesses are ordered by the WaitGroup.
 func (w *worker) takeSnapshot() {
-	cur, _ := w.st.Cursor() // zero cursor (resume from start) outside LoopEntry
+	cur, _ := w.st.Cursor() // zero cursor (resume from start) outside a CheckpointSite
 	w.gen++
 	snap := workerSnap{
-		gen:      w.gen,
-		state:    w.st.Snapshot(),
-		cursor:   cur,
-		sendSeq:  append([]uint64(nil), w.sendSeq...),
-		recvSeq:  append([]uint64(nil), w.recvSeq...),
-		mach:     w.mach.SaveState(),
-		inj:      w.inj.Clone(),
-		lastCkpt: w.lastCkpt,
-		valid:    true,
+		gen:     w.gen,
+		state:   w.st.Snapshot(),
+		cursor:  cur,
+		sendSeq: append([]uint64(nil), w.sendSeq...),
+		recvSeq: append([]uint64(nil), w.recvSeq...),
+		acct:    w.acct.Save(),
 	}
 	w.ex.prevSnaps[w.proc] = w.ex.snaps[w.proc]
 	w.ex.snaps[w.proc] = snap
@@ -326,10 +267,8 @@ func (w *worker) refetchAll(crashes []fault.Crash) error {
 					What: what + ": " + it.Var.Name + " (element count)",
 					Got:  float64(got.count), Want: float64(it.Elems)}
 			}
-			if got.hasVal && got.bits != sum {
-				return &DivergenceError{Proc: w.proc, Peer: src,
-					What: what + ": " + it.Var.Name + " (checksum)",
-					Got:  math.Float64frombits(got.bits), Want: math.Float64frombits(sum)}
+			if err := w.verify(got, sum, src, what, ": "+it.Var.Name+" (checksum)"); err != nil {
+				return err
 			}
 		}
 	}
@@ -340,14 +279,14 @@ func (w *worker) refetchAll(crashes []fault.Crash) error {
 // the full array image for arrays (identical on both sides under
 // replicated execution), the scalar's bit pattern otherwise.
 func (w *worker) itemSum(it eval.RefetchItem) uint64 {
-	sum := uint64(fnvOffset)
+	sum := eval.FNVOffset
 	if it.Var.IsArray() {
 		for _, x := range w.st.Array(it.Var) {
-			sum = fnvAdd(sum, math.Float64bits(x))
+			sum = eval.FNVAdd(sum, math.Float64bits(x))
 		}
 		return sum
 	}
-	return fnvAdd(sum, math.Float64bits(w.st.Scalar(it.Var)))
+	return eval.FNVAdd(sum, math.Float64bits(w.st.Scalar(it.Var)))
 }
 
 // healable reports whether a run-level heal can answer this error: worker
@@ -366,19 +305,17 @@ func healable(err error) bool {
 func (ex *executor) buildHeal(err error) *healState {
 	g := int64(math.MaxInt64)
 	for i := range ex.snaps {
-		if !ex.snaps[i].valid {
+		if ex.snaps[i].gen == 0 {
 			return nil
 		}
-		if ex.snaps[i].gen < g {
-			g = ex.snaps[i].gen
-		}
+		g = min(g, ex.snaps[i].gen)
 	}
 	snaps := make([]workerSnap, ex.n)
 	for i := range snaps {
 		switch {
 		case ex.snaps[i].gen == g:
 			snaps[i] = ex.snaps[i]
-		case ex.prevSnaps[i].valid && ex.prevSnaps[i].gen == g:
+		case ex.prevSnaps[i].gen == g:
 			snaps[i] = ex.prevSnaps[i]
 		default:
 			return nil
@@ -394,31 +331,7 @@ func (ex *executor) buildHeal(err error) *healState {
 			// A real panic has no modeled crash time: account a crash of
 			// that processor with no lost-work charge beyond the refetch.
 			h.crash = &fault.Crash{Proc: we.Proc}
-			h.at = snaps[we.Proc].lastCkpt
 		}
 	}
 	return h
-}
-
-// checkMachineAgreement verifies every worker's replayed cost model agrees
-// bitwise with worker 0's — the chaos-mode analogue of the memory
-// consistency sweep (identical machines prove the replicated fault draws
-// never diverged).
-func (ex *executor) checkMachineAgreement() error {
-	if !ex.chaos {
-		return nil
-	}
-	ref := ex.machines[0]
-	for p := 1; p < len(ex.machines); p++ {
-		m := ex.machines[p]
-		if math.Float64bits(m.Time()) != math.Float64bits(ref.Time()) {
-			return &DivergenceError{Proc: p, Peer: 0, What: "replayed simulated time",
-				Got: m.Time(), Want: ref.Time()}
-		}
-		if m.Stats != ref.Stats {
-			return &DivergenceError{Proc: p, Peer: 0, What: "replayed cost-model statistics",
-				Got: float64(m.Stats.Messages), Want: float64(ref.Stats.Messages)}
-		}
-	}
-	return nil
 }

@@ -1,11 +1,7 @@
 // Package exec is the concurrent SPMD execution backend: one goroutine per
 // simulated processor runs the planned SPMD program for real, exchanging
 // messages over channel-based bounded mailboxes wherever the communication
-// plan (comm.Requirement) says data must move. It shares its entire
-// interpretation core — value semantics, execution sets, communication
-// decisions — with the sequential simulator (internal/sim) through
-// internal/eval, which is what lets the differential oracle (Differ) demand
-// bit-for-bit agreement between the two backends.
+// plan (comm.Requirement) says data must move.
 //
 // Execution is replicated: every worker interprets the full program over its
 // own memory image, exactly as the simulator interprets it over its single
@@ -20,18 +16,22 @@
 // pattern the paper's message vectorization targets — coalesce into a
 // single batched mailbox message carrying the element count and a checksum
 // of the batched values, flushed whenever the batch key changes or other
-// planned traffic must flow. The cost-model replay and the trace's exact
-// counters are unaffected: the accountant still charges every instance, and
-// a flushed batch emits one trace event that stands for Count messages.
+// planned traffic must flow. The cost model and the trace's exact counters
+// are unaffected: the accountant still charges every instance, and a flushed
+// batch emits one trace event that stands for Count messages.
 //
-// Communication statistics are kept exactly comparable with the simulator
-// by a deterministic accountant: worker 0 — which observes every planned
-// event in program order, like the simulator does — replays the same
-// machine.Machine calls with the same arguments. The machine instance is
-// owned by that one goroutine, so the accounting needs no locking, and the
-// resulting Stats (and simulated clocks) are identical to the sequential
-// run by construction. The real channel traffic is verified independently,
-// through per-edge sequence numbers, requirement tags, and the watchdog.
+// The interpretation core — value semantics, execution sets, communication
+// decisions, and the schedule of operations (eval.Ops) — is internal/eval's
+// and shared with the sequential simulator (internal/sim): this package
+// implements each operation as real traffic and knows nothing of their
+// order. Communication statistics are the simulator's by construction:
+// worker 0, which observes every operation in program order like the
+// simulator does, is the accountant, handing each one to the same
+// eval.Account the simulator charges before transmitting it (one goroutine
+// owns the account, so it needs no locking). That is what lets the
+// differential oracle (Differ) demand bit-for-bit agreement. The real channel
+// traffic is verified independently, through per-edge sequence numbers,
+// requirement tags, and the watchdog.
 //
 // Robustness: a worker panic is contained and surfaced as *WorkerError
 // with the process intact; a wedged worker set is detected by the stall
@@ -72,7 +72,7 @@ const DefaultStallTimeout = 10 * time.Second
 // Config controls a concurrent run.
 type Config struct {
 	// Params is the machine cost model used for the statistics accounting
-	// (zero value = machine.SP2(), mirroring sim.Config).
+	// (zero value = machine.SP2(), as in sim.Config).
 	Params machine.Params
 	// Workers is the requested worker count. The SPMD program is planned
 	// for exactly NProcs processors and every planned rendezvous names
@@ -94,10 +94,10 @@ type Config struct {
 	Trace *trace.Options
 
 	// Fault, when non-nil and active, injects the seeded fault plan into
-	// the run at two layers. The model layer replays the simulator's fault
-	// accounting on every worker (identical seeded draws, so Stats, Time,
-	// and fault-event counts agree bitwise with sim for the same plan).
-	// The wire layer makes losses, duplicates, and slowdowns physical:
+	// the run at two layers. In the model, every worker's account draws from
+	// it exactly as the simulator's does (so Stats, Time, and fault-event
+	// counts agree bitwise with sim for the same plan). The wire layer makes
+	// losses, duplicates, and slowdowns physical:
 	// keyed per-(src,dst,seq,attempt) draws drop or duplicate real mailbox
 	// transmissions, healed by an ack/retransmit protocol with exponential
 	// backoff — reproducible for a fixed seed regardless of goroutine
@@ -105,9 +105,9 @@ type Config struct {
 	Fault *fault.Plan
 	// CheckpointInterval > 0 takes coordinated checkpoints — barrier-
 	// aligned dense snapshots of every worker's eval.State — whenever the
-	// replayed cost model's simulated clock has advanced that many seconds
-	// since the last one, at the same loop-entry boundaries the simulator
-	// checkpoints at (so the two backends' checkpoint schedules coincide).
+	// account's simulated clock has advanced that many seconds since the
+	// last one, at the checkpoint sites of the schedule shared with the
+	// simulator (so the two backends' checkpoints coincide).
 	CheckpointInterval float64
 	// MaxRestarts bounds run-level heals: full restarts from the last
 	// complete checkpoint after a real worker panic or a watchdog-detected
@@ -119,11 +119,7 @@ type Config struct {
 	// MaxCells × 8 bytes × workers. A breach fails the run with a coded
 	// E006 diagnostic before the images are allocated.
 	MaxCells int64
-	// Reduce selects the runtime reduction strategy (mirroring sim.Config):
-	// ReduceAuto privatizes every reduction the reduceplan cleared,
-	// ReduceCollective forces the §2.3 collective, ReducePrivatize demands
-	// privatization and fails (E005) when any recognized reduction is
-	// collective-only.
+	// Reduce selects the runtime reduction strategy (see sim.Config.Reduce).
 	Reduce core.ReduceMode
 	// HardCrashes makes scheduled fail-stop crashes kill the worker
 	// goroutine for real (a panic unwinds it mid-protocol) instead of the
@@ -148,7 +144,7 @@ const DefaultMaxRestarts = 3
 
 // Result is the outcome of a concurrent run.
 type Result struct {
-	// Time and Stats are the accountant's replay of the cost model —
+	// Time and Stats are the accountant's charges to the cost model —
 	// directly comparable with (and, fault-free, identical to) the
 	// sequential simulator's.
 	Time  float64
@@ -214,21 +210,17 @@ const (
 )
 
 type executor struct {
-	prog   *spmd.Program
-	cfg    Config
-	ctx    context.Context
-	cancel context.CancelFunc
-	n      int
-	depth  int
+	prog  *spmd.Program
+	cfg   Config
+	ctx   context.Context
+	n     int
+	depth int
 
 	// mail[from][to] is the bounded mailbox for one directed edge.
 	mail [][]chan message
-	// mach is the accountant's machine; owned exclusively by worker 0's
-	// goroutine while workers run, read by Run after they all finish. In
-	// chaos mode it is worker 0's replay machine (every worker then owns
-	// one; see machines).
-	mach *machine.Machine
-	wd   *watchdog
+	// run is the part of cfg shared with the simulator (see eval.RunSpec).
+	run eval.RunSpec
+	wd  *watchdog
 	// reqDesc names each planned requirement for watchdog reports.
 	reqDesc map[int]string
 
@@ -240,14 +232,12 @@ type executor struct {
 	traffic atomic.Int64
 
 	// Chaos mode (an active fault plan or a checkpoint interval): every
-	// worker replays the cost model on its own machine with its own
-	// injector clone, snapshots its state at coordinated checkpoints, and
-	// the wire layer (when the plan has wire faults) drops, duplicates,
-	// and delays real transmissions.
-	chaos    bool
-	winj     *fault.WallInjector
-	wire     *wireNet
-	machines []*machine.Machine
+	// worker keeps an account, snapshots its state at coordinated
+	// checkpoints, and the wire layer (when the plan has wire faults) drops,
+	// duplicates, and delays real transmissions.
+	chaos bool
+	winj  *fault.WallInjector
+	wire  *wireNet
 	// snaps/prevSnaps hold each worker's last two published checkpoint
 	// snapshots. A worker writes only its own slot; Run reads them after
 	// the workers join (the WaitGroup orders the accesses).
@@ -278,9 +268,6 @@ func Run(ctx context.Context, p *spmd.Program, cfg Config) (*Result, error) {
 	if cfg.Params == (machine.Params{}) {
 		cfg.Params = machine.SP2()
 	}
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, fmt.Errorf("exec: %w", err)
-	}
 	n := p.NProcs()
 	if cfg.Workers != 0 && cfg.Workers != n {
 		return nil, &ConfigError{Msg: fmt.Sprintf(
@@ -298,29 +285,10 @@ func Run(ctx context.Context, p *spmd.Program, cfg Config) (*Result, error) {
 	if stall == 0 {
 		stall = DefaultStallTimeout
 	}
-	if err := cfg.Fault.Validate(); err != nil {
-		return nil, fmt.Errorf("exec: %w", err)
-	}
-	if cfg.Fault.Active() {
-		for _, c := range cfg.Fault.Crashes {
-			if c.Proc >= n {
-				return nil, &ConfigError{Msg: fmt.Sprintf("crash names processor %d; the program runs on %d", c.Proc, n)}
-			}
-		}
-		for _, s := range cfg.Fault.Slowdowns {
-			if s.Proc >= n {
-				return nil, &ConfigError{Msg: fmt.Sprintf("slowdown names processor %d; the program runs on %d", s.Proc, n)}
-			}
-		}
-	}
-	if cfg.CheckpointInterval < 0 || math.IsNaN(cfg.CheckpointInterval) || math.IsInf(cfg.CheckpointInterval, 0) {
-		return nil, &ConfigError{Msg: fmt.Sprintf("CheckpointInterval must be finite and >= 0, got %v", cfg.CheckpointInterval)}
-	}
-	if cfg.MaxCells < 0 {
-		return nil, &ConfigError{Msg: fmt.Sprintf("MaxCells must be >= 0 (0 = unlimited), got %d", cfg.MaxCells)}
-	}
-	if cfg.Reduce < core.ReduceAuto || cfg.Reduce > core.ReducePrivatize {
-		return nil, &ConfigError{Msg: fmt.Sprintf("unknown Reduce mode %d", int(cfg.Reduce))}
+	run := eval.RunSpec{Params: cfg.Params, Fault: cfg.Fault,
+		CheckpointInterval: cfg.CheckpointInterval, MaxCells: cfg.MaxCells, Reduce: cfg.Reduce}
+	if err := run.Validate(n); err != nil {
+		return nil, &ConfigError{Msg: err.Error()}
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -329,6 +297,7 @@ func Run(ctx context.Context, p *spmd.Program, cfg Config) (*Result, error) {
 	ex := &executor{
 		prog:    p,
 		cfg:     cfg,
+		run:     run,
 		n:       n,
 		depth:   depth,
 		reqDesc: map[int]string{},
@@ -392,7 +361,7 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 	n := ex.n
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ex.ctx, ex.cancel = cctx, cancel
+	ex.ctx = cctx
 	ex.wd = newWatchdog(n)
 	ex.mail = make([][]chan message, n)
 	for i := range ex.mail {
@@ -401,38 +370,31 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 			ex.mail[i][j] = make(chan message, ex.depth)
 		}
 	}
-	states := make([]*eval.State, n)
-	for i := range states {
-		st, err := eval.NewStateBudget(ex.prog, eval.Budget{MaxCells: ex.cfg.MaxCells})
+	workers := make([]*worker, n)
+	for i := range workers {
+		// The partial tables are armed before any Restore: heal snapshots
+		// carry in-flight private partials and restore into the armed tables.
+		st, err := ex.run.NewState(ex.prog)
 		if err != nil {
-			return nil, fmt.Errorf("exec: %w", err)
-		}
-		// Arm the partial tables before any Restore: heal snapshots carry
-		// in-flight private partials and restore into the armed tables.
-		if err := st.ConfigureReduce(ex.cfg.Reduce, eval.Budget{MaxCells: ex.cfg.MaxCells}); err != nil {
 			return nil, fmt.Errorf("exec: %w", err)
 		}
 		if heal != nil {
 			st.Restore(heal.snaps[i].state)
 		}
-		states[i] = st
-	}
-	workers := make([]*worker, n)
-	for i := range workers {
 		workers[i] = &worker{
 			ex:       ex,
 			proc:     i,
-			st:       states[i],
+			st:       st,
 			sendSeq:  make([]uint64, n),
 			recvSeq:  make([]uint64, n),
 			attrStmt: -1,
 		}
+		if ex.chaos || i == 0 {
+			workers[i].acct = eval.NewAccount(st, ex.run)
+		}
 	}
 	if ex.chaos {
 		ex.setupChaos(workers, heal)
-	} else {
-		ex.mach = machine.New(ex.prog.Grid(), ex.cfg.Params)
-		workers[0].mach = ex.mach
 	}
 	if ex.winj != nil {
 		ex.wire = newWireNet(ex, workers)
@@ -478,18 +440,13 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
-	if err := checkConsistency(states); err != nil {
-		return nil, err
-	}
-	if err := ex.checkMachineAgreement(); err != nil {
+	if err := checkConsistency(workers); err != nil {
 		return nil, err
 	}
 
 	res := &Result{
-		Time:            ex.mach.Time(),
-		Stats:           ex.mach.Stats,
-		Scalars:         map[string]float64{},
-		Arrays:          map[string][]float64{},
+		Time:            workers[0].acct.M.Time(),
+		Stats:           workers[0].acct.M.Stats,
 		Workers:         n,
 		TrafficMessages: ex.traffic.Load(),
 		Trace:           ex.rec,
@@ -500,28 +457,19 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 		WireDuplicates:    ex.wireDups.Load(),
 		WireDupSuppressed: ex.wireDupSupp.Load(),
 	}
-	for v, x := range states[0].Scalars() {
-		res.Scalars[v.Name] = x
-	}
-	for v, a := range states[0].Arrays() {
-		res.Arrays[v.Name] = a
-	}
+	res.Scalars, res.Arrays = workers[0].st.Export()
 	return res, nil
 }
 
-// runWorker drives one worker goroutine. Fault-free runs keep the original
-// single-walk fast path; chaos mode runs the tracked walk with coordinated
-// crash recovery around it (see chaos.go).
-func (ex *executor) runWorker(w *worker) error {
-	if !ex.chaos {
-		err := eval.Walk(w.st, w)
-		if err == nil {
-			// Drain any message batch left open by trailing statements.
-			err = w.flushBatch()
-		}
-		return err
+// run interprets the program on this worker from a checkpoint cursor (zero:
+// from the top), then drains any message batch left open by trailing
+// statements.
+func (w *worker) run(from eval.Cursor) error {
+	err := eval.Run(w.st, w, w.elemBytes(), &from)
+	if err == nil {
+		err = w.flushBatch()
 	}
-	return ex.runChaosWorker(w)
+	return err
 }
 
 // pickError selects the run's verdict from the per-worker errors: the first
@@ -556,25 +504,32 @@ func pickError(errs []error) error {
 	return nil
 }
 
-// checkConsistency verifies every worker's final memory image is bitwise
-// identical to worker 0's — the replicated-execution invariant.
-func checkConsistency(states []*eval.State) error {
-	ref := states[0]
-	for p := 1; p < len(states); p++ {
-		st := states[p]
-		for v, want := range ref.Scalars() {
-			if got := st.Scalar(v); math.Float64bits(got) != math.Float64bits(want) {
-				return &DivergenceError{Proc: p, Peer: 0, What: "final scalar " + v.Name, Got: got, Want: want}
+// checkConsistency verifies the replicated-execution invariant: every
+// worker's final memory image — and, where every worker kept an account
+// (chaos mode), its simulated time and statistics, proof that the replicated
+// fault draws never diverged — is bitwise identical to worker 0's.
+func checkConsistency(workers []*worker) error {
+	ref := workers[0]
+	for p := 1; p < len(workers); p++ {
+		w := workers[p]
+		if v, elem, want, got, differ := ref.st.Diff(w.st); differ {
+			what := "final scalar " + v.Name
+			if elem >= 0 {
+				what = fmt.Sprintf("final %s element %d", v.Name, elem)
 			}
+			return &DivergenceError{Proc: p, Peer: 0, What: what, Got: got, Want: want}
 		}
-		for v, want := range ref.Arrays() {
-			got := st.Array(v)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					return &DivergenceError{Proc: p, Peer: 0,
-						What: fmt.Sprintf("final %s element %d", v.Name, i), Got: got[i], Want: want[i]}
-				}
-			}
+		if w.acct == nil {
+			continue
+		}
+		m, rm := w.acct.M, ref.acct.M
+		if math.Float64bits(m.Time()) != math.Float64bits(rm.Time()) {
+			return &DivergenceError{Proc: p, Peer: 0, What: "accounted simulated time",
+				Got: m.Time(), Want: rm.Time()}
+		}
+		if m.Stats != rm.Stats {
+			return &DivergenceError{Proc: p, Peer: 0, What: "accounted cost-model statistics",
+				Got: float64(m.Stats.Messages), Want: float64(rm.Stats.Messages)}
 		}
 	}
 	return nil
@@ -583,8 +538,8 @@ func checkConsistency(states []*eval.State) error {
 // ---------------------------------------------------------------------------
 // Worker
 
-// worker is one simulated processor: an eval.Backend whose events perform
-// real channel communication (and, on processor 0, the statistics replay).
+// worker is one simulated processor: an eval.Ops whose operations perform
+// real channel communication (and, on the accountant, charge the account).
 type worker struct {
 	ex   *executor
 	proc int
@@ -605,17 +560,12 @@ type worker struct {
 	// openBatch); count == 0 means no batch is open.
 	batch openBatch
 
-	// mach is this worker's cost-model replay machine. Fault-free runs give
-	// it to worker 0 only (the accountant); chaos mode gives every worker
-	// its own, so all replicated replays — including the seeded fault
-	// draws — can be cross-checked after the run.
-	mach *machine.Machine
-	// inj replays the simulator's seeded injector (chaos mode only):
-	// identical draw sequence, so modeled fault charges and crash points
-	// agree with sim by construction.
-	inj *fault.Injector
-	// lastCkpt is the replayed clock at the last checkpoint (or recovery).
-	lastCkpt float64
+	// acct is this worker's account of the cost model — machine, seeded
+	// injector, checkpoint clock — the same the simulator charges. Fault-free
+	// runs give one to worker 0 only (the accountant); chaos mode gives every
+	// worker its own, so all replicated accounts — including the seeded
+	// fault draws — can be cross-checked after the run.
+	acct *eval.Account
 	// sites counts crash-check sites since the last checkpoint; it is the
 	// replay-progress coordinate used to suppress re-execution side effects
 	// exactly up to the crash point.
@@ -633,7 +583,7 @@ type worker struct {
 	healCrash *fault.Crash
 	// resume, when set by a run-level heal, is the checkpoint cursor the
 	// worker's walk restarts from.
-	resume *eval.Cursor
+	resume eval.Cursor
 }
 
 // setAttr stamps the attribution for the planned messages about to flow.
@@ -655,24 +605,13 @@ func (w *worker) emit(k trace.Kind, peer int, dur float64, bytes int64, req int)
 	})
 }
 
-// emitN records one event standing for count planned messages (a flushed
-// batch); the exact counters scale by count, keeping per-class totals
-// identical to the simulator's per-instance emission.
-func (w *worker) emitN(k trace.Kind, peer int, bytes int64, req int, count int32) {
-	w.ex.rec.Emit(w.proc, trace.Event{
-		Time: w.ex.wall(), Bytes: bytes, Kind: k, Class: w.attrClass,
-		Proc: int32(w.proc), Peer: int32(peer), Stmt: w.attrStmt, Req: int32(req),
-		Count: count,
-	})
-}
-
 // elemBytes is the payload size of one element message.
 func (w *worker) elemBytes() int64 { return int64(w.ex.cfg.Params.ElemBytes) }
 
-// charges reports whether this worker replays the cost model right now:
-// it owns a machine (worker 0 always; every worker in chaos mode) and is
-// not re-executing an already-accounted interval after a restore.
-func (w *worker) charges() bool { return w.mach != nil && !w.replay }
+// charges reports whether this worker charges the cost model right now: it
+// keeps an account (worker 0 always; every worker in chaos mode) and is not
+// re-executing an already-accounted interval after a restore.
+func (w *worker) charges() bool { return w.acct != nil && !w.replay }
 
 // traces reports whether this worker emits trace events right now (replay
 // re-executes already-traced work, so emission is suppressed).
@@ -697,7 +636,7 @@ func (w *worker) send(to int, m message, what string) error {
 	case ch <- m:
 		w.ex.traffic.Add(1)
 		w.ex.wd.tick()
-		w.traceSend(to, m)
+		w.tracePlanned(trace.Send, to, m)
 		return nil
 	default:
 	}
@@ -711,26 +650,29 @@ func (w *worker) send(to int, m message, what string) error {
 		if w.traces() {
 			w.emit(trace.Wait, to, w.ex.wall()-blocked, 0, -1)
 		}
-		w.traceSend(to, m)
+		w.tracePlanned(trace.Send, to, m)
 		return nil
 	case <-w.ex.ctx.Done():
 		return w.ex.ctx.Err()
 	}
 }
 
-// traceSend records the departure of one planned message. Protocol traffic
-// (negative tags: reduce gathers, barriers) is invisible to the cost model,
-// so it is excluded — keeping Send/Recv counts structurally identical to the
-// simulator's trace.
-func (w *worker) traceSend(to int, m message) {
+// tracePlanned records the departure or arrival of one planned message.
+// Protocol traffic (negative tags: reduce gathers, barriers) is invisible to
+// the cost model, so it is excluded — keeping Send/Recv counts structurally
+// identical to the simulator's trace. A flushed batch is one event standing
+// for Count messages: the exact counters scale by it, keeping per-class
+// totals identical to the simulator's per-instance emission.
+func (w *worker) tracePlanned(k trace.Kind, peer int, m message) {
 	if !w.traces() || m.req < 0 || w.mute {
 		return
 	}
-	n := m.count
-	if n <= 0 {
-		n = 1
-	}
-	w.emitN(trace.Send, to, w.attrBytes*int64(n), m.req, n)
+	n := max(m.count, 1)
+	w.ex.rec.Emit(w.proc, trace.Event{
+		Time: w.ex.wall(), Bytes: w.attrBytes * int64(n), Kind: k, Class: w.attrClass,
+		Proc: int32(w.proc), Peer: int32(peer), Stmt: w.attrStmt, Req: int32(m.req),
+		Count: n,
+	})
 }
 
 // recv takes the next message on the edge from->proc and verifies it
@@ -761,22 +703,20 @@ func (w *worker) recv(from, wantReq int, what string) (message, error) {
 		return message{}, &ProtocolError{Proc: w.proc, From: from,
 			WantReq: wantReq, GotReq: m.req, WantSeq: wantSeq, GotSeq: m.seq, What: what}
 	}
-	if w.traces() && m.req >= 0 && !w.mute {
-		n := m.count
-		if n <= 0 {
-			n = 1
-		}
-		w.emitN(trace.Recv, from, w.attrBytes*int64(n), m.req, n)
-	}
+	w.tracePlanned(trace.Recv, from, m)
 	return m, nil
 }
 
 // ---------------------------------------------------------------------------
-// eval.Backend
+// eval.Ops: each operation of the shared schedule, as real traffic. Where the
+// operations fall, and in which order, is eval's decision alone.
+
+// Boundary flushes the open batch before other planned traffic, so the
+// per-edge message order stays identical on every worker.
+func (w *worker) Boundary() error { return w.flushBatch() }
 
 // Tick fires after every loop iteration: progress for the watchdog plus
-// cancellation/deadline enforcement (and, in chaos mode, a crash-check site
-// mirroring the simulator's per-iteration checkTime).
+// cancellation/deadline enforcement (and a crash site).
 func (w *worker) Tick() error {
 	w.ex.wd.tick()
 	if h := w.ex.cfg.testHook; h != nil {
@@ -784,101 +724,46 @@ func (w *worker) Tick() error {
 			return err
 		}
 	}
-	if w.ex.chaos {
-		if err := w.crashCheck(); err != nil {
-			return err
-		}
+	if err := w.CrashSite(); err != nil {
+		return err
 	}
 	return w.ex.ctx.Err()
 }
 
-// LoopEntry performs the vectorized communications hoisted to this loop.
-// In chaos mode it is also the coordinated checkpoint boundary — the same
-// loop-entry sites the simulator checkpoints at — and each hoisted
-// communication is followed by a crash-check site mirroring the simulator's.
-func (w *worker) LoopEntry(l *ir.Loop, lp *spmd.LoopPlan) error {
-	// Any open batch flushes before other planned traffic so the per-edge
-	// message order stays identical on every worker.
-	if err := w.flushBatch(); err != nil {
-		return err
+// Vectorized performs one hoisted communication. Its trace attribution
+// carries the bytes the cost model charges per message; ring slots of shift
+// non-participants are muted (the cost model does not charge them, and
+// neither does the simulator's trace).
+func (w *worker) Vectorized(req *comm.Requirement, op eval.VectorizedOp) error {
+	if w.charges() {
+		w.acct.Vectorized(req, op)
 	}
-	if w.ex.chaos && (len(lp.Hoisted) > 0 || l.Parent == nil) {
-		if err := w.maybeCheckpoint(); err != nil {
-			return err
-		}
-	}
-	for _, req := range lp.Hoisted {
-		// A privatized combine consumes its operands at the owners that
-		// accumulate them: no aggregated transfer, mirroring the simulator.
-		if sp := w.ex.prog.PlanOf(req.Stmt); sp != nil &&
-			w.st.PrivatizedActive(sp.Combine) && sp.Combine.Mapping == nil {
-			continue
-		}
-		op, err := w.st.VectorizedOp(req, w.elemBytes())
-		if err != nil {
-			return err
-		}
-		if w.charges() {
-			switch op.Kind {
-			case eval.VecShift:
-				w.mach.Shift(op.Participants, op.PerProc)
-			case eval.VecBcast:
-				w.mach.Multicast(op.From, op.Dst, op.Bytes)
-			case eval.VecExchange:
-				w.mach.Exchange(op.Src, op.Dst, op.Bytes)
-			}
-		}
-		if w.traces() {
-			w.stampVectorized(req, op)
-		}
-		err = w.vectorizedComm(req, op)
-		w.clearAttr()
-		if err != nil {
-			return err
-		}
-		// Skipped requirements are not a crash-check site: the simulator
-		// returns before its checkTime for VecSkip, so checking here would
-		// detect a pending crash one op earlier than the reference.
-		if w.ex.chaos && op.Kind != eval.VecSkip {
-			if err := w.crashCheck(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// stampVectorized sets the trace attribution for one hoisted requirement's
-// real traffic, mirroring the bytes the cost model charges per message; ring
-// slots of shift non-participants are muted (the cost model does not charge
-// them, and neither does the simulator's trace).
-func (w *worker) stampVectorized(req *comm.Requirement, op eval.VectorizedOp) {
-	switch op.Kind {
-	case eval.VecShift:
-		w.setAttr(req.Stmt.ID, req.Class, op.PerProc)
-		w.mute = op.Participants.Count() < 2 || !op.Participants.Contains(w.proc)
-	case eval.VecBcast:
-		w.setAttr(req.Stmt.ID, req.Class, op.Bytes)
-	case eval.VecExchange:
+	if w.traces() {
 		per := op.Bytes
-		if n := op.Src.Count(); n > 0 && op.Bytes/int64(n) > 0 {
-			per = op.Bytes / int64(n)
+		switch op.Kind {
+		case eval.VecShift:
+			per = op.PerProc
+			w.mute = op.Participants.Count() < 2 || !op.Participants.Contains(w.proc)
+		case eval.VecExchange:
+			if n := int64(op.Src.Count()); n > 0 && op.Bytes/n > 0 {
+				per = op.Bytes / n
+			}
 		}
 		w.setAttr(req.Stmt.ID, req.Class, per)
 	}
+	err := w.vectorizedComm(req, op)
+	w.clearAttr()
+	return err
 }
 
-// vectorizedComm performs the real traffic of one hoisted requirement. The
-// concrete topology mirrors what the cost model charges: a ring exchange
-// for shifts, root-to-members for broadcasts, owner-to-consumer messages
-// for general aggregated communication.
+// vectorizedComm performs the real traffic of one hoisted requirement in the
+// topology the cost model charges: a ring exchange for shifts,
+// root-to-members for broadcasts, owner-to-consumer messages for general
+// aggregated communication.
 func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) error {
 	what := w.desc(req)
 	dropped := w.ex.cfg.testDropSend != nil && w.ex.cfg.testDropSend(w.proc, req)
 	switch op.Kind {
-	case eval.VecSkip:
-		return nil
-
 	case eval.VecShift:
 		if w.ex.n < 2 {
 			return nil
@@ -894,31 +779,8 @@ func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) err
 		return err
 
 	case eval.VecBcast:
-		members := 0
-		for _, p := range op.Dst.Procs() {
-			if p != op.From {
-				members++
-			}
-		}
-		if members == 0 {
-			return nil
-		}
-		if w.proc == op.From {
-			for _, p := range op.Dst.Procs() {
-				if p == op.From || dropped {
-					continue
-				}
-				if err := w.send(p, message{req: req.ID}, what); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if op.Dst.Contains(w.proc) {
-			_, err := w.recv(op.From, req.ID, what)
-			return err
-		}
-		return nil
+		_, _, err := w.multicast(op.From, op.Dst, message{req: req.ID}, what, dropped)
+		return err
 
 	case eval.VecExchange:
 		srcProcs := op.Src.Procs()
@@ -947,153 +809,137 @@ func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) err
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// multicast delivers m from root to every other member of dst (the cost
+// model's Multicast excludes the source as well). A receiving member gets the
+// message back, for verification (received reports it).
+func (w *worker) multicast(root int, dst dist.ProcSet, m message, what string, dropped bool) (got message, received bool, err error) {
+	if w.proc == root {
+		for _, p := range dst.Procs() {
+			if p == root || dropped {
+				continue
+			}
+			if err := w.send(p, m, what); err != nil {
+				return got, false, err
+			}
+		}
+		return got, false, nil
+	}
+	if !dst.Contains(w.proc) {
+		return got, false, nil
+	}
+	got, err = w.recv(root, m.req, what)
+	return got, err == nil, err
+}
+
+// verify reports a peer's value that differs bitwise from this worker's:
+// replicated execution computes the same value everywhere, so it must not.
+// what and detail together name the value (joined only on failure).
+func (w *worker) verify(got message, bits uint64, peer int, what, detail string) error {
+	if got.hasVal && got.bits != bits {
+		return &DivergenceError{Proc: w.proc, Peer: peer, What: what + detail,
+			Got: math.Float64frombits(got.bits), Want: math.Float64frombits(bits)}
+	}
+	return nil
+}
+
+// Reduce is the collective combine of a reduction scalar: a star gather to a
+// deterministic root and a result broadcast back, with the partial values
+// compared bitwise (replicated execution makes every partial the full value,
+// so they must all agree).
+func (w *worker) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
+	if w.charges() {
+		w.acct.Reduce(m, set)
+	}
+	procs := set.Procs()
+	if len(procs) < 2 || !set.Contains(w.proc) {
 		return nil
 	}
-	return nil
-}
-
-// LoopExit performs the global reduction combines that run after the loop —
-// a star gather to a deterministic root and a result broadcast back, with
-// the partial values compared bitwise (replicated execution makes every
-// partial the full value, so they must all agree) — then the lastprivate
-// copy-outs: the final iteration's owner broadcasts its value and every
-// receiver verifies bitwise agreement.
-func (w *worker) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
-	if err := w.flushBatch(); err != nil {
-		return err
+	if w.traces() && m.Def != nil && m.Def.Stmt != nil {
+		w.setAttr(m.Def.Stmt.ID, dist.CommNone, 0)
 	}
-	for _, c := range lp.Combines {
-		if w.st.PrivatizedActive(c) {
-			if err := w.mergeCombine(c); err != nil {
-				return err
-			}
-			continue
+	defer w.clearAttr()
+	what := "combine " + m.Def.Var.Name
+	root := procs[0]
+	val := message{req: tagReduce, hasVal: true, bits: math.Float64bits(w.st.Scalar(m.Def.Var))}
+	if w.proc != root {
+		if err := w.send(root, val, what); err != nil {
+			return err
 		}
-		if c.Mapping == nil {
-			// A collective elementwise reduction has no combine operation:
-			// its reference execution is plain per-instance owner-computes.
-			continue
-		}
-		m := c.Mapping
-		set := w.st.ScalarSet(m)
-		if w.charges() {
-			w.mach.Reduce(set, w.elemBytes())
-		}
-		procs := set.Procs()
-		if len(procs) < 2 || !set.Contains(w.proc) {
-			continue
-		}
-		if w.traces() && m.Def != nil && m.Def.Stmt != nil {
-			w.setAttr(m.Def.Stmt.ID, dist.CommNone, 0)
-		}
-		what := "combine " + m.Def.Var.Name
-		root := procs[0]
-		bits := math.Float64bits(w.st.Scalar(m.Def.Var))
-		if w.proc == root {
-			for _, p := range procs[1:] {
-				got, err := w.recv(p, tagReduce, what)
-				if err != nil {
-					return err
-				}
-				if got.hasVal && got.bits != bits {
-					return &DivergenceError{Proc: w.proc, Peer: p, What: what,
-						Got: math.Float64frombits(got.bits), Want: w.st.Scalar(m.Def.Var)}
-				}
+	} else {
+		for _, p := range procs[1:] {
+			got, err := w.recv(p, tagReduce, what)
+			if err == nil {
+				err = w.verify(got, val.bits, p, what, "")
 			}
-			for _, p := range procs[1:] {
-				if err := w.send(p, message{req: tagReduceResult, hasVal: true, bits: bits}, what); err != nil {
-					return err
-				}
-			}
-			if w.traces() {
-				// One Reduce event per collective at the gathering root —
-				// structurally identical to the simulator's emission.
-				w.emit(trace.Reduce, -1, 0, w.elemBytes()*int64(len(procs)), -1)
-			}
-		} else {
-			if err := w.send(root, message{req: tagReduce, hasVal: true, bits: bits}, what); err != nil {
-				return err
-			}
-			got, err := w.recv(root, tagReduceResult, what)
 			if err != nil {
 				return err
 			}
-			if got.hasVal && got.bits != bits {
-				return &DivergenceError{Proc: w.proc, Peer: root, What: what,
-					Got: math.Float64frombits(got.bits), Want: w.st.Scalar(m.Def.Var)}
-			}
 		}
-		w.clearAttr()
 	}
-	for _, m := range lp.CopyOuts {
-		// The walker leaves the loop index at its final executed value, so
-		// the pattern's owners are the final iteration's owners. Replicated
-		// execution means every worker already holds the value; the real
-		// broadcast verifies bitwise agreement with the owner.
-		src := w.st.ScalarSet(m)
-		all := dist.AllProcs(w.st.Grid())
-		if src.Count() == all.Count() {
-			continue // degenerate alignment: already everywhere
-		}
-		root := src.First()
-		if w.charges() {
-			w.mach.Multicast(root, all, w.elemBytes())
-		}
-		what := "copy-out " + m.Def.Var.Name
-		bits := math.Float64bits(w.st.Scalar(m.Def.Var))
-		if w.traces() && m.Def.Stmt != nil {
-			// Protocol-tagged traffic is invisible to traceSend/recv, so the
-			// events are emitted manually — one Send per destination at the
-			// root, one Recv per receiver, structurally identical to
-			// machine.Multicast's emission.
-			w.setAttr(m.Def.Stmt.ID, dist.CommBcast, w.elemBytes())
-		}
-		if w.proc == root {
-			for _, p := range all.Procs() {
-				if p == root {
-					continue
-				}
-				if err := w.send(p, message{req: tagCopyOut, hasVal: true, bits: bits}, what); err != nil {
-					return err
-				}
-				if w.traces() {
-					w.emit(trace.Send, p, 0, w.elemBytes(), -1)
-				}
-			}
-		} else {
-			got, err := w.recv(root, tagCopyOut, what)
-			if err != nil {
-				return err
-			}
-			if got.hasVal && got.bits != bits {
-				return &DivergenceError{Proc: w.proc, Peer: root, What: what,
-					Got: math.Float64frombits(got.bits), Want: w.st.Scalar(m.Def.Var)}
-			}
-			if w.traces() {
-				w.emit(trace.Recv, root, 0, w.elemBytes(), -1)
-			}
-		}
-		w.clearAttr()
+	val.req = tagReduceResult
+	got, received, err := w.multicast(root, set, val, what, false)
+	if received {
+		err = w.verify(got, val.bits, root, what, "")
 	}
-	return nil
+	if err == nil && w.proc == root && w.traces() {
+		// One Reduce event per collective at the gathering root —
+		// structurally identical to the simulator's emission.
+		w.emit(trace.Reduce, -1, 0, w.elemBytes()*int64(len(procs)), -1)
+	}
+	return err
 }
 
-// mergeCombine runs the privatized loop-exit merge of one combine: the
-// shared value semantics fold the partial tables locally (identically on
-// every worker — replicated execution), the charging workers replay the
-// TreeMerge cost, and the real wire traffic walks the deterministic tree,
-// each hop's loser shipping the FNV checksum of its pre-merge partial row
-// for the winner to verify bitwise.
-func (w *worker) mergeCombine(c *spmd.Combine) error {
-	elems := w.st.PartialElems(c)
-	hops, err := w.st.MergePartials(c)
-	if err != nil {
-		return err
-	}
+// CopyOut broadcasts a lastprivate scalar's final value from the final
+// iteration's owner. Replicated execution means every worker already holds
+// the value; the real broadcast verifies bitwise agreement with the owner.
+func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
 	if w.charges() {
-		w.mach.SetAttr(c.Red.Stmt.ID, -1, dist.CommNone)
-		w.mach.TreeMerge(dist.AllProcs(w.st.Grid()), elems*w.elemBytes(), w.ex.n)
-		w.mach.ClearAttr()
+		w.acct.CopyOut(m, root)
+	}
+	what := "copy-out " + m.Def.Var.Name
+	val := message{req: tagCopyOut, hasVal: true, bits: math.Float64bits(w.st.Scalar(m.Def.Var))}
+	// Protocol-tagged traffic is invisible to tracePlanned, so the events
+	// are emitted manually — one Send per destination at the root, one Recv
+	// per receiver, structurally identical to machine.Multicast's emission.
+	if w.traces() && m.Def.Stmt != nil {
+		w.setAttr(m.Def.Stmt.ID, dist.CommBcast, w.elemBytes())
+	}
+	defer w.clearAttr()
+	if w.proc != root {
+		got, err := w.recv(root, tagCopyOut, what)
+		if err == nil {
+			err = w.verify(got, val.bits, root, what, "")
+		}
+		if err == nil && w.traces() {
+			w.emit(trace.Recv, root, 0, w.elemBytes(), -1)
+		}
+		return err
+	}
+	for _, p := range dist.AllProcs(w.st.Grid()).Procs() {
+		if p == root {
+			continue
+		}
+		if err := w.send(p, val, what); err != nil {
+			return err
+		}
+		if w.traces() {
+			w.emit(trace.Send, p, 0, w.elemBytes(), -1)
+		}
+	}
+	return nil
+}
+
+// TreeMerge walks the deterministic tree of a privatized combine's merge
+// (already folded locally, identically on every worker), each hop's loser
+// shipping the FNV checksum of its pre-merge partial row for the winner to
+// verify bitwise.
+func (w *worker) TreeMerge(c *spmd.Combine, elems int64, hops []eval.MergeHop) error {
+	if w.charges() {
+		w.acct.TreeMerge(c, elems, hops)
 	}
 	what := "merge " + c.Var().Name
 	for _, h := range hops {
@@ -1104,12 +950,11 @@ func (w *worker) mergeCombine(c *spmd.Combine) error {
 		}
 		if w.proc == h.Winner {
 			got, err := w.recv(h.Loser, tagMerge, what)
+			if err == nil {
+				err = w.verify(got, h.Check, h.Loser, what, "")
+			}
 			if err != nil {
 				return err
-			}
-			if got.hasVal && got.bits != h.Check {
-				return &DivergenceError{Proc: w.proc, Peer: h.Loser, What: what,
-					Got: math.Float64frombits(got.bits), Want: math.Float64frombits(h.Check)}
 			}
 		}
 	}
@@ -1117,7 +962,7 @@ func (w *worker) mergeCombine(c *spmd.Combine) error {
 		// One Reduce event per merge at the tree root, stamped with the
 		// merged-row count — structurally identical to the simulator's
 		// TreeMerge emission (protocol-tagged hop traffic is invisible to
-		// traceSend/recv, like the collective's gather).
+		// tracePlanned, like the collective's gather).
 		w.ex.rec.Emit(w.proc, trace.Event{
 			Time: w.ex.wall(), Bytes: elems * w.elemBytes() * int64(len(hops)),
 			Kind: trace.Reduce, Class: dist.CommNone,
@@ -1128,86 +973,33 @@ func (w *worker) mergeCombine(c *spmd.Combine) error {
 	return nil
 }
 
-// Statement performs per-instance communication for one statement instance
-// (and, on charging workers, replays the guard, message, and compute
-// charges). In chaos mode every non-skipped per-instance communication is a
-// crash-check site, mirroring the simulator's statement walk. A privatized
-// elementwise reduction update skips its per-instance communication entirely
-// — the instance accumulates into the data owner's partial row instead of
-// shipping operands to the element's owner — which is where the privatized
-// win comes from.
-func (w *worker) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
-	privArray := w.st.PrivatizedActive(sp.Combine) && sp.Combine.Mapping == nil
-	if privArray {
-		var execSet dist.ProcSet
-		var err error
-		if sp.Combine.Red.DataRef != nil {
-			execSet, err = w.st.OwnerSet(sp.Combine.Red.DataRef)
-		} else {
-			execSet, err = w.st.ExecSet(sp)
-		}
-		if err != nil {
-			return err
-		}
-		if sp.Flops > 0 {
-			if w.charges() {
-				w.mach.Compute(execSet, float64(sp.Flops)*w.ex.cfg.Params.FlopTime)
-			}
-			if w.traces() && execSet.Contains(w.proc) {
-				w.setAttr(st.ID, dist.CommNone, 0)
-				w.emit(trace.Compute, -1, float64(sp.Flops)*w.ex.cfg.Params.FlopTime, 0, -1)
-				w.clearAttr()
-			}
-		}
-		return nil
+// Guard has no traffic: only the accountant pays it.
+func (w *worker) Guard(req *comm.Requirement) {
+	if w.charges() {
+		w.acct.Guard(req)
 	}
-	for _, req := range sp.PerInstance {
-		op, err := w.st.InstanceOp(req, sp, w.elemBytes())
-		if err != nil {
-			return err
-		}
-		if w.charges() && w.ex.cfg.Params.GuardTime > 0 {
-			w.mach.Compute(dist.AllProcs(w.st.Grid()), w.ex.cfg.Params.GuardTime)
-		}
-		if op.Skip {
-			continue
-		}
-		if w.charges() {
-			// The replay charges the cost model per instance — batching is a
-			// property of the physical transport only — so Stats and
-			// simulated time stay identical to the sequential simulator's.
-			if to, one := op.Dst.IsSingle(); one {
-				w.mach.Send(op.From, to, op.Bytes)
-			} else {
-				w.mach.Multicast(op.From, op.Dst, op.Bytes)
-			}
-		}
-		if err := w.batchInstance(req, st, op); err != nil {
-			return err
-		}
-		if w.ex.chaos {
-			if err := w.crashCheck(); err != nil {
-				return err
-			}
-		}
+}
+
+// Transfer joins one per-instance transfer to the open batch. The account is
+// charged per instance: batching is a property of the physical transport.
+func (w *worker) Transfer(req *comm.Requirement, op eval.InstanceOp) error {
+	if w.charges() {
+		w.acct.Transfer(req, op)
 	}
-	execSet, err := w.st.ExecSet(sp)
-	if err != nil {
-		return err
+	return w.batchInstance(req, op)
+}
+
+// Compute is traced on the processors that execute the instance, with the
+// cost model's charge as duration: noise-free attribution for the timeline.
+func (w *worker) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
+	if w.charges() {
+		w.acct.Compute(st, set, flops)
 	}
-	if sp.Flops > 0 {
-		if w.charges() {
-			w.mach.Compute(execSet, float64(sp.Flops)*w.ex.cfg.Params.FlopTime)
-		}
-		if w.traces() && execSet.Contains(w.proc) {
-			// The slice duration is the cost model's charge — the useful,
-			// noise-free per-statement attribution for the timeline view.
-			w.setAttr(st.ID, dist.CommNone, 0)
-			w.emit(trace.Compute, -1, float64(sp.Flops)*w.ex.cfg.Params.FlopTime, 0, -1)
-			w.clearAttr()
-		}
+	if flops > 0 && w.traces() && set.Contains(w.proc) {
+		w.setAttr(st.ID, dist.CommNone, 0)
+		w.emit(trace.Compute, -1, float64(flops)*w.ex.cfg.Params.FlopTime, 0, -1)
+		w.clearAttr()
 	}
-	return nil
 }
 
 // openBatch is the worker's single in-flight message batch: contiguous
@@ -1221,8 +1013,6 @@ type openBatch struct {
 	req   *comm.Requirement
 	from  int
 	dst   dist.ProcSet
-	stmt  int
-	class dist.CommClass
 	bytes int64 // per-element payload bytes
 	count int32
 	// sum is an FNV-1a fold of the batched values' bit patterns, accumulated
@@ -1234,27 +1024,12 @@ type openBatch struct {
 	hasVal bool
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// fnvAdd folds one 64-bit value into an FNV-1a checksum.
-func fnvAdd(sum, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		sum ^= v & 0xff
-		sum *= fnvPrime
-		v >>= 8
-	}
-	return sum
-}
-
 // batchInstance coalesces one non-skipped per-instance transfer into the
 // worker's open batch, flushing first when the (requirement, source,
 // destination) key changes. Participants fold the element's local value —
 // evaluated now, on the pre-statement image, where it is identical on every
 // worker under replicated execution — into the batch checksum.
-func (w *worker) batchInstance(req *comm.Requirement, st *ir.Stmt, op eval.InstanceOp) error {
+func (w *worker) batchInstance(req *comm.Requirement, op eval.InstanceOp) error {
 	b := &w.batch
 	if b.count > 0 && !(b.req == req && b.from == op.From && b.dst.Equal(op.Dst)) {
 		if err := w.flushBatch(); err != nil {
@@ -1262,8 +1037,8 @@ func (w *worker) batchInstance(req *comm.Requirement, st *ir.Stmt, op eval.Insta
 		}
 	}
 	if b.count == 0 {
-		*b = openBatch{req: req, from: op.From, dst: op.Dst, stmt: st.ID,
-			class: req.Class, bytes: op.Bytes, sum: fnvOffset, hasVal: true}
+		*b = openBatch{req: req, from: op.From, dst: op.Dst, bytes: op.Bytes,
+			sum: eval.FNVOffset, hasVal: true}
 	}
 	b.count++
 	if w.proc == op.From || op.Dst.Contains(w.proc) {
@@ -1273,7 +1048,7 @@ func (w *worker) batchInstance(req *comm.Requirement, st *ir.Stmt, op eval.Insta
 			// just loses its verifiable payload.
 			b.hasVal = false
 		} else {
-			b.sum = fnvAdd(b.sum, math.Float64bits(local))
+			b.sum = eval.FNVAdd(b.sum, math.Float64bits(local))
 		}
 	}
 	return nil
@@ -1301,81 +1076,45 @@ func (w *worker) flushBatch() error {
 	what := w.desc(req)
 	dropped := w.ex.cfg.testDropSend != nil && w.ex.cfg.testDropSend(w.proc, req)
 	m := message{req: req.ID, count: op.count, hasVal: op.hasVal, bits: op.sum}
-	w.setAttr(op.stmt, op.class, op.bytes)
+	w.setAttr(req.Stmt.ID, req.Class, op.bytes)
 	defer w.clearAttr()
-	verify := func(got message, from int) error {
-		if got.count != op.count {
-			return &DivergenceError{Proc: w.proc, Peer: from,
-				What: what + " (batch length)",
-				Got:  float64(got.count), Want: float64(op.count)}
-		}
-		if !got.hasVal || !op.hasVal {
-			return nil
-		}
-		if got.bits != op.sum {
-			return &DivergenceError{Proc: w.proc, Peer: from,
-				What: what + " (batch checksum)",
-				Got:  math.Float64frombits(got.bits), Want: math.Float64frombits(op.sum)}
-		}
-		return nil
-	}
-
-	if to, one := op.dst.IsSingle(); one {
+	var got message
+	var received bool
+	var err error
+	if to, one := op.dst.IsSingle(); !one {
+		got, received, err = w.multicast(op.from, op.dst, m, what, dropped)
+	} else {
 		// Point-to-point delivery (a self-send uses the self edge, kept
 		// for exact parity with the cost model, which charges it too).
 		if w.proc == op.from && !dropped {
-			if err := w.send(to, m, what); err != nil {
-				return err
-			}
+			err = w.send(to, m, what)
 		}
-		if w.proc == to {
-			got, err := w.recv(op.from, req.ID, what)
-			if err != nil {
-				return err
-			}
-			return verify(got, op.from)
+		if w.proc == to && err == nil {
+			got, err = w.recv(op.from, req.ID, what)
+			received = err == nil
 		}
-		return nil
 	}
-	// Multicast delivery: the root does not message itself (the cost
-	// model's Multicast excludes the source as well).
-	if w.proc == op.from {
-		for _, p := range op.dst.Procs() {
-			if p == op.from || dropped {
-				continue
-			}
-			if err := w.send(p, m, what); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	got, err := w.recv(op.from, req.ID, what)
-	if err != nil {
+	if !received {
 		return err
 	}
-	return verify(got, op.from)
+	if got.count != op.count {
+		return &DivergenceError{Proc: w.proc, Peer: op.from,
+			What: what + " (batch length)",
+			Got:  float64(got.count), Want: float64(op.count)}
+	}
+	if !op.hasVal {
+		return nil
+	}
+	return w.verify(got, op.sum, op.from, what, " (batch checksum)")
 }
 
-// Redistribute performs the barrier an executable redistribution implies
-// (the mapping update has already been applied to every worker's state) and
-// replays its all-to-all charge. In chaos mode the end of the barrier is a
-// crash-check site, mirroring the simulator's redistribution walk.
-func (w *worker) Redistribute(st *ir.Stmt) error {
-	if err := w.flushBatch(); err != nil {
-		return err
-	}
+// AllToAll realizes an executable redistribution (the mapping update has
+// already been applied to every worker's state) as a barrier.
+func (w *worker) AllToAll(st *ir.Stmt) error {
 	if w.charges() {
-		per := w.st.RedistBytesPerProc(st, w.elemBytes())
-		w.mach.AllToAll(dist.AllProcs(w.st.Grid()), per)
+		w.acct.AllToAll(st)
 	}
-	if err := w.starBarrier(tagBarrier, tagRelease, "redistribute "+st.Redist.Array.Name); err != nil {
-		return err
-	}
-	if w.ex.chaos {
-		return w.crashCheck()
-	}
-	return nil
+	return w.starBarrier(tagBarrier, tagRelease, "redistribute "+st.Redist.Array.Name)
 }
 
 // starBarrier synchronizes all workers through processor 0: members send

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"phpf/internal/trace"
 )
 
 // maxWireAttempts bounds the retransmissions of one message. With doubling
@@ -144,7 +146,7 @@ func (w *worker) sendWire(to int, m message, what string) error {
 			}
 			ex.traffic.Add(1)
 			ex.wd.tick()
-			w.traceSend(to, m)
+			w.tracePlanned(trace.Send, to, m)
 			return nil
 		case <-timer.C:
 			rto *= 2

@@ -1,0 +1,77 @@
+package sim
+
+import (
+	"testing"
+
+	"phpf/internal/ir"
+	"phpf/internal/machine"
+)
+
+// TestProfileCountsExecutionsOnly: StmtProfile.Instances is how many times
+// the statement executed. A statement whose operand arrives by a hoisted
+// (vectorized) shift is also charged that communication at loop entry — its
+// seconds include it, its instance count must not.
+func TestProfileCountsExecutionsOnly(t *testing.T) {
+	const trips = 15
+	prog := generate(t, `
+program t
+parameter n = 16
+real a(n), b(n)
+integer i
+!hpf$ distribute (block) :: a
+!hpf$ distribute (block) :: b
+do i = 2, n
+  a(i) = b(i-1) * 2.0
+end do
+end
+`, 4)
+	var stmt *ir.Stmt
+	for _, st := range prog.Res.Prog.Stmts {
+		if st.Kind == ir.SAssign {
+			stmt = st
+		}
+	}
+	hoisted := 0
+	for _, l := range prog.Res.Prog.Loops {
+		if lp := prog.LoopPlanOf(l); lp != nil {
+			for _, req := range lp.Hoisted {
+				if req.Stmt == stmt {
+					hoisted++
+				}
+			}
+		}
+	}
+	if hoisted != 1 {
+		t.Fatalf("test program has %d hoisted requirements for the assignment, want 1", hoisted)
+	}
+
+	res, err := Run(prog, Config{Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Run(prog, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Time != plain.Time || res.Stats != plain.Stats {
+		t.Errorf("profiling changed the run: time %v vs %v, stats %v vs %v", res.Time, plain.Time, res.Stats, plain.Stats)
+	}
+	if res.Stats.Shifts != 1 {
+		t.Fatalf("run charged %d shifts, want the one hoisted shift", res.Stats.Shifts)
+	}
+	for _, p := range res.Profile {
+		if p.Stmt != stmt {
+			continue
+		}
+		if p.Instances != trips {
+			t.Errorf("Instances = %d, want %d (the loop-entry charge is not an execution)", p.Instances, trips)
+		}
+		// Seconds keep the hoisted charge: more than the computation alone,
+		// which is one multiply per instance on one processor.
+		if compute := float64(trips) * float64(prog.PlanOf(stmt).Flops) * machine.SP2().FlopTime; p.Seconds <= compute {
+			t.Errorf("Seconds = %v does not include the hoisted shift (compute alone is %v)", p.Seconds, compute)
+		}
+		return
+	}
+	t.Fatal("the assignment is missing from the profile")
+}

@@ -194,7 +194,7 @@ func CacheKey(source string, nprocs int, opts Options, reduce ReduceMode) string
 	h := sha256.New()
 	// The version tag invalidates every cached key when the encoding (or
 	// the meaning of an option) changes incompatibly.
-	fmt.Fprintf(h, "phpf-cache-v3\x00procs=%d\x00opts=%+v\x00reduce=%s\x00", nprocs, opts, reduce)
+	fmt.Fprintf(h, "phpf-cache-v4\x00procs=%d\x00opts=%+v\x00reduce=%s\x00", nprocs, opts, reduce)
 	h.Write([]byte(source))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -673,7 +673,7 @@ func (c *Compiled) MappingReport() string {
 // inserted. phpfc -explain-priv prints it.
 func (c *Compiled) ExplainPriv() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "privatization mode: %s\n", c.Opts.PrivatizationMode())
+	fmt.Fprintf(&b, "privatization mode: %s\n", c.Opts.Privatization)
 	sum := c.Result.Priv
 	if sum == nil || len(sum.Classes) == 0 {
 		b.WriteString("no privatization candidates\n")

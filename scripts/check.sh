@@ -34,6 +34,34 @@ if grep -rnE '\.(Eval|EvalInt)\(' --include='*.go' . | grep -v '_test\.go:'; the
     exit 1
 fi
 
+# One-schedule gate: which operation happens where is decided once, by the
+# schedule in internal/eval (schedule.go), which alone reads the spmd plan's
+# loop and statement annotations; the backends implement its operations
+# (eval.Ops) and must not grow event methods or plan reads of their own again.
+backends="$(ls internal/sim/*.go internal/exec/*.go | grep -v '_test\.go$')"
+if grep -nE '\.(PrivatizedActive|VectorizedOp|InstanceOp)\(|\.(Hoisted|Combines|CopyOuts|PerInstance)\b|^func \((in \*interp|w \*worker)\) (LoopEntry|LoopExit|Statement|Redistribute)\(' $backends; then
+    echo "check: a backend reads the communication plan or handles walk events itself; that is internal/eval/schedule.go's job" >&2
+    exit 1
+fi
+
+# One-accountant gate: the simulated machine is built and charged in
+# internal/eval/account.go only (bench/, its own module, measures the
+# machine's unit costs directly and is not scanned).
+if grep -rnE 'machine\.New\(|\.M\.(Shift|Multicast|Exchange|Send|Compute|Reduce|TreeMerge|AllToAll|Checkpoint|Recover)\(' \
+    --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=machine . |
+    grep -v '^./internal/eval/account.go:'; then
+    echo "check: the simulated machine is built or charged outside internal/eval/account.go" >&2
+    exit 1
+fi
+
+# One-walker gate: one traversal serves Walk and WalkResume (no tracked
+# variant), and the labeled-CONTINUE scan of a goto exists once.
+if grep -rn 'nodesTracked\|\.track\b' internal/eval ||
+    [ "$(ls internal/eval/*.go | grep -v '_test\.go$' | xargs cat | grep -c 'Kind == ir.SContinue &&')" != 1 ]; then
+    echo "check: internal/eval has a second walker (a tracked variant, or a second goto scan)" >&2
+    exit 1
+fi
+
 # Fuzz smoke: a small budget per front-end target, enough to catch gross
 # regressions in the robustness contracts (never panic, positioned errors)
 # without turning the gate into a fuzzing campaign; FuzzLowerExpr holds the
@@ -67,11 +95,12 @@ fi
 # stream). `go test -update .` refreshes them after an intentional change.
 go test -run '^TestGolden' .
 
-# Bench-regression gate: smoke-run the hot-path benchmark suite and fail on
-# >15% ns/op regression against the last committed BENCH_<n>.json baseline
-# (scripts/bench.sh appends the next trajectory point after an intentional
-# performance change; commit it to move the baseline). BENCH_SKIP=1 skips
-# the gate (e.g. on heavily loaded machines where timings are meaningless).
+# Bench-regression gate: smoke-run the hot-path benchmark suite and fail when
+# a deterministic column moved against the last committed BENCH_<n>.json
+# baseline — simulated time (sim-sec/run) at all, allocs/op by more than 1%;
+# ns/op is printed but not gated (scripts/bench.sh appends the next
+# trajectory point after an intentional change; commit it to move the
+# baseline). BENCH_SKIP=1 skips the gate.
 if [ "${BENCH_SKIP:-0}" != "1" ]; then
     scripts/bench.sh check
 fi

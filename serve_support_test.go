@@ -210,7 +210,7 @@ func TestCacheKeyStability(t *testing.T) {
 	if k == CacheKey(src, 4, NaiveOptions(), ReduceAuto) {
 		t.Fatal("options must discriminate the key")
 	}
-	// cache-v3 regression: flipping only the reduce mode must miss — cache
+	// Reduce-mode regression (cache-v3 on): flipping only the mode must miss — cache
 	// entries carry per-strategy execution defaults, so a v2-style key that
 	// ignored the mode would serve the wrong strategy on a hit.
 	if k == CacheKey(src, 4, SelectedOptions(), ReduceCollective) {
