@@ -2,9 +2,13 @@ package phpf
 
 import (
 	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"phpf/internal/diag"
 )
 
 func compileSmooth(t *testing.T, nprocs int) *Compiled {
@@ -110,6 +114,44 @@ func TestBackendRejectsForeignOptions(t *testing.T) {
 	}
 }
 
+// TestInvalidConfigIsCoded: a configuration that cannot describe a run is a
+// coded E005 *diag.Diagnostic from Execute on either backend and from Diff —
+// never a bare error string from inside a backend, and never accepted.
+func TestInvalidConfigIsCoded(t *testing.T) {
+	c := compileSmooth(t, 4)
+	ctx := context.Background()
+	cases := []struct {
+		name string
+		opts RunOptions
+	}{
+		{"negative MaxSeconds", RunOptions{MaxSeconds: -1}},
+		{"negative CheckpointInterval", RunOptions{CheckpointInterval: -1}},
+		{"NaN CheckpointInterval", RunOptions{CheckpointInterval: math.NaN()}},
+		{"crash on processor 9 of 4", RunOptions{Fault: &FaultPlan{Crashes: []Crash{{Proc: 9, At: 0.001}}}}},
+		{"slowdown on processor 9 of 4", RunOptions{Fault: &FaultPlan{Slowdowns: []Slowdown{{Proc: 9, Factor: 2}}}}},
+		{"Workers 3 of 4", RunOptions{Workers: 3}},
+		{"negative MailboxDepth", RunOptions{MailboxDepth: -1}},
+		{"negative MaxCells", RunOptions{MaxCells: -1}},
+		{"unknown Reduce", RunOptions{Reduce: ReduceMode(99)}},
+	}
+	for _, tc := range cases {
+		runs := map[string]func() error{
+			"diff": func() error { _, err := c.Diff(ctx, tc.opts); return err },
+		}
+		for _, b := range []Backend{Simulator(), Concurrent()} {
+			runs[b.Name()] = func() error { _, err := c.Execute(ctx, b, tc.opts); return err }
+		}
+		for on, run := range runs {
+			t.Run(tc.name+"/"+on, func(t *testing.T) {
+				var d *diag.Diagnostic
+				if err := run(); !errors.As(err, &d) || d.Code != diag.CodeConfig {
+					t.Fatalf("got %T %v, want a coded E005 *diag.Diagnostic", err, err)
+				}
+			})
+		}
+	}
+}
+
 // TestConcurrentFaultOptions: the concurrent backend accepts fault plans and
 // checkpoint intervals (they were simulator-only before wall-clock fault
 // tolerance landed) and reports its physical fault activity.
@@ -137,7 +179,7 @@ func TestConcurrentFaultOptions(t *testing.T) {
 // E005 diagnostic, parses from its CLI names, and ReducePrivatize fails a
 // program whose recognized reduction is collective-only.
 func TestReduceModeValidation(t *testing.T) {
-	if err := (RunOptions{Reduce: ReduceMode(99)}).Validate(); err == nil || !strings.Contains(err.Error(), "E005") {
+	if err := (RunOptions{Reduce: ReduceMode(99)}).Validate(0, ""); err == nil || !strings.Contains(err.Error(), "E005") {
 		t.Fatalf("Reduce=99: got %v, want a coded E005 diagnostic", err)
 	}
 	for _, tc := range []struct {
@@ -148,13 +190,13 @@ func TestReduceModeValidation(t *testing.T) {
 		{"collective", ReduceCollective},
 		{"privatize", ReducePrivatize},
 	} {
-		got, ok := ParseReduceMode(tc.name)
-		if !ok || got != tc.want {
-			t.Errorf("ParseReduceMode(%q) = %v, %v", tc.name, got, ok)
+		got, err := ParseReduceMode(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseReduceMode(%q) = %v, %v", tc.name, got, err)
 		}
 	}
-	if _, ok := ParseReduceMode("bogus"); ok {
-		t.Error("ParseReduceMode accepted bogus")
+	if _, err := ParseReduceMode("bogus"); err == nil || !strings.Contains(err.Error(), "E005") {
+		t.Errorf("ParseReduceMode(bogus): got %v, want a coded E005 diagnostic", err)
 	}
 	// maxloc (reduction value + index) has no private per-element merge; a
 	// demanded privatization must fail loudly on both backends.

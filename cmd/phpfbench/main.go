@@ -18,6 +18,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,29 +40,28 @@ func main() {
 	reduceSweep := flag.Bool("reduce-sweep", false, "run the reduce sweep (collective vs privatized commutative updates on the histogram and dot-product kernels) instead of the tables")
 	flag.Parse()
 
-	var tblCfg []phpf.TableConfig
-	{
-		var tc phpf.TableConfig
-		set := false
-		if *privatize != "" {
-			mode, ok := phpf.ParsePrivMode(*privatize)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "phpfbench: unknown privatization mode %q (directives, infer, infer-strict)\n", *privatize)
-				os.Exit(2)
-			}
-			tc.Priv, set = &mode, true
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "phpfbench: %v\n", err)
+		os.Exit(1)
+	}
+	// -privatize and -reduce rewrite every column of the paper tables. Each
+	// column's options start from the inferring default, which is also what an
+	// empty -privatize resolves to, so the rewrite needs no "was it set" case.
+	privOpts, err := phpf.OptionsByName("", *privatize)
+	reduceMode, rerr := phpf.ParseReduceMode(*reduce)
+	if err := errors.Join(err, rerr); err != nil {
+		fmt.Fprintf(os.Stderr, "phpfbench: %v\n", err)
+		os.Exit(2)
+	}
+	printTable := func(t *phpf.Table) {
+		for i := range t.Cols {
+			t.Cols[i].Opts.Privatization = privOpts.Privatization
+			t.Cols[i].Run.Reduce = reduceMode
 		}
-		if *reduce != "" {
-			mode, ok := phpf.ParseReduceMode(*reduce)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "phpfbench: unknown reduce mode %q (auto, collective, privatize)\n", *reduce)
-				os.Exit(2)
-			}
-			tc.Reduce, set = mode, true
+		if err := t.Run(); err != nil {
+			fail(err)
 		}
-		if set {
-			tblCfg = append(tblCfg, tc)
-		}
+		fmt.Println(t)
 	}
 
 	procs := []int{1, 2, 4, 8, 16}
@@ -73,11 +73,6 @@ func main() {
 		tomN, tomIter = 257, 10
 		dgeN = 256
 		apN, apIter = 24, 5
-	}
-
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "phpfbench: %v\n", err)
-		os.Exit(1)
 	}
 
 	// The -diff and -trace-summary sweeps use reduced sizes: replicated
@@ -110,11 +105,11 @@ func main() {
 			{Name: fmt.Sprintf("Histogram(n=%d,m=%d,niter=%d)", hn, hm, hiter), Source: phpf.HistogramSource(hn, hm, hiter)},
 			{Name: fmt.Sprintf("DotSweep(n=%d,m=%d)", dn, dm), Source: phpf.DotSweepSource(dn, dm)},
 		}
-		rows, err := phpf.ReduceSweep(kernels, procs, *maxSec)
-		if err != nil {
+		t := phpf.ReduceSweep(kernels, procs, *maxSec)
+		if err := t.Run(); err != nil {
 			fail(err)
 		}
-		fmt.Print(phpf.FormatReduceSweep(rows))
+		fmt.Print(phpf.FormatReduceSweep(t))
 		return
 	}
 
@@ -176,38 +171,22 @@ func main() {
 			{fmt.Sprintf("APPSP (%dx%dx%d, niter=%d, 2-D, p=8)", apN, apN, apN, apIter), phpf.APPSPSource(apN, apN, apN, apIter, true), 8},
 		}
 		for _, s := range sweeps {
-			rows, err := phpf.FaultSweep(s.source, s.procs, rates, *faultSeed, *maxSec)
-			if err != nil {
+			t := phpf.FaultSweep(s.title, s.source, s.procs, rates, *faultSeed, *maxSec)
+			if err := t.Run(); err != nil {
 				fail(err)
 			}
-			fmt.Print(phpf.FormatFaultSweep(s.title, rates, rows))
-			fmt.Println()
+			fmt.Println(t)
 		}
 		return
 	}
 
 	if *table == 0 || *table == 1 {
-		rows, err := phpf.Table1TOMCATV(tomN, tomIter, procs, *maxSec, tblCfg...)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(phpf.FormatTable1(tomN, tomIter, rows))
-		fmt.Println()
+		printTable(phpf.Table1TOMCATV(tomN, tomIter, procs, *maxSec))
 	}
 	if *table == 0 || *table == 2 {
-		rows, err := phpf.Table2DGEFA(dgeN, procs[1:], *maxSec, tblCfg...)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(phpf.FormatTable2(dgeN, rows))
-		fmt.Println()
+		printTable(phpf.Table2DGEFA(dgeN, procs[1:], *maxSec))
 	}
 	if *table == 0 || *table == 3 {
-		rows, err := phpf.Table3APPSP(apN, apN, apN, apIter, procs[1:], *maxSec, tblCfg...)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(phpf.FormatTable3(apN, apN, apN, apIter, rows))
-		fmt.Println()
+		printTable(phpf.Table3APPSP(apN, apN, apN, apIter, procs[1:], *maxSec))
 	}
 }

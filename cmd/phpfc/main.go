@@ -54,29 +54,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var opts phpf.Options
-	switch *level {
-	case "naive":
-		opts = phpf.NaiveOptions()
-	case "producer":
-		opts = phpf.ProducerOptions()
-	case "selected":
-		opts = phpf.SelectedOptions()
-	default:
-		fmt.Fprintf(os.Stderr, "phpfc: unknown level %q\n", *level)
+	opts, err := phpf.OptionsByName(*level, *privatize)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "phpfc: %v\n", err)
 		os.Exit(2)
 	}
-
 	opts.Verify = opts.Verify || *verify
 	opts.DumpAfter = *dumpAfter
-	if *privatize != "" {
-		mode, ok := phpf.ParsePrivMode(*privatize)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "phpfc: unknown privatization mode %q (directives, infer, infer-strict)\n", *privatize)
-			os.Exit(2)
-		}
-		opts.Privatization = mode
-	}
 
 	c, err := phpf.Compile(source, *procs, opts)
 	if err != nil {
@@ -109,9 +93,9 @@ func main() {
 		return
 	}
 	if *reduce != "" {
-		mode, ok := phpf.ParseReduceMode(*reduce)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "phpfc: unknown reduce mode %q (auto, collective, privatize)\n", *reduce)
+		mode, err := phpf.ParseReduceMode(*reduce)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "phpfc: %v\n", err)
 			os.Exit(2)
 		}
 		fmt.Println("=== reduction plan ===")

@@ -165,10 +165,10 @@ func buildMix(procsList, backends string, timeoutMS int64, chaosFrac float64) (r
 		}
 	}
 	programs := append(phpf.FigureNames(), "smooth")
-	opts := []string{"naive", "producer", "selected"}
 	i := 0
 	for _, prog := range programs {
-		for _, opt := range opts {
+		for _, strat := range phpf.Strategies() {
+			opt := strat.Name
 			for _, p := range procs {
 				for _, bk := range bks {
 					spec := serve.RunSpec{

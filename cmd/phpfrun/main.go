@@ -36,6 +36,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -97,25 +98,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	var opts phpf.Options
-	switch *level {
-	case "naive":
-		opts = phpf.NaiveOptions()
-	case "producer":
-		opts = phpf.ProducerOptions()
-	case "selected":
-		opts = phpf.SelectedOptions()
-	default:
-		fmt.Fprintf(os.Stderr, "phpfrun: unknown level %q\n", *level)
+	opts, err := phpf.OptionsByName(*level, *privatize)
+	reduceMode, rerr := phpf.ParseReduceMode(*reduce)
+	if err := errors.Join(err, rerr); err != nil {
+		fmt.Fprintf(os.Stderr, "phpfrun: %v\n", err)
 		os.Exit(2)
-	}
-	if *privatize != "" {
-		mode, ok := phpf.ParsePrivMode(*privatize)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "phpfrun: unknown privatization mode %q (directives, infer, infer-strict)\n", *privatize)
-			os.Exit(2)
-		}
-		opts.Privatization = mode
 	}
 
 	plan := &phpf.FaultPlan{Seed: *faultSeed, LossRate: *lossRate, DupRate: *dupRate}
@@ -155,38 +142,18 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Every flag goes to the run as given: which of them the chosen backend
+	// takes is Validate's answer (a coded E005), not this command's.
 	run := phpf.RunOptions{
-		Workers:            *workers,
-		StallTimeout:       *stallTimeout,
+		MaxSeconds:         *maxSec,
+		Profile:            *profile,
 		Fault:              plan,
 		CheckpointInterval: *ckptInterval,
-	}
-	if *reduce != "" {
-		mode, ok := phpf.ParseReduceMode(*reduce)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "phpfrun: unknown reduce mode %q (auto, collective, privatize)\n", *reduce)
-			os.Exit(2)
-		}
-		run.Reduce = mode
-	}
-	if b.Name() == "sim" {
-		// Simulator-only knobs: leave them zero for the concurrent backend,
-		// which would reject them with an E005 diagnostic.
-		run.MaxSeconds = *maxSec
-		run.Profile = *profile
-		run.Workers = 0
-		run.StallTimeout = 0
-		if *hardCrashes {
-			fmt.Fprintln(os.Stderr, "phpfrun: -hard-crashes needs the concurrent backend (add -exec concurrent)")
-			os.Exit(2)
-		}
-	} else {
-		if *profile || *maxSec > 0 {
-			fmt.Fprintln(os.Stderr, "phpfrun: -profile/-max are simulator-only (drop -exec concurrent)")
-			os.Exit(2)
-		}
-		run.HardCrashes = *hardCrashes
-		run.MaxRestarts = *maxRestarts
+		Reduce:             reduceMode,
+		Workers:            *workers,
+		StallTimeout:       *stallTimeout,
+		MaxRestarts:        *maxRestarts,
+		HardCrashes:        *hardCrashes,
 	}
 	if *traceOut != "" || *traceSummary {
 		run.Trace = &phpf.TraceOptions{SampleEvery: *traceSample}

@@ -21,11 +21,11 @@ func main() {
 	maxSec := flag.Float64("max", 100, "simulated-time abort threshold (s)")
 	flag.Parse()
 
-	rows, err := phpf.Table3APPSP(*n, *n, *n, *iters, []int{2, 4, 8, 16}, *maxSec)
-	if err != nil {
+	t := phpf.Table3APPSP(*n, *n, *n, *iters, []int{2, 4, 8, 16}, *maxSec)
+	if err := t.Run(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(phpf.FormatTable3(*n, *n, *n, *iters, rows))
+	fmt.Print(t)
 
 	fmt.Println("\nShapes to compare with the paper:")
 	fmt.Println(" - both no-privatization columns are far slower and degrade with P;")

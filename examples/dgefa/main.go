@@ -19,17 +19,18 @@ func main() {
 	n := flag.Int("n", 128, "matrix size")
 	flag.Parse()
 
-	rows, err := phpf.Table2DGEFA(*n, []int{2, 4, 8, 16}, 0)
-	if err != nil {
+	t := phpf.Table2DGEFA(*n, []int{2, 4, 8, 16}, 0)
+	if err := t.Run(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(phpf.FormatTable2(*n, rows))
+	fmt.Print(t)
 
 	fmt.Println("\nCommunication overhead share (default column):")
-	for _, r := range rows {
-		over := r.Default.Seconds - r.Aligned.Seconds
+	for _, r := range t.Rows {
+		def, aligned := r.Cells[0].Seconds, r.Cells[1].Seconds // Table 2's columns
+		over := def - aligned
 		fmt.Printf("  P=%2d: %.4f s overhead (%.0f%% of the default run)\n",
-			r.Procs, over, 100*over/r.Default.Seconds)
+			r.Procs, over, 100*over/def)
 	}
 	fmt.Println("\nThe paper observes the overhead staying roughly constant while its")
 	fmt.Println("share of the execution time grows with the processor count.")

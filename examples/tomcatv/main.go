@@ -18,22 +18,23 @@ func main() {
 	iters := flag.Int("iters", 5, "iterations")
 	flag.Parse()
 
-	rows, err := phpf.Table1TOMCATV(*n, *iters, []int{1, 2, 4, 8, 16}, 0)
-	if err != nil {
+	t := phpf.Table1TOMCATV(*n, *iters, []int{1, 2, 4, 8, 16}, 0)
+	if err := t.Run(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(phpf.FormatTable1(*n, *iters, rows))
+	fmt.Print(t)
 
-	last := rows[len(rows)-1]
+	const replication, producer, selected = 0, 1, 2 // Table 1's columns
+	last := t.Rows[len(t.Rows)-1].Cells
 	fmt.Printf("\nAt 16 processors, selected alignment is %.0fx faster than replication\n",
-		last.Replication.Seconds/last.Selected.Seconds)
+		last[replication].Seconds/last[selected].Seconds)
 	fmt.Printf("and %.0fx faster than producer alignment — the paper reports more than\n",
-		last.Producer.Seconds/last.Selected.Seconds)
+		last[producer].Seconds/last[selected].Seconds)
 	fmt.Println("two orders of magnitude, and that only selected alignment yields speedups.")
 
-	t1 := rows[0].Selected.Seconds
+	t1 := t.Rows[0].Cells[selected].Seconds
 	fmt.Println("\nSpeedups (selected alignment):")
-	for _, r := range rows {
-		fmt.Printf("  P=%2d: %.2fx\n", r.Procs, t1/r.Selected.Seconds)
+	for _, r := range t.Rows {
+		fmt.Printf("  P=%2d: %.2fx\n", r.Procs, t1/r.Cells[selected].Seconds)
 	}
 }

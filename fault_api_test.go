@@ -34,32 +34,24 @@ func TestDGEFALossyRunDeterministic(t *testing.T) {
 // TestFaultSweepShape: the sweep covers all strategies and rates, its
 // zero-rate column matches the fault-free run, and lossy cells retransmit.
 func TestFaultSweepShape(t *testing.T) {
-	src := DGEFASource(48)
 	rates := []float64{0, 0.02}
-	rows, err := FaultSweep(src, 8, rates, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runTable(t, FaultSweep("DGEFA n=48, p=8", DGEFASource(48), 8, rates, 3, 0), "faultsweep")
 	if len(rows) != 3 {
 		t.Fatalf("want 3 strategy rows, got %d", len(rows))
 	}
 	for _, row := range rows {
 		if len(row.Cells) != len(rates) {
-			t.Fatalf("%s: want %d cells, got %d", row.Strategy, len(rates), len(row.Cells))
+			t.Fatalf("%s: want %d cells, got %d", row.Label, len(rates), len(row.Cells))
 		}
 		if row.Cells[0].Stats.Retransmits != 0 {
-			t.Errorf("%s: zero loss rate must not retransmit", row.Strategy)
+			t.Errorf("%s: zero loss rate must not retransmit", row.Label)
 		}
 		if row.Cells[1].Stats.Retransmits == 0 {
-			t.Errorf("%s: 2%% loss produced no retransmits", row.Strategy)
+			t.Errorf("%s: 2%% loss produced no retransmits", row.Label)
 		}
 		if !(row.Cells[1].Seconds > row.Cells[0].Seconds) {
 			t.Errorf("%s: lossy run not slower: %v vs %v",
-				row.Strategy, row.Cells[1].Seconds, row.Cells[0].Seconds)
+				row.Label, row.Cells[1].Seconds, row.Cells[0].Seconds)
 		}
-	}
-	out := FormatFaultSweep("DGEFA n=48, p=8", rates, rows)
-	if out == "" {
-		t.Error("empty sweep rendering")
 	}
 }

@@ -9,6 +9,28 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden dump files")
 
+// checkGolden holds got to the checked-in file at path byte for byte, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test -update .`): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output deviates from %s\n--- got ---\n%s--- want ---\n%s", path, got, string(want))
+	}
+}
+
 // TestGoldenDumps locks down the -dump-after=ssa snapshot of every paper
 // figure program: the pipeline's IR, CFG, SSA, constant and mapping state
 // must be byte-identical to the checked-in golden files. Run with -update
@@ -30,24 +52,7 @@ func TestGoldenDumps(t *testing.T) {
 			if !ok {
 				t.Fatal("no ssa snapshot captured")
 			}
-			path := filepath.Join("testdata", "dumps", name+".ssa.golden")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run `go test -run TestGoldenDumps -update .`): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("ssa dump for %s deviates from %s\n--- got ---\n%s--- want ---\n%s",
-					name, path, got, string(want))
-			}
+			checkGolden(t, filepath.Join("testdata", "dumps", name+".ssa.golden"), got)
 		})
 	}
 }
@@ -73,21 +78,7 @@ func TestGoldenAutoPrivDumps(t *testing.T) {
 			if !ok {
 				t.Fatal("no autopriv snapshot captured")
 			}
-			path := filepath.Join("testdata", "dumps", name+".autopriv.golden")
-			if *updateGolden {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run `go test -run TestGoldenAutoPrivDumps -update .`): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("autopriv dump for %s deviates from %s\n--- got ---\n%s--- want ---\n%s",
-					name, path, got, string(want))
-			}
+			checkGolden(t, filepath.Join("testdata", "dumps", name+".autopriv.golden"), got)
 		})
 	}
 }

@@ -2,7 +2,6 @@ package phpf
 
 import (
 	"context"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -32,25 +31,7 @@ func goldenTrace(t *testing.T) string {
 // exact aggregate summary — must be byte-identical to the checked-in golden
 // file. Run with -update after an intentional cost-model or tracing change.
 func TestGoldenTrace(t *testing.T) {
-	got := goldenTrace(t)
-	path := filepath.Join("testdata", "traces", "figure1.trace.golden")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run `go test -run TestGoldenTrace -update .`): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("figure1 trace deviates from %s\n--- got ---\n%s--- want ---\n%s",
-			path, got, string(want))
-	}
+	checkGolden(t, filepath.Join("testdata", "traces", "figure1.trace.golden"), goldenTrace(t))
 }
 
 // TestGoldenTraceStability traces figure1 twice and requires byte-identical

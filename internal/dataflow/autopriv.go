@@ -101,17 +101,6 @@ func (s *PrivSummary) Of(v *ir.Var, l *ir.Loop) *PrivClass {
 	return nil
 }
 
-// ForLoop returns the classifications attached to one loop.
-func (s *PrivSummary) ForLoop(l *ir.Loop) []*PrivClass {
-	var out []*PrivClass
-	for i := range s.Classes {
-		if s.Classes[i].Loop == l {
-			out = append(out, &s.Classes[i])
-		}
-	}
-	return out
-}
-
 // ClassifyPrivatization classifies every candidate (loop, variable) pair of
 // the program. Candidates are variables written inside the loop, excluding
 // loop indices and recognized reduction accumulators (handled by the §2.3

@@ -13,7 +13,6 @@ package diag
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -50,9 +49,6 @@ type Pos struct {
 	Col  int
 }
 
-// Known reports whether the position carries at least a line.
-func (p Pos) Known() bool { return p.Line > 0 }
-
 // String renders "line:col", or "line" when the column is unknown, or ""
 // for the zero position.
 func (p Pos) String() string {
@@ -63,14 +59,6 @@ func (p Pos) String() string {
 		return fmt.Sprintf("%d", p.Line)
 	}
 	return ""
-}
-
-// Less orders positions by line then column (unknown positions first).
-func (p Pos) Less(o Pos) bool {
-	if p.Line != o.Line {
-		return p.Line < o.Line
-	}
-	return p.Col < o.Col
 }
 
 // Diagnostic is one positioned problem report.
@@ -161,10 +149,4 @@ func (l List) Min(s Severity) List {
 		}
 	}
 	return out
-}
-
-// SortBySource stable-sorts the list by source position (unknown first),
-// preserving emission order within a position.
-func (l List) SortBySource() {
-	sort.SliceStable(l, func(i, j int) bool { return l[i].Pos.Less(l[j].Pos) })
 }

@@ -1,15 +1,11 @@
-// The accountant: the cost-model half of every operation of the schedule,
-// and the run configuration that shapes it. The simulator's operations are
-// these charges; the concurrent executor's accountant (worker 0, or every
-// worker when faults or checkpoints are on) makes them before it transmits —
-// which is what keeps the two backends' statistics, simulated time and fault
-// draws identical.
+// The accountant: the cost-model half of every operation of the schedule. The
+// simulator's operations are these charges; the concurrent executor's
+// accountant (worker 0, or every worker when faults or checkpoints are on)
+// makes them before it transmits — which is what keeps the two backends'
+// statistics, simulated time and fault draws identical.
 package eval
 
 import (
-	"fmt"
-	"math"
-
 	"phpf/internal/comm"
 	"phpf/internal/core"
 	"phpf/internal/dist"
@@ -18,70 +14,6 @@ import (
 	"phpf/internal/machine"
 	"phpf/internal/spmd"
 )
-
-// RunSpec is the part of a run's configuration both backends share: what
-// the modeled machine is, what goes wrong on it, and what the memory image
-// may cost (see sim.Config and exec.Config for the fields' documentation).
-type RunSpec struct {
-	Params             machine.Params
-	Fault              *fault.Plan
-	CheckpointInterval float64
-	MaxCells           int64
-	Reduce             core.ReduceMode
-}
-
-// Validate rejects configurations that cannot describe a run on nprocs
-// processors (0: not known yet, processor numbers go unchecked). Zero Params
-// stand for the backends' default and are accepted.
-func (c RunSpec) Validate(nprocs int) error {
-	if math.IsNaN(c.CheckpointInterval) || math.IsInf(c.CheckpointInterval, 0) {
-		return fmt.Errorf("CheckpointInterval must be finite, got %v", c.CheckpointInterval)
-	}
-	if c.CheckpointInterval < 0 {
-		return fmt.Errorf("CheckpointInterval must be >= 0 (0 = off), got %v", c.CheckpointInterval)
-	}
-	if c.MaxCells < 0 {
-		return fmt.Errorf("MaxCells must be >= 0 (0 = unlimited), got %v", c.MaxCells)
-	}
-	if c.Reduce < core.ReduceAuto || c.Reduce > core.ReducePrivatize {
-		return fmt.Errorf("unknown Reduce mode %d", int(c.Reduce))
-	}
-	if c.Params != (machine.Params{}) {
-		if err := c.Params.Validate(); err != nil {
-			return err
-		}
-	}
-	if err := c.Fault.Validate(); err != nil {
-		return err
-	}
-	if c.Fault.Active() && nprocs > 0 {
-		for _, cr := range c.Fault.Crashes {
-			if cr.Proc >= nprocs {
-				return fmt.Errorf("crash names processor %d; the program runs on %d", cr.Proc, nprocs)
-			}
-		}
-		for _, sl := range c.Fault.Slowdowns {
-			if sl.Proc >= nprocs {
-				return fmt.Errorf("slowdown names processor %d; the program runs on %d", sl.Proc, nprocs)
-			}
-		}
-	}
-	return nil
-}
-
-// NewState allocates one memory image of the run under its cell budget, with
-// the reduction mode armed.
-func (c RunSpec) NewState(p *spmd.Program) (*State, error) {
-	budget := Budget{MaxCells: c.MaxCells}
-	st, err := NewStateBudget(p, budget)
-	if err == nil {
-		err = st.ConfigureReduce(c.Reduce, budget)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
 
 // Account charges the operations of the schedule to a simulated machine. It
 // implements every operation of Ops but CrashSite and Tick, which can end a
@@ -99,7 +31,7 @@ type Account struct {
 }
 
 // NewAccount returns the accountant of a run over st. cfg.Params must be set.
-func NewAccount(st *State, cfg RunSpec) *Account {
+func NewAccount(st *State, cfg RunOptions) *Account {
 	a := &Account{M: machine.New(st.grid, cfg.Params), st: st,
 		inj: fault.NewInjector(cfg.Fault), interval: cfg.CheckpointInterval}
 	a.M.Fault = a.inj

@@ -1,0 +1,283 @@
+// The run configuration and the run outcome, defined once. The public API
+// (phpf.RunOptions, phpf.Report), the simulator (sim.Config, sim.Result) and
+// the concurrent executor (exec.Config, exec.Result) all alias these two
+// types, so a run's settings are stated in one place, checked by one
+// Validate, and never copied field by field between layers.
+package eval
+
+import (
+	"math"
+	"time"
+
+	"phpf/internal/core"
+	"phpf/internal/diag"
+	"phpf/internal/fault"
+	"phpf/internal/ir"
+	"phpf/internal/machine"
+	"phpf/internal/spmd"
+	"phpf/internal/trace"
+)
+
+// The backends a configuration can be validated against (and the values of
+// Report.Backend). BackendDiff is the differential oracle, which hands one
+// configuration to both.
+const (
+	BackendSim        = "sim"
+	BackendConcurrent = "concurrent"
+	BackendDiff       = "diff"
+)
+
+// RunOptions configures one execution on either backend. Fields a backend
+// does not support are rejected by Validate with a coded E005 diagnostic,
+// not silently ignored.
+type RunOptions struct {
+	// Params are the machine cost parameters (machine.SP2() when zero); both
+	// backends use them — the simulator to advance its clocks, the
+	// concurrent executor for its deterministic statistics replay.
+	Params machine.Params
+
+	// MaxSeconds aborts once simulated time exceeds it (0 = unlimited) —
+	// the paper's "> 1 day (aborted)" entries. Simulator only: the
+	// concurrent backend bounds wall time via the context deadline instead.
+	MaxSeconds float64
+	// Profile collects the per-statement hot-statement view
+	// (Report.HotStatements). Simulator only.
+	Profile bool
+	// Fault, when non-nil and active, injects deterministic faults
+	// (message loss/duplication, slowdowns, crashes). Both backends take
+	// the same seeded plan: the simulator charges modeled costs, the
+	// concurrent executor additionally makes message faults physical —
+	// keyed per-(src,dst,seq,attempt) draws drop, duplicate or delay real
+	// mailbox transmissions, healed by an ack/retransmit protocol with
+	// exponential backoff — while replaying the identical modeled
+	// accounting. A nil or inactive plan leaves the fault-free arithmetic
+	// bit-identical.
+	Fault *fault.Plan
+	// CheckpointInterval takes a coordinated checkpoint at the schedule's
+	// checkpoint sites whenever at least this much simulated time has
+	// passed since the last one (0 = only the implicit free checkpoint at
+	// t=0). Both backends checkpoint at the same sites; the concurrent
+	// executor takes real barrier-aligned snapshots it can restart from
+	// after a crash. Crash recovery rolls back to the last checkpoint and
+	// re-executes the lost interval; the restarted processor refetches
+	// aligned and partitioned state, while replicated state restores
+	// locally.
+	CheckpointInterval float64
+
+	// Reduce selects the runtime reduction strategy, identically on both
+	// backends: ReduceAuto (the default) privatizes every reduction the
+	// reduceplan analysis cleared, ReduceCollective forces the §2.3
+	// combining collective everywhere, and ReducePrivatize additionally
+	// fails with a coded E005 diagnostic if any recognized reduction is
+	// collective-only. Runs under different strategies reassociate floating
+	// point differently; integer-valued reductions agree across strategies.
+	Reduce core.ReduceMode
+
+	// Workers is the concurrent backend's worker count. The SPMD program is
+	// planned for exactly NProcs processors and every planned rendezvous
+	// names concrete processor pairs, so the only valid values are 0
+	// (meaning NProcs) and NProcs itself. Concurrent only.
+	Workers int
+	// MailboxDepth bounds each directed mailbox (0 = the backend's default).
+	// Concurrent only.
+	MailboxDepth int
+	// StallTimeout is how long the concurrent backend's watchdog waits
+	// without any worker progress before declaring a stall (0 = default,
+	// negative = disabled). Concurrent only.
+	StallTimeout time.Duration
+	// MaxRestarts bounds the concurrent backend's run-level heals — full
+	// restarts from the last complete checkpoint after a worker death or a
+	// stall (0 = default, negative = disabled). Concurrent only.
+	MaxRestarts int
+	// HardCrashes makes scheduled fail-stop crashes kill worker goroutines
+	// for real (recovery then goes through the run-level heal) instead of
+	// the default coordinated restore. Wall traces then legitimately
+	// double-cover the re-executed interval, so the differential oracle
+	// rejects this mode. Concurrent only.
+	HardCrashes bool
+
+	// Trace, when non-nil, records runtime events into Report.Trace: the
+	// simulator stamps simulated time, the concurrent executor wall time
+	// (one shard per worker, so tracing adds no locking). Nil keeps the
+	// event path of both backends emission- and allocation-free.
+	Trace *trace.Options
+
+	// MaxCells caps the total array cells of one memory image (0 =
+	// unlimited). Both backends enforce it before allocating: the run fails
+	// with a coded E006 (budget) diagnostic instead of letting one huge
+	// declaration exhaust process memory. The concurrent backend holds one
+	// full replicated image per worker, so its worst-case footprint is
+	// MaxCells × 8 bytes × workers. CLIs default to unlimited; serving
+	// paths should always set it.
+	MaxCells int64
+}
+
+// Validate rejects, with a coded E005 diagnostic, a configuration that
+// cannot describe a run of a program planned for nprocs processors on the
+// named backend: non-finite or negative bounds, intervals and budgets,
+// invalid machine parameters (a zero Params stands for the default and is
+// accepted), a malformed fault plan or one naming a processor the program
+// does not have, a worker count other than the processor count, and every
+// setting the backend does not implement. nprocs <= 0 means the processor
+// count is not known yet and leaves processor numbers unchecked; a backend
+// other than BackendSim, BackendConcurrent and BackendDiff gets the
+// backend-independent checks only. It is the only validation of a run
+// configuration: Compiled.Execute, Compiled.Diff, the serving layer and the
+// backends' own entry points all call it.
+func (o RunOptions) Validate(nprocs int, backend string) error {
+	bad := func(format string, args ...any) error { return ConfigErrorf(backend, format, args...) }
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"MaxSeconds", o.MaxSeconds},
+		{"CheckpointInterval", o.CheckpointInterval},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return bad("%s must be finite, got %v", f.name, f.v)
+		}
+		if f.v < 0 {
+			return bad("%s must be >= 0, got %v", f.name, f.v)
+		}
+	}
+	if o.Params != (machine.Params{}) {
+		if err := o.Params.Validate(); err != nil {
+			return bad("%v", err)
+		}
+	}
+	if err := o.Fault.Validate(); err != nil {
+		return bad("%v", err)
+	}
+	if o.Fault.Active() && nprocs > 0 {
+		for _, cr := range o.Fault.Crashes {
+			if cr.Proc >= nprocs {
+				return bad("crash names processor %d; the program runs on %d", cr.Proc, nprocs)
+			}
+		}
+		for _, sl := range o.Fault.Slowdowns {
+			if sl.Proc >= nprocs {
+				return bad("slowdown names processor %d; the program runs on %d", sl.Proc, nprocs)
+			}
+		}
+	}
+	if o.Workers < 0 {
+		return bad("Workers must be >= 0 (0 = one per processor), got %d", o.Workers)
+	}
+	if o.MailboxDepth < 0 {
+		return bad("MailboxDepth must be >= 0 (0 = default), got %d", o.MailboxDepth)
+	}
+	if o.MaxCells < 0 {
+		return bad("MaxCells must be >= 0 (0 = unlimited), got %d", o.MaxCells)
+	}
+	if o.Reduce < core.ReduceAuto || o.Reduce > core.ReducePrivatize {
+		return bad("Reduce must be ReduceAuto, ReduceCollective, or ReducePrivatize, got %d", int(o.Reduce))
+	}
+	switch backend {
+	case BackendSim:
+		if o.Workers != 0 || o.MailboxDepth != 0 || o.StallTimeout != 0 || o.MaxRestarts != 0 || o.HardCrashes {
+			return bad("Workers/MailboxDepth/StallTimeout/MaxRestarts/HardCrashes configure the concurrent backend; the simulator takes none")
+		}
+	case BackendConcurrent:
+		if o.MaxSeconds > 0 {
+			return bad("MaxSeconds bounds simulated time; bound the concurrent backend with a context deadline")
+		}
+		if o.Profile {
+			return bad("per-statement profiling is simulator-only; trace the run instead (RunOptions.Trace)")
+		}
+	case BackendDiff:
+		if o.HardCrashes {
+			return bad("the differential oracle cannot compare HardCrashes runs (run-level heals re-execute intervals the simulator models once)")
+		}
+	}
+	if nprocs > 0 && o.Workers != 0 && o.Workers != nprocs {
+		return bad("program is planned for %d processors; Workers must be 0 or %d, got %d (a smaller worker set would deadlock the planned rendezvous)",
+			nprocs, nprocs, o.Workers)
+	}
+	return nil
+}
+
+// ConfigErrorf builds the coded E005 diagnostic for a configuration the
+// named backend (or, when "", the option resolver) cannot run.
+func ConfigErrorf(backend, format string, args ...any) error {
+	if backend == "" {
+		backend = "options"
+	}
+	return diag.Errorf(backend, diag.CodeConfig, diag.Pos{}, format, args...)
+}
+
+// NewState allocates one memory image of the run under its cell budget, with
+// the reduction mode armed.
+func (o RunOptions) NewState(p *spmd.Program) (*State, error) {
+	budget := Budget{MaxCells: o.MaxCells}
+	st, err := NewStateBudget(p, budget)
+	if err == nil {
+		err = st.ConfigureReduce(o.Reduce, budget)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// StmtProfile is one statement's share of the simulated activity.
+type StmtProfile struct {
+	Stmt *ir.Stmt
+	// Instances is how many times the statement executed.
+	Instances int64
+	// Seconds is the total clock advance attributed to the statement
+	// (summed over processors), hoisted communication on its behalf included.
+	Seconds float64
+}
+
+// Report is the backend-independent outcome of one execution.
+type Report struct {
+	// Backend names the backend that produced the report (BackendSim or
+	// BackendConcurrent).
+	Backend string
+	// Time is the simulated execution time and Stats the modeled
+	// communication activity: the accountant's charges to the cost model,
+	// identical on both backends for the same program and fault plan.
+	Time  float64
+	Stats machine.Stats
+	// Aborted reports a MaxSeconds cutoff (simulator only).
+	Aborted bool
+
+	// Final memory, for validation against reference implementations (the
+	// concurrent backend has verified it identical across all workers).
+	Scalars map[string]float64
+	Arrays  map[string][]float64
+
+	// HotStatements is the per-statement time attribution, sorted hottest
+	// first (simulator with Profile on; nil otherwise).
+	HotStatements []StmtProfile
+
+	// Workers is the number of worker goroutines that ran (concurrent
+	// backend; 0 from the simulator).
+	Workers int
+	// TrafficMessages counts real channel messages exchanged — the physical
+	// rendezvous, not the cost model's modeled message count (concurrent
+	// backend; 0 from the simulator).
+	TrafficMessages int64
+	// Restarts counts the concurrent backend's coordinated checkpoint
+	// restores (fail-stop crashes recovered in-band by rolling every worker
+	// back to the last snapshot); HardRestarts its run-level heals (both 0
+	// from the simulator, whose recovery is purely modeled).
+	Restarts     int64
+	HardRestarts int
+	// Wire-layer fault activity of the concurrent backend: real
+	// transmissions dropped by the seeded injector, retransmitted after
+	// timeout, duplicated, and duplicate-suppressed at the receiver (all 0
+	// from the simulator). These count physical events; the modeled fault
+	// counters live in Stats, where the differential oracle compares them.
+	WireDrops         int64
+	WireRetransmits   int64
+	WireDuplicates    int64
+	WireDupSuppressed int64
+
+	// Trace is the recorded event stream when RunOptions.Trace was set (nil
+	// otherwise). The simulator emits into a single shard, so its
+	// Trace.Events() is the exact deterministic program-order stream; the
+	// concurrent backend's per-class counts of planned communication match
+	// it exactly, which the differential oracle verifies.
+	Trace *trace.Recorder
+}

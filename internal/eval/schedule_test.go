@@ -77,7 +77,7 @@ func (r *opRecorder) AllToAll(st *ir.Stmt) error {
 // — hoisted, per instance, or a redistribution — and nothing else.
 func record(t *testing.T, p *spmd.Program, reduce core.ReduceMode, r *opRecorder) []string {
 	t.Helper()
-	st, err := RunSpec{Reduce: reduce}.NewState(p)
+	st, err := RunOptions{Reduce: reduce}.NewState(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func (h *hoistedEntries) LoopEntry(l *ir.Loop, lp *spmd.LoopPlan) error {
 // crash one operation ahead of the simulator.
 func TestScheduleAPPSP2D(t *testing.T) {
 	p := compile(t, programs.APPSP(6, 6, 6, 1, true), 4)
-	st, err := RunSpec{}.NewState(p)
+	st, err := RunOptions{}.NewState(p)
 	if err != nil {
 		t.Fatal(err)
 	}

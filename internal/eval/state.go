@@ -4,7 +4,7 @@
 // through the same value semantics, execution-set evaluation, and
 // communication decisions defined here, so that their numeric results are
 // bit-for-bit identical by construction and any divergence is a real bug in
-// one of the backends — the property the differential oracle (exec.Differ)
+// one of the backends — the property the differential oracle (exec.Diff)
 // checks.
 //
 // The core also owns what the backends must agree on beyond values: the

@@ -9,18 +9,19 @@ import (
 	"time"
 
 	"phpf/internal/core"
+	"phpf/internal/diag"
 	"phpf/internal/fault"
 	"phpf/internal/programs"
 	"phpf/internal/sim"
 	"phpf/internal/trace"
 )
 
-// chaosDiffers builds the seeded fault-plan matrix for one program, with
+// chaosConfigs builds the seeded fault-plan matrix for one program, with
 // crash times placed relative to the measured clean simulated time so a
 // fail-stop reliably fires mid-loop regardless of program scale.
-func chaosDiffers(cleanTime float64) map[string]Differ {
+func chaosConfigs(cleanTime float64) map[string]Config {
 	ckpt := cleanTime / 5
-	return map[string]Differ{
+	return map[string]Config{
 		"loss":     {Fault: &fault.Plan{Seed: 7, LossRate: 0.2}},
 		"dup":      {Fault: &fault.Plan{Seed: 3, DupRate: 0.2}},
 		"slowdown": {Fault: &fault.Plan{Seed: 1, Slowdowns: []fault.Slowdown{{Proc: 1, Factor: 3}}}},
@@ -72,13 +73,11 @@ func TestChaosMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: clean sim: %v", progName, err)
 		}
-		for planName, d := range chaosDiffers(clean.Time) {
-			d := d
+		for planName, d := range chaosConfigs(clean.Time) {
 			t.Run(progName+"/"+planName, func(t *testing.T) {
 				d.Trace = &trace.Options{}
 				// Keep injected slowdown delays test-sized.
-				d.Exec.testDelayUnit = 50 * time.Microsecond
-				rep, err := d.Run(context.Background(), prog)
+				rep, err := diff(context.Background(), prog, d, hooks{delayUnit: 50 * time.Microsecond})
 				if err != nil {
 					t.Fatalf("differ: %v", err)
 				}
@@ -190,14 +189,14 @@ func TestHardCrashHeal(t *testing.T) {
 // intervals the simulator models once, so the oracle must refuse the mode.
 func TestHardCrashesRejectedByDiffer(t *testing.T) {
 	prog := compile(t, programs.Figures["figure1"], 4, core.DefaultOptions())
-	d := Differ{
+	cfg := Config{
 		Fault:              &fault.Plan{Seed: 1, Crashes: []fault.Crash{{Proc: 0, At: 1}}},
 		CheckpointInterval: 1,
+		HardCrashes:        true,
 	}
-	d.Exec.HardCrashes = true
-	var ce *ConfigError
-	if _, err := d.Run(context.Background(), prog); !errors.As(err, &ce) {
-		t.Fatalf("expected ConfigError for HardCrashes under the oracle, got %v", err)
+	var d *diag.Diagnostic
+	if _, err := Diff(context.Background(), prog, cfg); !errors.As(err, &d) || d.Code != diag.CodeConfig {
+		t.Fatalf("expected a coded E005 for HardCrashes under the oracle, got %v", err)
 	}
 }
 
@@ -206,11 +205,10 @@ func TestHardCrashesRejectedByDiffer(t *testing.T) {
 // and still produce fault-free-identical results.
 func TestWatchdogDelayRecovers(t *testing.T) {
 	prog := compile(t, programs.Figures["figure1"], 4, core.DefaultOptions())
-	res, err := Run(context.Background(), prog, Config{
-		Fault:         &fault.Plan{Seed: 2, Slowdowns: []fault.Slowdown{{Proc: 0, Factor: 4}}},
-		StallTimeout:  2 * time.Second,
-		testDelayUnit: time.Millisecond,
-	})
+	res, err := run(context.Background(), prog, Config{
+		Fault:        &fault.Plan{Seed: 2, Slowdowns: []fault.Slowdown{{Proc: 0, Factor: 4}}},
+		StallTimeout: 2 * time.Second,
+	}, hooks{delayUnit: time.Millisecond})
 	if err != nil {
 		t.Fatalf("sub-threshold delay did not recover: %v", err)
 	}
@@ -230,12 +228,11 @@ func TestWatchdogDelayRecovers(t *testing.T) {
 // and not heal (healing disabled so the error reaches the caller).
 func TestWatchdogNamesDelayedSend(t *testing.T) {
 	prog := compile(t, programs.Figures["figure1"], 4, core.DefaultOptions())
-	_, err := Run(context.Background(), prog, Config{
-		Fault:         &fault.Plan{Seed: 2, Slowdowns: []fault.Slowdown{{Proc: 0, Factor: 1e6}}},
-		StallTimeout:  200 * time.Millisecond,
-		MaxRestarts:   -1,
-		testDelayUnit: time.Millisecond,
-	})
+	_, err := run(context.Background(), prog, Config{
+		Fault:        &fault.Plan{Seed: 2, Slowdowns: []fault.Slowdown{{Proc: 0, Factor: 1e6}}},
+		StallTimeout: 200 * time.Millisecond,
+		MaxRestarts:  -1,
+	}, hooks{delayUnit: time.Millisecond})
 	var se *StallError
 	if !errors.As(err, &se) {
 		t.Fatalf("expected StallError from an over-threshold delay, got %v", err)

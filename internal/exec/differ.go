@@ -13,52 +13,16 @@ import (
 	"math"
 	"sort"
 
-	"phpf/internal/core"
 	"phpf/internal/dist"
-	"phpf/internal/fault"
+	"phpf/internal/eval"
 	"phpf/internal/sim"
 	"phpf/internal/spmd"
 	"phpf/internal/trace"
 )
 
-// Differ runs both backends and compares their results.
-type Differ struct {
-	// Sim configures the sequential reference run. Fault plans and
-	// checkpoint intervals must not be set here directly — use the shared
-	// Fault/CheckpointInterval fields below, which apply the identical
-	// seeded plan to both backends (the only configuration under which
-	// their fault accounting is comparable).
-	Sim sim.Config
-	// Exec configures the concurrent run. Its Fault/CheckpointInterval
-	// must likewise be left to the shared fields; HardCrashes is rejected
-	// outright (run-level heals re-execute wall intervals the simulator
-	// never models twice).
-	Exec Config
-	// Trace, when non-nil, traces both runs and extends the comparison to
-	// event-level agreement: per-communication-class message and byte
-	// counts, and the counts of reduction, fault, checkpoint, and restart
-	// events, must match exactly.
-	Trace *trace.Options
-
-	// Fault, when non-nil and active, injects the same seeded fault plan
-	// into both backends. The concurrent backend replays the simulator's
-	// seeded draws, so modeled stats and fault-event counts must agree
-	// bitwise — which is exactly what the comparison then checks.
-	Fault *fault.Plan
-	// CheckpointInterval, when > 0, enables coordinated checkpointing at
-	// the same simulated-time interval in both backends.
-	CheckpointInterval float64
-	// Reduce selects the runtime reduction strategy, applied identically to
-	// both backends (two runs under different strategies reassociate floating
-	// point differently and are not comparable). Like Fault above, setting a
-	// conflicting mode on a sub-config is rejected.
-	Reduce core.ReduceMode
-}
-
 // DiffReport is the outcome of one differential run.
 type DiffReport struct {
-	Sim  *sim.Result
-	Exec *Result
+	Sim, Exec *Result
 	// Mismatches lists every disagreement found (empty = backends agree).
 	Mismatches []string
 }
@@ -77,47 +41,41 @@ func (r *DiffReport) String() string {
 	return s
 }
 
-// Run executes the program on both backends and compares. An error means a
-// backend failed to run (or the configuration is unusable for differential
-// testing); a completed report with mismatches means the backends disagree.
-func (d Differ) Run(ctx context.Context, p *spmd.Program) (*DiffReport, error) {
-	if d.Sim.Fault.Active() && !plansEqual(d.Sim.Fault, d.Fault) {
-		return nil, &ConfigError{Msg: "differential oracle takes the fault plan via Differ.Fault (it must be identical for both backends)"}
+// Diff executes the program on both backends under the one configuration —
+// the same seeded fault plan, checkpoint interval, reduction strategy and
+// trace options, which is the only setting under which their accounting is
+// comparable — and compares. With Trace set the comparison extends to the
+// event level: per-communication-class message and byte counts, and the
+// counts of reduction, fault, checkpoint and restart events, must match
+// exactly. An error means a backend failed to run (or the configuration is
+// unusable for differential testing); a completed report with mismatches
+// means the backends disagree.
+func Diff(ctx context.Context, p *spmd.Program, cfg Config) (*DiffReport, error) {
+	return diff(ctx, p, cfg, hooks{})
+}
+
+// diff is Diff with the executor's test seams.
+func diff(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*DiffReport, error) {
+	if p == nil {
+		return nil, eval.ConfigErrorf(eval.BackendDiff, "nil program")
 	}
-	if d.Exec.Fault.Active() && !plansEqual(d.Exec.Fault, d.Fault) {
-		return nil, &ConfigError{Msg: "differential oracle takes the fault plan via Differ.Fault (it must be identical for both backends)"}
+	if err := cfg.Validate(p.NProcs(), eval.BackendDiff); err != nil {
+		return nil, err
 	}
-	if d.Sim.CheckpointInterval > 0 && d.Sim.CheckpointInterval != d.CheckpointInterval {
-		return nil, &ConfigError{Msg: "differential oracle takes the checkpoint interval via Differ.CheckpointInterval (it must be identical for both backends)"}
-	}
-	if d.Exec.CheckpointInterval > 0 && d.Exec.CheckpointInterval != d.CheckpointInterval {
-		return nil, &ConfigError{Msg: "differential oracle takes the checkpoint interval via Differ.CheckpointInterval (it must be identical for both backends)"}
-	}
-	if d.Exec.HardCrashes {
-		return nil, &ConfigError{Msg: "differential oracle cannot compare HardCrashes runs (run-level heals re-execute intervals the simulator models once)"}
-	}
-	if (d.Sim.Reduce != core.ReduceAuto && d.Sim.Reduce != d.Reduce) ||
-		(d.Exec.Reduce != core.ReduceAuto && d.Exec.Reduce != d.Reduce) {
-		return nil, &ConfigError{Msg: "differential oracle takes the reduce mode via Differ.Reduce (it must be identical for both backends)"}
-	}
-	d.Sim.Fault = d.Fault
-	d.Exec.Fault = d.Fault
-	d.Sim.CheckpointInterval = d.CheckpointInterval
-	d.Exec.CheckpointInterval = d.CheckpointInterval
-	d.Sim.Reduce = d.Reduce
-	d.Exec.Reduce = d.Reduce
-	if d.Trace != nil {
-		d.Sim.Trace = d.Trace
-		d.Exec.Trace = d.Trace
-	}
-	simRes, err := sim.RunContext(ctx, p, d.Sim)
+	// Each backend gets the configuration without the other's own knobs,
+	// which its entry point would reject.
+	simCfg, execCfg := cfg, cfg
+	simCfg.Workers, simCfg.MailboxDepth, simCfg.StallTimeout, simCfg.MaxRestarts = 0, 0, 0, 0
+	execCfg.MaxSeconds, execCfg.Profile = 0, false
+	simRes, err := sim.RunContext(ctx, p, simCfg)
 	if err != nil {
 		return nil, fmt.Errorf("differ: %w", err)
 	}
 	if simRes.Aborted {
-		return nil, &ConfigError{Msg: "differential oracle cannot compare an aborted simulator run (raise Sim.MaxSeconds)"}
+		return nil, eval.ConfigErrorf(eval.BackendDiff,
+			"the differential oracle cannot compare an aborted simulator run (raise MaxSeconds)")
 	}
-	execRes, err := Run(ctx, p, d.Exec)
+	execRes, err := run(ctx, p, execCfg, hk)
 	if err != nil {
 		return nil, fmt.Errorf("differ: %w", err)
 	}
@@ -238,30 +196,4 @@ func (r *DiffReport) compare() {
 			}
 		}
 	}
-}
-
-// plansEqual reports whether two fault plans describe the same injection
-// (nil and inactive plans count as equal).
-func plansEqual(a, b *fault.Plan) bool {
-	if !a.Active() && !b.Active() {
-		return true
-	}
-	if !a.Active() || !b.Active() {
-		return false
-	}
-	if a.Seed != b.Seed || a.LossRate != b.LossRate || a.DupRate != b.DupRate ||
-		a.RTO != b.RTO || len(a.Crashes) != len(b.Crashes) || len(a.Slowdowns) != len(b.Slowdowns) {
-		return false
-	}
-	for i := range a.Crashes {
-		if a.Crashes[i] != b.Crashes[i] {
-			return false
-		}
-	}
-	for i := range a.Slowdowns {
-		if a.Slowdowns[i] != b.Slowdowns[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,10 +2,12 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
 	"phpf/internal/core"
+	"phpf/internal/diag"
 	"phpf/internal/parser"
 	"phpf/internal/programs"
 	"phpf/internal/sim"
@@ -80,8 +82,7 @@ func TestDifferMatrix(t *testing.T) {
 						}
 						return
 					}
-					d := Differ{Sim: sim.Config{}, Exec: Config{}}
-					rep, err := d.Run(context.Background(), prog)
+					rep, err := Diff(context.Background(), prog, Config{})
 					if err != nil {
 						t.Fatalf("differ: %v", err)
 					}
@@ -98,11 +99,14 @@ func TestDifferMatrix(t *testing.T) {
 }
 
 // TestDifferRejectsFaultyConfig: the oracle refuses configurations whose
-// simulator run would not be comparable.
+// simulator run would not be comparable. One configuration goes to both
+// backends, so a conflicting pair cannot be written down; what is left to
+// refuse is a simulator run cut short by MaxSeconds.
 func TestDifferRejectsFaultyConfig(t *testing.T) {
 	prog := compile(t, programs.Figures["figure1"], 4, core.DefaultOptions())
-	d := Differ{Sim: sim.Config{CheckpointInterval: 1}, Exec: Config{}}
-	if _, err := d.Run(context.Background(), prog); err == nil {
-		t.Fatal("expected error for checkpointing sim config")
+	_, err := Diff(context.Background(), prog, Config{MaxSeconds: 1e-9})
+	var d *diag.Diagnostic
+	if !errors.As(err, &d) || d.Code != diag.CodeConfig {
+		t.Fatalf("expected a coded E005 for an aborted simulator run, got %v", err)
 	}
 }

@@ -11,11 +11,6 @@ import (
 	"time"
 )
 
-// ConfigError rejects an executor configuration before any worker starts.
-type ConfigError struct{ Msg string }
-
-func (e *ConfigError) Error() string { return "exec: " + e.Msg }
-
 // WorkerError is a panic contained inside one worker goroutine: the
 // executor cancels the remaining workers, collects them, and returns this
 // instead of letting the panic kill the process.

@@ -29,7 +29,7 @@
 // simulator does, is the accountant, handing each one to the same
 // eval.Account the simulator charges before transmitting it (one goroutine
 // owns the account, so it needs no locking). That is what lets the
-// differential oracle (Differ) demand bit-for-bit agreement. The real channel
+// differential oracle (Diff) demand bit-for-bit agreement. The real channel
 // traffic is verified independently, through per-edge sequence numbers,
 // requirement tags, and the watchdog.
 //
@@ -69,119 +69,24 @@ const DefaultMailboxDepth = 64
 // declares the worker set stalled.
 const DefaultStallTimeout = 10 * time.Second
 
-// Config controls a concurrent run.
-type Config struct {
-	// Params is the machine cost model used for the statistics accounting
-	// (zero value = machine.SP2(), as in sim.Config).
-	Params machine.Params
-	// Workers is the requested worker count. The SPMD program is planned
-	// for exactly NProcs processors and every planned rendezvous names
-	// concrete processor pairs, so the only valid values are 0 (meaning
-	// NProcs) and NProcs itself; anything else is a ConfigError rather
-	// than a deadlock at the first unmatched send.
-	Workers int
-	// MailboxDepth bounds each directed mailbox (0 = DefaultMailboxDepth;
-	// must be at least 1 so self-sends and ring shifts cannot wedge).
-	MailboxDepth int
-	// StallTimeout is how long the watchdog waits without any worker
-	// progress before declaring a stall (0 = DefaultStallTimeout,
-	// negative = watchdog disabled).
-	StallTimeout time.Duration
-	// Trace, when non-nil, records runtime events (stamped with wall time
-	// since run start) into Result.Trace; each worker emits into its own
-	// shard, so tracing adds no locking to the hot path and is race-free.
-	// Nil keeps the event path emission-free.
-	Trace *trace.Options
-
-	// Fault, when non-nil and active, injects the seeded fault plan into
-	// the run at two layers. In the model, every worker's account draws from
-	// it exactly as the simulator's does (so Stats, Time, and fault-event
-	// counts agree bitwise with sim for the same plan). The wire layer makes
-	// losses, duplicates, and slowdowns physical:
-	// keyed per-(src,dst,seq,attempt) draws drop or duplicate real mailbox
-	// transmissions, healed by an ack/retransmit protocol with exponential
-	// backoff — reproducible for a fixed seed regardless of goroutine
-	// interleaving.
-	Fault *fault.Plan
-	// CheckpointInterval > 0 takes coordinated checkpoints — barrier-
-	// aligned dense snapshots of every worker's eval.State — whenever the
-	// account's simulated clock has advanced that many seconds since the
-	// last one, at the checkpoint sites of the schedule shared with the
-	// simulator (so the two backends' checkpoints coincide).
-	CheckpointInterval float64
-	// MaxRestarts bounds run-level heals: full restarts from the last
-	// complete checkpoint after a real worker panic or a watchdog-detected
-	// stall. 0 means DefaultMaxRestarts; negative disables healing.
-	MaxRestarts int
-	// MaxCells caps the total array cells of each worker's memory image
-	// (0 = unlimited; see eval.Budget). Every worker holds a full
-	// replicated image, so a run's worst-case footprint is
-	// MaxCells × 8 bytes × workers. A breach fails the run with a coded
-	// E006 diagnostic before the images are allocated.
-	MaxCells int64
-	// Reduce selects the runtime reduction strategy (see sim.Config.Reduce).
-	Reduce core.ReduceMode
-	// HardCrashes makes scheduled fail-stop crashes kill the worker
-	// goroutine for real (a panic unwinds it mid-protocol) instead of the
-	// default coordinated unwind. Recovery then goes through the run-level
-	// heal path: crash detection by cancellation/watchdog, restore of all
-	// workers from executor-held snapshots, re-spawn with refetch. Wall
-	// traces then legitimately double-cover the re-executed interval, so
-	// the differential oracle rejects this mode.
-	HardCrashes bool
-
-	// Test hooks (package-internal): testDropSend suppresses a worker's
-	// sends for a requirement, wedging its receivers on purpose; testHook
-	// runs at every loop-iteration tick; testDelayUnit overrides the wall
-	// time one slowdown unit costs a sender.
-	testDropSend  func(proc int, req *comm.Requirement) bool
-	testHook      func(proc int) error
-	testDelayUnit time.Duration
-}
-
 // DefaultMaxRestarts is the default bound on run-level heals.
 const DefaultMaxRestarts = 3
 
-// Result is the outcome of a concurrent run.
-type Result struct {
-	// Time and Stats are the accountant's charges to the cost model —
-	// directly comparable with (and, fault-free, identical to) the
-	// sequential simulator's.
-	Time  float64
-	Stats machine.Stats
+// Config is the one run configuration (see eval.RunOptions): the concurrent
+// backend takes every field but the simulator's MaxSeconds and Profile.
+type Config = eval.RunOptions
 
-	// Final memory (verified identical across all workers).
-	Scalars map[string]float64
-	Arrays  map[string][]float64
+// Result is the one run outcome (see eval.Report).
+type Result = eval.Report
 
-	// Workers is the number of worker goroutines that ran.
-	Workers int
-	// TrafficMessages counts the real channel messages exchanged (the
-	// physical rendezvous, not the cost model's modeled message count).
-	TrafficMessages int64
-
-	// Trace holds the recorded event stream when Config.Trace was set
-	// (nil otherwise). Events are stamped with wall time; per-class counts
-	// of planned communication match the simulator's trace exactly, which
-	// the differential oracle verifies.
-	Trace *trace.Recorder
-
-	// Restarts counts coordinated checkpoint restores: fail-stop crashes
-	// recovered in-band by rolling every worker back to the last snapshot
-	// and re-executing with accounting suppressed.
-	Restarts int64
-	// HardRestarts counts run-level heals (panic or stall recoveries that
-	// rebuilt the worker set from executor-held snapshots).
-	HardRestarts int
-	// Wire-layer fault activity: real transmissions dropped by the seeded
-	// injector, retransmissions after RTO expiry, duplicates put on the
-	// wire, and duplicates suppressed by sequence number at the receiver.
-	// These count physical events; the modeled fault counters live in
-	// Stats, where the differential oracle compares them against sim.
-	WireDrops         int64
-	WireRetransmits   int64
-	WireDuplicates    int64
-	WireDupSuppressed int64
+// hooks are the package's test seams, passed to run beside the configuration
+// (Run passes none): dropSend suppresses a worker's sends for a requirement,
+// wedging its receivers on purpose; tick runs at every loop-iteration tick;
+// delayUnit overrides the wall time one slowdown unit costs a sender.
+type hooks struct {
+	dropSend  func(proc int, req *comm.Requirement) bool
+	tick      func(proc int) error
+	delayUnit time.Duration
 }
 
 // message is one mailbox entry. Each directed edge carries an independent
@@ -212,15 +117,14 @@ const (
 type executor struct {
 	prog  *spmd.Program
 	cfg   Config
+	hooks hooks
 	ctx   context.Context
 	n     int
 	depth int
 
 	// mail[from][to] is the bounded mailbox for one directed edge.
 	mail [][]chan message
-	// run is the part of cfg shared with the simulator (see eval.RunSpec).
-	run eval.RunSpec
-	wd  *watchdog
+	wd   *watchdog
 	// reqDesc names each planned requirement for watchdog reports.
 	reqDesc map[int]string
 
@@ -262,20 +166,20 @@ func (ex *executor) wall() float64 { return time.Since(ex.start).Seconds() }
 // deadline aborts the run (every worker unwinds and the context error is
 // returned); a nil ctx means context.Background().
 func Run(ctx context.Context, p *spmd.Program, cfg Config) (*Result, error) {
+	return run(ctx, p, cfg, hooks{})
+}
+
+// run is Run with the test seams.
+func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, error) {
 	if p == nil {
-		return nil, &ConfigError{Msg: "nil program"}
+		return nil, eval.ConfigErrorf(eval.BackendConcurrent, "nil program")
+	}
+	n := p.NProcs()
+	if err := cfg.Validate(n, eval.BackendConcurrent); err != nil {
+		return nil, err
 	}
 	if cfg.Params == (machine.Params{}) {
 		cfg.Params = machine.SP2()
-	}
-	n := p.NProcs()
-	if cfg.Workers != 0 && cfg.Workers != n {
-		return nil, &ConfigError{Msg: fmt.Sprintf(
-			"program is planned for %d processors; Workers must be 0 or %d, got %d (a smaller worker set would deadlock the planned rendezvous)",
-			n, n, cfg.Workers)}
-	}
-	if cfg.MailboxDepth < 0 {
-		return nil, &ConfigError{Msg: fmt.Sprintf("MailboxDepth must be >= 0 (0 = default %d), got %d", DefaultMailboxDepth, cfg.MailboxDepth)}
 	}
 	depth := cfg.MailboxDepth
 	if depth == 0 {
@@ -285,11 +189,6 @@ func Run(ctx context.Context, p *spmd.Program, cfg Config) (*Result, error) {
 	if stall == 0 {
 		stall = DefaultStallTimeout
 	}
-	run := eval.RunSpec{Params: cfg.Params, Fault: cfg.Fault,
-		CheckpointInterval: cfg.CheckpointInterval, MaxCells: cfg.MaxCells, Reduce: cfg.Reduce}
-	if err := run.Validate(n); err != nil {
-		return nil, &ConfigError{Msg: err.Error()}
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -297,7 +196,7 @@ func Run(ctx context.Context, p *spmd.Program, cfg Config) (*Result, error) {
 	ex := &executor{
 		prog:    p,
 		cfg:     cfg,
-		run:     run,
+		hooks:   hk,
 		n:       n,
 		depth:   depth,
 		reqDesc: map[int]string{},
@@ -314,8 +213,8 @@ func Run(ctx context.Context, p *spmd.Program, cfg Config) (*Result, error) {
 	}
 	if ex.chaos {
 		ex.winj = fault.NewWallInjector(cfg.Fault)
-		if ex.winj != nil && cfg.testDelayUnit > 0 {
-			ex.winj.DelayUnit = cfg.testDelayUnit
+		if ex.winj != nil && hk.delayUnit > 0 {
+			ex.winj.DelayUnit = hk.delayUnit
 		}
 		ex.snaps = make([]workerSnap, n)
 		ex.prevSnaps = make([]workerSnap, n)
@@ -374,7 +273,7 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 	for i := range workers {
 		// The partial tables are armed before any Restore: heal snapshots
 		// carry in-flight private partials and restore into the armed tables.
-		st, err := ex.run.NewState(ex.prog)
+		st, err := ex.cfg.NewState(ex.prog)
 		if err != nil {
 			return nil, fmt.Errorf("exec: %w", err)
 		}
@@ -390,7 +289,7 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 			attrStmt: -1,
 		}
 		if ex.chaos || i == 0 {
-			workers[i].acct = eval.NewAccount(st, ex.run)
+			workers[i].acct = eval.NewAccount(st, ex.cfg)
 		}
 	}
 	if ex.chaos {
@@ -445,6 +344,7 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 	}
 
 	res := &Result{
+		Backend:         eval.BackendConcurrent,
 		Time:            workers[0].acct.M.Time(),
 		Stats:           workers[0].acct.M.Stats,
 		Workers:         n,
@@ -719,7 +619,7 @@ func (w *worker) Boundary() error { return w.flushBatch() }
 // cancellation/deadline enforcement (and a crash site).
 func (w *worker) Tick() error {
 	w.ex.wd.tick()
-	if h := w.ex.cfg.testHook; h != nil {
+	if h := w.ex.hooks.tick; h != nil {
 		if err := h(w.proc); err != nil {
 			return err
 		}
@@ -762,7 +662,7 @@ func (w *worker) Vectorized(req *comm.Requirement, op eval.VectorizedOp) error {
 // aggregated communication.
 func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) error {
 	what := w.desc(req)
-	dropped := w.ex.cfg.testDropSend != nil && w.ex.cfg.testDropSend(w.proc, req)
+	dropped := w.ex.hooks.dropSend != nil && w.ex.hooks.dropSend(w.proc, req)
 	switch op.Kind {
 	case eval.VecShift:
 		if w.ex.n < 2 {
@@ -909,25 +809,22 @@ func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
 		w.setAttr(m.Def.Stmt.ID, dist.CommBcast, w.elemBytes())
 	}
 	defer w.clearAttr()
-	if w.proc != root {
-		got, err := w.recv(root, tagCopyOut, what)
-		if err == nil {
-			err = w.verify(got, val.bits, root, what, "")
-		}
-		if err == nil && w.traces() {
-			w.emit(trace.Recv, root, 0, w.elemBytes(), -1)
-		}
+	all := dist.AllProcs(w.st.Grid())
+	got, received, err := w.multicast(root, all, val, what, false)
+	if received {
+		err = w.verify(got, val.bits, root, what, "")
+	}
+	if err != nil || !w.traces() {
 		return err
 	}
-	for _, p := range dist.AllProcs(w.st.Grid()).Procs() {
-		if p == root {
-			continue
-		}
-		if err := w.send(p, val, what); err != nil {
-			return err
-		}
-		if w.traces() {
-			w.emit(trace.Send, p, 0, w.elemBytes(), -1)
+	if received {
+		w.emit(trace.Recv, root, 0, w.elemBytes(), -1)
+	}
+	if w.proc == root {
+		for _, p := range all.Procs() {
+			if p != root {
+				w.emit(trace.Send, p, 0, w.elemBytes(), -1)
+			}
 		}
 	}
 	return nil
@@ -1074,7 +971,7 @@ func (w *worker) flushBatch() error {
 	}
 	req := op.req
 	what := w.desc(req)
-	dropped := w.ex.cfg.testDropSend != nil && w.ex.cfg.testDropSend(w.proc, req)
+	dropped := w.ex.hooks.dropSend != nil && w.ex.hooks.dropSend(w.proc, req)
 	m := message{req: req.ID, count: op.count, hasVal: op.hasVal, bits: op.sum}
 	w.setAttr(req.Stmt.ID, req.Class, op.bytes)
 	defer w.clearAttr()

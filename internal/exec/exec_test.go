@@ -9,6 +9,7 @@ import (
 
 	"phpf/internal/comm"
 	"phpf/internal/core"
+	"phpf/internal/diag"
 	"phpf/internal/programs"
 )
 
@@ -42,18 +43,16 @@ end
 // letting the test hang.
 func TestWatchdogReportsWedgedWorkers(t *testing.T) {
 	prog := compile(t, commSource, 4, core.DefaultOptions())
-	cfg := Config{
-		StallTimeout: 150 * time.Millisecond,
-		testDropSend: func(proc int, req *comm.Requirement) bool {
-			return proc == 1 // processor 1 goes silent on every planned send
-		},
-	}
+	cfg := Config{StallTimeout: 150 * time.Millisecond}
+	hk := hooks{dropSend: func(proc int, req *comm.Requirement) bool {
+		return proc == 1 // processor 1 goes silent on every planned send
+	}}
 	done := make(chan struct{})
 	var res *Result
 	var err error
 	go func() {
 		defer close(done)
-		res, err = Run(context.Background(), prog, cfg)
+		res, err = run(context.Background(), prog, cfg, hk)
 	}()
 	select {
 	case <-done:
@@ -91,15 +90,13 @@ func TestWatchdogReportsWedgedWorkers(t *testing.T) {
 // a structured *WorkerError with the process intact, not crash the run.
 func TestPanicContainment(t *testing.T) {
 	prog := compile(t, commSource, 4, core.DefaultOptions())
-	cfg := Config{
-		testHook: func(proc int) error {
-			if proc == 2 {
-				panic("injected worker failure")
-			}
-			return nil
-		},
-	}
-	_, err := Run(context.Background(), prog, cfg)
+	hk := hooks{tick: func(proc int) error {
+		if proc == 2 {
+			panic("injected worker failure")
+		}
+		return nil
+	}}
+	_, err := run(context.Background(), prog, Config{}, hk)
 	var we *WorkerError
 	if !errors.As(err, &we) {
 		t.Fatalf("expected *WorkerError, got %T: %v", err, err)
@@ -121,13 +118,11 @@ func TestDeadline(t *testing.T) {
 	prog := compile(t, commSource, 4, core.DefaultOptions())
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	cfg := Config{
-		testHook: func(proc int) error {
-			time.Sleep(5 * time.Millisecond) // make the run outlast the deadline
-			return nil
-		},
-	}
-	_, err := Run(ctx, prog, cfg)
+	hk := hooks{tick: func(proc int) error {
+		time.Sleep(5 * time.Millisecond) // make the run outlast the deadline
+		return nil
+	}}
+	_, err := run(ctx, prog, Config{}, hk)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expected DeadlineExceeded, got %v", err)
 	}
@@ -137,37 +132,38 @@ func TestDeadline(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	prog := compile(t, commSource, 4, core.DefaultOptions())
 	ctx, cancel := context.WithCancel(context.Background())
-	cfg := Config{
-		testHook: func(proc int) error {
-			cancel() // first tick cancels the whole run
-			return nil
-		},
-	}
-	_, err := Run(ctx, prog, cfg)
+	hk := hooks{tick: func(proc int) error {
+		cancel() // first tick cancels the whole run
+		return nil
+	}}
+	_, err := run(ctx, prog, Config{}, hk)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected Canceled, got %v", err)
 	}
 }
 
 // TestConfigValidation: impossible configurations are rejected up front
-// with structured errors rather than deadlocking at the first rendezvous.
+// with coded E005 diagnostics rather than deadlocking at the first rendezvous.
 func TestConfigValidation(t *testing.T) {
 	prog := compile(t, commSource, 4, core.DefaultOptions())
-	var ce *ConfigError
+	coded := func(err error) bool {
+		var d *diag.Diagnostic
+		return errors.As(err, &d) && d.Code == diag.CodeConfig
+	}
 
 	_, err := Run(context.Background(), prog, Config{Workers: 3})
-	if !errors.As(err, &ce) {
-		t.Fatalf("Workers=3 on a 4-processor plan: expected *ConfigError, got %v", err)
+	if !coded(err) {
+		t.Fatalf("Workers=3 on a 4-processor plan: expected a coded E005, got %v", err)
 	}
-	if !strings.Contains(ce.Error(), "deadlock") {
-		t.Fatalf("error should explain the deadlock risk: %v", ce)
+	if !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("error should explain the deadlock risk: %v", err)
 	}
 
-	if _, err := Run(context.Background(), prog, Config{MailboxDepth: -1}); !errors.As(err, &ce) {
-		t.Fatalf("negative MailboxDepth: expected *ConfigError, got %v", err)
+	if _, err := Run(context.Background(), prog, Config{MailboxDepth: -1}); !coded(err) {
+		t.Fatalf("negative MailboxDepth: expected a coded E005, got %v", err)
 	}
-	if _, err := Run(context.Background(), nil, Config{}); !errors.As(err, &ce) {
-		t.Fatalf("nil program: expected *ConfigError, got %v", err)
+	if _, err := Run(context.Background(), nil, Config{}); !coded(err) {
+		t.Fatalf("nil program: expected a coded E005, got %v", err)
 	}
 
 	// Workers equal to the plan's processor count is accepted.

@@ -31,8 +31,7 @@ func TestReduceDifferMatrix(t *testing.T) {
 					src, opts, nprocs, mode := src, opts, nprocs, mode
 					t.Run(fmt.Sprintf("%s/%s/p%d/%s", progName, stratName, nprocs, mode), func(t *testing.T) {
 						prog := compile(t, src, nprocs, opts)
-						d := Differ{Trace: &trace.Options{}, Reduce: mode}
-						rep, err := d.Run(context.Background(), prog)
+						rep, err := Diff(context.Background(), prog, Config{Trace: &trace.Options{}, Reduce: mode})
 						if err != nil {
 							t.Fatalf("differ: %v", err)
 						}

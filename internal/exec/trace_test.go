@@ -25,8 +25,7 @@ func TestDifferTraceAgreement(t *testing.T) {
 					if _, serr := sim.Run(prog, sim.Config{}); serr != nil {
 						t.Skip("not a runnable program")
 					}
-					d := Differ{Trace: &trace.Options{}}
-					rep, err := d.Run(context.Background(), prog)
+					rep, err := Diff(context.Background(), prog, Config{Trace: &trace.Options{}})
 					if err != nil {
 						t.Fatalf("differ: %v", err)
 					}

@@ -50,16 +50,6 @@ func NewManager(passes ...Pass) (*Manager, error) {
 // even a failed one).
 func (m *Manager) Profile() *CompileProfile { return m.profile }
 
-// Has reports whether the pipeline contains a pass with the given name.
-func (m *Manager) Has(name string) bool {
-	for _, p := range m.passes {
-		if p.Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Run executes the pipeline in declared order. Before each pass, facts it
 // requires that an earlier pass invalidated are restored by lazily re-running
 // their providers (recorded in the profile as re-runs).

@@ -72,7 +72,7 @@ func FuzzServeRequest(f *testing.F) {
 			if cfg.MaxCells > 0 && (v.run.MaxCells <= 0 || v.run.MaxCells > cfg.MaxCells) {
 				t.Fatalf("validated budget %d escaped (0,%d]", v.run.MaxCells, cfg.MaxCells)
 			}
-			if err := v.run.Validate(); err != nil {
+			if err := v.run.Validate(v.procs, ""); err != nil {
 				t.Fatalf("validated RunOptions re-validate failed: %v", err)
 			}
 			if v.key == "" {

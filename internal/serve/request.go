@@ -14,6 +14,7 @@ import (
 
 	"phpf"
 	"phpf/internal/diag"
+	"phpf/internal/eval"
 )
 
 // RunSpec is the declarative request body shared by /v1/compile, /v1/run,
@@ -112,29 +113,6 @@ func (spec *RunSpec) resolveSource(maxSourceBytes int64) (string, error) {
 	return "", badRequest("empty program: set source or figure")
 }
 
-// options maps the Opt and Privatize fields to a compiler option set.
-func (spec *RunSpec) options() (phpf.Options, error) {
-	var opts phpf.Options
-	switch spec.Opt {
-	case "", "selected":
-		opts = phpf.SelectedOptions()
-	case "producer":
-		opts = phpf.ProducerOptions()
-	case "naive":
-		opts = phpf.NaiveOptions()
-	default:
-		return phpf.Options{}, badRequest("unknown opt %q (want naive, producer, or selected)", spec.Opt)
-	}
-	if spec.Privatize != "" {
-		mode, ok := phpf.ParsePrivMode(spec.Privatize)
-		if !ok {
-			return phpf.Options{}, badRequest("unknown privatize %q (want directives, infer, or infer-strict)", spec.Privatize)
-		}
-		opts.Privatization = mode
-	}
-	return opts, nil
-}
-
 // validated is a fully checked request: the resolved program source, cache
 // key, and the execution configuration derived from the spec under the
 // server's limits.
@@ -160,17 +138,13 @@ func (spec *RunSpec) validate(cfg Config, needBackend bool) (*validated, error) 
 	if spec.Procs < 1 || spec.Procs > cfg.MaxProcs {
 		return nil, badRequest("procs must be in [1,%d], got %d", cfg.MaxProcs, spec.Procs)
 	}
-	opts, err := spec.options()
+	opts, err := phpf.OptionsByName(spec.Opt, spec.Privatize)
 	if err != nil {
 		return nil, err
 	}
-	reduce := phpf.ReduceAuto
-	if spec.Reduce != "" {
-		mode, ok := phpf.ParseReduceMode(spec.Reduce)
-		if !ok {
-			return nil, badRequest("unknown reduce %q (want auto, collective, or privatize)", spec.Reduce)
-		}
-		reduce = mode
+	reduce, err := phpf.ParseReduceMode(spec.Reduce)
+	if err != nil {
+		return nil, err
 	}
 	v := &validated{
 		source: src,
@@ -180,16 +154,19 @@ func (spec *RunSpec) validate(cfg Config, needBackend bool) (*validated, error) 
 	}
 	v.run.Reduce = reduce
 
+	// The compile and diff endpoints take no backend: their configuration is
+	// held to what the differential oracle, which runs both, accepts.
+	target := eval.BackendDiff
 	if needBackend {
 		name := spec.Backend
 		if name == "" {
-			name = "sim"
+			name = eval.BackendSim
 		}
 		b, ok := phpf.BackendByName(name)
 		if !ok {
 			return nil, badRequest("unknown backend %q (want one of %v)", spec.Backend, phpf.Backends())
 		}
-		v.backend = b
+		v.backend, target = b, name
 	} else if spec.Backend != "" {
 		return nil, badRequest("backend does not apply to this endpoint")
 	}
@@ -240,9 +217,9 @@ func (spec *RunSpec) validate(cfg Config, needBackend bool) (*validated, error) 
 		v.run.CheckpointInterval = spec.Chaos.CheckpointInterval
 	}
 
-	// The backend-independent zero/negative/absurd-value gate over the
-	// assembled options (machine params, fault plan, budgets).
-	if err := v.run.Validate(); err != nil {
+	// The one validation of a run configuration, over what was assembled
+	// (fault plan, interval, budget, reduce mode), before admission.
+	if err := v.run.Validate(v.procs, target); err != nil {
 		return nil, err
 	}
 	return v, nil

@@ -509,10 +509,6 @@ func errorStatus(err error) (int, string) {
 		// A contained worker panic: isolated to this request.
 		return http.StatusInternalServerError, diag.CodePanic
 	}
-	var ce *exec.ConfigError
-	if errors.As(err, &ce) {
-		return http.StatusBadRequest, diag.CodeConfig
-	}
 	var pe *exec.ProtocolError
 	var de *exec.DivergenceError
 	var se *exec.StallError

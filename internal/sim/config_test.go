@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"phpf/internal/eval"
 )
 
 // TestConfigValidate: configurations that cannot describe a run are rejected
@@ -15,7 +17,7 @@ func TestConfigValidate(t *testing.T) {
 		{CheckpointInterval: 0.5},
 	}
 	for i, c := range good {
-		if err := c.Validate(); err != nil {
+		if err := c.Validate(0, eval.BackendSim); err != nil {
 			t.Errorf("good config %d rejected: %v", i, err)
 		}
 	}
@@ -31,7 +33,7 @@ func TestConfigValidate(t *testing.T) {
 		{Config{CheckpointInterval: math.Inf(1)}, "CheckpointInterval"},
 	}
 	for i, c := range bad {
-		err := c.cfg.Validate()
+		err := c.cfg.Validate(0, eval.BackendSim)
 		if err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, c.cfg)
 			continue

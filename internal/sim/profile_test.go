@@ -59,7 +59,7 @@ end
 	if res.Stats.Shifts != 1 {
 		t.Fatalf("run charged %d shifts, want the one hoisted shift", res.Stats.Shifts)
 	}
-	for _, p := range res.Profile {
+	for _, p := range res.HotStatements {
 		if p.Stmt != stmt {
 			continue
 		}

@@ -20,107 +20,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"phpf/internal/comm"
-	"phpf/internal/core"
 	"phpf/internal/dist"
 	"phpf/internal/eval"
-	"phpf/internal/fault"
 	"phpf/internal/ir"
 	"phpf/internal/machine"
 	"phpf/internal/spmd"
 	"phpf/internal/trace"
 )
 
-// Config controls a simulation run.
-type Config struct {
-	Params machine.Params
-	// MaxSeconds aborts the run once the simulated time exceeds this bound
-	// (reproducing the paper's ">1 day, aborted" entries). Zero disables.
-	MaxSeconds float64
-	// Profile collects per-statement simulated-time attribution (compute
-	// and communication charged while executing each statement).
-	Profile bool
-	// Fault, when non-nil and active, injects message loss/duplication,
-	// compute slowdowns, and fail-stop crashes (see internal/fault). A nil
-	// or inactive plan leaves the fault-free arithmetic bit-identical.
-	Fault *fault.Plan
-	// CheckpointInterval takes a coordinated checkpoint at
-	// hoisted-communication boundaries whenever at least this much
-	// simulated time has passed since the last one (0 = only the implicit
-	// free checkpoint at t=0). Crash recovery rolls back to the last
-	// checkpoint and re-executes the lost interval; the restarted
-	// processor refetches aligned and partitioned state, while replicated
-	// state restores locally.
-	CheckpointInterval float64
-	// Trace, when non-nil, records runtime events (stamped with simulated
-	// time) into Result.Trace. Nil keeps the event path emission-free.
-	Trace *trace.Options
-	// MaxCells caps the total array cells of the memory image (0 =
-	// unlimited; see eval.Budget). A breach fails the run with a coded
-	// E006 diagnostic before the image is allocated.
-	MaxCells int64
-	// Reduce selects the runtime reduction strategy: ReduceAuto (default)
-	// privatizes every reduction the reduceplan cleared, ReduceCollective
-	// forces the §2.3 collective for all of them, and ReducePrivatize
-	// demands privatization, failing the run (E005) if any recognized
-	// reduction is collective-only.
-	Reduce core.ReduceMode
-}
+// Config is the one run configuration (see eval.RunOptions): the simulator
+// takes every field but the concurrent backend's worker knobs.
+type Config = eval.RunOptions
 
-// run is the part of the configuration shared with the concurrent backend.
-func (c Config) run() eval.RunSpec {
-	return eval.RunSpec{Params: c.Params, Fault: c.Fault,
-		CheckpointInterval: c.CheckpointInterval, MaxCells: c.MaxCells, Reduce: c.Reduce}
-}
-
-// Validate rejects configurations that cannot describe a run: a negative or
-// non-finite time limit (the paper's aborted entries need a positive bound;
-// zero means unlimited) and whatever eval.RunSpec.Validate rejects (Run
-// has the processor count for that, Validate has not).
-func (c Config) Validate() error { return c.validate(0) }
-
-func (c Config) validate(nprocs int) error {
-	if math.IsNaN(c.MaxSeconds) || math.IsInf(c.MaxSeconds, 0) {
-		return fmt.Errorf("sim: MaxSeconds must be finite, got %v", c.MaxSeconds)
-	}
-	if c.MaxSeconds < 0 {
-		return fmt.Errorf("sim: MaxSeconds must be >= 0 (0 = unlimited), got %v", c.MaxSeconds)
-	}
-	return simError(c.run().Validate(nprocs))
-}
+// Result is the one run outcome (see eval.Report).
+type Result = eval.Report
 
 // StmtProfile is one statement's share of the simulated activity.
-type StmtProfile struct {
-	Stmt *ir.Stmt
-	// Instances is how many times the statement executed.
-	Instances int64
-	// Seconds is the total clock advance attributed to the statement
-	// (summed over processors), hoisted communication on its behalf included.
-	Seconds float64
-}
-
-// Result is the outcome of one run.
-type Result struct {
-	Time    float64
-	Stats   machine.Stats
-	Aborted bool
-
-	// Final memory, for validation against reference implementations.
-	Scalars map[string]float64
-	Arrays  map[string][]float64
-
-	// Profile holds per-statement attribution when Config.Profile was set,
-	// sorted by descending Seconds.
-	Profile []StmtProfile
-
-	// Trace holds the recorded event stream when Config.Trace was set
-	// (nil otherwise). The simulator emits into a single shard, so
-	// Trace.Events() is the exact deterministic program-order stream.
-	Trace *trace.Recorder
-}
+type StmtProfile = eval.StmtProfile
 
 // errAbort signals the MaxSeconds cutoff internally.
 type errAbort struct{}
@@ -137,20 +56,20 @@ func Run(p *spmd.Program, cfg Config) (*Result, error) {
 // boundaries) and returns ctx.Err().
 func RunContext(ctx context.Context, p *spmd.Program, cfg Config) (*Result, error) {
 	if p == nil {
-		return nil, fmt.Errorf("sim: nil program")
+		return nil, eval.ConfigErrorf(eval.BackendSim, "nil program")
+	}
+	nprocs := p.NProcs()
+	if err := cfg.Validate(nprocs, eval.BackendSim); err != nil {
+		return nil, err
 	}
 	if cfg.Params == (machine.Params{}) {
 		cfg.Params = machine.SP2()
 	}
-	nprocs := p.NProcs()
-	if err := cfg.validate(nprocs); err != nil {
-		return nil, err
-	}
-	st, err := cfg.run().NewState(p)
+	st, err := cfg.NewState(p)
 	if err != nil {
 		return nil, simError(err)
 	}
-	in := &interp{Account: eval.NewAccount(st, cfg.run()), ctx: ctx, maxSeconds: cfg.MaxSeconds}
+	in := &interp{Account: eval.NewAccount(st, cfg), ctx: ctx, maxSeconds: cfg.MaxSeconds}
 	mach := in.M
 	if cfg.Trace != nil {
 		mach.Rec = trace.New(nprocs, 1, *cfg.Trace)
@@ -176,16 +95,17 @@ func RunContext(ctx context.Context, p *spmd.Program, cfg Config) (*Result, erro
 			return nil, simError(err)
 		}
 	}
-	res := &Result{Time: mach.Time(), Stats: mach.Stats, Aborted: aborted, Trace: mach.Rec}
+	res := &Result{Backend: eval.BackendSim, Time: mach.Time(), Stats: mach.Stats, Aborted: aborted, Trace: mach.Rec}
 	res.Scalars, res.Arrays = st.Export()
 	for _, sp := range profile {
-		res.Profile = append(res.Profile, *sp)
+		res.HotStatements = append(res.HotStatements, *sp)
 	}
-	sort.Slice(res.Profile, func(i, j int) bool {
-		if res.Profile[i].Seconds != res.Profile[j].Seconds {
-			return res.Profile[i].Seconds > res.Profile[j].Seconds
+	hot := res.HotStatements
+	sort.Slice(hot, func(i, j int) bool {
+		if hot[i].Seconds != hot[j].Seconds {
+			return hot[i].Seconds > hot[j].Seconds
 		}
-		return res.Profile[i].Stmt.ID < res.Profile[j].Stmt.ID
+		return hot[i].Stmt.ID < hot[j].Stmt.ID
 	})
 	return res, nil
 }

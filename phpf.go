@@ -20,9 +20,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -30,6 +28,7 @@ import (
 	"phpf/internal/core"
 	"phpf/internal/diag"
 	"phpf/internal/dist"
+	"phpf/internal/eval"
 	"phpf/internal/exec"
 	"phpf/internal/fault"
 	"phpf/internal/ir"
@@ -84,7 +83,7 @@ type (
 	TraceCommMatrix = trace.CommMatrix
 	// StmtProfile is one statement's share of simulated activity (the
 	// hot-statement view, see Report.HotStatements).
-	StmtProfile = sim.StmtProfile
+	StmtProfile = eval.StmtProfile
 )
 
 // Diagnostic severities.
@@ -120,10 +119,6 @@ const (
 	PrivInferStrict = core.PrivInferStrict
 )
 
-// ParsePrivMode parses a CLI/API privatization-mode name: "directives",
-// "infer", or "infer-strict".
-func ParsePrivMode(s string) (PrivMode, bool) { return core.ParsePrivMode(s) }
-
 // ReduceMode selects the runtime reduction strategy (see core.ReduceMode):
 // the §2.3 collective combine, per-processor privatized partials merged in a
 // deterministic tree at loop exit, or the automatic choice driven by the
@@ -143,9 +138,18 @@ const (
 	ReducePrivatize = core.ReducePrivatize
 )
 
-// ParseReduceMode parses a CLI/API reduce-mode name: "auto", "collective",
-// or "privatize".
-func ParseReduceMode(s string) (ReduceMode, bool) { return core.ParseReduceMode(s) }
+// ParseReduceMode resolves a CLI/API reduce-mode name: "auto" (or ""),
+// "collective", or "privatize". An unknown name is a coded E005 diagnostic.
+func ParseReduceMode(s string) (ReduceMode, error) {
+	if s == "" {
+		return ReduceAuto, nil
+	}
+	mode, ok := core.ParseReduceMode(s)
+	if !ok {
+		return 0, eval.ConfigErrorf("", "unknown reduce %q (want auto, collective, or privatize)", s)
+	}
+	return mode, nil
+}
 
 // SelectedOptions is the full compiler of §2.2–§4 (Table 1 "Selected
 // Alignment", Table 2 "Alignment", Table 3 privatization columns).
@@ -166,6 +170,47 @@ func NaiveOptions() Options {
 	o.Scalars = ScalarsReplicated
 	o.AlignReductions = false
 	return o
+}
+
+// Strategy is one of Table 1's three scalar-mapping compilers, under the
+// name -opt, the serving layer and the sweeps know it by.
+type Strategy struct {
+	Name string
+	Opts Options
+}
+
+// Strategies lists the mapping strategies in Table 1's column order: naive,
+// producer, selected.
+func Strategies() []Strategy {
+	return []Strategy{
+		{"naive", NaiveOptions()},
+		{"producer", ProducerOptions()},
+		{"selected", SelectedOptions()},
+	}
+}
+
+// OptionsByName resolves an optimization level (a Strategies name; "" means
+// selected) and a privatization mode ("directives", "infer", "infer-strict";
+// "" keeps the level's) to a compiler option set. An unknown name is a coded
+// E005 diagnostic.
+func OptionsByName(opt, privatize string) (Options, error) {
+	if opt == "" {
+		opt = "selected"
+	}
+	for _, s := range Strategies() {
+		if s.Name != opt {
+			continue
+		}
+		if privatize != "" {
+			mode, ok := core.ParsePrivMode(privatize)
+			if !ok {
+				return Options{}, eval.ConfigErrorf("", "unknown privatize %q (want directives, infer, or infer-strict)", privatize)
+			}
+			s.Opts.Privatization = mode
+		}
+		return s.Opts, nil
+	}
+	return Options{}, eval.ConfigErrorf("", "unknown opt %q (want naive, producer, or selected)", opt)
 }
 
 // SP2Params returns the default machine parameters (IBM SP2 thin nodes).
@@ -231,170 +276,16 @@ func Compile(source string, nprocs int, opts Options) (*Compiled, error) {
 // ---------------------------------------------------------------------------
 // The unified execution API: RunOptions → Backend → Report
 
-// RunOptions configures one execution on either backend — the merger of the
-// former RunConfig (simulator) and ExecConfig (concurrent executor). Fields
-// a backend does not support are rejected with a coded E005 diagnostic, not
-// silently ignored.
-type RunOptions struct {
-	// Params are the machine cost parameters (SP2Params() when zero); both
-	// backends use them — the simulator to advance its clocks, the
-	// concurrent executor for its deterministic statistics replay.
-	Params MachineParams
+// RunOptions configures one execution on either backend. It is the one run
+// configuration (eval.RunOptions), which the backends take as it is; fields a
+// backend does not support are rejected by its Validate — the only check a
+// configuration passes through — with a coded E005 diagnostic, not silently
+// ignored.
+type RunOptions = eval.RunOptions
 
-	// MaxSeconds aborts once simulated time exceeds it (0 = unlimited) —
-	// the paper's "> 1 day (aborted)" entries. Simulator only: the
-	// concurrent backend bounds wall time via the context deadline instead.
-	MaxSeconds float64
-	// Profile collects the per-statement hot-statement view
-	// (Report.HotStatements). Simulator only.
-	Profile bool
-	// Fault, when non-nil and active, injects deterministic faults
-	// (message loss/duplication, slowdowns, crashes). Both backends take
-	// the same seeded plan: the simulator charges modeled costs, the
-	// concurrent executor additionally makes message faults physical —
-	// real dropped/duplicated/delayed transmissions healed by seeded
-	// retransmission — while replaying the identical modeled accounting.
-	Fault *FaultPlan
-	// CheckpointInterval enables coordinated checkpointing every so many
-	// simulated seconds (0 = off). Both backends checkpoint at the same
-	// hoisted-communication boundaries; the concurrent executor takes real
-	// barrier-aligned snapshots it can restart from after a crash.
-	CheckpointInterval float64
-
-	// Reduce selects the runtime reduction strategy, identically on both
-	// backends: ReduceAuto (the default) privatizes every reduction the
-	// reduceplan analysis cleared, ReduceCollective forces the §2.3
-	// combining collective everywhere, and ReducePrivatize additionally
-	// fails with a coded E005 diagnostic if any recognized reduction is
-	// collective-only. Runs under different strategies reassociate floating
-	// point differently; integer-valued reductions agree across strategies.
-	Reduce ReduceMode
-
-	// Workers is the concurrent backend's worker count (0 = the program's
-	// processor count; any other value but the processor count itself is
-	// rejected). Concurrent only.
-	Workers int
-	// MailboxDepth bounds each directed mailbox (0 = default). Concurrent
-	// only.
-	MailboxDepth int
-	// StallTimeout is the concurrent backend's watchdog quiet period
-	// (0 = default, negative = disabled). Concurrent only.
-	StallTimeout time.Duration
-	// MaxRestarts bounds the concurrent backend's run-level heals after a
-	// worker death or stall (0 = default, negative = disabled). Concurrent
-	// only.
-	MaxRestarts int
-	// HardCrashes makes scheduled fail-stop crashes kill worker goroutines
-	// for real (recovery then goes through the run-level heal) instead of
-	// the default coordinated restore. Concurrent only.
-	HardCrashes bool
-
-	// Trace, when non-nil, records runtime events into Report.Trace: the
-	// simulator stamps simulated time, the concurrent executor wall time.
-	// Nil keeps the event path of both backends emission- and
-	// allocation-free.
-	Trace *TraceOptions
-
-	// MaxCells caps the total array cells of one memory image (0 =
-	// unlimited). Both backends enforce it before allocating: the run fails
-	// with a coded E006 (budget) diagnostic instead of letting one huge
-	// declaration exhaust process memory. The concurrent backend holds one
-	// full replicated image per worker, so its worst-case footprint is
-	// MaxCells × 8 bytes × workers. CLIs default to unlimited; serving
-	// paths should always set it.
-	MaxCells int64
-}
-
-// Validate sanity-checks the options against zero/negative/absurd values
-// without knowing the target backend: non-finite or negative time bounds and
-// intervals, invalid machine parameters (a zero Params means SP2Params() and
-// is accepted), malformed fault plans, and negative resource budgets all
-// return a coded E005 diagnostic. Backends re-validate what they consume;
-// this is the early, backend-independent gate serving paths run before
-// admitting a request.
-func (o RunOptions) Validate() error {
-	bad := func(format string, args ...any) error { return configErr("options", format, args...) }
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"MaxSeconds", o.MaxSeconds},
-		{"CheckpointInterval", o.CheckpointInterval},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return bad("%s must be finite, got %v", f.name, f.v)
-		}
-		if f.v < 0 {
-			return bad("%s must be >= 0, got %v", f.name, f.v)
-		}
-	}
-	if o.Params != (MachineParams{}) {
-		if err := o.Params.Validate(); err != nil {
-			return bad("%v", err)
-		}
-	}
-	if err := o.Fault.Validate(); err != nil {
-		return bad("%v", err)
-	}
-	if o.Workers < 0 {
-		return bad("Workers must be >= 0 (0 = one per processor), got %d", o.Workers)
-	}
-	if o.MailboxDepth < 0 {
-		return bad("MailboxDepth must be >= 0 (0 = default), got %d", o.MailboxDepth)
-	}
-	if o.MaxCells < 0 {
-		return bad("MaxCells must be >= 0 (0 = unlimited), got %d", o.MaxCells)
-	}
-	if o.Reduce < ReduceAuto || o.Reduce > ReducePrivatize {
-		return bad("Reduce must be ReduceAuto, ReduceCollective, or ReducePrivatize, got %d", int(o.Reduce))
-	}
-	return nil
-}
-
-// Report is the backend-independent outcome of one execution.
-type Report struct {
-	// Backend names the backend that produced the report ("sim" or
-	// "concurrent").
-	Backend string
-	// Time is the simulated execution time (the concurrent backend reports
-	// its deterministic cost-model replay, identical to the simulator's).
-	Time float64
-	// Stats aggregates the modeled communication activity.
-	Stats Stats
-	// Aborted reports a MaxSeconds cutoff (simulator only).
-	Aborted bool
-
-	// Final memory, for validation against reference implementations.
-	Scalars map[string]float64
-	Arrays  map[string][]float64
-
-	// HotStatements is the per-statement time attribution, sorted hottest
-	// first (simulator with Profile on; nil otherwise).
-	HotStatements []StmtProfile
-
-	// Workers is the number of worker goroutines that ran (concurrent
-	// backend; 0 from the simulator).
-	Workers int
-	// TrafficMessages counts real channel messages exchanged (concurrent
-	// backend; 0 from the simulator).
-	TrafficMessages int64
-	// Restarts counts the concurrent backend's coordinated checkpoint
-	// restores; HardRestarts its run-level heals (both 0 from the
-	// simulator, whose recovery is purely modeled).
-	Restarts     int64
-	HardRestarts int
-	// Wire-layer fault activity of the concurrent backend: real
-	// transmissions dropped, retransmitted after timeout, duplicated, and
-	// duplicate-suppressed at the receiver (all 0 from the simulator).
-	WireDrops         int64
-	WireRetransmits   int64
-	WireDuplicates    int64
-	WireDupSuppressed int64
-
-	// Trace is the recorded event stream when RunOptions.Trace was set
-	// (nil otherwise).
-	Trace *TraceRecorder
-}
+// Report is the backend-independent outcome of one execution: the one run
+// outcome (eval.Report), which the backends fill in directly.
+type Report = eval.Report
 
 // Backend is one way of executing a compiled SPMD program. Both built-in
 // backends — Simulator() and Concurrent() — implement it, so tools and tests
@@ -416,147 +307,53 @@ func Simulator() Backend { return simulatorBackend{} }
 func Concurrent() Backend { return concurrentBackend{} }
 
 // Backends lists the built-in backend names, in presentation order.
-func Backends() []string { return []string{"sim", "concurrent"} }
+func Backends() []string { return []string{eval.BackendSim, eval.BackendConcurrent} }
 
 // BackendByName resolves a backend name ("sim", "concurrent").
 func BackendByName(name string) (Backend, bool) {
 	switch name {
-	case "sim":
+	case eval.BackendSim:
 		return Simulator(), true
-	case "concurrent":
+	case eval.BackendConcurrent:
 		return Concurrent(), true
 	}
 	return nil, false
 }
 
-// Execute runs the compiled program on the given backend.
+// Execute runs the compiled program on the given backend, after the
+// configuration passed Validate for it: an invalid one is a coded E005
+// diagnostic on every backend, never a bare error from inside a run.
 func (c *Compiled) Execute(ctx context.Context, b Backend, opts RunOptions) (*Report, error) {
+	if err := opts.Validate(c.NProcs, b.Name()); err != nil {
+		return nil, err
+	}
 	return b.Run(ctx, c.SPMD, opts)
-}
-
-// configErr builds the coded E005 diagnostic for an invalid run
-// configuration.
-func configErr(backend, format string, args ...any) error {
-	return diag.Errorf(backend, diag.CodeConfig, diag.Pos{}, format, args...)
 }
 
 type simulatorBackend struct{}
 
-func (simulatorBackend) Name() string { return "sim" }
+func (simulatorBackend) Name() string { return eval.BackendSim }
 
 func (simulatorBackend) Run(ctx context.Context, p *spmd.Program, opts RunOptions) (*Report, error) {
-	if opts.Workers != 0 || opts.MailboxDepth != 0 || opts.StallTimeout != 0 || opts.MaxRestarts != 0 || opts.HardCrashes {
-		return nil, configErr("sim", "Workers/MailboxDepth/StallTimeout/MaxRestarts/HardCrashes configure the concurrent backend; the simulator takes none")
-	}
-	res, err := sim.RunContext(ctx, p, sim.Config{
-		Params:             opts.Params,
-		MaxSeconds:         opts.MaxSeconds,
-		Profile:            opts.Profile,
-		Fault:              opts.Fault,
-		CheckpointInterval: opts.CheckpointInterval,
-		Reduce:             opts.Reduce,
-		Trace:              opts.Trace,
-		MaxCells:           opts.MaxCells,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Backend:       "sim",
-		Time:          res.Time,
-		Stats:         res.Stats,
-		Aborted:       res.Aborted,
-		Scalars:       res.Scalars,
-		Arrays:        res.Arrays,
-		HotStatements: res.Profile,
-		Trace:         res.Trace,
-	}, nil
+	return sim.RunContext(ctx, p, opts)
 }
 
 type concurrentBackend struct{}
 
-func (concurrentBackend) Name() string { return "concurrent" }
+func (concurrentBackend) Name() string { return eval.BackendConcurrent }
 
 func (concurrentBackend) Run(ctx context.Context, p *spmd.Program, opts RunOptions) (*Report, error) {
-	switch {
-	case opts.MaxSeconds > 0:
-		return nil, configErr("exec", "MaxSeconds bounds simulated time; bound the concurrent backend with a context deadline")
-	case opts.Profile:
-		return nil, configErr("exec", "per-statement profiling is simulator-only; trace the run instead (RunOptions.Trace)")
-	}
-	res, err := exec.Run(ctx, p, exec.Config{
-		Params:             opts.Params,
-		Workers:            opts.Workers,
-		MailboxDepth:       opts.MailboxDepth,
-		StallTimeout:       opts.StallTimeout,
-		Trace:              opts.Trace,
-		Fault:              opts.Fault,
-		CheckpointInterval: opts.CheckpointInterval,
-		MaxRestarts:        opts.MaxRestarts,
-		HardCrashes:        opts.HardCrashes,
-		Reduce:             opts.Reduce,
-		MaxCells:           opts.MaxCells,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Backend:           "concurrent",
-		Time:              res.Time,
-		Stats:             res.Stats,
-		Scalars:           res.Scalars,
-		Arrays:            res.Arrays,
-		Workers:           res.Workers,
-		TrafficMessages:   res.TrafficMessages,
-		Trace:             res.Trace,
-		Restarts:          res.Restarts,
-		HardRestarts:      res.HardRestarts,
-		WireDrops:         res.WireDrops,
-		WireRetransmits:   res.WireRetransmits,
-		WireDuplicates:    res.WireDuplicates,
-		WireDupSuppressed: res.WireDupSuppressed,
-	}, nil
+	return exec.Run(ctx, p, opts)
 }
 
-// Diff runs the program through both backends — optionally traced, and
-// optionally under the same seeded fault plan and checkpoint interval — and
-// compares numeric results, communication statistics (including the fault
-// and recovery counters), and (when traced) per-class event counts
-// bit-for-bit. HardCrashes cannot be compared; it returns a coded E005
-// diagnostic.
+// Diff runs the program through both backends under the one configuration —
+// optionally traced, and optionally under a seeded fault plan and checkpoint
+// interval — and compares numeric results, communication statistics
+// (including the fault and recovery counters), and (when traced) per-class
+// event counts bit-for-bit. HardCrashes cannot be compared; like every
+// invalid configuration it returns a coded E005 diagnostic.
 func (c *Compiled) Diff(ctx context.Context, opts RunOptions) (*DiffReport, error) {
-	if opts.HardCrashes {
-		return nil, configErr("differ", "the differential oracle cannot compare HardCrashes runs (run-level heals re-execute intervals the simulator models once)")
-	}
-	d := exec.Differ{
-		Sim: sim.Config{
-			Params:     opts.Params,
-			MaxSeconds: opts.MaxSeconds,
-			Profile:    opts.Profile,
-			MaxCells:   opts.MaxCells,
-		},
-		Exec: exec.Config{
-			Params:       opts.Params,
-			Workers:      opts.Workers,
-			MailboxDepth: opts.MailboxDepth,
-			StallTimeout: opts.StallTimeout,
-			MaxRestarts:  opts.MaxRestarts,
-			MaxCells:     opts.MaxCells,
-		},
-		Trace:              opts.Trace,
-		Fault:              opts.Fault,
-		CheckpointInterval: opts.CheckpointInterval,
-		Reduce:             opts.Reduce,
-	}
-	rep, err := d.Run(ctx, c.SPMD)
-	if err != nil {
-		var ce *exec.ConfigError
-		if errors.As(err, &ce) {
-			return nil, configErr("differ", "%s", ce.Msg)
-		}
-		return nil, err
-	}
-	return rep, nil
+	return exec.Diff(ctx, c.SPMD, opts)
 }
 
 // DiffReport is the outcome of a differential sim-vs-exec run (see

@@ -2,6 +2,7 @@ package phpf
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -98,60 +99,78 @@ func TestOptionPresets(t *testing.T) {
 	}
 }
 
-func TestTable1Small(t *testing.T) {
-	rows, err := Table1TOMCATV(17, 1, []int{1, 4}, 0)
-	if err != nil {
+// runTable runs a declared table and holds its rendering to the byte-exact
+// golden file testdata/tables/<golden>.golden.
+func runTable(t *testing.T, tbl *Table, golden string) []Row {
+	t.Helper()
+	if err := tbl.Run(); err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, filepath.Join("testdata", "tables", golden+".golden"), tbl.String())
+	return tbl.Rows
+}
+
+func TestTable1Small(t *testing.T) {
+	rows := runTable(t, Table1TOMCATV(17, 1, []int{1, 4}, 0), "table1")
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// At 4 processors the paper's ordering holds.
-	r := rows[1]
-	if !(r.Selected.Seconds < r.Producer.Seconds && r.Producer.Seconds < r.Replication.Seconds) {
+	r := rows[1].Cells
+	replication, producer, selected := r[0], r[1], r[2]
+	if !(selected.Seconds < producer.Seconds && producer.Seconds < replication.Seconds) {
 		t.Errorf("ordering violated: %+v", r)
-	}
-	s := FormatTable1(17, 1, rows)
-	if !strings.Contains(s, "Replication") || !strings.Contains(s, "#Procs") {
-		t.Errorf("format:\n%s", s)
 	}
 }
 
 func TestTable2Small(t *testing.T) {
-	rows, err := Table2DGEFA(48, []int{2, 8}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runTable(t, Table2DGEFA(48, []int{2, 8}, 0), "table2")
 	for _, r := range rows {
-		if r.Aligned.Seconds > r.Default.Seconds*(1+1e-6) {
+		def, aligned := r.Cells[0], r.Cells[1]
+		if aligned.Seconds > def.Seconds*(1+1e-6) {
 			t.Errorf("aligned should never lose at P=%d: %+v", r.Procs, r)
 		}
 	}
 	// The gap grows with the processor count (the paper's "increasing
 	// percentage of the execution time").
 	last := rows[len(rows)-1]
-	if last.Aligned.Seconds >= last.Default.Seconds {
+	if last.Cells[1].Seconds >= last.Cells[0].Seconds {
 		t.Errorf("aligned should win at P=%d: %+v", last.Procs, last)
-	}
-	if s := FormatTable2(48, rows); !strings.Contains(s, "Alignment") {
-		t.Errorf("format:\n%s", s)
 	}
 }
 
 func TestTable3Small(t *testing.T) {
-	rows, err := Table3APPSP(4, 8, 8, 1, []int{4}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	if r.OneDPriv.Seconds >= r.OneDNoPriv.Seconds {
+	r := runTable(t, Table3APPSP(4, 8, 8, 1, []int{4}, 0), "table3")[0].Cells
+	oneDNoPriv, oneDPriv, twoDNoPartial, twoDPartial := r[0], r[1], r[2], r[3]
+	if oneDPriv.Seconds >= oneDNoPriv.Seconds {
 		t.Errorf("1-D privatization should win: %+v", r)
 	}
-	if r.TwoDPartial.Seconds >= r.TwoDNoPartial.Seconds {
+	if twoDPartial.Seconds >= twoDNoPartial.Seconds {
 		t.Errorf("2-D partial privatization should win: %+v", r)
 	}
-	if s := FormatTable3(4, 8, 8, 1, rows); !strings.Contains(s, "Partial") {
-		t.Errorf("format:\n%s", s)
+	// A limit the slow columns exceed pins the aborted rendering too.
+	for _, row := range runTable(t, Table3APPSP(4, 8, 8, 1, []int{2, 4}, 0.001), "table3_aborted") {
+		if !row.Cells[0].Aborted {
+			t.Errorf("P=%d: the 1-D no-privatization run should hit the limit: %+v", row.Procs, row.Cells[0])
+		}
+	}
+}
+
+// TestReduceSweepSmall: the privatized runtime beats the collective
+// reference on both reduce-sweep kernels, and the rendering is pinned.
+func TestReduceSweepSmall(t *testing.T) {
+	tbl := ReduceSweep([]DiffProgram{
+		{Name: "Histogram(n=64,m=8,niter=2)", Source: HistogramSource(64, 8, 2)},
+		{Name: "DotSweep(n=16,m=8)", Source: DotSweepSource(16, 8)},
+	}, []int{2, 4}, 0)
+	if err := tbl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "tables", "reducesweep.golden"), FormatReduceSweep(tbl))
+	for _, r := range tbl.Rows {
+		if coll, priv := r.Cells[0], r.Cells[1]; priv.Seconds >= coll.Seconds || priv.Stats.Merges == 0 {
+			t.Errorf("%s P=%d: privatized %+v should beat collective %+v by merging", r.Label, r.Procs, priv, coll)
+		}
 	}
 }
 

@@ -62,6 +62,27 @@ if grep -rn 'nodesTracked\|\.track\b' internal/eval ||
     exit 1
 fi
 
+# One-run-configuration gate: a run's settings and a run's outcome are each
+# one struct, defined in internal/eval/run.go; the public API and both
+# backends alias them (so nothing is copied field by field between layers) and
+# one Validate checks them. Fail if a struct elsewhere declares one of the
+# fields only those two have — names no wire-format or sweep-row struct uses —
+# or if a Config/Result/RunOptions/Report name stops being an alias.
+if grep -rnE '^[[:space:]]+([A-Za-z]+,[[:space:]]*)*(MailboxDepth|StallTimeout|HardCrashes|HardRestarts|WireDupSuppressed)(,[[:space:]]*[A-Za-z]+)*[[:space:]]+[][*.A-Za-z0-9]+[[:space:]]*(//.*)?$' \
+    --include='*.go' --exclude='*_test.go' --exclude-dir=bench . |
+    grep -v '^./internal/eval/run.go:'; then
+    echo "check: a second copy of the run configuration or the run outcome (they are internal/eval/run.go's RunOptions and Report)" >&2
+    exit 1
+fi
+for alias in 'phpf.go:RunOptions = eval.RunOptions' 'phpf.go:Report = eval.Report' \
+    'internal/sim/sim.go:Config = eval.RunOptions' 'internal/sim/sim.go:Result = eval.Report' \
+    'internal/exec/exec.go:Config = eval.RunOptions' 'internal/exec/exec.go:Result = eval.Report'; do
+    if ! grep -qx "type ${alias#*:}" "${alias%%:*}"; then
+        echo "check: ${alias%%:*} must declare 'type ${alias#*:}' (an alias of the one definition)" >&2
+        exit 1
+    fi
+done
+
 # Fuzz smoke: a small budget per front-end target, enough to catch gross
 # regressions in the robustness contracts (never panic, positioned errors)
 # without turning the gate into a fuzzing campaign; FuzzLowerExpr holds the

@@ -31,7 +31,7 @@ func TestRunOptionsValidate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.opts.Validate()
+			err := tc.opts.Validate(0, "")
 			if tc.ok {
 				if err != nil {
 					t.Fatalf("want valid, got %v", err)

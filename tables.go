@@ -3,6 +3,7 @@ package phpf
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -23,8 +24,15 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%.4f", c.Seconds)
 }
 
-// runCell compiles and simulates one configuration through the unified
-// Backend API.
+func cellOf(rep *Report) Cell {
+	return Cell{Seconds: rep.Time, Aborted: rep.Aborted, Stats: rep.Stats}
+}
+
+// ---------------------------------------------------------------------------
+// The cell runner and the tables declared over it.
+
+// runCell compiles and simulates one cell: a program under one option set
+// at one processor count and one run configuration.
 func runCell(source string, nprocs int, opts Options, run RunOptions) (Cell, error) {
 	c, err := Compile(source, nprocs, opts)
 	if err != nil {
@@ -34,422 +42,320 @@ func runCell(source string, nprocs int, opts Options, run RunOptions) (Cell, err
 	if err != nil {
 		return Cell{}, err
 	}
-	return Cell{Seconds: rep.Time, Aborted: rep.Aborted, Stats: rep.Stats}, nil
+	return cellOf(rep), nil
 }
 
-// cellJob is one table cell to fill concurrently.
-type cellJob struct {
-	source string
-	nprocs int
-	opts   Options
-	dst    *Cell
-	// run, when non-nil, overrides the default run configuration built
-	// from maxSeconds (fault sweeps set it).
-	run *RunOptions
+// Column declares one column of a table: its heading and what a cell under
+// it compiles and runs. Rewriting a table's columns before Run is how a
+// caller applies one setting to every cell (phpfbench -privatize / -reduce).
+type Column struct {
+	Head   string
+	Source string
+	Opts   Options
+	Run    RunOptions
 }
 
-// runCells fills all cells concurrently — every cell is an independent
-// compile+simulate pipeline, so the harness fans out across the host's
-// cores. The first error wins.
-func runCells(jobs []cellJob, maxSeconds float64) error {
+// Row is one row of a table: its label, the processor count of its cells,
+// and — in the tables where the row rather than the column decides them —
+// the program and the compiler options. Run fills Cells, one per column.
+type Row struct {
+	Label  string
+	Procs  int
+	Source string   // "" = each column's
+	Opts   *Options // nil = each column's
+	Cells  []Cell
+}
+
+// Table is a declared sweep: rows × columns of cells, with the layout its
+// String renders them in. The builders below return it unrun.
+type Table struct {
+	Title  string
+	Corner string // heading of the label column
+	// LabelWidth and Width are the widths of the label column (negative:
+	// left-aligned) and of each cell column.
+	LabelWidth, Width int
+	// Show renders one cell (nil: Cell.String).
+	Show func(Cell) string
+	Cols []Column
+	Rows []Row
+}
+
+// Run fills every row's cells, all concurrently — every cell is an
+// independent compile+simulate pipeline, so the harness fans out across the
+// host's cores. The first failing cell's error wins.
+func (t *Table) Run() error {
+	n := len(t.Cols)
+	cells := make([]Cell, len(t.Rows)*n)
+	errs := make([]error, len(cells))
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j cellJob) {
-			defer wg.Done()
-			run := RunOptions{MaxSeconds: maxSeconds}
-			if j.run != nil {
-				run = *j.run
+	for i, r := range t.Rows {
+		for j, c := range t.Cols {
+			source, opts := c.Source, c.Opts
+			if r.Source != "" {
+				source = r.Source
 			}
-			cell, err := runCell(j.source, j.nprocs, j.opts, run)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
+			if r.Opts != nil {
+				opts = *r.Opts
 			}
-			*j.dst = cell
-		}(j)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// ---------------------------------------------------------------------------
-// Table 1 — TOMCATV under the three scalar-mapping compilers.
-
-// Table1Row is one processor count's measurements.
-type Table1Row struct {
-	Procs       int
-	Replication Cell
-	Producer    Cell
-	Selected    Cell
-}
-
-// TableConfig adjusts how the table builders run every cell: an optional
-// privatization-mode override (phpfbench -privatize) and the runtime
-// reduction strategy (phpfbench -reduce). The builders take it as a trailing
-// variadic so callers that want the defaults pass nothing.
-type TableConfig struct {
-	// Priv, when non-nil, overrides the compile-time privatization mode;
-	// otherwise each column keeps the ambient default (inference on).
-	Priv *PrivMode
-	// Reduce selects the runtime reduction strategy for every run
-	// (ReduceAuto by default).
-	Reduce ReduceMode
-}
-
-// tableCfg collapses the trailing variadic to one effective config.
-func tableCfg(cfg []TableConfig) TableConfig {
-	if len(cfg) > 0 {
-		return cfg[0]
-	}
-	return TableConfig{}
-}
-
-// apply folds the config's compile-time override into one column's options.
-func (tc TableConfig) apply(o Options) Options {
-	if tc.Priv != nil {
-		o.Privatization = *tc.Priv
-	}
-	return o
-}
-
-// runOpts builds the per-cell run configuration carrying the config's
-// runtime knobs.
-func (tc TableConfig) runOpts(maxSeconds float64) *RunOptions {
-	return &RunOptions{MaxSeconds: maxSeconds, Reduce: tc.Reduce}
-}
-
-// Table1TOMCATV reproduces Table 1: TOMCATV execution time under
-// replication, producer alignment, and selected alignment. maxSeconds
-// bounds each simulated run (0 = unlimited); an optional TableConfig
-// applies to every column (phpfbench -privatize / -reduce).
-func Table1TOMCATV(n, niter int, procs []int, maxSeconds float64, cfg ...TableConfig) ([]Table1Row, error) {
-	src := TOMCATVSource(n, niter)
-	tc := tableCfg(cfg)
-	run := tc.runOpts(maxSeconds)
-	rows := make([]Table1Row, len(procs))
-	var jobs []cellJob
-	for i, p := range procs {
-		rows[i].Procs = p
-		jobs = append(jobs,
-			cellJob{src, p, tc.apply(NaiveOptions()), &rows[i].Replication, run},
-			cellJob{src, p, tc.apply(ProducerOptions()), &rows[i].Producer, run},
-			cellJob{src, p, tc.apply(SelectedOptions()), &rows[i].Selected, run})
-	}
-	if err := runCells(jobs, maxSeconds); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// FormatTable1 renders rows like the paper's Table 1.
-func FormatTable1(n, niter int, rows []Table1Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 1. TOMCATV (n=%d, niter=%d) — execution time (s)\n", n, niter)
-	fmt.Fprintf(&b, "%6s %18s %18s %18s\n", "#Procs", "Replication", "Producer Align", "Selected Align")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %18s %18s %18s\n", r.Procs,
-			r.Replication.String(), r.Producer.String(), r.Selected.String())
-	}
-	return b.String()
-}
-
-// ---------------------------------------------------------------------------
-// Table 2 — DGEFA with and without reduction-variable alignment.
-
-// Table2Row is one processor count's measurements.
-type Table2Row struct {
-	Procs   int
-	Default Cell // reduction variables replicated
-	Aligned Cell // §2.3 mapping
-}
-
-// Table2DGEFA reproduces Table 2. An optional TableConfig applies to both
-// columns (phpfbench -privatize / -reduce).
-func Table2DGEFA(n int, procs []int, maxSeconds float64, cfg ...TableConfig) ([]Table2Row, error) {
-	src := DGEFASource(n)
-	tc := tableCfg(cfg)
-	run := tc.runOpts(maxSeconds)
-	defOpts := SelectedOptions()
-	defOpts.AlignReductions = false
-	rows := make([]Table2Row, len(procs))
-	var jobs []cellJob
-	for i, p := range procs {
-		rows[i].Procs = p
-		jobs = append(jobs,
-			cellJob{src, p, tc.apply(defOpts), &rows[i].Default, run},
-			cellJob{src, p, tc.apply(SelectedOptions()), &rows[i].Aligned, run})
-	}
-	if err := runCells(jobs, maxSeconds); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// FormatTable2 renders rows like the paper's Table 2.
-func FormatTable2(n int, rows []Table2Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2. DGEFA (n=%d, (*,cyclic)) — execution time (s)\n", n)
-	fmt.Fprintf(&b, "%6s %18s %18s\n", "#Procs", "Default", "Alignment")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %18s %18s\n", r.Procs, r.Default.String(), r.Aligned.String())
-	}
-	return b.String()
-}
-
-// ---------------------------------------------------------------------------
-// Table 3 — APPSP under 1-D/2-D distributions with privatization toggles.
-
-// Table3Row is one processor count's measurements.
-type Table3Row struct {
-	Procs         int
-	OneDNoPriv    Cell // 1-D, array privatization disabled
-	OneDPriv      Cell // 1-D, privatization (full)
-	TwoDNoPartial Cell // 2-D, no partial privatization
-	TwoDPartial   Cell // 2-D, partial privatization
-}
-
-// Table3APPSP reproduces Table 3. maxSeconds bounds each run; the no-priv
-// configurations are expected to hit it (the paper aborted them after a
-// day).
-func Table3APPSP(nx, ny, nz, niter int, procs []int, maxSeconds float64, cfg ...TableConfig) ([]Table3Row, error) {
-	src1 := APPSPSource(nx, ny, nz, niter, false)
-	src2 := APPSPSource(nx, ny, nz, niter, true)
-	tc := tableCfg(cfg)
-	run := tc.runOpts(maxSeconds)
-	noPriv := SelectedOptions()
-	noPriv.PrivatizeArrays = false
-	noPartial := SelectedOptions()
-	noPartial.PartialPrivatization = false
-	rows := make([]Table3Row, len(procs))
-	var jobs []cellJob
-	for i, p := range procs {
-		rows[i].Procs = p
-		jobs = append(jobs,
-			cellJob{src1, p, tc.apply(noPriv), &rows[i].OneDNoPriv, run},
-			cellJob{src1, p, tc.apply(SelectedOptions()), &rows[i].OneDPriv, run},
-			cellJob{src2, p, tc.apply(noPartial), &rows[i].TwoDNoPartial, run},
-			cellJob{src2, p, tc.apply(SelectedOptions()), &rows[i].TwoDPartial, run})
-	}
-	if err := runCells(jobs, maxSeconds); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// ---------------------------------------------------------------------------
-// Fault sweep — execution time and retransmissions under message loss.
-
-// FaultSweepRow is one strategy's measurements across the loss rates.
-type FaultSweepRow struct {
-	Strategy string
-	Cells    []Cell // one per loss rate, in the sweep's order
-}
-
-// FaultSweep measures one program under the three scalar-mapping strategies
-// (replication / producer alignment / selected alignment) across a set of
-// message-loss rates, all driven by the same deterministic seed. The zero
-// rate reproduces the fault-free run exactly.
-func FaultSweep(source string, nprocs int, lossRates []float64, seed int64, maxSeconds float64) ([]FaultSweepRow, error) {
-	strategies := []struct {
-		name string
-		opts Options
-	}{
-		{"replication", NaiveOptions()},
-		{"producer", ProducerOptions()},
-		{"selected", SelectedOptions()},
-	}
-	rows := make([]FaultSweepRow, len(strategies))
-	var jobs []cellJob
-	for i, s := range strategies {
-		rows[i].Strategy = s.name
-		rows[i].Cells = make([]Cell, len(lossRates))
-		for k, rate := range lossRates {
-			run := &RunOptions{MaxSeconds: maxSeconds}
-			if rate > 0 {
-				run.Fault = &FaultPlan{Seed: seed, LossRate: rate}
-			}
-			jobs = append(jobs, cellJob{source, nprocs, s.opts, &rows[i].Cells[k], run})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cells[i*n+j], errs[i*n+j] = runCell(source, r.Procs, opts, c.Run)
+			}()
 		}
 	}
-	if err := runCells(jobs, maxSeconds); err != nil {
-		return nil, err
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return rows, nil
+	for i := range t.Rows {
+		t.Rows[i].Cells = cells[i*n : (i+1)*n]
+	}
+	return nil
 }
 
-// FormatFaultSweep renders a fault sweep: strategies down, loss rates across,
-// each cell showing time and retransmission count.
-func FormatFaultSweep(title string, lossRates []float64, rows []FaultSweepRow) string {
+// String renders the table: the title, the column headings, one line per row.
+func (t *Table) String() string {
+	show := t.Show
+	if show == nil {
+		show = Cell.String
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — execution time (s) / retransmits under message loss\n", title)
-	fmt.Fprintf(&b, "%-12s", "strategy")
-	for _, r := range lossRates {
-		fmt.Fprintf(&b, " %16s", fmt.Sprintf("loss=%g", r))
+	fmt.Fprintf(&b, "%s\n%*s", t.Title, t.LabelWidth, t.Corner)
+	for _, c := range t.Cols {
+		fmt.Fprintf(&b, " %*s", t.Width, c.Head)
 	}
 	b.WriteString("\n")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-12s", row.Strategy)
-		for _, c := range row.Cells {
-			cell := fmt.Sprintf("%.4f/%d", c.Seconds, c.Stats.Retransmits)
-			if c.Aborted {
-				cell = "aborted"
-			}
-			fmt.Fprintf(&b, " %16s", cell)
+	for _, r := range t.Rows {
+		fmt.Fprintf(&b, "%*s", t.LabelWidth, r.Label)
+		for _, c := range r.Cells {
+			fmt.Fprintf(&b, " %*s", t.Width, show(c))
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
 }
 
-// FormatTable3 renders rows like the paper's Table 3.
-func FormatTable3(nx, ny, nz, niter int, rows []Table3Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 3. APPSP (%dx%dx%d, niter=%d) — execution time (s)\n", nx, ny, nz, niter)
-	fmt.Fprintf(&b, "%6s %20s %20s %20s %20s\n", "#Procs",
-		"1-D, No Array Priv", "1-D, Priv", "2-D, No Partial", "2-D, Partial")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %20s %20s %20s %20s\n", r.Procs,
-			r.OneDNoPriv.String(), r.OneDPriv.String(),
-			r.TwoDNoPartial.String(), r.TwoDPartial.String())
+// procRows is one row per processor count, labeled with it.
+func procRows(procs []int) []Row {
+	rows := make([]Row, len(procs))
+	for i, p := range procs {
+		rows[i] = Row{Label: strconv.Itoa(p), Procs: p}
 	}
-	return b.String()
+	return rows
 }
 
-// ---------------------------------------------------------------------------
-// Reduce sweep — collective vs privatized commutative updates.
-
-// ReduceSweepRow is one reduce-heavy kernel at one processor count, measured
-// under both runtime reduction strategies on the same compiled program.
-type ReduceSweepRow struct {
-	Program    string
-	Procs      int
-	Collective Cell // every contribution routed to the owner per instance
-	Privatized Cell // local partials, one deterministic tree merge at exit
+// paperTable lays a table out like the paper's: processor counts down.
+func paperTable(title string, width int, procs []int, cols []Column) *Table {
+	return &Table{Title: title + " — execution time (s)", Corner: "#Procs",
+		LabelWidth: 6, Width: width, Cols: cols, Rows: procRows(procs)}
 }
 
-// Speedup is the collective time over the privatized time.
-func (r ReduceSweepRow) Speedup() float64 {
-	if r.Privatized.Seconds == 0 {
-		return 0
+// Table1TOMCATV declares Table 1: TOMCATV execution time under replication,
+// producer alignment, and selected alignment. maxSeconds bounds each
+// simulated run (0 = unlimited).
+func Table1TOMCATV(n, niter int, procs []int, maxSeconds float64) *Table {
+	src, run := TOMCATVSource(n, niter), RunOptions{MaxSeconds: maxSeconds}
+	return paperTable(fmt.Sprintf("Table 1. TOMCATV (n=%d, niter=%d)", n, niter), 18, procs, []Column{
+		{"Replication", src, NaiveOptions(), run},
+		{"Producer Align", src, ProducerOptions(), run},
+		{"Selected Align", src, SelectedOptions(), run},
+	})
+}
+
+// Table2DGEFA declares Table 2: DGEFA with the reduction variables
+// replicated ("Default") and under the §2.3 mapping ("Alignment").
+func Table2DGEFA(n int, procs []int, maxSeconds float64) *Table {
+	src, run := DGEFASource(n), RunOptions{MaxSeconds: maxSeconds}
+	defOpts := SelectedOptions()
+	defOpts.AlignReductions = false
+	return paperTable(fmt.Sprintf("Table 2. DGEFA (n=%d, (*,cyclic))", n), 18, procs, []Column{
+		{"Default", src, defOpts, run},
+		{"Alignment", src, SelectedOptions(), run},
+	})
+}
+
+// Table3APPSP declares Table 3: APPSP under the 1-D distribution without and
+// with (full) array privatization, and under the 2-D distribution without
+// and with partial privatization. The no-privatization columns are expected
+// to hit maxSeconds (the paper aborted them after a day).
+func Table3APPSP(nx, ny, nz, niter int, procs []int, maxSeconds float64) *Table {
+	src1, src2 := APPSPSource(nx, ny, nz, niter, false), APPSPSource(nx, ny, nz, niter, true)
+	run := RunOptions{MaxSeconds: maxSeconds}
+	noPriv := SelectedOptions()
+	noPriv.PrivatizeArrays = false
+	noPartial := SelectedOptions()
+	noPartial.PartialPrivatization = false
+	return paperTable(fmt.Sprintf("Table 3. APPSP (%dx%dx%d, niter=%d)", nx, ny, nz, niter), 20, procs, []Column{
+		{"1-D, No Array Priv", src1, noPriv, run},
+		{"1-D, Priv", src1, SelectedOptions(), run},
+		{"2-D, No Partial", src2, noPartial, run},
+		{"2-D, Partial", src2, SelectedOptions(), run},
+	})
+}
+
+// FaultSweep declares the fault sweep of one program: the three mapping
+// strategies down, a set of message-loss rates across, all driven by the
+// same deterministic seed, each cell showing time and retransmission count.
+// The zero rate reproduces the fault-free run exactly.
+func FaultSweep(title, source string, nprocs int, lossRates []float64, seed int64, maxSeconds float64) *Table {
+	t := &Table{Title: title + " — execution time (s) / retransmits under message loss",
+		Corner: "strategy", LabelWidth: -12, Width: 16,
+		Show: func(c Cell) string {
+			if c.Aborted {
+				return "aborted"
+			}
+			return fmt.Sprintf("%.4f/%d", c.Seconds, c.Stats.Retransmits)
+		}}
+	for _, rate := range lossRates {
+		run := RunOptions{MaxSeconds: maxSeconds}
+		if rate > 0 {
+			run.Fault = &FaultPlan{Seed: seed, LossRate: rate}
+		}
+		t.Cols = append(t.Cols, Column{Head: fmt.Sprintf("loss=%g", rate), Source: source, Run: run})
 	}
-	return r.Collective.Seconds / r.Privatized.Seconds
+	for _, s := range Strategies() {
+		t.Rows = append(t.Rows, Row{Label: s.Name, Procs: nprocs, Opts: &s.Opts})
+	}
+	return t
 }
 
-// ReduceSweep measures every program under ReduceCollective and
-// ReducePrivatize at every processor count: the O(iterations) per-instance
-// collectives of the owner-computes reference against the O(log P) merge
-// hops of the privatized runtime. maxSeconds bounds each run (0 =
-// unlimited). phpfbench -reduce-sweep prints it.
-func ReduceSweep(progs []DiffProgram, procs []int, maxSeconds float64) ([]ReduceSweepRow, error) {
-	rows := make([]ReduceSweepRow, len(progs)*len(procs))
-	var jobs []cellJob
-	for i, p := range progs {
-		for k, np := range procs {
-			r := &rows[i*len(procs)+k]
-			r.Program, r.Procs = p.Name, np
-			jobs = append(jobs,
-				cellJob{p.Source, np, SelectedOptions(), &r.Collective,
-					&RunOptions{MaxSeconds: maxSeconds, Reduce: ReduceCollective}},
-				cellJob{p.Source, np, SelectedOptions(), &r.Privatized,
-					&RunOptions{MaxSeconds: maxSeconds, Reduce: ReducePrivatize}})
+// ReduceSweep declares the reduce sweep: every program at every processor
+// count under ReduceCollective and ReducePrivatize — the O(iterations)
+// per-instance collectives of the owner-computes reference against the
+// O(log P) merge hops of the privatized runtime. FormatReduceSweep renders
+// it; phpfbench -reduce-sweep prints it.
+func ReduceSweep(progs []DiffProgram, procs []int, maxSeconds float64) *Table {
+	t := &Table{Cols: []Column{
+		{Head: "collective", Opts: SelectedOptions(), Run: RunOptions{MaxSeconds: maxSeconds, Reduce: ReduceCollective}},
+		{Head: "privatized", Opts: SelectedOptions(), Run: RunOptions{MaxSeconds: maxSeconds, Reduce: ReducePrivatize}},
+	}}
+	for _, p := range progs {
+		for _, np := range procs {
+			t.Rows = append(t.Rows, Row{Label: p.Name, Procs: np, Source: p.Source})
 		}
 	}
-	if err := runCells(jobs, maxSeconds); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return t
 }
 
-// FormatReduceSweep renders the reduce sweep: per kernel and processor
+// FormatReduceSweep renders a run reduce sweep: per kernel and processor
 // count, the simulated time and modeled message count of each strategy, the
-// privatized runtime's tree merges, and the speedup.
-func FormatReduceSweep(rows []ReduceSweepRow) string {
+// privatized runtime's tree merges, and the speedup (collective time over
+// privatized time).
+func FormatReduceSweep(t *Table) string {
 	var b strings.Builder
 	b.WriteString("Reduce sweep — collective vs privatized commutative updates (simulated time)\n")
 	fmt.Fprintf(&b, "%-28s %6s %14s %9s %14s %9s %7s %8s\n",
 		"program", "#Procs", "collective(s)", "msgs", "privatized(s)", "msgs", "merges", "speedup")
-	for _, r := range rows {
+	for _, r := range t.Rows {
+		coll, priv := r.Cells[0], r.Cells[1]
+		speedup := 0.0
+		if priv.Seconds != 0 {
+			speedup = coll.Seconds / priv.Seconds
+		}
 		fmt.Fprintf(&b, "%-28s %6d %14s %9d %14s %9d %7d %7.1fx\n",
-			r.Program, r.Procs,
-			r.Collective.String(), r.Collective.Stats.Messages,
-			r.Privatized.String(), r.Privatized.Stats.Messages,
-			r.Privatized.Stats.Merges, r.Speedup())
+			r.Label, r.Procs, coll.String(), coll.Stats.Messages,
+			priv.String(), priv.Stats.Messages, priv.Stats.Merges, speedup)
 	}
 	return b.String()
 }
 
 // ---------------------------------------------------------------------------
-// Differential oracle sweep — concurrent executor vs sequential simulator.
+// Sweeps over program × strategy × processor count with their own per-point
+// measurement: the differential oracle, the chaos plans, the trace matrices.
 
-// DiffProgram names one source program for a differential sweep.
+// DiffProgram names one source program for a sweep.
 type DiffProgram struct {
 	Name   string
 	Source string
 }
 
-// DiffSweepRow is one differential-oracle verdict: a program compiled under
-// one mapping strategy for one processor count, executed by both backends.
-type DiffSweepRow struct {
+// SweepPoint identifies one point of such a sweep: a program compiled under
+// one mapping strategy for one processor count.
+type SweepPoint struct {
 	Program  string
 	Strategy string
 	Procs    int
-	// TrafficMessages counts the concurrent backend's real channel messages.
-	TrafficMessages int64
-	// Mismatches is empty when the backends agreed bit-for-bit.
-	Mismatches []string
 }
 
-// Match reports whether the backends agreed.
-func (r DiffSweepRow) Match() bool { return len(r.Mismatches) == 0 }
+// eachPoint compiles every program under every strategy for every processor
+// count, in that order, and hands the result to f; the first error ends the
+// sweep, wrapped in the point's name.
+func eachPoint(progs []DiffProgram, strats []Strategy, procs []int, f func(SweepPoint, *Compiled) error) error {
+	for _, p := range progs {
+		for _, s := range strats {
+			for _, np := range procs {
+				c, err := Compile(p.Source, np, s.Opts)
+				if err == nil {
+					err = f(SweepPoint{p.Name, s.Name, np}, c)
+				}
+				if err != nil {
+					return fmt.Errorf("%s/%s/p%d: %w", p.Name, s.Name, np, err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// OracleRow is one differential-oracle verdict of a sweep: the point, both
+// backends' reports of it and the mismatches between them (Match reports
+// whether they agreed bit-for-bit). In the chaos sweep the run is under the
+// seeded fault plan named Plan, and CleanSeconds is the fault-free simulated
+// time the plan's crash time and checkpoint interval scale with.
+type OracleRow struct {
+	SweepPoint
+	Plan         string
+	CleanSeconds float64
+	*DiffReport
+}
+
+// verdictOnly drops the final arrays from a differential report: a sweep
+// keeps every point's verdict and counters, not its memory images.
+func verdictOnly(rep *DiffReport) *DiffReport {
+	rep.Sim.Arrays, rep.Exec.Arrays = nil, nil
+	return rep
+}
 
 // DiffSweep runs the differential oracle over every program, every mapping
 // strategy of Table 1, and every processor count: the concurrent executor's
 // numeric results and communication statistics must equal the sequential
 // simulator's. The rows report each configuration's verdict; an error means
 // a backend failed to run at all.
-func DiffSweep(ctx context.Context, progs []DiffProgram, procs []int) ([]DiffSweepRow, error) {
-	strategies := []struct {
-		name string
-		opts Options
-	}{
-		{"naive", NaiveOptions()},
-		{"producer", ProducerOptions()},
-		{"selected", SelectedOptions()},
-	}
-	var rows []DiffSweepRow
-	for _, p := range progs {
-		for _, s := range strategies {
-			for _, np := range procs {
-				c, err := Compile(p.Source, np, s.opts)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s/p%d: %w", p.Name, s.name, np, err)
-				}
-				rep, err := c.Diff(ctx, RunOptions{})
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s/p%d: %w", p.Name, s.name, np, err)
-				}
-				rows = append(rows, DiffSweepRow{
-					Program:         p.Name,
-					Strategy:        s.name,
-					Procs:           np,
-					TrafficMessages: rep.Exec.TrafficMessages,
-					Mismatches:      rep.Mismatches,
-				})
-			}
+func DiffSweep(ctx context.Context, progs []DiffProgram, procs []int) ([]OracleRow, error) {
+	var rows []OracleRow
+	err := eachPoint(progs, Strategies(), procs, func(pt SweepPoint, c *Compiled) error {
+		rep, err := c.Diff(ctx, RunOptions{})
+		if err == nil {
+			rows = append(rows, OracleRow{SweepPoint: pt, DiffReport: verdictOnly(rep)})
 		}
-	}
-	return rows, nil
+		return err
+	})
+	return rows, err
 }
 
-// ---------------------------------------------------------------------------
-// Chaos sweep — both backends under the same seeded physical faults.
+// FormatDiffSweep renders the sweep as a verdict matrix.
+func FormatDiffSweep(rows []OracleRow) string {
+	var b strings.Builder
+	b.WriteString("Differential oracle — concurrent executor vs sequential simulator\n")
+	fmt.Fprintf(&b, "%-28s %-10s %6s %10s  verdict\n", "program", "strategy", "procs", "traffic")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-28s %-10s %6d %10d  %s\n",
+			r.Program, r.Strategy, r.Procs, r.Exec.TrafficMessages, r.verdict())
+	}
+	return b.String()
+}
+
+// verdict is the row's last column: "match", or the mismatch count followed
+// by one indented line per mismatch.
+func (r OracleRow) verdict() string {
+	if r.Match() {
+		return "match"
+	}
+	return fmt.Sprintf("MISMATCH (%d)\n    %s", len(r.Mismatches), strings.Join(r.Mismatches, "\n    "))
+}
 
 // ChaosPlan names one seeded fault scenario for the chaos sweep. Crash times
 // and the checkpoint interval are given as fractions of the program's clean
@@ -481,48 +387,19 @@ func DefaultChaosPlans() []ChaosPlan {
 	}
 }
 
-// ChaosSweepRow is one program under one seeded fault plan, executed by both
-// backends through the differential oracle.
-type ChaosSweepRow struct {
-	Program string
-	Plan    string
-	Procs   int
-	// CleanSeconds is the fault-free simulated time; Seconds the simulated
-	// time under the plan (both backends agreed on it when Match is true).
-	CleanSeconds float64
-	Seconds      float64
-	// Overhead is Seconds/CleanSeconds - 1: the modeled cost of the faults
-	// plus the recovery protocol.
-	Overhead float64
-	// Restarts counts coordinated checkpoint restorations; the Wire fields
-	// count the physical faults the concurrent backend actually injected.
-	Restarts        int64
-	Checkpoints     int64
-	WireDrops       int64
-	WireDuplicates  int64
-	WireRetransmits int64
-	// Mismatches is empty when the backends agreed bit-for-bit.
-	Mismatches []string
-}
-
-// Match reports whether the backends agreed.
-func (r ChaosSweepRow) Match() bool { return len(r.Mismatches) == 0 }
-
-// ChaosSweep measures every program under every chaos plan: a clean
-// simulator run fixes the time scale, then the differential oracle executes
-// the seeded plan on both backends — real dropped transmissions,
-// retransmit/backoff, and checkpoint/restart on the concurrent side — and
-// demands bitwise agreement on results, statistics, and fault-event counts.
-func ChaosSweep(ctx context.Context, progs []DiffProgram, nprocs int, plans []ChaosPlan) ([]ChaosSweepRow, error) {
-	var rows []ChaosSweepRow
-	for _, p := range progs {
-		c, err := Compile(p.Source, nprocs, SelectedOptions())
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
+// ChaosSweep measures every program (under selected alignment) under every
+// chaos plan: a clean simulator run fixes the time scale, then the
+// differential oracle executes the seeded plan on both backends — real
+// dropped transmissions, retransmit/backoff, and checkpoint/restart on the
+// concurrent side — and demands bitwise agreement on results, statistics,
+// and fault-event counts.
+func ChaosSweep(ctx context.Context, progs []DiffProgram, nprocs int, plans []ChaosPlan) ([]OracleRow, error) {
+	var rows []OracleRow
+	selected := []Strategy{{"selected", SelectedOptions()}}
+	err := eachPoint(progs, selected, []int{nprocs}, func(pt SweepPoint, c *Compiled) error {
 		clean, err := c.Execute(ctx, Simulator(), RunOptions{})
 		if err != nil {
-			return nil, fmt.Errorf("%s: clean run: %w", p.Name, err)
+			return fmt.Errorf("clean run: %w", err)
 		}
 		for _, plan := range plans {
 			opts := RunOptions{CheckpointInterval: plan.CheckpointFrac * clean.Time}
@@ -535,62 +412,39 @@ func ChaosSweep(ctx context.Context, progs []DiffProgram, nprocs int, plans []Ch
 			}
 			rep, err := c.Diff(ctx, opts)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", p.Name, plan.Name, err)
+				return fmt.Errorf("%s: %w", plan.Name, err)
 			}
-			rows = append(rows, ChaosSweepRow{
-				Program:         p.Name,
-				Plan:            plan.Name,
-				Procs:           nprocs,
-				CleanSeconds:    clean.Time,
-				Seconds:         rep.Sim.Time,
-				Overhead:        rep.Sim.Time/clean.Time - 1,
-				Restarts:        rep.Exec.Restarts,
-				Checkpoints:     rep.Sim.Stats.Checkpoints,
-				WireDrops:       rep.Exec.WireDrops,
-				WireDuplicates:  rep.Exec.WireDuplicates,
-				WireRetransmits: rep.Exec.WireRetransmits,
-				Mismatches:      rep.Mismatches,
-			})
+			rows = append(rows, OracleRow{pt, plan.Name, clean.Time, verdictOnly(rep)})
 		}
-	}
-	return rows, nil
+		return nil
+	})
+	return rows, err
 }
 
 // FormatChaosSweep renders the chaos sweep: per program and plan, the
-// modeled recovery overhead next to the physical fault activity, with the
-// oracle's verdict on each row.
-func FormatChaosSweep(rows []ChaosSweepRow) string {
+// modeled recovery overhead (faulted over clean simulated time, less one)
+// next to the physical fault activity — coordinated restarts, checkpoints,
+// dropped and retransmitted transmissions — with the oracle's verdict on
+// each row.
+func FormatChaosSweep(rows []OracleRow) string {
 	var b strings.Builder
 	b.WriteString("Chaos sweep — seeded faults on both backends (oracle-checked)\n")
 	fmt.Fprintf(&b, "%-24s %-11s %10s %10s %9s %8s %6s %6s %7s  verdict\n",
 		"program", "plan", "clean(s)", "faulted(s)", "overhead", "restarts", "ckpts", "drops", "retrans")
 	for _, r := range rows {
-		verdict := "match"
-		if !r.Match() {
-			verdict = fmt.Sprintf("MISMATCH (%d)", len(r.Mismatches))
-		}
 		fmt.Fprintf(&b, "%-24s %-11s %10.6f %10.6f %8.1f%% %8d %6d %6d %7d  %s\n",
-			r.Program, r.Plan, r.CleanSeconds, r.Seconds, 100*r.Overhead,
-			r.Restarts, r.Checkpoints, r.WireDrops, r.WireRetransmits, verdict)
-		for _, m := range r.Mismatches {
-			fmt.Fprintf(&b, "    %s\n", m)
-		}
+			r.Program, r.Plan, r.CleanSeconds, r.Sim.Time, 100*(r.Sim.Time/r.CleanSeconds-1),
+			r.Exec.Restarts, r.Sim.Stats.Checkpoints, r.Exec.WireDrops, r.Exec.WireRetransmits, r.verdict())
 	}
 	return b.String()
 }
 
-// ---------------------------------------------------------------------------
-// Trace sweep — the communication matrix of every sweep point.
-
-// TracePoint is one traced sweep point: a program compiled under one mapping
-// strategy for one processor count, simulated with event tracing on.
+// TracePoint is one traced sweep point: its simulated time and statistics,
+// and the exact derived metrics of the traced run — the P×P communication
+// matrix, per-class totals, per-statement histograms.
 type TracePoint struct {
-	Program  string
-	Strategy string
-	Procs    int
-	Cell     Cell
-	// Trace carries the exact derived metrics of the run — the P×P
-	// communication matrix, per-class totals, per-statement histograms.
+	SweepPoint
+	Cell  Cell
 	Trace *TraceRecorder
 }
 
@@ -598,40 +452,15 @@ type TracePoint struct {
 // at every processor count, with runtime tracing enabled, and returns one
 // traced point per configuration. maxSeconds bounds each run (0 = unlimited).
 func TraceSweep(ctx context.Context, progs []DiffProgram, procs []int, maxSeconds float64) ([]TracePoint, error) {
-	strategies := []struct {
-		name string
-		opts Options
-	}{
-		{"naive", NaiveOptions()},
-		{"producer", ProducerOptions()},
-		{"selected", SelectedOptions()},
-	}
 	var points []TracePoint
-	for _, p := range progs {
-		for _, s := range strategies {
-			for _, np := range procs {
-				c, err := Compile(p.Source, np, s.opts)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s/p%d: %w", p.Name, s.name, np, err)
-				}
-				rep, err := c.Execute(ctx, Simulator(), RunOptions{
-					MaxSeconds: maxSeconds,
-					Trace:      &TraceOptions{},
-				})
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s/p%d: %w", p.Name, s.name, np, err)
-				}
-				points = append(points, TracePoint{
-					Program:  p.Name,
-					Strategy: s.name,
-					Procs:    np,
-					Cell:     Cell{Seconds: rep.Time, Aborted: rep.Aborted, Stats: rep.Stats},
-					Trace:    rep.Trace,
-				})
-			}
+	err := eachPoint(progs, Strategies(), procs, func(pt SweepPoint, c *Compiled) error {
+		rep, err := c.Execute(ctx, Simulator(), RunOptions{MaxSeconds: maxSeconds, Trace: &TraceOptions{}})
+		if err == nil {
+			points = append(points, TracePoint{pt, cellOf(rep), rep.Trace})
 		}
-	}
-	return points, nil
+		return err
+	})
+	return points, err
 }
 
 // FormatTraceSweep renders each sweep point's communication matrix (rows =
@@ -645,25 +474,6 @@ func FormatTraceSweep(points []TracePoint) string {
 		fmt.Fprintf(&b, "\n%s / %s / p=%d — time %s, %d msgs, %d bytes\n",
 			pt.Program, pt.Strategy, pt.Procs, pt.Cell.String(), t.Msgs, t.Bytes)
 		b.WriteString(m.String())
-	}
-	return b.String()
-}
-
-// FormatDiffSweep renders the sweep as a verdict matrix.
-func FormatDiffSweep(rows []DiffSweepRow) string {
-	var b strings.Builder
-	b.WriteString("Differential oracle — concurrent executor vs sequential simulator\n")
-	fmt.Fprintf(&b, "%-28s %-10s %6s %10s  verdict\n", "program", "strategy", "procs", "traffic")
-	for _, r := range rows {
-		verdict := "match"
-		if !r.Match() {
-			verdict = fmt.Sprintf("MISMATCH (%d)", len(r.Mismatches))
-		}
-		fmt.Fprintf(&b, "%-28s %-10s %6d %10d  %s\n",
-			r.Program, r.Strategy, r.Procs, r.TrafficMessages, verdict)
-		for _, m := range r.Mismatches {
-			fmt.Fprintf(&b, "    %s\n", m)
-		}
 	}
 	return b.String()
 }
