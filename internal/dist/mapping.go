@@ -60,6 +60,67 @@ func (a AxisMap) OwnerDim(idx int64, nproc int) int {
 	return 0
 }
 
+// OwnerRun returns how many consecutive terms of the progression idx,
+// idx+delta, idx+2·delta, … are owned by the coordinate OwnerDim(idx, nproc)
+// before the first that is not, capped at limit (≥ 1): the closed form that
+// lets a loop whose subscript advances by delta per iteration ask "who owns
+// this?" once per run of iterations instead of once per iteration. It is
+// OwnerDim's inverse image, clamps and Offset included — under BLOCK the
+// block around the position (the first reaching down, the last up, without
+// end), under CYCLIC the single position (everything at and below the first)
+// — walked in steps of delta. The progression must stay within int64.
+func (a AxisMap) OwnerRun(idx, delta, limit int64, nproc int) int64 {
+	if delta == 0 || nproc <= 1 || limit <= 1 {
+		return limit
+	}
+	t := idx + a.Offset - 1 // 0-based template position, as in OwnerDim
+	n := limit
+	switch a.Kind {
+	case ast.DistBlock:
+		c := int64(a.OwnerDim(idx, nproc))
+		switch {
+		case delta > 0 && c < int64(nproc)-1:
+			n = ((c+1)*a.Block-1-t)/delta + 1
+		case delta < 0 && c > 0:
+			n = (t-c*a.Block)/-delta + 1
+		}
+	case ast.DistCyclic:
+		// Positions at and below 0 all clamp to coordinate 0; above, two
+		// positions share a coordinate exactly when they differ by a
+		// multiple of nproc.
+		p := int64(nproc)
+		switch {
+		case delta > 0 && t < 0:
+			// The clamped prefix, then whatever follows if it lands on
+			// coordinate 0 again.
+			n = (-t + delta - 1) / delta
+			if first := t + n*delta; first%p == 0 {
+				if delta%p == 0 {
+					n = limit
+				} else {
+					n++
+				}
+			}
+		case delta > 0: // t >= 0
+			if delta%p != 0 {
+				n = 1
+			}
+		case t <= 0: // delta < 0: clamped from here on
+		case delta%p == 0:
+			// The same coordinate down to the last position at or above 0,
+			// and on through the clamped tail when that coordinate is 0.
+			if t%p != 0 {
+				n = t/-delta + 1
+			}
+		case t%p == 0 && t+delta <= 0:
+			// Coordinate 0 stepping straight into the clamped tail.
+		default:
+			n = 1
+		}
+	}
+	return min(n, limit)
+}
+
 // LocalCount returns how many indices of [1..Extent] map to coordinate c.
 func (a AxisMap) LocalCount(c, nproc int) int64 {
 	switch a.Kind {

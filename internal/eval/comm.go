@@ -34,13 +34,27 @@ type InstanceOp struct {
 	Bytes int64
 }
 
-// InstanceOp resolves one per-instance requirement at the current indices.
+// instEntry is one row of the set table (see State.insts).
+type instEntry struct {
+	op    InstanceOp
+	stamp uint64
+}
+
+// InstanceOp resolves one per-instance requirement at the current indices —
+// inside an owner run once, then from the set table. (A single statement
+// instance asks once, so there the table would only cost its upkeep.)
 func (s *State) InstanceOp(req *comm.Requirement, sp *spmd.StmtPlan, elemBytes int64) (InstanceOp, error) {
+	rc := &s.lowered().reqs[req.ID]
+	kept := s.run != 0 && s.run == rc.runs
+	if kept {
+		if e := &s.insts[req.ID]; e.stamp == s.stamp && (e.op.Bytes == elemBytes || e.op.Skip) {
+			return e.op, nil
+		}
+	}
 	dst, err := s.ExecSet(sp)
 	if err != nil {
 		return InstanceOp{}, err
 	}
-	rc := &s.lowered().reqs[req.ID]
 	var src dist.ProcSet
 	if rc.srcOwner != nil {
 		// Evaluate under the dynamic (possibly redistributed) mapping.
@@ -51,12 +65,21 @@ func (s *State) InstanceOp(req *comm.Requirement, sp *spmd.StmtPlan, elemBytes i
 	} else {
 		src = rc.srcPat.eval(s)
 	}
+	// (Each result is built twice, for the table and for the caller, rather
+	// than once in a local: copying a just-written struct out of a local
+	// stalls on every instance of the general walk.)
 	if src.CoversSet(dst) {
+		if kept {
+			s.insts[req.ID] = instEntry{InstanceOp{Skip: true}, s.stamp}
+		}
 		return InstanceOp{Skip: true}, nil
 	}
 	from, single := src.IsSingle()
 	if !single {
 		from = src.First()
+	}
+	if kept {
+		s.insts[req.ID] = instEntry{InstanceOp{From: from, Dst: dst, Bytes: elemBytes}, s.stamp}
 	}
 	return InstanceOp{From: from, Dst: dst, Bytes: elemBytes}, nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"phpf/internal/core"
 	"phpf/internal/eval"
+	"phpf/internal/machine"
 	"phpf/internal/parser"
 	"phpf/internal/programs"
 	"phpf/internal/sim"
@@ -71,38 +72,99 @@ func scalarImage(m map[string]float64) map[string][]float64 {
 	return out
 }
 
-// diffOne runs one compiled program through both interpreters.
+// diffOne runs one compiled program through both interpreters: the oracle
+// against internal/sim, and against the production walk underneath it
+// (LoweredSimulate), which also hands out what internal/sim does not — every
+// processor's clock, the count of statement instances begun, and the state a
+// failed run leaves. Where the program fails, both must fail with the same
+// text at the same statement instance, having charged the machine the same
+// and leaving the same memory behind.
 func diffOne(t *testing.T, p *spmd.Program, reduce core.ReduceMode) {
 	t.Helper()
 	want, werr := eval.OracleSimulate(p, reduce)
 	got, gerr := sim.Run(p, sim.Config{Reduce: reduce})
-	if werr != nil || gerr != nil {
-		if werr == nil || gerr == nil || gerr.Error() != "sim: "+werr.Error() {
-			t.Errorf("lowered run: %v\noracle run:  %v", gerr, werr)
-		}
+	walk, lerr := eval.LoweredSimulate(p, reduce)
+	if (werr == nil) != (gerr == nil) || werr != nil && gerr.Error() != "sim: "+werr.Error() {
+		t.Errorf("lowered run: %v\noracle run:  %v", gerr, werr)
 		return
 	}
-	if got.Time != want.Time {
-		t.Errorf("simulated time %v, oracle %v", got.Time, want.Time)
+	if (werr == nil) != (lerr == nil) || werr != nil && lerr.Error() != werr.Error() {
+		t.Errorf("production walk: %v\noracle run:      %v", lerr, werr)
+		return
 	}
-	if got.Stats != want.Stats {
-		t.Errorf("stats %+v\noracle %+v", got.Stats, want.Stats)
+	if walk.Instances != want.Instances {
+		t.Errorf("%d statement instances begun, oracle %d", walk.Instances, want.Instances)
 	}
-	sameBits(t, "arrays", got.Arrays, want.Arrays)
-	sameBits(t, "scalars", scalarImage(got.Scalars), scalarImage(want.Scalars))
+	for p, c := range want.Clocks {
+		if walk.Clocks[p] != c {
+			t.Errorf("clock of processor %d at %v, oracle %v", p, walk.Clocks[p], c)
+		}
+	}
+	sameState(t, walk.Time, walk.Stats, walk.Arrays, walk.Scalars, want)
+	if gerr == nil {
+		sameState(t, got.Time, got.Stats, got.Arrays, got.Scalars, want)
+	}
 }
 
+func sameState(t *testing.T, time float64, stats machine.Stats, arrays map[string][]float64,
+	scalars map[string]float64, want *eval.OracleResult) {
+	t.Helper()
+	if time != want.Time {
+		t.Errorf("simulated time %v, oracle %v", time, want.Time)
+	}
+	if stats != want.Stats {
+		t.Errorf("stats %+v\noracle %+v", stats, want.Stats)
+	}
+	sameBits(t, "arrays", arrays, want.Arrays)
+	sameBits(t, "scalars", scalarImage(scalars), scalarImage(want.Scalars))
+}
+
+// blockRuns is the throughput kernel with an alignment offset and a shifted
+// read: under BLOCK the owner runs of its three statements end at different
+// iterations, mid-loop whenever P does not divide n.
+const blockRuns = `
+program t
+parameter n = 37
+real a(n), bb(n), c(n)
+integer i, it
+!hpf$ distribute (block) :: a
+!hpf$ align bb(i) with a(i)
+!hpf$ align c(i) with a(i+2)
+do i = 1, n
+  bb(i) = i * 0.25
+  c(i) = 0.0
+end do
+do it = 1, 2
+  do i = 2, n - 2
+    a(i) = bb(i) * 0.5 + bb(i-1)
+    c(i) = a(i) + c(i)
+    bb(i+1) = c(i) - 1.0
+  end do
+  do i = n - 3, 1, -2
+    bb(i) = a(i+1) + c(i+2)
+  end do
+end do
+end
+`
+
 // TestLoweredMatchesOracle: every figure and kernel under every strategy at
-// P in {1,4,8,16}, under both reduction modes a run can select.
+// P in {1,3,4,5,6,7,8,16} — processor counts that divide the extents and ones
+// that leave short last blocks, block boundaries in mid-loop and uneven 2-D
+// grids — under both reduction modes a run can select.
 func TestLoweredMatchesOracle(t *testing.T) {
 	sources := map[string]string{
-		"tomcatv":   programs.TOMCATV(10, 2),
-		"dgefa":     programs.DGEFA(12),
-		"appsp1d":   programs.APPSP(4, 4, 4, 1, false),
-		"appsp2d":   programs.APPSP(4, 4, 4, 1, true),
-		"smooth":    programs.Smooth(24, 2),
-		"histogram": programs.Histogram(96, 16, 2),
-		"dotsweep":  programs.DotSweep(16, 12),
+		"tomcatv":    programs.TOMCATV(10, 2),
+		"tomcatv11":  programs.TOMCATV(11, 1),
+		"dgefa":      programs.DGEFA(12),
+		"dgefa13":    programs.DGEFA(13),
+		"appsp1d":    programs.APPSP(4, 4, 4, 1, false),
+		"appsp2d":    programs.APPSP(4, 4, 4, 1, true),
+		"appsp2d567": programs.APPSP(5, 6, 7, 1, true),
+		"smooth":     programs.Smooth(24, 2),
+		"histogram":  programs.Histogram(96, 16, 2),
+		"dotsweep":   programs.DotSweep(16, 12),
+		"blockruns":  blockRuns,
+		"cyclicruns": strings.Replace(blockRuns, "(block)", "(cyclic)", 1),
 	}
 	for name, src := range programs.Figures {
 		sources[name] = src
@@ -114,7 +176,7 @@ func TestLoweredMatchesOracle(t *testing.T) {
 	sort.Strings(names)
 	for _, name := range names {
 		for sname, opts := range strategies() {
-			for _, nprocs := range []int{1, 4, 8, 16} {
+			for _, nprocs := range []int{1, 3, 4, 5, 6, 7, 8, 16} {
 				for _, reduce := range []core.ReduceMode{core.ReduceAuto, core.ReduceCollective} {
 					t.Run(fmt.Sprintf("%s/%s/P=%d/%s", name, sname, nprocs, reduce), func(t *testing.T) {
 						diffOne(t, compileOpts(t, sources[name], nprocs, opts), reduce)
@@ -290,9 +352,124 @@ do i = n, 1, -3
 end do
 end
 `, ""},
+		{"negative-step-run", `
+program t
+parameter n = 19
+real a(n), b(n)
+integer i
+!hpf$ distribute (block) :: a
+!hpf$ align b(i) with a(i)
+do i = 1, n
+  b(i) = i
+end do
+do i = n, 2, -1
+  a(i) = b(i) * 2.0 + b(i-1)
+  b(i-1) = a(i) - 1.0
+end do
+end
+`, ""},
+		{"zero-trip-run", `
+program t
+parameter n = 8
+real a(n)
+integer i, it
+!hpf$ distribute (block) :: a
+do it = 1, 2
+  do i = 5, 4
+    a(i+100) = 1.0
+  end do
+  do i = 4, 5, -1
+    a(i+100) = 1.0
+  end do
+  a(it) = it
+end do
+end
+`, ""},
+		{"redistribute-between-entries", `
+program t
+parameter n = 18
+real a(n), b(n)
+integer i, it
+!hpf$ distribute (block) :: a
+!hpf$ align b(i) with a(i)
+do i = 1, n
+  a(i) = i
+  b(i) = 1.0
+end do
+do it = 1, 3
+  do i = 2, n
+    a(i) = a(i) + b(i-1)
+    b(i) = a(i) * 0.5
+  end do
+!hpf$ redistribute a(cyclic)
+end do
+end
+`, ""},
+		{"non-affine-collapsed-dimension", `
+program t
+parameter n = 12
+real a(n,4), b(n)
+integer i, k
+!hpf$ distribute (block,*) :: a
+!hpf$ align b(i) with a(i,1)
+k = 3
+do i = 1, n
+  a(i, mod(i, 4) + 1) = i
+  b(i) = a(i, k) + a(i, mod(i*i, 4) + 1)
+end do
+end
+`, ""},
+		{"non-affine-collapsed-out-of-range", `
+program t
+parameter n = 12
+real a(n,4), x
+integer i
+!hpf$ distribute (block,*) :: a
+x = 4.0
+do i = 1, n
+  a(i, 2) = i
+  a(i, max(i - 2, 0) * x * 4503599627370496 + 1) = 1.0
+end do
+end
+`, "exceeds 2^53"},
+	}
+	for _, at := range []struct {
+		where  string
+		extent int // b(i+4) leaves b at i = extent-3
+	}{{"first", 8}, {"middle", 10}, {"last", 11}} {
+		// Under BLOCK on 4 processors a's owner runs are i = 1-4, 5-8, 9-12,
+		// 13-16: the access fails at the first, a middle and the last
+		// iteration of the second, after the statements before it — and the
+		// iterations before that — have left their stores behind.
+		for _, acc := range []struct{ kind, stmt, msg string }{
+			{"read", "x = b(i+4)", "b subscript 1 out of bounds: %d (extent %d)"},
+			{"store", "b(i+4) = a(i)", "line 13: b subscript 1 out of bounds: %d (extent %d)"},
+		} {
+			cases = append(cases, struct{ name, src, wantErr string }{
+				fmt.Sprintf("%s-out-of-bounds-at-%s-of-run", acc.kind, at.where),
+				fmt.Sprintf(`
+program t
+parameter n = 16
+real a(n), b(%d), c(n), x
+integer i
+!hpf$ distribute (block) :: a
+!hpf$ align c(i) with a(i)
+do i = 1, n
+  c(i) = 0.0
+end do
+do i = 1, n
+  a(i) = i * 2.0
+  %s
+  c(i) = a(i) + 1.0
+end do
+end
+`, at.extent, acc.stmt),
+				fmt.Sprintf(acc.msg, at.extent+1, at.extent),
+			})
+		}
 	}
 	for _, tc := range cases {
-		for _, nprocs := range []int{1, 4} {
+		for _, nprocs := range []int{1, 3, 4} {
 			t.Run(fmt.Sprintf("%s/P=%d", tc.name, nprocs), func(t *testing.T) {
 				p := compileOpts(t, tc.src, nprocs, core.DefaultOptions())
 				diffOne(t, p, core.ReduceAuto)

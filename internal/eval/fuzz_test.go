@@ -77,7 +77,22 @@ func (c *setChecker) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
 	if errText(gerr) != errText(werr) || (gerr == nil && !got.Equal(want)) {
 		c.note("s%d: ExecSet %v (%v), oracle %v (%v)", st.ID, got, gerr, want, werr)
 	}
-	return gerr
+	if gerr != nil {
+		return gerr
+	}
+	// Any reference may be asked about, also one no owner run holds constant
+	// (an operand that is local, or moved by a hoisted transfer).
+	for _, ref := range st.Refs {
+		if !ref.Var.IsArray() {
+			continue
+		}
+		got, gerr := c.s.OwnerSet(ref)
+		want, werr := c.o.OwnerSet(ref)
+		if errText(gerr) != errText(werr) || (gerr == nil && !got.Equal(want)) {
+			c.note("s%d: OwnerSet(%s) %v (%v), oracle %v (%v)", st.ID, ref, got, gerr, want, werr)
+		}
+	}
+	return nil
 }
 
 func (c *setChecker) note(format string, args ...any) {

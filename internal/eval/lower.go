@@ -50,6 +50,11 @@ type code struct {
 	loops  []loopCode
 	reqs   []reqCode
 	owners []*ownerCode // by Ref.ID; nil for scalar references
+	// nowners counts the owner codes (ownerCode.id numbers them); arrs lists
+	// the affine array accesses of run-lowered loops, loop by loop
+	// (arrCode.pos is an access's position in it).
+	nowners int
+	arrs    []*arrCode
 	// scalars holds the owner set of every mapped scalar definition
 	// (reduction combines, lastprivate copy-outs).
 	scalars map[*core.ScalarMapping]*patCode
@@ -58,7 +63,7 @@ type code struct {
 // lowered returns the program's lowered form, building it on first use.
 func (s *State) lowered() *code {
 	if s.code == nil {
-		s.code = s.Prog.Lowered(func() any { return lower(s.Prog) }).(*code)
+		s.bind(s.Prog.Lowered(func() any { return lower(s.Prog) }).(*code))
 	}
 	return s.code
 }
@@ -146,6 +151,33 @@ func (ic *intCode) evalGeneral(s *State) (int64, bool) {
 	return int64(math.Round(x)), true
 }
 
+// coefOf returns the coefficient of the loop index in slot in an affine form
+// (0 when it does not appear).
+func (ic *intCode) coefOf(slot int32) int64 {
+	for _, t := range ic.terms {
+		if t.slot == slot {
+			return t.coef
+		}
+	}
+	return 0
+}
+
+// runLim returns the index (and step) magnitude up to which the form is a
+// pure function c + Σ coef·index of the loop indices whose values, and whose
+// change per iteration, stay below 2^52 — what lets a loop reason about the
+// form over a whole run of iterations instead of evaluating it at each. Zero:
+// not affine, so no such range.
+func (ic *intCode) runLim() int64 {
+	if !ic.affine {
+		return 0
+	}
+	size := math.Abs(float64(ic.c))
+	for _, t := range ic.terms {
+		size += math.Abs(float64(t.coef))
+	}
+	return min(ic.lim, int64(float64(int64(1)<<52)/max(size, 1)))
+}
+
 // exactLimit returns the largest index magnitude M for which the float
 // evaluation of the affine expression e is exact: every node of e is an
 // integer of magnitude at most k + m·M (k from constants, m from index
@@ -191,6 +223,9 @@ type lowerer struct {
 	p    *spmd.Program
 	prog *ir.Program
 	c    *code
+	// run is the run-lowered loop whose statement is being lowered (nil for
+	// any other statement): its affine array accesses enlist in code.arrs.
+	run *loopCode
 }
 
 // lower builds the lowered form of p. It cannot fail: whatever could not be
@@ -202,6 +237,7 @@ func lower(p *spmd.Program) *code {
 		loops:   make([]loopCode, len(prog.Loops)),
 		reqs:    make([]reqCode, len(p.Plan.Reqs)),
 		owners:  make([]*ownerCode, len(prog.Refs)),
+		arrs:    make([]*arrCode, 0, len(prog.Refs)),
 		scalars: make(map[*core.ScalarMapping]*patCode, len(p.Res.Scalars)),
 	}}
 	for _, r := range prog.Refs {
@@ -225,13 +261,21 @@ func lower(p *spmd.Program) *code {
 			step := lw.integer(l.Step, l.Parent)
 			lc.step = &step
 		}
+		lc.body = flatBody(l)
 	}
 	lw.paths(prog.Body, nil)
 	for _, st := range prog.Stmts {
+		if l := st.Loop; l != nil && lw.c.loops[l.ID].body.n > 0 {
+			lw.run = &lw.c.loops[l.ID]
+		}
 		lw.stmt(st)
+		lw.run = nil
 	}
 	for _, req := range p.Plan.Reqs {
 		lw.req(req)
+	}
+	for _, l := range prog.Loops {
+		lw.runs(l)
 	}
 	return lw.c
 }
@@ -491,19 +535,35 @@ type arrCode struct {
 	// int64 (-1: none). NewState rejects such shapes before any walk, so
 	// this only keeps the guard the offset arithmetic always had.
 	wide int
+	// pos is the access's place in code.arrs when it sits in a run-lowered
+	// loop and all its subscripts are affine (-1 otherwise): inside a run
+	// that hoisted its guards, State.offs[pos] is its offset.
+	pos int32
 }
 
 func (lw *lowerer) array(v *ir.Var, x *ast.Ref, encl *ir.Loop, line int) *arrCode {
-	ac := &arrCode{v: v, line: line, wide: -1,
+	ac := &arrCode{v: v, line: line, wide: -1, pos: -1,
 		subs: make([]intCode, v.Rank()), strides: make([]int64, v.Rank())}
 	stride := int64(1)
+	affine := true
 	for k := range ac.subs {
 		ac.subs[k] = lw.integer(x.Subs[k], encl)
+		affine = affine && ac.subs[k].affine
 		ac.strides[k] = stride
 		var ok bool
 		if stride, ok = mulChecked(stride, v.Dims[k]); !ok && ac.wide < 0 {
 			ac.wide = k
 		}
+	}
+	if lc := lw.run; lc != nil && affine {
+		// A flat body's statements are lowered back to back, so its accesses
+		// are one stretch of the list.
+		if lc.arrs.n == 0 {
+			lc.arrs.lo = int32(len(lw.c.arrs))
+		}
+		lc.arrs.n++
+		ac.pos = int32(len(lw.c.arrs))
+		lw.c.arrs = append(lw.c.arrs, ac)
 	}
 	return ac
 }
@@ -511,7 +571,13 @@ func (lw *lowerer) array(v *ir.Var, x *ast.Ref, encl *ir.Loop, line int) *arrCod
 // offset computes the linear (row-major, 1-based) offset of the access at
 // the current indices, rejecting out-of-bounds subscripts. In-bounds
 // subscripts of a shape NewState accepted cannot overflow the arithmetic.
+// Inside an owner run that has hoisted the access's guards there is nothing
+// to compute: the run keeps the offset, advanced once per iteration.
 func (ac *arrCode) offset(s *State) (int64, bool) {
+	// (Outside a run, where the test must cost least, it is one load.)
+	if s.hoist.n != 0 && uint32(ac.pos-s.hoist.lo) < uint32(s.hoist.n) {
+		return s.offs[ac.pos], true
+	}
 	off := int64(0)
 	for k := range ac.subs {
 		x, ok := ac.subs[k].eval(s)
@@ -547,7 +613,11 @@ func (ac *arrCode) boundsError(k int, x int64) error {
 // distribution, or — inside the array's privatization loop — under the
 // privatization override.
 type ownerCode struct {
+	id   int32 // dense number: the code's row of State.owners
 	slot int32
+	// runs is the loop (ID+1; 0: none) whose owner runs hold this set
+	// constant: the only runs that may keep it in the set table.
+	runs int32
 	subs []intCode
 	// priv is the privatization governing this reference (nil outside the
 	// privatization loop); target owns the privatized grid dimensions.
@@ -559,7 +629,8 @@ func (lw *lowerer) owner(ref *ir.Ref) *ownerCode {
 	if oc := lw.c.owners[ref.ID]; oc != nil {
 		return oc
 	}
-	oc := &ownerCode{slot: ref.Var.Slot, subs: make([]intCode, len(ref.Subs))}
+	oc := &ownerCode{id: int32(lw.c.nowners), slot: ref.Var.Slot, subs: make([]intCode, len(ref.Subs))}
+	lw.c.nowners++
 	lw.c.owners[ref.ID] = oc
 	for k, a := range ref.Subs {
 		oc.subs[k] = lw.affine(a, ref.Stmt.Loop, true)
@@ -613,6 +684,46 @@ func (oc *ownerCode) eval(s *State) (dist.ProcSet, bool) {
 	return am.Owner(s.grid, idx), true
 }
 
+// axes returns the axis maps the owner set follows now: the privatization's
+// inside the privatization loop, else the dynamic mapping's (nil: replicated).
+func (oc *ownerCode) axes(s *State) []dist.AxisMap {
+	if oc.priv != nil {
+		return oc.priv.Axes
+	}
+	if am := s.dyn[oc.slot]; am != nil {
+		return am.Axes
+	}
+	return nil
+}
+
+func (oc *ownerCode) runLim() int64 {
+	lim := unlimited
+	for k := range oc.subs {
+		lim = min(lim, oc.subs[k].runLim())
+	}
+	if oc.target != nil {
+		lim = min(lim, oc.target.runLim())
+	}
+	return lim
+}
+
+// run: every subscript that moves along a distributed axis stays on its
+// coordinate (dist.AxisMap.OwnerRun). The forms must be within their runLim.
+func (oc *ownerCode) run(s *State, slot int32, step, n int64) int64 {
+	if oc.target != nil {
+		n = oc.target.run(s, slot, step, n)
+	}
+	axes := oc.axes(s)
+	for dim := range axes {
+		ax := &axes[dim]
+		if coef := oc.subs[dim].coefOf(slot); coef != 0 && ax.Distributed {
+			idx, _ := oc.subs[dim].eval(s)
+			n = ax.OwnerRun(idx, coef*step, n, s.grid.Shape[ax.GridDim])
+		}
+	}
+	return n
+}
+
 // patCode evaluates an owner pattern: the grid dimensions whose coordinate
 // the pattern determines (replicated and widened dimensions are dropped at
 // lowering time), each with its distribution and position.
@@ -662,6 +773,25 @@ func (pc *patCode) eval(s *State) dist.ProcSet {
 	return set
 }
 
+func (pc *patCode) runLim() int64 {
+	lim := unlimited
+	for i := range pc.dims {
+		lim = min(lim, pc.dims[i].pos.runLim())
+	}
+	return lim
+}
+
+func (pc *patCode) run(s *State, slot int32, step, n int64) int64 {
+	for i := range pc.dims {
+		pd := &pc.dims[i]
+		if coef := pd.pos.coefOf(slot); coef != 0 {
+			pos, _ := pd.pos.eval(s)
+			n = pd.ax.OwnerRun(pos, coef*step, n, s.grid.Shape[pd.d])
+		}
+	}
+	return n
+}
+
 // execCode computes a statement's execution set.
 type execCode struct {
 	kind  spmd.ExecKind
@@ -680,6 +810,44 @@ func (ec *execCode) eval(s *State) (dist.ProcSet, bool) {
 		return s.UnionSet(ec.loop), true
 	}
 	return dist.AllProcs(s.grid), true
+}
+
+// runSet is one set computation an owner run holds constant: an owner code
+// or a pattern.
+type runSet interface {
+	// runLim is the index and step magnitude up to which the set is computed
+	// from exact affine forms (intCode.runLim); 0: it is not.
+	runLim() int64
+	// run shortens n, a count of iterations starting at the current one of
+	// the loop whose index (in slot) advances by step, to those over which
+	// the set stays what it is now.
+	run(s *State, slot int32, step, n int64) int64
+}
+
+// sets names the statement's set computations to f: the execution set's, the
+// source set's of every per-instance requirement, the data owners' of a
+// privatized accumulation.
+func (sc *stmtCode) sets(c *code, f func(runSet)) {
+	switch sc.exec.kind {
+	case spmd.ExecOwner:
+		f(sc.exec.owner)
+	case spmd.ExecPattern:
+		f(sc.exec.pat)
+	case spmd.ExecUnion:
+		for _, part := range c.loops[sc.exec.loop.ID].union {
+			f(part)
+		}
+	}
+	for _, req := range sc.plan.PerInstance {
+		if rc := &c.reqs[req.ID]; rc.srcOwner != nil {
+			f(rc.srcOwner)
+		} else {
+			f(rc.srcPat)
+		}
+	}
+	if sc.red != nil && sc.red.owner != nil {
+		f(sc.red.owner)
+	}
 }
 
 // union collects the contributions to l's union execution set: the owner
@@ -714,6 +882,7 @@ func (lw *lowerer) union(l *ir.Loop) []*patCode {
 type stmtCode struct {
 	plan *spmd.StmtPlan
 	exec execCode
+	runs int32 // as ownerCode.runs, for the execution set
 
 	// SAssign: evaluate rhs, then store through the definition — an array
 	// element (def) or the scalar in slot, rounded when integer-typed.
@@ -837,6 +1006,68 @@ type loopCode struct {
 	step   *intCode // nil: 1
 	union  []*patCode
 	path   []int32
+
+	// The loop as owner runs (walker.beginRun). body is the stretch of
+	// code.stmts the loop's statements are when its body is a flat list of
+	// assignments (empty otherwise), arrs the stretch of code.arrs their
+	// affine array accesses are, and lim the magnitude of loop index and step
+	// up to which every set computation of the body and every such access is
+	// an affine function of the loop indices — 0 when one of them is not,
+	// and the loop has no runs.
+	body, arrs span
+	lim        int64
+}
+
+// span is a stretch of a list: n elements from lo.
+type span struct{ lo, n int32 }
+
+// flatBody returns the loop's statements as a stretch of the program's when
+// they are all plain assignments, numbered consecutively as a flat list is.
+func flatBody(l *ir.Loop) span {
+	for i, n := range l.Body {
+		st, ok := n.(*ir.Stmt)
+		if !ok || st.Kind != ir.SAssign || st.ID != l.Body[0].(*ir.Stmt).ID+i {
+			return span{}
+		}
+	}
+	if len(l.Body) == 0 {
+		return span{}
+	}
+	return span{lo: int32(l.Body[0].(*ir.Stmt).ID), n: int32(len(l.Body))}
+}
+
+// runs settles whether the loop is executed as owner runs — its lim — and if
+// so marks the set computations its runs hold constant.
+func (lw *lowerer) runs(l *ir.Loop) {
+	lc := &lw.c.loops[l.ID]
+	if lc.body.n == 0 {
+		return
+	}
+	lim := unlimited
+	stmts := lw.c.stmts[lc.body.lo : lc.body.lo+lc.body.n]
+	for i := range stmts {
+		stmts[i].sets(lw.c, func(set runSet) { lim = min(lim, set.runLim()) })
+	}
+	for _, ac := range lw.c.arrs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n] {
+		for k := range ac.subs {
+			lim = min(lim, ac.subs[k].runLim())
+		}
+	}
+	if lc.lim = lim; lim == 0 {
+		return
+	}
+	id := int32(l.ID + 1)
+	for i := range stmts {
+		stmts[i].runs = id
+		stmts[i].sets(lw.c, func(set runSet) {
+			if oc, ok := set.(*ownerCode); ok {
+				oc.runs = id
+			}
+		})
+		for _, req := range stmts[i].plan.PerInstance {
+			lw.c.reqs[req.ID].runs = id
+		}
+	}
 }
 
 // bounds evaluates the loop's lower bound, upper bound and step (1 when
@@ -863,6 +1094,7 @@ func (lc *loopCode) bounds(s *State) (lo, hi, step int64, ok bool) {
 // element; a vectorized one the trip-count loops, the widened source and
 // destination patterns, and the coverage test.
 type reqCode struct {
+	runs     int32      // as ownerCode.runs, for the resolved per-instance transfer
 	srcOwner *ownerCode // array uses: owners under the dynamic mapping
 	srcPat   *patCode   // scalar uses (per instance); every use (vectorized)
 	dstPat   *patCode

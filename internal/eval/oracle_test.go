@@ -740,9 +740,10 @@ func (w *oracleWalker) stmt(st *ir.Stmt) (control, error) {
 // oracleSim charges the simulated machine from an oracle walk the way
 // internal/sim's interp does on a fault-free, untraced, unprofiled run.
 type oracleSim struct {
-	o      *oracle
-	mach   *machine.Machine
-	params machine.Params
+	o         *oracle
+	mach      *machine.Machine
+	params    machine.Params
+	instances int64
 }
 
 func (in *oracleSim) elemBytes() int64 { return int64(in.params.ElemBytes) }
@@ -796,6 +797,7 @@ func (in *oracleSim) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 }
 
 func (in *oracleSim) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
+	in.instances++
 	flops := float64(sp.Flops) * in.params.FlopTime
 	if in.o.PrivatizedActive(sp.Combine) && sp.Combine.Mapping == nil {
 		var execSet dist.ProcSet
@@ -846,18 +848,22 @@ func (in *oracleSim) Redistribute(st *ir.Stmt) error {
 	return nil
 }
 
-// OracleResult is the outcome of one reference simulation.
+// OracleResult is the outcome of one reference simulation — or, beside an
+// error, the point the run had reached when it failed: the statement instances
+// begun, what the machine had been charged and the memory image left behind.
 type OracleResult struct {
-	Time    float64
-	Stats   machine.Stats
-	Scalars map[string]float64
-	Arrays  map[string][]float64
+	Time      float64
+	Clocks    []float64 // by processor: a charge on the wrong one need not move Time
+	Stats     machine.Stats
+	Instances int64
+	Scalars   map[string]float64
+	Arrays    map[string][]float64
 }
 
 // OracleSimulate runs the program through the tree-walking reference under
 // the SP2 cost model: what internal/sim computed before statement bodies
 // and owner sets were lowered. Errors come back bare (internal/sim brands
-// its own with a "sim: " prefix).
+// its own with a "sim: " prefix), beside the state the failed run left.
 func OracleSimulate(p *spmd.Program, reduce core.ReduceMode) (*OracleResult, error) {
 	st, err := NewState(p)
 	if err != nil {
@@ -868,14 +874,58 @@ func OracleSimulate(p *spmd.Program, reduce core.ReduceMode) (*OracleResult, err
 	}
 	params := machine.SP2()
 	in := &oracleSim{o: newOracle(st), mach: machine.New(p.Grid(), params), params: params}
-	if err := oracleWalk(in.o, in); err != nil {
-		var ge *GotoEscapeError
-		if errors.As(err, &ge) {
-			return nil, fmt.Errorf("goto %d escaped the program", ge.Label)
-		}
+	err = oracleWalk(in.o, in)
+	res := &OracleResult{Time: in.mach.Time(), Clocks: in.mach.Clock, Stats: in.mach.Stats, Instances: in.instances}
+	res.Scalars, res.Arrays = st.Export()
+	return res, bareGotoEscape(err)
+}
+
+func bareGotoEscape(err error) error {
+	var ge *GotoEscapeError
+	if errors.As(err, &ge) {
+		return fmt.Errorf("goto %d escaped the program", ge.Label)
+	}
+	return err
+}
+
+// loweredSim is the production side of the same comparison: the accountant,
+// with nothing that can end a run early.
+type loweredSim struct{ *Account }
+
+func (loweredSim) CrashSite() error { return nil }
+func (loweredSim) Tick() error      { return nil }
+
+// instanceCounter counts the statement instances a Backend is shown.
+type instanceCounter struct {
+	Backend
+	instances int64
+}
+
+func (c *instanceCounter) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
+	c.instances++
+	return c.Backend.Statement(st, sp)
+}
+
+// LoweredSimulate runs the program through the production walker, schedule
+// and accountant (what internal/sim runs, less its limits and reports) and
+// returns what OracleSimulate does — including, beside an error, the state the
+// failed run left, which internal/sim does not hand out.
+func LoweredSimulate(p *spmd.Program, reduce core.ReduceMode) (*OracleResult, error) {
+	st, err := NewState(p)
+	if err != nil {
 		return nil, err
 	}
-	res := &OracleResult{Time: in.mach.Time(), Stats: in.mach.Stats}
+	if err := st.ConfigureReduce(reduce, Budget{}); err != nil {
+		return nil, err
+	}
+	acct := NewAccount(st, RunOptions{Params: machine.SP2()})
+	b := &instanceCounter{Backend: &schedule{st: st, ops: loweredSim{acct}, elem: acct.elem()}}
+	err = Walk(st, b)
+	res := &OracleResult{Time: acct.M.Time(), Clocks: acct.M.Clock, Stats: acct.M.Stats, Instances: b.instances}
 	res.Scalars, res.Arrays = st.Export()
-	return res, nil
+	return res, bareGotoEscape(err)
 }
+
+// InRun reports whether the walk is inside an owner run (for tests that
+// observe the walk from a Backend).
+func (s *State) InRun() bool { return s.run != 0 }

@@ -6,7 +6,9 @@
 package eval
 
 import (
+	"context"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"phpf/internal/core"
@@ -280,4 +282,18 @@ type Report struct {
 	// concurrent backend's per-class counts of planned communication match
 	// it exactly, which the differential oracle verifies.
 	Trace *trace.Recorder
+}
+
+// Ended returns a flag that is set once ctx has ended, for a backend's Tick to
+// poll, and the call that unhooks it (to be deferred); the flag is nil when
+// ctx cannot end. Tick runs after every loop iteration on every worker, so
+// the poll may cost an atomic load and no more: ctx.Err() on a cancel context
+// locks a mutex, and a non-blocking receive from ctx.Done() measured no
+// cheaper (EXPERIMENTS.md, owner runs).
+func Ended(ctx context.Context) (ended *atomic.Bool, unhook func() bool) {
+	if ctx.Done() == nil {
+		return nil, func() bool { return false }
+	}
+	flag := new(atomic.Bool)
+	return flag, context.AfterFunc(ctx, func() { flag.Store(true) })
 }

@@ -45,8 +45,9 @@ func (s *State) Snapshot() *Snapshot {
 }
 
 // Restore overwrites the memory image from a snapshot of the same program
-// and advances the epoch (and leaves any statement instance in flight) so
-// memoized execution sets recompute against the restored mappings. The snapshot stays valid for further restores.
+// and advances the epoch (and leaves any statement instance or owner run in
+// flight) so memoized execution sets recompute against the restored mappings.
+// The snapshot stays valid for further restores.
 func (s *State) Restore(snap *Snapshot) {
 	copy(s.scalars, snap.scalars)
 	copy(s.scalarSet, snap.scalarSet)
@@ -63,5 +64,6 @@ func (s *State) Restore(snap *Snapshot) {
 		}
 	}
 	s.epoch++
-	s.inst, s.err = false, nil
+	s.endRun()
+	s.err = nil
 }

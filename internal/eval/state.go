@@ -86,15 +86,29 @@ type State struct {
 	code *code
 	err  error
 
-	// Per-instance memo: while the walker is inside one statement instance
-	// (inst), the instance's execution set and the last owner set computed
-	// are kept, so the backend's queries, the per-instance communication
-	// decisions and the value semantics evaluate each of them once.
-	inst      bool
-	execPlan  *spmd.StmtPlan
-	execSet   dist.ProcSet
-	ownerCode *ownerCode
-	ownerSet  dist.ProcSet
+	// The set table: the execution set of every statement (execs, by
+	// Stmt.ID), the owner set of every array reference (owners, by
+	// ownerCode.id) and the resolved form of every per-instance requirement
+	// (insts, by Requirement.ID), each valid while its stamp is the State's.
+	// The walker gives every owner run a stamp of its own (walker.beginRun) —
+	// so the backend's queries, the communication decisions and the value
+	// semantics of all the run's iterations read what its first one computed
+	// — and every other statement instance one too, a run of length one;
+	// stamp 0, between them, keeps nothing. stamps counts the stamps given.
+	// run is the loop (ID+1) of the owner run in flight, 0 outside one: a run
+	// keeps only the sets its partition holds constant (ownerCode.runs), an
+	// instance all it is asked for.
+	execs, owners []setEntry
+	insts         []instEntry
+	stamp, stamps uint64
+	run           int32
+
+	// offs[k] is the offset of array access code.arrs[k] while k lies in
+	// hoist, the accesses of the run in flight whose bounds guards were
+	// checked at its two ends (empty: none); step[k] is what one iteration
+	// adds to it.
+	offs, steps []int64
+	hoist       span
 
 	// unionCache memoizes the per-iteration union execution set by
 	// Loop.ID; unionEpoch records the epoch an entry was computed at
@@ -280,18 +294,62 @@ func addChecked(a, b int64) (int64, bool) {
 // ---------------------------------------------------------------------------
 // Execution sets
 
-// ExecSet evaluates a statement's execution set at the current indices.
-// Inside a statement instance the set is computed once and remembered.
+// setEntry is one row of the set table.
+type setEntry struct {
+	set   dist.ProcSet
+	stamp uint64
+}
+
+// bind attaches the program's lowered form and sizes the scratch the walk
+// needs from it, once per State.
+func (s *State) bind(c *code) {
+	s.code = c
+	tab := make([]setEntry, len(c.stmts)+c.nowners)
+	s.execs, s.owners = tab[:len(c.stmts)], tab[len(c.stmts):]
+	s.insts = make([]instEntry, len(c.reqs))
+	offs := make([]int64, 2*len(c.arrs))
+	s.offs, s.steps = offs[:len(c.arrs)], offs[len(c.arrs):]
+}
+
+// newStamp opens a validity period of the set table: a statement instance,
+// or an owner run.
+func (s *State) newStamp() {
+	s.stamps++
+	s.stamp = s.stamps
+}
+
+// endRun closes the validity period of an owner run, and the hoisting of
+// its guards with it.
+func (s *State) endRun() {
+	s.stamp, s.run, s.hoist = 0, 0, span{}
+}
+
+// keeps reports whether the table may keep a set computed now: always for a
+// statement instance, inside an owner run only one of the loop in runs.
+func (s *State) keeps(runs int32) bool {
+	return s.stamp != 0 && (s.run == 0 || s.run == runs)
+}
+
+// ExecSet evaluates a statement's execution set at the current indices —
+// inside a statement instance or an owner run once, then from the table.
 func (s *State) ExecSet(sp *spmd.StmtPlan) (dist.ProcSet, error) {
-	if s.inst && s.execPlan == sp {
-		return s.execSet, nil
+	if s.stamp != 0 { // given by the walker, which has bound the tables
+		if e := &s.execs[sp.Stmt.ID]; e.stamp == s.stamp {
+			return e.set, nil
+		}
 	}
-	set, ok := s.lowered().stmts[sp.Stmt.ID].exec.eval(s)
+	return s.execSet(sp)
+}
+
+// execSet is ExecSet past the table (apart, so that the read stays small).
+func (s *State) execSet(sp *spmd.StmtPlan) (dist.ProcSet, error) {
+	sc := &s.lowered().stmts[sp.Stmt.ID]
+	set, ok := sc.exec.eval(s)
 	if !ok {
 		return dist.ProcSet{}, s.takeErr()
 	}
-	if s.inst {
-		s.execPlan, s.execSet = sp, set
+	if s.keeps(sc.runs) {
+		s.execs[sp.Stmt.ID] = setEntry{set, s.stamp}
 	}
 	return set, nil
 }
@@ -309,14 +367,15 @@ func (s *State) OwnerSet(ref *ir.Ref) (dist.ProcSet, error) {
 	return set, nil
 }
 
-// ownerOf evaluates lowered owner code through the per-instance memo.
+// ownerOf evaluates lowered owner code through the set table.
 func (s *State) ownerOf(oc *ownerCode) (dist.ProcSet, bool) {
-	if s.inst && s.ownerCode == oc {
-		return s.ownerSet, true
+	e := &s.owners[oc.id]
+	if e.stamp == s.stamp && s.stamp != 0 {
+		return e.set, true
 	}
 	set, ok := oc.eval(s)
-	if ok && s.inst {
-		s.ownerCode, s.ownerSet = oc, set
+	if ok && s.keeps(oc.runs) {
+		e.set, e.stamp = set, s.stamp
 	}
 	return set, ok
 }
@@ -340,12 +399,8 @@ func (s *State) UnionSet(l *ir.Loop) dist.ProcSet {
 	// The contributing statements and their owner patterns are static per
 	// program — lowered with it for every loop some statement executes on the
 	// union of; only their evaluation depends on the current indices.
-	parts := s.lowered().loops[l.ID].union
-	if parts == nil {
-		parts = (&lowerer{p: s.Prog, prog: s.Prog.Res.Prog}).union(l)
-	}
 	u := dist.AllProcs(s.grid)
-	for i, part := range parts {
+	for i, part := range s.lowered().loops[l.ID].union {
 		if set := part.eval(s); i == 0 {
 			u = set
 		} else {

@@ -9,7 +9,7 @@ import (
 	"phpf/internal/spmd"
 )
 
-func compile(t *testing.T, src string, nprocs int) *spmd.Program {
+func compile(t testing.TB, src string, nprocs int) *spmd.Program {
 	t.Helper()
 	ap, err := parser.Parse(src)
 	if err != nil {
@@ -22,9 +22,10 @@ func compile(t *testing.T, src string, nprocs int) *spmd.Program {
 	return spmd.Generate(cres)
 }
 
-// redistSrc has an owner-computed loop nest followed by an executable
-// redistribution, so a State sees both a memoized union set and a dynamic
-// remap.
+// redistSrc has an owner-computed loop nest under a privatized predicate (a
+// statement that executes on the union of its iteration's owners) followed by
+// an executable redistribution, so a State sees both a memoized union set and
+// a dynamic remap.
 const redistSrc = `
 program t
 parameter n = 16
@@ -32,9 +33,11 @@ real a(n,n)
 integer i, j
 !hpf$ distribute (block,*) :: a
 do i = 1, n
-  do j = 1, n
-    a(i,j) = 1.0
-  end do
+  if (i > 0) then
+    do j = 1, n
+      a(i,j) = 1.0
+    end do
+  end if
 end do
 !hpf$ redistribute a(*,block)
 end
@@ -151,4 +154,106 @@ func TestSlotViews(t *testing.T) {
 	if _, _, _, _, differ := s.Diff(o); differ {
 		t.Fatal("Diff reports identical images as different")
 	}
+}
+
+// TestRunKeepsOnlyItsSets: inside an owner run the set table may keep only
+// what the run's partition holds constant. bb(i-3) below is a local operand
+// (no per-instance requirement, so no run set) whose owner changes in the
+// middle of a's runs; asked about at every instance, State.OwnerSet must
+// answer for the current iteration, not for the one the run began at.
+func TestRunKeepsOnlyItsSets(t *testing.T) {
+	p := compile(t, `
+program t
+parameter n = 32
+real a(n), bb(n)
+integer i
+!hpf$ distribute (block) :: a
+!hpf$ align bb(i) with a(i)
+do i = 4, n
+  a(i) = bb(i-3) * 0.5
+end do
+end
+`, 4)
+	s, err := NewState(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := &setChecker{s: s, o: newOracle(s)}
+	inRuns := 0
+	if err := Walk(s, countRuns{check, &inRuns}); err != nil {
+		t.Fatal(err)
+	}
+	if check.wrong != "" {
+		t.Fatal(check.wrong)
+	}
+	if inRuns < 20 {
+		t.Fatalf("only %d statement instances ran inside owner runs: the loop no longer qualifies, and the test proves nothing", inRuns)
+	}
+}
+
+// countRuns counts the statement instances a Backend sees inside owner runs.
+type countRuns struct {
+	Backend
+	n *int
+}
+
+func (c countRuns) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
+	if c.Backend.(*setChecker).s.run != 0 {
+		*c.n++
+	}
+	return c.Backend.Statement(st, sp)
+}
+
+// BenchmarkSetTableRead times the two set queries a backend makes per
+// statement instance where an owner run answers them from the set table:
+// inside tp's first run, in a tight loop (the benchmark's in-situ sampling of
+// the same calls, bench/layers.go, cannot resolve them: two clock reads
+// around a call that does nothing read 17-30 ns there).
+func BenchmarkSetTableRead(b *testing.B) {
+	p := compile(b, `
+program tp
+parameter n = 1000
+real a(n), bb(n)
+integer i
+!hpf$ align bb(i) with a(i)
+!hpf$ distribute (block) :: a
+do i = 1, n
+  a(i) = bb(i) * 0.5 + 1.0
+end do
+end
+`, 8)
+	s, err := NewState(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := Walk(s, &tableReader{b: b, s: s}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+type tableReader struct {
+	nopOracleBackend
+	b    *testing.B
+	s    *State
+	done bool
+}
+
+func (*tableReader) Tick() error { return nil }
+
+func (r *tableReader) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
+	if r.done || r.s.run == 0 {
+		return nil
+	}
+	r.done = true
+	r.b.ResetTimer()
+	for i := 0; i < r.b.N; i++ {
+		if _, err := r.s.ExecSet(sp); err != nil {
+			return err
+		}
+		if _, err := r.s.OwnerSet(st.Lhs); err != nil {
+			return err
+		}
+	}
+	r.b.StopTimer()
+	return nil
 }

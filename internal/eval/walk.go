@@ -231,13 +231,36 @@ func (w *walker) loop(l *ir.Loop) (control, error) {
 	return w.iterate(l, lc.plan, lo, hi, step)
 }
 
-// iterate runs the loop body over [lo,hi]/step and fires LoopExit.
+// iterate runs the loop body over [lo,hi]/step and fires LoopExit. A loop
+// whose body is a flat list of assignments with affine set computations is
+// run as owner runs (beginRun); any other loop, and any iteration no run
+// could be opened for, goes through the general statement walk, one
+// statement instance — a run of length one — at a time.
 func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (control, error) {
 	s := w.s
 	s.live[l.ID] = iter{hi: hi, step: step} // for cursors captured inside the body
-	for v := lo; (step > 0 && v <= hi) || (step < 0 && v >= hi); v += step {
-		s.indices[l.Index.Slot] = v
+	lc := &w.c.loops[l.ID]
+	slot := l.Index.Slot
+	runs := lc.lim > 0 && w.seek == nil && s.exactOver(l, lo, hi, step, lc.lim)
+	for v, single := lo, 0; (step > 0 && v <= hi) || (step < 0 && v >= hi); {
+		s.indices[slot] = v
 		s.epoch++
+		if runs {
+			if n := w.beginRun(lc, slot, step, (hi-v)/step+1); n > 0 {
+				err := w.run(lc, slot, step, n)
+				s.endRun()
+				if err != nil {
+					return control{}, err
+				}
+				v, single = v+n*step, 0
+				continue
+			}
+			// Two single iterations in a row: the sets move with every
+			// iteration (a CYCLIC axis under the loop index, say), and
+			// asking again would only add to what each costs.
+			single++
+			runs = single < 2
+		}
 		ctl, err := w.nodes(l.Body)
 		if err != nil {
 			return control{}, err
@@ -248,6 +271,7 @@ func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (con
 		if err := w.b.Tick(); err != nil {
 			return control{}, err
 		}
+		v += step
 	}
 
 	if lp != nil {
@@ -256,6 +280,106 @@ func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (con
 		}
 	}
 	return control{}, nil
+}
+
+// exactOver reports whether the indices l's body can read — l's own over the
+// whole loop, the enclosing loops' as they stand — and its step lie within
+// lim, the range over which the body's affine forms are exact.
+func (s *State) exactOver(l *ir.Loop, lo, hi, step, lim int64) bool {
+	within := func(x int64) bool { return uint64(x+lim) <= uint64(2*lim) }
+	ok := within(lo) && within(hi) && within(step)
+	for p := l.Parent; p != nil && ok; p = p.Parent {
+		ok = within(s.indices[p.Index.Slot])
+	}
+	return ok
+}
+
+// beginRun opens an owner run at the current iteration of the loop lc lowers
+// (index in slot, advancing by step, left iterations to go) and returns its
+// length; 0 when there is none to open — the stretch is a single iteration,
+// which the general walk runs as cheaply — or none can be, and the iteration
+// must take the general walk.
+//
+// The run is the longest stretch of iterations over which every set
+// computation of the body's statements stays what it is now, so the set
+// table filled during its first iteration serves them all. The partition
+// decides only how long, never what: the sets come from the same evaluators
+// as on the general walk. The affine array accesses of the body are then
+// evaluated, guards and all, at the run's two ends: in bounds at both is in
+// bounds throughout, and the run keeps their offsets (State.offs) instead of
+// evaluating subscripts — unless one is out of bounds, when the iteration
+// takes the general walk, which fails where and how it always did.
+func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
+	s := w.s
+	n := left
+	stmts := w.c.stmts[lc.body.lo : lc.body.lo+lc.body.n]
+	for i := range stmts {
+		stmts[i].sets(w.c, func(set runSet) { n = set.run(s, slot, step, n) })
+		if n < 2 {
+			return 0
+		}
+	}
+	s.newStamp()
+	s.run = stmts[0].runs
+	for i := range stmts {
+		if _, err := s.ExecSet(stmts[i].plan); err != nil {
+			s.endRun()
+			return 0
+		}
+	}
+
+	v := s.indices[slot]
+	arrs := w.c.arrs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
+	offs, steps := s.offs[lc.arrs.lo:], s.steps[lc.arrs.lo:]
+	for end := 0; end < 2; end++ {
+		s.indices[slot] = v + int64(end)*(n-1)*step
+		for k, ac := range arrs {
+			off, ok := ac.offset(s)
+			if !ok {
+				s.err = nil
+				s.indices[slot] = v
+				s.endRun()
+				return 0
+			}
+			if end == 0 {
+				offs[k], steps[k] = off, 0
+			} else {
+				steps[k] = (off - offs[k]) / (n - 1)
+			}
+		}
+	}
+	s.indices[slot] = v
+	s.hoist = lc.arrs
+	return n
+}
+
+// run executes the n iterations of the owner run beginRun opened, the first
+// of which iterate has set up: the same events and value semantics in the
+// same order as the general walk's, with the statements taken straight from
+// the lowered body.
+func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
+	s := w.s
+	stmts := w.c.stmts[lc.body.lo : lc.body.lo+lc.body.n]
+	offs := s.offs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
+	steps := s.steps[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
+	for {
+		for i := range stmts {
+			if err := w.assign(&stmts[i]); err != nil {
+				return err
+			}
+		}
+		if err := w.b.Tick(); err != nil {
+			return err
+		}
+		if n--; n == 0 {
+			return nil
+		}
+		s.indices[slot] += step
+		s.epoch++
+		for k := range offs {
+			offs[k] += steps[k]
+		}
+	}
 }
 
 func (w *walker) ifNode(ifn *ir.If) (control, error) {
@@ -279,46 +403,51 @@ func (w *walker) ifNode(ifn *ir.If) (control, error) {
 	return w.nodes(ifn.Else)
 }
 
-// stmt reports the statement to the backend (communication and computation
-// charges), then computes its value semantics. The backend's callback and
-// the value semantics share one statement instance: execution and owner
-// sets evaluated in between are remembered (see State.inst).
-func (w *walker) stmt(st *ir.Stmt) (control, error) {
+// stmt runs one statement instance on the general walk, a run of length one:
+// it reports the statement to the backend (communication and computation
+// charges), then computes its value semantics, and the sets evaluated on the
+// way are kept for the instance (State.newStamp).
+func (w *walker) stmt(st *ir.Stmt) (ctl control, err error) {
 	s := w.s
 	sc := &w.c.stmts[st.ID]
-	s.inst, s.execPlan, s.ownerCode = true, nil, nil
-	err := w.b.Statement(st, sc.plan)
-	if err != nil {
-		s.inst = false
-		return control{}, err
-	}
-
-	var ctl control
-	switch st.Kind {
-	case ir.SAssign:
-		if c := sc.plan.Combine; sc.red != nil && s.PrivatizedActive(c) {
-			// A privatized reduction update accumulates into the partial
-			// tables; the real accumulator is only written by the loop-exit
-			// merge.
-			sc.red.accumulate(s, c)
-		} else {
-			sc.assign(s)
-		}
-		err = s.takeErr()
-	case ir.SIfGoto:
-		c := sc.cond(s)
-		if err = s.takeErr(); err == nil && c != 0 {
+	s.newStamp()
+	if st.Kind == ir.SAssign {
+		err = w.assign(sc)
+	} else if err = w.b.Statement(st, sc.plan); err == nil {
+		switch st.Kind {
+		case ir.SIfGoto:
+			c := sc.cond(s)
+			if err = s.takeErr(); err == nil && c != 0 {
+				ctl = control{kind: ctlGoto, label: st.Label}
+			}
+		case ir.SGoto:
 			ctl = control{kind: ctlGoto, label: st.Label}
+		case ir.SRedistribute:
+			if err = s.ApplyRedistribute(st); err == nil {
+				err = w.b.Redistribute(st)
+			}
+		case ir.SContinue, ir.SIf, ir.SLoopBounds:
+			// No value semantics here (If predicates are evaluated by ifNode).
 		}
-	case ir.SGoto:
-		ctl = control{kind: ctlGoto, label: st.Label}
-	case ir.SRedistribute:
-		if err = s.ApplyRedistribute(st); err == nil {
-			err = w.b.Redistribute(st)
-		}
-	case ir.SContinue, ir.SIf, ir.SLoopBounds:
-		// No value semantics here (If predicates are evaluated by ifNode).
 	}
-	s.inst = false
+	s.stamp = 0
 	return ctl, err
+}
+
+// assign runs one assignment instance: the backend's event, then the value
+// semantics.
+func (w *walker) assign(sc *stmtCode) error {
+	s := w.s
+	if err := w.b.Statement(sc.plan.Stmt, sc.plan); err != nil {
+		return err
+	}
+	if c := sc.plan.Combine; sc.red != nil && s.PrivatizedActive(c) {
+		// A privatized reduction update accumulates into the partial
+		// tables; the real accumulator is only written by the loop-exit
+		// merge.
+		sc.red.accumulate(s, c)
+	} else {
+		sc.assign(s)
+	}
+	return s.takeErr()
 }

@@ -119,6 +119,7 @@ type executor struct {
 	cfg   Config
 	hooks hooks
 	ctx   context.Context
+	ended *atomic.Bool // eval.Ended(ctx): what Tick polls
 	n     int
 	depth int
 
@@ -260,7 +261,9 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 	n := ex.n
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ex.ctx = cctx
+	ended, unhook := eval.Ended(cctx)
+	defer unhook() // before cancel runs
+	ex.ctx, ex.ended = cctx, ended
 	ex.wd = newWatchdog(n)
 	ex.mail = make([][]chan message, n)
 	for i := range ex.mail {
@@ -627,7 +630,10 @@ func (w *worker) Tick() error {
 	if err := w.CrashSite(); err != nil {
 		return err
 	}
-	return w.ex.ctx.Err()
+	if w.ex.ended.Load() {
+		return w.ex.ctx.Err()
+	}
+	return nil
 }
 
 // Vectorized performs one hoisted communication. Its trace attribution

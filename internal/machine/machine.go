@@ -9,6 +9,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"phpf/internal/dist"
 	"phpf/internal/fault"
@@ -317,6 +318,11 @@ func (m *Machine) collectiveFaultDelay(k int, bytes int64) float64 {
 	return float64(drops) * m.Fault.BaseRTO(m.Params.Latency)
 }
 
+// ceilLog2 is ⌈log2 k⌉ for k ≥ 1, the round count of a k-leaf tree, in
+// integer arithmetic: the value int(math.Ceil(math.Log2(float64(k)))) takes
+// for every processor count a grid can have (TestCeilLog2MatchesFloat).
+func ceilLog2(k int) int { return bits.Len(uint(k - 1)) }
+
 // xferTime is the wire time of one message.
 func (m *Machine) xferTime(bytes int64) float64 {
 	return m.Params.Latency + float64(bytes)/m.Params.Bandwidth
@@ -361,7 +367,7 @@ func (m *Machine) Multicast(from int, dst dist.ProcSet, bytes int64) {
 	if k == 0 {
 		return
 	}
-	rounds := int(math.Ceil(math.Log2(float64(k + 1))))
+	rounds := ceilLog2(k + 1)
 	m.Stats.Broadcasts++
 	m.Stats.Messages += int64(k)
 	m.Stats.BytesMoved += bytes * int64(k)
@@ -442,7 +448,7 @@ func (m *Machine) Reduce(set dist.ProcSet, bytes int64) {
 	if len(procs) < 2 {
 		return
 	}
-	rounds := 2 * int(math.Ceil(math.Log2(float64(len(procs)))))
+	rounds := 2 * ceilLog2(len(procs))
 	m.Stats.Reductions++
 	m.Stats.Messages += int64(rounds)
 	m.Stats.BytesMoved += bytes * int64(len(procs))
@@ -481,7 +487,7 @@ func (m *Machine) TreeMerge(set dist.ProcSet, bytes int64, merged int) {
 	if k < 2 {
 		return
 	}
-	rounds := int(math.Ceil(math.Log2(float64(k))))
+	rounds := ceilLog2(k)
 	m.Stats.Merges++
 	m.Stats.Messages += int64(k - 1)
 	m.Stats.BytesMoved += bytes * int64(k-1)

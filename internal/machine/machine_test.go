@@ -90,6 +90,17 @@ func TestMulticastRounds(t *testing.T) {
 	}
 }
 
+// TestCeilLog2MatchesFloat pins the integer round count to the float formula
+// it replaced, for every processor count along one grid dimension — the
+// simulated clocks multiply by it, so it may not differ anywhere.
+func TestCeilLog2MatchesFloat(t *testing.T) {
+	for k := 1; k <= dist.MaxExtent+1; k++ { // Multicast asks for k+1
+		if got, want := ceilLog2(k), int(math.Ceil(math.Log2(float64(k)))); got != want {
+			t.Fatalf("ceilLog2(%d) = %d, float formula gives %d", k, got, want)
+		}
+	}
+}
+
 func TestReduceSynchronizesAll(t *testing.T) {
 	g := dist.NewGrid(4)
 	p := SP2()

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"phpf/internal/core"
@@ -74,5 +76,58 @@ func TestAbortDisabledByZero(t *testing.T) {
 	out := runErr(t, abortSrc, 8, core.DefaultOptions(), Config{MaxSeconds: 0})
 	if out.Aborted {
 		t.Error("MaxSeconds=0 must disable the cutoff")
+	}
+}
+
+// TestAbortInsideOwnerRun: the limit is checked after every iteration of an
+// owner run as it is after every iteration of the general walk. The loops of
+// the communication-free throughput kernel run as owner runs (125 iterations
+// a processor), and nothing but their statements advances the clocks, so a
+// limit below the full time trips in mid-run. The same program with a labeled
+// CONTINUE in each loop body — a statement that charges nothing, but makes
+// the body no flat list of assignments — takes the general walk, as every
+// loop did before owner runs. Both must stop on the same iteration — same
+// time, same memory — and on the one the seed stopped on: the literals are
+// its run's.
+func TestAbortInsideOwnerRun(t *testing.T) {
+	opts := core.DefaultOptions()
+	src := tpSource(1000, 4)
+	general := strings.Replace(src, "1.0\n  end do\n", "1.0\n10 continue\n  end do\n", 1)
+	general = strings.Replace(general, "a(i)\n  end do\n", "a(i)\n20 continue\n  end do\n", 1)
+	if strings.Count(general, "continue") != 2 {
+		t.Fatal("loop bodies not marked")
+	}
+	image := func(r *Result) uint64 { // FNV-1a over the bits of a and bb
+		h := uint64(14695981039346656037)
+		for _, name := range []string{"a", "bb"} {
+			for _, x := range r.Arrays[name] {
+				h = (h ^ math.Float64bits(x)) * 1099511628211
+			}
+		}
+		return h
+	}
+	full := runErr(t, src, 8, opts, Config{})
+	for _, seed := range []struct {
+		frac        float64
+		time, image uint64
+	}{
+		{0.013, 0x3e9b2dd8d6457178, 0x3b44da79586cdf65},
+		{0.25, 0x3edfa561ced20aa2, 0x633cda79586cdf65},
+		{0.617, 0x3ef368bd83aea0ef, 0x4a64da79586cdf65},
+	} {
+		limit := full.Time * seed.frac
+		runs := runErr(t, src, 8, opts, Config{MaxSeconds: limit})
+		walk := runErr(t, general, 8, opts, Config{MaxSeconds: limit})
+		if !runs.Aborted || !walk.Aborted {
+			t.Fatalf("limit %v: aborted %v (runs), %v (general walk)", limit, runs.Aborted, walk.Aborted)
+		}
+		if runs.Time != walk.Time || image(runs) != image(walk) {
+			t.Errorf("limit %v: stopped at %v with memory %#x, the general walk at %v with %#x",
+				limit, runs.Time, image(runs), walk.Time, image(walk))
+		}
+		if math.Float64bits(runs.Time) != seed.time || image(runs) != seed.image {
+			t.Errorf("limit %v: stopped at %#x with memory %#x, the seed at %#x with %#x",
+				limit, math.Float64bits(runs.Time), image(runs), seed.time, seed.image)
+		}
 	}
 }

@@ -33,9 +33,11 @@ end
 
 // TestZeroAllocationPerStatementInstance guards the lowered interpreter's
 // acceptance criterion directly: simulating a compiled program allocates a
-// count that does not depend on how many statement instances it executes —
+// count that depends neither on how many statement instances it executes —
 // per instance, expression evaluation, the bounds guard, the owner set and
-// the machine charge touch the heap nowhere.
+// the machine charge touch the heap nowhere — nor on how many times its loops
+// are entered: partitioning a loop into owner runs, filling the set table and
+// hoisting the bounds guards work in scratch the State sized once.
 func TestZeroAllocationPerStatementInstance(t *testing.T) {
 	allocs := func(n, iters int) float64 {
 		ap, err := parser.Parse(tpSource(n, iters))
@@ -57,5 +59,11 @@ func TestZeroAllocationPerStatementInstance(t *testing.T) {
 	if short != long {
 		t.Fatalf("a run of 400 statement instances allocates %v times, one of 40000 instances %v: allocations scale with the trip count",
 			short, long)
+	}
+	// 2 and 400 entries of the outer loop's body: 4 and 800 loop entries, 32
+	// and 6400 owner runs on 8 processors.
+	if few, many := allocs(100, 2), allocs(100, 400); few != many {
+		t.Fatalf("a run of 4 inner-loop entries allocates %v times, one of 800 entries %v: allocations scale with the loop entries",
+			few, many)
 	}
 }

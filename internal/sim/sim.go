@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"phpf/internal/comm"
 	"phpf/internal/dist"
@@ -69,7 +70,9 @@ func RunContext(ctx context.Context, p *spmd.Program, cfg Config) (*Result, erro
 	if err != nil {
 		return nil, simError(err)
 	}
-	in := &interp{Account: eval.NewAccount(st, cfg), ctx: ctx, maxSeconds: cfg.MaxSeconds}
+	ended, unhook := eval.Ended(ctx)
+	defer unhook()
+	in := &interp{Account: eval.NewAccount(st, cfg), ctx: ctx, ended: ended, maxSeconds: cfg.MaxSeconds}
 	mach := in.M
 	if cfg.Trace != nil {
 		mach.Rec = trace.New(nprocs, 1, *cfg.Trace)
@@ -126,13 +129,14 @@ func simError(err error) error {
 type interp struct {
 	*eval.Account
 	ctx        context.Context
+	ended      *atomic.Bool // eval.Ended(ctx): what the sites poll
 	maxSeconds float64
 }
 
 // CrashSite fires the crashes that have come due, then applies the limits.
 func (in *interp) CrashSite() error {
-	if err := in.ctx.Err(); err != nil {
-		return err
+	if in.ended != nil && in.ended.Load() {
+		return in.ctx.Err()
 	}
 	in.RecoverCrashes()
 	if in.maxSeconds > 0 && in.M.Time() > in.maxSeconds {

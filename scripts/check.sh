@@ -87,8 +87,9 @@ done
 # regressions in the robustness contracts (never panic, positioned errors)
 # without turning the gate into a fuzzing campaign; FuzzLowerExpr holds the
 # lowered interpreter to the tree-walking oracle on random expressions and
-# subscripts. Go allows one -fuzz target per invocation, so each runs
-# separately.
+# subscripts, FuzzOwnerRun the owner-run closed form (dist.AxisMap.OwnerRun)
+# to brute force over OwnerDim. Go allows one -fuzz target per invocation, so
+# each runs separately.
 fuzztime="${FUZZTIME:-10s}"
 go test -run=^$ -fuzz=FuzzLex -fuzztime="$fuzztime" ./internal/lexer
 go test -run=^$ -fuzz=FuzzParse -fuzztime="$fuzztime" ./internal/parser
@@ -96,6 +97,7 @@ go test -run=^$ -fuzz=FuzzParseCrashes -fuzztime="$fuzztime" ./internal/fault
 go test -run=^$ -fuzz=FuzzParseSlowdowns -fuzztime="$fuzztime" ./internal/fault
 go test -run=^$ -fuzz=FuzzServeRequest -fuzztime="$fuzztime" ./internal/serve
 go test -run=^$ -fuzz=FuzzLowerExpr -fuzztime="$fuzztime" ./internal/eval
+go test -run=^$ -fuzz=FuzzOwnerRun -fuzztime="$fuzztime" ./internal/dist
 go test -run=^$ -fuzz=FuzzAutoPriv -fuzztime="$fuzztime" .
 
 # Chaos gate: every seeded fault plan (loss, duplication, slowdown,
