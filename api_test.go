@@ -95,7 +95,6 @@ func TestBackendRejectsForeignOptions(t *testing.T) {
 		b    Backend
 		opts RunOptions
 	}{
-		{"sim-workers", Simulator(), RunOptions{Workers: 4}},
 		{"sim-stall", Simulator(), RunOptions{StallTimeout: time.Second}},
 		{"sim-hard-crashes", Simulator(), RunOptions{HardCrashes: true}},
 		{"concurrent-max", Concurrent(), RunOptions{MaxSeconds: 1}},
@@ -129,7 +128,6 @@ func TestInvalidConfigIsCoded(t *testing.T) {
 		{"NaN CheckpointInterval", RunOptions{CheckpointInterval: math.NaN()}},
 		{"crash on processor 9 of 4", RunOptions{Fault: &FaultPlan{Crashes: []Crash{{Proc: 9, At: 0.001}}}}},
 		{"slowdown on processor 9 of 4", RunOptions{Fault: &FaultPlan{Slowdowns: []Slowdown{{Proc: 9, Factor: 2}}}}},
-		{"Workers 3 of 4", RunOptions{Workers: 3}},
 		{"negative MailboxDepth", RunOptions{MailboxDepth: -1}},
 		{"negative MaxCells", RunOptions{MaxCells: -1}},
 		{"unknown Reduce", RunOptions{Reduce: ReduceMode(99)}},

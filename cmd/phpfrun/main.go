@@ -13,7 +13,7 @@
 // passing, watchdog and panic containment; -deadline is wall-clock):
 //
 //	phpfrun -tomcatv -p 16 -exec concurrent
-//	phpfrun -dgefa -n 64 -p 8 -exec concurrent -workers 8 -deadline 30s -stall 5s
+//	phpfrun -dgefa -n 64 -p 8 -exec concurrent -deadline 30s -stall 5s
 //
 // Tracing (works on both backends; the simulator stamps simulated time, the
 // concurrent executor wall time):
@@ -60,7 +60,6 @@ func main() {
 	reduce := flag.String("reduce", "", "runtime reduction strategy: auto (default), collective, privatize")
 
 	backend := flag.String("exec", "sim", "execution backend: sim (sequential simulator) or concurrent (goroutine per processor)")
-	workers := flag.Int("workers", 0, "concurrent backend: worker count (0 = one per simulated processor)")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole run (0 = none)")
 	stallTimeout := flag.Duration("stall", 0, "concurrent backend: watchdog stall timeout (0 = default, negative = disabled)")
 
@@ -150,7 +149,6 @@ func main() {
 		Fault:              plan,
 		CheckpointInterval: *ckptInterval,
 		Reduce:             reduceMode,
-		Workers:            *workers,
 		StallTimeout:       *stallTimeout,
 		MaxRestarts:        *maxRestarts,
 		HardCrashes:        *hardCrashes,

@@ -17,7 +17,6 @@ import (
 	"phpf/internal/core"
 	"phpf/internal/dist"
 	"phpf/internal/ir"
-	"phpf/internal/ssa"
 )
 
 // Requirement is one reference's communication need.
@@ -89,7 +88,7 @@ func Analyze(res *core.Result) *Plan {
 		default:
 			continue
 		}
-		dst := execPattern(res, st)
+		dst := res.ExecPattern(st)
 		for _, u := range st.Uses {
 			if u.IsDef {
 				continue
@@ -123,120 +122,6 @@ func Analyze(res *core.Result) *Plan {
 	return p
 }
 
-// execPattern is the symbolic execution set of a statement under the final
-// decisions (see also core's in-flux variant).
-func execPattern(res *core.Result, st *ir.Stmt) dist.OwnerPattern {
-	g := res.Mapping.Grid
-	switch st.Kind {
-	case ir.SAssign:
-		if !st.Lhs.Var.IsArray() {
-			m := res.ScalarOfStmt(st)
-			if m != nil && m.Kind == core.ScalarReduction && m.Red != nil && m.Red.DataRef != nil {
-				// The local partial update executes on the data owners.
-				return res.RefPattern(m.Red.DataRef)
-			}
-			if m != nil && m.Kind == core.ScalarNoAlign {
-				// Executes on the union of the iteration's processors;
-				// approximated by the union pattern of sibling statements.
-				return unionPattern(res, st)
-			}
-			return res.ScalarPattern(m)
-		}
-		return res.RefPattern(st.Lhs)
-	case ir.SIf, ir.SIfGoto:
-		if res.CtrlPrivatized(st) {
-			return unionPattern(res, st)
-		}
-		return dist.ReplicatedPattern(g)
-	default:
-		return dist.ReplicatedPattern(g)
-	}
-}
-
-// unionPattern over-approximates the union of the execution sets of the
-// other statements in the statement's innermost loop body.
-func unionPattern(res *core.Result, st *ir.Stmt) dist.OwnerPattern {
-	g := res.Mapping.Grid
-	if st.Loop == nil {
-		return dist.ReplicatedPattern(g)
-	}
-	var pats []dist.OwnerPattern
-	for _, other := range res.Prog.Stmts {
-		if other == st || other.Kind != ir.SAssign || !ir.Encloses(st.Loop, other.Loop) {
-			continue
-		}
-		if !other.Lhs.Var.IsArray() {
-			m := res.ScalarOfStmt(other)
-			if m == nil || m.Kind == core.ScalarNoAlign {
-				continue
-			}
-			if m.Kind == core.ScalarReduction && m.Red != nil && m.Red.DataRef != nil {
-				pats = append(pats, res.RefPattern(m.Red.DataRef))
-				continue
-			}
-			if m.Kind == core.ScalarReplicated {
-				continue
-			}
-			pats = append(pats, res.ScalarPattern(m))
-			continue
-		}
-		pats = append(pats, res.RefPattern(other.Lhs))
-	}
-	if len(pats) == 0 {
-		return dist.ReplicatedPattern(g)
-	}
-	// Dimension-wise union: dims that agree across all patterns keep their
-	// determination; other dims are widened to all coordinates. Dims whose
-	// determination varies in loops nested inside st.Loop are widened too
-	// (the union ranges over those inner iterations).
-	out := pats[0].Clone()
-	for _, q := range pats[1:] {
-		out = unionDims(out, q)
-	}
-	for d := range out.Dims {
-		if out.Dims[d].Repl {
-			continue
-		}
-		for _, inner := range innerLoops(res.Prog, st.Loop) {
-			if out.Dims[d].Sub.VariesIn(inner) {
-				out.Dims[d] = dist.DimPattern{Repl: true}
-				break
-			}
-		}
-	}
-	return out
-}
-
-func unionDims(a, b dist.OwnerPattern) dist.OwnerPattern {
-	out := a.Clone()
-	for d := range out.Dims {
-		if a.Dims[d].Repl || b.Dims[d].Repl {
-			out.Dims[d] = dist.DimPattern{Repl: true}
-			continue
-		}
-		if !samePatternDim(a.Dims[d], b.Dims[d]) {
-			out.Dims[d] = dist.DimPattern{Repl: true}
-		}
-	}
-	return out
-}
-
-func samePatternDim(a, b dist.DimPattern) bool {
-	pa := dist.OwnerPattern{Dims: []dist.DimPattern{a}}
-	pb := dist.OwnerPattern{Dims: []dist.DimPattern{b}}
-	return dist.Covers(pa, pb) && dist.Covers(pb, pa)
-}
-
-func innerLoops(p *ir.Program, outer *ir.Loop) []*ir.Loop {
-	var out []*ir.Loop
-	for _, l := range p.Loops {
-		if l != outer && ir.Encloses(outer, l) {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // analyzeUse builds the requirement for one use (nil when no communication
 // can ever be needed).
 func analyzeUse(res *core.Result, st *ir.Stmt, u *ir.Ref, src, dst dist.OwnerPattern) *Requirement {
@@ -257,7 +142,7 @@ func analyzeUse(res *core.Result, st *ir.Stmt, u *ir.Ref, src, dst dist.OwnerPat
 
 	// Placement: hoist out of enclosing loops while legal.
 	cur := st.Loop
-	for cur != nil && hoistable(res, u, src, dst, cur) {
+	for cur != nil && res.Hoistable(u, src, dst, cur) {
 		req.Hoisted = append(req.Hoisted, cur)
 		cur = cur.Parent
 	}
@@ -266,40 +151,6 @@ func analyzeUse(res *core.Result, st *ir.Stmt, u *ir.Ref, src, dst dist.OwnerPat
 		req.Placement = nil
 	}
 	return req
-}
-
-// hoistable reports whether communication for u can be aggregated out of
-// loop l: the data must not be produced inside l (flow dependence) and both
-// endpoint patterns must be statically enumerable across l's iterations
-// (affine positions).
-func hoistable(res *core.Result, u *ir.Ref, src, dst dist.OwnerPattern, l *ir.Loop) bool {
-	for d := range src.Dims {
-		if !src.Dims[d].Repl && !src.Dims[d].Sub.OK {
-			return false
-		}
-		if !dst.Dims[d].Repl && !dst.Dims[d].Sub.OK {
-			return false
-		}
-	}
-	if u.Var.IsArray() {
-		// A definition of the array inside l defeats hoisting only if it
-		// may produce an element the use reads (Banerjee-style test).
-		for _, st := range res.Prog.Stmts {
-			if st.Kind == ir.SAssign && st.Lhs.Var == u.Var && ir.Encloses(l, st.Loop) {
-				if res.Opts.DisableDependenceTest || ir.MayOverlapAcross(st.Lhs, u, l) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	// Scalar: every reaching definition must lie outside l.
-	for _, d := range res.SSA.ReachingDefs(u) {
-		if d.Kind == ssa.VDef && ir.Encloses(l, d.Stmt.Loop) {
-			return false
-		}
-	}
-	return true
 }
 
 // ShiftDelta returns the constant position offset of a shift-class
@@ -329,10 +180,4 @@ func (p *Plan) CountByClass() map[dist.CommClass]int {
 		out[r.Class]++
 	}
 	return out
-}
-
-// ExecPattern exposes the symbolic execution set of a statement under the
-// final decisions (used by diagnostics and tests).
-func ExecPattern(res *core.Result, st *ir.Stmt) dist.OwnerPattern {
-	return execPattern(res, st)
 }

@@ -293,7 +293,7 @@ end
 		if st.Kind != ir.SAssign {
 			continue
 		}
-		pat := ExecPattern(res, st)
+		pat := res.ExecPattern(st)
 		switch st.Lhs.Var.Name {
 		case "a":
 			if pat.IsReplicated() {

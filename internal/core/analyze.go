@@ -4,6 +4,7 @@ import (
 	"phpf/internal/dataflow"
 	"phpf/internal/dist"
 	"phpf/internal/ir"
+	"phpf/internal/pass"
 	"phpf/internal/ssa"
 )
 
@@ -11,7 +12,6 @@ import (
 type analyzer struct {
 	prog *ir.Program
 	ssa  *ssa.SSA
-	cp   *dataflow.ConstProp
 	m    *dist.Mapping
 	opts Options
 	res  *Result
@@ -26,14 +26,15 @@ type analyzer struct {
 	reductionOf map[*ir.Stmt]*dataflow.Reduction
 }
 
-// Analyze runs the complete mapping pass over a program whose induction
-// variables have already been rewritten (see dataflow.ApplyInductionRewrites)
-// and whose SSA has been rebuilt afterwards.
-func Analyze(p *ir.Program, s *ssa.SSA, cp *dataflow.ConstProp, m *dist.Mapping,
-	ivs []*dataflow.Induction, opts Options) *Result {
-
+// Analyze is the body of the pipeline's analyze pass: the complete mapping
+// pass over the unit's program, whose induction variables have already been
+// rewritten (see dataflow.ApplyInductionRewrites), over the SSA rebuilt
+// afterwards, with the privatization facts the autopriv pass left on the
+// loops and the reductions the reduceplan pass classified.
+func Analyze(u *pass.Unit, opts Options) *Result {
+	p, s, m := u.Prog, u.SSA, u.Mapping
 	a := &analyzer{
-		prog: p, ssa: s, cp: cp, m: m, opts: opts,
+		prog: p, ssa: s, m: m, opts: opts,
 		inProgress:  map[*ssa.Value]bool{},
 		reductionOf: map[*ir.Stmt]*dataflow.Reduction{},
 		res: &Result{
@@ -41,7 +42,10 @@ func Analyze(p *ir.Program, s *ssa.SSA, cp *dataflow.ConstProp, m *dist.Mapping,
 			Scalars:    map[*ssa.Value]*ScalarMapping{},
 			Arrays:     map[*ir.Var]*ArrayPrivatization{},
 			Ctrl:       map[*ir.Stmt]*CtrlMapping{},
-			Inductions: ivs,
+			Inductions: u.Inductions,
+			Reductions: u.Reductions(),
+			ReducePlan: u.ReducePlan,
+			Priv:       u.AutoPriv,
 		},
 	}
 
@@ -55,7 +59,6 @@ func Analyze(p *ir.Program, s *ssa.SSA, cp *dataflow.ConstProp, m *dist.Mapping,
 	// Figure-3 algorithm in either case: mapped per §2.3 when the
 	// optimization is on, replicated when it is off (the Table 2 "Default"
 	// configuration).
-	a.res.Reductions = dataflow.FindReductions(p, s)
 	for _, red := range a.res.Reductions {
 		a.reductionOf[red.Stmt] = red
 	}
@@ -153,52 +156,9 @@ func (a *analyzer) isRhsReplicated(st *ir.Stmt) bool {
 		if u.InSubscript && u.EnclosingRef == st.Lhs {
 			continue
 		}
-		if !a.refPattern(u).IsReplicated() {
+		if !a.res.RefPattern(u).IsReplicated() {
 			return false
 		}
 	}
 	return true
-}
-
-// refPattern is RefPattern against the in-flux state: scalars whose mapping
-// is still being determined count as replicated (the paper defers for
-// exactly this reason).
-func (a *analyzer) refPattern(ref *ir.Ref) dist.OwnerPattern {
-	g := a.m.Grid
-	if ref.Var.IsArray() {
-		if ap := a.res.Arrays[ref.Var]; ap != nil && ir.Encloses(ap.Loop, ref.Stmt.Loop) {
-			return ap.PatternOf(g, ref, a.refPattern(ap.Target))
-		}
-		return dist.PatternOf(g, a.m.Arrays[ref.Var], ref)
-	}
-	var m *ScalarMapping
-	if ref.IsDef {
-		m = a.res.Scalars[a.ssa.DefOf[ref.Stmt]]
-	} else {
-		for _, d := range a.ssa.ReachingDefs(ref) {
-			if mm := a.res.Scalars[d]; mm != nil {
-				m = mm
-				break
-			}
-		}
-	}
-	if m != nil && m.LastPrivate && m.PrivLoop != nil && !ir.Encloses(m.PrivLoop, ref.Stmt.Loop) {
-		// Past the copy-out: every processor holds the final value.
-		return dist.ReplicatedPattern(g)
-	}
-	return a.res.ScalarPattern(m)
-}
-
-// execPattern approximates where a statement executes under owner-computes
-// with the current decisions.
-func (a *analyzer) execPattern(st *ir.Stmt) dist.OwnerPattern {
-	switch st.Kind {
-	case ir.SAssign:
-		return a.refPattern(st.Lhs)
-	default:
-		// Control statements, bounds and redistributes: everywhere (until
-		// §4 privatizes them, which only narrows communication, handled
-		// separately).
-		return dist.ReplicatedPattern(a.m.Grid)
-	}
 }

@@ -7,62 +7,22 @@ import (
 	"phpf/internal/ir"
 )
 
-// privatizeArrays implements §3: for every loop carrying a privatization
-// fact — a NEW clause, a NODEPS directive implying memory-based dependences
-// on written arrays, or an inferred-NEW annotation the autopriv pass
-// inserted — it privatizes the named arrays: fully when the alignment
-// target is valid throughout the loop, partially (partition + privatize)
-// otherwise. Strict inference ignores the directive-asserted sources.
+// privatizeArrays implements §3: for every loop, it privatizes the arrays
+// the loop's privatization facts name (ir.Loop.Privatizes: a NEW clause, a
+// NODEPS directive implying memory-based dependences on written arrays, or
+// what the autopriv pass inferred — under the privatization mode, which that
+// pass alone applies): fully when the alignment target is valid throughout
+// the loop, partially (partition + privatize) otherwise.
 func (a *analyzer) privatizeArrays() {
-	strict := a.opts.Privatization == PrivInferStrict
 	for _, L := range a.prog.Loops {
 		var cands []*ir.Var
-		seen := map[*ir.Var]bool{}
-		addNames := func(names []string) {
-			for _, name := range names {
-				v := a.prog.LookupVar(name)
-				if v != nil && v.IsArray() && !seen[v] {
-					cands = append(cands, v)
-					seen[v] = true
-				}
-			}
-		}
-		if !strict {
-			addNames(L.New)
-		}
-		addNames(L.InferredNew)
-		if L.NoDeps && !strict {
-			// Paper §3.1: under the weaker directive, any lhs array
-			// reference whose subscripts are all invariant with respect to
-			// the loop (or affine in inner loop indices only) contributes
-			// memory-based loop-carried dependences eliminable only by
-			// privatization.
-			for _, st := range a.prog.Stmts {
-				if st.Kind != ir.SAssign || !st.Lhs.Var.IsArray() || !ir.Encloses(L, st.Loop) {
-					continue
-				}
-				v := st.Lhs.Var
-				if seen[v] {
-					continue
-				}
-				invariant := true
-				for _, sub := range st.Lhs.Subs {
-					if sub.VariesIn(L) || !sub.OK {
-						invariant = false
-						break
-					}
-				}
-				if invariant {
-					cands = append(cands, v)
-					seen[v] = true
-				}
+		for _, v := range a.prog.VarList {
+			if ok, _ := L.Privatizes(v); ok && v.IsArray() && a.res.Arrays[v] == nil {
+				cands = append(cands, v)
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool { return cands[i].Name < cands[j].Name })
 		for _, v := range cands {
-			if a.res.Arrays[v] != nil {
-				continue
-			}
 			if ap := a.privatizeArray(v, L); ap != nil {
 				a.res.Arrays[v] = ap
 			}
@@ -159,7 +119,7 @@ func (a *analyzer) selectArrayTarget(c *ir.Var, L *ir.Loop) *ir.Ref {
 		if !usesC || !st.Lhs.Var.IsArray() || st.Lhs.Var == c {
 			continue
 		}
-		if a.refPattern(st.Lhs).IsReplicated() {
+		if a.res.RefPattern(st.Lhs).IsReplicated() {
 			continue
 		}
 		score := a.scoreTarget(st.Lhs, st, st)

@@ -15,20 +15,19 @@ import (
 // cfg/ssa before autopriv and constprop before analyze (visible in the
 // profile as re-runs). The autopriv pass runs over the rewritten SSA —
 // privatization inference sees closed-form induction expressions — and
-// deposits its inferred annotations before the mapping pass consumes them.
+// writes the loops' privatization facts under opts.Privatization before the
+// mapping pass consumes them: this is the only place the mode is read.
 // The slots pass runs last — after every expression rewrite has settled —
 // and freezes the dense variable numbering the interpreter's slot-indexed
 // state relies on.
-func Pipeline(opts Options, out **Result) []pass.Pass {
+func Pipeline(opts Options, out **Result) []*pass.Pass {
 	mode := opts.Privatization
-	analyze := &pass.Funcs{
-		PassName: "analyze",
-		Needs: []pass.Fact{pass.FactIR, pass.FactSSA, pass.FactConsts,
+	analyze := &pass.Pass{
+		Name: "analyze",
+		Requires: []pass.Fact{pass.FactIR, pass.FactSSA, pass.FactConsts,
 			pass.FactMapping, pass.FactAutoPriv, pass.FactReducePlan},
-		RunFunc: func(u *pass.Unit) error {
-			res := Analyze(u.Prog, u.SSA, u.Consts, u.Mapping, u.Inductions, opts)
-			res.Priv = u.AutoPriv
-			res.ReducePlan = u.ReducePlan
+		Run: func(u *pass.Unit) error {
+			res := Analyze(u, opts)
 			for _, d := range res.Diags {
 				u.Diag(d)
 			}
@@ -36,7 +35,7 @@ func Pipeline(opts Options, out **Result) []pass.Pass {
 			return nil
 		},
 	}
-	return []pass.Pass{
+	return []*pass.Pass{
 		pass.IRBuild(),
 		pass.CFGBuild(),
 		pass.SSABuild(),
@@ -72,7 +71,7 @@ func BuildAndAnalyze(src *ast.Program, nprocs int, opts Options) (*Result, error
 	}
 	mgr.Verify = opts.Verify || testing.Testing()
 	mgr.DumpAfter = opts.DumpAfter
-	u := &pass.Unit{Source: src, NProcs: nprocs, Options: opts}
+	u := &pass.Unit{Source: src, NProcs: nprocs}
 	runErr := mgr.Run(u)
 	if runErr != nil {
 		return nil, runErr

@@ -21,14 +21,13 @@ func (a *analyzer) mapReduction(red *dataflow.Reduction) {
 	if def == nil || a.res.Scalars[def] != nil {
 		return
 	}
-	a.reductionOf[red.Stmt] = red
 
 	g := a.m.Grid
 	pattern := dist.ReplicatedPattern(g)
 	var redDims []int
 
 	if red.DataRef != nil {
-		dataPat := a.refPattern(red.DataRef)
+		dataPat := a.res.RefPattern(red.DataRef)
 		outer := red.Loops[len(red.Loops)-1]
 
 		// Reduction grid dimensions: where the data's owner varies across

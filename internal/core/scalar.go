@@ -80,7 +80,7 @@ func (a *analyzer) determineScalar(def *ssa.Value) *ScalarMapping {
 		}
 		// Always align with a partitioned producer reference if one exists.
 		if prod := a.selectProducer(st); prod != nil {
-			if pat := a.refPattern(prod); !patternValid(pat) {
+			if pat := a.res.RefPattern(prod); !patternValid(pat) {
 				a.diagf(st.Pos(), "scalar-mapping", def.Var.Name,
 					"producer candidate %s has an invalid owner pattern; falling back to replication", prod)
 			} else if lp := a.alignmentLoop(def, prod); lp != nil {
@@ -143,7 +143,7 @@ func (a *analyzer) determineScalar(def *ssa.Value) *ScalarMapping {
 	}
 
 	if target != nil {
-		if pat := a.refPattern(target); !patternValid(pat) {
+		if pat := a.res.RefPattern(target); !patternValid(pat) {
 			a.diagf(st.Pos(), "scalar-mapping", def.Var.Name,
 				"alignment candidate %s has an invalid owner pattern; falling back to replication", target)
 		} else if lp := a.alignmentLoop(def, target); lp != nil {
@@ -201,70 +201,39 @@ func (a *analyzer) existingSiblingMapping(def *ssa.Value) *ScalarMapping {
 }
 
 // privatizationLoop determines the loop with respect to which def is
-// privatizable: data-flow analysis first, then the NEW clause of an
-// enclosing INDEPENDENT/NODEPS loop (which asserts privatizability and makes
-// any seemingly-reached use outside that loop spurious), then the autopriv
-// pass's inferred annotations. The second result marks a lastprivate
-// privatization: valid only with the final-iteration copy-out at loop exit.
-// Strict inference ignores NEW clauses.
+// privatizable: data-flow analysis first, then the innermost enclosing loop
+// whose privatization facts (ir.Loop.Privatizes: what a directive asserts
+// under the privatization mode — making any seemingly-reached use outside
+// that loop spurious — plus what the autopriv pass inferred) name the
+// variable. The second result marks a lastprivate privatization, taken only
+// when no loop privatizes the variable outright: valid only with the
+// final-iteration copy-out at loop exit.
 func (a *analyzer) privatizationLoop(def *ssa.Value) (*ir.Loop, bool) {
 	if _, l := dataflow.PrivatizationLevel(a.ssa, def); l != nil {
 		return l, false
 	}
-	strict := a.opts.Privatization == PrivInferStrict
+	var last *ir.Loop
 	for l := def.Stmt.Loop; l != nil; l = l.Parent {
-		if !strict {
-			for _, name := range l.New {
-				if name == def.Var.Name {
-					return l, false
-				}
-			}
-		}
-		for _, name := range l.InferredNew {
-			if name == def.Var.Name {
-				return l, false
-			}
+		switch ok, lastOnly := l.Privatizes(def.Var); {
+		case ok && !lastOnly:
+			return l, false
+		case ok && last == nil:
+			last = l
 		}
 	}
-	for l := def.Stmt.Loop; l != nil; l = l.Parent {
-		for _, name := range l.InferredLast {
-			if name == def.Var.Name {
-				return l, true
-			}
-		}
-	}
-	return nil, false
+	return last, last != nil
 }
 
 // privatizableWrt reports whether def may be privatized with respect to l
-// (analysis, NEW assertion unless strict inference, or inferred annotation).
-// A lastprivate annotation asserts privatizability only at exactly its loop
-// — the level where the copy-out happens.
+// (analysis, or a privatization fact of l). A lastprivate fact asserts
+// privatizability only at exactly its loop — the level where the copy-out
+// happens.
 func (a *analyzer) privatizableWrt(def *ssa.Value, l *ir.Loop) bool {
 	if dataflow.Privatizable(a.ssa, def, l) {
 		return true
 	}
-	if !ir.Encloses(l, def.Stmt.Loop) {
-		return false
-	}
-	if a.opts.Privatization != PrivInferStrict {
-		for _, name := range l.New {
-			if name == def.Var.Name {
-				return true
-			}
-		}
-	}
-	for _, name := range l.InferredNew {
-		if name == def.Var.Name {
-			return true
-		}
-	}
-	for _, name := range l.InferredLast {
-		if name == def.Var.Name {
-			return true
-		}
-	}
-	return false
+	ok, _ := l.Privatizes(def.Var)
+	return ok && ir.Encloses(l, def.Stmt.Loop)
 }
 
 // alignmentLoop finds the outermost enclosing loop l such that def is
@@ -426,7 +395,7 @@ func (a *analyzer) selectConsumerMode(def *ssa.Value, resolve bool, skipOutside 
 func (a *analyzer) consumerRefOf(st *ir.Stmt) *ir.Ref {
 	lhs := st.Lhs
 	if lhs.Var.IsArray() {
-		if a.refPattern(lhs).IsReplicated() {
+		if a.res.RefPattern(lhs).IsReplicated() {
 			return nil // consumer refers to replicated data: ignore
 		}
 		return lhs
@@ -460,7 +429,7 @@ func (a *analyzer) controlConsumer(ctrl *ir.Stmt) *ir.Ref {
 		}
 		for _, e := range st.EnclosingIfs {
 			if e == ctrl {
-				if st.Lhs.Var.IsArray() && !a.refPattern(st.Lhs).IsReplicated() {
+				if st.Lhs.Var.IsArray() && !a.res.RefPattern(st.Lhs).IsReplicated() {
 					return st.Lhs
 				}
 				if found == nil {
@@ -514,9 +483,7 @@ func subscriptContains(ref *ir.Ref, dim int, u *ir.Ref) bool {
 // refNeedsComm reports whether rhs reference ref requires communication for
 // statement st under the current decisions.
 func (a *analyzer) refNeedsComm(ref *ir.Ref, st *ir.Stmt) bool {
-	src := a.refPattern(ref)
-	dst := a.execPattern(st)
-	return !dist.Covers(src, dst)
+	return !dist.Covers(a.res.RefPattern(ref), a.res.ExecPattern(st))
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +515,7 @@ func (a *analyzer) selectProducer(st *ir.Stmt) *ir.Ref {
 		if cand == nil {
 			continue
 		}
-		if a.refPattern(cand).IsReplicated() {
+		if a.res.RefPattern(cand).IsReplicated() {
 			continue
 		}
 		score := a.scoreTarget(cand, st, st)
@@ -564,7 +531,7 @@ func (a *analyzer) selectProducer(st *ir.Stmt) *ir.Ref {
 // definition and the use score highest (the paper prefers A(i) over A(1)
 // inside an i-loop).
 func (a *analyzer) scoreTarget(cand *ir.Ref, defStmt, useStmt *ir.Stmt) int {
-	pat := a.refPattern(cand)
+	pat := a.res.RefPattern(cand)
 	if pat.IsReplicated() {
 		return -1
 	}
@@ -585,55 +552,26 @@ func (a *analyzer) scoreTarget(cand *ir.Ref, defStmt, useStmt *ir.Stmt) int {
 // innerLoopCommWith reports whether aligning the scalar defined by st with
 // target would require communication placed inside st's innermost loop for
 // some rhs reference of st — i.e. a message per iteration rather than a
-// vectorized one (§2.1's x-versus-y distinction).
+// vectorized one (§2.1's x-versus-y distinction). The question is put to the
+// planner's own placement test, so the selector cannot believe in a hoisting
+// the plan will not perform, nor fear one it will.
 func (a *analyzer) innerLoopCommWith(st *ir.Stmt, target *ir.Ref) bool {
 	loop := st.Loop
 	if loop == nil {
 		return false
 	}
-	dst := a.refPattern(target)
+	dst := a.res.RefPattern(target)
 	for _, u := range st.Uses {
 		if u.InSubscript && u.EnclosingRef == st.Lhs {
 			continue
 		}
-		src := a.refPattern(u)
+		src := a.res.RefPattern(u)
 		if dist.Covers(src, dst) {
 			continue // no communication for this reference
 		}
-		if !a.hoistableFrom(u, loop) {
+		if !a.res.Hoistable(u, src, dst, loop) {
 			return true
 		}
 	}
 	return false
-}
-
-// hoistableFrom reports whether communication for reference u can be moved
-// outside loop l (message vectorization): the referenced data must not be
-// produced inside l (no flow dependence carried within l) and the access
-// must be analyzable (affine subscripts for arrays).
-func (a *analyzer) hoistableFrom(u *ir.Ref, l *ir.Loop) bool {
-	if u.Var.IsArray() {
-		for _, sub := range u.Subs {
-			if !sub.OK {
-				return false
-			}
-		}
-		// A definition of the array inside l defeats hoisting only when it
-		// may produce an element the use reads.
-		for _, st := range a.prog.Stmts {
-			if st.Kind == ir.SAssign && st.Lhs.Var == u.Var && ir.Encloses(l, st.Loop) {
-				if ir.MayOverlapAcross(st.Lhs, u, l) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	// Scalar: hoistable only if no reaching definition lies inside l.
-	for _, d := range a.ssa.ReachingDefs(u) {
-		if d.Kind == ssa.VDef && ir.Encloses(l, d.Stmt.Loop) {
-			return false
-		}
-	}
-	return true
 }

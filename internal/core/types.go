@@ -63,9 +63,9 @@ const (
 	// not re-derived. The default.
 	PrivInfer
 	// PrivInferStrict: inference is the only source of privatization facts;
-	// NEW clauses and NODEPS-implied candidates are ignored by the mapping
-	// pass (an oracle for how much the directives assert beyond what the
-	// analysis proves).
+	// NEW clauses and NODEPS-implied candidates never reach the loops' facts
+	// the mapping pass reads (an oracle for how much the directives assert
+	// beyond what the analysis proves).
 	PrivInferStrict
 )
 
@@ -356,13 +356,13 @@ type Result struct {
 	Reductions []*dataflow.Reduction
 
 	// ReducePlan is the reduceplan pass's collective-vs-privatized
-	// classification of every recognized reduction (nil when Analyze was
-	// called directly; SPMD generation then derives it on demand).
+	// classification of every recognized reduction (over the same
+	// *Reduction values as Reductions).
 	ReducePlan *dataflow.ReducePlan
 
 	// Priv is the autopriv pass's classification of every candidate
 	// (loop, variable) pair — what was privatized, what was declined and
-	// why (nil when Analyze was called directly, outside the pipeline).
+	// why.
 	Priv *dataflow.PrivSummary
 
 	// Diags lists the non-fatal problems the analyses degraded around
@@ -370,7 +370,7 @@ type Result struct {
 	Diags []Diagnostic
 
 	// Profile is the per-pass instrumentation of the pipeline run that
-	// produced this result (nil when Analyze was called directly).
+	// produced this result.
 	Profile *pass.CompileProfile
 }
 

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"strings"
 
 	"phpf/internal/ast"
 	"phpf/internal/ir"
@@ -90,6 +91,45 @@ type PrivSummary struct {
 	Classes []PrivClass
 }
 
+// String renders the summary — one line per candidate with its decision and
+// reason, then, loop by loop, the annotations the autopriv pass inserted: the
+// text of -dump-after=autopriv and of phpfc -explain-priv.
+func (s *PrivSummary) String() string {
+	var b strings.Builder
+	for i := range s.Classes {
+		c := &s.Classes[i]
+		fmt.Fprintf(&b, "%s wrt %s-loop: %s", c.Var.Name, c.Loop.Index.Name, c.Decision)
+		if c.Directive {
+			b.WriteString(" [directive]")
+		}
+		if c.Inserted {
+			b.WriteString(" [inserted]")
+		}
+		fmt.Fprintf(&b, " — %s\n", c.Reason)
+	}
+	// Classes are in loop preorder: one loop's are consecutive.
+	for i := 0; i < len(s.Classes); {
+		l := s.Classes[i].Loop
+		var news, lasts []string
+		for ; i < len(s.Classes) && s.Classes[i].Loop == l; i++ {
+			switch c := &s.Classes[i]; {
+			case !c.Inserted:
+			case c.Decision == PrivLastPrivate:
+				lasts = append(lasts, c.Var.Name)
+			default:
+				news = append(news, c.Var.Name)
+			}
+		}
+		if len(news) > 0 {
+			fmt.Fprintf(&b, "%s-loop inferred new(%s)\n", l.Index.Name, strings.Join(news, ","))
+		}
+		if len(lasts) > 0 {
+			fmt.Fprintf(&b, "%s-loop inferred lastprivate(%s)\n", l.Index.Name, strings.Join(lasts, ","))
+		}
+	}
+	return b.String()
+}
+
 // Of returns the classification of v with respect to l (nil when v is not a
 // candidate for l).
 func (s *PrivSummary) Of(v *ir.Var, l *ir.Loop) *PrivClass {
@@ -103,21 +143,20 @@ func (s *PrivSummary) Of(v *ir.Var, l *ir.Loop) *PrivClass {
 
 // ClassifyPrivatization classifies every candidate (loop, variable) pair of
 // the program. Candidates are variables written inside the loop, excluding
-// loop indices and recognized reduction accumulators (handled by the §2.3
-// reduction mapping); array candidates must additionally be read inside the
-// loop — privatizing a write-only array eliminates no communication under
-// owner-computes, so it is neither privatized nor reported as serialized.
+// loop indices and the accumulators of reds, the program's recognized
+// reductions (handled by the §2.3 reduction mapping); array candidates must
+// additionally be read inside the loop — privatizing a write-only array
+// eliminates no communication under owner-computes, so it is neither
+// privatized nor reported as serialized.
 // cp may be nil; when present, constant-propagation facts sharpen the
 // lastprivate test by proving loops execute at least one iteration.
-func ClassifyPrivatization(p *ir.Program, g *ir.CFG, s *ssa.SSA, cp *ConstProp) *PrivSummary {
+func ClassifyPrivatization(p *ir.Program, g *ir.CFG, s *ssa.SSA, cp *ConstProp, reds []*Reduction) *PrivSummary {
 	sum := &PrivSummary{}
 
 	// Reduction accumulators are outside this analysis.
 	redVar := map[*ir.Var]bool{}
-	if s != nil {
-		for _, red := range FindReductions(p, s) {
-			redVar[red.Var] = true
-		}
+	for _, red := range reds {
+		redVar[red.Var] = true
 	}
 
 	// stmt → CFG block, for the reachability liveness test.
@@ -419,36 +458,6 @@ func readsAfterLoop(g *ir.CFG, blockOf map[*ir.Stmt]*ir.Block, r *ir.Ref, L *ir.
 		work = append(work, b.Succs...)
 	}
 	return false
-}
-
-// AutoPrivatizable describes an automatically discovered privatizable array
-// (the paper's stated future work: integrating the mapping techniques with
-// automatic array privatization in the style of Tu & Padua [18]).
-type AutoPrivatizable struct {
-	Var  *ir.Var
-	Loop *ir.Loop
-}
-
-// FindAutoPrivatizableArrays discovers arrays that are privatizable with
-// respect to a loop without a NEW directive. It is the array projection of
-// ClassifyPrivatization, kept for callers that have only an IR program (the
-// CFG and SSA facts are built internally).
-func FindAutoPrivatizableArrays(p *ir.Program) []AutoPrivatizable {
-	var g *ir.CFG
-	var s *ssa.SSA
-	var cp *ConstProp
-	if cfg, err := ir.BuildCFG(p); err == nil {
-		g = cfg
-		s = ssa.Build(p, g)
-		cp = PropagateConstants(s)
-	}
-	var out []AutoPrivatizable
-	for _, c := range ClassifyPrivatization(p, g, s, cp).Classes {
-		if c.Var.IsArray() && c.Decision == PrivPrivate {
-			out = append(out, AutoPrivatizable{Var: c.Var, Loop: c.Loop})
-		}
-	}
-	return out
 }
 
 // readCovered reports whether some write covers the read within one

@@ -26,7 +26,7 @@ func classifySrc(t *testing.T, src string) (*ir.Program, *PrivSummary) {
 		t.Fatalf("cfg: %v", err)
 	}
 	s := ssa.Build(p, g)
-	return p, ClassifyPrivatization(p, g, s, PropagateConstants(s))
+	return p, ClassifyPrivatization(p, g, s, PropagateConstants(s), FindReductions(p, s))
 }
 
 // TestClassifyDecisions pins the per-variable classification against

@@ -4,23 +4,23 @@ import (
 	"testing"
 
 	"phpf/internal/ir"
-	"phpf/internal/parser"
 )
 
-func findAuto(t *testing.T, src string) (*ir.Program, []AutoPrivatizable) {
+// findAuto returns the arrays the classification proves private — the array
+// projection of ClassifyPrivatization.
+func findAuto(t *testing.T, src string) (*ir.Program, []PrivClass) {
 	t.Helper()
-	ap, err := parser.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
+	p, sum := classifySrc(t, src)
+	var out []PrivClass
+	for _, c := range sum.Classes {
+		if c.Var.IsArray() && c.Decision == PrivPrivate {
+			out = append(out, c)
+		}
 	}
-	p, err := ir.Build(ap)
-	if err != nil {
-		t.Fatalf("ir: %v", err)
-	}
-	return p, FindAutoPrivatizableArrays(p)
+	return p, out
 }
 
-func hasAuto(list []AutoPrivatizable, varName, loopIdx string) bool {
+func hasAuto(list []PrivClass, varName, loopIdx string) bool {
 	for _, a := range list {
 		if a.Var.Name == varName && a.Loop.Index.Name == loopIdx {
 			return true

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"phpf/internal/ast"
+	"phpf/internal/diag"
 	"phpf/internal/ir"
 	"phpf/internal/parser"
 )
@@ -97,6 +98,20 @@ func TestProcSetBasics(t *testing.T) {
 	}
 }
 
+// mustResolve resolves a program whose directives are all good: any
+// diagnostic fails the test.
+func mustResolve(t *testing.T, p *ir.Program, nprocs int) *Mapping {
+	t.Helper()
+	m, probs, err := ResolveLenient(p, nprocs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probs) > 0 {
+		t.Fatalf("clean program produced problems: %v", probs)
+	}
+	return m
+}
+
 func TestResolveBlockDistribution(t *testing.T) {
 	p := mkProg(t, `
 program t
@@ -107,10 +122,7 @@ real a(n), b(n)
 a(1) = 0.0
 end
 `)
-	m, err := Resolve(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustResolve(t, p, 4)
 	if m.Grid.Rank() != 1 || m.Grid.Shape[0] != 4 {
 		t.Fatalf("grid = %v", m.Grid)
 	}
@@ -149,10 +161,7 @@ real a(n), b(n)
 a(1) = 0.0
 end
 `)
-	m, err := Resolve(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustResolve(t, p, 4)
 	a := m.Arrays[p.LookupVar("a")]
 	b := m.Arrays[p.LookupVar("b")]
 	// b(i) is aligned with a(i+1): owner(b,25) == owner(a,26).
@@ -173,10 +182,7 @@ real a(n), e(n)
 a(1) = 0.0
 end
 `)
-	m, err := Resolve(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustResolve(t, p, 4)
 	e := m.Arrays[p.LookupVar("e")]
 	if !e.FullyReplicated() {
 		t.Errorf("e = %v, want fully replicated", e)
@@ -198,10 +204,7 @@ real a(n,n), b(n)
 a(1,1) = 0.0
 end
 `)
-	m, err := Resolve(p, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustResolve(t, p, 16)
 	if m.Grid.Rank() != 2 {
 		t.Fatalf("grid = %v", m.Grid)
 	}
@@ -233,10 +236,7 @@ real a(n,n)
 a(1,1) = 0.0
 end
 `)
-	m, err := Resolve(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustResolve(t, p, 4)
 	a := m.Arrays[p.LookupVar("a")]
 	if a.Axes[0].Distributed {
 		t.Error("dim 1 should be collapsed")
@@ -264,10 +264,7 @@ real a(n), u(n)
 a(1) = u(1)
 end
 `)
-	m, err := Resolve(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustResolve(t, p, 4)
 	u := m.Arrays[p.LookupVar("u")]
 	if !u.FullyReplicated() {
 		t.Error("unmapped array should be replicated")
@@ -287,8 +284,12 @@ func TestResolveErrors(t *testing.T) {
 	}
 	for _, src := range cases {
 		p := mkProg(t, src)
-		if _, err := Resolve(p, 4); err == nil {
-			t.Errorf("expected Resolve error for:\n%s", src)
+		_, probs, err := ResolveLenient(p, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(probs) == 0 || probs[0].Code != diag.CodeDirective || probs[0].Severity != diag.Warning {
+			t.Errorf("expected a %s warning, got %v, for:\n%s", diag.CodeDirective, probs, src)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -37,14 +36,10 @@ end do
 end
 `
 
-// TestResolveLenientSkipsBadDirectives: strict Resolve fails, lenient
-// resolution records the problems and maps what it can.
+// TestResolveLenientSkipsBadDirectives: resolution records the problems and
+// maps what it can.
 func TestResolveLenientSkipsBadDirectives(t *testing.T) {
 	p := buildProg(t, lenientSrc)
-
-	if _, err := Resolve(p, 4); err == nil {
-		t.Fatal("strict Resolve accepted a bad directive")
-	}
 
 	m, probs, err := ResolveLenient(p, 4)
 	if err != nil {
@@ -103,8 +98,8 @@ end
 	}
 }
 
-// TestResolveLenientCleanProgram: no problems on valid directives, and the
-// mapping is identical to strict resolution.
+// TestResolveLenientCleanProgram: no problems on valid directives, and every
+// directive took effect.
 func TestResolveLenientCleanProgram(t *testing.T) {
 	src := `
 program t
@@ -119,21 +114,10 @@ end do
 end
 `
 	p := buildProg(t, src)
-	strict, err := Resolve(p, 4)
-	if err != nil {
-		t.Fatalf("strict: %v", err)
-	}
-	lenient, probs, err := ResolveLenient(p, 4)
-	if err != nil {
-		t.Fatalf("lenient: %v", err)
-	}
-	if len(probs) != 0 {
-		t.Fatalf("clean program produced problems: %v", probs)
-	}
-	for v, sm := range strict.Arrays {
-		lm := lenient.Arrays[p.LookupVar(v.Name)]
-		if lm.String() != sm.String() {
-			t.Errorf("%s: lenient %s != strict %s", v.Name, lm, sm)
+	m := mustResolve(t, p, 4)
+	for _, name := range []string{"a", "b"} {
+		if am := m.Arrays[p.LookupVar(name)]; am == nil || len(am.DistributedAxes()) != 1 {
+			t.Errorf("%s = %v, want one distributed axis", name, am)
 		}
 	}
 }
@@ -161,17 +145,10 @@ end
 `
 
 // TestResolveGridRankCap: a directive implying a grid rank above MaxRank is
-// a coded, positioned diagnostic — fatal in strict mode, W101 + skip in
-// lenient mode — never a panic or a silently truncated grid.
+// a coded, positioned diagnostic — W101 and the directive skipped — never a
+// panic or a silently truncated grid.
 func TestResolveGridRankCap(t *testing.T) {
 	p := buildProg(t, rankCapSrc)
-
-	_, err := Resolve(p, 4)
-	var d *diag.Diagnostic
-	if !errors.As(err, &d) || d.Code != diag.CodeDirective || d.Pos.Line != 4 ||
-		!strings.Contains(d.Msg, "rank 8") {
-		t.Fatalf("strict Resolve = %v, want a %s diagnostic about rank 8 at line 4", err, diag.CodeDirective)
-	}
 
 	m, probs, err := ResolveLenient(p, 4)
 	if err != nil {
@@ -181,8 +158,8 @@ func TestResolveGridRankCap(t *testing.T) {
 		t.Fatalf("want the two rank-8 directives (lines 4, 5) skipped, got %v", probs)
 	}
 	for _, pr := range probs {
-		if pr.Code != diag.CodeDirective || pr.Severity != diag.Warning {
-			t.Errorf("problem %v: want a %s warning", pr, diag.CodeDirective)
+		if pr.Code != diag.CodeDirective || pr.Severity != diag.Warning || !strings.Contains(pr.Msg, "rank 8") {
+			t.Errorf("problem %v: want a %s warning about rank 8", pr, diag.CodeDirective)
 		}
 	}
 	if got := m.Grid.Rank(); got != 2 {

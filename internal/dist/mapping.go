@@ -229,11 +229,7 @@ func (m *ArrayMap) String() string {
 	return s
 }
 
-// A skipped directive is reported as a diag.Diagnostic with stage "mapping"
-// and code diag.CodeDirective: the offending directive was skipped and the
-// affected arrays default to replication.
-
-// Resolve interprets the program's directives for nprocs processors.
+// ResolveLenient interprets the program's directives for nprocs processors.
 //
 // The grid rank is taken from the PROCESSORS directive if present, else from
 // the largest number of distributed dimensions in any DISTRIBUTE directive.
@@ -241,39 +237,24 @@ func (m *ArrayMap) String() string {
 // extents give relative ordering only, so one source program can be run at
 // any processor count, as in the paper's experiments).
 //
-// Resolve is strict: the first bad directive is returned as an error.
-func Resolve(p *ir.Program, nprocs int) (*Mapping, error) {
-	m, _, err := resolve(p, nprocs, false)
-	return m, err
-}
-
-// ResolveLenient is Resolve in graceful-degradation mode: bad directives are
-// skipped and recorded as warning diagnostics instead of aborting, and every array a
-// skipped directive would have mapped falls back to replication (always a
-// correct, if slower, mapping). The error return covers only conditions no
-// mapping can be built under (nprocs < 1).
+// Resolution degrades gracefully: a bad directive is skipped and recorded as
+// a warning diagnostic (stage "mapping", code diag.CodeDirective) instead of
+// aborting, and every array a skipped directive would have mapped falls back
+// to replication (always a correct, if slower, mapping). The error return
+// covers only conditions no mapping can be built under (nprocs < 1, a grid
+// extent above MaxExtent).
 func ResolveLenient(p *ir.Program, nprocs int) (*Mapping, []diag.Diagnostic, error) {
-	return resolve(p, nprocs, true)
-}
-
-func resolve(p *ir.Program, nprocs int, lenient bool) (*Mapping, []diag.Diagnostic, error) {
 	if nprocs < 1 {
 		return nil, nil, fmt.Errorf("dist: nprocs must be >= 1, got %d", nprocs)
 	}
 	var probs []diag.Diagnostic
-	// report returns a non-nil error in strict mode (caller aborts) and
-	// records a warning diagnostic in lenient mode (caller skips the
-	// directive).
-	report := func(pos diag.Pos, subject, format string, args ...interface{}) error {
-		if lenient {
-			probs = append(probs, diag.Warningf("mapping", diag.CodeDirective, subject, pos, format, args...))
-			return nil
-		}
-		return diag.Errorf("mapping", diag.CodeDirective, pos, format, args...)
+	// report records a skipped directive.
+	report := func(pos diag.Pos, subject, format string, args ...interface{}) {
+		probs = append(probs, diag.Warningf("mapping", diag.CodeDirective, subject, pos, format, args...))
 	}
 	// A directive implying a grid rank above MaxRank is reported like any
 	// other bad directive and skipped: it neither shapes the grid nor maps
-	// its arrays (they fall back to replication in lenient mode).
+	// its arrays (they fall back to replication).
 	rank := 0
 	for _, d := range p.Dirs {
 		n := impliedRank(d)
@@ -286,10 +267,7 @@ func resolve(p *ir.Program, nprocs int, lenient bool) (*Mapping, []diag.Diagnost
 			case *ast.DistributeDir:
 				pos, subject = diag.Pos{Line: x.Line, Col: x.Col}, strings.Join(x.Arrays, ",")
 			}
-			if err := report(pos, subject, "%s implies a processor grid of rank %d; the maximum is %d",
-				subject, n, MaxRank); err != nil {
-				return nil, nil, err
-			}
+			report(pos, subject, "%s implies a processor grid of rank %d; the maximum is %d", subject, n, MaxRank)
 			continue
 		}
 		if n > rank {
@@ -317,35 +295,25 @@ func resolve(p *ir.Program, nprocs int, lenient bool) (*Mapping, []diag.Diagnost
 		for _, name := range dd.Arrays {
 			v := p.LookupVar(name)
 			if v == nil {
-				if err := report(diag.Pos{Line: dd.Line, Col: dd.Col}, name, "distribute of undeclared %s", name); err != nil {
-					return nil, nil, err
-				}
+				report(diag.Pos{Line: dd.Line, Col: dd.Col}, name, "distribute of undeclared %s", name)
 				continue
 			}
 			if !v.IsArray() {
-				if err := report(diag.Pos{Line: dd.Line, Col: dd.Col}, name, "distribute of scalar %s", name); err != nil {
-					return nil, nil, err
-				}
+				report(diag.Pos{Line: dd.Line, Col: dd.Col}, name, "distribute of scalar %s", name)
 				continue
 			}
 			if len(dd.Formats) != v.Rank() {
-				if err := report(diag.Pos{Line: dd.Line, Col: dd.Col}, name, "distribute of %s: %d formats for rank %d",
-					name, len(dd.Formats), v.Rank()); err != nil {
-					return nil, nil, err
-				}
+				report(diag.Pos{Line: dd.Line, Col: dd.Col}, name, "distribute of %s: %d formats for rank %d",
+					name, len(dd.Formats), v.Rank())
 				continue
 			}
 			if _, dup := m.Arrays[v]; dup {
-				if err := report(diag.Pos{Line: dd.Line, Col: dd.Col}, name, "%s mapped twice", name); err != nil {
-					return nil, nil, err
-				}
+				report(diag.Pos{Line: dd.Line, Col: dd.Col}, name, "%s mapped twice", name)
 				continue
 			}
 			am, derr := DistributeArray(grid, v, dd.Formats)
 			if derr != nil {
-				if err := report(diag.Pos{Line: dd.Line, Col: dd.Col}, name, "%v", derr); err != nil {
-					return nil, nil, err
-				}
+				report(diag.Pos{Line: dd.Line, Col: dd.Col}, name, "%v", derr)
 				continue
 			}
 			m.Arrays[v] = am
@@ -366,9 +334,7 @@ func resolve(p *ir.Program, nprocs int, lenient bool) (*Mapping, []diag.Diagnost
 		for _, name := range ad.Arrays {
 			v := p.LookupVar(name)
 			if v == nil {
-				if err := report(diag.Pos{Line: ad.Line, Col: ad.Col}, name, "align of undeclared %s", name); err != nil {
-					return nil, nil, err
-				}
+				report(diag.Pos{Line: ad.Line, Col: ad.Col}, name, "align of undeclared %s", name)
 				continue
 			}
 			work = append(work, pending{dir: ad, array: v})
@@ -380,9 +346,7 @@ func resolve(p *ir.Program, nprocs int, lenient bool) (*Mapping, []diag.Diagnost
 		for _, w := range work {
 			target := p.LookupVar(w.dir.Target)
 			if target == nil {
-				if err := report(diag.Pos{Line: w.dir.Line, Col: w.dir.Col}, w.array.Name, "align target %s undeclared", w.dir.Target); err != nil {
-					return nil, nil, err
-				}
+				report(diag.Pos{Line: w.dir.Line, Col: w.dir.Col}, w.array.Name, "align target %s undeclared", w.dir.Target)
 				progress = true
 				continue
 			}
@@ -393,16 +357,12 @@ func resolve(p *ir.Program, nprocs int, lenient bool) (*Mapping, []diag.Diagnost
 			}
 			am, aerr := AlignArray(grid, w.array, w.dir, target, tm)
 			if aerr != nil {
-				if err := report(diag.Pos{Line: w.dir.Line, Col: w.dir.Col}, w.array.Name, "%v", aerr); err != nil {
-					return nil, nil, err
-				}
+				report(diag.Pos{Line: w.dir.Line, Col: w.dir.Col}, w.array.Name, "%v", aerr)
 				progress = true
 				continue
 			}
 			if _, dup := m.Arrays[w.array]; dup {
-				if err := report(diag.Pos{Line: w.dir.Line, Col: w.dir.Col}, w.array.Name, "%s mapped twice", w.array.Name); err != nil {
-					return nil, nil, err
-				}
+				report(diag.Pos{Line: w.dir.Line, Col: w.dir.Col}, w.array.Name, "%s mapped twice", w.array.Name)
 				progress = true
 				continue
 			}
@@ -410,16 +370,11 @@ func resolve(p *ir.Program, nprocs int, lenient bool) (*Mapping, []diag.Diagnost
 			progress = true
 		}
 		if !progress {
-			if err := report(diag.Pos{Line: next[0].dir.Line, Col: next[0].dir.Col}, next[0].array.Name,
-				"alignment chain for %s cannot be resolved", next[0].array.Name); err != nil {
-				return nil, nil, err
-			}
-			// Lenient: abandon the whole stuck chain; those arrays stay
-			// replicated. Record the rest so nothing is silently dropped.
-			for _, w := range next[1:] {
-				probs = append(probs, diag.Warningf("mapping", diag.CodeDirective, w.array.Name,
-					diag.Pos{Line: w.dir.Line, Col: w.dir.Col},
-					"alignment chain for %s cannot be resolved", w.array.Name))
+			// Abandon the whole stuck chain; those arrays stay replicated.
+			// Record every member so nothing is silently dropped.
+			for _, w := range next {
+				report(diag.Pos{Line: w.dir.Line, Col: w.dir.Col}, w.array.Name,
+					"alignment chain for %s cannot be resolved", w.array.Name)
 			}
 			next = nil
 		}

@@ -91,9 +91,9 @@ func affineDelta(a, b ir.Affine) (int64, bool) {
 	return b.Const - a.Const, true
 }
 
-// sameDim reports whether two dim patterns denote the same coordinate at
-// every iteration.
-func sameDim(a, b DimPattern) bool {
+// SameDim reports whether two dim patterns denote the same coordinate at
+// every iteration (two replicated dimensions do).
+func SameDim(a, b DimPattern) bool {
 	if a.Repl || b.Repl {
 		return a.Repl && b.Repl
 	}
@@ -117,7 +117,7 @@ func Covers(src, dst OwnerPattern) bool {
 		if dst.Dims[d].Repl {
 			return false // needed everywhere, held at one coordinate
 		}
-		if !sameDim(src.Dims[d], dst.Dims[d]) {
+		if !SameDim(src.Dims[d], dst.Dims[d]) {
 			return false
 		}
 	}
@@ -171,7 +171,7 @@ func Classify(src, dst OwnerPattern) CommClass {
 			bcast = true
 			continue
 		}
-		if sameDim(s, t) {
+		if SameDim(s, t) {
 			continue
 		}
 		// Same distribution, constant position offset → shift.

@@ -35,10 +35,7 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Resolve(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustResolve(t, p, 4)
 	refs := map[string]*ir.Ref{}
 	for _, r := range p.Refs {
 		key := r.String()

@@ -56,13 +56,13 @@ func (s *State) ConfigureReduce(mode core.ReduceMode, budget Budget) error {
 	if mode == core.ReduceCollective {
 		return nil
 	}
-	if mode == core.ReducePrivatize && s.Prog.ReducePlan != nil {
+	if mode == core.ReducePrivatize {
 		// Validate against the full plan, not the attached combines: a
 		// recognized reduction with no combine (an unmapped scalar, or a
 		// collective-only array reduction, whose collective reference is
 		// plain owner-computes execution) is still a privatization the
 		// caller demanded and cannot have.
-		for _, d := range s.Prog.ReducePlan.Decisions {
+		for _, d := range s.Prog.Res.ReducePlan.Decisions {
 			if !d.Privatizable {
 				return diag.Errorf("eval", diag.CodeConfig, d.Red.Stmt.Pos(),
 					"reduce=privatize: reduction %s at line %d is collective-only (%s); use reduce=auto or reduce=collective",

@@ -75,11 +75,6 @@ type RunOptions struct {
 	// point differently; integer-valued reductions agree across strategies.
 	Reduce core.ReduceMode
 
-	// Workers is the concurrent backend's worker count. The SPMD program is
-	// planned for exactly NProcs processors and every planned rendezvous
-	// names concrete processor pairs, so the only valid values are 0
-	// (meaning NProcs) and NProcs itself. Concurrent only.
-	Workers int
 	// MailboxDepth bounds each directed mailbox (0 = the backend's default).
 	// Concurrent only.
 	MailboxDepth int
@@ -119,11 +114,10 @@ type RunOptions struct {
 // named backend: non-finite or negative bounds, intervals and budgets,
 // invalid machine parameters (a zero Params stands for the default and is
 // accepted), a malformed fault plan or one naming a processor the program
-// does not have, a worker count other than the processor count, and every
-// setting the backend does not implement. nprocs <= 0 means the processor
-// count is not known yet and leaves processor numbers unchecked; a backend
-// other than BackendSim, BackendConcurrent and BackendDiff gets the
-// backend-independent checks only. It is the only validation of a run
+// does not have, and every setting the backend does not implement. nprocs
+// <= 0 means the processor count is not known yet and leaves processor
+// numbers unchecked; a backend other than BackendSim, BackendConcurrent and
+// BackendDiff gets the backend-independent checks only. It is the only validation of a run
 // configuration: Compiled.Execute, Compiled.Diff, the serving layer and the
 // backends' own entry points all call it.
 func (o RunOptions) Validate(nprocs int, backend string) error {
@@ -162,9 +156,6 @@ func (o RunOptions) Validate(nprocs int, backend string) error {
 			}
 		}
 	}
-	if o.Workers < 0 {
-		return bad("Workers must be >= 0 (0 = one per processor), got %d", o.Workers)
-	}
 	if o.MailboxDepth < 0 {
 		return bad("MailboxDepth must be >= 0 (0 = default), got %d", o.MailboxDepth)
 	}
@@ -176,8 +167,8 @@ func (o RunOptions) Validate(nprocs int, backend string) error {
 	}
 	switch backend {
 	case BackendSim:
-		if o.Workers != 0 || o.MailboxDepth != 0 || o.StallTimeout != 0 || o.MaxRestarts != 0 || o.HardCrashes {
-			return bad("Workers/MailboxDepth/StallTimeout/MaxRestarts/HardCrashes configure the concurrent backend; the simulator takes none")
+		if o.MailboxDepth != 0 || o.StallTimeout != 0 || o.MaxRestarts != 0 || o.HardCrashes {
+			return bad("MailboxDepth/StallTimeout/MaxRestarts/HardCrashes configure the concurrent backend; the simulator takes none")
 		}
 	case BackendConcurrent:
 		if o.MaxSeconds > 0 {
@@ -190,10 +181,6 @@ func (o RunOptions) Validate(nprocs int, backend string) error {
 		if o.HardCrashes {
 			return bad("the differential oracle cannot compare HardCrashes runs (run-level heals re-execute intervals the simulator models once)")
 		}
-	}
-	if nprocs > 0 && o.Workers != 0 && o.Workers != nprocs {
-		return bad("program is planned for %d processors; Workers must be 0 or %d, got %d (a smaller worker set would deadlock the planned rendezvous)",
-			nprocs, nprocs, o.Workers)
 	}
 	return nil
 }

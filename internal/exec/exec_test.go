@@ -151,24 +151,11 @@ func TestConfigValidation(t *testing.T) {
 		return errors.As(err, &d) && d.Code == diag.CodeConfig
 	}
 
-	_, err := Run(context.Background(), prog, Config{Workers: 3})
-	if !coded(err) {
-		t.Fatalf("Workers=3 on a 4-processor plan: expected a coded E005, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("error should explain the deadlock risk: %v", err)
-	}
-
 	if _, err := Run(context.Background(), prog, Config{MailboxDepth: -1}); !coded(err) {
 		t.Fatalf("negative MailboxDepth: expected a coded E005, got %v", err)
 	}
 	if _, err := Run(context.Background(), nil, Config{}); !coded(err) {
 		t.Fatalf("nil program: expected a coded E005, got %v", err)
-	}
-
-	// Workers equal to the plan's processor count is accepted.
-	if _, err := Run(context.Background(), prog, Config{Workers: 4}); err != nil {
-		t.Fatalf("Workers=4: %v", err)
 	}
 }
 

@@ -9,6 +9,8 @@
 package ir
 
 import (
+	"slices"
+
 	"phpf/internal/ast"
 	"phpf/internal/diag"
 )
@@ -66,14 +68,17 @@ type Loop struct {
 	NoDeps      bool
 	New         []string // NEW clause variables (privatizable wrt this loop)
 
-	// InferredNew lists variables the autopriv pass proved privatizable
-	// with respect to this loop (no directive required); InferredLast
-	// lists scalars it proved lastprivate — privatizable within the loop
-	// with the final iteration's value live after it, requiring a
-	// copy-out at loop exit. Both are recomputed from scratch on every
-	// run of the pass.
-	InferredNew  []string
-	InferredLast []string
+	// Private and LastPrivate are the loop's effective privatization facts,
+	// written by the autopriv pass (from scratch on every run) and read
+	// through Privatizes: Private lists the variables privatizable with
+	// respect to this loop — what the directives assert under the
+	// compilation's privatization mode (NEW clauses and the arrays a NODEPS
+	// directive implies, §3.1) plus the arrays the pass proved private —
+	// and LastPrivate the scalars it proved lastprivate: privatizable
+	// within the loop with the final iteration's value live after it,
+	// requiring a copy-out at loop exit.
+	Private     []*Var
+	LastPrivate []*Var
 
 	// BoundsStmt is a pseudo-statement (Kind SLoopBounds) carrying the
 	// uses of scalar variables appearing in the loop bounds; it executes
@@ -82,6 +87,16 @@ type Loop struct {
 	BoundsStmt *Stmt
 
 	Line int
+}
+
+// Privatizes reports whether the loop's privatization facts name v, and
+// whether only as lastprivate (valid only with the copy-out at loop exit).
+func (l *Loop) Privatizes(v *Var) (ok, lastOnly bool) {
+	if slices.Contains(l.Private, v) {
+		return true, false
+	}
+	last := slices.Contains(l.LastPrivate, v)
+	return last, last
 }
 
 // If is a block IF with a condition statement and two branches.

@@ -2,53 +2,100 @@ package pass
 
 import (
 	"fmt"
+	"slices"
 
 	"phpf/internal/dataflow"
 	"phpf/internal/diag"
 	"phpf/internal/ir"
 )
 
-// AutoPriv is the privatization inference pass (FactAutoPriv): it classifies
-// every variable written inside a loop as private / lastprivate / serialized
-// on the CFG and SSA facts (dataflow.ClassifyPrivatization) and — when
-// insert is set — materializes the provable decisions as inferred-NEW /
-// lastprivate annotations on the loops, equivalent to what a NEW clause
-// would have asserted, before the mapping pass consumes them.
+// AutoPriv is the privatization inference pass (FactAutoPriv) and the one
+// place the privatization mode is applied. It writes every loop's effective
+// privatization facts (ir.Loop.Private / LastPrivate, read by the mapping
+// pass through ir.Loop.Privatizes): first what the directives assert — NEW
+// clauses and the §3.1 NODEPS-implied arrays, nothing under strict — then,
+// when insert is set, what it can prove itself. For that it classifies every
+// variable written inside a loop as private / lastprivate / serialized on the
+// CFG and SSA facts (dataflow.ClassifyPrivatization) and adds the provable
+// decisions to the loops' facts, equivalent to what a NEW clause would have
+// asserted.
 //
 // Insertion picks the outermost loop per variable where the decision holds;
-// decisions already covered by an ancestor's insertion (or, unless strict,
-// by an explicit NEW clause) are skipped. Scalars classified plain-private
-// are not annotated: the mapping pass proves those itself from the same SSA
-// facts, so an annotation would be redundant. Every variable the pass
-// declines to privatize anywhere along its write's loop chain gets a W-coded
-// serialized-with-reason diagnostic naming the blocking reference.
+// decisions already covered by an ancestor's insertion (or by a directive's
+// assertion) are skipped. Scalars classified plain-private are not listed:
+// the mapping pass proves those itself from the same SSA facts, so a fact
+// would be redundant. Every variable the pass declines to privatize anywhere
+// along its write's loop chain gets a W-coded serialized-with-reason
+// diagnostic naming the blocking reference.
 //
-// strict makes inference the only source of privatization facts: explicit
-// NEW clauses neither suppress insertion nor exempt a variable from the
-// serialized diagnostic (the mapping pass independently ignores them).
-func AutoPriv(insert, strict bool) Pass {
-	return &Funcs{
-		PassName: "autopriv",
-		Needs:    []Fact{FactIR, FactCFG, FactSSA, FactConsts},
-		Makes:    []Fact{FactAutoPriv},
-		RunFunc: func(u *Unit) error {
-			// Re-runs must be idempotent: annotations are recomputed from
+// strict makes inference the only source of privatization facts: directives
+// neither reach the loops' facts, nor suppress insertion, nor exempt a
+// variable from the serialized diagnostic.
+func AutoPriv(insert, strict bool) *Pass {
+	return &Pass{
+		Name:     "autopriv",
+		Requires: []Fact{FactIR, FactCFG, FactSSA, FactConsts},
+		Provides: []Fact{FactAutoPriv},
+		Run: func(u *Unit) error {
+			// Re-runs must be idempotent: the facts are recomputed from
 			// scratch, never accumulated.
+			asserted := map[*ir.Var]bool{}
 			for _, l := range u.Prog.Loops {
-				l.InferredNew, l.InferredLast = nil, nil
+				l.Private, l.LastPrivate = nil, nil
+				if !strict {
+					assertDirectives(u.Prog, l, asserted)
+				}
 			}
-			sum := dataflow.ClassifyPrivatization(u.Prog, u.CFG, u.SSA, u.Consts)
+			sum := dataflow.ClassifyPrivatization(u.Prog, u.CFG, u.SSA, u.Consts, u.Reductions())
 			u.AutoPriv = sum
-			if !insert {
-				return nil
+			if insert {
+				runAutoPrivInsert(u, sum, asserted)
 			}
-			runAutoPrivInsert(u, sum, strict)
 			return nil
 		},
 	}
 }
 
-func runAutoPrivInsert(u *Unit, sum *dataflow.PrivSummary, strict bool) {
+// assertDirectives lists in l.Private what the directives on l assert
+// privatizable with respect to it — the variables its NEW clause names and,
+// under NODEPS, every array the loop writes with subscripts all invariant
+// with respect to it (§3.1: such a reference contributes memory-based
+// loop-carried dependences eliminable only by privatization) — and marks
+// them in asserted.
+func assertDirectives(p *ir.Program, l *ir.Loop, asserted map[*ir.Var]bool) {
+	add := func(v *ir.Var) {
+		if v != nil && !slices.Contains(l.Private, v) {
+			l.Private = append(l.Private, v)
+			asserted[v] = true
+		}
+	}
+	for _, name := range l.New {
+		add(p.LookupVar(name))
+	}
+	if !l.NoDeps {
+		return
+	}
+	for _, st := range p.Stmts {
+		if st.Kind != ir.SAssign || !st.Lhs.Var.IsArray() || !ir.Encloses(l, st.Loop) {
+			continue
+		}
+		invariant := true
+		for _, sub := range st.Lhs.Subs {
+			if sub.VariesIn(l) || !sub.OK {
+				invariant = false
+				break
+			}
+		}
+		if invariant {
+			add(st.Lhs.Var)
+		}
+	}
+}
+
+// runAutoPrivInsert adds the provable classifications to the loops' facts
+// and reports what it declined; asserted holds the variables a directive
+// already covers (empty under strict inference).
+func runAutoPrivInsert(u *Unit, sum *dataflow.PrivSummary, asserted map[*ir.Var]bool) {
 	p := u.Prog
 
 	// satisfied[v] lists the loops with respect to which v's privatization
@@ -72,13 +119,13 @@ func runAutoPrivInsert(u *Unit, sum *dataflow.PrivSummary, strict bool) {
 		if c.Decision == dataflow.PrivSerialized || coveredAt(c.Var, c.Loop) {
 			continue
 		}
-		if !strict && directiveCovers(p, c.Var) {
+		if asserted[c.Var] {
 			satisfied[c.Var] = append(satisfied[c.Var], c.Loop)
 			continue
 		}
 		switch {
 		case c.Decision == dataflow.PrivPrivate && c.Var.IsArray():
-			c.Loop.InferredNew = append(c.Loop.InferredNew, c.Var.Name)
+			c.Loop.Private = append(c.Loop.Private, c.Var)
 			c.Inserted = true
 			u.Diag(diag.Diagnostic{
 				Severity: diag.Info, Stage: "autopriv", Code: diag.CodeInferredPrivate,
@@ -87,7 +134,7 @@ func runAutoPrivInsert(u *Unit, sum *dataflow.PrivSummary, strict bool) {
 					c.Var.Name, c.Loop.Index.Name, c.Reason),
 			})
 		case c.Decision == dataflow.PrivLastPrivate:
-			c.Loop.InferredLast = append(c.Loop.InferredLast, c.Var.Name)
+			c.Loop.LastPrivate = append(c.Loop.LastPrivate, c.Var)
 			c.Inserted = true
 			u.Diag(diag.Diagnostic{
 				Severity: diag.Info, Stage: "autopriv", Code: diag.CodeLastPrivate,
@@ -97,7 +144,7 @@ func runAutoPrivInsert(u *Unit, sum *dataflow.PrivSummary, strict bool) {
 			})
 		}
 		// Plain-private scalars: provable by the mapping pass from the
-		// same SSA facts; established without an annotation.
+		// same SSA facts; established without a fact.
 		satisfied[c.Var] = append(satisfied[c.Var], c.Loop)
 	}
 
@@ -112,7 +159,7 @@ func runAutoPrivInsert(u *Unit, sum *dataflow.PrivSummary, strict bool) {
 		if warned[v] || v.IsLoopIndex {
 			continue
 		}
-		if !strict && directiveCovers(p, v) {
+		if asserted[v] {
 			continue
 		}
 		var cls *dataflow.PrivClass
@@ -141,43 +188,6 @@ func runAutoPrivInsert(u *Unit, sum *dataflow.PrivSummary, strict bool) {
 				kindWord(v), cls.Reason, cls.Loop.Index.Name),
 		})
 	}
-}
-
-// directiveCovers reports whether an explicit directive already asserts
-// privatization of v: a NEW clause naming it, or a NODEPS loop whose body
-// writes it with loop-invariant subscripts (the §3.1 implied candidate set).
-func directiveCovers(p *ir.Program, v *ir.Var) bool {
-	for _, l := range p.Loops {
-		for _, name := range l.New {
-			if name == v.Name {
-				return true
-			}
-		}
-	}
-	if !v.IsArray() {
-		return false
-	}
-	for _, st := range p.Stmts {
-		if st.Kind != ir.SAssign || st.Lhs.Var != v || st.Loop == nil {
-			continue
-		}
-		for l := st.Loop; l != nil; l = l.Parent {
-			if !l.NoDeps {
-				continue
-			}
-			invariant := true
-			for _, sub := range st.Lhs.Subs {
-				if sub.VariesIn(l) || !sub.OK {
-					invariant = false
-					break
-				}
-			}
-			if invariant {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func kindWord(v *ir.Var) string {

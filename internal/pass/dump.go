@@ -33,7 +33,7 @@ func DumpUnit(u *Unit) string {
 	}
 	if u.Valid(FactAutoPriv) && u.AutoPriv != nil {
 		sb.WriteString("== autopriv ==\n")
-		dumpAutoPriv(&sb, u)
+		sb.WriteString(u.AutoPriv.String())
 	}
 	if u.Valid(FactMapping) && u.Mapping != nil {
 		sb.WriteString("== mapping ==\n")
@@ -115,29 +115,6 @@ func dumpConsts(sb *strings.Builder, u *Unit) {
 			fmt.Fprintf(sb, "v%d %s = %d\n", v.ID, v, c.I)
 		} else {
 			fmt.Fprintf(sb, "v%d %s = %g\n", v.ID, v, c.F)
-		}
-	}
-}
-
-func dumpAutoPriv(sb *strings.Builder, u *Unit) {
-	// Classes are already deterministic: loop preorder × declaration order.
-	for i := range u.AutoPriv.Classes {
-		c := &u.AutoPriv.Classes[i]
-		fmt.Fprintf(sb, "%s wrt %s-loop: %s", c.Var.Name, c.Loop.Index.Name, c.Decision)
-		if c.Directive {
-			sb.WriteString(" [directive]")
-		}
-		if c.Inserted {
-			sb.WriteString(" [inserted]")
-		}
-		fmt.Fprintf(sb, " — %s\n", c.Reason)
-	}
-	for _, l := range u.Prog.Loops {
-		if len(l.InferredNew) > 0 {
-			fmt.Fprintf(sb, "%s-loop inferred new(%s)\n", l.Index.Name, strings.Join(l.InferredNew, ","))
-		}
-		if len(l.InferredLast) > 0 {
-			fmt.Fprintf(sb, "%s-loop inferred lastprivate(%s)\n", l.Index.Name, strings.Join(l.InferredLast, ","))
 		}
 	}
 }

@@ -17,28 +17,28 @@ type Manager struct {
 	// Profile.Dumps (empty: no dumps).
 	DumpAfter string
 
-	passes   []Pass
-	provider map[Fact]Pass
+	passes   []*Pass
+	provider map[Fact]*Pass
 	profile  *CompileProfile
 }
 
 // NewManager builds a manager over the given pipeline order.
-func NewManager(passes ...Pass) (*Manager, error) {
+func NewManager(passes ...*Pass) (*Manager, error) {
 	m := &Manager{
 		passes:   passes,
-		provider: map[Fact]Pass{},
+		provider: map[Fact]*Pass{},
 		profile:  &CompileProfile{Dumps: map[string]string{}},
 	}
 	seen := map[string]bool{}
 	for _, p := range passes {
-		if seen[p.Name()] {
-			return nil, fmt.Errorf("pass: duplicate pass name %q", p.Name())
+		if seen[p.Name] {
+			return nil, fmt.Errorf("pass: duplicate pass name %q", p.Name)
 		}
-		seen[p.Name()] = true
-		for _, f := range p.Provides() {
+		seen[p.Name] = true
+		for _, f := range p.Provides {
 			if prev, dup := m.provider[f]; dup {
 				return nil, fmt.Errorf("pass: fact %s provided by both %q and %q",
-					f, prev.Name(), p.Name())
+					f, prev.Name, p.Name)
 			}
 			m.provider[f] = p
 		}
@@ -55,7 +55,7 @@ func (m *Manager) Profile() *CompileProfile { return m.profile }
 // their providers (recorded in the profile as re-runs).
 func (m *Manager) Run(u *Unit) error {
 	for _, p := range m.passes {
-		if err := m.ensure(u, p.Requires(), p.Name()); err != nil {
+		if err := m.ensure(u, p.Requires, p.Name); err != nil {
 			return err
 		}
 		if err := m.exec(u, p, false); err != nil {
@@ -76,28 +76,28 @@ func (m *Manager) ensure(u *Unit, facts []Fact, forPass string) error {
 		if prov == nil {
 			return fmt.Errorf("pass %s: requires %s but no pass in the pipeline provides it", forPass, f)
 		}
-		if err := m.ensure(u, prov.Requires(), prov.Name()); err != nil {
+		if err := m.ensure(u, prov.Requires, prov.Name); err != nil {
 			return err
 		}
 		if err := m.exec(u, prov, true); err != nil {
 			return err
 		}
 		if !u.Valid(f) {
-			return fmt.Errorf("pass %s: provider %s ran but did not establish %s", forPass, prov.Name(), f)
+			return fmt.Errorf("pass %s: provider %s ran but did not establish %s", forPass, prov.Name, f)
 		}
 	}
 	return nil
 }
 
 // exec runs one pass with instrumentation and post-run checks.
-func (m *Manager) exec(u *Unit, p Pass, rerun bool) error {
+func (m *Manager) exec(u *Unit, p *Pass, rerun bool) error {
 	diagsBefore := len(u.Diags)
 	u.invalidated = nil
 	start := time.Now()
 	err := p.Run(u)
 	wall := time.Since(start)
 	m.profile.Stats = append(m.profile.Stats, PassStat{
-		Name:  p.Name(),
+		Name:  p.Name,
 		Wall:  wall,
 		Diags: len(u.Diags) - diagsBefore,
 		Rerun: rerun,
@@ -118,15 +118,15 @@ func (m *Manager) exec(u *Unit, p Pass, rerun bool) error {
 			mark(d)
 		}
 	}
-	for _, f := range p.Invalidates() {
+	for _, f := range p.Invalidates {
 		mark(f)
 	}
 	for _, f := range u.invalidated {
 		if !allowed[f] {
-			return fmt.Errorf("pass %s: invalidated undeclared fact %s", p.Name(), f)
+			return fmt.Errorf("pass %s: invalidated undeclared fact %s", p.Name, f)
 		}
 	}
-	for _, f := range p.Provides() {
+	for _, f := range p.Provides {
 		u.valid[f] = true
 	}
 	if m.Verify {
@@ -135,13 +135,13 @@ func (m *Manager) exec(u *Unit, p Pass, rerun bool) error {
 				Severity: diag.Error,
 				Stage:    "verify",
 				Code:     diag.CodeVerify,
-				Subject:  p.Name(),
-				Msg:      fmt.Sprintf("after pass %s: %s", p.Name(), errs[0]),
+				Subject:  p.Name,
+				Msg:      fmt.Sprintf("after pass %s: %s", p.Name, errs[0]),
 			}
 		}
 	}
-	if m.DumpAfter == p.Name() {
-		m.profile.Dumps[p.Name()] = DumpUnit(u)
+	if m.DumpAfter == p.Name {
+		m.profile.Dumps[p.Name] = DumpUnit(u)
 	}
 	return nil
 }

@@ -86,9 +86,6 @@ type Unit struct {
 	Source *ast.Program
 	// NProcs is the target processor count.
 	NProcs int
-	// Options carries the caller's option struct, opaque to this package
-	// (core.Options; typed any to keep pass free of a core dependency).
-	Options any
 
 	Prog       *ir.Program
 	CFG        *ir.CFG
@@ -105,6 +102,23 @@ type Unit struct {
 
 	valid       [numFacts]bool
 	invalidated []Fact
+
+	// reds memoizes Reductions for the SSA it was computed from.
+	reds       []*dataflow.Reduction
+	redsOf     *ssa.SSA
+	recognized int // recognitions so far
+}
+
+// Reductions returns the program's recognized reductions. Recognition runs
+// once per SSA build — the autopriv classification, the reduceplan pass and
+// the analyze pass all read the same *Reduction values — and again only when
+// the SSA has been rebuilt since.
+func (u *Unit) Reductions() []*dataflow.Reduction {
+	if u.redsOf != u.SSA {
+		u.reds, u.redsOf = dataflow.FindReductions(u.Prog, u.SSA), u.SSA
+		u.recognized++
+	}
+	return u.reds
 }
 
 // Valid reports whether fact f is currently established.
@@ -127,20 +141,21 @@ func (u *Unit) Invalidate(f Fact) {
 // Diag records a non-fatal diagnostic.
 func (u *Unit) Diag(d diag.Diagnostic) { u.Diags = append(u.Diags, d) }
 
-// Pass is one step of the pipeline.
-type Pass interface {
+// Pass is one step of the pipeline: a function over the Unit with its
+// declared metadata.
+type Pass struct {
 	// Name is the stable pass name used by -trace, -dump-after, and the
 	// profile.
-	Name() string
+	Name string
 	// Requires lists the facts that must be valid before Run.
-	Requires() []Fact
+	Requires []Fact
 	// Provides lists the facts Run establishes.
-	Provides() []Fact
+	Provides []Fact
 	// Invalidates lists the facts Run MAY invalidate (via Unit.Invalidate).
 	// Invalidating an undeclared fact is a pipeline bug and fails the run.
-	Invalidates() []Fact
+	Invalidates []Fact
 	// Run does the work. A returned error aborts the pipeline.
-	Run(u *Unit) error
+	Run func(u *Unit) error
 }
 
 // PassStat records one execution of one pass.

@@ -50,21 +50,21 @@ func parse(t *testing.T, src string) *ast.Program {
 
 // stdPasses is the pass-package half of the core pipeline (everything but
 // the analyze pass, which lives in core).
-func stdPasses() []Pass {
-	return []Pass{IRBuild(), CFGBuild(), SSABuild(), ConstProp(), Induction(), Mapping()}
+func stdPasses() []*Pass {
+	return []*Pass{IRBuild(), CFGBuild(), SSABuild(), ConstProp(), Induction(), Mapping()}
 }
 
 // needsAll stands in for core's analyze pass: it requires every fact, so
 // anything the induction rewrite invalidated is rebuilt before it runs.
-func needsAll() Pass {
-	return &Funcs{
-		PassName: "needs-all",
-		Needs:    []Fact{FactIR, FactSSA, FactConsts, FactMapping},
-		RunFunc:  func(u *Unit) error { return nil },
+func needsAll() *Pass {
+	return &Pass{
+		Name:     "needs-all",
+		Requires: []Fact{FactIR, FactSSA, FactConsts, FactMapping},
+		Run:      func(u *Unit) error { return nil },
 	}
 }
 
-func runPipeline(t *testing.T, src string, extra ...Pass) (*Unit, *Manager) {
+func runPipeline(t *testing.T, src string, extra ...*Pass) (*Unit, *Manager) {
 	t.Helper()
 	mgr, err := NewManager(append(stdPasses(), extra...)...)
 	if err != nil {
@@ -104,10 +104,10 @@ func TestPipelineEstablishesAllFacts(t *testing.T) {
 // CFG-derived facts, and a later pass requiring SSA triggers exactly one
 // lazy rebuild, visible in the profile.
 func TestInductionInvalidatesLazily(t *testing.T) {
-	needsSSA := &Funcs{
-		PassName: "needs-ssa",
-		Needs:    []Fact{FactSSA, FactConsts},
-		RunFunc:  func(u *Unit) error { return nil },
+	needsSSA := &Pass{
+		Name:     "needs-ssa",
+		Requires: []Fact{FactSSA, FactConsts},
+		Run:      func(u *Unit) error { return nil },
 	}
 	u, mgr := runPipeline(t, inductionSrc, needsSSA)
 	if len(u.Inductions) == 0 {
@@ -136,10 +136,10 @@ func TestInductionInvalidatesLazily(t *testing.T) {
 // TestNoRewriteNoRebuild: without induction variables nothing is
 // invalidated and every pass runs exactly once.
 func TestNoRewriteNoRebuild(t *testing.T) {
-	needsSSA := &Funcs{
-		PassName: "needs-ssa",
-		Needs:    []Fact{FactSSA, FactConsts},
-		RunFunc:  func(u *Unit) error { return nil },
+	needsSSA := &Pass{
+		Name:     "needs-ssa",
+		Requires: []Fact{FactSSA, FactConsts},
+		Run:      func(u *Unit) error { return nil },
 	}
 	_, mgr := runPipeline(t, simpleSrc, needsSSA)
 	for _, name := range []string{"ir", "cfg", "ssa", "constprop", "induction", "mapping"} {
@@ -150,10 +150,10 @@ func TestNoRewriteNoRebuild(t *testing.T) {
 }
 
 func TestUndeclaredInvalidationFails(t *testing.T) {
-	rogue := &Funcs{
-		PassName: "rogue",
-		Needs:    []Fact{FactSSA},
-		RunFunc: func(u *Unit) error {
+	rogue := &Pass{
+		Name:     "rogue",
+		Requires: []Fact{FactSSA},
+		Run: func(u *Unit) error {
 			u.Invalidate(FactIR) // not declared in MayDrop
 			return nil
 		},
@@ -174,16 +174,16 @@ func TestDuplicateProviderRejected(t *testing.T) {
 	if _, err := NewManager(IRBuild(), IRBuild()); err == nil {
 		t.Fatal("duplicate pass accepted")
 	}
-	other := &Funcs{PassName: "ir2", Makes: []Fact{FactIR},
-		RunFunc: func(u *Unit) error { return nil }}
+	other := &Pass{Name: "ir2", Provides: []Fact{FactIR},
+		Run: func(u *Unit) error { return nil }}
 	if _, err := NewManager(IRBuild(), other); err == nil {
 		t.Fatal("two providers for one fact accepted")
 	}
 }
 
 func TestMissingProviderFails(t *testing.T) {
-	needsSSA := &Funcs{PassName: "needs-ssa", Needs: []Fact{FactSSA},
-		RunFunc: func(u *Unit) error { return nil }}
+	needsSSA := &Pass{Name: "needs-ssa", Requires: []Fact{FactSSA},
+		Run: func(u *Unit) error { return nil }}
 	mgr, err := NewManager(IRBuild(), needsSSA)
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
@@ -198,10 +198,10 @@ func TestMissingProviderFails(t *testing.T) {
 // argument list; the inter-pass verifier must fail the pipeline with an
 // error naming the corrupting pass.
 func TestVerifierCatchesDanglingPhi(t *testing.T) {
-	corrupt := &Funcs{
-		PassName: "corrupt-phi",
-		Needs:    []Fact{FactSSA},
-		RunFunc: func(u *Unit) error {
+	corrupt := &Pass{
+		Name:     "corrupt-phi",
+		Requires: []Fact{FactSSA},
+		Run: func(u *Unit) error {
 			for _, v := range u.SSA.Values {
 				if v.Kind == ssa.VPhi && len(v.Args) > 0 {
 					v.Args = v.Args[:len(v.Args)-1]
@@ -233,10 +233,10 @@ func TestVerifierCatchesDanglingPhi(t *testing.T) {
 // TestVerifierCatchesUnmappedGridDim: hand-corrupt the mapping by pointing a
 // distributed axis at a grid dimension that does not exist.
 func TestVerifierCatchesUnmappedGridDim(t *testing.T) {
-	corrupt := &Funcs{
-		PassName: "corrupt-mapping",
-		Needs:    []Fact{FactMapping},
-		RunFunc: func(u *Unit) error {
+	corrupt := &Pass{
+		Name:     "corrupt-mapping",
+		Requires: []Fact{FactMapping},
+		Run: func(u *Unit) error {
 			for _, am := range u.Mapping.Arrays {
 				for i := range am.Axes {
 					if am.Axes[i].Distributed {
@@ -270,10 +270,10 @@ func TestVerifierCatchesUnmappedGridDim(t *testing.T) {
 // TestVerifierCatchesDominanceViolation: move a definition's statement after
 // its use within the block ordering by swapping block contents.
 func TestVerifierCatchesBrokenEdge(t *testing.T) {
-	corrupt := &Funcs{
-		PassName: "corrupt-cfg",
-		Needs:    []Fact{FactCFG},
-		RunFunc: func(u *Unit) error {
+	corrupt := &Pass{
+		Name:     "corrupt-cfg",
+		Requires: []Fact{FactCFG},
+		Run: func(u *Unit) error {
 			for _, b := range u.CFG.Blocks {
 				if len(b.Succs) > 0 {
 					b.Succs[0] = u.CFG.Blocks[len(u.CFG.Blocks)-1]
@@ -350,6 +350,54 @@ func TestProfileString(t *testing.T) {
 	for _, w := range []string{"pass", "wall", "diags", "ir", "ssa*", "total"} {
 		if !strings.Contains(s, w) {
 			t.Errorf("profile table missing %q:\n%s", w, s)
+		}
+	}
+}
+
+// TestReductionsRecognizedOncePerSSA: the unit memoizes the recognized
+// reductions by the SSA they were computed from. A compile without induction
+// rewrites recognizes once, however many passes ask (here a probe ahead of
+// the induction pass, the autopriv classification, the reduceplan pass and a
+// stand-in for analyze); an induction rewrite rebuilds the SSA, and the first
+// pass to ask afterwards recognizes again — once.
+func TestReductionsRecognizedOncePerSSA(t *testing.T) {
+	probe := func(name string) *Pass {
+		return &Pass{
+			Name:     name,
+			Requires: []Fact{FactIR, FactSSA},
+			Run:      func(u *Unit) error { u.Reductions(); return nil },
+		}
+	}
+	for _, tc := range []struct {
+		name, src string
+		want      int
+	}{
+		{"no rewrite", strings.Replace(simpleSrc, "x = b(i)\n  a(i) = x", "x = x + b(i)", 1), 1},
+		{"induction rewrite", inductionSrc, 2},
+	} {
+		mgr, err := NewManager(IRBuild(), CFGBuild(), SSABuild(), ConstProp(), probe("early"),
+			Induction(), AutoPriv(true, false), ReducePlan(), Mapping(), probe("analyze-stand-in"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr.Verify = true
+		u := &Unit{Source: parse(t, tc.src), NProcs: 4}
+		if err := mgr.Run(u); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if u.recognized != tc.want {
+			t.Errorf("%s: reductions recognized %d times, want %d", tc.name, u.recognized, tc.want)
+		}
+		if got := mgr.Profile().Runs("ssa"); got != tc.want {
+			t.Errorf("%s: ssa built %d times, want %d (the test program is broken)", tc.name, got, tc.want)
+		}
+		if tc.want == 1 && len(u.ReducePlan.Decisions) != 1 {
+			t.Errorf("%s: %d reductions classified, want 1 (the test program is broken)", tc.name, len(u.ReducePlan.Decisions))
+		}
+		for i, d := range u.ReducePlan.Decisions {
+			if d.Red != u.Reductions()[i] {
+				t.Errorf("%s: reduceplan decision %d is about another recognition", tc.name, i)
+			}
 		}
 	}
 }

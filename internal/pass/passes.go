@@ -7,27 +7,12 @@ import (
 	"phpf/internal/ssa"
 )
 
-// Funcs adapts a plain function into a Pass via declared metadata.
-type Funcs struct {
-	PassName string
-	Needs    []Fact
-	Makes    []Fact
-	MayDrop  []Fact
-	RunFunc  func(u *Unit) error
-}
-
-func (f *Funcs) Name() string        { return f.PassName }
-func (f *Funcs) Requires() []Fact    { return f.Needs }
-func (f *Funcs) Provides() []Fact    { return f.Makes }
-func (f *Funcs) Invalidates() []Fact { return f.MayDrop }
-func (f *Funcs) Run(u *Unit) error   { return f.RunFunc(u) }
-
 // IRBuild lowers the parsed program into the flat IR (FactIR).
-func IRBuild() Pass {
-	return &Funcs{
-		PassName: "ir",
-		Makes:    []Fact{FactIR},
-		RunFunc: func(u *Unit) error {
+func IRBuild() *Pass {
+	return &Pass{
+		Name:     "ir",
+		Provides: []Fact{FactIR},
+		Run: func(u *Unit) error {
 			p, err := ir.Build(u.Source)
 			if err != nil {
 				return err
@@ -39,12 +24,12 @@ func IRBuild() Pass {
 }
 
 // CFGBuild constructs the control flow graph (FactCFG).
-func CFGBuild() Pass {
-	return &Funcs{
-		PassName: "cfg",
-		Needs:    []Fact{FactIR},
-		Makes:    []Fact{FactCFG},
-		RunFunc: func(u *Unit) error {
+func CFGBuild() *Pass {
+	return &Pass{
+		Name:     "cfg",
+		Requires: []Fact{FactIR},
+		Provides: []Fact{FactCFG},
+		Run: func(u *Unit) error {
 			g, err := ir.BuildCFG(u.Prog)
 			if err != nil {
 				return err
@@ -56,12 +41,12 @@ func CFGBuild() Pass {
 }
 
 // SSABuild constructs scalar SSA form (FactSSA).
-func SSABuild() Pass {
-	return &Funcs{
-		PassName: "ssa",
-		Needs:    []Fact{FactIR, FactCFG},
-		Makes:    []Fact{FactSSA},
-		RunFunc: func(u *Unit) error {
+func SSABuild() *Pass {
+	return &Pass{
+		Name:     "ssa",
+		Requires: []Fact{FactIR, FactCFG},
+		Provides: []Fact{FactSSA},
+		Run: func(u *Unit) error {
 			u.SSA = ssa.Build(u.Prog, u.CFG)
 			return nil
 		},
@@ -69,12 +54,12 @@ func SSABuild() Pass {
 }
 
 // ConstProp runs sparse constant propagation (FactConsts).
-func ConstProp() Pass {
-	return &Funcs{
-		PassName: "constprop",
-		Needs:    []Fact{FactSSA},
-		Makes:    []Fact{FactConsts},
-		RunFunc: func(u *Unit) error {
+func ConstProp() *Pass {
+	return &Pass{
+		Name:     "constprop",
+		Requires: []Fact{FactSSA},
+		Provides: []Fact{FactConsts},
+		Run: func(u *Unit) error {
 			u.Consts = dataflow.PropagateConstants(u.SSA)
 			return nil
 		},
@@ -86,12 +71,12 @@ func ConstProp() Pass {
 // the pass invalidates FactCFG (and transitively SSA and Consts) instead of
 // rebuilding inline — the manager re-runs the providers before the next pass
 // that needs them, and the re-runs show up in the profile.
-func Induction() Pass {
-	return &Funcs{
-		PassName: "induction",
-		Needs:    []Fact{FactIR, FactSSA, FactConsts},
-		MayDrop:  []Fact{FactCFG},
-		RunFunc: func(u *Unit) error {
+func Induction() *Pass {
+	return &Pass{
+		Name:        "induction",
+		Requires:    []Fact{FactIR, FactSSA, FactConsts},
+		Invalidates: []Fact{FactCFG},
+		Run: func(u *Unit) error {
 			ivs := dataflow.FindInductionVars(u.Prog, u.SSA, u.Consts)
 			u.Inductions = ivs
 			if len(ivs) > 0 && dataflow.ApplyInductionRewrites(u.Prog, u.SSA, ivs) > 0 {
@@ -107,11 +92,11 @@ func Induction() Pass {
 // pipeline, after every pass that may rewrite expressions (induction closed
 // forms, the analyze pass), so the cached slots describe the IR the
 // interpreter will actually walk.
-func Slots() Pass {
-	return &Funcs{
-		PassName: "slots",
-		Needs:    []Fact{FactIR},
-		RunFunc: func(u *Unit) error {
+func Slots() *Pass {
+	return &Pass{
+		Name:     "slots",
+		Requires: []Fact{FactIR},
+		Run: func(u *Unit) error {
 			ir.AssignSlots(u.Prog)
 			return nil
 		},
@@ -123,13 +108,13 @@ func Slots() Pass {
 // (FactReducePlan). It runs after autopriv so recognition and the
 // exclusivity checks see the same rewritten program — with its inferred
 // annotations — that the mapping pass consumes.
-func ReducePlan() Pass {
-	return &Funcs{
-		PassName: "reduceplan",
-		Needs:    []Fact{FactIR, FactSSA, FactAutoPriv},
-		Makes:    []Fact{FactReducePlan},
-		RunFunc: func(u *Unit) error {
-			u.ReducePlan = dataflow.PlanReductions(u.Prog, dataflow.FindReductions(u.Prog, u.SSA))
+func ReducePlan() *Pass {
+	return &Pass{
+		Name:     "reduceplan",
+		Requires: []Fact{FactIR, FactSSA, FactAutoPriv},
+		Provides: []Fact{FactReducePlan},
+		Run: func(u *Unit) error {
+			u.ReducePlan = dataflow.PlanReductions(u.Prog, u.Reductions())
 			return nil
 		},
 	}
@@ -137,12 +122,12 @@ func ReducePlan() Pass {
 
 // Mapping resolves the distribution directives leniently (FactMapping):
 // bad directives degrade to replication and surface as warning diagnostics.
-func Mapping() Pass {
-	return &Funcs{
-		PassName: "mapping",
-		Needs:    []Fact{FactIR},
-		Makes:    []Fact{FactMapping},
-		RunFunc: func(u *Unit) error {
+func Mapping() *Pass {
+	return &Pass{
+		Name:     "mapping",
+		Requires: []Fact{FactIR},
+		Provides: []Fact{FactMapping},
+		Run: func(u *Unit) error {
 			m, probs, err := dist.ResolveLenient(u.Prog, u.NProcs)
 			if err != nil {
 				return err

@@ -2,6 +2,7 @@ package pass
 
 import (
 	"fmt"
+	"slices"
 
 	"phpf/internal/dataflow"
 	"phpf/internal/ir"
@@ -180,53 +181,40 @@ func verifySSA(u *Unit, bad func(string, ...interface{})) {
 	}
 }
 
+// verifyAutoPriv holds the loops' privatization facts to the summary: what
+// the pass inserted is listed where its decision says, and a lastprivate
+// fact — which only inference produces — has an inserted classification
+// behind it.
 func verifyAutoPriv(u *Unit, bad func(string, ...interface{})) {
-	p := u.Prog
-	writtenIn := func(v *ir.Var, l *ir.Loop) bool {
-		for _, st := range p.Stmts {
-			if st.Kind == ir.SAssign && st.Lhs.Var == v && ir.Encloses(l, st.Loop) {
-				return true
-			}
+	for i := range u.AutoPriv.Classes {
+		c := &u.AutoPriv.Classes[i]
+		if !c.Inserted {
+			continue
 		}
-		return false
-	}
-	check := func(l *ir.Loop, names []string, kind string, want dataflow.PrivDecision) {
-		seen := map[string]bool{}
-		for _, name := range names {
-			if seen[name] {
-				bad("autopriv: %s-loop lists %s twice in inferred %s", l.Index.Name, name, kind)
-			}
-			seen[name] = true
-			v := p.LookupVar(name)
-			if v == nil {
-				bad("autopriv: %s-loop inferred %s names unknown variable %s", l.Index.Name, kind, name)
-				continue
-			}
-			if v.IsLoopIndex {
-				bad("autopriv: %s-loop inferred %s names loop index %s", l.Index.Name, kind, name)
-			}
-			if kind == "lastprivate" && v.IsArray() {
-				bad("autopriv: %s-loop inferred lastprivate names array %s (scalars only)", l.Index.Name, name)
-			}
-			if !writtenIn(v, l) {
-				bad("autopriv: %s-loop inferred %s names %s, which the loop never writes", l.Index.Name, kind, name)
-			}
-			c := u.AutoPriv.Of(v, l)
-			if c == nil {
-				bad("autopriv: %s-loop inferred %s for %s has no classification backing it", l.Index.Name, kind, name)
-				continue
-			}
-			if c.Decision != want {
-				bad("autopriv: %s-loop inferred %s for %s, but its classification is %s", l.Index.Name, kind, name, c.Decision)
-			}
-			if !c.Inserted {
-				bad("autopriv: %s-loop inferred %s for %s not marked Inserted in the summary", l.Index.Name, kind, name)
-			}
+		if c.Decision == dataflow.PrivSerialized || c.Var.IsLoopIndex {
+			bad("autopriv: %s inserted wrt the %s-loop, but it is %s there", c.Var.Name, c.Loop.Index.Name, c.Decision)
+		}
+		if ok, lastOnly := c.Loop.Privatizes(c.Var); !ok || lastOnly != (c.Decision == dataflow.PrivLastPrivate) {
+			bad("autopriv: %s marked inserted as %s wrt the %s-loop, but the loop's facts do not list it so",
+				c.Var.Name, c.Decision, c.Loop.Index.Name)
 		}
 	}
-	for _, l := range p.Loops {
-		check(l, l.InferredNew, "new", dataflow.PrivPrivate)
-		check(l, l.InferredLast, "lastprivate", dataflow.PrivLastPrivate)
+	for _, l := range u.Prog.Loops {
+		seen := map[*ir.Var]bool{}
+		for _, v := range slices.Concat(l.Private, l.LastPrivate) {
+			if seen[v] {
+				bad("autopriv: %s-loop lists %s twice", l.Index.Name, v.Name)
+			}
+			seen[v] = true
+		}
+		for _, v := range l.LastPrivate {
+			if v.IsArray() {
+				bad("autopriv: %s-loop lastprivate names array %s (scalars only)", l.Index.Name, v.Name)
+			}
+			if c := u.AutoPriv.Of(v, l); c == nil || !c.Inserted || c.Decision != dataflow.PrivLastPrivate {
+				bad("autopriv: %s-loop lastprivate for %s has no inserted classification backing it", l.Index.Name, v.Name)
+			}
+		}
 	}
 }
 

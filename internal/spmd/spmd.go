@@ -22,47 +22,24 @@ import (
 	"phpf/internal/ir"
 )
 
-// ExecKind describes how a statement's execution set is determined.
-type ExecKind int
+// ExecKind describes how a statement's execution set is determined. The
+// decision is core's (core.Result.ExecOf), which the communication plan was
+// built against; the names live on here for the interpreter and the tools.
+type ExecKind = core.ExecKind
 
 const (
-	// ExecAll: every processor executes the statement.
-	ExecAll ExecKind = iota
-	// ExecOwner: the owners of OwnerRef execute (owner-computes).
-	ExecOwner
-	// ExecPattern: the processors matching the scalar mapping's pattern
-	// (aligned scalars, reduction results).
-	ExecPattern
-	// ExecUnion: the union of processors executing the other statements of
-	// the current iteration (privatization without alignment, privatized
-	// control flow).
-	ExecUnion
+	ExecAll     = core.ExecAll
+	ExecOwner   = core.ExecOwner
+	ExecPattern = core.ExecPattern
+	ExecUnion   = core.ExecUnion
 )
-
-func (k ExecKind) String() string {
-	switch k {
-	case ExecAll:
-		return "all"
-	case ExecOwner:
-		return "owner"
-	case ExecPattern:
-		return "pattern"
-	case ExecUnion:
-		return "union"
-	}
-	return "?"
-}
 
 // StmtPlan is the SPMD execution plan of one statement.
 type StmtPlan struct {
 	Stmt *ir.Stmt
-	Kind ExecKind
-	// OwnerRef is the reference whose owners execute (ExecOwner): the lhs
-	// for array assignments, the alignment target for aligned scalars, the
-	// reduction data reference for reduction updates.
-	OwnerRef *ir.Ref
-	// Scalar is the mapping decision for scalar assignments (may be nil).
-	Scalar *core.ScalarMapping
+	// Exec is the guard: the statement's execution-set decision (Kind,
+	// OwnerRef, Scalar), the same value the plan's destinations derive from.
+	core.Exec
 	// PerInstance lists communications performed at every instance.
 	PerInstance []*comm.Requirement
 	// Flops is the statement's per-instance computation cost in floating
@@ -157,15 +134,8 @@ type Program struct {
 	// NumAcc is the number of privatizable combines — the number of private
 	// partial tables a state configured for privatized reduction allocates.
 	NumAcc int
-	// ReducePlan is the resolved reduction classification the combines were
-	// built from (the pipeline's, or derived here for a Result built by
-	// calling Analyze directly). It covers every recognized reduction —
-	// including those with no combine attached, such as an unmapped scalar
-	// reduction or a collective-only array reduction — which is what a
-	// reduce=privatize demand must be validated against.
-	ReducePlan *dataflow.ReducePlan
-	// Diags are the diagnostics communication analysis and SPMD generation
-	// emitted (placement notes, generation fallbacks), in emission order.
+	// Diags are the diagnostics communication analysis emitted (placement
+	// notes), in emission order.
 	Diags []diag.Diagnostic
 
 	// lowered caches the executable form the interpreter derives from the
@@ -206,25 +176,15 @@ func (p *Program) StmtLabels() map[int]string {
 	return out
 }
 
-// Generate builds the SPMD program for a mapping result.
 // PlanOf returns the plan of a statement by its dense ID — the hot-path
 // equivalent of Stmts[st].
-func (p *Program) PlanOf(st *ir.Stmt) *StmtPlan {
-	if p.stmtByID != nil && st.ID >= 0 && st.ID < len(p.stmtByID) {
-		return p.stmtByID[st.ID]
-	}
-	return p.Stmts[st]
-}
+func (p *Program) PlanOf(st *ir.Stmt) *StmtPlan { return p.stmtByID[st.ID] }
 
 // LoopPlanOf returns the plan of a loop by its dense ID — the hot-path
 // equivalent of Loops[l].
-func (p *Program) LoopPlanOf(l *ir.Loop) *LoopPlan {
-	if p.loopByID != nil && l.ID >= 0 && l.ID < len(p.loopByID) {
-		return p.loopByID[l.ID]
-	}
-	return p.Loops[l]
-}
+func (p *Program) LoopPlanOf(l *ir.Loop) *LoopPlan { return p.loopByID[l.ID] }
 
+// Generate builds the SPMD program for a mapping result.
 func Generate(res *core.Result) *Program {
 	plan := comm.Analyze(res)
 	p := &Program{
@@ -233,14 +193,11 @@ func Generate(res *core.Result) *Program {
 		Stmts: map[*ir.Stmt]*StmtPlan{},
 		Loops: map[*ir.Loop]*LoopPlan{},
 	}
-	// Execution reads plans by dense statement/loop ID; freeze the variable
-	// numbering alongside so a Program built outside the pass pipeline is
-	// still slot-indexed (AssignSlots is idempotent).
-	ir.AssignSlots(res.Prog)
+	// Execution reads plans by dense statement/loop ID.
 	p.stmtByID = make([]*StmtPlan, len(res.Prog.Stmts))
 	p.loopByID = make([]*LoopPlan, len(res.Prog.Loops))
 	for _, st := range res.Prog.Stmts {
-		sp := p.planStmt(st)
+		sp := &StmtPlan{Stmt: st, Exec: res.ExecOf(st), PerInstance: plan.ByStmt[st], Flops: stmtFlops(st)}
 		p.Stmts[st] = sp
 		p.stmtByID[st.ID] = sp
 	}
@@ -249,14 +206,9 @@ func Generate(res *core.Result) *Program {
 		p.Loops[l] = lp
 		p.loopByID[l.ID] = lp
 	}
-	// The reduceplan classification normally rides the pipeline result; a
-	// Result built by calling Analyze directly derives it here.
+	// Attach scalar reduction combines to their outermost carried loop. The
+	// mapping's reduction is the recognition the reduceplan classified.
 	rp := res.ReducePlan
-	if rp == nil {
-		rp = dataflow.PlanReductions(res.Prog, res.Reductions)
-	}
-	p.ReducePlan = rp
-	// Attach scalar reduction combines to their outermost carried loop.
 	for _, m := range res.Scalars {
 		if m.Kind != core.ScalarReduction || len(m.RedGridDims) == 0 || m.Red == nil {
 			continue
@@ -264,56 +216,26 @@ func Generate(res *core.Result) *Program {
 		if m.Red.Stmt != m.Def.Stmt {
 			continue // only the update def triggers the combine
 		}
-		outer := m.Red.Loops[len(m.Red.Loops)-1]
-		lp := p.Loops[outer]
-		if lp != nil {
-			c := &Combine{Mapping: m, Red: m.Red, AccIndex: -1}
-			if d := rp.Of(m.Red.Stmt); d != nil {
-				c.Privatizable = d.Privatizable
-				c.Reason = d.Reason
-			} else {
-				c.Reason = "not classified by the reduceplan"
-			}
-			lp.Combines = append(lp.Combines, c)
-		} else {
-			p.Diags = append(p.Diags, diag.Warningf("spmd", diag.CodeScalarFallback,
-				m.Def.Var.Name, m.Red.Stmt.Pos(),
-				"no loop plan for the %s-loop; global combine for %s stays per-iteration",
-				outer.Index.Name, m.Def.Var.Name))
-		}
+		d := rp.Of(m.Red.Stmt)
+		lp := p.Loops[m.Red.Loops[len(m.Red.Loops)-1]]
+		lp.Combines = append(lp.Combines, &Combine{Mapping: m, Red: m.Red,
+			Privatizable: d.Privatizable, Reason: d.Reason, AccIndex: -1})
 	}
 	// Attach privatizable elementwise (array) reduction combines. Their
 	// collective reference is plain owner-computes execution — no scalar
 	// mapping, no collective combine — so only the privatized path attaches
 	// an operation here, and only when the runtime knob enables it.
 	for _, d := range rp.Decisions {
-		if !d.Red.IsArray() || !d.Privatizable {
-			continue
+		if d.Red.IsArray() && d.Privatizable {
+			lp := p.Loops[d.Red.Loops[len(d.Red.Loops)-1]]
+			lp.Combines = append(lp.Combines, &Combine{Red: d.Red, Privatizable: true, AccIndex: -1})
 		}
-		outer := d.Red.Loops[len(d.Red.Loops)-1]
-		lp := p.Loops[outer]
-		if lp == nil {
-			p.Diags = append(p.Diags, diag.Warningf("spmd", diag.CodeScalarFallback,
-				d.Red.Var.Name, d.Red.Stmt.Pos(),
-				"no loop plan for the %s-loop; elementwise reduction %s stays collective",
-				outer.Index.Name, d.Red.Var.Name))
-			continue
-		}
-		lp.Combines = append(lp.Combines, &Combine{Red: d.Red, Privatizable: true, AccIndex: -1})
 	}
 	// Attach lastprivate copy-outs to their privatization loop.
 	for _, m := range res.Scalars {
-		if !m.LastPrivate || m.PrivLoop == nil || m.Kind != core.ScalarAligned {
-			continue
-		}
-		lp := p.Loops[m.PrivLoop]
-		if lp != nil {
+		if m.LastPrivate && m.PrivLoop != nil && m.Kind == core.ScalarAligned {
+			lp := p.Loops[m.PrivLoop]
 			lp.CopyOuts = append(lp.CopyOuts, m)
-		} else {
-			p.Diags = append(p.Diags, diag.Warningf("spmd", diag.CodeScalarFallback,
-				m.Def.Var.Name, m.Def.Stmt.Pos(),
-				"no loop plan for the %s-loop; lastprivate copy-out for %s dropped",
-				m.PrivLoop.Index.Name, m.Def.Var.Name))
 		}
 	}
 	for _, lp := range p.Loops {
@@ -329,21 +251,16 @@ func Generate(res *core.Result) *Program {
 	// derives identically — and link each combine back to its update
 	// statement's plan so the interpreter can route instances into partials.
 	for _, lp := range p.loopByID {
-		if lp == nil {
-			continue
-		}
 		for _, c := range lp.Combines {
 			if c.Privatizable {
 				c.AccIndex = p.NumAcc
 				p.NumAcc++
 			}
-			if sp := p.stmtByID[c.Red.Stmt.ID]; sp != nil {
-				sp.Combine = c
-			}
+			p.stmtByID[c.Red.Stmt.ID].Combine = c
 		}
 	}
 	p.Recovery = recoveryClasses(res)
-	p.Diags = append(p.Diags, plan.Diags...)
+	p.Diags = plan.Diags
 	return p
 }
 
@@ -375,51 +292,6 @@ func recoveryClasses(res *core.Result) map[*ir.Var]RecoveryClass {
 		}
 	}
 	return out
-}
-
-func (p *Program) planStmt(st *ir.Stmt) *StmtPlan {
-	res := p.Res
-	sp := &StmtPlan{
-		Stmt:        st,
-		PerInstance: p.Plan.ByStmt[st],
-		Flops:       stmtFlops(st),
-	}
-	switch st.Kind {
-	case ir.SAssign:
-		if st.Lhs.Var.IsArray() {
-			sp.Kind = ExecOwner
-			sp.OwnerRef = st.Lhs
-			return sp
-		}
-		m := res.ScalarOfStmt(st)
-		sp.Scalar = m
-		switch {
-		case m == nil || m.Kind == core.ScalarReplicated:
-			sp.Kind = ExecAll
-		case m.Kind == core.ScalarNoAlign:
-			sp.Kind = ExecUnion
-		case m.Kind == core.ScalarReduction:
-			if m.Red != nil && m.Red.DataRef != nil && m.Red.Stmt == st {
-				// The local partial update runs on the data owners.
-				sp.Kind = ExecOwner
-				sp.OwnerRef = m.Red.DataRef
-			} else {
-				sp.Kind = ExecPattern
-			}
-		case m.Kind == core.ScalarAligned:
-			sp.Kind = ExecOwner
-			sp.OwnerRef = m.Target
-		}
-	case ir.SIf, ir.SIfGoto:
-		if res.CtrlPrivatized(st) {
-			sp.Kind = ExecUnion
-		} else {
-			sp.Kind = ExecAll
-		}
-	default: // goto, continue, bounds, redistribute
-		sp.Kind = ExecAll
-	}
-	return sp
 }
 
 // stmtFlops estimates the floating-point work of one statement instance.

@@ -471,30 +471,10 @@ func (c *Compiled) MappingReport() string {
 func (c *Compiled) ExplainPriv() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "privatization mode: %s\n", c.Opts.Privatization)
-	sum := c.Result.Priv
-	if sum == nil || len(sum.Classes) == 0 {
+	if len(c.Result.Priv.Classes) == 0 {
 		b.WriteString("no privatization candidates\n")
-		return b.String()
 	}
-	for i := range sum.Classes {
-		cl := &sum.Classes[i]
-		fmt.Fprintf(&b, "%s wrt %s-loop: %s", cl.Var.Name, cl.Loop.Index.Name, cl.Decision)
-		if cl.Directive {
-			b.WriteString(" [directive]")
-		}
-		if cl.Inserted {
-			b.WriteString(" [inserted]")
-		}
-		fmt.Fprintf(&b, " — %s\n", cl.Reason)
-	}
-	for _, l := range c.Result.Prog.Loops {
-		if len(l.InferredNew) > 0 {
-			fmt.Fprintf(&b, "%s-loop inferred new(%s)\n", l.Index.Name, strings.Join(l.InferredNew, ","))
-		}
-		if len(l.InferredLast) > 0 {
-			fmt.Fprintf(&b, "%s-loop inferred lastprivate(%s)\n", l.Index.Name, strings.Join(l.InferredLast, ","))
-		}
-	}
+	b.WriteString(c.Result.Priv.String())
 	return b.String()
 }
 

@@ -83,6 +83,34 @@ for alias in 'phpf.go:RunOptions = eval.RunOptions' 'phpf.go:Report = eval.Repor
     fi
 done
 
+# One-answer gates (compile half, DESIGN.md §13): the owner pattern of a
+# reference, the execution set of a statement, the hoisting-legality test, the
+# privatization facts of a loop and the program's reductions each have ONE
+# definition, which the selector (internal/core), the planner (internal/comm)
+# and the generator (internal/spmd) call. Fail when a private copy reappears.
+if grep -rnE '^func \(a \*analyzer\) (refPattern|execPattern|hoistableFrom)\(' internal/core; then
+    echo "check: the selector has its own refPattern/execPattern/hoistableFrom again; they are Result.RefPattern, Result.ExecPattern and Result.Hoistable" >&2
+    exit 1
+fi
+if grep -nE '^func (\([^)]*\) )?(execPattern|unionPattern|hoistable|ExecPattern)\(' internal/comm/*.go; then
+    echo "check: internal/comm declares its own execution-set or hoisting test; the planner calls core.Result.ExecPattern and core.Result.Hoistable" >&2
+    exit 1
+fi
+if [ "$(grep -rlE 'MayOverlapAcross\(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=ir . | wc -l)" != 1 ]; then
+    echo "check: the dependence test (ir.MayOverlapAcross) must be called from exactly one non-test file, the one hoisting-legality function" >&2
+    exit 1
+fi
+if [ "$(grep -rnE 'FindReductions\(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . | grep -vc '^./internal/dataflow/reduction.go:[0-9]*:func FindReductions(')" != 1 ]; then
+    echo "check: dataflow.FindReductions must have exactly one non-test call site (pass.Unit.Reductions, once per SSA build)" >&2
+    exit 1
+fi
+corefiles="$(ls internal/core/*.go | grep -v '_test\.go$')"
+if grep -nE '\.New\b|\.NoDeps|InferredNew|InferredLast' $corefiles ||
+    grep -nE 'PrivInferStrict|\.Privatization\b' $corefiles | grep -vE '^internal/core/(types|pipeline)\.go:'; then
+    echo "check: internal/core reads a privatization directive or the privatization mode itself; the autopriv pass applies the mode and core asks ir.Loop.Privatizes" >&2
+    exit 1
+fi
+
 # Fuzz smoke: a small budget per front-end target, enough to catch gross
 # regressions in the robustness contracts (never panic, positioned errors)
 # without turning the gate into a fuzzing campaign; FuzzLowerExpr holds the
