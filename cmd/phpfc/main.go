@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"phpf"
 )
@@ -26,7 +27,8 @@ func main() {
 	dump := flag.String("dump", "all", "what to print: mapping, comm, spmd, labels, all")
 	figure := flag.String("figure", "", "analyze a paper figure instead of a file (figure1, figure2, figure4, figure5, figure6, figure7)")
 	trace := flag.Bool("trace", false, "print the per-pass compile profile (wall time, diagnostics, re-runs)")
-	dumpAfter := flag.String("dump-after", "", "print the compilation unit snapshot after the named pass (ir, cfg, ssa, constprop, induction, autopriv, mapping, analyze)")
+	passes := strings.Join(phpf.PassNames(), ", ")
+	dumpAfter := flag.String("dump-after", "", "print the compilation unit snapshot after the named pass ("+passes+")")
 	verify := flag.Bool("verify", false, "run the IR/SSA/mapping verifier between passes")
 	privatize := flag.String("privatize", "", "privatization mode: directives, infer (default), infer-strict")
 	explainPriv := flag.Bool("explain-priv", false, "print the per-variable privatization decisions with reasons")
@@ -75,7 +77,7 @@ func main() {
 	if *dumpAfter != "" {
 		snap, ok := c.Profile().Dumps[*dumpAfter]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "phpfc: no pass named %q in the pipeline\n", *dumpAfter)
+			fmt.Fprintf(os.Stderr, "phpfc: no pass named %q in the pipeline (%s)\n", *dumpAfter, passes)
 			os.Exit(2)
 		}
 		fmt.Printf("=== unit after %s ===\n", *dumpAfter)

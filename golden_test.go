@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -31,29 +32,34 @@ func checkGolden(t *testing.T, path, got string) {
 	}
 }
 
+// checkGoldenDump holds the -dump-after=pass snapshot of a paper figure to
+// testdata/dumps/<figure>.<pass>.golden.
+func checkGoldenDump(t *testing.T, figure, pass string) {
+	t.Helper()
+	src, ok := FigureSource(figure)
+	if !ok {
+		t.Fatalf("unknown figure %s", figure)
+	}
+	opts := SelectedOptions()
+	opts.DumpAfter = pass
+	c, err := Compile(src, 16, opts)
+	if err != nil {
+		t.Fatalf("compile %s: %v", figure, err)
+	}
+	got, ok := c.Profile().Dumps[pass]
+	if !ok {
+		t.Fatalf("no %s snapshot captured", pass)
+	}
+	checkGolden(t, filepath.Join("testdata", "dumps", figure+"."+pass+".golden"), got)
+}
+
 // TestGoldenDumps locks down the -dump-after=ssa snapshot of every paper
 // figure program: the pipeline's IR, CFG, SSA, constant and mapping state
 // must be byte-identical to the checked-in golden files. Run with -update
 // after an intentional change.
 func TestGoldenDumps(t *testing.T) {
 	for _, name := range FigureNames() {
-		t.Run(name, func(t *testing.T) {
-			src, ok := FigureSource(name)
-			if !ok {
-				t.Fatalf("unknown figure %s", name)
-			}
-			opts := SelectedOptions()
-			opts.DumpAfter = "ssa"
-			c, err := Compile(src, 16, opts)
-			if err != nil {
-				t.Fatalf("compile %s: %v", name, err)
-			}
-			got, ok := c.Profile().Dumps["ssa"]
-			if !ok {
-				t.Fatal("no ssa snapshot captured")
-			}
-			checkGolden(t, filepath.Join("testdata", "dumps", name+".ssa.golden"), got)
-		})
+		t.Run(name, func(t *testing.T) { checkGoldenDump(t, name, "ssa") })
 	}
 }
 
@@ -63,24 +69,15 @@ func TestGoldenDumps(t *testing.T) {
 // golden files. Run with -update after an intentional change.
 func TestGoldenAutoPrivDumps(t *testing.T) {
 	for _, name := range FigureNames() {
-		t.Run(name, func(t *testing.T) {
-			src, ok := FigureSource(name)
-			if !ok {
-				t.Fatalf("unknown figure %s", name)
-			}
-			opts := SelectedOptions()
-			opts.DumpAfter = "autopriv"
-			c, err := Compile(src, 16, opts)
-			if err != nil {
-				t.Fatalf("compile %s: %v", name, err)
-			}
-			got, ok := c.Profile().Dumps["autopriv"]
-			if !ok {
-				t.Fatal("no autopriv snapshot captured")
-			}
-			checkGolden(t, filepath.Join("testdata", "dumps", name+".autopriv.golden"), got)
-		})
+		t.Run(name, func(t *testing.T) { checkGoldenDump(t, name, "autopriv") })
 	}
+}
+
+// TestGoldenReducePlanDump locks down the -dump-after=reduceplan snapshot of
+// Figure 5, the figure with a reduction: the snapshot ends in the reduceplan
+// section, one decision per line.
+func TestGoldenReducePlanDump(t *testing.T) {
+	checkGoldenDump(t, "figure5", "reduceplan")
 }
 
 // TestGoldenDumpStability compiles each figure twice and requires identical
@@ -99,5 +96,27 @@ func TestGoldenDumpStability(t *testing.T) {
 		if c1.Profile().Dumps["ssa"] != c2.Profile().Dumps["ssa"] {
 			t.Errorf("%s: ssa dump differs between two compilations", name)
 		}
+	}
+}
+
+// TestPassNamesNameThePipeline: the one list of pass names (phpfc's help and
+// its unknown-pass error print it) is the pipeline's — every name on it
+// yields a snapshot — and the pipeline is the frozen ten.
+func TestPassNamesNameThePipeline(t *testing.T) {
+	src, _ := FigureSource("figure5")
+	for _, name := range PassNames() {
+		opts := SelectedOptions()
+		opts.DumpAfter = name
+		c, err := Compile(src, 4, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Profile().Dumps[name] == "" {
+			t.Errorf("no snapshot after %q", name)
+		}
+	}
+	const want = "ir cfg ssa constprop induction autopriv reduceplan mapping analyze slots"
+	if got := strings.Join(PassNames(), " "); got != want {
+		t.Errorf("pipeline = %s, want %s", got, want)
 	}
 }

@@ -206,7 +206,7 @@ type UnaryMinus struct{ X Expr }
 // Not is logical negation.
 type Not struct{ X Expr }
 
-// Call is an intrinsic function call (abs, sqrt, max, min, mod, exp).
+// Call is an intrinsic function call (a name of the Intrinsics table).
 type Call struct {
 	Name string
 	Args []Expr
@@ -219,16 +219,6 @@ func (*BinOp) exprNode()      {}
 func (*UnaryMinus) exprNode() {}
 func (*Not) exprNode()        {}
 func (*Call) exprNode()       {}
-
-// Intrinsics is the set of recognized intrinsic function names.
-var Intrinsics = map[string]int{ // name -> arity (-1 = variadic >= 2)
-	"abs":  1,
-	"sqrt": 1,
-	"exp":  1,
-	"max":  -1,
-	"min":  -1,
-	"mod":  2,
-}
 
 // ---------------------------------------------------------------------------
 // Directives

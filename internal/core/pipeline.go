@@ -49,6 +49,17 @@ func Pipeline(opts Options, out **Result) []*pass.Pass {
 	}
 }
 
+// PassNames lists the pipeline's passes in execution order — the names
+// Options.DumpAfter and the compile profile use, read off the declaration
+// above so no other list can fall behind it.
+func PassNames() []string {
+	var names []string
+	for _, p := range Pipeline(Options{}, nil) {
+		names = append(names, p.Name)
+	}
+	return names
+}
+
 // BuildAndAnalyze runs the full analysis pipeline on a parsed program for a
 // given processor count: IR construction, CFG + SSA, constant propagation,
 // induction-variable recognition with closed-form rewriting (followed by a

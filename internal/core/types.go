@@ -171,8 +171,7 @@ type Options struct {
 	// and fails compilation on any invariant violation. Always on under
 	// `go test`; opt in here for production runs.
 	Verify bool
-	// DumpAfter names a pipeline pass ("ir", "cfg", "ssa", "constprop",
-	// "induction", "autopriv", "mapping", "analyze") whose post-state
+	// DumpAfter names a pipeline pass (one of PassNames) whose post-state
 	// snapshot is captured into Result.Profile.Dumps (empty: no snapshots).
 	DumpAfter string
 }

@@ -6,38 +6,13 @@
 package dataflow
 
 import (
-	"math"
-
 	"phpf/internal/ast"
 	"phpf/internal/ir"
 	"phpf/internal/ssa"
 )
 
-// Const is a compile-time constant value.
-type Const struct {
-	IsInt bool
-	I     int64
-	F     float64
-}
-
-// IntConst makes an integer constant.
-func IntConst(v int64) Const { return Const{IsInt: true, I: v} }
-
-// Float returns the value as float64.
-func (c Const) Float() float64 {
-	if c.IsInt {
-		return float64(c.I)
-	}
-	return c.F
-}
-
-// Equal reports value equality.
-func (c Const) Equal(o Const) bool {
-	if c.IsInt && o.IsInt {
-		return c.I == o.I
-	}
-	return c.Float() == o.Float()
-}
+// Const is a compile-time constant value (see ast.Fold, which computes it).
+type Const = ast.Const
 
 // ConstProp computes, for each SSA value, whether it is a compile-time
 // constant. The propagation is pessimistic: a value is constant only when
@@ -104,19 +79,18 @@ func (cp *ConstProp) eval(v *ssa.Value) (Const, bool) {
 		}
 		return first, have
 	default: // VDef
-		return cp.evalExpr(v.Stmt.Rhs, v.Stmt)
+		c, ok := cp.evalExpr(v.Stmt.Rhs, v.Stmt)
+		if ok && v.Var.Type == ast.Integer {
+			c = c.Round() // the store to an integer scalar rounds
+		}
+		return c, ok
 	}
 }
 
-// evalExpr evaluates an expression given the constants known at stmt.
+// evalExpr folds an expression given the constants known at stmt (nil: none).
 // Array references and loop indices make it non-constant.
 func (cp *ConstProp) evalExpr(e ast.Expr, stmt *ir.Stmt) (Const, bool) {
-	switch x := e.(type) {
-	case *ast.IntConst:
-		return IntConst(x.Value), true
-	case *ast.RealConst:
-		return Const{F: x.Value}, true
-	case *ast.Ref:
+	return ast.Fold(e, func(x *ast.Ref) (Const, bool) {
 		if stmt == nil || len(x.Subs) > 0 {
 			return Const{}, false
 		}
@@ -127,101 +101,5 @@ func (cp *ConstProp) evalExpr(e ast.Expr, stmt *ir.Stmt) (Const, bool) {
 			}
 		}
 		return Const{}, false // loop index or untracked
-	case *ast.UnaryMinus:
-		c, ok := cp.evalExpr(x.X, stmt)
-		if !ok {
-			return Const{}, false
-		}
-		if c.IsInt {
-			return IntConst(-c.I), true
-		}
-		return Const{F: -c.F}, true
-	case *ast.BinOp:
-		l, ok := cp.evalExpr(x.L, stmt)
-		if !ok {
-			return Const{}, false
-		}
-		r, ok := cp.evalExpr(x.R, stmt)
-		if !ok {
-			return Const{}, false
-		}
-		return foldBin(x.Op, l, r)
-	case *ast.Call:
-		args := make([]Const, len(x.Args))
-		for i, a := range x.Args {
-			c, ok := cp.evalExpr(a, stmt)
-			if !ok {
-				return Const{}, false
-			}
-			args[i] = c
-		}
-		return foldCall(x.Name, args)
-	}
-	return Const{}, false
-}
-
-func foldBin(op ast.Op, l, r Const) (Const, bool) {
-	if l.IsInt && r.IsInt {
-		switch op {
-		case ast.Add:
-			return IntConst(l.I + r.I), true
-		case ast.Sub:
-			return IntConst(l.I - r.I), true
-		case ast.Mul:
-			return IntConst(l.I * r.I), true
-		case ast.Div:
-			if r.I == 0 {
-				return Const{}, false
-			}
-			return IntConst(l.I / r.I), true
-		}
-		return Const{}, false
-	}
-	lf, rf := l.Float(), r.Float()
-	switch op {
-	case ast.Add:
-		return Const{F: lf + rf}, true
-	case ast.Sub:
-		return Const{F: lf - rf}, true
-	case ast.Mul:
-		return Const{F: lf * rf}, true
-	case ast.Div:
-		if rf == 0 {
-			return Const{}, false
-		}
-		return Const{F: lf / rf}, true
-	}
-	return Const{}, false
-}
-
-func foldCall(name string, args []Const) (Const, bool) {
-	switch name {
-	case "abs":
-		c := args[0]
-		if c.IsInt {
-			if c.I < 0 {
-				return IntConst(-c.I), true
-			}
-			return c, true
-		}
-		return Const{F: math.Abs(c.F)}, true
-	case "sqrt":
-		return Const{F: math.Sqrt(args[0].Float())}, true
-	case "exp":
-		return Const{F: math.Exp(args[0].Float())}, true
-	case "max", "min":
-		best := args[0]
-		for _, a := range args[1:] {
-			if (name == "max") == (a.Float() > best.Float()) {
-				best = a
-			}
-		}
-		return best, true
-	case "mod":
-		if args[0].IsInt && args[1].IsInt && args[1].I != 0 {
-			return IntConst(args[0].I % args[1].I), true
-		}
-		return Const{}, false
-	}
-	return Const{}, false
+	})
 }

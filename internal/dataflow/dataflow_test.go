@@ -539,3 +539,78 @@ end
 		t.Errorf("level = %d, want 1", lvl)
 	}
 }
+
+// TestSimplifyKeepsWhatGoesReal: a constant subtree is replaced by a literal
+// only when it folds to an integer; 7/2 is 3.5 at run time and keeps its
+// operator rather than being written back as the integer 3.
+func TestSimplifyKeepsWhatGoesReal(t *testing.T) {
+	lit := func(v int64) ast.Expr { return &ast.IntConst{Value: v} }
+	bin := func(op ast.Op, l, r ast.Expr) ast.Expr { return &ast.BinOp{Op: op, L: l, R: r} }
+	i := &ast.Ref{Name: "i"}
+	for _, c := range []struct {
+		e    ast.Expr
+		want string
+	}{
+		{bin(ast.Div, lit(7), lit(2)), "(7 / 2)"},
+		{bin(ast.Add, i, bin(ast.Div, lit(7), lit(2))), "(i + (7 / 2))"},
+		{bin(ast.Div, lit(1), lit(0)), "(1 / 0)"},
+		{bin(ast.Add, i, bin(ast.Div, lit(6), lit(2))), "(i + 3)"},
+		{bin(ast.Add, bin(ast.Sub, i, lit(2)), lit(1)), "(i - 1)"},
+		{bin(ast.Add, lit(2), bin(ast.Add, bin(ast.Sub, i, lit(2)), lit(1))), "(i + 1)"},
+	} {
+		if got := ast.ExprString(simplify(c.e)); got != c.want {
+			t.Errorf("simplify(%s) = %s, want %s", ast.ExprString(c.e), got, c.want)
+		}
+	}
+}
+
+// TestConstPropFollowsTheRunTime: the propagated value of a definition is
+// the value the machine stores — real division, and a rounding store into an
+// integer scalar.
+func TestConstPropFollowsTheRunTime(t *testing.T) {
+	e := mkEnv(t, `
+program t
+real x, y
+integer m, k, j
+x = 7/2
+m = 7/2
+k = 2.6
+j = 0 - 7/2
+y = m * 2
+end
+`)
+	for _, c := range []struct {
+		name  string
+		want  float64
+		isInt bool
+	}{{"x", 3.5, false}, {"m", 4, true}, {"k", 3, true}, {"j", -4, true}, {"y", 8, true}} {
+		got, ok := e.cp.ValueConst(e.s.DefOf[assign(e.p, c.name, 0)])
+		if !ok || got.Float() != c.want || got.IsInt != c.isInt {
+			t.Errorf("%s = %+v ok=%v, want %v (integer: %v)", c.name, got, ok, c.want, c.isInt)
+		}
+	}
+}
+
+// TestInductionIncrementFolds: the increment is whatever contribution of the
+// sum update folds to an integer, not only a literal.
+func TestInductionIncrementFolds(t *testing.T) {
+	e := mkEnv(t, `
+program t
+parameter n = 10
+real d(4*n)
+integer i, m
+m = 0
+do i = 1, n
+  m = m + 2*2
+  d(m) = 1.0
+end do
+end
+`)
+	ivs := FindInductionVars(e.p, e.s, e.cp)
+	if len(ivs) != 1 || ivs[0].Incr != 4 {
+		t.Fatalf("induction variables = %+v, want m with increment 4", ivs)
+	}
+	if got := ast.ExprString(ivs[0].ClosedForm); got != "(4 * i)" {
+		t.Errorf("closed form = %s, want (4 * i)", got)
+	}
+}

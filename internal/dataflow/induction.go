@@ -104,51 +104,23 @@ func recognizeInduction(st *ir.Stmt, s *ssa.SSA, cp *ConstProp) *Induction {
 	return iv
 }
 
-// matchIncrement matches st.Rhs against v+c, c+v, v-c and returns the self
-// use reference and signed increment.
+// matchIncrement matches st.Rhs against v ± c — a sum update (matchUpdate)
+// whose contribution folds to an integer — and returns the self use reference
+// and signed increment.
 func matchIncrement(st *ir.Stmt, v *ir.Var) (*ir.Ref, int64, bool) {
-	b, ok := st.Rhs.(*ast.BinOp)
-	if !ok {
+	var self *ir.Ref
+	op, data, negate := matchUpdate(st.Rhs, func(e ast.Expr) bool {
+		self = scalarUse(st, v, e)
+		return self != nil
+	})
+	if data == nil || op != RedSum {
 		return nil, 0, false
 	}
-	asSelf := func(e ast.Expr) *ir.Ref {
-		r, ok := e.(*ast.Ref)
-		if !ok || len(r.Subs) > 0 || r.Name != v.Name {
-			return nil
-		}
-		for _, u := range st.Uses {
-			if u.Ast == r {
-				return u
-			}
-		}
-		return nil
+	c, ok := ast.Fold(data, nil)
+	if negate {
+		c.I = -c.I
 	}
-	asConst := func(e ast.Expr) (int64, bool) {
-		if c, ok := e.(*ast.IntConst); ok {
-			return c.Value, true
-		}
-		return 0, false
-	}
-	switch b.Op {
-	case ast.Add:
-		if u := asSelf(b.L); u != nil {
-			if c, ok := asConst(b.R); ok {
-				return u, c, true
-			}
-		}
-		if u := asSelf(b.R); u != nil {
-			if c, ok := asConst(b.L); ok {
-				return u, c, true
-			}
-		}
-	case ast.Sub:
-		if u := asSelf(b.L); u != nil {
-			if c, ok := asConst(b.R); ok {
-				return u, -c, true
-			}
-		}
-	}
-	return nil, 0, false
+	return self, c.I, ok && c.IsInt
 }
 
 // closedForm builds Init + ((i - lo)/step + 1) * Incr as an AST expression,
@@ -172,30 +144,21 @@ func closedForm(iv *Induction) ast.Expr {
 }
 
 // simplify performs constant folding and +0 elimination on integer affine
-// expressions (enough to turn 2 + ((i-2)+1) into i+1).
+// expressions (enough to turn 2 + ((i-2)+1) into i+1). A constant subtree is
+// replaced only when it folds to an integer: one that goes real (7/2) keeps
+// its operator, for the run time to compute.
 func simplify(e ast.Expr) ast.Expr {
 	b, ok := e.(*ast.BinOp)
 	if !ok {
 		return e
 	}
+	if c, ok := ast.Fold(b, nil); ok && c.IsInt {
+		return &ast.IntConst{Value: c.I}
+	}
 	l := simplify(b.L)
 	r := simplify(b.R)
 	lc, lok := l.(*ast.IntConst)
 	rc, rok := r.(*ast.IntConst)
-	if lok && rok {
-		switch b.Op {
-		case ast.Add:
-			return &ast.IntConst{Value: lc.Value + rc.Value}
-		case ast.Sub:
-			return &ast.IntConst{Value: lc.Value - rc.Value}
-		case ast.Mul:
-			return &ast.IntConst{Value: lc.Value * rc.Value}
-		case ast.Div:
-			if rc.Value != 0 {
-				return &ast.IntConst{Value: lc.Value / rc.Value}
-			}
-		}
-	}
 	// x + 0, 0 + x, x - 0, 1*x, x*1.
 	if b.Op == ast.Add && rok && rc.Value == 0 {
 		return l
@@ -216,24 +179,27 @@ func simplify(e ast.Expr) ast.Expr {
 	if b.Op == ast.Add && lok && !rok {
 		return simplify(&ast.BinOp{Op: ast.Add, L: r, R: l})
 	}
-	// Reassociate (x + c1) + c2 and (x - c1) + c2 into x + c.
+	// Reassociate (x + c1) + c2 into x + (c1 + c2) and (x - c1) + c2 into
+	// x + (c2 - c1); the new constant subtree folds on the way back in.
 	if b.Op == ast.Add && rok {
 		if lb, ok := l.(*ast.BinOp); ok {
 			if ic, ok2 := lb.R.(*ast.IntConst); ok2 {
 				switch lb.Op {
 				case ast.Add:
 					return simplify(&ast.BinOp{Op: ast.Add, L: lb.L,
-						R: &ast.IntConst{Value: ic.Value + rc.Value}})
+						R: &ast.BinOp{Op: ast.Add, L: ic, R: rc}})
 				case ast.Sub:
 					return simplify(&ast.BinOp{Op: ast.Add, L: lb.L,
-						R: &ast.IntConst{Value: rc.Value - ic.Value}})
+						R: &ast.BinOp{Op: ast.Sub, L: rc, R: ic}})
 				}
 			}
 		}
 	}
 	// Normalize x + (-c) to x - c.
 	if b.Op == ast.Add && rok && rc.Value < 0 {
-		return &ast.BinOp{Op: ast.Sub, L: l, R: &ast.IntConst{Value: -rc.Value}}
+		if c, ok := ast.Fold(&ast.UnaryMinus{X: rc}, nil); ok && c.IsInt {
+			return &ast.BinOp{Op: ast.Sub, L: l, R: &ast.IntConst{Value: c.I}}
+		}
 	}
 	return &ast.BinOp{Op: b.Op, L: l, R: r}
 }
@@ -279,49 +245,28 @@ func ApplyInductionRewrites(p *ir.Program, s *ssa.SSA, ivs []*Induction) int {
 
 // substituteRef replaces use's ast.Ref node with a clone of repl inside the
 // statement that contains it, and removes the use from the statement's use
-// lists. Returns false if the node could not be located.
+// lists. Every other reference keeps its node (subscripts are rewritten in
+// place). Returns false if the node could not be located.
 func substituteRef(use *ir.Ref, repl ast.Expr) bool {
 	st := use.Stmt
-	target := use.Ast
 	replaced := false
 	var sub func(e ast.Expr) ast.Expr
 	sub = func(e ast.Expr) ast.Expr {
-		if e == nil {
-			return nil
-		}
-		if e == ast.Expr(target) {
-			replaced = true
-			return cloneExpr(repl)
-		}
-		switch x := e.(type) {
-		case *ast.BinOp:
-			x.L = sub(x.L)
-			x.R = sub(x.R)
-		case *ast.UnaryMinus:
-			x.X = sub(x.X)
-		case *ast.Not:
-			x.X = sub(x.X)
-		case *ast.Call:
-			for i := range x.Args {
-				x.Args[i] = sub(x.Args[i])
+		return ast.Rewrite(e, func(x *ast.Ref) ast.Expr {
+			if x == use.Ast {
+				replaced = true
+				return cloneExpr(repl)
 			}
-		case *ast.Ref:
 			for i := range x.Subs {
 				x.Subs[i] = sub(x.Subs[i])
 			}
-		}
-		return e
+			return x
+		})
 	}
-	if st.Rhs != nil {
-		st.Rhs = sub(st.Rhs)
-	}
-	if st.Cond != nil {
-		st.Cond = sub(st.Cond)
-	}
+	st.Rhs = sub(st.Rhs)
+	st.Cond = sub(st.Cond)
 	if st.Lhs != nil {
-		for i := range st.Lhs.Ast.Subs {
-			st.Lhs.Ast.Subs[i] = sub(st.Lhs.Ast.Subs[i])
-		}
+		sub(st.Lhs.Ast)
 	}
 	if replaced {
 		removeUses(st, func(r *ir.Ref) bool { return r == use })
@@ -357,32 +302,14 @@ func reanalyzeSubscripts(p *ir.Program) {
 	}
 }
 
+// cloneExpr copies an expression, references included (the copies stand for
+// no ir.Ref).
 func cloneExpr(e ast.Expr) ast.Expr {
-	switch x := e.(type) {
-	case *ast.IntConst:
-		c := *x
-		return &c
-	case *ast.RealConst:
-		c := *x
-		return &c
-	case *ast.Ref:
+	return ast.Rewrite(e, func(x *ast.Ref) ast.Expr {
 		c := &ast.Ref{Name: x.Name, Line: x.Line}
 		for _, s := range x.Subs {
 			c.Subs = append(c.Subs, cloneExpr(s))
 		}
 		return c
-	case *ast.BinOp:
-		return &ast.BinOp{Op: x.Op, L: cloneExpr(x.L), R: cloneExpr(x.R)}
-	case *ast.UnaryMinus:
-		return &ast.UnaryMinus{X: cloneExpr(x.X)}
-	case *ast.Not:
-		return &ast.Not{X: cloneExpr(x.X)}
-	case *ast.Call:
-		c := &ast.Call{Name: x.Name}
-		for _, a := range x.Args {
-			c.Args = append(c.Args, cloneExpr(a))
-		}
-		return c
-	}
-	return e
+	})
 }

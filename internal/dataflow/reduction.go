@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"math"
+	"slices"
 
 	"phpf/internal/ast"
 	"phpf/internal/ir"
@@ -21,20 +22,71 @@ const (
 	RedMaxLoc
 )
 
+// redNames names the operations; a max or min update is a call of the
+// intrinsic of that name.
+var redNames = [...]string{RedSum: "sum", RedProd: "prod", RedMax: "max", RedMin: "min", RedMaxLoc: "maxloc"}
+
 func (o ReductionOp) String() string {
-	switch o {
-	case RedSum:
-		return "sum"
-	case RedProd:
-		return "prod"
-	case RedMax:
-		return "max"
-	case RedMin:
-		return "min"
-	case RedMaxLoc:
-		return "maxloc"
+	if o < 0 || int(o) >= len(redNames) {
+		return "?"
 	}
-	return "?"
+	return redNames[o]
+}
+
+// matchUpdate matches the right-hand side of a commutative update
+// acc = acc op e — the one place the operator set is spelled out:
+//
+//	acc + e, e + acc, acc * e, e * acc, acc - e (a sum of -e: negate),
+//	max(acc, e), max(e, acc), min(acc, e), min(e, acc)
+//
+// isSelf recognizes the accumulator's own reference. data is the contribution
+// e, nil when rhs is no such update.
+func matchUpdate(rhs ast.Expr, isSelf func(ast.Expr) bool) (op ReductionOp, data ast.Expr, negate bool) {
+	var l, r ast.Expr
+	switch x := rhs.(type) {
+	case *ast.BinOp:
+		switch x.Op {
+		case ast.Add:
+			op = RedSum
+		case ast.Mul:
+			op = RedProd
+		case ast.Sub:
+			op, negate = RedSum, true
+		default:
+			return
+		}
+		l, r = x.L, x.R
+	case *ast.Call:
+		op = ReductionOp(slices.Index(redNames[:], x.Name))
+		if (op != RedMax && op != RedMin) || len(x.Args) != 2 {
+			return 0, nil, false
+		}
+		l, r = x.Args[0], x.Args[1]
+	default:
+		return
+	}
+	switch {
+	case isSelf(l):
+		return op, r, negate
+	case !negate && isSelf(r):
+		return op, l, false
+	}
+	return op, nil, false
+}
+
+// scalarUse returns the use on st that e is, when e is a plain reference to
+// scalar v (nil otherwise).
+func scalarUse(st *ir.Stmt, v *ir.Var, e ast.Expr) *ir.Ref {
+	r, ok := e.(*ast.Ref)
+	if !ok || len(r.Subs) > 0 || r.Name != v.Name {
+		return nil
+	}
+	for _, u := range st.Uses {
+		if u.Ast == r {
+			return u
+		}
+	}
+	return nil
 }
 
 // Identity returns the operation's neutral element — the value a private
@@ -148,59 +200,12 @@ func recognizePlainReduction(st *ir.Stmt, s *ssa.SSA) *Reduction {
 	if v.IsArray() || len(st.EnclosingIfs) > 0 {
 		return nil
 	}
-	var op ReductionOp
 	var selfUse *ir.Ref
-	var dataExpr ast.Expr
-
-	findSelf := func(e ast.Expr) *ir.Ref {
-		r, ok := e.(*ast.Ref)
-		if !ok || len(r.Subs) > 0 || r.Name != v.Name {
-			return nil
-		}
-		for _, u := range st.Uses {
-			if u.Ast == r {
-				return u
-			}
-		}
-		return nil
-	}
-
-	switch rhs := st.Rhs.(type) {
-	case *ast.BinOp:
-		switch rhs.Op {
-		case ast.Add, ast.Mul:
-			if u := findSelf(rhs.L); u != nil {
-				selfUse, dataExpr = u, rhs.R
-			} else if u := findSelf(rhs.R); u != nil {
-				selfUse, dataExpr = u, rhs.L
-			}
-			if rhs.Op == ast.Add {
-				op = RedSum
-			} else {
-				op = RedProd
-			}
-		case ast.Sub:
-			// s = s - e is a sum reduction of -e.
-			if u := findSelf(rhs.L); u != nil {
-				selfUse, dataExpr = u, rhs.R
-				op = RedSum
-			}
-		}
-	case *ast.Call:
-		if (rhs.Name == "max" || rhs.Name == "min") && len(rhs.Args) == 2 {
-			if u := findSelf(rhs.Args[0]); u != nil {
-				selfUse, dataExpr = u, rhs.Args[1]
-			} else if u := findSelf(rhs.Args[1]); u != nil {
-				selfUse, dataExpr = u, rhs.Args[0]
-			}
-			if rhs.Name == "max" {
-				op = RedMax
-			} else {
-				op = RedMin
-			}
-		}
-	}
-	if selfUse == nil {
+	op, dataExpr, negate := matchUpdate(st.Rhs, func(e ast.Expr) bool {
+		selfUse = scalarUse(st, v, e)
+		return selfUse != nil
+	})
+	if dataExpr == nil {
 		return nil
 	}
 	// The data expression must not read the accumulator.
@@ -209,13 +214,9 @@ func recognizePlainReduction(st *ir.Stmt, s *ssa.SSA) *Reduction {
 			return nil
 		}
 	}
-	loops := carrierLoops(st, selfUse, s)
+	loops := carrierLoops(s.DefOf[st], st.Loop, selfUse, s)
 	if len(loops) == 0 {
 		return nil
-	}
-	negate := false
-	if rhs, ok := st.Rhs.(*ast.BinOp); ok && rhs.Op == ast.Sub {
-		negate = true
 	}
 	return &Reduction{
 		Var:     v,
@@ -248,48 +249,10 @@ func recognizeArrayReduction(st *ir.Stmt, p *ir.Program) *Reduction {
 		return nil
 	}
 	self := ast.ExprString(st.Lhs.Ast)
-	matchSelf := func(e ast.Expr) bool {
+	op, dataExpr, negate := matchUpdate(st.Rhs, func(e ast.Expr) bool {
 		r, ok := e.(*ast.Ref)
 		return ok && r.Name == v.Name && ast.ExprString(r) == self
-	}
-	var op ReductionOp
-	var dataExpr ast.Expr
-	negate := false
-	switch rhs := st.Rhs.(type) {
-	case *ast.BinOp:
-		switch rhs.Op {
-		case ast.Add, ast.Mul:
-			if matchSelf(rhs.L) {
-				dataExpr = rhs.R
-			} else if matchSelf(rhs.R) {
-				dataExpr = rhs.L
-			}
-			if rhs.Op == ast.Add {
-				op = RedSum
-			} else {
-				op = RedProd
-			}
-		case ast.Sub:
-			if matchSelf(rhs.L) {
-				dataExpr = rhs.R
-				op = RedSum
-				negate = true
-			}
-		}
-	case *ast.Call:
-		if (rhs.Name == "max" || rhs.Name == "min") && len(rhs.Args) == 2 {
-			if matchSelf(rhs.Args[0]) {
-				dataExpr = rhs.Args[1]
-			} else if matchSelf(rhs.Args[1]) {
-				dataExpr = rhs.Args[0]
-			}
-			if rhs.Name == "max" {
-				op = RedMax
-			} else {
-				op = RedMin
-			}
-		}
-	}
+	})
 	if dataExpr == nil {
 		return nil
 	}
@@ -395,10 +358,10 @@ func updateDataRef(st *ir.Stmt) *ir.Ref {
 	return nil
 }
 
-// carrierLoops verifies the self use is fed by this definition around loop
-// back edges, and returns every such enclosing loop, innermost first.
-func carrierLoops(st *ir.Stmt, selfUse *ir.Ref, s *ssa.SSA) []*ir.Loop {
-	def := s.DefOf[st]
+// carrierLoops verifies the self use is fed by def around loop back edges,
+// and returns every such loop enclosing from (the loop the use sits in),
+// innermost first.
+func carrierLoops(def *ssa.Value, from *ir.Loop, selfUse *ir.Ref, s *ssa.SSA) []*ir.Loop {
 	if def == nil {
 		return nil
 	}
@@ -407,7 +370,7 @@ func carrierLoops(st *ir.Stmt, selfUse *ir.Ref, s *ssa.SSA) []*ir.Loop {
 			continue
 		}
 		var out []*ir.Loop
-		for l := st.Loop; l != nil; l = l.Parent {
+		for l := from; l != nil; l = l.Parent {
 			if ru.CrossesBackOf[l] {
 				out = append(out, l)
 			}
@@ -514,11 +477,7 @@ func recognizeConditionalMax(ifStmt *ir.Stmt, s *ssa.SSA, seen map[*ir.Stmt]bool
 	if selfUse == nil {
 		return nil
 	}
-	def := s.DefOf[accStmt]
-	if def == nil {
-		return nil
-	}
-	loops := conditionalCarrierLoops(ifStmt, accStmt, selfUse, s)
+	loops := carrierLoops(s.DefOf[accStmt], ifStmt.Loop, selfUse, s)
 	if len(loops) == 0 {
 		return nil
 	}
@@ -551,24 +510,4 @@ func recognizeConditionalMax(ifStmt *ir.Stmt, s *ssa.SSA, seen map[*ir.Stmt]bool
 		out = append(out, companion)
 	}
 	return out
-}
-
-// conditionalCarrierLoops finds the loops around whose back edges the
-// accumulator's conditional update flows into the predicate's use,
-// innermost first.
-func conditionalCarrierLoops(ifStmt, accStmt *ir.Stmt, selfUse *ir.Ref, s *ssa.SSA) []*ir.Loop {
-	def := s.DefOf[accStmt]
-	for _, ru := range s.ReachedUses(def) {
-		if ru.Ref != selfUse {
-			continue
-		}
-		var out []*ir.Loop
-		for l := ifStmt.Loop; l != nil; l = l.Parent {
-			if ru.CrossesBackOf[l] {
-				out = append(out, l)
-			}
-		}
-		return out
-	}
-	return nil
 }

@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"phpf/internal/core"
+	"phpf/internal/dataflow"
 	"phpf/internal/ir"
 	"phpf/internal/parser"
 	"phpf/internal/spmd"
+	"phpf/internal/ssa"
 )
 
 // fuzzTemplate embeds one fuzzed right-hand side and one fuzzed subscript in
@@ -127,6 +129,14 @@ func (b nopOracleBackend) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
 	return err
 }
 
+// oneExpression keeps a fuzz input one expression: no new statements or
+// directives.
+func oneExpression(e string) bool {
+	return len(e) > 0 && len(e) <= 80 && !strings.ContainsFunc(e, func(r rune) bool {
+		return !strings.ContainsRune("abcdefghijklmnopqrstuvwxyz0123456789 +-*/(),.<>=", r)
+	})
+}
+
 // FuzzLowerExpr: for any expression and subscript the front end accepts, the
 // lowered form computes the same values, sets and communication decisions as
 // the tree-walking oracle, and fails with the same error at the same point.
@@ -146,12 +156,8 @@ func FuzzLowerExpr(f *testing.F) {
 		f.Add(seed[0], seed[1])
 	}
 	f.Fuzz(func(t *testing.T, rhs, sub string) {
-		for _, e := range []string{rhs, sub} {
-			if len(e) == 0 || len(e) > 80 || strings.ContainsFunc(e, func(r rune) bool {
-				return !strings.ContainsRune("abcdefghijklmnopqrstuvwxyz0123456789 +-*/(),.<>=", r)
-			}) {
-				return // keep the input one expression: no new statements or directives
-			}
+		if !oneExpression(rhs) || !oneExpression(sub) {
+			return
 		}
 		ap, err := parser.Parse(fmt.Sprintf(fuzzTemplate, rhs, sub, sub))
 		if err != nil {
@@ -193,6 +199,79 @@ func FuzzLowerExpr(f *testing.F) {
 				if got := ls.arrays[slot][i]; math.Float64bits(got) != math.Float64bits(want[i]) {
 					t.Fatalf("%s[%d] = %v, oracle %v", os.slots[slot].Name, i, got, want[i])
 				}
+			}
+		}
+	})
+}
+
+// foldTemplate assigns one fuzzed expression to a real and to an integer
+// scalar. The expression may read the parameter n, the constants y and m, and
+// (in the second statement) the x the first one stored.
+const foldTemplate = `
+program f
+parameter n = 6
+real x, y
+integer k, m
+y = 0.5
+m = 3
+x = %s
+k = %s
+end
+`
+
+// FuzzFoldMatchesRun holds the compile-time fold (ast.Fold, as constant
+// propagation applies it) to the run time it refines: for any expression the
+// front end accepts, whenever constprop claims a definition is constant, a
+// simulated run leaves exactly that value in the variable — the same float64
+// bits, for k after the rounding store.
+func FuzzFoldMatchesRun(f *testing.F) {
+	for _, seed := range []string{
+		"7/2", "2.6", "0 - 7/2", "mod(0 - 7, 2)", "max(1, 2, 3)", "abs(0 - 3)",
+		"9007199254740993 - 9007199254740992", "3000000000 * 3000000000 * 3",
+		"1.0e300 * 1.0e300", "1/0", "0.0 - 0.0",
+		"-0 * m", "mod(0 - 4, 2) + x", "n / 4 * 4 - y", "min(m, n/4, sqrt(4)) - exp(0)", "0.0/0.0 + max(1, 0.0/0.0)",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, e string) {
+		if !oneExpression(e) {
+			return
+		}
+		src := fmt.Sprintf(foldTemplate, e, e)
+		ap, err := parser.Parse(src)
+		if err != nil {
+			return
+		}
+		// The claims, over the program as written: the pipeline's own constprop
+		// facts are recomputed after induction rewriting and not handed out.
+		prog, err := ir.Build(ap)
+		if err != nil {
+			return
+		}
+		g, err := ir.BuildCFG(prog)
+		if err != nil {
+			return
+		}
+		vals := ssa.Build(prog, g)
+		cp := dataflow.PropagateConstants(vals)
+
+		ap, _ = parser.Parse(src) // lowering stamps slots on the tree: a fresh one
+		res, err := core.BuildAndAnalyze(ap, 4, core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("the IR builds but the pipeline fails: %v", err)
+		}
+		run, err := LoweredSimulate(spmd.Generate(res), core.ReduceAuto)
+		if err != nil {
+			t.Fatalf("run: %v", err) // straight-line scalar code has nothing to fail on
+		}
+		for _, st := range prog.Stmts {
+			claim, ok := cp.ValueConst(vals.DefOf[st])
+			if !ok {
+				continue
+			}
+			name := st.Lhs.Var.Name
+			if got := run.Scalars[name]; math.Float64bits(got) != math.Float64bits(claim.Float()) {
+				t.Fatalf("%s = %s: constprop claims %+v, the run leaves %v", name, e, claim, got)
 			}
 		}
 	})

@@ -436,42 +436,53 @@ func binary(op ast.Op, l, r fexpr) fexpr {
 	}
 }
 
+// specialised holds the hot-path closures of intrinsic applications, one
+// definition per name: each computes what the intrinsic's ast.Intrinsics entry
+// computes, without the argument slice. A variadic intrinsic is the left fold
+// of its two-argument closure (max(a, b, c) = max(max(a, b), c)).
+var specialised = map[string]struct {
+	one func(a fexpr) fexpr
+	two func(a, b fexpr) fexpr
+}{
+	"abs":  {one: func(a fexpr) fexpr { return func(s *State) float64 { return math.Abs(a(s)) } }},
+	"sqrt": {one: func(a fexpr) fexpr { return func(s *State) float64 { return math.Sqrt(a(s)) } }},
+	"exp":  {one: func(a fexpr) fexpr { return func(s *State) float64 { return math.Exp(a(s)) } }},
+	"max": {two: func(a, b fexpr) fexpr {
+		return func(s *State) float64 {
+			x, y := a(s), b(s)
+			if y > x {
+				return y
+			}
+			return x
+		}
+	}},
+	"min": {two: func(a, b fexpr) fexpr {
+		return func(s *State) float64 {
+			x, y := a(s), b(s)
+			if y < x {
+				return y
+			}
+			return x
+		}
+	}},
+	"mod": {two: func(a, b fexpr) fexpr {
+		return func(s *State) float64 { x, y := a(s), b(s); return math.Mod(x, y) }
+	}},
+}
+
 // call lowers an intrinsic application. The parser fixes each intrinsic's
-// arity; any other shape falls through to the generic evaluator.
+// arity (only a variadic one takes more than two arguments); any shape
+// without a specialised closure goes through evalCall.
 func call(name string, args []fexpr) fexpr {
-	if len(args) == 1 {
-		a := args[0]
-		switch name {
-		case "abs":
-			return func(s *State) float64 { return math.Abs(a(s)) }
-		case "sqrt":
-			return func(s *State) float64 { return math.Sqrt(a(s)) }
-		case "exp":
-			return func(s *State) float64 { return math.Exp(a(s)) }
+	switch sp := specialised[name]; {
+	case len(args) == 1 && sp.one != nil:
+		return sp.one(args[0])
+	case len(args) >= 2 && sp.two != nil:
+		f := sp.two(args[0], args[1])
+		for _, a := range args[2:] {
+			f = sp.two(f, a)
 		}
-	}
-	if len(args) == 2 {
-		a, b := args[0], args[1]
-		switch name {
-		case "max":
-			return func(s *State) float64 {
-				x, y := a(s), b(s)
-				if y > x {
-					return y
-				}
-				return x
-			}
-		case "min":
-			return func(s *State) float64 {
-				x, y := a(s), b(s)
-				if y < x {
-					return y
-				}
-				return x
-			}
-		case "mod":
-			return func(s *State) float64 { x, y := a(s), b(s); return math.Mod(x, y) }
-		}
+		return f
 	}
 	return func(s *State) float64 {
 		var buf [4]float64
@@ -490,34 +501,14 @@ func call(name string, args []fexpr) fexpr {
 	}
 }
 
+// evalCall applies an intrinsic to evaluated arguments: the definition in
+// ast.Intrinsics, which the compile-time fold shares.
 func evalCall(name string, args []float64) (float64, error) {
-	switch name {
-	case "abs":
-		return math.Abs(args[0]), nil
-	case "sqrt":
-		return math.Sqrt(args[0]), nil
-	case "exp":
-		return math.Exp(args[0]), nil
-	case "max":
-		best := args[0]
-		for _, a := range args[1:] {
-			if a > best {
-				best = a
-			}
-		}
-		return best, nil
-	case "min":
-		best := args[0]
-		for _, a := range args[1:] {
-			if a < best {
-				best = a
-			}
-		}
-		return best, nil
-	case "mod":
-		return math.Mod(args[0], args[1]), nil
+	in, ok := ast.Intrinsics[name]
+	if !ok {
+		return 0, fmt.Errorf("unknown intrinsic %s", name)
 	}
-	return 0, fmt.Errorf("unknown intrinsic %s", name)
+	return in.Value(args), nil
 }
 
 // ---------------------------------------------------------------------------

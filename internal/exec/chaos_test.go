@@ -66,6 +66,8 @@ func TestChaosMatrix(t *testing.T) {
 		// to rearm them) diverges here.
 		"histogram": programs.Histogram(16384, 64, 3),
 		"dotsweep":  programs.DotSweep(512, 24),
+		// The one program with a lastprivate copy-out at a loop exit.
+		"lastprivate": lastPrivate,
 	}
 	for progName, src := range progs {
 		prog := compile(t, src, 4, core.DefaultOptions())

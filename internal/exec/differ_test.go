@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"phpf/internal/core"
@@ -12,6 +13,7 @@ import (
 	"phpf/internal/programs"
 	"phpf/internal/sim"
 	"phpf/internal/spmd"
+	"phpf/internal/trace"
 )
 
 // compile lowers a source program for nprocs processors.
@@ -44,15 +46,44 @@ func strategies() map[string]core.Options {
 	}
 }
 
+// lastPrivate reads a privatized scalar after its loop: under producer and
+// selected alignment x lives on the owner of the iteration's element, and its
+// final value is broadcast from the last iteration's owner at loop exit (the
+// plan's copy-out) for y = x to read. y ends as 2n. The closing loop's shifted
+// read gives the chaos plans a communication after the copy-out to land on (a
+// crash fires where something was sent).
+const lastPrivate = `
+program lastprivate
+parameter n = 16
+real a(n), b(n), c(n)
+real x, y
+integer i
+!hpf$ distribute (block) :: a, b, c
+do i = 1, n
+  a(i) = i
+end do
+do i = 1, n
+  x = a(i)*2.0
+  b(i) = x + 1.0
+end do
+y = x
+do i = 2, n
+  c(i) = a(i-1) + y
+end do
+end
+`
+
 // oraclePrograms is the corpus the differential oracle sweeps: every figure
-// example plus the three benchmark kernels at test-friendly sizes.
+// example plus the three benchmark kernels at test-friendly sizes, and the
+// lastprivate copy-out no other program has.
 func oraclePrograms() map[string]string {
 	out := map[string]string{
-		"tomcatv": programs.TOMCATV(10, 2),
-		"dgefa":   programs.DGEFA(12),
-		"appsp2d": programs.APPSP(4, 4, 4, 1, true),
-		"appsp1d": programs.APPSP(4, 4, 4, 1, false),
-		"smooth":  programs.Smooth(24, 2),
+		"tomcatv":     programs.TOMCATV(10, 2),
+		"dgefa":       programs.DGEFA(12),
+		"appsp2d":     programs.APPSP(4, 4, 4, 1, true),
+		"appsp1d":     programs.APPSP(4, 4, 4, 1, false),
+		"smooth":      programs.Smooth(24, 2),
+		"lastprivate": lastPrivate,
 	}
 	for name, src := range programs.Figures {
 		out[name] = src
@@ -108,5 +139,49 @@ func TestDifferRejectsFaultyConfig(t *testing.T) {
 	var d *diag.Diagnostic
 	if !errors.As(err, &d) || d.Code != diag.CodeConfig {
 		t.Fatalf("expected a coded E005 for an aborted simulator run, got %v", err)
+	}
+}
+
+// TestCopyOutOnBothBackends: the lastprivate final-value broadcast runs — on
+// the simulator's accountant and over the executor's channels — and delivers:
+// y reads the x of the last iteration on every processor, for one modeled
+// broadcast, with the backends agreeing event for event, also when a crash
+// rolls the run back over the loop exit.
+func TestCopyOutOnBothBackends(t *testing.T) {
+	for _, stratName := range []string{"producer", "selected"} {
+		prog := compile(t, lastPrivate, 4, strategies()[stratName])
+		if dump := prog.Dump(); !strings.Contains(dump, "[copy-out x from owner(") {
+			t.Fatalf("%s: the plan has no copy-out of x:\n%s", stratName, dump)
+		}
+		clean, err := sim.Run(prog, sim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for planName, cfg := range map[string]Config{
+			"clean": {},
+			"crash": chaosConfigs(clean.Time)["crash"],
+		} {
+			t.Run(stratName+"/"+planName, func(t *testing.T) {
+				cfg.Trace = &trace.Options{}
+				rep, err := Diff(context.Background(), prog, cfg)
+				if err != nil {
+					t.Fatalf("differ: %v", err)
+				}
+				if !rep.Match() {
+					t.Fatal(rep.String())
+				}
+				if planName == "crash" && (rep.Sim.Stats.Crashes == 0 || rep.Exec.Restarts == 0) {
+					t.Fatalf("the crash never fired: %d modeled, %d restarts", rep.Sim.Stats.Crashes, rep.Exec.Restarts)
+				}
+				for _, r := range []*Result{rep.Sim, rep.Exec} {
+					if y := r.Scalars["y"]; y != 32 {
+						t.Errorf("%s: y = %v, want 32", r.Backend, y)
+					}
+					if n := r.Stats.Broadcasts; n != 1 {
+						t.Errorf("%s: %d broadcasts, want the one copy-out", r.Backend, n)
+					}
+				}
+			})
+		}
 	}
 }

@@ -278,14 +278,12 @@ func Build(src *ast.Program) (*Program, error) {
 		}
 		v := &Var{Name: d.Name, Type: d.Type, DefLoops: map[*Loop]bool{}}
 		for _, de := range d.Dims {
-			n, err := b.evalConst(de, d.Line)
-			if err != nil {
-				return nil, err
+			n, ok := ast.Fold(de, b.paramConst)
+			if !ok || !n.IsInt || n.I < 1 {
+				return nil, errfAt(diag.Pos{Line: d.Line, Col: d.Col},
+					"array %s: extent %s is not a constant integer >= 1", d.Name, ast.ExprString(de))
 			}
-			if n < 1 {
-				return nil, errf(d.Line, "array %s has non-positive extent %d", d.Name, n)
-			}
-			v.Dims = append(v.Dims, n)
+			v.Dims = append(v.Dims, n.I)
 		}
 		b.prog.Vars[d.Name] = v
 		b.prog.VarList = append(b.prog.VarList, v)
@@ -428,40 +426,25 @@ func (b *builder) buildStmt(s ast.Stmt, loop *Loop) (Node, error) {
 		// are attached to a pseudo-statement executing in the preheader so
 		// that the mapping analysis sees them (a scalar used in a loop
 		// bound must be available on every processor).
+		var bst *Stmt
 		if b.boundsReferenceScalars(x.Lo) || b.boundsReferenceScalars(x.Hi) ||
 			(x.Step != nil && b.boundsReferenceScalars(x.Step)) {
-			bst := b.newStmt(SLoopBounds, loop, x.Line, x.Col)
+			bst = b.newStmt(SLoopBounds, loop, x.Line, x.Col)
 			lp.BoundsStmt = bst
-			lp.Lo, err = b.rewriteExpr(x.Lo, bst, nil, x.Line)
-			if err != nil {
+		}
+		if lp.Lo, err = b.rewriteExpr(x.Lo, bst, nil, x.Line); err != nil {
+			return nil, err
+		}
+		if lp.Hi, err = b.rewriteExpr(x.Hi, bst, nil, x.Line); err != nil {
+			return nil, err
+		}
+		if x.Step != nil {
+			if lp.Step, err = b.rewriteExpr(x.Step, bst, nil, x.Line); err != nil {
 				return nil, err
 			}
-			lp.Hi, err = b.rewriteExpr(x.Hi, bst, nil, x.Line)
-			if err != nil {
-				return nil, err
-			}
-			if x.Step != nil {
-				lp.Step, err = b.rewriteExpr(x.Step, bst, nil, x.Line)
-				if err != nil {
-					return nil, err
-				}
-			}
+		}
+		if bst != nil {
 			bst.Refs = bst.Uses
-		} else {
-			lp.Lo, err = b.rewriteBoundExpr(x.Lo, x.Line)
-			if err != nil {
-				return nil, err
-			}
-			lp.Hi, err = b.rewriteBoundExpr(x.Hi, x.Line)
-			if err != nil {
-				return nil, err
-			}
-			if x.Step != nil {
-				lp.Step, err = b.rewriteBoundExpr(x.Step, x.Line)
-				if err != nil {
-					return nil, err
-				}
-			}
 		}
 		body, err := b.buildStmts(x.Body, lp)
 		if err != nil {
@@ -559,58 +542,29 @@ func markControlDependent(nodes []Node, st *Stmt) {
 }
 
 // rewriteExpr substitutes parameters, validates references, and registers
-// each variable occurrence as a use of st. encl is the reference whose
-// subscript we are inside of (nil at top level).
+// each variable occurrence as a use of st (nil for loop bounds that read no
+// tracked scalar: parameters and loop indices register nothing). encl is the
+// reference whose subscript we are inside of (nil at top level).
 func (b *builder) rewriteExpr(e ast.Expr, st *Stmt, encl *Ref, line int) (ast.Expr, error) {
-	switch x := e.(type) {
-	case *ast.IntConst, *ast.RealConst:
-		return e, nil
-	case *ast.Ref:
+	var err error
+	out := ast.Rewrite(e, func(x *ast.Ref) ast.Expr {
+		if err != nil {
+			return x
+		}
 		if val, isParam := b.prog.Params[x.Name]; isParam {
 			if len(x.Subs) > 0 {
-				return nil, errf(line, "parameter %s used with subscripts", x.Name)
+				err = errf(line, "parameter %s used with subscripts", x.Name)
 			}
-			return &ast.IntConst{Value: val}, nil
+			return &ast.IntConst{Value: val}
 		}
-		r, err := b.buildRefIn(x, st, false, encl, line)
-		if err != nil {
-			return nil, err
+		r, rerr := b.buildRefIn(x, st, false, encl, line)
+		if rerr != nil {
+			err = rerr
+			return x
 		}
-		return r.Ast, nil
-	case *ast.BinOp:
-		l, err := b.rewriteExpr(x.L, st, encl, line)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.rewriteExpr(x.R, st, encl, line)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.BinOp{Op: x.Op, L: l, R: r}, nil
-	case *ast.UnaryMinus:
-		sub, err := b.rewriteExpr(x.X, st, encl, line)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.UnaryMinus{X: sub}, nil
-	case *ast.Not:
-		sub, err := b.rewriteExpr(x.X, st, encl, line)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.Not{X: sub}, nil
-	case *ast.Call:
-		c := &ast.Call{Name: x.Name}
-		for _, a := range x.Args {
-			ra, err := b.rewriteExpr(a, st, encl, line)
-			if err != nil {
-				return nil, err
-			}
-			c.Args = append(c.Args, ra)
-		}
-		return c, nil
-	}
-	return nil, errf(line, "unsupported expression %T", e)
+		return r.Ast
+	})
+	return out, err
 }
 
 // boundsReferenceScalars reports whether a loop bound expression references
@@ -630,45 +584,6 @@ func (b *builder) boundsReferenceScalars(e ast.Expr) bool {
 		}
 	})
 	return found
-}
-
-// rewriteBoundExpr rewrites a loop bound: parameters substituted; variable
-// references permitted (they must be scalars) but not registered as
-// statement uses.
-func (b *builder) rewriteBoundExpr(e ast.Expr, line int) (ast.Expr, error) {
-	switch x := e.(type) {
-	case *ast.IntConst, *ast.RealConst:
-		return e, nil
-	case *ast.Ref:
-		if val, isParam := b.prog.Params[x.Name]; isParam {
-			return &ast.IntConst{Value: val}, nil
-		}
-		v, ok := b.prog.Vars[x.Name]
-		if !ok {
-			return nil, errf(line, "undeclared variable %s in loop bound", x.Name)
-		}
-		if v.IsArray() || len(x.Subs) > 0 {
-			return nil, errf(line, "array reference %s in loop bound", x.Name)
-		}
-		return x, nil
-	case *ast.BinOp:
-		l, err := b.rewriteBoundExpr(x.L, line)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.rewriteBoundExpr(x.R, line)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.BinOp{Op: x.Op, L: l, R: r}, nil
-	case *ast.UnaryMinus:
-		sub, err := b.rewriteBoundExpr(x.X, line)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.UnaryMinus{X: sub}, nil
-	}
-	return nil, errf(line, "unsupported expression in loop bound")
 }
 
 func (b *builder) buildRef(a *ast.Ref, st *Stmt, isDef bool, encl *Ref) (*Ref, error) {
@@ -726,48 +641,10 @@ func (b *builder) buildRefIn(a *ast.Ref, st *Stmt, isDef bool, encl *Ref, line i
 	return r, nil
 }
 
-// evalConst evaluates a compile-time integer constant expression (literals,
-// parameters, + - * /).
-func (b *builder) evalConst(e ast.Expr, line int) (int64, error) {
-	switch x := e.(type) {
-	case *ast.IntConst:
-		return x.Value, nil
-	case *ast.Ref:
-		if v, ok := b.prog.Params[x.Name]; ok && len(x.Subs) == 0 {
-			return v, nil
-		}
-		return 0, errf(line, "%s is not a constant", x.Name)
-	case *ast.BinOp:
-		l, err := b.evalConst(x.L, line)
-		if err != nil {
-			return 0, err
-		}
-		r, err := b.evalConst(x.R, line)
-		if err != nil {
-			return 0, err
-		}
-		switch x.Op {
-		case ast.Add:
-			return l + r, nil
-		case ast.Sub:
-			return l - r, nil
-		case ast.Mul:
-			return l * r, nil
-		case ast.Div:
-			if r == 0 {
-				return 0, errf(line, "division by zero in constant")
-			}
-			return l / r, nil
-		}
-		return 0, errf(line, "non-arithmetic operator in constant expression")
-	case *ast.UnaryMinus:
-		v, err := b.evalConst(x.X, line)
-		if err != nil {
-			return 0, err
-		}
-		return -v, nil
-	}
-	return 0, errf(line, "expression is not a compile-time constant")
+// paramConst resolves a reference in a declaration to the parameter it names.
+func (b *builder) paramConst(x *ast.Ref) (ast.Const, bool) {
+	v, ok := b.prog.Params[x.Name]
+	return ast.Int(v), ok && len(x.Subs) == 0
 }
 
 // InnermostCommonLoop returns the innermost loop enclosing both a and b

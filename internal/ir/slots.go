@@ -53,29 +53,14 @@ func AssignSlots(p *Program) *SlotTable {
 	return t
 }
 
-// slotExpr walks one expression tree, stamping each reference with its
-// variable's slot.
+// slotExpr stamps each reference of one expression tree with its variable's
+// slot.
 func (t *SlotTable) slotExpr(p *Program, e ast.Expr) {
-	switch x := e.(type) {
-	case nil:
-		return
-	case *ast.Ref:
-		if v := p.Vars[x.Name]; v != nil {
-			x.Slot = v.Slot + 1
+	ast.Walk(e, func(n ast.Expr) {
+		if x, ok := n.(*ast.Ref); ok {
+			if v := p.Vars[x.Name]; v != nil {
+				x.Slot = v.Slot + 1
+			}
 		}
-		for _, sub := range x.Subs {
-			t.slotExpr(p, sub)
-		}
-	case *ast.BinOp:
-		t.slotExpr(p, x.L)
-		t.slotExpr(p, x.R)
-	case *ast.UnaryMinus:
-		t.slotExpr(p, x.X)
-	case *ast.Not:
-		t.slotExpr(p, x.X)
-	case *ast.Call:
-		for _, a := range x.Args {
-			t.slotExpr(p, a)
-		}
-	}
+	})
 }

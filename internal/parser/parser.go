@@ -964,7 +964,7 @@ func (p *parser) parseCall() (ast.Expr, error) {
 	if _, err := p.expect(lexer.RParen); err != nil {
 		return nil, err
 	}
-	arity := ast.Intrinsics[c.Name]
+	arity := ast.Intrinsics[c.Name].Arity
 	if arity >= 0 && len(c.Args) != arity {
 		return nil, p.errorf("intrinsic %s takes %d argument(s), got %d", c.Name, arity, len(c.Args))
 	}

@@ -35,6 +35,12 @@ func DumpUnit(u *Unit) string {
 		sb.WriteString("== autopriv ==\n")
 		sb.WriteString(u.AutoPriv.String())
 	}
+	if u.Valid(FactReducePlan) && u.ReducePlan != nil {
+		sb.WriteString("== reduceplan ==\n")
+		for _, d := range u.ReducePlan.Decisions {
+			fmt.Fprintf(&sb, "%s\n", d)
+		}
+	}
 	if u.Valid(FactMapping) && u.Mapping != nil {
 		sb.WriteString("== mapping ==\n")
 		dumpMapping(&sb, u)

@@ -3,8 +3,12 @@ package sim
 import (
 	"testing"
 
+	"phpf/internal/core"
 	"phpf/internal/ir"
 	"phpf/internal/machine"
+	"phpf/internal/parser"
+	"phpf/internal/programs"
+	"phpf/internal/spmd"
 )
 
 // TestProfileCountsExecutionsOnly: StmtProfile.Instances is how many times
@@ -74,4 +78,56 @@ end
 		return
 	}
 	t.Fatal("the assignment is missing from the profile")
+}
+
+// TestProfilePerInstanceCommunication: a profiled run of a program whose
+// communication stays inside its loops (TOMCATV with producer alignment pays
+// a guard and, off the owner, an element transfer per statement instance)
+// attributes that communication to the statement it serves, and changes
+// nothing about the run.
+func TestProfilePerInstanceCommunication(t *testing.T) {
+	ap, err := parser.Parse(programs.TOMCATV(10, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Scalars = core.ScalarsProducerAligned
+	res, err := core.BuildAndAnalyze(ap, 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := spmd.Generate(res)
+
+	profiled, err := Run(prog, Config{Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Run(prog, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if profiled.Time != plain.Time || profiled.Stats != plain.Stats {
+		t.Errorf("profiling changed the run: time %v vs %v, stats %v vs %v",
+			profiled.Time, plain.Time, profiled.Stats, plain.Stats)
+	}
+	if plain.Stats.PointToPoint == 0 {
+		t.Fatal("the run moved no per-instance element: the test program lost its point")
+	}
+	communicating := 0
+	for _, p := range profiled.HotStatements {
+		sp := prog.PlanOf(p.Stmt)
+		if len(sp.PerInstance) == 0 {
+			continue
+		}
+		communicating++
+		// Its pure-flop share, were every instance computed on all processors.
+		flops := float64(p.Instances) * float64(sp.Flops) * float64(prog.NProcs()) * machine.SP2().FlopTime
+		if p.Seconds <= flops {
+			t.Errorf("s%d: Seconds = %v does not include its per-instance communication (its flops are at most %v)",
+				p.Stmt.ID, p.Seconds, flops)
+		}
+	}
+	if communicating == 0 {
+		t.Fatal("no profiled statement has a per-instance requirement")
+	}
 }

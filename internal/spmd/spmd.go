@@ -309,23 +309,16 @@ func stmtFlops(st *ir.Stmt) int {
 	return n
 }
 
-// exprFlops counts operations in an expression (sqrt and exp weighted
-// heavier, per their latency on 1990s hardware).
+// exprFlops counts operations in an expression: one per operator, an
+// intrinsic's own weight (ast.Intrinsics) per call.
 func exprFlops(e ast.Expr) int {
 	n := 0
 	ast.Walk(e, func(x ast.Expr) {
 		switch c := x.(type) {
-		case *ast.BinOp:
-			n++
-		case *ast.UnaryMinus, *ast.Not:
+		case *ast.BinOp, *ast.UnaryMinus, *ast.Not:
 			n++
 		case *ast.Call:
-			switch c.Name {
-			case "sqrt", "exp":
-				n += 8
-			default:
-				n++
-			}
+			n += ast.Intrinsics[c.Name].Flops
 		}
 	})
 	return n

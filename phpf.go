@@ -370,6 +370,10 @@ func (c *Compiled) Diags() []Diagnostic {
 	return out
 }
 
+// PassNames lists the compilation pipeline's passes in execution order: the
+// names Options.DumpAfter accepts and the compile profile reports.
+func PassNames() []string { return core.PassNames() }
+
 // Profile returns the per-pass instrumentation of the compilation: one entry
 // per pass execution (including lazy re-runs after invalidation) plus the
 // SPMD generation step, and any snapshots requested via Options.DumpAfter.

@@ -111,13 +111,39 @@ if grep -nE '\.New\b|\.NoDeps|InferredNew|InferredLast' $corefiles ||
     exit 1
 fi
 
+# One-meaning gates (DESIGN.md §14): the value of an expression, the rebuilding
+# of its tree, the commutative-update matcher and the intrinsic table each
+# have ONE definition — ast.Fold, ast.Rewrite, dataflow's matchUpdate,
+# ast.Intrinsics — which the IR builder, the slot pass, constant propagation,
+# the recognizers, the generator and the run time call. Fail when a private
+# copy reappears.
+if grep -nE 'case \*ast\.(BinOp|UnaryMinus|Not|Call)' internal/ir/ir.go internal/ir/slots.go internal/dataflow/constprop.go; then
+    echo "check: the IR builder, the slot pass or constant propagation walks expression node kinds itself; trees are rebuilt by ast.Rewrite, visited by ast.Walk and evaluated by ast.Fold" >&2
+    exit 1
+fi
+if grep -rnE '^func (\([^)]*\) )?(foldBin|foldCall|conditionalCarrierLoops)\b' \
+    --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=ast .; then
+    echo "check: a second compile-time evaluator (foldBin/foldCall) or carrier-loop scan reappeared; they are ast.Fold and dataflow's carrierLoops" >&2
+    exit 1
+fi
+if [ "$(ls internal/dataflow/*.go | grep -v '_test\.go$' | xargs cat | grep -c '"max"')" != 1 ]; then
+    echo "check: internal/dataflow must spell \"max\" on exactly one line (the update matcher's operator names); a second one is a second matcher" >&2
+    exit 1
+fi
+if grep -rlE '"sqrt"' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . |
+    grep -vE '^\./internal/(ast/[^/]*|eval/lower)\.go$'; then
+    echo "check: an intrinsic is named outside the one table (internal/ast) and its run-time closures (internal/eval/lower.go)" >&2
+    exit 1
+fi
+
 # Fuzz smoke: a small budget per front-end target, enough to catch gross
 # regressions in the robustness contracts (never panic, positioned errors)
 # without turning the gate into a fuzzing campaign; FuzzLowerExpr holds the
 # lowered interpreter to the tree-walking oracle on random expressions and
-# subscripts, FuzzOwnerRun the owner-run closed form (dist.AxisMap.OwnerRun)
-# to brute force over OwnerDim. Go allows one -fuzz target per invocation, so
-# each runs separately.
+# subscripts, FuzzFoldMatchesRun the compile-time fold (ast.Fold, through
+# constant propagation) to the value a simulated run leaves, FuzzOwnerRun the
+# owner-run closed form (dist.AxisMap.OwnerRun) to brute force over OwnerDim.
+# Go allows one -fuzz target per invocation, so each runs separately.
 fuzztime="${FUZZTIME:-10s}"
 go test -run=^$ -fuzz=FuzzLex -fuzztime="$fuzztime" ./internal/lexer
 go test -run=^$ -fuzz=FuzzParse -fuzztime="$fuzztime" ./internal/parser
@@ -125,6 +151,7 @@ go test -run=^$ -fuzz=FuzzParseCrashes -fuzztime="$fuzztime" ./internal/fault
 go test -run=^$ -fuzz=FuzzParseSlowdowns -fuzztime="$fuzztime" ./internal/fault
 go test -run=^$ -fuzz=FuzzServeRequest -fuzztime="$fuzztime" ./internal/serve
 go test -run=^$ -fuzz=FuzzLowerExpr -fuzztime="$fuzztime" ./internal/eval
+go test -run=^$ -fuzz=FuzzFoldMatchesRun -fuzztime="$fuzztime" ./internal/eval
 go test -run=^$ -fuzz=FuzzOwnerRun -fuzztime="$fuzztime" ./internal/dist
 go test -run=^$ -fuzz=FuzzAutoPriv -fuzztime="$fuzztime" .
 
