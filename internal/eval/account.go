@@ -16,9 +16,10 @@ import (
 )
 
 // Account charges the operations of the schedule to a simulated machine. It
-// implements every operation of Ops but CrashSite and Tick, which can end a
-// run and are the backend's, so a backend that only models the machine embeds
-// it. A charge cannot fail: the error results are Ops's and always nil.
+// implements every operation of Ops but CrashSite, Tick and Iteration (its
+// Charges, then a tick), which can end a run and are the backend's, so a
+// backend that only models the machine embeds it. A charge cannot fail: the
+// error results are Ops's and always nil.
 type Account struct {
 	// M is the machine charged: its Time and Stats are the run's.
 	M *machine.Machine
@@ -90,6 +91,23 @@ func (a *Account) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 		a.M.Compute(set, float64(flops)*a.M.Params.FlopTime)
 	}
 	a.M.ClearAttr()
+}
+
+// Charges makes the charges of one iteration of a quiet owner run, in order:
+// what Guard and Compute charge, to processors the run has listed.
+func (a *Account) Charges(charges []Charge) {
+	m := a.M
+	for i := range charges {
+		c := &charges[i]
+		if req := c.Req; req != nil {
+			m.SetAttr(req.Stmt.ID, req.ID, req.Class)
+			m.ComputeListed(c.Set, c.procs, m.Params.GuardTime)
+			continue
+		}
+		m.SetAttr(c.Stmt.ID, -1, dist.CommNone)
+		m.ComputeListed(c.Set, c.procs, float64(c.Flops)*m.Params.FlopTime)
+		m.ClearAttr()
+	}
 }
 
 // defStmt is the statement a mapped scalar's charges are attributed to.

@@ -75,7 +75,7 @@ func scalarImage(m map[string]float64) map[string][]float64 {
 // diffOne runs one compiled program through both interpreters: the oracle
 // against internal/sim, and against the production walk underneath it
 // (LoweredSimulate), which also hands out what internal/sim does not — every
-// processor's clock, the count of statement instances begun, and the state a
+// processor's clock, the count of statement instances charged, and the state a
 // failed run leaves. Where the program fails, both must fail with the same
 // text at the same statement instance, having charged the machine the same
 // and leaving the same memory behind.
@@ -93,7 +93,7 @@ func diffOne(t *testing.T, p *spmd.Program, reduce core.ReduceMode) {
 		return
 	}
 	if walk.Instances != want.Instances {
-		t.Errorf("%d statement instances begun, oracle %d", walk.Instances, want.Instances)
+		t.Errorf("%d statement instances charged, oracle %d", walk.Instances, want.Instances)
 	}
 	for p, c := range want.Clocks {
 		if walk.Clocks[p] != c {
@@ -468,11 +468,62 @@ end
 			})
 		}
 	}
+	// Inside a quiet run, not at its ends: the subscript is data (key(10) =
+	// 99, the tenth of 24 iterations is in mid-run at P = 1, 3 and 4), so no
+	// end check sees it and the run meets it after its iteration's first
+	// statement has stored — charged, like the failing one, and the third not.
+	// The table r is replicated and key aligned with a: nothing moves. A store
+	// through such a subscript cannot fail inside a run: it makes the
+	// statement's execution set data-dependent, and its loop has no runs.
+	midRun := map[string]eval.Census{}
+	for _, acc := range []struct {
+		kind, stmt, msg string
+		census          eval.Census
+	}{
+		// 2 × 24 + 9 × 3 quiet instances, then the tenth iteration's first two
+		// charged one by one; key(10) = 99 is the general walk's.
+		{"read", "c(i) = r(key(i)) + a(i)", "r subscript 1 out of bounds: 99 (extent 8)",
+			eval.Census{Quiet: 75, Loud: 2, General: 1}},
+		{"store", "r(key(i)) = a(i)", "line 17: r subscript 1 out of bounds: 99 (extent 8)",
+			eval.Census{Quiet: 48, General: 30}},
+	} {
+		name := acc.kind + "-through-data-subscript-in-mid-loop"
+		midRun[name] = acc.census
+		cases = append(cases, struct{ name, src, wantErr string }{name, fmt.Sprintf(`
+program t
+parameter n = 24
+real a(n), c(n), r(8)
+integer key(n)
+integer i
+!hpf$ distribute (block) :: a
+!hpf$ align c(i) with a(i)
+!hpf$ align key(i) with a(i)
+do i = 1, n
+  key(i) = mod(i, 8) + 1
+  c(i) = 0.0
+end do
+key(10) = 99
+do i = 1, n
+  a(i) = i * 2.0
+  %s
+  c(i) = c(i) + 1.0
+end do
+end
+`, acc.stmt), acc.msg})
+	}
 	for _, tc := range cases {
 		for _, nprocs := range []int{1, 3, 4} {
 			t.Run(fmt.Sprintf("%s/P=%d", tc.name, nprocs), func(t *testing.T) {
 				p := compileOpts(t, tc.src, nprocs, core.DefaultOptions())
 				diffOne(t, p, core.ReduceAuto)
+				if want, ok := midRun[tc.name]; ok {
+					walk, _ := eval.LoweredSimulate(p, core.ReduceAuto)
+					got := walk.Census
+					got.QuietRuns = 0 // one a block: as many as P has it
+					if got != want {
+						t.Errorf("census %+v, want %+v: the failure is not where the case puts it", got, want)
+					}
+				}
 				_, err := sim.Run(p, sim.Config{})
 				switch {
 				case tc.wantErr == "":

@@ -55,6 +55,9 @@ type code struct {
 	// (arrCode.pos is an access's position in it).
 	nowners int
 	arrs    []*arrCode
+	// charges is the most charges an iteration of a run-lowered loop makes: per
+	// statement the compute and a guard per per-instance requirement.
+	charges int
 	// scalars holds the owner set of every mapped scalar definition
 	// (reduction combines, lastprivate copy-outs).
 	scalars map[*core.ScalarMapping]*patCode
@@ -1048,7 +1051,9 @@ func (lw *lowerer) runs(l *ir.Loop) {
 		return
 	}
 	id := int32(l.ID + 1)
+	charges := 0
 	for i := range stmts {
+		charges += 1 + len(stmts[i].plan.PerInstance)
 		stmts[i].runs = id
 		stmts[i].sets(lw.c, func(set runSet) {
 			if oc, ok := set.(*ownerCode); ok {
@@ -1059,6 +1064,7 @@ func (lw *lowerer) runs(l *ir.Loop) {
 			lw.c.reqs[req.ID].runs = id
 		}
 	}
+	lw.c.charges = max(lw.c.charges, charges)
 }
 
 // bounds evaluates the loop's lower bound, upper bound and step (1 when

@@ -796,8 +796,18 @@ func (in *oracleSim) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 	return nil
 }
 
+// Statement counts the instance once it is charged, as the production side
+// counts it where it closes (loweredSim): one whose sets cannot be evaluated
+// is not counted by either.
 func (in *oracleSim) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
-	in.instances++
+	err := in.charge(sp)
+	if err == nil {
+		in.instances++
+	}
+	return err
+}
+
+func (in *oracleSim) charge(sp *spmd.StmtPlan) error {
 	flops := float64(sp.Flops) * in.params.FlopTime
 	if in.o.PrivatizedActive(sp.Combine) && sp.Combine.Mapping == nil {
 		var execSet dist.ProcSet
@@ -850,12 +860,13 @@ func (in *oracleSim) Redistribute(st *ir.Stmt) error {
 
 // OracleResult is the outcome of one reference simulation — or, beside an
 // error, the point the run had reached when it failed: the statement instances
-// begun, what the machine had been charged and the memory image left behind.
+// charged, what the machine had been charged and the memory image left behind.
 type OracleResult struct {
 	Time      float64
 	Clocks    []float64 // by processor: a charge on the wrong one need not move Time
 	Stats     machine.Stats
 	Instances int64
+	Census    Census // LoweredSimulate only
 	Scalars   map[string]float64
 	Arrays    map[string][]float64
 }
@@ -888,22 +899,54 @@ func bareGotoEscape(err error) error {
 	return err
 }
 
-// loweredSim is the production side of the same comparison: the accountant,
-// with nothing that can end a run early.
-type loweredSim struct{ *Account }
-
-func (loweredSim) CrashSite() error { return nil }
-func (loweredSim) Tick() error      { return nil }
-
-// instanceCounter counts the statement instances a Backend is shown.
-type instanceCounter struct {
-	Backend
-	instances int64
+// Census counts the statement instances of a production walk by the path
+// that ran them — in a quiet owner run, in a loud one, on the general walk —
+// and the runs of either kind.
+type Census struct {
+	Quiet, Loud, General int64
+	QuietRuns, LoudRuns  int64
 }
 
-func (c *instanceCounter) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
-	c.instances++
-	return c.Backend.Statement(st, sp)
+// loweredSim is the production side of the same comparison: the accountant,
+// with nothing that can end a run early. It counts the statement instances in
+// the operations, as each closes with a compute — the schedule itself is the
+// Backend, so the walk takes the path production takes.
+type loweredSim struct {
+	*Account
+	census Census
+	stamp  uint64 // of the last owner run seen
+}
+
+func (*loweredSim) CrashSite() error { return nil }
+func (*loweredSim) Tick() error      { return nil }
+
+// inRun counts the owner run in flight the first time it is seen.
+func (l *loweredSim) inRun(runs *int64) {
+	if l.stamp != l.st.stamp {
+		l.stamp = l.st.stamp
+		*runs++
+	}
+}
+
+func (l *loweredSim) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
+	if l.st.run != 0 {
+		l.census.Loud++
+		l.inRun(&l.census.LoudRuns)
+	} else {
+		l.census.General++
+	}
+	l.Account.Compute(st, set, flops)
+}
+
+func (l *loweredSim) Iteration(charges []Charge) error {
+	for _, c := range charges {
+		if c.Req == nil {
+			l.census.Quiet++
+		}
+	}
+	l.inRun(&l.census.QuietRuns)
+	l.Charges(charges)
+	return nil
 }
 
 // LoweredSimulate runs the program through the production walker, schedule
@@ -919,9 +962,11 @@ func LoweredSimulate(p *spmd.Program, reduce core.ReduceMode) (*OracleResult, er
 		return nil, err
 	}
 	acct := NewAccount(st, RunOptions{Params: machine.SP2()})
-	b := &instanceCounter{Backend: &schedule{st: st, ops: loweredSim{acct}, elem: acct.elem()}}
-	err = Walk(st, b)
-	res := &OracleResult{Time: acct.M.Time(), Clocks: acct.M.Clock, Stats: acct.M.Stats, Instances: b.instances}
+	ops := &loweredSim{Account: acct}
+	err = Run(st, ops, acct.elem(), nil)
+	c := ops.census
+	res := &OracleResult{Time: acct.M.Time(), Clocks: acct.M.Clock, Stats: acct.M.Stats,
+		Instances: c.Quiet + c.Loud + c.General, Census: c}
 	res.Scalars, res.Arrays = st.Export()
 	return res, bareGotoEscape(err)
 }

@@ -55,6 +55,20 @@ type Ops interface {
 	// Tick closes every loop iteration (a crash site too, and the place for
 	// abort checks).
 	Tick() error
+	// Iteration closes an iteration of a quiet owner run, whose statement
+	// instances issued nothing: their charges, in order, then what Tick does.
+	Iteration(charges []Charge) error
+}
+
+// Charge is one resolved charge of a quiet owner run (see schedule.resolve):
+// the guard of a per-instance requirement, paid by every processor, or the
+// compute that closes an instance of Stmt, Flops operations on Set.
+type Charge struct {
+	Req   *comm.Requirement // the guard's requirement; nil for a compute
+	Stmt  *ir.Stmt
+	Set   dist.ProcSet
+	Flops int
+	procs []int32 // Set's processors, ascending, listed once for the run
 }
 
 // Run interprets the program over s on the schedule, from the top or from a
@@ -69,6 +83,7 @@ type schedule struct {
 	st   *State
 	ops  Ops
 	elem int64
+	run  runCharges // stands in for ops while resolve lists an owner run's charges
 }
 
 // privArray reports a statement that updates a privatized elementwise
@@ -150,8 +165,15 @@ func (d *schedule) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 	return nil
 }
 
-func (d *schedule) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
-	s := d.st
+func (d *schedule) Statement(_ *ir.Stmt, sp *spmd.StmtPlan) error {
+	return d.instance(sp, d.ops)
+}
+
+// instance is the one definition of what a statement instance issues, and in
+// which order: to the backend's operations, now, or to the charge list of the
+// owner run it opens (resolve).
+func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
+	s, st := d.st, sp.Stmt
 	if d.privArray(sp) {
 		// The compute charge lands on the data owners.
 		var set dist.ProcSet
@@ -164,7 +186,7 @@ func (d *schedule) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
 		if err != nil {
 			return err
 		}
-		d.ops.Compute(st, set, sp.Flops)
+		to.Compute(st, set, sp.Flops)
 		return nil
 	}
 	for _, req := range sp.PerInstance {
@@ -175,14 +197,14 @@ func (d *schedule) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
 		// Communication left inside a loop defeats loop-bound shrinking:
 		// every processor traverses the iteration space evaluating the
 		// guard, whether or not it communicates.
-		d.ops.Guard(req)
+		to.Guard(req)
 		if op.Skip {
 			continue
 		}
-		if err := d.ops.Transfer(req, op); err != nil {
+		if err := to.Transfer(req, op); err != nil {
 			return err
 		}
-		if err := d.ops.CrashSite(); err != nil {
+		if err := to.CrashSite(); err != nil {
 			return err
 		}
 	}
@@ -190,8 +212,55 @@ func (d *schedule) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
 	if err != nil {
 		return err
 	}
-	d.ops.Compute(st, set, sp.Flops)
+	to.Compute(st, set, sp.Flops)
 	return nil
+}
+
+// runCharges takes the backend's place while resolve issues an owner run's
+// instances: a guard or a compute is listed in the State's scratch, not
+// charged, and a transfer marks the run loud — it reads two clocks, is a crash
+// site and (in exec) checksums the image its statement is about to change, so
+// such a run's operations stay with their instances.
+type runCharges struct {
+	Ops  // the backend's: an instance issues none of the others
+	st   *State
+	loud bool
+}
+
+func (r *runCharges) list(c Charge) {
+	s := r.st
+	lo := len(s.listed)
+	c.Set.Each(func(p int) { s.listed = append(s.listed, int32(p)) })
+	c.procs = s.listed[lo:]
+	s.charges = append(s.charges, c)
+}
+
+func (r *runCharges) Transfer(*comm.Requirement, InstanceOp) error { r.loud = true; return nil }
+func (r *runCharges) CrashSite() error                             { return nil }
+func (r *runCharges) Guard(req *comm.Requirement) {
+	r.list(Charge{Req: req, Stmt: req.Stmt, Set: dist.AllProcs(r.st.grid)})
+}
+func (r *runCharges) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
+	r.list(Charge{Stmt: st, Set: set, Flops: flops})
+}
+
+// resolve issues one instance of each statement of the owner run just opened
+// to its charge list, filling the set table on the way: quiet is nil when the
+// run is loud, ok false when a set cannot be evaluated (the iteration takes
+// the general walk, which fails where it always did).
+func (d *schedule) resolve(stmts []stmtCode) (quiet []Charge, ok bool) {
+	s := d.st
+	s.charges, s.listed = s.charges[:0], s.listed[:0]
+	d.run = runCharges{Ops: d.ops, st: s}
+	for i := range stmts {
+		if d.instance(stmts[i].plan, &d.run) != nil {
+			return nil, false
+		}
+	}
+	if d.run.loud {
+		return nil, true
+	}
+	return s.charges, true
 }
 
 func (d *schedule) Redistribute(st *ir.Stmt) error {

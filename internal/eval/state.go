@@ -110,6 +110,11 @@ type State struct {
 	offs, steps []int64
 	hoist       span
 
+	// charges is the charge list of the owner run in flight (schedule.resolve),
+	// listed the processors it names: scratch bind sizes for the longest.
+	charges []Charge
+	listed  []int32
+
 	// unionCache memoizes the per-iteration union execution set by
 	// Loop.ID; unionEpoch records the epoch an entry was computed at
 	// (-1 = never). epoch advances on every loop iteration and on every
@@ -309,6 +314,8 @@ func (s *State) bind(c *code) {
 	s.insts = make([]instEntry, len(c.reqs))
 	offs := make([]int64, 2*len(c.arrs))
 	s.offs, s.steps = offs[:len(c.arrs)], offs[len(c.arrs):]
+	s.charges = make([]Charge, 0, c.charges)
+	s.listed = make([]int32, 0, c.charges*s.grid.Size())
 }
 
 // newStamp opens a validity period of the set table: a statement instance,

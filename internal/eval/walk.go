@@ -90,6 +90,7 @@ func Walk(s *State, b Backend) error { return WalkResume(s, b, nil) }
 // s to the matching checkpoint snapshot.
 func WalkResume(s *State, b Backend, from *Cursor) error {
 	w := &walker{s: s, b: b, c: s.lowered()}
+	w.sched, _ = b.(*schedule)
 	if from != nil && from.loop != nil {
 		l, loops := from.loop, s.Prog.Res.Prog.Loops
 		if l.ID < 0 || l.ID >= len(loops) || loops[l.ID] != l ||
@@ -124,6 +125,12 @@ type walker struct {
 	s *State
 	b Backend
 	c *code // the program's lowered form
+
+	// sched is b when b is the schedule, which resolves an owner run as it
+	// opens; quiet is then the run's charge list, nil when a requirement moves
+	// data in it — and for any other Backend, which is shown every instance.
+	sched *schedule
+	quiet []Charge
 
 	// seek is the cursor being navigated to (nil once reached, and on a walk
 	// from the top); path is what is left of its loop's static route.
@@ -309,6 +316,8 @@ func (s *State) exactOver(l *ir.Loop, lo, hi, step, lim int64) bool {
 // bounds throughout, and the run keeps their offsets (State.offs) instead of
 // evaluating subscripts — unless one is out of bounds, when the iteration
 // takes the general walk, which fails where and how it always did.
+// The schedule fills the table by resolving what the run's instances issue
+// (schedule.resolve), and a quiet run's iterations are charged from the list.
 func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
 	s := w.s
 	n := left
@@ -321,11 +330,18 @@ func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
 	}
 	s.newStamp()
 	s.run = stmts[0].runs
-	for i := range stmts {
-		if _, err := s.ExecSet(stmts[i].plan); err != nil {
-			s.endRun()
-			return 0
+	ok := true
+	if w.sched != nil {
+		w.quiet, ok = w.sched.resolve(stmts)
+	} else {
+		for i := 0; i < len(stmts) && ok; i++ {
+			_, err := s.ExecSet(stmts[i].plan)
+			ok = err == nil
 		}
+	}
+	if !ok {
+		s.endRun()
+		return 0
 	}
 
 	v := s.indices[slot]
@@ -356,19 +372,36 @@ func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
 // run executes the n iterations of the owner run beginRun opened, the first
 // of which iterate has set up: the same events and value semantics in the
 // same order as the general walk's, with the statements taken straight from
-// the lowered body.
+// the lowered body. An iteration of a quiet run is its value semantics, then
+// one operation for its charges and its tick: nothing between them reads what
+// the other writes, so only a value error could tell the order, and it is
+// given what the general walk had charged when it met the error.
 func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
 	s := w.s
 	stmts := w.c.stmts[lc.body.lo : lc.body.lo+lc.body.n]
 	offs := s.offs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
 	steps := s.steps[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
 	for {
-		for i := range stmts {
-			if err := w.assign(&stmts[i]); err != nil {
-				return err
+		var err error
+		if w.quiet != nil {
+			for i := range stmts {
+				if err := w.value(&stmts[i]); err != nil {
+					for k := 0; k <= i; k++ { // from the set table: cannot fail
+						_ = w.b.Statement(stmts[k].plan.Stmt, stmts[k].plan)
+					}
+					return err
+				}
 			}
+			err = w.sched.ops.Iteration(w.quiet)
+		} else {
+			for i := range stmts {
+				if err := w.assign(&stmts[i]); err != nil {
+					return err
+				}
+			}
+			err = w.b.Tick()
 		}
-		if err := w.b.Tick(); err != nil {
+		if err != nil {
 			return err
 		}
 		if n--; n == 0 {
@@ -437,10 +470,15 @@ func (w *walker) stmt(st *ir.Stmt) (ctl control, err error) {
 // assign runs one assignment instance: the backend's event, then the value
 // semantics.
 func (w *walker) assign(sc *stmtCode) error {
-	s := w.s
 	if err := w.b.Statement(sc.plan.Stmt, sc.plan); err != nil {
 		return err
 	}
+	return w.value(sc)
+}
+
+// value runs the value semantics of one assignment instance.
+func (w *walker) value(sc *stmtCode) error {
+	s := w.s
 	if c := sc.plan.Combine; sc.red != nil && s.PrivatizedActive(c) {
 		// A privatized reduction update accumulates into the partial
 		// tables; the real accumulator is only written by the loop-exit

@@ -898,11 +898,28 @@ func (w *worker) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	if w.charges() {
 		w.acct.Compute(st, set, flops)
 	}
+	w.traceCompute(st, set, flops)
+}
+
+func (w *worker) traceCompute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	if flops > 0 && w.traces() && set.Contains(w.proc) {
 		w.setAttr(st.ID, dist.CommNone, 0)
 		w.emit(trace.Compute, -1, float64(flops)*w.ex.cfg.Params.FlopTime, 0, -1)
 		w.clearAttr()
 	}
+}
+
+// Iteration is the accountant's charges, this worker's Compute events, and
+// the tick: a quiet iteration has no traffic.
+func (w *worker) Iteration(charges []eval.Charge) error {
+	if w.charges() {
+		w.acct.Charges(charges)
+	}
+	for i := 0; i < len(charges) && w.traces(); i++ {
+		c := &charges[i]
+		w.traceCompute(c.Stmt, c.Set, c.Flops) // a guard has no flops, and no event
+	}
+	return w.Tick()
 }
 
 // openBatch is the worker's single in-flight message batch: contiguous

@@ -245,6 +245,20 @@ func (m *Machine) Compute(set dist.ProcSet, t float64) {
 	})
 }
 
+// ComputeListed is Compute(set, t) from a caller that holds set's processors
+// as a list, ascending as Each visits them: with no recorder and no slowdowns
+// attached — nothing to emit, nothing to scale by — the charge is a loop over
+// the list, the same addition on the same clocks.
+func (m *Machine) ComputeListed(set dist.ProcSet, procs []int32, t float64) {
+	if t == 0 || m.Rec != nil || (m.Fault != nil && m.Fault.HasSlowdowns()) {
+		m.Compute(set, t)
+		return
+	}
+	for _, p := range procs {
+		m.Clock[p] += t
+	}
+}
+
 // ComputeProc charges t seconds to one processor.
 func (m *Machine) ComputeProc(p int, t float64) {
 	if m.Fault != nil && m.Fault.HasSlowdowns() {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"phpf/internal/core"
@@ -92,11 +91,7 @@ func TestAbortDisabledByZero(t *testing.T) {
 func TestAbortInsideOwnerRun(t *testing.T) {
 	opts := core.DefaultOptions()
 	src := tpSource(1000, 4)
-	general := strings.Replace(src, "1.0\n  end do\n", "1.0\n10 continue\n  end do\n", 1)
-	general = strings.Replace(general, "a(i)\n  end do\n", "a(i)\n20 continue\n  end do\n", 1)
-	if strings.Count(general, "continue") != 2 {
-		t.Fatal("loop bodies not marked")
-	}
+	general := generalTwin(t, src)
 	image := func(r *Result) uint64 { // FNV-1a over the bits of a and bb
 		h := uint64(14695981039346656037)
 		for _, name := range []string{"a", "bb"} {

@@ -36,15 +36,16 @@ end
 // count that depends neither on how many statement instances it executes —
 // per instance, expression evaluation, the bounds guard, the owner set and
 // the machine charge touch the heap nowhere — nor on how many times its loops
-// are entered: partitioning a loop into owner runs, filling the set table and
-// hoisting the bounds guards work in scratch the State sized once.
+// are entered, nor on how many owner runs an entry is partitioned into:
+// partitioning a loop, filling the set table, hoisting the bounds guards and
+// listing a quiet run's charges work in scratch the State sized once.
 func TestZeroAllocationPerStatementInstance(t *testing.T) {
-	allocs := func(n, iters int) float64 {
+	allocsOn := func(nprocs, n, iters int) float64 {
 		ap, err := parser.Parse(tpSource(n, iters))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.BuildAndAnalyze(ap, 8, core.DefaultOptions())
+		res, err := core.BuildAndAnalyze(ap, nprocs, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,6 +56,7 @@ func TestZeroAllocationPerStatementInstance(t *testing.T) {
 			}
 		})
 	}
+	allocs := func(n, iters int) float64 { return allocsOn(8, n, iters) }
 	short, long := allocs(100, 2), allocs(1000, 20)
 	if short != long {
 		t.Fatalf("a run of 400 statement instances allocates %v times, one of 40000 instances %v: allocations scale with the trip count",
@@ -65,5 +67,15 @@ func TestZeroAllocationPerStatementInstance(t *testing.T) {
 	if few, many := allocs(100, 2), allocs(100, 400); few != many {
 		t.Fatalf("a run of 4 inner-loop entries allocates %v times, one of 800 entries %v: allocations scale with the loop entries",
 			few, many)
+	}
+	// One run an entry and sixteen, their charges listed for one processor
+	// and for sixteen.
+	if one, sixteen := allocsOn(1, 100, 2), allocsOn(16, 100, 2); one != sixteen || one != short {
+		t.Fatalf("a run allocates %v times on 1 processor, %v on 8, %v on 16: allocations scale with the owner runs",
+			one, short, sixteen)
+	}
+	// 23 before quiet runs; their charge list and its processors are two more.
+	if short > 25 {
+		t.Fatalf("a run allocates %v times, 25 at most expected: the State's scratch grew", short)
 	}
 }

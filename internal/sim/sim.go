@@ -138,7 +138,9 @@ func (in *interp) CrashSite() error {
 	if in.ended != nil && in.ended.Load() {
 		return in.ctx.Err()
 	}
-	in.RecoverCrashes()
+	if in.M.Fault != nil { // no plan, no crash to come due: the test is all a site pays
+		in.RecoverCrashes()
+	}
 	if in.maxSeconds > 0 && in.M.Time() > in.maxSeconds {
 		return errAbort{}
 	}
@@ -146,6 +148,11 @@ func (in *interp) CrashSite() error {
 }
 
 func (in *interp) Tick() error { return in.CrashSite() }
+
+func (in *interp) Iteration(charges []eval.Charge) error {
+	in.Charges(charges)
+	return in.Tick()
+}
 
 // profiler is the interp of a profiled run: the operations that name a
 // statement are bracketed, and the clock advance of each goes to it.
@@ -194,4 +201,17 @@ func (p *profiler) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	before := p.clockSum()
 	p.interp.Compute(st, set, flops)
 	p.since(st, before).Instances++
+}
+
+// Iteration brackets each charge as Guard and Compute do (the interp's own,
+// promoted, would charge them unseen).
+func (p *profiler) Iteration(charges []eval.Charge) error {
+	for i := range charges {
+		before := p.clockSum()
+		p.Charges(charges[i : i+1])
+		if sp := p.since(charges[i].Stmt, before); charges[i].Req == nil {
+			sp.Instances++
+		}
+	}
+	return p.Tick()
 }

@@ -18,6 +18,16 @@ func run(t *testing.T, src string, nprocs int, opts core.Options) *Result {
 
 func runErr(t *testing.T, src string, nprocs int, opts core.Options, cfg Config) *Result {
 	t.Helper()
+	out, err := Run(compileWith(t, src, nprocs, opts), cfg)
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	return out
+}
+
+// compileWith compiles src down to an SPMD program under opts.
+func compileWith(t *testing.T, src string, nprocs int, opts core.Options) *spmd.Program {
+	t.Helper()
 	ap, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -26,12 +36,7 @@ func runErr(t *testing.T, src string, nprocs int, opts core.Options, cfg Config)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	prog := spmd.Generate(cres)
-	out, err := Run(prog, cfg)
-	if err != nil {
-		t.Fatalf("sim: %v", err)
-	}
-	return out
+	return spmd.Generate(cres)
 }
 
 func approxSlice(t *testing.T, got []float64, want []float64, name string) {

@@ -47,10 +47,19 @@ fi
 # One-accountant gate: the simulated machine is built and charged in
 # internal/eval/account.go only (bench/, its own module, measures the
 # machine's unit costs directly and is not scanned).
-if grep -rnE 'machine\.New\(|\.M\.(Shift|Multicast|Exchange|Send|Compute|Reduce|TreeMerge|AllToAll|Checkpoint|Recover)\(' \
+if grep -rnE 'machine\.New\(|\.M\.(Shift|Multicast|Exchange|Send|Compute|ComputeListed|Reduce|TreeMerge|AllToAll|Checkpoint|Recover)\(' \
     --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=machine . |
     grep -v '^./internal/eval/account.go:'; then
     echo "check: the simulated machine is built or charged outside internal/eval/account.go" >&2
+    exit 1
+fi
+# ...and a clock advances in internal/machine only: the loop that charges a
+# quiet run's listed processors (Machine.ComputeListed) sits beside Compute,
+# where slowdowns scale a charge and the recorder sees it, not in a caller
+# that knows neither.
+if grep -rnE 'Clock\[[^]]*\][[:space:]]*([-+*/]?=([^=]|$)|\+\+|--)' \
+    --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=machine .; then
+    echo "check: a processor clock is assigned outside internal/machine" >&2
     exit 1
 fi
 
