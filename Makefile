@@ -2,8 +2,10 @@ GO ?= go
 
 .PHONY: check build vet test race fuzz bench
 
-# Tier-1 gate: everything CI runs.
-check: build vet race
+# Tier-1 gate: everything CI runs (the bench module's vet and smoke test, the
+# grep gates, the fuzz smoke and the chaos/golden/bench/serve gates included).
+check:
+	sh scripts/check.sh
 
 build:
 	$(GO) build ./...

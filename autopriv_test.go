@@ -2,6 +2,7 @@ package phpf
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -160,4 +161,77 @@ func FuzzAutoPriv(f *testing.F) {
 		}
 		compareReports(t, 4, rDir, rInf)
 	})
+}
+
+// coverageRepro is a k-iteration over a (*,block) array that writes c(j) in
+// one inner loop and reads it in the next, with the two loop headers given.
+func coverageRepro(write, read string) string {
+	return fmt.Sprintf(`
+program coverage
+parameter n = 16
+parameter m = 21
+real a(m,n), b(m,n), c(m)
+integer j, k
+!hpf$ align b(i,j) with a(i,j)
+!hpf$ distribute (*,block) :: a
+do k = 1, n
+  do j = %s
+    c(j) = a(j,k) * 2.0
+  end do
+  do j = %s
+    b(j,k) = c(j) + 1.0
+  end do
+end do
+end
+`, write, read)
+}
+
+// TestInferenceKnowsTheStep: a write loop covers its range only at step +1 and
+// a read loop's range is taken in the direction it runs. The unit-step program
+// is inferred private (and runs without a message); with the write loop
+// strided, or the read loop descending from above the written range, the
+// inference serializes c with a W103 that names the read — where the parent
+// commit inferred NEW and sent nothing.
+func TestInferenceKnowsTheStep(t *testing.T) {
+	for _, tc := range []struct {
+		name, write, read string
+		private           bool
+	}{
+		{"unit steps", "1, n", "1, n", true},
+		{"strided write", "1, n, 2", "1, n", false},
+		{"descending read from above", "1, n", "n+5, 1, -1", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Compile(coverageRepro(tc.write, tc.read), 4, SelectedOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := "c wrt k-loop: serialized"
+			if tc.private {
+				want = "c wrt k-loop: private [inserted]"
+			}
+			if got := c.ExplainPriv(); !strings.Contains(got, want) {
+				t.Errorf("-explain-priv lacks %q:\n%s", want, got)
+			}
+			warned := false
+			for _, d := range c.Diags() {
+				if d.Code == "W103" && d.Subject == "c" {
+					warned = true
+					if !strings.Contains(d.Msg, "c(j) at 14:5 is not covered by writes earlier in the iteration") {
+						t.Errorf("W103 does not name the read and the reason: %s", d.Msg)
+					}
+				}
+			}
+			if warned == tc.private {
+				t.Errorf("W103 for c: %v, want %v", warned, !tc.private)
+			}
+			rep, err := c.Execute(context.Background(), Simulator(), RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Stats.Messages == 0; got != tc.private {
+				t.Errorf("%d messages; a private c sends none, a serialized one must communicate", rep.Stats.Messages)
+			}
+		})
+	}
 }

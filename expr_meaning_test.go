@@ -70,6 +70,24 @@ end
 `, decl, bound)
 }
 
+func boundedBy(hi string) string {
+	return fmt.Sprintf(`
+program fracbound
+real a(8), b(8)
+real x
+integer i, k
+!hpf$ distribute (block) :: a, b
+do i = 1, %s
+  x = i
+  a(i) = 1.0
+end do
+do k = 1, 8
+  b(k) = x
+end do
+end
+`, hi)
+}
+
 func ones(lo, hi, n int) []float64 {
 	out := make([]float64, n)
 	for i := lo; i <= hi; i++ {
@@ -104,6 +122,14 @@ var meaningPrograms = []meaningProgram{
 		// A constant bound accepts what a scalar-reading bound accepts.
 		name: "max in constant bound", src: maxBound("", "n"), twin: maxBound("k = 4", "k"),
 		arrays: map[string][]float64{"a": ones(1, 4, 8)},
+	},
+	{
+		// A bound rounds: 3.5 is 4 iterations to the run, and to the trip-count
+		// proof behind the lastprivate copy-out of x.
+		name: "fractional bound", src: boundedBy("7/2"), twin: boundedBy("4"),
+		dump: "autopriv", wantDump: "x wrt i-loop: lastprivate",
+		scalars: map[string]float64{"x": 4},
+		arrays:  map[string][]float64{"a": ones(1, 4, 8), "b": {4, 4, 4, 4, 4, 4, 4, 4}},
 	},
 }
 

@@ -12,10 +12,14 @@ import "math"
 // magnitude at most 2^53. Fold is a refinement of that: whenever it yields a
 // constant, a run computes a float64 with the same bits.
 
-// maxExact bounds the integer constants: every integer below it is a float64,
-// and a float64 result below it is the exact result of exact operands, so
-// integer arithmetic the run time carries out in float64 is exact.
-const maxExact = 1 << 53
+// MaxExact, 2^53, bounds the integers of a program: every integer below it is
+// a float64, and a float64 result below it is the exact result of exact
+// operands, so integer arithmetic the run time carries out in float64 is
+// exact. The fold classifies a constant as an integer only below it; the run
+// time rejects a loop bound, subscript or trip count beyond it with a
+// diagnostic instead of losing precision silently (or letting int64
+// arithmetic wrap on adversarial, fuzz-reachable bounds).
+const MaxExact = 1 << 53
 
 // Const is a compile-time constant value: an integer (IsInt, in I) or a real
 // (in F).
@@ -59,7 +63,7 @@ func (c Const) Round() Const {
 // every value with a real operand stay real. A NaN is declined: it equals
 // nothing, itself included, so no reader could use it.
 func typed(f float64, isInt bool) (Const, bool) {
-	if isInt && f == math.Trunc(f) && math.Abs(f) < maxExact && !(f == 0 && math.Signbit(f)) {
+	if isInt && f == math.Trunc(f) && math.Abs(f) < MaxExact && !(f == 0 && math.Signbit(f)) {
 		return Const{IsInt: true, I: int64(f)}, true
 	}
 	return Const{F: f}, !math.IsNaN(f)

@@ -153,16 +153,6 @@ func analyzeUse(res *core.Result, st *ir.Stmt, u *ir.Ref, src, dst dist.OwnerPat
 	return req
 }
 
-// ShiftDelta returns the constant position offset of a shift-class
-// requirement along grid dimension d (0 when the dimension matches).
-func (r *Requirement) ShiftDelta(d int) int64 {
-	s, t := r.SrcPat.Dims[d], r.DstPat.Dims[d]
-	if s.Repl || t.Repl || !s.Sub.OK || !t.Sub.OK {
-		return 0
-	}
-	return (t.Sub.Const + t.Offset) - (s.Sub.Const + s.Offset)
-}
-
 // Summary renders the plan compactly for diagnostics and tests.
 func (p *Plan) Summary() string {
 	var lines []string

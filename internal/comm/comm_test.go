@@ -221,7 +221,8 @@ end
 	// Deltas are -1 and +1 along grid dim 0.
 	deltas := map[int64]bool{}
 	for _, r := range p.Reqs {
-		deltas[r.ShiftDelta(0)] = true
+		d, _ := r.SrcPat.Dims[0].Shift(r.DstPat.Dims[0])
+		deltas[d] = true
 	}
 	if !deltas[1] || !deltas[-1] {
 		t.Errorf("shift deltas = %v, want {-1, +1}", deltas)

@@ -82,14 +82,8 @@ func (a *analyzer) privatizeArray(c *ir.Var, L *ir.Loop) *ArrayPrivatization {
 		if !ok {
 			return nil
 		}
-		ap.Axes[cdim] = dist.AxisMap{
-			Distributed: true,
-			GridDim:     tax.GridDim,
-			Kind:        tax.Kind,
-			Offset:      tax.Offset + offAdj,
-			Extent:      tax.Extent,
-			Block:       tax.Block,
-		}
+		ap.Axes[cdim] = tax
+		ap.Axes[cdim].Offset += offAdj
 		ap.Partial = true
 	}
 	if !ap.Partial {
@@ -131,35 +125,20 @@ func (a *analyzer) selectArrayTarget(c *ir.Var, L *ir.Loop) *ir.Ref {
 }
 
 // matchPartitionDim finds the dimension of c whose subscripts at definition
-// sites within L have the same loop terms as the target subscript tsub, so
-// that partitioning that dimension co-locates c's elements with the target.
-// Returns the dimension, the constant offset adjustment (target const minus
-// def const), and whether a match was found.
+// sites within L have the same loop terms as the target subscript tsub
+// (ir.Affine.Delta: the consumer and producer sit in different loop nests, so
+// terms are matched by index variable), so that partitioning that dimension
+// co-locates c's elements with the target. Returns the dimension, the
+// constant offset adjustment (target const minus def const), and whether a
+// match was found.
 func (a *analyzer) matchPartitionDim(c *ir.Var, L *ir.Loop, tsub ir.Affine) (int, int64, bool) {
-	if !tsub.OK {
-		return 0, 0, false
-	}
 	for _, st := range a.prog.Stmts {
 		if st.Kind != ir.SAssign || st.Lhs.Var != c || !ir.Encloses(L, st.Loop) {
 			continue
 		}
 		for dim, sub := range st.Lhs.Subs {
-			if !sub.OK || len(sub.Terms) != len(tsub.Terms) || len(sub.Terms) == 0 {
-				continue
-			}
-			match := true
-			for i := range sub.Terms {
-				// Match on the loop index variable: the consumer and
-				// producer sit in different loop nests, so compare the
-				// index variables rather than loop identities.
-				if sub.Terms[i].Loop.Index != tsub.Terms[i].Loop.Index ||
-					sub.Terms[i].Coef != tsub.Terms[i].Coef {
-					match = false
-					break
-				}
-			}
-			if match {
-				return dim, tsub.Const - sub.Const, true
+			if off, ok := sub.Delta(tsub); ok && len(sub.Terms) > 0 {
+				return dim, off, true
 			}
 		}
 	}

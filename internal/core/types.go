@@ -312,15 +312,8 @@ func (ap *ArrayPrivatization) PatternOf(g *dist.Grid, ref *ir.Ref, targetPat dis
 		}
 	}
 	for dim, ax := range ap.Axes {
-		if !ax.Distributed {
-			continue
-		}
-		p.Dims[ax.GridDim] = dist.DimPattern{
-			Kind:   ax.Kind,
-			Block:  ax.Block,
-			Extent: ax.Extent,
-			Sub:    ref.Subs[dim],
-			Offset: ax.Offset,
+		if ax.Distributed {
+			p.Dims[ax.GridDim] = dist.DimPattern{AxisMap: ax, Sub: ref.Subs[dim]}
 		}
 	}
 	return p

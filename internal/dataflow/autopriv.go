@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"phpf/internal/ast"
@@ -361,31 +362,33 @@ func finalValueGuaranteed(g *ir.CFG, s *ssa.SSA, cp *ConstProp, def *ssa.Value, 
 }
 
 // tripAtLeastOnce reports whether l provably executes its body at least once:
-// its bounds and step evaluate to integer constants and span a non-empty
-// range. Parameter-only bounds fold directly (BoundsStmt is nil then);
-// bounds referencing tracked scalars are evaluated with the constants known
-// at the loop's bounds pseudo-statement.
+// its bounds and step evaluate to constants and span a non-empty range.
+// Parameter-only bounds fold directly (BoundsStmt is nil then); bounds
+// referencing tracked scalars are evaluated with the constants known at the
+// loop's bounds pseudo-statement. Each is the integer the run makes of it: a
+// bound that folds to a fraction rounds (do i = 1, 7/2 runs four iterations).
 func tripAtLeastOnce(cp *ConstProp, l *ir.Loop) bool {
 	if cp == nil {
 		return false
 	}
-	lo, okLo := cp.evalExpr(l.Lo, l.BoundsStmt)
-	hi, okHi := cp.evalExpr(l.Hi, l.BoundsStmt)
-	if !okLo || !okHi || !lo.IsInt || !hi.IsInt {
+	bound := func(e ast.Expr) (int64, bool) {
+		c, ok := cp.evalExpr(e, l.BoundsStmt)
+		c = c.Round()
+		return c.I, ok && c.IsInt
+	}
+	lo, okLo := bound(l.Lo.Expr)
+	hi, okHi := bound(l.Hi.Expr)
+	step, okStep := int64(1), true
+	if l.Step != nil {
+		step, okStep = bound(l.Step)
+	}
+	if !okLo || !okHi || !okStep || step == 0 {
 		return false
 	}
-	step := int64(1)
-	if l.Step != nil {
-		sc, ok := cp.evalExpr(l.Step, l.BoundsStmt)
-		if !ok || !sc.IsInt || sc.I == 0 {
-			return false
-		}
-		step = sc.I
-	}
 	if step > 0 {
-		return lo.I <= hi.I
+		return lo <= hi
 	}
-	return lo.I >= hi.I
+	return lo >= hi
 }
 
 // classifyArray classifies array v with respect to L: every read inside L
@@ -481,166 +484,73 @@ func readCovered(read *ir.Ref, writes []*ir.Ref, L *ir.Loop) bool {
 }
 
 // coversRegions checks dimension-wise that the write's per-iteration region
-// includes the read's.
+// includes the read's. Every question about a subscript is ir.Affine's to
+// answer: the terms that move within L (Inside), the constant between two
+// forms (Delta), a form less its scanning term (Without), an inequality over
+// a loop's range (ir.BoundDelta).
 func coversRegions(w, r *ir.Ref, L *ir.Loop) bool {
-	sameStmtNest := w.Stmt.Loop == r.Stmt.Loop
-	for dim := 0; dim < w.Var.Rank(); dim++ {
-		ws, rs := w.Subs[dim], r.Subs[dim]
-		if !ws.OK || !rs.OK {
+	// The write precedes the read in one iteration of every loop around both:
+	// those indices are the same number on both sides.
+	shared := ir.InnermostCommonLoop(w.Stmt.Loop, r.Stmt.Loop)
+	var scans []*ir.Loop // the write loops that scan a dimension
+	for dim, ws := range w.Subs {
+		rs := r.Subs[dim]
+		wIn, rIn := ws.Inside(L), rs.Inside(L)
+		if !ws.OK || !rs.OK || len(wIn) > 1 || len(wIn) != len(rIn) {
+			// Not affine, several indices moving at once, or a scan against a
+			// fixed position (covered only under a bounds proof; keep
+			// conservative and reject).
 			return false
 		}
-		wLoop, wCoef := innerTerm(ws, L)
-		rLoop, rCoef := innerTerm(rs, L)
-		switch {
-		case wLoop == nil && rLoop == nil:
+		if len(wIn) == 0 {
 			// Both invariant within L: positions must be provably equal.
-			if d, ok := affineConstDiff(ws, rs, L); !ok || d != 0 {
+			if d, ok := ws.Delta(rs); !ok || d != 0 {
 				return false
 			}
-		case wLoop != nil && rLoop == nil:
-			// Write scans a range; read at a fixed position — covered if
-			// the position lies within [lo+c, hi+c]. Requires a bounds
-			// proof; keep conservative and reject.
+			continue
+		}
+		// One scanning loop each, stride one: the read at iteration x of its
+		// loop is the position the write has at iteration x+delta of its own,
+		// provided the remaining (outer) terms cancel.
+		wLoop, rLoop := wIn[0].Loop, rIn[0].Loop
+		delta, ok := ws.Without(wLoop).Delta(rs.Without(rLoop))
+		if !ok || wIn[0].Coef != 1 || rIn[0].Coef != 1 {
 			return false
-		case wLoop == nil && rLoop != nil:
+		}
+		if wLoop == rLoop {
+			// Same scanning loop: only the write of this very iteration has
+			// certainly happened (it precedes the read textually — checked
+			// by the caller); a recurrence read c(j-1) after writing c(j)
+			// reaches below the written range in the first iterations.
+			if delta != 0 {
+				return false
+			}
+			continue
+		}
+		// Different loops: the write nest must be over before the read runs,
+		// must fill its range — a step of +1 and nothing else: a strided loop
+		// writes every other element of [Lo, Hi], and a descending or unknown
+		// step is declined — and the read's positions, taken in the
+		// direction the read loop runs and shifted by delta, must stay
+		// inside it: wLo <= rMin+delta and rMax+delta <= wHi.
+		rMin, rMax, known := rLoop.Range()
+		below, ok1 := ir.BoundDelta(wLoop.Lo, rMin, shared, true)
+		above, ok2 := ir.BoundDelta(rMax, wLoop.Hi, shared, true)
+		if wLoop.StepConst != 1 || !known || ir.Encloses(wLoop, r.Stmt.Loop) ||
+			!ok1 || !ok2 || below+delta < 0 || above-delta < 0 {
 			return false
-		default:
-			if wCoef != 1 || rCoef != 1 {
-				return false
-			}
-			// Constant offset between the scans.
-			delta, ok := scanDelta(ws, wLoop, rs, rLoop, L)
-			if !ok {
-				return false
-			}
-			switch {
-			case wLoop != rLoop:
-				// The write nest completes before the read nest runs (the
-				// write statement precedes the read): plain region
-				// containment, shifted by delta.
-				if !boundsContained(wLoop, rLoop, delta, L) {
-					return false
-				}
-			case delta == 0:
-				// Same scanning loop, same position: the write at this
-				// very iteration covers the read only if it precedes it
-				// textually (checked by the caller) — containment is
-				// trivial.
-			case delta < 0 && sameStmtNest && w.Stmt.ID < r.Stmt.ID:
-				// Recurrence read of earlier-written positions in the same
-				// nest (c(i,j-1) after writing c(i,j)): the first
-				// iterations read positions below the written range unless
-				// the read's low bound trails the write's by |delta|.
-				if !boundsContained(wLoop, rLoop, delta, L) {
-					return false
-				}
-			default:
-				return false
-			}
+		}
+		scans = append(scans, wLoop)
+	}
+	// A loop around the write that scans no dimension only repeats it, and
+	// must do so at least once: an empty scanning loop leaves a range empty
+	// that the read's was just proved to lie in, an empty repeating loop
+	// leaves everything unwritten.
+	for l := w.Stmt.Loop; l != shared; l = l.Parent {
+		lo, hi, known := l.Range()
+		if trips, ok := ir.BoundDelta(lo, hi, shared, true); !slices.Contains(scans, l) && (!known || !ok || trips < 0) {
+			return false
 		}
 	}
 	return true
-}
-
-// innerTerm returns the single loop within L whose index appears in the
-// subscript (nil when invariant within L). Multiple within-L terms are
-// reported as coefficient 0 (unsupported).
-func innerTerm(a ir.Affine, L *ir.Loop) (*ir.Loop, int64) {
-	var found *ir.Loop
-	var coef int64
-	for _, t := range a.Terms {
-		within := false
-		for cur := t.Loop; cur != nil; cur = cur.Parent {
-			if cur == L {
-				within = true
-				break
-			}
-		}
-		if !within {
-			continue
-		}
-		if found != nil {
-			return found, 0
-		}
-		found, coef = t.Loop, t.Coef
-	}
-	return found, coef
-}
-
-// affineConstDiff computes r-w when the forms differ only by a constant
-// (terms matched by index variable; all terms must be invariant within L,
-// which the callers guarantee).
-func affineConstDiff(w, r ir.Affine, L *ir.Loop) (int64, bool) {
-	diff := map[*ir.Var]int64{}
-	for _, t := range w.Terms {
-		diff[t.Loop.Index] -= t.Coef
-	}
-	for _, t := range r.Terms {
-		diff[t.Loop.Index] += t.Coef
-	}
-	for _, d := range diff {
-		if d != 0 {
-			return 0, false
-		}
-	}
-	return r.Const - w.Const, true
-}
-
-// scanDelta computes the constant offset between the read scan and the
-// write scan: (r at iteration x of rLoop) - (w at iteration x of wLoop),
-// requiring the remaining (outer) terms to cancel.
-func scanDelta(ws ir.Affine, wLoop *ir.Loop, rs ir.Affine, rLoop *ir.Loop, L *ir.Loop) (int64, bool) {
-	diff := map[*ir.Var]int64{}
-	for _, t := range ws.Terms {
-		if t.Loop == wLoop {
-			continue
-		}
-		diff[t.Loop.Index] -= t.Coef
-	}
-	for _, t := range rs.Terms {
-		if t.Loop == rLoop {
-			continue
-		}
-		diff[t.Loop.Index] += t.Coef
-	}
-	for _, d := range diff {
-		if d != 0 {
-			return 0, false
-		}
-	}
-	return rs.Const - ws.Const, true
-}
-
-// boundsContained proves that the read traversal's positions (shifted by
-// delta) stay within the write traversal's: wLo <= rLo+delta and
-// rHi+delta <= wHi, with bounds affine over indices of loops enclosing L.
-func boundsContained(wLoop, rLoop *ir.Loop, delta int64, L *ir.Loop) bool {
-	nonNeg := func(a, b ast.Expr, off int64) bool {
-		// Prove b + off - a >= 0.
-		fa := ir.AnalyzeAffine(a, wLoop.Parent, nil)
-		fb := ir.AnalyzeAffine(b, rLoop.Parent, nil)
-		if !fa.OK || !fb.OK {
-			return false
-		}
-		d, ok := affineConstDiff(fa, fb, L)
-		if !ok {
-			return false
-		}
-		return d+off >= 0
-	}
-	// wLo <= rLo + delta  ⇔  (rLo - wLo) + delta >= 0
-	if !nonNeg(wLoop.Lo, rLoop.Lo, delta) {
-		return false
-	}
-	// rHi + delta <= wHi  ⇔  (wHi - rHi) - delta >= 0
-	fa := ir.AnalyzeAffine(rLoop.Hi, rLoop.Parent, nil)
-	fb := ir.AnalyzeAffine(wLoop.Hi, wLoop.Parent, nil)
-	if !fa.OK || !fb.OK {
-		return false
-	}
-	d, ok := affineConstDiff(fa, fb, L)
-	if !ok {
-		return false
-	}
-	return d-delta >= 0
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"phpf/internal/ast"
 	"phpf/internal/ir"
 	"phpf/internal/parser"
 	"phpf/internal/ssa"
@@ -17,6 +18,11 @@ func classifySrc(t *testing.T, src string) (*ir.Program, *PrivSummary) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
+	return classifyAST(t, ap)
+}
+
+func classifyAST(t *testing.T, ap *ast.Program) (*ir.Program, *PrivSummary) {
+	t.Helper()
 	p, err := ir.Build(ap)
 	if err != nil {
 		t.Fatalf("ir: %v", err)
@@ -29,23 +35,25 @@ func classifySrc(t *testing.T, src string) (*ir.Program, *PrivSummary) {
 	return p, ClassifyPrivatization(p, g, s, PropagateConstants(s), FindReductions(p, s))
 }
 
-// TestClassifyDecisions pins the per-variable classification against
-// hand-derived expectations: the decision for each (variable, loop) pair and
-// a fragment of the recorded reason.
-func TestClassifyDecisions(t *testing.T) {
-	type want struct {
-		v, loop   string
-		decision  PrivDecision
-		reasonHas string
-	}
-	cases := []struct {
-		name  string
-		src   string
-		wants []want
-	}{
-		{
-			name: "private scalar, def-before-use each iteration",
-			src: `
+// want is one expected classification: the decision for a (variable, loop)
+// pair and a fragment of the recorded reason.
+type want struct {
+	v, loop   string
+	decision  PrivDecision
+	reasonHas string
+}
+
+// decisionRows is TestClassifyDecisions' table (TestPrivateClaimsHold also
+// holds every private array in it, and in its mutants, to the coverage
+// oracle).
+var decisionRows = []struct {
+	name  string
+	src   string
+	wants []want
+}{
+	{
+		name: "private scalar, def-before-use each iteration",
+		src: `
 program t
 parameter n = 16
 real a(n), b(n)
@@ -58,11 +66,11 @@ do i = 1, n
 end do
 end
 `,
-			wants: []want{{"x", "i", PrivPrivate, "same-iteration definitions"}},
-		},
-		{
-			name: "lastprivate: constant bounds prove a final iteration",
-			src: `
+		wants: []want{{"x", "i", PrivPrivate, "same-iteration definitions"}},
+	},
+	{
+		name: "lastprivate: constant bounds prove a final iteration",
+		src: `
 program t
 parameter n = 16
 real a(n), b(n)
@@ -78,11 +86,11 @@ do k = 1, n
 end do
 end
 `,
-			wants: []want{{"x", "i", PrivLastPrivate, "copy-out at loop exit"}},
-		},
-		{
-			name: "lastprivate: bound is a scalar const-prop proves",
-			src: `
+		wants: []want{{"x", "i", PrivLastPrivate, "copy-out at loop exit"}},
+	},
+	{
+		name: "lastprivate: bound is a scalar const-prop proves",
+		src: `
 program t
 parameter n = 16
 real a(n), b(n)
@@ -99,11 +107,11 @@ do k = 1, n
 end do
 end
 `,
-			wants: []want{{"x", "i", PrivLastPrivate, "copy-out at loop exit"}},
-		},
-		{
-			name: "serialized: unprovable trip count blocks the copy-out",
-			src: `
+		wants: []want{{"x", "i", PrivLastPrivate, "copy-out at loop exit"}},
+	},
+	{
+		name: "serialized: unprovable trip count blocks the copy-out",
+		src: `
 program t
 parameter n = 16
 real a(n), b(n)
@@ -120,11 +128,11 @@ do k = 1, n
 end do
 end
 `,
-			wants: []want{{"x", "i", PrivSerialized, "copy-out is unprovable"}},
-		},
-		{
-			name: "serialized: upward-exposed read of the pre-loop value",
-			src: `
+		wants: []want{{"x", "i", PrivSerialized, "copy-out is unprovable"}},
+	},
+	{
+		name: "serialized: upward-exposed read of the pre-loop value",
+		src: `
 program t
 parameter n = 16
 real a(n), b(n)
@@ -138,11 +146,11 @@ do i = 1, n
 end do
 end
 `,
-			wants: []want{{"x", "i", PrivSerialized, "live on entry"}},
-		},
-		{
-			name: "serialized: conditional definition defeats the copy-out",
-			src: `
+		wants: []want{{"x", "i", PrivSerialized, "live on entry"}},
+	},
+	{
+		name: "serialized: conditional definition defeats the copy-out",
+		src: `
 program t
 parameter n = 16
 real a(n), b(n)
@@ -161,11 +169,11 @@ do k = 1, n
 end do
 end
 `,
-			wants: []want{{"x", "i", PrivSerialized, "copy-out is unprovable"}},
-		},
-		{
-			name: "private array: fully written then read each iteration",
-			src: `
+		wants: []want{{"x", "i", PrivSerialized, "copy-out is unprovable"}},
+	},
+	{
+		name: "private array: fully written then read each iteration",
+		src: `
 program t
 parameter n = 16
 real a(n,n), w(n)
@@ -181,11 +189,56 @@ do k = 1, n
 end do
 end
 `,
-			wants: []want{{"w", "k", PrivPrivate, "covered by same-iteration writes"}},
-		},
-		{
-			name: "serialized array: read after the loop",
-			src: `
+		wants: []want{{"w", "k", PrivPrivate, "covered by same-iteration writes"}},
+	},
+	{
+		// The twin above with a strided write loop: w(2), w(4), ... are read
+		// and never written. A write loop fills its range only at step +1.
+		name: "serialized array: a strided write loop leaves every other element unwritten",
+		src: `
+program t
+parameter n = 16
+real a(n,n), w(n)
+integer i, k
+!hpf$ distribute (*,block) :: a
+do k = 1, n
+  do i = 1, n, 2
+    w(i) = a(i,k) * 2.0
+  end do
+  do i = 1, n
+    a(i,k) = w(i) + 1.0
+  end do
+end do
+end
+`,
+		wants: []want{{"w", "k", PrivSerialized, "w(i) at 12:5 is not covered by writes earlier in the iteration"}},
+	},
+	{
+		// The twin with a descending read loop that starts above the written
+		// range: (Lo, Hi) = (n+5, 1) is (max, min) in the direction it runs.
+		name: "serialized array: a descending read loop starts above the written range",
+		src: `
+program t
+parameter n = 16
+parameter m = 21
+real a(m,n), w(m)
+integer i, k
+!hpf$ distribute (*,block) :: a
+do k = 1, n
+  do i = 1, n
+    w(i) = a(i,k) * 2.0
+  end do
+  do i = n+5, 1, -1
+    a(i,k) = w(i) + 1.0
+  end do
+end do
+end
+`,
+		wants: []want{{"w", "k", PrivSerialized, "w(i) at 13:5 is not covered by writes earlier in the iteration"}},
+	},
+	{
+		name: "serialized array: read after the loop",
+		src: `
 program t
 parameter n = 16
 real a(n,n), w(n), b(n)
@@ -204,13 +257,86 @@ do i = 1, n
 end do
 end
 `,
-			wants: []want{{"w", "k", PrivSerialized, "reads the array after the loop"}},
-		},
-		{
-			// The write scans i ∈ [2,n] but the read scans i ∈ [1,n]: w(1)
-			// reads a value from before the loop (or an earlier iteration).
-			name: "serialized array: read not covered by earlier writes",
-			src: `
+		wants: []want{{"w", "k", PrivSerialized, "reads the array after the loop"}},
+	},
+	{
+		// Three more ways a range is believed filled when it is not, found by
+		// reading once the containment proof substituted bounds instead of
+		// matching names. The read sits inside the write loop: at iteration
+		// i only w(1..i) is written, and w(1..n) is read.
+		name: "serialized array: the read runs inside the write loop",
+		src: `
+program t
+parameter n = 16
+real a(n,n), w(n)
+integer i, j, k
+!hpf$ distribute (*,block) :: a
+do k = 1, n
+  do i = 1, n
+    w(i) = a(i,k) * 2.0
+    do j = 1, n
+      a(j,k) = a(j,k) + w(j)
+    end do
+  end do
+end do
+end
+`,
+		wants: []want{{"w", "k", PrivSerialized, "not covered by writes"}, {"w", "i", PrivSerialized, "not covered by writes"}},
+	},
+	{
+		// Two triangular nests whose bounds name i — two different loops:
+		// the write reaches w(1..3), the read w(1..n).
+		name: "serialized array: triangular bounds over two loops of one name",
+		src: `
+program t
+parameter n = 16
+real a(n,n), w(n)
+integer i, j, k
+!hpf$ distribute (*,block) :: a
+do k = 1, n
+  do i = 1, 3
+    do j = 1, i
+      w(j) = a(j,k) * 2.0
+    end do
+  end do
+  do i = 1, n
+    do j = 1, i
+      a(j,k) = a(j,k) + w(j)
+    end do
+  end do
+end do
+end
+`,
+		wants: []want{{"w", "k", PrivSerialized, "not covered by writes"}},
+	},
+	{
+		// The write nest is repeated by a loop that is empty at k = n.
+		name: "serialized array: the loop repeating the write may not run",
+		src: `
+program t
+parameter n = 16
+real a(n,n), w(n)
+integer i, j, k
+!hpf$ distribute (*,block) :: a
+do k = 1, n
+  do i = k+1, n
+    do j = 1, n
+      w(j) = a(j,k) * 2.0
+    end do
+  end do
+  do j = 1, n
+    a(j,k) = a(j,k) + w(j)
+  end do
+end do
+end
+`,
+		wants: []want{{"w", "k", PrivSerialized, "not covered by writes"}},
+	},
+	{
+		// The write scans i ∈ [2,n] but the read scans i ∈ [1,n]: w(1)
+		// reads a value from before the loop (or an earlier iteration).
+		name: "serialized array: read not covered by earlier writes",
+		src: `
 program t
 parameter n = 16
 real a(n,n), w(n)
@@ -226,11 +352,14 @@ do k = 1, n
 end do
 end
 `,
-			wants: []want{{"w", "k", PrivSerialized, "not covered by writes earlier in the iteration"}},
-		},
-	}
+		wants: []want{{"w", "k", PrivSerialized, "not covered by writes earlier in the iteration"}},
+	},
+}
 
-	for _, tc := range cases {
+// TestClassifyDecisions pins the per-variable classification against
+// hand-derived expectations.
+func TestClassifyDecisions(t *testing.T) {
+	for _, tc := range decisionRows {
 		t.Run(tc.name, func(t *testing.T) {
 			p, sum := classifySrc(t, tc.src)
 			for _, w := range tc.wants {
@@ -271,7 +400,7 @@ func TestClassifyTripCount(t *testing.T) {
 program t
 parameter n = 16
 real a(n)
-integer i, j, k, m, z
+integer i, j, k, l, m, z
 !hpf$ distribute (block) :: a
 m = 4
 z = a(1)
@@ -283,6 +412,9 @@ do j = 1, m
 end do
 do k = 1, z
   a(k) = 3.0
+end do
+do l = 4, 7/2
+  a(l) = 4.0
 end do
 end
 `
@@ -304,6 +436,7 @@ end
 		"i": true,  // parameter bounds fold to constants
 		"j": true,  // bound scalar m is const-propagated
 		"k": false, // z comes from memory: unprovable
+		"l": true,  // 7/2 is 3.5, which the bound rounds to 4: one iteration
 	}
 	for _, l := range p.Loops {
 		if got := tripAtLeastOnce(cp, l); got != wants[l.Index.Name] {

@@ -456,9 +456,6 @@ end
 	if Privatizable(e.s, d, loop) {
 		t.Error("x is live-out; must not be privatizable")
 	}
-	if !LiveOutOf(e.s, d, loop) {
-		t.Error("LiveOutOf should report true")
-	}
 }
 
 func TestNotPrivatizableLoopCarried(t *testing.T) {

@@ -129,11 +129,9 @@ func closedForm(iv *Induction) ast.Expr {
 	loop := iv.Loop
 	idx := &ast.Ref{Name: loop.Index.Name}
 	// k = (i - lo)/step + 1
-	var k ast.Expr = &ast.BinOp{Op: ast.Sub, L: idx, R: loop.Lo}
-	if loop.Step != nil {
-		if c, isOne := loop.Step.(*ast.IntConst); !isOne || c.Value != 1 {
-			k = &ast.BinOp{Op: ast.Div, L: k, R: loop.Step}
-		}
+	var k ast.Expr = &ast.BinOp{Op: ast.Sub, L: idx, R: loop.Lo.Expr}
+	if loop.StepConst != 1 {
+		k = &ast.BinOp{Op: ast.Div, L: k, R: loop.Step}
 	}
 	k = &ast.BinOp{Op: ast.Add, L: k, R: &ast.IntConst{Value: 1}}
 	var scaled ast.Expr = k
@@ -238,7 +236,7 @@ func ApplyInductionRewrites(p *ir.Program, s *ssa.SSA, ivs []*Induction) int {
 		removeUses(iv.Stmt, func(r *ir.Ref) bool { return r.Var == iv.Var && !r.IsDef })
 	}
 	if rewritten > 0 || len(ivs) > 0 {
-		reanalyzeSubscripts(p)
+		p.AnalyzeForms()
 	}
 	return rewritten
 }
@@ -286,20 +284,6 @@ func removeUses(st *ir.Stmt, drop func(*ir.Ref) bool) {
 	}
 	st.Uses = filter(st.Uses)
 	st.Refs = filter(st.Refs)
-}
-
-// reanalyzeSubscripts refreshes the affine analysis of every array
-// reference after expression rewriting.
-func reanalyzeSubscripts(p *ir.Program) {
-	for _, r := range p.Refs {
-		if !r.Var.IsArray() {
-			continue
-		}
-		r.Subs = r.Subs[:0]
-		for _, e := range r.Ast.Subs {
-			r.Subs = append(r.Subs, ir.AnalyzeAffine(e, r.Stmt.Loop, p.LookupVar))
-		}
-	}
 }
 
 // cloneExpr copies an expression, references included (the copies stand for

@@ -55,13 +55,3 @@ func PrivatizationLevel(s *ssa.SSA, def *ssa.Value) (int, *ir.Loop) {
 	}
 	return 0, nil
 }
-
-// LiveOutOf reports whether def's value may be used outside loop L.
-func LiveOutOf(s *ssa.SSA, def *ssa.Value, L *ir.Loop) bool {
-	for _, ru := range s.ReachedUses(def) {
-		if !ir.Encloses(L, ru.Ref.Stmt.Loop) {
-			return true
-		}
-	}
-	return false
-}

@@ -284,7 +284,7 @@ func recognizeArrayReduction(st *ir.Stmt, p *ir.Program) *Reduction {
 		if !arrayExclusiveIn(p, v, st, l) {
 			break
 		}
-		if subsVaryAffinelyWith(st.Lhs, l) {
+		if slices.ContainsFunc(st.Lhs.Subs, func(sub ir.Affine) bool { return sub.CoefOf(l) != 0 }) {
 			continue
 		}
 		loops = append(loops, l)
@@ -302,26 +302,6 @@ func recognizeArrayReduction(st *ir.Stmt, p *ir.Program) *Reduction {
 		Data:    dataExpr,
 		Negate:  negate,
 	}
-}
-
-// subsVaryAffinelyWith reports whether any subscript of the reference is an
-// affine function of the loop's index with a nonzero coefficient — the
-// access is then injective in that loop, so one pass over it writes each
-// element at most once. Non-affine subscripts (h(key(i)), i*i) report
-// false: injectivity cannot be concluded, and the loop may carry repeated
-// updates of one element.
-func subsVaryAffinelyWith(ref *ir.Ref, l *ir.Loop) bool {
-	for _, sub := range ref.Subs {
-		if !sub.OK {
-			continue
-		}
-		for _, t := range sub.Terms {
-			if t.Loop == l && t.Coef != 0 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // arrayExclusiveIn reports whether the update statement is the only

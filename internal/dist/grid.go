@@ -164,15 +164,6 @@ func (s ProcSet) rank() int {
 // AllProcs is the set of all processors in the grid.
 func AllProcs(g *Grid) ProcSet { return ProcSet{grid: g} }
 
-// SingleProc is the singleton set {coords}.
-func SingleProc(g *Grid, coords []int) ProcSet {
-	s := AllProcs(g)
-	for d := range g.Shape {
-		s = s.WithDim(d, coords[d])
-	}
-	return s
-}
-
 // Grid returns the grid this set ranges over.
 func (s ProcSet) Grid() *Grid { return s.grid }
 

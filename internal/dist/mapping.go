@@ -40,6 +40,12 @@ type Mapping struct {
 	Arrays map[*ir.Var]*ArrayMap
 }
 
+// SameDistribution reports whether two axes cut their template alike, the
+// offsets of what is aligned to it aside.
+func (a AxisMap) SameDistribution(b AxisMap) bool {
+	return a.Kind == b.Kind && a.Block == b.Block && a.Extent == b.Extent
+}
+
 // OwnerDim returns the grid coordinate owning index idx (1-based) along the
 // axis, given the grid shape extent nproc.
 func (a AxisMap) OwnerDim(idx int64, nproc int) int {
@@ -177,17 +183,6 @@ func (m *ArrayMap) FullyReplicated() bool {
 		}
 	}
 	return true
-}
-
-// DistributedAxes returns the indices of distributed array dimensions.
-func (m *ArrayMap) DistributedAxes() []int {
-	var out []int
-	for d, ax := range m.Axes {
-		if ax.Distributed {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // LocalElems returns the number of elements of the array stored on one

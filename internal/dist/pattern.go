@@ -13,13 +13,10 @@ import (
 type DimPattern struct {
 	// Repl: the data is present at every coordinate of this grid dimension.
 	Repl bool
-	// Otherwise the coordinate is determined by a distribution of kind Kind
-	// (block size Block over extent Extent) applied at position Sub+Offset.
-	Kind   ast.DistKind
-	Block  int64
-	Extent int64
-	Sub    ir.Affine // affine subscript (Sub.OK false → data-dependent position)
-	Offset int64
+	// Otherwise the coordinate is the one the axis (its Kind, Block, Extent
+	// and Offset; GridDim is this dimension) assigns to position Sub.
+	AxisMap
+	Sub ir.Affine // affine subscript (Sub.OK false → data-dependent position)
 }
 
 // OwnerPattern is the symbolic owner of a reference: one DimPattern per grid
@@ -55,40 +52,28 @@ func PatternOf(g *Grid, am *ArrayMap, ref *ir.Ref) OwnerPattern {
 			p.Dims[d].Repl = true
 		} else {
 			// Determined below by an axis, or pinned at coordinate 0.
-			p.Dims[d] = DimPattern{Kind: ast.DistBlock, Block: 1, Extent: 1,
-				Sub: ir.Affine{OK: true, Const: 1}}
+			p.Dims[d] = DimPattern{Sub: ir.Affine{OK: true, Const: 1},
+				AxisMap: AxisMap{Distributed: true, GridDim: d, Kind: ast.DistBlock, Block: 1, Extent: 1}}
 		}
 	}
 	for dim, ax := range am.Axes {
-		if !ax.Distributed {
-			continue
-		}
-		p.Dims[ax.GridDim] = DimPattern{
-			Kind:   ax.Kind,
-			Block:  ax.Block,
-			Extent: ax.Extent,
-			Sub:    ref.Subs[dim],
-			Offset: ax.Offset,
+		if ax.Distributed {
+			p.Dims[ax.GridDim] = DimPattern{AxisMap: ax, Sub: ref.Subs[dim]}
 		}
 	}
 	return p
 }
 
-// affineDelta returns b-a when both are affine with identical loop terms.
-// Terms are matched by index variable (not loop identity) so that congruent
-// loop nests — e.g. a producer and a consumer nest both iterating over j —
-// compare equal, which is what the paper's co-location arguments rely on.
-func affineDelta(a, b ir.Affine) (int64, bool) {
-	if !a.OK || !b.OK || len(a.Terms) != len(b.Terms) {
+// Shift returns the constant position offset from a to b — how far b's
+// template position lies beyond a's at every iteration — when both are
+// positions in one distribution whose subscripts differ by a constant
+// (ir.Affine.Delta); otherwise 0 and false.
+func (a DimPattern) Shift(b DimPattern) (int64, bool) {
+	delta, ok := a.Sub.Delta(b.Sub)
+	if !ok || a.Repl || b.Repl || !a.SameDistribution(b.AxisMap) {
 		return 0, false
 	}
-	for i := range a.Terms {
-		if a.Terms[i].Loop.Index != b.Terms[i].Loop.Index ||
-			a.Terms[i].Coef != b.Terms[i].Coef {
-			return 0, false
-		}
-	}
-	return b.Const - a.Const, true
+	return delta + b.Offset - a.Offset, true
 }
 
 // SameDim reports whether two dim patterns denote the same coordinate at
@@ -97,14 +82,8 @@ func SameDim(a, b DimPattern) bool {
 	if a.Repl || b.Repl {
 		return a.Repl && b.Repl
 	}
-	if a.Kind != b.Kind || a.Block != b.Block || a.Extent != b.Extent {
-		return false
-	}
-	delta, ok := affineDelta(a.Sub, b.Sub)
-	if !ok {
-		return false
-	}
-	return delta+b.Offset-a.Offset == 0
+	delta, ok := a.Shift(b)
+	return ok && delta == 0
 }
 
 // Covers reports whether data with pattern src is present wherever pattern
@@ -159,30 +138,18 @@ func Classify(src, dst OwnerPattern) CommClass {
 	if Covers(src, dst) {
 		return CommNone
 	}
-	bcast := false
-	shift := false
-	general := false
+	bcast, shift, general := false, false, false
 	for d := range src.Dims {
 		s, t := src.Dims[d], dst.Dims[d]
-		if s.Repl {
-			continue
-		}
-		if t.Repl {
+		switch delta, ok := s.Shift(t); {
+		case s.Repl:
+		case t.Repl:
 			bcast = true
-			continue
+		case !ok:
+			general = true
+		case delta != 0: // same distribution, constant position offset
+			shift = true
 		}
-		if SameDim(s, t) {
-			continue
-		}
-		// Same distribution, constant position offset → shift.
-		if s.Kind == t.Kind && s.Block == t.Block && s.Extent == t.Extent {
-			if delta, ok := affineDelta(s.Sub, t.Sub); ok {
-				_ = delta
-				shift = true
-				continue
-			}
-		}
-		general = true
 	}
 	switch {
 	case general:

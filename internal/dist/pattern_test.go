@@ -161,9 +161,6 @@ func TestProcSetCoversSetAndEqual(t *testing.T) {
 	if s := cell.String(); s != "P(1,0)" {
 		t.Errorf("string = %q", s)
 	}
-	if s := SingleProc(g, []int{2, 1}); !s.Contains(g.ID([]int{2, 1})) {
-		t.Error("SingleProc wrong")
-	}
 	if row.Grid() != g {
 		t.Error("Grid accessor wrong")
 	}
@@ -178,8 +175,8 @@ func TestGridString(t *testing.T) {
 func TestArrayMapHelpers(t *testing.T) {
 	p, m, _ := mkPatternEnv(t)
 	a := m.Arrays[p.LookupVar("a")]
-	if axes := a.DistributedAxes(); len(axes) != 1 || axes[0] != 0 {
-		t.Errorf("distributed axes = %v", axes)
+	if distributedAxes(a) != 1 || !a.Axes[0].Distributed {
+		t.Errorf("distributed axes = %v, want the first only", a.Axes)
 	}
 	// Block over 100 elements on 4 procs: 25 each.
 	for c := 0; c < 4; c++ {

@@ -166,12 +166,9 @@ func (s *State) VectorizedOp(req *comm.Requirement, elemBytes int64) (Vectorized
 		perProc := int64(0)
 		for d := range req.SrcPat.Dims {
 			dp := req.SrcPat.Dims[d]
-			if dp.Repl {
-				continue
-			}
-			delta := req.ShiftDelta(d)
+			delta, _ := dp.Shift(req.DstPat.Dims[d])
 			if delta == 0 {
-				continue
+				continue // replicated, or the dimension matches
 			}
 			if delta < 0 {
 				delta = -delta

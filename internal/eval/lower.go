@@ -103,7 +103,7 @@ type affTerm struct {
 // intCode evaluates an integer-valued expression. When affine it computes
 // c + Σ coef·index in int64 as long as every index magnitude is within lim —
 // the range over which the float evaluation of the original tree is exact at
-// every node and so yields the same integer (see exactLimit). Beyond it, and
+// every node and so yields the same integer (ir.Affine.Exact). Beyond it, and
 // for non-affine expressions, it evaluates fn and converts under the 2^53
 // range check.
 type intCode struct {
@@ -147,7 +147,7 @@ func (ic *intCode) evalGeneral(s *State) (int64, bool) {
 	if s.err != nil {
 		return 0, false
 	}
-	if math.IsNaN(x) || x > float64(maxExactInt) || x < -float64(maxExactInt) {
+	if math.IsNaN(x) || x > ast.MaxExact || x < -ast.MaxExact {
 		s.fail(&NumericError{What: "integer value", Val: x})
 		return 0, false
 	}
@@ -179,44 +179,6 @@ func (ic *intCode) runLim() int64 {
 		size += math.Abs(float64(t.coef))
 	}
 	return min(ic.lim, int64(float64(int64(1)<<52)/max(size, 1)))
-}
-
-// exactLimit returns the largest index magnitude M for which the float
-// evaluation of the affine expression e is exact: every node of e is an
-// integer of magnitude at most k + m·M (k from constants, m from index
-// terms), and all of them stay below 2^52 — integers that size add, subtract
-// and multiply exactly, and the divisions the affine analysis accepts divide
-// evenly. The factor two below 2^53 absorbs the rounding of the bound
-// arithmetic itself. Zero means no usable range.
-func exactLimit(e ast.Expr) int64 {
-	worst := 1.0
-	var bound func(e ast.Expr) (k, m float64)
-	bound = func(e ast.Expr) (k, m float64) {
-		switch x := e.(type) {
-		case *ast.IntConst:
-			k = math.Abs(float64(x.Value))
-		case *ast.Ref:
-			m = 1
-		case *ast.UnaryMinus:
-			k, m = bound(x.X)
-		case *ast.BinOp:
-			lk, lm := bound(x.L)
-			rk, rm := bound(x.R)
-			switch x.Op {
-			case ast.Mul:
-				// One side is index-free (or the form would not be affine).
-				k, m = lk*rk, lk*rm+rk*lm
-			case ast.Div:
-				k, m = lk, lm // an integer divisor only shrinks the value
-			default:
-				k, m = lk+rk, lm+rm
-			}
-		}
-		worst = math.Max(worst, k+m)
-		return k, m
-	}
-	bound(e)
-	return int64(float64(int64(1)<<52) / worst)
 }
 
 // ---------------------------------------------------------------------------
@@ -258,8 +220,8 @@ func lower(p *spmd.Program) *code {
 	for _, l := range prog.Loops {
 		lc := &lw.c.loops[l.ID]
 		lc.plan = p.LoopPlanOf(l)
-		lc.lo = lw.integer(l.Lo, l.Parent)
-		lc.hi = lw.integer(l.Hi, l.Parent)
+		lc.lo = lw.affine(l.Lo, l.Parent, true)
+		lc.hi = lw.affine(l.Hi, l.Parent, true)
 		if l.Step != nil {
 			step := lw.integer(l.Step, l.Parent)
 			lc.step = &step
@@ -319,7 +281,7 @@ func (lw *lowerer) affine(a ir.Affine, encl *ir.Loop, exact bool) intCode {
 		if !exact {
 			return ic.finish()
 		}
-		if ic.lim = exactLimit(a.Expr); ic.lim == 0 {
+		if ic.lim = a.Exact; ic.lim == 0 {
 			ic.affine = false
 		}
 	}
@@ -746,9 +708,7 @@ dims:
 				continue dims
 			}
 		}
-		pc.dims = append(pc.dims, patDim{d: d, pos: lw.affine(dp.Sub, encl, false),
-			ax: dist.AxisMap{Distributed: true, GridDim: d, Kind: dp.Kind,
-				Offset: dp.Offset, Extent: dp.Extent, Block: dp.Block}})
+		pc.dims = append(pc.dims, patDim{d: d, ax: dp.AxisMap, pos: lw.affine(dp.Sub, encl, false)})
 	}
 	return pc
 }
@@ -1114,9 +1074,8 @@ type coverCode struct {
 
 type coverDim struct {
 	d          int
-	ax         dist.AxisMap
+	sax, tax   dist.AxisMap
 	spos, tpos intCode
-	soff, toff int64
 }
 
 func (lw *lowerer) req(req *comm.Requirement) {
@@ -1148,8 +1107,7 @@ func (lw *lowerer) req(req *comm.Requirement) {
 			return
 		}
 		// Statically identical determination covers regardless of hoisting.
-		if dist.Covers(dist.OwnerPattern{Dims: []dist.DimPattern{sd}},
-			dist.OwnerPattern{Dims: []dist.DimPattern{td}}) {
+		if dist.SameDim(sd, td) {
 			continue
 		}
 		// Positions varying within the hoisted loops are covered only when
@@ -1161,15 +1119,12 @@ func (lw *lowerer) req(req *comm.Requirement) {
 			}
 		}
 		undefined := func(a ir.Affine) bool { return !a.OK && a.Expr == nil }
-		if undefined(sd.Sub) || undefined(td.Sub) ||
-			sd.Kind != td.Kind || sd.Block != td.Block || sd.Extent != td.Extent {
+		if undefined(sd.Sub) || undefined(td.Sub) || !sd.SameDistribution(td.AxisMap) {
 			rc.covered.never = true
 			return
 		}
-		rc.covered.dims = append(rc.covered.dims, coverDim{d: d,
-			ax:   dist.AxisMap{Distributed: true, Kind: sd.Kind, Extent: sd.Extent, Block: sd.Block},
-			spos: lw.affine(sd.Sub, encl, false), tpos: lw.affine(td.Sub, encl, false),
-			soff: sd.Offset, toff: td.Offset})
+		rc.covered.dims = append(rc.covered.dims, coverDim{d: d, sax: sd.AxisMap, tax: td.AxisMap,
+			spos: lw.affine(sd.Sub, encl, false), tpos: lw.affine(td.Sub, encl, false)})
 	}
 }
 
@@ -1186,7 +1141,7 @@ func (cc *coverCode) eval(s *State) bool {
 			return false
 		}
 		n := s.grid.Shape[cd.d]
-		if cd.ax.OwnerDim(spos+cd.soff, n) != cd.ax.OwnerDim(tpos+cd.toff, n) {
+		if cd.sax.OwnerDim(spos, n) != cd.tax.OwnerDim(tpos, n) {
 			return false
 		}
 	}

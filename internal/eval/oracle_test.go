@@ -160,7 +160,7 @@ func (o *oracle) EvalInt(e ast.Expr) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if math.IsNaN(x) || x > float64(maxExactInt) || x < -float64(maxExactInt) {
+	if math.IsNaN(x) || x > ast.MaxExact || x < -ast.MaxExact {
 		return 0, &NumericError{What: "integer value", Val: x}
 	}
 	return int64(math.Round(x)), nil
@@ -231,11 +231,11 @@ func (o *oracle) ArrayOffset(ref *ir.Ref) (int64, error) {
 }
 
 func (o *oracle) TripCount(l *ir.Loop) (int64, error) {
-	lo, err := o.EvalInt(l.Lo)
+	lo, err := o.EvalInt(l.Lo.Expr)
 	if err != nil {
 		return 0, err
 	}
-	hi, err := o.EvalInt(l.Hi)
+	hi, err := o.EvalInt(l.Hi.Expr)
 	if err != nil {
 		return 0, err
 	}
@@ -490,10 +490,7 @@ func (o *oracle) VectorizedOp(req *comm.Requirement, elemBytes int64) (Vectorize
 		perProc := int64(0)
 		for d := range req.SrcPat.Dims {
 			dp := req.SrcPat.Dims[d]
-			if dp.Repl {
-				continue
-			}
-			delta := req.ShiftDelta(d)
+			delta, _ := dp.Shift(req.DstPat.Dims[d])
 			if delta == 0 {
 				continue
 			}
@@ -637,11 +634,11 @@ func (w *oracleWalker) loop(l *ir.Loop) (control, error) {
 			return control{}, err
 		}
 	}
-	lo, err := o.EvalInt(l.Lo)
+	lo, err := o.EvalInt(l.Lo.Expr)
 	if err != nil {
 		return control{}, err
 	}
-	hi, err := o.EvalInt(l.Hi)
+	hi, err := o.EvalInt(l.Hi.Expr)
 	if err != nil {
 		return control{}, err
 	}

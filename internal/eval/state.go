@@ -28,14 +28,6 @@ import (
 	"phpf/internal/spmd"
 )
 
-// maxExactInt bounds every integer value the interpreter manipulates (loop
-// bounds, subscripts, trip counts) to the contiguously representable float64
-// range, 2^53. Values beyond it would silently lose integer precision in the
-// float-backed evaluator and can drive int64 arithmetic to wrap on
-// adversarial (fuzz-reachable) loop bounds; they are rejected with a
-// diagnostic instead.
-const maxExactInt = int64(1) << 53
-
 // maxArrayElems caps a single array's element count. Larger declarations are
 // almost certainly adversarial inputs (the benchmarks top out around 10^6
 // elements) and would otherwise OOM or overflow offset arithmetic.
@@ -235,9 +227,6 @@ func (s *State) Index(v *ir.Var) int64 { return s.indices[v.Slot] }
 
 // Array returns the backing store of an array variable (nil for scalars).
 func (s *State) Array(v *ir.Var) []float64 { return s.arrays[v.Slot] }
-
-// DynMap returns the variable's current (possibly redistributed) mapping.
-func (s *State) DynMap(v *ir.Var) *dist.ArrayMap { return s.dyn[v.Slot] }
 
 // Export returns the final memory by variable name — every assigned scalar
 // and every array — for validation against reference implementations. The

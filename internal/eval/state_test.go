@@ -100,8 +100,8 @@ func TestRedistributeInvalidatesUnionCache(t *testing.T) {
 	if a == nil {
 		t.Fatal("array a not found")
 	}
-	if s.DynMap(a) == p.Res.Mapping.Arrays[a] {
-		t.Error("DynMap(a) still the static mapping after ApplyRedistribute")
+	if s.dyn[a.Slot] == p.Res.Mapping.Arrays[a] {
+		t.Error("a's dynamic mapping is still the static one after ApplyRedistribute")
 	}
 }
 
@@ -141,8 +141,8 @@ func TestSlotViews(t *testing.T) {
 	if s.Scalar(iv) != 0 {
 		t.Fatalf("Scalar of an unassigned variable = %v, want 0", s.Scalar(iv))
 	}
-	if s.DynMap(a) == nil || s.DynMap(a) != p.Res.Mapping.Arrays[a] {
-		t.Fatal("DynMap misses the distributed array's mapping")
+	if s.dyn[a.Slot] == nil || s.dyn[a.Slot] != p.Res.Mapping.Arrays[a] {
+		t.Fatal("the dynamic mapping misses the distributed array's mapping")
 	}
 
 	// Diff sees exactly the element that differs between two images.

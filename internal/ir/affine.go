@@ -2,7 +2,8 @@ package ir
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"phpf/internal/ast"
@@ -22,6 +23,13 @@ type Affine struct {
 	Terms   []AffTerm
 	Scalars []*Var   // scalar variables appearing (non-affine case)
 	Expr    ast.Expr // original expression
+	// Exact is, for an OK form analysed from Expr, the largest index
+	// magnitude up to which the run time's float64 evaluation of Expr is
+	// exact: every node is an integer that stays below 2^52 — integers that
+	// size add, subtract and multiply exactly, and the divisions the analysis
+	// accepts divide evenly; the factor two below 2^53 absorbs the rounding
+	// of the bound arithmetic itself. Zero means no usable range.
+	Exact int64
 }
 
 // AffTerm is one linear term over an enclosing loop's index.
@@ -90,14 +98,77 @@ func (a Affine) VariesIn(l *Loop) bool {
 	return false
 }
 
-// analyzeSubscripts fills in r.Subs for array references.
-func (b *builder) analyzeSubscripts(r *Ref) {
-	if !r.Var.IsArray() {
-		return
+// Delta returns b − a when the two forms agree on their loop terms — taken in
+// nesting order, the same index variables with the same coefficients — so that
+// the difference is one constant at every iteration. Terms are matched by
+// index variable, not by loop identity: congruent nests (a producer and a
+// consumer nest both over j) compare equal, which is what the paper's
+// co-location arguments rely on. In nesting order: i+2j under (i, j) and
+// under (j, i) do not agree — the stricter of the two rules this replaced,
+// kept so that no caller's answer moved (DESIGN.md §15).
+func (a Affine) Delta(b Affine) (int64, bool) {
+	if !a.OK || !b.OK || len(a.Terms) != len(b.Terms) {
+		return 0, false
 	}
-	r.Subs = make([]Affine, len(r.Ast.Subs))
-	for i, e := range r.Ast.Subs {
-		r.Subs[i] = AnalyzeAffine(e, r.Stmt.Loop, b.prog.LookupVar)
+	for i, t := range a.Terms {
+		if u := b.Terms[i]; t.Loop.Index != u.Loop.Index || t.Coef != u.Coef {
+			return 0, false
+		}
+	}
+	return b.Const - a.Const, true
+}
+
+// Without returns the form with loop l's term dropped: a at l's index 0. (It
+// no longer stands for an expression.)
+func (a Affine) Without(l *Loop) Affine {
+	out := Affine{OK: a.OK, Const: a.Const, Scalars: a.Scalars}
+	for _, t := range a.Terms {
+		if t.Loop != l {
+			out.Terms = append(out.Terms, t)
+		}
+	}
+	return out
+}
+
+// Inside returns the terms over the indices of l and of the loops nested in l.
+func (a Affine) Inside(l *Loop) []AffTerm {
+	var out []AffTerm
+	for _, t := range a.Terms {
+		if Encloses(l, t.Loop) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// AnalyzeForms computes every affine form of the program from its expressions
+// as they now stand: the subscripts of each array reference, the bounds and
+// the constant step of each loop. Build ends with it and a pass that rewrites
+// expressions (the induction closed forms) calls it again; no reader analyses
+// a subscript or a bound for itself.
+func (p *Program) AnalyzeForms() {
+	for _, r := range p.Refs {
+		if !r.Var.IsArray() {
+			continue
+		}
+		r.Subs = r.Subs[:0]
+		for _, e := range r.Ast.Subs {
+			r.Subs = append(r.Subs, AnalyzeAffine(e, r.Stmt.Loop, p.LookupVar))
+		}
+	}
+	for _, l := range p.Loops {
+		l.Lo = AnalyzeAffine(l.Lo.Expr, l.Parent, p.LookupVar)
+		l.Hi = AnalyzeAffine(l.Hi.Expr, l.Parent, p.LookupVar)
+		l.StepConst = 1
+		if l.Step != nil {
+			// The step the run computes: folded, then rounded as every
+			// integer context rounds.
+			c, ok := ast.Fold(l.Step, nil)
+			if c = c.Round(); !ok || !c.IsInt {
+				c.I = 0
+			}
+			l.StepConst = c.I
+		}
 	}
 }
 
@@ -106,117 +177,122 @@ func (b *builder) analyzeSubscripts(r *Ref) {
 // names (may be nil, in which case non-index scalars are simply non-affine
 // with no VarLevel contribution).
 func AnalyzeAffine(e ast.Expr, encl *Loop, lookup func(string) *Var) Affine {
-	an := &affAnalyzer{encl: encl, lookup: lookup}
+	an := affAnalyzer{encl: encl, worst: 1}
 	a := Affine{Expr: e}
-	c, terms, ok := an.affine(e)
-	if ok {
-		a.OK = true
-		a.Const = c
-		a.Terms = canonTerms(terms)
+	if f, ok := an.affine(e); ok {
+		a.OK, a.Const = true, f.c
+		// Canonical terms: no zero coefficient, outermost loop first.
+		a.Terms = slices.DeleteFunc(f.t, func(t AffTerm) bool { return t.Coef == 0 })
+		slices.SortFunc(a.Terms, func(x, y AffTerm) int { return x.Loop.Level - y.Loop.Level })
+		a.Exact = int64(float64(int64(1)<<52) / an.worst)
 	} else {
-		a.Scalars = an.scalarsIn(e)
+		a.Scalars = scalarsIn(e, encl, lookup)
 	}
 	return a
 }
 
 type affAnalyzer struct {
-	encl   *Loop
-	lookup func(string) *Var
+	encl *Loop
+	// worst is the largest k+m of any node analysed (see lin).
+	worst float64
 }
 
-func canonTerms(m map[*Loop]int64) []AffTerm {
-	var out []AffTerm
-	for l, c := range m {
-		if c != 0 {
-			out = append(out, AffTerm{Loop: l, Coef: c})
+// lin is an expression as c + Σ coef·index over the terms t (one per loop, a
+// coefficient that cancelled to zero stays listed), with the magnitudes that
+// bound it the way the run time meets it: evaluated node by node in float64,
+// the value is an integer of magnitude at most k + m·M (k from constants, m
+// from index terms) while no index exceeds M. The analysis consumes each lin
+// once, so plus and times work in place.
+type lin struct {
+	c    int64
+	t    []AffTerm
+	k, m float64
+}
+
+// plus returns f + sign·g.
+func (f lin) plus(g lin, sign int64) lin {
+	f.c, f.k, f.m = f.c+sign*g.c, f.k+g.k, f.m+g.m
+	for _, u := range g.t {
+		if i := slices.IndexFunc(f.t, func(t AffTerm) bool { return t.Loop == u.Loop }); i >= 0 {
+			f.t[i].Coef += sign * u.Coef
+		} else {
+			f.t = append(f.t, AffTerm{Loop: u.Loop, Coef: sign * u.Coef})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Loop.Level < out[j].Loop.Level })
-	return out
+	return f
+}
+
+// times returns by·f, its magnitudes left to the caller.
+func (f lin) times(by int64) lin {
+	f.c *= by
+	for i := range f.t {
+		f.t[i].Coef *= by
+	}
+	return f
 }
 
 // affine attempts to express e as const + Σ coef*loopindex.
-func (an *affAnalyzer) affine(e ast.Expr) (int64, map[*Loop]int64, bool) {
+func (an *affAnalyzer) affine(e ast.Expr) (lin, bool) {
+	f, ok := an.form(e)
+	an.worst = math.Max(an.worst, f.k+f.m)
+	return f, ok
+}
+
+func (an *affAnalyzer) form(e ast.Expr) (lin, bool) {
 	switch x := e.(type) {
 	case *ast.IntConst:
-		return x.Value, nil, true
+		return lin{c: x.Value, k: math.Abs(float64(x.Value))}, true
 	case *ast.Ref:
-		if len(x.Subs) > 0 {
-			return 0, nil, false
-		}
-		for l := an.encl; l != nil; l = l.Parent {
+		for l := an.encl; l != nil && len(x.Subs) == 0; l = l.Parent {
 			if l.Index.Name == x.Name {
-				return 0, map[*Loop]int64{l: 1}, true
+				return lin{t: []AffTerm{{Loop: l, Coef: 1}}, m: 1}, true
 			}
 		}
-		return 0, nil, false
 	case *ast.UnaryMinus:
-		c, t, ok := an.affine(x.X)
-		if !ok {
-			return 0, nil, false
+		if f, ok := an.affine(x.X); ok {
+			return f.times(-1), true
 		}
-		nt := map[*Loop]int64{}
-		for l, co := range t {
-			nt[l] = -co
-		}
-		return -c, nt, true
 	case *ast.BinOp:
-		lc, lt, lok := an.affine(x.L)
-		rc, rt, rok := an.affine(x.R)
+		l, lok := an.affine(x.L)
+		r, rok := an.affine(x.R)
 		if !lok || !rok {
-			return 0, nil, false
+			break
 		}
 		switch x.Op {
-		case ast.Add, ast.Sub:
-			sign := int64(1)
-			if x.Op == ast.Sub {
-				sign = -1
-			}
-			nt := map[*Loop]int64{}
-			for l, co := range lt {
-				nt[l] += co
-			}
-			for l, co := range rt {
-				nt[l] += sign * co
-			}
-			return lc + sign*rc, nt, true
+		case ast.Add:
+			return l.plus(r, 1), true
+		case ast.Sub:
+			return l.plus(r, -1), true
 		case ast.Mul:
-			if len(lt) == 0 {
-				nt := map[*Loop]int64{}
-				for l, co := range rt {
-					nt[l] = lc * co
-				}
-				return lc * rc, nt, true
+			// One side must be index-free; the other is scaled by it.
+			if len(l.t) != 0 {
+				l, r = r, l
 			}
-			if len(rt) == 0 {
-				nt := map[*Loop]int64{}
-				for l, co := range lt {
-					nt[l] = rc * co
-				}
-				return lc * rc, nt, true
+			if len(l.t) == 0 {
+				out := r.times(l.c)
+				out.k, out.m = l.k*r.k, l.k*r.m+r.k*l.m
+				return out, true
 			}
-			return 0, nil, false
 		case ast.Div:
-			if len(rt) == 0 && rc != 0 && lc%rc == 0 {
-				nt := map[*Loop]int64{}
-				for l, co := range lt {
-					if co%rc != 0 {
-						return 0, nil, false
-					}
-					nt[l] = co / rc
-				}
-				return lc / rc, nt, true
+			// An index-free divisor that divides the form evenly (an integer
+			// divisor only shrinks the value).
+			if len(r.t) != 0 || r.c == 0 || l.c%r.c != 0 ||
+				slices.ContainsFunc(l.t, func(t AffTerm) bool { return t.Coef%r.c != 0 }) {
+				break
 			}
-			return 0, nil, false
+			l.c /= r.c
+			for i := range l.t {
+				l.t[i].Coef /= r.c
+			}
+			return l, true
 		}
-		return 0, nil, false
 	}
-	return 0, nil, false
+	return lin{}, false
 }
 
 // scalarsIn collects the scalar variables (loop indices and others) read by
 // e, resolved through the lookup function.
-func (an *affAnalyzer) scalarsIn(e ast.Expr) []*Var {
+func scalarsIn(e ast.Expr, encl *Loop, lookup func(string) *Var) []*Var {
 	seen := map[string]bool{}
 	var out []*Var
 	ast.Walk(e, func(n ast.Expr) {
@@ -225,14 +301,14 @@ func (an *affAnalyzer) scalarsIn(e ast.Expr) []*Var {
 			return
 		}
 		seen[r.Name] = true
-		for l := an.encl; l != nil; l = l.Parent {
+		for l := encl; l != nil; l = l.Parent {
 			if l.Index.Name == r.Name {
 				out = append(out, l.Index)
 				return
 			}
 		}
-		if an.lookup != nil {
-			if v := an.lookup(r.Name); v != nil && !v.IsArray() {
+		if lookup != nil {
+			if v := lookup(r.Name); v != nil && !v.IsArray() {
 				out = append(out, v)
 			}
 		}

@@ -1,22 +1,13 @@
 package ir
 
-import (
-	"phpf/internal/ast"
-)
-
 // MayOverlapAcross reports whether a definition reference and a use
 // reference of the same array may touch the same element across any pair of
 // iterations of loop l (and the loops it contains). It is the dependence
 // test behind message vectorization: communication for `use` can be hoisted
 // out of l only if no definition inside l may produce the value read.
 //
-// The test is a Banerjee-style range test on each dimension: the subscript
-// difference def−use is formed with the indices of loops inside l treated as
-// independent variables on the def and use sides (a loop-carried pair may
-// run at different iteration numbers), and bounded by substituting loop
-// bounds, innermost first. If some dimension's difference is provably
-// nonzero, the references are independent. Inconclusive cases report true
-// (may overlap).
+// The test is a Banerjee-style range test on each dimension (BoundDelta).
+// Inconclusive cases report true (may overlap).
 func MayOverlapAcross(def, use *Ref, l *Loop) bool {
 	if def.Var != use.Var {
 		return false
@@ -24,135 +15,89 @@ func MayOverlapAcross(def, use *Ref, l *Loop) bool {
 	if !def.Var.IsArray() {
 		return true
 	}
-	for dim := 0; dim < def.Var.Rank(); dim++ {
-		if provedDisjoint(def.Subs[dim], use.Subs[dim], l) {
+	// Independent when some dimension's difference def−use is provably
+	// nonzero over every pair of instances, loop-carried pairs included: the
+	// indices of l and of the loops inside it are independent variables on the
+	// two sides, only those of the loops around l are shared.
+	for dim := range def.Subs {
+		if lo, ok := BoundDelta(use.Subs[dim], def.Subs[dim], l.Parent, true); ok && lo > 0 {
+			return false
+		}
+		if hi, ok := BoundDelta(use.Subs[dim], def.Subs[dim], l.Parent, false); ok && hi < 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// linKey identifies a symbolic variable in a linear form: a loop with a
-// side tag (0 = shared, outside l; 1 = def instance; 2 = use instance).
+// linKey identifies a symbolic variable in a linear form: a loop's index,
+// with a side tag (0 = one variable shared by both forms; 1, 2 = the a-side
+// and the b-side instance of it).
 type linKey struct {
 	loop *Loop
 	side int
 }
 
-// linForm is const + Σ coef·index(loop,side).
+// linForm is c + Σ coef·index(loop,side).
 type linForm struct {
 	c     int64
 	terms map[linKey]int64
 }
 
-func newLin(c int64) *linForm { return &linForm{c: c, terms: map[linKey]int64{}} }
-
-func (f *linForm) add(k linKey, coef int64) {
-	f.terms[k] += coef
-	if f.terms[k] == 0 {
-		delete(f.terms, k)
-	}
-}
-
-func (f *linForm) clone() *linForm {
-	n := newLin(f.c)
-	for k, v := range f.terms {
-		n.terms[k] = v
-	}
-	return n
-}
-
-// provedDisjoint attempts to prove defSub ≠ useSub over all iteration pairs
-// of the loops within l.
-func provedDisjoint(dsub, usub Affine, l *Loop) bool {
-	if !dsub.OK || !usub.OK {
-		return false
-	}
-	delta := newLin(0)
-	addAffine(delta, dsub, l, 1, 1)
-	addAffine(delta, usub, l, 2, -1)
-	if len(delta.terms) == 0 {
-		return delta.c != 0
-	}
-	if v, ok := boundLin(delta.clone(), l, true); ok && v > 0 {
-		return true
-	}
-	if v, ok := boundLin(delta.clone(), l, false); ok && v < 0 {
-		return true
-	}
-	return false
-}
-
-// addAffine folds scale·a into the linear form, tagging indices of loops
-// within l by side.
-func addAffine(f *linForm, a Affine, l *Loop, side int, scale int64) {
+// add folds scale·a into the linear form. The indices of shared and of the
+// loops around it are side-0 variables, every other index is side's.
+func (f *linForm) add(a Affine, shared *Loop, side int, scale int64) {
 	f.c += a.Const * scale
 	for _, t := range a.Terms {
-		s := 0
-		if withinHoist(t.Loop, l) {
-			s = side
+		k := linKey{loop: t.Loop, side: side}
+		if Encloses(t.Loop, shared) {
+			k.side = 0
 		}
-		f.add(linKey{loop: t.Loop, side: s}, t.Coef*scale)
+		if f.terms[k] += t.Coef * scale; f.terms[k] == 0 {
+			delete(f.terms, k)
+		}
 	}
 }
 
-// withinHoist reports whether loop x is l or nested inside l.
-func withinHoist(x, l *Loop) bool {
-	for cur := x; cur != nil; cur = cur.Parent {
-		if cur == l {
-			return true
-		}
+// BoundDelta returns a constant lower (wantMin) or upper bound of b − a over
+// the iterations the two forms can be evaluated at — the one substitution of
+// loop bounds into an affine form. The indices of shared and of the loops
+// around it are one variable on both sides (a and b sit in the same iteration
+// of those; nil: of none); every deeper index is a variable of its own per
+// side. Each index is replaced by a bound of its loop, innermost first (a
+// bound may name outer indices, which keep its side), read in the direction
+// the loop runs (Loop.Range). That range is a superset of the values the index takes when the step is not
+// ±1 — sound for an inequality claimed of every iteration, hence for
+// disjointness, and not for a claim that the range is filled: a coverage test
+// must look at the step itself. ok is false when a form or a bound is not
+// affine or a step is not a known constant.
+func BoundDelta(a, b Affine, shared *Loop, wantMin bool) (int64, bool) {
+	if !a.OK || !b.OK {
+		return 0, false
 	}
-	return false
-}
-
-// boundLin computes a constant lower bound (wantMin=true) or upper bound of
-// the linear form by substituting loop bounds for loop-index variables,
-// innermost loops first. Returns false when a bound is not affine, a step
-// is not a positive constant, or substitution does not terminate.
-func boundLin(f *linForm, l *Loop, wantMin bool) (int64, bool) {
-	for iter := 0; iter < 64; iter++ {
-		if len(f.terms) == 0 {
-			return f.c, true
-		}
+	f := &linForm{terms: map[linKey]int64{}}
+	f.add(a, shared, 1, -1)
+	f.add(b, shared, 2, 1)
+	for len(f.terms) > 0 {
 		// Pick the deepest-nested variable: its bounds may reference outer
 		// indices, which are substituted later.
 		var pick linKey
-		havePick := false
 		for k := range f.terms {
-			if !havePick || k.loop.Level > pick.loop.Level {
-				pick, havePick = k, true
+			if pick.loop == nil || k.loop.Level > pick.loop.Level {
+				pick = k
 			}
 		}
 		coef := f.terms[pick]
 		delete(f.terms, pick)
-		if pick.loop.Step != nil {
-			if c, okc := pick.loop.Step.(*ast.IntConst); !okc || c.Value <= 0 {
-				return 0, false
-			}
+		// Substitute the low end when (coef>0) == wantMin, else the high one.
+		bound, high, ok := pick.loop.Range()
+		if (coef > 0) != wantMin {
+			bound = high
 		}
-		// Substitute lo when (coef>0) == wantMin, else hi.
-		var bexpr ast.Expr
-		if (coef > 0) == wantMin {
-			bexpr = pick.loop.Lo
-		} else {
-			bexpr = pick.loop.Hi
-		}
-		ba := AnalyzeAffine(bexpr, pick.loop.Parent, nil)
-		if !ba.OK {
+		if !ok || !bound.OK {
 			return 0, false
 		}
-		// The bound's own terms keep the same side: an inner loop's bound
-		// referencing an enclosing within-l index refers to that side's
-		// instance of it.
-		f.c += ba.Const * coef
-		for _, t := range ba.Terms {
-			s := 0
-			if withinHoist(t.Loop, l) {
-				s = pick.side
-			}
-			f.add(linKey{loop: t.Loop, side: s}, t.Coef*coef)
-		}
+		f.add(bound, shared, pick.side, coef)
 	}
-	return 0, false
+	return f.c, true
 }

@@ -217,3 +217,54 @@ end
 		t.Error("conservative result expected for the stride-2 bound test")
 	}
 }
+
+// TestLoopBoundsAnalysedOnce: a loop carries its bounds as affine forms and
+// its step as the constant the run computes (0: not a constant), and
+// BoundDelta reads a range in the direction the loop runs.
+func TestLoopBoundsAnalysedOnce(t *testing.T) {
+	p := build(t, `
+program t
+parameter n = 16
+real a(2*n)
+integer i, j, k, l, m
+m = 2
+do i = 1, n
+  do j = i+1, n, 2
+    a(j) = a(i)
+  end do
+end do
+do k = n, 1, -1
+  a(k+n) = a(k)
+end do
+do l = 1, n, 5/2
+  a(l) = 0.0
+end do
+do l = 1, n, m
+  a(l) = 0.0
+end do
+end
+`)
+	steps := []int64{1, 2, -1, 3, 0}
+	for i, l := range p.Loops {
+		if l.StepConst != steps[i] || !l.Lo.OK || !l.Hi.OK {
+			t.Errorf("%s-loop: step %d (want %d), bounds %s..%s", l.Index.Name, l.StepConst, steps[i], l.Lo, l.Hi)
+		}
+	}
+	if lo := p.Loops[1].Lo; lo.String() != "i+1" || lo.Exact != 1<<51 {
+		t.Errorf("j's lower bound = %s, exact to %d", lo, lo.Exact)
+	}
+	// a(k+n) against a(k), k descending from n to 1: k+n−k' ranges over
+	// [n+1−n, n+n−1], provably positive — the bounds are (Hi, Lo) = (1, n).
+	def, use, kl := defOf(p, "a", 1), useOf(p, "a", 1), p.Loops[2]
+	if lo, ok := BoundDelta(use.Subs[0], def.Subs[0], kl.Parent, true); !ok || lo != 1 {
+		t.Errorf("min(a(k+n) − a(k')) = %d,%v, want 1", lo, ok)
+	}
+	if MayOverlapAcross(def, use, kl) {
+		t.Error("a(k+n) and a(k) overlap across a descending k-loop")
+	}
+	// An unknown step bounds nothing.
+	def, use = defOf(p, "a", 3), useOf(p, "a", 0)
+	if _, ok := BoundDelta(use.Subs[0], def.Subs[0], nil, true); ok {
+		t.Error("BoundDelta bounded an index whose loop has an unknown step")
+	}
+}

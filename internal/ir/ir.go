@@ -56,10 +56,15 @@ type Node interface{ node() }
 type Loop struct {
 	ID    int // preorder index among loops
 	Index *Var
-	Lo    ast.Expr
-	Hi    ast.Expr
-	Step  ast.Expr // nil means 1
-	Body  []Node
+	// Lo and Hi are the bounds, analysed over the enclosing loops' indices
+	// (Lo.Expr and Hi.Expr are the expressions). StepConst is the step when
+	// the compiler knows it — 1 for a nil Step, else Step folded and rounded
+	// as the run rounds it — and 0, the one step no loop runs with, when it
+	// does not. All three are AnalyzeForms' to fill.
+	Lo, Hi    Affine
+	Step      ast.Expr // nil means 1
+	StepConst int64
+	Body      []Node
 
 	Parent *Loop
 	Level  int // 1-based nesting depth (outermost loop = 1)
@@ -87,6 +92,17 @@ type Loop struct {
 	BoundsStmt *Stmt
 
 	Line int
+}
+
+// Range returns the bounds between which the index runs, in the direction the
+// loop runs: (Lo, Hi) for a positive constant step, (Hi, Lo) for a negative
+// one. For a step other than ±1 the index takes only some of the values in
+// between. ok is false when the step is not a known constant.
+func (l *Loop) Range() (low, high Affine, ok bool) {
+	if l.StepConst < 0 {
+		return l.Hi, l.Lo, true
+	}
+	return l.Lo, l.Hi, l.StepConst != 0
 }
 
 // Privatizes reports whether the loop's privatization facts name v, and
@@ -336,10 +352,8 @@ func Build(src *ast.Program) (*Program, error) {
 		}
 	}
 
-	// Analyze subscripts now that loop nesting is known.
-	for _, r := range b.prog.Refs {
-		b.analyzeSubscripts(r)
-	}
+	// Analyze subscripts and bounds now that loop nesting is known.
+	b.prog.AnalyzeForms()
 	return b.prog, nil
 }
 
@@ -432,10 +446,10 @@ func (b *builder) buildStmt(s ast.Stmt, loop *Loop) (Node, error) {
 			bst = b.newStmt(SLoopBounds, loop, x.Line, x.Col)
 			lp.BoundsStmt = bst
 		}
-		if lp.Lo, err = b.rewriteExpr(x.Lo, bst, nil, x.Line); err != nil {
+		if lp.Lo.Expr, err = b.rewriteExpr(x.Lo, bst, nil, x.Line); err != nil {
 			return nil, err
 		}
-		if lp.Hi, err = b.rewriteExpr(x.Hi, bst, nil, x.Line); err != nil {
+		if lp.Hi.Expr, err = b.rewriteExpr(x.Hi, bst, nil, x.Line); err != nil {
 			return nil, err
 		}
 		if x.Step != nil {
@@ -684,15 +698,4 @@ func Encloses(outer, inner *Loop) bool {
 		}
 	}
 	return false
-}
-
-// LoopAtLevel returns the enclosing loop of s at nesting level lvl (1-based),
-// or nil if s is not nested that deep.
-func LoopAtLevel(s *Stmt, lvl int) *Loop {
-	for l := s.Loop; l != nil; l = l.Parent {
-		if l.Level == lvl {
-			return l
-		}
-	}
-	return nil
 }

@@ -110,36 +110,6 @@ end
 	}
 }
 
-func TestLoopAtLevel(t *testing.T) {
-	p := build(t, `
-program t
-parameter n = 4
-real a(n)
-integer i, j
-do i = 1, n
-  do j = 1, n
-    a(j) = 1.0
-  end do
-end do
-end
-`)
-	var s *Stmt
-	for _, st := range p.Stmts {
-		if st.Kind == SAssign {
-			s = st
-		}
-	}
-	if l := LoopAtLevel(s, 1); l == nil || l.Index.Name != "i" {
-		t.Errorf("level 1 = %v", l)
-	}
-	if l := LoopAtLevel(s, 2); l == nil || l.Index.Name != "j" {
-		t.Errorf("level 2 = %v", l)
-	}
-	if l := LoopAtLevel(s, 3); l != nil {
-		t.Errorf("level 3 = %v, want nil", l)
-	}
-}
-
 func TestStmtKindStrings(t *testing.T) {
 	kinds := map[StmtKind]string{
 		SAssign: "assign", SIf: "if", SIfGoto: "ifgoto", SGoto: "goto",

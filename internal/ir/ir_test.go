@@ -81,7 +81,7 @@ func TestBuildFigure1(t *testing.T) {
 		t.Error("m.DefLoops missing the i-loop")
 	}
 	// Parameter n substituted everywhere: loop bound is (100 - 1).
-	hi := ast.ExprString(loop.Hi)
+	hi := ast.ExprString(loop.Hi.Expr)
 	if hi != "(100 - 1)" {
 		t.Errorf("loop.Hi = %s", hi)
 	}

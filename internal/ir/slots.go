@@ -12,9 +12,6 @@ type SlotTable struct {
 	Vars []*Var
 }
 
-// NumSlots returns how many variables are numbered.
-func (t *SlotTable) NumSlots() int { return len(t.Vars) }
-
 // AssignSlots numbers every variable of the program and caches the slot on
 // every expression reference (ast.Ref.Slot, 1-based so the zero value means
 // "unassigned"). It is idempotent: a program that already carries a table
@@ -42,8 +39,8 @@ func AssignSlots(p *Program) *SlotTable {
 		t.slotExpr(p, st.Cond)
 	}
 	for _, l := range p.Loops {
-		t.slotExpr(p, l.Lo)
-		t.slotExpr(p, l.Hi)
+		t.slotExpr(p, l.Lo.Expr)
+		t.slotExpr(p, l.Hi.Expr)
 		t.slotExpr(p, l.Step)
 	}
 	for _, r := range p.Refs {

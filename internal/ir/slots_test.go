@@ -23,8 +23,8 @@ end do
 end
 `)
 	tab := AssignSlots(p)
-	if tab.NumSlots() != len(p.VarList) {
-		t.Fatalf("NumSlots = %d, want %d", tab.NumSlots(), len(p.VarList))
+	if len(tab.Vars) != len(p.VarList) {
+		t.Fatalf("%d slots, want %d", len(tab.Vars), len(p.VarList))
 	}
 	for i, v := range p.VarList {
 		if v.Slot != int32(i) {
@@ -73,8 +73,8 @@ end
 		check(st.Cond)
 	}
 	for _, l := range p.Loops {
-		check(l.Lo)
-		check(l.Hi)
+		check(l.Lo.Expr)
+		check(l.Hi.Expr)
 		check(l.Step)
 	}
 }

@@ -259,17 +259,6 @@ func (m *Machine) ComputeListed(set dist.ProcSet, procs []int32, t float64) {
 	}
 }
 
-// ComputeProc charges t seconds to one processor.
-func (m *Machine) ComputeProc(p int, t float64) {
-	if m.Fault != nil && m.Fault.HasSlowdowns() {
-		t *= m.Fault.SlowFactor(p, m.Clock[p])
-	}
-	m.Clock[p] += t
-	if m.Rec != nil {
-		m.emit(trace.Compute, p, -1, m.Clock[p], t, 0)
-	}
-}
-
 // retransmitDelay draws the loss decisions for one message and returns the
 // extra sender-side wait before the delivery that finally succeeds: each
 // lost transmission costs one timeout, doubling per attempt (exponential

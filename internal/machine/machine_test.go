@@ -11,6 +11,9 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
+// one is the set holding processor p of a one-dimensional grid.
+func one(g *dist.Grid, p int) dist.ProcSet { return dist.AllProcs(g).WithDim(0, p) }
+
 func TestComputeAll(t *testing.T) {
 	g := dist.NewGrid(4)
 	m := New(g, SP2())
@@ -42,7 +45,7 @@ func TestSendSynchronizesReceiver(t *testing.T) {
 	g := dist.NewGrid(2)
 	p := SP2()
 	m := New(g, p)
-	m.ComputeProc(0, 1.0)
+	m.Compute(one(g, 0), 1.0)
 	m.Send(0, 1, 800)
 	wantArrive := 1.0 + p.Latency + 800/p.Bandwidth
 	if !approx(m.Clock[1], wantArrive) {
@@ -68,7 +71,7 @@ func TestSendToSelfFree(t *testing.T) {
 func TestSendNoBackwardsTime(t *testing.T) {
 	g := dist.NewGrid(2)
 	m := New(g, SP2())
-	m.ComputeProc(1, 100.0) // receiver far ahead
+	m.Compute(one(g, 1), 100.0) // receiver far ahead
 	m.Send(0, 1, 8)
 	if m.Clock[1] != 100.0 {
 		t.Errorf("receiver clock moved backwards: %v", m.Clock[1])
@@ -105,7 +108,7 @@ func TestReduceSynchronizesAll(t *testing.T) {
 	g := dist.NewGrid(4)
 	p := SP2()
 	m := New(g, p)
-	m.ComputeProc(2, 5.0)
+	m.Compute(one(g, 2), 5.0)
 	m.Reduce(dist.AllProcs(g), 8)
 	want := 5.0 + 4*(p.Latency+8/p.Bandwidth+p.Overhead) // 2*log2(4) rounds
 	for q := 0; q < 4; q++ {
@@ -119,7 +122,7 @@ func TestShiftIndependentClocks(t *testing.T) {
 	g := dist.NewGrid(4)
 	p := SP2()
 	m := New(g, p)
-	m.ComputeProc(0, 3.0)
+	m.Compute(one(g, 0), 3.0)
 	m.Shift(dist.AllProcs(g), 80)
 	cost := p.Overhead + p.Latency + 80/p.Bandwidth
 	if !approx(m.Clock[0], 3.0+cost) || !approx(m.Clock[1], cost) {
@@ -139,7 +142,7 @@ func TestShiftSingleProcFree(t *testing.T) {
 func TestAllToAllBarrier(t *testing.T) {
 	g := dist.NewGrid(4)
 	m := New(g, SP2())
-	m.ComputeProc(3, 2.0)
+	m.Compute(one(g, 3), 2.0)
 	m.AllToAll(dist.AllProcs(g), 1000)
 	base := m.Clock[0]
 	for q := 1; q < 4; q++ {
@@ -375,9 +378,9 @@ func TestSlowdownFactor(t *testing.T) {
 	if !approx(m.Clock[0], 2.0) || !approx(m.Clock[1], 6.0) {
 		t.Errorf("clocks = %v, want [2 6]", m.Clock)
 	}
-	m.ComputeProc(1, 1.0)
+	m.Compute(one(g, 1), 1.0)
 	if !approx(m.Clock[1], 9.0) {
-		t.Errorf("ComputeProc not slowed: %v", m.Clock[1])
+		t.Errorf("one-processor Compute not slowed: %v", m.Clock[1])
 	}
 }
 
@@ -388,7 +391,7 @@ func TestCheckpointAndRecover(t *testing.T) {
 	g := dist.NewGrid(2)
 	p := SP2()
 	m := New(g, p)
-	m.ComputeProc(0, 1.0)
+	m.Compute(one(g, 0), 1.0)
 	m.Checkpoint([]int64{3500, 3500})
 	want := 1.0 + p.Latency + 3500/p.Bandwidth
 	if !approx(m.Clock[0], want) || !approx(m.Clock[1], want) {
@@ -413,7 +416,7 @@ func TestCheckpointAndRecover(t *testing.T) {
 
 	// Local-only recovery (replicated state): no refetch charge.
 	m2 := New(g, p)
-	m2.ComputeProc(0, 1.0)
+	m2.Compute(one(g, 0), 1.0)
 	t0 := m2.Time()
 	m2.Recover(1, 0.5, 0, 0)
 	if !approx(m2.Clock[1], t0+0.5) {

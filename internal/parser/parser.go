@@ -997,10 +997,3 @@ func (p *parser) parseRef() (*ast.Ref, error) {
 	}
 	return r, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

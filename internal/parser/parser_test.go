@@ -250,8 +250,8 @@ end
 	if loop.Step == nil {
 		t.Fatal("step is nil")
 	}
-	if c, ok := loop.Step.(*ast.IntConst); !ok || c.Value != 2 {
-		t.Errorf("step = %#v", loop.Step)
+	if got := ast.ExprString(loop.Step); got != "2" {
+		t.Errorf("step = %s", got)
 	}
 }
 

@@ -55,8 +55,7 @@ type Admission struct {
 	mu      sync.Mutex
 	tenants map[string]*tenantState
 
-	sheds    atomic.Int64
-	admitted atomic.Int64
+	sheds atomic.Int64
 }
 
 type tenantState struct {
@@ -157,7 +156,6 @@ func (a *Admission) Admit(ctx context.Context, tenant string) (release func(), e
 		return giveUp()
 	}
 
-	a.admitted.Add(1)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
@@ -182,6 +180,3 @@ func (a *Admission) Queued(tenant string) int {
 
 // Sheds returns the total number of load-shed requests.
 func (a *Admission) Sheds() int64 { return a.sheds.Load() }
-
-// Admitted returns the total number of admitted requests.
-func (a *Admission) Admitted() int64 { return a.admitted.Load() }

@@ -21,12 +21,9 @@ import (
 // guards — the simulator's GuardTime models exactly that cost).
 type ShrinkInfo struct {
 	Loop *ir.Loop
-	// GridDim is the grid dimension the iterations are partitioned over.
-	GridDim int
-	// Kind/Block/Extent describe the distribution of iterations.
-	Kind   ast.DistKind
-	Block  int64
-	Extent int64
+	// The distribution of iterations: GridDim is the grid dimension they are
+	// partitioned over, Kind, Block and Extent how (offsets are MaxSkew's).
+	dist.AxisMap
 	// MaxSkew is the largest |offset| between the loop index and the
 	// owning position over the body's statements; processors must extend
 	// their local range by this halo.
@@ -80,7 +77,7 @@ func (p *Program) ShrinkableLoops() map[*ir.Loop]*ShrinkInfo {
 }
 
 func (p *Program) shrinkLoop(l *ir.Loop) *ShrinkInfo {
-	info := &ShrinkInfo{Loop: l, GridDim: -1}
+	info := &ShrinkInfo{Loop: l}
 	found := false
 	for _, st := range p.Res.Prog.Stmts {
 		if !ir.Encloses(l, st.Loop) {
@@ -122,11 +119,9 @@ func (p *Program) shrinkLoop(l *ir.Loop) *ShrinkInfo {
 			if coef != 1 {
 				return nil
 			}
-			if info.GridDim == -1 {
-				info.GridDim = d
-				info.Kind = dp.Kind
-				info.Block = dp.Block
-				info.Extent = dp.Extent
+			if !found {
+				info.AxisMap = dp.AxisMap
+				info.Offset = 0
 			} else if info.GridDim != d || info.Kind != dp.Kind || info.Block != dp.Block {
 				return nil // statements partition over different dims
 			}
@@ -149,7 +144,7 @@ func (p *Program) shrinkLoop(l *ir.Loop) *ShrinkInfo {
 			continue
 		}
 	}
-	if !found || info.GridDim == -1 {
+	if !found {
 		return nil
 	}
 	return info

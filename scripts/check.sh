@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 gate: build, vet, race-detected tests, and a short-budget fuzz
-# smoke over the front end. Mirrors `make check` for environments without
-# make.
+# Tier-1 gate, everything CI runs: build, vet, race-detected tests, the bench
+# module's vet and smoke test, the "one definition" grep gates, a short-budget
+# fuzz smoke, and the chaos, golden, bench-regression and serve gates. `make
+# check` runs this script.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -142,6 +143,40 @@ fi
 if grep -rlE '"sqrt"' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . |
     grep -vE '^\./internal/(ast/[^/]*|eval/lower)\.go$'; then
     echo "check: an intrinsic is named outside the one table (internal/ast) and its run-time closures (internal/eval/lower.go)" >&2
+    exit 1
+fi
+
+# One-algebra gates (DESIGN.md §15): the difference of two affine forms, the
+# restriction of a form to a nest, the substitution of loop bounds into one and
+# the analysis of a subscript or a bound each have ONE definition, in
+# internal/ir (Affine.Delta / Without / Inside, BoundDelta, Program.AnalyzeForms),
+# which dist, core, comm, dataflow and the lowering half of eval call. Fail when
+# a private copy reappears.
+if grep -rnE '^func (\([^)]*\) )?(affineDelta|affineConstDiff|scanDelta|innerTerm|boundsContained|withinHoist|boundLin|reanalyzeSubscripts|analyzeSubscripts|subsVaryAffinelyWith|ShiftDelta|exactLimit)\(' \
+    --include='*.go' --exclude='*_test.go' --exclude-dir=bench .; then
+    echo "check: a private copy of the subscript algebra reappeared; it is ir.Affine's Delta/Without/Inside, ir.BoundDelta and ir.Program.AnalyzeForms" >&2
+    exit 1
+fi
+if grep -rnE '\.Terms\[[A-Za-z]+\]\.Loop\.Index|range [A-Za-z.]+\.Terms' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . |
+    grep -vE '^\./internal/(ir/[^/]*|eval/lower)\.go:'; then
+    echo "check: the terms of an affine form are matched or walked outside internal/ir (and eval's lowering of a form to code); ask ir.Affine" >&2
+    exit 1
+fi
+if grep -rnE 'AnalyzeAffine\([^,]*\.(Lo|Hi|Step)\b' --include='*.go' --exclude-dir=bench . | grep -v '^\./internal/ir/'; then
+    echo "check: a loop's bounds are analysed outside internal/ir; they are ir.Loop.Lo, Hi and StepConst, filled by ir.Program.AnalyzeForms" >&2
+    exit 1
+fi
+if grep -rnE '\.Step\.\(\*ast\.(IntConst|UnaryMinus)\)' --include='*.go' --exclude-dir=bench .; then
+    echo "check: a loop's step is read off its syntax tree; the constant step is ir.Loop.StepConst" >&2
+    exit 1
+fi
+if grep -rnE 'dist\.(AxisMap|DimPattern)\{[A-Za-z]+:' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=dist . |
+    grep -vE 'DimPattern\{(Repl: true|AxisMap: )'; then
+    echo "check: a distributed axis is rebuilt field by field outside internal/dist; copy the dist.AxisMap value (DimPattern embeds it)" >&2
+    exit 1
+fi
+if grep -rnE '= *(int64\(1\)|1) *<< *53' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . | grep -v '^\./internal/ast/fold.go:'; then
+    echo "check: the integer bound 2^53 is declared outside internal/ast/fold.go; it is ast.MaxExact" >&2
     exit 1
 fi
 
