@@ -128,7 +128,6 @@ func TestInvalidConfigIsCoded(t *testing.T) {
 		{"NaN CheckpointInterval", RunOptions{CheckpointInterval: math.NaN()}},
 		{"crash on processor 9 of 4", RunOptions{Fault: &FaultPlan{Crashes: []Crash{{Proc: 9, At: 0.001}}}}},
 		{"slowdown on processor 9 of 4", RunOptions{Fault: &FaultPlan{Slowdowns: []Slowdown{{Proc: 9, Factor: 2}}}}},
-		{"negative MailboxDepth", RunOptions{MailboxDepth: -1}},
 		{"negative MaxCells", RunOptions{MaxCells: -1}},
 		{"unknown Reduce", RunOptions{Reduce: ReduceMode(99)}},
 	}

@@ -100,7 +100,7 @@ func TestPlanMatchesGuard(t *testing.T) {
 			res := c.Result
 			check := func(st *ir.Stmt, what string, planned dist.OwnerPattern) {
 				var guard dist.OwnerPattern
-				switch sp := c.SPMD.Stmts[st]; sp.Kind {
+				switch sp := c.SPMD.PlanOf(st); sp.Kind {
 				case spmd.ExecAll:
 					guard = dist.ReplicatedPattern(res.Mapping.Grid)
 				case spmd.ExecOwner:

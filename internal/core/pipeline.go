@@ -7,45 +7,39 @@ import (
 	"phpf/internal/pass"
 )
 
-// Pipeline returns the declared analysis pipeline, ending in the analyze
-// pass which deposits its Result through the returned pointer-pointer. The
-// pass order is: ir, cfg, ssa, constprop, induction, autopriv, reduceplan,
-// mapping, analyze, slots. Induction rewriting does not rebuild downstream
-// structures inline; it invalidates FactCFG and the manager lazily re-runs
-// cfg/ssa before autopriv and constprop before analyze (visible in the
-// profile as re-runs). The autopriv pass runs over the rewritten SSA —
-// privatization inference sees closed-form induction expressions — and
-// writes the loops' privatization facts under opts.Privatization before the
-// mapping pass consumes them: this is the only place the mode is read.
-// The slots pass runs last — after every expression rewrite has settled —
-// and freezes the dense variable numbering the interpreter's slot-indexed
-// state relies on.
-func Pipeline(opts Options, out **Result) []*pass.Pass {
+// Pipeline is the compilation, in the order it runs: the ten named steps,
+// ending in the analyze step (the mapping pass) which deposits its Result
+// through out, and the slots step. When induction rewrote an increment to
+// closed form, pass.Run re-executes cfg, ssa and constprop directly after it
+// (visible in the profile as re-runs), so autopriv and everything after it
+// read the rewritten program's SSA — privatization inference sees closed-form
+// induction expressions. The autopriv step writes the loops' privatization
+// facts under opts.Privatization before the mapping pass consumes them: this
+// is the only place the mode is read. The slots step runs last — after every
+// expression rewrite has settled — and freezes the dense variable numbering
+// the interpreter's slot-indexed state relies on.
+func Pipeline(opts Options, out **Result) []pass.Step {
 	mode := opts.Privatization
-	analyze := &pass.Pass{
-		Name: "analyze",
-		Requires: []pass.Fact{pass.FactIR, pass.FactSSA, pass.FactConsts,
-			pass.FactMapping, pass.FactAutoPriv, pass.FactReducePlan},
-		Run: func(u *pass.Unit) error {
+	return []pass.Step{
+		{Name: "ir", Run: pass.BuildIR},
+		{Name: "cfg", Run: pass.BuildCFG},
+		{Name: "ssa", Run: pass.BuildSSA},
+		{Name: "constprop", Run: pass.ConstProp},
+		{Name: "induction", Run: pass.Induction},
+		{Name: "autopriv", Run: func(u *pass.Unit) error {
+			return pass.AutoPriv(u, mode != PrivDirectives, mode == PrivInferStrict)
+		}},
+		{Name: "reduceplan", Run: pass.ReducePlan},
+		{Name: "mapping", Run: pass.Mapping},
+		{Name: "analyze", Run: func(u *pass.Unit) error {
 			res := Analyze(u, opts)
 			for _, d := range res.Diags {
 				u.Diag(d)
 			}
 			*out = res
 			return nil
-		},
-	}
-	return []*pass.Pass{
-		pass.IRBuild(),
-		pass.CFGBuild(),
-		pass.SSABuild(),
-		pass.ConstProp(),
-		pass.Induction(),
-		pass.AutoPriv(mode != PrivDirectives, mode == PrivInferStrict),
-		pass.ReducePlan(),
-		pass.Mapping(),
-		analyze,
-		pass.Slots(),
+		}},
+		{Name: "slots", Run: pass.Slots},
 	}
 }
 
@@ -54,16 +48,14 @@ func Pipeline(opts Options, out **Result) []*pass.Pass {
 // above so no other list can fall behind it.
 func PassNames() []string {
 	var names []string
-	for _, p := range Pipeline(Options{}, nil) {
-		names = append(names, p.Name)
+	for _, s := range Pipeline(Options{}, nil) {
+		names = append(names, s.Name)
 	}
 	return names
 }
 
-// BuildAndAnalyze runs the full analysis pipeline on a parsed program for a
-// given processor count: IR construction, CFG + SSA, constant propagation,
-// induction-variable recognition with closed-form rewriting (followed by a
-// lazily scheduled SSA rebuild), directive resolution, and the mapping pass.
+// BuildAndAnalyze runs Pipeline on a parsed program for a given processor
+// count.
 //
 // Directive resolution is lenient: a bad mapping directive does not fail the
 // compilation — the directive is skipped (the affected arrays stay
@@ -76,20 +68,14 @@ func PassNames() []string {
 // is always on under `go test`, so the full test suite exercises it.
 func BuildAndAnalyze(src *ast.Program, nprocs int, opts Options) (*Result, error) {
 	var res *Result
-	mgr, err := pass.NewManager(Pipeline(opts, &res)...)
+	u := &pass.Unit{Source: src, NProcs: nprocs}
+	prof, err := pass.Run(u, Pipeline(opts, &res), opts.Verify || testing.Testing(), opts.DumpAfter)
 	if err != nil {
 		return nil, err
-	}
-	mgr.Verify = opts.Verify || testing.Testing()
-	mgr.DumpAfter = opts.DumpAfter
-	u := &pass.Unit{Source: src, NProcs: nprocs}
-	runErr := mgr.Run(u)
-	if runErr != nil {
-		return nil, runErr
 	}
 	// Unit.Diags has every pass's diagnostics in emission order (mapping
 	// problems precede the analyze pass's scalar-mapping diagnostics).
 	res.Diags = u.Diags
-	res.Profile = mgr.Profile()
+	res.Profile = prof
 	return res, nil
 }

@@ -20,12 +20,9 @@ func analyzeSrc(t *testing.T, src string, opts Options) *Result {
 	return res
 }
 
-// TestInductionRebuildExactlyOnce is the regression test for the silent
-// double-rebuild: after induction rewriting, cfg/ssa/constprop must be
-// rebuilt exactly once — by the manager, lazily, before analyze — and the
-// rebuild must be visible in the profile.
-func TestInductionRebuildExactlyOnce(t *testing.T) {
-	src := `
+// inductionSrc increments k by hand each iteration, so the induction pass
+// rewrites it to closed form.
+const inductionSrc = `
 program t
 parameter n = 16
 real a(n)
@@ -38,7 +35,12 @@ do i = 1, n
 end do
 end
 `
-	res := analyzeSrc(t, src, DefaultOptions())
+
+// TestInductionRebuildExactlyOnce is the regression test for the silent
+// double-rebuild: after induction rewriting, cfg/ssa/constprop must be
+// rebuilt exactly once, and the rebuild must be visible in the profile.
+func TestInductionRebuildExactlyOnce(t *testing.T) {
+	res := analyzeSrc(t, inductionSrc, DefaultOptions())
 	if len(res.Inductions) == 0 {
 		t.Fatal("no induction variable recognized; test program is broken")
 	}
@@ -112,5 +114,51 @@ end
 	}
 	if d2 := r2.Profile.Dumps["ssa"]; d1 != d2 {
 		t.Errorf("snapshot not byte-stable across runs:\n--- run 1 ---\n%s--- run 2 ---\n%s", d1, d2)
+	}
+}
+
+// TestDumpAfterRewrite pins what -dump-after prints on a program the induction
+// pass rewrites: directly after the rewrite the IR alone (the CFG, the SSA and
+// the constants were built over the old expressions and are being rebuilt —
+// nothing stale is shown), and after mapping all seven sections, over the
+// rewritten program.
+func TestDumpAfterRewrite(t *testing.T) {
+	const ir = `== ir ==
+program t
+var a(16)
+var i loop-index
+var k
+s0 7:1 assign k = 0
+s1 9:3 assign k = i in i-loop
+s2 10:3 assign a(i) = 1 in i-loop
+`
+	for after, want := range map[string]string{
+		"induction": ir,
+		"mapping": ir + `== cfg ==
+B0 (entry): s0 -> B1
+B1 (header of i-loop): -> B2 B3
+B2: s1 s2 -> B1
+B3: -> B4
+B4 (exit): ->
+== ssa ==
+v0 k.2=phi@B1 <- v2 v3
+v1 k.init
+v2 k.1@s0
+v3 k.3@s1
+== consts ==
+v2 k.1@s0 = 0
+== autopriv ==
+k wrt i-loop: private — every use is reached only by same-iteration definitions
+== reduceplan ==
+== mapping ==
+grid(4)
+a(block@g0)
+`,
+	} {
+		opts := DefaultOptions()
+		opts.DumpAfter = after
+		if got := analyzeSrc(t, inductionSrc, opts).Profile.Dumps[after]; got != want {
+			t.Errorf("-dump-after=%s prints\n%s\nwant\n%s", after, got, want)
+		}
 	}
 }

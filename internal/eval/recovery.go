@@ -5,8 +5,8 @@
 package eval
 
 import (
+	"phpf/internal/core"
 	"phpf/internal/ir"
-	"phpf/internal/spmd"
 )
 
 // CheckpointBytes returns each processor's live state size: its partition
@@ -54,8 +54,8 @@ type RefetchItem struct {
 
 // RefetchItems lists the recovery communication for restarted processor p
 // under the current dynamic mapping, in deterministic (declaration) order:
-// non-replicated array partitions first, then scalars the SPMD plan
-// classified RecoverRefetch. Replicated copies — the paper's replication
+// non-replicated array partitions first, then the scalars some processor
+// owns. Replicated copies — the paper's replication
 // mapping — restore locally at zero communication cost.
 func RefetchItems(s *State, p int, elemBytes int64) []RefetchItem {
 	g := s.Grid()
@@ -73,11 +73,19 @@ func RefetchItems(s *State, p int, elemBytes int64) []RefetchItem {
 			out = append(out, RefetchItem{Var: v, Elems: n, Bytes: n * elemBytes})
 		}
 	}
-	for _, v := range s.Prog.Res.Prog.VarList {
-		if v.IsArray() || s.Prog.Recovery[v] != spmd.RecoverRefetch {
-			continue
+	// A scalar with any aligned or reduction-mapped definition has a uniquely
+	// owned live copy that must be refetched; replicated and
+	// privatized-without-alignment scalars restore locally.
+	owned := map[*ir.Var]bool{}
+	for _, m := range s.Prog.Res.Scalars {
+		if m.Kind == core.ScalarAligned || m.Kind == core.ScalarReduction {
+			owned[m.Def.Var] = true
 		}
-		out = append(out, RefetchItem{Var: v, Elems: 1, Bytes: elemBytes})
+	}
+	for _, v := range s.Prog.Res.Prog.VarList {
+		if !v.IsArray() && owned[v] {
+			out = append(out, RefetchItem{Var: v, Elems: 1, Bytes: elemBytes})
+		}
 	}
 	return out
 }

@@ -75,9 +75,6 @@ type RunOptions struct {
 	// point differently; integer-valued reductions agree across strategies.
 	Reduce core.ReduceMode
 
-	// MailboxDepth bounds each directed mailbox (0 = the backend's default).
-	// Concurrent only.
-	MailboxDepth int
 	// StallTimeout is how long the concurrent backend's watchdog waits
 	// without any worker progress before declaring a stall (0 = default,
 	// negative = disabled). Concurrent only.
@@ -156,9 +153,6 @@ func (o RunOptions) Validate(nprocs int, backend string) error {
 			}
 		}
 	}
-	if o.MailboxDepth < 0 {
-		return bad("MailboxDepth must be >= 0 (0 = default), got %d", o.MailboxDepth)
-	}
 	if o.MaxCells < 0 {
 		return bad("MaxCells must be >= 0 (0 = unlimited), got %d", o.MaxCells)
 	}
@@ -167,8 +161,8 @@ func (o RunOptions) Validate(nprocs int, backend string) error {
 	}
 	switch backend {
 	case BackendSim:
-		if o.MailboxDepth != 0 || o.StallTimeout != 0 || o.MaxRestarts != 0 || o.HardCrashes {
-			return bad("MailboxDepth/StallTimeout/MaxRestarts/HardCrashes configure the concurrent backend; the simulator takes none")
+		if o.StallTimeout != 0 || o.MaxRestarts != 0 || o.HardCrashes {
+			return bad("StallTimeout/MaxRestarts/HardCrashes configure the concurrent backend; the simulator takes none")
 		}
 	case BackendConcurrent:
 		if o.MaxSeconds > 0 {

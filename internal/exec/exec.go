@@ -62,7 +62,7 @@ import (
 	"phpf/internal/trace"
 )
 
-// DefaultMailboxDepth is the default bound of each directed mailbox.
+// DefaultMailboxDepth is the bound of each directed mailbox.
 const DefaultMailboxDepth = 64
 
 // DefaultStallTimeout is the default quiet period after which the watchdog
@@ -82,11 +82,13 @@ type Result = eval.Report
 // hooks are the package's test seams, passed to run beside the configuration
 // (Run passes none): dropSend suppresses a worker's sends for a requirement,
 // wedging its receivers on purpose; tick runs at every loop-iteration tick;
-// delayUnit overrides the wall time one slowdown unit costs a sender.
+// delayUnit overrides the wall time one slowdown unit costs a sender;
+// mailboxDepth overrides DefaultMailboxDepth.
 type hooks struct {
-	dropSend  func(proc int, req *comm.Requirement) bool
-	tick      func(proc int) error
-	delayUnit time.Duration
+	dropSend     func(proc int, req *comm.Requirement) bool
+	tick         func(proc int) error
+	delayUnit    time.Duration
+	mailboxDepth int
 }
 
 // message is one mailbox entry. Each directed edge carries an independent
@@ -182,7 +184,7 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 	if cfg.Params == (machine.Params{}) {
 		cfg.Params = machine.SP2()
 	}
-	depth := cfg.MailboxDepth
+	depth := hk.mailboxDepth
 	if depth == 0 {
 		depth = DefaultMailboxDepth
 	}

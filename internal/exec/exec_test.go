@@ -151,8 +151,8 @@ func TestConfigValidation(t *testing.T) {
 		return errors.As(err, &d) && d.Code == diag.CodeConfig
 	}
 
-	if _, err := Run(context.Background(), prog, Config{MailboxDepth: -1}); !coded(err) {
-		t.Fatalf("negative MailboxDepth: expected a coded E005, got %v", err)
+	if _, err := Run(context.Background(), prog, Config{CheckpointInterval: -1}); !coded(err) {
+		t.Fatalf("negative CheckpointInterval: expected a coded E005, got %v", err)
 	}
 	if _, err := Run(context.Background(), nil, Config{}); !coded(err) {
 		t.Fatalf("nil program: expected a coded E005, got %v", err)
@@ -164,7 +164,7 @@ func TestConfigValidation(t *testing.T) {
 func TestMailboxDepthOne(t *testing.T) {
 	for _, src := range []string{commSource, programs.TOMCATV(10, 2), programs.DGEFA(12)} {
 		prog := compile(t, src, 4, core.DefaultOptions())
-		if _, err := Run(context.Background(), prog, Config{MailboxDepth: 1, StallTimeout: 10 * time.Second}); err != nil {
+		if _, err := run(context.Background(), prog, Config{StallTimeout: 10 * time.Second}, hooks{mailboxDepth: 1}); err != nil {
 			t.Fatalf("depth-1 run failed: %v", err)
 		}
 	}

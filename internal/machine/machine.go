@@ -158,6 +158,12 @@ func (m *Machine) ClearAttr() { m.SetAttr(-1, -1, dist.CommNone) }
 // emit records one event with the current attribution (callers guard on
 // m.Rec != nil so the disabled path stays a single branch).
 func (m *Machine) emit(k trace.Kind, proc, peer int, t, dur float64, bytes int64) {
+	m.emitMerged(k, proc, peer, t, dur, bytes, 0)
+}
+
+// emitMerged is emit for the one event that carries a merged-row count (a
+// tree merge's Reduce).
+func (m *Machine) emitMerged(k trace.Kind, proc, peer int, t, dur float64, bytes int64, merged int) {
 	if m.FaultEventsOnly && k != trace.Checkpoint && k != trace.Restart && k != trace.Fault {
 		return
 	}
@@ -167,6 +173,7 @@ func (m *Machine) emit(k trace.Kind, proc, peer int, t, dur float64, bytes int64
 	m.Rec.Emit(0, trace.Event{
 		Time: t, Dur: dur, Bytes: bytes, Kind: k, Class: m.attrClass,
 		Proc: int32(proc), Peer: int32(peer), Stmt: m.attrStmt, Req: m.attrReq,
+		Merged: int32(merged),
 	})
 }
 
@@ -198,6 +205,18 @@ func (m *Machine) Time() float64 {
 	for _, c := range m.Clock {
 		if c > t {
 			t = c
+		}
+	}
+	return t
+}
+
+// slowest returns the latest clock among procs: where an operation that
+// synchronizes them starts, everyone waiting for the slowest.
+func (m *Machine) slowest(procs []int) float64 {
+	t := 0.0
+	for _, p := range procs {
+		if m.Clock[p] > t {
+			t = m.Clock[p]
 		}
 	}
 	return t
@@ -259,41 +278,33 @@ func (m *Machine) ComputeListed(set dist.ProcSet, procs []int32, t float64) {
 	}
 }
 
-// retransmitDelay draws the loss decisions for one message and returns the
-// extra sender-side wait before the delivery that finally succeeds: each
-// lost transmission costs one timeout, doubling per attempt (exponential
-// backoff). The sender also pays overhead and the wire bytes again per
-// retransmission. Returns 0 on fault-free machines.
-func (m *Machine) retransmitDelay(from int, bytes int64) float64 {
-	if m.Fault == nil {
-		return 0
+// resend accounts for one transmission beyond the planned one — a
+// retransmission or a spurious duplicate, which the caller counts: the
+// message and its bytes again, overhead seconds of the sender's processor,
+// one Fault event.
+func (m *Machine) resend(from int, bytes int64, overhead float64) {
+	m.Stats.Messages++
+	m.Stats.BytesMoved += bytes
+	m.Clock[from] += overhead
+	if m.Rec != nil {
+		m.emit(trace.Fault, from, -1, m.Clock[from], 0, bytes)
 	}
+}
+
+// retransmits draws the loss decisions for one message of processor from and
+// returns the wait before the transmission that gets through: each lost
+// transmission costs one timeout, doubling per attempt (exponential backoff),
+// and is resent at the given sender overhead (Send's o; a shift's
+// retransmission pays none). Call with m.Fault set.
+func (m *Machine) retransmits(from int, bytes int64, overhead float64) float64 {
 	delay := 0.0
 	rto := m.Fault.BaseRTO(m.Params.Latency)
 	const maxRetries = 16
 	for try := 0; try < maxRetries && m.Fault.DropMessage(); try++ {
 		m.Stats.Retransmits++
-		m.Stats.Messages++
-		m.Stats.BytesMoved += bytes
-		if from >= 0 {
-			m.Clock[from] += m.Params.Overhead
-			if m.Rec != nil {
-				m.emit(trace.Fault, from, -1, m.Clock[from], 0, bytes)
-			}
-		}
+		m.resend(from, bytes, overhead)
 		delay += rto
 		rto *= 2
-	}
-	if m.Fault.DuplicateMessage() {
-		m.Stats.Duplicates++
-		m.Stats.Messages++
-		m.Stats.BytesMoved += bytes
-		if from >= 0 {
-			m.Clock[from] += m.Params.Overhead
-			if m.Rec != nil {
-				m.emit(trace.Fault, from, -1, m.Clock[from], 0, bytes)
-			}
-		}
 	}
 	return delay
 }
@@ -348,7 +359,15 @@ func (m *Machine) Send(from, to int, bytes int64) {
 	}
 	depart := m.Clock[from]
 	m.Clock[from] += m.Params.Overhead
-	depart += m.retransmitDelay(from, bytes)
+	if m.Fault != nil {
+		depart += m.retransmits(from, bytes, m.Params.Overhead)
+		// A point-to-point message is the one kind that can also arrive
+		// twice: the sender pays for the spurious copy.
+		if m.Fault.DuplicateMessage() {
+			m.Stats.Duplicates++
+			m.resend(from, bytes, m.Params.Overhead)
+		}
+	}
 	arrive := depart + m.xferTime(bytes)
 	if arrive > m.Clock[to] {
 		m.Clock[to] = arrive
@@ -423,15 +442,7 @@ func (m *Machine) Shift(set dist.ProcSet, bytesPerProc int64) {
 		if m.Fault != nil {
 			// Each participant's message is lost independently; a lost
 			// shift stalls only its own receiver-sender pair.
-			rto := m.Fault.BaseRTO(m.Params.Latency)
-			const maxRetries = 16
-			for try := 0; try < maxRetries && m.Fault.DropMessage(); try++ {
-				m.Stats.Retransmits++
-				m.Stats.Messages++
-				m.Stats.BytesMoved += bytesPerProc
-				extra += rto
-				rto *= 2
-			}
+			extra = m.retransmits(p, bytesPerProc, 0)
 		}
 		depart := m.Clock[p]
 		m.Clock[p] += cost + extra
@@ -456,12 +467,7 @@ func (m *Machine) Reduce(set dist.ProcSet, bytes int64) {
 	m.Stats.Messages += int64(rounds)
 	m.Stats.BytesMoved += bytes * int64(len(procs))
 	// Synchronize: everyone waits for the slowest, then pays the rounds.
-	t := 0.0
-	for _, p := range procs {
-		if m.Clock[p] > t {
-			t = m.Clock[p]
-		}
-	}
+	t := m.slowest(procs)
 	start := t
 	t += float64(rounds) * (m.xferTime(bytes) + m.Params.Overhead)
 	t += m.collectiveFaultDelay(rounds, bytes)
@@ -494,32 +500,18 @@ func (m *Machine) TreeMerge(set dist.ProcSet, bytes int64, merged int) {
 	m.Stats.Merges++
 	m.Stats.Messages += int64(k - 1)
 	m.Stats.BytesMoved += bytes * int64(k-1)
-	t := 0.0
-	for _, p := range procs {
-		if m.Clock[p] > t {
-			t = m.Clock[p]
-		}
-	}
+	t := m.slowest(procs)
 	start := t
 	t += float64(rounds) * (m.xferTime(bytes) + m.Params.Overhead)
 	t += m.collectiveFaultDelay(k-1, bytes)
 	for _, p := range procs {
 		m.Clock[p] = t
 	}
-	if m.Rec != nil && !m.FaultEventsOnly {
+	if m.Rec != nil {
 		// One Reduce event per merge, at the tree root, stamped with the
 		// merged-row count so the trace distinguishes privatized merges from
 		// collective reductions.
-		tm := t
-		if m.Now != nil {
-			tm = m.Now()
-		}
-		m.Rec.Emit(0, trace.Event{
-			Time: tm, Dur: t - start, Bytes: bytes * int64(k-1),
-			Kind: trace.Reduce, Class: m.attrClass,
-			Proc: int32(procs[0]), Peer: -1, Stmt: m.attrStmt, Req: m.attrReq,
-			Merged: int32(merged),
-		})
+		m.emitMerged(trace.Reduce, procs[0], -1, t, t-start, bytes*int64(k-1), merged)
 	}
 }
 
@@ -534,12 +526,7 @@ func (m *Machine) AllToAll(set dist.ProcSet, bytesPerProc int64) {
 	m.Stats.AllToAlls++
 	m.Stats.Messages += int64(k * (k - 1))
 	m.Stats.BytesMoved += bytesPerProc * int64(k)
-	t := 0.0
-	for _, p := range procs {
-		if m.Clock[p] > t {
-			t = m.Clock[p]
-		}
-	}
+	t := m.slowest(procs)
 	per := float64(k-1)*(m.Params.Latency+m.Params.Overhead) +
 		float64(bytesPerProc)/m.Params.Bandwidth
 	t += per
@@ -614,12 +601,7 @@ func (m *Machine) Exchange(src, dst dist.ProcSet, totalBytes int64) {
 // and writes bytesPerProc of local state to stable storage at link speed.
 // bytesPerProc[p] is processor p's live state.
 func (m *Machine) Checkpoint(bytesPerProc []int64) {
-	t := 0.0
-	for _, c := range m.Clock {
-		if c > t {
-			t = c
-		}
-	}
+	t := m.Time()
 	m.Stats.Checkpoints++
 	for p := range m.Clock {
 		var b int64
@@ -641,12 +623,7 @@ func (m *Machine) Checkpoint(bytesPerProc []int64) {
 // messages. Replicated private state costs nothing here — that is the
 // mapping-dependent term the recovery experiments measure.
 func (m *Machine) Recover(p int, lost float64, refetchBytes, msgs int64) {
-	t := 0.0
-	for _, c := range m.Clock {
-		if c > t {
-			t = c
-		}
-	}
+	t := m.Time()
 	m.Stats.Crashes++
 	m.Stats.RecoveryBytes += refetchBytes
 	m.Stats.RecoveryMessages += msgs

@@ -9,7 +9,7 @@ import (
 	"phpf/internal/ir"
 )
 
-// AutoPriv is the privatization inference pass (FactAutoPriv) and the one
+// AutoPriv is the privatization inference pass and the one
 // place the privatization mode is applied. It writes every loop's effective
 // privatization facts (ir.Loop.Private / LastPrivate, read by the mapping
 // pass through ir.Loop.Privatizes): first what the directives assert — NEW
@@ -31,29 +31,20 @@ import (
 // strict makes inference the only source of privatization facts: directives
 // neither reach the loops' facts, nor suppress insertion, nor exempt a
 // variable from the serialized diagnostic.
-func AutoPriv(insert, strict bool) *Pass {
-	return &Pass{
-		Name:     "autopriv",
-		Requires: []Fact{FactIR, FactCFG, FactSSA, FactConsts},
-		Provides: []Fact{FactAutoPriv},
-		Run: func(u *Unit) error {
-			// Re-runs must be idempotent: the facts are recomputed from
-			// scratch, never accumulated.
-			asserted := map[*ir.Var]bool{}
-			for _, l := range u.Prog.Loops {
-				l.Private, l.LastPrivate = nil, nil
-				if !strict {
-					assertDirectives(u.Prog, l, asserted)
-				}
-			}
-			sum := dataflow.ClassifyPrivatization(u.Prog, u.CFG, u.SSA, u.Consts, u.Reductions())
-			u.AutoPriv = sum
-			if insert {
-				runAutoPrivInsert(u, sum, asserted)
-			}
-			return nil
-		},
+func AutoPriv(u *Unit, insert, strict bool) error {
+	asserted := map[*ir.Var]bool{}
+	for _, l := range u.Prog.Loops {
+		l.Private, l.LastPrivate = nil, nil
+		if !strict {
+			assertDirectives(u.Prog, l, asserted)
+		}
 	}
+	sum := dataflow.ClassifyPrivatization(u.Prog, u.CFG, u.SSA, u.Consts, u.Reductions())
+	u.AutoPriv = sum
+	if insert {
+		runAutoPrivInsert(u, sum, asserted)
+	}
+	return nil
 }
 
 // assertDirectives lists in l.Private what the directives on l assert

@@ -10,38 +10,39 @@ import (
 	"phpf/internal/ssa"
 )
 
-// DumpUnit renders a stable textual snapshot of every fact currently valid
-// on the unit, for -dump-after and golden tests. The output is deterministic:
-// all map iterations are sorted, and no addresses or timings appear.
+// DumpUnit renders a stable textual snapshot of every structure currently
+// built on the unit (non-nil, so nothing a rewrite made stale), for
+// -dump-after and golden tests. The output is deterministic: all map
+// iterations are sorted, and no addresses or timings appear.
 func DumpUnit(u *Unit) string {
 	var sb strings.Builder
-	if u.Valid(FactIR) && u.Prog != nil {
+	if u.Prog != nil {
 		sb.WriteString("== ir ==\n")
 		dumpIR(&sb, u.Prog)
 	}
-	if u.Valid(FactCFG) && u.CFG != nil {
+	if u.CFG != nil {
 		sb.WriteString("== cfg ==\n")
 		sb.WriteString(u.CFG.String())
 	}
-	if u.Valid(FactSSA) && u.SSA != nil {
+	if u.SSA != nil {
 		sb.WriteString("== ssa ==\n")
 		dumpSSA(&sb, u.SSA)
 	}
-	if u.Valid(FactConsts) && u.Consts != nil {
+	if u.Consts != nil {
 		sb.WriteString("== consts ==\n")
 		dumpConsts(&sb, u)
 	}
-	if u.Valid(FactAutoPriv) && u.AutoPriv != nil {
+	if u.AutoPriv != nil {
 		sb.WriteString("== autopriv ==\n")
 		sb.WriteString(u.AutoPriv.String())
 	}
-	if u.Valid(FactReducePlan) && u.ReducePlan != nil {
+	if u.ReducePlan != nil {
 		sb.WriteString("== reduceplan ==\n")
 		for _, d := range u.ReducePlan.Decisions {
 			fmt.Fprintf(&sb, "%s\n", d)
 		}
 	}
-	if u.Valid(FactMapping) && u.Mapping != nil {
+	if u.Mapping != nil {
 		sb.WriteString("== mapping ==\n")
 		dumpMapping(&sb, u)
 	}

@@ -1,15 +1,14 @@
-// Package pass implements the instrumented compilation pipeline: a pass
-// manager running declared passes over a shared compilation Unit, with
-// explicit fact invalidation, per-pass wall-time and diagnostic metrics, an
-// IR/SSA/mapping verifier that can run between passes, and stable textual
-// snapshots of the unit after any pass (-dump-after).
+// Package pass implements the instrumented compilation pipeline: a list of
+// named steps run in order over a shared compilation Unit (Run), with per-step
+// wall-time and diagnostic metrics, an IR/SSA/mapping verifier that can run
+// between steps, and stable textual snapshots of the unit after any step
+// (-dump-after).
 //
-// The pipeline is fact-based: every pass declares which facts it Requires,
-// Provides, and may Invalidate. A pass that changes the program (induction
-// rewriting) does not rebuild downstream structures inline; it calls
-// Unit.Invalidate and the manager lazily re-runs the registered provider
-// passes before the next pass that requires them. Re-runs are recorded in the
-// profile, so tests can assert that a rebuild happened exactly once.
+// The order is data: core.Pipeline lists the ten steps as they run. One step
+// can make earlier work stale — the induction rewrite changes expressions the
+// CFG, the SSA and the constants were built over — and says so by dropping
+// them; Run rebuilds them right there and records the re-runs in the profile.
+// A structure is valid exactly when it is non-nil.
 package pass
 
 import (
@@ -24,63 +23,8 @@ import (
 	"phpf/internal/ssa"
 )
 
-// Fact identifies one piece of derived compilation state on the Unit.
-type Fact int
-
-const (
-	// FactIR: Unit.Prog, the lowered program.
-	FactIR Fact = iota
-	// FactCFG: Unit.CFG, the control flow graph over Prog.
-	FactCFG
-	// FactSSA: Unit.SSA, scalar SSA form over the CFG.
-	FactSSA
-	// FactConsts: Unit.Consts, constant propagation over the SSA values.
-	FactConsts
-	// FactMapping: Unit.Mapping, resolved distribution directives.
-	FactMapping
-	// FactAutoPriv: Unit.AutoPriv, the privatization classification (and
-	// the inferred-NEW/lastprivate loop annotations the autopriv pass
-	// inserts from it).
-	FactAutoPriv
-	// FactReducePlan: Unit.ReducePlan, the collective-vs-privatized
-	// classification of every recognized reduction.
-	FactReducePlan
-
-	numFacts
-)
-
-func (f Fact) String() string {
-	switch f {
-	case FactIR:
-		return "ir"
-	case FactCFG:
-		return "cfg"
-	case FactSSA:
-		return "ssa"
-	case FactConsts:
-		return "consts"
-	case FactMapping:
-		return "mapping"
-	case FactAutoPriv:
-		return "autopriv"
-	case FactReducePlan:
-		return "reduceplan"
-	}
-	return fmt.Sprintf("fact(%d)", int(f))
-}
-
-// derived[f] lists the facts computed directly from f; invalidating f
-// transitively invalidates them.
-var derived = map[Fact][]Fact{
-	FactIR:     {FactCFG, FactMapping},
-	FactCFG:    {FactSSA},
-	FactSSA:    {FactConsts, FactAutoPriv, FactReducePlan},
-	FactConsts: {FactAutoPriv},
-}
-
-// Unit is the shared compilation state threaded through the pipeline. Passes
-// read the facts they declared in Requires and write the ones they declared
-// in Provides; everything else is off limits.
+// Unit is the shared compilation state threaded through the pipeline. A
+// structure a step has not built yet, or that a rewrite dropped, is nil.
 type Unit struct {
 	// Source is the parsed program the pipeline compiles.
 	Source *ast.Program
@@ -100,9 +44,6 @@ type Unit struct {
 	// emission order.
 	Diags diag.List
 
-	valid       [numFacts]bool
-	invalidated []Fact
-
 	// reds memoizes Reductions for the SSA it was computed from.
 	reds       []*dataflow.Reduction
 	redsOf     *ssa.SSA
@@ -121,41 +62,14 @@ func (u *Unit) Reductions() []*dataflow.Reduction {
 	return u.reds
 }
 
-// Valid reports whether fact f is currently established.
-func (u *Unit) Valid(f Fact) bool { return u.valid[f] }
-
-// Invalidate marks a fact (and, transitively, everything derived from it) as
-// stale. A pass may only invalidate facts it declared in Invalidates; the
-// manager enforces this after Run returns.
-func (u *Unit) Invalidate(f Fact) {
-	if !u.valid[f] {
-		return
-	}
-	u.valid[f] = false
-	u.invalidated = append(u.invalidated, f)
-	for _, d := range derived[f] {
-		u.Invalidate(d)
-	}
-}
-
 // Diag records a non-fatal diagnostic.
 func (u *Unit) Diag(d diag.Diagnostic) { u.Diags = append(u.Diags, d) }
 
-// Pass is one step of the pipeline: a function over the Unit with its
-// declared metadata.
-type Pass struct {
-	// Name is the stable pass name used by -trace, -dump-after, and the
-	// profile.
+// Step is one named step of the pipeline. The name is the stable one -trace,
+// -dump-after and the profile use; a returned error aborts the compilation.
+type Step struct {
 	Name string
-	// Requires lists the facts that must be valid before Run.
-	Requires []Fact
-	// Provides lists the facts Run establishes.
-	Provides []Fact
-	// Invalidates lists the facts Run MAY invalidate (via Unit.Invalidate).
-	// Invalidating an undeclared fact is a pipeline bug and fails the run.
-	Invalidates []Fact
-	// Run does the work. A returned error aborts the pipeline.
-	Run func(u *Unit) error
+	Run  func(u *Unit) error
 }
 
 // PassStat records one execution of one pass.
@@ -164,19 +78,27 @@ type PassStat struct {
 	Wall time.Duration
 	// Diags is the number of diagnostics this execution emitted.
 	Diags int
-	// Rerun is true when the manager re-ran the pass to restore a fact an
-	// earlier pass invalidated (rather than by pipeline order).
+	// Rerun is true when the pass ran again to rebuild what an earlier
+	// pass's rewrite dropped (rather than by pipeline order).
 	Rerun bool
 }
 
 // CompileProfile is the instrumentation record of one pipeline run.
 type CompileProfile struct {
 	// Stats lists every pass execution in the order it happened, including
-	// lazy re-runs.
+	// re-runs.
 	Stats []PassStat
-	// Dumps maps a pass name to the textual unit snapshot taken after it
-	// (only the passes requested via Manager.DumpAfter).
+	// Dumps maps a pass name to the textual unit snapshot taken after its
+	// last execution (only the pass Run was asked to dump after).
 	Dumps map[string]string
+}
+
+// Time runs one named step and records the execution: its wall time, the
+// number of diagnostics it says it emitted, and whether it was a re-run.
+func (p *CompileProfile) Time(name string, rerun bool, run func() (diags int)) {
+	start := time.Now()
+	diags := run()
+	p.Stats = append(p.Stats, PassStat{Name: name, Wall: time.Since(start), Diags: diags, Rerun: rerun})
 }
 
 // Runs returns how many times the named pass executed.

@@ -24,7 +24,7 @@ end
 `
 
 // inductionSrc increments k by hand each iteration, so the induction pass
-// rewrites it to closed form and invalidates the SSA facts.
+// rewrites it to closed form and drops the CFG, the SSA and the constants.
 const inductionSrc = `
 program t
 parameter n = 16
@@ -48,44 +48,28 @@ func parse(t *testing.T, src string) *ast.Program {
 	return ap
 }
 
-// stdPasses is the pass-package half of the core pipeline (everything but
-// the analyze pass, which lives in core).
-func stdPasses() []*Pass {
-	return []*Pass{IRBuild(), CFGBuild(), SSABuild(), ConstProp(), Induction(), Mapping()}
+// stdSteps is the pass-package part of the list core.Pipeline declares, up to
+// induction, and the mapping step (analyze lives in core).
+func stdSteps() []Step {
+	return []Step{{"ir", BuildIR}, {"cfg", BuildCFG}, {"ssa", BuildSSA}, {"constprop", ConstProp},
+		{"induction", Induction}, {"mapping", Mapping}}
 }
 
-// needsAll stands in for core's analyze pass: it requires every fact, so
-// anything the induction rewrite invalidated is rebuilt before it runs.
-func needsAll() *Pass {
-	return &Pass{
-		Name:     "needs-all",
-		Requires: []Fact{FactIR, FactSSA, FactConsts, FactMapping},
-		Run:      func(u *Unit) error { return nil },
-	}
-}
-
-func runPipeline(t *testing.T, src string, extra ...*Pass) (*Unit, *Manager) {
+func runPipeline(t *testing.T, src string) (*Unit, *CompileProfile) {
 	t.Helper()
-	mgr, err := NewManager(append(stdPasses(), extra...)...)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	mgr.Verify = true
 	u := &Unit{Source: parse(t, src), NProcs: 4}
-	if err := mgr.Run(u); err != nil {
+	prof, err := Run(u, stdSteps(), true, "")
+	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
-	return u, mgr
+	return u, prof
 }
 
 func TestPipelineEstablishesAllFacts(t *testing.T) {
-	u, mgr := runPipeline(t, simpleSrc)
-	for _, f := range []Fact{FactIR, FactCFG, FactSSA, FactConsts, FactMapping} {
-		if !u.Valid(f) {
-			t.Errorf("fact %s not valid after pipeline", f)
-		}
+	u, prof := runPipeline(t, simpleSrc)
+	if u.Prog == nil || u.CFG == nil || u.SSA == nil || u.Consts == nil || u.Mapping == nil {
+		t.Errorf("a structure is missing after the pipeline: %+v", u)
 	}
-	prof := mgr.Profile()
 	wantOrder := []string{"ir", "cfg", "ssa", "constprop", "induction", "mapping"}
 	if len(prof.Stats) != len(wantOrder) {
 		t.Fatalf("got %d pass executions, want %d: %+v", len(prof.Stats), len(wantOrder), prof.Stats)
@@ -100,97 +84,39 @@ func TestPipelineEstablishesAllFacts(t *testing.T) {
 	}
 }
 
-// TestInductionInvalidatesLazily: the induction rewrite invalidates the
-// CFG-derived facts, and a later pass requiring SSA triggers exactly one
-// lazy rebuild, visible in the profile.
+// TestInductionInvalidatesLazily (the name predates the list): the induction
+// rewrite drops the CFG, the SSA and the constants, and exactly one rebuild
+// of each follows it directly, marked as a re-run in the profile — whether or
+// not a later step reads them.
 func TestInductionInvalidatesLazily(t *testing.T) {
-	needsSSA := &Pass{
-		Name:     "needs-ssa",
-		Requires: []Fact{FactSSA, FactConsts},
-		Run:      func(u *Unit) error { return nil },
-	}
-	u, mgr := runPipeline(t, inductionSrc, needsSSA)
+	u, prof := runPipeline(t, inductionSrc)
 	if len(u.Inductions) == 0 {
 		t.Fatal("no induction variables recognized; test program is broken")
 	}
-	prof := mgr.Profile()
-	for _, name := range []string{"cfg", "ssa", "constprop"} {
-		if got := prof.Runs(name); got != 2 {
-			t.Errorf("%s ran %d times, want exactly 2 (initial + one lazy rebuild)", name, got)
-		}
-	}
-	if got := prof.Runs("ir"); got != 1 {
-		t.Errorf("ir ran %d times, want 1", got)
-	}
-	reruns := 0
+	var got []string
 	for _, s := range prof.Stats {
+		name := s.Name
 		if s.Rerun {
-			reruns++
+			name += "*"
 		}
+		got = append(got, name)
 	}
-	if reruns != 3 {
-		t.Errorf("%d executions marked rerun, want 3 (cfg, ssa, constprop)", reruns)
+	if want := "ir cfg ssa constprop induction cfg* ssa* constprop* mapping"; strings.Join(got, " ") != want {
+		t.Errorf("executions %v, want %s", got, want)
+	}
+	if u.CFG == nil || u.SSA == nil || u.SSA.CFG != u.CFG || u.Consts == nil {
+		t.Error("the structures the rewrite dropped were not rebuilt over one another")
 	}
 }
 
-// TestNoRewriteNoRebuild: without induction variables nothing is
-// invalidated and every pass runs exactly once.
+// TestNoRewriteNoRebuild: without induction variables nothing is dropped and
+// every pass runs exactly once.
 func TestNoRewriteNoRebuild(t *testing.T) {
-	needsSSA := &Pass{
-		Name:     "needs-ssa",
-		Requires: []Fact{FactSSA, FactConsts},
-		Run:      func(u *Unit) error { return nil },
-	}
-	_, mgr := runPipeline(t, simpleSrc, needsSSA)
+	_, prof := runPipeline(t, simpleSrc)
 	for _, name := range []string{"ir", "cfg", "ssa", "constprop", "induction", "mapping"} {
-		if got := mgr.Profile().Runs(name); got != 1 {
+		if got := prof.Runs(name); got != 1 {
 			t.Errorf("%s ran %d times, want 1", name, got)
 		}
-	}
-}
-
-func TestUndeclaredInvalidationFails(t *testing.T) {
-	rogue := &Pass{
-		Name:     "rogue",
-		Requires: []Fact{FactSSA},
-		Run: func(u *Unit) error {
-			u.Invalidate(FactIR) // not declared in MayDrop
-			return nil
-		},
-	}
-	mgr, err := NewManager(append(stdPasses(), rogue)...)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	u := &Unit{Source: parse(t, simpleSrc), NProcs: 4}
-	err = mgr.Run(u)
-	if err == nil || !strings.Contains(err.Error(), "rogue") ||
-		!strings.Contains(err.Error(), "undeclared") {
-		t.Fatalf("undeclared invalidation not rejected: %v", err)
-	}
-}
-
-func TestDuplicateProviderRejected(t *testing.T) {
-	if _, err := NewManager(IRBuild(), IRBuild()); err == nil {
-		t.Fatal("duplicate pass accepted")
-	}
-	other := &Pass{Name: "ir2", Provides: []Fact{FactIR},
-		Run: func(u *Unit) error { return nil }}
-	if _, err := NewManager(IRBuild(), other); err == nil {
-		t.Fatal("two providers for one fact accepted")
-	}
-}
-
-func TestMissingProviderFails(t *testing.T) {
-	needsSSA := &Pass{Name: "needs-ssa", Requires: []Fact{FactSSA},
-		Run: func(u *Unit) error { return nil }}
-	mgr, err := NewManager(IRBuild(), needsSSA)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	u := &Unit{Source: parse(t, simpleSrc), NProcs: 4}
-	if err := mgr.Run(u); err == nil || !strings.Contains(err.Error(), "no pass") {
-		t.Fatalf("missing provider not reported: %v", err)
 	}
 }
 
@@ -198,9 +124,8 @@ func TestMissingProviderFails(t *testing.T) {
 // argument list; the inter-pass verifier must fail the pipeline with an
 // error naming the corrupting pass.
 func TestVerifierCatchesDanglingPhi(t *testing.T) {
-	corrupt := &Pass{
-		Name:     "corrupt-phi",
-		Requires: []Fact{FactSSA},
+	corrupt := Step{
+		Name: "corrupt-phi",
 		Run: func(u *Unit) error {
 			for _, v := range u.SSA.Values {
 				if v.Kind == ssa.VPhi && len(v.Args) > 0 {
@@ -212,13 +137,8 @@ func TestVerifierCatchesDanglingPhi(t *testing.T) {
 			return nil
 		},
 	}
-	mgr, err := NewManager(append(stdPasses(), corrupt)...)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	mgr.Verify = true
 	u := &Unit{Source: parse(t, simpleSrc), NProcs: 4}
-	err = mgr.Run(u)
+	_, err := Run(u, append(stdSteps(), corrupt), true, "")
 	if err == nil {
 		t.Fatal("verifier accepted a phi with wrong arity")
 	}
@@ -233,9 +153,8 @@ func TestVerifierCatchesDanglingPhi(t *testing.T) {
 // TestVerifierCatchesUnmappedGridDim: hand-corrupt the mapping by pointing a
 // distributed axis at a grid dimension that does not exist.
 func TestVerifierCatchesUnmappedGridDim(t *testing.T) {
-	corrupt := &Pass{
-		Name:     "corrupt-mapping",
-		Requires: []Fact{FactMapping},
+	corrupt := Step{
+		Name: "corrupt-mapping",
 		Run: func(u *Unit) error {
 			for _, am := range u.Mapping.Arrays {
 				for i := range am.Axes {
@@ -249,13 +168,8 @@ func TestVerifierCatchesUnmappedGridDim(t *testing.T) {
 			return nil
 		},
 	}
-	mgr, err := NewManager(append(stdPasses(), corrupt)...)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	mgr.Verify = true
 	u := &Unit{Source: parse(t, simpleSrc), NProcs: 4}
-	err = mgr.Run(u)
+	_, err := Run(u, append(stdSteps(), corrupt), true, "")
 	if err == nil {
 		t.Fatal("verifier accepted a distributed axis onto a nonexistent grid dim")
 	}
@@ -270,9 +184,8 @@ func TestVerifierCatchesUnmappedGridDim(t *testing.T) {
 // TestVerifierCatchesDominanceViolation: move a definition's statement after
 // its use within the block ordering by swapping block contents.
 func TestVerifierCatchesBrokenEdge(t *testing.T) {
-	corrupt := &Pass{
-		Name:     "corrupt-cfg",
-		Requires: []Fact{FactCFG},
+	corrupt := Step{
+		Name: "corrupt-cfg",
 		Run: func(u *Unit) error {
 			for _, b := range u.CFG.Blocks {
 				if len(b.Succs) > 0 {
@@ -285,13 +198,8 @@ func TestVerifierCatchesBrokenEdge(t *testing.T) {
 	}
 	// Only ir/cfg before the corruption: SSA would be rebuilt over the
 	// broken graph otherwise.
-	mgr, err := NewManager(IRBuild(), CFGBuild(), corrupt)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	mgr.Verify = true
 	u := &Unit{Source: parse(t, simpleSrc), NProcs: 4}
-	err = mgr.Run(u)
+	_, err := Run(u, append(stdSteps()[:2], corrupt), true, "")
 	if err == nil {
 		t.Fatal("verifier accepted an asymmetric CFG edge")
 	}
@@ -301,7 +209,7 @@ func TestVerifierCatchesBrokenEdge(t *testing.T) {
 }
 
 func TestVerifyCleanUnit(t *testing.T) {
-	u, _ := runPipeline(t, inductionSrc, needsAll())
+	u, _ := runPipeline(t, inductionSrc)
 	if errs := VerifyUnit(u); len(errs) > 0 {
 		t.Fatalf("clean unit fails verification: %v", errs[0])
 	}
@@ -311,8 +219,8 @@ func TestVerifyCleanUnit(t *testing.T) {
 // produce byte-identical snapshots.
 func TestDumpDeterministic(t *testing.T) {
 	for _, src := range []string{simpleSrc, inductionSrc} {
-		u1, _ := runPipeline(t, src, needsAll())
-		u2, _ := runPipeline(t, src, needsAll())
+		u1, _ := runPipeline(t, src)
+		u2, _ := runPipeline(t, src)
 		d1, d2 := DumpUnit(u1), DumpUnit(u2)
 		if d1 != d2 {
 			t.Errorf("dump not deterministic:\n--- run 1 ---\n%s--- run 2 ---\n%s", d1, d2)
@@ -326,16 +234,12 @@ func TestDumpDeterministic(t *testing.T) {
 }
 
 func TestDumpAfterCapturesSnapshot(t *testing.T) {
-	mgr, err := NewManager(stdPasses()...)
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	mgr.DumpAfter = "ssa"
 	u := &Unit{Source: parse(t, simpleSrc), NProcs: 4}
-	if err := mgr.Run(u); err != nil {
+	prof, err := Run(u, stdSteps(), false, "ssa")
+	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
-	snap, ok := mgr.Profile().Dumps["ssa"]
+	snap, ok := prof.Dumps["ssa"]
 	if !ok {
 		t.Fatal("no snapshot captured for -dump-after=ssa")
 	}
@@ -345,8 +249,8 @@ func TestDumpAfterCapturesSnapshot(t *testing.T) {
 }
 
 func TestProfileString(t *testing.T) {
-	_, mgr := runPipeline(t, inductionSrc, needsAll())
-	s := mgr.Profile().String()
+	_, prof := runPipeline(t, inductionSrc)
+	s := prof.String()
 	for _, w := range []string{"pass", "wall", "diags", "ir", "ssa*", "total"} {
 		if !strings.Contains(s, w) {
 			t.Errorf("profile table missing %q:\n%s", w, s)
@@ -361,12 +265,8 @@ func TestProfileString(t *testing.T) {
 // stand-in for analyze); an induction rewrite rebuilds the SSA, and the first
 // pass to ask afterwards recognizes again — once.
 func TestReductionsRecognizedOncePerSSA(t *testing.T) {
-	probe := func(name string) *Pass {
-		return &Pass{
-			Name:     name,
-			Requires: []Fact{FactIR, FactSSA},
-			Run:      func(u *Unit) error { u.Reductions(); return nil },
-		}
+	probe := func(name string) Step {
+		return Step{Name: name, Run: func(u *Unit) error { u.Reductions(); return nil }}
 	}
 	for _, tc := range []struct {
 		name, src string
@@ -375,20 +275,18 @@ func TestReductionsRecognizedOncePerSSA(t *testing.T) {
 		{"no rewrite", strings.Replace(simpleSrc, "x = b(i)\n  a(i) = x", "x = x + b(i)", 1), 1},
 		{"induction rewrite", inductionSrc, 2},
 	} {
-		mgr, err := NewManager(IRBuild(), CFGBuild(), SSABuild(), ConstProp(), probe("early"),
-			Induction(), AutoPriv(true, false), ReducePlan(), Mapping(), probe("analyze-stand-in"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgr.Verify = true
+		steps := []Step{{"ir", BuildIR}, {"cfg", BuildCFG}, {"ssa", BuildSSA}, {"constprop", ConstProp}, probe("early"),
+			{"induction", Induction}, {"autopriv", func(u *Unit) error { return AutoPriv(u, true, false) }},
+			{"reduceplan", ReducePlan}, {"mapping", Mapping}, probe("analyze-stand-in")}
 		u := &Unit{Source: parse(t, tc.src), NProcs: 4}
-		if err := mgr.Run(u); err != nil {
+		prof, err := Run(u, steps, true, "")
+		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if u.recognized != tc.want {
 			t.Errorf("%s: reductions recognized %d times, want %d", tc.name, u.recognized, tc.want)
 		}
-		if got := mgr.Profile().Runs("ssa"); got != tc.want {
+		if got := prof.Runs("ssa"); got != tc.want {
 			t.Errorf("%s: ssa built %d times, want %d (the test program is broken)", tc.name, got, tc.want)
 		}
 		if tc.want == 1 && len(u.ReducePlan.Decisions) != 1 {

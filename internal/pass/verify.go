@@ -9,18 +9,19 @@ import (
 	"phpf/internal/ssa"
 )
 
-// VerifyUnit checks the structural invariants of every fact currently valid
-// on the unit and returns the violations found (nil when the unit is sound).
+// VerifyUnit checks the structural invariants of every structure currently
+// built on the unit (non-nil: one a rewrite dropped is being rebuilt and is
+// skipped) and returns the violations found (nil when the unit is sound).
 // The checks:
 //
-//	FactCFG:     block IDs are dense and consistent, successor/predecessor
+//	CFG:         block IDs are dense and consistent, successor/predecessor
 //	             edges are symmetric, entry has no predecessors, every loop
 //	             registered a header block, header blocks belong to their loop.
-//	FactSSA:     phi arity matches the predecessor count, phi arguments are
+//	SSA:         phi arity matches the predecessor count, phi arguments are
 //	             non-nil for reachable predecessors and share the phi's
 //	             variable, every use's definition dominates the use
 //	             (def-before-use within a block), def/use back links agree.
-//	FactMapping: every distributed axis names a real grid dimension, at most
+//	Mapping:     every distributed axis names a real grid dimension, at most
 //	             one axis per grid dimension, replication flags cover exactly
 //	             the untargeted grid dimensions, block sizes are positive.
 func VerifyUnit(u *Unit) []error {
@@ -28,16 +29,16 @@ func VerifyUnit(u *Unit) []error {
 	bad := func(format string, args ...interface{}) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
-	if u.Valid(FactCFG) && u.CFG != nil {
+	if u.CFG != nil {
 		verifyCFG(u, bad)
 	}
-	if u.Valid(FactSSA) && u.SSA != nil {
+	if u.SSA != nil {
 		verifySSA(u, bad)
 	}
-	if u.Valid(FactMapping) && u.Mapping != nil {
+	if u.Mapping != nil {
 		verifyMapping(u, bad)
 	}
-	if u.Valid(FactAutoPriv) && u.AutoPriv != nil {
+	if u.AutoPriv != nil {
 		verifyAutoPriv(u, bad)
 	}
 	return errs

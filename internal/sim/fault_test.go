@@ -6,7 +6,9 @@ import (
 	"phpf/internal/core"
 	"phpf/internal/fault"
 	"phpf/internal/parser"
+	"phpf/internal/programs"
 	"phpf/internal/spmd"
+	"phpf/internal/trace"
 )
 
 // mustAnalyze compiles src down to an SPMD program with default options.
@@ -175,5 +177,49 @@ func TestFaultConfigValidation(t *testing.T) {
 		if _, err := Run(ap, cfg); err == nil {
 			t.Errorf("case %d: invalid fault config accepted", i)
 		}
+	}
+}
+
+// TestFaultEventsMatchStats: every fault the machine counts is an event the
+// trace shows — a retransmission of a point-to-point message, of a shift or
+// of a collective's constituent, a duplicate, a crash — so the trace's Fault
+// total equals the Stats', on programs of every communication class.
+func TestFaultEventsMatchStats(t *testing.T) {
+	var crashes int64
+	for _, k := range []struct {
+		name, src string
+	}{
+		{"tomcatv", programs.TOMCATV(17, 2)},
+		{"smooth", programs.Smooth(16, 2)},
+		{"dgefa", programs.DGEFA(16)},
+		{"appsp-2d", programs.APPSP(6, 6, 6, 1, true)},
+		{"histogram", programs.Histogram(32, 8, 2)},
+	} {
+		p := mustAnalyze(t, k.src, 4)
+		full, err := Run(p, Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		got, err := Run(p, Config{
+			Fault: &fault.Plan{Seed: 7, LossRate: 0.2, DupRate: 0.2,
+				Crashes: []fault.Crash{{Proc: 1, At: full.Time / 2}}},
+			CheckpointInterval: full.Time / 8,
+			Trace:              &trace.Options{},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		s := got.Stats
+		if s.Retransmits == 0 {
+			t.Errorf("%s: %s (the plan is broken)", k.name, s.FaultString())
+		}
+		crashes += s.Crashes
+		if events := got.Trace.KindCount(trace.Fault); events != s.Retransmits+s.Duplicates+s.Crashes {
+			t.Errorf("%s: %d fault events, want %d retransmits + %d duplicates + %d crashes",
+				k.name, events, s.Retransmits, s.Duplicates, s.Crashes)
+		}
+	}
+	if crashes == 0 {
+		t.Error("no crash fired in any program (the plan is broken)")
 	}
 }

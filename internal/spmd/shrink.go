@@ -83,10 +83,7 @@ func (p *Program) shrinkLoop(l *ir.Loop) *ShrinkInfo {
 		if !ir.Encloses(l, st.Loop) {
 			continue
 		}
-		sp := p.Stmts[st]
-		if sp == nil {
-			continue
-		}
+		sp := p.PlanOf(st)
 		if len(sp.PerInstance) > 0 {
 			return nil // inner-loop communication defeats shrinking
 		}

@@ -92,45 +92,14 @@ type LoopPlan struct {
 	CopyOuts []*core.ScalarMapping
 }
 
-// RecoveryClass describes how a variable's live state is restored on a
-// processor after a fail-stop failure: replicated values restore locally
-// (every survivor holds a copy, and the restarted processor recomputes or
-// re-reads them for free), while aligned or distributed values must be
-// refetched from the checkpoint store — the mapping-dependent recovery cost
-// the paper's cost model can quantify.
-type RecoveryClass int
-
-const (
-	// RecoverLocal: replicated state, restored without communication.
-	RecoverLocal RecoveryClass = iota
-	// RecoverRefetch: partitioned or aligned state, refetched over the
-	// network during recovery.
-	RecoverRefetch
-)
-
-func (c RecoveryClass) String() string {
-	if c == RecoverRefetch {
-		return "refetch"
-	}
-	return "local"
-}
-
 // Program is the complete SPMD program.
 type Program struct {
-	Res   *core.Result
-	Plan  *comm.Plan
-	Stmts map[*ir.Stmt]*StmtPlan
-	Loops map[*ir.Loop]*LoopPlan
-
-	// stmtByID/loopByID are the same plans indexed densely by Stmt.ID and
-	// Loop.ID — the interpreter's per-instance lookup path (PlanOf,
-	// LoopPlanOf) avoids the pointer-keyed maps above, which stay as the
-	// stable API for tools and tests.
-	stmtByID []*StmtPlan
-	loopByID []*LoopPlan
-	// Recovery classifies every variable's post-crash restoration cost
-	// under the chosen mapping (see RecoveryClass).
-	Recovery map[*ir.Var]RecoveryClass
+	Res  *core.Result
+	Plan *comm.Plan
+	// Stmts and Loops hold every statement's and loop's plan, indexed
+	// densely by Stmt.ID and Loop.ID (PlanOf, LoopPlanOf).
+	Stmts []*StmtPlan
+	Loops []*LoopPlan
 	// NumAcc is the number of privatizable combines — the number of private
 	// partial tables a state configured for privatized reduction allocates.
 	NumAcc int
@@ -176,13 +145,11 @@ func (p *Program) StmtLabels() map[int]string {
 	return out
 }
 
-// PlanOf returns the plan of a statement by its dense ID — the hot-path
-// equivalent of Stmts[st].
-func (p *Program) PlanOf(st *ir.Stmt) *StmtPlan { return p.stmtByID[st.ID] }
+// PlanOf returns the plan of a statement.
+func (p *Program) PlanOf(st *ir.Stmt) *StmtPlan { return p.Stmts[st.ID] }
 
-// LoopPlanOf returns the plan of a loop by its dense ID — the hot-path
-// equivalent of Loops[l].
-func (p *Program) LoopPlanOf(l *ir.Loop) *LoopPlan { return p.loopByID[l.ID] }
+// LoopPlanOf returns the plan of a loop.
+func (p *Program) LoopPlanOf(l *ir.Loop) *LoopPlan { return p.Loops[l.ID] }
 
 // Generate builds the SPMD program for a mapping result.
 func Generate(res *core.Result) *Program {
@@ -190,21 +157,14 @@ func Generate(res *core.Result) *Program {
 	p := &Program{
 		Res:   res,
 		Plan:  plan,
-		Stmts: map[*ir.Stmt]*StmtPlan{},
-		Loops: map[*ir.Loop]*LoopPlan{},
+		Stmts: make([]*StmtPlan, len(res.Prog.Stmts)),
+		Loops: make([]*LoopPlan, len(res.Prog.Loops)),
 	}
-	// Execution reads plans by dense statement/loop ID.
-	p.stmtByID = make([]*StmtPlan, len(res.Prog.Stmts))
-	p.loopByID = make([]*LoopPlan, len(res.Prog.Loops))
 	for _, st := range res.Prog.Stmts {
-		sp := &StmtPlan{Stmt: st, Exec: res.ExecOf(st), PerInstance: plan.ByStmt[st], Flops: stmtFlops(st)}
-		p.Stmts[st] = sp
-		p.stmtByID[st.ID] = sp
+		p.Stmts[st.ID] = &StmtPlan{Stmt: st, Exec: res.ExecOf(st), PerInstance: plan.ByStmt[st], Flops: stmtFlops(st)}
 	}
 	for _, l := range res.Prog.Loops {
-		lp := &LoopPlan{Loop: l, Hoisted: plan.AtLoop[l]}
-		p.Loops[l] = lp
-		p.loopByID[l.ID] = lp
+		p.Loops[l.ID] = &LoopPlan{Loop: l, Hoisted: plan.AtLoop[l]}
 	}
 	// Attach scalar reduction combines to their outermost carried loop. The
 	// mapping's reduction is the recognition the reduceplan classified.
@@ -217,7 +177,7 @@ func Generate(res *core.Result) *Program {
 			continue // only the update def triggers the combine
 		}
 		d := rp.Of(m.Red.Stmt)
-		lp := p.Loops[m.Red.Loops[len(m.Red.Loops)-1]]
+		lp := p.LoopPlanOf(m.Red.Loops[len(m.Red.Loops)-1])
 		lp.Combines = append(lp.Combines, &Combine{Mapping: m, Red: m.Red,
 			Privatizable: d.Privatizable, Reason: d.Reason, AccIndex: -1})
 	}
@@ -227,14 +187,14 @@ func Generate(res *core.Result) *Program {
 	// an operation here, and only when the runtime knob enables it.
 	for _, d := range rp.Decisions {
 		if d.Red.IsArray() && d.Privatizable {
-			lp := p.Loops[d.Red.Loops[len(d.Red.Loops)-1]]
+			lp := p.LoopPlanOf(d.Red.Loops[len(d.Red.Loops)-1])
 			lp.Combines = append(lp.Combines, &Combine{Red: d.Red, Privatizable: true, AccIndex: -1})
 		}
 	}
 	// Attach lastprivate copy-outs to their privatization loop.
 	for _, m := range res.Scalars {
 		if m.LastPrivate && m.PrivLoop != nil && m.Kind == core.ScalarAligned {
-			lp := p.Loops[m.PrivLoop]
+			lp := p.LoopPlanOf(m.PrivLoop)
 			lp.CopyOuts = append(lp.CopyOuts, m)
 		}
 	}
@@ -250,48 +210,17 @@ func Generate(res *core.Result) *Program {
 	// order — the partial-table index every backend and every processor
 	// derives identically — and link each combine back to its update
 	// statement's plan so the interpreter can route instances into partials.
-	for _, lp := range p.loopByID {
+	for _, lp := range p.Loops {
 		for _, c := range lp.Combines {
 			if c.Privatizable {
 				c.AccIndex = p.NumAcc
 				p.NumAcc++
 			}
-			p.stmtByID[c.Red.Stmt.ID].Combine = c
+			p.PlanOf(c.Red.Stmt).Combine = c
 		}
 	}
-	p.Recovery = recoveryClasses(res)
 	p.Diags = plan.Diags
 	return p
-}
-
-// recoveryClasses classifies each variable's crash-recovery cost: arrays by
-// their (static) mapping, scalars by their per-definition mapping decisions
-// — a scalar with any aligned or reduction-mapped definition has a uniquely
-// owned live copy that must be refetched, while replicated and
-// privatized-without-alignment scalars restore locally.
-func recoveryClasses(res *core.Result) map[*ir.Var]RecoveryClass {
-	out := map[*ir.Var]RecoveryClass{}
-	for _, v := range res.Prog.VarList {
-		if v.IsLoopIndex {
-			continue
-		}
-		if v.IsArray() {
-			am := res.Mapping.Arrays[v]
-			if am != nil && !am.FullyReplicated() {
-				out[v] = RecoverRefetch
-			} else {
-				out[v] = RecoverLocal
-			}
-			continue
-		}
-		out[v] = RecoverLocal
-	}
-	for _, m := range res.Scalars {
-		if m.Kind == core.ScalarAligned || m.Kind == core.ScalarReduction {
-			out[m.Def.Var] = RecoverRefetch
-		}
-	}
-	return out
 }
 
 // stmtFlops estimates the floating-point work of one statement instance.
@@ -335,7 +264,7 @@ func (p *Program) Dump() string {
 		for _, n := range nodes {
 			switch x := n.(type) {
 			case *ir.Loop:
-				lp := p.Loops[x]
+				lp := p.LoopPlanOf(x)
 				for _, r := range lp.Hoisted {
 					fmt.Fprintf(&b, "%s[comm before %s-loop] %s\n", ind(depth), x.Index.Name, r)
 				}
@@ -383,7 +312,7 @@ func combineNote(c *Combine) string {
 
 func (p *Program) dumpStmt(b *strings.Builder, st *ir.Stmt, depth int) {
 	ind := strings.Repeat("  ", depth)
-	sp := p.Stmts[st]
+	sp := p.PlanOf(st)
 	guard := sp.Kind.String()
 	if sp.OwnerRef != nil {
 		guard = fmt.Sprintf("owner(%s)", sp.OwnerRef)

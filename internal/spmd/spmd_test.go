@@ -46,7 +46,7 @@ end
 func TestGenerateFigure1Guards(t *testing.T) {
 	p := gen(t, figure1, 16, core.DefaultOptions())
 	for _, st := range p.Res.Prog.Stmts {
-		sp := p.Stmts[st]
+		sp := p.PlanOf(st)
 		if sp == nil {
 			t.Fatalf("no plan for s%d", st.ID)
 		}
@@ -80,8 +80,8 @@ func TestGenerateFlops(t *testing.T) {
 		if st.Kind != ir.SAssign {
 			continue
 		}
-		if p.Stmts[st].Flops < 1 {
-			t.Errorf("s%d flops = %d", st.ID, p.Stmts[st].Flops)
+		if p.PlanOf(st).Flops < 1 {
+			t.Errorf("s%d flops = %d", st.ID, p.PlanOf(st).Flops)
 		}
 	}
 }
@@ -106,7 +106,7 @@ end
 `
 	p := gen(t, src, 16, core.DefaultOptions())
 	jLoop := p.Res.Prog.Loops[1]
-	lp := p.Loops[jLoop]
+	lp := p.LoopPlanOf(jLoop)
 	if lp == nil || len(lp.Combines) != 1 {
 		t.Fatalf("j-loop combines = %v, want 1", lp)
 	}
@@ -116,7 +116,7 @@ end
 	// The update statement executes on the owners of a(i,j).
 	for _, st := range p.Res.Prog.Stmts {
 		if st.Kind == ir.SAssign && st.Lhs.Var.Name == "s" && st.Loop != nil && st.Loop.Index.Name == "j" {
-			sp := p.Stmts[st]
+			sp := p.PlanOf(st)
 			if sp.Kind != ExecOwner || sp.OwnerRef.Var.Name != "a" {
 				t.Errorf("update guard = %v owner=%v, want owner(a(i,j))", sp.Kind, sp.OwnerRef)
 			}
@@ -154,8 +154,8 @@ end
 	p := gen(t, src, 8, core.DefaultOptions())
 	for _, st := range p.Res.Prog.Stmts {
 		if st.Kind == ir.SIf {
-			if p.Stmts[st].Kind != ExecUnion {
-				t.Errorf("if guard = %v, want union", p.Stmts[st].Kind)
+			if p.PlanOf(st).Kind != ExecUnion {
+				t.Errorf("if guard = %v, want union", p.PlanOf(st).Kind)
 			}
 		}
 	}
@@ -165,8 +165,8 @@ end
 	p2 := gen(t, src, 8, opts)
 	for _, st := range p2.Res.Prog.Stmts {
 		if st.Kind == ir.SIf {
-			if p2.Stmts[st].Kind != ExecAll {
-				t.Errorf("if guard = %v, want all", p2.Stmts[st].Kind)
+			if p2.PlanOf(st).Kind != ExecAll {
+				t.Errorf("if guard = %v, want all", p2.PlanOf(st).Kind)
 			}
 		}
 	}
@@ -219,8 +219,8 @@ end
 	p := gen(t, src, 4, core.DefaultOptions())
 	for _, st := range p.Res.Prog.Stmts {
 		if st.Kind == ir.SIfGoto {
-			if p.Stmts[st].Kind != ExecUnion {
-				t.Errorf("ifgoto guard = %v, want union (label inside loop)", p.Stmts[st].Kind)
+			if p.PlanOf(st).Kind != ExecUnion {
+				t.Errorf("ifgoto guard = %v, want union (label inside loop)", p.PlanOf(st).Kind)
 			}
 		}
 	}

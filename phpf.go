@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"phpf/internal/core"
 	"phpf/internal/diag"
@@ -255,14 +254,12 @@ func Compile(source string, nprocs int, opts Options) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("phpf: %w", err)
 	}
-	start := time.Now()
-	sp := spmd.Generate(res)
-	// SPMD generation runs outside the pass manager; time it the same way so
-	// -trace accounts for the whole compilation.
-	res.Profile.Stats = append(res.Profile.Stats, pass.PassStat{
-		Name:  "spmd",
-		Wall:  time.Since(start),
-		Diags: len(sp.Diags),
+	// SPMD generation is not one of core's steps (spmd imports core); it is
+	// timed the way they are, so -trace accounts for the whole compilation.
+	var sp *spmd.Program
+	res.Profile.Time("spmd", false, func() int {
+		sp = spmd.Generate(res)
+		return len(sp.Diags)
 	})
 	return &Compiled{
 		Source: source,
@@ -375,7 +372,7 @@ func (c *Compiled) Diags() []Diagnostic {
 func PassNames() []string { return core.PassNames() }
 
 // Profile returns the per-pass instrumentation of the compilation: one entry
-// per pass execution (including lazy re-runs after invalidation) plus the
+// per pass execution (including the re-runs after an induction rewrite) plus the
 // SPMD generation step, and any snapshots requested via Options.DumpAfter.
 func (c *Compiled) Profile() *CompileProfile { return c.Result.Profile }
 

@@ -78,7 +78,7 @@ fi
 # one Validate checks them. Fail if a struct elsewhere declares one of the
 # fields only those two have — names no wire-format or sweep-row struct uses —
 # or if a Config/Result/RunOptions/Report name stops being an alias.
-if grep -rnE '^[[:space:]]+([A-Za-z]+,[[:space:]]*)*(MailboxDepth|StallTimeout|HardCrashes|HardRestarts|WireDupSuppressed)(,[[:space:]]*[A-Za-z]+)*[[:space:]]+[][*.A-Za-z0-9]+[[:space:]]*(//.*)?$' \
+if grep -rnE '^[[:space:]]+([A-Za-z]+,[[:space:]]*)*(StallTimeout|HardCrashes|HardRestarts|WireDupSuppressed)(,[[:space:]]*[A-Za-z]+)*[[:space:]]+[][*.A-Za-z0-9]+[[:space:]]*(//.*)?$' \
     --include='*.go' --exclude='*_test.go' --exclude-dir=bench . |
     grep -v '^./internal/eval/run.go:'; then
     echo "check: a second copy of the run configuration or the run outcome (they are internal/eval/run.go's RunOptions and Report)" >&2
@@ -177,6 +177,29 @@ if grep -rnE 'dist\.(AxisMap|DimPattern)\{[A-Za-z]+:' --include='*.go' --exclude
 fi
 if grep -rnE '= *(int64\(1\)|1) *<< *53' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . | grep -v '^\./internal/ast/fold.go:'; then
     echo "check: the integer bound 2^53 is declared outside internal/ast/fold.go; it is ast.MaxExact" >&2
+    exit 1
+fi
+
+# One-pipeline gates (DESIGN.md §8): the compile order is the list
+# core.Pipeline declares and pass.Run executes — no fact database beside it —
+# an execution is recorded in one place, a plan is indexed once, and the
+# lose-retransmit-back-off loop of the machine is written once. Fail when a
+# deleted idea returns.
+if grep -nE '^type Fact\b|\b(Requires|Provides|Invalidates):|\.Invalidate\(' \
+    $(ls internal/pass/*.go internal/core/*.go | grep -v '_test\.go$'); then
+    echo "check: the fact database is back (type Fact, a Requires/Provides/Invalidates declaration or Unit.Invalidate); the schedule is core.Pipeline's list and a structure is valid when it is non-nil" >&2
+    exit 1
+fi
+if grep -rnE 'PassStat\{' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . | grep -v '^\./internal/pass/'; then
+    echo "check: a pass execution is recorded by hand outside internal/pass; time the step through CompileProfile.Time" >&2
+    exit 1
+fi
+if grep -nE 'map\[\*ir\.(Stmt\]\*StmtPlan|Loop\]\*LoopPlan)' internal/spmd/*.go; then
+    echo "check: internal/spmd keeps a second, pointer-keyed index of the plans; Program.Stmts and Program.Loops are the dense slices PlanOf and LoopPlanOf read" >&2
+    exit 1
+fi
+if [ "$(ls internal/machine/*.go | grep -v '_test\.go$' | xargs cat | grep -c 'DropMessage(')" != 1 ]; then
+    echo "check: internal/machine must draw Fault.DropMessage() on exactly one line (Machine.retransmits); a second one is a second retransmission loop" >&2
     exit 1
 fi
 

@@ -24,7 +24,6 @@ func TestRunOptionsValidate(t *testing.T) {
 		{"negative MaxSeconds", RunOptions{MaxSeconds: -1}, false},
 		{"NaN MaxSeconds", RunOptions{MaxSeconds: math.NaN()}, false},
 		{"Inf CheckpointInterval", RunOptions{CheckpointInterval: math.Inf(1)}, false},
-		{"negative MailboxDepth", RunOptions{MailboxDepth: -1}, false},
 		{"absurd loss rate", RunOptions{Fault: &FaultPlan{Seed: 1, LossRate: 1.5}}, false},
 		{"bad machine params", RunOptions{Params: badParams()}, false},
 	}
