@@ -26,6 +26,17 @@
 // could become visible. Evaluation order is the tree's, depth first and left
 // to right, so the parked error is the one a stop-at-first-error evaluator
 // reports, and floating-point operations happen in the same order.
+//
+// A loop that is executed as owner runs also gets, where its body allows one,
+// a run kernel (sweep.go): the body's right-hand sides and stores as a flat
+// list of register operations, each applied to a whole strip of a quiet run's
+// iterations at once, so that the dispatch the closures pay per statement
+// instance is paid per strip. It is a second form of the same expressions, not
+// a second meaning: an operator or intrinsic is one element function
+// (elemental) that both forms apply — only + − × ÷ are spelled out, in each —
+// the kernel admits nothing that can fail, and every other path (the general
+// walk, loud runs, runs whose dependences a sweep would reverse, conditions,
+// subscripts, any Backend but the schedule) runs the closures.
 package eval
 
 import (
@@ -55,6 +66,11 @@ type code struct {
 	// (arrCode.pos is an access's position in it).
 	nowners int
 	arrs    []*arrCode
+	// kops holds the run kernels of the run-lowered loops that have one, loop
+	// by loop (loopCode.kern), nreg the registers the largest of them uses
+	// (sweep.go).
+	kops []kop
+	nreg int32
 	// charges is the most charges an iteration of a run-lowered loop makes: per
 	// statement the compute and a guard per per-instance requirement.
 	charges int
@@ -174,9 +190,9 @@ func (ic *intCode) runLim() int64 {
 	if !ic.affine {
 		return 0
 	}
-	size := math.Abs(float64(ic.c))
+	size := max(float64(ic.c), -float64(ic.c))
 	for _, t := range ic.terms {
-		size += math.Abs(float64(t.coef))
+		size += max(float64(t.coef), -float64(t.coef))
 	}
 	return min(ic.lim, int64(float64(int64(1)<<52)/max(size, 1)))
 }
@@ -191,6 +207,8 @@ type lowerer struct {
 	// run is the run-lowered loop whose statement is being lowered (nil for
 	// any other statement): its affine array accesses enlist in code.arrs.
 	run *loopCode
+	// kscalars is kernel's scratch: the scalars the body in hand writes.
+	kscalars []kscalar
 }
 
 // lower builds the lowered form of p. It cannot fail: whatever could not be
@@ -312,8 +330,7 @@ func (lw *lowerer) expr(e ast.Expr, encl *ir.Loop) fexpr {
 		arg := lw.expr(x.X, encl)
 		return func(s *State) float64 { return -arg(s) }
 	case *ast.Not:
-		arg := lw.expr(x.X, encl)
-		return func(s *State) float64 { return b2f(arg(s) == 0) }
+		return unary(elemental["not"].one, lw.expr(x.X, encl))
 	case *ast.BinOp:
 		return binary(x.Op, lw.expr(x.L, encl), lw.expr(x.R, encl))
 	case *ast.Call:
@@ -364,8 +381,56 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// binary lowers one operator application. Both operands are always
-// evaluated, left first (the logical operators do not short-circuit).
+// elemental holds the element functions of the operators and intrinsics, one
+// definition per name — an operator's spelling (ast.Op.String, "not") or an
+// intrinsic's: what the entry of ast.Intrinsics computes, without the argument
+// slice. Both forms of an expression are derived from it, the scalar closures
+// here and the loops of a run kernel (sweep.go); only + − × ÷ are written
+// inline, in each. A variadic intrinsic is the left fold of its two-argument
+// function (max(a, b, c) = max(max(a, b), c)).
+var elemental = map[string]struct {
+	one func(a float64) float64
+	two func(a, b float64) float64
+}{
+	"not":  {one: func(a float64) float64 { return b2f(a == 0) }},
+	"abs":  {one: math.Abs},
+	"sqrt": {one: math.Sqrt},
+	"exp":  {one: math.Exp},
+	"mod":  {two: math.Mod},
+	"max": {two: func(x, y float64) float64 {
+		if y > x {
+			return y
+		}
+		return x
+	}},
+	"min": {two: func(x, y float64) float64 {
+		if y < x {
+			return y
+		}
+		return x
+	}},
+	"==":  {two: func(a, b float64) float64 { return b2f(a == b) }},
+	"/=":  {two: func(a, b float64) float64 { return b2f(a != b) }},
+	"<":   {two: func(a, b float64) float64 { return b2f(a < b) }},
+	"<=":  {two: func(a, b float64) float64 { return b2f(a <= b) }},
+	">":   {two: func(a, b float64) float64 { return b2f(a > b) }},
+	">=":  {two: func(a, b float64) float64 { return b2f(a >= b) }},
+	"and": {two: func(a, b float64) float64 { return b2f(a != 0 && b != 0) }},
+	"or":  {two: func(a, b float64) float64 { return b2f(a != 0 || b != 0) }},
+}
+
+// unary and binaryFn are the scalar closures of an element function. Both
+// operands are always evaluated, left first (the logical operators do not
+// short-circuit).
+func unary(f func(a float64) float64, a fexpr) fexpr {
+	return func(s *State) float64 { return f(a(s)) }
+}
+
+func binaryFn(f func(a, b float64) float64, l, r fexpr) fexpr {
+	return func(s *State) float64 { a, b := l(s), r(s); return f(a, b) }
+}
+
+// binary lowers one operator application.
 func binary(op ast.Op, l, r fexpr) fexpr {
 	switch op {
 	case ast.Add:
@@ -376,22 +441,9 @@ func binary(op ast.Op, l, r fexpr) fexpr {
 		return func(s *State) float64 { return l(s) * r(s) }
 	case ast.Div:
 		return func(s *State) float64 { return l(s) / r(s) }
-	case ast.OpEq:
-		return func(s *State) float64 { return b2f(l(s) == r(s)) }
-	case ast.OpNe:
-		return func(s *State) float64 { return b2f(l(s) != r(s)) }
-	case ast.OpLt:
-		return func(s *State) float64 { return b2f(l(s) < r(s)) }
-	case ast.OpLe:
-		return func(s *State) float64 { return b2f(l(s) <= r(s)) }
-	case ast.OpGt:
-		return func(s *State) float64 { return b2f(l(s) > r(s)) }
-	case ast.OpGe:
-		return func(s *State) float64 { return b2f(l(s) >= r(s)) }
-	case ast.OpAnd:
-		return func(s *State) float64 { a, b := l(s), r(s); return b2f(a != 0 && b != 0) }
-	case ast.OpOr:
-		return func(s *State) float64 { a, b := l(s), r(s); return b2f(a != 0 || b != 0) }
+	}
+	if op >= ast.OpEq && op <= ast.OpOr {
+		return binaryFn(elemental[op.String()].two, l, r)
 	}
 	return func(s *State) float64 {
 		l(s)
@@ -401,51 +453,17 @@ func binary(op ast.Op, l, r fexpr) fexpr {
 	}
 }
 
-// specialised holds the hot-path closures of intrinsic applications, one
-// definition per name: each computes what the intrinsic's ast.Intrinsics entry
-// computes, without the argument slice. A variadic intrinsic is the left fold
-// of its two-argument closure (max(a, b, c) = max(max(a, b), c)).
-var specialised = map[string]struct {
-	one func(a fexpr) fexpr
-	two func(a, b fexpr) fexpr
-}{
-	"abs":  {one: func(a fexpr) fexpr { return func(s *State) float64 { return math.Abs(a(s)) } }},
-	"sqrt": {one: func(a fexpr) fexpr { return func(s *State) float64 { return math.Sqrt(a(s)) } }},
-	"exp":  {one: func(a fexpr) fexpr { return func(s *State) float64 { return math.Exp(a(s)) } }},
-	"max": {two: func(a, b fexpr) fexpr {
-		return func(s *State) float64 {
-			x, y := a(s), b(s)
-			if y > x {
-				return y
-			}
-			return x
-		}
-	}},
-	"min": {two: func(a, b fexpr) fexpr {
-		return func(s *State) float64 {
-			x, y := a(s), b(s)
-			if y < x {
-				return y
-			}
-			return x
-		}
-	}},
-	"mod": {two: func(a, b fexpr) fexpr {
-		return func(s *State) float64 { x, y := a(s), b(s); return math.Mod(x, y) }
-	}},
-}
-
 // call lowers an intrinsic application. The parser fixes each intrinsic's
 // arity (only a variadic one takes more than two arguments); any shape
-// without a specialised closure goes through evalCall.
+// without an element function goes through evalCall.
 func call(name string, args []fexpr) fexpr {
-	switch sp := specialised[name]; {
-	case len(args) == 1 && sp.one != nil:
-		return sp.one(args[0])
-	case len(args) >= 2 && sp.two != nil:
-		f := sp.two(args[0], args[1])
-		for _, a := range args[2:] {
-			f = sp.two(f, a)
+	switch el := elemental[name]; {
+	case len(args) == 1 && el.one != nil:
+		return unary(el.one, args[0])
+	case len(args) >= 2 && el.two != nil:
+		f := args[0]
+		for _, a := range args[1:] {
+			f = binaryFn(el.two, f, a)
 		}
 		return f
 	}
@@ -482,7 +500,9 @@ func evalCall(name string, args []float64) (float64, error) {
 // arrCode is one lowered array access: subscript evaluation, the bounds
 // guard and the row-major offset, fused.
 type arrCode struct {
-	v       *ir.Var
+	v *ir.Var
+	// ref is the reference lowered: how a run kernel knows an access for its own.
+	ref     *ast.Ref
 	subs    []intCode
 	strides []int64
 	// line > 0 marks a definition: its errors carry the source line.
@@ -498,7 +518,7 @@ type arrCode struct {
 }
 
 func (lw *lowerer) array(v *ir.Var, x *ast.Ref, encl *ir.Loop, line int) *arrCode {
-	ac := &arrCode{v: v, line: line, wide: -1, pos: -1,
+	ac := &arrCode{v: v, ref: x, line: line, wide: -1, pos: -1,
 		subs: make([]intCode, v.Rank()), strides: make([]int64, v.Rank())}
 	stride := int64(1)
 	affine := true
@@ -967,9 +987,11 @@ type loopCode struct {
 	// affine array accesses are, and lim the magnitude of loop index and step
 	// up to which every set computation of the body and every such access is
 	// an affine function of the loop indices — 0 when one of them is not,
-	// and the loop has no runs.
-	body, arrs span
-	lim        int64
+	// and the loop has no runs. nsets counts the body's set computations, kern
+	// is the stretch of code.kops that is its run kernel (empty: none).
+	body, arrs, kern span
+	lim              int64
+	nsets            int
 }
 
 // span is a stretch of a list: n elements from lo.
@@ -1000,7 +1022,10 @@ func (lw *lowerer) runs(l *ir.Loop) {
 	lim := unlimited
 	stmts := lw.c.stmts[lc.body.lo : lc.body.lo+lc.body.n]
 	for i := range stmts {
-		stmts[i].sets(lw.c, func(set runSet) { lim = min(lim, set.runLim()) })
+		stmts[i].sets(lw.c, func(set runSet) {
+			lim = min(lim, set.runLim())
+			lc.nsets++
+		})
 	}
 	for _, ac := range lw.c.arrs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n] {
 		for k := range ac.subs {
@@ -1025,6 +1050,7 @@ func (lw *lowerer) runs(l *ir.Loop) {
 		}
 	}
 	lw.c.charges = max(lw.c.charges, charges)
+	lw.kernel(l)
 }
 
 // bounds evaluates the loop's lower bound, upper bound and step (1 when

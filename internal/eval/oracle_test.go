@@ -898,10 +898,13 @@ func bareGotoEscape(err error) error {
 
 // Census counts the statement instances of a production walk by the path
 // that ran them — in a quiet owner run, in a loud one, on the general walk —
-// and the runs of either kind.
+// and the runs of either kind; of the quiet instances, those whose run was
+// swept through its kernel and those whose kernel the dependence test refused
+// (the rest lie in loops that have no kernel).
 type Census struct {
 	Quiet, Loud, General int64
 	QuietRuns, LoudRuns  int64
+	Swept, Refused       int64
 }
 
 // loweredSim is the production side of the same comparison: the accountant,
@@ -937,8 +940,15 @@ func (l *loweredSim) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 
 func (l *loweredSim) Iteration(charges []Charge) error {
 	for _, c := range charges {
-		if c.Req == nil {
-			l.census.Quiet++
+		if c.Req != nil {
+			continue
+		}
+		l.census.Quiet++
+		switch l.st.swept {
+		case 1:
+			l.census.Swept++
+		case -1:
+			l.census.Refused++
 		}
 	}
 	l.inRun(&l.census.QuietRuns)

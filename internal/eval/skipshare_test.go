@@ -160,31 +160,53 @@ end
 
 // TestRunCensus pins, for the benchmark's sim_cells cells and exec_concurrent
 // inputs, how many statement instances the production walk runs in quiet owner
-// runs (charged once per iteration), in loud ones (a requirement moves data)
-// and on the general walk, and how many runs of either kind there are: a
-// change that turns runs loud or general fails here, not only on a clock.
+// runs (charged once per iteration) — swept through the run kernel, refused by
+// its dependence test, or in a loop that has no kernel — in loud ones (a
+// requirement moves data) and on the general walk, and how many runs of either
+// kind there are: a change that turns runs loud or general, or stops sweeping
+// them, fails here, not only on a clock. The table it logs (-v) is the one
+// EXPERIMENTS.md quotes.
 func TestRunCensus(t *testing.T) {
 	naive := strategies()["naive"]
 	noPriv := core.DefaultOptions()
 	noPriv.PrivatizeArrays = false
 	var cells, inputs eval.Census
+	row := func(name string, c eval.Census) {
+		t.Logf("| %-19s | %7d | %7d | %9d | %6d | %7d | %7d |", name,
+			c.Swept, c.Refused, c.Quiet-c.Swept-c.Refused, c.Loud, c.General, c.Quiet+c.Loud+c.General)
+	}
+	t.Logf("| %-19s | %7s | %7s | %9s | %6s | %7s | %7s |", "input", "swept", "refused", "no kernel", "loud", "general", "total")
+	t.Log("|---|---|---|---|---|---|---|")
 	for _, pr := range []struct {
 		name, src string
 		nprocs    int
 		opts      core.Options
 		sum       *eval.Census
-		want      eval.Census // quiet, loud, general instances; quiet, loud runs
+		want      eval.Census
 	}{
-		{"tp", throughput, 8, core.DefaultOptions(), &cells, eval.Census{100000, 0, 0, 800, 0}},
-		{"tomcatv_selected", programs.TOMCATV(65, 3), 16, core.DefaultOptions(), &cells, eval.Census{210113, 0, 6, 821, 0}},
-		{"tomcatv_replication", programs.TOMCATV(65, 3), 16, naive, &cells, eval.Census{163241, 46872, 6, 632, 189}},
-		{"dgefa_aligned", programs.DGEFA(96), 16, core.DefaultOptions(), &cells, eval.Census{304094, 0, 18940, 4749, 0}},
-		{"appsp_2d_partial", programs.APPSP(12, 12, 12, 2, true), 16, core.DefaultOptions(), &cells, eval.Census{21712, 0, 0, 704, 0}},
-		{"appsp_1d_nopriv", programs.APPSP(12, 12, 12, 2, false), 16, noPriv, &cells, eval.Census{14512, 7200, 8, 524, 180}},
-		{"dgefa(48)", programs.DGEFA(48), 4, core.DefaultOptions(), &inputs, eval.Census{39150, 0, 4876, 1221, 0}},
-		{"smooth(64,2)", programs.Smooth(64, 2), 4, core.DefaultOptions(), &inputs, eval.Census{560, 0, 0, 20, 0}},
-		{"histogram(256,32,4)", programs.Histogram(256, 32, 4), 4, core.DefaultOptions(), &inputs, eval.Census{256, 0, 1024, 4, 0}},
-		{"dotsweep(48,24)", programs.DotSweep(48, 24), 4, core.DefaultOptions(), &inputs, eval.Census{3432, 0, 0, 284, 0}},
+		{"tp", throughput, 8, core.DefaultOptions(), &cells,
+			eval.Census{Quiet: 100000, QuietRuns: 800, Swept: 100000}},
+		// Not swept: the two reduction statements (rxm, rym) and, where no
+		// transfer makes its runs loud, the tridiagonal recurrence — refused.
+		{"tomcatv_selected", programs.TOMCATV(65, 3), 16, core.DefaultOptions(), &cells,
+			eval.Census{Quiet: 210113, General: 6, QuietRuns: 821, Swept: 139427, Refused: 46872}},
+		{"tomcatv_replication", programs.TOMCATV(65, 3), 16, naive, &cells,
+			eval.Census{Quiet: 163241, Loud: 46872, General: 6, QuietRuns: 632, LoudRuns: 189, Swept: 139427}},
+		{"dgefa_aligned", programs.DGEFA(96), 16, core.DefaultOptions(), &cells,
+			eval.Census{Quiet: 304094, General: 18940, QuietRuns: 4749, Swept: 304094}},
+		{"appsp_2d_partial", programs.APPSP(12, 12, 12, 2, true), 16, core.DefaultOptions(), &cells,
+			eval.Census{Quiet: 21712, QuietRuns: 704, Swept: 21712}},
+		{"appsp_1d_nopriv", programs.APPSP(12, 12, 12, 2, false), 16, noPriv, &cells,
+			eval.Census{Quiet: 14512, Loud: 7200, General: 8, QuietRuns: 524, LoudRuns: 180, Swept: 14512}},
+		{"dgefa(48)", programs.DGEFA(48), 4, core.DefaultOptions(), &inputs,
+			eval.Census{Quiet: 39150, General: 4876, QuietRuns: 1221, Swept: 39150}},
+		{"smooth(64,2)", programs.Smooth(64, 2), 4, core.DefaultOptions(), &inputs,
+			eval.Census{Quiet: 560, QuietRuns: 20, Swept: 560}},
+		{"histogram(256,32,4)", programs.Histogram(256, 32, 4), 4, core.DefaultOptions(), &inputs,
+			eval.Census{Quiet: 256, General: 1024, QuietRuns: 4, Swept: 256}},
+		// Not swept: the dot product's privatized accumulation.
+		{"dotsweep(48,24)", programs.DotSweep(48, 24), 4, core.DefaultOptions(), &inputs,
+			eval.Census{Quiet: 3432, QuietRuns: 284, Swept: 2304}},
 	} {
 		res, err := eval.LoweredSimulate(compileOpts(t, pr.src, pr.nprocs, pr.opts), core.ReduceAuto)
 		if err != nil {
@@ -194,15 +216,47 @@ func TestRunCensus(t *testing.T) {
 		if c != pr.want {
 			t.Errorf("%s: census %+v, want %+v", pr.name, c, pr.want)
 		}
+		row(pr.name, c)
 		*pr.sum = eval.Census{pr.sum.Quiet + c.Quiet, pr.sum.Loud + c.Loud, pr.sum.General + c.General,
-			pr.sum.QuietRuns + c.QuietRuns, pr.sum.LoudRuns + c.LoudRuns}
+			pr.sum.QuietRuns + c.QuietRuns, pr.sum.LoudRuns + c.LoudRuns, pr.sum.Swept + c.Swept, pr.sum.Refused + c.Refused}
 	}
 	// One sim_cells op (the bench's eval.stmt_instances_per_op is the three
 	// instance counts' sum, 886,704) and one exec_concurrent worker.
-	if want := (eval.Census{813672, 54072, 18960, 8230, 369}); cells != want {
+	row("sim_cells", cells)
+	row("exec_concurrent", inputs)
+	if want := (eval.Census{Quiet: 813672, Loud: 54072, General: 18960, QuietRuns: 8230, LoudRuns: 369,
+		Swept: 719172, Refused: 46872}); cells != want {
 		t.Errorf("sim_cells: census %+v, want %+v", cells, want)
 	}
-	if want := (eval.Census{43398, 0, 5900, 1529, 0}); inputs != want {
+	if want := (eval.Census{Quiet: 43398, General: 5900, QuietRuns: 1529, Swept: 42270}); inputs != want {
 		t.Errorf("exec_concurrent: census %+v, want %+v", inputs, want)
+	}
+}
+
+// TestBoundaryBackOff: a three-point stencil on a BLOCK axis whose statements
+// follow three different references (Smooth under the producer strategy: the
+// sets of its first loop follow u(i-1), u(i+1) and v(i)) has two single
+// iterations in a row at every block boundary. The walk must take up owner
+// runs again behind them — it used to give up for the rest of the loop entry,
+// as it may on a CYCLIC axis — so the general walk is left the boundary
+// iterations only: two of three statements for each of the P-1 boundaries, in
+// each of four sweeps.
+func TestBoundaryBackOff(t *testing.T) {
+	for name, opts := range strategies() {
+		for _, nprocs := range []int{4, 16} {
+			p := compileOpts(t, programs.Smooth(64, 4), nprocs, opts)
+			res, err := eval.LoweredSimulate(p, core.ReduceAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(0)
+			if name == "producer" {
+				want = int64(nprocs-1) * 2 * 3 * 4
+			}
+			if c := res.Census; c.General != want || c.Quiet+c.General != 1056 {
+				t.Errorf("%s at P=%d: census %+v, want %d instances on the general walk of 1056", name, nprocs, c, want)
+			}
+			diffOne(t, p, core.ReduceAuto)
+		}
 	}
 }

@@ -102,6 +102,12 @@ type State struct {
 	offs, steps []int64
 	hoist       span
 
+	// regs is the register file of swept runs (sweep.go), strip values a
+	// register; swept says what became of the quiet run in flight: +1 swept,
+	// -1 its kernel refused (a dependence would be reversed), 0 no kernel.
+	regs  []float64
+	swept int8
+
 	// charges is the charge list of the owner run in flight (schedule.resolve),
 	// listed the processors it names: scratch bind sizes for the longest.
 	charges []Charge
@@ -303,6 +309,7 @@ func (s *State) bind(c *code) {
 	s.insts = make([]instEntry, len(c.reqs))
 	offs := make([]int64, 2*len(c.arrs))
 	s.offs, s.steps = offs[:len(c.arrs)], offs[len(c.arrs):]
+	s.regs = make([]float64, int(c.nreg)*strip)
 	s.charges = make([]Charge, 0, c.charges)
 	s.listed = make([]int32, 0, c.charges*s.grid.Size())
 }
@@ -317,7 +324,7 @@ func (s *State) newStamp() {
 // endRun closes the validity period of an owner run, and the hoisting of
 // its guards with it.
 func (s *State) endRun() {
-	s.stamp, s.run, s.hoist = 0, 0, span{}
+	s.stamp, s.run, s.hoist, s.swept = 0, 0, span{}, 0
 }
 
 // keeps reports whether the table may keep a set computed now: always for a

@@ -249,10 +249,17 @@ func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (con
 	lc := &w.c.loops[l.ID]
 	slot := l.Index.Slot
 	runs := lc.lim > 0 && w.seek == nil && s.exactOver(l, lo, hi, step, lc.lim)
+	// single counts the iterations in a row no run took. As many as the body
+	// has set computations can be what a block boundary looks like, each set
+	// moving on at an iteration of its own; more are sets that move with every
+	// iteration (a CYCLIC axis under the loop index, say), and asking at each
+	// would only add to what it costs — so from there on a run is asked for
+	// where the count is a power of two: O(log n) times if none ever opens,
+	// at once again after one did.
 	for v, single := lo, 0; (step > 0 && v <= hi) || (step < 0 && v >= hi); {
 		s.indices[slot] = v
 		s.epoch++
-		if runs {
+		if runs && (single < lc.nsets || single&(single-1) == 0) {
 			if n := w.beginRun(lc, slot, step, (hi-v)/step+1); n > 0 {
 				err := w.run(lc, slot, step, n)
 				s.endRun()
@@ -262,12 +269,8 @@ func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (con
 				v, single = v+n*step, 0
 				continue
 			}
-			// Two single iterations in a row: the sets move with every
-			// iteration (a CYCLIC axis under the loop index, say), and
-			// asking again would only add to what each costs.
-			single++
-			runs = single < 2
 		}
+		single++
 		ctl, err := w.nodes(l.Body)
 		if err != nil {
 			return control{}, err
@@ -375,10 +378,20 @@ func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
 // the lowered body. An iteration of a quiet run is its value semantics, then
 // one operation for its charges and its tick: nothing between them reads what
 // the other writes, so only a value error could tell the order, and it is
-// given what the general walk had charged when it met the error.
+// given what the general walk had charged when it met the error. A quiet run
+// of a loop with a run kernel goes further when its addresses allow it
+// (sweepable): it is swept, its value semantics taken a strip of iterations
+// at a time (sweep.go).
 func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
 	s := w.s
 	stmts := w.c.stmts[lc.body.lo : lc.body.lo+lc.body.n]
+	if kern := w.c.kops[lc.kern.lo : lc.kern.lo+lc.kern.n]; w.quiet != nil && len(kern) > 0 {
+		if s.sweepable(kern, n) {
+			s.swept = 1
+			return w.sweep(kern, slot, step, n)
+		}
+		s.swept = -1
+	}
 	offs := s.offs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
 	steps := s.steps[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
 	for {

@@ -99,7 +99,7 @@ func oraclePrograms() map[string]string {
 func TestDifferMatrix(t *testing.T) {
 	for progName, src := range oraclePrograms() {
 		for stratName, opts := range strategies() {
-			for _, nprocs := range []int{1, 4, 8} {
+			for _, nprocs := range []int{1, 3, 4, 8} {
 				src, opts, nprocs := src, opts, nprocs
 				t.Run(fmt.Sprintf("%s/%s/p%d", progName, stratName, nprocs), func(t *testing.T) {
 					prog := compile(t, src, nprocs, opts)

@@ -126,3 +126,72 @@ func TestAbortInsideOwnerRun(t *testing.T) {
 		}
 	}
 }
+
+// TestAbortInsideSweptStrip: a swept run charges a strip of iterations, then
+// evaluates them (eval/sweep.go), and a limit that trips on the charge of an
+// iteration in mid-strip must leave what the loop leaves — that iteration's
+// values the last ones stored, the scalars its own. The body runs in runs of 64
+// iterations on 4 processors, two strips each, and keeps a real and an integer
+// scalar per iteration; 97 limits spread over the run stop it at as many
+// places, most of them inside a strip. The twin on the general walk, one
+// statement instance at a time, is the reference: same time, same flag, same
+// statistics, same memory.
+func TestAbortInsideSweptStrip(t *testing.T) {
+	const src = `
+program t
+parameter n = 256
+real a(n), b(n), x
+integer k
+integer i, it
+!hpf$ align b(i) with a(i)
+!hpf$ distribute (block) :: a
+do i = 1, n
+  a(i) = i * 0.5
+  b(i) = 0.0
+end do
+do it = 1, 3
+  do i = 1, n
+    x = a(i) * 1.5 + it
+    k = x / 7
+    b(i) = b(i) + x - k
+    a(i) = x + i
+  end do
+end do
+end
+`
+	opts := core.DefaultOptions()
+	general := generalTwin(t, src)
+	full := runErr(t, src, 4, opts, Config{})
+	if full.Aborted {
+		t.Fatal("unlimited run reported aborted")
+	}
+	stops := map[uint64]bool{}
+	for f := 1; f < 98; f++ {
+		limit := full.Time * float64(f) / 98
+		runs := runErr(t, src, 4, opts, Config{MaxSeconds: limit})
+		walk := runErr(t, general, 4, opts, Config{MaxSeconds: limit})
+		if !runs.Aborted || runs.Time != walk.Time || runs.Stats != walk.Stats || runs.Aborted != walk.Aborted {
+			t.Fatalf("limit %v: stopped at %v (aborted %v) with %+v, the general walk at %v (%v) with %+v",
+				limit, runs.Time, runs.Aborted, runs.Stats, walk.Time, walk.Aborted, walk.Stats)
+		}
+		for name, w := range walk.Arrays {
+			for i, g := range runs.Arrays[name] {
+				if math.Float64bits(g) != math.Float64bits(w[i]) {
+					t.Fatalf("limit %v: %s(%d) = %v, on the general walk %v", limit, name, i+1, g, w[i])
+				}
+			}
+		}
+		if len(runs.Scalars) != len(walk.Scalars) {
+			t.Fatalf("limit %v: scalars %v, on the general walk %v", limit, runs.Scalars, walk.Scalars)
+		}
+		for name, w := range walk.Scalars {
+			if g, ok := runs.Scalars[name]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("limit %v: scalar %s = %v, on the general walk %v", limit, name, g, w)
+			}
+		}
+		stops[math.Float64bits(runs.Time)] = true
+	}
+	if len(stops) < 90 {
+		t.Errorf("the limits stopped the run at %d different times: too few to fall inside strips", len(stops))
+	}
+}

@@ -74,8 +74,9 @@ func TestZeroAllocationPerStatementInstance(t *testing.T) {
 		t.Fatalf("a run allocates %v times on 1 processor, %v on 8, %v on 16: allocations scale with the owner runs",
 			one, short, sixteen)
 	}
-	// 23 before quiet runs; their charge list and its processors are two more.
-	if short > 25 {
-		t.Fatalf("a run allocates %v times, 25 at most expected: the State's scratch grew", short)
+	// 23 before quiet runs; their charge list and its processors are two
+	// more, the register file of swept runs one.
+	if short > 26 {
+		t.Fatalf("a run allocates %v times, 26 at most expected: the State's scratch grew", short)
 	}
 }

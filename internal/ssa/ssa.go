@@ -66,6 +66,11 @@ type SSA struct {
 	DefOf map[*ir.Stmt]*Value
 	// UseDef maps every scalar use reference to the value it reads.
 	UseDef map[*ir.Ref]*Value
+
+	// reached keeps ReachedUses' answer per definition (by Value.ID; nil: not
+	// asked yet). The analyses ask it of the same few definitions many times
+	// over, and an SSA is rebuilt, not edited, when the program changes.
+	reached [][]ReachedUse
 }
 
 // Build constructs SSA form for all scalar (non-loop-index) variables.
@@ -267,8 +272,14 @@ type ReachedUse struct {
 
 // ReachedUses returns every textual use the definition's value may reach,
 // flattening phis, with back-edge crossing information. Deterministic order
-// (by ref ID).
+// (by ref ID). The result is shared between calls: callers only read it.
 func (s *SSA) ReachedUses(def *Value) []ReachedUse {
+	if s.reached == nil {
+		s.reached = make([][]ReachedUse, len(s.Values))
+	}
+	if out := s.reached[def.ID]; out != nil {
+		return out
+	}
 	type state struct {
 		val     *Value
 		crossed map[*ir.Loop]bool
@@ -325,11 +336,12 @@ func (s *SSA) ReachedUses(def *Value) []ReachedUse {
 		}
 	}
 
-	var out []ReachedUse
+	out := make([]ReachedUse, 0, len(uses))
 	for r, crossed := range uses {
 		out = append(out, ReachedUse{Ref: r, CrossesBackOf: crossed})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ref.ID < out[j].Ref.ID })
+	s.reached[def.ID] = out
 	return out
 }
 

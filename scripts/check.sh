@@ -146,6 +146,28 @@ if grep -rlE '"sqrt"' --include='*.go' --exclude='*_test.go' --exclude-dir=bench
     exit 1
 fi
 
+# One-operator gates (DESIGN.md §11, swept runs): an operator or intrinsic has
+# ONE run-time definition, its element function in internal/eval's table
+# (lower.go's elemental), from which the scalar closures and the run kernel's
+# loops (sweep.go) are both derived — so each math function the table names is
+# named once, there, and nowhere else in the package. And whether a quiet run
+# is swept is decided by its kernel and its addresses alone: no environment
+# variable, and no field of the run configuration, reaches the lowering, the
+# walk or the sweep. Fail when a copy or a switch appears.
+evalfiles="$(ls internal/eval/*.go | grep -v '_test\.go$')"
+for fn in Mod Sqrt Exp Abs; do
+    if [ "$(cat $evalfiles | grep -c "math\.$fn\b")" != 1 ] ||
+        ! grep -qE "\{(one|two): math\.$fn\}" internal/eval/lower.go; then
+        echo "check: math.$fn must be named exactly once in internal/eval, as an entry of lower.go's elemental table; a second mention is a second definition of the operator" >&2
+        exit 1
+    fi
+done
+if grep -nE '"os"|\bos\.(Getenv|LookupEnv|Environ)\b' $evalfiles ||
+    grep -nE 'RunOptions|\bcfg\b' internal/eval/lower.go internal/eval/sweep.go internal/eval/walk.go internal/eval/state.go; then
+    echo "check: internal/eval reads the environment, or the run configuration reaches the lowering, the walk or the sweep; a quiet run is swept iff it has a kernel and its addresses allow it" >&2
+    exit 1
+fi
+
 # One-algebra gates (DESIGN.md §15): the difference of two affine forms, the
 # restriction of a form to a nest, the substitution of loop bounds into one and
 # the analysis of a subscript or a bound each have ONE definition, in
@@ -208,8 +230,10 @@ fi
 # without turning the gate into a fuzzing campaign; FuzzLowerExpr holds the
 # lowered interpreter to the tree-walking oracle on random expressions and
 # subscripts, FuzzFoldMatchesRun the compile-time fold (ast.Fold, through
-# constant propagation) to the value a simulated run leaves, FuzzOwnerRun the
-# owner-run closed form (dist.AxisMap.OwnerRun) to brute force over OwnerDim.
+# constant propagation) to the value a simulated run leaves, FuzzSweepBody the
+# swept runs of generated loop bodies to the same oracle (thirty seconds: the
+# legality test is what stands between a sweep and a wrong answer), FuzzOwnerRun
+# the owner-run closed form (dist.AxisMap.OwnerRun) to brute force over OwnerDim.
 # Go allows one -fuzz target per invocation, so each runs separately.
 fuzztime="${FUZZTIME:-10s}"
 go test -run=^$ -fuzz=FuzzLex -fuzztime="$fuzztime" ./internal/lexer
@@ -219,6 +243,7 @@ go test -run=^$ -fuzz=FuzzParseSlowdowns -fuzztime="$fuzztime" ./internal/fault
 go test -run=^$ -fuzz=FuzzServeRequest -fuzztime="$fuzztime" ./internal/serve
 go test -run=^$ -fuzz=FuzzLowerExpr -fuzztime="$fuzztime" ./internal/eval
 go test -run=^$ -fuzz=FuzzFoldMatchesRun -fuzztime="$fuzztime" ./internal/eval
+go test -run=^$ -fuzz=FuzzSweepBody -fuzztime=30s ./internal/eval
 go test -run=^$ -fuzz=FuzzOwnerRun -fuzztime="$fuzztime" ./internal/dist
 go test -run=^$ -fuzz=FuzzAutoPriv -fuzztime="$fuzztime" .
 
