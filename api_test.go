@@ -96,7 +96,6 @@ func TestBackendRejectsForeignOptions(t *testing.T) {
 		opts RunOptions
 	}{
 		{"sim-stall", Simulator(), RunOptions{StallTimeout: time.Second}},
-		{"sim-hard-crashes", Simulator(), RunOptions{HardCrashes: true}},
 		{"concurrent-max", Concurrent(), RunOptions{MaxSeconds: 1}},
 		{"concurrent-profile", Concurrent(), RunOptions{Profile: true}},
 	}
@@ -266,7 +265,7 @@ func TestDiffTraced(t *testing.T) {
 		t.Error("sim trace matrix is empty for a communicating program")
 	}
 	// Faulted differential runs are supported (the same seeded plan goes to
-	// both backends); HardCrashes is the one mode the oracle cannot compare.
+	// both backends).
 	rep, err = c.Diff(context.Background(), RunOptions{
 		Fault:              &FaultPlan{LossRate: 0.1, Seed: 3},
 		CheckpointInterval: 1,
@@ -276,9 +275,6 @@ func TestDiffTraced(t *testing.T) {
 	}
 	if !rep.Match() {
 		t.Fatal(rep.String())
-	}
-	if _, err := c.Diff(context.Background(), RunOptions{HardCrashes: true}); err == nil || !strings.Contains(err.Error(), "E005") {
-		t.Fatalf("Diff with HardCrashes: got %v, want E005", err)
 	}
 }
 

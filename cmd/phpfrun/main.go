@@ -31,7 +31,7 @@
 //	phpfrun -tomcatv -p 16 -crash 3@0.5 -checkpoint-interval 0.1
 //	phpfrun -tomcatv -p 16 -slowdown 2:1.5:0.1:0.4
 //	phpfrun -dgefa -n 64 -p 8 -exec concurrent -fault-seed 42 -loss-rate 0.05
-//	phpfrun -dgefa -n 64 -p 8 -exec concurrent -crash 1@0.2 -checkpoint-interval 0.05 -hard-crashes
+//	phpfrun -dgefa -n 64 -p 8 -exec concurrent -crash 1@0.2 -checkpoint-interval 0.05
 package main
 
 import (
@@ -73,7 +73,6 @@ func main() {
 	slowdowns := flag.String("slowdown", "", "slowdown windows proc:factor[:start[:duration]],...")
 	crashes := flag.String("crash", "", "fail-stop crashes proc@time,proc@time,...")
 	ckptInterval := flag.Float64("checkpoint-interval", 0, "coordinated checkpoint every so many simulated seconds (0 = off)")
-	hardCrashes := flag.Bool("hard-crashes", false, "concurrent backend: scheduled crashes kill the worker goroutine for real (run-level heal)")
 	maxRestarts := flag.Int("max-restarts", 0, "concurrent backend: run-level heals before giving up (0 = default, negative = disabled)")
 	flag.Parse()
 
@@ -151,7 +150,6 @@ func main() {
 		Reduce:             reduceMode,
 		StallTimeout:       *stallTimeout,
 		MaxRestarts:        *maxRestarts,
-		HardCrashes:        *hardCrashes,
 	}
 	if *traceOut != "" || *traceSummary {
 		run.Trace = &phpf.TraceOptions{SampleEvery: *traceSample}

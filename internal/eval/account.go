@@ -42,9 +42,7 @@ func NewAccount(st *State, cfg RunOptions) *Account {
 func (a *Account) elem() int64       { return a.M.Params.ElemBytes }
 func (a *Account) all() dist.ProcSet { return dist.AllProcs(a.st.grid) }
 
-// Boundary costs nothing; CheckpointSite the checkpoint, when one is due.
-func (a *Account) Boundary() error { return nil }
-
+// CheckpointSite charges the checkpoint, when one is due.
 func (a *Account) CheckpointSite() error {
 	a.Checkpoint()
 	return nil
@@ -164,15 +162,6 @@ func (a *Account) Checkpoint() bool {
 	return true
 }
 
-// PendingCrash returns the next scheduled fail-stop crash that has come due
-// (marking it fired), or nil.
-func (a *Account) PendingCrash() *fault.Crash {
-	if a.inj == nil {
-		return nil
-	}
-	return a.inj.PendingCrash(a.M.Time())
-}
-
 // Recover charges the restoration of processor proc after a fail-stop crash
 // at simulated time at. Every processor rolls back to the last coordinated
 // checkpoint and re-executes the lost interval; the restarted processor also
@@ -199,23 +188,22 @@ func (a *Account) Recover(proc int, at float64) {
 // Recovery advances the clocks, which may bring the next scheduled crash due,
 // so it drains until quiescent (each crash fires exactly once).
 func (a *Account) RecoverCrashes() []fault.Crash {
+	if a.inj == nil {
+		return nil
+	}
 	var fired []fault.Crash
-	for c := a.PendingCrash(); c != nil; c = a.PendingCrash() {
+	for c := a.inj.PendingCrash(a.M.Time()); c != nil; c = a.inj.PendingCrash(a.M.Time()) {
 		a.Recover(c.Proc, a.M.Time())
 		fired = append(fired, *c)
 	}
-	if a.inj != nil {
-		a.M.ClearAttr() // the site's operation is over; a later crash is nobody's
-	}
+	a.M.ClearAttr() // the site's operation is over; a later crash is nobody's
 	return fired
 }
 
-// Heal charges a crash that tore the run down for real (see Recover) and
-// marks it fired, after Restore took the accountant back to before it.
-func (a *Account) Heal(c fault.Crash, at float64) {
-	a.Recover(c.Proc, at)
-	a.inj.Consume(c)
-}
+// Heal charges the restart of processor proc, whose death tore the run down
+// for real, after Restore took the accountant back to the last checkpoint: the
+// refetch of Recover, with no lost work (the simulator models no such death).
+func (a *Account) Heal(proc int) { a.Recover(proc, a.lastCkpt) }
 
 // AccountState is what a checkpoint keeps of an accountant: the machine's
 // clocks and statistics, the injector's draw position, the checkpoint time.

@@ -21,8 +21,8 @@ import (
 )
 
 // FNVOffset starts, and FNVAdd extends, the FNV-1a checksum the executor's
-// verification messages carry: of a partial row here, of batched and
-// refetched values there.
+// verification messages carry: of a partial row here, of refetched values
+// there.
 const FNVOffset uint64 = 14695981039346656037
 
 // FNVAdd folds one 64-bit value into an FNV-1a checksum.

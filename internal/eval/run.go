@@ -83,12 +83,6 @@ type RunOptions struct {
 	// restarts from the last complete checkpoint after a worker death or a
 	// stall (0 = default, negative = disabled). Concurrent only.
 	MaxRestarts int
-	// HardCrashes makes scheduled fail-stop crashes kill worker goroutines
-	// for real (recovery then goes through the run-level heal) instead of
-	// the default coordinated restore. Wall traces then legitimately
-	// double-cover the re-executed interval, so the differential oracle
-	// rejects this mode. Concurrent only.
-	HardCrashes bool
 
 	// Trace, when non-nil, records runtime events into Report.Trace: the
 	// simulator stamps simulated time, the concurrent executor wall time
@@ -113,10 +107,10 @@ type RunOptions struct {
 // accepted), a malformed fault plan or one naming a processor the program
 // does not have, and every setting the backend does not implement. nprocs
 // <= 0 means the processor count is not known yet and leaves processor
-// numbers unchecked; a backend other than BackendSim, BackendConcurrent and
-// BackendDiff gets the backend-independent checks only. It is the only validation of a run
-// configuration: Compiled.Execute, Compiled.Diff, the serving layer and the
-// backends' own entry points all call it.
+// numbers unchecked; a backend other than BackendSim and BackendConcurrent
+// (BackendDiff among them) gets the backend-independent checks only. It is the
+// only validation of a run configuration: Compiled.Execute, Compiled.Diff, the
+// serving layer and the backends' own entry points all call it.
 func (o RunOptions) Validate(nprocs int, backend string) error {
 	bad := func(format string, args ...any) error { return ConfigErrorf(backend, format, args...) }
 	for _, f := range []struct {
@@ -161,8 +155,8 @@ func (o RunOptions) Validate(nprocs int, backend string) error {
 	}
 	switch backend {
 	case BackendSim:
-		if o.StallTimeout != 0 || o.MaxRestarts != 0 || o.HardCrashes {
-			return bad("StallTimeout/MaxRestarts/HardCrashes configure the concurrent backend; the simulator takes none")
+		if o.StallTimeout != 0 || o.MaxRestarts != 0 {
+			return bad("StallTimeout/MaxRestarts configure the concurrent backend; the simulator takes neither")
 		}
 	case BackendConcurrent:
 		if o.MaxSeconds > 0 {
@@ -170,10 +164,6 @@ func (o RunOptions) Validate(nprocs int, backend string) error {
 		}
 		if o.Profile {
 			return bad("per-statement profiling is simulator-only; trace the run instead (RunOptions.Trace)")
-		}
-	case BackendDiff:
-		if o.HardCrashes {
-			return bad("the differential oracle cannot compare HardCrashes runs (run-level heals re-execute intervals the simulator models once)")
 		}
 	}
 	return nil

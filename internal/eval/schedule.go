@@ -20,9 +20,6 @@ import (
 // resolved — an operation is told who sends what to whom, never asked to read
 // the plan. An error aborts the walk.
 type Ops interface {
-	// Boundary opens every loop entry, loop exit and redistribution: the
-	// per-instance transfers of the statements before it are complete.
-	Boundary() error
 	// CheckpointSite is a point where a coordinated checkpoint may be taken:
 	// the entry of an outermost loop or of one with hoisted communication,
 	// before any of it (nothing aggregated is in flight, so a consistent
@@ -95,9 +92,6 @@ func (d *schedule) privArray(sp *spmd.StmtPlan) bool {
 }
 
 func (d *schedule) LoopEntry(l *ir.Loop, lp *spmd.LoopPlan) error {
-	if err := d.ops.Boundary(); err != nil {
-		return err
-	}
 	if len(lp.Hoisted) > 0 || l.Parent == nil {
 		if err := d.ops.CheckpointSite(); err != nil {
 			return err
@@ -129,9 +123,6 @@ func (d *schedule) LoopEntry(l *ir.Loop, lp *spmd.LoopPlan) error {
 // are the §2.3 global reduction — then the lastprivate copy-outs.
 func (d *schedule) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 	s := d.st
-	if err := d.ops.Boundary(); err != nil {
-		return err
-	}
 	for _, c := range lp.Combines {
 		var err error
 		switch {
@@ -264,9 +255,6 @@ func (d *schedule) resolve(stmts []stmtCode) (quiet []Charge, ok bool) {
 }
 
 func (d *schedule) Redistribute(st *ir.Stmt) error {
-	if err := d.ops.Boundary(); err != nil {
-		return err
-	}
 	if err := d.ops.AllToAll(st); err != nil {
 		return err
 	}

@@ -28,7 +28,6 @@ func (r *opRecorder) add(format string, args ...any) error {
 	return nil
 }
 
-func (r *opRecorder) Boundary() error       { return nil }
 func (r *opRecorder) CheckpointSite() error { return r.add("checkpoint-site") }
 func (r *opRecorder) CrashSite() error      { return r.add("crash-site") }
 func (r *opRecorder) Tick() error           { return r.add("tick") }

@@ -6,17 +6,17 @@
 // Stats, simulated Time, and fault-event counts agree with sim bitwise by
 // construction (the differential oracle demands exactly that).
 //
-// Crash recovery has two paths. On the default, coordinated path a scheduled
-// fail-stop crash fires at the same crash site of the shared schedule on
-// every worker (same injector, same draw), each worker's account takes the
-// simulator's Recover charge, and the worker restores its own memory from the
-// last coordinated checkpoint snapshot, physically refetches the crashed
-// processor's non-replicated state from a survivor, and re-executes the
-// lost interval with accounting and tracing suppressed — so the final cost
-// model never double-charges. The hard path (Config.HardCrashes, real
-// panics, stalls) kills the worker set for real and heals at the run level:
-// Run restores all workers from executor-held snapshots of the last
-// complete checkpoint generation and re-spawns them with fresh transport.
+// Recovery has two paths. A scheduled fail-stop crash takes the coordinated
+// one: it fires at the same crash site of the shared schedule on every worker
+// (same injector, same draw), each worker's account takes the simulator's
+// Recover charge, and the worker restores its own memory from the last
+// coordinated checkpoint snapshot, physically refetches the crashed
+// processor's non-replicated state from a survivor, and re-executes the lost
+// interval with accounting and tracing suppressed — so the final cost model
+// never double-charges. A real panic or a stall, which the simulator does not
+// model, kills the worker set for real and heals at the run level: Run
+// restores all workers from executor-held snapshots of the last complete
+// checkpoint generation and re-spawns them with fresh transport.
 package exec
 
 import (
@@ -55,20 +55,12 @@ func (c *crashSignal) Error() string {
 	return fmt.Sprintf("exec: %d scheduled crash(es) fired", len(c.crashes))
 }
 
-// failStop is the panic value of a hard scheduled crash: the worker dies
-// mid-protocol and the run-level heal recovers.
-type failStop struct {
-	crash fault.Crash
-	at    float64 // replayed clock when the crash fired
-}
-
 // healState is the plan for one run-level heal: a complete snapshot
-// generation, plus the crash to account and refetch (nil for stalls and
-// real panics with no modeled crash time).
+// generation, plus the processor whose panic killed the set, to account and
+// refetch (nil for a stall).
 type healState struct {
 	snaps []workerSnap
 	crash *fault.Crash
-	at    float64 // replayed clock of the crash (0: no modeled crash time)
 }
 
 // setupChaos wires worker 0's account into the trace and, on a heal, rewinds
@@ -99,10 +91,9 @@ func (ex *executor) setupChaos(workers []*worker, heal *healState) {
 		ex.snaps[p] = snap
 		ex.prevSnaps[p] = workerSnap{}
 		if heal.crash != nil {
-			// Take the simulator's recovery charge for the healed crash,
-			// mark it fired so it cannot refire, and schedule the physical
-			// refetch at worker start.
-			w.acct.Heal(*heal.crash, heal.at)
+			// Charge the dead processor's refetch and schedule the physical
+			// one at worker start.
+			w.acct.Heal(heal.crash.Proc)
 			w.healCrash = heal.crash
 		}
 	}
@@ -138,7 +129,6 @@ func (ex *executor) runWorker(w *worker) error {
 		// numbers on every edge.
 		snap := ex.snaps[w.proc]
 		w.st.Restore(snap.state)
-		w.batch = openBatch{}
 		w.replay = true
 		w.replayTarget = cs.target
 		w.sites = 0
@@ -163,18 +153,6 @@ func (w *worker) CrashSite() error {
 	if w.replay {
 		if w.sites >= w.replayTarget {
 			w.replay = false
-		}
-		return nil
-	}
-	if w.ex.cfg.HardCrashes {
-		// The doomed worker dies for real; its peers let its panic tear the
-		// attempt down and the run-level heal restore everyone (their own
-		// injector is rebuilt from the snapshot then, so draining here is
-		// safe).
-		for c := w.acct.PendingCrash(); c != nil; c = w.acct.PendingCrash() {
-			if c.Proc == w.proc {
-				panic(&failStop{crash: *c, at: w.acct.M.Time()})
-			}
 		}
 		return nil
 	}
@@ -290,8 +268,8 @@ func (w *worker) itemSum(it eval.RefetchItem) uint64 {
 }
 
 // healable reports whether a run-level heal can answer this error: worker
-// deaths (panics, hard crashes) and stalls — not divergence or protocol
-// violations, which a retry would only mask.
+// deaths (panics) and stalls — not divergence or protocol violations, which a
+// retry would only mask.
 func healable(err error) bool {
 	var we *WorkerError
 	var se *StallError
@@ -301,7 +279,7 @@ func healable(err error) bool {
 // buildHeal assembles the restore plan for a run-level heal: the newest
 // checkpoint generation every worker holds (the checkpoint barrier bounds
 // skew to one, so it is the minimum of the latest generations), plus the
-// crash to account when the failure was a scheduled fail-stop.
+// processor to account when the failure was a panic.
 func (ex *executor) buildHeal(err error) *healState {
 	g := int64(math.MaxInt64)
 	for i := range ex.snaps {
@@ -324,14 +302,7 @@ func (ex *executor) buildHeal(err error) *healState {
 	h := &healState{snaps: snaps}
 	var we *WorkerError
 	if errors.As(err, &we) {
-		if fs, ok := we.PanicValue.(*failStop); ok {
-			h.crash = &fs.crash
-			h.at = fs.at
-		} else {
-			// A real panic has no modeled crash time: account a crash of
-			// that processor with no lost-work charge beyond the refetch.
-			h.crash = &fault.Crash{Proc: we.Proc}
-		}
+		h.crash = &fault.Crash{Proc: we.Proc}
 	}
 	return h
 }

@@ -11,14 +11,16 @@
 // receivers verify, bitwise, that the replicated images have not diverged;
 // a final cross-worker sweep verifies complete memory agreement.
 //
-// The physical transport vectorizes: contiguous per-instance element
-// transfers for one (source, destination, statement) — the inner-loop
-// pattern the paper's message vectorization targets — coalesce into a
-// single batched mailbox message carrying the element count and a checksum
-// of the batched values, flushed whenever the batch key changes or other
-// planned traffic must flow. The cost model and the trace's exact counters
-// are unaffected: the accountant still charges every instance, and a flushed
-// batch emits one trace event that stands for Count messages.
+// One planned message is one physical message: message vectorization is the
+// compiler's placement decision (a hoisted requirement, one Vectorized
+// operation), and a per-instance transfer the plan left inside a loop is sent
+// at once, carrying the element's value, exactly as the cost model charges it
+// and the simulator traces it. Sends never wait for a later operation, so no
+// transfer is in flight at a crash site, and immediate sends cannot deadlock:
+// every worker issues the same operations in the same global order, so the
+// worker furthest behind in it can always proceed — a message it waits for was
+// sent by a peer already at or past that operation, and its receiver, no
+// further behind, has taken every message of an earlier operation.
 //
 // The interpretation core — value semantics, execution sets, communication
 // decisions, and the schedule of operations (eval.Ops) — is internal/eval's
@@ -98,8 +100,8 @@ type hooks struct {
 type message struct {
 	req    int    // comm.Requirement ID, or a negative protocol tag
 	seq    uint64 // per-edge sequence number
-	bits   uint64 // math.Float64bits of the payload, or a batch checksum
-	count  int32  // batched element count (0 or 1 = a single element)
+	bits   uint64 // math.Float64bits of the payload, or a checksum
+	count  int32  // a recovery refetch item's element count
 	hasVal bool
 }
 
@@ -232,12 +234,11 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 		maxRestarts = 0
 	}
 
-	// The attempt loop is the run-level heal path: a worker panic (a real
-	// one, or a scheduled fail-stop under HardCrashes) or a watchdog stall
-	// tears the whole worker set down; when a complete checkpoint
-	// generation exists, the run restores every worker from it and
-	// re-spawns with fresh transport. Coordinated (soft) crash recovery
-	// never reaches this loop — workers restore in-band.
+	// The attempt loop is the run-level heal path: a worker panic or a
+	// watchdog stall tears the whole worker set down; when a complete
+	// checkpoint generation exists, the run restores every worker from it and
+	// re-spawns with fresh transport. A scheduled crash never reaches this
+	// loop — workers restore in-band.
 	var heal *healState
 	for {
 		res, err := ex.attempt(ctx, stall, heal)
@@ -367,14 +368,9 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 }
 
 // run interprets the program on this worker from a checkpoint cursor (zero:
-// from the top), then drains any message batch left open by trailing
-// statements.
+// from the top).
 func (w *worker) run(from eval.Cursor) error {
-	err := eval.Run(w.st, w, w.elemBytes(), &from)
-	if err == nil {
-		err = w.flushBatch()
-	}
-	return err
+	return eval.Run(w.st, w, w.elemBytes(), &from)
 }
 
 // pickError selects the run's verdict from the per-worker errors: the first
@@ -460,10 +456,6 @@ type worker struct {
 	attrClass dist.CommClass
 	attrBytes int64
 	mute      bool
-
-	// batch is the single in-flight per-instance message batch (see
-	// openBatch); count == 0 means no batch is open.
-	batch openBatch
 
 	// acct is this worker's account of the cost model — machine, seeded
 	// injector, checkpoint clock — the same the simulator charges. Fault-free
@@ -564,20 +556,12 @@ func (w *worker) send(to int, m message, what string) error {
 
 // tracePlanned records the departure or arrival of one planned message.
 // Protocol traffic (negative tags: reduce gathers, barriers) is invisible to
-// the cost model, so it is excluded — keeping Send/Recv counts structurally
-// identical to the simulator's trace. A flushed batch is one event standing
-// for Count messages: the exact counters scale by it, keeping per-class
-// totals identical to the simulator's per-instance emission.
+// the cost model, so it is excluded — keeping Send/Recv events one for one
+// with the simulator's trace.
 func (w *worker) tracePlanned(k trace.Kind, peer int, m message) {
-	if !w.traces() || m.req < 0 || w.mute {
-		return
+	if w.traces() && m.req >= 0 && !w.mute {
+		w.emit(k, peer, 0, w.attrBytes, m.req)
 	}
-	n := max(m.count, 1)
-	w.ex.rec.Emit(w.proc, trace.Event{
-		Time: w.ex.wall(), Bytes: w.attrBytes * int64(n), Kind: k, Class: w.attrClass,
-		Proc: int32(w.proc), Peer: int32(peer), Stmt: w.attrStmt, Req: int32(m.req),
-		Count: n,
-	})
 }
 
 // recv takes the next message on the edge from->proc and verifies it
@@ -615,10 +599,6 @@ func (w *worker) recv(from, wantReq int, what string) (message, error) {
 // ---------------------------------------------------------------------------
 // eval.Ops: each operation of the shared schedule, as real traffic. Where the
 // operations fall, and in which order, is eval's decision alone.
-
-// Boundary flushes the open batch before other planned traffic, so the
-// per-edge message order stays identical on every worker.
-func (w *worker) Boundary() error { return w.flushBatch() }
 
 // Tick fires after every loop iteration: progress for the watchdog plus
 // cancellation/deadline enforcement (and a crash site).
@@ -885,13 +865,47 @@ func (w *worker) Guard(req *comm.Requirement) {
 	}
 }
 
-// Transfer joins one per-instance transfer to the open batch. The account is
-// charged per instance: batching is a property of the physical transport.
+// Transfer sends the element of one per-instance requirement now, as the
+// account charges it: point-to-point (a self-send uses the self edge, which
+// the cost model charges too) or by multicast. The message carries the
+// element's value — evaluated on the pre-statement image, identical on every
+// worker under replicated execution — and each receiver checks it bitwise
+// against its own.
 func (w *worker) Transfer(req *comm.Requirement, op eval.InstanceOp) error {
 	if w.charges() {
 		w.acct.Transfer(req, op)
 	}
-	return w.batchInstance(req, op)
+	if w.proc != op.From && !op.Dst.Contains(w.proc) {
+		return nil
+	}
+	m := message{req: req.ID}
+	if v, err := w.st.UseValue(req); err == nil {
+		// (An error is the statement's own, and its semantics surface it; the
+		// message just carries nothing to check.)
+		m.bits, m.hasVal = math.Float64bits(v), true
+	}
+	what := w.desc(req)
+	dropped := w.ex.hooks.dropSend != nil && w.ex.hooks.dropSend(w.proc, req)
+	w.setAttr(req.Stmt.ID, req.Class, op.Bytes)
+	defer w.clearAttr()
+	var got message
+	var received bool
+	var err error
+	if to, one := op.Dst.IsSingle(); !one {
+		got, received, err = w.multicast(op.From, op.Dst, m, what, dropped)
+	} else {
+		if w.proc == op.From && !dropped {
+			err = w.send(to, m, what)
+		}
+		if w.proc == to && err == nil {
+			got, err = w.recv(op.From, req.ID, what)
+			received = err == nil
+		}
+	}
+	if !received || !m.hasVal {
+		return err
+	}
+	return w.verify(got, m.bits, op.From, what, "")
 }
 
 // Compute is traced on the processors that execute the instance, with the
@@ -922,112 +936,6 @@ func (w *worker) Iteration(charges []eval.Charge) error {
 		w.traceCompute(c.Stmt, c.Set, c.Flops) // a guard has no flops, and no event
 	}
 	return w.Tick()
-}
-
-// openBatch is the worker's single in-flight message batch: contiguous
-// per-instance transfers of one requirement between one (source,
-// destination) pair, coalesced into a single physical message per receiving
-// edge. Replicated execution means every worker observes the identical
-// instance sequence, so all workers open, extend, and flush batches at the
-// same logical points — which keeps the per-edge message order (and
-// sequence numbers) consistent without any negotiation.
-type openBatch struct {
-	req   *comm.Requirement
-	from  int
-	dst   dist.ProcSet
-	bytes int64 // per-element payload bytes
-	count int32
-	// sum is an FNV-1a fold of the batched values' bit patterns, accumulated
-	// per instance on the pre-statement image (the image at flush time may
-	// already have been overwritten). Receivers accumulate their own fold
-	// and compare it against the sender's — the batched equivalent of the
-	// per-instance bitwise divergence check.
-	sum    uint64
-	hasVal bool
-}
-
-// batchInstance coalesces one non-skipped per-instance transfer into the
-// worker's open batch, flushing first when the (requirement, source,
-// destination) key changes. Participants fold the element's local value —
-// evaluated now, on the pre-statement image, where it is identical on every
-// worker under replicated execution — into the batch checksum.
-func (w *worker) batchInstance(req *comm.Requirement, op eval.InstanceOp) error {
-	b := &w.batch
-	if b.count > 0 && !(b.req == req && b.from == op.From && b.dst.Equal(op.Dst)) {
-		if err := w.flushBatch(); err != nil {
-			return err
-		}
-	}
-	if b.count == 0 {
-		*b = openBatch{req: req, from: op.From, dst: op.Dst, bytes: op.Bytes,
-			sum: eval.FNVOffset, hasVal: true}
-	}
-	b.count++
-	if w.proc == op.From || op.Dst.Contains(w.proc) {
-		local, lerr := w.st.UseValue(req)
-		if lerr != nil {
-			// The statement's own semantics will surface lerr; the batch
-			// just loses its verifiable payload.
-			b.hasVal = false
-		} else {
-			b.sum = eval.FNVAdd(b.sum, math.Float64bits(local))
-		}
-	}
-	return nil
-}
-
-// flushBatch performs the real traffic of the open batch — the owner
-// representative sends one message per receiving edge carrying the element
-// count and the payload checksum, and every receiver verifies both against
-// its replicated accumulation. Every worker flushes at the same logical
-// points: on a batch-key change, before any other planned traffic
-// (vectorized communication, reduction combines, redistribution barriers),
-// and at the end of the walk.
-func (w *worker) flushBatch() error {
-	b := &w.batch
-	if b.count == 0 {
-		return nil
-	}
-	op := *b
-	b.count = 0
-	b.req = nil
-	if w.proc != op.from && !op.dst.Contains(w.proc) {
-		return nil // not a participant in this batch
-	}
-	req := op.req
-	what := w.desc(req)
-	dropped := w.ex.hooks.dropSend != nil && w.ex.hooks.dropSend(w.proc, req)
-	m := message{req: req.ID, count: op.count, hasVal: op.hasVal, bits: op.sum}
-	w.setAttr(req.Stmt.ID, req.Class, op.bytes)
-	defer w.clearAttr()
-	var got message
-	var received bool
-	var err error
-	if to, one := op.dst.IsSingle(); !one {
-		got, received, err = w.multicast(op.from, op.dst, m, what, dropped)
-	} else {
-		// Point-to-point delivery (a self-send uses the self edge, kept
-		// for exact parity with the cost model, which charges it too).
-		if w.proc == op.from && !dropped {
-			err = w.send(to, m, what)
-		}
-		if w.proc == to && err == nil {
-			got, err = w.recv(op.from, req.ID, what)
-			received = err == nil
-		}
-	}
-	if !received {
-		return err
-	}
-	if got.count != op.count {
-		return &DivergenceError{Proc: w.proc, Peer: op.from,
-			What: what + " (batch length)",
-			Got:  float64(got.count), Want: float64(op.count)}
-	}
-	if !op.hasVal {
-		return nil
-	}
-	return w.verify(got, op.sum, op.from, what, " (batch checksum)")
 }
 
 // AllToAll realizes an executable redistribution (the mapping update has

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"phpf/internal/programs"
 	"phpf/internal/sim"
 	"phpf/internal/trace"
 )
@@ -43,6 +44,38 @@ func TestDifferTraceAgreement(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestOneEventPerPlannedMessage: a planned message is one physical message
+// and one trace event on both backends, so the stored planned Send events —
+// not only the exact counters — agree. Unvectorized, figure5 and figure1 leave
+// every transfer per instance, inside loops, where a transport that coalesced
+// runs of them would emit fewer events than the simulator.
+func TestOneEventPerPlannedMessage(t *testing.T) {
+	opts := strategies()["naive"]
+	opts.DisableVectorization = true
+	planned := func(r *trace.Recorder) (n int) {
+		for _, e := range r.Events() {
+			if e.Kind == trace.Send && e.Req >= 0 {
+				n++
+			}
+		}
+		return n
+	}
+	for _, name := range []string{"figure5", "figure1"} {
+		prog := compile(t, programs.Figures[name], 3, opts)
+		rep, err := Diff(context.Background(), prog, Config{Trace: &trace.Options{}})
+		if err != nil {
+			t.Fatalf("%s: differ: %v", name, err)
+		}
+		if !rep.Match() {
+			t.Fatalf("%s: %s", name, rep)
+		}
+		s, e := planned(rep.Sim.Trace), planned(rep.Exec.Trace)
+		if s == 0 || s != e {
+			t.Errorf("%s: planned Send events: sim %d, exec %d", name, s, e)
 		}
 	}
 }

@@ -120,19 +120,3 @@ func (in *Injector) Clone() *Injector {
 	c.consumed = append([]bool(nil), in.consumed...)
 	return c
 }
-
-// Consume marks the crash equal to c as already fired (so a healed run
-// restored from a pre-crash snapshot does not re-fire it). It reports
-// whether an unconsumed matching crash was found.
-func (in *Injector) Consume(c Crash) bool {
-	if in == nil {
-		return false
-	}
-	for i, p := range in.plan.Crashes {
-		if !in.consumed[i] && p == c {
-			in.consumed[i] = true
-			return true
-		}
-	}
-	return false
-}

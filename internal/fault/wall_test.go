@@ -94,8 +94,7 @@ func TestWallInjectorRTOAndDelay(t *testing.T) {
 }
 
 // TestInjectorCloneConsume: Clone captures the draw stream position and the
-// consumed-crash marks; Consume retires a crash so restored runs do not
-// re-fire it.
+// fired-crash marks, so a restored run does not re-fire a crash.
 func TestInjectorCloneConsume(t *testing.T) {
 	p := &Plan{Seed: 7, LossRate: 0.5, Crashes: []Crash{{Proc: 0, At: 1}, {Proc: 1, At: 2}}}
 	in := NewInjector(p)
@@ -117,20 +116,21 @@ func TestInjectorCloneConsume(t *testing.T) {
 		}
 	}
 	fresh := NewInjector(p)
-	if !fresh.Consume(Crash{Proc: 0, At: 1}) {
-		t.Fatal("Consume missed a scheduled crash")
+	if c := fresh.PendingCrash(1); c == nil || c.Proc != 0 {
+		t.Fatalf("at t=1, pending = %+v, want proc 0", c)
 	}
-	if fresh.Consume(Crash{Proc: 0, At: 1}) {
-		t.Fatal("Consume retired the same crash twice")
+	fired := fresh.Clone()
+	if c := fired.PendingCrash(5); c == nil || c.Proc != 1 {
+		t.Fatalf("clone after a fired crash, pending = %+v, want proc 1", c)
+	}
+	if c := fired.PendingCrash(5); c != nil {
+		t.Fatalf("all crashes fired, pending = %+v", c)
 	}
 	if c := fresh.PendingCrash(5); c == nil || c.Proc != 1 {
-		t.Fatalf("after consume, pending = %+v, want proc 1", c)
-	}
-	if c := fresh.PendingCrash(5); c != nil {
-		t.Fatalf("all crashes consumed, pending = %+v", c)
+		t.Fatalf("the original after its clone fired, pending = %+v, want proc 1", c)
 	}
 	var nilIn *Injector
-	if nilIn.Clone() != nil || nilIn.Consume(Crash{}) {
-		t.Fatal("nil injector Clone/Consume misbehaved")
+	if nilIn.Clone() != nil {
+		t.Fatal("nil injector Clone misbehaved")
 	}
 }

@@ -86,9 +86,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		if e.Req >= 0 {
 			args["req"] = int(e.Req)
 		}
-		if e.Count > 1 {
-			args["count"] = int(e.Count)
-		}
 		if e.Class != dist.CommNone {
 			args["class"] = e.Class.String()
 		}

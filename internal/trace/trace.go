@@ -103,19 +103,8 @@ type Event struct {
 	Stmt int32
 	// Req is the communication-plan requirement ID (-1 = none).
 	Req int32
-	// Count is the number of planned messages this event represents: the
-	// concurrent executor coalesces contiguous element transfers for one
-	// (source, destination, statement) into a single physical message, and
-	// the flush emits one event with Count = batch length and Bytes = the
-	// aggregate payload. Zero or one means an unbatched event. The exact
-	// counters treat the event as Count messages, so per-class totals and
-	// the communication matrix stay identical to the simulator's
-	// per-instance emission.
-	Count int32
 	// Merged is the number of private partial rows a privatized-reduction
 	// tree merge combined (Reduce events only; 0 for collective reductions).
-	// It is carried separately from Count so merge events never perturb the
-	// planned-message accounting above.
 	Merged int32
 }
 
@@ -264,13 +253,7 @@ func (r *Recorder) Emit(sh int, e Event) {
 	}
 	s := &r.shards[sh]
 	s.seen++
-	// A batched event stands for Count planned messages; its Bytes already
-	// carry the aggregate payload, so only the message counts scale.
-	n := int64(e.Count)
-	if n <= 0 {
-		n = 1
-	}
-	r.kindCnt[e.Kind].Add(n)
+	r.kindCnt[e.Kind].Add(1)
 	if e.Kind == Reduce && e.Merged > 0 {
 		r.merged.Add(int64(e.Merged))
 	}
@@ -278,11 +261,11 @@ func (r *Recorder) Emit(sh int, e Event) {
 		// Exact planned-communication accounting: per-class counters, the
 		// pairwise matrix, and the per-statement histogram.
 		cl := int(e.Class)
-		r.classMsgs[cl].Add(n)
+		r.classMsgs[cl].Add(1)
 		r.classByte[cl].Add(e.Bytes)
 		if e.Proc >= 0 && e.Peer >= 0 && int(e.Proc) < r.nprocs && int(e.Peer) < r.nprocs {
 			i := int(e.Proc)*r.nprocs + int(e.Peer)
-			r.matMsgs[i].Add(n)
+			r.matMsgs[i].Add(1)
 			r.matBytes[i].Add(e.Bytes)
 		}
 		if e.Stmt >= 0 {
@@ -294,7 +277,7 @@ func (r *Recorder) Emit(sh int, e Event) {
 				sc = &StmtComm{Stmt: e.Stmt}
 				s.stmt[e.Stmt] = sc
 			}
-			sc.Msgs[cl] += n
+			sc.Msgs[cl]++
 			sc.Bytes[cl] += e.Bytes
 		}
 	}

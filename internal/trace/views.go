@@ -113,9 +113,6 @@ func (r *Recorder) FormatEvent(e Event) string {
 	if e.Bytes != 0 {
 		fmt.Fprintf(&b, " %dB", e.Bytes)
 	}
-	if e.Count > 1 {
-		fmt.Fprintf(&b, " x%d", e.Count)
-	}
 	if e.Dur != 0 {
 		fmt.Fprintf(&b, " dur=%.9f", e.Dur)
 	}

@@ -347,8 +347,8 @@ func (concurrentBackend) Run(ctx context.Context, p *spmd.Program, opts RunOptio
 // optionally traced, and optionally under a seeded fault plan and checkpoint
 // interval — and compares numeric results, communication statistics
 // (including the fault and recovery counters), and (when traced) per-class
-// event counts bit-for-bit. HardCrashes cannot be compared; like every
-// invalid configuration it returns a coded E005 diagnostic.
+// event counts bit-for-bit. Every configuration the concurrent backend takes,
+// Diff takes; an invalid one returns a coded E005 diagnostic.
 func (c *Compiled) Diff(ctx context.Context, opts RunOptions) (*DiffReport, error) {
 	return exec.Diff(ctx, c.SPMD, opts)
 }

@@ -78,7 +78,7 @@ fi
 # one Validate checks them. Fail if a struct elsewhere declares one of the
 # fields only those two have — names no wire-format or sweep-row struct uses —
 # or if a Config/Result/RunOptions/Report name stops being an alias.
-if grep -rnE '^[[:space:]]+([A-Za-z]+,[[:space:]]*)*(StallTimeout|HardCrashes|HardRestarts|WireDupSuppressed)(,[[:space:]]*[A-Za-z]+)*[[:space:]]+[][*.A-Za-z0-9]+[[:space:]]*(//.*)?$' \
+if grep -rnE '^[[:space:]]+([A-Za-z]+,[[:space:]]*)*(StallTimeout|HardRestarts|WireDupSuppressed)(,[[:space:]]*[A-Za-z]+)*[[:space:]]+[][*.A-Za-z0-9]+[[:space:]]*(//.*)?$' \
     --include='*.go' --exclude='*_test.go' --exclude-dir=bench . |
     grep -v '^./internal/eval/run.go:'; then
     echo "check: a second copy of the run configuration or the run outcome (they are internal/eval/run.go's RunOptions and Report)" >&2
@@ -165,6 +165,29 @@ done
 if grep -nE '"os"|\bos\.(Getenv|LookupEnv|Environ)\b' $evalfiles ||
     grep -nE 'RunOptions|\bcfg\b' internal/eval/lower.go internal/eval/sweep.go internal/eval/walk.go internal/eval/state.go; then
     echo "check: internal/eval reads the environment, or the run configuration reaches the lowering, the walk or the sweep; a quiet run is swept iff it has a kernel and its addresses allow it" >&2
+    exit 1
+fi
+
+# One-message-per-transfer gates (DESIGN.md §12): a planned message is one
+# physical message and one trace event, on both backends. Message
+# vectorization is the compiler's placement decision, so the executor does not
+# coalesce per-instance transfers at run time, the schedule has no operation to
+# flush them, and a trace event never stands for several messages; and the one
+# run mode the differential oracle could not check (HardCrashes) is gone.
+if grep -rnE 'openBatch|flushBatch|batchInstance' internal/exec; then
+    echo "check: internal/exec batches per-instance transfers again; Transfer sends each element at once" >&2
+    exit 1
+fi
+if grep -nE '\bBoundary\(' $evalfiles; then
+    echo "check: eval.Ops or the schedule has a Boundary operation again; nothing is left in flight to flush" >&2
+    exit 1
+fi
+if awk '/^type Event struct/,/^}/' $(ls internal/trace/*.go | grep -v '_test\.go$') | grep -E '^[[:space:]]+Count[[:space:]]'; then
+    echo "check: trace.Event has a Count field again; every event is one event" >&2
+    exit 1
+fi
+if grep -rnw 'HardCrashes' --include='*.go' --exclude='*_test.go' .; then
+    echo "check: HardCrashes is back; a run-level heal answers real panics and stalls only" >&2
     exit 1
 fi
 
