@@ -150,7 +150,7 @@ func TestInvalidConfigIsCoded(t *testing.T) {
 
 // TestConcurrentFaultOptions: the concurrent backend accepts fault plans and
 // checkpoint intervals (they were simulator-only before wall-clock fault
-// tolerance landed) and reports its physical fault activity.
+// tolerance landed) and charges the plan's modeled faults.
 func TestConcurrentFaultOptions(t *testing.T) {
 	c := compileSmooth(t, 4)
 	ctx := context.Background()
@@ -159,9 +159,6 @@ func TestConcurrentFaultOptions(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("concurrent run with fault plan: %v", err)
-	}
-	if rep.WireDrops == 0 {
-		t.Error("seeded loss plan dropped no real transmissions")
 	}
 	if rep.Stats.Retransmits == 0 {
 		t.Error("seeded loss plan charged no modeled retransmits")

@@ -10,7 +10,7 @@
 //	phpfbench -large          # closer to the paper's sizes (slower)
 //	phpfbench -faults         # loss-rate sweep over the three benchmarks
 //	phpfbench -diff           # differential oracle: concurrent vs simulator
-//	phpfbench -chaos          # seeded physical faults on both backends, oracle-checked
+//	phpfbench -chaos          # seeded fault plans on both backends, oracle-checked
 //	phpfbench -trace-summary  # communication matrix for every sweep point
 //	phpfbench -reduce-sweep   # collective vs privatized commutative updates
 //	phpfbench -reduce collective  # force a reduction strategy on the table runs
@@ -33,7 +33,7 @@ func main() {
 	faults := flag.Bool("faults", false, "run the fault sweep (loss rates x strategies x benchmarks) instead of the tables")
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for the fault sweep")
 	diff := flag.Bool("diff", false, "run the differential oracle (concurrent executor vs sequential simulator) instead of the tables")
-	chaos := flag.Bool("chaos", false, "run the chaos sweep (seeded loss/dup/crash/checkpoint plans, physically injected into the concurrent backend and oracle-checked against the simulator) instead of the tables")
+	chaos := flag.Bool("chaos", false, "run the chaos sweep (seeded loss/dup/crash/checkpoint plans on the concurrent backend, crashes healed for real, oracle-checked against the simulator) instead of the tables")
 	traceSummary := flag.Bool("trace-summary", false, "trace every sweep point (benchmark x strategy x procs) and print its communication matrix instead of the tables")
 	privatize := flag.String("privatize", "", "privatization mode for the table runs: directives, infer (default), infer-strict")
 	reduce := flag.String("reduce", "", "runtime reduction strategy for the table runs: auto (default), collective, privatize")
@@ -123,8 +123,8 @@ func main() {
 	}
 
 	if *chaos {
-		// Chaos needs smaller programs still: each plan runs the concurrent
-		// backend with real retransmission timers and checkpoint barriers.
+		// Chaos needs smaller programs still: each plan runs both backends,
+		// the concurrent one with real checkpoint barriers and restores.
 		chaosProgs := []phpf.DiffProgram{
 			{Name: "TOMCATV(n=33,niter=2)", Source: phpf.TOMCATVSource(33, 2)},
 			{Name: "DGEFA(n=32)", Source: phpf.DGEFASource(32)},

@@ -22,10 +22,9 @@
 //	phpfrun -dgefa -n 64 -p 8 -exec concurrent -trace-summary
 //
 // Fault injection (deterministic for a fixed -fault-seed; works on both
-// backends — the simulator models the faults in simulated time, the
-// concurrent backend makes them physical: real dropped transmissions,
-// retransmit/backoff on the wire, coordinated checkpoint/restart of the
-// worker goroutines):
+// backends — both charge the same modeled faults in simulated time, and the
+// concurrent backend makes crashes physical: coordinated checkpoint/restart
+// of the worker goroutines):
 //
 //	phpfrun -dgefa -n 128 -p 8 -fault-seed 42 -loss-rate 0.01
 //	phpfrun -tomcatv -p 16 -crash 3@0.5 -checkpoint-interval 0.1
@@ -190,10 +189,6 @@ func main() {
 	}
 	if rep.Restarts > 0 || rep.HardRestarts > 0 {
 		fmt.Printf("restarts:       %d coordinated, %d run-level heals\n", rep.Restarts, rep.HardRestarts)
-	}
-	if rep.WireDrops > 0 || rep.WireRetransmits > 0 || rep.WireDuplicates > 0 {
-		fmt.Printf("wire faults:    %d dropped, %d retransmitted, %d duplicated (%d suppressed)\n",
-			rep.WireDrops, rep.WireRetransmits, rep.WireDuplicates, rep.WireDupSuppressed)
 	}
 	if *profile {
 		fmt.Println("hot statements:")

@@ -46,14 +46,11 @@ type RunOptions struct {
 	// (Report.HotStatements). Simulator only.
 	Profile bool
 	// Fault, when non-nil and active, injects deterministic faults
-	// (message loss/duplication, slowdowns, crashes). Both backends take
-	// the same seeded plan: the simulator charges modeled costs, the
-	// concurrent executor additionally makes message faults physical —
-	// keyed per-(src,dst,seq,attempt) draws drop, duplicate or delay real
-	// mailbox transmissions, healed by an ack/retransmit protocol with
-	// exponential backoff — while replaying the identical modeled
-	// accounting. A nil or inactive plan leaves the fault-free arithmetic
-	// bit-identical.
+	// (message loss/duplication, slowdowns, crashes). Both backends charge
+	// the same seeded plan to the same cost model. On the concurrent
+	// executor only crashes are physical: the workers roll back to a
+	// coordinated checkpoint and refetch for real. A nil or inactive plan
+	// leaves the fault-free arithmetic bit-identical.
 	Fault *fault.Plan
 	// CheckpointInterval takes a coordinated checkpoint at the schedule's
 	// checkpoint sites whenever at least this much simulated time has
@@ -237,15 +234,6 @@ type Report struct {
 	// from the simulator, whose recovery is purely modeled).
 	Restarts     int64
 	HardRestarts int
-	// Wire-layer fault activity of the concurrent backend: real
-	// transmissions dropped by the seeded injector, retransmitted after
-	// timeout, duplicated, and duplicate-suppressed at the receiver (all 0
-	// from the simulator). These count physical events; the modeled fault
-	// counters live in Stats, where the differential oracle compares them.
-	WireDrops         int64
-	WireRetransmits   int64
-	WireDuplicates    int64
-	WireDupSuppressed int64
 
 	// Trace is the recorded event stream when RunOptions.Trace was set (nil
 	// otherwise). The simulator emits into a single shard, so its

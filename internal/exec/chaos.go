@@ -4,7 +4,9 @@
 // worker keeps its own eval.Account — machine and seeded injector — charged
 // by the same operations, in the same order, as the simulator's, so modeled
 // Stats, simulated Time, and fault-event counts agree with sim bitwise by
-// construction (the differential oracle demands exactly that).
+// construction (the differential oracle demands exactly that). Loss,
+// duplication and slowdowns exist only there, as charges; the transport
+// delivers every message exactly once.
 //
 // Recovery has two paths. A scheduled fail-stop crash takes the coordinated
 // one: it fires at the same crash site of the shared schedule on every worker

@@ -35,6 +35,11 @@
 // traffic is verified independently, through per-edge sequence numbers,
 // requirement tags, and the watchdog.
 //
+// A fault plan's message loss, duplication and slowdowns are what they are
+// on the simulator: charges of the replayed account, which Diff compares.
+// The mailboxes lose nothing. Only crashes are physical (chaos.go): a worker
+// set rolls back to a coordinated checkpoint and refetches for real.
+//
 // Robustness: a worker panic is contained and surfaced as *WorkerError
 // with the process intact; a wedged worker set is detected by the stall
 // watchdog and reported as *StallError naming the blocked operations; and
@@ -84,12 +89,10 @@ type Result = eval.Report
 // hooks are the package's test seams, passed to run beside the configuration
 // (Run passes none): dropSend suppresses a worker's sends for a requirement,
 // wedging its receivers on purpose; tick runs at every loop-iteration tick;
-// delayUnit overrides the wall time one slowdown unit costs a sender;
 // mailboxDepth overrides DefaultMailboxDepth.
 type hooks struct {
 	dropSend     func(proc int, req *comm.Requirement) bool
 	tick         func(proc int) error
-	delayUnit    time.Duration
 	mailboxDepth int
 }
 
@@ -141,12 +144,9 @@ type executor struct {
 	traffic atomic.Int64
 
 	// Chaos mode (an active fault plan or a checkpoint interval): every
-	// worker keeps an account, snapshots its state at coordinated
-	// checkpoints, and the wire layer (when the plan has wire faults) drops,
-	// duplicates, and delays real transmissions.
+	// worker keeps an account and snapshots its state at coordinated
+	// checkpoints.
 	chaos bool
-	winj  *fault.WallInjector
-	wire  *wireNet
 	// snaps/prevSnaps hold each worker's last two published checkpoint
 	// snapshots. A worker writes only its own slot; Run reads them after
 	// the workers join (the WaitGroup orders the accesses).
@@ -156,11 +156,6 @@ type executor struct {
 	// softRestarts counts coordinated in-band restores (written by worker
 	// 0's goroutine, read by Run after the join).
 	softRestarts int64
-
-	wireDrops    atomic.Int64
-	wireRetrans  atomic.Int64
-	wireDups     atomic.Int64
-	wireDupSupp  atomic.Int64
 	hardRestarts int
 }
 
@@ -217,10 +212,6 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 		ex.rec.SetLabels(p.StmtLabels())
 	}
 	if ex.chaos {
-		ex.winj = fault.NewWallInjector(cfg.Fault)
-		if ex.winj != nil && hk.delayUnit > 0 {
-			ex.winj.DelayUnit = hk.delayUnit
-		}
 		ex.snaps = make([]workerSnap, n)
 		ex.prevSnaps = make([]workerSnap, n)
 	}
@@ -301,9 +292,6 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 	if ex.chaos {
 		ex.setupChaos(workers, heal)
 	}
-	if ex.winj != nil {
-		ex.wire = newWireNet(ex, workers)
-	}
 
 	if stall > 0 {
 		go ex.wd.watch(cctx, stall, cancel)
@@ -331,10 +319,6 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 	wg.Wait()
 	ex.wd.stop()
 	cancel()
-	if ex.wire != nil {
-		ex.wire.wg.Wait()
-		ex.wire = nil
-	}
 
 	if se := ex.wd.stallError(); se != nil {
 		return nil, se
@@ -356,12 +340,7 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 		Workers:         n,
 		TrafficMessages: ex.traffic.Load(),
 		Trace:           ex.rec,
-
-		Restarts:          ex.softRestarts,
-		WireDrops:         ex.wireDrops.Load(),
-		WireRetransmits:   ex.wireRetrans.Load(),
-		WireDuplicates:    ex.wireDups.Load(),
-		WireDupSuppressed: ex.wireDupSupp.Load(),
+		Restarts:        ex.softRestarts,
 	}
 	res.Scalars, res.Arrays = workers[0].st.Export()
 	return res, nil
@@ -522,12 +501,6 @@ func (w *worker) desc(req *comm.Requirement) string { return w.ex.reqDesc[req.ID
 func (w *worker) send(to int, m message, what string) error {
 	m.seq = w.sendSeq[to]
 	w.sendSeq[to]++
-	if w.ex.wire != nil && to != w.proc {
-		// Wire faults are live: route through the lossy link with its
-		// ack/retransmit protocol. Self-sends stay on the direct edge — no
-		// physical wire exists for them.
-		return w.sendWire(to, m, what)
-	}
 	ch := w.ex.mail[w.proc][to]
 	select {
 	case ch <- m:

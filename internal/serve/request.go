@@ -56,10 +56,10 @@ type RunSpec struct {
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
 }
 
-// ChaosSpec is the opt-in per-request fault plan: the PR 6 fault layer
-// repurposed as self-testing. The simulator models the faults; the
-// concurrent backend makes them physical (real dropped transmissions healed
-// by retransmission, coordinated checkpoint/restart).
+// ChaosSpec is the opt-in per-request fault plan: the fault layer
+// repurposed as self-testing. Both backends charge the modeled faults; the
+// concurrent backend also heals crashes for real (coordinated
+// checkpoint/restart).
 type ChaosSpec struct {
 	Seed     int64   `json:"seed"`
 	LossRate float64 `json:"loss_rate,omitempty"`
@@ -323,7 +323,6 @@ type RunResponse struct {
 	ArrayCells map[string]int64     `json:"array_cells,omitempty"`
 	Arrays     map[string][]jsonF64 `json:"arrays,omitempty"`
 	Restarts   int64                `json:"restarts,omitempty"`
-	WireDrops  int64                `json:"wire_drops,omitempty"`
 	Diags      []string             `json:"diags,omitempty"`
 	TimingMS   map[string]float64   `json:"timing_ms"`
 }

@@ -382,7 +382,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Scalars:    jsonScalars(rep.Scalars),
 		ArrayCells: map[string]int64{},
 		Restarts:   rep.Restarts,
-		WireDrops:  rep.WireDrops,
 		Diags:      diagStrings(c),
 		TimingMS: map[string]float64{
 			"queue":   a.queueMS,

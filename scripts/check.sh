@@ -1,13 +1,18 @@
 #!/bin/sh
 # Tier-1 gate, everything CI runs: build, vet, race-detected tests, the bench
 # module's vet and smoke test, the "one definition" grep gates, a short-budget
-# fuzz smoke, and the chaos, golden, bench-regression and serve gates. `make
-# check` runs this script.
+# fuzz smoke, and the golden, bench-regression and serve gates. `make check`
+# runs this script.
 set -eu
 cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# The race-detected tests include the chaos gate, TestChaosMatrix: every
+# seeded fault plan (loss, duplication, slowdown, checkpointing, mid-loop
+# fail-stop healed by checkpoint/restart, and the mix) on the concurrent
+# executor must agree bitwise with the simulator under the identical plan —
+# results, fault-accounting statistics, and per-class trace event counts.
 go test -race ./...
 
 # The benchmark is a module of its own (bench/go.mod) that the commands above
@@ -78,7 +83,7 @@ fi
 # one Validate checks them. Fail if a struct elsewhere declares one of the
 # fields only those two have — names no wire-format or sweep-row struct uses —
 # or if a Config/Result/RunOptions/Report name stops being an alias.
-if grep -rnE '^[[:space:]]+([A-Za-z]+,[[:space:]]*)*(StallTimeout|HardRestarts|WireDupSuppressed)(,[[:space:]]*[A-Za-z]+)*[[:space:]]+[][*.A-Za-z0-9]+[[:space:]]*(//.*)?$' \
+if grep -rnE '^[[:space:]]+([A-Za-z]+,[[:space:]]*)*(StallTimeout|HardRestarts)(,[[:space:]]*[A-Za-z]+)*[[:space:]]+[][*.A-Za-z0-9]+[[:space:]]*(//.*)?$' \
     --include='*.go' --exclude='*_test.go' --exclude-dir=bench . |
     grep -v '^./internal/eval/run.go:'; then
     echo "check: a second copy of the run configuration or the run outcome (they are internal/eval/run.go's RunOptions and Report)" >&2
@@ -191,6 +196,22 @@ if grep -rnw 'HardCrashes' --include='*.go' --exclude='*_test.go' .; then
     exit 1
 fi
 
+# Only-what-the-oracle-checks gates (DESIGN.md §12): on the concurrent backend
+# a fault plan's loss, duplication and slowdown are charges of the replayed
+# account, as on the simulator, because the differential oracle compares that
+# account and nothing else. No lossy wire under the mailboxes, no wall-clock
+# slowdown sleeps, no physical counters beside Stats; and internal/exec starts
+# exactly two kinds of goroutine, the workers and the watchdog, so a link
+# goroutine cannot come back under a new name.
+if grep -rnE 'WallInjector|wireNet|sendWire|DropAttempt|sleepWall|\bWire[A-Z]' --include='*.go' --exclude='*_test.go' .; then
+    echo "check: the lossy wire layer (or a Wire* counter) is back; loss, duplication and slowdown on exec are charges of the replayed account" >&2
+    exit 1
+fi
+if [ "$(ls internal/exec/*.go | grep -v '_test\.go$' | xargs cat | grep -cE '^[[:space:]]*go[[:space:]]')" -gt 2 ]; then
+    echo "check: non-test internal/exec has more than two go statements (the worker spawn and the watchdog)" >&2
+    exit 1
+fi
+
 # One-algebra gates (DESIGN.md §15): the difference of two affine forms, the
 # restriction of a form to a nest, the substitution of loop bounds into one and
 # the analysis of a subscript or a bound each have ONE definition, in
@@ -269,17 +290,6 @@ go test -run=^$ -fuzz=FuzzFoldMatchesRun -fuzztime="$fuzztime" ./internal/eval
 go test -run=^$ -fuzz=FuzzSweepBody -fuzztime=30s ./internal/eval
 go test -run=^$ -fuzz=FuzzOwnerRun -fuzztime="$fuzztime" ./internal/dist
 go test -run=^$ -fuzz=FuzzAutoPriv -fuzztime="$fuzztime" .
-
-# Chaos gate: every seeded fault plan (loss, duplication, slowdown,
-# checkpointing, mid-loop fail-stop healed by checkpoint/restart, and the
-# mix) physically injected into the concurrent executor under -race must
-# agree bitwise with the simulator under the identical plan — results,
-# fault-accounting statistics, and per-class trace event counts.
-# CHAOS_SKIP=1 skips the gate (the matrix runs real retransmission timers,
-# so it needs a few wall-clock seconds).
-if [ "${CHAOS_SKIP:-0}" != "1" ]; then
-    go test -race -run '^TestChaosMatrix$' -count=1 ./internal/exec
-fi
 
 # Golden gate: the -dump-after snapshots of the paper figures AND the
 # simulator's rendered runtime trace of figure1 (testdata/traces/) must

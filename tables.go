@@ -390,9 +390,8 @@ func DefaultChaosPlans() []ChaosPlan {
 // ChaosSweep measures every program (under selected alignment) under every
 // chaos plan: a clean simulator run fixes the time scale, then the
 // differential oracle executes the seeded plan on both backends — real
-// dropped transmissions, retransmit/backoff, and checkpoint/restart on the
-// concurrent side — and demands bitwise agreement on results, statistics,
-// and fault-event counts.
+// checkpoint/restart on the concurrent side — and demands bitwise agreement
+// on results, statistics, and fault-event counts.
 func ChaosSweep(ctx context.Context, progs []DiffProgram, nprocs int, plans []ChaosPlan) ([]OracleRow, error) {
 	var rows []OracleRow
 	selected := []Strategy{{"selected", SelectedOptions()}}
@@ -422,19 +421,21 @@ func ChaosSweep(ctx context.Context, progs []DiffProgram, nprocs int, plans []Ch
 }
 
 // FormatChaosSweep renders the chaos sweep: per program and plan, the
-// modeled recovery overhead (faulted over clean simulated time, less one)
-// next to the physical fault activity — coordinated restarts, checkpoints,
-// dropped and retransmitted transmissions — with the oracle's verdict on
-// each row.
+// modeled recovery overhead (faulted over clean simulated time, less one),
+// the coordinated restarts the concurrent backend performed, and the modeled
+// checkpoints, retransmissions and duplicates (the simulator's Stats, which
+// the oracle has proven equal to the executor's) — with the oracle's verdict
+// on each row.
 func FormatChaosSweep(rows []OracleRow) string {
 	var b strings.Builder
 	b.WriteString("Chaos sweep — seeded faults on both backends (oracle-checked)\n")
-	fmt.Fprintf(&b, "%-24s %-11s %10s %10s %9s %8s %6s %6s %7s  verdict\n",
-		"program", "plan", "clean(s)", "faulted(s)", "overhead", "restarts", "ckpts", "drops", "retrans")
+	fmt.Fprintf(&b, "%-24s %-11s %10s %10s %9s %8s %6s %7s %6s  verdict\n",
+		"program", "plan", "clean(s)", "faulted(s)", "overhead", "restarts", "ckpts", "retrans", "dup")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-24s %-11s %10.6f %10.6f %8.1f%% %8d %6d %6d %7d  %s\n",
+		s := r.Sim.Stats
+		fmt.Fprintf(&b, "%-24s %-11s %10.6f %10.6f %8.1f%% %8d %6d %7d %6d  %s\n",
 			r.Program, r.Plan, r.CleanSeconds, r.Sim.Time, 100*(r.Sim.Time/r.CleanSeconds-1),
-			r.Exec.Restarts, r.Sim.Stats.Checkpoints, r.Exec.WireDrops, r.Exec.WireRetransmits, r.verdict())
+			r.Exec.Restarts, s.Checkpoints, s.Retransmits, s.Duplicates, r.verdict())
 	}
 	return b.String()
 }
