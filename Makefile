@@ -19,11 +19,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke of the front end (longer runs: raise FUZZTIME).
-FUZZTIME ?= 15s
+# The fuzz smoke check.sh runs: every fuzz target, FUZZTIME each (default
+# 10s; longer runs: `make fuzz FUZZTIME=5m`).
 fuzz:
-	$(GO) test -run FuzzLex -fuzz FuzzLex -fuzztime $(FUZZTIME) ./internal/lexer
-	$(GO) test -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/parser
+	sh scripts/fuzz.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -10,7 +10,9 @@
 //	phpfrun -appsp -n 16 -iters 2 -2d -p 16
 //
 // Concurrent backend (one goroutine per simulated processor, real message
-// passing, watchdog and panic containment; -deadline is wall-clock):
+// passing, watchdog and panic containment: a worker panic or a stall of -stall
+// ends the run with an error naming the processor or the blocked operations,
+// with or without fault flags; -deadline is wall-clock):
 //
 //	phpfrun -tomcatv -p 16 -exec concurrent
 //	phpfrun -dgefa -n 64 -p 8 -exec concurrent -deadline 30s -stall 5s
@@ -23,8 +25,9 @@
 //
 // Fault injection (deterministic for a fixed -fault-seed; works on both
 // backends — both charge the same modeled faults in simulated time, and the
-// concurrent backend makes crashes physical: coordinated checkpoint/restart
-// of the worker goroutines):
+// concurrent backend makes scheduled crashes physical: coordinated
+// checkpoint/restart of the worker goroutines, counted on the "restarts:"
+// line):
 //
 //	phpfrun -dgefa -n 128 -p 8 -fault-seed 42 -loss-rate 0.01
 //	phpfrun -tomcatv -p 16 -crash 3@0.5 -checkpoint-interval 0.1
@@ -72,7 +75,6 @@ func main() {
 	slowdowns := flag.String("slowdown", "", "slowdown windows proc:factor[:start[:duration]],...")
 	crashes := flag.String("crash", "", "fail-stop crashes proc@time,proc@time,...")
 	ckptInterval := flag.Float64("checkpoint-interval", 0, "coordinated checkpoint every so many simulated seconds (0 = off)")
-	maxRestarts := flag.Int("max-restarts", 0, "concurrent backend: run-level heals before giving up (0 = default, negative = disabled)")
 	flag.Parse()
 
 	var source string
@@ -148,7 +150,6 @@ func main() {
 		CheckpointInterval: *ckptInterval,
 		Reduce:             reduceMode,
 		StallTimeout:       *stallTimeout,
-		MaxRestarts:        *maxRestarts,
 	}
 	if *traceOut != "" || *traceSummary {
 		run.Trace = &phpf.TraceOptions{SampleEvery: *traceSample}
@@ -187,8 +188,8 @@ func main() {
 	if fs := rep.Stats.FaultString(); fs != "" {
 		fmt.Printf("faults:         %s\n", fs)
 	}
-	if rep.Restarts > 0 || rep.HardRestarts > 0 {
-		fmt.Printf("restarts:       %d coordinated, %d run-level heals\n", rep.Restarts, rep.HardRestarts)
+	if rep.Restarts > 0 {
+		fmt.Printf("restarts:       %d coordinated\n", rep.Restarts)
 	}
 	if *profile {
 		fmt.Println("hot statements:")

@@ -199,30 +199,3 @@ func (a *Account) RecoverCrashes() []fault.Crash {
 	a.M.ClearAttr() // the site's operation is over; a later crash is nobody's
 	return fired
 }
-
-// Heal charges the restart of processor proc, whose death tore the run down
-// for real, after Restore took the accountant back to the last checkpoint: the
-// refetch of Recover, with no lost work (the simulator models no such death).
-func (a *Account) Heal(proc int) { a.Recover(proc, a.lastCkpt) }
-
-// AccountState is what a checkpoint keeps of an accountant: the machine's
-// clocks and statistics, the injector's draw position, the checkpoint time.
-type AccountState struct {
-	mach     machine.State
-	inj      *fault.Injector
-	lastCkpt float64
-}
-
-// Save captures the accountant's state.
-func (a *Account) Save() AccountState {
-	return AccountState{mach: a.M.SaveState(), inj: a.inj.Clone(), lastCkpt: a.lastCkpt}
-}
-
-// Restore takes the accountant back to a saved state (which stays valid for
-// further restores).
-func (a *Account) Restore(s AccountState) {
-	a.M.RestoreState(s.mach)
-	a.inj = s.inj.Clone()
-	a.M.Fault = a.inj
-	a.lastCkpt = s.lastCkpt
-}

@@ -73,13 +73,9 @@ type RunOptions struct {
 	Reduce core.ReduceMode
 
 	// StallTimeout is how long the concurrent backend's watchdog waits
-	// without any worker progress before declaring a stall (0 = default,
-	// negative = disabled). Concurrent only.
+	// without any worker progress before declaring a stall, which ends the
+	// run (0 = default, negative = disabled). Concurrent only.
 	StallTimeout time.Duration
-	// MaxRestarts bounds the concurrent backend's run-level heals — full
-	// restarts from the last complete checkpoint after a worker death or a
-	// stall (0 = default, negative = disabled). Concurrent only.
-	MaxRestarts int
 
 	// Trace, when non-nil, records runtime events into Report.Trace: the
 	// simulator stamps simulated time, the concurrent executor wall time
@@ -152,8 +148,8 @@ func (o RunOptions) Validate(nprocs int, backend string) error {
 	}
 	switch backend {
 	case BackendSim:
-		if o.StallTimeout != 0 || o.MaxRestarts != 0 {
-			return bad("StallTimeout/MaxRestarts configure the concurrent backend; the simulator takes neither")
+		if o.StallTimeout != 0 {
+			return bad("StallTimeout configures the concurrent backend's watchdog; the simulator has none")
 		}
 	case BackendConcurrent:
 		if o.MaxSeconds > 0 {
@@ -230,10 +226,9 @@ type Report struct {
 	TrafficMessages int64
 	// Restarts counts the concurrent backend's coordinated checkpoint
 	// restores (fail-stop crashes recovered in-band by rolling every worker
-	// back to the last snapshot); HardRestarts its run-level heals (both 0
-	// from the simulator, whose recovery is purely modeled).
-	Restarts     int64
-	HardRestarts int
+	// back to the last snapshot; 0 from the simulator, whose recovery is
+	// purely modeled).
+	Restarts int64
 
 	// Trace is the recorded event stream when RunOptions.Trace was set (nil
 	// otherwise). The simulator emits into a single shard, so its

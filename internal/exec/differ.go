@@ -65,7 +65,7 @@ func diff(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*DiffRepo
 	// Each backend gets the configuration without the other's own knobs,
 	// which its entry point would reject.
 	simCfg, execCfg := cfg, cfg
-	simCfg.StallTimeout, simCfg.MaxRestarts = 0, 0
+	simCfg.StallTimeout = 0
 	execCfg.MaxSeconds, execCfg.Profile = 0, false
 	simRes, err := sim.RunContext(ctx, p, simCfg)
 	if err != nil {

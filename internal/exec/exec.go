@@ -45,7 +45,10 @@
 // watchdog and reported as *StallError naming the blocked operations; and
 // cancellation or deadline on the caller's context unwinds every worker
 // (replacing the simulator's ad-hoc simulated-time cutoff with real
-// wall-clock enforcement).
+// wall-clock enforcement). Each ends the run at its first occurrence, in
+// chaos mode as outside it: the simulator models neither a panic nor a stall,
+// so no retry of one could be checked against it, and replicated execution is
+// deterministic, so a retry would meet the same panic or wedge again.
 package exec
 
 import (
@@ -62,7 +65,6 @@ import (
 	"phpf/internal/core"
 	"phpf/internal/dist"
 	"phpf/internal/eval"
-	"phpf/internal/fault"
 	"phpf/internal/ir"
 	"phpf/internal/machine"
 	"phpf/internal/spmd"
@@ -75,9 +77,6 @@ const DefaultMailboxDepth = 64
 // DefaultStallTimeout is the default quiet period after which the watchdog
 // declares the worker set stalled.
 const DefaultStallTimeout = 10 * time.Second
-
-// DefaultMaxRestarts is the default bound on run-level heals.
-const DefaultMaxRestarts = 3
 
 // Config is the one run configuration (see eval.RunOptions): the concurrent
 // backend takes every field but the simulator's MaxSeconds and Profile.
@@ -122,13 +121,11 @@ const (
 )
 
 type executor struct {
-	prog  *spmd.Program
 	cfg   Config
 	hooks hooks
 	ctx   context.Context
 	ended *atomic.Bool // eval.Ended(ctx): what Tick polls
 	n     int
-	depth int
 
 	// mail[from][to] is the bounded mailbox for one directed edge.
 	mail [][]chan message
@@ -147,16 +144,9 @@ type executor struct {
 	// worker keeps an account and snapshots its state at coordinated
 	// checkpoints.
 	chaos bool
-	// snaps/prevSnaps hold each worker's last two published checkpoint
-	// snapshots. A worker writes only its own slot; Run reads them after
-	// the workers join (the WaitGroup orders the accesses).
-	snaps     []workerSnap
-	prevSnaps []workerSnap
-
-	// softRestarts counts coordinated in-band restores (written by worker
-	// 0's goroutine, read by Run after the join).
-	softRestarts int64
-	hardRestarts int
+	// restarts counts coordinated in-band restores (written by worker 0's
+	// goroutine, read by Run after the join).
+	restarts int64
 }
 
 // wall is the run-relative wall clock in seconds.
@@ -194,11 +184,9 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 	}
 
 	ex := &executor{
-		prog:    p,
 		cfg:     cfg,
 		hooks:   hk,
 		n:       n,
-		depth:   depth,
 		reqDesc: map[int]string{},
 		chaos:   cfg.Fault.Active() || cfg.CheckpointInterval > 0,
 	}
@@ -211,48 +199,8 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 		ex.rec = trace.New(n, n, *cfg.Trace)
 		ex.rec.SetLabels(p.StmtLabels())
 	}
-	if ex.chaos {
-		ex.snaps = make([]workerSnap, n)
-		ex.prevSnaps = make([]workerSnap, n)
-	}
 	ex.start = time.Now()
 
-	maxRestarts := cfg.MaxRestarts
-	if maxRestarts == 0 {
-		maxRestarts = DefaultMaxRestarts
-	}
-	if maxRestarts < 0 {
-		maxRestarts = 0
-	}
-
-	// The attempt loop is the run-level heal path: a worker panic or a
-	// watchdog stall tears the whole worker set down; when a complete
-	// checkpoint generation exists, the run restores every worker from it and
-	// re-spawns with fresh transport. A scheduled crash never reaches this
-	// loop — workers restore in-band.
-	var heal *healState
-	for {
-		res, err := ex.attempt(ctx, stall, heal)
-		if err == nil {
-			res.HardRestarts = ex.hardRestarts
-			return res, nil
-		}
-		if !ex.chaos || ex.hardRestarts >= maxRestarts || ctx.Err() != nil || !healable(err) {
-			return nil, err
-		}
-		h := ex.buildHeal(err)
-		if h == nil {
-			return nil, err
-		}
-		heal = h
-		ex.hardRestarts++
-	}
-}
-
-// attempt runs the worker set once: from program start when heal is nil,
-// else from the heal's checkpoint snapshots.
-func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *healState) (*Result, error) {
-	n := ex.n
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ended, unhook := eval.Ended(cctx)
@@ -263,19 +211,14 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 	for i := range ex.mail {
 		ex.mail[i] = make([]chan message, n)
 		for j := range ex.mail[i] {
-			ex.mail[i][j] = make(chan message, ex.depth)
+			ex.mail[i][j] = make(chan message, depth)
 		}
 	}
 	workers := make([]*worker, n)
 	for i := range workers {
-		// The partial tables are armed before any Restore: heal snapshots
-		// carry in-flight private partials and restore into the armed tables.
-		st, err := ex.cfg.NewState(ex.prog)
+		st, err := cfg.NewState(p)
 		if err != nil {
 			return nil, fmt.Errorf("exec: %w", err)
-		}
-		if heal != nil {
-			st.Restore(heal.snaps[i].state)
 		}
 		workers[i] = &worker{
 			ex:       ex,
@@ -286,11 +229,16 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 			attrStmt: -1,
 		}
 		if ex.chaos || i == 0 {
-			workers[i].acct = eval.NewAccount(st, ex.cfg)
+			workers[i].acct = eval.NewAccount(st, cfg)
 		}
 	}
-	if ex.chaos {
-		ex.setupChaos(workers, heal)
+	if ex.chaos && ex.rec != nil {
+		// Worker 0's machine contributes the fault-protocol events
+		// (checkpoint/restart/fault) stamped with wall time; everything else
+		// the workers emit themselves from real activity, so nothing is
+		// double-counted.
+		m := workers[0].acct.M
+		m.Rec, m.FaultEventsOnly, m.Now = ex.rec, true, ex.wall
 	}
 
 	if stall > 0 {
@@ -340,7 +288,7 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 		Workers:         n,
 		TrafficMessages: ex.traffic.Load(),
 		Trace:           ex.rec,
-		Restarts:        ex.softRestarts,
+		Restarts:        ex.restarts,
 	}
 	res.Scalars, res.Arrays = workers[0].st.Export()
 	return res, nil
@@ -452,14 +400,8 @@ type worker struct {
 	// numbers, consistent across workers).
 	replay       bool
 	replayTarget int64
-	// gen numbers this worker's published checkpoint snapshots.
-	gen int64
-	// healCrash, when set by a run-level heal, names the crashed processor
-	// whose memory must be physically refetched at worker start.
-	healCrash *fault.Crash
-	// resume, when set by a run-level heal, is the checkpoint cursor the
-	// worker's walk restarts from.
-	resume eval.Cursor
+	// snap is this worker's last coordinated checkpoint (chaos mode).
+	snap workerSnap
 }
 
 // setAttr stamps the attribution for the planned messages about to flow.

@@ -40,49 +40,65 @@ end
 // TestWatchdogReportsWedgedWorkers: a worker whose sends are deliberately
 // suppressed wedges its receivers; the watchdog must detect the stall and
 // report the blocked processors and their pending operations instead of
-// letting the test hang.
+// letting the test hang — after one stall timeout, in chaos mode as outside
+// it (the wedge is deterministic, so nothing is retried).
 func TestWatchdogReportsWedgedWorkers(t *testing.T) {
 	prog := compile(t, commSource, 4, core.DefaultOptions())
-	cfg := Config{StallTimeout: 150 * time.Millisecond}
+	const stall = 150 * time.Millisecond
 	hk := hooks{dropSend: func(proc int, req *comm.Requirement) bool {
 		return proc == 1 // processor 1 goes silent on every planned send
 	}}
-	done := make(chan struct{})
-	var res *Result
-	var err error
-	go func() {
-		defer close(done)
-		res, err = run(context.Background(), prog, cfg, hk)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("run hung: watchdog did not fire")
-	}
-	if err == nil {
-		t.Fatalf("expected a stall, got success: %+v", res.Stats)
-	}
-	var se *StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("expected *StallError, got %T: %v", err, err)
-	}
-	if len(se.Unfinished) == 0 {
-		t.Fatalf("stall reports no unfinished workers: %v", se)
-	}
-	if len(se.Blocked) == 0 {
-		t.Fatalf("stall reports no blocked operations: %v", se)
-	}
-	foundRecv := false
-	for _, op := range se.Blocked {
-		if op.Op == "recv" && op.Peer == 1 {
-			foundRecv = true
-		}
-	}
-	if !foundRecv {
-		t.Fatalf("expected a receive blocked on the silent processor 1; got %v", se.Blocked)
-	}
-	if !strings.Contains(se.Error(), "blocked") {
-		t.Fatalf("error text should name the blocked operations: %v", se)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{StallTimeout: stall}},
+		{"chaos", Config{StallTimeout: stall, CheckpointInterval: 1e-9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan struct{})
+			var res *Result
+			var err error
+			start := time.Now()
+			go func() {
+				defer close(done)
+				res, err = run(context.Background(), prog, tc.cfg, hk)
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("run hung: watchdog did not fire")
+			}
+			elapsed := time.Since(start)
+			if err == nil {
+				t.Fatalf("expected a stall, got success: %+v", res.Stats)
+			}
+			var se *StallError
+			if !errors.As(err, &se) {
+				t.Fatalf("expected *StallError, got %T: %v", err, err)
+			}
+			if elapsed > 2*stall {
+				t.Fatalf("stall reported after %v, want within 2 × %v", elapsed, stall)
+			}
+			if len(se.Unfinished) == 0 {
+				t.Fatalf("stall reports no unfinished workers: %v", se)
+			}
+			if len(se.Blocked) == 0 {
+				t.Fatalf("stall reports no blocked operations: %v", se)
+			}
+			foundRecv := false
+			for _, op := range se.Blocked {
+				if op.Op == "recv" && op.Peer == 1 {
+					foundRecv = true
+				}
+			}
+			if !foundRecv {
+				t.Fatalf("expected a receive blocked on the silent processor 1; got %v", se.Blocked)
+			}
+			if !strings.Contains(se.Error(), "blocked") {
+				t.Fatalf("error text should name the blocked operations: %v", se)
+			}
+		})
 	}
 }
 

@@ -180,18 +180,6 @@ func NewInjector(p *Plan) *Injector {
 // Plan returns the plan the injector draws from.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Clone returns an independent copy of the injector's draw state, so a
-// checkpoint can capture "where the fault stream was" and a restore can
-// resume it bit-identically. Clone of nil is nil.
-func (in *Injector) Clone() *Injector {
-	if in == nil {
-		return nil
-	}
-	c := &Injector{plan: in.plan, seq: in.seq}
-	c.consumed = append([]bool(nil), in.consumed...)
-	return c
-}
-
 // splitmix64 finalizer: a high-quality 64-bit mix of seed and counter.
 func mix(seed int64, seq uint64) uint64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*(seq+1)

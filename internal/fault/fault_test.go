@@ -106,48 +106,6 @@ func TestPendingCrash(t *testing.T) {
 	}
 }
 
-// TestInjectorCloneConsume: Clone captures the draw stream position and the
-// fired-crash marks, so a restored run does not re-fire a crash.
-func TestInjectorCloneConsume(t *testing.T) {
-	p := &Plan{Seed: 7, LossRate: 0.5, Crashes: []Crash{{Proc: 0, At: 1}, {Proc: 1, At: 2}}}
-	in := NewInjector(p)
-	for i := 0; i < 10; i++ {
-		in.DropMessage()
-	}
-	snap := in.Clone()
-	// Diverge the original, then check the clone replays from the snapshot.
-	var orig, cloned []bool
-	for i := 0; i < 20; i++ {
-		orig = append(orig, in.DropMessage())
-	}
-	for i := 0; i < 20; i++ {
-		cloned = append(cloned, snap.DropMessage())
-	}
-	for i := range orig {
-		if orig[i] != cloned[i] {
-			t.Fatalf("clone diverged from original at draw %d", i)
-		}
-	}
-	fresh := NewInjector(p)
-	if c := fresh.PendingCrash(1); c == nil || c.Proc != 0 {
-		t.Fatalf("at t=1, pending = %+v, want proc 0", c)
-	}
-	fired := fresh.Clone()
-	if c := fired.PendingCrash(5); c == nil || c.Proc != 1 {
-		t.Fatalf("clone after a fired crash, pending = %+v, want proc 1", c)
-	}
-	if c := fired.PendingCrash(5); c != nil {
-		t.Fatalf("all crashes fired, pending = %+v", c)
-	}
-	if c := fresh.PendingCrash(5); c == nil || c.Proc != 1 {
-		t.Fatalf("the original after its clone fired, pending = %+v, want proc 1", c)
-	}
-	var nilIn *Injector
-	if nilIn.Clone() != nil {
-		t.Fatal("nil injector Clone misbehaved")
-	}
-}
-
 func TestParseCrashes(t *testing.T) {
 	got, err := ParseCrashes(" 3@0.5, 7@1.2 ")
 	if err != nil {

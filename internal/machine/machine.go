@@ -177,25 +177,6 @@ func (m *Machine) emitMerged(k trace.Kind, proc, peer int, t, dur float64, bytes
 	})
 }
 
-// State is an opaque copy of a machine's mutable accounting (clocks and
-// statistics), captured at a checkpoint and restored on recovery so a
-// healed run's final cost model does not double-charge the lost interval.
-type State struct {
-	clock []float64
-	stats Stats
-}
-
-// SaveState captures the machine's accounting state.
-func (m *Machine) SaveState() State {
-	return State{clock: append([]float64(nil), m.Clock...), stats: m.Stats}
-}
-
-// RestoreState overwrites the machine's accounting from a saved state.
-func (m *Machine) RestoreState(s State) {
-	copy(m.Clock, s.clock)
-	m.Stats = s.stats
-}
-
 // NProcs returns the processor count.
 func (m *Machine) NProcs() int { return len(m.Clock) }
 

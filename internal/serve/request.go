@@ -57,9 +57,9 @@ type RunSpec struct {
 }
 
 // ChaosSpec is the opt-in per-request fault plan: the fault layer
-// repurposed as self-testing. Both backends charge the modeled faults; the
-// concurrent backend also heals crashes for real (coordinated
-// checkpoint/restart).
+// repurposed as self-testing. It names message loss, duplication and
+// checkpointing, never a crash, and both backends charge the same modeled
+// faults.
 type ChaosSpec struct {
 	Seed     int64   `json:"seed"`
 	LossRate float64 `json:"loss_rate,omitempty"`
@@ -322,7 +322,6 @@ type RunResponse struct {
 	// contents only when return_arrays was set.
 	ArrayCells map[string]int64     `json:"array_cells,omitempty"`
 	Arrays     map[string][]jsonF64 `json:"arrays,omitempty"`
-	Restarts   int64                `json:"restarts,omitempty"`
 	Diags      []string             `json:"diags,omitempty"`
 	TimingMS   map[string]float64   `json:"timing_ms"`
 }

@@ -381,7 +381,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Stats:      rep.Stats.String(),
 		Scalars:    jsonScalars(rep.Scalars),
 		ArrayCells: map[string]int64{},
-		Restarts:   rep.Restarts,
 		Diags:      diagStrings(c),
 		TimingMS: map[string]float64{
 			"queue":   a.queueMS,

@@ -83,7 +83,7 @@ fi
 # one Validate checks them. Fail if a struct elsewhere declares one of the
 # fields only those two have — names no wire-format or sweep-row struct uses —
 # or if a Config/Result/RunOptions/Report name stops being an alias.
-if grep -rnE '^[[:space:]]+([A-Za-z]+,[[:space:]]*)*(StallTimeout|HardRestarts)(,[[:space:]]*[A-Za-z]+)*[[:space:]]+[][*.A-Za-z0-9]+[[:space:]]*(//.*)?$' \
+if grep -rnE '^[[:space:]]+([A-Za-z]+,[[:space:]]*)*(StallTimeout|TrafficMessages)(,[[:space:]]*[A-Za-z]+)*[[:space:]]+[][*.A-Za-z0-9]+[[:space:]]*(//.*)?$' \
     --include='*.go' --exclude='*_test.go' --exclude-dir=bench . |
     grep -v '^./internal/eval/run.go:'; then
     echo "check: a second copy of the run configuration or the run outcome (they are internal/eval/run.go's RunOptions and Report)" >&2
@@ -177,8 +177,7 @@ fi
 # physical message and one trace event, on both backends. Message
 # vectorization is the compiler's placement decision, so the executor does not
 # coalesce per-instance transfers at run time, the schedule has no operation to
-# flush them, and a trace event never stands for several messages; and the one
-# run mode the differential oracle could not check (HardCrashes) is gone.
+# flush them, and a trace event never stands for several messages.
 if grep -rnE 'openBatch|flushBatch|batchInstance' internal/exec; then
     echo "check: internal/exec batches per-instance transfers again; Transfer sends each element at once" >&2
     exit 1
@@ -191,18 +190,21 @@ if awk '/^type Event struct/,/^}/' $(ls internal/trace/*.go | grep -v '_test\.go
     echo "check: trace.Event has a Count field again; every event is one event" >&2
     exit 1
 fi
-if grep -rnw 'HardCrashes' --include='*.go' --exclude='*_test.go' .; then
-    echo "check: HardCrashes is back; a run-level heal answers real panics and stalls only" >&2
-    exit 1
-fi
 
 # Only-what-the-oracle-checks gates (DESIGN.md §12): on the concurrent backend
 # a fault plan's loss, duplication and slowdown are charges of the replayed
 # account, as on the simulator, because the differential oracle compares that
 # account and nothing else. No lossy wire under the mailboxes, no wall-clock
-# slowdown sleeps, no physical counters beside Stats; and internal/exec starts
+# slowdown sleeps, no physical counters beside Stats; internal/exec starts
 # exactly two kinds of goroutine, the workers and the watchdog, so a link
-# goroutine cannot come back under a new name.
+# goroutine cannot come back under a new name; and a worker panic or a stall
+# ends the run, since the simulator models neither: no run-level heal, no
+# bound on its retries, no save-and-restore of an account or a machine for it,
+# and no HardCrashes mode that turns a scheduled crash into one.
+if grep -rnwE 'MaxRestarts|HardRestarts|buildHeal|healState|AccountState|SaveState|RestoreState|HardCrashes' --include='*.go' --exclude='*_test.go' .; then
+    echo "check: the run-level heal (its MaxRestarts/HardRestarts knobs, the account/machine save-and-restore it needs, or HardCrashes) is back; a worker panic or a stall ends the run" >&2
+    exit 1
+fi
 if grep -rnE 'WallInjector|wireNet|sendWire|DropAttempt|sleepWall|\bWire[A-Z]' --include='*.go' --exclude='*_test.go' .; then
     echo "check: the lossy wire layer (or a Wire* counter) is back; loss, duplication and slowdown on exec are charges of the replayed account" >&2
     exit 1
@@ -269,27 +271,9 @@ if [ "$(ls internal/machine/*.go | grep -v '_test\.go$' | xargs cat | grep -c 'D
     exit 1
 fi
 
-# Fuzz smoke: a small budget per front-end target, enough to catch gross
-# regressions in the robustness contracts (never panic, positioned errors)
-# without turning the gate into a fuzzing campaign; FuzzLowerExpr holds the
-# lowered interpreter to the tree-walking oracle on random expressions and
-# subscripts, FuzzFoldMatchesRun the compile-time fold (ast.Fold, through
-# constant propagation) to the value a simulated run leaves, FuzzSweepBody the
-# swept runs of generated loop bodies to the same oracle (thirty seconds: the
-# legality test is what stands between a sweep and a wrong answer), FuzzOwnerRun
-# the owner-run closed form (dist.AxisMap.OwnerRun) to brute force over OwnerDim.
-# Go allows one -fuzz target per invocation, so each runs separately.
-fuzztime="${FUZZTIME:-10s}"
-go test -run=^$ -fuzz=FuzzLex -fuzztime="$fuzztime" ./internal/lexer
-go test -run=^$ -fuzz=FuzzParse -fuzztime="$fuzztime" ./internal/parser
-go test -run=^$ -fuzz=FuzzParseCrashes -fuzztime="$fuzztime" ./internal/fault
-go test -run=^$ -fuzz=FuzzParseSlowdowns -fuzztime="$fuzztime" ./internal/fault
-go test -run=^$ -fuzz=FuzzServeRequest -fuzztime="$fuzztime" ./internal/serve
-go test -run=^$ -fuzz=FuzzLowerExpr -fuzztime="$fuzztime" ./internal/eval
-go test -run=^$ -fuzz=FuzzFoldMatchesRun -fuzztime="$fuzztime" ./internal/eval
-go test -run=^$ -fuzz=FuzzSweepBody -fuzztime=30s ./internal/eval
-go test -run=^$ -fuzz=FuzzOwnerRun -fuzztime="$fuzztime" ./internal/dist
-go test -run=^$ -fuzz=FuzzAutoPriv -fuzztime="$fuzztime" .
+# Fuzz smoke: every fuzz target for a short budget (FUZZTIME, default 10s);
+# the one list is scripts/fuzz.sh, which `make fuzz` runs too.
+sh scripts/fuzz.sh
 
 # Golden gate: the -dump-after snapshots of the paper figures AND the
 # simulator's rendered runtime trace of figure1 (testdata/traces/) must
