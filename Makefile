@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: check build vet test race fuzz bench
 
 # Tier-1 gate: everything CI runs (the bench module's vet and smoke test, the
-# grep gates, the fuzz smoke and the chaos/golden/bench/serve gates included).
+# grep gates, the fuzz smoke and the chaos/golden/serve gates included).
 check:
 	sh scripts/check.sh
 
@@ -24,5 +24,8 @@ race:
 fuzz:
 	sh scripts/fuzz.sh
 
+# The one benchmark instrument (bench/, its own module; BENCHMARK.json's
+# command): every workload, untraced then traced. Compare two checkouts with
+# `bash bench/run.sh -out A.json` on each and `bash bench/run.sh -compare A.json B.json`.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash bench/run.sh

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"phpf"
+	"phpf/internal/fault"
 )
 
 func main() {
@@ -107,14 +108,14 @@ func main() {
 	plan := &phpf.FaultPlan{Seed: *faultSeed, LossRate: *lossRate, DupRate: *dupRate}
 	if *slowdowns != "" {
 		var err error
-		if plan.Slowdowns, err = phpf.ParseSlowdowns(*slowdowns); err != nil {
+		if plan.Slowdowns, err = fault.ParseSlowdowns(*slowdowns); err != nil {
 			fmt.Fprintf(os.Stderr, "phpfrun: -slowdown: %v\n", err)
 			os.Exit(2)
 		}
 	}
 	if *crashes != "" {
 		var err error
-		if plan.Crashes, err = phpf.ParseCrashes(*crashes); err != nil {
+		if plan.Crashes, err = fault.ParseCrashes(*crashes); err != nil {
 			fmt.Fprintf(os.Stderr, "phpfrun: -crash: %v\n", err)
 			os.Exit(2)
 		}

@@ -1,7 +1,9 @@
 package phpf
 
 import (
+	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,6 +99,59 @@ func TestGoldenDumpStability(t *testing.T) {
 			t.Errorf("%s: ssa dump differs between two compilations", name)
 		}
 	}
+}
+
+// TestGoldenPaperCells pins, at full float64 precision, every cell of the
+// paper's §5 evaluation at the sizes BENCH_<n>.json recorded: Tables 1–3, the
+// reduce sweep at P=8, and DGEFA(48) at P=4 clean, checkpointed and recovered
+// from a mid-loop crash. Each table cell is its simulated seconds, messages
+// and bytes moved; the recovery rows go through the chaos sweep, so the
+// concurrent executor must also agree with the simulator on them bitwise.
+// Run with -update after an intentional change to the cost model.
+func TestGoldenPaperCells(t *testing.T) {
+	reduce := ReduceSweep([]DiffProgram{
+		{Name: "Histogram(256,32,4)", Source: HistogramSource(256, 32, 4)},
+		{Name: "DotSweep(48,24)", Source: DotSweepSource(48, 24)},
+	}, []int{8}, 0)
+	reduce.Title, reduce.Corner, reduce.LabelWidth = "Reduce sweep (P=8)", "program", -19
+	full := func(c Cell) string {
+		return fmt.Sprintf("%.17g/%d/%d", c.Seconds, c.Stats.Messages, c.Stats.BytesMoved)
+	}
+	var b strings.Builder
+	b.WriteString("cells: simulated seconds (%.17g) / messages / bytes moved\n")
+	for _, tbl := range []*Table{
+		Table1TOMCATV(65, 3, []int{1, 4, 16}, 0),
+		Table2DGEFA(96, []int{4, 16}, 0),
+		Table3APPSP(12, 12, 12, 2, []int{4, 16}, 0),
+		reduce,
+	} {
+		if err := tbl.Run(); err != nil {
+			t.Fatal(err)
+		}
+		tbl.Show, tbl.Width = full, 36
+		b.WriteString("\n" + tbl.String())
+	}
+
+	var plans []ChaosPlan
+	for _, p := range DefaultChaosPlans() {
+		if p.Name == "checkpoint" || p.Name == "crash" {
+			plans = append(plans, p)
+		}
+	}
+	rows, err := ChaosSweep(context.Background(), []DiffProgram{{Name: "DGEFA(48)", Source: DGEFASource(48)}}, 4, plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString("\nRecovery overhead — DGEFA(48), P=4, selected: simulated seconds / messages / bytes moved, fault counters\n")
+	fmt.Fprintf(&b, "%-10s %.17g\n", "clean", rows[0].CleanSeconds)
+	for _, r := range rows {
+		if !r.Match() {
+			t.Errorf("%s: %s", r.Plan, r.verdict())
+		}
+		s := r.Sim.Stats
+		fmt.Fprintf(&b, "%-10s %.17g/%d/%d %s\n", r.Plan, r.Sim.Time, s.Messages, s.BytesMoved, s.FaultString())
+	}
+	checkGolden(t, filepath.Join("testdata", "tables", "paper_cells.golden"), b.String())
 }
 
 // TestPassNamesNameThePipeline: the one list of pass names (phpfc's help and

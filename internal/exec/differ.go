@@ -15,6 +15,7 @@ import (
 
 	"phpf/internal/dist"
 	"phpf/internal/eval"
+	"phpf/internal/machine"
 	"phpf/internal/sim"
 	"phpf/internal/spmd"
 	"phpf/internal/trace"
@@ -84,6 +85,35 @@ func diff(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*DiffRepo
 	return r, nil
 }
 
+// counter is one named counter of the cost model's Stats in a reference
+// account (want) and a compared one (got).
+type counter struct {
+	name      string
+	want, got int64
+}
+
+// counters pairs every counter of two accounts' Stats: the one list through
+// which the differential oracle and the replicated-account check compare them.
+func counters(want, got machine.Stats) []counter {
+	return []counter{
+		{"messages", want.Messages, got.Messages},
+		{"bytes moved", want.BytesMoved, got.BytesMoved},
+		{"broadcasts", want.Broadcasts, got.Broadcasts},
+		{"shifts", want.Shifts, got.Shifts},
+		{"reductions", want.Reductions, got.Reductions},
+		{"merges", want.Merges, got.Merges},
+		{"point-to-point", want.PointToPoint, got.PointToPoint},
+		{"all-to-alls", want.AllToAlls, got.AllToAlls},
+		{"retransmits", want.Retransmits, got.Retransmits},
+		{"duplicates", want.Duplicates, got.Duplicates},
+		{"crashes", want.Crashes, got.Crashes},
+		{"checkpoints", want.Checkpoints, got.Checkpoints},
+		{"checkpoint bytes", want.CheckpointBytes, got.CheckpointBytes},
+		{"recovery bytes", want.RecoveryBytes, got.RecoveryBytes},
+		{"recovery messages", want.RecoveryMessages, got.RecoveryMessages},
+	}
+}
+
 // compare fills Mismatches. Values are compared bitwise: the backends share
 // the evaluation core, so even rounding must be identical.
 func (r *DiffReport) compare() {
@@ -139,30 +169,9 @@ func (r *DiffReport) compare() {
 		}
 	}
 
-	ss, es := r.Sim.Stats, r.Exec.Stats
-	counters := []struct {
-		name      string
-		sim, exec int64
-	}{
-		{"messages", ss.Messages, es.Messages},
-		{"bytes moved", ss.BytesMoved, es.BytesMoved},
-		{"broadcasts", ss.Broadcasts, es.Broadcasts},
-		{"shifts", ss.Shifts, es.Shifts},
-		{"reductions", ss.Reductions, es.Reductions},
-		{"merges", ss.Merges, es.Merges},
-		{"point-to-point", ss.PointToPoint, es.PointToPoint},
-		{"all-to-alls", ss.AllToAlls, es.AllToAlls},
-		{"retransmits", ss.Retransmits, es.Retransmits},
-		{"duplicates", ss.Duplicates, es.Duplicates},
-		{"crashes", ss.Crashes, es.Crashes},
-		{"checkpoints", ss.Checkpoints, es.Checkpoints},
-		{"checkpoint bytes", ss.CheckpointBytes, es.CheckpointBytes},
-		{"recovery bytes", ss.RecoveryBytes, es.RecoveryBytes},
-		{"recovery messages", ss.RecoveryMessages, es.RecoveryMessages},
-	}
-	for _, c := range counters {
-		if c.sim != c.exec {
-			miss("stats %s: sim %d, exec %d", c.name, c.sim, c.exec)
+	for _, c := range counters(r.Sim.Stats, r.Exec.Stats) {
+		if c.want != c.got {
+			miss("stats %s: sim %d, exec %d", c.name, c.want, c.got)
 		}
 	}
 	if math.Float64bits(r.Sim.Time) != math.Float64bits(r.Exec.Time) {

@@ -355,9 +355,11 @@ func checkConsistency(workers []*worker) error {
 			return &DivergenceError{Proc: p, Peer: 0, What: "accounted simulated time",
 				Got: m.Time(), Want: rm.Time()}
 		}
-		if m.Stats != rm.Stats {
-			return &DivergenceError{Proc: p, Peer: 0, What: "accounted cost-model statistics",
-				Got: float64(m.Stats.Messages), Want: float64(rm.Stats.Messages)}
+		for _, c := range counters(rm.Stats, m.Stats) {
+			if c.got != c.want {
+				return &DivergenceError{Proc: p, Peer: 0, What: "accounted " + c.name,
+					Got: float64(c.got), Want: float64(c.want)}
+			}
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"phpf/internal/comm"
 	"phpf/internal/core"
 	"phpf/internal/diag"
+	"phpf/internal/eval"
+	"phpf/internal/machine"
 	"phpf/internal/programs"
 )
 
@@ -182,6 +185,51 @@ func TestMailboxDepthOne(t *testing.T) {
 		prog := compile(t, src, 4, core.DefaultOptions())
 		if _, err := run(context.Background(), prog, Config{StallTimeout: 10 * time.Second}, hooks{mailboxDepth: 1}); err != nil {
 			t.Fatalf("depth-1 run failed: %v", err)
+		}
+	}
+}
+
+// TestDivergenceNamesTheCounter: two replicated accounts that agree on
+// everything but one counter are reported by that counter and its two
+// values, not by a counter they share.
+func TestDivergenceNamesTheCounter(t *testing.T) {
+	prog := compile(t, commSource, 2, core.DefaultOptions())
+	workers := make([]*worker, 2)
+	for i := range workers {
+		st, err := Config{}.NewState(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[i] = &worker{proc: i, st: st, acct: eval.NewAccount(st, Config{})}
+		workers[i].acct.M.Stats.Messages = 564
+	}
+	workers[1].acct.M.Stats.Retransmits = 3
+	err := checkConsistency(workers)
+	var de *DivergenceError
+	if !errors.As(err, &de) {
+		t.Fatalf("expected *DivergenceError, got %T: %v", err, err)
+	}
+	if !strings.Contains(de.What, "retransmits") || de.Got != 3 || de.Want != 0 {
+		t.Fatalf("divergence reported as %q got %v want %v; want the retransmits, 3 against 0", de.What, de.Got, de.Want)
+	}
+}
+
+// TestCountersCoverStats: the one counter list names every field of
+// machine.Stats exactly once, so neither the oracle nor the replicated-account
+// check can miss a counter.
+func TestCountersCoverStats(t *testing.T) {
+	typ := reflect.TypeOf(machine.Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		var s machine.Stats
+		reflect.ValueOf(&s).Elem().Field(i).SetInt(1)
+		differ := 0
+		for _, c := range counters(machine.Stats{}, s) {
+			if c.want != c.got {
+				differ++
+			}
+		}
+		if differ != 1 {
+			t.Errorf("Stats.%s: %d counters differ, want 1", typ.Field(i).Name, differ)
 		}
 	}
 }

@@ -177,9 +177,6 @@ func NewInjector(p *Plan) *Injector {
 	return &Injector{plan: *p, consumed: make([]bool, len(p.Crashes))}
 }
 
-// Plan returns the plan the injector draws from.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // splitmix64 finalizer: a high-quality 64-bit mix of seed and counter.
 func mix(seed int64, seq uint64) uint64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*(seq+1)

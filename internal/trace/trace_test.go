@@ -65,17 +65,6 @@ func TestZeroAllocationDisabled(t *testing.T) {
 	}
 }
 
-// BenchmarkEmitDisabled is the standing benchmark guard for the same
-// criterion; run with -benchmem to see 0 allocs/op.
-func BenchmarkEmitDisabled(b *testing.B) {
-	var r *Recorder
-	e := send(1, 0, 1, 8, dist.CommShift, 3, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Emit(0, e)
-	}
-}
-
 // BenchmarkEmitEnabled measures the enabled hot path (steady state: ring
 // full, statement entry present — the per-event work is counter updates and
 // one ring store).

@@ -92,13 +92,6 @@ const (
 	SeverityError   = diag.Error
 )
 
-// ParseCrashes parses a CLI crash list "proc@time,proc@time".
-func ParseCrashes(s string) ([]Crash, error) { return fault.ParseCrashes(s) }
-
-// ParseSlowdowns parses a CLI slowdown list
-// "proc:factor[:start[:duration]],...".
-func ParseSlowdowns(s string) ([]Slowdown, error) { return fault.ParseSlowdowns(s) }
-
 // Scalar strategies (Table 1 columns).
 const (
 	ScalarsReplicated      = core.ScalarsReplicated
