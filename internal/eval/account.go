@@ -91,20 +91,29 @@ func (a *Account) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	a.M.ClearAttr()
 }
 
-// Charges makes the charges of one iteration of a quiet owner run, in order:
-// what Guard and Compute charge, to processors the run has listed.
-func (a *Account) Charges(charges []Charge) {
-	m := a.M
-	for i := range charges {
+// Charges makes the charges of n iterations of a quiet owner run: n rounds of
+// what Guard and Compute charge, in order, to processors the run has listed —
+// in one machine operation (ComputeStrip) where nothing sees a charge on its
+// own; where something does, by Guard and Compute themselves.
+func (a *Account) Charges(charges []Charge, n int64) {
+	p := a.M.Params
+	if a.M.ComputeStrip(n, len(charges), func(i int) ([]int32, float64) {
 		c := &charges[i]
-		if req := c.Req; req != nil {
-			m.SetAttr(req.Stmt.ID, req.ID, req.Class)
-			m.ComputeListed(c.Set, c.procs, m.Params.GuardTime)
-			continue
+		if c.Req != nil {
+			return c.procs, p.GuardTime
 		}
-		m.SetAttr(c.Stmt.ID, -1, dist.CommNone)
-		m.ComputeListed(c.Set, c.procs, float64(c.Flops)*m.Params.FlopTime)
-		m.ClearAttr()
+		return c.procs, float64(c.Flops) * p.FlopTime
+	}) {
+		return
+	}
+	for ; n > 0; n-- {
+		for i := range charges {
+			if c := &charges[i]; c.Req != nil {
+				a.Guard(c.Req)
+			} else {
+				a.Compute(c.Stmt, c.Set, c.Flops)
+			}
+		}
 	}
 }
 

@@ -938,22 +938,25 @@ func (l *loweredSim) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	l.Account.Compute(st, set, flops)
 }
 
-func (l *loweredSim) Iteration(charges []Charge) error {
+// Iteration closes a strip as internal/sim's does with nothing to show or to
+// stop at: the charges of its n iterations in one operation, on the machine's
+// strip path — which the oracle's clocks then hold to the bit.
+func (l *loweredSim) Iteration(charges []Charge, n int64) (int64, error) {
 	for _, c := range charges {
 		if c.Req != nil {
 			continue
 		}
-		l.census.Quiet++
+		l.census.Quiet += n
 		switch l.st.swept {
 		case 1:
-			l.census.Swept++
+			l.census.Swept += n
 		case -1:
-			l.census.Refused++
+			l.census.Refused += n
 		}
 	}
 	l.inRun(&l.census.QuietRuns)
-	l.Charges(charges)
-	return nil
+	l.Charges(charges, n)
+	return n, nil
 }
 
 // LoweredSimulate runs the program through the production walker, schedule

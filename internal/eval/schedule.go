@@ -52,9 +52,25 @@ type Ops interface {
 	// Tick closes every loop iteration (a crash site too, and the place for
 	// abort checks).
 	Tick() error
-	// Iteration closes an iteration of a quiet owner run, whose statement
-	// instances issued nothing: their charges, in order, then what Tick does.
-	Iteration(charges []Charge) error
+	// Iteration closes n iterations of a quiet owner run, whose statement
+	// instances issued nothing: for each, their charges in order, then what
+	// Tick does. It returns how many it closed: n, or as many as up to and
+	// including the one that failed. A backend may close them all at once —
+	// the charges of n rounds, one tick — where nothing it does or observes
+	// at an iteration's end could tell, and closes them one at a time
+	// (EachIteration) where something could.
+	Iteration(charges []Charge, n int64) (int64, error)
+}
+
+// EachIteration closes n iterations one at a time, each by close, up to the
+// first that fails: Ops.Iteration for a backend that has something to do or
+// to stop at in every iteration.
+func EachIteration(n int64, close func() error) (int64, error) {
+	for k := int64(1); ; k++ {
+		if err := close(); err != nil || k == n {
+			return k, err
+		}
+	}
 }
 
 // Charge is one resolved charge of a quiet owner run (see schedule.resolve):

@@ -55,16 +55,18 @@ func (r *opRecorder) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	}
 }
 
-// Iteration reads as the operations it stands for.
-func (r *opRecorder) Iteration(charges []Charge) error {
-	for _, c := range charges {
-		if c.Req != nil {
-			r.Guard(c.Req)
-		} else {
-			r.Compute(c.Stmt, c.Set, c.Flops)
+// Iteration reads as the operations it stands for, n times over.
+func (r *opRecorder) Iteration(charges []Charge, n int64) (int64, error) {
+	return EachIteration(n, func() error {
+		for _, c := range charges {
+			if c.Req != nil {
+				r.Guard(c.Req)
+			} else {
+				r.Compute(c.Stmt, c.Set, c.Flops)
+			}
 		}
-	}
-	return r.Tick()
+		return r.Tick()
+	})
 }
 
 func (r *opRecorder) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {

@@ -275,19 +275,14 @@ func (s *State) sweepable(ops []kop, n int64) bool {
 
 // sweep executes the n iterations of a quiet owner run whose kernel is ops
 // and which sweepable accepted, a strip at a time: the strip's iterations are
-// charged first, one operation each and in order, then their value semantics
-// run through the kernel. Nothing a charge reads is written by a value or the
-// reverse, and a kernel cannot fail, so only the backend ending the run could
-// tell the order from the loop's — and the iteration that ends it is the last
-// one evaluated, as there.
+// closed first, by one operation that charges them in order, then their value
+// semantics run through the kernel. Nothing a charge reads is written by a
+// value or the reverse, and a kernel cannot fail, so only the backend ending
+// the run could tell the order from the loop's — and the iteration that ends
+// it is the last one evaluated, as there.
 func (w *walker) sweep(ops []kop, slot int32, step, n int64) error {
 	for {
-		var err error
-		m := int64(0)
-		for m < min(n, strip) && err == nil {
-			err = w.sched.ops.Iteration(w.quiet)
-			m++
-		}
+		m, err := w.sched.ops.Iteration(w.quiet, min(n, strip))
 		w.s.kernel(ops, slot, step, int(m))
 		w.s.advance(slot, step, m-1)
 		if n -= m; n == 0 || err != nil {

@@ -223,7 +223,9 @@ func (g *genBody) body() string {
 
 // FuzzSweepBody: whatever flat body the bytes spell, under whichever loop form,
 // distribution and processor count they pick, the production walk — sweeping
-// the runs its legality test accepts — leaves what the oracle leaves.
+// the runs its legality test accepts — leaves what the oracle leaves. The
+// corpus (testdata/fuzz/FuzzSweepBody) adds two bodies that leave NaNs of
+// different bits on the two sides, which sameBits must take as equal.
 func FuzzSweepBody(f *testing.F) {
 	for _, seed := range []string{
 		"", "swept runs", "\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7\xf6\xf5\xf4\xf3\xf2\xf1\xf0",

@@ -405,7 +405,7 @@ func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
 					return err
 				}
 			}
-			err = w.sched.ops.Iteration(w.quiet)
+			_, err = w.sched.ops.Iteration(w.quiet, 1)
 		} else {
 			for i := range stmts {
 				if err := w.assign(&stmts[i]); err != nil {

@@ -843,16 +843,27 @@ func (w *worker) traceCompute(st *ir.Stmt, set dist.ProcSet, flops int) {
 }
 
 // Iteration is the accountant's charges, this worker's Compute events, and
-// the tick: a quiet iteration has no traffic.
-func (w *worker) Iteration(charges []eval.Charge) error {
+// the tick: a quiet iteration has no traffic. In chaos mode (a crash site per
+// tick), when tracing or under a tick hook each iteration is closed on its
+// own; otherwise the strip's charges are one operation, and its end the one
+// watchdog tick and cancellation poll.
+func (w *worker) Iteration(charges []eval.Charge, n int64) (int64, error) {
+	if w.ex.chaos || w.ex.rec != nil || w.ex.hooks.tick != nil {
+		return eval.EachIteration(n, func() error {
+			if w.charges() {
+				w.acct.Charges(charges, 1)
+			}
+			for i := 0; i < len(charges) && w.traces(); i++ {
+				c := &charges[i]
+				w.traceCompute(c.Stmt, c.Set, c.Flops) // a guard has no flops, and no event
+			}
+			return w.Tick()
+		})
+	}
 	if w.charges() {
-		w.acct.Charges(charges)
+		w.acct.Charges(charges, n)
 	}
-	for i := 0; i < len(charges) && w.traces(); i++ {
-		c := &charges[i]
-		w.traceCompute(c.Stmt, c.Set, c.Flops) // a guard has no flops, and no event
-	}
-	return w.Tick()
+	return n, w.Tick()
 }
 
 // AllToAll realizes an executable redistribution (the mapping update has

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -158,6 +159,30 @@ func TestCancellation(t *testing.T) {
 	_, err := run(ctx, prog, Config{}, hk)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected Canceled, got %v", err)
+	}
+}
+
+// TestDeadlineOnTheStripPath: with no tick hook a worker closes each swept
+// strip with one watchdog tick and one cancellation poll (TestDeadline and
+// TestCancellation set a hook, which closes every iteration on its own). A
+// deadline must still end a long, mostly swept run promptly, with the
+// context's error and no goroutine left behind. The whole run takes over a
+// hundred times the deadline.
+func TestDeadlineOnTheStripPath(t *testing.T) {
+	prog := compile(t, programs.TOMCATV(129, 50), 4, core.DefaultOptions())
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := Run(ctx, prog, Config{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expected DeadlineExceeded, got %v", err)
+	}
+	t.Logf("ended %v after the start", time.Since(start))
+	for wait := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Fatalf("%d goroutines after the run, %d before it", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

@@ -245,18 +245,27 @@ func (m *Machine) Compute(set dist.ProcSet, t float64) {
 	})
 }
 
-// ComputeListed is Compute(set, t) from a caller that holds set's processors
-// as a list, ascending as Each visits them: with no recorder and no slowdowns
-// attached — nothing to emit, nothing to scale by — the charge is a loop over
-// the list, the same addition on the same clocks.
-func (m *Machine) ComputeListed(set dist.ProcSet, procs []int32, t float64) {
-	if t == 0 || m.Rec != nil || (m.Fault != nil && m.Fault.HasSlowdowns()) {
-		m.Compute(set, t)
-		return
+// ComputeStrip is n rounds of k charges, the i-th Compute(set, t) of a set
+// whose processors charge(i) lists, ascending as Each visits them, with its t:
+// round by round, charge by charge, each an addition to every listed clock —
+// Compute's own additions in Compute's order, bit for bit, never a product and
+// never one charge n times before the next. With a recorder or slowdowns
+// attached it charges nothing and reports false: each charge must then be a
+// Compute of its own, which the recorder sees and slowdowns scale.
+func (m *Machine) ComputeStrip(n int64, k int, charge func(i int) (procs []int32, t float64)) bool {
+	if m.Rec != nil || (m.Fault != nil && m.Fault.HasSlowdowns()) {
+		return false
 	}
-	for _, p := range procs {
-		m.Clock[p] += t
+	for ; n > 0; n-- {
+		for i := range k {
+			if procs, t := charge(i); t != 0 { // (Compute adds no zero)
+				for _, p := range procs {
+					m.Clock[p] += t
+				}
+			}
+		}
 	}
+	return true
 }
 
 // resend accounts for one transmission beyond the planned one — a

@@ -149,9 +149,19 @@ func (in *interp) CrashSite() error {
 
 func (in *interp) Tick() error { return in.CrashSite() }
 
-func (in *interp) Iteration(charges []eval.Charge) error {
-	in.Charges(charges)
-	return in.Tick()
+// Iteration closes a strip of quiet iterations. With a fault plan or a time
+// limit an iteration's end can stop something, and each is closed on its own;
+// otherwise the strip's charges are one call (which a recorder still sees
+// charge by charge) and its end the one cancellation poll.
+func (in *interp) Iteration(charges []eval.Charge, n int64) (int64, error) {
+	if in.M.Fault != nil || in.maxSeconds > 0 {
+		return eval.EachIteration(n, func() error {
+			in.Charges(charges, 1)
+			return in.Tick()
+		})
+	}
+	in.Charges(charges, n)
+	return n, in.Tick()
 }
 
 // profiler is the interp of a profiled run: the operations that name a
@@ -203,15 +213,18 @@ func (p *profiler) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	p.since(st, before).Instances++
 }
 
-// Iteration brackets each charge as Guard and Compute do (the interp's own,
-// promoted, would charge them unseen).
-func (p *profiler) Iteration(charges []eval.Charge) error {
-	for i := range charges {
-		before := p.clockSum()
-		p.Charges(charges[i : i+1])
-		if sp := p.since(charges[i].Stmt, before); charges[i].Req == nil {
-			sp.Instances++
+// Iteration closes the strip one iteration at a time and brackets each charge
+// as Guard and Compute do (the interp's own, promoted, would charge them
+// unseen).
+func (p *profiler) Iteration(charges []eval.Charge, n int64) (int64, error) {
+	return eval.EachIteration(n, func() error {
+		for i := range charges {
+			before := p.clockSum()
+			p.Charges(charges[i:i+1], 1)
+			if sp := p.since(charges[i].Stmt, before); charges[i].Req == nil {
+				sp.Instances++
+			}
 		}
-	}
-	return p.Tick()
+		return p.Tick()
+	})
 }

@@ -53,20 +53,27 @@ fi
 
 # One-accountant gate: the simulated machine is built and charged in
 # internal/eval/account.go only (bench/, its own module, measures the
-# machine's unit costs directly and is not scanned).
-if grep -rnE 'machine\.New\(|\.M\.(Shift|Multicast|Exchange|Send|Compute|ComputeListed|Reduce|TreeMerge|AllToAll|Checkpoint|Recover)\(' \
+# machine's unit costs directly and is not scanned). The charge of a quiet
+# strip on its listed processors (ComputeStrip) is named by method, whatever
+# holds the machine.
+if grep -rnE 'machine\.New\(|\.M\.(Shift|Multicast|Exchange|Send|Compute|Reduce|TreeMerge|AllToAll|Checkpoint|Recover)\(|\.ComputeStrip\(' \
     --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=machine . |
     grep -v '^./internal/eval/account.go:'; then
     echo "check: the simulated machine is built or charged outside internal/eval/account.go" >&2
     exit 1
 fi
-# ...and a clock advances in internal/machine only: the loop that charges a
-# quiet run's listed processors (Machine.ComputeListed) sits beside Compute,
+# ...and a clock advances in internal/machine only: the loops that charge a
+# quiet strip's listed processors (Machine.ComputeStrip) sit beside Compute,
 # where slowdowns scale a charge and the recorder sees it, not in a caller
-# that knows neither.
+# that knows neither. Outside internal/machine the clock slice is only
+# indexed or ranged over: bound to a name, passed on or sliced, it could be
+# assigned through the alias.
 if grep -rnE 'Clock\[[^]]*\][[:space:]]*([-+*/]?=([^=]|$)|\+\+|--)' \
-    --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=machine .; then
-    echo "check: a processor clock is assigned outside internal/machine" >&2
+    --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=machine . ||
+    grep -rnE '\.Clock(\[[^]]*:|[^[A-Za-z0-9_]|$)' \
+    --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=machine . |
+    grep -vE 'range [A-Za-z_.]+\.Clock[[:space:]]*\{'; then
+    echo "check: a processor clock is assigned, or the clock slice aliased, outside internal/machine" >&2
     exit 1
 fi
 
