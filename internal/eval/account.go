@@ -96,6 +96,7 @@ func (a *Account) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 // in one machine operation (ComputeStrip) where nothing sees a charge on its
 // own; where something does, by Guard and Compute themselves.
 func (a *Account) Charges(charges []Charge, n int64) {
+	a.st.listProcs(charges)
 	p := a.M.Params
 	if a.M.ComputeStrip(n, len(charges), func(i int) ([]int32, float64) {
 		c := &charges[i]
@@ -157,6 +158,14 @@ func (a *Account) AllToAll(st *ir.Stmt) error {
 	a.M.ClearAttr()
 	return nil
 }
+
+// Branch, HandOff, MergeRow and Operands move values between States that each hold
+// their processor's: nothing the cost model charges, and nothing for one
+// State that holds every processor's.
+func (a *Account) Branch(_ *ir.Stmt, _ dist.ProcSet, taken bool) (bool, error) { return taken, nil }
+func (a *Account) HandOff(*ir.Var, int, dist.ProcSet) error                    { return nil }
+func (a *Account) MergeRow(*spmd.Combine, MergeHop, []float64) error           { return nil }
+func (a *Account) Operands(*comm.Requirement) error                            { return nil }
 
 // Checkpoint takes a coordinated checkpoint (each processor's partition of
 // the arrays plus its scalar copies, written to stable storage at link speed)

@@ -84,11 +84,193 @@ func (s *State) InstanceOp(req *comm.Requirement, sp *spmd.StmtPlan, elemBytes i
 	return InstanceOp{From: from, Dst: dst, Bytes: elemBytes}, nil
 }
 
-// UseValue evaluates the element a per-instance requirement transfers, on
-// the current memory image — the payload the concurrent backend checksums.
-func (s *State) UseValue(req *comm.Requirement) (float64, error) {
-	v := s.lowered().reqs[req.ID].use(s)
-	return v, s.takeErr()
+// UseAt returns where the memory image keeps the element a per-instance
+// requirement transfers, at the current indices: what the sender reads and
+// each receiver stores before the statement's value semantics.
+func (s *State) UseAt(req *comm.Requirement) (*float64, error) {
+	rc := &s.lowered().reqs[req.ID]
+	if rc.at == nil {
+		return &s.scalars[rc.slot], nil
+	}
+	off, ok := rc.at.offset(s)
+	if !ok {
+		return nil, s.takeErr()
+	}
+	return &s.arrays[rc.slot][off], nil
+}
+
+// Move is one element a communication brings the images into agreement on:
+// where this State keeps it and, as indices into its list's Sets, the
+// processors that hold its value (the first sends it) and those that read it.
+type Move struct {
+	At       *float64
+	From, To int32
+}
+
+// Moves is a list of Move; a few sets serve a whole section. First[i] is
+// Sets[i].First(), the processor that sends what Sets[i] holds.
+type Moves struct {
+	Elems []Move
+	Sets  []dist.ProcSet
+	First []int
+}
+
+// intern returns the index of set in mv.Sets, adding it unless it is one of
+// the last two: the previous element's owners and readers.
+func (mv *Moves) intern(set dist.ProcSet) int32 {
+	for i := len(mv.Sets) - 1; i >= max(0, len(mv.Sets)-2); i-- {
+		if mv.Sets[i].Equal(set) {
+			return int32(i)
+		}
+	}
+	mv.Sets, mv.First = append(mv.Sets, set), append(mv.First, set.First())
+	return int32(len(mv.Sets) - 1)
+}
+
+// passes reports whether the State's processor sends or receives what from
+// holds and to reads: the lists of two States keep, in the same order, the
+// elements that pass between them.
+func (s *State) passes(from, to dist.ProcSet) bool {
+	p := s.proc
+	return to.Contains(p) && !from.Contains(p) || from.First() == p && !from.CoversSet(to)
+}
+
+// Section lists, at the entry of a vectorized requirement's hoisted nest —
+// or at an instance, for a per-instance one — the elements its use reads that
+// the State's processor sends or receives. Every State enumerates them in the
+// same order (indices and mapping are replicated), so the two ends of a
+// message agree on its layout without naming an address. An element the nest
+// would address out of bounds is one no iteration reads, and is left out.
+// While the use's statement is a privatized elementwise update, its readers
+// are where the update accumulates (Ops.Operands). The list is the State's
+// scratch, valid until the next call.
+func (s *State) Section(req *comm.Requirement) *Moves {
+	rc := &s.lowered().reqs[req.ID]
+	s.moves.Elems, s.moves.Sets, s.moves.First = s.moves.Elems[:0], s.moves.Sets[:0], s.moves.First[:0]
+	var saved [8]int64
+	for k, l := range rc.nest[:min(len(rc.nest), len(saved))] {
+		saved[k] = s.indices[l.Index.Slot]
+	}
+	s.enumerate(rc, 0)
+	for k, l := range rc.nest[:min(len(rc.nest), len(saved))] {
+		s.indices[l.Index.Slot] = saved[k]
+	}
+	s.err = nil
+	return &s.moves
+}
+
+// enumerate lists the section's elements from nest level k inward, the
+// innermost walked loop by stretches over which the owners and readers stay
+// what they are, each taken or passed over whole.
+func (s *State) enumerate(rc *reqCode, k int) {
+	if k == len(rc.nest) {
+		s.stretch(rc, -1, 0, 1)
+		return
+	}
+	l := rc.nest[k]
+	lo, hi, step, ok := s.code.loops[l.ID].bounds(s)
+	if !ok || step == 0 {
+		s.err = nil
+		return
+	}
+	slot, inner := l.Index.Slot, k == len(rc.nest)-1 && rc.walk[k]
+	runs := inner && rc.lim > 0 && s.exactOver(l, lo, hi, step, rc.lim)
+	for v := lo; (step > 0 && v <= hi) || (step < 0 && v >= hi); {
+		s.indices[slot] = v
+		n := int64(1)
+		switch {
+		case !inner:
+			if s.enumerate(rc, k+1); !rc.walk[k] {
+				return
+			}
+		case runs:
+			n = rc.srcOwner.run(s, slot, step, (hi-v)/step+1)
+			if rc.comb == nil || !s.PrivatizedActive(rc.comb) {
+				n = rc.elemDst.run(s, slot, step, n)
+			} else if rc.reader != nil {
+				n = rc.reader.run(s, slot, step, n)
+			}
+			fallthrough
+		default:
+			s.stretch(rc, slot, step, n)
+		}
+		v += n * step
+	}
+}
+
+// stretch lists, when they pass here, the n elements the use addresses from
+// the current iteration on of the loop whose index is in slot (slot -1: the
+// one element the current indices address).
+func (s *State) stretch(rc *reqCode, slot int32, step, n int64) {
+	from, ok := dist.ProcSet{}, true
+	if rc.at == nil {
+		from = rc.srcPat.eval(s)
+	} else {
+		from, ok = rc.srcOwner.eval(s)
+	}
+	// The element's readers: the destination, or, while its statement is a
+	// privatized elementwise update, where the update accumulates — the
+	// owners of its data reference, else processor 0.
+	to := dist.AllProcs(s.grid)
+	switch {
+	case rc.comb == nil || !s.PrivatizedActive(rc.comb):
+		to = rc.elemDst.eval(s)
+	case rc.reader != nil:
+		if ok {
+			to, ok = rc.reader.eval(s)
+		}
+	default:
+		for d := range s.grid.Shape {
+			to = to.WithDim(d, 0)
+		}
+	}
+	if s.err = nil; !ok || !s.passes(from, to) {
+		return
+	}
+	mv := &s.moves
+	m := Move{At: &s.scalars[rc.slot], From: mv.intern(from), To: mv.intern(to)}
+	for t := int64(0); t < n; t++ {
+		if t > 0 {
+			s.indices[slot] += step
+		}
+		if rc.at != nil {
+			off, ok := rc.at.offset(s)
+			if s.err = nil; !ok {
+				continue
+			}
+			m.At = &s.arrays[rc.slot][off]
+		}
+		mv.Elems = append(mv.Elems, m)
+	}
+}
+
+// Redistributed lists the elements of the array an executable redistribution
+// just remapped, each from its owners under the mapping it left to those
+// under the new one.
+func (s *State) Redistributed(st *ir.Stmt) *Moves {
+	v := st.Redist.Array
+	old, now, arr := s.remapped, s.dyn[v.Slot], s.arrays[v.Slot]
+	mv := &s.moves
+	mv.Elems, mv.Sets, mv.First = mv.Elems[:0], mv.Sets[:0], mv.First[:0]
+	if old == nil || now == nil {
+		return mv
+	}
+	idx := make([]int64, len(v.Dims))
+	for k := range idx {
+		idx[k] = 1
+	}
+	for off := range arr {
+		if from, to := old.Owner(s.grid, idx), now.Owner(s.grid, idx); s.passes(from, to) {
+			mv.Elems = append(mv.Elems, Move{At: &arr[off], From: mv.intern(from), To: mv.intern(to)})
+		}
+		for k := range idx { // column-major: the first subscript fastest
+			if idx[k]++; idx[k] <= v.Dims[k] {
+				break
+			}
+			idx[k] = 1
+		}
+	}
+	return mv
 }
 
 // VecKind discriminates the resolved form of a vectorized communication.
@@ -119,6 +301,9 @@ type VectorizedOp struct {
 	Bytes        int64        // aggregated transfer size (VecBcast, VecExchange)
 	PerProc      int64        // per-participant bytes (VecShift)
 	Participants dist.ProcSet // VecShift participants
+	// Ring is the way a shift's data flows around the ring of processor
+	// numbers: +1 to the next one, -1 to the previous (VecShift).
+	Ring int
 }
 
 // VectorizedOp resolves one hoisted requirement at the current loop entry.
@@ -188,7 +373,7 @@ func (s *State) VectorizedOp(req *comm.Requirement, elemBytes int64) (Vectorized
 			perProc = elemBytes
 		}
 		return VectorizedOp{Kind: VecShift, PerProc: perProc,
-			Participants: dist.AllProcs(g)}, nil
+			Participants: dist.AllProcs(g), Ring: rc.ring}, nil
 
 	case dist.CommBcast:
 		return VectorizedOp{Kind: VecBcast, From: srcEval.First(), Dst: dstEval,
@@ -223,7 +408,7 @@ func (s *State) ApplyRedistribute(st *ir.Stmt) error {
 	if err != nil {
 		return &RedistError{Line: st.Line, Err: err}
 	}
-	s.dyn[v.Slot] = nm
+	s.remapped, s.dyn[v.Slot] = s.dyn[v.Slot], nm
 	// The remap changes ownership, so any union execution set memoized for
 	// the current epoch is stale; advance the epoch to invalidate it.
 	s.epoch++

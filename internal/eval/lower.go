@@ -42,6 +42,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"phpf/internal/ast"
 	"phpf/internal/comm"
@@ -77,6 +78,14 @@ type code struct {
 	// scalars holds the owner set of every mapped scalar definition
 	// (reduction combines, lastprivate copy-outs).
 	scalars map[*core.ScalarMapping]*patCode
+	// tracked marks, by slot, the arrays some statement writes outside the
+	// owner rule — a privatized array, or one written where its element's
+	// owner does not execute — whose final values are where the last write
+	// ran, not with the final mapping's owner (see State.InterpretFor).
+	// procs guards forProcessors, which fills it and the fields of stmtCode
+	// and reqCode only States bound to a processor read.
+	tracked []bool
+	procs   sync.Once
 }
 
 // lowered returns the program's lowered form, building it on first use.
@@ -624,7 +633,18 @@ func (oc *ownerCode) eval(s *State) (dist.ProcSet, bool) {
 	if len(oc.subs) > len(buf) {
 		idx = make([]int64, 0, len(oc.subs))
 	}
+	var axes []dist.AxisMap
+	if s.proc >= 0 {
+		// A bound State resolves the sets every processor resolves, each
+		// subscript of which another processor may compute: it evaluates only
+		// those along distributed dimensions, the ones the set depends on.
+		axes = oc.axes(s)
+	}
 	for k := range oc.subs {
+		if axes != nil && !axes[k].Distributed {
+			idx = append(idx, 0)
+			continue
+		}
 		x, ok := oc.subs[k].eval(s)
 		if !ok {
 			return dist.ProcSet{}, false
@@ -871,6 +891,11 @@ type stmtCode struct {
 
 	// SIf, SIfGoto
 	cond fexpr
+
+	// everywhere marks an assignment every processor computes: it writes a
+	// value some processor's set resolution, subscript or loop bound reads
+	// (State.InterpretFor).
+	everywhere bool
 }
 
 // redCode is the privatized value semantics of one reduction update:
@@ -950,17 +975,12 @@ func (rc *redCode) accumulate(s *State, c *spmd.Combine) {
 	if rc.negate {
 		val = -val
 	}
-	proc := 0
-	if rc.owner != nil {
-		set, ok := s.ownerOf(rc.owner)
-		if !ok {
-			return
-		}
-		proc = set.First()
+	proc, ok := rc.row(s)
+	if !ok {
+		return
 	}
 	off := int64(0)
 	if rc.def != nil {
-		var ok bool
 		if off, ok = rc.def.offset(s); !ok {
 			return
 		}
@@ -968,6 +988,20 @@ func (rc *redCode) accumulate(s *State, c *spmd.Combine) {
 	tab := s.partials[c.AccIndex]
 	i := int64(proc)*s.partialElems[c.AccIndex] + off
 	tab[i] = c.Red.Op.Fold(tab[i], val)
+}
+
+// row returns the processor whose partial row the instance in hand
+// accumulates into: the first owner of the reduction's data reference, or
+// processor 0 when there is none.
+func (rc *redCode) row(s *State) (int, bool) {
+	if rc.owner == nil {
+		return 0, true
+	}
+	set, ok := s.ownerOf(rc.owner)
+	if !ok {
+		return 0, false
+	}
+	return set.First(), true
 }
 
 // loopCode is one lowered loop: its bounds, the contributors to its union
@@ -1081,12 +1115,39 @@ type reqCode struct {
 	srcOwner *ownerCode // array uses: owners under the dynamic mapping
 	srcPat   *patCode   // scalar uses (per instance); every use (vectorized)
 	dstPat   *patCode
-	use      fexpr
+	// at is the used element's access (nil for a scalar use, the scalar in
+	// slot): where a transfer's payload is read and stored.
+	at   *arrCode
+	slot int32
+	// nest lists, outermost first, the hoisted loops a vectorized array use's
+	// section is enumerated over; walk[k] says whether nest[k] is taken over
+	// all its iterations — the use's address or owners vary in it, or the
+	// bounds of a loop taken so do — or only its first (State.Section).
+	nest []*ir.Loop
+	walk []bool
+	// lim is the index magnitude up to which the use's owners and readers
+	// are exact affine forms, over which the innermost walked loop is taken
+	// by stretches (0: one element at a time).
+	lim int64
+	// elemDst is the destination pattern widened over the loops not walked:
+	// at a point of the section, the processors that read its element.
+	elemDst *patCode
+	// comb is the privatizable elementwise reduction the use's statement
+	// updates (nil: none): while it runs privatized the element is read where
+	// it accumulates, by the owners of reader (processor 0 when nil). operand
+	// says whether that processor may lack it: the use is not the accumulator,
+	// nor the data reference itself, nor computed everywhere.
+	comb    *spmd.Combine
+	reader  *ownerCode
+	operand bool
 
 	// trips lists the hoisted loops the used reference varies in: the
 	// aggregated transfer counts an element once per iteration of those.
 	trips   []*ir.Loop
 	covered coverCode
+	// ring is a shift's VectorizedOp.Ring: the sign of the first nonzero
+	// distance from source to destination along a grid dimension.
+	ring int
 }
 
 // coverCode decides whether, at one entry of the hoisted nest, the source
@@ -1113,7 +1174,6 @@ func (lw *lowerer) req(req *comm.Requirement) {
 		} else {
 			rc.srcPat = lw.pattern(req.SrcPat, nil, encl)
 		}
-		rc.use = lw.ref(req.Use.Ast, encl)
 		return
 	}
 	for _, l := range req.Hoisted {
@@ -1123,6 +1183,15 @@ func (lw *lowerer) req(req *comm.Requirement) {
 	}
 	rc.srcPat = lw.pattern(req.SrcPat, req.Hoisted, encl)
 	rc.dstPat = lw.pattern(req.DstPat, req.Hoisted, encl)
+	rc.ring = 1
+	for d := range req.SrcPat.Dims {
+		if delta, _ := req.SrcPat.Dims[d].Shift(req.DstPat.Dims[d]); delta != 0 {
+			if delta < 0 {
+				rc.ring = -1
+			}
+			break
+		}
+	}
 	for d := range req.SrcPat.Dims {
 		sd, td := req.SrcPat.Dims[d], req.DstPat.Dims[d]
 		if sd.Repl {
@@ -1172,4 +1241,151 @@ func (cc *coverCode) eval(s *State) bool {
 		}
 	}
 	return true
+}
+
+// forProcessors lowers, once per program and only for States bound to a
+// processor (InterpretFor), what owner-computes execution adds to the form the
+// simulator runs: where each requirement's element lives in an image and what
+// a section enumerates (use), and who computes what (everywhere).
+func (c *code) forProcessors(p *spmd.Program) {
+	c.procs.Do(func() {
+		lw := &lowerer{p: p, prog: p.Res.Prog, c: c}
+		for _, req := range p.Plan.Reqs {
+			lw.use(req)
+		}
+		lw.everywhere()
+	})
+}
+
+// use lowers where a requirement's element lives (at, slot), who reads it
+// while its statement is a privatized elementwise update (comb, reader), and,
+// for a vectorized array use, what State.Section enumerates: the hoisted loops
+// outermost first, each walked when the use's address or owners move with it,
+// or the bounds of a walked loop inside it do, and the destination widened
+// over the others.
+func (lw *lowerer) use(req *comm.Requirement) {
+	rc, u := &lw.c.reqs[req.ID], req.Use
+	rc.slot, rc.elemDst = u.Var.Slot, rc.dstPat
+	if c := lw.p.PlanOf(req.Stmt).Combine; c != nil && c.Privatizable && c.Mapping == nil {
+		rc.comb = c
+		if c.Red.DataRef != nil {
+			rc.reader = lw.owner(c.Red.DataRef)
+		}
+	}
+	if !u.Var.IsArray() {
+		return
+	}
+	rc.at, rc.srcOwner = lw.array(u.Var, u.Ast, req.Stmt.Loop, 0), lw.owner(u)
+	if !req.Vectorized() {
+		return
+	}
+	subs := append([]ir.Affine(nil), u.Subs...)
+	if ap := lw.p.Res.Arrays[u.Var]; ap != nil && ir.Encloses(ap.Loop, req.Stmt.Loop) {
+		subs = append(subs, ap.Target.Subs...)
+	}
+	if rc.comb != nil && rc.comb.Red.DataRef != nil {
+		subs = append(subs, rc.comb.Red.DataRef.Subs...)
+	}
+	n := len(req.Hoisted)
+	rc.nest, rc.walk = make([]*ir.Loop, n), make([]bool, n)
+	for k, l := range req.Hoisted {
+		rc.nest[n-1-k] = l
+	}
+	var still []*ir.Loop
+	for k := n - 1; k >= 0; k-- {
+		l := rc.nest[k]
+		for _, a := range subs {
+			rc.walk[k] = rc.walk[k] || a.VariesIn(l)
+		}
+		for j := k + 1; j < n; j++ {
+			if in := rc.nest[j]; rc.walk[j] && (in.Lo.VariesIn(l) || in.Hi.VariesIn(l) || in.StepConst == 0) {
+				rc.walk[k] = true
+			}
+		}
+		if !rc.walk[k] {
+			still = append(still, l)
+		}
+	}
+	rc.elemDst = lw.pattern(req.DstPat, still, req.Stmt.Loop)
+	rc.lim = min(rc.srcOwner.runLim(), rc.elemDst.runLim())
+	if rc.reader != nil {
+		rc.lim = min(rc.lim, rc.reader.runLim())
+	}
+}
+
+// everywhere settles who computes what where processors must agree. Every
+// processor walks the whole schedule, so every processor resolves every set
+// and loop bound: a variable read in a subscript along a dimension some
+// mapping distributes (every owner position is one) or in a loop bound is
+// computed by every processor, and so, in turn, is everything its assignments
+// read. It also marks the arrays written outside the owner rule.
+func (lw *lowerer) everywhere() {
+	prog, res := lw.prog, lw.p.Res
+	need := make([]bool, len(ir.AssignSlots(prog).Vars))
+	read := func(e ast.Expr) {
+		ast.Walk(e, func(x ast.Expr) {
+			if r, ok := x.(*ast.Ref); ok {
+				if v := prog.LookupVar(r.Name); v != nil && !v.IsLoopIndex {
+					need[v.Slot] = true
+				}
+			}
+		})
+	}
+	moved := map[*ir.Var]bool{}
+	for _, st := range prog.Stmts {
+		if st.Kind == ir.SRedistribute {
+			moved[st.Redist.Array] = true
+		}
+	}
+	for _, r := range prog.Refs {
+		if !r.Var.IsArray() {
+			continue
+		}
+		am, ap := res.Mapping.Arrays[r.Var], res.Arrays[r.Var]
+		for k, sub := range r.Ast.Subs {
+			if moved[r.Var] || (am != nil && k < len(am.Axes) && am.Axes[k].Distributed) ||
+				(ap != nil && k < len(ap.Axes) && ap.Axes[k].Distributed) {
+				read(sub)
+			}
+		}
+	}
+	for _, l := range prog.Loops {
+		read(l.Lo.Expr)
+		read(l.Hi.Expr)
+		read(l.Step)
+	}
+	for grew := true; grew; {
+		grew = false
+		for _, st := range prog.Stmts {
+			sc := &lw.c.stmts[st.ID]
+			if st.Kind != ir.SAssign || sc.everywhere || !need[st.Lhs.Var.Slot] {
+				continue
+			}
+			sc.everywhere, grew = true, true
+			read(st.Rhs)
+			for _, sub := range st.Lhs.Ast.Subs {
+				read(sub)
+			}
+		}
+	}
+	for _, req := range lw.p.Plan.Reqs {
+		rc, u := &lw.c.reqs[req.ID], req.Use
+		if c := rc.comb; c != nil {
+			rc.operand = u.Var != c.Var() && !need[u.Var.Slot] && !sameRef(u, c.Red.DataRef)
+		}
+	}
+	lw.c.tracked = make([]bool, len(need))
+	for _, st := range prog.Stmts {
+		sc := &lw.c.stmts[st.ID]
+		if st.Kind == ir.SAssign && st.Lhs.Var.IsArray() && !sc.everywhere &&
+			(sc.exec.kind != spmd.ExecOwner || !sameRef(sc.plan.OwnerRef, st.Lhs) || sc.exec.owner.priv != nil) {
+			lw.c.tracked[st.Lhs.Var.Slot] = true
+		}
+	}
+}
+
+// sameRef reports whether two references name the same element wherever
+// both are evaluated: the same array, subscripts written alike.
+func sameRef(a, b *ir.Ref) bool {
+	return a == b || a != nil && b != nil && a.Var == b.Var && ast.ExprString(a.Ast) == ast.ExprString(b.Ast)
 }

@@ -4,11 +4,12 @@
 // bit-for-bit identical between the simulator and the concurrent executor by
 // construction — the same oracle property the collective path has.
 //
-// The memory image stays replicated: every State (one in the simulator, one
-// per worker in the executor) holds the full partial table of every processor
-// and performs the identical accumulate and merge operations. Messages in the
-// concurrent backend only verify agreement (see exec's merge protocol), which
-// is the replicated-interpretation discipline the rest of the runtime uses.
+// Every State holds a partial table with a row per processor. The
+// simulator's one State fills every row; a State bound to a processor
+// (InterpretFor) fills its own row only — an update accumulates where the row
+// it feeds is the processor's — and the merge ships the rows it needs: each
+// hop's loser sends its row to the winner, and the merged row goes to every
+// processor, which folds it into its accumulator (Ops.MergeRow).
 package eval
 
 import (
@@ -19,21 +20,6 @@ import (
 	"phpf/internal/diag"
 	"phpf/internal/spmd"
 )
-
-// FNVOffset starts, and FNVAdd extends, the FNV-1a checksum the executor's
-// verification messages carry: of a partial row here, of refetched values
-// there.
-const FNVOffset uint64 = 14695981039346656037
-
-// FNVAdd folds one 64-bit value into an FNV-1a checksum.
-func FNVAdd(sum, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		sum ^= v & 0xff
-		sum *= 1099511628211
-		v >>= 8
-	}
-	return sum
-}
 
 // ConfigureReduce arms the privatized-reduction machinery for one run. It
 // must be called after NewStateBudget and before Walk, with the same mode
@@ -136,12 +122,9 @@ func (s *State) PartialElems(c *spmd.Combine) int64 {
 }
 
 // MergeHop is one edge of the deterministic combining tree: Loser folds its
-// partial row into Winner's and drops out. Check is the FNV-1a checksum of
-// the loser's pre-merge row — the payload the concurrent backend's loser
-// ships to its winner so divergent partials are caught on the wire.
+// partial row into Winner's and drops out.
 type MergeHop struct {
 	Winner, Loser int
-	Check         uint64
 }
 
 // MergePartials runs the loop-exit merge of one active combine: a
@@ -149,10 +132,15 @@ type MergeHop struct {
 // of the processor count, so every State and every backend folds in the same
 // order — the determinism the oracle relies on), then one elementwise fold of
 // the surviving row into the real accumulator, then a reset of the table to
-// the operator identity for any re-entry of the loop. Returns the tree's hop
-// list for the concurrent backend's verification protocol; nil for an
-// inactive combine.
-func (s *State) MergePartials(c *spmd.Combine) ([]MergeHop, error) {
+// the operator identity for any re-entry of the loop. ship, called before
+// each fold with the row about to be folded (Ops.MergeRow; nil: nothing to
+// ship), lets States that
+// hold only their own processor's row exchange the rows: a State folds only
+// what it holds and received, so its own row — all it ever ships — stays
+// exact. Returns the tree's hops; nil for an inactive combine.
+func (s *State) MergePartials(c *spmd.Combine) ([]MergeHop, error) { return s.mergePartials(c, nil) }
+
+func (s *State) mergePartials(c *spmd.Combine, ship func(*spmd.Combine, MergeHop, []float64) error) ([]MergeHop, error) {
 	if !s.PrivatizedActive(c) {
 		return nil, nil
 	}
@@ -163,8 +151,17 @@ func (s *State) MergePartials(c *spmd.Combine) ([]MergeHop, error) {
 	for stride := 1; stride < nprocs; stride <<= 1 {
 		for w := 0; w+stride < nprocs; w += 2 * stride {
 			l := w + stride
+			h := MergeHop{Winner: w, Loser: l}
 			lrow := tab[int64(l)*elems : int64(l+1)*elems]
-			hops = append(hops, MergeHop{Winner: w, Loser: l, Check: rowCheck(lrow)})
+			if ship != nil {
+				if err := ship(c, h, lrow); err != nil {
+					return nil, err
+				}
+			}
+			hops = append(hops, h)
+			if s.proc >= 0 && s.proc != w {
+				continue // a row this State neither holds nor receives
+			}
 			wrow := tab[int64(w)*elems : int64(w+1)*elems]
 			for e := range wrow {
 				wrow[e] = c.Red.Op.Fold(wrow[e], lrow[e])
@@ -172,6 +169,11 @@ func (s *State) MergePartials(c *spmd.Combine) ([]MergeHop, error) {
 		}
 	}
 	root := tab[:elems]
+	if ship != nil {
+		if err := ship(c, MergeHop{Winner: -1}, root); err != nil {
+			return nil, err
+		}
+	}
 	v := c.Var()
 	if v.IsArray() {
 		arr := s.arrays[v.Slot]
@@ -191,13 +193,4 @@ func (s *State) MergePartials(c *spmd.Combine) ([]MergeHop, error) {
 		tab[i] = id
 	}
 	return hops, nil
-}
-
-// rowCheck is the FNV-1a checksum of a partial row's bit patterns.
-func rowCheck(row []float64) uint64 {
-	h := FNVOffset
-	for _, x := range row {
-		h = FNVAdd(h, math.Float64bits(x))
-	}
-	return h
 }

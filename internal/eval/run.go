@@ -87,8 +87,8 @@ type RunOptions struct {
 	// unlimited). Both backends enforce it before allocating: the run fails
 	// with a coded E006 (budget) diagnostic instead of letting one huge
 	// declaration exhaust process memory. The concurrent backend holds one
-	// full replicated image per worker, so its worst-case footprint is
-	// MaxCells × 8 bytes × workers. CLIs default to unlimited; serving
+	// full-size image per worker, so its worst-case footprint is MaxCells × 8
+	// bytes × workers. CLIs default to unlimited; serving
 	// paths should always set it.
 	MaxCells int64
 }
@@ -209,7 +209,7 @@ type Report struct {
 	Aborted bool
 
 	// Final memory, for validation against reference implementations (the
-	// concurrent backend has verified it identical across all workers).
+	// concurrent backend gathers it from the workers that hold each value).
 	Scalars map[string]float64
 	Arrays  map[string][]float64
 

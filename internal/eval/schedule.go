@@ -52,6 +52,27 @@ type Ops interface {
 	// Tick closes every loop iteration (a crash site too, and the place for
 	// abort checks).
 	Tick() error
+	// Branch makes the outcome of a predicate known everywhere, on a backend
+	// whose States each interpret for one processor (State.InterpretFor): the
+	// processors in set have evaluated it (taken is theirs), every other one
+	// learns it. It returns the outcome.
+	Branch(st *ir.Stmt, set dist.ProcSet, taken bool) (bool, error)
+	// HandOff passes the accumulator v of a collective reduction from
+	// processor from, which holds it, to the processors in to, which are about
+	// to update it (a bound State's reduction is folded in iteration order).
+	HandOff(v *ir.Var, from int, to dist.ProcSet) error
+	// MergeRow precedes each hop of a privatized combine's tree merge, the
+	// Loser's row about to be folded into the Winner's, and follows the last
+	// one with the merged row (Winner -1), about to be folded into the
+	// accumulator everywhere: where States hold only their processor's own
+	// row, it ships it.
+	MergeRow(c *spmd.Combine, h MergeHop, row []float64) error
+	// Operands brings, on a backend of bound States, the element of one
+	// requirement of a privatized elementwise update — which the plan ships
+	// nowhere, consuming operands where the data lives — to the processor
+	// that accumulates it, where it lives elsewhere: hoisted, at the loop
+	// entry, or per instance.
+	Operands(req *comm.Requirement) error
 	// Iteration closes n iterations of a quiet owner run, whose statement
 	// instances issued nothing: for each, their charges in order, then what
 	// Tick does. It returns how many it closed: n, or as many as up to and
@@ -81,7 +102,7 @@ type Charge struct {
 	Stmt  *ir.Stmt
 	Set   dist.ProcSet
 	Flops int
-	procs []int32 // Set's processors, ascending, listed once for the run
+	procs []int32 // Set's processors, ascending, listed once for the run (listProcs)
 }
 
 // Run interprets the program over s on the schedule, from the top or from a
@@ -114,7 +135,12 @@ func (d *schedule) LoopEntry(l *ir.Loop, lp *spmd.LoopPlan) error {
 		}
 	}
 	for _, req := range lp.Hoisted {
-		if d.privArray(d.st.Prog.PlanOf(req.Stmt)) {
+		if sp := d.st.Prog.PlanOf(req.Stmt); d.privArray(sp) {
+			if d.st.proc >= 0 && d.st.code.reqs[req.ID].operand {
+				if err := d.ops.Operands(req); err != nil {
+					return err
+				}
+			}
 			continue
 		}
 		op, err := d.st.VectorizedOp(req, d.elem)
@@ -145,11 +171,13 @@ func (d *schedule) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 		case s.PrivatizedActive(c):
 			elems := s.PartialElems(c)
 			var hops []MergeHop
-			if hops, err = s.MergePartials(c); err == nil {
+			if hops, err = s.mergePartials(c, d.ops.MergeRow); err == nil {
 				err = d.ops.TreeMerge(c, elems, hops)
 			}
 		case c.Mapping != nil:
-			err = d.ops.Reduce(c.Mapping, s.ScalarSet(c.Mapping))
+			set := s.ScalarSet(c.Mapping)
+			err = d.ops.Reduce(c.Mapping, set)
+			s.Hold(c.Var(), set)
 			// (A collective elementwise reduction has no combine operation:
 			// its reference execution is plain per-instance owner-computes.)
 		}
@@ -168,6 +196,7 @@ func (d *schedule) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 		if err := d.ops.CopyOut(m, src.First()); err != nil {
 			return err
 		}
+		s.Hold(m.Def.Var, all)
 	}
 	return nil
 }
@@ -192,6 +221,13 @@ func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
 		}
 		if err != nil {
 			return err
+		}
+		for i := 0; i < len(sp.PerInstance) && s.proc >= 0; i++ {
+			if req := sp.PerInstance[i]; s.code.reqs[req.ID].operand {
+				if err := to.Operands(req); err != nil {
+					return err
+				}
+			}
 		}
 		to.Compute(st, set, sp.Flops)
 		return nil
@@ -219,6 +255,16 @@ func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
 	if err != nil {
 		return err
 	}
+	if c := sp.Combine; c != nil && c.Mapping != nil && s.proc >= 0 && !s.PrivatizedActive(c) {
+		// A collective reduction's update, on States that each hold their
+		// processor's values: the accumulator goes where this instance
+		// updates it.
+		if h := s.held[c.Var().Slot]; !h.CoversSet(set) {
+			if err := to.HandOff(c.Var(), h.First(), set); err != nil {
+				return err
+			}
+		}
+	}
 	to.Compute(st, set, sp.Flops)
 	return nil
 }
@@ -226,23 +272,33 @@ func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
 // runCharges takes the backend's place while resolve issues an owner run's
 // instances: a guard or a compute is listed in the State's scratch, not
 // charged, and a transfer marks the run loud — it reads two clocks, is a crash
-// site and (in exec) checksums the image its statement is about to change, so
-// such a run's operations stay with their instances.
+// site and (in exec) stores into the image its statement is about to read, so
+// such a run's operations stay with their instances; a hand-off or an operand
+// delivery too.
 type runCharges struct {
 	Ops  // the backend's: an instance issues none of the others
 	st   *State
 	loud bool
 }
 
-func (r *runCharges) list(c Charge) {
-	s := r.st
-	lo := len(s.listed)
-	c.Set.Each(func(p int) { s.listed = append(s.listed, int32(p)) })
-	c.procs = s.listed[lo:]
-	s.charges = append(s.charges, c)
+func (r *runCharges) list(c Charge) { r.st.charges = append(r.st.charges, c) }
+
+// listProcs lists, once per owner run, the processors each of its charges
+// names (Charge.procs): only an accountant asks.
+func (s *State) listProcs(charges []Charge) {
+	if len(charges) == 0 || charges[0].procs != nil {
+		return
+	}
+	for i := range charges {
+		lo := len(s.listed)
+		charges[i].Set.Each(func(p int) { s.listed = append(s.listed, int32(p)) })
+		charges[i].procs = s.listed[lo:]
+	}
 }
 
 func (r *runCharges) Transfer(*comm.Requirement, InstanceOp) error { r.loud = true; return nil }
+func (r *runCharges) HandOff(*ir.Var, int, dist.ProcSet) error     { r.loud = true; return nil }
+func (r *runCharges) Operands(*comm.Requirement) error             { r.loud = true; return nil }
 func (r *runCharges) CrashSite() error                             { return nil }
 func (r *runCharges) Guard(req *comm.Requirement) {
 	r.list(Charge{Req: req, Stmt: req.Stmt, Set: dist.AllProcs(r.st.grid)})

@@ -17,6 +17,8 @@ type Snapshot struct {
 	// partials deep-copies the privatized-reduction partial tables, so a
 	// restart replays in-flight private accumulations instead of losing them.
 	partials [][]float64
+	// held is who held each scalar, on a State bound to a processor.
+	held []dist.ProcSet
 }
 
 // Snapshot copies the memory image. Array payloads are deep-copied; dynamic
@@ -30,6 +32,7 @@ func (s *State) Snapshot() *Snapshot {
 		arrays:    make([][]float64, len(s.arrays)),
 		dyn:       append([]*dist.ArrayMap(nil), s.dyn...),
 		partials:  make([][]float64, len(s.partials)),
+		held:      append([]dist.ProcSet(nil), s.held...),
 	}
 	for i, a := range s.arrays {
 		if a != nil {
@@ -58,6 +61,7 @@ func (s *State) Restore(snap *Snapshot) {
 		}
 	}
 	copy(s.dyn, snap.dyn)
+	copy(s.held, snap.held)
 	for i, t := range snap.partials {
 		if t != nil {
 			copy(s.partials[i], t)

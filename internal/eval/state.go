@@ -2,10 +2,12 @@
 // backends: the sequential cost-model simulator (internal/sim) and the
 // concurrent SPMD executor (internal/exec). Both walk the same spmd.Program
 // through the same value semantics, execution-set evaluation, and
-// communication decisions defined here, so that their numeric results are
-// bit-for-bit identical by construction and any divergence is a real bug in
-// one of the backends — the property the differential oracle (exec.Diff)
-// checks.
+// communication decisions defined here. The simulator's one State computes
+// every statement instance; each of the executor's States computes its
+// processor's instances only and stores what the plan's messages bring it
+// (InterpretFor), so their numeric results agree bit for bit exactly when
+// the plan moves every value an instance reads — the property the
+// differential oracle (exec.Diff) checks.
 //
 // The core also owns what the backends must agree on beyond values: the
 // schedule (schedule.go) that turns the walk's events into operations — which
@@ -19,7 +21,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 
 	"phpf/internal/core"
 	"phpf/internal/diag"
@@ -49,11 +50,10 @@ func (e *NumericError) Error() string {
 	return fmt.Sprintf("%s out of range (%v exceeds 2^53)", e.What, e.Val)
 }
 
-// State is one interpretation context: the full memory image plus the
-// dynamic (possibly redistributed) array mappings. The sequential simulator
-// holds one State; the concurrent executor holds one per worker — replicated
-// execution keeps every image identical, which is what makes the SPMD
-// programs under the paper's mappings semantically interchangeable.
+// State is one interpretation context: a memory image plus the dynamic
+// (possibly redistributed) array mappings. The sequential simulator holds one
+// State, which interprets for every processor; the concurrent executor holds
+// one per worker, each interpreting for its own processor (InterpretFor).
 //
 // The memory image is slot-indexed: every variable carries a dense slot
 // number (ir.AssignSlots), and values live in flat slices indexed by it, so
@@ -133,6 +133,25 @@ type State struct {
 	// running (nil anywhere else). Deliberately excluded from snapshots.
 	live     []iter
 	entering *ir.Loop
+
+	// proc is the processor this State interprets for; -1, the simulator's
+	// one image, is every processor (see InterpretFor). While proc >= 0,
+	// held[slot] is the set of processors that executed the last write of each
+	// scalar, and wrote[slot], for an array written outside the owner rule
+	// (code.tracked), the stamp of this State's last write of each element
+	// (nil for every other array). member marks the statements of the owner
+	// run in flight this State computes; computed counts the statement
+	// instances whose value semantics it ran.
+	proc     int
+	held     []dist.ProcSet
+	wrote    [][]int64
+	member   []bool
+	computed int64
+
+	// moves is Section's and Redistributed's scratch; remapped is the mapping
+	// the last executable redistribution left.
+	moves    Moves
+	remapped *dist.ArrayMap
 }
 
 // Budget bounds the resources one State may allocate. The zero value is
@@ -141,8 +160,10 @@ type State struct {
 type Budget struct {
 	// MaxCells caps the total float64 cells allocated across all arrays of
 	// one memory image (0 = unlimited). Each worker of the concurrent
-	// backend holds a full replicated image, so a request's worst-case
-	// footprint is MaxCells × 8 bytes × workers.
+	// backend holds a full-size image (its processor's values, and what
+	// messages brought it), so a request's worst-case footprint is MaxCells ×
+	// 8 bytes × workers — twice that for an array written outside the owner
+	// rule, whose elements also carry a write stamp (InterpretFor).
 	MaxCells int64
 }
 
@@ -177,6 +198,7 @@ func NewStateBudget(p *spmd.Program, budget Budget) (*State, error) {
 		unionCache: make([]dist.ProcSet, len(prog.Loops)),
 		unionEpoch: make([]int64, len(prog.Loops)),
 		live:       make([]iter, len(prog.Loops)),
+		proc:       -1,
 	}
 	for i := range s.unionEpoch {
 		s.unionEpoch[i] = -1
@@ -228,6 +250,10 @@ func NewStateBudget(p *spmd.Program, budget Budget) (*State, error) {
 // Scalar returns the current value of a scalar variable (0 if unassigned).
 func (s *State) Scalar(v *ir.Var) float64 { return s.scalars[v.Slot] }
 
+// SetScalar stores a scalar's value delivered by a message (no write of the
+// program's: who held it before still holds it).
+func (s *State) SetScalar(v *ir.Var, x float64) { s.scalars[v.Slot] = x }
+
 // Index returns the current value of a loop-index variable.
 func (s *State) Index(v *ir.Var) int64 { return s.indices[v.Slot] }
 
@@ -250,21 +276,103 @@ func (s *State) Export() (scalars map[string]float64, arrays map[string][]float6
 	return scalars, arrays
 }
 
-// Diff finds the first place, in slot order, where o's memory image differs
-// bitwise from s's: the variable, the element (-1 for a scalar) and the two
-// values. The concurrent backend's replicated images must not differ at all.
-func (s *State) Diff(o *State) (v *ir.Var, elem int, want, got float64, differ bool) {
-	for i, v := range s.slots {
-		if math.Float64bits(s.scalars[i]) != math.Float64bits(o.scalars[i]) {
-			return v, -1, s.scalars[i], o.scalars[i], true
+// InterpretFor binds the State to processor p: from then on it runs the value
+// semantics of the statement instances p computes — the ones whose execution
+// set holds p, the partial accumulations into p's row, and the assignments
+// every processor computes (code.everywhere) — and of no others, and keeps
+// what the backend stores into it. The sets themselves are resolved on every
+// State, so every State walks the same schedule and records the same last
+// writers. Call it before the walk.
+func (s *State) InterpretFor(p int) {
+	c := s.lowered()
+	c.forProcessors(s.Prog)
+	s.proc = p
+	s.held = make([]dist.ProcSet, len(s.slots))
+	for i := range s.held {
+		s.held[i] = dist.AllProcs(s.grid)
+	}
+	s.wrote = make([][]int64, len(s.slots))
+	for slot, t := range c.tracked {
+		if t {
+			s.wrote[slot] = make([]int64, len(s.arrays[slot]))
 		}
-		for e, x := range s.arrays[i] {
-			if math.Float64bits(x) != math.Float64bits(o.arrays[i][e]) {
-				return v, e, x, o.arrays[i][e], true
+	}
+	s.member = make([]bool, len(c.stmts))
+}
+
+// Computed returns how many statement instances had their value semantics
+// run on this State.
+func (s *State) Computed() int64 { return s.computed }
+
+// Holders returns the processors that hold a scalar's current value: those
+// that executed its last write (all of them before any write).
+func (s *State) Holders(v *ir.Var) dist.ProcSet { return s.held[v.Slot] }
+
+// Hold records that the processors in set now hold a scalar's value — a
+// collective, a copy-out or a hand-off delivered it to them.
+func (s *State) Hold(v *ir.Var, set dist.ProcSet) {
+	if s.proc >= 0 {
+		s.held[v.Slot] = set
+	}
+}
+
+// Gather makes sts[0]'s image the run's final memory and exports it: every
+// array element from its first owner under the final mapping — an element of
+// an array written outside the owner rule from the State that wrote it last
+// (any, if none did) — and every assigned scalar from a processor that
+// executed its last write. The States interpret for processors 0..len(sts)-1.
+func Gather(sts []*State) (scalars map[string]float64, arrays map[string][]float64) {
+	s := sts[0]
+	var weight [dist.MaxRank]int // of a grid dimension's coordinate in a processor id
+	for d, w := len(s.grid.Shape)-1, 1; d >= 0; d-- {
+		weight[d], w = w, w*s.grid.Shape[d]
+	}
+	for slot, arr := range s.arrays {
+		am, dims := s.dyn[slot], s.slots[slot].Dims
+		if arr == nil || am == nil || am.FullyReplicated() && s.wrote[slot] == nil {
+			continue
+		}
+		idx := make([]int64, len(dims))
+		for k := range idx {
+			idx[k] = 1
+		}
+		for e := range arr {
+			p := 0
+			for k := range idx {
+				if ax := &am.Axes[k]; ax.Distributed {
+					p += ax.OwnerDim(idx[k], s.grid.Shape[ax.GridDim]) * weight[ax.GridDim]
+				}
+			}
+			if s.wrote[slot] != nil {
+				last := int64(0)
+				for q, o := range sts {
+					if o.wrote[slot][e] > last {
+						last, p = o.wrote[slot][e], q
+					}
+				}
+			}
+			arr[e] = sts[p].arrays[slot][e]
+			for k := range idx { // column-major: the first subscript fastest
+				if idx[k]++; idx[k] <= dims[k] {
+					break
+				}
+				idx[k] = 1
 			}
 		}
 	}
-	return nil, 0, 0, 0, false
+	scalars, arrays = map[string]float64{}, map[string][]float64{}
+	for i, v := range s.slots {
+		for _, o := range sts {
+			if o.scalarSet[i] {
+				scalars[v.Name] = sts[s.held[i].First()].scalars[i]
+				break
+			}
+		}
+		if s.arrays[i] != nil {
+			arrays[v.Name] = s.arrays[i]
+		}
+	}
+	return scalars, arrays
 }
 
 // Grid returns the processor grid the program is mapped onto.

@@ -45,6 +45,7 @@ type kop struct {
 	kind      kopKind
 	dst, a, b int32
 	slot, pos int32
+	stmt      int32 // kStore: the statement's ID
 	val       float64
 	one       func(a float64) float64
 	two       func(a, b float64) float64
@@ -141,7 +142,7 @@ func (kb *kbuilder) stmt(sc *stmtCode, st *ir.Stmt, i int32) bool {
 	if sc.def != nil {
 		ac, ok := kb.access(st.Lhs.Ast)
 		if ok {
-			kb.emit(kop{kind: kStore, a: val, slot: sc.slot, pos: ac.pos})
+			kb.emit(kop{kind: kStore, a: val, slot: sc.slot, pos: ac.pos, stmt: int32(st.ID)})
 		}
 		return ok
 	}
@@ -280,10 +281,11 @@ func (s *State) sweepable(ops []kop, n int64) bool {
 // value or the reverse, and a kernel cannot fail, so only the backend ending
 // the run could tell the order from the loop's — and the iteration that ends
 // it is the last one evaluated, as there.
-func (w *walker) sweep(ops []kop, slot int32, step, n int64) error {
+func (w *walker) sweep(ops []kop, slot int32, step, n, stmts int64) error {
 	for {
 		m, err := w.sched.ops.Iteration(w.quiet, min(n, strip))
 		w.s.kernel(ops, slot, step, int(m))
+		w.s.computed += m * stmts
 		w.s.advance(slot, step, m-1)
 		if n -= m; n == 0 || err != nil {
 			return err
@@ -301,6 +303,15 @@ func (s *State) advance(slot int32, step, k int64) {
 	steps := s.steps[s.hoist.lo : s.hoist.lo+s.hoist.n]
 	for i := range offs {
 		offs[i] += k * steps[i]
+	}
+}
+
+// stampStrip records the writes of statement stmt to an array written outside the
+// owner rule over the m iterations of a strip, the first at offset off.
+func (s *State) stampStrip(wrote []int64, off, inc int64, m int, stmt int32) {
+	for t := 0; t < m; t++ {
+		wrote[off] = stampOf(s.epoch+int64(t), int(stmt))
+		off += inc
 	}
 }
 
@@ -343,6 +354,9 @@ func (s *State) kernel(ops []kop, slot int32, step int64, m int) {
 			for _, x := range a {
 				arr[off] = x
 				off += inc
+			}
+			if s.wrote != nil && s.wrote[op.slot] != nil && s.member[op.stmt] {
+				s.stampStrip(s.wrote[op.slot], s.offs[op.pos], inc, m, op.stmt)
 			}
 		case kLast:
 			s.scalars[op.slot], s.scalarSet[op.slot] = a[m-1], true

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 
+	"phpf/internal/dist"
 	"phpf/internal/ir"
 	"phpf/internal/spmd"
 )
@@ -131,6 +132,10 @@ type walker struct {
 	// data in it — and for any other Backend, which is shown every instance.
 	sched *schedule
 	quiet []Charge
+	// skip: the quiet owner run in flight excludes the State's processor.
+	skip bool
+	// taken is the outcome of the block IF predicate just run.
+	taken bool
 
 	// seek is the cursor being navigated to (nil once reached, and on a walk
 	// from the top); path is what is left of its loop's static route.
@@ -346,6 +351,9 @@ func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
 		s.endRun()
 		return 0
 	}
+	if w.skip = s.proc >= 0 && !s.runFor(stmts) && w.quiet != nil; w.skip {
+		return n // nothing here reads an offset
+	}
 
 	v := s.indices[slot]
 	arrs := w.c.arrs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
@@ -385,10 +393,18 @@ func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
 func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
 	s := w.s
 	stmts := w.c.stmts[lc.body.lo : lc.body.lo+lc.body.n]
+	if w.skip {
+		// A quiet run that excludes this State's processor: its charges, and
+		// the index and epoch where the run leaves them.
+		_, err := w.sched.ops.Iteration(w.quiet, n)
+		s.indices[slot] += (n - 1) * step
+		s.epoch += n - 1
+		return err
+	}
 	if kern := w.c.kops[lc.kern.lo : lc.kern.lo+lc.kern.n]; w.quiet != nil && len(kern) > 0 {
 		if s.sweepable(kern, n) {
 			s.swept = 1
-			return w.sweep(kern, slot, step, n)
+			return w.sweep(kern, slot, step, n, int64(len(stmts)))
 		}
 		s.swept = -1
 	}
@@ -439,14 +455,38 @@ func (w *walker) ifNode(ifn *ir.If) (control, error) {
 	if _, err := w.stmt(ifn.Cond); err != nil {
 		return control{}, err
 	}
-	c := w.c.stmts[ifn.Cond.ID].cond(w.s)
-	if err := w.s.takeErr(); err != nil {
-		return control{}, err
-	}
-	if c != 0 {
+	if w.taken {
 		return w.nodes(ifn.Then)
 	}
 	return w.nodes(ifn.Else)
+}
+
+// outcome evaluates the predicate of a block IF or conditional goto. The
+// simulator's State evaluates every one. A State bound to a processor
+// evaluates it where the predicate's execution set holds the processor — the
+// plan brings those processors what it reads — and otherwise learns it from
+// them (Ops.Branch), so every State walks the branch every other one walks.
+func (w *walker) outcome(st *ir.Stmt) (taken bool, err error) {
+	s := w.s
+	sc := &w.c.stmts[st.ID]
+	if s.proc < 0 || w.sched == nil {
+		c := sc.cond(s)
+		return c != 0, s.takeErr()
+	}
+	set, err := s.ExecSet(sc.plan)
+	if err != nil {
+		return false, err
+	}
+	if set.Contains(s.proc) {
+		c := sc.cond(s)
+		if err := s.takeErr(); err != nil {
+			return false, err
+		}
+		if taken = c != 0; set.Count() == s.grid.Size() {
+			return taken, nil
+		}
+	}
+	return w.sched.ops.Branch(st, set, taken)
 }
 
 // stmt runs one statement instance on the general walk, a run of length one:
@@ -462,8 +502,8 @@ func (w *walker) stmt(st *ir.Stmt) (ctl control, err error) {
 	} else if err = w.b.Statement(st, sc.plan); err == nil {
 		switch st.Kind {
 		case ir.SIfGoto:
-			c := sc.cond(s)
-			if err = s.takeErr(); err == nil && c != 0 {
+			var taken bool
+			if taken, err = w.outcome(st); err == nil && taken {
 				ctl = control{kind: ctlGoto, label: st.Label}
 			}
 		case ir.SGoto:
@@ -472,8 +512,11 @@ func (w *walker) stmt(st *ir.Stmt) (ctl control, err error) {
 			if err = s.ApplyRedistribute(st); err == nil {
 				err = w.b.Redistribute(st)
 			}
-		case ir.SContinue, ir.SIf, ir.SLoopBounds:
-			// No value semantics here (If predicates are evaluated by ifNode).
+		case ir.SIf:
+			// The outcome ifNode takes, resolved with the instance's sets.
+			w.taken, err = w.outcome(st)
+		case ir.SContinue, ir.SLoopBounds:
+			// No value semantics here.
 		}
 	}
 	s.stamp = 0
@@ -489,9 +532,15 @@ func (w *walker) assign(sc *stmtCode) error {
 	return w.value(sc)
 }
 
-// value runs the value semantics of one assignment instance.
+// value runs the value semantics of one assignment instance, where the
+// State computes it.
 func (w *walker) value(sc *stmtCode) error {
 	s := w.s
+	if s.proc >= 0 && !s.computes(sc) {
+		s.record(sc, false)
+		return nil
+	}
+	s.computed++
 	if c := sc.plan.Combine; sc.red != nil && s.PrivatizedActive(c) {
 		// A privatized reduction update accumulates into the partial
 		// tables; the real accumulator is only written by the loop-exit
@@ -500,5 +549,63 @@ func (w *walker) value(sc *stmtCode) error {
 	} else {
 		sc.assign(s)
 	}
-	return s.takeErr()
+	err := s.takeErr()
+	if s.proc >= 0 {
+		s.record(sc, true)
+	}
+	return err
+}
+
+// computes reports whether the State runs the value semantics of the
+// instance of sc in hand, whose sets the schedule has resolved: always on the
+// simulator's State; on one bound to a processor, where the instance's
+// execution set holds it — for a privatized reduction update, where the
+// partial row it accumulates into is the processor's — or for an assignment
+// every processor computes.
+func (s *State) computes(sc *stmtCode) bool {
+	switch {
+	case s.proc < 0 || sc.everywhere:
+		return true
+	case sc.red != nil && s.PrivatizedActive(sc.plan.Combine):
+		p, ok := sc.red.row(s)
+		s.err = nil // (the accumulation meets it again)
+		return !ok || p == s.proc
+	}
+	set, err := s.ExecSet(sc.plan)
+	return err != nil || set.Contains(s.proc)
+}
+
+// record notes one write of sc's instance in hand, computed here (ran) or
+// not: who holds a scalar now, and the stamp of an element of an array
+// written outside the owner rule that this State wrote.
+func (s *State) record(sc *stmtCode, ran bool) {
+	switch {
+	case sc.red != nil && s.PrivatizedActive(sc.plan.Combine):
+	case sc.def == nil && sc.everywhere:
+		s.held[sc.slot] = dist.AllProcs(s.grid)
+	case sc.def == nil:
+		s.held[sc.slot], _ = s.ExecSet(sc.plan)
+	case ran && s.wrote[sc.slot] != nil:
+		if off, ok := sc.def.offset(s); ok {
+			s.wrote[sc.slot][off] = stampOf(s.epoch, sc.plan.Stmt.ID)
+		}
+		s.err = nil
+	}
+}
+
+// stampOf orders the writes of a walk: by epoch — every loop iteration has
+// one, the same on every State — then by statement, in program order within
+// an iteration.
+func stampOf(epoch int64, stmt int) int64 { return epoch<<20 | int64(stmt) + 1 }
+
+// runFor notes, for the owner run just opened, which of its statements the
+// State computes (member) and who holds each scalar they write, and reports
+// whether it computes any.
+func (s *State) runFor(stmts []stmtCode) (any bool) {
+	for i := range stmts {
+		m := s.computes(&stmts[i])
+		s.member[stmts[i].plan.Stmt.ID], any = m, any || m
+		s.record(&stmts[i], false)
+	}
+	return any
 }

@@ -129,8 +129,11 @@ func (w *worker) takeSnapshot() {
 // refetchAll performs the physical recovery refetch: for each crashed
 // processor, the lowest surviving worker streams that processor's
 // non-replicated state — one message per eval.RefetchItem, exactly the
-// modeled RecoveryMessages — carrying the element count and a checksum the
-// restarted worker verifies against its restored image.
+// modeled RecoveryMessages — carrying the item's element count, which the
+// restarted worker checks against its own itemization, and, for a scalar
+// both hold at the checkpoint, its value, which it checks against the one it
+// restored. (Each worker restored its own image; nothing else is held by
+// both ends.)
 func (w *worker) refetchAll(crashes []fault.Crash) error {
 	crashed := make(map[int]bool, len(crashes))
 	for _, c := range crashes {
@@ -153,41 +156,29 @@ func (w *worker) refetchAll(crashes []fault.Crash) error {
 		items := eval.RefetchItems(w.st, c.Proc, w.elemBytes())
 		what := fmt.Sprintf("recovery refetch for p%d", c.Proc)
 		for _, it := range items {
-			sum := w.itemSum(it)
+			both := !it.Var.IsArray() && w.st.Holders(it.Var).Contains(src) && w.st.Holders(it.Var).Contains(c.Proc)
+			var vals [2]float64
+			vals[0] = float64(it.Elems)
+			if both {
+				vals[1] = w.st.Scalar(it.Var)
+			}
 			if w.proc == src {
-				m := message{req: tagRefetch, count: int32(it.Elems), hasVal: true, bits: sum}
-				if err := w.send(c.Proc, m, what); err != nil {
+				if err := w.sendVals(c.Proc, tagRefetch, vals[:], what); err != nil {
 					return err
 				}
 				continue
 			}
-			got, err := w.recv(src, tagRefetch, what)
-			if err != nil {
+			var got [2]float64
+			if err := w.recvVals(src, tagRefetch, got[:], what); err != nil {
 				return err
 			}
-			if int64(got.count) != it.Elems {
-				return &DivergenceError{Proc: w.proc, Peer: src,
-					What: what + ": " + it.Var.Name + " (element count)",
-					Got:  float64(got.count), Want: float64(it.Elems)}
-			}
-			if err := w.verify(got, sum, src, what, ": "+it.Var.Name+" (checksum)"); err != nil {
-				return err
+			for k, name := range []string{"element count", "value"} {
+				if math.Float64bits(got[k]) != math.Float64bits(vals[k]) {
+					return &DivergenceError{Proc: w.proc, Peer: src,
+						What: what + ": " + it.Var.Name + " (" + name + ")", Got: got[k], Want: vals[k]}
+				}
 			}
 		}
 	}
 	return nil
-}
-
-// itemSum folds one refetch item's current local value into a checksum:
-// the full array image for arrays (identical on both sides under
-// replicated execution), the scalar's bit pattern otherwise.
-func (w *worker) itemSum(it eval.RefetchItem) uint64 {
-	sum := eval.FNVOffset
-	if it.Var.IsArray() {
-		for _, x := range w.st.Array(it.Var) {
-			sum = eval.FNVAdd(sum, math.Float64bits(x))
-		}
-		return sum
-	}
-	return eval.FNVAdd(sum, math.Float64bits(w.st.Scalar(it.Var)))
 }

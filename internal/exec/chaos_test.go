@@ -201,9 +201,12 @@ func TestWatchdogDelayRecovers(t *testing.T) {
 
 // TestWatchdogNamesDelayedSend: a worker parked far beyond the stall
 // threshold fills the one-slot mailboxes into it, and the run must surface a
-// StallError naming a send blocked on that worker, not hang.
+// StallError naming a send blocked on that worker, not hang. In DGEFA the
+// first pivot column's owner, processor 0, sends processor 1 the pivot
+// magnitude, the pivot row and the column, one after the other, before it
+// needs anything from it.
 func TestWatchdogNamesDelayedSend(t *testing.T) {
-	prog := compile(t, programs.TOMCATV(10, 2), 4, core.DefaultOptions())
+	prog := compile(t, programs.DGEFA(12), 4, core.DefaultOptions())
 	var parked atomic.Bool
 	hk := hooks{mailboxDepth: 1, tick: func(proc int) error {
 		if proc == 1 && parked.CompareAndSwap(false, true) {

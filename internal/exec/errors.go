@@ -1,7 +1,8 @@
 // Structured errors of the concurrent executor. Every failure mode a worker
 // set can exhibit — a panic inside one goroutine, a wedged rendezvous, a
-// protocol violation on a mailbox, or divergent replicated memory — surfaces
-// as one of the types below instead of crashing or hanging the process.
+// protocol violation on a mailbox, or state that should agree but does not —
+// surfaces as one of the types below instead of crashing or hanging the
+// process.
 package exec
 
 import (
@@ -86,9 +87,9 @@ func (e *ProtocolError) Error() string {
 		e.Proc, e.From, e.What, e.WantReq, e.WantSeq, e.GotReq, e.GotSeq)
 }
 
-// DivergenceError reports replicated memory images that stopped being
-// identical: a received value (or a peer's final memory) differed bitwise
-// from the local copy.
+// DivergenceError reports state two workers should agree on and do not: a
+// replicated account's time or counter (chaos mode), or a value both ends of
+// a recovery refetch hold.
 type DivergenceError struct {
 	Proc, Peer int
 	What       string
@@ -96,6 +97,6 @@ type DivergenceError struct {
 }
 
 func (e *DivergenceError) Error() string {
-	return fmt.Sprintf("exec: replicated state diverged at p%d vs p%d (%s): %v != %v",
+	return fmt.Sprintf("exec: state diverged at p%d vs p%d (%s): %v != %v",
 		e.Proc, e.Peer, e.What, e.Got, e.Want)
 }

@@ -3,37 +3,51 @@
 // messages over channel-based bounded mailboxes wherever the communication
 // plan (comm.Requirement) says data must move.
 //
-// Execution is replicated: every worker interprets the full program over its
-// own memory image, exactly as the simulator interprets it over its single
-// global image, so all workers make identical control-flow and
-// communication decisions in the same order (the property that makes the
-// rendezvous below deadlock-free). Messages carry the communicated value so
-// receivers verify, bitwise, that the replicated images have not diverged;
-// a final cross-worker sweep verifies complete memory agreement.
+// Execution is owner-computes, as in the paper (§2, §2.2). Each worker's
+// eval.State interprets for its own processor (State.InterpretFor): it runs
+// the value semantics of the statement instances its processor's execution
+// sets name, and no others, and it reads remote data only from messages. The
+// plan's messages carry the data: a per-instance transfer the use's element,
+// a vectorized one the section its receiver reads (State.Section), a tree
+// merge each hop's partial row, a copy-out the final value, a collective
+// reduction the combined accumulator; each receiver stores what it gets in
+// its image before the instances that read it. The final memory is gathered
+// from the workers that hold each value (eval.Gather). Data the plan does not
+// move, yet an owner-computes run needs — an element a section's other owner
+// holds, a predicate's outcome for a processor that cannot evaluate it, a
+// collective reduction's accumulator handed from one updating processor to
+// the next, a redistributed element — travels in protocol messages, which
+// the cost model does not charge and the trace does not show.
 //
-// One planned message is one physical message: message vectorization is the
-// compiler's placement decision (a hoisted requirement, one Vectorized
-// operation), and a per-instance transfer the plan left inside a loop is sent
-// at once, carrying the element's value, exactly as the cost model charges it
-// and the simulator traces it. Sends never wait for a later operation, so no
-// transfer is in flight at a crash site, and immediate sends cannot deadlock:
-// every worker issues the same operations in the same global order, so the
-// worker furthest behind in it can always proceed — a message it waits for was
-// sent by a peer already at or past that operation, and its receiver, no
-// further behind, has taken every message of an earlier operation.
+// Every worker still walks the same schedule in the same order: it resolves
+// every execution set and communication decision itself (set resolution is
+// replicated; what every processor resolves is computed everywhere), so all
+// workers issue the same operations in the same order — the property that
+// makes the rendezvous below deadlock-free. One planned message is one
+// physical message: message vectorization is the compiler's placement
+// decision, and a per-instance transfer the plan left inside a loop is sent
+// at once. Sends never wait for a later operation, so no transfer is in
+// flight at a crash site, and immediate sends cannot deadlock: the worker
+// furthest behind in the global order can always proceed — a message it waits
+// for was sent by a peer already at or past that operation, and its receiver,
+// no further behind, has taken every message of an earlier operation. A
+// protocol message is one more such message, sent by a worker that can send
+// it when it reaches the operation. A worker outside a predicate's execution
+// set learns the outcome (Branch) and walks the branch every other one walks.
 //
 // The interpretation core — value semantics, execution sets, communication
-// decisions, and the schedule of operations (eval.Ops) — is internal/eval's
-// and shared with the sequential simulator (internal/sim): this package
-// implements each operation as real traffic and knows nothing of their
-// order. Communication statistics are the simulator's by construction:
-// worker 0, which observes every operation in program order like the
-// simulator does, is the accountant, handing each one to the same
-// eval.Account the simulator charges before transmitting it (one goroutine
-// owns the account, so it needs no locking). That is what lets the
-// differential oracle (Diff) demand bit-for-bit agreement. The real channel
-// traffic is verified independently, through per-edge sequence numbers,
-// requirement tags, and the watchdog.
+// decisions, who computes what, and the schedule of operations (eval.Ops) —
+// is internal/eval's and shared with the sequential simulator (internal/sim),
+// whose one State interprets for every processor: this package implements
+// each operation as real traffic and knows nothing of their order.
+// Communication statistics are the simulator's by construction: worker 0,
+// which observes every operation in program order like the simulator does, is
+// the accountant, handing each one to the same eval.Account the simulator
+// charges before transmitting it (one goroutine owns the account, so it needs
+// no locking). That is what lets the differential oracle (Diff) demand
+// bit-for-bit agreement of memory, statistics and simulated time. The real
+// channel traffic is checked independently, through per-edge sequence
+// numbers, requirement tags, and the watchdog.
 //
 // A fault plan's message loss, duplication and slowdowns are what they are
 // on the simulator: charges of the replayed account, which Diff compares.
@@ -47,7 +61,7 @@
 // (replacing the simulator's ad-hoc simulated-time cutoff with real
 // wall-clock enforcement). Each ends the run at its first occurrence, in
 // chaos mode as outside it: the simulator models neither a panic nor a stall,
-// so no retry of one could be checked against it, and replicated execution is
+// so no retry of one could be checked against it, and execution is
 // deterministic, so a retry would meet the same panic or wedge again.
 package exec
 
@@ -57,6 +71,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,24 +102,57 @@ type Result = eval.Report
 
 // hooks are the package's test seams, passed to run beside the configuration
 // (Run passes none): dropSend suppresses a worker's sends for a requirement,
-// wedging its receivers on purpose; tick runs at every loop-iteration tick;
+// wedging its receivers on purpose; drop takes a requirement out of the run on
+// both ends — no message, no store — while the accountant still charges it,
+// so that only memory can tell; tick runs at every loop-iteration tick;
+// sent sees the tag of every message a worker sends (from every worker's
+// goroutine); done sees the workers' States after a run that succeeded;
 // mailboxDepth overrides DefaultMailboxDepth.
 type hooks struct {
 	dropSend     func(proc int, req *comm.Requirement) bool
+	drop         func(req *comm.Requirement) bool
 	tick         func(proc int) error
+	sent         func(tag int)
+	done         func(states []*eval.State)
 	mailboxDepth int
 }
 
 // message is one mailbox entry. Each directed edge carries an independent
 // sequence number; receivers verify both the tag and the sequence, so any
 // divergence in the workers' planned event order is a ProtocolError, not a
-// silent mismatch.
+// silent mismatch. A payload of one value travels in val, a longer one in
+// vals, the sending edge's reused buffer (edge.payload), and an empty one as
+// vals = &noVals: the count is always known, so a receiver can check that it
+// gets as many values as it expects (recvVals) without a count field, which
+// would widen every mailbox slot by a third.
 type message struct {
-	req    int    // comm.Requirement ID, or a negative protocol tag
-	seq    uint64 // per-edge sequence number
-	bits   uint64 // math.Float64bits of the payload, or a checksum
-	count  int32  // a recovery refetch item's element count
-	hasVal bool
+	req  int32  // comm.Requirement ID, or a negative protocol tag
+	seq  uint32 // per-edge sequence number (modulo 2^32)
+	val  float64
+	vals *[]float64
+}
+
+// noVals is the payload of a message that carries no values.
+var noVals []float64
+
+// edge is one directed mailbox and the buffer its sender fills payloads of
+// more than one value into. The buffer is reused once the receiver has read
+// every payload sent on the edge (out), so a run allocates one per edge in
+// use, not one per message.
+type edge struct {
+	ch  chan message
+	buf *[]float64
+	out atomic.Int32
+}
+
+// payload returns the edge's buffer holding vals, for one message.
+func (e *edge) payload(vals []float64) *[]float64 {
+	if e.buf == nil || e.out.Load() != 0 {
+		e.buf = new([]float64)
+	}
+	e.out.Add(1)
+	*e.buf = append((*e.buf)[:0], vals...)
+	return e.buf
 }
 
 // Protocol tags for traffic that does not belong to a planned requirement.
@@ -118,6 +166,11 @@ const (
 	tagRefetch      = -8  // survivor -> restarted recovery refetch
 	tagCopyOut      = -9  // lastprivate final-value broadcast, root -> member
 	tagMerge        = -10 // privatized-reduction tree-merge hop, loser -> winner
+	tagMerged       = -11 // the merged row, processor 0 -> every other
+	tagSection      = -12 // section elements no planned message carries
+	tagBranch       = -13 // a predicate's outcome, to a processor that cannot evaluate it
+	tagHandOff      = -14 // a collective reduction's accumulator, holder -> updater
+	tagRedist       = -15 // an element a redistribution moves, old owner -> new
 )
 
 type executor struct {
@@ -127,9 +180,9 @@ type executor struct {
 	ended *atomic.Bool // eval.Ended(ctx): what Tick polls
 	n     int
 
-	// mail[from][to] is the bounded mailbox for one directed edge.
-	mail [][]chan message
-	wd   *watchdog
+	// edges[from*n+to] is the bounded mailbox of one directed edge.
+	edges []edge
+	wd    *watchdog
 	// reqDesc names each planned requirement for watchdog reports.
 	reqDesc map[int]string
 
@@ -207,26 +260,28 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 	defer unhook() // before cancel runs
 	ex.ctx, ex.ended = cctx, ended
 	ex.wd = newWatchdog(n)
-	ex.mail = make([][]chan message, n)
-	for i := range ex.mail {
-		ex.mail[i] = make([]chan message, n)
-		for j := range ex.mail[i] {
-			ex.mail[i][j] = make(chan message, depth)
-		}
+	ex.edges = make([]edge, n*n)
+	for i := range ex.edges {
+		ex.edges[i].ch = make(chan message, depth)
 	}
 	workers := make([]*worker, n)
+	states := make([]*eval.State, n)
 	for i := range workers {
 		st, err := cfg.NewState(p)
 		if err != nil {
 			return nil, fmt.Errorf("exec: %w", err)
 		}
+		st.InterpretFor(i)
+		seqs := make([]uint32, 2*n)
+		states[i] = st
 		workers[i] = &worker{
 			ex:       ex,
 			proc:     i,
 			st:       st,
-			sendSeq:  make([]uint64, n),
-			recvSeq:  make([]uint64, n),
+			sendSeq:  seqs[:n],
+			recvSeq:  seqs[n:],
 			attrStmt: -1,
+			out:      make([]int32, 2*n),
 		}
 		if ex.chaos || i == 0 {
 			workers[i].acct = eval.NewAccount(st, cfg)
@@ -290,7 +345,10 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 		Trace:           ex.rec,
 		Restarts:        ex.restarts,
 	}
-	res.Scalars, res.Arrays = workers[0].st.Export()
+	res.Scalars, res.Arrays = eval.Gather(states)
+	if hk.done != nil {
+		hk.done(states)
+	}
 	return res, nil
 }
 
@@ -332,21 +390,13 @@ func pickError(errs []error) error {
 	return nil
 }
 
-// checkConsistency verifies the replicated-execution invariant: every
-// worker's final memory image — and, where every worker kept an account
-// (chaos mode), its simulated time and statistics, proof that the replicated
-// fault draws never diverged — is bitwise identical to worker 0's.
+// checkConsistency verifies, where every worker kept an account (chaos
+// mode), that each account's simulated time and statistics are bitwise
+// worker 0's: proof that the replicated fault draws never diverged.
 func checkConsistency(workers []*worker) error {
 	ref := workers[0]
 	for p := 1; p < len(workers); p++ {
 		w := workers[p]
-		if v, elem, want, got, differ := ref.st.Diff(w.st); differ {
-			what := "final scalar " + v.Name
-			if elem >= 0 {
-				what = fmt.Sprintf("final %s element %d", v.Name, elem)
-			}
-			return &DivergenceError{Proc: p, Peer: 0, What: what, Got: got, Want: want}
-		}
 		if w.acct == nil {
 			continue
 		}
@@ -373,9 +423,17 @@ func checkConsistency(workers []*worker) error {
 type worker struct {
 	ex   *executor
 	proc int
-	st   *eval.State
+	// st interprets for this worker's processor only (eval.State.InterpretFor).
+	st *eval.State
 	// sendSeq[to] / recvSeq[from] are the per-edge sequence counters.
-	sendSeq, recvSeq []uint64
+	sendSeq, recvSeq []uint32
+	// out[p] counts, for the communication in hand, the values this worker
+	// receives from p; pair[d] is the owner an exchange pairs receiver d with
+	// (-1: none).
+	out  []int32
+	pair []int
+	// pack[p] and got[p] are exchange's payloads to and from processor p.
+	pack, got [][]float64
 
 	// Trace attribution for the communication currently in flight: statement,
 	// class, and per-message payload bytes (the requirement ID travels in the
@@ -439,13 +497,26 @@ func (w *worker) traces() bool { return w.ex.rec != nil && !w.replay }
 
 func (w *worker) desc(req *comm.Requirement) string { return w.ex.reqDesc[req.ID] }
 
+// dropped reports whether the drop seam takes req out of the run.
+func (w *worker) dropped(req *comm.Requirement) bool {
+	return w.ex.hooks.drop != nil && w.ex.hooks.drop(req)
+}
+
+// silent reports whether the dropSend seam mutes this worker's sends for req.
+func (w *worker) silent(req *comm.Requirement) bool {
+	return w.ex.hooks.dropSend != nil && w.ex.hooks.dropSend(w.proc, req)
+}
+
 // send delivers m on the edge proc->to, blocking when the mailbox is full.
 // The blocked operation registers with the watchdog only after the
 // non-blocking fast path fails.
 func (w *worker) send(to int, m message, what string) error {
+	if h := w.ex.hooks.sent; h != nil {
+		h(int(m.req))
+	}
 	m.seq = w.sendSeq[to]
 	w.sendSeq[to]++
-	ch := w.ex.mail[w.proc][to]
+	ch := w.ex.edges[w.proc*w.ex.n+to].ch
 	select {
 	case ch <- m:
 		w.ex.traffic.Add(1)
@@ -471,20 +542,61 @@ func (w *worker) send(to int, m message, what string) error {
 	}
 }
 
+// sendVals sends the values vals to processor to under tag: one value in the
+// message itself, more in the edge's payload buffer.
+func (w *worker) sendVals(to, tag int, vals []float64, what string) error {
+	m := message{req: int32(tag)}
+	switch len(vals) {
+	case 0:
+		m.vals = &noVals
+	case 1:
+		m.val = vals[0]
+	default:
+		m.vals = w.ex.edges[w.proc*w.ex.n+to].payload(vals)
+	}
+	return w.send(to, m, what)
+}
+
+// recvVals takes the next message from processor from, which must carry
+// len(vals) values under tag, into vals.
+func (w *worker) recvVals(from, tag int, vals []float64, what string) error {
+	m, err := w.recv(from, tag, what)
+	if err != nil {
+		return err
+	}
+	n := 1
+	if m.vals != nil {
+		n = len(*m.vals)
+	}
+	if m.vals != nil && m.vals != &noVals {
+		defer w.ex.edges[from*w.ex.n+w.proc].out.Add(-1)
+	}
+	if n != len(vals) {
+		return &ProtocolError{Proc: w.proc, From: from, WantReq: tag, GotReq: int(m.req),
+			WantSeq: uint64(len(vals)), GotSeq: uint64(n), What: what + " (payload length)"}
+	}
+	if m.vals != nil {
+		copy(vals, *m.vals)
+	} else {
+		vals[0] = m.val
+	}
+	return nil
+}
+
 // tracePlanned records the departure or arrival of one planned message.
 // Protocol traffic (negative tags: reduce gathers, barriers) is invisible to
 // the cost model, so it is excluded — keeping Send/Recv events one for one
 // with the simulator's trace.
 func (w *worker) tracePlanned(k trace.Kind, peer int, m message) {
 	if w.traces() && m.req >= 0 && !w.mute {
-		w.emit(k, peer, 0, w.attrBytes, m.req)
+		w.emit(k, peer, 0, w.attrBytes, int(m.req))
 	}
 }
 
 // recv takes the next message on the edge from->proc and verifies it
 // matches the expected requirement tag and per-edge sequence number.
 func (w *worker) recv(from, wantReq int, what string) (message, error) {
-	ch := w.ex.mail[from][w.proc]
+	ch := w.ex.edges[from*w.ex.n+w.proc].ch
 	var m message
 	select {
 	case m = <-ch:
@@ -505,17 +617,89 @@ func (w *worker) recv(from, wantReq int, what string) (message, error) {
 	w.ex.wd.tick()
 	wantSeq := w.recvSeq[from]
 	w.recvSeq[from]++
-	if m.req != wantReq || m.seq != wantSeq {
+	if int(m.req) != wantReq || m.seq != wantSeq {
 		return message{}, &ProtocolError{Proc: w.proc, From: from,
-			WantReq: wantReq, GotReq: m.req, WantSeq: wantSeq, GotSeq: m.seq, What: what}
+			WantReq: wantReq, GotReq: int(m.req), WantSeq: uint64(wantSeq), GotSeq: uint64(m.seq), What: what}
 	}
 	w.tracePlanned(trace.Recv, from, m)
 	return m, nil
 }
 
+// exchange performs the data traffic of one communication: every element of
+// mv goes from the first processor of its From to each processor of its To
+// outside From, in one message per (sender, receiver) pair. A pair planned
+// names is the plan's message, tagged tag and sent even when it carries
+// nothing; any other pair with data is protocol traffic (tagSection). The
+// two ends of a pair list its elements in the same order (eval.Moves), so
+// they agree on its values. mute suppresses this worker's sends (the dropSend
+// seam).
+func (w *worker) exchange(tag int, planned func(from, to int) bool, mv *eval.Moves, mute bool, what string) error {
+	n, me := w.ex.n, w.proc
+	if w.pack == nil {
+		w.pack, w.got = make([][]float64, n), make([][]float64, n)
+	}
+	for p := 0; p < n; p++ {
+		w.pack[p], w.got[p] = w.pack[p][:0], w.got[p][:0]
+	}
+	cnt := w.out[:n] // values from each processor
+	clear(cnt)
+	for i := range mv.Elems {
+		m := &mv.Elems[i]
+		if o := mv.First[m.From]; o != me {
+			cnt[o]++
+			continue
+		}
+		f, t := mv.Sets[m.From], mv.Sets[m.To]
+		for d := 0; d < n; d++ {
+			if t.Contains(d) && !f.Contains(d) {
+				w.pack[d] = append(w.pack[d], *m.At)
+			}
+		}
+	}
+	tagOf := func(from, to int) (int, bool) {
+		if planned != nil && planned(from, to) {
+			return tag, true
+		}
+		return tagSection, false
+	}
+	for d := 0; d < n && !mute; d++ {
+		if t, plan := tagOf(me, d); d != me && (len(w.pack[d]) > 0 || plan) {
+			if err := w.sendVals(d, t, w.pack[d], what); err != nil {
+				return err
+			}
+		}
+	}
+	received := false
+	for o := 0; o < n; o++ {
+		t, plan := tagOf(o, me)
+		if o == me || (cnt[o] == 0 && !plan) {
+			continue
+		}
+		w.got[o] = slices.Grow(w.got[o], int(cnt[o]))[:cnt[o]]
+		if err := w.recvVals(o, t, w.got[o], what); err != nil {
+			return err
+		}
+		received = received || cnt[o] > 0
+	}
+	if !received {
+		return nil
+	}
+	clear(cnt) // now each source's payload cursor
+	for i := range mv.Elems {
+		m := &mv.Elems[i]
+		if o := mv.First[m.From]; o != me {
+			*m.At = w.got[o][cnt[o]]
+			cnt[o]++
+		}
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // eval.Ops: each operation of the shared schedule, as real traffic. Where the
-// operations fall, and in which order, is eval's decision alone.
+// operations fall, and in which order, is eval's decision alone; the messages
+// carry the values the receivers' instances read, and each receiver stores
+// them in its image.
 
 // Tick fires after every loop iteration: progress for the watchdog plus
 // cancellation/deadline enforcement (and a crash site).
@@ -543,6 +727,9 @@ func (w *worker) Vectorized(req *comm.Requirement, op eval.VectorizedOp) error {
 	if w.charges() {
 		w.acct.Vectorized(req, op)
 	}
+	if w.dropped(req) {
+		return nil
+	}
 	if w.traces() {
 		per := op.Bytes
 		switch op.Kind {
@@ -561,152 +748,180 @@ func (w *worker) Vectorized(req *comm.Requirement, op eval.VectorizedOp) error {
 	return err
 }
 
-// vectorizedComm performs the real traffic of one hoisted requirement in the
-// topology the cost model charges: a ring exchange for shifts,
-// root-to-members for broadcasts, owner-to-consumer messages for general
-// aggregated communication.
+// vectorizedComm moves the section of one hoisted requirement. The plan's
+// messages keep the topology the cost model charges — a ring for shifts,
+// running the way the data flows, root-to-members for broadcasts, each
+// receiver paired with an owner for general aggregated communication — and
+// carry what their sender owns of what their receiver reads; elements another
+// owner holds follow in protocol messages (exchange).
 func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) error {
-	what := w.desc(req)
-	dropped := w.ex.hooks.dropSend != nil && w.ex.hooks.dropSend(w.proc, req)
+	n := w.ex.n
+	var planned func(from, to int) bool
 	switch op.Kind {
 	case eval.VecShift:
-		if w.ex.n < 2 {
+		if n < 2 {
 			return nil
 		}
-		next := (w.proc + 1) % w.ex.n
-		prev := (w.proc - 1 + w.ex.n) % w.ex.n
-		if !dropped {
-			if err := w.send(next, message{req: req.ID}, what); err != nil {
-				return err
-			}
-		}
-		_, err := w.recv(prev, req.ID, what)
-		return err
+		planned = func(from, to int) bool { return to == (from+op.Ring+n)%n }
 
 	case eval.VecBcast:
-		_, _, err := w.multicast(op.From, op.Dst, message{req: req.ID}, what, dropped)
-		return err
+		planned = func(from, to int) bool { return from == op.From && to != from && op.Dst.Contains(to) }
 
 	case eval.VecExchange:
-		srcProcs := op.Src.Procs()
-		if len(srcProcs) == 0 {
+		// Each receiver outside the owners pairs with a deterministic owner.
+		nsrc := op.Src.Count()
+		if nsrc == 0 {
 			return nil
 		}
-		var rcv []int
-		for _, p := range op.Dst.Procs() {
-			if !op.Src.Contains(p) {
-				rcv = append(rcv, p)
+		if w.pair == nil {
+			w.pair = make([]int, 2*n)
+		}
+		pair, srcs := w.pair[:n], w.pair[n:n]
+		op.Src.Each(func(p int) { srcs = append(srcs, p) })
+		i := 0
+		for d := 0; d < n; d++ {
+			pair[d] = -1
+			if op.Dst.Contains(d) && !op.Src.Contains(d) {
+				pair[d] = srcs[i%nsrc]
+				i++
 			}
 		}
-		// Each receiver pairs with a deterministic owner.
-		for i, d := range rcv {
-			s := srcProcs[i%len(srcProcs)]
-			if w.proc == s && !dropped {
-				if err := w.send(d, message{req: req.ID}, what); err != nil {
-					return err
-				}
-			}
-		}
-		for i, d := range rcv {
-			if w.proc == d {
-				if _, err := w.recv(srcProcs[i%len(srcProcs)], req.ID, what); err != nil {
-					return err
-				}
-			}
-		}
+		planned = func(from, to int) bool { return pair[to] == from }
 	}
-	return nil
+	return w.exchange(req.ID, planned, w.st.Section(req), w.silent(req), w.desc(req))
 }
 
-// multicast delivers m from root to every other member of dst (the cost
-// model's Multicast excludes the source as well). A receiving member gets the
-// message back, for verification (received reports it).
-func (w *worker) multicast(root int, dst dist.ProcSet, m message, what string, dropped bool) (got message, received bool, err error) {
+// multicast delivers the value v from root to every other member of dst
+// under tag (the cost model's Multicast excludes the source as well); a
+// receiving member gets it back (received reports it).
+func (w *worker) multicast(root int, dst dist.ProcSet, tag int, v float64, what string) (got float64, received bool, err error) {
 	if w.proc == root {
-		for _, p := range dst.Procs() {
-			if p == root || dropped {
-				continue
-			}
-			if err := w.send(p, m, what); err != nil {
-				return got, false, err
+		for p := 0; p < w.ex.n; p++ {
+			if p != root && dst.Contains(p) {
+				if err := w.send(p, message{req: int32(tag), val: v}, what); err != nil {
+					return 0, false, err
+				}
 			}
 		}
-		return got, false, nil
+		return 0, false, nil
 	}
 	if !dst.Contains(w.proc) {
-		return got, false, nil
+		return 0, false, nil
 	}
-	got, err = w.recv(root, m.req, what)
-	return got, err == nil, err
-}
-
-// verify reports a peer's value that differs bitwise from this worker's:
-// replicated execution computes the same value everywhere, so it must not.
-// what and detail together name the value (joined only on failure).
-func (w *worker) verify(got message, bits uint64, peer int, what, detail string) error {
-	if got.hasVal && got.bits != bits {
-		return &DivergenceError{Proc: w.proc, Peer: peer, What: what + detail,
-			Got: math.Float64frombits(got.bits), Want: math.Float64frombits(bits)}
-	}
-	return nil
+	m, err := w.recv(root, tag, what)
+	return m.val, err == nil, err
 }
 
 // Reduce is the collective combine of a reduction scalar: a star gather to a
-// deterministic root and a result broadcast back, with the partial values
-// compared bitwise (replicated execution makes every partial the full value,
-// so they must all agree).
+// deterministic root and a result broadcast back. The accumulator was folded
+// in iteration order where the updates ran (HandOff), so the combined value is
+// its last holder's: the gather brings it to the root, the broadcast to every
+// member.
 func (w *worker) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
 	if w.charges() {
 		w.acct.Reduce(m, set)
 	}
-	procs := set.Procs()
-	if len(procs) < 2 || !set.Contains(w.proc) {
+	count := set.Count()
+	if count < 2 || !set.Contains(w.proc) {
 		return nil
 	}
 	if w.traces() && m.Def != nil && m.Def.Stmt != nil {
 		w.setAttr(m.Def.Stmt.ID, dist.CommNone, 0)
 	}
 	defer w.clearAttr()
-	what := "combine " + m.Def.Var.Name
-	root := procs[0]
-	val := message{req: tagReduce, hasVal: true, bits: math.Float64bits(w.st.Scalar(m.Def.Var))}
+	v := m.Def.Var
+	what := "combine " + v.Name
+	root, holder := set.First(), w.st.Holders(v).First()
 	if w.proc != root {
-		if err := w.send(root, val, what); err != nil {
+		if err := w.send(root, message{req: tagReduce, val: w.st.Scalar(v)}, what); err != nil {
 			return err
 		}
 	} else {
-		for _, p := range procs[1:] {
-			got, err := w.recv(p, tagReduce, what)
-			if err == nil {
-				err = w.verify(got, val.bits, p, what, "")
+		for p := root + 1; p < w.ex.n; p++ {
+			if !set.Contains(p) {
+				continue
 			}
+			got, err := w.recv(p, tagReduce, what)
 			if err != nil {
 				return err
 			}
+			if p == holder {
+				w.st.SetScalar(v, got.val)
+			}
 		}
 	}
-	val.req = tagReduceResult
-	got, received, err := w.multicast(root, set, val, what, false)
+	got, received, err := w.multicast(root, set, tagReduceResult, w.st.Scalar(v), what)
 	if received {
-		err = w.verify(got, val.bits, root, what, "")
+		w.st.SetScalar(v, got)
 	}
 	if err == nil && w.proc == root && w.traces() {
 		// One Reduce event per collective at the gathering root —
 		// structurally identical to the simulator's emission.
-		w.emit(trace.Reduce, -1, 0, w.elemBytes()*int64(len(procs)), -1)
+		w.emit(trace.Reduce, -1, 0, w.elemBytes()*int64(count), -1)
 	}
 	return err
 }
 
+// HandOff passes a collective reduction's accumulator from its holder to the
+// processors about to update it that do not hold it.
+func (w *worker) HandOff(v *ir.Var, from int, to dist.ProcSet) error {
+	held := w.st.Holders(v)
+	what := "hand-off " + v.Name
+	if w.proc == from {
+		for p := 0; p < w.ex.n; p++ {
+			if to.Contains(p) && !held.Contains(p) {
+				if err := w.send(p, message{req: tagHandOff, val: w.st.Scalar(v)}, what); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if !to.Contains(w.proc) || held.Contains(w.proc) {
+		return nil
+	}
+	got, err := w.recv(from, tagHandOff, what)
+	if err == nil {
+		w.st.SetScalar(v, got.val)
+	}
+	return err
+}
+
+// Branch sends a predicate's outcome from the first processor that evaluated
+// it to every processor that did not, so that every worker walks the same
+// branch.
+func (w *worker) Branch(st *ir.Stmt, set dist.ProcSet, taken bool) (bool, error) {
+	from := set.First()
+	const what = "branch outcome"
+	if !set.Contains(w.proc) {
+		got, err := w.recv(from, tagBranch, what)
+		return got.val != 0, err
+	}
+	if w.proc != from {
+		return taken, nil
+	}
+	v := 0.0
+	if taken {
+		v = 1
+	}
+	for p := 0; p < w.ex.n; p++ {
+		if !set.Contains(p) {
+			if err := w.send(p, message{req: tagBranch, val: v}, what); err != nil {
+				return false, err
+			}
+		}
+	}
+	return taken, nil
+}
+
 // CopyOut broadcasts a lastprivate scalar's final value from the final
-// iteration's owner. Replicated execution means every worker already holds
-// the value; the real broadcast verifies bitwise agreement with the owner.
+// iteration's owner, and every receiver stores it.
 func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
 	if w.charges() {
 		w.acct.CopyOut(m, root)
 	}
-	what := "copy-out " + m.Def.Var.Name
-	val := message{req: tagCopyOut, hasVal: true, bits: math.Float64bits(w.st.Scalar(m.Def.Var))}
+	v := m.Def.Var
+	what := "copy-out " + v.Name
 	// Protocol-tagged traffic is invisible to tracePlanned, so the events
 	// are emitted manually — one Send per destination at the root, one Recv
 	// per receiver, structurally identical to machine.Multicast's emission.
@@ -715,9 +930,9 @@ func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
 	}
 	defer w.clearAttr()
 	all := dist.AllProcs(w.st.Grid())
-	got, received, err := w.multicast(root, all, val, what, false)
+	got, received, err := w.multicast(root, all, tagCopyOut, w.st.Scalar(v), what)
 	if received {
-		err = w.verify(got, val.bits, root, what, "")
+		w.st.SetScalar(v, got)
 	}
 	if err != nil || !w.traces() {
 		return err
@@ -726,7 +941,7 @@ func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
 		w.emit(trace.Recv, root, 0, w.elemBytes(), -1)
 	}
 	if w.proc == root {
-		for _, p := range all.Procs() {
+		for p := 0; p < w.ex.n; p++ {
 			if p != root {
 				w.emit(trace.Send, p, 0, w.elemBytes(), -1)
 			}
@@ -735,30 +950,44 @@ func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
 	return nil
 }
 
-// TreeMerge walks the deterministic tree of a privatized combine's merge
-// (already folded locally, identically on every worker), each hop's loser
-// shipping the FNV checksum of its pre-merge partial row for the winner to
-// verify bitwise.
+// MergeRow ships a privatized combine's rows: at each hop of the tree the
+// loser's row to the winner, and the merged row from processor 0 to every
+// other, each stored in the receiver's table before it folds it.
+func (w *worker) MergeRow(c *spmd.Combine, h eval.MergeHop, row []float64) error {
+	what := "merge " + c.Var().Name
+	if h.Winner < 0 {
+		if w.proc != 0 {
+			return w.recvVals(0, tagMerged, row, what)
+		}
+		for p := 1; p < w.ex.n; p++ {
+			if err := w.sendVals(p, tagMerged, row, what); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	switch w.proc {
+	case h.Loser:
+		return w.sendVals(h.Winner, tagMerge, row, what)
+	case h.Winner:
+		return w.recvVals(h.Loser, tagMerge, row, what)
+	}
+	return nil
+}
+
+// Operands brings a privatized elementwise update's operand, which the plan
+// ships nowhere, to the processor that accumulates it (protocol traffic).
+func (w *worker) Operands(req *comm.Requirement) error {
+	if w.dropped(req) {
+		return nil
+	}
+	return w.exchange(tagSection, nil, w.st.Section(req), w.silent(req), w.desc(req))
+}
+
+// TreeMerge charges the merge whose rows MergeRow shipped and traces it.
 func (w *worker) TreeMerge(c *spmd.Combine, elems int64, hops []eval.MergeHop) error {
 	if w.charges() {
 		w.acct.TreeMerge(c, elems, hops)
-	}
-	what := "merge " + c.Var().Name
-	for _, h := range hops {
-		if w.proc == h.Loser {
-			if err := w.send(h.Winner, message{req: tagMerge, hasVal: true, bits: h.Check}, what); err != nil {
-				return err
-			}
-		}
-		if w.proc == h.Winner {
-			got, err := w.recv(h.Loser, tagMerge, what)
-			if err == nil {
-				err = w.verify(got, h.Check, h.Loser, what, "")
-			}
-			if err != nil {
-				return err
-			}
-		}
 	}
 	if w.traces() && w.proc == 0 && len(hops) > 0 {
 		// One Reduce event per merge at the tree root, stamped with the
@@ -785,44 +1014,45 @@ func (w *worker) Guard(req *comm.Requirement) {
 // Transfer sends the element of one per-instance requirement now, as the
 // account charges it: point-to-point (a self-send uses the self edge, which
 // the cost model charges too) or by multicast. The message carries the
-// element's value — evaluated on the pre-statement image, identical on every
-// worker under replicated execution — and each receiver checks it bitwise
-// against its own.
+// sender's element, which each receiver stores where its instance reads it.
 func (w *worker) Transfer(req *comm.Requirement, op eval.InstanceOp) error {
 	if w.charges() {
 		w.acct.Transfer(req, op)
 	}
-	if w.proc != op.From && !op.Dst.Contains(w.proc) {
+	if w.proc != op.From && !op.Dst.Contains(w.proc) || w.dropped(req) {
 		return nil
 	}
-	m := message{req: req.ID}
-	if v, err := w.st.UseValue(req); err == nil {
-		// (An error is the statement's own, and its semantics surface it; the
-		// message just carries nothing to check.)
-		m.bits, m.hasVal = math.Float64bits(v), true
+	// (An address that cannot be evaluated is the statement's own error,
+	// which its semantics surface; the message then carries nothing.)
+	at, _ := w.st.UseAt(req)
+	var v float64
+	if at != nil {
+		v = *at
 	}
 	what := w.desc(req)
-	dropped := w.ex.hooks.dropSend != nil && w.ex.hooks.dropSend(w.proc, req)
 	w.setAttr(req.Stmt.ID, req.Class, op.Bytes)
 	defer w.clearAttr()
 	var got message
-	var received bool
+	received := false
 	var err error
 	if to, one := op.Dst.IsSingle(); !one {
-		got, received, err = w.multicast(op.From, op.Dst, m, what, dropped)
+		if w.proc == op.From && w.silent(req) {
+			return nil
+		}
+		got.val, received, err = w.multicast(op.From, op.Dst, req.ID, v, what)
 	} else {
-		if w.proc == op.From && !dropped {
-			err = w.send(to, m, what)
+		if w.proc == op.From && !w.silent(req) {
+			err = w.send(to, message{req: int32(req.ID), val: v}, what)
 		}
 		if w.proc == to && err == nil {
 			got, err = w.recv(op.From, req.ID, what)
 			received = err == nil
 		}
 	}
-	if !received || !m.hasVal {
-		return err
+	if received && at != nil {
+		*at = got.val
 	}
-	return w.verify(got, m.bits, op.From, what, "")
+	return err
 }
 
 // Compute is traced on the processors that execute the instance, with the
@@ -866,13 +1096,18 @@ func (w *worker) Iteration(charges []eval.Charge, n int64) (int64, error) {
 	return n, w.Tick()
 }
 
-// AllToAll realizes an executable redistribution (the mapping update has
-// already been applied to every worker's state) as a barrier.
+// AllToAll realizes an executable redistribution, already applied to every
+// worker's mapping: each element moves from its old owners to its new ones,
+// then a barrier closes the exchange.
 func (w *worker) AllToAll(st *ir.Stmt) error {
 	if w.charges() {
 		w.acct.AllToAll(st)
 	}
-	return w.starBarrier(tagBarrier, tagRelease, "redistribute "+st.Redist.Array.Name)
+	what := "redistribute " + st.Redist.Array.Name
+	if err := w.exchange(tagRedist, nil, w.st.Redistributed(st), false, what); err != nil {
+		return err
+	}
+	return w.starBarrier(tagBarrier, tagRelease, what)
 }
 
 // starBarrier synchronizes all workers through processor 0: members send
@@ -889,13 +1124,13 @@ func (w *worker) starBarrier(tagIn, tagOut int, what string) error {
 			}
 		}
 		for p := 1; p < w.ex.n; p++ {
-			if err := w.send(p, message{req: tagOut}, what); err != nil {
+			if err := w.send(p, message{req: int32(tagOut)}, what); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := w.send(0, message{req: tagIn}, what); err != nil {
+	if err := w.send(0, message{req: int32(tagIn)}, what); err != nil {
 		return err
 	}
 	_, err := w.recv(0, tagOut, what)

@@ -15,6 +15,7 @@ import (
 	"phpf/internal/eval"
 	"phpf/internal/machine"
 	"phpf/internal/programs"
+	"phpf/internal/sim"
 )
 
 // commSource is a small program whose compilation produces real
@@ -179,6 +180,13 @@ func TestDeadlineOnTheStripPath(t *testing.T) {
 		t.Fatalf("expected DeadlineExceeded, got %v", err)
 	}
 	t.Logf("ended %v after the start", time.Since(start))
+	noLeak(t, before)
+}
+
+// noLeak fails the test when, five seconds on, more goroutines run than
+// before a run did.
+func noLeak(t *testing.T, before int) {
+	t.Helper()
 	for wait := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(wait) {
 			t.Fatalf("%d goroutines after the run, %d before it", runtime.NumGoroutine(), before)
@@ -204,12 +212,25 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestMailboxDepthOne: the executor must stay deadlock-free at the minimum
-// mailbox depth (every send can rendezvous through a single buffer slot).
+// mailbox depth (every send can rendezvous through a single buffer slot) —
+// where a protocol message sent out of order (a shift's ring direction, a
+// section's second owner, a reduction's hand-off, a branch outcome) would
+// wedge — over the whole runnable corpus under every strategy, and leave no
+// goroutine behind.
 func TestMailboxDepthOne(t *testing.T) {
-	for _, src := range []string{commSource, programs.TOMCATV(10, 2), programs.DGEFA(12)} {
-		prog := compile(t, src, 4, core.DefaultOptions())
-		if _, err := run(context.Background(), prog, Config{StallTimeout: 10 * time.Second}, hooks{mailboxDepth: 1}); err != nil {
-			t.Fatalf("depth-1 run failed: %v", err)
+	for name, src := range oraclePrograms() {
+		for stratName, opts := range strategies() {
+			for _, nprocs := range []int{3, 4} {
+				prog := compile(t, src, nprocs, opts)
+				if _, err := sim.Run(prog, sim.Config{}); err != nil {
+					continue // not a runnable program
+				}
+				before := runtime.NumGoroutine()
+				if _, err := run(context.Background(), prog, Config{StallTimeout: 10 * time.Second}, hooks{mailboxDepth: 1}); err != nil {
+					t.Fatalf("%s/%s/p%d: depth-1 run failed: %v", name, stratName, nprocs, err)
+				}
+				noLeak(t, before)
+			}
 		}
 	}
 }
@@ -264,5 +285,34 @@ func TestWorkerErrorMessage(t *testing.T) {
 	we := &WorkerError{Proc: 3, PanicValue: "boom"}
 	if got := we.Error(); !strings.Contains(got, "processor 3") || !strings.Contains(got, "boom") {
 		t.Fatalf("unhelpful message: %q", got)
+	}
+}
+
+// A payload's value count travels with it: a receiver expecting one value
+// from a sender that packed none (or the reverse, or any other disagreement)
+// gets a ProtocolError, not a stored 0 or a dropped value.
+func TestPayloadLengthChecked(t *testing.T) {
+	ex := &executor{n: 2, ctx: context.Background(), wd: newWatchdog(2), edges: make([]edge, 4)}
+	for i := range ex.edges {
+		ex.edges[i].ch = make(chan message, 1)
+	}
+	newWorker := func(p int) *worker {
+		return &worker{ex: ex, proc: p, sendSeq: make([]uint32, 2), recvSeq: make([]uint32, 2)}
+	}
+	a, b := newWorker(0), newWorker(1)
+	for _, c := range []struct{ sent, want int }{{0, 1}, {1, 0}, {2, 1}, {1, 2}, {0, 0}, {1, 1}, {3, 3}} {
+		sent := []float64{7, 8, 9}[:c.sent]
+		if err := a.sendVals(1, tagSection, sent, "section"); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, c.want)
+		err := b.recvVals(0, tagSection, got, "section")
+		var pe *ProtocolError
+		switch {
+		case c.sent != c.want && !errors.As(err, &pe):
+			t.Errorf("%d values sent, %d expected: err = %v, want a ProtocolError", c.sent, c.want, err)
+		case c.sent == c.want && (err != nil || !reflect.DeepEqual(got, sent)):
+			t.Errorf("%d values sent: got %v, %v", c.sent, got, err)
+		}
 	}
 }

@@ -475,10 +475,9 @@ func (m *Machine) Reduce(set dist.ProcSet, bytes int64) {
 // TreeMerge models the deterministic combining tree that merges privatized
 // reduction partials at loop exit: ceil(log2 k) rounds in which the loser of
 // each pair ships its partial row (bytes) to the winner. Unlike Reduce, no
-// result broadcast follows — under replicated interpretation every processor
-// folds the same partial tables locally, so the merged value is already
-// everywhere and the k-1 tree messages only verify agreement. All
-// participants synchronize. merged is the number of partial rows combined,
+// result broadcast is charged: the model folds the merged row into the
+// accumulator where its elements live (the concurrent executor's delivery of
+// that row is uncharged protocol traffic). All participants synchronize. merged is the number of partial rows combined,
 // carried on the emitted Reduce event's Merged field.
 func (m *Machine) TreeMerge(set dist.ProcSet, bytes int64, merged int) {
 	procs := set.Procs()

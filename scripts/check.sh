@@ -50,6 +50,24 @@ if grep -nE '\.(PrivatizedActive|VectorizedOp|InstanceOp)\(|\.(Hoisted|Combines|
     echo "check: a backend reads the communication plan or handles walk events itself; that is internal/eval/schedule.go's job" >&2
     exit 1
 fi
+# ...and who computes what is eval's decision too (State.InterpretFor): the
+# concurrent executor evaluates no execution, owner, union or scalar set of
+# its own.
+if grep -nE '\.(ExecSet|OwnerSet|UnionSet|ScalarSet)\(' $(ls internal/exec/*.go | grep -v '_test\.go$'); then
+    echo "check: internal/exec evaluates a set itself; which processor computes an instance is internal/eval's decision" >&2
+    exit 1
+fi
+
+# Owner-computes gate (DESIGN.md §12): a worker computes its processor's
+# instances and stores what the plan's messages carry; no worker checks a
+# received value against one it computed itself, and no worker's whole image
+# is compared with another's (the final memory is gathered from the owners,
+# eval.Gather). Fail when the replicated verification comes back.
+if grep -rnE 'func \([a-z]+ \*State\) Diff\(|\.st\.Diff\(' --include='*.go' --exclude='*_test.go' internal ||
+    grep -nE '\bverify\(|hasVal' $(ls internal/exec/*.go | grep -v '_test\.go$'); then
+    echo "check: replicated-value verification is back (State.Diff, verify or hasVal); workers store what messages carry and the final memory is gathered from owners" >&2
+    exit 1
+fi
 
 # One-accountant gate: the simulated machine is built and charged in
 # internal/eval/account.go only (bench/, its own module, measures the
