@@ -280,6 +280,17 @@ func (s ProcSet) Each(f func(id int)) {
 	}
 }
 
+// Append appends the set's processor ids but except (-1: none) to ids,
+// ascending, and returns the extended list.
+func (s ProcSet) Append(ids []int32, except int) []int32 {
+	s.Each(func(id int) {
+		if id != except {
+			ids = append(ids, int32(id))
+		}
+	})
+	return ids
+}
+
 // Procs enumerates the processor ids in the set, ascending.
 func (s ProcSet) Procs() []int {
 	out := make([]int, 0, s.Count())

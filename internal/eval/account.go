@@ -26,6 +26,10 @@ type Account struct {
 
 	st  *State
 	inj *fault.Injector // nil on fault-free runs
+	// stopless: no site inside an iteration can stop the run — no fault plan
+	// fires a crash there and no time limit ends it — so a per-instance
+	// transfer may be charged from its owner run's list (schedule.lists).
+	stopless bool
 	// interval is the checkpoint interval; lastCkpt the simulated time of the
 	// last coordinated checkpoint or recovery (the free one at t=0 until then).
 	interval, lastCkpt float64
@@ -36,8 +40,12 @@ func NewAccount(st *State, cfg RunOptions) *Account {
 	a := &Account{M: machine.New(st.grid, cfg.Params), st: st,
 		inj: fault.NewInjector(cfg.Fault), interval: cfg.CheckpointInterval}
 	a.M.Fault = a.inj
+	a.stopless = a.inj == nil && cfg.MaxSeconds == 0
 	return a
 }
+
+// account is what Run asks of an Ops that embeds the accountant.
+func (a *Account) account() *Account { return a }
 
 func (a *Account) elem() int64       { return a.M.Params.ElemBytes }
 func (a *Account) all() dist.ProcSet { return dist.AllProcs(a.st.grid) }
@@ -92,28 +100,16 @@ func (a *Account) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 }
 
 // Charges makes the charges of n iterations of a quiet owner run: n rounds of
-// what Guard and Compute charge, in order, to processors the run has listed —
-// in one machine operation (ComputeStrip) where nothing sees a charge on its
-// own; where something does, by Guard and Compute themselves.
+// what Guard, Transfer and Compute charge, in order, to processors the run has
+// listed — in one machine operation (ComputeStrip) where nothing sees a charge
+// on its own; where something does, by Guard, Transfer and Compute themselves.
 func (a *Account) Charges(charges []Charge, n int64) {
-	a.st.listProcs(charges)
-	p := a.M.Params
-	if a.M.ComputeStrip(n, len(charges), func(i int) ([]int32, float64) {
-		c := &charges[i]
-		if c.Req != nil {
-			return c.procs, p.GuardTime
-		}
-		return c.procs, float64(c.Flops) * p.FlopTime
-	}) {
+	if a.M.ComputeStrip(n, a.st.listStrip(charges, a.M.Params), a.st.listed) {
 		return
 	}
 	for ; n > 0; n-- {
 		for i := range charges {
-			if c := &charges[i]; c.Req != nil {
-				a.Guard(c.Req)
-			} else {
-				a.Compute(c.Stmt, c.Set, c.Flops)
-			}
+			charges[i].Issue(a, a.elem())
 		}
 	}
 }

@@ -522,7 +522,7 @@ end
 				if want, ok := midRun[tc.name]; ok {
 					walk, _ := eval.LoweredSimulate(p, core.ReduceAuto)
 					got := walk.Census
-					got.QuietRuns = 0 // one a block: as many as P has it
+					got.QuietRuns, got.Strips = 0, 0 // one a block: as many as P has it
 					if got != want {
 						t.Errorf("census %+v, want %+v: the failure is not where the case puts it", got, want)
 					}

@@ -35,8 +35,9 @@
 // a second meaning: an operator or intrinsic is one element function
 // (elemental) that both forms apply — only + − × ÷ are spelled out, in each —
 // the kernel admits nothing that can fail, and every other path (the general
-// walk, loud runs, runs whose dependences a sweep would reverse, conditions,
-// subscripts, any Backend but the schedule) runs the closures.
+// walk, loud runs, conditions, subscripts, any Backend but the schedule) runs
+// the closures; a quiet run whose dependences a sweep would reverse runs the
+// kernel one iteration at a time.
 package eval
 
 import (
@@ -1072,7 +1073,7 @@ func (lw *lowerer) runs(l *ir.Loop) {
 	id := int32(l.ID + 1)
 	charges := 0
 	for i := range stmts {
-		charges += 1 + len(stmts[i].plan.PerInstance)
+		charges += 1 + 2*len(stmts[i].plan.PerInstance) // a compute; a guard and a transfer each
 		stmts[i].runs = id
 		stmts[i].sets(lw.c, func(set runSet) {
 			if oc, ok := set.(*ownerCode); ok {

@@ -899,12 +899,16 @@ func bareGotoEscape(err error) error {
 // Census counts the statement instances of a production walk by the path
 // that ran them — in a quiet owner run, in a loud one, on the general walk —
 // and the runs of either kind; of the quiet instances, those whose run was
-// swept through its kernel and those whose kernel the dependence test refused
-// (the rest lie in loops that have no kernel).
+// swept through its kernel and those whose kernel ran them in iteration order
+// (the dependence test refused the sweep); the rest lie in loops that have no
+// kernel, and are run by the closures. Strips counts the operations that
+// closed the quiet iterations (Ops.Iteration): a strip of up to 32 where the
+// kernel runs them, one iteration where the closures do.
 type Census struct {
 	Quiet, Loud, General int64
 	QuietRuns, LoudRuns  int64
-	Swept, Refused       int64
+	Swept, Ordered       int64
+	Strips               int64
 }
 
 // loweredSim is the production side of the same comparison: the accountant,
@@ -951,9 +955,10 @@ func (l *loweredSim) Iteration(charges []Charge, n int64) (int64, error) {
 		case 1:
 			l.census.Swept += n
 		case -1:
-			l.census.Refused += n
+			l.census.Ordered += n
 		}
 	}
+	l.census.Strips++
 	l.inRun(&l.census.QuietRuns)
 	l.Charges(charges, n)
 	return n, nil

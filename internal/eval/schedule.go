@@ -11,6 +11,7 @@ import (
 	"phpf/internal/core"
 	"phpf/internal/dist"
 	"phpf/internal/ir"
+	"phpf/internal/machine"
 	"phpf/internal/spmd"
 )
 
@@ -74,8 +75,8 @@ type Ops interface {
 	// entry, or per instance.
 	Operands(req *comm.Requirement) error
 	// Iteration closes n iterations of a quiet owner run, whose statement
-	// instances issued nothing: for each, their charges in order, then what
-	// Tick does. It returns how many it closed: n, or as many as up to and
+	// instances issued nothing of their own: for each, their charges —
+	// guards, transfers and computes — in order, then what Tick does. It returns how many it closed: n, or as many as up to and
 	// including the one that failed. A backend may close them all at once —
 	// the charges of n rounds, one tick — where nothing it does or observes
 	// at an iteration's end could tell, and closes them one at a time
@@ -95,21 +96,46 @@ func EachIteration(n int64, close func() error) (int64, error) {
 }
 
 // Charge is one resolved charge of a quiet owner run (see schedule.resolve):
-// the guard of a per-instance requirement, paid by every processor, or the
-// compute that closes an instance of Stmt, Flops operations on Set.
+// the guard of a per-instance requirement, paid by every processor (Req set,
+// From -1); the transfer of its element from processor From to Set — to To
+// where Set is that one processor, -1 otherwise (Req set); or the compute that
+// closes an instance of Stmt, Flops operations on Set (Req nil). A guard's and
+// a compute's From and To are -1.
 type Charge struct {
-	Req   *comm.Requirement // the guard's requirement; nil for a compute
-	Stmt  *ir.Stmt
-	Set   dist.ProcSet
-	Flops int
-	procs []int32 // Set's processors, ascending, listed once for the run (listProcs)
+	Req      *comm.Requirement
+	Stmt     *ir.Stmt
+	Set      dist.ProcSet
+	Flops    int
+	From, To int32
+}
+
+// Issue makes the charge through to's Guard, Transfer or Compute — the
+// operation it stands for, on a backend that sees each one; elem is the size
+// of a transferred element.
+func (c *Charge) Issue(to interface {
+	Guard(req *comm.Requirement)
+	Transfer(req *comm.Requirement, op InstanceOp) error
+	Compute(st *ir.Stmt, set dist.ProcSet, flops int)
+}, elem int64) {
+	switch {
+	case c.Req == nil:
+		to.Compute(c.Stmt, c.Set, c.Flops)
+	case c.From < 0:
+		to.Guard(c.Req)
+	default:
+		_ = to.Transfer(c.Req, InstanceOp{From: int(c.From), Dst: c.Set, Bytes: elem})
+	}
 }
 
 // Run interprets the program over s on the schedule, from the top or from a
 // cursor captured at an earlier CheckpointSite (see WalkResume). elemBytes is
 // the size of one transferred element.
 func Run(s *State, ops Ops, elemBytes int64, from *Cursor) error {
-	return WalkResume(s, &schedule{st: s, ops: ops, elem: elemBytes}, from)
+	s.sched = schedule{st: s, ops: ops, elem: elemBytes}
+	if a, ok := ops.(interface{ account() *Account }); ok {
+		s.sched.lists = s.proc < 0 && a.account().stopless
+	}
+	return WalkResume(s, &s.sched, from)
 }
 
 // schedule turns the walk's events into operations.
@@ -118,6 +144,12 @@ type schedule struct {
 	ops  Ops
 	elem int64
 	run  runCharges // stands in for ops while resolve lists an owner run's charges
+	// lists: an owner run's per-instance transfers are charges of its list,
+	// not operations of their own (runCharges.Transfer) — where the State
+	// interprets for every processor, so that nothing it holds is a
+	// transfer's payload, and ops embeds an accountant on which no site
+	// inside an iteration can stop the run (Account.stopless).
+	lists bool
 }
 
 // privArray reports a statement that updates a privatized elementwise
@@ -271,10 +303,11 @@ func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
 
 // runCharges takes the backend's place while resolve issues an owner run's
 // instances: a guard or a compute is listed in the State's scratch, not
-// charged, and a transfer marks the run loud — it reads two clocks, is a crash
-// site and (in exec) stores into the image its statement is about to read, so
-// such a run's operations stay with their instances; a hand-off or an operand
-// delivery too.
+// charged, and so is a transfer where the schedule lists them. Elsewhere a
+// transfer marks the run loud — it is a crash site that can stop the run
+// inside an iteration and (in exec) stores into the image its statement is
+// about to read, so such a run's operations stay with their instances; a
+// hand-off or an operand delivery too.
 type runCharges struct {
 	Ops  // the backend's: an instance issues none of the others
 	st   *State
@@ -283,28 +316,48 @@ type runCharges struct {
 
 func (r *runCharges) list(c Charge) { r.st.charges = append(r.st.charges, c) }
 
-// listProcs lists, once per owner run, the processors each of its charges
-// names (Charge.procs): only an accountant asks.
-func (s *State) listProcs(charges []Charge) {
-	if len(charges) == 0 || charges[0].procs != nil {
-		return
+// listStrip lists, once per owner run, its charges as the machine makes a strip
+// of them (machine.ComputeStrip), with the processors each names — Set's, a
+// transfer's sender excluded — in s.listed: only an accountant asks.
+func (s *State) listStrip(charges []Charge, p machine.Params) []machine.Listed {
+	if len(s.strip) == len(charges) {
+		return s.strip
 	}
 	for i := range charges {
-		lo := len(s.listed)
-		charges[i].Set.Each(func(p int) { s.listed = append(s.listed, int32(p)) })
-		charges[i].procs = s.listed[lo:]
+		c, lo := &charges[i], len(s.listed)
+		if c.To < 0 { // (a transfer to one processor needs no list)
+			s.listed = c.Set.Append(s.listed, int(c.From))
+		}
+		t := float64(c.Flops) * p.FlopTime
+		if c.Req != nil {
+			t = p.GuardTime // (a transfer's is not read)
+		}
+		s.strip = append(s.strip, machine.Listed{T: t, From: c.From, To: c.To,
+			Lo: int32(lo), N: int32(len(s.listed) - lo)})
 	}
+	return s.strip
 }
 
-func (r *runCharges) Transfer(*comm.Requirement, InstanceOp) error { r.loud = true; return nil }
-func (r *runCharges) HandOff(*ir.Var, int, dist.ProcSet) error     { r.loud = true; return nil }
-func (r *runCharges) Operands(*comm.Requirement) error             { r.loud = true; return nil }
-func (r *runCharges) CrashSite() error                             { return nil }
+func (r *runCharges) Transfer(req *comm.Requirement, op InstanceOp) error {
+	if !r.st.sched.lists {
+		r.loud = true
+		return nil
+	}
+	to, one := op.Dst.IsSingle()
+	if !one {
+		to = -1
+	}
+	r.list(Charge{Req: req, Stmt: req.Stmt, Set: op.Dst, From: int32(op.From), To: int32(to)})
+	return nil
+}
+func (r *runCharges) HandOff(*ir.Var, int, dist.ProcSet) error { r.loud = true; return nil }
+func (r *runCharges) Operands(*comm.Requirement) error         { r.loud = true; return nil }
+func (r *runCharges) CrashSite() error                         { return nil }
 func (r *runCharges) Guard(req *comm.Requirement) {
-	r.list(Charge{Req: req, Stmt: req.Stmt, Set: dist.AllProcs(r.st.grid)})
+	r.list(Charge{Req: req, Stmt: req.Stmt, Set: dist.AllProcs(r.st.grid), From: -1, To: -1})
 }
 func (r *runCharges) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
-	r.list(Charge{Stmt: st, Set: set, Flops: flops})
+	r.list(Charge{Stmt: st, Set: set, Flops: flops, From: -1, To: -1})
 }
 
 // resolve issues one instance of each statement of the owner run just opened
@@ -313,7 +366,7 @@ func (r *runCharges) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 // the general walk, which fails where it always did).
 func (d *schedule) resolve(stmts []stmtCode) (quiet []Charge, ok bool) {
 	s := d.st
-	s.charges, s.listed = s.charges[:0], s.listed[:0]
+	s.charges, s.listed, s.strip = s.charges[:0], s.listed[:0], s.strip[:0]
 	d.run = runCharges{Ops: d.ops, st: s}
 	for i := range stmts {
 		if d.instance(stmts[i].plan, &d.run) != nil {

@@ -58,12 +58,8 @@ func (r *opRecorder) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 // Iteration reads as the operations it stands for, n times over.
 func (r *opRecorder) Iteration(charges []Charge, n int64) (int64, error) {
 	return EachIteration(n, func() error {
-		for _, c := range charges {
-			if c.Req != nil {
-				r.Guard(c.Req)
-			} else {
-				r.Compute(c.Stmt, c.Set, c.Flops)
-			}
+		for i := range charges {
+			charges[i].Issue(r, 8)
 		}
 		return r.Tick()
 	})

@@ -160,11 +160,16 @@ end
 
 // TestRunCensus pins, for the benchmark's sim_cells cells and exec_concurrent
 // inputs, how many statement instances the production walk runs in quiet owner
-// runs (charged once per iteration) — swept through the run kernel, refused by
-// its dependence test, or in a loop that has no kernel — in loud ones (a
-// requirement moves data) and on the general walk, and how many runs of either
-// kind there are: a change that turns runs loud or general, or stops sweeping
-// them, fails here, not only on a clock. The table it logs (-v) is the one
+// runs (charged from their lists) — swept through the run kernel, run by it in
+// iteration order where its dependence test refused the sweep, or in a loop
+// that has no kernel — in loud ones (a requirement moves data between States
+// that each hold their processor's, or a site inside an iteration can stop the
+// run) and on the general walk, how many runs of either kind there are, and
+// how many operations closed the quiet iterations: a change that turns runs
+// loud or general, stops sweeping them or closing them by the strip, fails
+// here, not only on a clock. The walk is the simulator's own — the accountant
+// it embeds decides what a run lists — so no sim_cells run is loud: each
+// transfer is a charge of its run's list. The table it logs (-v) is the one
 // EXPERIMENTS.md quotes.
 func TestRunCensus(t *testing.T) {
 	naive := strategies()["naive"]
@@ -172,11 +177,11 @@ func TestRunCensus(t *testing.T) {
 	noPriv.PrivatizeArrays = false
 	var cells, inputs eval.Census
 	row := func(name string, c eval.Census) {
-		t.Logf("| %-19s | %7d | %7d | %9d | %6d | %7d | %7d |", name,
-			c.Swept, c.Refused, c.Quiet-c.Swept-c.Refused, c.Loud, c.General, c.Quiet+c.Loud+c.General)
+		t.Logf("| %-19s | %7d | %7d | %9d | %6d | %7d | %7d | %6d |", name,
+			c.Swept, c.Ordered, c.Quiet-c.Swept-c.Ordered, c.Loud, c.General, c.Quiet+c.Loud+c.General, c.Strips)
 	}
-	t.Logf("| %-19s | %7s | %7s | %9s | %6s | %7s | %7s |", "input", "swept", "refused", "no kernel", "loud", "general", "total")
-	t.Log("|---|---|---|---|---|---|---|")
+	t.Logf("| %-19s | %7s | %7s | %9s | %6s | %7s | %7s | %6s |", "input", "swept", "ordered", "no kernel", "loud", "general", "total", "strips")
+	t.Log("|---|---|---|---|---|---|---|---|")
 	for _, pr := range []struct {
 		name, src string
 		nprocs    int
@@ -185,28 +190,29 @@ func TestRunCensus(t *testing.T) {
 		want      eval.Census
 	}{
 		{"tp", throughput, 8, core.DefaultOptions(), &cells,
-			eval.Census{Quiet: 100000, QuietRuns: 800, Swept: 100000}},
-		// Not swept: the two reduction statements (rxm, rym) and, where no
-		// transfer makes its runs loud, the tridiagonal recurrence — refused.
+			eval.Census{Quiet: 100000, QuietRuns: 800, Swept: 100000, Strips: 3200}},
+		// Not swept: the two reduction statements (rxm, rym), which have no
+		// kernel, and the tridiagonal recurrence, run in iteration order — the
+		// same under either mapping: the replication's broadcasts are charges.
 		{"tomcatv_selected", programs.TOMCATV(65, 3), 16, core.DefaultOptions(), &cells,
-			eval.Census{Quiet: 210113, General: 6, QuietRuns: 821, Swept: 139427, Refused: 46872}},
+			eval.Census{Quiet: 210113, General: 6, QuietRuns: 821, Swept: 139427, Ordered: 46872, Strips: 13236}},
 		{"tomcatv_replication", programs.TOMCATV(65, 3), 16, naive, &cells,
-			eval.Census{Quiet: 163241, Loud: 46872, General: 6, QuietRuns: 632, LoudRuns: 189, Swept: 139427}},
+			eval.Census{Quiet: 210113, General: 6, QuietRuns: 821, Swept: 139427, Ordered: 46872, Strips: 13236}},
 		{"dgefa_aligned", programs.DGEFA(96), 16, core.DefaultOptions(), &cells,
-			eval.Census{Quiet: 304094, General: 18940, QuietRuns: 4749, Swept: 304094}},
+			eval.Census{Quiet: 304094, General: 18940, QuietRuns: 4749, Swept: 304094, Strips: 11547}},
 		{"appsp_2d_partial", programs.APPSP(12, 12, 12, 2, true), 16, core.DefaultOptions(), &cells,
-			eval.Census{Quiet: 21712, QuietRuns: 704, Swept: 21712}},
+			eval.Census{Quiet: 21712, QuietRuns: 704, Swept: 21712, Strips: 704}},
 		{"appsp_1d_nopriv", programs.APPSP(12, 12, 12, 2, false), 16, noPriv, &cells,
-			eval.Census{Quiet: 14512, Loud: 7200, General: 8, QuietRuns: 524, LoudRuns: 180, Swept: 14512}},
+			eval.Census{Quiet: 21712, General: 8, QuietRuns: 704, Swept: 21712, Strips: 704}},
 		{"dgefa(48)", programs.DGEFA(48), 4, core.DefaultOptions(), &inputs,
-			eval.Census{Quiet: 39150, General: 4876, QuietRuns: 1221, Swept: 39150}},
+			eval.Census{Quiet: 39150, General: 4876, QuietRuns: 1221, Swept: 39150, Strips: 1884}},
 		{"smooth(64,2)", programs.Smooth(64, 2), 4, core.DefaultOptions(), &inputs,
-			eval.Census{Quiet: 560, QuietRuns: 20, Swept: 560}},
+			eval.Census{Quiet: 560, QuietRuns: 20, Swept: 560, Strips: 20}},
 		{"histogram(256,32,4)", programs.Histogram(256, 32, 4), 4, core.DefaultOptions(), &inputs,
-			eval.Census{Quiet: 256, General: 1024, QuietRuns: 4, Swept: 256}},
+			eval.Census{Quiet: 256, General: 1024, QuietRuns: 4, Swept: 256, Strips: 8}},
 		// Not swept: the dot product's privatized accumulation.
 		{"dotsweep(48,24)", programs.DotSweep(48, 24), 4, core.DefaultOptions(), &inputs,
-			eval.Census{Quiet: 3432, QuietRuns: 284, Swept: 2304}},
+			eval.Census{Quiet: 3432, QuietRuns: 284, Swept: 2304, Strips: 1224}},
 	} {
 		res, err := eval.LoweredSimulate(compileOpts(t, pr.src, pr.nprocs, pr.opts), core.ReduceAuto)
 		if err != nil {
@@ -218,17 +224,18 @@ func TestRunCensus(t *testing.T) {
 		}
 		row(pr.name, c)
 		*pr.sum = eval.Census{pr.sum.Quiet + c.Quiet, pr.sum.Loud + c.Loud, pr.sum.General + c.General,
-			pr.sum.QuietRuns + c.QuietRuns, pr.sum.LoudRuns + c.LoudRuns, pr.sum.Swept + c.Swept, pr.sum.Refused + c.Refused}
+			pr.sum.QuietRuns + c.QuietRuns, pr.sum.LoudRuns + c.LoudRuns, pr.sum.Swept + c.Swept, pr.sum.Ordered + c.Ordered,
+			pr.sum.Strips + c.Strips}
 	}
 	// One sim_cells op (the bench's eval.stmt_instances_per_op is the three
 	// instance counts' sum, 886,704) and one exec_concurrent worker.
 	row("sim_cells", cells)
 	row("exec_concurrent", inputs)
-	if want := (eval.Census{Quiet: 813672, Loud: 54072, General: 18960, QuietRuns: 8230, LoudRuns: 369,
-		Swept: 719172, Refused: 46872}); cells != want {
+	if want := (eval.Census{Quiet: 867744, General: 18960, QuietRuns: 8599,
+		Swept: 726372, Ordered: 93744, Strips: 42627}); cells != want {
 		t.Errorf("sim_cells: census %+v, want %+v", cells, want)
 	}
-	if want := (eval.Census{Quiet: 43398, General: 5900, QuietRuns: 1529, Swept: 42270}); inputs != want {
+	if want := (eval.Census{Quiet: 43398, General: 5900, QuietRuns: 1529, Swept: 42270, Strips: 3136}); inputs != want {
 		t.Errorf("exec_concurrent: census %+v, want %+v", inputs, want)
 	}
 }

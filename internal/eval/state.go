@@ -26,6 +26,7 @@ import (
 	"phpf/internal/diag"
 	"phpf/internal/dist"
 	"phpf/internal/ir"
+	"phpf/internal/machine"
 	"phpf/internal/spmd"
 )
 
@@ -104,13 +105,20 @@ type State struct {
 
 	// regs is the register file of swept runs (sweep.go), strip values a
 	// register; swept says what became of the quiet run in flight: +1 swept,
-	// -1 its kernel refused (a dependence would be reversed), 0 no kernel.
+	// -1 its kernel run in iteration order (a sweep would reverse a
+	// dependence), 0 no kernel.
 	regs  []float64
 	swept int8
 
+	// sched is the schedule of the walk in progress (Run), kept with the
+	// State's other scratch.
+	sched schedule
+
 	// charges is the charge list of the owner run in flight (schedule.resolve),
-	// listed the processors it names: scratch bind sizes for the longest.
+	// strip the same as the machine makes them and listed the processors they
+	// name (listStrip): scratch bind sizes for the longest.
 	charges []Charge
+	strip   []machine.Listed
 	listed  []int32
 
 	// unionCache memoizes the per-iteration union execution set by
@@ -419,6 +427,7 @@ func (s *State) bind(c *code) {
 	s.offs, s.steps = offs[:len(c.arrs)], offs[len(c.arrs):]
 	s.regs = make([]float64, int(c.nreg)*strip)
 	s.charges = make([]Charge, 0, c.charges)
+	s.strip = make([]machine.Listed, 0, c.charges)
 	s.listed = make([]int32, 0, c.charges*s.grid.Size())
 }
 

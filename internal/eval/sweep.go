@@ -274,23 +274,36 @@ func (s *State) sweepable(ops []kop, n int64) bool {
 	return true
 }
 
-// sweep executes the n iterations of a quiet owner run whose kernel is ops
-// and which sweepable accepted, a strip at a time: the strip's iterations are
-// closed first, by one operation that charges them in order, then their value
-// semantics run through the kernel. Nothing a charge reads is written by a
-// value or the reverse, and a kernel cannot fail, so only the backend ending
-// the run could tell the order from the loop's — and the iteration that ends
-// it is the last one evaluated, as there.
+// sweep executes the n iterations of a quiet owner run whose kernel is ops a
+// strip at a time: the strip's iterations are closed first, by one operation
+// that charges them in order, then their value semantics run through the
+// kernel — over the whole strip at once, statement by statement, where
+// sweepable accepted the run (State.swept 1), and one iteration at a time,
+// the closures' operations in the closures' order, where it refused. Nothing a
+// charge reads is written by a value or the reverse, and a kernel cannot fail,
+// so only the backend ending the run could tell the order from the loop's —
+// and the iteration that ends it is the last one evaluated, as there.
 func (w *walker) sweep(ops []kop, slot int32, step, n, stmts int64) error {
+	s := w.s
 	for {
 		m, err := w.sched.ops.Iteration(w.quiet, min(n, strip))
-		w.s.kernel(ops, slot, step, int(m))
-		w.s.computed += m * stmts
-		w.s.advance(slot, step, m-1)
+		if s.swept > 0 {
+			s.kernel(ops, slot, step, int(m))
+			s.advance(slot, step, m-1)
+		} else {
+			for k := int64(1); ; k++ {
+				s.kernel(ops, slot, step, 1)
+				if k == m {
+					break
+				}
+				s.advance(slot, step, 1)
+			}
+		}
+		s.computed += m * stmts
 		if n -= m; n == 0 || err != nil {
 			return err
 		}
-		w.s.advance(slot, step, 1)
+		s.advance(slot, step, 1)
 	}
 }
 

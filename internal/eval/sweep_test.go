@@ -5,6 +5,7 @@ package eval_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,15 +58,18 @@ var sweepLoops = []struct {
 }{{"2, n - 2", 77}, {"n - 2, 2, -1", 77}, {"2, n / 2, 2", 20}}
 
 // TestSweepDependences holds the legality test of a sweep to what each body's
-// dependences allow, form by form of the loop ('S' the runs are swept, 'R' the
-// kernel is refused, 'N' the loop has no kernel), and the run to the oracle —
-// memory, every processor's clock, statistics and the instance count, bit for
-// bit — under every distribution, processor count and strategy. Where the
-// arrays are not distributed every instance of the loop lies in one quiet run,
-// so the counts are exact there; elsewhere a boundary iteration may take the
-// general walk and a transfer make a run loud (the broadcast of an element to
-// a replicated scalar does, on one processor too), and the census may only not
-// contradict the case — but must show both outcomes on blocks as well.
+// dependences allow, form by form of the loop ('S' the runs are swept, 'O' a
+// sweep would reverse a dependence and the kernel runs them in iteration
+// order, 'N' the loop has no kernel and the closures run them), and the run to
+// the oracle — memory, every processor's clock, statistics and the instance
+// count, bit for bit — under every distribution, processor count and
+// strategy. A run with a kernel is closed a strip of 32 iterations at a time
+// either way, one with none an iteration at a time. Where the arrays are not
+// distributed every instance of the loop lies in one quiet run, so the counts
+// are exact there; elsewhere a boundary iteration may take the general walk,
+// and a run shorter than the loop may sweep where the whole loop may not
+// (its addresses meet less), so the census may only not contradict the case —
+// but must show both outcomes on blocks as well.
 func TestSweepDependences(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -74,23 +78,23 @@ func TestSweepDependences(t *testing.T) {
 	}{
 		// The read is first, the store second, one element ahead: going up it
 		// reads what the iteration before stored.
-		{"flow-in-statement", []string{"a(i) = a(i-1) + 1.5"}, "RSS"},
-		{"anti-in-statement", []string{"a(i) = a(i+1) + 1.5"}, "SRS"},
-		{"anti-across-statements", []string{"b(i) = a(i+1)", "a(i) = c(i) * 2"}, "SRS"},
-		{"flow-across-statements", []string{"a(i) = c(i) * 2", "b(i) = a(i-1)"}, "SRS"},
+		{"flow-in-statement", []string{"a(i) = a(i-1) + 1.5"}, "OSS"},
+		{"anti-in-statement", []string{"a(i) = a(i+1) + 1.5"}, "SOS"},
+		{"anti-across-statements", []string{"b(i) = a(i+1)", "a(i) = c(i) * 2"}, "SOS"},
+		{"flow-across-statements", []string{"a(i) = c(i) * 2", "b(i) = a(i-1)"}, "SOS"},
 		// The store is first: every a(i) would be new before any a(i+1) is read.
-		{"anti-behind-store", []string{"a(i) = c(i) * 2", "b(i) = a(i+1)"}, "RSS"},
+		{"anti-behind-store", []string{"a(i) = c(i) * 2", "b(i) = a(i+1)"}, "OSS"},
 		{"swap-through-scalar", []string{"t = a(i)", "a(i) = b(i)", "b(i) = t"}, "SSS"},
 		{"carried-scalar", []string{"t = t + a(i)", "b(i) = t"}, "NNN"},
 		{"scalar-read-before-write", []string{"b(i) = u", "u = a(i)"}, "NNN"},
 		{"live-out-scalar", []string{"u = a(i) * 2.0", "b(i) = u + w", "u = u - b(i)"}, "SSS"},
 		{"integer-scalar", []string{"k = i / 2", "b(i) = a(i) + k", "k = k * b(i) + 0.5"}, "SSS"},
-		{"fixed-element-read-back", []string{"a(3) = b(i)", "c(i) = a(3)"}, "RRR"},
+		{"fixed-element-read-back", []string{"a(3) = b(i)", "c(i) = a(3)"}, "OOO"},
 		{"fixed-element-last-write-wins", []string{"a(3) = b(i)"}, "SSS"},
 		// Unequal steps: refused when the two ranges meet, 3..79 and 2..78 —
 		// which on the stride-two loop, 41..79 and 2..40, they do not.
-		{"mirror", []string{"a(i) = a(n-i+1) + 1"}, "RRS"},
-		{"stride-two-store", []string{"a(2*i-2) = a(i) + 1"}, "RRR"},
+		{"mirror", []string{"a(i) = a(n-i+1) + 1"}, "OOS"},
+		{"stride-two-store", []string{"a(2*i-2) = a(i) + 1"}, "OOO"},
 		// A subscript read from memory can be out of bounds: no kernel. (The
 		// second is the trap: the access the lowering enlisted is the inner one,
 		// of the same array as the outer.)
@@ -120,20 +124,22 @@ func TestSweepDependences(t *testing.T) {
 							}
 							c, all := walk.Census, loop.iters*int64(len(tc.body))
 							form := tc.forms[f]
-							exact := eval.Census{}
+							exact := eval.Census{Quiet: all, Strips: loop.iters}
 							switch form {
 							case 'S':
-								exact.Swept = all
-							case 'R':
-								exact.Refused = all
+								exact.Swept, exact.Strips = all, (loop.iters+31)/32
+							case 'O':
+								exact.Ordered, exact.Strips = all, (loop.iters+31)/32
 							}
-							if dist == "*" && (c.Swept != exact.Swept || c.Refused != exact.Refused || c.Quiet != all) {
-								t.Errorf("census %+v, want %d instances in quiet runs, %d swept and %d refused", c, all, exact.Swept, exact.Refused)
+							if dist == "*" && (c.Swept != exact.Swept || c.Ordered != exact.Ordered || c.Quiet != all || c.Strips != exact.Strips) {
+								t.Errorf("census %+v, want %d instances in quiet runs, %d swept and %d in iteration order, closed by %d operations",
+									c, all, exact.Swept, exact.Ordered, exact.Strips)
 							}
-							if form != 'S' && c.Swept != 0 || form != 'R' && c.Refused != 0 {
+							kernel := c.Swept + c.Ordered
+							if form == 'S' && c.Ordered != 0 || form != 'N' && kernel != c.Quiet || form == 'N' && kernel != 0 {
 								t.Errorf("census %+v contradicts the case's %q", c, form)
 							}
-							if c.Swept+c.Refused > 0 && nprocs > 1 {
+							if kernel > 0 && nprocs > 1 {
 								seen[dist+string(form)]++
 							}
 						})
@@ -142,14 +148,15 @@ func TestSweepDependences(t *testing.T) {
 			}
 		}
 	}
-	if seen["blockS"] == 0 || seen["blockR"] == 0 || seen["*S"] == 0 || seen["*R"] == 0 {
+	if seen["blockS"] == 0 || seen["blockO"] == 0 || seen["*S"] == 0 || seen["*O"] == 0 {
 		t.Errorf("configurations on several processors with swept or refused runs, by distribution and case: %v; the test no longer sees the sweep", seen)
 	}
 }
 
 // genBody writes a flat loop body from fuzz bytes: one to four assignments to
 // an element of one of three arrays or to one of three scalars (k is an
-// integer), of small expressions over those, the loop index and constants.
+// integer), of small expressions over those, the loop index and constants,
+// and maybe a scalar carried from iteration to iteration.
 // Array subscripts are c·i + d with c in {-1, 0, 1, 2} and d such that i in
 // [2, n-2] stays within the arrays (sweepTemplate's, 2n long), or such a
 // position of the subscript table.
@@ -218,6 +225,14 @@ func (g *genBody) body() string {
 	for n := 1 + g.next(4); n > 0; n-- {
 		lines = append(lines, "  "+g.ref(true)+" = "+g.expr(2))
 	}
+	// Bytes left over may add a carried scalar, s = s op e, at any place: read
+	// before the body writes it. (Taken last, so that a shorter input spells
+	// the body it spelled before.)
+	if op := g.next(5); op > 0 {
+		s := []string{"t", "u", "k"}[g.next(3)]
+		line := fmt.Sprintf("  %s = %s %s %s", s, s, []string{"+", "-", "*", "/"}[op-1], g.expr(1))
+		lines = slices.Insert(lines, g.next(len(lines)+1), line)
+	}
 	return strings.Join(lines, "\n")
 }
 
@@ -233,6 +248,8 @@ func FuzzSweepBody(f *testing.F) {
 		"\x02\x00\x01\x00\x00\x00\x01\x02\x01\x00\x02\x00\x00\x00\x02\x00\x01\x03\x00",
 		// The same going down, where it is none, on blocks.
 		"\x00\x01\x02\x00\x00\x00\x01\x02\x01\x00\x02\x00\x00\x00\x02\x00\x01\x03\x00",
+		// The recurrence again, behind a carried scalar: t = t + a(n + 0 - i).
+		"\x02\x00\x01\x00\x00\x00\x01\x02\x01\x00\x02\x00\x00\x00\x02\x00\x01\x03\x00\x01\x00\x00\x02\x01",
 		// (*), P=1: t = a(2*i - 0); a(n + 1 - i) = (t * k); k = b(3).
 		"\x02\x00\x00\x02\x03\x00\x00\x02\x00\x00\x00\x03\x00\x00\x01\x00\x01\x00\x02\x03\x00\x00\x02\x03\x02\x02\x03\x02\x00\x02\x00\x01\x02\x01",
 	} {

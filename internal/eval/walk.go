@@ -128,8 +128,8 @@ type walker struct {
 	c *code // the program's lowered form
 
 	// sched is b when b is the schedule, which resolves an owner run as it
-	// opens; quiet is then the run's charge list, nil when a requirement moves
-	// data in it — and for any other Backend, which is shown every instance.
+	// opens; quiet is then the run's charge list, nil when the run is loud —
+	// and for any other Backend, which is shown every instance.
 	sched *schedule
 	quiet []Charge
 	// skip: the quiet owner run in flight excludes the State's processor.
@@ -387,9 +387,10 @@ func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
 // one operation for its charges and its tick: nothing between them reads what
 // the other writes, so only a value error could tell the order, and it is
 // given what the general walk had charged when it met the error. A quiet run
-// of a loop with a run kernel goes further when its addresses allow it
-// (sweepable): it is swept, its value semantics taken a strip of iterations
-// at a time (sweep.go).
+// of a loop with a run kernel is closed a strip of iterations at a time, its
+// value semantics run by the kernel (sweep.go): swept, statement by statement
+// over the strip, where its addresses allow it (sweepable), and iteration by
+// iteration where they do not.
 func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
 	s := w.s
 	stmts := w.c.stmts[lc.body.lo : lc.body.lo+lc.body.n]
@@ -402,11 +403,10 @@ func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
 		return err
 	}
 	if kern := w.c.kops[lc.kern.lo : lc.kern.lo+lc.kern.n]; w.quiet != nil && len(kern) > 0 {
-		if s.sweepable(kern, n) {
+		if s.swept = -1; s.sweepable(kern, n) {
 			s.swept = 1
-			return w.sweep(kern, slot, step, n, int64(len(stmts)))
 		}
-		s.swept = -1
+		return w.sweep(kern, slot, step, n, int64(len(stmts)))
 	}
 	offs := s.offs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
 	steps := s.steps[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]

@@ -133,6 +133,9 @@ type Machine struct {
 	// clock while the charges themselves stay in simulated time).
 	Now func() float64
 
+	// dsts lists a Multicast's destinations (scratch).
+	dsts []int32
+
 	// Attribution for subsequent charges (see SetAttr).
 	attrStmt  int32
 	attrReq   int32
@@ -245,22 +248,40 @@ func (m *Machine) Compute(set dist.ProcSet, t float64) {
 	})
 }
 
-// ComputeStrip is n rounds of k charges, the i-th Compute(set, t) of a set
-// whose processors charge(i) lists, ascending as Each visits them, with its t:
-// round by round, charge by charge, each an addition to every listed clock —
-// Compute's own additions in Compute's order, bit for bit, never a product and
-// never one charge n times before the next. With a recorder or slowdowns
-// attached it charges nothing and reports false: each charge must then be a
-// Compute of its own, which the recorder sees and slowdowns scale.
-func (m *Machine) ComputeStrip(n int64, k int, charge func(i int) (procs []int32, t float64)) bool {
-	if m.Rec != nil || (m.Fault != nil && m.Fault.HasSlowdowns()) {
+// Listed is one charge of a strip (ComputeStrip), its processors listed once
+// for all its rounds, ascending as Each visits them, at procs[Lo:Lo+N] of the
+// strip's list: T seconds of computation on each of them, or, where From ≥ 0,
+// the transfer of one element (Params.ElemBytes) from processor From — a Send
+// to processor To or, To < 0, a multicast to them, From not among them.
+type Listed struct {
+	T               float64
+	From, To, Lo, N int32
+}
+
+// ComputeStrip is n rounds of the listed charges, round by round and charge by
+// charge: a computation is Compute's own additions to the listed clocks in
+// Compute's order, bit for bit, never a product and never one charge n times
+// before the next; a transfer is Send's or Multicast's own arithmetic, every
+// round. With a recorder, slowdowns or a fault injector attached it charges
+// nothing and reports false: each charge must then be a Compute, Send or
+// Multicast of its own, which the recorder sees, slowdowns scale and the
+// injector draws for.
+func (m *Machine) ComputeStrip(n int64, charges []Listed, procs []int32) bool {
+	if m.Rec != nil || m.Fault != nil {
 		return false
 	}
+	clock := m.Clock
 	for ; n > 0; n-- {
-		for i := range k {
-			if procs, t := charge(i); t != 0 { // (Compute adds no zero)
-				for _, p := range procs {
-					m.Clock[p] += t
+		for i := range charges {
+			c := &charges[i]
+			switch on := procs[c.Lo : c.Lo+c.N]; {
+			case c.From >= 0 && c.To >= 0:
+				m.Send(int(c.From), int(c.To), m.Params.ElemBytes)
+			case c.From >= 0:
+				m.multicast(int(c.From), on, m.Params.ElemBytes)
+			case c.T != 0: // (Compute adds no zero)
+				for _, p := range on {
+					clock[p] += c.T
 				}
 			}
 		}
@@ -372,10 +393,17 @@ func (m *Machine) Send(from, to int, bytes int64) {
 // destinations: ceil(log2(k+1)) rounds of α+bytes/β, synchronizing the
 // destinations behind the source.
 func (m *Machine) Multicast(from int, dst dist.ProcSet, bytes int64) {
-	k := dst.Count()
-	if dst.Contains(from) {
-		k--
+	if m.dsts == nil {
+		m.dsts = make([]int32, 0, len(m.Clock))
 	}
+	m.dsts = dst.Append(m.dsts[:0], from)
+	m.multicast(from, m.dsts, bytes)
+}
+
+// multicast is Multicast to the k destinations procs lists, ascending, from
+// not among them: the one arithmetic of a multicast, a strip's included.
+func (m *Machine) multicast(from int, procs []int32, bytes int64) {
+	k := len(procs)
 	if k == 0 {
 		return
 	}
@@ -388,10 +416,7 @@ func (m *Machine) Multicast(from int, dst dist.ProcSet, bytes int64) {
 	cost += m.collectiveFaultDelay(k, bytes)
 	done := m.Clock[from] + cost
 	m.Clock[from] += float64(rounds) * m.Params.Overhead
-	dst.Each(func(p int) {
-		if p == from {
-			return
-		}
+	for _, p := range procs {
 		if done > m.Clock[p] {
 			m.Clock[p] = done
 		}
@@ -399,10 +424,10 @@ func (m *Machine) Multicast(from int, dst dist.ProcSet, bytes int64) {
 			// The tree multicast delivers one logical message per destination
 			// — the same k send/recv pairs the concurrent backend's root
 			// really transmits.
-			m.emit(trace.Send, from, p, start, 0, bytes)
-			m.emit(trace.Recv, p, from, done, 0, bytes)
+			m.emit(trace.Send, from, int(p), start, 0, bytes)
+			m.emit(trace.Recv, int(p), from, done, 0, bytes)
 		}
-	})
+	}
 }
 
 // Shift models a collective nearest-neighbor shift among the processors of

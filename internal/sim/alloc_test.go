@@ -74,7 +74,8 @@ func TestZeroAllocationPerStatementInstance(t *testing.T) {
 		t.Fatalf("a run allocates %v times on 1 processor, %v on 8, %v on 16: allocations scale with the owner runs",
 			one, short, sixteen)
 	}
-	// 23 before quiet runs; their charge list and its processors are two
+	// 22 before quiet runs (the walk's schedule is kept in the State); their
+	// charge list, the machine's form of it and its processors are three
 	// more, the register file of swept runs one.
 	if short > 26 {
 		t.Fatalf("a run allocates %v times, 26 at most expected: the State's scratch grew", short)

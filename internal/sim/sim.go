@@ -213,17 +213,13 @@ func (p *profiler) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	p.since(st, before).Instances++
 }
 
-// Iteration closes the strip one iteration at a time and brackets each charge
-// as Guard and Compute do (the interp's own, promoted, would charge them
-// unseen).
+// Iteration closes the strip one iteration at a time, each charge made and
+// bracketed by the profiler's own Guard, Transfer and Compute (the interp's
+// Iteration, promoted, would charge them unseen).
 func (p *profiler) Iteration(charges []eval.Charge, n int64) (int64, error) {
 	return eval.EachIteration(n, func() error {
 		for i := range charges {
-			before := p.clockSum()
-			p.Charges(charges[i:i+1], 1)
-			if sp := p.since(charges[i].Stmt, before); charges[i].Req == nil {
-				sp.Instances++
-			}
+			charges[i].Issue(p, p.M.Params.ElemBytes)
 		}
 		return p.Tick()
 	})

@@ -117,15 +117,18 @@ func sameRun(t *testing.T, p, q *spmd.Program, got, want *Result) {
 
 // TestEveryModeAgreesWithTheGeneralWalk: whatever a run is asked to observe —
 // events, a profile, a time limit, slowed processors, checkpoints and a crash
-// — a program whose loops run as owner runs, quiet ones charged once per
-// iteration, reports what its twin on the general walk reports. No mode takes
-// another path through a run, so none can tell.
+// — a program whose loops run as owner runs, quiet ones charged from their
+// lists (per-instance transfers included where nothing can stop a run inside
+// an iteration), reports what its twin on the general walk reports. No mode
+// takes another path through a run, so none can tell.
 func TestEveryModeAgreesWithTheGeneralWalk(t *testing.T) {
 	noPriv := core.DefaultOptions()
 	noPriv.PrivatizeArrays = false
 	naive := core.DefaultOptions()
 	naive.Scalars = core.ScalarsReplicated
 	naive.AlignReductions = false
+	producer := core.DefaultOptions()
+	producer.Scalars = core.ScalarsProducerAligned
 	traced := &trace.Options{Capacity: 1 << 21}
 	// Which modes took effect, and how often, over the subtests that ran.
 	bit, checkpoints, ran := map[string]int{}, int64(0), 0
@@ -134,7 +137,11 @@ func TestEveryModeAgreesWithTheGeneralWalk(t *testing.T) {
 		opts      core.Options
 	}{
 		{"tomcatv-selected", programs.TOMCATV(17, 2), core.DefaultOptions()},
+		// Per-instance transfers of both kinds: multicasts under the
+		// replication (and in appsp-1d-nopriv), point to point under the
+		// producer alignment.
 		{"tomcatv-naive", programs.TOMCATV(17, 2), naive},
+		{"tomcatv-producer", programs.TOMCATV(17, 2), producer},
 		{"dgefa", programs.DGEFA(16), core.DefaultOptions()},
 		{"appsp-1d-nopriv", programs.APPSP(6, 6, 6, 1, false), noPriv},
 		{"smooth", programs.Smooth(16, 2), core.DefaultOptions()},
@@ -184,15 +191,15 @@ func TestEveryModeAgreesWithTheGeneralWalk(t *testing.T) {
 			}
 		}
 	}
-	if ran != 14*9 {
+	if ran != 16*9 {
 		return // a -run filter: the counts below are of the whole matrix
 	}
 	// A run whose time is set by its last collective neither aborts nor
 	// crashes before it ends; most are not, and each mode must have done what
-	// it is named for on half of the 14 at least.
+	// it is named for on half of the 16 at least.
 	for _, name := range []string{"max-0.3", "max-0.7", "slowdown", "slowdown-trace-profile", "crash", "crash-trace"} {
-		if bit[name] < 7 {
-			t.Errorf("mode %s took effect on %d programs of 14", name, bit[name])
+		if bit[name] < 8 {
+			t.Errorf("mode %s took effect on %d programs of 16", name, bit[name])
 		}
 	}
 	if bit["plain"]+bit["trace"]+bit["profile"] != 0 || checkpoints == 0 {

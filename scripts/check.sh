@@ -71,9 +71,10 @@ fi
 
 # One-accountant gate: the simulated machine is built and charged in
 # internal/eval/account.go only (bench/, its own module, measures the
-# machine's unit costs directly and is not scanned). The charge of a quiet
-# strip on its listed processors (ComputeStrip) is named by method, whatever
-# holds the machine.
+# machine's unit costs directly and is not scanned). The one strip operation,
+# Machine.ComputeStrip — a quiet strip's listed guards, computes and
+# per-instance transfers, round by round — is named by method, whatever holds
+# the machine.
 if grep -rnE 'machine\.New\(|\.M\.(Shift|Multicast|Exchange|Send|Compute|Reduce|TreeMerge|AllToAll|Checkpoint|Recover)\(|\.ComputeStrip\(' \
     --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=machine . |
     grep -v '^./internal/eval/account.go:'; then
@@ -92,6 +93,15 @@ if grep -rnE 'Clock\[[^]]*\][[:space:]]*([-+*/]?=([^=]|$)|\+\+|--)' \
     --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=machine . |
     grep -vE 'range [A-Za-z_.]+\.Clock[[:space:]]*\{'; then
     echo "check: a processor clock is assigned, or the clock slice aliased, outside internal/machine" >&2
+    exit 1
+fi
+
+# One-multicast gate: a tree multicast's arithmetic — ceil(log2(k+1)) rounds
+# for k destinations — is written once, in Machine.multicast, which
+# Multicast runs over its listed destinations and ComputeStrip over a strip's
+# listed transfer: a second copy could drift from the first by a bit.
+if [ "$(grep -rnE --include='*.go' --exclude='*_test.go' 'ceilLog2\(.*\+[[:space:]]*1\)' internal/machine | wc -l)" -gt 1 ]; then
+    echo "check: the multicast arithmetic (ceilLog2(k + 1)) is written more than once in internal/machine" >&2
     exit 1
 fi
 
