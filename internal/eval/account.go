@@ -41,6 +41,7 @@ func NewAccount(st *State, cfg RunOptions) *Account {
 		inj: fault.NewInjector(cfg.Fault), interval: cfg.CheckpointInterval}
 	a.M.Fault = a.inj
 	a.stopless = a.inj == nil && cfg.MaxSeconds == 0
+	st.accounted = true
 	return a
 }
 

@@ -1314,68 +1314,21 @@ func (lw *lowerer) use(req *comm.Requirement) {
 	}
 }
 
-// everywhere settles who computes what where processors must agree. Every
-// processor walks the whole schedule, so every processor resolves every set
-// and loop bound: a variable read in a subscript along a dimension some
-// mapping distributes (every owner position is one) or in a loop bound is
-// computed by every processor, and so, in turn, is everything its assignments
-// read. It also marks the arrays written outside the owner rule.
+// everywhere marks who computes what where processors must agree
+// (spmd.Program.Everywhere), the operands only a privatized elementwise
+// update reads, and the arrays written outside the owner rule.
 func (lw *lowerer) everywhere() {
-	prog, res := lw.prog, lw.p.Res
-	need := make([]bool, len(ir.AssignSlots(prog).Vars))
-	read := func(e ast.Expr) {
-		ast.Walk(e, func(x ast.Expr) {
-			if r, ok := x.(*ast.Ref); ok {
-				if v := prog.LookupVar(r.Name); v != nil && !v.IsLoopIndex {
-					need[v.Slot] = true
-				}
-			}
-		})
-	}
-	moved := map[*ir.Var]bool{}
+	prog := lw.prog
 	for _, st := range prog.Stmts {
-		if st.Kind == ir.SRedistribute {
-			moved[st.Redist.Array] = true
-		}
-	}
-	for _, r := range prog.Refs {
-		if !r.Var.IsArray() {
-			continue
-		}
-		am, ap := res.Mapping.Arrays[r.Var], res.Arrays[r.Var]
-		for k, sub := range r.Ast.Subs {
-			if moved[r.Var] || (am != nil && k < len(am.Axes) && am.Axes[k].Distributed) ||
-				(ap != nil && k < len(ap.Axes) && ap.Axes[k].Distributed) {
-				read(sub)
-			}
-		}
-	}
-	for _, l := range prog.Loops {
-		read(l.Lo.Expr)
-		read(l.Hi.Expr)
-		read(l.Step)
-	}
-	for grew := true; grew; {
-		grew = false
-		for _, st := range prog.Stmts {
-			sc := &lw.c.stmts[st.ID]
-			if st.Kind != ir.SAssign || sc.everywhere || !need[st.Lhs.Var.Slot] {
-				continue
-			}
-			sc.everywhere, grew = true, true
-			read(st.Rhs)
-			for _, sub := range st.Lhs.Ast.Subs {
-				read(sub)
-			}
-		}
+		lw.c.stmts[st.ID].everywhere = lw.p.Everywhere(st)
 	}
 	for _, req := range lw.p.Plan.Reqs {
 		rc, u := &lw.c.reqs[req.ID], req.Use
 		if c := rc.comb; c != nil {
-			rc.operand = u.Var != c.Var() && !need[u.Var.Slot] && !sameRef(u, c.Red.DataRef)
+			rc.operand = u.Var != c.Var() && !lw.p.Needed(u.Var) && !sameRef(u, c.Red.DataRef)
 		}
 	}
-	lw.c.tracked = make([]bool, len(need))
+	lw.c.tracked = make([]bool, len(ir.AssignSlots(prog).Vars))
 	for _, st := range prog.Stmts {
 		sc := &lw.c.stmts[st.ID]
 		if st.Kind == ir.SAssign && st.Lhs.Var.IsArray() && !sc.everywhere &&

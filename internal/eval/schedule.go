@@ -76,11 +76,13 @@ type Ops interface {
 	Operands(req *comm.Requirement) error
 	// Iteration closes n iterations of a quiet owner run, whose statement
 	// instances issued nothing of their own: for each, their charges —
-	// guards, transfers and computes — in order, then what Tick does. It returns how many it closed: n, or as many as up to and
-	// including the one that failed. A backend may close them all at once —
-	// the charges of n rounds, one tick — where nothing it does or observes
-	// at an iteration's end could tell, and closes them one at a time
-	// (EachIteration) where something could.
+	// guards, transfers and computes — in order, then what Tick does. With
+	// no charges, they are iterations a State bound to a processor skipped
+	// in a shrunk loop (walker.shrink). It returns how many it closed: n, or
+	// as many as up to and including the one that failed. A backend may
+	// close them all at once — the charges of n rounds, one tick — where
+	// nothing it does or observes at an iteration's end could tell, and
+	// closes them one at a time (EachIteration) where something could.
 	Iteration(charges []Charge, n int64) (int64, error)
 }
 

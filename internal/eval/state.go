@@ -155,6 +155,10 @@ type State struct {
 	wrote    [][]int64
 	member   []bool
 	computed int64
+	// shrunk counts what the State did with the loops the plan shrinks;
+	// accounted marks a State an accountant charges (NewAccount).
+	shrunk    ShrinkCount
+	accounted bool
 
 	// moves is Section's and Redistributed's scratch; remapped is the mapping
 	// the last executable redistribution left.
@@ -287,10 +291,10 @@ func (s *State) Export() (scalars map[string]float64, arrays map[string][]float6
 // InterpretFor binds the State to processor p: from then on it runs the value
 // semantics of the statement instances p computes — the ones whose execution
 // set holds p, the partial accumulations into p's row, and the assignments
-// every processor computes (code.everywhere) — and of no others, and keeps
-// what the backend stores into it. The sets themselves are resolved on every
-// State, so every State walks the same schedule and records the same last
-// writers. Call it before the walk.
+// every processor computes (spmd.Program.Everywhere) — and of no others, and
+// keeps what the backend stores into it. The sets themselves are resolved on
+// every State (but in the shrunk loops' iterations it skips, walker.shrink),
+// so every State records the same last writers. Call it before the walk.
 func (s *State) InterpretFor(p int) {
 	c := s.lowered()
 	c.forProcessors(s.Prog)
@@ -307,6 +311,13 @@ func (s *State) InterpretFor(p int) {
 	}
 	s.member = make([]bool, len(c.stmts))
 }
+
+// ShrinkCount counts the iterations of the loops the plan shrinks that a
+// bound State walked and skipped.
+type ShrinkCount struct{ Walked, Skipped int64 }
+
+// Shrunk returns the State's ShrinkCount.
+func (s *State) Shrunk() ShrinkCount { return s.shrunk }
 
 // Computed returns how many statement instances had their value semantics
 // run on this State.

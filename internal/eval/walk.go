@@ -91,7 +91,9 @@ func Walk(s *State, b Backend) error { return WalkResume(s, b, nil) }
 // s to the matching checkpoint snapshot.
 func WalkResume(s *State, b Backend, from *Cursor) error {
 	w := &walker{s: s, b: b, c: s.lowered()}
-	w.sched, _ = b.(*schedule)
+	if w.sched, _ = b.(*schedule); w.sched != nil && s.proc >= 0 {
+		w.shrinks = s.Prog.ShrinkableLoops()
+	}
 	if from != nil && from.loop != nil {
 		l, loops := from.loop, s.Prog.Res.Prog.Loops
 		if l.ID < 0 || l.ID >= len(loops) || loops[l.ID] != l ||
@@ -136,6 +138,8 @@ type walker struct {
 	skip bool
 	// taken is the outcome of the block IF predicate just run.
 	taken bool
+	// shrinks is the plan's shrunk loops, for a State bound to a processor.
+	shrinks []*spmd.ShrinkInfo
 
 	// seek is the cursor being navigated to (nil once reached, and on a walk
 	// from the top); path is what is left of its loop's static route.
@@ -247,13 +251,16 @@ func (w *walker) loop(l *ir.Loop) (control, error) {
 // whose body is a flat list of assignments with affine set computations is
 // run as owner runs (beginRun); any other loop, and any iteration no run
 // could be opened for, goes through the general statement walk, one
-// statement instance — a run of length one — at a time.
+// statement instance — a run of length one — at a time. A State bound to a
+// processor walks only its own iterations of a shrunk loop (shrink).
 func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (control, error) {
 	s := w.s
 	s.live[l.ID] = iter{hi: hi, step: step} // for cursors captured inside the body
 	lc := &w.c.loops[l.ID]
 	slot := l.Index.Slot
 	runs := lc.lim > 0 && w.seek == nil && s.exactOver(l, lo, hi, step, lc.lim)
+	var o own
+	shrunk := w.shrinks != nil && w.shrinks[l.ID] != nil && w.seek == nil && w.shrink(l, lo, hi, step, &o)
 	// single counts the iterations in a row no run took. As many as the body
 	// has set computations can be what a block boundary looks like, each set
 	// moving on at an iteration of its own; more are sets that move with every
@@ -262,10 +269,24 @@ func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (con
 	// where the count is a power of two: O(log n) times if none ever opens,
 	// at once again after one did.
 	for v, single := lo, 0; (step > 0 && v <= hi) || (step < 0 && v >= hi); {
+		left := int64(0) // the iterations left to walk in a row (0: to hi)
+		if shrunk {
+			t := (v - lo) / step
+			u, k := o.next(t)
+			s.epoch += (u - t) * o.span // as the walk would, so write stamps agree
+			o.skipped += u - t
+			if v += (u - t) * step; k == 0 {
+				break
+			}
+			left = k
+		}
 		s.indices[slot] = v
 		s.epoch++
-		if runs && (single < lc.nsets || single&(single-1) == 0) {
-			if n := w.beginRun(lc, slot, step, (hi-v)/step+1); n > 0 {
+		if runs && left != 1 && (single < lc.nsets || single&(single-1) == 0) {
+			if left == 0 {
+				left = (hi-v)/step + 1
+			}
+			if n := w.beginRun(lc, slot, step, left); n > 0 {
 				err := w.run(lc, slot, step, n)
 				s.endRun()
 				if err != nil {
@@ -288,6 +309,17 @@ func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (con
 		}
 		v += step
 	}
+	if shrunk { // the index as the walk leaves it; the skipped iterations' ticks
+		if o.n > 0 {
+			s.indices[slot] = lo + (o.n-1)*step
+		}
+		s.shrunk.Walked, s.shrunk.Skipped = s.shrunk.Walked+o.n-o.skipped, s.shrunk.Skipped+o.skipped
+		if o.skipped > 0 {
+			if _, err := w.sched.ops.Iteration(nil, o.skipped*o.span); err != nil {
+				return control{}, err
+			}
+		}
+	}
 
 	if lp != nil {
 		if err := w.b.LoopExit(l, lp); err != nil {
@@ -295,6 +327,98 @@ func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (con
 		}
 	}
 	return control{}, nil
+}
+
+// own is the part of a shrunk loop's iterations, numbered 0..n-1, that a
+// State walks (walker.shrink): the c iterations t0, t0+m, …, and the last one
+// when tail is set. span is what an iteration adds to the epoch and the
+// ticks, loops nested in it included; skipped counts the ones passed over.
+type own struct {
+	t0, m, c, n, span, skipped int64
+	tail                       bool
+}
+
+// next returns the first iteration at or after t the State walks, and how
+// many it walks in a row from there (0: none, and the iteration is n).
+func (o *own) next(t int64) (u, k int64) {
+	if last := o.t0 + (o.c-1)*o.m; o.c > 0 && t <= last {
+		if u = o.t0 + max(0, (t-o.t0+o.m-1)/o.m*o.m); o.m > 1 {
+			return u, 1
+		}
+		return u, last - u + 1
+	}
+	if o.tail && t < o.n {
+		return o.n - 1, 1
+	}
+	return o.n, 0
+}
+
+// shrink settles into o, at an entry of a shrunk loop, which iterations the
+// State walks: those LocalRange gives its processor, by the shrinking rule
+// every one that involves it, so it issues every operation it takes part in
+// in the walk's order. It reports false, walking them all, where the State
+// keeps the account (which charges every instance) or the nested iterations
+// cannot be counted. The last iteration is walked too where it leaves what
+// the State must hold: the holders of a scalar the body writes and, if it
+// walks no other, the nested loops' indices (which every iteration leaves
+// alike).
+func (w *walker) shrink(l *ir.Loop, lo, hi, step int64, o *own) bool {
+	s, info := w.s, w.shrinks[l.ID]
+	n := int64(0)
+	if step > 0 && lo <= hi || step < 0 && lo >= hi {
+		n = (hi-lo)/step + 1
+	}
+	span, ok := int64(0), !s.accounted
+	if ok {
+		span, ok = w.span(l.Body)
+	}
+	if !ok {
+		s.shrunk.Walked += n
+		return false
+	}
+	d, coord := info.GridDim, s.proc
+	for k := len(s.grid.Shape) - 1; k > d; k-- {
+		coord /= s.grid.Shape[k]
+	}
+	*o = own{n: n, span: 1 + span}
+	o.t0, o.m, o.c = info.LocalRange(coord%s.grid.Shape[d], s.grid.Shape[d], lo, step, n)
+	if shrinkSeam != nil {
+		o.t0, o.c = shrinkSeam(s.proc, l, o.t0, o.m, o.c, n)
+	}
+	o.tail = info.WritesScalar || o.c == 0
+	return true
+}
+
+// shrinkSeam, nil outside tests, changes the iterations t0, t0+m, … (c of n)
+// a State bound to processor proc walks of an entry of loop l.
+var shrinkSeam func(proc int, l *ir.Loop, t0, m, c, n int64) (int64, int64)
+
+// span returns the epochs a pass over nodes adds, one per iteration of every
+// loop in it at any depth, from the bounds at the current indices; ok is
+// false where one cannot be evaluated or steps by 0, which the walk reports.
+func (w *walker) span(nodes []ir.Node) (e int64, ok bool) {
+	s := w.s
+	for _, n := range nodes {
+		l, isLoop := n.(*ir.Loop)
+		if !isLoop {
+			continue
+		}
+		lo, hi, step, ok := w.c.loops[l.ID].bounds(s)
+		if s.err = nil; !ok || step == 0 {
+			return 0, false
+		}
+		slot, v := l.Index.Slot, s.indices[l.Index.Slot]
+		for x := lo; (step > 0 && x <= hi) || (step < 0 && x >= hi); x += step {
+			s.indices[slot] = x
+			k, ok := w.span(l.Body)
+			if e += 1 + k; !ok {
+				s.indices[slot] = v
+				return 0, false
+			}
+		}
+		s.indices[slot] = v
+	}
+	return e, true
 }
 
 // exactOver reports whether the indices l's body can read — l's own over the

@@ -19,15 +19,18 @@
 // the next, a redistributed element — travels in protocol messages, which
 // the cost model does not charge and the trace does not show.
 //
-// Every worker still walks the same schedule in the same order: it resolves
-// every execution set and communication decision itself (set resolution is
-// replicated; what every processor resolves is computed everywhere), so all
-// workers issue the same operations in the same order — the property that
-// makes the rendezvous below deadlock-free. One planned message is one
-// physical message: message vectorization is the compiler's placement
-// decision, and a per-instance transfer the plan left inside a loop is sent
-// at once. Sends never wait for a later operation, so no transfer is in
-// flight at a crash site, and immediate sends cannot deadlock: the worker
+// Every worker walks the same schedule, resolving every execution set and
+// communication decision itself (what every processor resolves is computed
+// everywhere), but for the loops whose bounds shrink (spmd.ShrinkableLoops,
+// the paper's §4): there a worker that keeps no account walks only its own
+// iterations, the others involving it in nothing — no transfer, predicate,
+// hoisted communication, combine or computed instance. So each worker issues
+// the operations of the global order it takes part in, in that order — the
+// property that makes the rendezvous below deadlock-free. One planned
+// message is one physical message: message vectorization is the compiler's
+// placement decision, and a per-instance transfer the plan left inside a loop
+// is sent at once. Sends never wait for a later operation, so no transfer is
+// in flight at a crash site, and immediate sends cannot deadlock: the worker
 // furthest behind in the global order can always proceed — a message it waits
 // for was sent by a peer already at or past that operation, and its receiver,
 // no further behind, has taken every message of an earlier operation. A

@@ -8,142 +8,154 @@ import (
 	"phpf/internal/ir"
 )
 
-// ShrinkInfo describes a loop whose bounds can be shrunk to each
-// processor's local iterations in the generated SPMD code: every statement
-// in the body executes on an owner set whose coordinate along GridDim is
-// the loop index (plus a bounded offset) under one common distribution, so
-// a processor only visits the iterations that map to it.
-//
-// This is the paper's §4 observation ("the loop bounds can be shrunk in the
-// final SPMD code"): it requires that no statement in the loop executes on
-// all processors and that no communication is left inside the loop (which
-// would force every processor to walk the full iteration space evaluating
-// guards — the simulator's GuardTime models exactly that cost).
+// ShrinkInfo describes a loop whose bounds shrink to each processor's own
+// iterations (the paper's §4; internal/eval's workers walk only those): every
+// body statement executes where the loop index, plus a bounded offset, lies
+// along GridDim under one distribution.
 type ShrinkInfo struct {
 	Loop *ir.Loop
 	// The distribution of iterations: GridDim is the grid dimension they are
-	// partitioned over, Kind, Block and Extent how (offsets are MaxSkew's).
+	// partitioned over, Kind and Block how; iteration v is at position
+	// v+Offset, give or take MaxSkew — the halo by which a BLOCK processor
+	// extends its local range (0 under CYCLIC, where the body's statements
+	// share one Offset).
 	dist.AxisMap
-	// MaxSkew is the largest |offset| between the loop index and the
-	// owning position over the body's statements; processors must extend
-	// their local range by this halo.
 	MaxSkew int64
+	// WritesScalar: the body assigns a scalar.
+	WritesScalar bool
 }
 
-// LocalRange returns the iteration sub-range (inclusive) a processor
-// coordinate executes for global bounds [lo, hi], before halo extension.
-// ok is false when the coordinate has no local iterations.
-func (s ShrinkInfo) LocalRange(coord, nproc int, lo, hi int64) (int64, int64, bool) {
-	switch s.Kind {
-	case ast.DistBlock:
-		first := int64(coord)*s.Block + 1 // 1-based template position
-		last := first + s.Block - 1
-		first -= s.MaxSkew
-		last += s.MaxSkew
-		if first < lo {
-			first = lo
-		}
-		if last > hi {
-			last = hi
-		}
-		return first, last, first <= last
-	case ast.DistCyclic:
-		// Cyclic shrinking visits every nproc-th iteration; represent the
-		// range bounds only (the step is nproc).
-		if hi < lo {
-			return 0, 0, false
-		}
-		return lo, hi, true
+// LocalRange returns the iterations, numbered 0..n-1, of the loop lo, lo+step,
+// … that coordinate coord of nproc along GridDim runs: count from first,
+// stride apart — every one where it owns a position of a body statement (its
+// BLOCK widened by the halo, every nproc-th under CYCLIC), or all n where
+// that is not one progression (a CYCLIC halo, positions clamped onto 0).
+func (s *ShrinkInfo) LocalRange(coord, nproc int, lo, step, n int64) (first, stride, count int64) {
+	if n == 0 || step >= 1<<31 || step <= -1<<31 { // (keeps step·nproc in int64)
+		return 0, 1, n
 	}
-	return 0, 0, false
+	// Iteration t is at the 0-based position OwnerDim takes, base + t·step.
+	base := lo + s.Offset - 1
+	lowest := base + min(0, (n-1)*step)
+	switch {
+	case s.Kind == ast.DistBlock && s.Block > 0:
+		// The coordinate's positions, as OwnerDim clamps them: coordinate 0
+		// takes every one below its block, the last every one above.
+		from, to := int64(coord)*s.Block-s.MaxSkew, int64(coord+1)*s.Block-1+s.MaxSkew
+		a, first, last := max(step, -step), int64(0), n-1 // in position order
+		if coord > 0 && from > lowest {
+			first = (from - lowest + a - 1) / a
+		}
+		if coord < nproc-1 {
+			if to < lowest {
+				return 0, 1, 0
+			}
+			last = min(last, (to-lowest)/a)
+		}
+		if step < 0 {
+			first, last = n-1-last, n-1-first
+		}
+		return first, 1, max(0, last-first+1)
+	case s.Kind == ast.DistCyclic && s.MaxSkew == 0 && (coord > 0 || lowest >= 0):
+		// Iteration t is the coordinate's when base + t·step ≡ coord (mod
+		// nproc): every nproc/g-th from the first, g = gcd(|step|, nproc).
+		p := int64(nproc)
+		for t := int64(0); t < p && t < n; t++ {
+			if ((base+t*step)%p+p)%p == int64(coord) {
+				g, b := p, max(step, -step)
+				for b != 0 {
+					g, b = b, g%b
+				}
+				return t, p / g, (n-1-t)/(p/g) + 1
+			}
+		}
+		return 0, 1, 0
+	}
+	return 0, 1, n
 }
 
-// ShrinkableLoops identifies the loops whose bounds shrink. A loop
-// qualifies when:
-//   - every assignment in its body has an ExecOwner/ExecPattern guard whose
-//     pattern determines a common grid dimension by an affine position with
-//     coefficient 1 on this loop's index, and
-//   - no statement in the body carries per-instance communication, and
-//   - no statement executes on all processors (ExecAll) or on a dynamic
-//     union (ExecUnion is acceptable: it follows the owner statements).
-func (p *Program) ShrinkableLoops() map[*ir.Loop]*ShrinkInfo {
-	out := map[*ir.Loop]*ShrinkInfo{}
-	for _, l := range p.Res.Prog.Loops {
-		if info := p.shrinkLoop(l); info != nil {
-			out[l] = info
+// ShrinkableLoops returns, by Loop.ID, the loops whose bounds shrink (nil for
+// the others), settled once per program. Nothing in an iteration may involve a
+// processor outside its execution sets (DESIGN.md §12): (a) every statement's
+// set follows the index, position 1·index + c along one grid dimension, on an
+// array no REDISTRIBUTE remaps; (b) no IF or GOTO; (c) no nested loop with
+// hoisted communication, combines or copy-outs; (d) no reduction update; (e)
+// nothing computed everywhere; (f) no per-instance communication; (g) no
+// nested bound varying with the index; (h) under CYCLIC, one offset. The slice
+// is the program's: callers must not modify it.
+func (p *Program) ShrinkableLoops() []*ShrinkInfo { return p.procs().shrink }
+
+func (p *Program) shrinkLoop(l *ir.Loop, pr *procInfo) *ShrinkInfo {
+	for _, in := range p.Res.Prog.Loops {
+		if lp := p.LoopPlanOf(in); in != l && ir.Encloses(l, in) &&
+			(len(lp.Hoisted)+len(lp.Combines)+len(lp.CopyOuts) > 0 || // (c)
+				in.Lo.VariesIn(l) || in.Hi.VariesIn(l) || in.StepConst == 0) { // (g)
+			return nil
 		}
 	}
-	return out
-}
-
-func (p *Program) shrinkLoop(l *ir.Loop) *ShrinkInfo {
-	info := &ShrinkInfo{Loop: l}
-	found := false
+	var info *ShrinkInfo
+	var lowSkew, highSkew int64
+	var unions []*ir.Loop
+	scalar := false
+	owned := map[*ir.Loop]bool{} // the loops an owner-driven statement is in
 	for _, st := range p.Res.Prog.Stmts {
-		if !ir.Encloses(l, st.Loop) {
-			continue
+		if !ir.Encloses(l, st.Loop) || st.Kind == ir.SContinue || st.Kind == ir.SLoopBounds && len(p.PlanOf(st).PerInstance) == 0 {
+			continue // no value semantics, no flops, no message
 		}
 		sp := p.PlanOf(st)
-		if len(sp.PerInstance) > 0 {
-			return nil // inner-loop communication defeats shrinking
+		if st.Kind != ir.SAssign || len(sp.PerInstance) > 0 || sp.Combine != nil ||
+			p.Res.ReducePlan.Of(st) != nil || pr.everywhere[st.ID] { // (b), (f), (d), (e)
+			return nil
 		}
-		switch st.Kind {
-		case ir.SGoto, ir.SContinue, ir.SLoopBounds:
-			continue
-		}
+		scalar = scalar || !st.Lhs.Var.IsArray()
 		var pat dist.OwnerPattern
-		switch sp.Kind {
-		case ExecOwner:
+		switch {
+		case sp.Kind == ExecOwner && !pr.moved[sp.OwnerRef.Var]:
 			pat = p.Res.RefPattern(sp.OwnerRef)
-		case ExecPattern:
+		case sp.Kind == ExecPattern:
 			pat = sp.Scalar.Pattern
-		case ExecUnion:
-			continue // follows the owner statements
-		default:
-			return nil // ExecAll in the body
-		}
-		// Find the grid dim whose position depends on l's index.
-		matched := false
-		for d := range pat.Dims {
-			dp := pat.Dims[d]
-			if dp.Repl || !dp.Sub.OK {
-				continue
-			}
-			coef := dp.Sub.CoefOf(l)
-			if coef == 0 {
-				continue
-			}
-			if coef != 1 {
-				return nil
-			}
-			if !found {
-				info.AxisMap = dp.AxisMap
-				info.Offset = 0
-			} else if info.GridDim != d || info.Kind != dp.Kind || info.Block != dp.Block {
-				return nil // statements partition over different dims
-			}
-			skew := dp.Sub.Const + dp.Offset
-			if skew < 0 {
-				skew = -skew
-			}
-			if skew > info.MaxSkew {
-				info.MaxSkew = skew
-			}
-			matched = true
-			found = true
-		}
-		if !matched {
-			// The statement's owners are invariant in l: every processor
-			// holding them would execute all iterations — shrinking would
-			// be wrong only if ALL statements are like this; it is still
-			// fine (they execute their full local set), but it contributes
-			// no partitioned dimension.
+		case sp.Kind == ExecUnion: // the union of the owner statements under st.Loop
+			unions = append(unions, st.Loop)
 			continue
+		default:
+			return nil // (a), (f)
+		}
+		// (a): the position along the dimension is the loop index plus a constant.
+		var dp *dist.DimPattern
+		for k := range pat.Dims {
+			if d := &pat.Dims[k]; !d.Repl && d.Sub.OK && len(d.Sub.Terms) == 1 && d.Sub.CoefOf(l) == 1 &&
+				(info == nil || k == info.GridDim && d.Kind == info.Kind && d.Block == info.Block) {
+				dp = d
+				break
+			}
+		}
+		if dp == nil {
+			return nil
+		}
+		skew := dp.Sub.Const + dp.Offset
+		if info == nil {
+			info = &ShrinkInfo{Loop: l, AxisMap: dp.AxisMap}
+			lowSkew, highSkew = skew, skew
+		}
+		lowSkew, highSkew = min(lowSkew, skew), max(highSkew, skew)
+		for in := st.Loop; in != l.Parent; in = in.Parent {
+			owned[in] = true
 		}
 	}
-	if !found {
-		return nil
+	for _, u := range unions {
+		if !owned[u] {
+			return nil // a union of nothing is every processor
+		}
 	}
+	switch {
+	case info == nil || info.Kind == ast.DistCyclic && lowSkew != highSkew: // (h)
+		return nil
+	case info.Kind == ast.DistCyclic:
+		info.Offset = lowSkew
+	default:
+		info.Offset, info.MaxSkew = 0, max(highSkew, -lowSkew)
+	}
+	info.WritesScalar = scalar
 	return info
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"phpf/internal/ast"
 	"phpf/internal/core"
+	"phpf/internal/dist"
 )
 
 func TestShrinkSimpleLocalLoop(t *testing.T) {
@@ -23,7 +24,7 @@ end
 	p := gen(t, src, 4, core.DefaultOptions())
 	shrink := p.ShrinkableLoops()
 	loop := p.Res.Prog.Loops[0]
-	info := shrink[loop]
+	info := shrink[loop.ID]
 	if info == nil {
 		t.Fatal("local loop should shrink")
 	}
@@ -36,11 +37,11 @@ end
 	// Local ranges partition [1,100] into 25-iteration chunks.
 	total := int64(0)
 	for c := 0; c < 4; c++ {
-		lo, hi, ok := info.LocalRange(c, 4, 1, 100)
-		if !ok {
+		_, _, n := info.LocalRange(c, 4, 1, 1, 100)
+		if n == 0 {
 			t.Fatalf("coord %d has no range", c)
 		}
-		total += hi - lo + 1
+		total += n
 	}
 	if total != 100 {
 		t.Errorf("ranges cover %d iterations, want 100", total)
@@ -63,13 +64,13 @@ end do
 end
 `
 	p := gen(t, src, 4, core.DefaultOptions())
-	info := p.ShrinkableLoops()[p.Res.Prog.Loops[0]]
+	info := p.ShrinkableLoops()[0]
 	if info == nil {
 		t.Fatal("stencil loop should shrink (communication is hoisted)")
 	}
-	lo, hi, ok := info.LocalRange(1, 4, 2, 99)
-	if !ok || lo > 26 || hi < 50 {
-		t.Errorf("range = [%d,%d] ok=%v", lo, hi, ok)
+	first, stride, n := info.LocalRange(1, 4, 2, 1, 98)
+	if lo, hi := 2+first, 2+first+(n-1)*stride; stride != 1 || lo > 26 || hi < 50 {
+		t.Errorf("range = [%d,%d] by %d", lo, hi, stride)
 	}
 }
 
@@ -95,7 +96,7 @@ end
 	opts := core.DefaultOptions()
 	opts.Scalars = core.ScalarsReplicated
 	p := gen(t, src, 4, opts)
-	if info := p.ShrinkableLoops()[p.Res.Prog.Loops[0]]; info != nil {
+	if info := p.ShrinkableLoops()[0]; info != nil {
 		t.Errorf("loop with a replicated statement must not shrink: %v", info)
 	}
 }
@@ -118,7 +119,7 @@ end do
 end
 `
 	p := gen(t, src, 4, core.DefaultOptions())
-	if info := p.ShrinkableLoops()[p.Res.Prog.Loops[0]]; info != nil {
+	if info := p.ShrinkableLoops()[0]; info != nil {
 		t.Errorf("loop with per-instance communication must not shrink: %v", info)
 	}
 }
@@ -143,10 +144,65 @@ end
 	p := gen(t, src, 4, core.DefaultOptions())
 	shrink := p.ShrinkableLoops()
 	jLoop, iLoop := p.Res.Prog.Loops[0], p.Res.Prog.Loops[1]
-	if shrink[jLoop] == nil {
+	if shrink[jLoop.ID] == nil {
 		t.Error("j-loop should shrink over the column distribution")
 	}
-	if shrink[iLoop] != nil {
+	if shrink[iLoop.ID] != nil {
 		t.Error("i-loop has no partitioned dimension to shrink over")
+	}
+}
+
+// TestLocalRangeCoversOwners brute-forces LocalRange: under BLOCK and CYCLIC,
+// P = 1…8, halos 0–2, steps ±1 and ±2, and loops of no, one and several
+// iterations, the iterations a coordinate runs are iterations of the loop,
+// counted once, and include every one at which OwnerDim puts a position the
+// body's statements execute at — the iteration's position plus any skew the
+// halo allows — on that coordinate. Without a halo, and where OwnerDim clamps
+// no position, they are exactly those: the range shrinks.
+func TestLocalRangeCoversOwners(t *testing.T) {
+	for _, kind := range []ast.DistKind{ast.DistBlock, ast.DistCyclic} {
+		for nproc := 1; nproc <= 8; nproc++ {
+			for _, block := range []int64{1, 2, 3, 5} {
+				for halo := int64(0); halo <= 2; halo++ {
+					for _, offset := range []int64{-2, 0, 3} {
+						for _, step := range []int64{1, -1, 2, -2} {
+							for _, lo := range []int64{-3, 1, 4, 17} {
+								for _, n := range []int64{0, 1, 2, 7, 23} {
+									info := &ShrinkInfo{AxisMap: dist.AxisMap{Distributed: true, Kind: kind, Block: block, Offset: offset}, MaxSkew: halo}
+									checkLocalRange(t, info, nproc, lo, step, n)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkLocalRange(t *testing.T, info *ShrinkInfo, nproc int, lo, step, n int64) {
+	t.Helper()
+	owner := dist.AxisMap{Kind: info.Kind, Block: info.Block}
+	exact := info.MaxSkew == 0 && lo+info.Offset-1+min(0, (n-1)*step) >= 0
+	for coord := 0; coord < nproc; coord++ {
+		first, stride, count := info.LocalRange(coord, nproc, lo, step, n)
+		runs := map[int64]bool{}
+		for k := int64(0); k < count; k++ {
+			if it := first + k*stride; it < 0 || it >= n || runs[it] {
+				t.Fatalf("%+v P=%d coord %d, loop from %d by %d, %d iterations: iteration %d is not one of the loop's, or repeats",
+					info, nproc, coord, lo, step, n, it)
+			}
+			runs[first+k*stride] = true
+		}
+		for it := int64(0); it < n; it++ {
+			owns := false
+			for skew := -info.MaxSkew; skew <= info.MaxSkew; skew++ {
+				owns = owns || owner.OwnerDim(lo+it*step+info.Offset+skew, nproc) == coord
+			}
+			if owns && !runs[it] || exact && runs[it] && !owns {
+				t.Fatalf("%+v P=%d coord %d, loop from %d by %d, %d iterations: iteration %d: owned %v, run %v",
+					info, nproc, coord, lo, step, n, it, owns, runs[it])
+			}
+		}
 	}
 }

@@ -111,6 +111,9 @@ type Program struct {
 	// plan (see Lowered); built at most once, on first execution.
 	lowerOnce sync.Once
 	lowered   any
+	// proc is built at most once, on first use (procs).
+	procOnce sync.Once
+	proc     *procInfo
 }
 
 // Lowered returns the program's executable form, calling build to derive it
@@ -121,6 +124,89 @@ type Program struct {
 func (p *Program) Lowered(build func() any) any {
 	p.lowerOnce.Do(func() { p.lowered = build() })
 	return p.lowered
+}
+
+// procInfo is what processors that each interpret for themselves add to the
+// plan: who computes what where they must agree, and which loops shrink.
+type procInfo struct {
+	need, moved map[*ir.Var]bool
+	everywhere  []bool        // by Stmt.ID
+	shrink      []*ShrinkInfo // by Loop.ID
+}
+
+// procs settles the procInfo on first use: a compile never pays for it.
+func (p *Program) procs() *procInfo {
+	p.procOnce.Do(func() {
+		pr := &procInfo{need: map[*ir.Var]bool{}, moved: map[*ir.Var]bool{}, shrink: make([]*ShrinkInfo, len(p.Res.Prog.Loops))}
+		p.everywhere(pr)
+		for _, l := range p.Res.Prog.Loops {
+			pr.shrink[l.ID] = p.shrinkLoop(l, pr)
+		}
+		p.proc = pr
+	})
+	return p.proc
+}
+
+// Everywhere reports whether every processor computes the assignment st
+// where each interprets for itself: it writes a value some processor's set
+// resolution, subscript or loop bound reads (Needed).
+func (p *Program) Everywhere(st *ir.Stmt) bool { return p.procs().everywhere[st.ID] }
+
+// Needed reports whether every processor computes the values of v.
+func (p *Program) Needed(v *ir.Var) bool { return p.procs().need[v] }
+
+// everywhere settles who computes what where processors must agree. Every
+// processor resolves every set and loop bound (out of the iterations it
+// skips): a variable read in a subscript along a distributed dimension (every
+// owner position is one) or in a loop bound is computed by every processor,
+// and so, in turn, is everything its assignments read.
+func (p *Program) everywhere(pr *procInfo) {
+	prog, res := p.Res.Prog, p.Res
+	read := func(e ast.Expr) {
+		ast.Walk(e, func(x ast.Expr) {
+			if r, ok := x.(*ast.Ref); ok {
+				if v := prog.LookupVar(r.Name); v != nil && !v.IsLoopIndex {
+					pr.need[v] = true
+				}
+			}
+		})
+	}
+	for _, st := range prog.Stmts {
+		if st.Kind == ir.SRedistribute {
+			pr.moved[st.Redist.Array] = true
+		}
+	}
+	for _, r := range prog.Refs {
+		if !r.Var.IsArray() {
+			continue
+		}
+		am, ap := res.Mapping.Arrays[r.Var], res.Arrays[r.Var]
+		for k, sub := range r.Ast.Subs {
+			if pr.moved[r.Var] || (am != nil && k < len(am.Axes) && am.Axes[k].Distributed) ||
+				(ap != nil && k < len(ap.Axes) && ap.Axes[k].Distributed) {
+				read(sub)
+			}
+		}
+	}
+	for _, l := range prog.Loops {
+		read(l.Lo.Expr)
+		read(l.Hi.Expr)
+		read(l.Step)
+	}
+	pr.everywhere = make([]bool, len(prog.Stmts))
+	for grew := true; grew; {
+		grew = false
+		for _, st := range prog.Stmts {
+			if st.Kind != ir.SAssign || pr.everywhere[st.ID] || !pr.need[st.Lhs.Var] {
+				continue
+			}
+			pr.everywhere[st.ID], grew = true, true
+			read(st.Rhs)
+			for _, sub := range st.Lhs.Ast.Subs {
+				read(sub)
+			}
+		}
+	}
 }
 
 // Grid returns the processor grid the program is mapped onto.
@@ -256,7 +342,6 @@ func exprFlops(e ast.Expr) int {
 // Dump renders the SPMD program as text, one line per statement with its
 // guard and communications — the inspectable "generated code".
 func (p *Program) Dump() string {
-	shrink := p.ShrinkableLoops()
 	var b strings.Builder
 	var walk func(nodes []ir.Node, depth int)
 	ind := func(d int) string { return strings.Repeat("  ", d) }
@@ -268,7 +353,7 @@ func (p *Program) Dump() string {
 				for _, r := range lp.Hoisted {
 					fmt.Fprintf(&b, "%s[comm before %s-loop] %s\n", ind(depth), x.Index.Name, r)
 				}
-				if si := shrink[x]; si != nil {
+				if si := p.ShrinkableLoops()[x.ID]; si != nil {
 					fmt.Fprintf(&b, "%s[shrunk bounds: %s]\n", ind(depth), si)
 				}
 				fmt.Fprintf(&b, "%sdo %s\n", ind(depth), x.Index.Name)

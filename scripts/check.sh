@@ -52,9 +52,18 @@ if grep -nE '\.(PrivatizedActive|VectorizedOp|InstanceOp)\(|\.(Hoisted|Combines|
 fi
 # ...and who computes what is eval's decision too (State.InterpretFor): the
 # concurrent executor evaluates no execution, owner, union or scalar set of
-# its own.
-if grep -nE '\.(ExecSet|OwnerSet|UnionSet|ScalarSet)\(' $(ls internal/exec/*.go | grep -v '_test\.go$'); then
+# its own, nor the iterations of a shrunk loop it walks.
+if grep -nE '\.(ExecSet|OwnerSet|UnionSet|ScalarSet|LocalRange)\(' $(ls internal/exec/*.go | grep -v '_test\.go$'); then
     echo "check: internal/exec evaluates a set itself; which processor computes an instance is internal/eval's decision" >&2
+    exit 1
+fi
+# One-shrinking gate (DESIGN.md §12): which loops shrink is decided once, by
+# spmd.ShrinkableLoops, which -dump spmd prints, and which iterations a
+# processor walks once, by ShrinkInfo.LocalRange, which the walker reads; no
+# other layer asks either.
+if grep -rnE '\.(ShrinkableLoops|LocalRange)\(' --include='*.go' --exclude='*_test.go' . |
+    grep -vE '^\./internal/(spmd|eval)/'; then
+    echo "check: a loop's shrinking is read outside internal/spmd and internal/eval; ShrinkableLoops and LocalRange are their one definition" >&2
     exit 1
 fi
 
