@@ -135,6 +135,9 @@ type Machine struct {
 
 	// dsts lists a Multicast's destinations (scratch).
 	dsts []int32
+	// before holds the clocks as a leaped strip found them (scratch, the
+	// second half of Clock's allocation).
+	before []float64
 
 	// Attribution for subsequent charges (see SetAttr).
 	attrStmt  int32
@@ -144,7 +147,9 @@ type Machine struct {
 
 // New creates a machine over the given grid.
 func New(grid *dist.Grid, p Params) *Machine {
-	return &Machine{Params: p, Grid: grid, Clock: make([]float64, grid.Size()),
+	n := grid.Size()
+	clocks := make([]float64, 2*n)
+	return &Machine{Params: p, Grid: grid, Clock: clocks[:n:n], before: clocks[n:],
 		attrStmt: -1, attrReq: -1}
 }
 
@@ -260,15 +265,33 @@ type Listed struct {
 
 // ComputeStrip is n rounds of the listed charges, round by round and charge by
 // charge: a computation is Compute's own additions to the listed clocks in
-// Compute's order, bit for bit, never a product and never one charge n times
-// before the next; a transfer is Send's or Multicast's own arithmetic, every
-// round. With a recorder, slowdowns or a fault injector attached it charges
-// nothing and reports false: each charge must then be a Compute, Send or
-// Multicast of its own, which the recorder sees, slowdowns scale and the
-// injector draws for.
+// Compute's order, bit for bit, never one charge n times before the next and
+// never n·t (n·D only on the clock's grid, below); a transfer is Send's or
+// Multicast's own arithmetic, every round. With a recorder, slowdowns or a
+// fault injector attached it charges nothing and reports false: each charge
+// must then be a Compute, Send or Multicast of its own, which the recorder
+// sees, slowdowns scale and the injector draws for.
+//
+// A strip of computations only, of more than two rounds, is leaped: its first
+// round is made by the additions, and each clock that round moved from x to
+// c is set to x + n·D, D = c − x. That is the n rounds, bit for bit. A clock
+// x in the binade [2^e, 2^(e+1)) lies on the grid u = 2^(e−52); while x + t
+// stays below 2^(e+1), fl(x + t) = x + RN_u(t) whatever x is — unless t is a
+// tie (t mod u = u/2), which round-half-even settles by x's last bit. So while
+// a clock stays in its binade every round adds the same D, the sum of RN_u(t)
+// over the charges that name it, and x + n·D, a multiple of u below 2^(e+1),
+// is exact, as is n·D. D is one round of the additions measured on the
+// clock's grid, not a cost. The rest of the strip is made round by round when
+// a charged clock is 0, subnormal or below 2^-971 (1/u is then no normal
+// float), when a cost is negative or a tie on its clock's grid, or when
+// x + n·D would reach 2^(e+1); the values rise, so below that bound no round
+// in between leaves the binade either.
 func (m *Machine) ComputeStrip(n int64, charges []Listed, procs []int32) bool {
 	if m.Rec != nil || m.Fault != nil {
 		return false
+	}
+	if n > 2 {
+		n -= m.leap(n, charges, procs)
 	}
 	clock := m.Clock
 	for ; n > 0; n-- {
@@ -287,6 +310,62 @@ func (m *Machine) ComputeStrip(n int64, charges []Listed, procs []int32) bool {
 		}
 	}
 	return true
+}
+
+// leap makes n rounds of a strip of computations only (ComputeStrip) and
+// returns the rounds it made: n, 1 where it declined after making the first,
+// 0 where the strip has a transfer.
+func (m *Machine) leap(n int64, charges []Listed, procs []int32) int64 {
+	for i := range charges {
+		if charges[i].From >= 0 {
+			return 0
+		}
+	}
+	clock, before := m.Clock, m.before
+	copy(before, clock)
+	repeats := true
+	for i := range charges {
+		c := &charges[i]
+		if c.T == 0 {
+			continue
+		}
+		for _, p := range procs[c.Lo : c.Lo+c.N] {
+			if repeats {
+				repeats = roundsAlike(clock[p], c.T)
+			}
+			clock[p] += c.T
+		}
+	}
+	if !repeats {
+		return 1
+	}
+	for p, c := range clock {
+		x := before[p]
+		if d := c - x; d != 0 {
+			if before[p] = x + float64(n)*d; before[p] >= binadeEnd(x) {
+				return 1
+			}
+		}
+	}
+	copy(clock, before) // each moved clock leaped, the others as they were
+	return n
+}
+
+// roundsAlike reports whether adding t to the clock x adds the same amount to
+// every clock of x's binade that the sum leaves in it: x is positive, normal
+// and at least 2^-971, t is not negative and not a tie on x's grid u.
+func roundsAlike(x, t float64) bool {
+	be := math.Float64bits(x) >> 52 // x's biased exponent; 2048 and up: x < 0
+	if be < 52 || be > 2046 || t < 0 {
+		return false
+	}
+	s := t * math.Float64frombits((2098-be)<<52) // t/u, exactly: 1/u = 2^(1075-be)
+	return s-math.Trunc(s) != 0.5
+}
+
+// binadeEnd is 2^(e+1) for x in [2^e, 2^(e+1)).
+func binadeEnd(x float64) float64 {
+	return math.Float64frombits((math.Float64bits(x)>>52 + 1) << 52)
 }
 
 // resend accounts for one transmission beyond the planned one — a

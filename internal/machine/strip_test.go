@@ -229,3 +229,202 @@ func TestComputeStripDeclines(t *testing.T) {
 		}
 	}
 }
+
+// leapCase is a strip of computations only over P processors from named
+// clocks: the clocks it starts from and its charges.
+type leapCase struct {
+	name   string
+	clocks func(P int) []float64
+	cs     func(g *dist.Grid) []listed
+}
+
+// ulp is the grid of the binade x lies in.
+func ulp(x float64) float64 { return math.Nextafter(x, math.Inf(1)) - x }
+
+// clocksAt sets processor p's clock to at[p], every other clock to other.
+func clocksAt(other float64, at map[int]float64) func(P int) []float64 {
+	return func(P int) []float64 {
+		c := make([]float64, P)
+		for p := range c {
+			c[p] = other
+			if v, ok := at[p]; ok {
+				c[p] = v
+			}
+		}
+		return c
+	}
+}
+
+// leapCases are the edges of the leap's proof, each a strip the leap must
+// decline or leap to the rounds' own bits: a clock of 0 (no binade), a clock
+// three ulps below a power of two that a cost of one and a quarter of its ulps
+// brings to it in the third round and carries above it after (where the same
+// cost rounds to a whole ulp of the next binade: twice as much), a clock that
+// crosses a power of two near the hundredth round, a clock at one, ties (an
+// odd multiple of half an ulp, which round-half-even rounds by the clock's
+// last bit: one ulp more from an odd clock in the first round, none from an
+// even one), and a cost below half an ulp, which moves the clock 10^6 by
+// nothing while it moves the others.
+func leapCases() []leapCase {
+	sp2, below := SP2(), math.Ldexp(1, -3)
+	u := ulp(math.Nextafter(below, 0))
+	flops := func(g *dist.Grid) []listed {
+		all := dist.AllProcs(g)
+		return []listed{list(all, sp2.GuardTime), list(only(g, 0), 2*sp2.FlopTime), list(all, 3*sp2.FlopTime)}
+	}
+	return []leapCase{
+		{"zero clock", clocksAt(1.5e-3, map[int]float64{0: 0}), flops},
+		{"few ulps below 2^-3", clocksAt(below-3*u, nil), func(g *dist.Grid) []listed {
+			return []listed{list(dist.AllProcs(g), 1.25*u)}
+		}},
+		{"crossing 2^-3 near round 100", clocksAt(0.75e-3, map[int]float64{0: below - 100*(sp2.GuardTime+2*sp2.FlopTime+3*sp2.FlopTime)}), flops},
+		{"at 2^-7", clocksAt(math.Ldexp(1, -7), map[int]float64{2: 2.5e-2}), flops},
+		{"tie on an odd clock", clocksAt(1+ulp(1), nil), func(g *dist.Grid) []listed {
+			return []listed{list(dist.AllProcs(g), 1.5*ulp(1))}
+		}},
+		{"tie on an even clock", clocksAt(1, nil), func(g *dist.Grid) []listed {
+			return []listed{list(dist.AllProcs(g), 0.5*ulp(1)), list(only(g, 0), 3*ulp(1))}
+		}},
+		{"below half an ulp", clocksAt(2.5e-3, map[int]float64{0: 1e6}), func(g *dist.Grid) []listed {
+			return []listed{list(dist.AllProcs(g), 0.4*ulp(1e6)), list(dist.AllProcs(g), 0)}
+		}},
+	}
+}
+
+// TestComputeStripLeapEdges holds the leaped strip to its rounds, every clock
+// to the bit and every Stats field, on each edge of the proof: a strip that
+// leapt over a tie or out of its clock's binade would read otherwise.
+func TestComputeStripLeapEdges(t *testing.T) {
+	for _, c := range leapCases() {
+		for _, P := range []int{1, 3, 16} {
+			for _, n := range []int64{3, 10000} {
+				t.Run(fmt.Sprintf("%s/P=%d/n=%d", c.name, P, n), func(t *testing.T) {
+					want, got := New(grid(P), SP2()), New(grid(P), SP2())
+					copy(want.Clock, c.clocks(P))
+					copy(got.Clock, want.Clock)
+					cs := c.cs(grid(P))
+					rounds(want, cs, n)
+					if !strip(got, cs, n) {
+						t.Fatal("no recorder, no faults, and still not one operation")
+					}
+					if !sameClocks(got.Clock, want.Clock) {
+						t.Errorf("clocks %v, the rounds leave %v", got.Clock, want.Clock)
+					}
+					if got.Stats != want.Stats {
+						t.Errorf("stats %+v, the rounds count %+v", got.Stats, want.Stats)
+					}
+				})
+			}
+		}
+	}
+}
+
+// fuzzBytes deals a fuzz input out a byte at a time, zeros once it runs out.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// bits is n random low bits.
+func (b *fuzzBytes) bits(n int) uint64 {
+	var v uint64
+	for i := 0; i < n; i += 8 {
+		v = v<<8 | uint64(b.next())
+	}
+	return v & (1<<n - 1)
+}
+
+// clock is 0, a few ulps below 2^-k, 2^-k, or uniform over the floats of
+// [2^-k, 2^(1-k)), k within 3 of the case's scale.
+func (b *fuzzBytes) clock(scale int) float64 {
+	kind, pow := b.next()%4, math.Ldexp(1, -scale-b.next()%4)
+	switch kind {
+	case 0:
+		return 0
+	case 1:
+		return pow - float64(1+b.next()%4)*ulp(math.Nextafter(pow, 0))
+	case 2:
+		return pow
+	}
+	return math.Float64frombits(math.Float64bits(pow) | b.bits(52))
+}
+
+// cost is 0, an odd multiple of 2^-j near the case's scale (a tie on the
+// grid of the clocks of one binade), an SP2 flop or guard cost, or uniform in
+// [0, 1e-3).
+func (b *fuzzBytes) cost(scale int) float64 {
+	switch b.next() % 4 {
+	case 0:
+		return 0
+	case 1:
+		return float64(2*(b.next()%8)+1) * math.Ldexp(1, -scale-50-b.next()%8)
+	case 2:
+		sp2 := SP2()
+		if b.next()%2 == 0 {
+			return float64(1+b.next()%8) * sp2.FlopTime
+		}
+		return sp2.GuardTime
+	}
+	return 1e-3 * float64(b.bits(16)) / (1 << 16)
+}
+
+// set is every processor of g, one, or, on the 4×4 grid, a row or a column.
+func (b *fuzzBytes) set(g *dist.Grid) dist.ProcSet {
+	all := dist.AllProcs(g)
+	switch b.next() % 4 {
+	case 0:
+		return all
+	case 1:
+		if len(g.Shape) > 1 {
+			return all.WithDim(b.next()%2, b.next()%g.Shape[0])
+		}
+	}
+	return only(g, b.next()%g.Size())
+}
+
+// FuzzComputeStrip holds ComputeStrip to its rounds — every clock to the bit
+// and every Stats field — on up to 16 processors from clocks at and around
+// powers of two, costs that are ties, flops, guards or neither, up to six
+// computations, an optional send or multicast among them, and up to 300
+// rounds. Clocks and ties are drawn near one scale a case, so that a tie
+// often falls on the grid of a clock it is added to.
+func FuzzComputeStrip(f *testing.F) {
+	f.Add([]byte{3, 1, 20, 2, 2, 0, 1, 0, 2, 0, 7, 0, 200})
+	f.Add([]byte{15, 2, 4, 1, 4, 2, 3, 1, 1, 3, 3, 0, 0, 2, 1, 5, 1, 2, 0, 255})
+	f.Add([]byte{2, 3, 60, 9, 9, 1, 6, 8, 0, 1, 1, 53, 1, 1, 5, 2, 100})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		P, scale := 1+b.next()%16, b.next()%40-4
+		g := grid(P)
+		want, got := New(g, SP2()), New(g, SP2())
+		for p := range want.Clock {
+			want.Clock[p] = b.clock(scale)
+		}
+		copy(got.Clock, want.Clock)
+		var cs []listed
+		for i := 1 + b.next()%6; i > 0; i-- {
+			cs = append(cs, list(b.set(g), b.cost(scale)))
+		}
+		switch at, from := b.next()%(len(cs)+1), b.next()%P; b.next() % 3 {
+		case 1:
+			cs = append(cs[:at], append([]listed{send(g, from, b.next()%P)}, cs[at:]...)...)
+		case 2:
+			cs = append(cs[:at], append([]listed{multicast(b.set(g), from)}, cs[at:]...)...)
+		}
+		n := int64(b.bits(16)) % 301
+		rounds(want, cs, n)
+		if !strip(got, cs, n) {
+			t.Fatal("no recorder, no faults, and still not one operation")
+		}
+		if !sameClocks(got.Clock, want.Clock) || got.Stats != want.Stats {
+			t.Errorf("P=%d n=%d: clocks %v, stats %+v; the rounds leave %v, %+v",
+				P, n, got.Clock, got.Stats, want.Clock, want.Stats)
+		}
+	})
+}
