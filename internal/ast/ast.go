@@ -73,15 +73,14 @@ type Assign struct {
 // DoLoop is "do v = lo, hi [, step] ... end do". Directives attached to the
 // loop (INDEPENDENT / NODEPS with NEW lists) are stored in Dirs.
 type DoLoop struct {
-	Var      string
-	Lo, Hi   Expr
-	Step     Expr // nil means 1
-	Body     []Stmt
-	Dirs     []LoopDirective
-	Line     int
-	Col      int
-	EndLine  int
-	LabelDoc string // unused placeholder for future labeled-do support
+	Var     string
+	Lo, Hi  Expr
+	Step    Expr // nil means 1
+	Body    []Stmt
+	Dirs    []LoopDirective
+	Line    int
+	Col     int
+	EndLine int
 }
 
 // If is a block IF: "if (cond) then ... [else ...] end if".

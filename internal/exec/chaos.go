@@ -162,18 +162,13 @@ func (w *worker) refetchAll(crashes []fault.Crash) error {
 			if both {
 				vals[1] = w.st.Scalar(it.Var)
 			}
-			if w.proc == src {
-				if err := w.sendVals(c.Proc, tagRefetch, vals[:], what); err != nil {
-					return err
-				}
-				continue
-			}
-			var got [2]float64
-			if err := w.recvVals(src, tagRefetch, got[:], what); err != nil {
+			got := vals
+			received, err := w.deliver(tagRefetch, src, only(c.Proc), got[:], false, what)
+			if err != nil {
 				return err
 			}
 			for k, name := range []string{"element count", "value"} {
-				if math.Float64bits(got[k]) != math.Float64bits(vals[k]) {
+				if received && math.Float64bits(got[k]) != math.Float64bits(vals[k]) {
 					return &DivergenceError{Proc: w.proc, Peer: src,
 						What: what + ": " + it.Var.Name + " (" + name + ")", Got: got[k], Want: vals[k]}
 				}

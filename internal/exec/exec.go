@@ -17,7 +17,10 @@
 // holds, a predicate's outcome for a processor that cannot evaluate it, a
 // collective reduction's accumulator handed from one updating processor to
 // the next, a redistributed element — travels in protocol messages, which
-// the cost model does not charge and the trace does not show.
+// the cost model does not charge and the trace does not show. Every such
+// move, planned or not, is one primitive (deliver): one sender sends one
+// payload under a tag to the processors a destination rule names, and each
+// receiver stores it in its slot.
 //
 // Every worker walks the same schedule, resolving every execution set and
 // communication decision itself (what every processor resolves is computed
@@ -126,7 +129,7 @@ type hooks struct {
 // silent mismatch. A payload of one value travels in val, a longer one in
 // vals, the sending edge's reused buffer (edge.payload), and an empty one as
 // vals = &noVals: the count is always known, so a receiver can check that it
-// gets as many values as it expects (recvVals) without a count field, which
+// gets as many values as it expects (deliver) without a count field, which
 // would widen every mailbox slot by a third.
 type message struct {
 	req  int32  // comm.Requirement ID, or a negative protocol tag
@@ -545,27 +548,39 @@ func (w *worker) send(to int, m message, what string) error {
 	}
 }
 
-// sendVals sends the values vals to processor to under tag: one value in the
-// message itself, more in the edge's payload buffer.
-func (w *worker) sendVals(to, tag int, vals []float64, what string) error {
-	m := message{req: int32(tag)}
-	switch len(vals) {
-	case 0:
-		m.vals = &noVals
-	case 1:
-		m.val = vals[0]
-	default:
-		m.vals = w.ex.edges[w.proc*w.ex.n+to].payload(vals)
+// deliver is the one way a payload moves between workers: the worker from
+// sends vals under tag to every processor the rule to names, in ascending
+// order — itself too, over its self edge, when to names it — unless mute; each
+// of them takes the payload into vals, its slot, and deliver reports whether
+// this worker did. One value travels in the message itself, more in the
+// sending edge's reused buffer; a receiver checks that it gets as many values
+// as its slot holds.
+func (w *worker) deliver(tag, from int, to func(p int) bool, vals []float64, mute bool, what string) (bool, error) {
+	if w.proc == from && !mute {
+		m := message{req: int32(tag)}
+		for p := 0; p < w.ex.n; p++ {
+			if !to(p) {
+				continue
+			}
+			switch len(vals) {
+			case 0:
+				m.vals = &noVals
+			case 1:
+				m.val = vals[0]
+			default:
+				m.vals = w.ex.edges[w.proc*w.ex.n+p].payload(vals)
+			}
+			if err := w.send(p, m, what); err != nil {
+				return false, err
+			}
+		}
 	}
-	return w.send(to, m, what)
-}
-
-// recvVals takes the next message from processor from, which must carry
-// len(vals) values under tag, into vals.
-func (w *worker) recvVals(from, tag int, vals []float64, what string) error {
+	if !to(w.proc) {
+		return false, nil
+	}
 	m, err := w.recv(from, tag, what)
 	if err != nil {
-		return err
+		return false, err
 	}
 	n := 1
 	if m.vals != nil {
@@ -575,7 +590,7 @@ func (w *worker) recvVals(from, tag int, vals []float64, what string) error {
 		defer w.ex.edges[from*w.ex.n+w.proc].out.Add(-1)
 	}
 	if n != len(vals) {
-		return &ProtocolError{Proc: w.proc, From: from, WantReq: tag, GotReq: int(m.req),
+		return false, &ProtocolError{Proc: w.proc, From: from, WantReq: tag, GotReq: int(m.req),
 			WantSeq: uint64(len(vals)), GotSeq: uint64(n), What: what + " (payload length)"}
 	}
 	if m.vals != nil {
@@ -583,16 +598,37 @@ func (w *worker) recvVals(from, tag int, vals []float64, what string) error {
 	} else {
 		vals[0] = m.val
 	}
-	return nil
+	return true, nil
 }
 
-// tracePlanned records the departure or arrival of one planned message.
-// Protocol traffic (negative tags: reduce gathers, barriers) is invisible to
-// the cost model, so it is excluded — keeping Send/Recv events one for one
-// with the simulator's trace.
+// only is the destination rule naming processor d alone.
+func only(d int) func(p int) bool { return func(p int) bool { return p == d } }
+
+// deliverVar delivers the sender's value of the scalar v; each receiver
+// stores it.
+func (w *worker) deliverVar(tag, from int, to func(p int) bool, v *ir.Var, what string) error {
+	val := [1]float64{w.st.Scalar(v)}
+	got, err := w.deliver(tag, from, to, val[:], false, what)
+	if got {
+		w.st.SetScalar(v, val[0])
+	}
+	return err
+}
+
+// tracePlanned records the departure or arrival of one message the cost
+// model charges: a planned requirement's, or a copy-out's (a broadcast of no
+// requirement). Other protocol traffic (reduce gathers, barriers, hand-offs)
+// is invisible to the cost model, so it is excluded — keeping Send/Recv events
+// one for one with the simulator's trace.
 func (w *worker) tracePlanned(k trace.Kind, peer int, m message) {
-	if w.traces() && m.req >= 0 && !w.mute {
-		w.emit(k, peer, 0, w.attrBytes, int(m.req))
+	req := int(m.req)
+	if req == tagCopyOut {
+		req = -1
+	} else if req < 0 {
+		return
+	}
+	if w.traces() && !w.mute {
+		w.emit(k, peer, 0, w.attrBytes, req)
 	}
 }
 
@@ -665,9 +701,9 @@ func (w *worker) exchange(tag int, planned func(from, to int) bool, mv *eval.Mov
 		}
 		return tagSection, false
 	}
-	for d := 0; d < n && !mute; d++ {
+	for d := 0; d < n; d++ {
 		if t, plan := tagOf(me, d); d != me && (len(w.pack[d]) > 0 || plan) {
-			if err := w.sendVals(d, t, w.pack[d], what); err != nil {
+			if _, err := w.deliver(t, me, only(d), w.pack[d], mute, what); err != nil {
 				return err
 			}
 		}
@@ -679,7 +715,7 @@ func (w *worker) exchange(tag int, planned func(from, to int) bool, mv *eval.Mov
 			continue
 		}
 		w.got[o] = slices.Grow(w.got[o], int(cnt[o]))[:cnt[o]]
-		if err := w.recvVals(o, t, w.got[o], what); err != nil {
+		if _, err := w.deliver(t, o, only(me), w.got[o], false, what); err != nil {
 			return err
 		}
 		received = received || cnt[o] > 0
@@ -794,27 +830,6 @@ func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) err
 	return w.exchange(req.ID, planned, w.st.Section(req), w.silent(req), w.desc(req))
 }
 
-// multicast delivers the value v from root to every other member of dst
-// under tag (the cost model's Multicast excludes the source as well); a
-// receiving member gets it back (received reports it).
-func (w *worker) multicast(root int, dst dist.ProcSet, tag int, v float64, what string) (got float64, received bool, err error) {
-	if w.proc == root {
-		for p := 0; p < w.ex.n; p++ {
-			if p != root && dst.Contains(p) {
-				if err := w.send(p, message{req: int32(tag), val: v}, what); err != nil {
-					return 0, false, err
-				}
-			}
-		}
-		return 0, false, nil
-	}
-	if !dst.Contains(w.proc) {
-		return 0, false, nil
-	}
-	m, err := w.recv(root, tag, what)
-	return m.val, err == nil, err
-}
-
 // Reduce is the collective combine of a reduction scalar: a star gather to a
 // deterministic root and a result broadcast back. The accumulator was folded
 // in iteration order where the updates ran (HandOff), so the combined value is
@@ -835,28 +850,20 @@ func (w *worker) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
 	v := m.Def.Var
 	what := "combine " + v.Name
 	root, holder := set.First(), w.st.Holders(v).First()
-	if w.proc != root {
-		if err := w.send(root, message{req: tagReduce, val: w.st.Scalar(v)}, what); err != nil {
+	for p := root + 1; p < w.ex.n; p++ {
+		if !set.Contains(p) {
+			continue
+		}
+		val := [1]float64{w.st.Scalar(v)}
+		got, err := w.deliver(tagReduce, p, only(root), val[:], false, what)
+		if err != nil {
 			return err
 		}
-	} else {
-		for p := root + 1; p < w.ex.n; p++ {
-			if !set.Contains(p) {
-				continue
-			}
-			got, err := w.recv(p, tagReduce, what)
-			if err != nil {
-				return err
-			}
-			if p == holder {
-				w.st.SetScalar(v, got.val)
-			}
+		if got && p == holder {
+			w.st.SetScalar(v, val[0])
 		}
 	}
-	got, received, err := w.multicast(root, set, tagReduceResult, w.st.Scalar(v), what)
-	if received {
-		w.st.SetScalar(v, got)
-	}
+	err := w.deliverVar(tagReduceResult, root, func(p int) bool { return p != root && set.Contains(p) }, v, what)
 	if err == nil && w.proc == root && w.traces() {
 		// One Reduce event per collective at the gathering root —
 		// structurally identical to the simulator's emission.
@@ -869,88 +876,34 @@ func (w *worker) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
 // processors about to update it that do not hold it.
 func (w *worker) HandOff(v *ir.Var, from int, to dist.ProcSet) error {
 	held := w.st.Holders(v)
-	what := "hand-off " + v.Name
-	if w.proc == from {
-		for p := 0; p < w.ex.n; p++ {
-			if to.Contains(p) && !held.Contains(p) {
-				if err := w.send(p, message{req: tagHandOff, val: w.st.Scalar(v)}, what); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if !to.Contains(w.proc) || held.Contains(w.proc) {
-		return nil
-	}
-	got, err := w.recv(from, tagHandOff, what)
-	if err == nil {
-		w.st.SetScalar(v, got.val)
-	}
-	return err
+	return w.deliverVar(tagHandOff, from, func(p int) bool { return to.Contains(p) && !held.Contains(p) }, v, "hand-off "+v.Name)
 }
 
 // Branch sends a predicate's outcome from the first processor that evaluated
 // it to every processor that did not, so that every worker walks the same
 // branch.
 func (w *worker) Branch(st *ir.Stmt, set dist.ProcSet, taken bool) (bool, error) {
-	from := set.First()
-	const what = "branch outcome"
-	if !set.Contains(w.proc) {
-		got, err := w.recv(from, tagBranch, what)
-		return got.val != 0, err
-	}
-	if w.proc != from {
-		return taken, nil
-	}
-	v := 0.0
+	var v [1]float64
 	if taken {
-		v = 1
+		v[0] = 1
 	}
-	for p := 0; p < w.ex.n; p++ {
-		if !set.Contains(p) {
-			if err := w.send(p, message{req: tagBranch, val: v}, what); err != nil {
-				return false, err
-			}
-		}
-	}
-	return taken, nil
+	_, err := w.deliver(tagBranch, set.First(), func(p int) bool { return !set.Contains(p) }, v[:], false, "branch outcome")
+	return v[0] != 0, err
 }
 
 // CopyOut broadcasts a lastprivate scalar's final value from the final
-// iteration's owner, and every receiver stores it.
+// iteration's owner, and every receiver stores it. The cost model charges the
+// broadcast (machine.Multicast), so its messages are traced (tracePlanned).
 func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
 	if w.charges() {
 		w.acct.CopyOut(m, root)
 	}
-	v := m.Def.Var
-	what := "copy-out " + v.Name
-	// Protocol-tagged traffic is invisible to tracePlanned, so the events
-	// are emitted manually — one Send per destination at the root, one Recv
-	// per receiver, structurally identical to machine.Multicast's emission.
 	if w.traces() && m.Def.Stmt != nil {
 		w.setAttr(m.Def.Stmt.ID, dist.CommBcast, w.elemBytes())
 	}
 	defer w.clearAttr()
-	all := dist.AllProcs(w.st.Grid())
-	got, received, err := w.multicast(root, all, tagCopyOut, w.st.Scalar(v), what)
-	if received {
-		w.st.SetScalar(v, got)
-	}
-	if err != nil || !w.traces() {
-		return err
-	}
-	if received {
-		w.emit(trace.Recv, root, 0, w.elemBytes(), -1)
-	}
-	if w.proc == root {
-		for p := 0; p < w.ex.n; p++ {
-			if p != root {
-				w.emit(trace.Send, p, 0, w.elemBytes(), -1)
-			}
-		}
-	}
-	return nil
+	v := m.Def.Var
+	return w.deliverVar(tagCopyOut, root, func(p int) bool { return p != root }, v, "copy-out "+v.Name)
 }
 
 // MergeRow ships a privatized combine's rows: at each hop of the tree the
@@ -958,24 +911,12 @@ func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
 // other, each stored in the receiver's table before it folds it.
 func (w *worker) MergeRow(c *spmd.Combine, h eval.MergeHop, row []float64) error {
 	what := "merge " + c.Var().Name
+	tag, from, to := tagMerge, h.Loser, only(h.Winner)
 	if h.Winner < 0 {
-		if w.proc != 0 {
-			return w.recvVals(0, tagMerged, row, what)
-		}
-		for p := 1; p < w.ex.n; p++ {
-			if err := w.sendVals(p, tagMerged, row, what); err != nil {
-				return err
-			}
-		}
-		return nil
+		tag, from, to = tagMerged, 0, func(p int) bool { return p != 0 }
 	}
-	switch w.proc {
-	case h.Loser:
-		return w.sendVals(h.Winner, tagMerge, row, what)
-	case h.Winner:
-		return w.recvVals(h.Loser, tagMerge, row, what)
-	}
-	return nil
+	_, err := w.deliver(tag, from, to, row, false, what)
+	return err
 }
 
 // Operands brings a privatized elementwise update's operand, which the plan
@@ -1016,8 +957,9 @@ func (w *worker) Guard(req *comm.Requirement) {
 
 // Transfer sends the element of one per-instance requirement now, as the
 // account charges it: point-to-point (a self-send uses the self edge, which
-// the cost model charges too) or by multicast. The message carries the
-// sender's element, which each receiver stores where its instance reads it.
+// the cost model charges too) or by multicast, which excludes the sender. The
+// message carries the sender's element, which each receiver stores where its
+// instance reads it.
 func (w *worker) Transfer(req *comm.Requirement, op eval.InstanceOp) error {
 	if w.charges() {
 		w.acct.Transfer(req, op)
@@ -1028,32 +970,19 @@ func (w *worker) Transfer(req *comm.Requirement, op eval.InstanceOp) error {
 	// (An address that cannot be evaluated is the statement's own error,
 	// which its semantics surface; the message then carries nothing.)
 	at, _ := w.st.UseAt(req)
-	var v float64
+	var v [1]float64
 	if at != nil {
-		v = *at
+		v[0] = *at
 	}
-	what := w.desc(req)
 	w.setAttr(req.Stmt.ID, req.Class, op.Bytes)
 	defer w.clearAttr()
-	var got message
-	received := false
-	var err error
-	if to, one := op.Dst.IsSingle(); !one {
-		if w.proc == op.From && w.silent(req) {
-			return nil
-		}
-		got.val, received, err = w.multicast(op.From, op.Dst, req.ID, v, what)
-	} else {
-		if w.proc == op.From && !w.silent(req) {
-			err = w.send(to, message{req: int32(req.ID), val: v}, what)
-		}
-		if w.proc == to && err == nil {
-			got, err = w.recv(op.From, req.ID, what)
-			received = err == nil
-		}
+	to := func(p int) bool { return p != op.From && op.Dst.Contains(p) }
+	if d, one := op.Dst.IsSingle(); one {
+		to = only(d)
 	}
-	if received && at != nil {
-		*at = got.val
+	got, err := w.deliver(req.ID, op.From, to, v[:], w.silent(req), w.desc(req))
+	if got && at != nil {
+		*at = v[0]
 	}
 	return err
 }
@@ -1117,25 +1046,11 @@ func (w *worker) AllToAll(st *ir.Stmt) error {
 // tagIn and wait for tagOut, the coordinator collects every tagIn before
 // releasing anyone. Used by redistribution and by coordinated checkpoints.
 func (w *worker) starBarrier(tagIn, tagOut int, what string) error {
-	if w.ex.n < 2 {
-		return nil
-	}
-	if w.proc == 0 {
-		for p := 1; p < w.ex.n; p++ {
-			if _, err := w.recv(p, tagIn, what); err != nil {
-				return err
-			}
+	for p := 1; p < w.ex.n; p++ {
+		if _, err := w.deliver(tagIn, p, only(0), nil, false, what); err != nil {
+			return err
 		}
-		for p := 1; p < w.ex.n; p++ {
-			if err := w.send(p, message{req: int32(tagOut)}, what); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	if err := w.send(0, message{req: int32(tagIn)}, what); err != nil {
-		return err
-	}
-	_, err := w.recv(0, tagOut, what)
+	_, err := w.deliver(tagOut, 0, func(p int) bool { return p != 0 }, nil, false, what)
 	return err
 }

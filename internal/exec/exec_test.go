@@ -302,11 +302,11 @@ func TestPayloadLengthChecked(t *testing.T) {
 	a, b := newWorker(0), newWorker(1)
 	for _, c := range []struct{ sent, want int }{{0, 1}, {1, 0}, {2, 1}, {1, 2}, {0, 0}, {1, 1}, {3, 3}} {
 		sent := []float64{7, 8, 9}[:c.sent]
-		if err := a.sendVals(1, tagSection, sent, "section"); err != nil {
+		if _, err := a.deliver(tagSection, 0, only(1), sent, false, "section"); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]float64, c.want)
-		err := b.recvVals(0, tagSection, got, "section")
+		_, err := b.deliver(tagSection, 0, only(1), got, false, "section")
 		var pe *ProtocolError
 		switch {
 		case c.sent != c.want && !errors.As(err, &pe):

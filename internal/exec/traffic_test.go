@@ -34,25 +34,34 @@ var cyclicSum = strings.Replace(commSource, "(block)", "(cyclic)", 1)
 // elements — no oracle checks, so a change that adds such traffic shows here
 // first. The inputs, at P = 4, are exec_concurrent's four, the oracle
 // corpus's TOMCATV, the two reduce-sweep kernels under the collective
-// reduction, and cyclicSum, the one whose accumulator is handed along: one
-// hand-off per iteration, as the updating processor changes at each.
+// reduction, cyclicSum, the one whose accumulator is handed along (one
+// hand-off per iteration, as the updating processor changes at each), and,
+// under producer alignment, lastPrivate's copy-out and TOMCATV's per-instance
+// transfers.
 func TestProtocolTraffic(t *testing.T) {
 	for _, in := range []struct {
-		name string
-		src  string
-		mode core.ReduceMode // 0: the default
-		want string
+		name  string
+		src   string
+		mode  core.ReduceMode // 0: the default
+		strat string          // a strategies() name; "": the default options
+		want  string
 	}{
-		{"dgefa(48)", programs.DGEFA(48), 0, "branch=3384 planned=564"},
-		{"smooth(64,2)", programs.Smooth(64, 2), 0, "planned=16"},
-		{"histogram(256,32,4)", programs.Histogram(256, 32, 4), 0, "merge=3 merged=3"},
-		{"dotsweep(48,24)", programs.DotSweep(48, 24), 0, "merge=3 merged=3 section=3"},
-		{"tomcatv(10,2)", programs.TOMCATV(10, 2), 0, "merge=12 merged=12 planned=128"},
-		{"histogram(96,16,2) collective", programs.Histogram(96, 16, 2), core.ReduceCollective, "planned=288"},
-		{"dotsweep(16,12) collective", programs.DotSweep(16, 12), core.ReduceCollective, "planned=45 section=12"},
-		{"cyclic sum collective", cyclicSum, core.ReduceCollective, "hand-off=14 planned=4 reduce-result=3 reduce=3"},
+		{"dgefa(48)", programs.DGEFA(48), 0, "", "branch=3384 planned=564"},
+		{"smooth(64,2)", programs.Smooth(64, 2), 0, "", "planned=16"},
+		{"histogram(256,32,4)", programs.Histogram(256, 32, 4), 0, "", "merge=3 merged=3"},
+		{"dotsweep(48,24)", programs.DotSweep(48, 24), 0, "", "merge=3 merged=3 section=3"},
+		{"tomcatv(10,2)", programs.TOMCATV(10, 2), 0, "", "merge=12 merged=12 planned=128"},
+		{"histogram(96,16,2) collective", programs.Histogram(96, 16, 2), core.ReduceCollective, "", "planned=288"},
+		{"dotsweep(16,12) collective", programs.DotSweep(16, 12), core.ReduceCollective, "", "planned=45 section=12"},
+		{"cyclic sum collective", cyclicSum, core.ReduceCollective, "", "hand-off=14 planned=4 reduce-result=3 reduce=3"},
+		{"lastprivate producer", lastPrivate, 0, "producer", "copy-out=3 planned=4"},
+		{"tomcatv(10,1) producer", programs.TOMCATV(10, 1), 0, "producer", "merge=6 merged=6 planned=152"},
 	} {
-		prog := compile(t, in.src, 4, core.DefaultOptions())
+		opts := core.DefaultOptions()
+		if in.strat != "" {
+			opts = strategies()[in.strat]
+		}
+		prog := compile(t, in.src, 4, opts)
 		var mu sync.Mutex
 		count := map[string]int{}
 		_, err := run(context.Background(), prog, Config{Reduce: in.mode}, hooks{sent: func(tag int) {

@@ -114,7 +114,9 @@ func APPSPRef(nx, ny, nz, niter int) []float64 {
 					rsd[idx(1, i, j, k)] = rsd[idx(1, i, j-1, k)]*0.5 + v[idx(1, i, j, k)]
 					c[cidx(i, j, 1)] = rsd[idx(1, i, j, k)]*0.25 + v[idx(1, i, j, k-1)]
 					c[cidx(i, j, 2)] = rsd[idx(1, i, j-1, k)] + v[idx(2, i, j, k)]
-					rsd[idx(2, i, j, k)] += c[cidx(i, j-1, 1)]*0.5 + c[cidx(i, j, 2)]*0.25
+					// (rsd + a) + b, as the source associates it: rsd += a + b
+					// would round differently.
+					rsd[idx(2, i, j, k)] = rsd[idx(2, i, j, k)] + c[cidx(i, j-1, 1)]*0.5 + c[cidx(i, j, 2)]*0.25
 				}
 			}
 		}

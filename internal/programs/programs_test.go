@@ -294,3 +294,70 @@ func TestAPPSPPrivatizationHelps(t *testing.T) {
 		t.Errorf("array privatization (%v) should beat none (%v)", tPriv, tNoPriv)
 	}
 }
+
+// TestReferencesBitForBit: every sequential reference transcribes its source
+// exactly — the same operations, associated the same way — so the simulator
+// reproduces it bit for bit, at the sizes and processor counts bench/ runs,
+// under the default reduction strategy and the collective one. The numerics
+// tests above allow a tolerance; a transcription that drifts from its source
+// by an ulp shows here.
+func TestReferencesBitForBit(t *testing.T) {
+	naive, producer, noPriv := core.DefaultOptions(), core.DefaultOptions(), core.DefaultOptions()
+	naive.Scalars, naive.AlignReductions = core.ScalarsReplicated, false
+	producer.Scalars = core.ScalarsProducerAligned
+	noPriv.PrivatizeArrays = false
+	x, y, rxm, rym := TOMCATVRef(65, 3)
+	tomcatv := map[string][]float64{"x": x, "y": y, "rxm": {rxm}, "rym": {rym}}
+	appsp := map[string][]float64{"v": APPSPRef(12, 12, 12, 2)}
+	for _, c := range []struct {
+		name   string
+		src    string
+		nprocs int
+		opts   core.Options
+		want   map[string][]float64
+	}{
+		{"tomcatv(65,3)/naive", TOMCATV(65, 3), 16, naive, tomcatv},
+		{"tomcatv(65,3)/producer", TOMCATV(65, 3), 16, producer, tomcatv},
+		{"tomcatv(65,3)/selected", TOMCATV(65, 3), 16, core.DefaultOptions(), tomcatv},
+		{"dgefa(96)", DGEFA(96), 16, core.DefaultOptions(), map[string][]float64{"a": DGEFARef(96)}},
+		{"dgefa(48)", DGEFA(48), 4, core.DefaultOptions(), map[string][]float64{"a": DGEFARef(48)}},
+		{"appsp(12,12,12,2)/1-d no-priv", APPSP(12, 12, 12, 2, false), 16, noPriv, appsp},
+		{"appsp(12,12,12,2)/2-d", APPSP(12, 12, 12, 2, true), 16, core.DefaultOptions(), appsp},
+		{"histogram(256,32,4)", Histogram(256, 32, 4), 4, core.DefaultOptions(), map[string][]float64{"h": HistogramRef(256, 32, 4)}},
+		{"dotsweep(48,24)", DotSweep(48, 24), 4, core.DefaultOptions(), map[string][]float64{"r": DotSweepRef(48, 24)}},
+	} {
+		ap, err := parser.Parse(c.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", c.name, err)
+		}
+		res, err := core.BuildAndAnalyze(ap, c.nprocs, c.opts)
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", c.name, err)
+		}
+		prog := spmd.Generate(res)
+		for _, mode := range []core.ReduceMode{core.ReduceAuto, core.ReduceCollective} {
+			out, err := sim.Run(prog, sim.Config{Reduce: mode})
+			if err != nil {
+				t.Fatalf("%s/%s: sim: %v", c.name, mode, err)
+			}
+			for name, want := range c.want {
+				got := out.Arrays[name]
+				if got == nil {
+					got = []float64{out.Scalars[name]}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s/%s: %s has %d values, want %d", c.name, mode, name, len(got), len(want))
+				}
+				differ := 0
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						differ++
+					}
+				}
+				if differ > 0 {
+					t.Errorf("%s/%s: %d of %d values of %s differ from the reference", c.name, mode, differ, len(want), name)
+				}
+			}
+		}
+	}
+}

@@ -78,6 +78,20 @@ if grep -rnE 'func \([a-z]+ \*State\) Diff\(|\.st\.Diff\(' --include='*.go' --ex
     exit 1
 fi
 
+# One-delivery gate (DESIGN.md §12, "How a value moves"): every value the
+# concurrent executor moves goes through one primitive, worker.deliver (one
+# sender, a destination rule, a tag; each receiver stores into its slot).
+# Fail when a second multicast returns, or when non-test internal/exec calls
+# the mailbox's send or recv outside deliver.
+execsrc="$(ls internal/exec/*.go | grep -v '_test\.go$')"
+if grep -nE '^func \(w \*worker\) multicast\(' $execsrc ||
+    awk 'FNR == 1 { fn = "" } /^func / { fn = $0 }
+        /(^|[^A-Za-z0-9_])w\.(send|recv)\(/ && fn !~ /\) deliver\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' $execsrc; then
+    echo "check: a value moves outside worker.deliver in internal/exec (a second multicast, or send/recv called elsewhere); deliver is the one delivery primitive" >&2
+    exit 1
+fi
+
 # One-accountant gate: the simulated machine is built and charged in
 # internal/eval/account.go only (bench/, its own module, measures the
 # machine's unit costs directly and is not scanned). The one strip operation,
