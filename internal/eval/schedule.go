@@ -59,8 +59,8 @@ type Ops interface {
 	// learns it. It returns the outcome.
 	Branch(st *ir.Stmt, set dist.ProcSet, taken bool) (bool, error)
 	// HandOff passes the accumulator v of a collective reduction from
-	// processor from, which holds it, to the processors in to, which are about
-	// to update it (a bound State's reduction is folded in iteration order).
+	// processor from, which holds it, to the processors in to, about to update
+	// or to combine it (a bound State's reduction is folded in iteration order).
 	HandOff(v *ir.Var, from int, to dist.ProcSet) error
 	// MergeRow precedes each hop of a privatized combine's tree merge, the
 	// Loser's row about to be folded into the Winner's, and follows the last
@@ -210,7 +210,9 @@ func (d *schedule) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 			}
 		case c.Mapping != nil:
 			set := s.ScalarSet(c.Mapping)
-			err = d.ops.Reduce(c.Mapping, set)
+			if err = d.handOff(d.ops, c.Var(), set); err == nil {
+				err = d.ops.Reduce(c.Mapping, set)
+			}
 			s.Hold(c.Var(), set)
 			// (A collective elementwise reduction has no combine operation:
 			// its reference execution is plain per-instance owner-computes.)
@@ -289,17 +291,23 @@ func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
 	if err != nil {
 		return err
 	}
-	if c := sp.Combine; c != nil && c.Mapping != nil && s.proc >= 0 && !s.PrivatizedActive(c) {
-		// A collective reduction's update, on States that each hold their
-		// processor's values: the accumulator goes where this instance
-		// updates it.
-		if h := s.held[c.Var().Slot]; !h.CoversSet(set) {
-			if err := to.HandOff(c.Var(), h.First(), set); err != nil {
-				return err
-			}
+	if c := sp.Combine; c != nil && c.Mapping != nil && !s.PrivatizedActive(c) {
+		if err := d.handOff(to, c.Var(), set); err != nil { // a collective update
+			return err
 		}
 	}
 	to.Compute(st, set, sp.Flops)
+	return nil
+}
+
+// handOff is the one rule by which a collective reduction's accumulator v
+// moves between States that each hold their processor's values: it goes where
+// it is needed next — to the processors of set, about to update or combine it
+// — from a holder of its running value to those of set that do not hold it.
+func (d *schedule) handOff(to Ops, v *ir.Var, set dist.ProcSet) error {
+	if s := d.st; s.proc >= 0 && !s.held[v.Slot].CoversSet(set) {
+		return to.HandOff(v, s.held[v.Slot].First(), set)
+	}
 	return nil
 }
 

@@ -475,7 +475,7 @@ func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
 		s.endRun()
 		return 0
 	}
-	if w.skip = s.proc >= 0 && !s.runFor(stmts) && w.quiet != nil; w.skip {
+	if w.skip = s.proc >= 0 && w.quiet != nil && !s.runFor(stmts); w.skip {
 		return n // nothing here reads an offset
 	}
 
@@ -722,9 +722,10 @@ func (s *State) record(sc *stmtCode, ran bool) {
 // an iteration.
 func stampOf(epoch int64, stmt int) int64 { return epoch<<20 | int64(stmt) + 1 }
 
-// runFor notes, for the owner run just opened, which of its statements the
-// State computes (member) and who holds each scalar they write, and reports
-// whether it computes any.
+// runFor notes, for the quiet owner run just opened, which of its statements
+// the State computes (member) and who holds each scalar they write, and
+// reports whether it computes any. A loud run's instances record their own,
+// each after the hand-off it issues (schedule.handOff).
 func (s *State) runFor(stmts []stmtCode) (any bool) {
 	for i := range stmts {
 		m := s.computes(&stmts[i])

@@ -112,7 +112,7 @@ func (w *worker) CheckpointSite() error {
 	}
 	// The barrier makes the checkpoint coordinated for real, as the model
 	// charges it: no worker passes it before every worker has reached it.
-	if err := w.starBarrier(tagCkpt, tagCkptRelease, "checkpoint"); err != nil {
+	if err := w.starBarrier(tagCkpt, tagCkptRelease); err != nil {
 		return err
 	}
 	w.takeSnapshot()
@@ -154,7 +154,6 @@ func (w *worker) refetchAll(crashes []fault.Crash) error {
 			continue
 		}
 		items := eval.RefetchItems(w.st, c.Proc, w.elemBytes())
-		what := fmt.Sprintf("recovery refetch for p%d", c.Proc)
 		for _, it := range items {
 			both := !it.Var.IsArray() && w.st.Holders(it.Var).Contains(src) && w.st.Holders(it.Var).Contains(c.Proc)
 			var vals [2]float64
@@ -163,14 +162,14 @@ func (w *worker) refetchAll(crashes []fault.Crash) error {
 				vals[1] = w.st.Scalar(it.Var)
 			}
 			got := vals
-			received, err := w.deliver(tagRefetch, src, only(c.Proc), got[:], false, what)
+			received, err := w.deliver(tagRefetch, src, only(c.Proc), got[:], false)
 			if err != nil {
 				return err
 			}
 			for k, name := range []string{"element count", "value"} {
 				if received && math.Float64bits(got[k]) != math.Float64bits(vals[k]) {
-					return &DivergenceError{Proc: w.proc, Peer: src,
-						What: what + ": " + it.Var.Name + " (" + name + ")", Got: got[k], Want: vals[k]}
+					return &DivergenceError{Proc: w.proc, Peer: src, Got: got[k], Want: vals[k],
+						What: fmt.Sprintf("recovery refetch for p%d: %s (%s)", c.Proc, it.Var.Name, name)}
 				}
 			}
 		}

@@ -92,40 +92,50 @@ func oraclePrograms() map[string]string {
 }
 
 // TestDifferMatrix is the differential oracle: for every program, every
-// mapping strategy, and several processor counts, the concurrent executor's
-// numeric results and communication statistics must equal the sequential
-// simulator's bit-for-bit. Run under -race this also exercises the worker
-// concurrency itself.
+// mapping strategy, several processor counts, and the default and the
+// collective reduction, the concurrent executor's numeric results and
+// communication statistics must equal the sequential simulator's bit-for-bit.
+// Under the collective reduction a scalar reduction's accumulator is handed
+// from processor to processor in iteration order, so a BLOCK boundary the
+// hand-off misses shows as a wrong sum. Run under -race this also exercises
+// the worker concurrency itself.
 func TestDifferMatrix(t *testing.T) {
 	for progName, src := range oraclePrograms() {
 		for stratName, opts := range strategies() {
 			for _, nprocs := range []int{1, 3, 4, 8} {
-				src, opts, nprocs := src, opts, nprocs
-				t.Run(fmt.Sprintf("%s/%s/p%d", progName, stratName, nprocs), func(t *testing.T) {
-					prog := compile(t, src, nprocs, opts)
-					// Some figure sources are analysis examples, not
-					// runnable programs (they trap on an uninitialized
-					// subscript). The differential statement then is that
-					// BOTH backends must reject them.
-					if _, serr := sim.Run(prog, sim.Config{}); serr != nil {
-						if _, eerr := Run(context.Background(), prog, Config{}); eerr == nil {
-							t.Fatalf("sim rejects (%v) but exec runs", serr)
-						}
-						return
+				for _, mode := range []core.ReduceMode{core.ReduceAuto, core.ReduceCollective} {
+					name := fmt.Sprintf("%s/%s/p%d", progName, stratName, nprocs)
+					if mode == core.ReduceCollective {
+						name += "/collective"
 					}
-					rep, err := Diff(context.Background(), prog, Config{})
-					if err != nil {
-						t.Fatalf("differ: %v", err)
-					}
-					if !rep.Match() {
-						t.Fatal(rep.String())
-					}
-					if rep.Exec.Workers != prog.NProcs() {
-						t.Fatalf("ran %d workers, want %d", rep.Exec.Workers, prog.NProcs())
-					}
-				})
+					t.Run(name, func(t *testing.T) { differCase(t, src, opts, nprocs, Config{Reduce: mode}) })
+				}
 			}
 		}
+	}
+}
+
+// differCase is one cell of TestDifferMatrix.
+func differCase(t *testing.T, src string, opts core.Options, nprocs int, cfg Config) {
+	prog := compile(t, src, nprocs, opts)
+	// Some figure sources are analysis examples, not runnable programs (they
+	// trap on an uninitialized subscript). The differential statement then is
+	// that BOTH backends must reject them.
+	if _, serr := sim.Run(prog, cfg); serr != nil {
+		if _, eerr := Run(context.Background(), prog, cfg); eerr == nil {
+			t.Fatalf("sim rejects (%v) but exec runs", serr)
+		}
+		return
+	}
+	rep, err := Diff(context.Background(), prog, cfg)
+	if err != nil {
+		t.Fatalf("differ: %v", err)
+	}
+	if !rep.Match() {
+		t.Fatal(rep.String())
+	}
+	if rep.Exec.Workers != prog.NProcs() {
+		t.Fatalf("ran %d workers, want %d", rep.Exec.Workers, prog.NProcs())
 	}
 }
 

@@ -35,7 +35,8 @@ type BlockedOp struct {
 	Proc int    // the blocked processor
 	Op   string // "send" or "recv"
 	Peer int    // the processor it was waiting on
-	What string // the planned communication being performed
+	What string // the communication being performed: a requirement or a protocol tag
+	tag  int    // the message's tag, which What names
 }
 
 func (b BlockedOp) String() string {

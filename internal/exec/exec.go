@@ -9,14 +9,14 @@
 // sets name, and no others, and it reads remote data only from messages. The
 // plan's messages carry the data: a per-instance transfer the use's element,
 // a vectorized one the section its receiver reads (State.Section), a tree
-// merge each hop's partial row, a copy-out the final value, a collective
-// reduction the combined accumulator; each receiver stores what it gets in
-// its image before the instances that read it. The final memory is gathered
-// from the workers that hold each value (eval.Gather). Data the plan does not
-// move, yet an owner-computes run needs — an element a section's other owner
-// holds, a predicate's outcome for a processor that cannot evaluate it, a
-// collective reduction's accumulator handed from one updating processor to
-// the next, a redistributed element — travels in protocol messages, which
+// merge each hop's partial row, a copy-out the final value; each receiver
+// stores what it gets in its image before the instances that read it. The
+// final memory is gathered from the workers that hold each value
+// (eval.Gather). Data the plan does not move, yet an owner-computes run needs
+// — an element a section's other owner holds, a predicate's outcome for a
+// processor that cannot evaluate it, a collective reduction's accumulator
+// handed from one updating processor to the next and then to its combine's
+// members, a redistributed element — travels in protocol messages, which
 // the cost model does not charge and the trace does not show. Every such
 // move, planned or not, is one primitive (deliver): one sender sends one
 // payload under a tag to the processors a destination rule names, and each
@@ -163,21 +163,27 @@ func (e *edge) payload(vals []float64) *[]float64 {
 
 // Protocol tags for traffic that does not belong to a planned requirement.
 const (
-	tagReduce       = -2  // member -> root partial-value message
-	tagReduceResult = -3  // root -> member combined-result message
-	tagBarrier      = -4  // member -> coordinator redistribution barrier
-	tagRelease      = -5  // coordinator -> member barrier release
-	tagCkpt         = -6  // member -> coordinator checkpoint barrier
-	tagCkptRelease  = -7  // coordinator -> member checkpoint release
-	tagRefetch      = -8  // survivor -> restarted recovery refetch
-	tagCopyOut      = -9  // lastprivate final-value broadcast, root -> member
-	tagMerge        = -10 // privatized-reduction tree-merge hop, loser -> winner
-	tagMerged       = -11 // the merged row, processor 0 -> every other
-	tagSection      = -12 // section elements no planned message carries
-	tagBranch       = -13 // a predicate's outcome, to a processor that cannot evaluate it
-	tagHandOff      = -14 // a collective reduction's accumulator, holder -> updater
-	tagRedist       = -15 // an element a redistribution moves, old owner -> new
+	tagBarrier     = -4  // member -> coordinator redistribution barrier
+	tagRelease     = -5  // coordinator -> member barrier release
+	tagCkpt        = -6  // member -> coordinator checkpoint barrier
+	tagCkptRelease = -7  // coordinator -> member checkpoint release
+	tagRefetch     = -8  // survivor -> restarted recovery refetch
+	tagCopyOut     = -9  // lastprivate final-value broadcast, root -> member
+	tagMerge       = -10 // privatized-reduction tree-merge hop, loser -> winner
+	tagMerged      = -11 // the merged row, processor 0 -> every other
+	tagSection     = -12 // section elements no planned message carries
+	tagBranch      = -13 // a predicate's outcome, to a processor that cannot evaluate it
+	tagHandOff     = -14 // a collective reduction's accumulator, holder -> updater or member
+	tagRedist      = -15 // an element a redistribution moves, old owner -> new
 )
+
+// tagNames names the protocol tags, for reports and the traffic census.
+var tagNames = map[int]string{
+	tagBarrier: "barrier", tagRelease: "release", tagCkpt: "ckpt",
+	tagCkptRelease: "ckpt-release", tagRefetch: "refetch", tagCopyOut: "copy-out",
+	tagMerge: "merge", tagMerged: "merged", tagSection: "section",
+	tagBranch: "branch", tagHandOff: "hand-off", tagRedist: "redist",
+}
 
 type executor struct {
 	cfg   Config
@@ -189,8 +195,9 @@ type executor struct {
 	// edges[from*n+to] is the bounded mailbox of one directed edge.
 	edges []edge
 	wd    *watchdog
-	// reqDesc names each planned requirement for watchdog reports.
-	reqDesc map[int]string
+	// reqs are the planned requirements, by ID: what a report names a
+	// planned tag by (name).
+	reqs []*comm.Requirement
 
 	// rec, when non-nil, receives wall-time events; start anchors the time
 	// axis at run start.
@@ -210,6 +217,15 @@ type executor struct {
 
 // wall is the run-relative wall clock in seconds.
 func (ex *executor) wall() float64 { return time.Since(ex.start).Seconds() }
+
+// name names the communication a message of tag belongs to, for a report: a
+// planned requirement by its String, a protocol tag by its tagNames entry.
+func (ex *executor) name(tag int) string {
+	if tag >= 0 {
+		return ex.reqs[tag].String()
+	}
+	return tagNames[tag]
+}
 
 // Run executes the program concurrently. The context's cancellation or
 // deadline aborts the run (every worker unwinds and the context error is
@@ -243,14 +259,11 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 	}
 
 	ex := &executor{
-		cfg:     cfg,
-		hooks:   hk,
-		n:       n,
-		reqDesc: map[int]string{},
-		chaos:   cfg.Fault.Active() || cfg.CheckpointInterval > 0,
-	}
-	for _, req := range p.Plan.Reqs {
-		ex.reqDesc[req.ID] = req.String()
+		cfg:   cfg,
+		hooks: hk,
+		n:     n,
+		reqs:  p.Plan.Reqs,
+		chaos: cfg.Fault.Active() || cfg.CheckpointInterval > 0,
 	}
 	if cfg.Trace != nil {
 		// One shard per worker: each goroutine owns its ring outright, so
@@ -265,7 +278,7 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 	ended, unhook := eval.Ended(cctx)
 	defer unhook() // before cancel runs
 	ex.ctx, ex.ended = cctx, ended
-	ex.wd = newWatchdog(n)
+	ex.wd = newWatchdog(n, ex.name)
 	ex.edges = make([]edge, n*n)
 	for i := range ex.edges {
 		ex.edges[i].ch = make(chan message, depth)
@@ -501,8 +514,6 @@ func (w *worker) charges() bool { return w.acct != nil && !w.replay }
 // re-executes already-traced work, so emission is suppressed).
 func (w *worker) traces() bool { return w.ex.rec != nil && !w.replay }
 
-func (w *worker) desc(req *comm.Requirement) string { return w.ex.reqDesc[req.ID] }
-
 // dropped reports whether the drop seam takes req out of the run.
 func (w *worker) dropped(req *comm.Requirement) bool {
 	return w.ex.hooks.drop != nil && w.ex.hooks.drop(req)
@@ -516,7 +527,7 @@ func (w *worker) silent(req *comm.Requirement) bool {
 // send delivers m on the edge proc->to, blocking when the mailbox is full.
 // The blocked operation registers with the watchdog only after the
 // non-blocking fast path fails.
-func (w *worker) send(to int, m message, what string) error {
+func (w *worker) send(to int, m message) error {
 	if h := w.ex.hooks.sent; h != nil {
 		h(int(m.req))
 	}
@@ -531,7 +542,7 @@ func (w *worker) send(to int, m message, what string) error {
 		return nil
 	default:
 	}
-	h := w.ex.wd.block(w.proc, "send", to, what)
+	h := w.ex.wd.block(w.proc, "send", to, int(m.req))
 	defer w.ex.wd.unblock(h)
 	blocked := w.ex.wall()
 	select {
@@ -555,7 +566,7 @@ func (w *worker) send(to int, m message, what string) error {
 // this worker did. One value travels in the message itself, more in the
 // sending edge's reused buffer; a receiver checks that it gets as many values
 // as its slot holds.
-func (w *worker) deliver(tag, from int, to func(p int) bool, vals []float64, mute bool, what string) (bool, error) {
+func (w *worker) deliver(tag, from int, to func(p int) bool, vals []float64, mute bool) (bool, error) {
 	if w.proc == from && !mute {
 		m := message{req: int32(tag)}
 		for p := 0; p < w.ex.n; p++ {
@@ -570,7 +581,7 @@ func (w *worker) deliver(tag, from int, to func(p int) bool, vals []float64, mut
 			default:
 				m.vals = w.ex.edges[w.proc*w.ex.n+p].payload(vals)
 			}
-			if err := w.send(p, m, what); err != nil {
+			if err := w.send(p, m); err != nil {
 				return false, err
 			}
 		}
@@ -578,7 +589,7 @@ func (w *worker) deliver(tag, from int, to func(p int) bool, vals []float64, mut
 	if !to(w.proc) {
 		return false, nil
 	}
-	m, err := w.recv(from, tag, what)
+	m, err := w.recv(from, tag)
 	if err != nil {
 		return false, err
 	}
@@ -591,7 +602,7 @@ func (w *worker) deliver(tag, from int, to func(p int) bool, vals []float64, mut
 	}
 	if n != len(vals) {
 		return false, &ProtocolError{Proc: w.proc, From: from, WantReq: tag, GotReq: int(m.req),
-			WantSeq: uint64(len(vals)), GotSeq: uint64(n), What: what + " (payload length)"}
+			WantSeq: uint64(len(vals)), GotSeq: uint64(n), What: w.ex.name(tag) + " (payload length)"}
 	}
 	if m.vals != nil {
 		copy(vals, *m.vals)
@@ -606,9 +617,9 @@ func only(d int) func(p int) bool { return func(p int) bool { return p == d } }
 
 // deliverVar delivers the sender's value of the scalar v; each receiver
 // stores it.
-func (w *worker) deliverVar(tag, from int, to func(p int) bool, v *ir.Var, what string) error {
+func (w *worker) deliverVar(tag, from int, to func(p int) bool, v *ir.Var) error {
 	val := [1]float64{w.st.Scalar(v)}
-	got, err := w.deliver(tag, from, to, val[:], false, what)
+	got, err := w.deliver(tag, from, to, val[:], false)
 	if got {
 		w.st.SetScalar(v, val[0])
 	}
@@ -617,7 +628,7 @@ func (w *worker) deliverVar(tag, from int, to func(p int) bool, v *ir.Var, what 
 
 // tracePlanned records the departure or arrival of one message the cost
 // model charges: a planned requirement's, or a copy-out's (a broadcast of no
-// requirement). Other protocol traffic (reduce gathers, barriers, hand-offs)
+// requirement). Other protocol traffic (barriers, hand-offs, merge hops)
 // is invisible to the cost model, so it is excluded — keeping Send/Recv events
 // one for one with the simulator's trace.
 func (w *worker) tracePlanned(k trace.Kind, peer int, m message) {
@@ -634,13 +645,13 @@ func (w *worker) tracePlanned(k trace.Kind, peer int, m message) {
 
 // recv takes the next message on the edge from->proc and verifies it
 // matches the expected requirement tag and per-edge sequence number.
-func (w *worker) recv(from, wantReq int, what string) (message, error) {
+func (w *worker) recv(from, wantReq int) (message, error) {
 	ch := w.ex.edges[from*w.ex.n+w.proc].ch
 	var m message
 	select {
 	case m = <-ch:
 	default:
-		h := w.ex.wd.block(w.proc, "recv", from, what)
+		h := w.ex.wd.block(w.proc, "recv", from, wantReq)
 		blocked := w.ex.wall()
 		select {
 		case m = <-ch:
@@ -658,7 +669,7 @@ func (w *worker) recv(from, wantReq int, what string) (message, error) {
 	w.recvSeq[from]++
 	if int(m.req) != wantReq || m.seq != wantSeq {
 		return message{}, &ProtocolError{Proc: w.proc, From: from,
-			WantReq: wantReq, GotReq: int(m.req), WantSeq: uint64(wantSeq), GotSeq: uint64(m.seq), What: what}
+			WantReq: wantReq, GotReq: int(m.req), WantSeq: uint64(wantSeq), GotSeq: uint64(m.seq), What: w.ex.name(wantReq)}
 	}
 	w.tracePlanned(trace.Recv, from, m)
 	return m, nil
@@ -672,7 +683,7 @@ func (w *worker) recv(from, wantReq int, what string) (message, error) {
 // two ends of a pair list its elements in the same order (eval.Moves), so
 // they agree on its values. mute suppresses this worker's sends (the dropSend
 // seam).
-func (w *worker) exchange(tag int, planned func(from, to int) bool, mv *eval.Moves, mute bool, what string) error {
+func (w *worker) exchange(tag int, planned func(from, to int) bool, mv *eval.Moves, mute bool) error {
 	n, me := w.ex.n, w.proc
 	if w.pack == nil {
 		w.pack, w.got = make([][]float64, n), make([][]float64, n)
@@ -703,7 +714,7 @@ func (w *worker) exchange(tag int, planned func(from, to int) bool, mv *eval.Mov
 	}
 	for d := 0; d < n; d++ {
 		if t, plan := tagOf(me, d); d != me && (len(w.pack[d]) > 0 || plan) {
-			if _, err := w.deliver(t, me, only(d), w.pack[d], mute, what); err != nil {
+			if _, err := w.deliver(t, me, only(d), w.pack[d], mute); err != nil {
 				return err
 			}
 		}
@@ -715,7 +726,7 @@ func (w *worker) exchange(tag int, planned func(from, to int) bool, mv *eval.Mov
 			continue
 		}
 		w.got[o] = slices.Grow(w.got[o], int(cnt[o]))[:cnt[o]]
-		if _, err := w.deliver(t, o, only(me), w.got[o], false, what); err != nil {
+		if _, err := w.deliver(t, o, only(me), w.got[o], false); err != nil {
 			return err
 		}
 		received = received || cnt[o] > 0
@@ -827,56 +838,35 @@ func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) err
 		}
 		planned = func(from, to int) bool { return pair[to] == from }
 	}
-	return w.exchange(req.ID, planned, w.st.Section(req), w.silent(req), w.desc(req))
+	return w.exchange(req.ID, planned, w.st.Section(req), w.silent(req))
 }
 
-// Reduce is the collective combine of a reduction scalar: a star gather to a
-// deterministic root and a result broadcast back. The accumulator was folded
-// in iteration order where the updates ran (HandOff), so the combined value is
-// its last holder's: the gather brings it to the root, the broadcast to every
-// member.
+// Reduce charges the collective combine of a reduction scalar and traces it.
+// No value travels here: the accumulator was folded in iteration order where
+// the updates ran, and the schedule's hand-off has brought its combined value
+// to every member of set (HandOff).
 func (w *worker) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
 	if w.charges() {
 		w.acct.Reduce(m, set)
 	}
-	count := set.Count()
-	if count < 2 || !set.Contains(w.proc) {
-		return nil
-	}
-	if w.traces() && m.Def != nil && m.Def.Stmt != nil {
-		w.setAttr(m.Def.Stmt.ID, dist.CommNone, 0)
-	}
-	defer w.clearAttr()
-	v := m.Def.Var
-	what := "combine " + v.Name
-	root, holder := set.First(), w.st.Holders(v).First()
-	for p := root + 1; p < w.ex.n; p++ {
-		if !set.Contains(p) {
-			continue
-		}
-		val := [1]float64{w.st.Scalar(v)}
-		got, err := w.deliver(tagReduce, p, only(root), val[:], false, what)
-		if err != nil {
-			return err
-		}
-		if got && p == holder {
-			w.st.SetScalar(v, val[0])
-		}
-	}
-	err := w.deliverVar(tagReduceResult, root, func(p int) bool { return p != root && set.Contains(p) }, v, what)
-	if err == nil && w.proc == root && w.traces() {
-		// One Reduce event per collective at the gathering root —
+	if count := set.Count(); count > 1 && w.proc == set.First() && w.traces() {
+		// One Reduce event per collective at the set's first member —
 		// structurally identical to the simulator's emission.
+		if m.Def.Stmt != nil {
+			w.setAttr(m.Def.Stmt.ID, dist.CommNone, 0)
+		}
 		w.emit(trace.Reduce, -1, 0, w.elemBytes()*int64(count), -1)
+		w.clearAttr()
 	}
-	return err
+	return nil
 }
 
 // HandOff passes a collective reduction's accumulator from its holder to the
-// processors about to update it that do not hold it.
+// processors of to that do not hold it: those about to update it, or the
+// members of its combine.
 func (w *worker) HandOff(v *ir.Var, from int, to dist.ProcSet) error {
 	held := w.st.Holders(v)
-	return w.deliverVar(tagHandOff, from, func(p int) bool { return to.Contains(p) && !held.Contains(p) }, v, "hand-off "+v.Name)
+	return w.deliverVar(tagHandOff, from, func(p int) bool { return to.Contains(p) && !held.Contains(p) }, v)
 }
 
 // Branch sends a predicate's outcome from the first processor that evaluated
@@ -887,7 +877,7 @@ func (w *worker) Branch(st *ir.Stmt, set dist.ProcSet, taken bool) (bool, error)
 	if taken {
 		v[0] = 1
 	}
-	_, err := w.deliver(tagBranch, set.First(), func(p int) bool { return !set.Contains(p) }, v[:], false, "branch outcome")
+	_, err := w.deliver(tagBranch, set.First(), func(p int) bool { return !set.Contains(p) }, v[:], false)
 	return v[0] != 0, err
 }
 
@@ -902,20 +892,18 @@ func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
 		w.setAttr(m.Def.Stmt.ID, dist.CommBcast, w.elemBytes())
 	}
 	defer w.clearAttr()
-	v := m.Def.Var
-	return w.deliverVar(tagCopyOut, root, func(p int) bool { return p != root }, v, "copy-out "+v.Name)
+	return w.deliverVar(tagCopyOut, root, func(p int) bool { return p != root }, m.Def.Var)
 }
 
 // MergeRow ships a privatized combine's rows: at each hop of the tree the
 // loser's row to the winner, and the merged row from processor 0 to every
 // other, each stored in the receiver's table before it folds it.
 func (w *worker) MergeRow(c *spmd.Combine, h eval.MergeHop, row []float64) error {
-	what := "merge " + c.Var().Name
 	tag, from, to := tagMerge, h.Loser, only(h.Winner)
 	if h.Winner < 0 {
 		tag, from, to = tagMerged, 0, func(p int) bool { return p != 0 }
 	}
-	_, err := w.deliver(tag, from, to, row, false, what)
+	_, err := w.deliver(tag, from, to, row, false)
 	return err
 }
 
@@ -925,7 +913,7 @@ func (w *worker) Operands(req *comm.Requirement) error {
 	if w.dropped(req) {
 		return nil
 	}
-	return w.exchange(tagSection, nil, w.st.Section(req), w.silent(req), w.desc(req))
+	return w.exchange(tagSection, nil, w.st.Section(req), w.silent(req))
 }
 
 // TreeMerge charges the merge whose rows MergeRow shipped and traces it.
@@ -937,7 +925,7 @@ func (w *worker) TreeMerge(c *spmd.Combine, elems int64, hops []eval.MergeHop) e
 		// One Reduce event per merge at the tree root, stamped with the
 		// merged-row count — structurally identical to the simulator's
 		// TreeMerge emission (protocol-tagged hop traffic is invisible to
-		// tracePlanned, like the collective's gather).
+		// tracePlanned, like the hand-offs).
 		w.ex.rec.Emit(w.proc, trace.Event{
 			Time: w.ex.wall(), Bytes: elems * w.elemBytes() * int64(len(hops)),
 			Kind: trace.Reduce, Class: dist.CommNone,
@@ -980,7 +968,7 @@ func (w *worker) Transfer(req *comm.Requirement, op eval.InstanceOp) error {
 	if d, one := op.Dst.IsSingle(); one {
 		to = only(d)
 	}
-	got, err := w.deliver(req.ID, op.From, to, v[:], w.silent(req), w.desc(req))
+	got, err := w.deliver(req.ID, op.From, to, v[:], w.silent(req))
 	if got && at != nil {
 		*at = v[0]
 	}
@@ -1035,22 +1023,21 @@ func (w *worker) AllToAll(st *ir.Stmt) error {
 	if w.charges() {
 		w.acct.AllToAll(st)
 	}
-	what := "redistribute " + st.Redist.Array.Name
-	if err := w.exchange(tagRedist, nil, w.st.Redistributed(st), false, what); err != nil {
+	if err := w.exchange(tagRedist, nil, w.st.Redistributed(st), false); err != nil {
 		return err
 	}
-	return w.starBarrier(tagBarrier, tagRelease, what)
+	return w.starBarrier(tagBarrier, tagRelease)
 }
 
 // starBarrier synchronizes all workers through processor 0: members send
 // tagIn and wait for tagOut, the coordinator collects every tagIn before
 // releasing anyone. Used by redistribution and by coordinated checkpoints.
-func (w *worker) starBarrier(tagIn, tagOut int, what string) error {
+func (w *worker) starBarrier(tagIn, tagOut int) error {
 	for p := 1; p < w.ex.n; p++ {
-		if _, err := w.deliver(tagIn, p, only(0), nil, false, what); err != nil {
+		if _, err := w.deliver(tagIn, p, only(0), nil, false); err != nil {
 			return err
 		}
 	}
-	_, err := w.deliver(tagOut, 0, func(p int) bool { return p != 0 }, nil, false, what)
+	_, err := w.deliver(tagOut, 0, func(p int) bool { return p != 0 }, nil, false)
 	return err
 }

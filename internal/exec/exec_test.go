@@ -95,6 +95,11 @@ func TestWatchdogReportsWedgedWorkers(t *testing.T) {
 			for _, op := range se.Blocked {
 				if op.Op == "recv" && op.Peer == 1 {
 					foundRecv = true
+					// The shift of b(i-1) is the plan's one requirement, and
+					// the report names it by its String.
+					if want := prog.Plan.Reqs[0].String(); len(prog.Plan.Reqs) != 1 || op.What != want {
+						t.Fatalf("blocked receive names %q, want the plan's one requirement %q", op.What, want)
+					}
 				}
 			}
 			if !foundRecv {
@@ -292,7 +297,7 @@ func TestWorkerErrorMessage(t *testing.T) {
 // from a sender that packed none (or the reverse, or any other disagreement)
 // gets a ProtocolError, not a stored 0 or a dropped value.
 func TestPayloadLengthChecked(t *testing.T) {
-	ex := &executor{n: 2, ctx: context.Background(), wd: newWatchdog(2), edges: make([]edge, 4)}
+	ex := &executor{n: 2, ctx: context.Background(), wd: newWatchdog(2, nil), edges: make([]edge, 4)}
 	for i := range ex.edges {
 		ex.edges[i].ch = make(chan message, 1)
 	}
@@ -302,11 +307,11 @@ func TestPayloadLengthChecked(t *testing.T) {
 	a, b := newWorker(0), newWorker(1)
 	for _, c := range []struct{ sent, want int }{{0, 1}, {1, 0}, {2, 1}, {1, 2}, {0, 0}, {1, 1}, {3, 3}} {
 		sent := []float64{7, 8, 9}[:c.sent]
-		if _, err := a.deliver(tagSection, 0, only(1), sent, false, "section"); err != nil {
+		if _, err := a.deliver(tagSection, 0, only(1), sent, false); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]float64, c.want)
-		_, err := b.deliver(tagSection, 0, only(1), got, false, "section")
+		_, err := b.deliver(tagSection, 0, only(1), got, false)
 		var pe *ProtocolError
 		switch {
 		case c.sent != c.want && !errors.As(err, &pe):

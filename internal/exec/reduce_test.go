@@ -79,3 +79,24 @@ func TestReduceStrategyTrafficAdvantage(t *testing.T) {
 		t.Errorf("privatized time %v, collective %v — expected strictly faster", priv.Time, coll.Time)
 	}
 }
+
+// TestCollectiveBlockSum: under the collective reduction commSource's block
+// sum is handed from each block's processor to the next at the block
+// boundary, then to the combine's members, so exec ends with the sequential
+// sum, 195 (the hand-off once skipped every boundary, and exec summed the
+// last block alone: 146 at P = 2, 85 at P = 3 and 4).
+func TestCollectiveBlockSum(t *testing.T) {
+	for _, nprocs := range []int{2, 3, 4} {
+		prog := compile(t, commSource, nprocs, core.DefaultOptions())
+		rep, err := Diff(context.Background(), prog, Config{Reduce: core.ReduceCollective})
+		if err != nil {
+			t.Fatalf("p%d: %v", nprocs, err)
+		}
+		if !rep.Match() {
+			t.Errorf("p%d: %s", nprocs, rep.String())
+		}
+		if s := rep.Exec.Scalars["s"]; s != 195 {
+			t.Errorf("p%d: exec s = %v, want 195", nprocs, s)
+		}
+	}
+}

@@ -12,22 +12,13 @@ import (
 	"phpf/internal/programs"
 )
 
-// tagNames names the protocol tags; "planned" stands for every message of a
-// planned requirement.
-var tagNames = map[int]string{
-	tagReduce: "reduce", tagReduceResult: "reduce-result", tagBarrier: "barrier",
-	tagRelease: "release", tagCkpt: "ckpt", tagCkptRelease: "ckpt-release",
-	tagRefetch: "refetch", tagCopyOut: "copy-out", tagMerge: "merge",
-	tagMerged: "merged", tagSection: "section", tagBranch: "branch",
-	tagHandOff: "hand-off", tagRedist: "redist",
-}
-
 // cyclicSum is commSource with a cyclic distribution: under the collective
 // reduction the sum's update runs on a different processor at every
 // iteration.
 var cyclicSum = strings.Replace(commSource, "(block)", "(cyclic)", 1)
 
-// TestProtocolTraffic pins the physical messages of a run per protocol tag.
+// TestProtocolTraffic pins the physical messages of a run per protocol tag
+// (tagNames), "planned" standing for every message of a planned requirement.
 // The cost model charges the planned messages only; what owner-computes
 // execution sends beyond them — section elements a second owner holds,
 // predicate outcomes, reduction hand-offs, merged rows, redistributed
@@ -35,7 +26,9 @@ var cyclicSum = strings.Replace(commSource, "(block)", "(cyclic)", 1)
 // first. The inputs, at P = 4, are exec_concurrent's four, the oracle
 // corpus's TOMCATV, the two reduce-sweep kernels under the collective
 // reduction, cyclicSum, the one whose accumulator is handed along (one
-// hand-off per iteration, as the updating processor changes at each), and,
+// hand-off per iteration, as the updating processor changes at each, and one
+// to each other member of its combine at the loop exit), commSource's block
+// sum (one hand-off per block boundary, and the same three at the exit), and,
 // under producer alignment, lastPrivate's copy-out and TOMCATV's per-instance
 // transfers.
 func TestProtocolTraffic(t *testing.T) {
@@ -53,7 +46,8 @@ func TestProtocolTraffic(t *testing.T) {
 		{"tomcatv(10,2)", programs.TOMCATV(10, 2), 0, "", "merge=12 merged=12 planned=128"},
 		{"histogram(96,16,2) collective", programs.Histogram(96, 16, 2), core.ReduceCollective, "", "planned=288"},
 		{"dotsweep(16,12) collective", programs.DotSweep(16, 12), core.ReduceCollective, "", "planned=45 section=12"},
-		{"cyclic sum collective", cyclicSum, core.ReduceCollective, "", "hand-off=14 planned=4 reduce-result=3 reduce=3"},
+		{"cyclic sum collective", cyclicSum, core.ReduceCollective, "", "hand-off=17 planned=4"},
+		{"block sum collective", commSource, core.ReduceCollective, "", "hand-off=6 planned=4"},
 		{"lastprivate producer", lastPrivate, 0, "producer", "copy-out=3 planned=4"},
 		{"tomcatv(10,1) producer", programs.TOMCATV(10, 1), 0, "producer", "merge=6 merged=6 planned=152"},
 	} {

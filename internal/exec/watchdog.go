@@ -23,14 +23,16 @@ type watchdog struct {
 	nextID   int64
 	finished []bool
 	stall    *StallError
+	name     func(tag int) string // names a blocked message's tag in a report
 
 	quit chan struct{}
 }
 
-func newWatchdog(nprocs int) *watchdog {
+func newWatchdog(nprocs int, name func(tag int) string) *watchdog {
 	return &watchdog{
 		blocked:  map[int64]BlockedOp{},
 		finished: make([]bool, nprocs),
+		name:     name,
 		quit:     make(chan struct{}),
 	}
 }
@@ -38,15 +40,15 @@ func newWatchdog(nprocs int) *watchdog {
 // tick records one unit of worker progress.
 func (wd *watchdog) tick() { wd.progress.Add(1) }
 
-// block registers a channel operation that failed its non-blocking fast
-// path; the returned handle releases the entry once the operation completes
-// or is abandoned.
-func (wd *watchdog) block(proc int, op string, peer int, what string) int64 {
+// block registers a channel operation on a message of tag that failed its
+// non-blocking fast path; the returned handle releases the entry once the
+// operation completes or is abandoned.
+func (wd *watchdog) block(proc int, op string, peer, tag int) int64 {
 	wd.mu.Lock()
 	defer wd.mu.Unlock()
 	wd.nextID++
 	id := wd.nextID
-	wd.blocked[id] = BlockedOp{Proc: proc, Op: op, Peer: peer, What: what}
+	wd.blocked[id] = BlockedOp{Proc: proc, Op: op, Peer: peer, tag: tag}
 	return id
 }
 
@@ -132,6 +134,7 @@ func (wd *watchdog) fire(quiet time.Duration) bool {
 	}
 	se := &StallError{Quiet: quiet, Unfinished: unfinished}
 	for _, op := range wd.blocked {
+		op.What = wd.name(op.tag)
 		se.Blocked = append(se.Blocked, op)
 	}
 	sort.Slice(se.Blocked, func(i, j int) bool {

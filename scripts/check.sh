@@ -92,6 +92,19 @@ if grep -nE '^func \(w \*worker\) multicast\(' $execsrc ||
     exit 1
 fi
 
+# ...and a collective reduction's value moves by hand-off alone (DESIGN.md
+# §12, "The collective hand-off"): Reduce sends nothing, so its gather and
+# result tags stay gone. A message is named by its tag only when a stall or a
+# protocol error is reported (executor.name), so no call carries a label
+# (a `what string` parameter) or a table of requirement labels built per run.
+if grep -nE '\btagReduce(Result)?\b|\breqDesc\b|\bwhat string[,)]' $execsrc ||
+    awk 'FNR == 1 { fn = "" } /^func / { fn = $0 }
+        /w\.(deliver|deliverVar|exchange)\(/ && fn ~ /\(w \*worker\) Reduce\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' $execsrc; then
+    echo "check: internal/exec has Reduce's gather or result tag, a send in Reduce, a per-call message label (what string) or reqDesc again; the hand-off moves a collective's value and a report names a message by its tag" >&2
+    exit 1
+fi
+
 # One-accountant gate: the simulated machine is built and charged in
 # internal/eval/account.go only (bench/, its own module, measures the
 # machine's unit costs directly and is not scanned). The one strip operation,
