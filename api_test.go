@@ -97,7 +97,6 @@ func TestBackendRejectsForeignOptions(t *testing.T) {
 	}{
 		{"sim-stall", Simulator(), RunOptions{StallTimeout: time.Second}},
 		{"concurrent-max", Concurrent(), RunOptions{MaxSeconds: 1}},
-		{"concurrent-profile", Concurrent(), RunOptions{Profile: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,6 +108,41 @@ func TestBackendRejectsForeignOptions(t *testing.T) {
 				t.Fatalf("error %v is not coded E005", err)
 			}
 		})
+	}
+}
+
+// TestHotStatementsOnBothBackends: a traced run attributes its simulated time
+// to statements on either backend, and the concurrent backend's accountant
+// attributes what the simulator does, statement by statement and bit for bit;
+// an untraced run attributes nothing.
+func TestHotStatementsOnBothBackends(t *testing.T) {
+	c := compileSmooth(t, 4)
+	ctx := context.Background()
+	var hot [2][]StmtProfile
+	for i, b := range []Backend{Simulator(), Concurrent()} {
+		traced, err := c.Execute(ctx, b, RunOptions{Trace: &TraceOptions{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := c.Execute(ctx, b, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(traced.HotStatements) == 0 || plain.HotStatements != nil {
+			t.Fatalf("%s: %d hot statements traced, %d untraced", b.Name(),
+				len(traced.HotStatements), len(plain.HotStatements))
+		}
+		hot[i] = traced.HotStatements
+	}
+	sim, conc := hot[0], hot[1]
+	if len(sim) != len(conc) {
+		t.Fatalf("hot statements: simulator %d, concurrent %d", len(sim), len(conc))
+	}
+	for i := range sim {
+		s, e := sim[i], conc[i]
+		if s.Stmt.ID != e.Stmt.ID || s.Instances != e.Instances || math.Float64bits(s.Seconds) != math.Float64bits(e.Seconds) {
+			t.Errorf("hot statement %d: simulator %+v, concurrent %+v", i, s, e)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@
 // concurrent executor wall time):
 //
 //	phpfrun -tomcatv -p 16 -trace-out run.json          # chrome://tracing / Perfetto
-//	phpfrun -dgefa -n 64 -p 8 -exec concurrent -trace-summary
+//	phpfrun -dgefa -n 64 -p 8 -exec concurrent -trace-summary   # hot statements too
 //
 // Fault injection (deterministic for a fixed -fault-seed; works on both
 // backends — both charge the same modeled faults in simulated time, and the
@@ -52,7 +52,6 @@ func main() {
 	procs := flag.Int("p", 16, "number of processors")
 	level := flag.String("opt", "selected", "optimization level: naive, producer, selected")
 	maxSec := flag.Float64("max", 0, "abort after this much simulated time (0 = unlimited; simulator only)")
-	profile := flag.Bool("profile", false, "print per-statement time attribution (simulator only)")
 	tomcatv := flag.Bool("tomcatv", false, "run the built-in TOMCATV kernel")
 	dgefa := flag.Bool("dgefa", false, "run the built-in DGEFA kernel")
 	appsp := flag.Bool("appsp", false, "run the built-in APPSP kernel")
@@ -67,7 +66,7 @@ func main() {
 	stallTimeout := flag.Duration("stall", 0, "concurrent backend: watchdog stall timeout (0 = default, negative = disabled)")
 
 	traceOut := flag.String("trace-out", "", "record a runtime trace and write it as Chrome trace_event JSON (load in chrome://tracing or ui.perfetto.dev)")
-	traceSummary := flag.Bool("trace-summary", false, "record a runtime trace and print the communication matrix and per-statement histogram")
+	traceSummary := flag.Bool("trace-summary", false, "record a runtime trace and print the hot statements, the communication matrix and the per-statement histogram")
 	traceSample := flag.Int("trace-sample", 0, "keep 1 in N events in the trace ring (0/1 = all; matrix and counters stay exact)")
 
 	faultSeed := flag.Int64("fault-seed", 0, "deterministic seed for fault draws (same seed = same schedule)")
@@ -146,7 +145,6 @@ func main() {
 	// takes is Validate's answer (a coded E005), not this command's.
 	run := phpf.RunOptions{
 		MaxSeconds:         *maxSec,
-		Profile:            *profile,
 		Fault:              plan,
 		CheckpointInterval: *ckptInterval,
 		Reduce:             reduceMode,
@@ -192,11 +190,9 @@ func main() {
 	if rep.Restarts > 0 {
 		fmt.Printf("restarts:       %d coordinated\n", rep.Restarts)
 	}
-	if *profile {
+	if *traceSummary {
 		fmt.Println("hot statements:")
 		fmt.Print(phpf.FormatHotStatements(rep.HotStatements, 10))
-	}
-	if *traceSummary {
 		fmt.Printf("trace:          %d events recorded (%d stored)\n", rep.Trace.Seen(), rep.Trace.Len())
 		fmt.Print(rep.Trace.Summary())
 		fmt.Println("communication matrix (planned messages, src rows -> dst columns):")

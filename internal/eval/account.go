@@ -2,10 +2,14 @@
 // simulator's operations are these charges; the concurrent executor's
 // accountant (worker 0, or every worker when faults or checkpoints are on)
 // makes them before it transmits — which is what keeps the two backends'
-// statistics, simulated time and fault draws identical.
+// statistics, simulated time, fault draws and, on a traced run, per-statement
+// time attribution identical.
 package eval
 
 import (
+	"cmp"
+	"slices"
+
 	"phpf/internal/comm"
 	"phpf/internal/core"
 	"phpf/internal/dist"
@@ -33,14 +37,21 @@ type Account struct {
 	// interval is the checkpoint interval; lastCkpt the simulated time of the
 	// last coordinated checkpoint or recovery (the free one at t=0 until then).
 	interval, lastCkpt float64
+	// hot is a traced run's per-statement attribution, indexed by statement
+	// ID (nil: the run is not traced).
+	hot []StmtProfile
 }
 
-// NewAccount returns the accountant of a run over st. cfg.Params must be set.
+// NewAccount returns the accountant of a run over st. cfg.Params must be set;
+// with cfg.Trace set it also attributes time to statements (HotStatements).
 func NewAccount(st *State, cfg RunOptions) *Account {
 	a := &Account{M: machine.New(st.grid, cfg.Params), st: st,
 		inj: fault.NewInjector(cfg.Fault), interval: cfg.CheckpointInterval}
 	a.M.Fault = a.inj
 	a.stopless = a.inj == nil && cfg.MaxSeconds == 0
+	if cfg.Trace != nil {
+		a.hot = make([]StmtProfile, len(st.Prog.Res.Prog.Stmts))
+	}
 	st.accounted = true
 	return a
 }
@@ -59,6 +70,15 @@ func (a *Account) CheckpointSite() error {
 
 // Vectorized charges one hoisted communication.
 func (a *Account) Vectorized(req *comm.Requirement, op VectorizedOp) error {
+	if a.hot != nil {
+		a.attribute(req.Stmt, false, func() { a.vectorized(req, op) })
+		return nil
+	}
+	a.vectorized(req, op)
+	return nil
+}
+
+func (a *Account) vectorized(req *comm.Requirement, op VectorizedOp) {
 	a.M.SetAttr(req.Stmt.ID, req.ID, req.Class)
 	switch op.Kind {
 	case VecShift:
@@ -68,12 +88,19 @@ func (a *Account) Vectorized(req *comm.Requirement, op VectorizedOp) error {
 	case VecExchange:
 		a.M.Exchange(op.Src, op.Dst, op.Bytes)
 	}
-	return nil
 }
 
 // Guard charges every processor the ownership test of one per-instance
 // requirement.
 func (a *Account) Guard(req *comm.Requirement) {
+	if a.hot != nil {
+		a.attribute(req.Stmt, false, func() { a.guard(req) })
+		return
+	}
+	a.guard(req)
+}
+
+func (a *Account) guard(req *comm.Requirement) {
 	a.M.SetAttr(req.Stmt.ID, req.ID, req.Class)
 	if g := a.M.Params.GuardTime; g > 0 {
 		a.M.Compute(a.all(), g)
@@ -82,17 +109,34 @@ func (a *Account) Guard(req *comm.Requirement) {
 
 // Transfer charges one per-instance element transfer.
 func (a *Account) Transfer(req *comm.Requirement, op InstanceOp) error {
+	if a.hot != nil {
+		a.attribute(req.Stmt, false, func() { a.transfer(req, op) })
+		return nil
+	}
+	a.transfer(req, op)
+	return nil
+}
+
+func (a *Account) transfer(req *comm.Requirement, op InstanceOp) {
 	a.M.SetAttr(req.Stmt.ID, req.ID, req.Class)
 	if to, one := op.Dst.IsSingle(); one {
 		a.M.Send(op.From, to, op.Bytes)
 	} else {
 		a.M.Multicast(op.From, op.Dst, op.Bytes)
 	}
-	return nil
 }
 
-// Compute charges a statement instance's computation to its execution set.
+// Compute charges a statement instance's computation to its execution set. It
+// closes every statement instance, so this is where instances are counted.
 func (a *Account) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
+	if a.hot != nil {
+		a.attribute(st, true, func() { a.compute(st, set, flops) })
+		return
+	}
+	a.compute(st, set, flops)
+}
+
+func (a *Account) compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	if flops > 0 {
 		a.M.SetAttr(st.ID, -1, dist.CommNone)
 		a.M.Compute(set, float64(flops)*a.M.Params.FlopTime)
@@ -103,9 +147,10 @@ func (a *Account) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 // Charges makes the charges of n iterations of a quiet owner run: n rounds of
 // what Guard, Transfer and Compute charge, in order, to processors the run has
 // listed — in one machine operation (ComputeStrip) where nothing sees a charge
-// on its own; where something does, by Guard, Transfer and Compute themselves.
+// on its own; where something does (a recorder, an injector, the attribution),
+// by Guard, Transfer and Compute themselves.
 func (a *Account) Charges(charges []Charge, n int64) {
-	if a.M.ComputeStrip(n, a.st.listStrip(charges, a.M.Params), a.st.listed) {
+	if a.hot == nil && a.M.ComputeStrip(n, a.st.listStrip(charges, a.M.Params), a.st.listed) {
 		return
 	}
 	for ; n > 0; n-- {
@@ -113,6 +158,45 @@ func (a *Account) Charges(charges []Charge, n int64) {
 			charges[i].Issue(a, a.elem())
 		}
 	}
+}
+
+// attribute makes one charge of statement st — a hoisted communication, a
+// guard, a transfer, or (instance set) the compute that closes an instance —
+// and adds the advance of the clocks' sum it causes to st's time. The
+// collectives, checkpoints and recoveries are nobody's.
+func (a *Account) attribute(st *ir.Stmt, instance bool, charge func()) {
+	before := a.clockSum()
+	charge()
+	h := &a.hot[st.ID]
+	h.Stmt = st
+	h.Seconds += a.clockSum() - before
+	if instance {
+		h.Instances++
+	}
+}
+
+// clockSum is the total of all processor clocks.
+func (a *Account) clockSum() float64 {
+	s := 0.0
+	for _, c := range a.M.Clock {
+		s += c
+	}
+	return s
+}
+
+// HotStatements is the per-statement time attribution of a traced run, hottest
+// first (ties in statement order); nil when the run is not traced.
+func (a *Account) HotStatements() []StmtProfile {
+	var out []StmtProfile
+	for _, h := range a.hot {
+		if h.Stmt != nil {
+			out = append(out, h)
+		}
+	}
+	slices.SortFunc(out, func(x, y StmtProfile) int {
+		return cmp.Or(cmp.Compare(y.Seconds, x.Seconds), cmp.Compare(x.Stmt.ID, y.Stmt.ID))
+	})
+	return out
 }
 
 // defStmt is the statement a mapped scalar's charges are attributed to.

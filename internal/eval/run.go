@@ -42,9 +42,6 @@ type RunOptions struct {
 	// the paper's "> 1 day (aborted)" entries. Simulator only: the
 	// concurrent backend bounds wall time via the context deadline instead.
 	MaxSeconds float64
-	// Profile collects the per-statement hot-statement view
-	// (Report.HotStatements). Simulator only.
-	Profile bool
 	// Fault, when non-nil and active, injects deterministic faults
 	// (message loss/duplication, slowdowns, crashes). Both backends charge
 	// the same seeded plan to the same cost model. On the concurrent
@@ -79,8 +76,10 @@ type RunOptions struct {
 
 	// Trace, when non-nil, records runtime events into Report.Trace: the
 	// simulator stamps simulated time, the concurrent executor wall time
-	// (one shard per worker, so tracing adds no locking). Nil keeps the
-	// event path of both backends emission- and allocation-free.
+	// (one shard per worker, so tracing adds no locking). A traced run also
+	// attributes its simulated time to statements (Report.HotStatements),
+	// identically on both backends. Nil keeps the event path of both
+	// backends emission- and allocation-free.
 	Trace *trace.Options
 
 	// MaxCells caps the total array cells of one memory image (0 =
@@ -155,9 +154,6 @@ func (o RunOptions) Validate(nprocs int, backend string) error {
 		if o.MaxSeconds > 0 {
 			return bad("MaxSeconds bounds simulated time; bound the concurrent backend with a context deadline")
 		}
-		if o.Profile {
-			return bad("per-statement profiling is simulator-only; trace the run instead (RunOptions.Trace)")
-		}
 	}
 	return nil
 }
@@ -214,7 +210,8 @@ type Report struct {
 	Arrays  map[string][]float64
 
 	// HotStatements is the per-statement time attribution, sorted hottest
-	// first (simulator with Profile on; nil otherwise).
+	// first: the accountant's (Account.HotStatements), on either backend,
+	// when RunOptions.Trace was set; nil otherwise.
 	HotStatements []StmtProfile
 
 	// Workers is the number of worker goroutines that ran (concurrent

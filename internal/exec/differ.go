@@ -48,9 +48,10 @@ func (r *DiffReport) String() string {
 // comparable — and compares. With Trace set the comparison extends to the
 // event level: per-communication-class message and byte counts, and the
 // counts of reduction, fault, checkpoint and restart events, must match
-// exactly. An error means a backend failed to run (or the configuration is
-// unusable for differential testing); a completed report with mismatches
-// means the backends disagree.
+// exactly, and so must the per-statement time attribution, bit for bit. An
+// error means a backend failed to run (or the configuration is unusable for
+// differential testing); a completed report with mismatches means the
+// backends disagree.
 func Diff(ctx context.Context, p *spmd.Program, cfg Config) (*DiffReport, error) {
 	return diff(ctx, p, cfg, hooks{})
 }
@@ -67,7 +68,7 @@ func diff(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*DiffRepo
 	// which its entry point would reject.
 	simCfg, execCfg := cfg, cfg
 	simCfg.StallTimeout = 0
-	execCfg.MaxSeconds, execCfg.Profile = 0, false
+	execCfg.MaxSeconds = 0
 	simRes, err := sim.RunContext(ctx, p, simCfg)
 	if err != nil {
 		return nil, fmt.Errorf("differ: %w", err)
@@ -202,6 +203,20 @@ func (r *DiffReport) compare() {
 		for _, k := range []trace.Kind{trace.Fault, trace.Checkpoint, trace.Restart} {
 			if s, e := st.KindCount(k), et.KindCount(k); s != e {
 				miss("trace %s events: sim %d, exec %d", k, s, e)
+			}
+		}
+		// The per-statement attribution is the accountant's on both, made of
+		// the same charges in the same order: equal statement by statement.
+		sh, eh := r.Sim.HotStatements, r.Exec.HotStatements
+		if len(sh) != len(eh) {
+			miss("hot statements: sim %d, exec %d", len(sh), len(eh))
+		}
+		for i := 0; i < len(sh) && i < len(eh); i++ {
+			s, e := sh[i], eh[i]
+			if s.Stmt.ID != e.Stmt.ID || s.Instances != e.Instances ||
+				math.Float64bits(s.Seconds) != math.Float64bits(e.Seconds) {
+				miss("hot statement %d: sim s%d %d instances %v s, exec s%d %d instances %v s",
+					i, s.Stmt.ID, s.Instances, s.Seconds, e.Stmt.ID, e.Instances, e.Seconds)
 			}
 		}
 	}

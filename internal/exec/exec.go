@@ -51,7 +51,8 @@
 // the accountant, handing each one to the same eval.Account the simulator
 // charges before transmitting it (one goroutine owns the account, so it needs
 // no locking). That is what lets the differential oracle (Diff) demand
-// bit-for-bit agreement of memory, statistics and simulated time. The real
+// bit-for-bit agreement of memory, statistics, simulated time and, on a traced
+// run, the per-statement time attribution the account keeps. The real
 // channel traffic is checked independently, through per-edge sequence
 // numbers, requirement tags, and the watchdog.
 //
@@ -100,7 +101,7 @@ const DefaultMailboxDepth = 64
 const DefaultStallTimeout = 10 * time.Second
 
 // Config is the one run configuration (see eval.RunOptions): the concurrent
-// backend takes every field but the simulator's MaxSeconds and Profile.
+// backend takes every field but the simulator's MaxSeconds.
 type Config = eval.RunOptions
 
 // Result is the one run outcome (see eval.Report).
@@ -359,6 +360,7 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 		Backend:         eval.BackendConcurrent,
 		Time:            workers[0].acct.M.Time(),
 		Stats:           workers[0].acct.M.Stats,
+		HotStatements:   workers[0].acct.HotStatements(),
 		Workers:         n,
 		TrafficMessages: ex.traffic.Load(),
 		Trace:           ex.rec,

@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"phpf/internal/core"
@@ -97,6 +99,42 @@ func TestCollectiveBlockSum(t *testing.T) {
 		}
 		if s := rep.Exec.Scalars["s"]; s != 195 {
 			t.Errorf("p%d: exec s = %v, want 195", nprocs, s)
+		}
+	}
+}
+
+// TestCollectiveFigure5RowSums: Figure 5 sums each row of a into s across the
+// reduction grid dimension's BLOCK boundaries, but the figure never assigns a,
+// so its all-zero sums agree however many boundaries a hand-off loses. With a
+// filled first, exec's collective b(i) must be the row's sequential sum, bit
+// for bit — which it was not while the hand-off skipped block boundaries.
+func TestCollectiveFigure5RowSums(t *testing.T) {
+	const n = 64
+	fill := "do i = 1, n\n  do j = 1, n\n    a(i,j) = i + 0.001*j\n  end do\nend do\n"
+	at := strings.Index(programs.Figure5, "do i = 1, n")
+	src := programs.Figure5[:at] + fill + programs.Figure5[at:]
+	for _, nprocs := range []int{4, 8} {
+		prog := compile(t, src, nprocs, core.DefaultOptions())
+		rep, err := Diff(context.Background(), prog, Config{Reduce: core.ReduceCollective})
+		if err != nil {
+			t.Fatalf("p%d: %v", nprocs, err)
+		}
+		if !rep.Match() {
+			t.Errorf("p%d: %s", nprocs, rep.String())
+		}
+		b := rep.Exec.Arrays["b"]
+		if len(b) != n {
+			t.Fatalf("p%d: b has %d elements, want %d", nprocs, len(b), n)
+		}
+		for i := 1; i <= n; i++ {
+			s := 0.0
+			for j := 1; j <= n; j++ {
+				s += float64(i) + 0.001*float64(j)
+			}
+			if got := b[i-1]; math.Float64bits(got) != math.Float64bits(s) {
+				t.Errorf("p%d: exec b(%d) = %v, want the row sum %v", nprocs, i, got, s)
+				break
+			}
 		}
 	}
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // TestDifferTraceAgreement extends the differential oracle to event level:
-// with tracing on, the per-communication-class message/byte counts and the
-// reduction-collective count recorded by the concurrent executor must equal
-// the simulator's exactly, for every program, strategy, and processor count.
+// with tracing on, the per-communication-class message/byte counts, the
+// reduction-collective count and the per-statement time attribution of the
+// concurrent executor must equal the simulator's exactly, for every program,
+// strategy, and processor count.
 // Under -race this also exercises concurrent emission into the per-worker
 // shards against the live atomic counters.
 func TestDifferTraceAgreement(t *testing.T) {
@@ -41,6 +42,10 @@ func TestDifferTraceAgreement(t *testing.T) {
 					// flowed as planned communication.
 					if rep.Sim.Trace.KindCount(trace.Send) == 0 && rep.Sim.Stats.PointToPoint > 0 {
 						t.Fatal("sim trace recorded no sends despite point-to-point traffic")
+					}
+					// So did the per-statement attribution Diff compared.
+					if len(rep.Sim.HotStatements) == 0 {
+						t.Fatal("a traced run attributed no statement")
 					}
 				})
 			}

@@ -60,15 +60,6 @@ func (a Affine) String() string {
 	return strings.Join(parts, "+")
 }
 
-// IsConst reports whether the subscript is a compile-time constant, and its
-// value.
-func (a Affine) IsConst() (int64, bool) {
-	if a.OK && len(a.Terms) == 0 {
-		return a.Const, true
-	}
-	return 0, false
-}
-
 // CoefOf returns the coefficient of loop l's index (0 if absent).
 func (a Affine) CoefOf(l *Loop) int64 {
 	for _, t := range a.Terms {

@@ -40,31 +40,6 @@ end
 	}
 }
 
-func TestAffineIsConst(t *testing.T) {
-	p := build(t, `
-program t
-parameter n = 6
-real a(n)
-integer i
-do i = 1, n
-  a(3) = a(i)
-end do
-end
-`)
-	var s *Stmt
-	for _, st := range p.Stmts {
-		if st.Kind == SAssign {
-			s = st
-		}
-	}
-	if v, ok := s.Lhs.Subs[0].IsConst(); !ok || v != 3 {
-		t.Errorf("a(3) subscript const = %v %v", v, ok)
-	}
-	if _, ok := s.Uses[0].Subs[0].IsConst(); ok {
-		t.Error("a(i) subscript should not be constant")
-	}
-}
-
 func TestAffineStringForms(t *testing.T) {
 	p := build(t, `
 program t

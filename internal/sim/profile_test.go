@@ -9,6 +9,7 @@ import (
 	"phpf/internal/parser"
 	"phpf/internal/programs"
 	"phpf/internal/spmd"
+	"phpf/internal/trace"
 )
 
 // TestProfileCountsExecutionsOnly: StmtProfile.Instances is how many times
@@ -49,7 +50,7 @@ end
 		t.Fatalf("test program has %d hoisted requirements for the assignment, want 1", hoisted)
 	}
 
-	res, err := Run(prog, Config{Profile: true})
+	res, err := Run(prog, Config{Trace: &trace.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ end
 		t.Fatal(err)
 	}
 	if res.Time != plain.Time || res.Stats != plain.Stats {
-		t.Errorf("profiling changed the run: time %v vs %v, stats %v vs %v", res.Time, plain.Time, res.Stats, plain.Stats)
+		t.Errorf("attributing changed the run: time %v vs %v, stats %v vs %v", res.Time, plain.Time, res.Stats, plain.Stats)
 	}
 	if res.Stats.Shifts != 1 {
 		t.Fatalf("run charged %d shifts, want the one hoisted shift", res.Stats.Shifts)
@@ -80,7 +81,7 @@ end
 	t.Fatal("the assignment is missing from the profile")
 }
 
-// TestProfilePerInstanceCommunication: a profiled run of a program whose
+// TestProfilePerInstanceCommunication: a traced run of a program whose
 // communication stays inside its loops (TOMCATV with producer alignment pays
 // a guard and, off the owner, an element transfer per statement instance)
 // attributes that communication to the statement it serves, and changes
@@ -98,7 +99,7 @@ func TestProfilePerInstanceCommunication(t *testing.T) {
 	}
 	prog := spmd.Generate(res)
 
-	profiled, err := Run(prog, Config{Profile: true})
+	profiled, err := Run(prog, Config{Trace: &trace.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestProfilePerInstanceCommunication(t *testing.T) {
 		t.Fatal(err)
 	}
 	if profiled.Time != plain.Time || profiled.Stats != plain.Stats {
-		t.Errorf("profiling changed the run: time %v vs %v, stats %v vs %v",
+		t.Errorf("attributing changed the run: time %v vs %v, stats %v vs %v",
 			profiled.Time, plain.Time, profiled.Stats, plain.Stats)
 	}
 	if plain.Stats.PointToPoint == 0 {

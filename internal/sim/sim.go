@@ -12,21 +12,16 @@
 // The interpretation core — value semantics, execution sets, communication
 // decisions, the schedule of operations and the accountant that charges them
 // — lives in internal/eval and is shared with internal/exec; this package
-// runs it against one machine and adds the time limit, the per-statement
-// profile and the trace recorder.
+// runs it against one machine and adds the time limit and the trace recorder.
 package sim
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
-	"phpf/internal/comm"
-	"phpf/internal/dist"
 	"phpf/internal/eval"
-	"phpf/internal/ir"
 	"phpf/internal/machine"
 	"phpf/internal/spmd"
 	"phpf/internal/trace"
@@ -38,9 +33,6 @@ type Config = eval.RunOptions
 
 // Result is the one run outcome (see eval.Report).
 type Result = eval.Report
-
-// StmtProfile is one statement's share of the simulated activity.
-type StmtProfile = eval.StmtProfile
 
 // errAbort signals the MaxSeconds cutoff internally.
 type errAbort struct{}
@@ -78,14 +70,8 @@ func RunContext(ctx context.Context, p *spmd.Program, cfg Config) (*Result, erro
 		mach.Rec = trace.New(nprocs, 1, *cfg.Trace)
 		mach.Rec.SetLabels(p.StmtLabels())
 	}
-	var ops eval.Ops = in
-	var profile map[*ir.Stmt]*StmtProfile
-	if cfg.Profile {
-		profile = map[*ir.Stmt]*StmtProfile{}
-		ops = &profiler{interp: in, by: profile}
-	}
 	aborted := false
-	if err := eval.Run(st, ops, cfg.Params.ElemBytes, nil); err != nil {
+	if err := eval.Run(st, in, cfg.Params.ElemBytes, nil); err != nil {
 		var ge *eval.GotoEscapeError
 		switch {
 		case errors.As(err, &ge):
@@ -98,18 +84,9 @@ func RunContext(ctx context.Context, p *spmd.Program, cfg Config) (*Result, erro
 			return nil, simError(err)
 		}
 	}
-	res := &Result{Backend: eval.BackendSim, Time: mach.Time(), Stats: mach.Stats, Aborted: aborted, Trace: mach.Rec}
+	res := &Result{Backend: eval.BackendSim, Time: mach.Time(), Stats: mach.Stats, Aborted: aborted,
+		HotStatements: in.HotStatements(), Trace: mach.Rec}
 	res.Scalars, res.Arrays = st.Export()
-	for _, sp := range profile {
-		res.HotStatements = append(res.HotStatements, *sp)
-	}
-	hot := res.HotStatements
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].Seconds != hot[j].Seconds {
-			return hot[i].Seconds > hot[j].Seconds
-		}
-		return hot[i].Stmt.ID < hot[j].Stmt.ID
-	})
 	return res, nil
 }
 
@@ -151,8 +128,9 @@ func (in *interp) Tick() error { return in.CrashSite() }
 
 // Iteration closes a strip of quiet iterations. With a fault plan or a time
 // limit an iteration's end can stop something, and each is closed on its own;
-// otherwise the strip's charges are one call (which a recorder still sees
-// charge by charge) and its end the one cancellation poll.
+// otherwise the strip's charges are one call (which a traced run's recorder
+// and attribution still see charge by charge) and its end the one
+// cancellation poll.
 func (in *interp) Iteration(charges []eval.Charge, n int64) (int64, error) {
 	if in.M.Fault != nil || in.maxSeconds > 0 {
 		return eval.EachIteration(n, func() error {
@@ -162,65 +140,4 @@ func (in *interp) Iteration(charges []eval.Charge, n int64) (int64, error) {
 	}
 	in.Charges(charges, n)
 	return n, in.Tick()
-}
-
-// profiler is the interp of a profiled run: the operations that name a
-// statement are bracketed, and the clock advance of each goes to it.
-type profiler struct {
-	*interp
-	by map[*ir.Stmt]*StmtProfile
-}
-
-// clockSum is the total of all processor clocks.
-func (p *profiler) clockSum() float64 {
-	s := 0.0
-	for _, c := range p.M.Clock {
-		s += c
-	}
-	return s
-}
-
-// since charges st the clock advance since the sum was before.
-func (p *profiler) since(st *ir.Stmt, before float64) *StmtProfile {
-	sp := p.by[st]
-	if sp == nil {
-		sp = &StmtProfile{Stmt: st}
-		p.by[st] = sp
-	}
-	sp.Seconds += p.clockSum() - before
-	return sp
-}
-
-func (p *profiler) Vectorized(req *comm.Requirement, op eval.VectorizedOp) error {
-	defer p.since(req.Stmt, p.clockSum())
-	return p.interp.Vectorized(req, op)
-}
-
-func (p *profiler) Guard(req *comm.Requirement) {
-	defer p.since(req.Stmt, p.clockSum())
-	p.interp.Guard(req)
-}
-
-func (p *profiler) Transfer(req *comm.Requirement, op eval.InstanceOp) error {
-	defer p.since(req.Stmt, p.clockSum())
-	return p.interp.Transfer(req, op)
-}
-
-// Compute closes every statement instance, so this is where they are counted.
-func (p *profiler) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
-	before := p.clockSum()
-	p.interp.Compute(st, set, flops)
-	p.since(st, before).Instances++
-}
-
-// Iteration closes the strip one iteration at a time, each charge made and
-// bracketed by the profiler's own Guard, Transfer and Compute (the interp's
-// Iteration, promoted, would charge them unseen).
-func (p *profiler) Iteration(charges []eval.Charge, n int64) (int64, error) {
-	return eval.EachIteration(n, func() error {
-		for i := range charges {
-			charges[i].Issue(p, p.M.Params.ElemBytes)
-		}
-		return p.Tick()
-	})
 }

@@ -75,6 +75,9 @@ func sameRun(t *testing.T, p, q *spmd.Program, got, want *Result) {
 		}
 	}
 	po, qo := twinOrdinals(p), twinOrdinals(q)
+	if n := got.Trace.Seen(); n > trace.DefaultCapacity {
+		t.Errorf("%d events overflow the ring of %d: the streams are compared in part", n, trace.DefaultCapacity)
+	}
 	ge, we := got.Trace.Events(), want.Trace.Events()
 	if len(ge) != len(we) {
 		t.Errorf("%d events, the twin %d", len(ge), len(we))
@@ -116,8 +119,9 @@ func sameRun(t *testing.T, p, q *spmd.Program, got, want *Result) {
 }
 
 // TestEveryModeAgreesWithTheGeneralWalk: whatever a run is asked to observe —
-// events, a profile, a time limit, slowed processors, checkpoints and a crash
-// — a program whose loops run as owner runs, quiet ones charged from their
+// events with the per-statement attribution a trace carries (every event, or
+// a sample), a time limit, slowed processors, checkpoints and a crash — a
+// program whose loops run as owner runs, quiet ones charged from their
 // lists (per-instance transfers included where nothing can stop a run inside
 // an iteration), reports what its twin on the general walk reports. No mode
 // takes another path through a run, so none can tell.
@@ -129,7 +133,10 @@ func TestEveryModeAgreesWithTheGeneralWalk(t *testing.T) {
 	naive.AlignReductions = false
 	producer := core.DefaultOptions()
 	producer.Scalars = core.ScalarsProducerAligned
-	traced := &trace.Options{Capacity: 1 << 21}
+	traced := &trace.Options{}
+	// A sampled ring keeps one event in seven; the counters and the
+	// per-statement attribution stay exact.
+	sampled := &trace.Options{SampleEvery: 7}
 	// Which modes took effect, and how often, over the subtests that ran.
 	bit, checkpoints, ran := map[string]int{}, int64(0), 0
 	for _, k := range []struct {
@@ -164,11 +171,11 @@ func TestEveryModeAgreesWithTheGeneralWalk(t *testing.T) {
 			}{
 				{"plain", Config{}},
 				{"trace", Config{Trace: traced}},
-				{"profile", Config{Profile: true}},
+				{"profile", Config{Trace: sampled}},
 				{"max-0.3", Config{MaxSeconds: 0.3 * full.Time}},
 				{"max-0.7", Config{MaxSeconds: 0.7 * full.Time, Trace: traced}},
 				{"slowdown", Config{Fault: slow}},
-				{"slowdown-trace-profile", Config{Fault: slow, Trace: traced, Profile: true}},
+				{"slowdown-trace-profile", Config{Fault: slow, Trace: traced}},
 				{"crash", Config{Fault: crash, CheckpointInterval: full.Time / 8}},
 				{"crash-trace", Config{Fault: crash, CheckpointInterval: full.Time / 8, Trace: traced}},
 			} {

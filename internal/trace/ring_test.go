@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// newRing is New with a per-shard ring of capacity events instead of
+// DefaultCapacity, small enough for a test to fill.
+func newRing(nprocs, nshards, capacity int) *Recorder {
+	r := New(nprocs, nshards, Options{})
+	r.capacity = capacity
+	return r
+}
+
 // TestRingWrapBoundary audits the ring shard at the wrap boundary: emitting
 // exactly capacity events must keep all of them once each, and crossing the
 // boundary by one must drop exactly the oldest — no off-by-one drop or
@@ -15,7 +23,7 @@ func TestRingWrapBoundary(t *testing.T) {
 	const capacity = 8
 	for _, n := range []int{capacity - 1, capacity, capacity + 1, 2 * capacity, 2*capacity + 1} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			r := New(1, 1, Options{Capacity: capacity})
+			r := newRing(1, 1, capacity)
 			for i := 0; i < n; i++ {
 				r.Emit(0, Event{Time: float64(i), Kind: Compute, Proc: 0, Peer: -1, Stmt: -1, Req: -1})
 			}

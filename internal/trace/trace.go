@@ -110,15 +110,12 @@ type Event struct {
 
 // Options configures a Recorder.
 type Options struct {
-	// Capacity is the per-shard ring capacity in events
-	// (0 = DefaultCapacity).
-	Capacity int
 	// SampleEvery keeps one of every N events in the ring (0 or 1 = keep
 	// all). Counters and the communication matrix stay exact either way.
 	SampleEvery int
 }
 
-// DefaultCapacity is the default per-shard ring capacity.
+// DefaultCapacity is the per-shard ring capacity in events.
 const DefaultCapacity = 1 << 16
 
 // shard is one emitter's private event store. The ring, seen counter, and
@@ -165,7 +162,7 @@ func (s *StmtComm) TotalBytes() int64 {
 // event path performs no work and no allocation.
 type Recorder struct {
 	nprocs   int
-	capacity int
+	capacity int // events per shard's ring: DefaultCapacity
 	sample   int64
 	labels   map[int32]string
 
@@ -195,17 +192,13 @@ func New(nprocs, nshards int, o Options) *Recorder {
 	if nshards < 1 {
 		nshards = 1
 	}
-	capacity := o.Capacity
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
 	sample := int64(o.SampleEvery)
 	if sample < 1 {
 		sample = 1
 	}
 	return &Recorder{
 		nprocs:   nprocs,
-		capacity: capacity,
+		capacity: DefaultCapacity,
 		sample:   sample,
 		shards:   make([]shard, nshards),
 		matMsgs:  make([]atomic.Int64, nprocs*nprocs),

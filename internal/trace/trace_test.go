@@ -69,7 +69,7 @@ func TestZeroAllocationDisabled(t *testing.T) {
 // full, statement entry present — the per-event work is counter updates and
 // one ring store).
 func BenchmarkEmitEnabled(b *testing.B) {
-	r := New(4, 1, Options{Capacity: 1024})
+	r := newRing(4, 1, 1024)
 	e := send(1, 0, 1, 8, dist.CommShift, 3, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -80,7 +80,7 @@ func BenchmarkEmitEnabled(b *testing.B) {
 // TestRingWrapAround checks that a full ring keeps the newest events and
 // Events() returns them oldest-first.
 func TestRingWrapAround(t *testing.T) {
-	r := New(2, 1, Options{Capacity: 4})
+	r := newRing(2, 1, 4)
 	for i := 0; i < 10; i++ {
 		r.Emit(0, Event{Time: float64(i), Kind: Compute, Proc: 0, Peer: -1, Stmt: -1, Req: -1})
 	}
@@ -166,7 +166,7 @@ func TestCountersSelective(t *testing.T) {
 // atomic counters live.
 func TestConcurrentShards(t *testing.T) {
 	const nshards, perShard = 8, 2000
-	r := New(nshards, nshards, Options{Capacity: 256})
+	r := newRing(nshards, nshards, 256)
 	done := make(chan struct{})
 	go func() { // live counter reader
 		for {

@@ -181,7 +181,7 @@ func TestCellAbortedString(t *testing.T) {
 	}
 }
 
-// TestProfileAttribution: profiling attributes all simulated time to
+// TestProfileAttribution: a traced run attributes all simulated time to
 // statements and ranks the hot ones first.
 func TestProfileAttribution(t *testing.T) {
 	src := TOMCATVSource(17, 2)
@@ -189,7 +189,7 @@ func TestProfileAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Execute(context.Background(), Simulator(), RunOptions{Profile: true})
+	out, err := c.Execute(context.Background(), Simulator(), RunOptions{Trace: &TraceOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +211,13 @@ func TestProfileAttribution(t *testing.T) {
 	if total <= 0 {
 		t.Error("no time attributed")
 	}
-	// Profiling must not change the result.
+	// Attributing must not change the result.
 	plain, err := c.Execute(context.Background(), Simulator(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Time != out.Time {
-		t.Errorf("profiling changed simulated time: %v vs %v", out.Time, plain.Time)
+		t.Errorf("attributing changed simulated time: %v vs %v", out.Time, plain.Time)
 	}
 	s := FormatHotStatements(out.HotStatements, 5)
 	if !strings.Contains(s, "assign") {

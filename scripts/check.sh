@@ -132,6 +132,20 @@ if grep -rnE 'Clock\[[^]]*\][[:space:]]*([-+*/]?=([^=]|$)|\+\+|--)' \
     exit 1
 fi
 
+# One-attribution gate: a traced run attributes its simulated time to
+# statements in the accountant (Account.attribute), the same on both backends,
+# and RunOptions.Trace is its one switch. Fail when the simulator-only profile
+# returns (a RunOptions.Profile knob, or a profiler wrapper in internal/sim),
+# or a deleted setting or helper does: trace.Options.Capacity (every ring holds
+# DefaultCapacity events) or ir.Affine.IsConst, which nothing called.
+if awk '/^type RunOptions struct/,/^}/' internal/eval/run.go | grep -E '^[[:space:]]+Profile[[:space:]]' ||
+    grep -nE '^type profiler\b|^func \([a-z]+ \*profiler\)' $(ls internal/sim/*.go | grep -v '_test\.go$') ||
+    awk '/^type Options struct/,/^}/' $(ls internal/trace/*.go | grep -v '_test\.go$') | grep -E '^[[:space:]]+Capacity[[:space:]]' ||
+    grep -rnE '\) IsConst\(|\.IsConst\(' --include='*.go' internal/ir; then
+    echo "check: RunOptions.Profile, a profiler in internal/sim, trace.Options.Capacity or ir.Affine.IsConst is back; a traced run's accountant attributes time to statements on both backends" >&2
+    exit 1
+fi
+
 # One-multicast gate: a tree multicast's arithmetic — ceil(log2(k+1)) rounds
 # for k destinations — is written once, in Machine.multicast, which
 # Multicast runs over its listed destinations and ComputeStrip over a strip's
