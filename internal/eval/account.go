@@ -38,8 +38,11 @@ type Account struct {
 	// last coordinated checkpoint or recovery (the free one at t=0 until then).
 	interval, lastCkpt float64
 	// hot is a traced run's per-statement attribution, indexed by statement
-	// ID (nil: the run is not traced).
-	hot []StmtProfile
+	// ID (nil: the run is not traced); sum, while summed, is the clocks' sum
+	// after the last attributed charge, which no other charge has moved since.
+	hot    []StmtProfile
+	sum    float64
+	summed bool
 }
 
 // NewAccount returns the accountant of a run over st. cfg.Params must be set;
@@ -163,13 +166,17 @@ func (a *Account) Charges(charges []Charge, n int64) {
 // attribute makes one charge of statement st — a hoisted communication, a
 // guard, a transfer, or (instance set) the compute that closes an instance —
 // and adds the advance of the clocks' sum it causes to st's time. The
-// collectives, checkpoints and recoveries are nobody's.
+// collectives, checkpoints and recoveries are nobody's: they drop the sum.
 func (a *Account) attribute(st *ir.Stmt, instance bool, charge func()) {
-	before := a.clockSum()
+	if !a.summed {
+		a.sum, a.summed = a.clockSum(), true
+	}
+	before := a.sum
 	charge()
+	a.sum = a.clockSum()
 	h := &a.hot[st.ID]
 	h.Stmt = st
-	h.Seconds += a.clockSum() - before
+	h.Seconds += a.sum - before
 	if instance {
 		h.Instances++
 	}
@@ -212,6 +219,7 @@ func (a *Account) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
 	a.M.SetAttr(defStmt(m), -1, dist.CommNone)
 	a.M.Reduce(set, a.elem())
 	a.M.ClearAttr()
+	a.summed = false
 	return nil
 }
 
@@ -220,6 +228,7 @@ func (a *Account) TreeMerge(c *spmd.Combine, elems int64, _ []MergeHop) error {
 	a.M.SetAttr(c.Red.Stmt.ID, -1, dist.CommNone)
 	a.M.TreeMerge(a.all(), elems*a.elem(), a.st.Prog.NProcs())
 	a.M.ClearAttr()
+	a.summed = false
 	return nil
 }
 
@@ -229,6 +238,7 @@ func (a *Account) CopyOut(m *core.ScalarMapping, root int) error {
 	a.M.SetAttr(defStmt(m), -1, dist.CommBcast)
 	a.M.Multicast(root, a.all(), a.elem())
 	a.M.ClearAttr()
+	a.summed = false
 	return nil
 }
 
@@ -237,6 +247,7 @@ func (a *Account) AllToAll(st *ir.Stmt) error {
 	a.M.SetAttr(st.ID, -1, dist.CommGeneral)
 	a.M.AllToAll(a.all(), a.st.RedistBytesPerProc(st, a.elem()))
 	a.M.ClearAttr()
+	a.summed = false
 	return nil
 }
 
@@ -257,7 +268,7 @@ func (a *Account) Checkpoint() bool {
 	}
 	a.M.ClearAttr()
 	a.M.Checkpoint(CheckpointBytes(a.st, a.elem()))
-	a.lastCkpt = a.M.Time()
+	a.lastCkpt, a.summed = a.M.Time(), false
 	return true
 }
 
@@ -280,7 +291,7 @@ func (a *Account) Recover(proc int, at float64) {
 	}
 	a.M.Recover(proc, lost, bytes, msgs)
 	// Recovery reestablishes a consistent global state.
-	a.lastCkpt = a.M.Time()
+	a.lastCkpt, a.summed = a.M.Time(), false
 }
 
 // RecoverCrashes fires every crash that has come due and returns them.

@@ -135,9 +135,8 @@ type Machine struct {
 
 	// dsts lists a Multicast's destinations (scratch).
 	dsts []int32
-	// before holds the clocks as a leaped strip found them (scratch, the
-	// second half of Clock's allocation).
-	before []float64
+	// tape records a leaped strip's round (scratch).
+	tape tape
 
 	// Attribution for subsequent charges (see SetAttr).
 	attrStmt  int32
@@ -148,9 +147,9 @@ type Machine struct {
 // New creates a machine over the given grid.
 func New(grid *dist.Grid, p Params) *Machine {
 	n := grid.Size()
-	clocks := make([]float64, 2*n)
-	return &Machine{Params: p, Grid: grid, Clock: clocks[:n:n], before: clocks[n:],
-		attrStmt: -1, attrReq: -1}
+	clocks := make([]float64, 3*n)
+	return &Machine{Params: p, Grid: grid, Clock: clocks[:n:n],
+		tape: tape{x: clocks[n : 2*n : 2*n], top: clocks[2*n:]}, attrStmt: -1, attrReq: -1}
 }
 
 // SetAttr stamps the statement, communication-plan requirement, and
@@ -265,35 +264,54 @@ type Listed struct {
 
 // ComputeStrip is n rounds of the listed charges, round by round and charge by
 // charge: a computation is Compute's own additions to the listed clocks in
-// Compute's order, bit for bit, never one charge n times before the next and
-// never n·t (n·D only on the clock's grid, below); a transfer is Send's or
-// Multicast's own arithmetic, every round. With a recorder, slowdowns or a
-// fault injector attached it charges nothing and reports false: each charge
-// must then be a Compute, Send or Multicast of its own, which the recorder
-// sees, slowdowns scale and the injector draws for.
+// Compute's order, never one charge n times before the next and never n·t; a
+// transfer is Send's or Multicast's own arithmetic. With a recorder, slowdowns
+// or a fault injector attached it charges nothing and reports false: each
+// charge must then be a Compute, Send or Multicast of its own, which the
+// recorder sees, slowdowns scale and the injector draws for.
 //
-// A strip of computations only, of more than two rounds, is leaped: its first
-// round is made by the additions, and each clock that round moved from x to
-// c is set to x + n·D, D = c − x. That is the n rounds, bit for bit. A clock
-// x in the binade [2^e, 2^(e+1)) lies on the grid u = 2^(e−52); while x + t
-// stays below 2^(e+1), fl(x + t) = x + RN_u(t) whatever x is — unless t is a
-// tie (t mod u = u/2), which round-half-even settles by x's last bit. So while
-// a clock stays in its binade every round adds the same D, the sum of RN_u(t)
-// over the charges that name it, and x + n·D, a multiple of u below 2^(e+1),
-// is exact, as is n·D. D is one round of the additions measured on the
-// clock's grid, not a cost. The rest of the strip is made round by round when
-// a charged clock is 0, subnormal or below 2^-971 (1/u is then no normal
-// float), when a cost is negative or a tie on its clock's grid, or when
-// x + n·D would reach 2^(e+1); the values rise, so below that bound no round
-// in between leaves the binade either.
+// A strip of more than two rounds is leaped: one round r is recorded (the
+// second where a transfer's first round synchronizes clocks that start apart,
+// else the first), and each clock it moved from x to c is set to c + (n−r)·D,
+// D = c − x, Stats advanced by n−r times its counts: the n rounds, bit for
+// bit. A value x of the binade [2^e, 2^(e+1)) lies on the grid u = 2^(e−52);
+// while x + t stays below 2^(e+1), fl(x + t) = x + RN_u(t) whatever x is,
+// unless t is a tie (t mod u = u/2). Each value of a round is a clock as the
+// round found it, its source, plus such additions, carried between clocks by
+// the maxes of Send and Multicast. While each value keeps its source's binade
+// and each max its strict winner, round k is round r with each value raised
+// by (k−r)·D of its source, and where each clock ends carrying a source of
+// its own D, round k+1 starts raised by (k−r+1)·D. Projected to round n, the
+// recorded values show both: values rise, so one below its binade's end at
+// round n is below it in every round between, and a max's sides are affine in
+// the round, so a strict winner at rounds r and n wins every round between.
+// The projections, multiples of u below 2^(e+1), are exact. Where a check
+// fails, a charged clock is 0, subnormal or below 2^-971 (1/u is then no
+// normal float) or a cost negative or a tie on its operand's grid, the rest is
+// made round by round. A strip of computations only has no max.
 func (m *Machine) ComputeStrip(n int64, charges []Listed, procs []int32) bool {
 	if m.Rec != nil || m.Fault != nil {
 		return false
 	}
+	made := int64(0)
 	if n > 2 {
-		n -= m.leap(n, charges, procs)
+		made = m.leap(n, charges, procs)
 	}
-	clock := m.Clock
+	if stripped != nil {
+		stripped(charges, n, made == n)
+	}
+	m.rounds(n-made, charges, procs)
+	return true
+}
+
+// stripped, when set, is told of every strip ComputeStrip makes: its charges,
+// its rounds, and whether it leapt (a test's census).
+var stripped func(charges []Listed, n int64, leapt bool)
+
+// rounds makes n rounds of a strip's charges (ComputeStrip), recording them
+// while m.tape is on.
+func (m *Machine) rounds(n int64, charges []Listed, procs []int32) {
+	clock, tp, rec := m.Clock, &m.tape, m.tape.on
 	for ; n > 0; n-- {
 		for i := range charges {
 			c := &charges[i]
@@ -303,51 +321,145 @@ func (m *Machine) ComputeStrip(n int64, charges []Listed, procs []int32) bool {
 			case c.From >= 0:
 				m.multicast(int(c.From), on, m.Params.ElemBytes)
 			case c.T != 0: // (Compute adds no zero)
+				if rec {
+					tp.adds(clock, on, c.T)
+					continue
+				}
 				for _, p := range on {
 					clock[p] += c.T
 				}
 			}
 		}
 	}
-	return true
 }
 
-// leap makes n rounds of a strip of computations only (ComputeStrip) and
-// returns the rounds it made: n, 1 where it declined after making the first,
-// 0 where the strip has a transfer.
-func (m *Machine) leap(n int64, charges []Listed, procs []int32) int64 {
-	for i := range charges {
-		if charges[i].From >= 0 {
-			return 0
+// tape records one round of a strip for its leap (ComputeStrip): the clocks
+// as it found them (then at round n); on a strip with a transfer, the highest
+// value each of them reached, the clock whose round-start value each clock
+// carries, and the maxes between values of two sources.
+type tape struct {
+	on, same bool
+	x, top   []float64
+	src      []int32
+	maxes    []contest
+}
+
+// contest is a max of v, carried from clock sv's round-start value, and w,
+// carried from sw's.
+type contest struct {
+	v, w   float64
+	sv, sw int32
+}
+
+func (tp *tape) add(x, t float64) { tp.same = tp.same && roundsAlike(x, t) }
+
+// adds adds t to each listed clock and records it, testing the addition only
+// where the clock's biased exponent, which decides it with t, differs from the
+// last.
+func (tp *tape) adds(clock []float64, on []int32, t float64) {
+	last := uint64(1 << 12) // no exponent
+	for _, p := range on {
+		if be := math.Float64bits(clock[p]) >> 52; be != last {
+			tp.same, last = tp.same && roundsAlike(clock[p], t), be
 		}
+		clock[p] += t
 	}
-	clock, before := m.Clock, m.before
-	copy(before, clock)
-	repeats := true
+}
+
+// contest records the max of v, carried from where clock from's value is, and
+// clock to, before clock to takes the winner.
+func (tp *tape) contest(clock []float64, v float64, from, to int) {
+	sv, w, sw := tp.src[from], clock[to], tp.src[to]
+	tp.same = tp.same && v != w
+	if sv != sw { // (two values of one source keep their order: they move alike)
+		tp.maxes = append(tp.maxes, contest{v, w, sv, sw})
+	}
+	if v > w {
+		tp.reach(sw, w)
+		tp.src[to] = sv
+	}
+	tp.reach(sv, v)
+}
+
+// reach records that a value carried from clock s's round-start value is v.
+func (tp *tape) reach(s int32, v float64) {
+	if v > tp.top[s] {
+		tp.top[s] = v
+	}
+}
+
+// leap makes the n rounds of a strip (ComputeStrip) up to the one it records,
+// and the rest at once where they provably repeat it; it returns the rounds it
+// made: n, or those up to the recorded one where it declined.
+func (m *Machine) leap(n int64, charges []Listed, procs []int32) int64 {
+	tp, made, carried := &m.tape, int64(1), false
+	lo, hi := len(m.Clock), 0 // the range of clocks the lists (each ascending) name
 	for i := range charges {
 		c := &charges[i]
-		if c.T == 0 {
-			continue
+		if carried = carried || c.From >= 0; c.N > 0 {
+			lo, hi = min(lo, int(procs[c.Lo])), max(hi, int(procs[c.Lo+c.N-1])+1)
 		}
-		for _, p := range procs[c.Lo : c.Lo+c.N] {
-			if repeats {
-				repeats = roundsAlike(clock[p], c.T)
+	}
+	tp.src = tp.src[:0]
+	if carried { // every clock may move
+		lo, hi = 0, len(m.Clock)
+		if tp.src == nil { // (a machine that leaps no transfer allocates nothing)
+			tp.src, tp.maxes = make([]int32, 0, hi), make([]contest, 0, 4*hi)
+		}
+		for p := range m.Clock {
+			tp.src = append(tp.src, int32(p))
+		}
+		m.rounds(1, charges, procs) // round 1 synchronizes clocks that start apart
+		made++
+		copy(tp.top, m.Clock)
+	}
+	lo = min(lo, hi)
+	clock, x, st := m.Clock[lo:hi], tp.x[lo:hi], &m.Stats
+	copy(x, clock)
+	msgs, p2p, bytes, bcasts := st.Messages, st.PointToPoint, st.BytesMoved, st.Broadcasts
+	tp.on, tp.same, tp.maxes = true, true, tp.maxes[:0]
+	m.rounds(1, charges, procs)
+	tp.on = false
+	if !tp.same {
+		return made
+	}
+	k := float64(n - made)
+	for p, s := range tp.src {
+		tp.reach(s, clock[p])
+	}
+	for p, c := range clock { // x becomes the clocks at round n
+		most := c
+		if carried && tp.top[p] > most {
+			most = tp.top[p]
+		}
+		if xp := x[p]; most != xp { // (else c is xp: D is 0)
+			d := c - xp // D, exact while c stays in x's binade
+			if most+k*d >= binadeEnd(xp) {
+				return made
 			}
-			clock[p] += c.T
+			x[p] = c + k*d
 		}
 	}
-	if !repeats {
-		return 1
+	// Each clock's x − c is now (n−r)·D, exactly.
+	for p, s := range tp.src {
+		if x[s]-clock[s] != x[p]-clock[p] {
+			return made
+		}
 	}
-	for p, c := range clock {
-		x := before[p]
-		if d := c - x; d != 0 {
-			if before[p] = x + float64(n)*d; before[p] >= binadeEnd(x) {
-				return 1
+	for _, c := range tp.maxes {
+		if lv, lw := x[c.sv]-clock[c.sv], x[c.sw]-clock[c.sw]; lv != lw {
+			vn, wn := c.v+lv, c.w+lw
+			if vn == wn || vn > wn != (c.v > c.w) {
+				return made
 			}
 		}
 	}
-	copy(clock, before) // each moved clock leaped, the others as they were
+	copy(clock, x)
+	r := n - made
+	st.Messages += r * (st.Messages - msgs)
+	st.PointToPoint += r * (st.PointToPoint - p2p)
+	st.BytesMoved += r * (st.BytesMoved - bytes)
+	st.Broadcasts += r * (st.Broadcasts - bcasts)
 	return n
 }
 
@@ -359,8 +471,8 @@ func roundsAlike(x, t float64) bool {
 	if be < 52 || be > 2046 || t < 0 {
 		return false
 	}
-	s := t * math.Float64frombits((2098-be)<<52) // t/u, exactly: 1/u = 2^(1075-be)
-	return s-math.Trunc(s) != 0.5
+	s := t * math.Float64frombits((2098-be)<<52)    // t/u, exactly: 1/u = 2^(1075-be)
+	return s >= 1<<52 || s-float64(int64(s)) != 0.5 // (from 2^52 on s is whole)
 }
 
 // binadeEnd is 2^(e+1) for x in [2^e, 2^(e+1)).
@@ -459,6 +571,11 @@ func (m *Machine) Send(from, to int, bytes int64) {
 		}
 	}
 	arrive := depart + m.xferTime(bytes)
+	if m.tape.on {
+		m.tape.add(depart, m.Params.Overhead)
+		m.tape.add(depart, m.xferTime(bytes))
+		m.tape.contest(m.Clock, arrive, from, to)
+	}
 	if arrive > m.Clock[to] {
 		m.Clock[to] = arrive
 	}
@@ -495,7 +612,15 @@ func (m *Machine) multicast(from int, procs []int32, bytes int64) {
 	cost += m.collectiveFaultDelay(k, bytes)
 	done := m.Clock[from] + cost
 	m.Clock[from] += float64(rounds) * m.Params.Overhead
+	tp, taped := &m.tape, m.tape.on
+	if taped {
+		tp.add(start, cost)
+		tp.add(start, float64(rounds)*m.Params.Overhead)
+	}
 	for _, p := range procs {
+		if taped {
+			tp.contest(m.Clock, done, from, int(p))
+		}
 		if done > m.Clock[p] {
 			m.Clock[p] = done
 		}

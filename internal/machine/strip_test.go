@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"phpf/internal/dist"
@@ -115,6 +116,13 @@ func strip(m *Machine, cs []listed, n int64) bool {
 	return m.ComputeStrip(n, charges, procs)
 }
 
+// leaps is strip, and whether ComputeStrip leapt.
+func leaps(m *Machine, cs []listed, n int64) (ok, leapt bool) {
+	defer func(old func([]Listed, int64, bool)) { stripped = old }(stripped)
+	stripped = func(_ []Listed, _ int64, l bool) { leapt = l }
+	return strip(m, cs, n), leapt
+}
+
 func sameClocks(a, b []float64) bool {
 	for p := range a {
 		if math.Float64bits(a[p]) != math.Float64bits(b[p]) {
@@ -191,16 +199,23 @@ func transferCases(P int) []listed {
 // Compute, Send and Multicast: every clock to the bit and every Stats field.
 // A strip that took a multicast's synchronization (its max) once for all the
 // rounds, or counted a message once per strip, would read otherwise from two
-// rounds on.
+// rounds on. On more than one processor the strips of more than two rounds
+// leap: the first multicast synchronizes every clock from round 1 on. On one,
+// every transfer is local and the computations carry the clock out of its
+// binade.
 func TestComputeStripTransfers(t *testing.T) {
 	for _, P := range []int{1, 3, 16} {
 		cs := transferCases(P)
-		for _, n := range []int64{1, 2, 31, 32, 33} {
+		for _, n := range []int64{1, 2, 3, 31, 32, 33} {
 			t.Run(fmt.Sprintf("P=%d/n=%d", P, n), func(t *testing.T) {
 				want, got := withClocks(P), withClocks(P)
 				rounds(want, cs, n)
-				if !strip(got, cs, n) {
+				ok, leapt := leaps(got, cs, n)
+				if !ok {
 					t.Fatal("no recorder, no faults, and still not one operation")
+				}
+				if leapt != (P > 1 && n > 2) {
+					t.Errorf("leapt %v", leapt)
 				}
 				if !sameClocks(got.Clock, want.Clock) {
 					t.Errorf("clocks %v, the rounds leave %v", got.Clock, want.Clock)
@@ -230,12 +245,15 @@ func TestComputeStripDeclines(t *testing.T) {
 	}
 }
 
-// leapCase is a strip of computations only over P processors from named
-// clocks: the clocks it starts from and its charges.
+// leapCase is a strip over P processors from named clocks: the clocks it
+// starts from, its charges, the machine's parameters (zero: SP2's) and, where
+// set, whether the strip of n rounds must leap.
 type leapCase struct {
 	name   string
 	clocks func(P int) []float64
 	cs     func(g *dist.Grid) []listed
+	params Params
+	leaps  func(P int, n int64) bool
 }
 
 // ulp is the grid of the binade x lies in.
@@ -256,7 +274,8 @@ func clocksAt(other float64, at map[int]float64) func(P int) []float64 {
 }
 
 // leapCases are the edges of the leap's proof, each a strip the leap must
-// decline or leap to the rounds' own bits: a clock of 0 (no binade), a clock
+// decline or leap to the rounds' own bits. Of computations only: a clock of 0
+// (no binade), a clock
 // three ulps below a power of two that a cost of one and a quarter of its ulps
 // brings to it in the third round and carries above it after (where the same
 // cost rounds to a whole ulp of the next binade: twice as much), a clock that
@@ -264,48 +283,103 @@ func clocksAt(other float64, at map[int]float64) func(P int) []float64 {
 // odd multiple of half an ulp, which round-half-even rounds by the clock's
 // last bit: one ulp more from an odd clock in the first round, none from an
 // even one), and a cost below half an ulp, which moves the clock 10^6 by
-// nothing while it moves the others.
+// nothing while it moves the others. With transfers: a multicast that
+// synchronizes every clock from round 1 on (it leaps, however long); a send
+// that loses its max to a clock moving by a smaller D until about round 14,
+// when it wins (it leaps 3 rounds and no more); a multicast that overtakes
+// its receiver in round 2, which then carries a source moving by another D
+// than the receiver's round 2 measured (it must decline); a multicast whose
+// done lies above 2^-2 while its sender stays below, where each done is a tie
+// on its grid that round-half-even settles up and down in turn, and whose
+// receiver starts just where the second done raises it by the sender's own D
+// (it must decline, or the receiver ends an ulp off); and a send whose
+// receiver adds a tie on the grid of the value it received (it must decline).
 func leapCases() []leapCase {
 	sp2, below := SP2(), math.Ldexp(1, -3)
 	u := ulp(math.Nextafter(below, 0))
+	quarter := math.Ldexp(1, -2)
+	v := ulp(math.Nextafter(quarter, 0)) // the grid below 2^-2: done's is 2v
+	never := func(int, int64) bool { return false }
 	flops := func(g *dist.Grid) []listed {
 		all := dist.AllProcs(g)
 		return []listed{list(all, sp2.GuardTime), list(only(g, 0), 2*sp2.FlopTime), list(all, 3*sp2.FlopTime)}
 	}
 	return []leapCase{
-		{"zero clock", clocksAt(1.5e-3, map[int]float64{0: 0}), flops},
+		{"zero clock", clocksAt(1.5e-3, map[int]float64{0: 0}), flops, Params{}, nil},
 		{"few ulps below 2^-3", clocksAt(below-3*u, nil), func(g *dist.Grid) []listed {
 			return []listed{list(dist.AllProcs(g), 1.25*u)}
-		}},
-		{"crossing 2^-3 near round 100", clocksAt(0.75e-3, map[int]float64{0: below - 100*(sp2.GuardTime+2*sp2.FlopTime+3*sp2.FlopTime)}), flops},
-		{"at 2^-7", clocksAt(math.Ldexp(1, -7), map[int]float64{2: 2.5e-2}), flops},
+		}, Params{}, nil},
+		{"crossing 2^-3 near round 100", clocksAt(0.75e-3, map[int]float64{0: below - 100*(sp2.GuardTime+2*sp2.FlopTime+3*sp2.FlopTime)}), flops, Params{}, nil},
+		{"at 2^-7", clocksAt(math.Ldexp(1, -7), map[int]float64{2: 2.5e-2}), flops, Params{}, nil},
 		{"tie on an odd clock", clocksAt(1+ulp(1), nil), func(g *dist.Grid) []listed {
 			return []listed{list(dist.AllProcs(g), 1.5*ulp(1))}
-		}},
+		}, Params{}, nil},
 		{"tie on an even clock", clocksAt(1, nil), func(g *dist.Grid) []listed {
 			return []listed{list(dist.AllProcs(g), 0.5*ulp(1)), list(only(g, 0), 3*ulp(1))}
-		}},
+		}, Params{}, nil},
 		{"below half an ulp", clocksAt(2.5e-3, map[int]float64{0: 1e6}), func(g *dist.Grid) []listed {
 			return []listed{list(dist.AllProcs(g), 0.4*ulp(1e6)), list(dist.AllProcs(g), 0)}
-		}},
+		}, Params{}, nil},
+		{"steady multicast", func(P int) []float64 {
+			c := make([]float64, P)
+			for p := range c {
+				c[p] = 4 + float64(p)*1e-6
+			}
+			return c
+		}, func(g *dist.Grid) []listed {
+			all := dist.AllProcs(g)
+			return []listed{list(all, sp2.GuardTime), multicast(all, g.Size()-1), list(only(g, 0), 2*sp2.FlopTime)}
+		}, Params{}, func(int, int64) bool { return true }},
+		{"winner flips near round 14", func(P int) []float64 {
+			return clocksAt(0.3, map[int]float64{P - 1: 0.3 + 200e-6})(P)
+		}, func(g *dist.Grid) []listed {
+			last := g.Size() - 1
+			return []listed{list(only(g, 0), 3e-6), list(only(g, last), 1e-6), send(g, 0, last)}
+		}, Params{}, func(P int, n int64) bool { return P == 1 || n == 3 }},
+		{"overtaken in round 2", func(P int) []float64 {
+			return clocksAt(0.2, map[int]float64{0: 0.3, P - 1: 0.3 + 60e-6})(P)
+		}, func(g *dist.Grid) []listed {
+			return []listed{list(only(g, 0), 5e-6), multicast(only(g, g.Size()-1), 0)}
+		}, Params{}, func(P int, _ int64) bool { return P == 1 }},
+		{"done above 2^-2, its sender below", func(P int) []float64 {
+			return clocksAt(0.2, map[int]float64{0: quarter - 802*v, P - 1: quarter + 206*v})(P)
+		}, func(g *dist.Grid) []listed {
+			return []listed{multicast(only(g, g.Size()-1), 0)}
+		}, Params{Latency: 1001 * v, Overhead: 6 * v, Bandwidth: 8e300, FlopTime: 1, ElemBytes: 8},
+			func(P int, _ int64) bool { return P == 1 }},
+		{"tie on a receiver's grid", func(P int) []float64 {
+			return clocksAt(0.75, map[int]float64{0: 1 + 3*ulp(1)})(P)
+		}, func(g *dist.Grid) []listed {
+			last := g.Size() - 1
+			return []listed{list(only(g, 0), ulp(1)), send(g, 0, last), list(only(g, last), 1.5*ulp(1))}
+		}, Params{}, never},
 	}
 }
 
 // TestComputeStripLeapEdges holds the leaped strip to its rounds, every clock
-// to the bit and every Stats field, on each edge of the proof: a strip that
-// leapt over a tie or out of its clock's binade would read otherwise.
+// to the bit and every Stats field, on each edge of the proof, and pins where
+// it leaps: a strip that leapt over a tie, out of a value's binade or past a
+// max whose winner changes would read otherwise.
 func TestComputeStripLeapEdges(t *testing.T) {
 	for _, c := range leapCases() {
+		params := c.params
+		if params == (Params{}) {
+			params = SP2()
+		}
 		for _, P := range []int{1, 3, 16} {
 			for _, n := range []int64{3, 10000} {
 				t.Run(fmt.Sprintf("%s/P=%d/n=%d", c.name, P, n), func(t *testing.T) {
-					want, got := New(grid(P), SP2()), New(grid(P), SP2())
+					want, got := New(grid(P), params), New(grid(P), params)
 					copy(want.Clock, c.clocks(P))
 					copy(got.Clock, want.Clock)
 					cs := c.cs(grid(P))
 					rounds(want, cs, n)
-					if !strip(got, cs, n) {
+					ok, leapt := leaps(got, cs, n)
+					if !ok {
 						t.Fatal("no recorder, no faults, and still not one operation")
+					}
+					if c.leaps != nil && leapt != c.leaps(P, n) {
+						t.Errorf("leapt %v", leapt)
 					}
 					if !sameClocks(got.Clock, want.Clock) {
 						t.Errorf("clocks %v, the rounds leave %v", got.Clock, want.Clock)
@@ -340,10 +414,11 @@ func (b *fuzzBytes) bits(n int) uint64 {
 	return v & (1<<n - 1)
 }
 
-// clock is 0, a few ulps below 2^-k, 2^-k, or uniform over the floats of
-// [2^-k, 2^(1-k)), k within 3 of the case's scale.
+// clock is 0, a few ulps below 2^-k, 2^-k, uniform over the floats of
+// [2^-k, 2^(1-k)), or up to 2048 ulps below or above 2^-k, k within 3 of the
+// case's scale.
 func (b *fuzzBytes) clock(scale int) float64 {
-	kind, pow := b.next()%4, math.Ldexp(1, -scale-b.next()%4)
+	kind, pow := b.next()%6, math.Ldexp(1, -scale-b.next()%4)
 	switch kind {
 	case 0:
 		return 0
@@ -351,6 +426,10 @@ func (b *fuzzBytes) clock(scale int) float64 {
 		return pow - float64(1+b.next()%4)*ulp(math.Nextafter(pow, 0))
 	case 2:
 		return pow
+	case 4:
+		return pow - float64(1+b.bits(11))*ulp(math.Nextafter(pow, 0))
+	case 5:
+		return pow + float64(b.bits(11))*ulp(pow)
 	}
 	return math.Float64frombits(math.Float64bits(pow) | b.bits(52))
 }
@@ -388,43 +467,94 @@ func (b *fuzzBytes) set(g *dist.Grid) dist.ProcSet {
 	return only(g, b.next()%g.Size())
 }
 
+// fuzzSeeds are FuzzComputeStrip's seed corpus: three mixed cases, three
+// steady strips of more than two rounds — a send and two multicasts — that
+// leap (TestFuzzSeedsLeap), and a multicast on a machine on its clocks' grid
+// that must not.
+var fuzzSeeds = [][]byte{
+	{3, 1, 20, 2, 2, 0, 1, 0, 2, 0, 7, 0, 200},
+	{15, 2, 4, 1, 4, 2, 3, 1, 1, 3, 3, 0, 0, 2, 1, 5, 1, 2, 0, 255},
+	{2, 3, 60, 9, 9, 1, 6, 8, 0, 1, 1, 53, 1, 1, 5, 2, 100},
+	{2, 128, 0, 63, 249, 223, 123, 235, 241, 78, 16, 12, 249, 22, 145, 164, 147, 229},
+	{2, 183, 0, 191, 19, 234, 11, 58, 142, 186, 212, 160, 130, 56, 23, 252, 170, 180},
+	{2, 117, 0, 47, 209, 164, 158, 216, 50, 246, 158, 110, 156, 99, 180, 83, 236, 4},
+	// TestComputeStripLeapEdges' "done above 2^-2, its sender below" at P=2.
+	{1, 6, 1, 3, 232, 6, 4, 0, 3, 33, 5, 0, 0, 103, 0, 0, 0, 0, 0, 2, 3, 1, 0, 3},
+}
+
 // FuzzComputeStrip holds ComputeStrip to its rounds — every clock to the bit
 // and every Stats field — on up to 16 processors from clocks at and around
 // powers of two, costs that are ties, flops, guards or neither, up to six
 // computations, an optional send or multicast among them, and up to 300
 // rounds. Clocks and ties are drawn near one scale a case, so that a tie
-// often falls on the grid of a clock it is added to.
+// often falls on the grid of a clock it is added to; a steady case's leap of a
+// transfer is what stands between a wrong winner or binade and a wrong clock.
 func FuzzComputeStrip(f *testing.F) {
-	f.Add([]byte{3, 1, 20, 2, 2, 0, 1, 0, 2, 0, 7, 0, 200})
-	f.Add([]byte{15, 2, 4, 1, 4, 2, 3, 1, 1, 3, 3, 0, 0, 2, 1, 5, 1, 2, 0, 255})
-	f.Add([]byte{2, 3, 60, 9, 9, 1, 6, 8, 0, 1, 1, 53, 1, 1, 5, 2, 100})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b := fuzzBytes(data)
-		P, scale := 1+b.next()%16, b.next()%40-4
-		g := grid(P)
-		want, got := New(g, SP2()), New(g, SP2())
-		for p := range want.Clock {
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzStrip(t, data) })
+}
+
+// fuzzStrip is one case of FuzzComputeStrip; it reports whether the strip has
+// more than two rounds and a transfer that moves a clock, and whether it
+// leapt. One case in four is steady: its clocks lie low in one binade, so that
+// the rounds' values can stay there. One in four has a machine on the grid of
+// the case's scale: its latency and overhead are a few of the grid's ulps, so
+// that a transfer's sums cross powers of two and fall on ties of the grid.
+func fuzzStrip(t *testing.T, data []byte) (transfer, leapt bool) {
+	b := fuzzBytes(data)
+	P, scale, mode := 1+b.next()%16, b.next()%40-4, b.next()%4
+	g, params := grid(P), SP2()
+	if mode == 1 { // (a bandwidth this high adds nothing to the latency)
+		w := ulp(math.Nextafter(math.Ldexp(1, -scale), 0))
+		params = Params{Latency: float64(1+b.bits(11)) * w, Overhead: float64(b.next()%16) * w,
+			Bandwidth: 8e300, FlopTime: 1, ElemBytes: 8}
+	}
+	want, got := New(g, params), New(g, params)
+	for p := range want.Clock {
+		if mode == 0 { // low in one binade of [1/8, 2): room for the rounds
+			want.Clock[p] = math.Ldexp(1+float64(b.bits(16))/(1<<20), -(scale & 3))
+		} else {
 			want.Clock[p] = b.clock(scale)
 		}
-		copy(got.Clock, want.Clock)
-		var cs []listed
-		for i := 1 + b.next()%6; i > 0; i-- {
-			cs = append(cs, list(b.set(g), b.cost(scale)))
+	}
+	copy(got.Clock, want.Clock)
+	var cs []listed
+	for i := 1 + b.next()%6; i > 0; i-- {
+		cs = append(cs, list(b.set(g), b.cost(scale)))
+	}
+	switch at, from := b.next()%(len(cs)+1), b.next()%P; b.next() % 3 {
+	case 1:
+		cs = append(cs[:at], append([]listed{send(g, from, b.next()%P)}, cs[at:]...)...)
+	case 2:
+		cs = append(cs[:at], append([]listed{multicast(b.set(g), from)}, cs[at:]...)...)
+	}
+	n := int64(b.bits(16)) % 301
+	rounds(want, cs, n)
+	ok, leapt := leaps(got, cs, n)
+	if !ok {
+		t.Fatal("no recorder, no faults, and still not one operation")
+	}
+	if !sameClocks(got.Clock, want.Clock) || got.Stats != want.Stats {
+		t.Errorf("P=%d n=%d: clocks %v, stats %+v; the rounds leave %v, %+v",
+			P, n, got.Clock, got.Stats, want.Clock, want.Stats)
+	}
+	moves := func(c listed) bool { return c.to >= 0 && c.from != c.to || c.to < 0 && c.from >= 0 && len(c.procs) > 0 }
+	return n > 2 && slices.ContainsFunc(cs, moves), leapt
+}
+
+// TestFuzzSeedsLeap runs FuzzComputeStrip's seeds and requires the steady
+// transfer strips among them to leap, so that the fuzz target holds the leap
+// of a transfer to its rounds, not only the rounds to themselves.
+func TestFuzzSeedsLeap(t *testing.T) {
+	leapt := 0
+	for _, seed := range fuzzSeeds {
+		if transfer, l := fuzzStrip(t, seed); transfer && l {
+			leapt++
 		}
-		switch at, from := b.next()%(len(cs)+1), b.next()%P; b.next() % 3 {
-		case 1:
-			cs = append(cs[:at], append([]listed{send(g, from, b.next()%P)}, cs[at:]...)...)
-		case 2:
-			cs = append(cs[:at], append([]listed{multicast(b.set(g), from)}, cs[at:]...)...)
-		}
-		n := int64(b.bits(16)) % 301
-		rounds(want, cs, n)
-		if !strip(got, cs, n) {
-			t.Fatal("no recorder, no faults, and still not one operation")
-		}
-		if !sameClocks(got.Clock, want.Clock) || got.Stats != want.Stats {
-			t.Errorf("P=%d n=%d: clocks %v, stats %+v; the rounds leave %v, %+v",
-				P, n, got.Clock, got.Stats, want.Clock, want.Stats)
-		}
-	})
+	}
+	if leapt < 3 {
+		t.Errorf("%d seeds leap a transfer strip, the three steady ones should", leapt)
+	}
 }

@@ -9,7 +9,8 @@
 # legality test is what stands between a sweep and a wrong answer), FuzzOwnerRun
 # the owner-run closed form (dist.AxisMap.OwnerRun) to brute force over
 # OwnerDim, FuzzComputeStrip the machine's strip (leaped where rounding repeats)
-# to its rounds of Compute, Send and Multicast, bit for bit. Go allows one
+# to its rounds of Compute, Send and Multicast, bit for bit (thirty seconds too:
+# it is the legality test between a leap and a wrong clock). Go allows one
 # -fuzz target per invocation, so each runs separately.
 # scripts/check.sh and `make fuzz` both run this list.
 set -eu
@@ -25,5 +26,5 @@ go test -run='^$' -fuzz=FuzzLowerExpr -fuzztime="$fuzztime" ./internal/eval
 go test -run='^$' -fuzz=FuzzFoldMatchesRun -fuzztime="$fuzztime" ./internal/eval
 go test -run='^$' -fuzz=FuzzSweepBody -fuzztime=30s ./internal/eval
 go test -run='^$' -fuzz=FuzzOwnerRun -fuzztime="$fuzztime" ./internal/dist
-go test -run='^$' -fuzz=FuzzComputeStrip -fuzztime="$fuzztime" ./internal/machine
+go test -run='^$' -fuzz=FuzzComputeStrip -fuzztime=30s ./internal/machine
 go test -run='^$' -fuzz=FuzzAutoPriv -fuzztime="$fuzztime" .
