@@ -7,12 +7,14 @@ package phpf
 import (
 	"context"
 	"testing"
+
+	"phpf/internal/programs"
 )
 
 // TestAblationVectorization: without message vectorization the TOMCATV
 // stencil shifts degrade to per-iteration messages.
 func TestAblationVectorization(t *testing.T) {
-	src := TOMCATVSource(33, 2)
+	src := programs.TOMCATV(33, 2)
 	on, err := runCell(src, 8, SelectedOptions(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +38,7 @@ func TestAblationVectorization(t *testing.T) {
 // TestAblationDependenceTest: without the Banerjee-style test, DGEFA's
 // pivot-column broadcast cannot be hoisted out of the update loops.
 func TestAblationDependenceTest(t *testing.T) {
-	src := DGEFASource(64)
+	src := programs.DGEFA(64)
 	on, err := runCell(src, 8, SelectedOptions(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +83,7 @@ func TestAblationControlPrivatization(t *testing.T) {
 
 // TestAblationValuesUnchanged: ablations may change time, never results.
 func TestAblationValuesUnchanged(t *testing.T) {
-	src := DGEFASource(16)
+	src := programs.DGEFA(16)
 	base, err := Compile(src, 4, SelectedOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -9,11 +9,12 @@ import (
 	"time"
 
 	"phpf/internal/diag"
+	"phpf/internal/programs"
 )
 
 func compileSmooth(t *testing.T, nprocs int) *Compiled {
 	t.Helper()
-	c, err := Compile(SmoothSource(64, 2), nprocs, SelectedOptions())
+	c, err := Compile(programs.Smooth(64, 2), nprocs, SelectedOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestBackendInterface(t *testing.T) {
 // TestSimulatorContextCancel checks the simulator honors a cancelled
 // context: the new entry point must abort mid-run with the context's error.
 func TestSimulatorContextCancel(t *testing.T) {
-	c, err := Compile(TOMCATVSource(129, 50), 8, SelectedOptions())
+	c, err := Compile(programs.TOMCATV(129, 50), 8, SelectedOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ end
 	// DGEFA's pivot reductions (a conditional max and its maxloc companion)
 	// never get a combine attached — the demand must be validated against
 	// the reduce plan itself, not just the attached combines.
-	d, err := Compile(DGEFASource(32), 4, SelectedOptions())
+	d, err := Compile(programs.DGEFA(32), 4, SelectedOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

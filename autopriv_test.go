@@ -38,10 +38,10 @@ func TestStrippedFiguresCompileInferMode(t *testing.T) {
 func TestInferMatchesAnnotated(t *testing.T) {
 	ctx := context.Background()
 	sources := []struct{ name, src string }{
-		{"tomcatv", TOMCATVSource(17, 2)},
-		{"dgefa", DGEFASource(24)},
-		{"appsp-1d", APPSPSource(6, 6, 6, 1, false)},
-		{"appsp-2d", APPSPSource(6, 6, 6, 1, true)},
+		{"tomcatv", programs.TOMCATV(17, 2)},
+		{"dgefa", programs.DGEFA(24)},
+		{"appsp-1d", programs.APPSP(6, 6, 6, 1, false)},
+		{"appsp-2d", programs.APPSP(6, 6, 6, 1, true)},
 	}
 	for _, name := range FigureNames() {
 		src, _ := FigureSource(name)
@@ -131,7 +131,7 @@ func FuzzAutoPriv(f *testing.F) {
 		f.Add(src)
 		f.Add(programs.FiguresUnannotated[name])
 	}
-	f.Add(SmoothSource(16, 2))
+	f.Add(programs.Smooth(16, 2))
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {
 			t.Skip("oversized input")

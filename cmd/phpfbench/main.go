@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"phpf"
+	"phpf/internal/programs"
 )
 
 func main() {
@@ -88,10 +89,10 @@ func main() {
 		dApN, dApIter = apN, apIter
 	}
 	sweepProgs := []phpf.DiffProgram{
-		{Name: fmt.Sprintf("TOMCATV(n=%d,niter=%d)", dTomN, dTomIter), Source: phpf.TOMCATVSource(dTomN, dTomIter)},
-		{Name: fmt.Sprintf("DGEFA(n=%d)", dDgeN), Source: phpf.DGEFASource(dDgeN)},
-		{Name: fmt.Sprintf("APPSP-1D(%d^3,niter=%d)", dApN, dApIter), Source: phpf.APPSPSource(dApN, dApN, dApN, dApIter, false)},
-		{Name: fmt.Sprintf("APPSP-2D(%d^3,niter=%d)", dApN, dApIter), Source: phpf.APPSPSource(dApN, dApN, dApN, dApIter, true)},
+		{Name: fmt.Sprintf("TOMCATV(n=%d,niter=%d)", dTomN, dTomIter), Source: programs.TOMCATV(dTomN, dTomIter)},
+		{Name: fmt.Sprintf("DGEFA(n=%d)", dDgeN), Source: programs.DGEFA(dDgeN)},
+		{Name: fmt.Sprintf("APPSP-1D(%d^3,niter=%d)", dApN, dApIter), Source: programs.APPSP(dApN, dApN, dApN, dApIter, false)},
+		{Name: fmt.Sprintf("APPSP-2D(%d^3,niter=%d)", dApN, dApIter), Source: programs.APPSP(dApN, dApN, dApN, dApIter, true)},
 	}
 
 	if *reduceSweep {
@@ -102,8 +103,8 @@ func main() {
 			dn, dm = 128, 48
 		}
 		kernels := []phpf.DiffProgram{
-			{Name: fmt.Sprintf("Histogram(n=%d,m=%d,niter=%d)", hn, hm, hiter), Source: phpf.HistogramSource(hn, hm, hiter)},
-			{Name: fmt.Sprintf("DotSweep(n=%d,m=%d)", dn, dm), Source: phpf.DotSweepSource(dn, dm)},
+			{Name: fmt.Sprintf("Histogram(n=%d,m=%d,niter=%d)", hn, hm, hiter), Source: programs.Histogram(hn, hm, hiter)},
+			{Name: fmt.Sprintf("DotSweep(n=%d,m=%d)", dn, dm), Source: programs.DotSweep(dn, dm)},
 		}
 		t := phpf.ReduceSweep(kernels, procs, *maxSec)
 		if err := t.Run(); err != nil {
@@ -126,9 +127,9 @@ func main() {
 		// Chaos needs smaller programs still: each plan runs both backends,
 		// the concurrent one with real checkpoint barriers and restores.
 		chaosProgs := []phpf.DiffProgram{
-			{Name: "TOMCATV(n=33,niter=2)", Source: phpf.TOMCATVSource(33, 2)},
-			{Name: "DGEFA(n=32)", Source: phpf.DGEFASource(32)},
-			{Name: "APPSP-2D(6^3,niter=1)", Source: phpf.APPSPSource(6, 6, 6, 1, true)},
+			{Name: "TOMCATV(n=33,niter=2)", Source: programs.TOMCATV(33, 2)},
+			{Name: "DGEFA(n=32)", Source: programs.DGEFA(32)},
+			{Name: "APPSP-2D(6^3,niter=1)", Source: programs.APPSP(6, 6, 6, 1, true)},
 		}
 		rows, err := phpf.ChaosSweep(context.Background(), chaosProgs, 4, phpf.DefaultChaosPlans())
 		if err != nil {
@@ -166,9 +167,9 @@ func main() {
 			source string
 			procs  int
 		}{
-			{fmt.Sprintf("TOMCATV (n=%d, niter=%d, p=8)", tomN, tomIter), phpf.TOMCATVSource(tomN, tomIter), 8},
-			{fmt.Sprintf("DGEFA (n=%d, p=8)", dgeN), phpf.DGEFASource(dgeN), 8},
-			{fmt.Sprintf("APPSP (%dx%dx%d, niter=%d, 2-D, p=8)", apN, apN, apN, apIter), phpf.APPSPSource(apN, apN, apN, apIter, true), 8},
+			{fmt.Sprintf("TOMCATV (n=%d, niter=%d, p=8)", tomN, tomIter), programs.TOMCATV(tomN, tomIter), 8},
+			{fmt.Sprintf("DGEFA (n=%d, p=8)", dgeN), programs.DGEFA(dgeN), 8},
+			{fmt.Sprintf("APPSP (%dx%dx%d, niter=%d, 2-D, p=8)", apN, apN, apN, apIter), programs.APPSP(apN, apN, apN, apIter, true), 8},
 		}
 		for _, s := range sweeps {
 			t := phpf.FaultSweep(s.title, s.source, s.procs, rates, *faultSeed, *maxSec)

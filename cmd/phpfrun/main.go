@@ -46,6 +46,7 @@ import (
 
 	"phpf"
 	"phpf/internal/fault"
+	"phpf/internal/programs"
 )
 
 func main() {
@@ -80,11 +81,11 @@ func main() {
 	var source string
 	switch {
 	case *tomcatv:
-		source = phpf.TOMCATVSource(*n, *iters)
+		source = programs.TOMCATV(*n, *iters)
 	case *dgefa:
-		source = phpf.DGEFASource(*n)
+		source = programs.DGEFA(*n)
 	case *appsp:
-		source = phpf.APPSPSource(*n, *n, *n, *iters, *twoD)
+		source = programs.APPSP(*n, *n, *n, *iters, *twoD)
 	case flag.NArg() == 1:
 		data, err := os.ReadFile(flag.Arg(0))
 		if err != nil {

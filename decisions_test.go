@@ -12,6 +12,7 @@ import (
 
 	"phpf/internal/dist"
 	"phpf/internal/ir"
+	"phpf/internal/programs"
 	"phpf/internal/spmd"
 )
 
@@ -19,13 +20,13 @@ import (
 // the seven kernels at the differential oracles' test sizes — in name order.
 func decisionCorpus() []struct{ name, src string } {
 	corpus := []struct{ name, src string }{
-		{"appsp1d", APPSPSource(4, 4, 4, 1, false)},
-		{"appsp2d", APPSPSource(4, 4, 4, 1, true)},
-		{"dgefa", DGEFASource(12)},
-		{"dotsweep", DotSweepSource(16, 12)},
-		{"histogram", HistogramSource(96, 16, 2)},
-		{"smooth", SmoothSource(24, 2)},
-		{"tomcatv", TOMCATVSource(10, 2)},
+		{"appsp1d", programs.APPSP(4, 4, 4, 1, false)},
+		{"appsp2d", programs.APPSP(4, 4, 4, 1, true)},
+		{"dgefa", programs.DGEFA(12)},
+		{"dotsweep", programs.DotSweep(16, 12)},
+		{"histogram", programs.Histogram(96, 16, 2)},
+		{"smooth", programs.Smooth(24, 2)},
+		{"tomcatv", programs.TOMCATV(10, 2)},
 	}
 	for _, name := range FigureNames() {
 		src, _ := FigureSource(name)

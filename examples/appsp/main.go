@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"phpf"
+	"phpf/internal/programs"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 
 	// Show the privatization decision for c under both distributions.
 	for _, twoD := range []bool{false, true} {
-		c, err := phpf.Compile(phpf.APPSPSource(*n, *n, *n, 1, twoD), 16, phpf.SelectedOptions())
+		c, err := phpf.Compile(programs.APPSP(*n, *n, *n, 1, twoD), 16, phpf.SelectedOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"phpf"
+	"phpf/internal/programs"
 )
 
 func main() {
@@ -36,7 +37,7 @@ func main() {
 	fmt.Println("share of the execution time grows with the processor count.")
 
 	// Show where the pivot-search variables were placed.
-	c, err := phpf.Compile(phpf.DGEFASource(*n), 8, phpf.SelectedOptions())
+	c, err := phpf.Compile(programs.DGEFA(*n), 8, phpf.SelectedOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,9 +10,10 @@ import (
 	"log"
 
 	"phpf"
+	"phpf/internal/programs"
 )
 
-var source = phpf.SmoothSource(4096, 20)
+var source = programs.Smooth(4096, 20)
 
 func main() {
 	for _, cfg := range []struct {

@@ -3,13 +3,15 @@ package phpf
 import (
 	"context"
 	"testing"
+
+	"phpf/internal/programs"
 )
 
 // TestDGEFALossyRunDeterministic is the headline acceptance property: two
 // runs of DGEFA with the same fault seed and a 1% loss rate agree on every
 // reported number, and retransmissions actually occurred.
 func TestDGEFALossyRunDeterministic(t *testing.T) {
-	src := DGEFASource(64)
+	src := programs.DGEFA(64)
 	opts := RunOptions{Fault: &FaultPlan{Seed: 7, LossRate: 0.01}}
 	run := func() *Report {
 		c, err := Compile(src, 8, SelectedOptions())
@@ -35,7 +37,7 @@ func TestDGEFALossyRunDeterministic(t *testing.T) {
 // zero-rate column matches the fault-free run, and lossy cells retransmit.
 func TestFaultSweepShape(t *testing.T) {
 	rates := []float64{0, 0.02}
-	rows := runTable(t, FaultSweep("DGEFA n=48, p=8", DGEFASource(48), 8, rates, 3, 0), "faultsweep")
+	rows := runTable(t, FaultSweep("DGEFA n=48, p=8", programs.DGEFA(48), 8, rates, 3, 0), "faultsweep")
 	if len(rows) != 3 {
 		t.Fatalf("want 3 strategy rows, got %d", len(rows))
 	}

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"phpf/internal/programs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden dump files")
@@ -110,8 +112,8 @@ func TestGoldenDumpStability(t *testing.T) {
 // Run with -update after an intentional change to the cost model.
 func TestGoldenPaperCells(t *testing.T) {
 	reduce := ReduceSweep([]DiffProgram{
-		{Name: "Histogram(256,32,4)", Source: HistogramSource(256, 32, 4)},
-		{Name: "DotSweep(48,24)", Source: DotSweepSource(48, 24)},
+		{Name: "Histogram(256,32,4)", Source: programs.Histogram(256, 32, 4)},
+		{Name: "DotSweep(48,24)", Source: programs.DotSweep(48, 24)},
 	}, []int{8}, 0)
 	reduce.Title, reduce.Corner, reduce.LabelWidth = "Reduce sweep (P=8)", "program", -19
 	full := func(c Cell) string {
@@ -138,7 +140,7 @@ func TestGoldenPaperCells(t *testing.T) {
 			plans = append(plans, p)
 		}
 	}
-	rows, err := ChaosSweep(context.Background(), []DiffProgram{{Name: "DGEFA(48)", Source: DGEFASource(48)}}, 4, plans)
+	rows, err := ChaosSweep(context.Background(), []DiffProgram{{Name: "DGEFA(48)", Source: programs.DGEFA(48)}}, 4, plans)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,9 @@ type RunOptions struct {
 	StallTimeout time.Duration
 
 	// Trace, when non-nil, records runtime events into Report.Trace: the
-	// simulator stamps simulated time, the concurrent executor wall time
-	// (one shard per worker, so tracing adds no locking). A traced run also
+	// simulator the cost model's, in simulated time; the concurrent executor
+	// only its workers' planned sends and receives and their waits, in wall
+	// time (one shard per worker, so tracing adds no locking). A traced run also
 	// attributes its simulated time to statements (Report.HotStatements),
 	// identically on both backends. Nil keeps the event path of both
 	// backends emission- and allocation-free.

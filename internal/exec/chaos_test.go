@@ -42,7 +42,9 @@ func chaosConfigs(cleanTime float64) map[string]Config {
 // TestChaosMatrix is the chaos gate: for every seeded fault plan, the
 // concurrent executor must agree with the simulator under the same plan —
 // bitwise on every scalar and array element, on all cost-model statistics
-// including the fault counters, and on per-class trace event counts.
+// including the fault counters, and on the per-class planned messages and the
+// per-statement time of the traced run, whose concurrent trace holds only
+// Send, Recv and Wait events.
 // Includes mid-loop fail-stop crashes recovered via coordinated
 // checkpoint/restart. Run under -race this is also the concurrency soak for
 // the fault machinery.
@@ -81,6 +83,7 @@ func TestChaosMatrix(t *testing.T) {
 				if !rep.Match() {
 					t.Fatal(rep.String())
 				}
+				onlyTraffic(t, rep.Exec.Trace)
 				hasCrash := d.Fault.Active() && len(d.Fault.Crashes) > 0
 				if hasCrash {
 					if rep.Sim.Stats.Crashes == 0 {

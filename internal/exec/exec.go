@@ -56,6 +56,13 @@
 // channel traffic is checked independently, through per-edge sequence
 // numbers, requirement tags, and the watchdog.
 //
+// A traced run records only what the workers alone observe, in wall time:
+// each worker's send and receive of a message the cost model charges
+// (tracePlanned), and each wait blocked on a peer. The cost model's own
+// events — computation, reductions, merges, checkpoints, restarts, faults —
+// are the simulator's trace; Diff ties the two through Stats, the planned
+// messages per class, and the per-statement time.
+//
 // A fault plan's message loss, duplication and slowdowns are what they are
 // on the simulator: charges of the replayed account, which Diff compares.
 // The mailboxes lose nothing. Only crashes are physical (chaos.go): a worker
@@ -200,8 +207,8 @@ type executor struct {
 	// planned tag by (name).
 	reqs []*comm.Requirement
 
-	// rec, when non-nil, receives wall-time events; start anchors the time
-	// axis at run start.
+	// rec, when non-nil, receives the workers' Send, Recv and Wait events in
+	// wall time; start anchors the time axis at run start.
 	rec   *trace.Recorder
 	start time.Time
 
@@ -306,14 +313,6 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 		if ex.chaos || i == 0 {
 			workers[i].acct = eval.NewAccount(st, cfg)
 		}
-	}
-	if ex.chaos && ex.rec != nil {
-		// Worker 0's machine contributes the fault-protocol events
-		// (checkpoint/restart/fault) stamped with wall time; everything else
-		// the workers emit themselves from real activity, so nothing is
-		// double-counted.
-		m := workers[0].acct.M
-		m.Rec, m.FaultEventsOnly, m.Now = ex.rec, true, ex.wall
 	}
 
 	if stall > 0 {
@@ -843,22 +842,13 @@ func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) err
 	return w.exchange(req.ID, planned, w.st.Section(req), w.silent(req))
 }
 
-// Reduce charges the collective combine of a reduction scalar and traces it.
+// Reduce charges the collective combine of a reduction scalar.
 // No value travels here: the accumulator was folded in iteration order where
 // the updates ran, and the schedule's hand-off has brought its combined value
 // to every member of set (HandOff).
 func (w *worker) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
 	if w.charges() {
 		w.acct.Reduce(m, set)
-	}
-	if count := set.Count(); count > 1 && w.proc == set.First() && w.traces() {
-		// One Reduce event per collective at the set's first member —
-		// structurally identical to the simulator's emission.
-		if m.Def.Stmt != nil {
-			w.setAttr(m.Def.Stmt.ID, dist.CommNone, 0)
-		}
-		w.emit(trace.Reduce, -1, 0, w.elemBytes()*int64(count), -1)
-		w.clearAttr()
 	}
 	return nil
 }
@@ -918,22 +908,10 @@ func (w *worker) Operands(req *comm.Requirement) error {
 	return w.exchange(tagSection, nil, w.st.Section(req), w.silent(req))
 }
 
-// TreeMerge charges the merge whose rows MergeRow shipped and traces it.
+// TreeMerge charges the merge whose rows MergeRow shipped.
 func (w *worker) TreeMerge(c *spmd.Combine, elems int64, hops []eval.MergeHop) error {
 	if w.charges() {
 		w.acct.TreeMerge(c, elems, hops)
-	}
-	if w.traces() && w.proc == 0 && len(hops) > 0 {
-		// One Reduce event per merge at the tree root, stamped with the
-		// merged-row count — structurally identical to the simulator's
-		// TreeMerge emission (protocol-tagged hop traffic is invisible to
-		// tracePlanned, like the hand-offs).
-		w.ex.rec.Emit(w.proc, trace.Event{
-			Time: w.ex.wall(), Bytes: elems * w.elemBytes() * int64(len(hops)),
-			Kind: trace.Reduce, Class: dist.CommNone,
-			Proc: int32(w.proc), Peer: -1, Stmt: int32(c.Red.Stmt.ID), Req: -1,
-			Merged: int32(w.ex.n),
-		})
 	}
 	return nil
 }
@@ -977,37 +955,22 @@ func (w *worker) Transfer(req *comm.Requirement, op eval.InstanceOp) error {
 	return err
 }
 
-// Compute is traced on the processors that execute the instance, with the
-// cost model's charge as duration: noise-free attribution for the timeline.
+// Compute has no traffic: only the accountant pays it.
 func (w *worker) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	if w.charges() {
 		w.acct.Compute(st, set, flops)
 	}
-	w.traceCompute(st, set, flops)
 }
 
-func (w *worker) traceCompute(st *ir.Stmt, set dist.ProcSet, flops int) {
-	if flops > 0 && w.traces() && set.Contains(w.proc) {
-		w.setAttr(st.ID, dist.CommNone, 0)
-		w.emit(trace.Compute, -1, float64(flops)*w.ex.cfg.Params.FlopTime, 0, -1)
-		w.clearAttr()
-	}
-}
-
-// Iteration is the accountant's charges, this worker's Compute events, and
-// the tick: a quiet iteration has no traffic. In chaos mode (a crash site per
-// tick), when tracing or under a tick hook each iteration is closed on its
-// own; otherwise the strip's charges are one operation, and its end the one
-// watchdog tick and cancellation poll.
+// Iteration is the accountant's charges and the tick: a quiet iteration has
+// no traffic. In chaos mode (a crash site per tick) or under a tick hook each
+// iteration is closed on its own; otherwise the strip's charges are one
+// operation, and its end the one watchdog tick and cancellation poll.
 func (w *worker) Iteration(charges []eval.Charge, n int64) (int64, error) {
-	if w.ex.chaos || w.ex.rec != nil || w.ex.hooks.tick != nil {
+	if w.ex.chaos || w.ex.hooks.tick != nil {
 		return eval.EachIteration(n, func() error {
 			if w.charges() {
 				w.acct.Charges(charges, 1)
-			}
-			for i := 0; i < len(charges) && w.traces(); i++ {
-				c := &charges[i]
-				w.traceCompute(c.Stmt, c.Set, c.Flops) // a guard has no flops, and no event
 			}
 			return w.Tick()
 		})

@@ -17,8 +17,8 @@ import (
 // reduce-sweep kernels, every mapping strategy, processor counts 1..8, and
 // both runtime reduction strategies, the concurrent executor must agree
 // with the simulator bit-for-bit — scalars, arrays, all cost-model
-// statistics (including the merge counter), and the traced reduce/merge
-// event counts. The tree merge's fold order is a pure function of the
+// statistics (including the merge counter); the simulator's trace counts the
+// merged rows. The tree merge's fold order is a pure function of the
 // processor count, which is exactly what this pins. Run under -race this is
 // also the concurrency soak for the merge-verification protocol.
 func TestReduceDifferMatrix(t *testing.T) {
@@ -40,7 +40,7 @@ func TestReduceDifferMatrix(t *testing.T) {
 						if !rep.Match() {
 							t.Fatal(rep.String())
 						}
-						merged := rep.Exec.Trace.MergedCount()
+						merged := rep.Sim.Trace.MergedCount()
 						switch {
 						case mode == core.ReduceCollective && rep.Sim.Stats.Merges != 0:
 							t.Errorf("collective run tree-merged %d times", rep.Sim.Stats.Merges)

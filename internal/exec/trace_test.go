@@ -11,10 +11,10 @@ import (
 )
 
 // TestDifferTraceAgreement extends the differential oracle to event level:
-// with tracing on, the per-communication-class message/byte counts, the
-// reduction-collective count and the per-statement time attribution of the
-// concurrent executor must equal the simulator's exactly, for every program,
-// strategy, and processor count.
+// with tracing on, the per-communication-class message/byte counts and the
+// per-statement time attribution of the concurrent executor must equal the
+// simulator's exactly, for every program, strategy, and processor count, and
+// the concurrent trace must hold only the traffic it alone can record.
 // Under -race this also exercises concurrent emission into the per-worker
 // shards against the live atomic counters.
 func TestDifferTraceAgreement(t *testing.T) {
@@ -37,6 +37,7 @@ func TestDifferTraceAgreement(t *testing.T) {
 					if !rep.Sim.Trace.Enabled() || !rep.Exec.Trace.Enabled() {
 						t.Fatal("expected both results to carry a trace")
 					}
+					onlyTraffic(t, rep.Exec.Trace)
 					// The class totals the comparison relied on must come
 					// from real activity whenever the stats say messages
 					// flowed as planned communication.
@@ -50,6 +51,16 @@ func TestDifferTraceAgreement(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// onlyTraffic fails unless every event of the concurrent trace r is a Send, a
+// Recv or a Wait: the cost model's events are the simulator's trace alone.
+func onlyTraffic(t *testing.T, r *trace.Recorder) {
+	t.Helper()
+	n := r.KindCount(trace.Send) + r.KindCount(trace.Recv) + r.KindCount(trace.Wait)
+	if seen := r.Seen(); seen != n {
+		t.Fatalf("concurrent trace: %d events, %d of them Send, Recv or Wait", seen, n)
 	}
 }
 

@@ -122,16 +122,6 @@ type Machine struct {
 	// simulated time and the attribution set via SetAttr. Nil keeps the
 	// cost paths allocation- and emission-free.
 	Rec *trace.Recorder
-	// FaultEventsOnly restricts emission to Checkpoint/Restart/Fault
-	// events. The concurrent backend replays the cost model on a machine
-	// per worker but its workers emit Compute/Send/Recv themselves from
-	// real activity; worker 0's replay machine contributes only the
-	// fault-protocol events so nothing is double-counted.
-	FaultEventsOnly bool
-	// Now, when non-nil, overrides the timestamp of emitted events (the
-	// concurrent backend stamps its fault events with the run's wall
-	// clock while the charges themselves stay in simulated time).
-	Now func() float64
 
 	// dsts lists a Multicast's destinations (scratch).
 	dsts []int32
@@ -171,12 +161,6 @@ func (m *Machine) emit(k trace.Kind, proc, peer int, t, dur float64, bytes int64
 // emitMerged is emit for the one event that carries a merged-row count (a
 // tree merge's Reduce).
 func (m *Machine) emitMerged(k trace.Kind, proc, peer int, t, dur float64, bytes int64, merged int) {
-	if m.FaultEventsOnly && k != trace.Checkpoint && k != trace.Restart && k != trace.Fault {
-		return
-	}
-	if m.Now != nil {
-		t = m.Now()
-	}
 	m.Rec.Emit(0, trace.Event{
 		Time: t, Dur: dur, Bytes: bytes, Kind: k, Class: m.attrClass,
 		Proc: int32(proc), Peer: int32(peer), Stmt: m.attrStmt, Req: m.attrReq,

@@ -499,15 +499,19 @@ func FuzzComputeStrip(f *testing.F) {
 // fuzzStrip is one case of FuzzComputeStrip; it reports whether the strip has
 // more than two rounds and a transfer that moves a clock, and whether it
 // leapt. One case in four is steady: its clocks lie low in one binade, so that
-// the rounds' values can stay there. One in four has a machine on the grid of
+// the rounds' values can stay there. Two in four have a machine on the grid of
 // the case's scale: its latency and overhead are a few of the grid's ulps, so
-// that a transfer's sums cross powers of two and fall on ties of the grid.
+// that a transfer's sums cross powers of two and fall on ties of the grid. In
+// one of those two the transfer's sender sits under the power of two 2^-scale
+// by what its rounds advance it and a few ulps more: what it sends crosses the
+// power, onto a grid twice as coarse, while the sender stays below.
 func fuzzStrip(t *testing.T, data []byte) (transfer, leapt bool) {
 	b := fuzzBytes(data)
 	P, scale, mode := 1+b.next()%16, b.next()%40-4, b.next()%4
 	g, params := grid(P), SP2()
-	if mode == 1 { // (a bandwidth this high adds nothing to the latency)
-		w := ulp(math.Nextafter(math.Ldexp(1, -scale), 0))
+	pow := math.Ldexp(1, -scale)
+	w := ulp(math.Nextafter(pow, 0))
+	if mode%2 == 1 { // (a bandwidth this high adds nothing to the latency)
 		params = Params{Latency: float64(1+b.bits(11)) * w, Overhead: float64(b.next()%16) * w,
 			Bandwidth: 8e300, FlopTime: 1, ElemBytes: 8}
 	}
@@ -519,18 +523,29 @@ func fuzzStrip(t *testing.T, data []byte) (transfer, leapt bool) {
 			want.Clock[p] = b.clock(scale)
 		}
 	}
-	copy(got.Clock, want.Clock)
 	var cs []listed
 	for i := 1 + b.next()%6; i > 0; i-- {
 		cs = append(cs, list(b.set(g), b.cost(scale)))
 	}
-	switch at, from := b.next()%(len(cs)+1), b.next()%P; b.next() % 3 {
+	at, from := b.next()%(len(cs)+1), b.next()%P
+	var dsts []int32 // the transfer's receivers
+	switch b.next() % 3 {
 	case 1:
-		cs = append(cs[:at], append([]listed{send(g, from, b.next()%P)}, cs[at:]...)...)
+		to := b.next() % P
+		if to != from {
+			dsts = []int32{int32(to)}
+		}
+		cs = append(cs[:at], append([]listed{send(g, from, to)}, cs[at:]...)...)
 	case 2:
-		cs = append(cs[:at], append([]listed{multicast(b.set(g), from)}, cs[at:]...)...)
+		c := multicast(b.set(g), from)
+		dsts = c.procs
+		cs = append(cs[:at], append([]listed{c}, cs[at:]...)...)
 	}
 	n := int64(b.bits(16)) % 301
+	if mode == 3 && len(dsts) > 0 {
+		underPower(want, cs, from, dsts, n, pow, 1+b.next()%16)
+	}
+	copy(got.Clock, want.Clock)
 	rounds(want, cs, n)
 	ok, leapt := leaps(got, cs, n)
 	if !ok {
@@ -542,6 +557,45 @@ func fuzzStrip(t *testing.T, data []byte) (transfer, leapt bool) {
 	}
 	moves := func(c listed) bool { return c.to >= 0 && c.from != c.to || c.to < 0 && c.from >= 0 && len(c.procs) > 0 }
 	return n > 2 && slices.ContainsFunc(cs, moves), leapt
+}
+
+// underPower places a strip's sender under pow, a power of two, by n of its
+// advances (one round from inside the binade below measures one) and off ulps
+// of that binade more, so that what it sends crosses onto the grid twice as
+// coarse while it stays below; and each of its receivers one advance under
+// what the second round delivers to it, so that it first takes a delivery
+// there. Of the offsets off to off+3 it takes the first at which the coarse
+// grid's ties round up and down by turns: the second delivery lands further
+// above the first than the sender advances, and the third does not repeat
+// the second's step.
+func underPower(m *Machine, cs []listed, from int, dsts []int32, n int64, pow float64, off int) {
+	w := ulp(math.Nextafter(pow, 0))
+	probe := New(m.Grid, m.Params)
+	m.Clock[from] = 0.75 * pow
+	copy(probe.Clock, m.Clock)
+	rounds(probe, cs, 1)
+	adv := probe.Clock[from] - m.Clock[from]
+	second := make([]float64, len(dsts))
+	for j := 0; j < 4; j++ {
+		m.Clock[from] = pow - float64(n)*adv - float64(off+j)*w
+		copy(probe.Clock, m.Clock)
+		for _, p := range dsts {
+			probe.Clock[p] = 0
+		}
+		rounds(probe, cs, 1)
+		first := probe.Clock[dsts[0]]
+		rounds(probe, cs, 1)
+		for i, p := range dsts {
+			second[i] = probe.Clock[p]
+		}
+		rounds(probe, cs, 1)
+		if second[0]-first > adv && probe.Clock[dsts[0]]-second[0] != adv {
+			break
+		}
+	}
+	for i, p := range dsts {
+		m.Clock[p] = second[i] - adv
+	}
 }
 
 // TestFuzzSeedsLeap runs FuzzComputeStrip's seeds and requires the steady

@@ -9,11 +9,12 @@ import (
 	"time"
 
 	"phpf"
+	"phpf/internal/programs"
 )
 
 func compiled(t *testing.T) *phpf.Compiled {
 	t.Helper()
-	c, err := phpf.Compile(phpf.SmoothSource(16, 1), 4, phpf.SelectedOptions())
+	c, err := phpf.Compile(programs.Smooth(16, 1), 4, phpf.SelectedOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

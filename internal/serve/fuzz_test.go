@@ -7,6 +7,7 @@ import (
 
 	"phpf"
 	"phpf/internal/diag"
+	"phpf/internal/programs"
 )
 
 // FuzzServeRequest asserts the request decoder's robustness contract on
@@ -23,11 +24,11 @@ func FuzzServeRequest(f *testing.F) {
 		f.Add([]byte(fmt.Sprintf(`{"figure":%q,"procs":8,"opt":"producer","timeout_ms":500,"max_cells":65536}`, fig)))
 		f.Add([]byte(fmt.Sprintf(`{"figure":%q,"procs":4,"chaos":{"seed":7,"loss_rate":0.05,"dup_rate":0.01,"checkpoint_interval":0.05}}`, fig)))
 	}
-	f.Add([]byte(fmt.Sprintf(`{"source":%q,"procs":4,"return_arrays":true}`, phpf.SmoothSource(16, 1))))
+	f.Add([]byte(fmt.Sprintf(`{"source":%q,"procs":4,"return_arrays":true}`, programs.Smooth(16, 1))))
 	// The reduce-sweep kernels in every runtime reduction strategy,
 	// plus a strategy name the validator must reject.
-	f.Add([]byte(fmt.Sprintf(`{"source":%q,"procs":8,"reduce":"privatize"}`, phpf.HistogramSource(64, 16, 2))))
-	f.Add([]byte(fmt.Sprintf(`{"source":%q,"procs":4,"reduce":"collective","return_arrays":true}`, phpf.DotSweepSource(16, 12))))
+	f.Add([]byte(fmt.Sprintf(`{"source":%q,"procs":8,"reduce":"privatize"}`, programs.Histogram(64, 16, 2))))
+	f.Add([]byte(fmt.Sprintf(`{"source":%q,"procs":4,"reduce":"collective","return_arrays":true}`, programs.DotSweep(16, 12))))
 	f.Add([]byte(`{"figure":"figure1","procs":4,"reduce":"bogus"}`))
 	// A directive implying a rank-8 processor grid (above dist.MaxRank).
 	f.Add([]byte(`{"source":"program t\nreal a(2,2,2,2,2,2,2,2)\n!hpf$ processors p(2,2,2,2,2,2,2,2)\n!hpf$ distribute (block,block,block,block,block,block,block,block) :: a\na(1,1,1,1,1,1,1,1) = 1.0\nend\n","procs":4}`))

@@ -15,6 +15,7 @@ import (
 	"phpf"
 	"phpf/internal/diag"
 	"phpf/internal/eval"
+	"phpf/internal/programs"
 )
 
 // RunSpec is the declarative request body shared by /v1/compile, /v1/run,
@@ -102,7 +103,7 @@ func (spec *RunSpec) resolveSource(maxSourceBytes int64) (string, error) {
 		}
 		return spec.Source, nil
 	case spec.Figure == "smooth":
-		return phpf.SmoothSource(64, 4), nil
+		return programs.Smooth(64, 4), nil
 	case spec.Figure != "":
 		src, ok := phpf.FigureSource(spec.Figure)
 		if !ok {

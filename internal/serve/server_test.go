@@ -15,6 +15,7 @@ import (
 
 	"phpf"
 	"phpf/internal/diag"
+	"phpf/internal/programs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -70,7 +71,7 @@ func TestServeHappyPaths(t *testing.T) {
 
 	// Run on both backends; the second identical request must hit the cache.
 	for _, backend := range []string{"sim", "concurrent"} {
-		spec := fmt.Sprintf(`{"source":%q,"procs":4,"backend":%q}`, phpf.SmoothSource(16, 1), backend)
+		spec := fmt.Sprintf(`{"source":%q,"procs":4,"backend":%q}`, programs.Smooth(16, 1), backend)
 		resp, body := postJSON(t, ts.URL+"/v1/run", spec, nil)
 		if resp.StatusCode != 200 {
 			t.Fatalf("run(%s): %d %s", backend, resp.StatusCode, body)
@@ -83,7 +84,7 @@ func TestServeHappyPaths(t *testing.T) {
 			t.Fatalf("run(%s) response incomplete: %s", backend, body)
 		}
 	}
-	spec := fmt.Sprintf(`{"source":%q,"procs":4}`, phpf.SmoothSource(16, 1))
+	spec := fmt.Sprintf(`{"source":%q,"procs":4}`, programs.Smooth(16, 1))
 	resp, _ = postJSON(t, ts.URL+"/v1/run", spec, nil)
 	if got := resp.Header.Get("X-Cache"); got != "hit" {
 		t.Fatalf("repeat run X-Cache = %q, want hit", got)
@@ -92,7 +93,7 @@ func TestServeHappyPaths(t *testing.T) {
 	// Privatization modes are accepted and keyed separately: a
 	// directives-only run of the same program must miss the cache the
 	// infer-mode run just filled.
-	dirSpec := fmt.Sprintf(`{"source":%q,"procs":4,"privatize":"directives"}`, phpf.SmoothSource(16, 1))
+	dirSpec := fmt.Sprintf(`{"source":%q,"procs":4,"privatize":"directives"}`, programs.Smooth(16, 1))
 	resp, body = postJSON(t, ts.URL+"/v1/run", dirSpec, nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("run(privatize=directives): %d %s", resp.StatusCode, body)
@@ -384,7 +385,7 @@ func waitDraining(t *testing.T, s *Server) {
 func TestServeChaosRequest(t *testing.T) {
 	_, ts := newTestServer(t, Config{Chaos: true})
 	spec := fmt.Sprintf(`{"source":%q,"procs":4,"backend":"concurrent","chaos":{"seed":11,"loss_rate":0.05,"checkpoint_interval":0.05}}`,
-		phpf.SmoothSource(16, 1))
+		programs.Smooth(16, 1))
 	resp, body := postJSON(t, ts.URL+"/v1/run", spec, nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("chaos run: %d %s", resp.StatusCode, body)

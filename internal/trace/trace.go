@@ -1,11 +1,13 @@
 // Package trace is the runtime observability layer shared by both execution
-// backends: a low-overhead recorder of typed execution events (compute,
-// message send/receive, waits, reductions, checkpoints, restarts, faults),
-// each carrying processor, timestamp, byte count, peer, statement and
-// communication-class attribution. The sequential simulator stamps simulated
-// time; the concurrent executor stamps wall time — so the two traces are
-// structurally comparable event for event (the differential oracle checks
-// exactly that), while their time axes mean different things.
+// backends: a low-overhead recorder of typed execution events, each carrying
+// processor, timestamp, byte count, peer, statement and communication-class
+// attribution. The sequential simulator records the cost model in simulated
+// time: computation, message send/receive, reductions, checkpoints, restarts
+// and faults. The concurrent executor records only what its workers alone
+// observe, in wall time: each send and receive of a planned message, and each
+// wait on a peer. The differential oracle compares the two traces' planned
+// messages per communication class; the model's other events are the
+// simulator's alone.
 //
 // Design constraints, in order:
 //

@@ -69,8 +69,7 @@ type (
 	// Slowdown is a transient per-processor compute slowdown.
 	Slowdown = fault.Slowdown
 	// TraceOptions configures runtime event tracing (see trace.Options):
-	// ring capacity and 1-in-N sampling. The derived counters stay exact
-	// regardless.
+	// 1-in-N sampling. The derived counters stay exact regardless.
 	TraceOptions = trace.Options
 	// TraceRecorder is the recorded event stream of one run plus its exact
 	// derived metrics (per-class totals, the P×P communication matrix,
@@ -339,9 +338,10 @@ func (concurrentBackend) Run(ctx context.Context, p *spmd.Program, opts RunOptio
 // Diff runs the program through both backends under the one configuration —
 // optionally traced, and optionally under a seeded fault plan and checkpoint
 // interval — and compares numeric results, communication statistics
-// (including the fault and recovery counters), and (when traced) per-class
-// event counts bit-for-bit. Every configuration the concurrent backend takes,
-// Diff takes; an invalid one returns a coded E005 diagnostic.
+// (including the fault and recovery counters), simulated time and (when
+// traced) the planned messages and bytes per communication class and the
+// per-statement time bit-for-bit. Every configuration the concurrent backend
+// takes, Diff takes; an invalid one returns a coded E005 diagnostic.
 func (c *Compiled) Diff(ctx context.Context, opts RunOptions) (*DiffReport, error) {
 	return exec.Diff(ctx, c.SPMD, opts)
 }
@@ -523,32 +523,7 @@ func (c *Compiled) CommReport() string {
 }
 
 // ---------------------------------------------------------------------------
-// Benchmark sources (the paper's §5 programs)
-
-// TOMCATVSource returns the TOMCATV kernel (§5.1) at the given size.
-func TOMCATVSource(n, niter int) string { return programs.TOMCATV(n, niter) }
-
-// DGEFASource returns the DGEFA kernel (§5.2) at the given size.
-func DGEFASource(n int) string { return programs.DGEFA(n) }
-
-// APPSPSource returns the APPSP-style kernel (§5.3); twoD selects the fixed
-// 2-D distribution, otherwise the 1-D distribution with transposes.
-func APPSPSource(nx, ny, nz, niter int, twoD bool) string {
-	return programs.APPSP(nx, ny, nz, niter, twoD)
-}
-
-// SmoothSource returns the quickstart example's three-point smoothing
-// kernel: the smallest program with real nearest-neighbor communication.
-func SmoothSource(n, niter int) string { return programs.Smooth(n, niter) }
-
-// HistogramSource returns the reduce sweep's commutative-update histogram
-// kernel: h(key(i)) = h(key(i)) + 1 through a data-dependent subscript. Its
-// counts are integers, so every reduction strategy reproduces it exactly.
-func HistogramSource(n, m, niter int) string { return programs.Histogram(n, m, niter) }
-
-// DotSweepSource returns the reduce sweep's dot-product sweep kernel:
-// r(j) = r(j) + x(i,j)*y(i,j) carried by the i-loop.
-func DotSweepSource(n, m int) string { return programs.DotSweep(n, m) }
+// Figure sources (the benchmark programs are internal/programs')
 
 // FigureSource returns one of the paper's figure examples ("figure1",
 // "figure2", "figure4", "figure5", "figure6", "figure7").

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"phpf/internal/programs"
 )
 
 func TestCompileAndRunQuickstart(t *testing.T) {
@@ -160,8 +162,8 @@ func TestTable3Small(t *testing.T) {
 // reference on both reduce-sweep kernels, and the rendering is pinned.
 func TestReduceSweepSmall(t *testing.T) {
 	tbl := ReduceSweep([]DiffProgram{
-		{Name: "Histogram(n=64,m=8,niter=2)", Source: HistogramSource(64, 8, 2)},
-		{Name: "DotSweep(n=16,m=8)", Source: DotSweepSource(16, 8)},
+		{Name: "Histogram(n=64,m=8,niter=2)", Source: programs.Histogram(64, 8, 2)},
+		{Name: "DotSweep(n=16,m=8)", Source: programs.DotSweep(16, 8)},
 	}, []int{2, 4}, 0)
 	if err := tbl.Run(); err != nil {
 		t.Fatal(err)
@@ -184,7 +186,7 @@ func TestCellAbortedString(t *testing.T) {
 // TestProfileAttribution: a traced run attributes all simulated time to
 // statements and ranks the hot ones first.
 func TestProfileAttribution(t *testing.T) {
-	src := TOMCATVSource(17, 2)
+	src := programs.TOMCATV(17, 2)
 	c, err := Compile(src, 4, SelectedOptions())
 	if err != nil {
 		t.Fatal(err)

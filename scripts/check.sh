@@ -13,7 +13,9 @@ go vet ./...
 # seeded fault plan (loss, duplication, slowdown, checkpointing, mid-loop
 # fail-stop healed by checkpoint/restart, and the mix) on the concurrent
 # executor must agree bitwise with the simulator under the identical plan —
-# results, fault-accounting statistics, and per-class trace event counts.
+# results, fault-accounting statistics, simulated time, and, traced, the
+# planned messages per communication class and the per-statement time — and
+# its concurrent trace must hold only Send, Recv and Wait events.
 go test -race ./...
 
 # The benchmark is a module of its own (bench/go.mod) that the commands above
@@ -297,6 +299,26 @@ if grep -rnE 'WallInjector|wireNet|sendWire|DropAttempt|sleepWall|\bWire[A-Z]' -
 fi
 if [ "$(ls internal/exec/*.go | grep -v '_test\.go$' | xargs cat | grep -cE '^[[:space:]]*go[[:space:]]')" -gt 2 ]; then
     echo "check: non-test internal/exec has more than two go statements (the worker spawn and the watchdog)" >&2
+    exit 1
+fi
+
+# Wall-time-trace gate (DESIGN.md §9): the concurrent trace holds only what
+# the workers alone observe, in wall time — each planned message's Send and
+# Recv, and each Wait — and the cost model's events are the simulator's trace.
+# Fail when a copy of the model comes back: a machine event filter or clock
+# override for the executor (FaultEventsOnly, a Now func field), a model event
+# kind in non-test internal/exec, an event built outside worker.emit, or a
+# machine given a recorder there. Nor may phpf.go forward the benchmark
+# sources again (a func ...Source declaration but FigureSource, which bench/
+# uses): callers call internal/programs.
+machinesrc="$(ls internal/machine/*.go | grep -v '_test\.go$')"
+if grep -nE '\bFaultEventsOnly\b|\bNow[[:space:]]+func\b' $machinesrc ||
+    grep -nE 'trace\.(Compute|Reduce|Fault|Checkpoint|Restart)\b' $execsrc ||
+    [ "$(cat $execsrc | grep -c 'trace\.Event{')" != 1 ] ||
+    ! awk '/^func \(w \*worker\) emit\(/,/^}/' $execsrc | grep -q 'trace\.Event{' ||
+    grep -nE '\.Rec([[:space:]]*,[^=]*)?[[:space:]]*=([^=]|$)' $execsrc ||
+    grep -nE '^func [A-Za-z0-9_]+Source\(' phpf.go | grep -v 'func FigureSource('; then
+    echo "check: the concurrent trace copies the cost model again (Machine.FaultEventsOnly or Now, a Compute/Reduce/Fault/Checkpoint/Restart event or a trace.Event outside worker.emit in internal/exec, a machine's Rec set there), or phpf.go forwards a benchmark source; exec traces Send, Recv and Wait in wall time" >&2
     exit 1
 fi
 

@@ -7,6 +7,8 @@ package phpf
 import (
 	"context"
 	"testing"
+
+	"phpf/internal/programs"
 )
 
 func machineVariants() map[string]MachineParams {
@@ -46,7 +48,7 @@ func timeWith(t *testing.T, src string, procs int, opts Options, p MachineParams
 // TestTable1OrderingRobust: replication > producer > selected on TOMCATV
 // under every machine variant.
 func TestTable1OrderingRobust(t *testing.T) {
-	src := TOMCATVSource(33, 2)
+	src := programs.TOMCATV(33, 2)
 	for name, p := range machineVariants() {
 		repl := timeWith(t, src, 8, NaiveOptions(), p)
 		prod := timeWith(t, src, 8, ProducerOptions(), p)
@@ -60,7 +62,7 @@ func TestTable1OrderingRobust(t *testing.T) {
 // TestTable3OrderingRobust: privatization beats no-privatization on APPSP
 // under every machine variant.
 func TestTable3OrderingRobust(t *testing.T) {
-	src := APPSPSource(6, 12, 12, 1, true)
+	src := programs.APPSP(6, 12, 12, 1, true)
 	noPartial := SelectedOptions()
 	noPartial.PartialPrivatization = false
 	for name, p := range machineVariants() {
@@ -77,7 +79,7 @@ func TestTable3OrderingRobust(t *testing.T) {
 // computation dominates (tiny problems on slow networks are legitimately
 // latency-bound at 16 processors — also true on the real SP2).
 func TestSelectedScalesEverywhere(t *testing.T) {
-	src := TOMCATVSource(129, 2)
+	src := programs.TOMCATV(129, 2)
 	for name, p := range machineVariants() {
 		t1 := timeWith(t, src, 1, SelectedOptions(), p)
 		t16 := timeWith(t, src, 16, SelectedOptions(), p)

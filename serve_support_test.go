@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"phpf/internal/diag"
+	"phpf/internal/programs"
 )
 
 // TestRunOptionsValidate is the zero/negative/absurd-value gate the serving
@@ -55,7 +56,7 @@ func badParams() MachineParams {
 // API: the same breach surfaces as a coded diagnostic from the simulator,
 // the concurrent executor, and the differ.
 func TestMaxCellsBudgetBothBackends(t *testing.T) {
-	c, err := Compile(SmoothSource(64, 2), 4, SelectedOptions())
+	c, err := Compile(programs.Smooth(64, 2), 4, SelectedOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestMaxCellsBudgetBothBackends(t *testing.T) {
 // Diff calls (run under -race in CI): no backend may mutate shared compile
 // artifacts, and results stay deterministic across interleavings.
 func TestCompiledConcurrentReuse(t *testing.T) {
-	c, err := Compile(SmoothSource(32, 2), 4, SelectedOptions())
+	c, err := Compile(programs.Smooth(32, 2), 4, SelectedOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestCompiledConcurrentReuse(t *testing.T) {
 // must happen exactly once however many runs — on either backend — start
 // together, and all of them must see the same result.
 func TestCompiledConcurrentFirstExecution(t *testing.T) {
-	c, err := Compile(SmoothSource(32, 2), 4, SelectedOptions())
+	c, err := Compile(programs.Smooth(32, 2), 4, SelectedOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestCompiledConcurrentFirstExecution(t *testing.T) {
 // options, and the reduce mode all partition the key space; identical
 // inputs collide.
 func TestCacheKeyStability(t *testing.T) {
-	src := SmoothSource(16, 1)
+	src := programs.Smooth(16, 1)
 	k := CacheKey(src, 4, SelectedOptions(), ReduceAuto)
 	if k != CacheKey(src, 4, SelectedOptions(), ReduceAuto) {
 		t.Fatal("identical inputs must produce identical keys")

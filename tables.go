@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"phpf/internal/programs"
 )
 
 // Cell is one measurement in a reproduced table: a simulated execution time,
@@ -157,7 +159,7 @@ func paperTable(title string, width int, procs []int, cols []Column) *Table {
 // producer alignment, and selected alignment. maxSeconds bounds each
 // simulated run (0 = unlimited).
 func Table1TOMCATV(n, niter int, procs []int, maxSeconds float64) *Table {
-	src, run := TOMCATVSource(n, niter), RunOptions{MaxSeconds: maxSeconds}
+	src, run := programs.TOMCATV(n, niter), RunOptions{MaxSeconds: maxSeconds}
 	return paperTable(fmt.Sprintf("Table 1. TOMCATV (n=%d, niter=%d)", n, niter), 18, procs, []Column{
 		{"Replication", src, NaiveOptions(), run},
 		{"Producer Align", src, ProducerOptions(), run},
@@ -168,7 +170,7 @@ func Table1TOMCATV(n, niter int, procs []int, maxSeconds float64) *Table {
 // Table2DGEFA declares Table 2: DGEFA with the reduction variables
 // replicated ("Default") and under the §2.3 mapping ("Alignment").
 func Table2DGEFA(n int, procs []int, maxSeconds float64) *Table {
-	src, run := DGEFASource(n), RunOptions{MaxSeconds: maxSeconds}
+	src, run := programs.DGEFA(n), RunOptions{MaxSeconds: maxSeconds}
 	defOpts := SelectedOptions()
 	defOpts.AlignReductions = false
 	return paperTable(fmt.Sprintf("Table 2. DGEFA (n=%d, (*,cyclic))", n), 18, procs, []Column{
@@ -182,7 +184,7 @@ func Table2DGEFA(n int, procs []int, maxSeconds float64) *Table {
 // and with partial privatization. The no-privatization columns are expected
 // to hit maxSeconds (the paper aborted them after a day).
 func Table3APPSP(nx, ny, nz, niter int, procs []int, maxSeconds float64) *Table {
-	src1, src2 := APPSPSource(nx, ny, nz, niter, false), APPSPSource(nx, ny, nz, niter, true)
+	src1, src2 := programs.APPSP(nx, ny, nz, niter, false), programs.APPSP(nx, ny, nz, niter, true)
 	run := RunOptions{MaxSeconds: maxSeconds}
 	noPriv := SelectedOptions()
 	noPriv.PrivatizeArrays = false
@@ -391,7 +393,7 @@ func DefaultChaosPlans() []ChaosPlan {
 // chaos plan: a clean simulator run fixes the time scale, then the
 // differential oracle executes the seeded plan on both backends — real
 // checkpoint/restart on the concurrent side — and demands bitwise agreement
-// on results, statistics, and fault-event counts.
+// on results, statistics (the fault counters among them), and simulated time.
 func ChaosSweep(ctx context.Context, progs []DiffProgram, nprocs int, plans []ChaosPlan) ([]OracleRow, error) {
 	var rows []OracleRow
 	selected := []Strategy{{"selected", SelectedOptions()}}
