@@ -69,9 +69,9 @@ func typed(f float64, isInt bool) (Const, bool) {
 	return Const{F: f}, !math.IsNaN(f)
 }
 
-// arith is the arithmetic operator table; the relational and logical
+// Arith is the arithmetic operator table, by Op; the relational and logical
 // operators are not folded.
-var arith = [...]func(a, b float64) float64{
+var Arith = [...]func(a, b float64) float64{
 	Add: func(a, b float64) float64 { return a + b },
 	Sub: func(a, b float64) float64 { return a - b },
 	Mul: func(a, b float64) float64 { return a * b },
@@ -85,31 +85,61 @@ type Intrinsic struct {
 	// Flops is the operation count one application is charged (sqrt and exp
 	// weighted heavier, per their latency on 1990s hardware).
 	Flops int
-	// Value computes one application, as the run time does.
-	Value func(args []float64) float64
+	// One is the element function of an intrinsic of one argument, Two of one
+	// of two or more (a variadic application is its left fold): the one
+	// definition, which the fold and both forms of the run time apply.
+	One func(a float64) float64
+	Two func(a, b float64) float64
+}
+
+// Value computes one application, as the run time does.
+func (in Intrinsic) Value(args []float64) float64 {
+	if in.One != nil {
+		return in.One(args[0])
+	}
+	v := args[0]
+	for _, a := range args[1:] {
+		v = in.Two(v, a)
+	}
+	return v
 }
 
 // Intrinsics is the table of recognized intrinsic functions: a new intrinsic
-// is one entry here (the run time may add a specialised closure for speed,
-// see internal/eval/lower.go).
+// is one entry here. max and min keep the first of equals, and a NaN that is
+// not first never wins.
 var Intrinsics = map[string]Intrinsic{
-	"abs":  {1, 1, func(a []float64) float64 { return math.Abs(a[0]) }},
-	"sqrt": {1, 8, func(a []float64) float64 { return math.Sqrt(a[0]) }},
-	"exp":  {1, 8, func(a []float64) float64 { return math.Exp(a[0]) }},
-	"max":  {-1, 1, func(a []float64) float64 { return pick(a, func(x, best float64) bool { return x > best }) }},
-	"min":  {-1, 1, func(a []float64) float64 { return pick(a, func(x, best float64) bool { return x < best }) }},
-	"mod":  {2, 1, func(a []float64) float64 { return math.Mod(a[0], a[1]) }},
+	"abs":  {Arity: 1, Flops: 1, One: math.Abs},
+	"sqrt": {Arity: 1, Flops: 8, One: math.Sqrt},
+	"exp":  {Arity: 1, Flops: 8, One: math.Exp},
+	"max": {Arity: -1, Flops: 1, Two: func(x, y float64) float64 {
+		if y > x {
+			return y
+		}
+		return x
+	}},
+	"min": {Arity: -1, Flops: 1, Two: func(x, y float64) float64 {
+		if y < x {
+			return y
+		}
+		return x
+	}},
+	"mod": {Arity: 2, Flops: 1, Two: Mod},
 }
 
-// pick returns the first argument no later one beats.
-func pick(args []float64, beats func(x, best float64) bool) float64 {
-	best := args[0]
-	for _, x := range args[1:] {
-		if beats(x, best) {
-			best = x
+// Mod is the intrinsic mod, math.Mod's value bit for bit: where both operands
+// are integers below 2^53 in magnitude and y ≠ 0, the exact remainder of an
+// integer division, signed like x (a zero too); anything else goes to
+// math.Mod, whose generic loop costs tens of times more.
+func Mod(x, y float64) float64 {
+	if x > -MaxExact && x < MaxExact && y > -MaxExact && y < MaxExact && y != 0 {
+		if i, j := int64(x), int64(y); float64(i) == x && float64(j) == y {
+			if r := i % j; r != 0 {
+				return float64(r)
+			}
+			return math.Copysign(0, x)
 		}
 	}
-	return best
+	return math.Mod(x, y)
 }
 
 // Fold evaluates e at compile time. leaf resolves a reference to a constant
@@ -130,12 +160,12 @@ func Fold(e Expr, leaf func(*Ref) (Const, bool)) (Const, bool) {
 			return typed(-c.Float(), c.IsInt)
 		}
 	case *BinOp:
-		if int(x.Op) >= len(arith) {
+		if int(x.Op) >= len(Arith) {
 			break
 		}
 		if l, ok := Fold(x.L, leaf); ok {
 			if r, ok := Fold(x.R, leaf); ok {
-				return typed(arith[x.Op](l.Float(), r.Float()), l.IsInt && r.IsInt)
+				return typed(Arith[x.Op](l.Float(), r.Float()), l.IsInt && r.IsInt)
 			}
 		}
 	case *Call:

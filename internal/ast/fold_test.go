@@ -2,6 +2,7 @@ package ast
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -126,7 +127,7 @@ func TestIntrinsicsTable(t *testing.T) {
 		"abs": {1, 1}, "sqrt": {1, 8}, "exp": {1, 8}, "max": {-1, 1}, "min": {-1, 1}, "mod": {2, 1},
 	} {
 		in, ok := Intrinsics[name]
-		if !ok || in.Arity != want.arity || in.Flops != want.flops || in.Value == nil {
+		if !ok || in.Arity != want.arity || in.Flops != want.flops || (in.One == nil) == (in.Two == nil) || (in.One != nil) != (want.arity == 1) {
 			t.Errorf("Intrinsics[%q] = %+v (present: %v), want arity %d, flops %d", name, in, ok, want.arity, want.flops)
 		}
 	}
@@ -141,5 +142,42 @@ func TestIntrinsicsTable(t *testing.T) {
 	}
 	if got := Intrinsics["min"].Value([]float64{nan, 1}); !math.IsNaN(got) {
 		t.Errorf("min(NaN, 1) = %v, want NaN", got)
+	}
+}
+
+// TestModMatchesMathMod: Mod is math.Mod bit for bit — on the integer path
+// (integral operands below 2^53, a zero result signed like x) and on every
+// operand it leaves to math.Mod: ±0, NaN, ±Inf, y = ±0, magnitudes from 2^53
+// up, MinInt64, fractions — and on random integers of every size.
+func TestModMatchesMathMod(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	edge := []float64{0, math.Copysign(0, -1), nan, inf, -inf, 1, -1, 2, -2, 3, -7, 7, 13, -13, 0.5, -2.5, 1e-300,
+		MaxExact - 1, -(MaxExact - 1), MaxExact, -MaxExact, MaxExact + 2, 1 << 62, math.MinInt64, -math.MinInt64,
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	check := func(x, y float64) {
+		t.Helper()
+		if got, want := Mod(x, y), math.Mod(x, y); math.Float64bits(got) != math.Float64bits(want) &&
+			!(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("Mod(%v, %v) = %v (%#x), math.Mod %v (%#x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, x := range edge {
+		for _, y := range edge {
+			check(x, y)
+		}
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 200000; i++ {
+		shift := r.IntN(64)
+		x := float64(r.Int64() >> shift)
+		y := float64(r.Int64() >> r.IntN(64))
+		if r.IntN(2) == 0 {
+			x = -x
+		}
+		if r.IntN(2) == 0 {
+			y = -y
+		}
+		check(x, y)
+		check(x, float64(r.IntN(100)-50))
 	}
 }

@@ -103,19 +103,22 @@ func (o ReductionOp) Identity() float64 {
 	return 0
 }
 
-// Fold combines two values under the operation. Folding the identity is a
-// no-op, so partials that never accumulated merge for free.
+// Fold combines two values under the operation, b the later: a max or min is
+// the intrinsic's element function, as the sequential update max(acc, e)
+// computes it — a strictly greater (smaller) b wins, and a tie or a NaN b
+// keeps a. Folding the identity is a no-op, so partials that never
+// accumulated merge for free.
 func (o ReductionOp) Fold(a, b float64) float64 {
 	switch o {
 	case RedProd:
 		return a * b
-	case RedMax:
-		return math.Max(a, b)
-	case RedMin:
-		return math.Min(a, b)
+	case RedMax, RedMin:
+		return picks[o-RedMax](a, b)
 	}
 	return a + b
 }
+
+var picks = [...]func(a, b float64) float64{ast.Intrinsics[RedMax.String()].Two, ast.Intrinsics[RedMin.String()].Two}
 
 // Reduction describes a scalar reduction carried by a loop.
 type Reduction struct {

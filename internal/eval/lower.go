@@ -33,7 +33,7 @@
 // iterations at once, so that the dispatch the closures pay per statement
 // instance is paid per strip. It is a second form of the same expressions, not
 // a second meaning: an operator or intrinsic is one element function
-// (elemental) that both forms apply — only + − × ÷ are spelled out, in each —
+// (elemental, ast.Intrinsics) that both forms apply — only + − × ÷ are spelled out, in each —
 // the kernel admits nothing that can fail, and every other path (the general
 // walk, loud runs, conditions, subscripts, any Backend but the schedule) runs
 // the closures; a quiet run whose dependences a sweep would reverse runs the
@@ -340,7 +340,7 @@ func (lw *lowerer) expr(e ast.Expr, encl *ir.Loop) fexpr {
 		arg := lw.expr(x.X, encl)
 		return func(s *State) float64 { return -arg(s) }
 	case *ast.Not:
-		return unary(elemental["not"].one, lw.expr(x.X, encl))
+		return unary(not, lw.expr(x.X, encl))
 	case *ast.BinOp:
 		return binary(x.Op, lw.expr(x.L, encl), lw.expr(x.R, encl))
 	case *ast.Call:
@@ -391,42 +391,22 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// elemental holds the element functions of the operators and intrinsics, one
-// definition per name — an operator's spelling (ast.Op.String, "not") or an
-// intrinsic's: what the entry of ast.Intrinsics computes, without the argument
-// slice. Both forms of an expression are derived from it, the scalar closures
-// here and the loops of a run kernel (sweep.go); only + − × ÷ are written
-// inline, in each. A variadic intrinsic is the left fold of its two-argument
-// function (max(a, b, c) = max(max(a, b), c)).
-var elemental = map[string]struct {
-	one func(a float64) float64
-	two func(a, b float64) float64
-}{
-	"not":  {one: func(a float64) float64 { return b2f(a == 0) }},
-	"abs":  {one: math.Abs},
-	"sqrt": {one: math.Sqrt},
-	"exp":  {one: math.Exp},
-	"mod":  {two: math.Mod},
-	"max": {two: func(x, y float64) float64 {
-		if y > x {
-			return y
-		}
-		return x
-	}},
-	"min": {two: func(x, y float64) float64 {
-		if y < x {
-			return y
-		}
-		return x
-	}},
-	"==":  {two: func(a, b float64) float64 { return b2f(a == b) }},
-	"/=":  {two: func(a, b float64) float64 { return b2f(a != b) }},
-	"<":   {two: func(a, b float64) float64 { return b2f(a < b) }},
-	"<=":  {two: func(a, b float64) float64 { return b2f(a <= b) }},
-	">":   {two: func(a, b float64) float64 { return b2f(a > b) }},
-	">=":  {two: func(a, b float64) float64 { return b2f(a >= b) }},
-	"and": {two: func(a, b float64) float64 { return b2f(a != 0 && b != 0) }},
-	"or":  {two: func(a, b float64) float64 { return b2f(a != 0 || b != 0) }},
+// elemental holds the element functions of the relational and logical
+// operators, one definition per spelling (ast.Op.String), and not is that of
+// the negation; an intrinsic's are its entry of ast.Intrinsics. Both forms of
+// an expression are derived from them, the scalar closures here and the loops
+// of a run kernel (sweep.go); only + − × ÷ are written inline, in each.
+func not(a float64) float64 { return b2f(a == 0) }
+
+var elemental = map[string]func(a, b float64) float64{
+	"==":  func(a, b float64) float64 { return b2f(a == b) },
+	"/=":  func(a, b float64) float64 { return b2f(a != b) },
+	"<":   func(a, b float64) float64 { return b2f(a < b) },
+	"<=":  func(a, b float64) float64 { return b2f(a <= b) },
+	">":   func(a, b float64) float64 { return b2f(a > b) },
+	">=":  func(a, b float64) float64 { return b2f(a >= b) },
+	"and": func(a, b float64) float64 { return b2f(a != 0 && b != 0) },
+	"or":  func(a, b float64) float64 { return b2f(a != 0 || b != 0) },
 }
 
 // unary and binaryFn are the scalar closures of an element function. Both
@@ -453,7 +433,7 @@ func binary(op ast.Op, l, r fexpr) fexpr {
 		return func(s *State) float64 { return l(s) / r(s) }
 	}
 	if op >= ast.OpEq && op <= ast.OpOr {
-		return binaryFn(elemental[op.String()].two, l, r)
+		return binaryFn(elemental[op.String()], l, r)
 	}
 	return func(s *State) float64 {
 		l(s)
@@ -467,13 +447,13 @@ func binary(op ast.Op, l, r fexpr) fexpr {
 // arity (only a variadic one takes more than two arguments); any shape
 // without an element function goes through evalCall.
 func call(name string, args []fexpr) fexpr {
-	switch el := elemental[name]; {
-	case len(args) == 1 && el.one != nil:
-		return unary(el.one, args[0])
-	case len(args) >= 2 && el.two != nil:
+	switch in := ast.Intrinsics[name]; {
+	case len(args) == 1 && in.One != nil:
+		return unary(in.One, args[0])
+	case len(args) >= 2 && in.Two != nil:
 		f := args[0]
 		for _, a := range args[1:] {
-			f = binaryFn(el.two, f, a)
+			f = binaryFn(in.Two, f, a)
 		}
 		return f
 	}

@@ -896,14 +896,17 @@ func bareGotoEscape(err error) error {
 	return err
 }
 
+// Strip is the longest strip a swept run is closed by.
+const Strip = strip
+
 // Census counts the statement instances of a production walk by the path
 // that ran them — in a quiet owner run, in a loud one, on the general walk —
 // and the runs of either kind; of the quiet instances, those whose run was
 // swept through its kernel and those whose kernel ran them in iteration order
 // (the dependence test refused the sweep); the rest lie in loops that have no
 // kernel, and are run by the closures. Strips counts the operations that
-// closed the quiet iterations (Ops.Iteration): a strip of up to 32 where the
-// kernel runs them, one iteration where the closures do.
+// closed the quiet iterations (Ops.Iteration): a strip of up to Strip where
+// the kernel runs them, one iteration where the closures do.
 type Census struct {
 	Quiet, Loud, General int64
 	QuietRuns, LoudRuns  int64

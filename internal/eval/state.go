@@ -103,11 +103,12 @@ type State struct {
 	offs, steps []int64
 	hoist       span
 
-	// regs is the register file of swept runs (sweep.go), strip values a
-	// register; swept says what became of the quiet run in flight: +1 swept,
-	// -1 its kernel run in iteration order (a sweep would reverse a
-	// dependence), 0 no kernel.
+	// regs is the register file of swept runs (sweep.go), width values a
+	// register (State.registers); swept says what became of the quiet run in
+	// flight: +1 swept, -1 its kernel run in iteration order (a sweep would
+	// reverse a dependence), 0 no kernel.
 	regs  []float64
+	width int
 	swept int8
 
 	// sched is the schedule of the walk in progress (Run), kept with the
@@ -436,7 +437,6 @@ func (s *State) bind(c *code) {
 	s.insts = make([]instEntry, len(c.reqs))
 	offs := make([]int64, 2*len(c.arrs))
 	s.offs, s.steps = offs[:len(c.arrs)], offs[len(c.arrs):]
-	s.regs = make([]float64, int(c.nreg)*strip)
 	s.charges = make([]Charge, 0, c.charges)
 	s.strip = make([]machine.Listed, 0, c.charges)
 	s.listed = make([]int32, 0, c.charges*s.grid.Size())

@@ -13,10 +13,10 @@ import (
 	"phpf/internal/ir"
 )
 
-// strip is the length of a register: a swept run is charged and evaluated this
-// many iterations at a time, so the register file is strip × code.nreg values
-// however long the run.
-const strip = 32
+// strip is the longest a register gets: a swept run is charged and evaluated
+// this many iterations at a time, so the register file is at most strip ×
+// code.nreg values however long the run (State.registers).
+const strip = 128
 
 type kopKind uint8
 
@@ -36,6 +36,7 @@ const (
 	kCopy  // dst = a
 	kStore // the element of access pos = a
 	kLast  // the scalar in slot = a's last element: what the run leaves in it
+	kCarry // the scalar in slot = its value ⊕ a, in iteration order; dst = each value
 )
 
 // kop is one operation of a run kernel. dst, a and b number registers: a
@@ -45,36 +46,42 @@ type kop struct {
 	kind      kopKind
 	dst, a, b int32
 	slot, pos int32
-	stmt      int32 // kStore: the statement's ID
+	stmt      int32 // kStore, kCarry: the statement's ID
 	val       float64
 	one       func(a float64) float64
 	two       func(a, b float64) float64
+	right     bool // kCarry: the scalar is two's right operand
 }
 
-// kscalar is a scalar the body writes, statement first being the first to: its
-// register is its position in the builder's list.
-type kscalar struct{ slot, first int32 }
+// kscalar is a scalar the body writes, written by writes statements, first the
+// first: its register is its position in the builder's list.
+type kscalar struct{ slot, first, writes int32 }
 
 // kernel builds the run kernel of run-lowered loop l (lc.kern; empty when the
-// body has none). It exists when no statement is a privatized reduction
+// body has none). It exists when no statement is an elementwise reduction
 // update, every array access of the body is enlisted — so a run that hoisted
 // the guards knows every address — and every read of a scalar the body writes
-// follows a write by an earlier statement of the body: the scalar is private
-// to an iteration, one register. Everything else an expression can hold — a
-// data-dependent subscript, an intrinsic applied in a shape without an element
-// function, an unknown name — is what can fail at run time, and has no
-// operation: a kernel cannot park an error on the State.
+// follows a write by an earlier statement of the body — the scalar is private
+// to an iteration, one register — or is the carried operand of its one write,
+// s = s ⊕ e (a kCarry, which a scalar reduction update is too). Everything
+// else an expression can hold — a data-dependent subscript, an intrinsic
+// applied in a shape without an element function, an unknown name — is what
+// can fail at run time, and has no operation: a kernel cannot park an error on
+// the State.
 func (lw *lowerer) kernel(l *ir.Loop) {
 	lc := &lw.c.loops[l.ID]
 	stmts := lw.c.stmts[lc.body.lo : lc.body.lo+lc.body.n]
 	kb := kbuilder{lw: lw, scalars: lw.kscalars[:0],
 		arrs: lw.c.arrs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]}
 	for i := range stmts {
-		if stmts[i].red != nil {
+		switch r := kb.written(stmts[i].slot); {
+		case stmts[i].red != nil && stmts[i].red.def != nil:
 			return
-		}
-		if stmts[i].def == nil && kb.written(stmts[i].slot) < 0 {
-			kb.scalars = append(kb.scalars, kscalar{slot: stmts[i].slot, first: int32(i)})
+		case stmts[i].def != nil:
+		case r < 0:
+			kb.scalars = append(kb.scalars, kscalar{slot: stmts[i].slot, first: int32(i), writes: 1})
+		default:
+			kb.scalars[r].writes++
 		}
 	}
 	lw.kscalars = kb.scalars
@@ -135,6 +142,23 @@ func (kb *kbuilder) access(x *ast.Ref) (*arrCode, bool) {
 func (kb *kbuilder) stmt(sc *stmtCode, st *ir.Stmt, i int32) bool {
 	kb.cur = i
 	temp := int32(len(kb.scalars))
+	if reg := kb.written(sc.slot); sc.def == nil && kb.scalars[reg].writes == 1 {
+		if op, e, ok := carried(st.Rhs, st.Lhs.Var.Name); ok {
+			pending := kb.arrs
+			op.a, ok = kb.expr(e, temp)
+			if sc.red != nil {
+				// The contribution is lowered twice, in the right-hand side and
+				// on its own (redCode.data): its accesses are enlisted twice.
+				for _, ac := range pending[:len(pending)-len(kb.arrs)] {
+					_, again := kb.access(ac.ref)
+					ok = ok && again
+				}
+			}
+			op.dst, op.slot, op.stmt = reg, sc.slot, int32(st.ID)
+			kb.emit(op)
+			return ok
+		}
+	}
 	val, ok := kb.expr(st.Rhs, temp)
 	if !ok {
 		return false
@@ -194,24 +218,56 @@ func (kb *kbuilder) expr(e ast.Expr, temp int32) (reg int32, ok bool) {
 		return kb.emit(kop{kind: kNeg, dst: temp, a: a}), ok
 	case *ast.Not:
 		a, ok := kb.expr(x.X, temp)
-		return kb.emit(kop{kind: kOne, dst: temp, a: a, one: elemental["not"].one}), ok
+		return kb.emit(kop{kind: kOne, dst: temp, a: a, one: not}), ok
 	case *ast.BinOp:
 		switch {
 		case x.Op >= ast.Add && x.Op <= ast.Div: // in kAdd's order
 			return kb.apply(kop{kind: kAdd + kopKind(x.Op-ast.Add)}, temp, x.L, x.R)
 		case x.Op >= ast.OpEq && x.Op <= ast.OpOr:
-			return kb.apply(kop{kind: kTwo, two: elemental[x.Op.String()].two}, temp, x.L, x.R)
+			return kb.apply(kop{kind: kTwo, two: elemental[x.Op.String()]}, temp, x.L, x.R)
 		}
 	case *ast.Call:
-		switch el := elemental[x.Name]; {
-		case len(x.Args) == 1 && el.one != nil:
+		switch in := ast.Intrinsics[x.Name]; {
+		case len(x.Args) == 1 && in.One != nil:
 			a, ok := kb.expr(x.Args[0], temp)
-			return kb.emit(kop{kind: kOne, dst: temp, a: a, one: el.one}), ok
-		case len(x.Args) >= 2 && el.two != nil:
-			return kb.apply(kop{kind: kTwo, two: el.two}, temp, x.Args...)
+			return kb.emit(kop{kind: kOne, dst: temp, a: a, one: in.One}), ok
+		case len(x.Args) >= 2 && in.Two != nil:
+			return kb.apply(kop{kind: kTwo, two: in.Two}, temp, x.Args...)
 		}
 	}
 	return 0, false
+}
+
+// carried matches s = s ⊕ e and s = e ⊕ s, where ⊕ is + − × ÷ or an intrinsic
+// of two arguments and name is the scalar s, and returns e and the kCarry that
+// applies ⊕ with s on the side it is written. (An e that reads s has no
+// operation: kbuilder.expr reads s only where an earlier statement wrote it.)
+func carried(rhs ast.Expr, name string) (op kop, e ast.Expr, ok bool) {
+	op.kind = kCarry
+	var l, r ast.Expr
+	switch x := rhs.(type) {
+	case *ast.BinOp:
+		if int(x.Op) >= len(ast.Arith) {
+			return op, nil, false
+		}
+		op.two, l, r = ast.Arith[x.Op], x.L, x.R
+	case *ast.Call:
+		if op.two = ast.Intrinsics[x.Name].Two; op.two == nil || len(x.Args) != 2 {
+			return op, nil, false
+		}
+		l, r = x.Args[0], x.Args[1]
+	default:
+		return op, nil, false
+	}
+	self := func(e ast.Expr) bool {
+		ref, ok := e.(*ast.Ref)
+		return ok && len(ref.Subs) == 0 && ref.Name == name
+	}
+	if self(l) {
+		return op, r, true
+	}
+	op.right = true
+	return op, l, self(r)
 }
 
 // apply emits the left fold of a two-operand operation over args, into temp.
@@ -286,6 +342,7 @@ func (s *State) sweepable(ops []kop, n int64) bool {
 func (w *walker) sweep(ops []kop, slot int32, step, n, stmts int64) error {
 	s := w.s
 	for {
+		s.registers(min(n, strip))
 		m, err := w.sched.ops.Iteration(w.quiet, min(n, strip))
 		if s.swept > 0 {
 			s.kernel(ops, slot, step, int(m))
@@ -305,6 +362,17 @@ func (w *walker) sweep(ops []kop, slot int32, step, n, stmts int64) error {
 		}
 		s.advance(slot, step, 1)
 	}
+}
+
+// registers makes the register file hold m values a register: allocated at
+// the first sweep, as long as the longest strip met, a power of two ≥ 32.
+func (s *State) registers(m int64) {
+	if m <= int64(s.width) {
+		return
+	}
+	for s.width = 32; int64(s.width) < m; s.width *= 2 {
+	}
+	s.regs = make([]float64, int(s.code.nreg)*s.width)
 }
 
 // advance moves the owner run in flight k iterations on: the loop index, the
@@ -332,11 +400,12 @@ func (s *State) stampStrip(wrote []int64, off, inc int64, m int, stmt int32) {
 // element t of every register is what the closures compute at iteration t, by
 // the same float64 operations on the same operands.
 func (s *State) kernel(ops []kop, slot int32, step int64, m int) {
+	w := int32(s.width)
 	for i := range ops {
 		op := &ops[i]
-		dst := s.regs[op.dst*strip:][:m]
-		a := s.regs[op.a*strip:][:m]
-		b := s.regs[op.b*strip:][:m]
+		dst := s.regs[op.dst*w:][:m]
+		a := s.regs[op.a*w:][:m]
+		b := s.regs[op.b*w:][:m]
 		switch op.kind {
 		case kConst:
 			for t := range dst {
@@ -373,6 +442,8 @@ func (s *State) kernel(ops []kop, slot int32, step int64, m int) {
 			}
 		case kLast:
 			s.scalars[op.slot], s.scalarSet[op.slot] = a[m-1], true
+		case kCarry:
+			s.carry(op, dst, a)
 		case kNeg:
 			for t := range dst {
 				dst[t] = -a[t]
@@ -408,5 +479,41 @@ func (s *State) kernel(ops []kop, slot int32, step int64, m int) {
 		case kCopy:
 			copy(dst, a)
 		}
+	}
+}
+
+// carry runs a kCarry over the strip as the closures run the statement: s = s
+// ⊕ a[t] at each t in turn, s on its side and rounded when integer-typed, each
+// value left in dst. A reduction update whose combine runs privatized instead
+// folds a[t] (negated for s = s − e) into the run's partial row where the
+// State fills it (as redCode.accumulate does), and s stays as it is.
+func (s *State) carry(op *kop, dst, a []float64) {
+	sc := &s.code.stmts[op.stmt]
+	x := s.scalars[op.slot]
+	if c := sc.plan.Combine; sc.red != nil && s.PrivatizedActive(c) {
+		if p, ok := sc.red.row(s); ok && (s.proc < 0 || p == s.proc) {
+			acc := &s.partials[c.AccIndex][int64(p)*s.partialElems[c.AccIndex]]
+			for _, e := range a {
+				if sc.red.negate {
+					e = -e
+				}
+				*acc = c.Red.Op.Fold(*acc, e)
+			}
+		}
+		for t := range dst {
+			dst[t] = x
+		}
+		return
+	}
+	for t, e := range a {
+		l, r := x, e
+		if op.right {
+			l, r = e, x
+		}
+		x = op.two(l, r)
+		if sc.round {
+			x = math.Round(x)
+		}
+		dst[t] = x
 	}
 }

@@ -19,12 +19,13 @@ import (
 // three scalars and an integer scalar, all defined ahead of it by a loop that has no kernel (the
 // labelled CONTINUE sends it down the general walk), so every swept or refused
 // instance of a run's census is the loop's. The arrays are twice the loop's
-// range, for a subscript of stride two. With n = 80 a run on one processor is
-// 77 iterations: two strips and a short one.
+// range, for a subscript of stride two. With n = 300 a run on one processor is
+// 297 iterations: two strips and a short one, so a scalar the body writes is
+// left between strips and a carried one taken up again.
 const sweepTemplate = `
 program t
-parameter n = 80
-parameter m = 160
+parameter n = 300
+parameter m = 600
 real a(m), b(m), c(m), t, u, w
 integer idx(m)
 integer k
@@ -51,11 +52,12 @@ c(1) = t + u + k
 end
 `
 
-// The loop forms a case is run under: 77 iterations up, 77 down, 20 of stride 2.
+// The loop forms a case is run under: 297 iterations up, 297 down, 75 of
+// stride 2.
 var sweepLoops = []struct {
 	bounds string
 	iters  int64
-}{{"2, n - 2", 77}, {"n - 2, 2, -1", 77}, {"2, n / 2, 2", 20}}
+}{{"2, n - 2", 297}, {"n - 2, 2, -1", 297}, {"2, n / 2, 2", 75}}
 
 // TestSweepDependences holds the legality test of a sweep to what each body's
 // dependences allow, form by form of the loop ('S' the runs are swept, 'O' a
@@ -63,8 +65,8 @@ var sweepLoops = []struct {
 // order, 'N' the loop has no kernel and the closures run them), and the run to
 // the oracle — memory, every processor's clock, statistics and the instance
 // count, bit for bit — under every distribution, processor count and
-// strategy. A run with a kernel is closed a strip of 32 iterations at a time
-// either way, one with none an iteration at a time. Where the arrays are not
+// strategy. A run with a kernel is closed a strip of up to eval.Strip
+// iterations at a time either way, one with none an iteration at a time. Where the arrays are not
 // distributed every instance of the loop lies in one quiet run, so the counts
 // are exact there; elsewhere a boundary iteration may take the general walk,
 // and a run shorter than the loop may sweep where the whole loop may not
@@ -85,14 +87,30 @@ func TestSweepDependences(t *testing.T) {
 		// The store is first: every a(i) would be new before any a(i+1) is read.
 		{"anti-behind-store", []string{"a(i) = c(i) * 2", "b(i) = a(i+1)"}, "OSS"},
 		{"swap-through-scalar", []string{"t = a(i)", "a(i) = b(i)", "b(i) = t"}, "SSS"},
-		{"carried-scalar", []string{"t = t + a(i)", "b(i) = t"}, "NNN"},
+		// A scalar carried from iteration to iteration by its one write, s = s ⊕
+		// e or s = e ⊕ s: a kCarry, in iteration order, each value left in the
+		// register the later statements read.
+		{"carried-scalar", []string{"t = t + a(i)", "b(i) = t"}, "SSS"},
+		{"carried-right-operand", []string{"u = a(i) - u * 0.5", "b(i) = u"}, "NNN"},
+		{"carried-right", []string{"u = c(i) / u", "b(i) = u + a(i)"}, "SSS"},
+		{"carried-max-min", []string{"t = max(t, a(i) * c(i))", "u = min(b(i), u)", "b(i) = t - u"}, "SSS"},
+		{"carried-integer", []string{"k = k + c(i) * 0.3", "b(i) = k"}, "SSS"},
+		// Reductions: privatized under ReduceAuto (folded into the partial
+		// row), carried under ReduceCollective.
+		{"reduction-sum-difference", []string{"t = t - a(i) * c(i)", "w = b(i) + w"}, "SSS"},
+		{"reduction-max-min", []string{"t = max(t, abs(a(i)))", "u = min(u, c(i))", "k = k + 1"}, "SSS"},
+		// NaN and -0 in the data: sqrt of a negative c(i), and -(0 · a(i)).
+		{"reduction-nan-negative-zero", []string{"t = max(t, sqrt(c(i)))", "u = max(u, -(0.0 * a(i)))", "w = min(sqrt(c(i) + 2.0), w)"}, "SSS"},
+		{"carried-read-before-write", []string{"b(i) = t", "t = t + a(i)"}, "NNN"},
+		{"carried-written-twice", []string{"t = t + a(i)", "t = t * 0.5"}, "NNN"},
+		{"carried-reads-itself", []string{"t = t + t * a(i)"}, "NNN"},
 		{"scalar-read-before-write", []string{"b(i) = u", "u = a(i)"}, "NNN"},
 		{"live-out-scalar", []string{"u = a(i) * 2.0", "b(i) = u + w", "u = u - b(i)"}, "SSS"},
 		{"integer-scalar", []string{"k = i / 2", "b(i) = a(i) + k", "k = k * b(i) + 0.5"}, "SSS"},
 		{"fixed-element-read-back", []string{"a(3) = b(i)", "c(i) = a(3)"}, "OOO"},
 		{"fixed-element-last-write-wins", []string{"a(3) = b(i)"}, "SSS"},
-		// Unequal steps: refused when the two ranges meet, 3..79 and 2..78 —
-		// which on the stride-two loop, 41..79 and 2..40, they do not.
+		// Unequal steps: refused when the two ranges meet, 3..299 and 2..298 —
+		// which on the stride-two loop, 151..299 and 2..150, they do not.
 		{"mirror", []string{"a(i) = a(n-i+1) + 1"}, "OOS"},
 		{"stride-two-store", []string{"a(2*i-2) = a(i) + 1"}, "OOO"},
 		// A subscript read from memory can be out of bounds: no kernel. (The
@@ -118,6 +136,7 @@ func TestSweepDependences(t *testing.T) {
 						t.Run(fmt.Sprintf("%s/%s/%s/%s/P=%d", tc.name, loop.bounds, dist, sname, nprocs), func(t *testing.T) {
 							p := compileOpts(t, src, nprocs, opts)
 							diffOne(t, p, core.ReduceAuto)
+							diffOne(t, p, core.ReduceCollective)
 							walk, err := eval.LoweredSimulate(p, core.ReduceAuto)
 							if err != nil {
 								t.Fatal(err)
@@ -127,9 +146,9 @@ func TestSweepDependences(t *testing.T) {
 							exact := eval.Census{Quiet: all, Strips: loop.iters}
 							switch form {
 							case 'S':
-								exact.Swept, exact.Strips = all, (loop.iters+31)/32
+								exact.Swept, exact.Strips = all, (loop.iters+eval.Strip-1)/eval.Strip
 							case 'O':
-								exact.Ordered, exact.Strips = all, (loop.iters+31)/32
+								exact.Ordered, exact.Strips = all, (loop.iters+eval.Strip-1)/eval.Strip
 							}
 							if dist == "*" && (c.Swept != exact.Swept || c.Ordered != exact.Ordered || c.Quiet != all || c.Strips != exact.Strips) {
 								t.Errorf("census %+v, want %d instances in quiet runs, %d swept and %d in iteration order, closed by %d operations",
@@ -225,13 +244,21 @@ func (g *genBody) body() string {
 	for n := 1 + g.next(4); n > 0; n-- {
 		lines = append(lines, "  "+g.ref(true)+" = "+g.expr(2))
 	}
-	// Bytes left over may add a carried scalar, s = s op e, at any place: read
-	// before the body writes it. (Taken last, so that a shorter input spells
-	// the body it spelled before.)
-	if op := g.next(5); op > 0 {
+	// Bytes left over may add a carried scalar, s = s ⊕ e or s = e ⊕ s with ⊕
+	// an operator, max or min, at any place: read before the body writes it.
+	// (Taken last, so that a shorter input spells the body it spelled before.)
+	if op := g.next(7); op > 0 {
 		s := []string{"t", "u", "k"}[g.next(3)]
-		line := fmt.Sprintf("  %s = %s %s %s", s, s, []string{"+", "-", "*", "/"}[op-1], g.expr(1))
-		lines = slices.Insert(lines, g.next(len(lines)+1), line)
+		l, r := s, g.expr(1)
+		at := g.next(len(lines) + 1)
+		if g.next(2) == 1 {
+			l, r = r, l
+		}
+		line := fmt.Sprintf("  %s = %s(%s, %s)", s, []string{"max", "min"}[(op-5)&1], l, r)
+		if op <= 4 {
+			line = fmt.Sprintf("  %s = %s %s %s", s, l, []string{"+", "-", "*", "/"}[op-1], r)
+		}
+		lines = slices.Insert(lines, at, line)
 	}
 	return strings.Join(lines, "\n")
 }
@@ -252,6 +279,18 @@ func FuzzSweepBody(f *testing.F) {
 		"\x02\x00\x01\x00\x00\x00\x01\x02\x01\x00\x02\x00\x00\x00\x02\x00\x01\x03\x00\x01\x00\x00\x02\x01",
 		// (*), P=1: t = a(2*i - 0); a(n + 1 - i) = (t * k); k = b(3).
 		"\x02\x00\x00\x02\x03\x00\x00\x02\x00\x00\x00\x03\x00\x00\x01\x00\x01\x00\x02\x03\x00\x00\x02\x03\x02\x02\x03\x02\x00\x02\x00\x01\x02\x01",
+		// The carried forms. Blocks going down, P=4: u = max(u, i) — a
+		// reduction, privatized under ReduceAuto.
+		"\x03\x04\x05\x04\x05\a\x04\a\x00\x04\x05\a\x00\x04\x00",
+		// (*) stride two, P=4: t = (3.0 < c(n + 2 - i)) / t, s on the right.
+		"\x05\x05\x05\x04\x05\x05\x04\x01\x03\x05\a\x04\x06\x02\x01\x03\x06\x01\x05\x06\x05\a\x02\x01",
+		// (*), P=1: k = k + 0.5, rounded at each step; b(i - 1 + 0) = k.
+		"\x02\x00\x00\x00\x00\x01\x00\x02\x00\x02\x03\x02\x01\x02\x00\x01\x00\x00\x00",
+		// Cyclic going up, P=1: u = min(0.5, u).
+		"\x04\x03\x00\x00\x02\x06\x01\x02\x06\x00\x06\x01\x06\x05\x00\a\x03\x06\x00\x01\x05",
+		// (*), P=3, NaN and -0 in the data: b(i) = -1.25 * (i < 0.5), which
+		// is -0, and t = max(t, b(i) / b(i)), a NaN that must never win.
+		"\x02\x00\x01\x00\x00\x01\x01\x02\x01\x00\x01\x02\x01\x00\x01\x00\x07\x02\x05\x00\x01\x03\x00\x01\x01\x02\x03\x00\x01\x01\x02\x03\x01\x00",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -272,7 +311,9 @@ func FuzzSweepBody(f *testing.F) {
 		if err != nil {
 			t.Fatalf("analyze: %v\n%s", err, src)
 		}
-		diffOne(t, spmd.Generate(res), core.ReduceAuto)
+		p := spmd.Generate(res)
+		diffOne(t, p, core.ReduceAuto)
+		diffOne(t, p, core.ReduceCollective)
 		if t.Failed() {
 			t.Logf("P=%d\n%s", nprocs, src)
 		}

@@ -138,3 +138,52 @@ func TestCollectiveFigure5RowSums(t *testing.T) {
 		}
 	}
 }
+
+// nanMax is a max reduction whose first contribution is a NaN, sqrt(-1.0): the
+// sequential max never lets a NaN win (max(m, e) keeps m unless e > m), so m
+// ends at sqrt(14).
+const nanMax = `
+program nanmax
+parameter n = 16
+real a(n), m
+integer i
+!hpf$ distribute (block) :: a
+do i = 1, n
+  a(i) = i
+end do
+m = -1.0
+do i = 1, n
+  m = max(m, sqrt(a(i) - 2.0))
+end do
+end
+`
+
+// TestPrivatizedMaxIgnoresNaN: privatized, each processor's partial folds the
+// contributions with the intrinsic's own element function, and so do the tree
+// merge and the fold into m — where math.Max once let the NaN win every fold
+// it met and m ended NaN under -reduce auto alone. Both backends, both
+// runtime strategies, one processor and four, must agree with the sequential
+// value bit for bit.
+func TestPrivatizedMaxIgnoresNaN(t *testing.T) {
+	want := math.Sqrt(14)
+	for _, nprocs := range []int{1, 4} {
+		for _, mode := range []core.ReduceMode{core.ReduceCollective, core.ReduceAuto} {
+			prog := compile(t, nanMax, nprocs, core.DefaultOptions())
+			rep, err := Diff(context.Background(), prog, Config{Reduce: mode})
+			if err != nil {
+				t.Fatalf("p%d %s: %v", nprocs, mode, err)
+			}
+			if !rep.Match() {
+				t.Errorf("p%d %s: %s", nprocs, mode, rep.String())
+			}
+			if mode == core.ReduceAuto && nprocs > 1 && rep.Sim.Stats.Merges == 0 {
+				t.Errorf("p%d %s: no merge, so the reduction did not run privatized", nprocs, mode)
+			}
+			for side, m := range map[string]float64{"sim": rep.Sim.Scalars["m"], "exec": rep.Exec.Scalars["m"]} {
+				if math.Float64bits(m) != math.Float64bits(want) {
+					t.Errorf("p%d %s: %s m = %v, want %v", nprocs, mode, side, m, want)
+				}
+			}
+		}
+	}
+}

@@ -19,12 +19,15 @@ type leapCensus struct{ Strips, Rounds, Leapt, LeaptRounds int64 }
 // TestLeapCensus pins how many transfer strips of the two sim_cells cells
 // that have them, at the benchmark's sizes, ComputeStrip leaps: a change that
 // quietly makes them round by round fails here, not only on a host clock.
-// Recording every clock after every round shows each of the leapt strips
-// steady (each clock adds the same D in every round from round 2 on), and
-// 10 of tomcatv_replication's strips and 9 of appsp_1d_nopriv's not. The one
-// steady strip left is appsp_1d_nopriv's whose multicast's done passes 2^-6 in
-// round 2 while its sender stays below: the leap declines it, though its
-// rounds happen to repeat (EXPERIMENTS.md, "leaping a transfer strip").
+// With strips of 32 rounds, recording every clock after every round showed
+// each of the leapt strips steady (each clock adds the same D in every round
+// from round 2 on), and 10 of tomcatv_replication's strips and 9 of
+// appsp_1d_nopriv's not; the one steady strip left was appsp_1d_nopriv's whose
+// multicast's done passes 2^-6 in round 2 while its sender stays below: the
+// leap declines it, though its rounds happen to repeat (EXPERIMENTS.md,
+// "leaping a transfer strip"). A strip is now its whole run (up to 128
+// rounds): tomcatv_replication's 11,718 rounds are half as many strips, and 10
+// of them still decline; appsp_1d_nopriv's runs were one strip each already.
 func TestLeapCensus(t *testing.T) {
 	naive := core.DefaultOptions()
 	naive.Scalars = core.ScalarsReplicated
@@ -36,7 +39,7 @@ func TestLeapCensus(t *testing.T) {
 		opts      core.Options
 		want      leapCensus
 	}{
-		{"tomcatv_replication", programs.TOMCATV(65, 3), naive, leapCensus{378, 11718, 368, 11402}},
+		{"tomcatv_replication", programs.TOMCATV(65, 3), naive, leapCensus{189, 11718, 179, 11098}},
 		{"appsp_1d_nopriv", programs.APPSP(12, 12, 12, 2, false), noPriv, leapCensus{180, 1800, 170, 1700}},
 	} {
 		ap, err := parser.Parse(c.src)

@@ -240,21 +240,26 @@ if grep -rlE '"sqrt"' --include='*.go' --exclude='*_test.go' --exclude-dir=bench
 fi
 
 # One-operator gates (DESIGN.md §11, swept runs): an operator or intrinsic has
-# ONE run-time definition, its element function in internal/eval's table
-# (lower.go's elemental), from which the scalar closures and the run kernel's
-# loops (sweep.go) are both derived — so each math function the table names is
-# named once, there, and nowhere else in the package. And whether a quiet run
-# is swept is decided by its kernel and its addresses alone: no environment
-# variable, and no field of the run configuration, reaches the lowering, the
-# walk or the sweep. Fail when a copy or a switch appears.
+# ONE run-time definition, its element function — an intrinsic's in
+# ast.Intrinsics, an operator's in internal/eval's table (lower.go's
+# elemental) — from which the compile-time fold, the scalar closures and the
+# run kernel's loops (sweep.go) are all derived. So internal/eval names none of
+# the math functions the intrinsics are, elemental has no intrinsic's name, and
+# math.Mod is called once, by ast.Mod. And whether a quiet run is swept is
+# decided by its kernel and its addresses alone: no environment variable, and
+# no field of the run configuration, reaches the lowering, the walk or the
+# sweep. Fail when a copy or a switch appears.
 evalfiles="$(ls internal/eval/*.go | grep -v '_test\.go$')"
-for fn in Mod Sqrt Exp Abs; do
-    if [ "$(cat $evalfiles | grep -c "math\.$fn\b")" != 1 ] ||
-        ! grep -qE "\{(one|two): math\.$fn\}" internal/eval/lower.go; then
-        echo "check: math.$fn must be named exactly once in internal/eval, as an entry of lower.go's elemental table; a second mention is a second definition of the operator" >&2
-        exit 1
-    fi
-done
+if grep -nE 'math\.(Mod|Sqrt|Exp|Abs)\b' $evalfiles ||
+    awk '/^var elemental = /,/^}/' internal/eval/lower.go | grep -nE '"(abs|sqrt|exp|mod|max|min)"'; then
+    echo "check: internal/eval defines an intrinsic again (a math function of one, or an intrinsic in elemental); its element function is its entry of ast.Intrinsics" >&2
+    exit 1
+fi
+if [ "$(grep -rnE 'math\.Mod\(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . | wc -l)" != 1 ] ||
+    ! awk '/^func Mod\(/,/^}/' internal/ast/fold.go | grep -q 'math\.Mod('; then
+    echo "check: math.Mod must be called exactly once, by ast.Mod; every mod of the program is ast.Mod" >&2
+    exit 1
+fi
 if grep -nE '"os"|\bos\.(Getenv|LookupEnv|Environ)\b' $evalfiles ||
     grep -nE 'RunOptions|\bcfg\b' internal/eval/lower.go internal/eval/sweep.go internal/eval/walk.go internal/eval/state.go; then
     echo "check: internal/eval reads the environment, or the run configuration reaches the lowering, the walk or the sweep; a quiet run is swept iff it has a kernel and its addresses allow it" >&2
