@@ -37,10 +37,12 @@ func (o ReductionOp) String() string {
 // acc = acc op e — the one place the operator set is spelled out:
 //
 //	acc + e, e + acc, acc * e, e * acc, acc - e (a sum of -e: negate),
-//	max(acc, e), max(e, acc), min(acc, e), min(e, acc)
+//	max(acc, e), min(acc, e)
 //
 // isSelf recognizes the accumulator's own reference. data is the contribution
-// e, nil when rhs is no such update.
+// e, nil when rhs is no such update. max(e, acc) and min(e, acc) are none: a
+// NaN e wins its own iteration there, and the next e replaces it, an order
+// that a fold, which keeps its partial, does not reproduce.
 func matchUpdate(rhs ast.Expr, isSelf func(ast.Expr) bool) (op ReductionOp, data ast.Expr, negate bool) {
 	var l, r ast.Expr
 	switch x := rhs.(type) {
@@ -68,7 +70,7 @@ func matchUpdate(rhs ast.Expr, isSelf func(ast.Expr) bool) (op ReductionOp, data
 	switch {
 	case isSelf(l):
 		return op, r, negate
-	case !negate && isSelf(r):
+	case op < RedMax && !negate && isSelf(r):
 		return op, l, false
 	}
 	return op, nil, false

@@ -68,11 +68,17 @@ type code struct {
 	// (arrCode.pos is an access's position in it).
 	nowners int
 	arrs    []*arrCode
+	// coefs holds, access by access of arrs that a loop runs, each
+	// subscript's coefficient of the run loop's index (arrCode.coefs is the
+	// first): what opening a run reads its far end and its steps from.
+	coefs []int64
 	// kops holds the run kernels of the run-lowered loops that have one, loop
-	// by loop (loopCode.kern), nreg the registers the largest of them uses
-	// (sweep.go).
-	kops []kop
-	nreg int32
+	// by loop (loopCode.kern), nreg the registers the largest of them uses,
+	// and kpairs the pairs of a kernel's accesses that sweepable tests, kernel
+	// by kernel (loopCode.pairs) (sweep.go).
+	kops   []kop
+	nreg   int32
+	kpairs []kpair
 	// charges is the most charges an iteration of a run-lowered loop makes: per
 	// statement the compute and a guard per per-instance requirement.
 	charges int
@@ -267,6 +273,11 @@ func lower(p *spmd.Program) *code {
 	for _, req := range p.Plan.Reqs {
 		lw.req(req)
 	}
+	subs := 0
+	for _, ac := range lw.c.arrs {
+		subs += len(ac.subs)
+	}
+	lw.c.coefs = make([]int64, 0, subs)
 	for _, l := range prog.Loops {
 		lw.runs(l)
 	}
@@ -503,8 +514,9 @@ type arrCode struct {
 	wide int
 	// pos is the access's place in code.arrs when it sits in a run-lowered
 	// loop and all its subscripts are affine (-1 otherwise): inside a run
-	// that hoisted its guards, State.offs[pos] is its offset.
-	pos int32
+	// that hoisted its guards, State.offs[pos] is its offset. coefs is where
+	// its subscripts' coefficients start in code.coefs.
+	pos, coefs int32
 }
 
 func (lw *lowerer) array(v *ir.Var, x *ast.Ref, encl *ir.Loop, line int) *arrCode {
@@ -561,6 +573,24 @@ func (ac *arrCode) offset(s *State) (int64, bool) {
 		off += (x - 1) * ac.strides[k]
 	}
 	return off, true
+}
+
+// open evaluates the access at the first iteration of an owner run whose index
+// advances by step, reach over the run, and returns its offset and what an
+// iteration adds to it; ok only where each subscript x is in bounds there and
+// at the last, x + coef·reach — exact where exactOver admitted the loop, and in
+// bounds at both ends is in bounds throughout (coefs: the run index's).
+func (ac *arrCode) open(s *State, coefs []int64, step, reach int64) (off, inc int64, ok bool) {
+	for k := range ac.subs {
+		x, ok := ac.subs[k].eval(s)
+		far, ext := x+coefs[k]*reach, ac.v.Dims[k]
+		if !ok || x < 1 || x > ext || far < 1 || far > ext || k == ac.wide {
+			return 0, 0, false
+		}
+		off += (x - 1) * ac.strides[k]
+		inc += coefs[k] * step * ac.strides[k]
+	}
+	return off, inc, true
 }
 
 func (ac *arrCode) boundsError(k int, x int64) error {
@@ -1003,10 +1033,11 @@ type loopCode struct {
 	// up to which every set computation of the body and every such access is
 	// an affine function of the loop indices — 0 when one of them is not,
 	// and the loop has no runs. nsets counts the body's set computations, kern
-	// is the stretch of code.kops that is its run kernel (empty: none).
-	body, arrs, kern span
-	lim              int64
-	nsets            int
+	// is the stretch of code.kops that is its run kernel (empty: none), pairs
+	// the stretch of code.kpairs sweepable tests of it.
+	body, arrs, kern, pairs span
+	lim                     int64
+	nsets                   int
 }
 
 // span is a stretch of a list: n elements from lo.
@@ -1042,13 +1073,20 @@ func (lw *lowerer) runs(l *ir.Loop) {
 			lc.nsets++
 		})
 	}
-	for _, ac := range lw.c.arrs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n] {
+	arrs := lw.c.arrs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
+	for _, ac := range arrs {
 		for k := range ac.subs {
 			lim = min(lim, ac.subs[k].runLim())
 		}
 	}
 	if lc.lim = lim; lim == 0 {
 		return
+	}
+	for _, ac := range arrs {
+		ac.coefs = int32(len(lw.c.coefs))
+		for k := range ac.subs {
+			lw.c.coefs = append(lw.c.coefs, ac.subs[k].coefOf(l.Index.Slot))
+		}
 	}
 	id := int32(l.ID + 1)
 	charges := 0

@@ -247,3 +247,19 @@ func (r *tableReader) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
 	r.b.StopTimer()
 	return nil
 }
+
+// TestRegistersGrowOnce: a State that meets strips of 20, 50 and 100
+// iterations allocates its register file twice, 32 values a register and then
+// strip, not once per doubling of the longest strip.
+func TestRegistersGrowOnce(t *testing.T) {
+	s := &State{code: &code{nreg: 3}}
+	allocs := testing.AllocsPerRun(10, func() {
+		s.regs, s.width = nil, 0
+		for _, m := range []int64{20, 50, 100} {
+			s.registers(m)
+		}
+	})
+	if allocs != 2 || s.width != strip || len(s.regs) != 3*strip {
+		t.Errorf("%v allocations, width %d and %d values, want 2, %d and %d", allocs, s.width, len(s.regs), strip, 3*strip)
+	}
+}

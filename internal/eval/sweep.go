@@ -53,6 +53,11 @@ type kop struct {
 	right     bool // kCarry: the scalar is two's right operand
 }
 
+// kpair is a pair of a kernel's accesses of one array, at least one of them a
+// store, that sweepable tests: their positions in code.arrs, first the one
+// the kernel meets first.
+type kpair struct{ first, second int32 }
+
 // kscalar is a scalar the body writes, written by writes statements, first the
 // first: its register is its position in the builder's list.
 type kscalar struct{ slot, first, writes int32 }
@@ -100,6 +105,17 @@ func (lw *lowerer) kernel(l *ir.Loop) {
 	}
 	lc.kern = span{lo: int32(lo), n: int32(len(lw.c.kops) - lo)}
 	lw.c.nreg = max(lw.c.nreg, kb.nreg)
+	// The pairs: a store and every load of its array, and every two stores of
+	// it once.
+	ops, pairs := lw.c.kops[lo:], len(lw.c.kpairs)
+	for j := range ops {
+		for i := range ops {
+			if ops[j].kind == kStore && i != j && ops[i].slot == ops[j].slot && (ops[i].kind == kLoad || ops[i].kind == kStore && i < j) {
+				lw.c.kpairs = append(lw.c.kpairs, kpair{ops[min(i, j)].pos, ops[max(i, j)].pos})
+			}
+		}
+	}
+	lc.pairs = span{lo: int32(pairs), n: int32(len(lw.c.kpairs) - pairs)}
 }
 
 // kbuilder emits one loop's kernel.
@@ -290,41 +306,32 @@ func (kb *kbuilder) apply(op kop, temp int32, args ...ast.Expr) (int32, bool) {
 }
 
 // sweepable is the dynamic half of a sweep's legality: whether running the
-// kernel ops over the n iterations of the run just opened, statement by
+// kernel over the n iterations of the run just opened, statement by
 // statement, keeps every dependence between two accesses of an array the way
-// iteration by iteration has it. The accesses are affine, offs[pos] +
-// t·steps[pos] at iteration t, so the answer is closed-form. Take a store and
-// any other access of its array, first the one the kernel meets first: the
-// sweep runs every instance of first ahead of every instance of second, the
-// loop only those of the same or an earlier iteration — so the sweep reverses
-// a dependence iff first touches at some iteration an element second touches
-// at an earlier one. With equal steps s that is second₀ − first₀ = s·k for a
-// k in [1, n); with unequal ones it is refused, conservatively, whenever the
-// two address ranges meet at all.
-func (s *State) sweepable(ops []kop, n int64) bool {
-	for j := range ops {
-		if ops[j].kind != kStore {
-			continue
-		}
-		for i := range ops {
-			if i == j || ops[i].slot != ops[j].slot || ops[i].kind != kLoad && (ops[i].kind != kStore || i > j) {
-				continue // (two stores are a pair once)
-			}
-			first, second := ops[min(i, j)].pos, ops[max(i, j)].pos
-			f0, fs, s0, ss := s.offs[first], s.steps[first], s.offs[second], s.steps[second]
-			switch d := s0 - f0; {
-			case fs != ss:
-				f1, s1 := f0+fs*(n-1), s0+ss*(n-1)
-				if min(f0, f1) <= max(s0, s1) && min(s0, s1) <= max(f0, f1) {
-					return false
-				}
-			case fs == 0:
-				if d == 0 {
-					return false
-				}
-			case d%fs == 0 && d/fs >= 1 && d/fs < n:
+// iteration by iteration has it. The pairs that could carry one are the
+// kernel's (kernel lists them), and the accesses are affine, offs[pos] +
+// t·steps[pos] at iteration t, so the answer is closed-form. Take a pair,
+// first the one the kernel meets first: the sweep runs every instance of first
+// ahead of every instance of second, the loop only those of the same or an
+// earlier iteration — so the sweep reverses a dependence iff first touches at
+// some iteration an element second touches at an earlier one. With equal
+// steps s that is second₀ − first₀ = s·k for a k in [1, n); with unequal ones
+// it is refused, conservatively, whenever the two address ranges meet at all.
+func (s *State) sweepable(pairs []kpair, n int64) bool {
+	for _, p := range pairs {
+		f0, fs, s0, ss := s.offs[p.first], s.steps[p.first], s.offs[p.second], s.steps[p.second]
+		switch d := s0 - f0; {
+		case fs != ss:
+			f1, s1 := f0+fs*(n-1), s0+ss*(n-1)
+			if min(f0, f1) <= max(s0, s1) && min(s0, s1) <= max(f0, f1) {
 				return false
 			}
+		case fs == 0:
+			if d == 0 {
+				return false
+			}
+		case d%fs == 0 && d/fs >= 1 && d/fs < n:
+			return false
 		}
 	}
 	return true
@@ -348,13 +355,7 @@ func (w *walker) sweep(ops []kop, slot int32, step, n, stmts int64) error {
 			s.kernel(ops, slot, step, int(m))
 			s.advance(slot, step, m-1)
 		} else {
-			for k := int64(1); ; k++ {
-				s.kernel(ops, slot, step, 1)
-				if k == m {
-					break
-				}
-				s.advance(slot, step, 1)
-			}
+			s.ordered(ops, slot, step, m)
 		}
 		s.computed += m * stmts
 		if n -= m; n == 0 || err != nil {
@@ -365,12 +366,15 @@ func (w *walker) sweep(ops []kop, slot int32, step, n, stmts int64) error {
 }
 
 // registers makes the register file hold m values a register: allocated at
-// the first sweep, as long as the longest strip met, a power of two ≥ 32.
+// the first sweep as long as its strip, a power of two ≥ 32, and grown at most
+// once, to strip.
 func (s *State) registers(m int64) {
 	if m <= int64(s.width) {
 		return
 	}
-	for s.width = 32; int64(s.width) < m; s.width *= 2 {
+	if s.width = strip; s.regs == nil {
+		for s.width = 32; int64(s.width) < m; s.width *= 2 {
+		}
 	}
 	s.regs = make([]float64, int(s.code.nreg)*s.width)
 }
@@ -404,8 +408,10 @@ func (s *State) kernel(ops []kop, slot int32, step int64, m int) {
 	for i := range ops {
 		op := &ops[i]
 		dst := s.regs[op.dst*w:][:m]
-		a := s.regs[op.a*w:][:m]
-		b := s.regs[op.b*w:][:m]
+		// Operands as long as dst by construction, which lets the compiler
+		// drop the element loops' bounds checks.
+		a := s.regs[op.a*w:][:len(dst)]
+		b := s.regs[op.b*w:][:len(dst)]
 		switch op.kind {
 		case kConst:
 			for t := range dst {
@@ -427,15 +433,23 @@ func (s *State) kernel(ops []kop, slot int32, step int64, m int) {
 			}
 		case kLoad:
 			arr, off, inc := s.arrays[op.slot], s.offs[op.pos], s.steps[op.pos]
+			if inc == 1 {
+				copy(dst, arr[off:off+int64(m)])
+				break
+			}
 			for t := range dst {
 				dst[t] = arr[off]
 				off += inc
 			}
 		case kStore:
 			arr, off, inc := s.arrays[op.slot], s.offs[op.pos], s.steps[op.pos]
-			for _, x := range a {
-				arr[off] = x
-				off += inc
+			if inc == 1 {
+				copy(arr[off:off+int64(m)], a)
+			} else {
+				for _, x := range a {
+					arr[off] = x
+					off += inc
+				}
 			}
 			if s.wrote != nil && s.wrote[op.slot] != nil && s.member[op.stmt] {
 				s.stampStrip(s.wrote[op.slot], s.offs[op.pos], inc, m, op.stmt)
@@ -479,6 +493,61 @@ func (s *State) kernel(ops []kop, slot int32, step int64, m int) {
 		case kCopy:
 			copy(dst, a)
 		}
+	}
+}
+
+// ordered runs the kernel over the m iterations from the current one on in
+// iteration order, as the closures run them: each iteration one pass over the
+// operations, every register its element 0.
+func (s *State) ordered(ops []kop, slot int32, step, m int64) {
+	w, r := int32(s.width), s.regs
+	for k := int64(1); ; k++ {
+		for i := range ops {
+			op := &ops[i]
+			d, a, b := op.dst*w, r[op.a*w], r[op.b*w]
+			switch op.kind {
+			case kConst:
+				r[d] = op.val
+			case kScalar:
+				r[d] = s.scalars[op.slot]
+			case kIndex:
+				r[d] = float64(s.indices[op.slot])
+			case kLoad:
+				r[d] = s.arrays[op.slot][s.offs[op.pos]]
+			case kStore:
+				off := s.offs[op.pos]
+				s.arrays[op.slot][off] = a
+				if s.wrote != nil && s.wrote[op.slot] != nil && s.member[op.stmt] {
+					s.wrote[op.slot][off] = stampOf(s.epoch, int(op.stmt))
+				}
+			case kLast:
+				s.scalars[op.slot], s.scalarSet[op.slot] = a, true
+			case kCarry:
+				s.carry(op, r[d:d+1], r[op.a*w:][:1])
+			case kNeg:
+				r[d] = -a
+			case kAdd:
+				r[d] = a + b
+			case kSub:
+				r[d] = a - b
+			case kMul:
+				r[d] = a * b
+			case kDiv:
+				r[d] = a / b
+			case kOne:
+				r[d] = op.one(a)
+			case kTwo:
+				r[d] = op.two(a, b)
+			case kRound:
+				r[d] = math.Round(a)
+			case kCopy:
+				r[d] = a
+			}
+		}
+		if k == m {
+			return
+		}
+		s.advance(slot, step, 1)
 	}
 }
 

@@ -52,6 +52,43 @@ c(1) = t + u + k
 end
 `
 
+// sweepTemplate2 is FuzzSweepBody's 2-D arm: the loop runs inside do j, over
+// arrays of n columns, so a subscript moves with the run's index in either
+// dimension while the enclosing j stands — and one of 2*i - d past column n
+// goes out of bounds at a run's far end only.
+const sweepTemplate2 = `
+program t
+parameter n = 40
+parameter m = 80
+real a(m, n), b(m, n), c(m, n), t, u, w
+integer idx(m)
+integer k
+integer i, j
+!hpf$ distribute (%s, *) :: a
+!hpf$ align (i, j) with a(i, j) :: b, c
+do j = 1, n
+  do i = 1, m
+    a(i, j) = i * 0.5 - j
+    b(i, j) = (m - i) * 0.25 + j
+    c(i, j) = mod(i * 7 + j, 13) - 6.0
+  end do
+end do
+do i = 1, m
+  idx(i) = m + 1 - i
+end do
+t = 0.75
+u = -1.5
+w = 3.0
+k = 2
+do j = 2, 3
+  do i = %s
+%s
+  end do
+end do
+c(1, 1) = t + u + k
+end
+`
+
 // The loop forms a case is run under: 297 iterations up, 297 down, 75 of
 // stride 2.
 var sweepLoops = []struct {
@@ -109,6 +146,9 @@ func TestSweepDependences(t *testing.T) {
 		{"integer-scalar", []string{"k = i / 2", "b(i) = a(i) + k", "k = k * b(i) + 0.5"}, "SSS"},
 		{"fixed-element-read-back", []string{"a(3) = b(i)", "c(i) = a(3)"}, "OOO"},
 		{"fixed-element-last-write-wins", []string{"a(3) = b(i)"}, "SSS"},
+		// Two stores of a: going up, the second statement's a(i) is the
+		// element the first overwrites an iteration later.
+		{"output-across-statements", []string{"a(i-1) = b(i)", "a(i) = c(i)"}, "OSS"},
 		// Unequal steps: refused when the two ranges meet, 3..299 and 2..298 —
 		// which on the stride-two loop, 151..299 and 2..150, they do not.
 		{"mirror", []string{"a(i) = a(n-i+1) + 1"}, "OOS"},
@@ -178,10 +218,12 @@ func TestSweepDependences(t *testing.T) {
 // and maybe a scalar carried from iteration to iteration.
 // Array subscripts are c·i + d with c in {-1, 0, 1, 2} and d such that i in
 // [2, n-2] stays within the arrays (sweepTemplate's, 2n long), or such a
-// position of the subscript table.
+// position of the subscript table. In the 2-D arm (rank2) that subscript is
+// either dimension's, and the other one j - 1 + d with d in {0, 1, 2}.
 type genBody struct {
-	data []byte
-	pos  int
+	data  []byte
+	pos   int
+	rank2 bool
 }
 
 func (g *genBody) next(n int) int {
@@ -199,17 +241,24 @@ func (g *genBody) ref(scalars bool) string {
 	}
 	arr := []string{"a", "b", "c"}[g.next(3)]
 	d := g.next(4)
+	sub := fmt.Sprintf("2*i - %d", d) // 1 .. 2n-4
 	switch g.next(5) {
 	case 4:
-		return fmt.Sprintf("%s(idx(i - 1 + %d))", arr, d) // through the table, which no body writes
+		sub = fmt.Sprintf("idx(i - 1 + %d)", d) // through the table, which no body writes
 	case 0:
-		return fmt.Sprintf("%s(n + %d - i)", arr, d) // 2 .. n+1
+		sub = fmt.Sprintf("n + %d - i", d) // 2 .. n+1
 	case 1:
-		return fmt.Sprintf("%s(%d)", arr, d+1)
+		sub = fmt.Sprint(d + 1)
 	case 2:
-		return fmt.Sprintf("%s(i - 1 + %d)", arr, d) // 1 .. n
+		sub = fmt.Sprintf("i - 1 + %d", d) // 1 .. n
 	}
-	return fmt.Sprintf("%s(2*i - %d)", arr, d) // 1 .. 2n-4
+	switch {
+	case !g.rank2:
+		return fmt.Sprintf("%s(%s)", arr, sub)
+	case g.next(2) == 0:
+		return fmt.Sprintf("%s(%s, j - 1 + %d)", arr, sub, g.next(3))
+	}
+	return fmt.Sprintf("%s(j - 1 + %d, %s)", arr, g.next(3), sub)
 }
 
 func (g *genBody) expr(depth int) string {
@@ -265,9 +314,10 @@ func (g *genBody) body() string {
 
 // FuzzSweepBody: whatever flat body the bytes spell, under whichever loop form,
 // distribution and processor count they pick, the production walk — sweeping
-// the runs its legality test accepts — leaves what the oracle leaves. The
-// corpus (testdata/fuzz/FuzzSweepBody) adds two bodies that leave NaNs of
-// different bits on the two sides, which sameBits must take as equal.
+// the runs its legality test accepts — leaves what the oracle leaves. A first
+// byte from 0x80 up picks the 2-D arm (sweepTemplate2). The corpus
+// (testdata/fuzz/FuzzSweepBody) adds two bodies that leave NaNs of different
+// bits on the two sides, which sameBits must take as equal.
 func FuzzSweepBody(f *testing.F) {
 	for _, seed := range []string{
 		"", "swept runs", "\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7\xf6\xf5\xf4\xf3\xf2\xf1\xf0",
@@ -291,6 +341,23 @@ func FuzzSweepBody(f *testing.F) {
 		// (*), P=3, NaN and -0 in the data: b(i) = -1.25 * (i < 0.5), which
 		// is -0, and t = max(t, b(i) / b(i)), a NaN that must never win.
 		"\x02\x00\x01\x00\x00\x01\x01\x02\x01\x00\x01\x02\x01\x00\x01\x00\x07\x02\x05\x00\x01\x03\x00\x01\x01\x02\x03\x00\x01\x01\x02\x03\x01\x00",
+		// (*), going up, P=1: a(i - 1 + 0) = b(i - 1 + 1), a unit-stride
+		// store (and load), which the kernel copies.
+		"\x02\x00\x00\x00\x00\x00\x00\x02\x00\x02\x00\x01\x01\x02",
+		// The same store through a(n + 0 - i), which goes down: no copy.
+		"\x02\x00\x00\x00\x00\x00\x00\x00\x00\x02\x00\x01\x01\x02",
+		// TOMCATV's r1/r2 shape, refused and run in iteration order: two
+		// recurrences, t = (a(i - 1 + 1) + a(i - 1 + 0)); a(i - 1 + 1) = t, and
+		// the same of u through b.
+		"\x02\x00\x00\x03\x03\x00\x01\x00\x02\x00\x00\x01\x02\x00\x02\x00\x00\x00\x02\x00" +
+			"\x00\x00\x01\x02\x00\x02\x03\x00\x03\x01\x01\x00\x02\x00\x01\x01\x02\x00\x02\x00\x01\x00\x02\x00" +
+			"\x00\x01\x01\x02\x00\x02\x03\x01",
+		// The 2-D arm, (*) going up, P=1: a(j - 1 + 1, 2*i - 0) = b(i - 1 + 1,
+		// j - 1 + 1), whose second subscript leaves a's n columns at i = 21,
+		// the far end of the run and not its first iteration.
+		"\x80\x00\x00\x00\x00\x00\x00\x03\x01\x01\x00\x02\x00\x01\x01\x02\x00\x01",
+		// Blocks, stride two, P=3: c(j - 1 + 2, 2*i - 1) = a(n + 0 - i, j - 1 + 0).
+		"\x81\x02\x01\x00\x00\x02\x01\x03\x01\x02\x00\x02\x00\x00\x00\x00\x00\x00",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -298,11 +365,15 @@ func FuzzSweepBody(f *testing.F) {
 		if len(data) > 64 {
 			return
 		}
-		g := &genBody{data: data}
+		g := &genBody{data: data, rank2: len(data) > 0 && data[0] >= 0x80}
 		dist := []string{"block", "cyclic", "*"}[g.next(3)]
 		loop := sweepLoops[g.next(3)].bounds
 		nprocs := []int{1, 3, 4}[g.next(3)]
-		src := fmt.Sprintf(sweepTemplate, dist, loop, g.body())
+		template := sweepTemplate
+		if g.rank2 {
+			template = sweepTemplate2
+		}
+		src := fmt.Sprintf(template, dist, loop, g.body())
 		ap, err := parser.Parse(src)
 		if err != nil {
 			t.Fatalf("the generator wrote a program that does not parse: %v\n%s", err, src)

@@ -444,10 +444,12 @@ func (s *State) exactOver(l *ir.Loop, lo, hi, step, lim int64) bool {
 // table filled during its first iteration serves them all. The partition
 // decides only how long, never what: the sets come from the same evaluators
 // as on the general walk. The affine array accesses of the body are then
-// evaluated, guards and all, at the run's two ends: in bounds at both is in
-// bounds throughout, and the run keeps their offsets (State.offs) instead of
-// evaluating subscripts — unless one is out of bounds, when the iteration
-// takes the general walk, which fails where and how it always did.
+// evaluated, guards and all, at the run's first iteration, and each
+// subscript's value at the last follows from the coefficient lowering recorded
+// (arrCode.open): in bounds at both ends is in bounds throughout, and the run
+// keeps their offsets (State.offs) instead of evaluating subscripts — unless
+// one is out of bounds, when the iteration takes the general walk, which fails
+// where and how it always did.
 // The schedule fills the table by resolving what the run's instances issue
 // (schedule.resolve), and a quiet run's iterations are charged from the list.
 func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
@@ -479,27 +481,15 @@ func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
 		return n // nothing here reads an offset
 	}
 
-	v := s.indices[slot]
 	arrs := w.c.arrs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
 	offs, steps := s.offs[lc.arrs.lo:], s.steps[lc.arrs.lo:]
-	for end := 0; end < 2; end++ {
-		s.indices[slot] = v + int64(end)*(n-1)*step
-		for k, ac := range arrs {
-			off, ok := ac.offset(s)
-			if !ok {
-				s.err = nil
-				s.indices[slot] = v
-				s.endRun()
-				return 0
-			}
-			if end == 0 {
-				offs[k], steps[k] = off, 0
-			} else {
-				steps[k] = (off - offs[k]) / (n - 1)
-			}
+	for k, ac := range arrs {
+		if offs[k], steps[k], ok = ac.open(s, w.c.coefs[ac.coefs:], step, (n-1)*step); !ok {
+			s.err = nil
+			s.endRun()
+			return 0
 		}
 	}
-	s.indices[slot] = v
 	s.hoist = lc.arrs
 	return n
 }
@@ -527,7 +517,7 @@ func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
 		return err
 	}
 	if kern := w.c.kops[lc.kern.lo : lc.kern.lo+lc.kern.n]; w.quiet != nil && len(kern) > 0 {
-		if s.swept = -1; s.sweepable(kern, n) {
+		if s.swept = -1; s.sweepable(w.c.kpairs[lc.pairs.lo:lc.pairs.lo+lc.pairs.n], n) {
 			s.swept = 1
 		}
 		return w.sweep(kern, slot, step, n, int64(len(stmts)))

@@ -139,6 +139,49 @@ func TestCollectiveFigure5RowSums(t *testing.T) {
 	}
 }
 
+// nanMaxRight updates m = max(e, m), the accumulator on the right, over
+// contributions sqrt(7), sqrt(6), …, 0 and then eight NaNs: sequentially a NaN
+// e wins its own iteration (max(e, m) keeps e unless m > e), so m ends NaN.
+const nanMaxRight = `
+program nanmaxright
+parameter n = 16
+real a(n), m
+integer i
+!hpf$ distribute (block) :: a
+do i = 1, n
+  a(i) = i
+end do
+m = -1.0
+do i = 1, n
+  m = max(sqrt(8.0 - a(i)), m)
+end do
+end
+`
+
+// TestAccumulatorRightMaxIsNoReduction: max(e, m) is declined as a
+// privatizable reduction, since no fold keeps its order over a NaN, so every
+// processor count, runtime strategy and backend leaves the sequential NaN —
+// where privatized, -reduce auto once ended m = sqrt(7).
+func TestAccumulatorRightMaxIsNoReduction(t *testing.T) {
+	for _, nprocs := range []int{1, 4} {
+		for _, mode := range []core.ReduceMode{core.ReduceCollective, core.ReduceAuto} {
+			prog := compile(t, nanMaxRight, nprocs, core.DefaultOptions())
+			rep, err := Diff(context.Background(), prog, Config{Reduce: mode})
+			if err != nil {
+				t.Fatalf("p%d %s: %v", nprocs, mode, err)
+			}
+			if !rep.Match() {
+				t.Errorf("p%d %s: %s", nprocs, mode, rep.String())
+			}
+			for side, m := range map[string]float64{"sim": rep.Sim.Scalars["m"], "exec": rep.Exec.Scalars["m"]} {
+				if !math.IsNaN(m) {
+					t.Errorf("p%d %s: %s m = %v, want NaN", nprocs, mode, side, m)
+				}
+			}
+		}
+	}
+}
+
 // nanMax is a max reduction whose first contribution is a NaN, sqrt(-1.0): the
 // sequential max never lets a NaN win (max(m, e) keeps m unless e > m), so m
 // ends at sqrt(14).

@@ -266,6 +266,22 @@ if grep -nE '"os"|\bos\.(Getenv|LookupEnv|Environ)\b' $evalfiles ||
     exit 1
 fi
 
+# Lowered-run gate (DESIGN.md §11, "Opening a run"): an owner run is opened by
+# evaluating each access once, at the run's first iteration; the far end's
+# bounds and the per-iteration step follow from the coefficients lowering
+# recorded (arrCode.open), and the pairs of accesses sweepable tests are listed
+# once per kernel (code.kpairs). Fail when beginRun moves the loop index to
+# the run's far end or divides an offset by n - 1, or when sweepable ranges
+# over kernel operations again.
+if ! grep -q '^func (w \*walker) beginRun(' internal/eval/walk.go ||
+    ! grep -q '^func (s \*State) sweepable(' internal/eval/sweep.go ||
+    awk '/^func \(w \*walker\) beginRun\(/,/^}/' internal/eval/walk.go |
+        grep -nE 'indices\[slot\][[:space:]]*[-+*]?=([^=]|$)|/[[:space:]]*\(?n[[:space:]]*-[[:space:]]*1\b' ||
+    awk '/^func \(s \*State\) sweepable\(/,/^}/' internal/eval/sweep.go | grep -nE '\bkop\b|range ops|\.kind\b'; then
+    echo "check: beginRun evaluates an access at the run's far end or divides by n - 1, or sweepable scans kernel operations; a run opens from lowered coefficients (arrCode.open) and lowered pairs (code.kpairs)" >&2
+    exit 1
+fi
+
 # One-message-per-transfer gates (DESIGN.md §12): a planned message is one
 # physical message and one trace event, on both backends. Message
 # vectorization is the compiler's placement decision, so the executor does not
