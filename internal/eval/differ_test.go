@@ -45,7 +45,7 @@ func strategies() map[string]core.Options {
 
 // sameBits compares two memory images bit for bit, but for a NaN: any two are
 // equal. Which operand's NaN an operation on two keeps is not Go's to say, and
-// the lowered closures and the oracle take their operands in different orders.
+// the lowered programs and the oracle take their operands in different orders.
 func sameBits(t *testing.T, what string, got, want map[string][]float64) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -152,6 +152,11 @@ func FuzzLowerExpr(f *testing.F) {
 		{"a(i + 1)", "j + 4"},
 		{"1.0e300 * 1.0e300 - x", "i * 3000000000 * 3000000000 / 9"},
 		{"a(b(i,j))", "c(i) / 2 + 1.6"},
+		// Programs nested three deep, each in the registers above the read
+		// that evaluates it, and an innermost read out of bounds.
+		{"x + a(idx(idx(i))) * y", "idx(idx(i))"},
+		{"x + a(idx(idx(i + 1))) * y", "i"},
+		{"y * b(idx(j), idx(idx(i))) - x", "idx(idx(7 - j))"},
 	} {
 		f.Add(seed[0], seed[1])
 	}

@@ -4,13 +4,14 @@
 // at compile time; the runtime should only have to evaluate them. Lowering
 // turns each statement's right-hand side, definition, condition and reduction
 // operand, every loop's bounds, and the owner / execution-set computation of
-// every statement plan and communication requirement into slot-indexed
-// closures over a State, once per program. Affine subscripts and bounds run
-// in int64 straight from their ir.Affine form (fused with the bounds guard
-// and the offset computation for array accesses); everything else runs the
-// lowered float expression under the same range checks the tree-walking
-// evaluator applied. Owner sets come out of dist.ProcSet values with inline
-// coordinates, so a statement instance touches the heap nowhere.
+// every statement plan and communication requirement into slot-indexed code
+// over a State, once per program. Affine subscripts and bounds run in int64
+// straight from their ir.Affine form (fused with the bounds guard and the
+// offset computation for array accesses); every expression — and beyond that
+// range, the tree of an affine form too — is a program of register operations
+// (sweep.go), run by the scalar pass under the same range checks the
+// tree-walking evaluator applied. Owner sets come out of dist.ProcSet values
+// with inline coordinates, so a statement instance touches the heap nowhere.
 //
 // The lowered form is immutable and cached on the spmd.Program
 // (Program.Lowered), built on the first execution rather than by the
@@ -19,30 +20,30 @@
 // variable in a hand-built tree, a zero step, an out-of-range subscript)
 // still fails when — and only when — execution reaches it.
 //
-// Error discipline: lowered expressions return bare values. The first error
-// of an evaluation is parked on the State (State.fail) and evaluation runs
-// on over harmless zero values; every entry point into lowered code checks
-// and clears it (State.takeErr) before any effect of the failed evaluation
-// could become visible. Evaluation order is the tree's, depth first and left
-// to right, so the parked error is the one a stop-at-first-error evaluator
-// reports, and floating-point operations happen in the same order.
+// Error discipline: programs compute bare values. The first error of an
+// evaluation is parked on the State (State.fail) and evaluation runs on over
+// harmless zero values; every entry point into lowered code checks and clears
+// it (State.takeErr) before any effect of the failed evaluation could become
+// visible. A program's operations are in the tree's order, depth first and
+// left to right, so the parked error is the one a stop-at-first-error
+// evaluator reports, and floating-point operations happen in the same order.
 //
 // A loop that is executed as owner runs also gets, where its body allows one,
-// a run kernel (sweep.go): the body's right-hand sides and stores as a flat
-// list of register operations, each applied to a whole strip of a quiet run's
-// iterations at once, so that the dispatch the closures pay per statement
-// instance is paid per strip. It is a second form of the same expressions, not
-// a second meaning: an operator or intrinsic is one element function
-// (elemental, ast.Intrinsics) that both forms apply — only + − × ÷ are spelled out, in each —
-// the kernel admits nothing that can fail, and every other path (the general
-// walk, loud runs, conditions, subscripts, any Backend but the schedule) runs
-// the closures; a quiet run whose dependences a sweep would reverse runs the
-// kernel one iteration at a time.
+// a run kernel: its statements' programs as one list, which the strip kernel
+// applies to a whole strip of a quiet run's iterations at once, so that the
+// dispatch a program pays per statement instance is paid per strip. An
+// operator or intrinsic is one element function (elemental, ast.Intrinsics)
+// that both passes apply — only + − × ÷ are spelled out, in each. The kernel
+// admits nothing that can fail; every other path (the general walk, loud
+// runs, conditions, subscripts, any Backend but the schedule) runs programs,
+// and a quiet run a sweep would reorder runs its kernel through the scalar
+// pass, one iteration at a time.
 package eval
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"phpf/internal/ast"
@@ -52,9 +53,6 @@ import (
 	"phpf/internal/ir"
 	"phpf/internal/spmd"
 )
-
-// fexpr is a lowered floating-point expression.
-type fexpr func(s *State) float64
 
 // code is the lowered form of one program, indexed by the dense IDs the
 // plan's statements, loops, references and requirements carry.
@@ -72,13 +70,13 @@ type code struct {
 	// subscript's coefficient of the run loop's index (arrCode.coefs is the
 	// first): what opening a run reads its far end and its steps from.
 	coefs []int64
-	// kops holds the run kernels of the run-lowered loops that have one, loop
-	// by loop (loopCode.kern), nreg the registers the largest of them uses,
-	// and kpairs the pairs of a kernel's accesses that sweepable tests, kernel
-	// by kernel (loopCode.pairs) (sweep.go).
-	kops   []kop
-	nreg   int32
-	kpairs []kpair
+	// nreg is the registers the largest run kernel uses, and kpairs the pairs
+	// of a kernel's accesses that sweepable tests, kernel by kernel
+	// (loopCode.pairs) (sweep.go). tab is what the programs name by number;
+	// bound extends it with what forProcessors lowers.
+	nreg       int32
+	kpairs     []kpair
+	tab, bound tables
 	// charges is the most charges an iteration of a run-lowered loop makes: per
 	// statement the compute and a guard per per-instance requirement.
 	charges int
@@ -141,15 +139,13 @@ type affTerm struct {
 type intCode struct {
 	// single marks the commonest subscript, c + coef·index[slot], which eval
 	// computes ahead of the general term loop.
-	single bool
-	slot   int32
-	coef   int64
+	single, affine bool
+	slot           int32
+	coef           int64
 
-	c      int64
-	lim    int64
-	affine bool
+	c, lim int64
 	terms  []affTerm
-	fn     fexpr
+	fn     []kop
 }
 
 func (ic *intCode) eval(s *State) (int64, bool) {
@@ -173,9 +169,9 @@ func (ic *intCode) evalGeneral(s *State) (int64, bool) {
 			return x, true
 		}
 	}
-	// Through the float expression, rejecting values outside the exactly
+	// Through the program of the tree, rejecting values outside the exactly
 	// representable range instead of wrapping through the conversion.
-	x := ic.fn(s)
+	x := s.pass(ic.fn)
 	if s.err != nil {
 		return 0, false
 	}
@@ -225,6 +221,13 @@ type lowerer struct {
 	run *loopCode
 	// kscalars is kernel's scratch: the scalars the body in hand writes.
 	kscalars []kscalar
+	// tab takes what programs name by number; ops is the builders' scratch,
+	// chunk what programs are carved from, base the register those built now
+	// start at (above a kAccess that evaluates them).
+	tab   *tables
+	ops   []kop
+	chunk []kop
+	base  int32
 }
 
 // lower builds the lowered form of p. It cannot fail: whatever could not be
@@ -239,6 +242,7 @@ func lower(p *spmd.Program) *code {
 		arrs:    make([]*arrCode, 0, len(prog.Refs)),
 		scalars: make(map[*core.ScalarMapping]*patCode, len(p.Res.Scalars)),
 	}}
+	lw.tab = &lw.c.tab
 	for _, r := range prog.Refs {
 		if r.Var.IsArray() {
 			lw.owner(r)
@@ -324,7 +328,7 @@ func (lw *lowerer) affine(a ir.Affine, encl *ir.Loop, exact bool) intCode {
 			ic.affine = false
 		}
 	}
-	ic.fn = lw.expr(a.Expr, encl)
+	ic.fn = lw.program(a.Expr, encl)
 	return ic.finish()
 }
 
@@ -336,65 +340,6 @@ func (ic intCode) finish() intCode {
 	return ic
 }
 
-// expr lowers a floating-point expression evaluated inside loop encl.
-func (lw *lowerer) expr(e ast.Expr, encl *ir.Loop) fexpr {
-	switch x := e.(type) {
-	case *ast.IntConst:
-		v := float64(x.Value)
-		return func(*State) float64 { return v }
-	case *ast.RealConst:
-		v := x.Value
-		return func(*State) float64 { return v }
-	case *ast.Ref:
-		return lw.ref(x, encl)
-	case *ast.UnaryMinus:
-		arg := lw.expr(x.X, encl)
-		return func(s *State) float64 { return -arg(s) }
-	case *ast.Not:
-		return unary(not, lw.expr(x.X, encl))
-	case *ast.BinOp:
-		return binary(x.Op, lw.expr(x.L, encl), lw.expr(x.R, encl))
-	case *ast.Call:
-		args := make([]fexpr, len(x.Args))
-		for k, a := range x.Args {
-			args[k] = lw.expr(a, encl)
-		}
-		return call(x.Name, args)
-	}
-	return failing(fmt.Errorf("unsupported expression %T", e))
-}
-
-// failing lowers something that cannot be evaluated: the error surfaces
-// when (and only when) execution reaches it.
-func failing(err error) fexpr {
-	return func(s *State) float64 {
-		s.fail(err)
-		return 0
-	}
-}
-
-func (lw *lowerer) ref(x *ast.Ref, encl *ir.Loop) fexpr {
-	v := lw.prog.LookupVar(x.Name)
-	if v == nil {
-		return failing(fmt.Errorf("unknown variable %s", x.Name))
-	}
-	slot := v.Slot
-	switch {
-	case v.IsLoopIndex:
-		return func(s *State) float64 { return float64(s.indices[slot]) }
-	case !v.IsArray():
-		return func(s *State) float64 { return s.scalars[slot] }
-	}
-	ac := lw.array(v, x, encl, 0)
-	return func(s *State) float64 {
-		off, ok := ac.offset(s)
-		if !ok {
-			return 0
-		}
-		return s.arrays[slot][off]
-	}
-}
-
 func b2f(b bool) float64 {
 	if b {
 		return 1
@@ -404,9 +349,9 @@ func b2f(b bool) float64 {
 
 // elemental holds the element functions of the relational and logical
 // operators, one definition per spelling (ast.Op.String), and not is that of
-// the negation; an intrinsic's are its entry of ast.Intrinsics. Both forms of
-// an expression are derived from them, the scalar closures here and the loops
-// of a run kernel (sweep.go); only + − × ÷ are written inline, in each.
+// the negation; an intrinsic's are its entry of ast.Intrinsics. The scalar
+// pass and the strip kernel (sweep.go) both apply them, numbered (fns); only
+// + − × ÷ are written inline, in each.
 func not(a float64) float64 { return b2f(a == 0) }
 
 var elemental = map[string]func(a, b float64) float64{
@@ -420,90 +365,13 @@ var elemental = map[string]func(a, b float64) float64{
 	"or":  func(a, b float64) float64 { return b2f(a != 0 || b != 0) },
 }
 
-// unary and binaryFn are the scalar closures of an element function. Both
-// operands are always evaluated, left first (the logical operators do not
-// short-circuit).
-func unary(f func(a float64) float64, a fexpr) fexpr {
-	return func(s *State) float64 { return f(a(s)) }
-}
-
-func binaryFn(f func(a, b float64) float64, l, r fexpr) fexpr {
-	return func(s *State) float64 { a, b := l(s), r(s); return f(a, b) }
-}
-
-// binary lowers one operator application.
-func binary(op ast.Op, l, r fexpr) fexpr {
-	switch op {
-	case ast.Add:
-		return func(s *State) float64 { return l(s) + r(s) }
-	case ast.Sub:
-		return func(s *State) float64 { return l(s) - r(s) }
-	case ast.Mul:
-		return func(s *State) float64 { return l(s) * r(s) }
-	case ast.Div:
-		return func(s *State) float64 { return l(s) / r(s) }
-	}
-	if op >= ast.OpEq && op <= ast.OpOr {
-		return binaryFn(elemental[op.String()], l, r)
-	}
-	return func(s *State) float64 {
-		l(s)
-		r(s)
-		s.fail(fmt.Errorf("bad operator"))
-		return 0
-	}
-}
-
-// call lowers an intrinsic application. The parser fixes each intrinsic's
-// arity (only a variadic one takes more than two arguments); any shape
-// without an element function goes through evalCall.
-func call(name string, args []fexpr) fexpr {
-	switch in := ast.Intrinsics[name]; {
-	case len(args) == 1 && in.One != nil:
-		return unary(in.One, args[0])
-	case len(args) >= 2 && in.Two != nil:
-		f := args[0]
-		for _, a := range args[1:] {
-			f = binaryFn(in.Two, f, a)
-		}
-		return f
-	}
-	return func(s *State) float64 {
-		var buf [4]float64
-		vals := buf[:0]
-		for _, a := range args {
-			vals = append(vals, a(s))
-		}
-		if s.err != nil {
-			return 0
-		}
-		v, err := evalCall(name, vals)
-		if err != nil {
-			s.fail(err)
-		}
-		return v
-	}
-}
-
-// evalCall applies an intrinsic to evaluated arguments: the definition in
-// ast.Intrinsics, which the compile-time fold shares.
-func evalCall(name string, args []float64) (float64, error) {
-	in, ok := ast.Intrinsics[name]
-	if !ok {
-		return 0, fmt.Errorf("unknown intrinsic %s", name)
-	}
-	return in.Value(args), nil
-}
-
 // ---------------------------------------------------------------------------
 // Array element access
 
 // arrCode is one lowered array access: subscript evaluation, the bounds
 // guard and the row-major offset, fused.
 type arrCode struct {
-	v *ir.Var
-	// ref is the reference lowered: how a run kernel knows an access for its own.
-	ref     *ast.Ref
+	v       *ir.Var
 	subs    []intCode
 	strides []int64
 	// line > 0 marks a definition: its errors carry the source line.
@@ -520,7 +388,7 @@ type arrCode struct {
 }
 
 func (lw *lowerer) array(v *ir.Var, x *ast.Ref, encl *ir.Loop, line int) *arrCode {
-	ac := &arrCode{v: v, ref: x, line: line, wide: -1, pos: -1,
+	ac := &arrCode{v: v, line: line, wide: -1, pos: -1,
 		subs: make([]intCode, v.Rank()), strides: make([]int64, v.Rank())}
 	stride := int64(1)
 	affine := true
@@ -891,7 +759,7 @@ type stmtCode struct {
 
 	// SAssign: evaluate rhs, then store through the definition — an array
 	// element (def) or the scalar in slot, rounded when integer-typed.
-	rhs   fexpr
+	rhs   []kop
 	def   *arrCode
 	slot  int32
 	round bool
@@ -901,7 +769,7 @@ type stmtCode struct {
 	red *redCode
 
 	// SIf, SIfGoto
-	cond fexpr
+	cond []kop
 
 	// everywhere marks an assignment every processor computes: it writes a
 	// value some processor's set resolution, subscript or loop bound reads
@@ -913,7 +781,7 @@ type stmtCode struct {
 // evaluate only the contribution and fold it into the partial row of the
 // processor that executes the instance.
 type redCode struct {
-	data   fexpr
+	data   []kop
 	negate bool
 	owner  *ownerCode // owners of the reduction's data reference; nil: processor 0
 	def    *arrCode   // elementwise reductions: the updated element
@@ -938,26 +806,26 @@ func (lw *lowerer) stmt(st *ir.Stmt) {
 	switch st.Kind {
 	case ir.SAssign:
 		v := st.Lhs.Var
-		sc.rhs = lw.expr(st.Rhs, st.Loop)
+		sc.rhs = lw.program(st.Rhs, st.Loop)
 		sc.slot = v.Slot
 		sc.round = v.Type == ast.Integer
 		if v.IsArray() {
 			sc.def = lw.array(v, st.Lhs.Ast, st.Loop, st.Line)
 		}
 		if c := sp.Combine; c != nil && c.Privatizable {
-			sc.red = &redCode{data: lw.expr(c.Red.Data, st.Loop), negate: c.Red.Negate, def: sc.def}
+			sc.red = &redCode{data: lw.program(c.Red.Data, st.Loop), negate: c.Red.Negate, def: sc.def}
 			if c.Red.DataRef != nil {
 				sc.red.owner = lw.owner(c.Red.DataRef)
 			}
 		}
 	case ir.SIf, ir.SIfGoto:
-		sc.cond = lw.expr(st.Cond, st.Loop)
+		sc.cond = lw.program(st.Cond, st.Loop)
 	}
 }
 
 // assign runs the assignment's value semantics.
 func (sc *stmtCode) assign(s *State) {
-	val := sc.rhs(s)
+	val := s.pass(sc.rhs)
 	if s.err != nil {
 		return
 	}
@@ -979,7 +847,7 @@ func (sc *stmtCode) assign(s *State) {
 // loop exit (it is stale while the loop runs, which is why only the
 // contribution is evaluated, never the full right-hand side).
 func (rc *redCode) accumulate(s *State, c *spmd.Combine) {
-	val := rc.data(s)
+	val := s.pass(rc.data)
 	if s.err != nil {
 		return
 	}
@@ -1033,11 +901,12 @@ type loopCode struct {
 	// up to which every set computation of the body and every such access is
 	// an affine function of the loop indices — 0 when one of them is not,
 	// and the loop has no runs. nsets counts the body's set computations, kern
-	// is the stretch of code.kops that is its run kernel (empty: none), pairs
-	// the stretch of code.kpairs sweepable tests of it.
-	body, arrs, kern, pairs span
-	lim                     int64
-	nsets                   int
+	// is its run kernel (nil: none), pairs the stretch of code.kpairs
+	// sweepable tests of it.
+	body, arrs, pairs span
+	kern              []kop
+	lim               int64
+	nsets             int
 }
 
 // span is a stretch of a list: n elements from lo.
@@ -1268,7 +1137,9 @@ func (cc *coverCode) eval(s *State) bool {
 // a section enumerates (use), and who computes what (everywhere).
 func (c *code) forProcessors(p *spmd.Program) {
 	c.procs.Do(func() {
-		lw := &lowerer{p: p, prog: p.Res.Prog, c: c}
+		t := c.tab
+		c.bound = tables{slices.Clip(t.vals), slices.Clip(t.accs), slices.Clip(t.errs), t.nsreg}
+		lw := &lowerer{p: p, prog: p.Res.Prog, c: c, tab: &c.bound}
 		for _, req := range p.Plan.Reqs {
 			lw.use(req)
 		}

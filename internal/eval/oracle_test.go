@@ -118,7 +118,12 @@ func (o *oracle) Eval(e ast.Expr) (float64, error) {
 			}
 			args[k] = v
 		}
-		return evalCall(x.Name, args)
+		// The definition in ast.Intrinsics, which the compile-time fold shares.
+		in, ok := ast.Intrinsics[x.Name]
+		if !ok {
+			return 0, fmt.Errorf("unknown intrinsic %s", x.Name)
+		}
+		return in.Value(args), nil
 	}
 	return 0, fmt.Errorf("unsupported expression %T", e)
 }
@@ -904,9 +909,9 @@ const Strip = strip
 // and the runs of either kind; of the quiet instances, those whose run was
 // swept through its kernel and those whose kernel ran them in iteration order
 // (the dependence test refused the sweep); the rest lie in loops that have no
-// kernel, and are run by the closures. Strips counts the operations that
+// kernel, and are run by their programs. Strips counts the operations that
 // closed the quiet iterations (Ops.Iteration): a strip of up to Strip where
-// the kernel runs them, one iteration where the closures do.
+// the kernel runs them, one iteration where the programs do.
 type Census struct {
 	Quiet, Loud, General int64
 	QuietRuns, LoudRuns  int64

@@ -104,12 +104,14 @@ type State struct {
 	hoist       span
 
 	// regs is the register file of swept runs (sweep.go), width values a
-	// register (State.registers); swept says what became of the quiet run in
-	// flight: +1 swept, -1 its kernel run in iteration order (a sweep would
-	// reverse a dependence), 0 no kernel.
-	regs  []float64
-	width int
-	swept int8
+	// register (State.registers), and sregs the scalar pass's, one value a
+	// register; tab is the tables the programs name. swept says what became
+	// of the quiet run in flight: +1 swept, -1 its kernel run in iteration
+	// order (a sweep would reverse a dependence), 0 no kernel.
+	regs, sregs []float64
+	width       int
+	tab         tables
+	swept       int8
 
 	// sched is the schedule of the walk in progress (Run), kept with the
 	// State's other scratch.
@@ -299,7 +301,7 @@ func (s *State) Export() (scalars map[string]float64, arrays map[string][]float6
 func (s *State) InterpretFor(p int) {
 	c := s.lowered()
 	c.forProcessors(s.Prog)
-	s.proc = p
+	s.proc, s.tab = p, c.bound
 	s.held = make([]dist.ProcSet, len(s.slots))
 	for i := range s.held {
 		s.held[i] = dist.AllProcs(s.grid)
@@ -431,7 +433,7 @@ type setEntry struct {
 // bind attaches the program's lowered form and sizes the scratch the walk
 // needs from it, once per State.
 func (s *State) bind(c *code) {
-	s.code = c
+	s.code, s.tab = c, c.tab
 	tab := make([]setEntry, len(c.stmts)+c.nowners)
 	s.execs, s.owners = tab[:len(c.stmts)], tab[len(c.stmts):]
 	s.insts = make([]instEntry, len(c.reqs))

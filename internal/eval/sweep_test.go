@@ -99,7 +99,7 @@ var sweepLoops = []struct {
 // TestSweepDependences holds the legality test of a sweep to what each body's
 // dependences allow, form by form of the loop ('S' the runs are swept, 'O' a
 // sweep would reverse a dependence and the kernel runs them in iteration
-// order, 'N' the loop has no kernel and the closures run them), and the run to
+// order, 'N' the loop has no kernel and its programs run them), and the run to
 // the oracle — memory, every processor's clock, statistics and the instance
 // count, bit for bit — under every distribution, processor count and
 // strategy. A run with a kernel is closed a strip of up to eval.Strip

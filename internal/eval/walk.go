@@ -516,14 +516,12 @@ func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
 		s.epoch += n - 1
 		return err
 	}
-	if kern := w.c.kops[lc.kern.lo : lc.kern.lo+lc.kern.n]; w.quiet != nil && len(kern) > 0 {
+	if w.quiet != nil && lc.kern != nil {
 		if s.swept = -1; s.sweepable(w.c.kpairs[lc.pairs.lo:lc.pairs.lo+lc.pairs.n], n) {
 			s.swept = 1
 		}
-		return w.sweep(kern, slot, step, n, int64(len(stmts)))
+		return w.sweep(lc.kern, slot, step, n, int64(len(stmts)))
 	}
-	offs := s.offs[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
-	steps := s.steps[lc.arrs.lo : lc.arrs.lo+lc.arrs.n]
 	for {
 		var err error
 		if w.quiet != nil {
@@ -550,11 +548,7 @@ func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
 		if n--; n == 0 {
 			return nil
 		}
-		s.indices[slot] += step
-		s.epoch++
-		for k := range offs {
-			offs[k] += steps[k]
-		}
+		s.advance(slot, step, 1)
 	}
 }
 
@@ -584,7 +578,7 @@ func (w *walker) outcome(st *ir.Stmt) (taken bool, err error) {
 	s := w.s
 	sc := &w.c.stmts[st.ID]
 	if s.proc < 0 || w.sched == nil {
-		c := sc.cond(s)
+		c := s.pass(sc.cond)
 		return c != 0, s.takeErr()
 	}
 	set, err := s.ExecSet(sc.plan)
@@ -592,7 +586,7 @@ func (w *walker) outcome(st *ir.Stmt) (taken bool, err error) {
 		return false, err
 	}
 	if set.Contains(s.proc) {
-		c := sc.cond(s)
+		c := s.pass(sc.cond)
 		if err := s.takeErr(); err != nil {
 			return false, err
 		}

@@ -234,16 +234,16 @@ if [ "$(ls internal/dataflow/*.go | grep -v '_test\.go$' | xargs cat | grep -c '
     exit 1
 fi
 if grep -rlE '"sqrt"' --include='*.go' --exclude='*_test.go' --exclude-dir=bench . |
-    grep -vE '^\./internal/(ast/[^/]*|eval/lower)\.go$'; then
-    echo "check: an intrinsic is named outside the one table (internal/ast) and its run-time closures (internal/eval/lower.go)" >&2
+    grep -vE '^\./internal/ast/[^/]*\.go$'; then
+    echo "check: an intrinsic is named outside the one table (internal/ast); the run time numbers its entries (internal/eval's fns)" >&2
     exit 1
 fi
 
 # One-operator gates (DESIGN.md §11, swept runs): an operator or intrinsic has
 # ONE run-time definition, its element function — an intrinsic's in
 # ast.Intrinsics, an operator's in internal/eval's table (lower.go's
-# elemental) — from which the compile-time fold, the scalar closures and the
-# run kernel's loops (sweep.go) are all derived. So internal/eval names none of
+# elemental) — from which the compile-time fold, the scalar pass and the
+# strip kernel's loops (sweep.go) are all derived. So internal/eval names none of
 # the math functions the intrinsics are, elemental has no intrinsic's name, and
 # math.Mod is called once, by ast.Mod. And whether a quiet run is swept is
 # decided by its kernel and its addresses alone: no environment variable, and
@@ -263,6 +263,18 @@ fi
 if grep -nE '"os"|\bos\.(Getenv|LookupEnv|Environ)\b' $evalfiles ||
     grep -nE 'RunOptions|\bcfg\b' internal/eval/lower.go internal/eval/sweep.go internal/eval/walk.go internal/eval/state.go; then
     echo "check: internal/eval reads the environment, or the run configuration reaches the lowering, the walk or the sweep; a quiet run is swept iff it has a kernel and its addresses allow it" >&2
+    exit 1
+fi
+
+# One-form gate (DESIGN.md §14, "One meaning for an expression"): every
+# expression lowers to one form, a program of register operations (sweep.go),
+# which one scalar pass runs and the strip kernel runs over a strip. Fail when
+# a closure form of an expression comes back (fexpr, a closure over *State
+# returning a float64, evalCall) or a third switch over the operations does
+# (case kConst: in more than the scalar pass and the strip kernel).
+if grep -nE '\bfexpr\b|func\((s )?\*State\) float64|\bevalCall\b' $evalfiles ||
+    [ "$(cat $evalfiles | grep -c 'case kConst:')" -gt 2 ]; then
+    echo "check: internal/eval has a second expression form again (closures over *State, or a third switch over kop); every expression is a program the scalar pass runs" >&2
     exit 1
 fi
 

@@ -2,10 +2,13 @@
 # Fuzz smoke: a small budget per target (FUZZTIME, default 10s), enough to
 # catch gross regressions in the robustness contracts (never panic, positioned
 # errors) without turning the gate into a fuzzing campaign. FuzzLowerExpr holds
-# the lowered interpreter to the tree-walking oracle on random expressions and
-# subscripts, FuzzFoldMatchesRun the compile-time fold (ast.Fold, through
-# constant propagation) to the value a simulated run leaves, FuzzSweepBody the
-# swept runs of generated loop bodies to the same oracle (thirty seconds: the
+# the lowered interpreter's one expression form — programs of register
+# operations, nested where a subscript is read from memory — to the
+# tree-walking oracle on random expressions and subscripts, values and errors
+# alike, FuzzFoldMatchesRun the compile-time fold (ast.Fold, through constant
+# propagation) to the value a simulated run leaves, FuzzSweepBody the kernels
+# built from those programs, swept or run in iteration order, over generated
+# loop bodies to the same oracle (thirty seconds: the
 # legality test is what stands between a sweep and a wrong answer), FuzzOwnerRun
 # the owner-run closed form (dist.AxisMap.OwnerRun) to brute force over
 # OwnerDim, FuzzComputeStrip the machine's strip (leaped where rounding repeats)
