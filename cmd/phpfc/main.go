@@ -114,7 +114,7 @@ func main() {
 	}
 	if *dump == "spmd" || *dump == "all" {
 		fmt.Println("=== SPMD program ===")
-		fmt.Print(c.DumpSPMD())
+		fmt.Print(c.SPMD.DumpSkips())
 	}
 	if *dump == "labels" {
 		// The statement-label table trace events reference (phpfrun

@@ -379,6 +379,37 @@ func TestProcSetUnionProperty(t *testing.T) {
 	}
 }
 
+// Property: on grids of rank 1 to 3, extents 1 to 5, with every dimension
+// fixed or free, Contains answers what Procs enumerates, for every processor.
+func TestProcSetContainsProperty(t *testing.T) {
+	check := func(rank uint8, ext, sel [3]uint8) bool {
+		shape := make([]int, int(rank)%3+1)
+		for d := range shape {
+			shape[d] = int(ext[d])%5 + 1
+		}
+		g := NewGrid(shape...)
+		s := AllProcs(g)
+		for d, n := range shape {
+			if sel[d]%2 == 0 {
+				s = s.WithDim(d, int(sel[d]/2)%n)
+			}
+		}
+		in := make([]bool, g.Size())
+		for _, id := range s.Procs() {
+			in[id] = true
+		}
+		for id := range in {
+			if s.Contains(id) != in[id] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: on grids of every rank up to MaxRank, the packed ProcSet's
 // enumeration and summaries agree with membership decoded id by id.
 func TestProcSetPackedProperty(t *testing.T) {

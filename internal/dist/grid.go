@@ -214,10 +214,17 @@ func (s ProcSet) Count() int {
 
 // Contains reports whether processor id is in the set.
 func (s ProcSet) Contains(id int) bool {
+	if s.IsAll() {
+		return true
+	}
+	shape := s.grid.Shape
+	if len(shape) == 1 { // the one dimension is fixed: its biased coordinate is lo
+		return s.lo == uint64(id+1)
+	}
 	// Decode the id inline (dimension 0 slowest) instead of materializing
 	// the coordinate vector; this runs on per-instance paths.
-	for d := len(s.grid.Shape) - 1; d >= 0; d-- {
-		ext := s.grid.Shape[d]
+	for d := len(shape) - 1; d >= 0; d-- {
+		ext := shape[d]
 		c := id % ext
 		id /= ext
 		if w := s.at(d); w != 0 && c != w-1 {

@@ -254,10 +254,10 @@ func (a *Account) AllToAll(st *ir.Stmt) error {
 // Branch, HandOff, MergeRow and Operands move values between States that each hold
 // their processor's: nothing the cost model charges, and nothing for one
 // State that holds every processor's.
-func (a *Account) Branch(_ *ir.Stmt, _ dist.ProcSet, taken bool) (bool, error) { return taken, nil }
-func (a *Account) HandOff(*ir.Var, int, dist.ProcSet) error                    { return nil }
-func (a *Account) MergeRow(*spmd.Combine, MergeHop, []float64) error           { return nil }
-func (a *Account) Operands(*comm.Requirement) error                            { return nil }
+func (a *Account) Branch(_ *ir.Stmt, _ dist.ProcSet, taken, _ bool) (bool, error) { return taken, nil }
+func (a *Account) HandOff(*ir.Var, int, dist.ProcSet) error                       { return nil }
+func (a *Account) MergeRow(*spmd.Combine, MergeHop, []float64) error              { return nil }
+func (a *Account) Operands(*comm.Requirement) error                               { return nil }
 
 // Checkpoint takes a coordinated checkpoint (each processor's partition of
 // the arrays plus its scalar copies, written to stable storage at link speed)

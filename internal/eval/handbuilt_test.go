@@ -54,6 +54,10 @@ func TestHandBuiltTrees(t *testing.T) {
 			return &ast.BinOp{Op: ast.Mul, L: r, R: &ast.Call{Name: "abs", Args: []ast.Expr{l, r}}}
 		}},
 		{"max-of-one", "", func(l, r ast.Expr) ast.Expr { return &ast.Call{Name: "max", Args: []ast.Expr{r}} }},
+		{"abs-of-none", "abs of no arguments", func(l, r ast.Expr) ast.Expr { return &ast.Call{Name: "abs"} }},
+		{"max-of-none", "max of no arguments", func(l, r ast.Expr) ast.Expr {
+			return &ast.BinOp{Op: ast.Add, L: l, R: &ast.Call{Name: "max"}}
+		}},
 	}
 	for _, tc := range cases {
 		for _, where := range []string{"top", "loop"} {

@@ -775,6 +775,9 @@ type stmtCode struct {
 	// value some processor's set resolution, subscript or loop bound reads
 	// (State.InterpretFor).
 	everywhere bool
+	// asideOK marks a block IF's predicate the plan lets a processor outside
+	// its set leave aside (spmd.Program.SkippableIfs; State.aside).
+	asideOK bool
 }
 
 // redCode is the privatized value semantics of one reduction update:
@@ -893,6 +896,9 @@ type loopCode struct {
 	step   *intCode // nil: 1
 	union  []*patCode
 	path   []int32
+	// allOrNone: a processor outside its IFs' sets walks all or none of an
+	// entry of the loop (spmd.Program.AllOrNoneLoops).
+	allOrNone bool
 
 	// The loop as owner runs (walker.beginRun). body is the stretch of
 	// code.stmts the loop's statements are when its body is a flat list of
@@ -1134,7 +1140,8 @@ func (cc *coverCode) eval(s *State) bool {
 // forProcessors lowers, once per program and only for States bound to a
 // processor (InterpretFor), what owner-computes execution adds to the form the
 // simulator runs: where each requirement's element lives in an image and what
-// a section enumerates (use), and who computes what (everywhere).
+// a section enumerates (use), who computes what (everywhere), and which IFs
+// and loops a processor outside a predicate's set may leave aside.
 func (c *code) forProcessors(p *spmd.Program) {
 	c.procs.Do(func() {
 		t := c.tab
@@ -1144,6 +1151,12 @@ func (c *code) forProcessors(p *spmd.Program) {
 			lw.use(req)
 		}
 		lw.everywhere()
+		for id, v := range p.SkippableIfs() {
+			c.stmts[id].asideOK = v.OK
+		}
+		for id, v := range p.AllOrNoneLoops() {
+			c.loops[id].allOrNone = v.OK
+		}
 	})
 }
 

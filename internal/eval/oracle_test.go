@@ -123,6 +123,9 @@ func (o *oracle) Eval(e ast.Expr) (float64, error) {
 		if !ok {
 			return 0, fmt.Errorf("unknown intrinsic %s", x.Name)
 		}
+		if len(args) == 0 {
+			return 0, fmt.Errorf("%s of no arguments", x.Name)
+		}
 		return in.Value(args), nil
 	}
 	return 0, fmt.Errorf("unsupported expression %T", e)

@@ -53,11 +53,13 @@ type Ops interface {
 	// Tick closes every loop iteration (a crash site too, and the place for
 	// abort checks).
 	Tick() error
-	// Branch makes the outcome of a predicate known everywhere, on a backend
-	// whose States each interpret for one processor (State.InterpretFor): the
-	// processors in set have evaluated it (taken is theirs), every other one
-	// learns it. It returns the outcome.
-	Branch(st *ir.Stmt, set dist.ProcSet, taken bool) (bool, error)
+	// Branch makes the outcome of a predicate known to the States that walk
+	// its IF, on a backend whose States each interpret for one processor
+	// (State.InterpretFor): the processors in set have evaluated it (taken is
+	// theirs); of the others, those that keep an account learn it, and so do
+	// the rest unless aside, as the States in set report it, says they leave
+	// the IF aside (State.aside). It returns the outcome.
+	Branch(st *ir.Stmt, set dist.ProcSet, taken, aside bool) (bool, error)
 	// HandOff passes the accumulator v of a collective reduction from
 	// processor from, which holds it, to the processors in to, about to update
 	// or to combine it (a bound State's reduction is folded in iteration order).

@@ -79,7 +79,7 @@ func (r *opRecorder) CopyOut(m *core.ScalarMapping, root int) error {
 
 // Branch, HandOff, MergeRow and Operands move values between bound States only: the
 // simulator's State, which this schedule runs over, asks nothing of them.
-func (r *opRecorder) Branch(_ *ir.Stmt, _ dist.ProcSet, taken bool) (bool, error) {
+func (r *opRecorder) Branch(_ *ir.Stmt, _ dist.ProcSet, taken, _ bool) (bool, error) {
 	return taken, nil
 }
 func (r *opRecorder) HandOff(*ir.Var, int, dist.ProcSet) error          { return nil }

@@ -313,6 +313,8 @@ func (kb *kbuilder) expr(e ast.Expr, temp int32) {
 		switch in, known := ast.Intrinsics[x.Name]; {
 		case !known:
 			kb.fail(temp, fmt.Errorf("unknown intrinsic %s", x.Name), x.Args...)
+		case len(x.Args) == 0:
+			kb.fail(temp, fmt.Errorf("%s of no arguments", x.Name))
 		case len(x.Args) == 1 && in.One != nil:
 			kb.expr(x.Args[0], temp)
 			kb.emit(kop{kind: kOne, dst: temp, a: temp, x: fnOf[x.Name]})

@@ -136,8 +136,9 @@ type walker struct {
 	quiet []Charge
 	// skip: the quiet owner run in flight excludes the State's processor.
 	skip bool
-	// taken is the outcome of the block IF predicate just run.
-	taken bool
+	// taken is the outcome of the block IF predicate just run, left whether
+	// the State leaves that IF aside (State.aside).
+	taken, left bool
 	// shrinks is the plan's shrunk loops, for a State bound to a processor.
 	shrinks []*spmd.ShrinkInfo
 
@@ -260,7 +261,8 @@ func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (con
 	slot := l.Index.Slot
 	runs := lc.lim > 0 && w.seek == nil && s.exactOver(l, lo, hi, step, lc.lim)
 	var o own
-	shrunk := w.shrinks != nil && w.shrinks[l.ID] != nil && w.seek == nil && w.shrink(l, lo, hi, step, &o)
+	shrunk := w.shrinks != nil && w.seek == nil && (w.shrinks[l.ID] != nil || lc.allOrNone && !s.accounted) &&
+		w.shrink(l, lc, lo, hi, step, &o)
 	// single counts the iterations in a row no run took. As many as the body
 	// has set computations can be what a block boundary looks like, each set
 	// moving on at an iteration of its own; more are sets that move with every
@@ -361,8 +363,9 @@ func (o *own) next(t int64) (u, k int64) {
 // cannot be counted. The last iteration is walked too where it leaves what
 // the State must hold: the holders of a scalar the body writes and, if it
 // walks no other, the nested loops' indices (which every iteration leaves
-// alike).
-func (w *walker) shrink(l *ir.Loop, lo, hi, step int64, o *own) bool {
+// alike). A loop of IFs (spmd.Program.AllOrNoneLoops) is walked all or none,
+// none where the State leaves them aside at the first iteration.
+func (w *walker) shrink(l *ir.Loop, lc *loopCode, lo, hi, step int64, o *own) bool {
 	s, info := w.s, w.shrinks[l.ID]
 	n := int64(0)
 	if step > 0 && lo <= hi || step < 0 && lo >= hi {
@@ -376,11 +379,27 @@ func (w *walker) shrink(l *ir.Loop, lo, hi, step int64, o *own) bool {
 		s.shrunk.Walked += n
 		return false
 	}
+	*o = own{n: n, span: 1 + span}
+	if info == nil {
+		o.m, o.c = 1, n
+		s.indices[l.Index.Slot] = lo
+		for i := 0; i < len(l.Body) && n > 0; i++ {
+			sc := &w.c.stmts[l.Body[i].(*ir.If).Cond.ID]
+			set, err := s.ExecSet(sc.plan)
+			if err != nil {
+				return true // walked: the walk meets the error again
+			}
+			if _, me := s.aside(sc, set); !me {
+				return true
+			}
+		}
+		o.c = 0
+		return true
+	}
 	d, coord := info.GridDim, s.proc
 	for k := len(s.grid.Shape) - 1; k > d; k-- {
 		coord /= s.grid.Shape[k]
 	}
-	*o = own{n: n, span: 1 + span}
 	o.t0, o.m, o.c = info.LocalRange(coord%s.grid.Shape[d], s.grid.Shape[d], lo, step, n)
 	if shrinkSeam != nil {
 		o.t0, o.c = shrinkSeam(s.proc, l, o.t0, o.m, o.c, n)
@@ -563,7 +582,10 @@ func (w *walker) ifNode(ifn *ir.If) (control, error) {
 	if _, err := w.stmt(ifn.Cond); err != nil {
 		return control{}, err
 	}
-	if w.taken {
+	switch {
+	case w.left:
+		return control{}, nil
+	case w.taken:
 		return w.nodes(ifn.Then)
 	}
 	return w.nodes(ifn.Else)
@@ -572,30 +594,67 @@ func (w *walker) ifNode(ifn *ir.If) (control, error) {
 // outcome evaluates the predicate of a block IF or conditional goto. The
 // simulator's State evaluates every one. A State bound to a processor
 // evaluates it where the predicate's execution set holds the processor — the
-// plan brings those processors what it reads — and otherwise learns it from
-// them (Ops.Branch), so every State walks the branch every other one walks.
-func (w *walker) outcome(st *ir.Stmt) (taken bool, err error) {
+// plan brings those processors what it reads — and otherwise leaves the IF
+// aside (left; State.aside) or learns the outcome from them (Ops.Branch), so
+// every State that walks the IF walks the branch every other one walks.
+func (w *walker) outcome(st *ir.Stmt) (taken, left bool, err error) {
 	s := w.s
 	sc := &w.c.stmts[st.ID]
 	if s.proc < 0 || w.sched == nil {
 		c := s.pass(sc.cond)
-		return c != 0, s.takeErr()
+		return c != 0, false, s.takeErr()
 	}
 	set, err := s.ExecSet(sc.plan)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	if set.Contains(s.proc) {
 		c := s.pass(sc.cond)
 		if err := s.takeErr(); err != nil {
-			return false, err
+			return false, false, err
 		}
 		if taken = c != 0; set.Count() == s.grid.Size() {
-			return taken, nil
+			return taken, false, nil
 		}
 	}
-	return w.sched.ops.Branch(st, set, taken)
+	others, me := s.aside(sc, set)
+	if me {
+		return false, true, nil
+	}
+	taken, err = w.sched.ops.Branch(st, set, taken, others)
+	return taken, false, err
 }
+
+// aside is the one decision to leave a block IF aside (the paper's privatized
+// control flow, §4), made alike by every bound State at the IF whose predicate
+// is sc, of execution set set: whether the States outside set that keep no
+// account leave it aside (others, which those in set, the senders of the
+// outcome, and those that may leave it aside report), and whether this one
+// does (me). They do where the plan lets them (spmd.Program.SkippableIfs) and
+// each scalar the branches assign is held by exactly its assignment's set, so
+// walking would change no record and fire no hand-off.
+func (s *State) aside(sc *stmtCode, set dist.ProcSet) (others, me bool) {
+	in, ifn := set.Contains(s.proc), sc.plan.Stmt.IfNode
+	others = sc.asideOK && (in || !s.accounted)
+	for _, branch := range [2][]ir.Node{ifn.Then, ifn.Else} {
+		for i := 0; i < len(branch) && others; i++ {
+			if b := &s.code.stmts[branch[i].(*ir.Stmt).ID]; b.def == nil { // a scalar's
+				def, err := s.ExecSet(b.plan)
+				others = err == nil && def.Equal(s.held[b.slot])
+			}
+		}
+	}
+	me = others && !in && !s.accounted
+	if asideSeam != nil {
+		me = asideSeam(s.proc, sc.plan.Stmt, set, me)
+	}
+	return others, me
+}
+
+// asideSeam, nil outside tests, changes whether the State bound to processor
+// proc leaves aside the IF whose predicate is st, of execution set set (me:
+// whether it would).
+var asideSeam func(proc int, st *ir.Stmt, set dist.ProcSet, me bool) bool
 
 // stmt runs one statement instance on the general walk, a run of length one:
 // it reports the statement to the backend (communication and computation
@@ -611,7 +670,7 @@ func (w *walker) stmt(st *ir.Stmt) (ctl control, err error) {
 		switch st.Kind {
 		case ir.SIfGoto:
 			var taken bool
-			if taken, err = w.outcome(st); err == nil && taken {
+			if taken, _, err = w.outcome(st); err == nil && taken {
 				ctl = control{kind: ctlGoto, label: st.Label}
 			}
 		case ir.SGoto:
@@ -622,7 +681,7 @@ func (w *walker) stmt(st *ir.Stmt) (ctl control, err error) {
 			}
 		case ir.SIf:
 			// The outcome ifNode takes, resolved with the instance's sets.
-			w.taken, err = w.outcome(st)
+			w.taken, w.left, err = w.outcome(st)
 		case ir.SContinue, ir.SLoopBounds:
 			// No value semantics here.
 		}

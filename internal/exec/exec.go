@@ -24,22 +24,41 @@
 //
 // Every worker walks the same schedule, resolving every execution set and
 // communication decision itself (what every processor resolves is computed
-// everywhere), but for the loops whose bounds shrink (spmd.ShrinkableLoops,
-// the paper's §4): there a worker that keeps no account walks only its own
-// iterations, the others involving it in nothing — no transfer, predicate,
-// hoisted communication, combine or computed instance. So each worker issues
-// the operations of the global order it takes part in, in that order — the
-// property that makes the rendezvous below deadlock-free. One planned
-// message is one physical message: message vectorization is the compiler's
-// placement decision, and a per-instance transfer the plan left inside a loop
-// is sent at once. Sends never wait for a later operation, so no transfer is
+// everywhere), but where the plan proves a worker that keeps no account takes
+// part in nothing (the paper's §4): in the loops whose bounds shrink
+// (spmd.ShrinkableLoops) it walks only its own iterations, the others
+// involving it in nothing — no transfer, predicate, hoisted communication,
+// combine or computed instance; and outside a predicate's execution set it
+// leaves the IF aside where nothing the IF issues involves it either
+// (spmd.Program.SkippableIfs, eval's State.aside), a loop of such IFs whole
+// where their sets do not move with its index (AllOrNoneLoops). So each
+// worker issues the operations of the global order it takes part in, in that
+// order — the property that makes the rendezvous below deadlock-free. One
+// planned message is one physical message: message vectorization is the
+// compiler's placement decision, and a per-instance transfer the plan left
+// inside a loop is sent at once. Sends never wait for a later operation, so no transfer is
 // in flight at a crash site, and immediate sends cannot deadlock: the worker
 // furthest behind in the global order can always proceed — a message it waits
 // for was sent by a peer already at or past that operation, and its receiver,
 // no further behind, has taken every message of an earlier operation. A
 // protocol message is one more such message, sent by a worker that can send
-// it when it reaches the operation. A worker outside a predicate's execution
-// set learns the outcome (Branch) and walks the branch every other one walks.
+// it when it reaches the operation.
+//
+// A worker outside a predicate's execution set learns the outcome (Branch)
+// and walks the branch every other one walks, unless it leaves the IF aside;
+// the argument holds then too. The plan shows statically that nothing in such
+// an IF has an end outside the set: its branches hold assignments alone (no
+// nested hoisted communication, combine or copy-out), none with a
+// per-instance transfer or a privatizable reduction's operands, none computed
+// everywhere, each on a part of the set; any other IF is walked as before. A
+// hand-off could still fire, and holders move, where a branch assigns a
+// scalar on a set that does not hold it: every worker checks alike, from sets
+// all resolve, that each such scalar is held by exactly its assignment's set,
+// and walks the IF where one is not. So the outcome goes to exactly the
+// workers outside the set that walk the IF — those that keep an account (the
+// accountant; every worker in chaos mode) and, where the check fails, all of
+// them — a worker that leaves the IF aside sends and awaits nothing of it,
+// and its holders, write stamps and image are what walking would have left.
 //
 // The interpretation core — value semantics, execution sets, communication
 // decisions, who computes what, and the schedule of operations (eval.Ops) —
@@ -223,6 +242,10 @@ type executor struct {
 	restarts int64
 }
 
+// accounts reports whether worker p keeps an account: worker 0, the
+// accountant, always; every worker in chaos mode.
+func (ex *executor) accounts(p int) bool { return ex.chaos || p == 0 }
+
 // wall is the run-relative wall clock in seconds.
 func (ex *executor) wall() float64 { return time.Since(ex.start).Seconds() }
 
@@ -310,7 +333,7 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 			attrStmt: -1,
 			out:      make([]int32, 2*n),
 		}
-		if ex.chaos || i == 0 {
+		if ex.accounts(i) {
 			workers[i].acct = eval.NewAccount(st, cfg)
 		}
 	}
@@ -862,14 +885,16 @@ func (w *worker) HandOff(v *ir.Var, from int, to dist.ProcSet) error {
 }
 
 // Branch sends a predicate's outcome from the first processor that evaluated
-// it to every processor that did not, so that every worker walks the same
-// branch.
-func (w *worker) Branch(st *ir.Stmt, set dist.ProcSet, taken bool) (bool, error) {
+// it to the processors outside set that walk its IF — those that keep an
+// account, and the others unless they leave it aside — so that every worker
+// that walks the IF walks the same branch.
+func (w *worker) Branch(st *ir.Stmt, set dist.ProcSet, taken, aside bool) (bool, error) {
 	var v [1]float64
 	if taken {
 		v[0] = 1
 	}
-	_, err := w.deliver(tagBranch, set.First(), func(p int) bool { return !set.Contains(p) }, v[:], false)
+	walks := func(p int) bool { return !set.Contains(p) && (!aside || w.ex.accounts(p)) }
+	_, err := w.deliver(tagBranch, set.First(), walks, v[:], false)
 	return v[0] != 0, err
 }
 

@@ -163,3 +163,87 @@ func (s *ShrinkInfo) String() string {
 	return fmt.Sprintf("%s-loop shrinks over grid dim %d (%s, block %d, halo %d)",
 		s.Loop.Index.Name, s.GridDim, s.Kind, s.Block, s.MaxSkew)
 }
+
+// Skip is the plan's verdict on whether a processor outside a block IF
+// predicate's execution set, or a loop of such IFs, may leave it aside (the
+// paper's privatized control flow, §4), and why or why not.
+type Skip struct {
+	OK  bool
+	Why string
+}
+
+// SkippableIfs returns, by Stmt.ID, the verdict on every block IF's predicate
+// (the zero Skip elsewhere), settled once per program beside ShrinkableLoops.
+// A processor outside the predicate's set takes part in nothing the IF issues
+// when (a) the predicate is privatized, its set its loop's union; (b) the
+// branches hold assignments alone, so no hoisted communication, combine or
+// copy-out of a nested loop either; and no assignment (c) executes outside
+// that union (it has an owner guard on an array no REDISTRIBUTE remaps, a
+// pattern or the union), (d) is computed everywhere, (e) has per-instance
+// communication or (f) accumulates a privatizable reduction. Whether a skip
+// leaves the records as a walk would (no scalar's holders move, so no
+// hand-off fires) depends on values: internal/eval's State.aside checks it.
+func (p *Program) SkippableIfs() []Skip { return p.procs().ifs }
+
+// AllOrNoneLoops returns, by Loop.ID, the verdict on walking every entry of a
+// loop all or none: its body is skippable IFs alone, whose predicates have no
+// per-instance communication, and no set in it moves with its index or with
+// a scalar it assigns, so an IF left aside at one iteration is at every one.
+func (p *Program) AllOrNoneLoops() []Skip { return p.procs().allOrNone }
+
+func (p *Program) skipIf(ifn *ir.If, pr *procInfo) Skip {
+	if st := ifn.Cond; p.PlanOf(st).Kind != ExecUnion || st.Loop == nil {
+		return Skip{Why: "its predicate executes everywhere"} // (a)
+	}
+	for _, n := range append(ifn.Then[:len(ifn.Then):len(ifn.Then)], ifn.Else...) {
+		b, ok := n.(*ir.Stmt)
+		if !ok || b.Kind != ir.SAssign {
+			return Skip{Why: "a branch holds more than assignments"} // (b)
+		}
+		why := ""
+		switch sp := p.PlanOf(b); {
+		case sp.Kind == ExecAll || sp.Kind == ExecOwner && (!sp.OwnerRef.Var.IsArray() || pr.moved[sp.OwnerRef.Var]):
+			why = "executes outside the predicate's set" // (c)
+		case pr.everywhere[b.ID]:
+			why = "is computed everywhere" // (d)
+		case len(sp.PerInstance) > 0:
+			why = "has per-instance communication" // (e)
+		case sp.Combine != nil && sp.Combine.Privatizable:
+			why = "may accumulate a privatized reduction" // (f)
+		}
+		if why != "" {
+			return Skip{Why: fmt.Sprintf("s%d %s", b.ID, why)}
+		}
+	}
+	return Skip{OK: true, Why: "its branches involve its set alone"}
+}
+
+func (p *Program) allOrNone(l *ir.Loop, pr *procInfo) Skip {
+	if len(l.Body) == 0 {
+		return Skip{Why: "its body is empty"}
+	}
+	for _, n := range l.Body {
+		if ifn, ok := n.(*ir.If); !ok {
+			return Skip{Why: "its body is not block IFs alone"}
+		} else if !pr.ifs[ifn.Cond.ID].OK || len(p.PlanOf(ifn.Cond).PerInstance) > 0 {
+			return Skip{Why: fmt.Sprintf("s%d is walked outside its set", ifn.Cond.ID)}
+		}
+	}
+	for _, st := range p.Res.Prog.Stmts {
+		var pat dist.OwnerPattern
+		switch sp := p.PlanOf(st); {
+		case st.Loop != l || st.Kind != ir.SAssign:
+			continue
+		case sp.Kind == ExecOwner:
+			pat = p.Res.RefPattern(sp.OwnerRef)
+		case sp.Kind == ExecPattern:
+			pat = sp.Scalar.Pattern
+		}
+		for _, d := range pat.Dims { // (a union is of these)
+			if !d.Repl && d.Sub.VariesIn(l) {
+				return Skip{Why: fmt.Sprintf("s%d's execution set moves with %s", st.ID, l.Index.Name)}
+			}
+		}
+	}
+	return Skip{OK: true, Why: "no execution set in it moves with " + l.Index.Name}
+}

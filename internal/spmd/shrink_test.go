@@ -1,11 +1,13 @@
 package spmd
 
 import (
+	"strings"
 	"testing"
 
 	"phpf/internal/ast"
 	"phpf/internal/core"
 	"phpf/internal/dist"
+	"phpf/internal/programs"
 )
 
 func TestShrinkSimpleLocalLoop(t *testing.T) {
@@ -204,5 +206,37 @@ func checkLocalRange(t *testing.T, info *ShrinkInfo, nproc int, lo, step, n int6
 					info, nproc, coord, lo, step, n, it, owns, runs[it])
 			}
 		}
+	}
+}
+
+// TestDumpMarksDGEFA pins what phpfc -dump spmd marks in DGEFA(48) at P = 4,
+// each mark with the line it marks: the pivot search's IF, whose set is
+// column k's owner, is left aside outside it, and so is the i-loop of it
+// whole, since that set does not move with i; the IF around the row swap and
+// the update, whose branches hold loops, is not. Dump, which the compile
+// half's reports hold, marks neither.
+func TestDumpMarksDGEFA(t *testing.T) {
+	p := gen(t, programs.DGEFA(48), 4, core.DefaultOptions())
+	var got []string
+	lines := strings.Split(p.DumpSkips(), "\n")
+	for i, line := range lines {
+		if strings.Contains(line, "[skipped outside its set: ") || strings.Contains(line, "[all or none: ") {
+			got = append(got, line, lines[i+1])
+		}
+	}
+	want := []string{
+		"  [all or none: no execution set in it moves with i]",
+		"  do i",
+		"    [skipped outside its set: its branches involve its set alone]",
+		"    [union] s4 if (...)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("marked lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if v := p.SkippableIfs()[7]; v.OK || v.Why != "a branch holds more than assignments" {
+		t.Errorf("s7: %+v, want walked everywhere: a branch holds more than assignments", v)
+	}
+	if d := p.Dump(); strings.Contains(d, "[skipped") || strings.Contains(d, "[all or none") {
+		t.Errorf("Dump marks the skips:\n%s", d)
 	}
 }

@@ -127,20 +127,31 @@ func (p *Program) Lowered(build func() any) any {
 }
 
 // procInfo is what processors that each interpret for themselves add to the
-// plan: who computes what where they must agree, and which loops shrink.
+// plan: who computes what where they must agree, which loops shrink, and which
+// IFs and loops a processor outside a predicate's set leaves aside.
 type procInfo struct {
 	need, moved map[*ir.Var]bool
 	everywhere  []bool        // by Stmt.ID
 	shrink      []*ShrinkInfo // by Loop.ID
+	ifs         []Skip        // by Stmt.ID
+	allOrNone   []Skip        // by Loop.ID
 }
 
 // procs settles the procInfo on first use: a compile never pays for it.
 func (p *Program) procs() *procInfo {
 	p.procOnce.Do(func() {
-		pr := &procInfo{need: map[*ir.Var]bool{}, moved: map[*ir.Var]bool{}, shrink: make([]*ShrinkInfo, len(p.Res.Prog.Loops))}
+		prog := p.Res.Prog
+		pr := &procInfo{need: map[*ir.Var]bool{}, moved: map[*ir.Var]bool{}, shrink: make([]*ShrinkInfo, len(prog.Loops)),
+			ifs: make([]Skip, len(prog.Stmts)), allOrNone: make([]Skip, len(prog.Loops))}
 		p.everywhere(pr)
-		for _, l := range p.Res.Prog.Loops {
+		for _, st := range prog.Stmts {
+			if st.Kind == ir.SIf {
+				pr.ifs[st.ID] = p.skipIf(st.IfNode, pr)
+			}
+		}
+		for _, l := range prog.Loops {
 			pr.shrink[l.ID] = p.shrinkLoop(l, pr)
+			pr.allOrNone[l.ID] = p.allOrNone(l, pr)
 		}
 		p.proc = pr
 	})
@@ -341,7 +352,13 @@ func exprFlops(e ast.Expr) int {
 
 // Dump renders the SPMD program as text, one line per statement with its
 // guard and communications — the inspectable "generated code".
-func (p *Program) Dump() string {
+func (p *Program) Dump() string { return p.dump(false) }
+
+// DumpSkips is Dump with the IFs and loops a processor outside a predicate's
+// set may leave aside marked (phpfc -dump spmd); Dump is the compile half's.
+func (p *Program) DumpSkips() string { return p.dump(true) }
+
+func (p *Program) dump(skips bool) string {
 	var b strings.Builder
 	var walk func(nodes []ir.Node, depth int)
 	ind := func(d int) string { return strings.Repeat("  ", d) }
@@ -355,6 +372,9 @@ func (p *Program) Dump() string {
 				}
 				if si := p.ShrinkableLoops()[x.ID]; si != nil {
 					fmt.Fprintf(&b, "%s[shrunk bounds: %s]\n", ind(depth), si)
+				}
+				if v := p.AllOrNoneLoops()[x.ID]; skips && v.OK {
+					fmt.Fprintf(&b, "%s[all or none: %s]\n", ind(depth), v.Why)
 				}
 				fmt.Fprintf(&b, "%sdo %s\n", ind(depth), x.Index.Name)
 				walk(x.Body, depth+1)
@@ -371,6 +391,9 @@ func (p *Program) Dump() string {
 					fmt.Fprintf(&b, "%s[copy-out %s from owner(%s)]\n", ind(depth), m.Def.Var.Name, m.Target)
 				}
 			case *ir.If:
+				if v := p.SkippableIfs()[x.Cond.ID]; skips && v.OK {
+					fmt.Fprintf(&b, "%s[skipped outside its set: %s]\n", ind(depth), v.Why)
+				}
 				p.dumpStmt(&b, x.Cond, depth)
 				walk(x.Then, depth+1)
 				if len(x.Else) > 0 {

@@ -69,6 +69,24 @@ if grep -rnE '\.(ShrinkableLoops|LocalRange)\(' --include='*.go' --exclude='*_te
     exit 1
 fi
 
+# Privatized-IF gates (DESIGN.md §12, "Predicates"): a predicate's outcome goes
+# only to the processors outside its set that walk its IF — those that keep an
+# account, and the others unless they leave it aside — and whether a worker
+# leaves an IF aside is decided once, by State.aside, the one function of
+# internal/eval that reads the lowered verdict (asideOK; forProcessors lowers
+# it). Fail when worker.Branch's destination rule is again every
+# processor outside the set, or when the decision is made elsewhere.
+branchfn="$(awk '/^func \(w \*worker\) Branch\(/,/^}/' $(ls internal/exec/*.go | grep -v '_test\.go$'))"
+if ! printf '%s\n' "$branchfn" | grep -q 'w\.ex\.accounts(p)' ||
+    printf '%s\n' "$branchfn" | grep -nE 'return !set\.Contains\(p\)[[:space:]]*\}' ||
+    ! grep -q '^func (s \*State) aside(' internal/eval/walk.go ||
+    awk 'FNR == 1 { fn = "" } /^func / { fn = $0 }
+        /\.asideOK([^A-Za-z0-9_]|$)/ && fn !~ /\) (aside|forProcessors)\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' $(ls internal/eval/*.go | grep -v '_test\.go$'); then
+    echo "check: worker.Branch sends a predicate's outcome to every processor outside its set again, or internal/eval decides to leave an IF aside outside State.aside" >&2
+    exit 1
+fi
+
 # Owner-computes gate (DESIGN.md §12): a worker computes its processor's
 # instances and stores what the plan's messages carry; no worker checks a
 # received value against one it computed itself, and no worker's whole image
