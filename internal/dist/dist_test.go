@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -407,6 +408,20 @@ func TestProcSetContainsProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestProcSetSingle: on grids of rank 1 to 3, Single(g, id) is processor id
+// alone, as IsSingle and Procs read it.
+func TestProcSetSingle(t *testing.T) {
+	for _, shape := range [][]int{{1}, {5}, {3, 2}, {2, 3, 4}} {
+		g := NewGrid(shape...)
+		for id := 0; id < g.Size(); id++ {
+			s := Single(g, id)
+			if got, one := s.IsSingle(); !one || got != id || !slices.Equal(s.Procs(), []int{id}) {
+				t.Errorf("grid %v: Single(%d) is %v (IsSingle %d, %v)", shape, id, s.Procs(), got, one)
+			}
+		}
 	}
 }
 

@@ -164,6 +164,15 @@ func (s ProcSet) rank() int {
 // AllProcs is the set of all processors in the grid.
 func AllProcs(g *Grid) ProcSet { return ProcSet{grid: g} }
 
+// Single is the set of processor id alone.
+func Single(g *Grid, id int) ProcSet {
+	s := ProcSet{grid: g}
+	for d := len(g.Shape) - 1; d >= 0; d-- {
+		s, id = s.WithDim(d, id%g.Shape[d]), id/g.Shape[d]
+	}
+	return s
+}
+
 // Grid returns the grid this set ranges over.
 func (s ProcSet) Grid() *Grid { return s.grid }
 

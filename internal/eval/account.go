@@ -55,7 +55,6 @@ func NewAccount(st *State, cfg RunOptions) *Account {
 	if cfg.Trace != nil {
 		a.hot = make([]StmtProfile, len(st.Prog.Res.Prog.Stmts))
 	}
-	st.accounted = true
 	return a
 }
 
@@ -224,7 +223,7 @@ func (a *Account) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
 }
 
 // TreeMerge charges the merge of a privatized combine's partial rows.
-func (a *Account) TreeMerge(c *spmd.Combine, elems int64, _ []MergeHop) error {
+func (a *Account) TreeMerge(c *spmd.Combine, elems int64) error {
 	a.M.SetAttr(c.Red.Stmt.ID, -1, dist.CommNone)
 	a.M.TreeMerge(a.all(), elems*a.elem(), a.st.Prog.NProcs())
 	a.M.ClearAttr()
@@ -251,13 +250,11 @@ func (a *Account) AllToAll(st *ir.Stmt) error {
 	return nil
 }
 
-// Branch, HandOff, MergeRow and Operands move values between States that each hold
-// their processor's: nothing the cost model charges, and nothing for one
-// State that holds every processor's.
-func (a *Account) Branch(_ *ir.Stmt, _ dist.ProcSet, taken, _ bool) (bool, error) { return taken, nil }
-func (a *Account) HandOff(*ir.Var, int, dist.ProcSet) error                       { return nil }
-func (a *Account) MergeRow(*spmd.Combine, MergeHop, []float64) error              { return nil }
-func (a *Account) Operands(*comm.Requirement) error                               { return nil }
+// Move and Operands move values between States that each hold their
+// processor's: nothing the cost model charges, and nothing for one State that
+// holds every processor's.
+func (a *Account) Move(MoveKind, int, dist.ProcSet, dist.ProcSet, []float64) error { return nil }
+func (a *Account) Operands(*comm.Requirement) error                                { return nil }
 
 // Checkpoint takes a coordinated checkpoint (each processor's partition of
 // the arrays plus its scalar copies, written to stable storage at link speed)

@@ -56,11 +56,34 @@ end do
 end
 `
 
-// asideCorpus is the shrinking corpus and asideSource.
+// condMaxSource is a conditional maximum, which only the collective
+// reduction takes: its predicate reads s, so the running value is handed to
+// the predicate's set at each BLOCK boundary, and from there on the holders
+// are the set and a worker outside it leaves the IF aside. Before the first
+// update they are every processor, and every worker walks the IF.
+const condMaxSource = `
+program condmax
+parameter n = 16
+real a(n), s
+integer i
+!hpf$ distribute (block) :: a
+do i = 1, n
+  a(i) = mod(i * 7, 5) * 1.0
+end do
+s = a(1)
+do i = 1, n
+  if (a(i) > s) then
+    s = a(i)
+  end if
+end do
+end
+`
+
+// asideCorpus is the shrinking corpus, asideSource and condMaxSource.
 func asideCorpus() (names []string, sources map[string]string) {
 	names, sources = shrinkCorpus()
-	sources["aside"] = asideSource
-	return append(names, "aside"), sources
+	sources["aside"], sources["condmax"] = asideSource, condMaxSource
+	return append(names, "aside", "condmax"), sources
 }
 
 // dumpAside returns the IFs (by predicate) phpfc -dump spmd marks [skipped
@@ -142,9 +165,14 @@ func TestAsidesMatchDump(t *testing.T) {
 // must walk. For every IF the dump marks, in asideCorpus under every strategy
 // at P = 3 and 4, one worker other than the accountant is made to leave it
 // aside at each instance whose set holds the worker, or, outside the set, at
-// each one where t's holders would change. Each such run must end in a
-// mismatch with the simulator, a *StallError or a *ProtocolError — never in a
-// hang, which the watchdog bounds — and leave no goroutine behind.
+// each one where a scalar's holders would change (t's in asideSource, s's in
+// condMaxSource). Each such run must end in a mismatch with the simulator, a
+// *StallError or a *ProtocolError — never in a hang, which the watchdog
+// bounds — and leave no goroutine behind. In condMaxSource the worker leaves
+// aside only the first such instance: outside the set, the run notices it only
+// because an outcome names its IF instance, for at the next IF it walks the
+// worker would read the missed outcome as its own, and the holders would
+// agree again one IF later.
 func TestAsideSeamHasTeeth(t *testing.T) {
 	defer eval.SetAsideSeam(nil)
 	names, sources := asideCorpus()
@@ -160,9 +188,9 @@ func TestAsideSeamHasTeeth(t *testing.T) {
 				for p := 1; p < nprocs; p++ {
 					for _, kind := range []string{"member", "holders"} {
 						cell := fmt.Sprintf("%s/%s/P=%d/worker %d/%s", name, sname, nprocs, p, kind)
-						forced := false
+						forced, once := false, name == "condmax"
 						eval.SetAsideSeam(func(proc int, st *ir.Stmt, set dist.ProcSet, me bool) bool {
-							if proc == p && marked[st.ID] && !me && set.Contains(p) == (kind == "member") {
+							if proc == p && marked[st.ID] && !me && set.Contains(p) == (kind == "member") && !(once && forced) {
 								forced, me = true, true
 							}
 							return me
@@ -174,6 +202,9 @@ func TestAsideSeamHasTeeth(t *testing.T) {
 							continue // the worker never meets such an instance
 						}
 						cases[kind]++
+						if name == "condmax" {
+							cases["condmax "+kind]++
+						}
 						var se *exec.StallError
 						var pe *exec.ProtocolError
 						switch {
@@ -190,8 +221,8 @@ func TestAsideSeamHasTeeth(t *testing.T) {
 		}
 	}
 	t.Logf("forced skips caught: %v of %v", caught, cases)
-	if cases["member"] == 0 || cases["holders"] == 0 {
-		t.Errorf("forced skips %v: want both kinds", cases)
+	if cases["member"] == 0 || cases["holders"] == 0 || cases["condmax holders"] == 0 {
+		t.Errorf("forced skips %v: want both kinds, and the conditional maximum's holders", cases)
 	}
 }
 

@@ -220,9 +220,7 @@ func (s *State) stretch(rc *reqCode, slot int32, step, n int64) {
 			to, ok = rc.reader.eval(s)
 		}
 	default:
-		for d := range s.grid.Shape {
-			to = to.WithDim(d, 0)
-		}
+		to = dist.Single(s.grid, 0)
 	}
 	if s.err = nil; !ok || !s.passes(from, to) {
 		return

@@ -87,9 +87,12 @@ type code struct {
 	// owner rule — a privatized array, or one written where its element's
 	// owner does not execute — whose final values are where the last write
 	// ran, not with the final mapping's owner (see State.InterpretFor).
-	// procs guards forProcessors, which fills it and the fields of stmtCode
-	// and reqCode only States bound to a processor read.
+	// procs guards forProcessors, which fills it, reads and the fields of
+	// stmtCode and reqCode only States bound to a processor read. reads lists,
+	// by statement, the collective accumulators it reads in their carrier
+	// loops, the update aside (schedule.handOff).
 	tracked []bool
+	reads   [][]*ir.Var
 	procs   sync.Once
 }
 
@@ -1140,8 +1143,9 @@ func (cc *coverCode) eval(s *State) bool {
 // forProcessors lowers, once per program and only for States bound to a
 // processor (InterpretFor), what owner-computes execution adds to the form the
 // simulator runs: where each requirement's element lives in an image and what
-// a section enumerates (use), who computes what (everywhere), and which IFs
-// and loops a processor outside a predicate's set may leave aside.
+// a section enumerates (use), who computes what (everywhere), what reads a
+// collective accumulator (reads), and which IFs and loops a processor outside
+// a predicate's set may leave aside.
 func (c *code) forProcessors(p *spmd.Program) {
 	c.procs.Do(func() {
 		t := c.tab
@@ -1151,6 +1155,7 @@ func (c *code) forProcessors(p *spmd.Program) {
 			lw.use(req)
 		}
 		lw.everywhere()
+		lw.reads()
 		for id, v := range p.SkippableIfs() {
 			c.stmts[id].asideOK = v.OK
 		}
@@ -1236,6 +1241,22 @@ func (lw *lowerer) everywhere() {
 		if st.Kind == ir.SAssign && st.Lhs.Var.IsArray() && !sc.everywhere &&
 			(sc.exec.kind != spmd.ExecOwner || !sameRef(sc.plan.OwnerRef, st.Lhs) || sc.exec.owner.priv != nil) {
 			lw.c.tracked[st.Lhs.Var.Slot] = true
+		}
+	}
+}
+
+// reads lists by statement the accumulators of the mapped reductions its
+// loops carry that it reads, the update aside: what keeps them collective.
+func (lw *lowerer) reads() {
+	lw.c.reads = make([][]*ir.Var, len(lw.prog.Stmts))
+	for _, st := range lw.prog.Stmts {
+		for l := st.Loop; l != nil; l = l.Parent {
+			for _, c := range lw.p.LoopPlanOf(l).Combines {
+				reads := slices.ContainsFunc(st.Uses, func(u *ir.Ref) bool { return u.Var == c.Var() })
+				if c.Mapping != nil && st != c.Red.Stmt && reads {
+					lw.c.reads[st.ID] = append(lw.c.reads[st.ID], c.Var())
+				}
+			}
 		}
 	}
 }

@@ -9,7 +9,7 @@
 // (InterpretFor) fills its own row only — an update accumulates where the row
 // it feeds is the processor's — and the merge ships the rows it needs: each
 // hop's loser sends its row to the winner, and the merged row goes to every
-// processor, which folds it into its accumulator (Ops.MergeRow).
+// processor, which folds it into its accumulator (Ops.Move).
 package eval
 
 import (
@@ -18,6 +18,7 @@ import (
 	"phpf/internal/ast"
 	"phpf/internal/core"
 	"phpf/internal/diag"
+	"phpf/internal/dist"
 	"phpf/internal/spmd"
 )
 
@@ -121,44 +122,36 @@ func (s *State) PartialElems(c *spmd.Combine) int64 {
 	return s.partialElems[c.AccIndex]
 }
 
-// MergeHop is one edge of the deterministic combining tree: Loser folds its
-// partial row into Winner's and drops out.
-type MergeHop struct {
-	Winner, Loser int
-}
-
 // MergePartials runs the loop-exit merge of one active combine: a
 // stride-doubling tree over the processor rows (hop order is a pure function
 // of the processor count, so every State and every backend folds in the same
 // order — the determinism the oracle relies on), then one elementwise fold of
 // the surviving row into the real accumulator, then a reset of the table to
-// the operator identity for any re-entry of the loop. ship, called before
-// each fold with the row about to be folded (Ops.MergeRow; nil: nothing to
-// ship), lets States that
-// hold only their own processor's row exchange the rows: a State folds only
-// what it holds and received, so its own row — all it ever ships — stays
-// exact. Returns the tree's hops; nil for an inactive combine.
-func (s *State) MergePartials(c *spmd.Combine) ([]MergeHop, error) { return s.mergePartials(c, nil) }
+// the operator identity for any re-entry of the loop. On a State bound to a
+// processor, which holds only its processor's row, ops moves the rows before
+// each fold — a hop's loser's to its winner, the merged row from processor 0
+// to every other — so a State folds only what it holds and received, and its
+// own row, all it ever sends, stays exact. Returns how many hops the tree
+// has, each a loser folded into a winner; 0 for an inactive combine.
+func (s *State) MergePartials(c *spmd.Combine) (hops int, err error) { return s.mergePartials(c, nil) }
 
-func (s *State) mergePartials(c *spmd.Combine, ship func(*spmd.Combine, MergeHop, []float64) error) ([]MergeHop, error) {
+func (s *State) mergePartials(c *spmd.Combine, ops Ops) (hops int, err error) {
 	if !s.PrivatizedActive(c) {
-		return nil, nil
+		return 0, nil
 	}
-	tab := s.partials[c.AccIndex]
-	elems := s.partialElems[c.AccIndex]
-	nprocs := s.Prog.NProcs()
-	var hops []MergeHop
+	tab, elems, nprocs := s.partials[c.AccIndex], s.partialElems[c.AccIndex], s.Prog.NProcs()
+	if s.proc < 0 {
+		ops = nil // (every row is the State's)
+	}
 	for stride := 1; stride < nprocs; stride <<= 1 {
-		for w := 0; w+stride < nprocs; w += 2 * stride {
+		for w := 0; w+stride < nprocs; w, hops = w+2*stride, hops+1 {
 			l := w + stride
-			h := MergeHop{Winner: w, Loser: l}
 			lrow := tab[int64(l)*elems : int64(l+1)*elems]
-			if ship != nil {
-				if err := ship(c, h, lrow); err != nil {
-					return nil, err
+			if ops != nil {
+				if err := ops.Move(MoveMergeHop, l, dist.Single(s.grid, w), dist.Single(s.grid, l), lrow); err != nil {
+					return hops, err
 				}
 			}
-			hops = append(hops, h)
 			if s.proc >= 0 && s.proc != w {
 				continue // a row this State neither holds nor receives
 			}
@@ -169,9 +162,9 @@ func (s *State) mergePartials(c *spmd.Combine, ship func(*spmd.Combine, MergeHop
 		}
 	}
 	root := tab[:elems]
-	if ship != nil {
-		if err := ship(c, MergeHop{Winner: -1}, root); err != nil {
-			return nil, err
+	if ops != nil {
+		if err := ops.Move(MoveMerged, 0, dist.AllProcs(s.grid), dist.Single(s.grid, 0), root); err != nil {
+			return hops, err
 		}
 	}
 	v := c.Var()

@@ -13,6 +13,7 @@ import (
 
 	"phpf/internal/core"
 	"phpf/internal/diag"
+	"phpf/internal/dist"
 	"phpf/internal/fault"
 	"phpf/internal/ir"
 	"phpf/internal/machine"
@@ -169,7 +170,7 @@ func ConfigErrorf(backend, format string, args ...any) error {
 }
 
 // NewState allocates one memory image of the run under its cell budget, with
-// the reduction mode armed.
+// the reduction mode armed and the account keepers known.
 func (o RunOptions) NewState(p *spmd.Program) (*State, error) {
 	budget := Budget{MaxCells: o.MaxCells}
 	st, err := NewStateBudget(p, budget)
@@ -179,7 +180,18 @@ func (o RunOptions) NewState(p *spmd.Program) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.keepers = o.Keepers(st.grid)
 	return st, nil
+}
+
+// Keepers returns the processors that keep an account of a run on grid g:
+// every one under an active fault plan or a checkpoint interval, whose
+// accounts cross-check each other, and otherwise processor 0, the accountant.
+func (o RunOptions) Keepers(g *dist.Grid) dist.ProcSet {
+	if o.Fault.Active() || o.CheckpointInterval > 0 {
+		return dist.AllProcs(g)
+	}
+	return dist.Single(g, 0)
 }
 
 // StmtProfile is one statement's share of the simulated activity.

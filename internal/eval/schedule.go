@@ -43,8 +43,8 @@ type Ops interface {
 	// Reduce is the collective combine of a mapped reduction scalar over set.
 	Reduce(m *core.ScalarMapping, set dist.ProcSet) error
 	// TreeMerge follows the merge of a privatized combine's partial rows of
-	// elems elements, already folded into the State along hops.
-	TreeMerge(c *spmd.Combine, elems int64, hops []MergeHop) error
+	// elems elements, already folded into the State.
+	TreeMerge(c *spmd.Combine, elems int64) error
 	// CopyOut broadcasts a lastprivate scalar's final value from root.
 	CopyOut(m *core.ScalarMapping, root int) error
 	// AllToAll is the exchange behind an executable redistribution, already
@@ -53,23 +53,10 @@ type Ops interface {
 	// Tick closes every loop iteration (a crash site too, and the place for
 	// abort checks).
 	Tick() error
-	// Branch makes the outcome of a predicate known to the States that walk
-	// its IF, on a backend whose States each interpret for one processor
-	// (State.InterpretFor): the processors in set have evaluated it (taken is
-	// theirs); of the others, those that keep an account learn it, and so do
-	// the rest unless aside, as the States in set report it, says they leave
-	// the IF aside (State.aside). It returns the outcome.
-	Branch(st *ir.Stmt, set dist.ProcSet, taken, aside bool) (bool, error)
-	// HandOff passes the accumulator v of a collective reduction from
-	// processor from, which holds it, to the processors in to, about to update
-	// or to combine it (a bound State's reduction is folded in iteration order).
-	HandOff(v *ir.Var, from int, to dist.ProcSet) error
-	// MergeRow precedes each hop of a privatized combine's tree merge, the
-	// Loser's row about to be folded into the Winner's, and follows the last
-	// one with the merged row (Winner -1), about to be folded into the
-	// accumulator everywhere: where States hold only their processor's own
-	// row, it ships it.
-	MergeRow(c *spmd.Combine, h MergeHop, row []float64) error
+	// Move, on a backend of bound States, moves what the cost model does not
+	// charge: processor from sends payload to the processors of in outside
+	// except (from among them), each taking it into its own payload.
+	Move(kind MoveKind, from int, in, except dist.ProcSet, payload []float64) error
 	// Operands brings, on a backend of bound States, the element of one
 	// requirement of a privatized elementwise update — which the plan ships
 	// nowhere, consuming operands where the data lives — to the processor
@@ -87,6 +74,16 @@ type Ops interface {
 	// closes them one at a time (EachIteration) where something could.
 	Iteration(charges []Charge, n int64) (int64, error)
 }
+
+// MoveKind is what an Ops.Move carries; the schedule resolves whom to.
+type MoveKind uint8
+
+const (
+	MoveOutcome  MoveKind = iota // a predicate's outcome (schedule.outcome)
+	MoveHandOff                  // a collective accumulator (schedule.handOff)
+	MoveMergeHop                 // a partial row, loser to winner (State.mergePartials)
+	MoveMerged                   // the merged row, processor 0 to every other
+)
 
 // EachIteration closes n iterations one at a time, each by close, up to the
 // first that fails: Ops.Iteration for a backend that has something to do or
@@ -206,9 +203,8 @@ func (d *schedule) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 		switch {
 		case s.PrivatizedActive(c):
 			elems := s.PartialElems(c)
-			var hops []MergeHop
-			if hops, err = s.mergePartials(c, d.ops.MergeRow); err == nil {
-				err = d.ops.TreeMerge(c, elems, hops)
+			if _, err = s.mergePartials(c, d.ops); err == nil {
+				err = d.ops.TreeMerge(c, elems)
 			}
 		case c.Mapping != nil:
 			set := s.ScalarSet(c.Mapping)
@@ -298,19 +294,51 @@ func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
 			return err
 		}
 	}
+	for i := 0; s.proc >= 0 && i < len(s.code.reads[st.ID]); i++ {
+		if err := d.handOff(to, s.code.reads[st.ID][i], set); err != nil {
+			return err
+		}
+	}
 	to.Compute(st, set, sp.Flops)
 	return nil
 }
 
 // handOff is the one rule by which a collective reduction's accumulator v
 // moves between States that each hold their processor's values: it goes where
-// it is needed next — to the processors of set, about to update or combine it
-// — from a holder of its running value to those of set that do not hold it.
+// it is needed next — to the processors of set, about to update, read (a
+// conditional update's predicate, say) or combine it — from a holder of its
+// running value, in its slot, to those of set that do not hold it, and set
+// holds it then (dropping the others costs at most a message; a union of two
+// boxes can name processors that hold nothing). An owner run's listing only
+// notes the move, which makes the run loud, walked instance by instance.
 func (d *schedule) handOff(to Ops, v *ir.Var, set dist.ProcSet) error {
-	if s := d.st; s.proc >= 0 && !s.held[v.Slot].CoversSet(set) {
-		return to.HandOff(v, s.held[v.Slot].First(), set)
+	s := d.st
+	if s.proc < 0 || s.held[v.Slot].CoversSet(set) {
+		return nil
 	}
-	return nil
+	held := s.held[v.Slot]
+	if to == d.ops {
+		s.held[v.Slot] = set
+	}
+	return to.Move(MoveHandOff, held.First(), set, held, s.ScalarSlot(v))
+}
+
+// outcome is the one destination rule of a predicate's outcome, on bound
+// States: the first processor of set, which evaluated it (taken, where set
+// holds the State's), tells those outside set that walk its IF — every one,
+// or the account keepers alone where aside says the others leave the IF aside
+// (State.aside). The payload names the instance by its write stamp, the same
+// on every State, signed as the outcome.
+func (d *schedule) outcome(st *ir.Stmt, set dist.ProcSet, taken, aside bool) (bool, error) {
+	s, in := d.st, dist.AllProcs(d.st.grid)
+	if aside {
+		in = s.keepers
+	}
+	if s.told[0] = float64(stampOf(s.epoch, st.ID)); !taken {
+		s.told[0] = -s.told[0]
+	}
+	err := d.ops.Move(MoveOutcome, set.First(), in, set, s.told[:])
+	return s.told[0] > 0, err
 }
 
 // runCharges takes the backend's place while resolve issues an owner run's
@@ -319,7 +347,7 @@ func (d *schedule) handOff(to Ops, v *ir.Var, set dist.ProcSet) error {
 // transfer marks the run loud — it is a crash site that can stop the run
 // inside an iteration and (in exec) stores into the image its statement is
 // about to read, so such a run's operations stay with their instances; a
-// hand-off or an operand delivery too.
+// move or an operand delivery too.
 type runCharges struct {
 	Ops  // the backend's: an instance issues none of the others
 	st   *State
@@ -362,9 +390,12 @@ func (r *runCharges) Transfer(req *comm.Requirement, op InstanceOp) error {
 	r.list(Charge{Req: req, Stmt: req.Stmt, Set: op.Dst, From: int32(op.From), To: int32(to)})
 	return nil
 }
-func (r *runCharges) HandOff(*ir.Var, int, dist.ProcSet) error { r.loud = true; return nil }
-func (r *runCharges) Operands(*comm.Requirement) error         { r.loud = true; return nil }
-func (r *runCharges) CrashSite() error                         { return nil }
+func (r *runCharges) Move(MoveKind, int, dist.ProcSet, dist.ProcSet, []float64) error {
+	r.loud = true
+	return nil
+}
+func (r *runCharges) Operands(*comm.Requirement) error { r.loud = true; return nil }
+func (r *runCharges) CrashSite() error                 { return nil }
 func (r *runCharges) Guard(req *comm.Requirement) {
 	r.list(Charge{Req: req, Stmt: req.Stmt, Set: dist.AllProcs(r.st.grid), From: -1, To: -1})
 }
@@ -375,7 +406,9 @@ func (r *runCharges) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 // resolve issues one instance of each statement of the owner run just opened
 // to its charge list, filling the set table on the way: quiet is nil when the
 // run is loud, ok false when a set cannot be evaluated (the iteration takes
-// the general walk, which fails where it always did).
+// the general walk, which fails where it always did). A run that reads an
+// accumulator (code.reads) is loud on a bound State: its holders move
+// within an iteration, where the listing sees only the first.
 func (d *schedule) resolve(stmts []stmtCode) (quiet []Charge, ok bool) {
 	s := d.st
 	s.charges, s.listed, s.strip = s.charges[:0], s.listed[:0], s.strip[:0]
@@ -384,6 +417,7 @@ func (d *schedule) resolve(stmts []stmtCode) (quiet []Charge, ok bool) {
 		if d.instance(stmts[i].plan, &d.run) != nil {
 			return nil, false
 		}
+		d.run.loud = d.run.loud || s.proc >= 0 && s.code.reads[stmts[i].plan.Stmt.ID] != nil
 	}
 	if d.run.loud {
 		return nil, true

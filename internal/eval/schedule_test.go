@@ -69,22 +69,18 @@ func (r *opRecorder) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
 	return r.add("reduce %s", m.Def.Var.Name)
 }
 
-func (r *opRecorder) TreeMerge(c *spmd.Combine, elems int64, hops []MergeHop) error {
-	return r.add("tree-merge %s (%d elems, %d hops)", c.Var().Name, elems, len(hops))
+func (r *opRecorder) TreeMerge(c *spmd.Combine, elems int64) error {
+	return r.add("tree-merge %s (%d elems, %d hops)", c.Var().Name, elems, r.st.Prog.NProcs()-1)
 }
 
 func (r *opRecorder) CopyOut(m *core.ScalarMapping, root int) error {
 	return r.add("copy-out %s from p%d", m.Def.Var.Name, root)
 }
 
-// Branch, HandOff, MergeRow and Operands move values between bound States only: the
-// simulator's State, which this schedule runs over, asks nothing of them.
-func (r *opRecorder) Branch(_ *ir.Stmt, _ dist.ProcSet, taken, _ bool) (bool, error) {
-	return taken, nil
-}
-func (r *opRecorder) HandOff(*ir.Var, int, dist.ProcSet) error          { return nil }
-func (r *opRecorder) MergeRow(*spmd.Combine, MergeHop, []float64) error { return nil }
-func (r *opRecorder) Operands(*comm.Requirement) error                  { return nil }
+// Move and Operands move values between bound States only: the simulator's
+// State, which this schedule runs over, asks nothing of them.
+func (r *opRecorder) Move(MoveKind, int, dist.ProcSet, dist.ProcSet, []float64) error { return nil }
+func (r *opRecorder) Operands(*comm.Requirement) error                                { return nil }
 
 func (r *opRecorder) AllToAll(st *ir.Stmt) error {
 	return r.add("all-to-all %s", st.Redist.Array.Name)

@@ -159,9 +159,11 @@ type State struct {
 	member   []bool
 	computed int64
 	// shrunk counts what the State did with the loops the plan shrinks;
-	// accounted marks a State an accountant charges (NewAccount).
-	shrunk    ShrinkCount
-	accounted bool
+	// keepers are the processors that keep an account (Keepers, run.go);
+	// told is the payload of a predicate's outcome (schedule.outcome).
+	shrunk  ShrinkCount
+	keepers dist.ProcSet
+	told    [1]float64
 
 	// moves is Section's and Redistributed's scratch; remapped is the mapping
 	// the last executable redistribution left.
@@ -265,9 +267,9 @@ func NewStateBudget(p *spmd.Program, budget Budget) (*State, error) {
 // Scalar returns the current value of a scalar variable (0 if unassigned).
 func (s *State) Scalar(v *ir.Var) float64 { return s.scalars[v.Slot] }
 
-// SetScalar stores a scalar's value delivered by a message (no write of the
-// program's: who held it before still holds it).
-func (s *State) SetScalar(v *ir.Var, x float64) { s.scalars[v.Slot] = x }
+// ScalarSlot is where a scalar's value lives: what a message carries from its
+// sender's and stores into its receivers' (no write of the program's).
+func (s *State) ScalarSlot(v *ir.Var) []float64 { return s.scalars[v.Slot : v.Slot+1] }
 
 // Index returns the current value of a loop-index variable.
 func (s *State) Index(v *ir.Var) int64 { return s.indices[v.Slot] }

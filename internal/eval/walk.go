@@ -261,7 +261,7 @@ func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (con
 	slot := l.Index.Slot
 	runs := lc.lim > 0 && w.seek == nil && s.exactOver(l, lo, hi, step, lc.lim)
 	var o own
-	shrunk := w.shrinks != nil && w.seek == nil && (w.shrinks[l.ID] != nil || lc.allOrNone && !s.accounted) &&
+	shrunk := w.shrinks != nil && w.seek == nil && (w.shrinks[l.ID] != nil || lc.allOrNone && !s.keepers.Contains(s.proc)) &&
 		w.shrink(l, lc, lo, hi, step, &o)
 	// single counts the iterations in a row no run took. As many as the body
 	// has set computations can be what a block boundary looks like, each set
@@ -371,7 +371,7 @@ func (w *walker) shrink(l *ir.Loop, lc *loopCode, lo, hi, step int64, o *own) bo
 	if step > 0 && lo <= hi || step < 0 && lo >= hi {
 		n = (hi-lo)/step + 1
 	}
-	span, ok := int64(0), !s.accounted
+	span, ok := int64(0), !s.keepers.Contains(s.proc)
 	if ok {
 		span, ok = w.span(l.Body)
 	}
@@ -595,8 +595,9 @@ func (w *walker) ifNode(ifn *ir.If) (control, error) {
 // simulator's State evaluates every one. A State bound to a processor
 // evaluates it where the predicate's execution set holds the processor — the
 // plan brings those processors what it reads — and otherwise leaves the IF
-// aside (left; State.aside) or learns the outcome from them (Ops.Branch), so
-// every State that walks the IF walks the branch every other one walks.
+// aside (left; State.aside) or learns the outcome from them
+// (schedule.outcome), so every State that walks the IF walks the branch every
+// other one walks.
 func (w *walker) outcome(st *ir.Stmt) (taken, left bool, err error) {
 	s := w.s
 	sc := &w.c.stmts[st.ID]
@@ -621,7 +622,7 @@ func (w *walker) outcome(st *ir.Stmt) (taken, left bool, err error) {
 	if me {
 		return false, true, nil
 	}
-	taken, err = w.sched.ops.Branch(st, set, taken, others)
+	taken, err = w.sched.outcome(st, set, taken, others)
 	return taken, false, err
 }
 
@@ -630,12 +631,16 @@ func (w *walker) outcome(st *ir.Stmt) (taken, left bool, err error) {
 // is sc, of execution set set: whether the States outside set that keep no
 // account leave it aside (others, which those in set, the senders of the
 // outcome, and those that may leave it aside report), and whether this one
-// does (me). They do where the plan lets them (spmd.Program.SkippableIfs) and
-// each scalar the branches assign is held by exactly its assignment's set, so
-// walking would change no record and fire no hand-off.
+// does (me). They do where the plan lets them (spmd.Program.SkippableIfs),
+// each accumulator the predicate reads is held where it runs and each scalar
+// the branches assign is held by exactly its assignment's set, so walking
+// would change no record and fire no hand-off.
 func (s *State) aside(sc *stmtCode, set dist.ProcSet) (others, me bool) {
 	in, ifn := set.Contains(s.proc), sc.plan.Stmt.IfNode
-	others = sc.asideOK && (in || !s.accounted)
+	others = sc.asideOK && (in || !s.keepers.Contains(s.proc))
+	for _, v := range s.code.reads[sc.plan.Stmt.ID] {
+		others = others && s.held[v.Slot].CoversSet(set)
+	}
 	for _, branch := range [2][]ir.Node{ifn.Then, ifn.Else} {
 		for i := 0; i < len(branch) && others; i++ {
 			if b := &s.code.stmts[branch[i].(*ir.Stmt).ID]; b.def == nil { // a scalar's
@@ -644,7 +649,7 @@ func (s *State) aside(sc *stmtCode, set dist.ProcSet) (others, me bool) {
 			}
 		}
 	}
-	me = others && !in && !s.accounted
+	me = others && !in && !s.keepers.Contains(s.proc)
 	if asideSeam != nil {
 		me = asideSeam(s.proc, sc.plan.Stmt, set, me)
 	}

@@ -73,9 +73,31 @@ end do
 end
 `
 
+// condMax is a conditional maximum, which only the collective reduction
+// takes: its predicate reads the accumulator, so at each BLOCK boundary the
+// running value must reach the new block's owner before the predicate runs,
+// not only before the update it guards. s ends as 4.
+const condMax = `
+program condmax
+parameter n = 16
+real a(n), s
+integer i
+!hpf$ distribute (block) :: a
+do i = 1, n
+  a(i) = mod(i * 7, 5) * 1.0
+end do
+s = a(1)
+do i = 1, n
+  if (a(i) > s) then
+    s = a(i)
+  end if
+end do
+end
+`
+
 // oraclePrograms is the corpus the differential oracle sweeps: every figure
-// example plus the three benchmark kernels at test-friendly sizes, and the
-// lastprivate copy-out no other program has.
+// example plus the three benchmark kernels at test-friendly sizes, the
+// lastprivate copy-out no other program has, and the conditional maximum.
 func oraclePrograms() map[string]string {
 	out := map[string]string{
 		"tomcatv":     programs.TOMCATV(10, 2),
@@ -84,6 +106,7 @@ func oraclePrograms() map[string]string {
 		"appsp1d":     programs.APPSP(4, 4, 4, 1, false),
 		"smooth":      programs.Smooth(24, 2),
 		"lastprivate": lastPrivate,
+		"condmax":     condMax,
 	}
 	for name, src := range programs.Figures {
 		out[name] = src

@@ -13,14 +13,14 @@
 // stores what it gets in its image before the instances that read it. The
 // final memory is gathered from the workers that hold each value
 // (eval.Gather). Data the plan does not move, yet an owner-computes run needs
-// — an element a section's other owner holds, a predicate's outcome for a
-// processor that cannot evaluate it, a collective reduction's accumulator
-// handed from one updating processor to the next and then to its combine's
-// members, a redistributed element — travels in protocol messages, which
-// the cost model does not charge and the trace does not show. Every such
-// move, planned or not, is one primitive (deliver): one sender sends one
-// payload under a tag to the processors a destination rule names, and each
-// receiver stores it in its slot.
+// — an element a section's other owner holds, a redistributed element, and
+// the schedule's uncharged moves (eval.Ops.Move: a predicate's outcome, a
+// collective reduction's accumulator, a merge's rows), whose sender and
+// receivers it resolves — travels in protocol messages, which the cost model
+// does not charge and the trace does not show. Every such move, planned or
+// not, is one primitive (deliver): one sender sends one payload under a tag
+// to the processors a destination rule names, and each receiver stores it in
+// its slot.
 //
 // Every worker walks the same schedule, resolving every execution set and
 // communication decision itself (what every processor resolves is computed
@@ -44,21 +44,22 @@
 // protocol message is one more such message, sent by a worker that can send
 // it when it reaches the operation.
 //
-// A worker outside a predicate's execution set learns the outcome (Branch)
-// and walks the branch every other one walks, unless it leaves the IF aside;
-// the argument holds then too. The plan shows statically that nothing in such
-// an IF has an end outside the set: its branches hold assignments alone (no
+// A worker outside a predicate's execution set learns the outcome and walks
+// the branch every other one walks, unless it leaves the IF aside; the
+// argument holds then too. The plan shows statically that nothing in such an
+// IF has an end outside the set: its branches hold assignments alone (no
 // nested hoisted communication, combine or copy-out), none with a
 // per-instance transfer or a privatizable reduction's operands, none computed
 // everywhere, each on a part of the set; any other IF is walked as before. A
-// hand-off could still fire, and holders move, where a branch assigns a
-// scalar on a set that does not hold it: every worker checks alike, from sets
-// all resolve, that each such scalar is held by exactly its assignment's set,
-// and walks the IF where one is not. So the outcome goes to exactly the
-// workers outside the set that walk the IF — those that keep an account (the
-// accountant; every worker in chaos mode) and, where the check fails, all of
-// them — a worker that leaves the IF aside sends and awaits nothing of it,
-// and its holders, write stamps and image are what walking would have left.
+// hand-off fires, and holders move, where the set does not hold an
+// accumulator the predicate reads or a branch assigns a scalar on a set that
+// does not hold it: every worker checks alike, from sets all resolve, that
+// neither can happen, and walks the IF where one can. So the outcome goes to
+// exactly the workers outside the set that walk the IF — the account keepers
+// and, where the check fails, all of them — a worker that leaves the IF aside
+// sends and awaits nothing of it, and its holders, write stamps and image are
+// what walking would have left. An outcome names its IF instance: a worker
+// that missed one fails the run at the next.
 //
 // The interpretation core — value semantics, execution sets, communication
 // decisions, who computes what, and the schedule of operations (eval.Ops) —
@@ -67,11 +68,12 @@
 // each operation as real traffic and knows nothing of their order.
 // Communication statistics are the simulator's by construction: worker 0,
 // which observes every operation in program order like the simulator does, is
-// the accountant, handing each one to the same eval.Account the simulator
-// charges before transmitting it (one goroutine owns the account, so it needs
-// no locking). That is what lets the differential oracle (Diff) demand
-// bit-for-bit agreement of memory, statistics, simulated time and, on a traced
-// run, the per-statement time attribution the account keeps. The real
+// the accountant (in chaos mode every worker keeps one: RunOptions.Keepers),
+// handing each one to the same eval.Account the simulator charges before
+// transmitting it (one goroutine owns the account, so it needs no locking).
+// That is what lets the differential oracle (Diff) demand bit-for-bit
+// agreement of memory, statistics, simulated time and, on a traced run, the
+// per-statement time attribution the account keeps. The real
 // channel traffic is checked independently, through per-edge sequence
 // numbers, requirement tags, and the watchdog.
 //
@@ -200,9 +202,13 @@ const (
 	tagMerged      = -11 // the merged row, processor 0 -> every other
 	tagSection     = -12 // section elements no planned message carries
 	tagBranch      = -13 // a predicate's outcome, to a processor that cannot evaluate it
-	tagHandOff     = -14 // a collective reduction's accumulator, holder -> updater or member
+	tagHandOff     = -14 // a collective reduction's accumulator, holder -> reader, updater or member
 	tagRedist      = -15 // an element a redistribution moves, old owner -> new
 )
+
+// moveTags is the tag of each kind of protocol move (eval.Ops.Move).
+var moveTags = [...]int{eval.MoveOutcome: tagBranch, eval.MoveHandOff: tagHandOff,
+	eval.MoveMergeHop: tagMerge, eval.MoveMerged: tagMerged}
 
 // tagNames names the protocol tags, for reports and the traffic census.
 var tagNames = map[int]string{
@@ -241,10 +247,6 @@ type executor struct {
 	// goroutine, read by Run after the join).
 	restarts int64
 }
-
-// accounts reports whether worker p keeps an account: worker 0, the
-// accountant, always; every worker in chaos mode.
-func (ex *executor) accounts(p int) bool { return ex.chaos || p == 0 }
 
 // wall is the run-relative wall clock in seconds.
 func (ex *executor) wall() float64 { return time.Since(ex.start).Seconds() }
@@ -316,6 +318,7 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 	}
 	workers := make([]*worker, n)
 	states := make([]*eval.State, n)
+	keepers := cfg.Keepers(p.Grid())
 	for i := range workers {
 		st, err := cfg.NewState(p)
 		if err != nil {
@@ -333,7 +336,7 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 			attrStmt: -1,
 			out:      make([]int32, 2*n),
 		}
-		if ex.accounts(i) {
+		if keepers.Contains(i) {
 			workers[i].acct = eval.NewAccount(st, cfg)
 		}
 	}
@@ -639,17 +642,6 @@ func (w *worker) deliver(tag, from int, to func(p int) bool, vals []float64, mut
 // only is the destination rule naming processor d alone.
 func only(d int) func(p int) bool { return func(p int) bool { return p == d } }
 
-// deliverVar delivers the sender's value of the scalar v; each receiver
-// stores it.
-func (w *worker) deliverVar(tag, from int, to func(p int) bool, v *ir.Var) error {
-	val := [1]float64{w.st.Scalar(v)}
-	got, err := w.deliver(tag, from, to, val[:], false)
-	if got {
-		w.st.SetScalar(v, val[0])
-	}
-	return err
-}
-
 // tracePlanned records the departure or arrival of one message the cost
 // model charges: a planned requirement's, or a copy-out's (a broadcast of no
 // requirement). Other protocol traffic (barriers, hand-offs, merge hops)
@@ -868,7 +860,7 @@ func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) err
 // Reduce charges the collective combine of a reduction scalar.
 // No value travels here: the accumulator was folded in iteration order where
 // the updates ran, and the schedule's hand-off has brought its combined value
-// to every member of set (HandOff).
+// to every member of set (Move).
 func (w *worker) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
 	if w.charges() {
 		w.acct.Reduce(m, set)
@@ -876,26 +868,20 @@ func (w *worker) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
 	return nil
 }
 
-// HandOff passes a collective reduction's accumulator from its holder to the
-// processors of to that do not hold it: those about to update it, or the
-// members of its combine.
-func (w *worker) HandOff(v *ir.Var, from int, to dist.ProcSet) error {
-	held := w.st.Holders(v)
-	return w.deliverVar(tagHandOff, from, func(p int) bool { return to.Contains(p) && !held.Contains(p) }, v)
-}
-
-// Branch sends a predicate's outcome from the first processor that evaluated
-// it to the processors outside set that walk its IF — those that keep an
-// account, and the others unless they leave it aside — so that every worker
-// that walks the IF walks the same branch.
-func (w *worker) Branch(st *ir.Stmt, set dist.ProcSet, taken, aside bool) (bool, error) {
-	var v [1]float64
-	if taken {
-		v[0] = 1
+// Move delivers what the schedule resolved, under its kind's tag. An
+// outcome's magnitude names the IF instance it answers: a receiver that
+// expected another reports it.
+func (w *worker) Move(kind eval.MoveKind, from int, in, except dist.ProcSet, payload []float64) error {
+	tag, want := moveTags[kind], 0.0
+	if kind == eval.MoveOutcome {
+		want = math.Abs(payload[0])
 	}
-	walks := func(p int) bool { return !set.Contains(p) && (!aside || w.ex.accounts(p)) }
-	_, err := w.deliver(tagBranch, set.First(), walks, v[:], false)
-	return v[0] != 0, err
+	got, err := w.deliver(tag, from, func(p int) bool { return in.Contains(p) && !except.Contains(p) }, payload, false)
+	if got && want != math.Abs(payload[0]) && kind == eval.MoveOutcome {
+		return &ProtocolError{Proc: w.proc, From: from, WantReq: tag, GotReq: tag,
+			WantSeq: uint64(want), GotSeq: uint64(math.Abs(payload[0])), What: w.ex.name(tag) + " (instance)"}
+	}
+	return err
 }
 
 // CopyOut broadcasts a lastprivate scalar's final value from the final
@@ -909,18 +895,7 @@ func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
 		w.setAttr(m.Def.Stmt.ID, dist.CommBcast, w.elemBytes())
 	}
 	defer w.clearAttr()
-	return w.deliverVar(tagCopyOut, root, func(p int) bool { return p != root }, m.Def.Var)
-}
-
-// MergeRow ships a privatized combine's rows: at each hop of the tree the
-// loser's row to the winner, and the merged row from processor 0 to every
-// other, each stored in the receiver's table before it folds it.
-func (w *worker) MergeRow(c *spmd.Combine, h eval.MergeHop, row []float64) error {
-	tag, from, to := tagMerge, h.Loser, only(h.Winner)
-	if h.Winner < 0 {
-		tag, from, to = tagMerged, 0, func(p int) bool { return p != 0 }
-	}
-	_, err := w.deliver(tag, from, to, row, false)
+	_, err := w.deliver(tagCopyOut, root, func(p int) bool { return p != root }, w.st.ScalarSlot(m.Def.Var), false)
 	return err
 }
 
@@ -933,10 +908,10 @@ func (w *worker) Operands(req *comm.Requirement) error {
 	return w.exchange(tagSection, nil, w.st.Section(req), w.silent(req))
 }
 
-// TreeMerge charges the merge whose rows MergeRow shipped.
-func (w *worker) TreeMerge(c *spmd.Combine, elems int64, hops []eval.MergeHop) error {
+// TreeMerge charges the merge whose rows the schedule moved (Move).
+func (w *worker) TreeMerge(c *spmd.Combine, elems int64) error {
 	if w.charges() {
-		w.acct.TreeMerge(c, elems, hops)
+		w.acct.TreeMerge(c, elems)
 	}
 	return nil
 }

@@ -45,6 +45,10 @@ var survivors = []string{
 	"appsp2d/producer/p4: s4 rsd(1,i,(j - 1),k): shift hoisted out of 4 loop(s) to top level (4 messages)",
 	"appsp2d/producer/p4: s6 rsd(1,i,(j - 1),k): shift hoisted out of 4 loop(s) to top level (4 messages)",
 	"appsp2d/producer/p4: s7 c(i,(j - 1),1): shift hoisted out of 4 loop(s) to top level (4 messages)",
+	"condmax/selected/p3: s1 a(1): broadcast per-instance (2 messages)",
+	"condmax/selected/p4: s1 a(1): broadcast per-instance (3 messages)",
+	"condmax/producer/p3: s1 a(1): broadcast per-instance (2 messages)",
+	"condmax/producer/p4: s1 a(1): broadcast per-instance (3 messages)",
 	"dgefa/selected/p3: s12 l: general hoisted out of 1 loop(s) to k-loop (22 messages)",
 	"dgefa/selected/p3: s13 l: general hoisted out of 1 loop(s) to k-loop (22 messages)",
 	"dgefa/selected/p4: s12 l: general hoisted out of 1 loop(s) to k-loop (33 messages)",

@@ -31,9 +31,13 @@ var cyclicSum = strings.Replace(commSource, "(block)", "(cyclic)", 1)
 // reduction, cyclicSum, the one whose accumulator is handed along (one
 // hand-off per iteration, as the updating processor changes at each, and one
 // to each other member of its combine at the loop exit), commSource's block
-// sum (one hand-off per block boundary, and the same three at the exit), and,
-// under producer alignment, lastPrivate's copy-out and TOMCATV's per-instance
-// transfers.
+// sum (one hand-off per block boundary, and the same three at the exit),
+// condMax, whose accumulator its predicate reads (a hand-off to the
+// predicate's set at each block boundary and three at the exit; an outcome to
+// every other worker at the two IFs before the first update, where the
+// holders are every processor, then to the accountant alone, where the IF is
+// not its own), and, under producer alignment, lastPrivate's copy-out and
+// TOMCATV's per-instance transfers.
 func TestProtocolTraffic(t *testing.T) {
 	for _, in := range []struct {
 		name  string
@@ -51,6 +55,7 @@ func TestProtocolTraffic(t *testing.T) {
 		{"dotsweep(16,12) collective", programs.DotSweep(16, 12), core.ReduceCollective, "", "planned=45 section=12"},
 		{"cyclic sum collective", cyclicSum, core.ReduceCollective, "", "hand-off=17 planned=4"},
 		{"block sum collective", commSource, core.ReduceCollective, "", "hand-off=6 planned=4"},
+		{"conditional max", condMax, 0, "", "branch=18 hand-off=6 planned=3"},
 		{"lastprivate producer", lastPrivate, 0, "producer", "copy-out=3 planned=4"},
 		{"tomcatv(10,1) producer", programs.TOMCATV(10, 1), 0, "producer", "merge=6 merged=6 planned=152"},
 	} {

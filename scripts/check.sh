@@ -54,9 +54,21 @@ if grep -nE '\.(PrivatizedActive|VectorizedOp|InstanceOp)\(|\.(Hoisted|Combines|
 fi
 # ...and who computes what is eval's decision too (State.InterpretFor): the
 # concurrent executor evaluates no execution, owner, union or scalar set of
-# its own, nor the iterations of a shrunk loop it walks.
+# its own, nor the iterations of a shrunk loop it walks. Nor does it resolve
+# where an uncharged protocol move goes: the schedule names its sender and
+# receivers (eval.Ops.Move), so exec has no Branch, HandOff or MergeRow
+# operation, no rule of its own for who keeps an account (accounts(); that is
+# eval.RunOptions.Keepers), and reads a scalar's holders only in chaos.go's
+# recovery refetch, to check a value both ends restored.
 if grep -nE '\.(ExecSet|OwnerSet|UnionSet|ScalarSet|LocalRange)\(' $(ls internal/exec/*.go | grep -v '_test\.go$'); then
     echo "check: internal/exec evaluates a set itself; which processor computes an instance is internal/eval's decision" >&2
+    exit 1
+fi
+if grep -nE '^func \([a-z]+ \*[A-Za-z]+\) (Branch|HandOff|MergeRow)\(|(^|[^A-Za-z0-9_])accounts\(' $(ls internal/exec/*.go | grep -v '_test\.go$') ||
+    awk 'FNR == 1 { fn = "" } /^func / { fn = $0 }
+        /Holders\(/ && !(FILENAME ~ /\/chaos\.go$/ && fn ~ /\) refetchAll\(/) { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' $(ls internal/exec/*.go | grep -v '_test\.go$'); then
+    echo "check: internal/exec decides where a protocol move goes (a Branch, HandOff or MergeRow method, accounts(), or Holders( outside the refetch check); the schedule resolves every move (eval.Ops.Move)" >&2
     exit 1
 fi
 # One-shrinking gate (DESIGN.md §12): which loops shrink is decided once, by
@@ -71,19 +83,23 @@ fi
 
 # Privatized-IF gates (DESIGN.md §12, "Predicates"): a predicate's outcome goes
 # only to the processors outside its set that walk its IF — those that keep an
-# account, and the others unless they leave it aside — and whether a worker
-# leaves an IF aside is decided once, by State.aside, the one function of
-# internal/eval that reads the lowered verdict (asideOK; forProcessors lowers
-# it). Fail when worker.Branch's destination rule is again every
-# processor outside the set, or when the decision is made elsewhere.
-branchfn="$(awk '/^func \(w \*worker\) Branch\(/,/^}/' $(ls internal/exec/*.go | grep -v '_test\.go$'))"
-if ! printf '%s\n' "$branchfn" | grep -q 'w\.ex\.accounts(p)' ||
-    printf '%s\n' "$branchfn" | grep -nE 'return !set\.Contains\(p\)[[:space:]]*\}' ||
+# account, and the others unless they leave it aside — by the schedule's one
+# destination rule for it (schedule.outcome, the one sender of a MoveOutcome),
+# and whether a worker leaves an IF aside is decided once, by State.aside, the
+# one function of internal/eval that reads the lowered verdict (asideOK;
+# forProcessors lowers it). Fail when the rule no longer narrows the
+# receivers to the account keepers where the others leave the IF aside, when
+# an outcome is sent elsewhere, or when the decision is made elsewhere.
+evalsrc="$(ls internal/eval/*.go | grep -v '_test\.go$')"
+outcomefn="$(awk '/^func \(d \*schedule\) outcome\(/,/^}/' internal/eval/schedule.go)"
+if ! printf '%s\n' "$outcomefn" | grep -q 'in = s\.keepers' ||
+    ! printf '%s\n' "$outcomefn" | grep -q 'Move(MoveOutcome, set\.First(), in, set,' ||
     ! grep -q '^func (s \*State) aside(' internal/eval/walk.go ||
     awk 'FNR == 1 { fn = "" } /^func / { fn = $0 }
         /\.asideOK([^A-Za-z0-9_]|$)/ && fn !~ /\) (aside|forProcessors)\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
-        END { exit !bad }' $(ls internal/eval/*.go | grep -v '_test\.go$'); then
-    echo "check: worker.Branch sends a predicate's outcome to every processor outside its set again, or internal/eval decides to leave an IF aside outside State.aside" >&2
+        /MoveOutcome/ && fn != "" && fn !~ /\(d \*schedule\) outcome\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' $evalsrc; then
+    echo "check: schedule.outcome no longer sends a predicate's outcome to the account keepers alone where the others leave its IF aside, an outcome is sent outside it, or internal/eval decides to leave an IF aside outside State.aside" >&2
     exit 1
 fi
 
