@@ -6,6 +6,7 @@ package ast
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -342,6 +343,41 @@ func ExprString(e Expr) string {
 		return fmt.Sprintf("%s(%s)", x.Name, strings.Join(parts, ","))
 	}
 	return "?"
+}
+
+// Equal reports whether a and b are the same expression: the same tree, with
+// literals compared by the value the run time computes (1 equals 1.0, and
+// 1000000 equals 1e6, which ExprString prints differently). A reference and
+// a call of one name and operands differ, though ExprString prints both
+// alike; in an expression the parser makes every intrinsic name applied to
+// arguments a call.
+func Equal(a, b Expr) bool {
+	switch x := a.(type) {
+	case *Ref:
+		y, ok := b.(*Ref)
+		return ok && x.Name == y.Name && slices.EqualFunc(x.Subs, y.Subs, Equal)
+	case *IntConst, *RealConst:
+		switch b.(type) {
+		case *IntConst, *RealConst:
+			u, _ := Fold(a, nil)
+			v, _ := Fold(b, nil)
+			return u.Equal(v)
+		}
+		return false
+	case *BinOp:
+		y, ok := b.(*BinOp)
+		return ok && x.Op == y.Op && Equal(x.L, y.L) && Equal(x.R, y.R)
+	case *UnaryMinus:
+		y, ok := b.(*UnaryMinus)
+		return ok && Equal(x.X, y.X)
+	case *Not:
+		y, ok := b.(*Not)
+		return ok && Equal(x.X, y.X)
+	case *Call:
+		y, ok := b.(*Call)
+		return ok && x.Name == y.Name && slices.EqualFunc(x.Args, y.Args, Equal)
+	}
+	return a == b
 }
 
 // Walk calls fn for every expression node in e, parents before children.

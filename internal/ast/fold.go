@@ -1,6 +1,9 @@
 package ast
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file holds the one meaning of an expression that every compile-time
 // reader shares (DESIGN.md §14): its value (Const, Fold, the Intrinsics
@@ -186,28 +189,41 @@ func Fold(e Expr, leaf func(*Ref) (Const, bool)) (Const, bool) {
 	return Const{}, false
 }
 
-// Rewrite rebuilds the operators and calls of e bottom-up and hands every
-// reference — subscripts and all, not descended into — to ref, whose result
-// takes its place. Literals are shared. Rewrite never copies a reference on
-// its own: the identity of an *ast.Ref is how the analyses find the ir.Ref
-// that stands for it, so whether to keep, mutate or replace the node is the
+// Rewrite hands every reference of e — subscripts and all, not descended
+// into — to ref, whose result takes its place, and rebuilds bottom-up the
+// operators and calls above a reference ref replaced. A node under which
+// nothing changed is shared, literals included, so no caller mutates an
+// operator or a call of the result. Rewrite never copies a reference on its
+// own: the identity of an *ast.Ref is how the analyses find the ir.Ref that
+// stands for it, so whether to keep, mutate or replace the node is the
 // callback's decision.
 func Rewrite(e Expr, ref func(*Ref) Expr) Expr {
 	switch x := e.(type) {
 	case *Ref:
 		return ref(x)
 	case *BinOp:
-		return &BinOp{Op: x.Op, L: Rewrite(x.L, ref), R: Rewrite(x.R, ref)}
-	case *UnaryMinus:
-		return &UnaryMinus{X: Rewrite(x.X, ref)}
-	case *Not:
-		return &Not{X: Rewrite(x.X, ref)}
-	case *Call:
-		c := &Call{Name: x.Name, Args: make([]Expr, len(x.Args))}
-		for i, a := range x.Args {
-			c.Args[i] = Rewrite(a, ref)
+		if l, r := Rewrite(x.L, ref), Rewrite(x.R, ref); l != x.L || r != x.R {
+			return &BinOp{Op: x.Op, L: l, R: r}
 		}
-		return c
+	case *UnaryMinus:
+		if y := Rewrite(x.X, ref); y != x.X {
+			return &UnaryMinus{X: y}
+		}
+	case *Not:
+		if y := Rewrite(x.X, ref); y != x.X {
+			return &Not{X: y}
+		}
+	case *Call:
+		for i, a := range x.Args {
+			if y := Rewrite(a, ref); y != a {
+				c := &Call{Name: x.Name, Args: slices.Clone(x.Args)}
+				c.Args[i] = y
+				for j := i + 1; j < len(c.Args); j++ {
+					c.Args[j] = Rewrite(c.Args[j], ref)
+				}
+				return c
+			}
+		}
 	}
 	return e
 }

@@ -82,15 +82,17 @@ func TestConstRoundAndEqual(t *testing.T) {
 	}
 }
 
-// TestRewriteHandsOverReferences: Rewrite rebuilds operators and calls but
-// never copies or descends into a reference — what the callback returns takes
-// the node's place, so a callback that returns its argument preserves the
-// *Ref identity the analyses key on.
+// TestRewriteHandsOverReferences: Rewrite never copies or descends into a
+// reference — what the callback returns takes the node's place, so a callback
+// that returns its argument preserves the *Ref identity the analyses key on —
+// and rebuilds only the operators and calls above a replaced reference,
+// sharing every node under which nothing changed.
 func TestRewriteHandsOverReferences(t *testing.T) {
 	i := &Ref{Name: "i"}
 	a := &Ref{Name: "a", Subs: []Expr{i}}
 	x := &Ref{Name: "x"}
-	e := bin(Add, a, call("max", &UnaryMinus{X: x}, &Not{X: lit(2)}))
+	not2 := &Not{X: lit(2)}
+	e := bin(Add, a, call("max", &UnaryMinus{X: x}, not2))
 
 	var seen []*Ref
 	out := Rewrite(e, func(r *Ref) Expr {
@@ -100,11 +102,8 @@ func TestRewriteHandsOverReferences(t *testing.T) {
 	if len(seen) != 2 || seen[0] != a || seen[1] != x {
 		t.Fatalf("callback saw %v, want a(i) then x (subscripts are the callback's to visit)", seen)
 	}
-	if out == e || ExprString(out) != ExprString(e) {
-		t.Errorf("Rewrite = %s (same node: %v), want a rebuilt copy of %s", ExprString(out), out == e, ExprString(e))
-	}
-	if got := out.(*BinOp).L; got != Expr(a) {
-		t.Error("the reference node was copied")
+	if out != e {
+		t.Errorf("Rewrite = %s, want %s itself: nothing changed", ExprString(out), ExprString(e))
 	}
 	sub := Rewrite(e, func(r *Ref) Expr {
 		if r == x {
@@ -114,6 +113,16 @@ func TestRewriteHandsOverReferences(t *testing.T) {
 	})
 	if got := ExprString(sub); got != "(a(i) + max((-5),(not 2)))" {
 		t.Errorf("substituted = %s", got)
+	}
+	if ExprString(e) != "(a(i) + max((-x),(not 2)))" {
+		t.Errorf("the substitution changed its input: %s", ExprString(e))
+	}
+	b := sub.(*BinOp)
+	if b == e || b.L != Expr(a) {
+		t.Error("the sum was shared or the reference node copied")
+	}
+	if c := b.R.(*Call); c == e.(*BinOp).R || c.Args[1] != Expr(not2) {
+		t.Error("the call above the substitution was shared, or the unchanged (not 2) copied")
 	}
 	if Rewrite(nil, nil) != nil {
 		t.Error("Rewrite(nil) must stay nil")

@@ -69,18 +69,28 @@ type PrivClass struct {
 	// Inserted records that the autopriv pass materialized the decision as
 	// an inferred annotation on Loop.
 	Inserted bool
-	// Reason explains the decision in one clause; for PrivSerialized it
-	// names the blocking reference with its position.
-	Reason string
 	// Blocking is the reference that defeats privatization (PrivSerialized
 	// only; may be nil when the failure is structural).
 	Blocking *ir.Ref
+	// why is the Reason clause, a format naming the reference at (with its
+	// position) when at is not nil.
+	why string
+	at  *ir.Ref
+}
+
+// Reason explains the decision in one clause; for PrivSerialized it names the
+// blocking reference with its position. It is formatted when it is reported.
+func (c *PrivClass) Reason() string {
+	if c.at == nil {
+		return c.why
+	}
+	return fmt.Sprintf(c.why, refAt(c.at))
 }
 
 func (c *PrivClass) String() string {
 	s := fmt.Sprintf("%s wrt %s-loop: %s", c.Var.Name, c.Loop.Index.Name, c.Decision)
-	if c.Reason != "" {
-		s += " (" + c.Reason + ")"
+	if c.why != "" {
+		s += " (" + c.Reason() + ")"
 	}
 	return s
 }
@@ -106,7 +116,7 @@ func (s *PrivSummary) String() string {
 		if c.Inserted {
 			b.WriteString(" [inserted]")
 		}
-		fmt.Fprintf(&b, " — %s\n", c.Reason)
+		fmt.Fprintf(&b, " — %s\n", c.Reason())
 	}
 	// Classes are in loop preorder: one loop's are consecutive.
 	for i := 0; i < len(s.Classes); {
@@ -252,9 +262,8 @@ func classifyScalar(p *ir.Program, g *ir.CFG, s *ssa.SSA, cp *ConstProp, v *ir.V
 		}
 		for _, d := range s.ReachingDefs(r) {
 			if d.Kind != ssa.VDef || !ir.Encloses(L, d.Stmt.Loop) {
-				c.Decision = PrivSerialized
-				c.Blocking = r
-				c.Reason = fmt.Sprintf("serialized because %s may read the value live on entry to the loop", refAt(r))
+				c.Decision, c.Blocking = PrivSerialized, r
+				c.why, c.at = "serialized because %s may read the value live on entry to the loop", r
 				return c
 			}
 		}
@@ -270,10 +279,9 @@ func classifyScalar(p *ir.Program, g *ir.CFG, s *ssa.SSA, cp *ConstProp, v *ir.V
 				}
 				continue
 			}
-			if ru.CrossesBackOf[L] {
-				c.Decision = PrivSerialized
-				c.Blocking = ru.Ref
-				c.Reason = fmt.Sprintf("serialized because %s reads the value defined in an earlier iteration", refAt(ru.Ref))
+			if ru.CrossesBackOf.Has(L) {
+				c.Decision, c.Blocking = PrivSerialized, ru.Ref
+				c.why, c.at = "serialized because %s reads the value defined in an earlier iteration", ru.Ref
 				return c
 			}
 		}
@@ -281,7 +289,7 @@ func classifyScalar(p *ir.Program, g *ir.CFG, s *ssa.SSA, cp *ConstProp, v *ir.V
 
 	if liveOutUse == nil {
 		c.Decision = PrivPrivate
-		c.Reason = "every use is reached only by same-iteration definitions"
+		c.why = "every use is reached only by same-iteration definitions"
 		return c
 	}
 
@@ -295,12 +303,11 @@ func classifyScalar(p *ir.Program, g *ir.CFG, s *ssa.SSA, cp *ConstProp, v *ir.V
 	if len(defs) == 1 && len(defs[0].Stmt.EnclosingIfs) == 0 &&
 		(s.IsUniqueDef(defs[0]) || finalValueGuaranteed(g, s, cp, defs[0], L)) {
 		c.Decision = PrivLastPrivate
-		c.Reason = fmt.Sprintf("final iteration's value is read by %s; copy-out at loop exit", refAt(liveOutUse))
+		c.why, c.at = "final iteration's value is read by %s; copy-out at loop exit", liveOutUse
 		return c
 	}
-	c.Decision = PrivSerialized
-	c.Blocking = liveOutUse
-	c.Reason = fmt.Sprintf("serialized because %s reads the value after the loop and the final-iteration copy-out is unprovable (conditional or multiple definitions)", refAt(liveOutUse))
+	c.Decision, c.Blocking = PrivSerialized, liveOutUse
+	c.why, c.at = "serialized because %s reads the value after the loop and the final-iteration copy-out is unprovable (conditional or multiple definitions)", liveOutUse
 	return c
 }
 
@@ -415,22 +422,20 @@ func classifyArray(p *ir.Program, g *ir.CFG, blockOf map[*ir.Stmt]*ir.Block, v *
 		}
 		if !ir.Encloses(L, r.Stmt.Loop) {
 			if readsAfterLoop(g, blockOf, r, L) {
-				c.Decision = PrivSerialized
-				c.Blocking = r
-				c.Reason = fmt.Sprintf("serialized because %s reads the array after the loop", refAt(r))
+				c.Decision, c.Blocking = PrivSerialized, r
+				c.why, c.at = "serialized because %s reads the array after the loop", r
 				return c
 			}
 			continue // only reachable before the loop: pre-loop value, harmless
 		}
 		if !readCovered(r, writes, L) {
-			c.Decision = PrivSerialized
-			c.Blocking = r
-			c.Reason = fmt.Sprintf("serialized because %s is not covered by writes earlier in the iteration", refAt(r))
+			c.Decision, c.Blocking = PrivSerialized, r
+			c.why, c.at = "serialized because %s is not covered by writes earlier in the iteration", r
 			return c
 		}
 	}
 	c.Decision = PrivPrivate
-	c.Reason = "every read is covered by same-iteration writes and no value lives past the loop"
+	c.why = "every read is covered by same-iteration writes and no value lives past the loop"
 	return c
 }
 

@@ -381,10 +381,10 @@ func TestClassifyDecisions(t *testing.T) {
 					t.Fatalf("%s wrt %s-loop: not a candidate; classes: %v", w.v, w.loop, sum.Classes)
 				}
 				if c.Decision != w.decision {
-					t.Errorf("%s wrt %s-loop: decision %s, want %s (%s)", w.v, w.loop, c.Decision, w.decision, c.Reason)
+					t.Errorf("%s wrt %s-loop: decision %s, want %s (%s)", w.v, w.loop, c.Decision, w.decision, c.Reason())
 				}
-				if !strings.Contains(c.Reason, w.reasonHas) {
-					t.Errorf("%s wrt %s-loop: reason %q does not mention %q", w.v, w.loop, c.Reason, w.reasonHas)
+				if !strings.Contains(c.Reason(), w.reasonHas) {
+					t.Errorf("%s wrt %s-loop: reason %q does not mention %q", w.v, w.loop, c.Reason(), w.reasonHas)
 				}
 				if c.Decision == PrivSerialized && c.Blocking == nil {
 					t.Errorf("%s wrt %s-loop: serialized without a blocking reference", w.v, w.loop)

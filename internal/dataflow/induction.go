@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"slices"
+
 	"phpf/internal/ast"
 	"phpf/internal/ir"
 	"phpf/internal/ssa"
@@ -217,7 +219,7 @@ func ApplyInductionRewrites(p *ir.Program, s *ssa.SSA, ivs []*Induction) int {
 		// Collect same-iteration uses uniquely reached by this def.
 		var replaceUses []*ir.Ref
 		for _, ru := range s.ReachedUses(def) {
-			if ru.CrossesBackOf[iv.Loop] {
+			if ru.CrossesBackOf.Has(iv.Loop) {
 				continue // previous-iteration use (the increment's own rhs)
 			}
 			defs := s.ReachingDefs(ru.Ref)
@@ -233,7 +235,7 @@ func ApplyInductionRewrites(p *ir.Program, s *ssa.SSA, ivs []*Induction) int {
 		// Replace the increment's rhs by the closed form. The statement's
 		// remaining use (of the previous value) disappears.
 		iv.Stmt.Rhs = cloneExpr(iv.ClosedForm)
-		removeUses(iv.Stmt, func(r *ir.Ref) bool { return r.Var == iv.Var && !r.IsDef })
+		iv.Stmt.Uses = slices.DeleteFunc(iv.Stmt.Uses, func(r *ir.Ref) bool { return r.Var == iv.Var && !r.IsDef })
 	}
 	if rewritten > 0 || len(ivs) > 0 {
 		p.AnalyzeForms()
@@ -243,7 +245,7 @@ func ApplyInductionRewrites(p *ir.Program, s *ssa.SSA, ivs []*Induction) int {
 
 // substituteRef replaces use's ast.Ref node with a clone of repl inside the
 // statement that contains it, and removes the use from the statement's use
-// lists. Every other reference keeps its node (subscripts are rewritten in
+// list. Every other reference keeps its node (subscripts are rewritten in
 // place). Returns false if the node could not be located.
 func substituteRef(use *ir.Ref, repl ast.Expr) bool {
 	st := use.Stmt
@@ -267,23 +269,9 @@ func substituteRef(use *ir.Ref, repl ast.Expr) bool {
 		sub(st.Lhs.Ast)
 	}
 	if replaced {
-		removeUses(st, func(r *ir.Ref) bool { return r == use })
+		st.Uses = slices.DeleteFunc(st.Uses, func(r *ir.Ref) bool { return r == use })
 	}
 	return replaced
-}
-
-func removeUses(st *ir.Stmt, drop func(*ir.Ref) bool) {
-	filter := func(refs []*ir.Ref) []*ir.Ref {
-		out := refs[:0]
-		for _, r := range refs {
-			if !drop(r) {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	st.Uses = filter(st.Uses)
-	st.Refs = filter(st.Refs)
 }
 
 // cloneExpr copies an expression, references included (the copies stand for

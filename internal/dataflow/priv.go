@@ -24,7 +24,7 @@ func Privatizable(s *ssa.SSA, def *ssa.Value, L *ir.Loop) bool {
 		if !ir.Encloses(L, ru.Ref.Stmt.Loop) {
 			return false // live outside the loop
 		}
-		if ru.CrossesBackOf[L] {
+		if ru.CrossesBackOf.Has(L) {
 			return false // carried into a later iteration
 		}
 	}

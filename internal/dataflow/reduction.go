@@ -253,10 +253,9 @@ func recognizeArrayReduction(st *ir.Stmt, p *ir.Program) *Reduction {
 	if !v.IsArray() || len(st.EnclosingIfs) > 0 || len(st.Lhs.Subs) == 0 {
 		return nil
 	}
-	self := ast.ExprString(st.Lhs.Ast)
 	op, dataExpr, negate := matchUpdate(st.Rhs, func(e ast.Expr) bool {
 		r, ok := e.(*ast.Ref)
-		return ok && r.Name == v.Name && ast.ExprString(r) == self
+		return ok && ast.Equal(r, st.Lhs.Ast)
 	})
 	if dataExpr == nil {
 		return nil
@@ -356,7 +355,7 @@ func carrierLoops(def *ssa.Value, from *ir.Loop, selfUse *ir.Ref, s *ssa.SSA) []
 		}
 		var out []*ir.Loop
 		for l := from; l != nil; l = l.Parent {
-			if ru.CrossesBackOf[l] {
+			if ru.CrossesBackOf.Has(l) {
 				out = append(out, l)
 			}
 		}
@@ -449,7 +448,7 @@ func recognizeConditionalMax(ifStmt *ir.Stmt, s *ssa.SSA, seen map[*ir.Stmt]bool
 	}
 	// The accumulator must be assigned the candidate expression (same
 	// shape), i.e. t = e.
-	if ast.ExprString(accStmt.Rhs) != ast.ExprString(candidate) {
+	if !ast.Equal(accStmt.Rhs, candidate) {
 		return nil
 	}
 	// Verify the accumulator is loop-carried through this update.

@@ -84,8 +84,8 @@ func (c *setChecker) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
 	}
 	// Any reference may be asked about, also one no owner run holds constant
 	// (an operand that is local, or moved by a hoisted transfer).
-	for _, ref := range st.Refs {
-		if !ref.Var.IsArray() {
+	for _, ref := range append([]*ir.Ref{st.Lhs}, st.Uses...) {
+		if ref == nil || !ref.Var.IsArray() {
 			continue
 		}
 		got, gerr := c.s.OwnerSet(ref)

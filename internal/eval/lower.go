@@ -1264,5 +1264,5 @@ func (lw *lowerer) reads() {
 // sameRef reports whether two references name the same element wherever
 // both are evaluated: the same array, subscripts written alike.
 func sameRef(a, b *ir.Ref) bool {
-	return a == b || a != nil && b != nil && a.Var == b.Var && ast.ExprString(a.Ast) == ast.ExprString(b.Ast)
+	return a == b || a != nil && b != nil && a.Var == b.Var && ast.Equal(a.Ast, b.Ast)
 }

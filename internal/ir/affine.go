@@ -142,6 +142,9 @@ func (p *Program) AnalyzeForms() {
 		if !r.Var.IsArray() {
 			continue
 		}
+		if cap(r.Subs) < len(r.Ast.Subs) {
+			r.Subs = make([]Affine, 0, len(r.Ast.Subs))
+		}
 		r.Subs = r.Subs[:0]
 		for _, e := range r.Ast.Subs {
 			r.Subs = append(r.Subs, AnalyzeAffine(e, r.Stmt.Loop, p.LookupVar))

@@ -43,6 +43,9 @@ type cfgBuilder struct {
 	// pendingGotos are (source block, label) edges added after all labels
 	// are placed.
 	pendingGotos []pendingGoto
+	// edges are the edges in the order they were added, which BuildCFG
+	// lays out in every block's Succs and Preds at its end.
+	edges [][2]int32 // (from, to) block IDs
 }
 
 type pendingGoto struct {
@@ -58,13 +61,25 @@ type pendingGoto struct {
 // covers the Fortran idioms in the benchmarks (early exit to a trailing
 // CONTINUE).
 func BuildCFG(p *Program) (*CFG, error) {
+	// A loop adds four edges, and no statement more than two but an IF's
+	// four.
+	nEdges := 1 + 4*len(p.Loops)
+	for _, st := range p.Stmts {
+		switch st.Kind {
+		case SIf:
+			nEdges += 4
+		case SGoto, SIfGoto, SContinue:
+			nEdges += 2
+		}
+	}
 	b := &cfgBuilder{
 		g: &CFG{
-			HeaderOf:    map[*Loop]*Block{},
-			PreheaderOf: map[*Loop]*Block{},
-			ExitOf:      map[*Loop]*Block{},
+			HeaderOf:    make(map[*Loop]*Block, len(p.Loops)),
+			PreheaderOf: make(map[*Loop]*Block, len(p.Loops)),
+			ExitOf:      make(map[*Loop]*Block, len(p.Loops)),
 		},
 		labelBlock: map[int]*Block{},
+		edges:      make([][2]int32, 0, nEdges),
 	}
 	entry := b.newBlock(nil)
 	b.g.Entry = entry
@@ -82,7 +97,29 @@ func BuildCFG(p *Program) (*CFG, error) {
 		}
 		b.addEdge(pg.from, target)
 	}
+	b.layOutEdges()
 	return b.g, nil
+}
+
+// layOutEdges sets every block's Succs and Preds, each in the order its edges
+// were added, in one array.
+func (b *cfgBuilder) layOutEdges() {
+	blocks := b.g.Blocks
+	n := make([]int32, 2*len(blocks)) // successors, predecessors
+	for _, e := range b.edges {
+		n[2*e[0]]++
+		n[2*e[1]+1]++
+	}
+	all := make([]*Block, 2*len(b.edges))
+	for i, blk := range blocks {
+		blk.Succs, all = all[:0:n[2*i]], all[n[2*i]:]
+		blk.Preds, all = all[:0:n[2*i+1]], all[n[2*i+1]:]
+	}
+	for _, e := range b.edges {
+		from, to := blocks[e[0]], blocks[e[1]]
+		from.Succs = append(from.Succs, to)
+		to.Preds = append(to.Preds, from)
+	}
 }
 
 func (b *cfgBuilder) newBlock(loop *Loop) *Block {
@@ -95,8 +132,7 @@ func (b *cfgBuilder) addEdge(from, to *Block) {
 	if from == nil {
 		return
 	}
-	from.Succs = append(from.Succs, to)
-	to.Preds = append(to.Preds, from)
+	b.edges = append(b.edges, [2]int32{int32(from.ID), int32(to.ID)})
 }
 
 // buildSeq appends the CFG for nodes starting in cur, returning the block

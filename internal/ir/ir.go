@@ -30,7 +30,8 @@ type Var struct {
 	IsLoopIndex bool // used as a DO index somewhere in the program
 
 	// DefLoops is the set of loops whose body contains an assignment to
-	// this scalar (used by VarLevel for non-affine subscripts).
+	// this scalar (used by VarLevel for non-affine subscripts; nil when
+	// there is none).
 	DefLoops map[*Loop]bool
 }
 
@@ -178,7 +179,6 @@ type Stmt struct {
 	EnclosingIfs []*Stmt
 
 	Uses []*Ref // all use references: rhs, condition, and subscripts
-	Refs []*Ref // all references including the definition (Lhs first if any)
 
 	Redist *Redist // SRedistribute
 }
@@ -292,7 +292,10 @@ func Build(src *ast.Program) (*Program, error) {
 		if _, isParam := b.prog.Params[d.Name]; isParam {
 			return nil, errfAt(diag.Pos{Line: d.Line, Col: d.Col}, "%s already declared as parameter", d.Name)
 		}
-		v := &Var{Name: d.Name, Type: d.Type, DefLoops: map[*Loop]bool{}}
+		v := &Var{Name: d.Name, Type: d.Type}
+		if len(d.Dims) > 0 {
+			v.Dims = make([]int64, 0, len(d.Dims))
+		}
 		for _, de := range d.Dims {
 			n, ok := ast.Fold(de, b.paramConst)
 			if !ok || !n.IsInt || n.I < 1 {
@@ -345,10 +348,15 @@ func Build(src *ast.Program) (*Program, error) {
 
 	// Record, per scalar, the loops containing a definition of it.
 	for _, s := range b.prog.Stmts {
-		if s.Kind == SAssign && !s.Lhs.Var.IsArray() {
-			for l := s.Loop; l != nil; l = l.Parent {
-				s.Lhs.Var.DefLoops[l] = true
-			}
+		if s.Kind != SAssign || s.Lhs.Var.IsArray() || s.Loop == nil {
+			continue
+		}
+		v := s.Lhs.Var
+		if v.DefLoops == nil {
+			v.DefLoops = map[*Loop]bool{}
+		}
+		for l := s.Loop; l != nil; l = l.Parent {
+			v.DefLoops[l] = true
 		}
 	}
 
@@ -358,13 +366,13 @@ func Build(src *ast.Program) (*Program, error) {
 }
 
 func (b *builder) buildStmts(stmts []ast.Stmt, loop *Loop) ([]Node, error) {
-	var out []Node
-	for _, s := range stmts {
+	out := make([]Node, len(stmts))
+	for i, s := range stmts {
 		n, err := b.buildStmt(s, loop)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, n)
+		out[i] = n
 	}
 	return out, nil
 }
@@ -389,7 +397,6 @@ func (b *builder) buildStmt(s ast.Stmt, loop *Loop) (Node, error) {
 			return nil, err
 		}
 		st.Rhs = rhs
-		st.Refs = append([]*Ref{lhs}, st.Uses...)
 		if lhs.Var.IsLoopIndex {
 			return nil, errf(x.Line, "assignment to loop index %s", lhs.Var.Name)
 		}
@@ -457,9 +464,6 @@ func (b *builder) buildStmt(s ast.Stmt, loop *Loop) (Node, error) {
 				return nil, err
 			}
 		}
-		if bst != nil {
-			bst.Refs = bst.Uses
-		}
 		body, err := b.buildStmts(x.Body, lp)
 		if err != nil {
 			return nil, err
@@ -474,7 +478,6 @@ func (b *builder) buildStmt(s ast.Stmt, loop *Loop) (Node, error) {
 			return nil, err
 		}
 		st.Cond = cond
-		st.Refs = st.Uses
 		ifn := &If{Cond: st, Line: x.Line}
 		st.IfNode = ifn
 		ifn.Then, err = b.buildStmts(x.Then, loop)
@@ -496,7 +499,6 @@ func (b *builder) buildStmt(s ast.Stmt, loop *Loop) (Node, error) {
 			return nil, err
 		}
 		st.Cond = cond
-		st.Refs = st.Uses
 		st.Label = x.Label
 		b.gotos = append(b.gotos, gotoSite{label: x.Label, line: x.Line, loop: loop})
 		return st, nil
@@ -572,7 +574,7 @@ func (b *builder) rewriteExpr(e ast.Expr, st *Stmt, encl *Ref, line int) (ast.Ex
 			return &ast.IntConst{Value: val}
 		}
 		r, rerr := b.buildRefIn(x, st, false, encl, line)
-		if rerr != nil {
+		if rerr != nil || r == nil {
 			err = rerr
 			return x
 		}
@@ -627,8 +629,9 @@ func (b *builder) buildRefIn(a *ast.Ref, st *Stmt, isDef bool, encl *Ref, line i
 			return nil, errfAt(pos, "assignment to loop index %s", a.Name)
 		}
 		// Loop index values are implicitly known to every processor
-		// executing the iteration; they are not tracked as references.
-		return &Ref{Var: v, Stmt: st, Ast: a, InSubscript: encl != nil, EnclosingRef: encl}, nil
+		// executing the iteration; they are not tracked as references, and
+		// the expression keeps the node.
+		return nil, nil
 	}
 	r := &Ref{
 		ID:           len(b.prog.Refs),
@@ -641,12 +644,15 @@ func (b *builder) buildRefIn(a *ast.Ref, st *Stmt, isDef bool, encl *Ref, line i
 	b.prog.Refs = append(b.prog.Refs, r)
 	// Rewrite subscripts (registering their refs as uses nested under r).
 	na := &ast.Ref{Name: a.Name, Line: a.Line, Col: a.Col}
-	for _, sub := range a.Subs {
+	if len(a.Subs) > 0 {
+		na.Subs = make([]ast.Expr, len(a.Subs))
+	}
+	for i, sub := range a.Subs {
 		rs, err := b.rewriteExpr(sub, st, r, line)
 		if err != nil {
 			return nil, err
 		}
-		na.Subs = append(na.Subs, rs)
+		na.Subs[i] = rs
 	}
 	r.Ast = na
 	if !isDef {

@@ -105,9 +105,6 @@ func TestBuildRefsAndUses(t *testing.T) {
 	if len(s.Uses) != 2 {
 		t.Errorf("got %d uses, want 2 (y, z)", len(s.Uses))
 	}
-	if len(s.Refs) != 3 || s.Refs[0] != s.Lhs {
-		t.Errorf("Refs = %v", s.Refs)
-	}
 	// Subscript affine analysis of a(i+1).
 	sub := s.Lhs.Subs[0]
 	if !sub.OK || sub.Const != 1 || len(sub.Terms) != 1 || sub.Terms[0].Coef != 1 {

@@ -11,133 +11,155 @@ import (
 // code diag.CodeLex.
 type Error = diag.Diagnostic
 
-// Lexer scans source text into tokens.
-type Lexer struct {
+// Stream is the token sequence of a source, pulled one token at a time:
+// consecutive newlines are collapsed into a single Newline token, and a
+// Newline always comes before EOF. After EOF, or after a lexical error, every
+// token is EOF.
+type Stream struct {
 	src         string
 	pos         int
 	line, col   int
 	inDirective bool // inside a !hpf$ line: recognize directive keywords
 	atLineStart bool
+	last        Kind // kind of the token Next returned last (-1 before the first)
+	err         error
 }
 
-// New returns a Lexer over src.
-func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1, atLineStart: true}
+// NewStream returns the stream of src's tokens.
+func NewStream(src string) *Stream {
+	return &Stream{src: src, line: 1, col: 1, atLineStart: true, last: -1}
 }
 
-// Scan tokenizes the entire input. Consecutive newlines are collapsed into a
-// single Newline token and a final Newline is guaranteed before EOF.
-func Scan(src string) ([]Token, error) {
-	lx := New(src)
-	toks := make([]Token, 0, scanCap(src))
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		if t.Kind == Newline && len(toks) > 0 && toks[len(toks)-1].Kind == Newline {
+// Next returns the next token. A lexical error ends the stream: Next returns
+// EOF from then on, and Err reports the error.
+func (s *Stream) Next() Token {
+	for s.err == nil && s.last != EOF {
+		t, err := s.scan()
+		switch {
+		case err != nil:
+			s.err = err
+		case t.Kind == Newline && s.last == Newline:
 			continue
+		case t.Kind == EOF && s.last != Newline:
+			t.Kind = Newline
+			fallthrough
+		default:
+			s.last = t.Kind
+			return t
 		}
-		if t.Kind == EOF {
-			if len(toks) == 0 || toks[len(toks)-1].Kind != Newline {
-				toks = append(toks, Token{Kind: Newline, Line: t.Line, Col: t.Col})
-			}
-			toks = append(toks, t)
-			return toks, nil
+	}
+	return Token{Kind: EOF, Line: s.line, Col: s.col}
+}
+
+// Err drains the stream and returns its lexical error, if any: a source with
+// one anywhere is rejected, however much of it was read.
+func (s *Stream) Err() error {
+	for s.err == nil && s.last != EOF {
+		s.Next()
+	}
+	return s.err
+}
+
+// Scan tokenizes the entire input: it collects the stream of src.
+func Scan(src string) ([]Token, error) {
+	s := NewStream(src)
+	var toks []Token
+	for {
+		t := s.Next()
+		if s.err != nil {
+			return nil, s.err
 		}
 		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
 	}
 }
 
-// scanCap sizes Scan's token slice: the figures and kernels take 1.83 to 2.55
-// source bytes per token, so room for a token per 5/3 bytes means none
-// regrows it (TestScanCapacity).
-func scanCap(src string) int { return len(src)*3/5 + 8 }
-
-func (lx *Lexer) peek() byte {
-	if lx.pos >= len(lx.src) {
+func (s *Stream) peek() byte {
+	if s.pos >= len(s.src) {
 		return 0
 	}
-	return lx.src[lx.pos]
+	return s.src[s.pos]
 }
 
-func (lx *Lexer) peekAt(off int) byte {
-	if lx.pos+off >= len(lx.src) {
+func (s *Stream) peekAt(off int) byte {
+	if s.pos+off >= len(s.src) {
 		return 0
 	}
-	return lx.src[lx.pos+off]
+	return s.src[s.pos+off]
 }
 
-func (lx *Lexer) advance() byte {
-	c := lx.src[lx.pos]
-	lx.pos++
+func (s *Stream) advance() byte {
+	c := s.src[s.pos]
+	s.pos++
 	if c == '\n' {
-		lx.line++
-		lx.col = 1
+		s.line++
+		s.col = 1
 	} else {
-		lx.col++
+		s.col++
 	}
 	return c
 }
 
-func (lx *Lexer) errorf(line, col int, format string, args ...any) error {
+func (s *Stream) errorf(line, col int, format string, args ...any) error {
 	return diag.Errorf("lex", diag.CodeLex, diag.Pos{Line: line, Col: col}, format, args...)
 }
 
-// Next returns the next token.
-func (lx *Lexer) Next() (Token, error) {
+// scan returns the next token of the source.
+func (s *Stream) scan() (Token, error) {
 	for {
-		c := lx.peek()
+		c := s.peek()
 		switch {
 		case c == 0:
-			return Token{Kind: EOF, Line: lx.line, Col: lx.col}, nil
+			return Token{Kind: EOF, Line: s.line, Col: s.col}, nil
 		case c == '\n':
-			t := Token{Kind: Newline, Line: lx.line, Col: lx.col}
-			lx.advance()
-			lx.inDirective = false
-			lx.atLineStart = true
+			t := Token{Kind: Newline, Line: s.line, Col: s.col}
+			s.advance()
+			s.inDirective = false
+			s.atLineStart = true
 			return t, nil
 		case c == ' ' || c == '\t' || c == '\r':
-			lx.advance()
+			s.advance()
 		case c == '!':
 			// Comment or directive. A directive is "!hpf$" at the start of
 			// the statement (only whitespace before it on the line).
-			if lx.atLineStart && lx.isDirectiveStart() {
-				t := Token{Kind: HPFDirective, Text: "!hpf$", Line: lx.line, Col: lx.col}
+			if s.atLineStart && s.isDirectiveStart() {
+				t := Token{Kind: HPFDirective, Text: "!hpf$", Line: s.line, Col: s.col}
 				for i := 0; i < 5; i++ {
-					lx.advance()
+					s.advance()
 				}
-				lx.inDirective = true
-				lx.atLineStart = false
+				s.inDirective = true
+				s.atLineStart = false
 				return t, nil
 			}
-			for lx.peek() != 0 && lx.peek() != '\n' {
-				lx.advance()
+			for s.peek() != 0 && s.peek() != '\n' {
+				s.advance()
 			}
 		default:
-			lx.atLineStart = false
-			return lx.scanToken()
+			s.atLineStart = false
+			return s.scanToken()
 		}
 	}
 }
 
-func (lx *Lexer) isDirectiveStart() bool {
-	if lx.pos+5 > len(lx.src) {
+func (s *Stream) isDirectiveStart() bool {
+	if s.pos+5 > len(s.src) {
 		return false
 	}
-	return strings.EqualFold(lx.src[lx.pos:lx.pos+5], "!hpf$")
+	return strings.EqualFold(s.src[s.pos:s.pos+5], "!hpf$")
 }
 
-func (lx *Lexer) scanToken() (Token, error) {
-	line, col := lx.line, lx.col
-	c := lx.peek()
+func (s *Stream) scanToken() (Token, error) {
+	line, col := s.line, s.col
+	c := s.peek()
 	switch {
 	case isIdentStart(c):
-		return lx.scanIdent(line, col), nil
+		return s.scanIdent(line, col), nil
 	case isDigit(c):
-		return lx.scanNumber(line, col)
+		return s.scanNumber(line, col)
 	}
-	lx.advance()
+	s.advance()
 	mk := func(k Kind, text string) (Token, error) {
 		return Token{Kind: k, Text: text, Line: line, Col: col}, nil
 	}
@@ -155,46 +177,46 @@ func (lx *Lexer) scanToken() (Token, error) {
 	case '*':
 		return mk(Star, "*")
 	case ':':
-		if lx.peek() == ':' {
-			lx.advance()
+		if s.peek() == ':' {
+			s.advance()
 			return mk(DoubleColon, "::")
 		}
 		return mk(Colon, ":")
 	case '=':
-		if lx.peek() == '=' {
-			lx.advance()
+		if s.peek() == '=' {
+			s.advance()
 			return mk(Eq, "==")
 		}
 		return mk(Assign, "=")
 	case '/':
-		if lx.peek() == '=' {
-			lx.advance()
+		if s.peek() == '=' {
+			s.advance()
 			return mk(Ne, "/=")
 		}
 		return mk(Slash, "/")
 	case '<':
-		if lx.peek() == '=' {
-			lx.advance()
+		if s.peek() == '=' {
+			s.advance()
 			return mk(Le, "<=")
 		}
 		return mk(Lt, "<")
 	case '>':
-		if lx.peek() == '=' {
-			lx.advance()
+		if s.peek() == '=' {
+			s.advance()
 			return mk(Ge, ">=")
 		}
 		return mk(Gt, ">")
 	}
-	return Token{}, lx.errorf(line, col, "unexpected character %q", c)
+	return Token{}, s.errorf(line, col, "unexpected character %q", c)
 }
 
-func (lx *Lexer) scanIdent(line, col int) Token {
-	start := lx.pos
-	for isIdentPart(lx.peek()) {
-		lx.advance()
+func (s *Stream) scanIdent(line, col int) Token {
+	start := s.pos
+	for isIdentPart(s.peek()) {
+		s.advance()
 	}
-	text := strings.ToLower(lx.src[start:lx.pos])
-	if lx.inDirective {
+	text := strings.ToLower(s.src[start:s.pos])
+	if s.inDirective {
 		if k, ok := directiveKeywords[text]; ok {
 			return Token{Kind: k, Text: text, Line: line, Col: col}
 		}
@@ -205,37 +227,37 @@ func (lx *Lexer) scanIdent(line, col int) Token {
 	return Token{Kind: Ident, Text: text, Line: line, Col: col}
 }
 
-func (lx *Lexer) scanNumber(line, col int) (Token, error) {
-	start := lx.pos
-	for isDigit(lx.peek()) {
-		lx.advance()
+func (s *Stream) scanNumber(line, col int) (Token, error) {
+	start := s.pos
+	for isDigit(s.peek()) {
+		s.advance()
 	}
 	isReal := false
 	// Fractional part. A '.' is part of the number only when followed by a
 	// digit or when the number ends the numeric token (e.g. "1.").
-	if lx.peek() == '.' {
+	if s.peek() == '.' {
 		isReal = true
-		lx.advance()
-		for isDigit(lx.peek()) {
-			lx.advance()
+		s.advance()
+		for isDigit(s.peek()) {
+			s.advance()
 		}
 	}
 	// Exponent part: e or d, optional sign, digits.
-	if p := lx.peek(); p == 'e' || p == 'E' || p == 'd' || p == 'D' {
-		q := lx.peekAt(1)
-		r := lx.peekAt(2)
+	if p := s.peek(); p == 'e' || p == 'E' || p == 'd' || p == 'D' {
+		q := s.peekAt(1)
+		r := s.peekAt(2)
 		if isDigit(q) || ((q == '+' || q == '-') && isDigit(r)) {
 			isReal = true
-			lx.advance()
-			if lx.peek() == '+' || lx.peek() == '-' {
-				lx.advance()
+			s.advance()
+			if s.peek() == '+' || s.peek() == '-' {
+				s.advance()
 			}
-			for isDigit(lx.peek()) {
-				lx.advance()
+			for isDigit(s.peek()) {
+				s.advance()
 			}
 		}
 	}
-	text := strings.ToLower(lx.src[start:lx.pos])
+	text := strings.ToLower(s.src[start:s.pos])
 	kind := IntLit
 	if isReal {
 		kind = RealLit

@@ -1,11 +1,8 @@
 package lexer
 
 import (
-	"fmt"
 	"strings"
 	"testing"
-
-	"phpf/internal/programs"
 )
 
 func kinds(toks []Token) []Kind {
@@ -214,33 +211,5 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9999).String() == "" {
 		t.Error("unknown kind should still produce a string")
-	}
-}
-
-// TestScanCapacity: Scan sizes its token slice from the source so that no
-// figure or kernel regrows it — the token slice was over a third of what a
-// compile allocated when it grew by appending. It logs each source's bytes
-// per token, the density scanCap is sized against.
-func TestScanCapacity(t *testing.T) {
-	sources := map[string]string{}
-	for name, src := range programs.Figures {
-		sources[name] = src
-	}
-	for _, n := range []int{10, 65, 129} {
-		sources[fmt.Sprintf("tomcatv(%d)", n)] = programs.TOMCATV(n, 3)
-		sources[fmt.Sprintf("dgefa(%d)", n)] = programs.DGEFA(n)
-		sources[fmt.Sprintf("smooth(%d)", n)] = programs.Smooth(n, 4)
-		sources[fmt.Sprintf("histogram(%d)", n)] = programs.Histogram(n*4, n, 4)
-		sources[fmt.Sprintf("dotsweep(%d)", n)] = programs.DotSweep(n, n/2)
-		for _, twoD := range []bool{false, true} {
-			sources[fmt.Sprintf("appsp(%d,%v)", n, twoD)] = programs.APPSP(n, n, n, 2, twoD)
-		}
-	}
-	for name, src := range sources {
-		toks := scanOK(t, src)
-		t.Logf("%-18s %5d bytes %4d tokens %.2f bytes/token", name, len(src), len(toks), float64(len(src))/float64(len(toks)))
-		if c := scanCap(src); cap(toks) != c {
-			t.Errorf("%s: %d tokens regrew the slice Scan sized for %d", name, len(toks), c)
-		}
 	}
 }

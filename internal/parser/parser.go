@@ -25,6 +25,7 @@
 package parser
 
 import (
+	"slices"
 	"strconv"
 
 	"phpf/internal/ast"
@@ -37,47 +38,63 @@ import (
 type Error = diag.Diagnostic
 
 type parser struct {
-	toks []lexer.Token
-	pos  int
+	ts *lexer.Stream
+	// tok and tok2 are the two tokens the parser looks at (peek, peek2).
+	tok, tok2 lexer.Token
 	// pendingLoopDirs collects INDEPENDENT/NODEPS directives seen before the
 	// DO loop they annotate.
 	pendingLoopDirs []ast.LoopDirective
+	// exprs is the stack parseRef and parseCall collect subscripts and
+	// arguments on, each list then copied out at its exact length.
+	exprs []ast.Expr
+}
+
+// newParser returns a parser over src's tokens, by value: the parser stays on
+// the caller's stack, so moving its window writes no heap memory.
+func newParser(src string) parser {
+	ts := lexer.NewStream(src)
+	return parser{ts: ts, tok: ts.Next(), tok2: ts.Next()}
 }
 
 // Parse parses a complete program.
 func Parse(src string) (*ast.Program, error) {
-	toks, err := lexer.Scan(src)
-	if err != nil {
+	p := newParser(src)
+	prog, err := p.parseProgram()
+	if err = p.finish(err); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	return p.parseProgram()
+	return prog, nil
 }
 
 // ParseExpr parses a standalone expression (used in tests and tools).
 func ParseExpr(src string) (ast.Expr, error) {
-	toks, err := lexer.Scan(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && p.peek().Kind != lexer.Newline {
+		err = p.errorf("trailing input after expression")
 	}
-	if p.peek().Kind != lexer.Newline {
-		return nil, p.errorf("trailing input after expression")
+	if err = p.finish(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-func (p *parser) peek() lexer.Token  { return p.toks[p.pos] }
-func (p *parser) peek2() lexer.Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+// finish ends a parse with its outcome err: a lexical error anywhere in the
+// source wins over it, so the rest of the stream is scanned for one.
+func (p *parser) finish(err error) error {
+	if lerr := p.ts.Err(); lerr != nil {
+		return lerr
+	}
+	return err
+}
+
+func (p *parser) peek() lexer.Token  { return p.tok }
+func (p *parser) peek2() lexer.Token { return p.tok2 }
 
 func (p *parser) next() lexer.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != lexer.EOF {
+		p.tok, p.tok2 = p.tok2, p.ts.Next()
 	}
 	return t
 }
@@ -238,15 +255,8 @@ func (p *parser) parseVarDecl() ([]*ast.VarDecl, error) {
 		}
 		d := &ast.VarDecl{Name: name.Text, Type: ty, Line: name.Line, Col: name.Col}
 		if p.accept(lexer.LParen) {
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				d.Dims = append(d.Dims, e)
-				if !p.accept(lexer.Comma) {
-					break
-				}
+			if d.Dims, err = p.parseExprList(); err != nil {
+				return nil, err
 			}
 			if _, err := p.expect(lexer.RParen); err != nil {
 				return nil, err
@@ -298,15 +308,8 @@ func (p *parser) parseProcessors(hpf lexer.Token) (ast.Directive, error) {
 	if _, err := p.expect(lexer.LParen); err != nil {
 		return nil, err
 	}
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		d.Extents = append(d.Extents, e)
-		if !p.accept(lexer.Comma) {
-			break
-		}
+	if d.Extents, err = p.parseExprList(); err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(lexer.RParen); err != nil {
 		return nil, err
@@ -360,15 +363,8 @@ func (p *parser) parseDistribute(hpf lexer.Token) (ast.Directive, error) {
 		if _, err := p.expect(lexer.DoubleColon); err != nil {
 			return nil, err
 		}
-		for {
-			name, err := p.expect(lexer.Ident)
-			if err != nil {
-				return nil, err
-			}
-			d.Arrays = append(d.Arrays, name.Text)
-			if !p.accept(lexer.Comma) {
-				break
-			}
+		if d.Arrays, err = p.parseIdents(); err != nil {
+			return nil, err
 		}
 	} else {
 		name, err := p.expect(lexer.Ident)
@@ -449,16 +445,11 @@ func (p *parser) parseAlign(hpf lexer.Token) (ast.Directive, error) {
 		d.Arrays = []string{leadingArray}
 	}
 	if p.accept(lexer.DoubleColon) {
-		for {
-			name, err := p.expect(lexer.Ident)
-			if err != nil {
-				return nil, err
-			}
-			d.Arrays = append(d.Arrays, name.Text)
-			if !p.accept(lexer.Comma) {
-				break
-			}
+		names, err := p.parseIdents()
+		if err != nil {
+			return nil, err
 		}
+		d.Arrays = append(d.Arrays, names...)
 	}
 	if len(d.Arrays) == 0 {
 		return nil, p.errorf("align directive names no arrays")
@@ -521,16 +512,11 @@ func (p *parser) parseLoopDirective() error {
 			if _, err := p.expect(lexer.LParen); err != nil {
 				return err
 			}
-			for {
-				name, err := p.expect(lexer.Ident)
-				if err != nil {
-					return err
-				}
-				d.New = append(d.New, name.Text)
-				if !p.accept(lexer.Comma) {
-					break
-				}
+			names, err := p.parseIdents()
+			if err != nil {
+				return err
 			}
+			d.New = append(d.New, names...)
 			if _, err := p.expect(lexer.RParen); err != nil {
 				return err
 			}
@@ -631,7 +617,7 @@ func (p *parser) parseRedistribute() (ast.Stmt, error) {
 	return &ast.Redistribute{Array: name.Text, Formats: fms, Line: hpf.Line, Col: hpf.Col}, nil
 }
 
-func (p *parser) parseAssign() (ast.Stmt, error) {
+func (p *parser) parseAssign() (*ast.Assign, error) {
 	lhs, err := p.parseRef()
 	if err != nil {
 		return nil, err
@@ -687,21 +673,25 @@ func (p *parser) parseDo() (ast.Stmt, error) {
 		return nil, err
 	}
 	loop.Body = body
-	endTok := p.peek()
-	if p.accept(lexer.KwEndDo) { // "enddo"
-	} else {
-		if _, err := p.expect(lexer.KwEnd); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(lexer.KwDo); err != nil {
-			return nil, err
-		}
-	}
-	loop.EndLine = endTok.Line
-	if err := p.expectNewline(); err != nil {
+	loop.EndLine = p.peek().Line
+	if err := p.parseEnd(lexer.KwEndDo, lexer.KwDo); err != nil {
 		return nil, err
 	}
 	return loop, nil
+}
+
+// parseEnd parses the end of a block, written as one word (word) or as "end"
+// and a second, and the end of its line.
+func (p *parser) parseEnd(word, second lexer.Kind) error {
+	if !p.accept(word) {
+		if _, err := p.expect(lexer.KwEnd); err != nil {
+			return err
+		}
+		if _, err := p.expect(second); err != nil {
+			return err
+		}
+	}
+	return p.expectNewline()
 }
 
 func (p *parser) parseIf() (ast.Stmt, error) {
@@ -736,16 +726,7 @@ func (p *parser) parseIf() (ast.Stmt, error) {
 				return nil, err
 			}
 		}
-		if p.accept(lexer.KwEndIf) { // "endif"
-		} else {
-			if _, err := p.expect(lexer.KwEnd); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(lexer.KwIf); err != nil {
-				return nil, err
-			}
-		}
-		if err := p.expectNewline(); err != nil {
+		if err := p.parseEnd(lexer.KwEndIf, lexer.KwIf); err != nil {
 			return nil, err
 		}
 		return &ast.If{Cond: cond, Then: thenStmts, Else: elseStmts, Line: ifTok.Line, Col: ifTok.Col}, nil
@@ -762,21 +743,11 @@ func (p *parser) parseIf() (ast.Stmt, error) {
 		return &ast.IfGoto{Cond: cond, Label: int(v), Line: ifTok.Line, Col: ifTok.Col}, nil
 	default:
 		// Logical IF with a single assignment: "if (c) x = e".
-		lhs, err := p.parseRef()
+		asn, err := p.parseAssign()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(lexer.Assign); err != nil {
-			return nil, err
-		}
-		rhs, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectNewline(); err != nil {
-			return nil, err
-		}
-		asn := &ast.Assign{Lhs: lhs, Rhs: rhs, Line: ifTok.Line, Col: ifTok.Col}
+		asn.Line, asn.Col = ifTok.Line, ifTok.Col
 		return &ast.If{Cond: cond, Then: []ast.Stmt{asn}, Line: ifTok.Line, Col: ifTok.Col}, nil
 	}
 }
@@ -784,117 +755,49 @@ func (p *parser) parseIf() (ast.Stmt, error) {
 // ---------------------------------------------------------------------------
 // Expressions
 
-func (p *parser) parseExpr() (ast.Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (ast.Expr, error) { return p.parseBinary(1) }
 
-func (p *parser) parseOr() (ast.Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(lexer.KwOr) {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.BinOp{Op: ast.OpOr, L: l, R: r}
-	}
-	return l, nil
+// binary gives each binary operator's token its operator and precedence
+// level: or 1, and 2, the relations 3, + and - 4, * and / 5.
+var binary = [...]struct {
+	level int
+	op    ast.Op
+}{
+	lexer.KwOr: {1, ast.OpOr}, lexer.KwAnd: {2, ast.OpAnd},
+	lexer.Eq: {3, ast.OpEq}, lexer.Ne: {3, ast.OpNe}, lexer.Lt: {3, ast.OpLt},
+	lexer.Le: {3, ast.OpLe}, lexer.Gt: {3, ast.OpGt}, lexer.Ge: {3, ast.OpGe},
+	lexer.Plus: {4, ast.Add}, lexer.Minus: {4, ast.Sub},
+	lexer.Star: {5, ast.Mul}, lexer.Slash: {5, ast.Div},
 }
 
-func (p *parser) parseAnd() (ast.Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(lexer.KwAnd) {
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.BinOp{Op: ast.OpAnd, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseNot() (ast.Expr, error) {
-	if p.accept(lexer.KwNot) {
-		x, err := p.parseNot()
+// parseBinary parses an expression of the operators of precedence level and
+// above (6: a unary), left-associative but for a relation, which has one
+// operator; a relation may follow "not"s.
+func (p *parser) parseBinary(level int) (ast.Expr, error) {
+	switch {
+	case level == 6:
+		return p.parseUnary()
+	case level == 3 && p.accept(lexer.KwNot):
+		x, err := p.parseBinary(3)
 		if err != nil {
 			return nil, err
 		}
 		return &ast.Not{X: x}, nil
 	}
-	return p.parseRel()
-}
-
-var relOps = map[lexer.Kind]ast.Op{
-	lexer.Eq: ast.OpEq, lexer.Ne: ast.OpNe,
-	lexer.Lt: ast.OpLt, lexer.Le: ast.OpLe,
-	lexer.Gt: ast.OpGt, lexer.Ge: ast.OpGe,
-}
-
-func (p *parser) parseRel() (ast.Expr, error) {
-	l, err := p.parseArith()
+	l, err := p.parseBinary(level + 1)
+	for k := int(p.peek().Kind); err == nil && k < len(binary) && binary[k].level == level; k = int(p.peek().Kind) {
+		p.next()
+		var r ast.Expr
+		r, err = p.parseBinary(level + 1)
+		l = &ast.BinOp{Op: binary[k].op, L: l, R: r}
+		if level == 3 {
+			break
+		}
+	}
 	if err != nil {
 		return nil, err
-	}
-	if op, ok := relOps[p.peek().Kind]; ok {
-		p.next()
-		r, err := p.parseArith()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.BinOp{Op: op, L: l, R: r}, nil
 	}
 	return l, nil
-}
-
-func (p *parser) parseArith() (ast.Expr, error) {
-	l, err := p.parseTerm()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op ast.Op
-		switch p.peek().Kind {
-		case lexer.Plus:
-			op = ast.Add
-		case lexer.Minus:
-			op = ast.Sub
-		default:
-			return l, nil
-		}
-		p.next()
-		r, err := p.parseTerm()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.BinOp{Op: op, L: l, R: r}
-	}
-}
-
-func (p *parser) parseTerm() (ast.Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op ast.Op
-		switch p.peek().Kind {
-		case lexer.Star:
-			op = ast.Mul
-		case lexer.Slash:
-			op = ast.Div
-		default:
-			return l, nil
-		}
-		p.next()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &ast.BinOp{Op: op, L: l, R: r}
-	}
 }
 
 func (p *parser) parseUnary() (ast.Expr, error) {
@@ -950,17 +853,11 @@ func (p *parser) parseCall() (ast.Expr, error) {
 	if _, err := p.expect(lexer.LParen); err != nil {
 		return nil, err
 	}
-	c := &ast.Call{Name: name.Text}
-	for {
-		a, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Args = append(c.Args, a)
-		if !p.accept(lexer.Comma) {
-			break
-		}
+	args, err := p.parseExprList()
+	if err != nil {
+		return nil, err
 	}
+	c := &ast.Call{Name: name.Text, Args: args}
 	if _, err := p.expect(lexer.RParen); err != nil {
 		return nil, err
 	}
@@ -981,19 +878,46 @@ func (p *parser) parseRef() (*ast.Ref, error) {
 	}
 	r := &ast.Ref{Name: name.Text, Line: name.Line, Col: name.Col}
 	if p.accept(lexer.LParen) {
-		for {
-			s, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			r.Subs = append(r.Subs, s)
-			if !p.accept(lexer.Comma) {
-				break
-			}
+		if r.Subs, err = p.parseExprList(); err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(lexer.RParen); err != nil {
 			return nil, err
 		}
 	}
 	return r, nil
+}
+
+// parseIdents parses ident { "," ident }.
+func (p *parser) parseIdents() ([]string, error) {
+	var names []string
+	for {
+		name, err := p.expect(lexer.Ident)
+		if err != nil {
+			return nil, err
+		}
+		names = append(names, name.Text)
+		if !p.accept(lexer.Comma) {
+			return names, nil
+		}
+	}
+}
+
+// parseExprList parses expr { "," expr } and returns the list at its exact
+// length.
+func (p *parser) parseExprList() ([]ast.Expr, error) {
+	mark := len(p.exprs)
+	for {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		p.exprs = append(p.exprs, e)
+		if !p.accept(lexer.Comma) {
+			break
+		}
+	}
+	list := slices.Clone(p.exprs[mark:])
+	p.exprs = p.exprs[:mark]
+	return list, nil
 }

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -124,4 +125,73 @@ func TestParserNeverPanics(t *testing.T) {
 			_, _ = Parse(src)
 		}()
 	}
+}
+
+// TestEqualMatchesExprString: ast.Equal, which replaced comparing the printed
+// forms of two expressions, agrees with ExprString(a) == ExprString(b) on
+// random pairs (shallow ones, which often coincide), on each expression and
+// its reparse (where a real literal of integer value comes back an integer),
+// and on hand-picked pairs — except on the two declared differences: an
+// integer literal equals the real of its value however ExprString prints the
+// two, and a reference is never equal to a call.
+func TestEqualMatchesExprString(t *testing.T) {
+	same := 0
+	agree := func(a, b ast.Expr, want bool) {
+		t.Helper()
+		if got := ast.Equal(a, b); got != want || ast.Equal(b, a) != want {
+			t.Errorf("Equal(%s, %s) = %v, want %v", ast.ExprString(a), ast.ExprString(b), got, want)
+		}
+		if want {
+			same++
+		}
+	}
+	printedAlike := func(a, b ast.Expr) bool { return ast.ExprString(a) == ast.ExprString(b) }
+	for seed := int64(0); seed < 2000; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		a, b := genExpr(r, 4), genExpr(r, int(seed%3))
+		agree(a, b, printedAlike(a, b))
+		c, d := genExpr(r, 0), genExpr(r, 0)
+		agree(c, d, printedAlike(c, d))
+		reparsed, err := ParseExpr(ast.ExprString(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		agree(a, reparsed, printedAlike(a, reparsed))
+	}
+	if same <= 2000 { // the reparses, and some coincidences
+		t.Fatalf("only %d of the pairs are equal", same)
+	}
+
+	x := &ast.Ref{Name: "x"}
+	i1, r1 := &ast.IntConst{Value: 1}, &ast.RealConst{Value: 1}
+	pairs := []struct{ a, b ast.Expr }{
+		{i1, r1},
+		{i1, &ast.RealConst{Value: 1.5}},
+		{&ast.IntConst{Value: 0}, &ast.RealConst{Value: math.Copysign(0, -1)}},
+		{&ast.UnaryMinus{X: i1}, &ast.IntConst{Value: -1}},
+		{&ast.UnaryMinus{X: x}, &ast.Not{X: x}},
+		{x, &ast.Ref{Name: "x", Subs: []ast.Expr{i1}}},
+		{&ast.Ref{Name: "a", Subs: []ast.Expr{x, i1}}, &ast.Ref{Name: "a", Subs: []ast.Expr{x, r1}}},
+		{&ast.Ref{Name: "a", Subs: []ast.Expr{x}}, &ast.Ref{Name: "a", Subs: []ast.Expr{x, i1}}},
+		{&ast.BinOp{Op: ast.Add, L: x, R: i1}, &ast.BinOp{Op: ast.Sub, L: x, R: i1}},
+		{&ast.BinOp{Op: ast.Add, L: x, R: i1}, &ast.BinOp{Op: ast.Add, L: i1, R: x}},
+		{&ast.Call{Name: "max", Args: []ast.Expr{x, i1}}, &ast.Call{Name: "max", Args: []ast.Expr{x, r1}}},
+		{&ast.Call{Name: "max", Args: []ast.Expr{x, i1}}, &ast.Call{Name: "min", Args: []ast.Expr{x, i1}}},
+		{nil, nil},
+		{nil, x},
+	}
+	for _, p := range pairs {
+		agree(p.a, p.b, printedAlike(p.a, p.b))
+	}
+	// The declared differences.
+	million, realMillion := &ast.IntConst{Value: 1000000}, &ast.RealConst{Value: 1e6}
+	if printedAlike(million, realMillion) {
+		t.Fatal("ExprString prints 1000000 and 1e6 alike")
+	}
+	agree(million, realMillion, true)
+	ref, call := &ast.Ref{Name: "max", Subs: []ast.Expr{x, i1}}, &ast.Call{Name: "max", Args: []ast.Expr{x, i1}}
+	if !printedAlike(ref, call) {
+		t.Fatal("ExprString prints a reference and a call of one name and operands differently")
+	}
+	agree(ref, call, false)
 }

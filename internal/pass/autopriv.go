@@ -122,7 +122,7 @@ func runAutoPrivInsert(u *Unit, sum *dataflow.PrivSummary, asserted map[*ir.Var]
 				Severity: diag.Info, Stage: "autopriv", Code: diag.CodeInferredPrivate,
 				Subject: c.Var.Name, Pos: diag.Pos{Line: c.Loop.Line},
 				Msg: fmt.Sprintf("array %s inferred private with respect to the %s-loop (no NEW clause needed): %s",
-					c.Var.Name, c.Loop.Index.Name, c.Reason),
+					c.Var.Name, c.Loop.Index.Name, c.Reason()),
 			})
 		case c.Decision == dataflow.PrivLastPrivate:
 			c.Loop.LastPrivate = append(c.Loop.LastPrivate, c.Var)
@@ -131,7 +131,7 @@ func runAutoPrivInsert(u *Unit, sum *dataflow.PrivSummary, asserted map[*ir.Var]
 				Severity: diag.Info, Stage: "autopriv", Code: diag.CodeLastPrivate,
 				Subject: c.Var.Name, Pos: diag.Pos{Line: c.Loop.Line},
 				Msg: fmt.Sprintf("scalar %s inferred lastprivate with respect to the %s-loop: %s",
-					c.Var.Name, c.Loop.Index.Name, c.Reason),
+					c.Var.Name, c.Loop.Index.Name, c.Reason()),
 			})
 		}
 		// Plain-private scalars: provable by the mapping pass from the
@@ -176,7 +176,7 @@ func runAutoPrivInsert(u *Unit, sum *dataflow.PrivSummary, asserted map[*ir.Var]
 			Severity: diag.Warning, Stage: "autopriv", Code: diag.CodeSerialized,
 			Subject: v.Name, Pos: pos,
 			Msg: fmt.Sprintf("%s %s with respect to the %s-loop",
-				kindWord(v), cls.Reason, cls.Loop.Index.Name),
+				kindWord(v), cls.Reason(), cls.Loop.Index.Name),
 		})
 	}
 }

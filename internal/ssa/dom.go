@@ -6,6 +6,8 @@
 package ssa
 
 import (
+	"slices"
+
 	"phpf/internal/ir"
 )
 
@@ -32,30 +34,25 @@ func ComputeDom(g *ir.CFG) *DomInfo {
 	d := &DomInfo{
 		RPO:         make([]int, n),
 		Idom:        make([]*ir.Block, n),
-		Children:    make([][]*ir.Block, n),
-		Frontier:    make([][]*ir.Block, n),
 		isReachable: make([]bool, n),
 	}
-	// Postorder DFS from entry.
-	var post []*ir.Block
-	visited := make([]bool, n)
+	// Postorder DFS from entry, reversed in place.
+	post := make([]*ir.Block, 0, n)
 	var dfs func(b *ir.Block)
 	dfs = func(b *ir.Block) {
-		visited[b.ID] = true
+		d.isReachable[b.ID] = true
 		for _, s := range b.Succs {
-			if !visited[s.ID] {
+			if !d.isReachable[s.ID] {
 				dfs(s)
 			}
 		}
 		post = append(post, b)
 	}
 	dfs(g.Entry)
-	// Reverse postorder.
-	for i := len(post) - 1; i >= 0; i-- {
-		b := post[i]
-		d.RPO[b.ID] = len(d.Reachable)
-		d.Reachable = append(d.Reachable, b)
-		d.isReachable[b.ID] = true
+	slices.Reverse(post)
+	d.Reachable = post
+	for i, b := range d.Reachable {
+		d.RPO[b.ID] = i
 	}
 
 	// Iterative dominator computation.
@@ -96,29 +93,48 @@ func ComputeDom(g *ir.CFG) *DomInfo {
 	}
 	d.Idom[g.Entry.ID] = nil // entry has no idom
 
+	// The dominator tree's edges (idom, b) and the frontier's (runner, b)
+	// (Cytron et al.), each pair once, b in reverse postorder: every block's
+	// children and frontier are laid out, in that order, in one array.
+	pairs := make([][2]*ir.Block, 0, len(d.Reachable))
 	for _, b := range d.Reachable {
 		if id := d.Idom[b.ID]; id != nil {
-			d.Children[id.ID] = append(d.Children[id.ID], b)
+			pairs = append(pairs, [2]*ir.Block{id, b})
 		}
 	}
-
-	// Dominance frontiers (Cytron et al.).
+	d.Children = layOut(pairs, n)
+	pairs = pairs[:0]
 	for _, b := range d.Reachable {
 		if len(b.Preds) < 2 {
 			continue
 		}
+		own := len(pairs) // b's pairs start here
 		for _, p := range b.Preds {
 			if !d.isReachable[p.ID] {
 				continue
 			}
-			runner := p
-			for runner != nil && runner != d.Idom[b.ID] {
-				d.Frontier[runner.ID] = appendUnique(d.Frontier[runner.ID], b)
-				runner = d.Idom[runner.ID]
+			// Above a runner b already has, the walk is done.
+			for runner := p; runner != nil && runner != d.Idom[b.ID] &&
+				!slices.Contains(pairs[own:], [2]*ir.Block{runner, b}); runner = d.Idom[runner.ID] {
+				pairs = append(pairs, [2]*ir.Block{runner, b})
 			}
 		}
 	}
+	d.Frontier = layOut(pairs, n)
 	return d
+}
+
+// layOut returns, by block ID, the second blocks of the pairs whose first is
+// that block, in the pairs' order, in one array.
+func layOut(pairs [][2]*ir.Block, n int) [][]*ir.Block {
+	slices.SortStableFunc(pairs, func(a, b [2]*ir.Block) int { return a[0].ID - b[0].ID })
+	out, all := make([][]*ir.Block, n), make([]*ir.Block, len(pairs))
+	for i, p := range pairs {
+		all[i] = p[1]
+		id := p[0].ID
+		out[id] = all[i-len(out[id]) : i+1 : i+1]
+	}
+	return out
 }
 
 // Dominates reports whether a dominates b (reflexively).
@@ -133,12 +149,3 @@ func (d *DomInfo) Dominates(a, b *ir.Block) bool {
 
 // IsReachable reports whether b is reachable from entry.
 func (d *DomInfo) IsReachable(b *ir.Block) bool { return d.isReachable[b.ID] }
-
-func appendUnique(s []*ir.Block, b *ir.Block) []*ir.Block {
-	for _, x := range s {
-		if x == b {
-			return s
-		}
-	}
-	return append(s, b)
-}

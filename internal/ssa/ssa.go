@@ -2,7 +2,8 @@ package ssa
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"phpf/internal/ir"
 )
@@ -71,6 +72,10 @@ type SSA struct {
 	// asked yet). The analyses ask it of the same few definitions many times
 	// over, and an SSA is rebuilt, not edited, when the program changes.
 	reached [][]ReachedUse
+	// pos is ReachedUses' working index, by Value.ID: 1 + the value's place
+	// among those the walk reached, 0 when it reached none (the walk's end
+	// clears it).
+	pos []int32
 }
 
 // Build constructs SSA form for all scalar (non-loop-index) variables.
@@ -177,7 +182,7 @@ func (s *SSA) build() {
 			for v := range pm {
 				pvars = append(pvars, v)
 			}
-			sort.Slice(pvars, func(i, j int) bool { return pvars[i].Name < pvars[j].Name })
+			slices.SortFunc(pvars, func(a, b *ir.Var) int { return strings.Compare(a.Name, b.Name) })
 			for _, v := range pvars {
 				push(pm[v])
 				pushed[v]++
@@ -239,25 +244,31 @@ func (s *SSA) ReachingDefs(use *ir.Ref) []*Value {
 	if root == nil {
 		return nil
 	}
-	seen := map[*Value]bool{}
 	var out []*Value
-	var walk func(v *Value)
-	walk = func(v *Value) {
-		if v == nil || seen[v] {
-			return
+	var buf [32]*Value
+	work, phis := append(buf[:0:16], root), buf[16:16] // phis: those walked
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		switch {
+		case v == nil || slices.Contains(phis, v) || slices.Contains(out, v):
+		case v.Kind == VPhi:
+			phis = append(phis, v)
+			work = append(work, v.Args...)
+		default:
+			out = append(out, v)
 		}
-		seen[v] = true
-		if v.Kind == VPhi {
-			for _, a := range v.Args {
-				walk(a)
-			}
-			return
-		}
-		out = append(out, v)
 	}
-	walk(root)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Value) int { return a.ID - b.ID })
 	return out
+}
+
+// LoopSet is a set of loops, a bit per Loop.ID.
+type LoopSet []uint64
+
+// Has reports whether l is in the set.
+func (ls LoopSet) Has(l *ir.Loop) bool {
+	return l.ID/64 < len(ls) && ls[l.ID/64]&(1<<(l.ID%64)) != 0
 }
 
 // ReachedUse describes one use reached by a definition, with the loops whose
@@ -267,7 +278,7 @@ type ReachedUse struct {
 	Ref *ir.Ref
 	// CrossesBackOf holds loops whose back edge was crossed on some path
 	// from the definition to this use.
-	CrossesBackOf map[*ir.Loop]bool
+	CrossesBackOf LoopSet
 }
 
 // ReachedUses returns every textual use the definition's value may reach,
@@ -276,71 +287,57 @@ type ReachedUse struct {
 func (s *SSA) ReachedUses(def *Value) []ReachedUse {
 	if s.reached == nil {
 		s.reached = make([][]ReachedUse, len(s.Values))
+		s.pos = make([]int32, len(s.Values))
 	}
 	if out := s.reached[def.ID]; out != nil {
 		return out
 	}
-	type state struct {
-		val     *Value
-		crossed map[*ir.Loop]bool
-	}
-	// For termination, track the best-known crossing sets per value; revisit
-	// a value only when the crossing set grows.
-	seen := map[*Value]map[*ir.Loop]bool{}
-	uses := map[*ir.Ref]map[*ir.Loop]bool{}
-
-	subset := func(a, b map[*ir.Loop]bool) bool {
-		for l := range a {
-			if !b[l] {
-				return false
-			}
-		}
-		return true
-	}
-	merge := func(dst, src map[*ir.Loop]bool) map[*ir.Loop]bool {
-		out := map[*ir.Loop]bool{}
-		for l := range dst {
-			out[l] = true
-		}
-		for l := range src {
-			out[l] = true
-		}
-		return out
-	}
-
-	work := []state{{val: def, crossed: map[*ir.Loop]bool{}}}
-	for len(work) > 0 {
-		st := work[len(work)-1]
+	// The values def flows into through phis, each with the loops whose back
+	// edge some path to it crosses (reached[i]'s set is crossed[i*w:][:w]):
+	// the least sets closed under the phi edges, a value walked again
+	// whenever its set grows. A use's set is that of the value it reads.
+	w := (len(s.Prog.Loops) + 63) / 64
+	reached, crossed := []*Value{def}, make([]uint64, w)
+	s.pos[def.ID] = 1
+	var buf [16]*Value
+	for work := append(buf[:0], def); len(work) > 0; {
+		v := work[len(work)-1]
 		work = work[:len(work)-1]
-		if prev, ok := seen[st.val]; ok && subset(st.crossed, prev) {
-			continue
-		}
-		if prev, ok := seen[st.val]; ok {
-			seen[st.val] = merge(prev, st.crossed)
-		} else {
-			seen[st.val] = merge(nil, st.crossed)
-		}
-		for _, u := range st.val.UseRefs {
-			if prev, ok := uses[u]; ok {
-				uses[u] = merge(prev, st.crossed)
-			} else {
-				uses[u] = merge(nil, st.crossed)
+		from := int(s.pos[v.ID]-1) * w
+		for _, phi := range v.UsePhis {
+			grew := s.pos[phi.ID] == 0
+			if grew {
+				reached = append(reached, phi)
+				crossed = append(crossed, make([]uint64, w)...)
+				s.pos[phi.ID] = int32(len(reached))
+			}
+			to := int(s.pos[phi.ID]-1) * w
+			for k := range w {
+				grew = grew || crossed[from+k]&^crossed[to+k] != 0
+				crossed[to+k] |= crossed[from+k]
+			}
+			if l := phi.HeaderLoop; l != nil && s.isBackEdgeArg(phi, v) {
+				k, bit := to+l.ID/64, uint64(1)<<(l.ID%64)
+				grew = grew || crossed[k]&bit == 0
+				crossed[k] |= bit
+			}
+			if grew {
+				work = append(work, phi)
 			}
 		}
-		for _, phi := range st.val.UsePhis {
-			crossed := st.crossed
-			if phi.HeaderLoop != nil && s.isBackEdgeArg(phi, st.val) {
-				crossed = merge(st.crossed, map[*ir.Loop]bool{phi.HeaderLoop: true})
-			}
-			work = append(work, state{val: phi, crossed: crossed})
+	}
+	n := 0
+	for _, v := range reached {
+		n += len(v.UseRefs)
+	}
+	out := make([]ReachedUse, 0, n)
+	for i, v := range reached {
+		s.pos[v.ID] = 0
+		for _, u := range v.UseRefs {
+			out = append(out, ReachedUse{Ref: u, CrossesBackOf: crossed[i*w : (i+1)*w : (i+1)*w]})
 		}
 	}
-
-	out := make([]ReachedUse, 0, len(uses))
-	for r, crossed := range uses {
-		out = append(out, ReachedUse{Ref: r, CrossesBackOf: crossed})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ref.ID < out[j].Ref.ID })
+	slices.SortFunc(out, func(a, b ReachedUse) int { return a.Ref.ID - b.Ref.ID })
 	s.reached[def.ID] = out
 	return out
 }

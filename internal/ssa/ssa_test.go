@@ -160,13 +160,13 @@ end
 	// The inner def reaches the inner use only by crossing the back edge.
 	loop := p.Loops[0]
 	for _, ru := range s.ReachedUses(dInner) {
-		if ru.Ref == useIn && !ru.CrossesBackOf[loop] {
+		if ru.Ref == useIn && !ru.CrossesBackOf.Has(loop) {
 			t.Error("inner def reaches inner use without back-edge crossing")
 		}
 	}
 	// The outer def reaches the inner use without crossing.
 	for _, ru := range s.ReachedUses(dOuter) {
-		if ru.Ref == useIn && ru.CrossesBackOf[loop] {
+		if ru.Ref == useIn && ru.CrossesBackOf.Has(loop) {
 			t.Error("outer def should reach first-iteration use without crossing")
 		}
 	}
@@ -201,7 +201,7 @@ end
 		t.Fatalf("reached uses = %v, want 1", rus)
 	}
 	ru := rus[0]
-	if ru.CrossesBackOf[loop] {
+	if ru.CrossesBackOf.Has(loop) {
 		t.Error("same-iteration use should not cross back edge")
 	}
 	if !ir.Encloses(loop, ru.Ref.Stmt.Loop) {
@@ -250,11 +250,11 @@ end
 	for _, ru := range s.ReachedUses(dInc) {
 		switch ru.Ref {
 		case subUse:
-			if ru.CrossesBackOf[loop] {
+			if ru.CrossesBackOf.Has(loop) {
 				t.Error("d(m) use should be same-iteration")
 			}
 		case rhsUse:
-			if !ru.CrossesBackOf[loop] {
+			if !ru.CrossesBackOf.Has(loop) {
 				t.Error("m+1 rhs use should cross the back edge")
 			}
 		}

@@ -273,6 +273,28 @@ if grep -rlE '"sqrt"' --include='*.go' --exclude='*_test.go' --exclude-dir=bench
     exit 1
 fi
 
+# One-build gates (DESIGN.md §16): the front end builds each program once.
+# The parser pulls its tokens from lexer.Stream and holds no token slice
+# (lexer.Scan collects the stream for tests and bench/ alone), two
+# expressions are compared by their trees (ast.Equal), never by printing
+# both, and internal/ssa sorts with slices.SortFunc, not sort.Slice's
+# reflection. Fail when non-test code compares ExprString results with == or
+# !=, non-test internal/parser calls lexer.Scan (FuzzParse holds Parse to
+# it), or non-test internal/ssa calls sort.Slice.
+if grep -rnE 'ExprString\(([^()]|\([^()]*\))*\)[[:space:]]*[!=]=|[!=]=[[:space:]]*([A-Za-z_]+\.)?ExprString\(' \
+    --include='*.go' --exclude='*_test.go' --exclude-dir=bench .; then
+    echo "check: non-test code compares printed expressions (ExprString == / !=); compare trees with ast.Equal" >&2
+    exit 1
+fi
+if grep -nE 'lexer\.Scan\(' $(ls internal/parser/*.go | grep -v '_test\.go$'); then
+    echo "check: internal/parser calls lexer.Scan; the parser pulls its tokens from lexer.Stream and holds no token slice" >&2
+    exit 1
+fi
+if grep -nE '\bsort\.Slice\(' $(ls internal/ssa/*.go | grep -v '_test\.go$'); then
+    echo "check: non-test internal/ssa calls sort.Slice; it sorts with slices.SortFunc" >&2
+    exit 1
+fi
+
 # One-operator gates (DESIGN.md §11, swept runs): an operator or intrinsic has
 # ONE run-time definition, its element function — an intrinsic's in
 # ast.Intrinsics, an operator's in internal/eval's table (lower.go's
