@@ -211,7 +211,7 @@ func TestInferenceKnowsTheStep(t *testing.T) {
 				want = "c wrt k-loop: private [inserted]"
 			}
 			if got := c.ExplainPriv(); !strings.Contains(got, want) {
-				t.Errorf("-explain-priv lacks %q:\n%s", want, got)
+				t.Errorf("-dump priv lacks %q:\n%s", want, got)
 			}
 			warned := false
 			for _, d := range c.Diags() {

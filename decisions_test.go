@@ -36,15 +36,11 @@ func decisionCorpus() []struct{ name, src string } {
 	return corpus
 }
 
-// TestGoldenDecisions pins what the compile half decides, cell by cell, over
-// corpus × strategy × {default, no dependence test, no vectorization} ×
-// privatization mode × P: a hash of the four decision reports, the
-// requirement, statement-plan and diagnostic counts, and what the simulator
-// then charges (or the error of a figure that is an analysis example and
-// does not execute). A change to the selector, the planner or the generator
-// that is meant to keep behaviour must leave testdata/decisions.golden byte
-// for byte as it is; one that moves a line names the cell it moved.
-func TestGoldenDecisions(t *testing.T) {
+// eachDecisionCell compiles every cell of testdata/decisions.golden — corpus
+// × strategy × {default, no dependence test, no vectorization} ×
+// privatization mode × P — in the golden's order, and hands each to f.
+func eachDecisionCell(t *testing.T, f func(cell string, c *Compiled)) {
+	t.Helper()
 	variants := []struct {
 		name string
 		set  func(*Options)
@@ -53,7 +49,6 @@ func TestGoldenDecisions(t *testing.T) {
 		{"nodeptest", func(o *Options) { o.DisableDependenceTest = true }},
 		{"novector", func(o *Options) { o.DisableVectorization = true }},
 	}
-	var b strings.Builder
 	for _, prog := range decisionCorpus() {
 		for _, strat := range Strategies() {
 			for _, v := range variants {
@@ -67,20 +62,34 @@ func TestGoldenDecisions(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", cell, err)
 						}
-						reports := c.MappingReport() + c.CommReport() + c.DumpSPMD() + c.ExplainPriv()
-						fmt.Fprintf(&b, "%s sha=%x reqs=%d plans=%d diags=%d ", cell, sha256.Sum256([]byte(reports)),
-							len(c.SPMD.Plan.Reqs), len(c.SPMD.Stmts), len(c.Diags()))
-						rep, err := c.Execute(context.Background(), Simulator(), RunOptions{})
-						if err != nil {
-							fmt.Fprintf(&b, "error=%q\n", err)
-							continue
-						}
-						fmt.Fprintf(&b, "time=%.17g msgs=%d bytes=%d\n", rep.Time, rep.Stats.Messages, rep.Stats.BytesMoved)
+						f(cell, c)
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestGoldenDecisions pins what the compile half decides, cell by cell: a
+// hash of the four decision reports, the requirement, statement-plan and
+// diagnostic counts, and what the simulator then charges (or the error of a
+// figure that is an analysis example and does not execute). A change to the
+// selector, the planner or the generator that is meant to keep behaviour
+// must leave testdata/decisions.golden byte for byte as it is; one that
+// moves a line names the cell it moved.
+func TestGoldenDecisions(t *testing.T) {
+	var b strings.Builder
+	eachDecisionCell(t, func(cell string, c *Compiled) {
+		reports := c.MappingReport() + c.CommReport() + c.DumpSPMD() + c.ExplainPriv()
+		fmt.Fprintf(&b, "%s sha=%x reqs=%d plans=%d diags=%d ", cell, sha256.Sum256([]byte(reports)),
+			len(c.SPMD.Plan.Reqs), len(c.SPMD.Stmts), len(c.Diags()))
+		rep, err := c.Execute(context.Background(), Simulator(), RunOptions{})
+		if err != nil {
+			fmt.Fprintf(&b, "error=%q\n", err)
+			return
+		}
+		fmt.Fprintf(&b, "time=%.17g msgs=%d bytes=%d\n", rep.Time, rep.Stats.Messages, rep.Stats.BytesMoved)
+	})
 	checkGolden(t, filepath.Join("testdata", "decisions.golden"), b.String())
 }
 

@@ -3,9 +3,11 @@ package core
 import (
 	"testing"
 
+	"phpf/internal/decide"
 	"phpf/internal/dist"
 	"phpf/internal/ir"
 	"phpf/internal/parser"
+	"phpf/internal/programs"
 	"phpf/internal/ssa"
 )
 
@@ -556,6 +558,40 @@ func TestRefPatternConsistency(t *testing.T) {
 					t.Errorf("pattern mismatch for %s: def %v use %v", u.Var.Name, dpat, upat)
 				}
 			}
+		}
+	}
+}
+
+// TestDecisionsAlignLevel: every target in the decision record carries the
+// AlignLevel the selector's own alignLevel gives it (selected, P=4, the
+// paper's figures). Figure 1's x is aligned with d(i+1) at level 1.
+func TestDecisionsAlignLevel(t *testing.T) {
+	for name, src := range programs.Figures {
+		r := analyze(t, src, 4, DefaultOptions())
+		a := &analyzer{m: r.Mapping}
+		byName := map[string]decide.Entry{}
+		for _, e := range r.Decisions().Entries {
+			byName[e.Kind+" "+e.Name] = e
+		}
+		check := func(key string, target *ir.Ref) {
+			e, ok := byName[key]
+			if !ok || e.Target == nil || e.Target.Text != target.String() {
+				t.Fatalf("%s: %s has no target %s in the record", name, key, target)
+			}
+			if want := a.alignLevel(target, nil); e.AlignLevel != want {
+				t.Errorf("%s: %s: AlignLevel %d in the record, the selector's alignLevel is %d", name, key, e.AlignLevel, want)
+			}
+		}
+		for v, m := range r.Scalars {
+			if m.Target != nil {
+				check(decide.Scalar+" "+v.String(), m.Target)
+			}
+		}
+		for v, ap := range r.Arrays {
+			check(decide.Array+" "+v.Name, ap.Target)
+		}
+		if e := byName["scalar x.2@s2"]; name == "figure1" && e.AlignLevel != 1 {
+			t.Errorf("figure1: x.2@s2 AlignLevel %d, want 1", e.AlignLevel)
 		}
 	}
 }

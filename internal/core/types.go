@@ -12,9 +12,8 @@
 package core
 
 import (
-	"fmt"
-
 	"phpf/internal/dataflow"
+	"phpf/internal/decide"
 	"phpf/internal/dist"
 	"phpf/internal/ir"
 	"phpf/internal/pass"
@@ -255,27 +254,6 @@ type ScalarMapping struct {
 	ForcedReplicated bool
 }
 
-func (m *ScalarMapping) String() string {
-	s := fmt.Sprintf("%s: %s", m.Def, m.Kind)
-	if m.Target != nil {
-		role := "producer"
-		if m.TargetIsConsumer {
-			role = "consumer"
-		}
-		if m.Kind == ScalarReduction {
-			role = "reduction-data"
-		}
-		s += fmt.Sprintf(" with %s (%s)", m.Target, role)
-	}
-	if m.PrivLoop != nil {
-		s += fmt.Sprintf(" wrt %s-loop", m.PrivLoop.Index.Name)
-	}
-	if m.LastPrivate {
-		s += " lastprivate"
-	}
-	return s
-}
-
 // ArrayPrivatization is the §3 decision for one array with respect to one
 // loop.
 type ArrayPrivatization struct {
@@ -290,15 +268,6 @@ type ArrayPrivatization struct {
 	PrivGrid []bool
 	// Axes[dim] maps partitioned array dimensions (zero value = collapsed).
 	Axes []dist.AxisMap
-}
-
-func (ap *ArrayPrivatization) String() string {
-	mode := "full"
-	if ap.Partial {
-		mode = "partial"
-	}
-	return fmt.Sprintf("%s privatized (%s) wrt %s-loop with target %s",
-		ap.Var.Name, mode, ap.Loop.Index.Name, ap.Target)
 }
 
 // PatternOf computes the owner pattern of a reference to the privatized
@@ -364,6 +333,62 @@ type Result struct {
 	// Profile is the per-pass instrumentation of the pipeline run that
 	// produced this result.
 	Profile *pass.CompileProfile
+}
+
+// Decisions records the final decisions by stable names, each target with
+// the selector's own alignLevel of it. Nothing on the compile path builds it.
+func (r *Result) Decisions() *decide.Decisions {
+	a := &analyzer{m: r.Mapping}
+	d := &decide.Decisions{Grid: r.Mapping.Grid.String(), Privatization: r.Opts.Privatization.String()}
+	add := func(e decide.Entry, target *ir.Ref) {
+		if target != nil {
+			e.Target, e.AlignLevel = decide.RefOf(target), a.alignLevel(target, nil)
+		}
+		d.Entries = append(d.Entries, e)
+	}
+	for _, v := range r.SSA.Values {
+		m := r.Scalars[v]
+		if m == nil {
+			continue
+		}
+		e := decide.Entry{Kind: decide.Scalar, Name: v.String(), Decision: m.Kind.String(),
+			Loop: decide.LoopOf(m.PrivLoop), LastPrivate: m.LastPrivate, RedGridDims: m.RedGridDims,
+			SelectedConsumer: decide.RefOf(m.SelectedConsumer), ForcedReplicated: m.ForcedReplicated}
+		switch {
+		case m.Target == nil:
+		case m.Kind == ScalarReduction:
+			e.Role = "reduction-data"
+		case m.TargetIsConsumer:
+			e.Role = "consumer"
+		default:
+			e.Role = "producer"
+		}
+		add(e, m.Target)
+	}
+	for _, v := range r.Prog.VarList {
+		if ap := r.Arrays[v]; ap != nil {
+			mode := "full"
+			if ap.Partial {
+				mode = "partial"
+			}
+			add(decide.Entry{Kind: decide.Array, Name: v.Name, Decision: mode, Loop: decide.LoopOf(ap.Loop)}, ap.Target)
+		}
+	}
+	for _, st := range r.Prog.Stmts {
+		if st.Kind == ir.SIf || st.Kind == ir.SIfGoto {
+			state := "executed on all processors"
+			if r.CtrlPrivatized(st) {
+				state = "privatized"
+			}
+			add(decide.Entry{Kind: decide.Control, Name: decide.Label(st), Decision: state, Line: st.Line}, nil)
+		}
+	}
+	for _, iv := range r.Inductions {
+		add(decide.Entry{Kind: decide.Induction, Name: iv.Var.Name, Stmt: decide.Label(iv.Stmt),
+			Loop: decide.LoopOf(iv.Loop), Init: iv.Init, Incr: iv.Incr}, nil)
+	}
+	d.Entries = append(append(d.Entries, decide.Reductions(r.ReducePlan)...), decide.Classes(r.Priv)...)
+	return d
 }
 
 // ScalarOfStmt returns the mapping of the scalar defined by an assignment

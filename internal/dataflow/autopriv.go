@@ -3,7 +3,6 @@ package dataflow
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"phpf/internal/ast"
 	"phpf/internal/ir"
@@ -87,58 +86,11 @@ func (c *PrivClass) Reason() string {
 	return fmt.Sprintf(c.why, refAt(c.at))
 }
 
-func (c *PrivClass) String() string {
-	s := fmt.Sprintf("%s wrt %s-loop: %s", c.Var.Name, c.Loop.Index.Name, c.Decision)
-	if c.why != "" {
-		s += " (" + c.Reason() + ")"
-	}
-	return s
-}
-
 // PrivSummary is the full classification of a program: one PrivClass per
 // (loop, candidate variable), in deterministic order (loop preorder, then
 // variable declaration order within a loop).
 type PrivSummary struct {
 	Classes []PrivClass
-}
-
-// String renders the summary — one line per candidate with its decision and
-// reason, then, loop by loop, the annotations the autopriv pass inserted: the
-// text of -dump-after=autopriv and of phpfc -explain-priv.
-func (s *PrivSummary) String() string {
-	var b strings.Builder
-	for i := range s.Classes {
-		c := &s.Classes[i]
-		fmt.Fprintf(&b, "%s wrt %s-loop: %s", c.Var.Name, c.Loop.Index.Name, c.Decision)
-		if c.Directive {
-			b.WriteString(" [directive]")
-		}
-		if c.Inserted {
-			b.WriteString(" [inserted]")
-		}
-		fmt.Fprintf(&b, " — %s\n", c.Reason())
-	}
-	// Classes are in loop preorder: one loop's are consecutive.
-	for i := 0; i < len(s.Classes); {
-		l := s.Classes[i].Loop
-		var news, lasts []string
-		for ; i < len(s.Classes) && s.Classes[i].Loop == l; i++ {
-			switch c := &s.Classes[i]; {
-			case !c.Inserted:
-			case c.Decision == PrivLastPrivate:
-				lasts = append(lasts, c.Var.Name)
-			default:
-				news = append(news, c.Var.Name)
-			}
-		}
-		if len(news) > 0 {
-			fmt.Fprintf(&b, "%s-loop inferred new(%s)\n", l.Index.Name, strings.Join(news, ","))
-		}
-		if len(lasts) > 0 {
-			fmt.Fprintf(&b, "%s-loop inferred lastprivate(%s)\n", l.Index.Name, strings.Join(lasts, ","))
-		}
-	}
-	return b.String()
 }
 
 // Of returns the classification of v with respect to l (nil when v is not a

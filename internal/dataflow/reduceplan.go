@@ -23,13 +23,6 @@ type ReduceDecision struct {
 	Reason string
 }
 
-func (d *ReduceDecision) String() string {
-	if d.Privatizable {
-		return fmt.Sprintf("%s (%s): privatized", d.Red.Var.Name, d.Red.Op)
-	}
-	return fmt.Sprintf("%s (%s): collective — %s", d.Red.Var.Name, d.Red.Op, d.Reason)
-}
-
 // ReducePlan is the classification of every recognized reduction.
 type ReducePlan struct {
 	Decisions []*ReduceDecision

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"phpf/internal/ast"
+	"phpf/internal/decide"
 	"phpf/internal/ir"
 	"phpf/internal/ssa"
 )
@@ -34,13 +35,11 @@ func DumpUnit(u *Unit) string {
 	}
 	if u.AutoPriv != nil {
 		sb.WriteString("== autopriv ==\n")
-		sb.WriteString(u.AutoPriv.String())
+		sb.WriteString((&decide.Decisions{Entries: decide.Classes(u.AutoPriv)}).ClassText())
 	}
 	if u.ReducePlan != nil {
 		sb.WriteString("== reduceplan ==\n")
-		for _, d := range u.ReducePlan.Decisions {
-			fmt.Fprintf(&sb, "%s\n", d)
-		}
+		sb.WriteString((&decide.Decisions{Entries: decide.Reductions(u.ReducePlan)}).ReduceText())
 	}
 	if u.Mapping != nil {
 		sb.WriteString("== mapping ==\n")

@@ -25,12 +25,12 @@ import (
 	"strings"
 
 	"phpf/internal/core"
+	"phpf/internal/decide"
 	"phpf/internal/diag"
 	"phpf/internal/dist"
 	"phpf/internal/eval"
 	"phpf/internal/exec"
 	"phpf/internal/fault"
-	"phpf/internal/ir"
 	"phpf/internal/machine"
 	"phpf/internal/parser"
 	"phpf/internal/pass"
@@ -54,6 +54,9 @@ type (
 	// Diagnostic is a positioned, coded compiler diagnostic (see
 	// internal/diag.Diagnostic); every stage reports problems this way.
 	Diagnostic = core.Diagnostic
+	// Decisions is a compilation's mapping decisions by stable names (see
+	// Compiled.Decisions).
+	Decisions = decide.Decisions
 	// Severity grades a Diagnostic (info, warning, error).
 	Severity = diag.Severity
 	// CompileProfile is the per-pass instrumentation of a compilation (see
@@ -410,97 +413,20 @@ func (c *Compiled) FormatStmtLabels() string {
 	return b.String()
 }
 
+// Decisions records the compilation's mapping decisions by stable names; its
+// JSON is phpfc -dump decisions, and the reports below are renderings of it.
+func (c *Compiled) Decisions() *Decisions { return c.Result.Decisions() }
+
 // MappingReport lists every mapping decision: scalar definitions, privatized
-// arrays, and control flow statements.
-func (c *Compiled) MappingReport() string {
-	var b strings.Builder
-	res := c.Result
-	fmt.Fprintf(&b, "grid %s\n", res.Mapping.Grid)
-
-	var lines []string
-	for _, m := range res.Scalars {
-		lines = append(lines, "scalar "+m.String())
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		b.WriteString(l + "\n")
-	}
-
-	var arrays []string
-	for _, ap := range res.Arrays {
-		arrays = append(arrays, "array "+ap.String())
-	}
-	sort.Strings(arrays)
-	for _, l := range arrays {
-		b.WriteString(l + "\n")
-	}
-
-	for _, st := range res.Prog.Stmts {
-		if st.Kind != ir.SIf && st.Kind != ir.SIfGoto {
-			continue
-		}
-		state := "executed on all processors"
-		if res.CtrlPrivatized(st) {
-			state = "privatized"
-		}
-		fmt.Fprintf(&b, "control s%d (line %d): %s\n", st.ID, st.Line, state)
-	}
-
-	for _, iv := range res.Inductions {
-		fmt.Fprintf(&b, "induction %s in %s-loop: init=%d incr=%d\n",
-			iv.Var.Name, iv.Loop.Index.Name, iv.Init, iv.Incr)
-	}
-	for _, red := range res.Reductions {
-		fmt.Fprintf(&b, "reduction %s (%s) carried by %s-loop\n",
-			red.Var.Name, red.Op, red.Loop.Index.Name)
-	}
-	return b.String()
-}
+// arrays, control flow statements, inductions and reductions.
+func (c *Compiled) MappingReport() string { return c.Decisions().MappingText() }
 
 // ExplainPriv renders the privatization classification of the compilation:
 // one line per (variable, loop) candidate with the decision and its reason
 // — including why each declined variable was serialized and which blocking
 // reference is responsible — followed by the annotations the inference pass
-// inserted. phpfc -explain-priv prints it.
-func (c *Compiled) ExplainPriv() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "privatization mode: %s\n", c.Opts.Privatization)
-	if len(c.Result.Priv.Classes) == 0 {
-		b.WriteString("no privatization candidates\n")
-	}
-	b.WriteString(c.Result.Priv.String())
-	return b.String()
-}
-
-// ReducePlanReport renders the reduceplan classification: one line per
-// recognized reduction with the static privatizable-vs-collective decision
-// and the strategy the given runtime mode would actually use. A privatize
-// line marked E005 is the configuration both backends reject at run time
-// (ReducePrivatize demands every reduction leave the collective path).
-// phpfc -reduce prints it.
-func (c *Compiled) ReducePlanReport(mode ReduceMode) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "reduce mode: %s\n", mode)
-	rp := c.Result.ReducePlan
-	if rp == nil || len(rp.Decisions) == 0 {
-		b.WriteString("no recognized reductions\n")
-		return b.String()
-	}
-	for _, d := range rp.Decisions {
-		switch {
-		case !d.Privatizable && mode == ReducePrivatize:
-			fmt.Fprintf(&b, "%s (%s): E005 — %s\n", d.Red.Var.Name, d.Red.Op, d.Reason)
-		case !d.Privatizable:
-			fmt.Fprintf(&b, "%s (%s): collective — %s\n", d.Red.Var.Name, d.Red.Op, d.Reason)
-		case mode == ReduceCollective:
-			fmt.Fprintf(&b, "%s (%s): collective (privatizable; mode forces collective)\n",
-				d.Red.Var.Name, d.Red.Op)
-		default:
-			fmt.Fprintf(&b, "%s (%s): privatized\n", d.Red.Var.Name, d.Red.Op)
-		}
-	}
-	return b.String()
-}
+// inserted. phpfc -dump priv prints it.
+func (c *Compiled) ExplainPriv() string { return c.Decisions().PrivText() }
 
 // CommReport summarizes the communication plan.
 func (c *Compiled) CommReport() string {

@@ -295,6 +295,17 @@ if grep -nE '\bsort\.Slice\(' $(ls internal/ssa/*.go | grep -v '_test\.go$'); th
     exit 1
 fi
 
+# One-decision-printer gate (DESIGN.md §17): decision text is formatted by
+# one package, internal/decide, from the decision record. Fail when a String
+# method on a decision type of core or dataflow comes back, or when non-test
+# Go names the deleted ReducePlanReport or the deleted -explain-priv flag.
+if grep -rnE '^func \([a-z]+ \*?(ScalarMapping|ArrayPrivatization|PrivClass|PrivSummary|ReduceDecision)\) String\(' \
+    --include='*.go' --exclude-dir=bench . ||
+    grep -rnE 'ReducePlanReport|explain-priv' --include='*.go' --exclude='*_test.go' --exclude-dir=bench .; then
+    echo "check: decision text is formatted outside internal/decide (a String method on a decision type, ReducePlanReport or -explain-priv); render it from the decide.Decisions record" >&2
+    exit 1
+fi
+
 # One-operator gates (DESIGN.md §11, swept runs): an operator or intrinsic has
 # ONE run-time definition, its element function — an intrinsic's in
 # ast.Intrinsics, an operator's in internal/eval's table (lower.go's
