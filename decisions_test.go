@@ -71,7 +71,9 @@ func eachDecisionCell(t *testing.T, f func(cell string, c *Compiled)) {
 }
 
 // TestGoldenDecisions pins what the compile half decides, cell by cell: a
-// hash of the four decision reports, the requirement, statement-plan and
+// hash of the four decision reports, the decision record's JSON (the
+// selector's why-fields: selected consumer, forced replication, role, align
+// level) and every diagnostic's text, the requirement, statement-plan and
 // diagnostic counts, and what the simulator then charges (or the error of a
 // figure that is an analysis example and does not execute). A change to the
 // selector, the planner or the generator that is meant to keep behaviour
@@ -80,7 +82,10 @@ func eachDecisionCell(t *testing.T, f func(cell string, c *Compiled)) {
 func TestGoldenDecisions(t *testing.T) {
 	var b strings.Builder
 	eachDecisionCell(t, func(cell string, c *Compiled) {
-		reports := c.MappingReport() + c.CommReport() + c.DumpSPMD() + c.ExplainPriv()
+		reports := c.MappingReport() + c.CommReport() + c.DumpSPMD() + c.ExplainPriv() + string(c.Decisions().JSON())
+		for _, d := range c.Diags() {
+			reports += d.String() + "\n"
+		}
 		fmt.Fprintf(&b, "%s sha=%x reqs=%d plans=%d diags=%d ", cell, sha256.Sum256([]byte(reports)),
 			len(c.SPMD.Plan.Reqs), len(c.SPMD.Stmts), len(c.Diags()))
 		rep, err := c.Execute(context.Background(), Simulator(), RunOptions{})
