@@ -21,9 +21,6 @@ type analyzer struct {
 	// noAlignExam is the paper's deferred list: definitions eligible for
 	// privatization without alignment, re-examined at the end of the pass.
 	noAlignExam []*ssa.Value
-	// reductionOf maps the defining statement of a recognized reduction
-	// accumulator to its reduction.
-	reductionOf map[*ir.Stmt]*dataflow.Reduction
 }
 
 // Analyze is the body of the pipeline's analyze pass: the complete mapping
@@ -35,8 +32,7 @@ func Analyze(u *pass.Unit, opts Options) *Result {
 	p, s, m := u.Prog, u.SSA, u.Mapping
 	a := &analyzer{
 		prog: p, ssa: s, m: m, opts: opts,
-		inProgress:  map[*ssa.Value]bool{},
-		reductionOf: map[*ir.Stmt]*dataflow.Reduction{},
+		inProgress: map[*ssa.Value]bool{},
 		res: &Result{
 			Prog: p, SSA: s, Mapping: m, Opts: opts,
 			Scalars:    map[*ssa.Value]*ScalarMapping{},
@@ -59,9 +55,6 @@ func Analyze(u *pass.Unit, opts Options) *Result {
 	// Figure-3 algorithm in either case: mapped per §2.3 when the
 	// optimization is on, replicated when it is off (the Table 2 "Default"
 	// configuration).
-	for _, red := range a.res.Reductions {
-		a.reductionOf[red.Stmt] = red
-	}
 	for _, red := range a.res.Reductions {
 		if opts.AlignReductions {
 			a.mapReduction(red)
@@ -136,7 +129,7 @@ func (a *analyzer) finalizeNoAlign() {
 		m.Target = nil
 		m.Pattern = dist.ReplicatedPattern(a.m.Grid)
 		if m.PrivLoop == nil {
-			_, m.PrivLoop = dataflow.PrivatizationLevel(a.ssa, def)
+			m.PrivLoop = dataflow.PrivatizationLevel(a.ssa, def)
 			if m.PrivLoop == nil {
 				m.PrivLoop = def.Stmt.Loop
 			}

@@ -52,7 +52,7 @@ func (a *analyzer) privatizeArray(c *ir.Var, L *ir.Loop) *ArrayPrivatization {
 
 	// Full privatization: valid when the target's alignment information is
 	// well-defined throughout L.
-	if a.alignLevel(target, nil) <= L.Level {
+	if alignLevel(a.m, target) <= L.Level {
 		for _, ax := range tm.Axes {
 			if ax.Distributed {
 				ap.PrivGrid[ax.GridDim] = true
@@ -98,8 +98,7 @@ func (a *analyzer) privatizeArray(c *ir.Var, L *ir.Loop) *ArrayPrivatization {
 // for scalars. Seemingly reached uses outside L are spurious (NEW asserts
 // per-iteration lifetime) and ignored.
 func (a *analyzer) selectArrayTarget(c *ir.Var, L *ir.Loop) *ir.Ref {
-	var best *ir.Ref
-	bestScore := -1
+	var best candidate
 	for _, st := range a.prog.Stmts {
 		if st.Kind != ir.SAssign || !ir.Encloses(L, st.Loop) {
 			continue
@@ -113,15 +112,9 @@ func (a *analyzer) selectArrayTarget(c *ir.Var, L *ir.Loop) *ir.Ref {
 		if !usesC || !st.Lhs.Var.IsArray() || st.Lhs.Var == c {
 			continue
 		}
-		if a.res.RefPattern(st.Lhs).IsReplicated() {
-			continue
-		}
-		score := a.scoreTarget(st.Lhs, st, st)
-		if score > bestScore {
-			best, bestScore = st.Lhs, score
-		}
+		a.offer(&best, st.Lhs, st, st)
 	}
-	return best
+	return best.ref
 }
 
 // matchPartitionDim finds the dimension of c whose subscripts at definition

@@ -568,7 +568,6 @@ func TestRefPatternConsistency(t *testing.T) {
 func TestDecisionsAlignLevel(t *testing.T) {
 	for name, src := range programs.Figures {
 		r := analyze(t, src, 4, DefaultOptions())
-		a := &analyzer{m: r.Mapping}
 		byName := map[string]decide.Entry{}
 		for _, e := range r.Decisions().Entries {
 			byName[e.Kind+" "+e.Name] = e
@@ -578,7 +577,7 @@ func TestDecisionsAlignLevel(t *testing.T) {
 			if !ok || e.Target == nil || e.Target.Text != target.String() {
 				t.Fatalf("%s: %s has no target %s in the record", name, key, target)
 			}
-			if want := a.alignLevel(target, nil); e.AlignLevel != want {
+			if want := alignLevel(r.Mapping, target); e.AlignLevel != want {
 				t.Errorf("%s: %s: AlignLevel %d in the record, the selector's alignLevel is %d", name, key, e.AlignLevel, want)
 			}
 		}

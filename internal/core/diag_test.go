@@ -128,3 +128,54 @@ end
 		t.Errorf("clean program produced diagnostics: %v", res.Diags)
 	}
 }
+
+// TestAlignmentFallbackNamesStrategy: when no loop level admits the chosen
+// target (x's target is indexed through idx, so it is valid in no loop), both
+// privatizing strategies fall back to replication through the one align
+// step, and the diagnostic keeps each strategy's wording: the producer
+// strategy names its candidate a producer.
+func TestAlignmentFallbackNamesStrategy(t *testing.T) {
+	src := `
+program t
+parameter n = 8
+real a(n), x
+integer idx(n)
+integer i
+!hpf$ distribute (block) :: a
+do i = 1, n
+  a(i) = i
+  idx(i) = i
+end do
+do i = 1, n
+  x = a(idx(i))
+end do
+end
+`
+	for strategy, want := range map[ScalarStrategy]string{
+		ScalarsProducerAligned: "13:3: warning: scalar-mapping: x: no loop level admits alignment with producer a(idx(i)); falling back to replication [W102]",
+		ScalarsSelected:        "13:3: warning: scalar-mapping: x: no loop level admits alignment with a(idx(i)); falling back to replication [W102]",
+	} {
+		ap, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.Scalars = strategy
+		res, err := BuildAndAnalyze(ap, 4, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, d := range res.Diags {
+			got = append(got, d.String())
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("%s: diagnostics %q, want [%q]", strategy, got, want)
+		}
+		for _, m := range res.Scalars {
+			if m.Def.Var.Name == "x" && m.Kind != ScalarReplicated {
+				t.Errorf("%s: x is %s, want replicated after the fallback", strategy, m.Kind)
+			}
+		}
+	}
+}

@@ -8,9 +8,11 @@ import (
 	"phpf/internal/ssa"
 )
 
-// determineScalar implements Figure 3's DetermineMapping(def, stmt) plus the
-// producer-only strategy used for the Table 1 comparison. It returns the
-// (possibly provisional) mapping for def.
+// determineScalar implements Figure 3's DetermineMapping(def, stmt) for both
+// privatizing strategies of Table 1: after the guards, choose picks one
+// alignment target, align aligns def with it, and a definition that stays
+// unaligned is replicated. It returns the (possibly provisional) mapping for
+// def.
 func (a *analyzer) determineScalar(def *ssa.Value) *ScalarMapping {
 	if m := a.res.Scalars[def]; m != nil {
 		return m
@@ -22,150 +24,121 @@ func (a *analyzer) determineScalar(def *ssa.Value) *ScalarMapping {
 	a.inProgress[def] = true
 	defer delete(a.inProgress, def)
 
-	st := def.Stmt
 	m := a.replicatedMapping(def)
 
 	// Reduction accumulators are handled outside this algorithm (§2.3).
-	if a.reductionOf[def.Stmt] != nil {
+	if a.res.ReducePlan.Of(def.Stmt) != nil {
 		a.record(def, m)
 		return m
 	}
 
 	// All reaching definitions of a use share one mapping: adopt a sibling
 	// definition's decision when one exists.
-	if sib := a.existingSiblingMapping(def); sib != nil {
-		adopted := *sib
-		adopted.Def = def
-		// The copy-out belongs to the sibling's definition alone.
-		adopted.LastPrivate = false
-		a.record(def, &adopted)
-		return &adopted
+	var sib *ScalarMapping
+	a.siblings(def, func(d *ssa.Value) bool { sib = a.res.Scalars[d]; return sib == nil })
+	if sib != nil {
+		m = sibling(sib, def)
+		a.record(def, m)
+		return m
 	}
 
 	privLoop, lastPriv := a.privatizationLoop(def)
+	m.PrivLoop = privLoop
 	if privLoop == nil {
 		a.record(def, m)
 		return m
 	}
-	m.PrivLoop = privLoop
 
-	rhsRepl := a.isRhsReplicated(st)
-
-	if lastPriv && rhsRepl {
-		// Replicating the definition costs nothing (its inputs are already
-		// on every processor), while lastprivate would spend a broadcast on
-		// the copy-out: keep it replicated.
-		m.PrivLoop = nil
-		a.record(def, m)
-		return m
-	}
-	// Uses past a lastprivate loop are served by the copy-out; they neither
-	// force replication nor act as consumers.
-	var skipOutside *ir.Loop
-	if lastPriv {
-		skipOutside = privLoop
-	}
-
-	if a.opts.Scalars == ScalarsProducerAligned {
-		// Correctness still forces replication for values needed on every
-		// processor (loop bounds, broadcast subscripts). The check must not
-		// recurse into consumer mappings (that would finalize later
-		// definitions before their own producers are resolved).
-		if _, forced := a.selectConsumerMode(def, false, skipOutside); forced {
-			if lastPriv {
-				m.PrivLoop = nil
+	// Replicating a lastprivate definition whose inputs are already on every
+	// processor costs nothing, while lastprivate would spend a broadcast on
+	// the copy-out: such a definition stays replicated.
+	if rhsRepl := a.isRhsReplicated(def.Stmt); !lastPriv || !rhsRepl {
+		target, toConsumer, forced := a.choose(def, m, rhsRepl, lastPriv)
+		if !forced {
+			aligned := target.ref != nil && a.align(def, m, target, toConsumer, lastPriv)
+			// The deferred list: privatization without alignment is
+			// re-examined at the end of the pass for a unique definition
+			// whose inputs are replicated, unless it is aligned with a
+			// producer.
+			if rhsRepl && (!aligned || toConsumer) && a.ssa.IsUniqueDef(def) {
+				a.noAlignExam = append(a.noAlignExam, def)
 			}
-			a.record(def, m)
-			return m
-		}
-		// Always align with a partitioned producer reference if one exists.
-		if prod := a.selectProducer(st); prod != nil {
-			if pat := a.res.RefPattern(prod); !patternValid(pat) {
-				a.diagf(st.Pos(), "scalar-mapping", def.Var.Name,
-					"producer candidate %s has an invalid owner pattern; falling back to replication", prod)
-			} else if lp := a.alignmentLoop(def, prod); lp != nil {
-				m.Kind = ScalarAligned
-				m.Target = prod
-				m.TargetIsConsumer = false
-				m.PrivLoop = lp
-				m.LastPrivate = lastPriv
-				m.Pattern = pat
-				a.record(def, m)
-				a.propagateToSiblings(def, m)
+			if aligned {
 				return m
-			} else {
-				a.diagf(st.Pos(), "scalar-mapping", def.Var.Name,
-					"no loop level admits alignment with producer %s; falling back to replication", prod)
 			}
 		}
-		if rhsRepl && a.ssa.IsUniqueDef(def) {
-			a.noAlignExam = append(a.noAlignExam, def)
-		}
-		if lastPriv {
-			m.PrivLoop = nil
-		}
-		a.record(def, m)
-		return m
 	}
-
-	// --- Full §2.2 algorithm ---
-
-	consumer, forcedRepl := a.selectConsumer(def, skipOutside)
-	m.SelectedConsumer = consumer
-	m.ForcedReplicated = forcedRepl
-	if forcedRepl {
-		// Some reached use needs the value on every processor (loop bound
-		// or broadcast subscript): the dummy replicated reference wins and
-		// the traversal is terminated. This also excludes privatization
-		// without alignment.
-		if lastPriv {
-			m.PrivLoop = nil
-		}
-		a.record(def, m)
-		return m
-	}
-
-	if rhsRepl && a.ssa.IsUniqueDef(def) {
-		a.noAlignExam = append(a.noAlignExam, def)
-	}
-
-	var target *ir.Ref
-	targetIsConsumer := false
-	if consumer != nil {
-		target = consumer
-		targetIsConsumer = true
-	}
-	if !rhsRepl && (target == nil || a.innerLoopCommWith(st, target)) {
-		if prod := a.selectProducer(st); prod != nil {
-			target = prod
-			targetIsConsumer = false
-		}
-	}
-
-	if target != nil {
-		if pat := a.res.RefPattern(target); !patternValid(pat) {
-			a.diagf(st.Pos(), "scalar-mapping", def.Var.Name,
-				"alignment candidate %s has an invalid owner pattern; falling back to replication", target)
-		} else if lp := a.alignmentLoop(def, target); lp != nil {
-			m.Kind = ScalarAligned
-			m.Target = target
-			m.TargetIsConsumer = targetIsConsumer
-			m.PrivLoop = lp
-			m.LastPrivate = lastPriv
-			m.Pattern = pat
-			a.record(def, m)
-			a.propagateToSiblings(def, m)
-			return m
-		} else {
-			a.diagf(st.Pos(), "scalar-mapping", def.Var.Name,
-				"no loop level admits alignment with %s; falling back to replication", target)
-		}
-	}
+	// Replicated; the copy-out of a lastprivate definition has nothing to
+	// copy.
 	if lastPriv {
 		m.PrivLoop = nil
 	}
 	a.record(def, m)
 	return m
+}
+
+// choose picks def's alignment target under the scalar strategy. forced
+// reports that some reached use needs the value on every processor (a loop
+// bound or a broadcast subscript): the dummy replicated reference wins, which
+// excludes alignment and privatization without it. Uses past a lastprivate
+// loop are served by the copy-out; they neither force replication nor act as
+// consumers.
+func (a *analyzer) choose(def *ssa.Value, m *ScalarMapping, rhsRepl, lastPriv bool) (target candidate, toConsumer, forced bool) {
+	var skipOutside *ir.Loop
+	if lastPriv {
+		skipOutside = m.PrivLoop
+	}
+	if a.opts.Scalars == ScalarsProducerAligned {
+		// Always a partitioned producer reference when one exists; the
+		// forced test must not recurse into consumer mappings (that would
+		// finalize later definitions before their own producers are
+		// resolved).
+		if _, forced = a.consumer(def, false, skipOutside); !forced {
+			target = a.producer(def.Stmt)
+		}
+		return target, false, forced
+	}
+	// The full §2.2 algorithm: the consumer the traversal selects, unless
+	// there is none or it leaves communication inside the loop while the
+	// inputs are not replicated; then a producer, when there is one. Only
+	// this strategy records the traversal's outcome on the mapping.
+	target, forced = a.consumer(def, true, skipOutside)
+	m.SelectedConsumer, m.ForcedReplicated = target.ref, forced
+	toConsumer = target.ref != nil
+	if !forced && !rhsRepl && (!toConsumer || a.innerLoopCommWith(def.Stmt, target.pat)) {
+		if prod := a.producer(def.Stmt); prod.ref != nil {
+			target, toConsumer = prod, false
+		}
+	}
+	return target, toConsumer, forced
+}
+
+// align aligns def with the chosen target at the outermost loop where both
+// the privatization and the alignment are valid, records the mapping and
+// shares it with the sibling definitions. It reports false, with a
+// diagnostic, when the target's owner pattern is degenerate or no loop level
+// admits the alignment.
+func (a *analyzer) align(def *ssa.Value, m *ScalarMapping, target candidate, toConsumer, lastPriv bool) bool {
+	noun, with := "alignment candidate", ""
+	if a.opts.Scalars == ScalarsProducerAligned {
+		noun, with = "producer candidate", "producer "
+	}
+	if !patternValid(target.pat) {
+		a.diagf(def.Stmt.Pos(), "scalar-mapping", def.Var.Name,
+			"%s %s has an invalid owner pattern; falling back to replication", noun, target.ref)
+		return false
+	}
+	lp := a.alignmentLoop(def, target.ref)
+	if lp == nil {
+		a.diagf(def.Stmt.Pos(), "scalar-mapping", def.Var.Name,
+			"no loop level admits alignment with %s%s; falling back to replication", with, target.ref)
+		return false
+	}
+	m.Kind, m.Target, m.TargetIsConsumer, m.Pattern = ScalarAligned, target.ref, toConsumer, target.pat
+	m.PrivLoop, m.LastPrivate = lp, lastPriv
+	a.record(def, m)
+	a.propagateToSiblings(def, m)
+	return true
 }
 
 // patternValid rejects owner patterns with degenerate distributions: a
@@ -184,20 +157,37 @@ func patternValid(p dist.OwnerPattern) bool {
 	return true
 }
 
-// existingSiblingMapping returns the mapping already recorded for another
-// reaching definition sharing a use with def, if any.
-func (a *analyzer) existingSiblingMapping(def *ssa.Value) *ScalarMapping {
+// siblings calls f on every other explicit definition reaching a use that
+// def reaches — the definitions that must share def's mapping — until f
+// returns false.
+func (a *analyzer) siblings(def *ssa.Value, f func(d *ssa.Value) bool) {
 	for _, ru := range a.ssa.ReachedUses(def) {
 		for _, d := range a.ssa.ReachingDefs(ru.Ref) {
-			if d == def {
-				continue
-			}
-			if m := a.res.Scalars[d]; m != nil {
-				return m
+			if d != def && d.Kind == ssa.VDef && !f(d) {
+				return
 			}
 		}
 	}
-	return nil
+}
+
+// sibling is m as the mapping of the sibling definition d. The copy-out of
+// a lastprivate definition belongs to that definition alone.
+func sibling(m *ScalarMapping, d *ssa.Value) *ScalarMapping {
+	s := *m
+	s.Def, s.LastPrivate = d, false
+	return &s
+}
+
+// propagateToSiblings records the same mapping for every sibling definition
+// not yet mapped — the compiler's restriction that all reaching definitions
+// of a use share one mapping.
+func (a *analyzer) propagateToSiblings(def *ssa.Value, m *ScalarMapping) {
+	a.siblings(def, func(d *ssa.Value) bool {
+		if a.res.Scalars[d] == nil {
+			a.res.Scalars[d] = sibling(m, d)
+		}
+		return true
+	})
 }
 
 // privatizationLoop determines the loop with respect to which def is
@@ -209,7 +199,7 @@ func (a *analyzer) existingSiblingMapping(def *ssa.Value) *ScalarMapping {
 // when no loop privatizes the variable outright: valid only with the
 // final-iteration copy-out at loop exit.
 func (a *analyzer) privatizationLoop(def *ssa.Value) (*ir.Loop, bool) {
-	if _, l := dataflow.PrivatizationLevel(a.ssa, def); l != nil {
+	if l := dataflow.PrivatizationLevel(a.ssa, def); l != nil {
 		return l, false
 	}
 	var last *ir.Loop
@@ -241,93 +231,82 @@ func (a *analyzer) privatizableWrt(def *ssa.Value, l *ir.Loop) bool {
 // throughout l (AlignLevel(target) <= level(l)). Returns nil when no level
 // works.
 func (a *analyzer) alignmentLoop(def *ssa.Value, target *ir.Ref) *ir.Loop {
-	al := a.alignLevel(target, nil)
-	var chain []*ir.Loop
-	for l := def.Stmt.Loop; l != nil; l = l.Parent {
-		chain = append([]*ir.Loop{l}, chain...)
-	}
-	for _, l := range chain {
-		if l.Level >= al && a.privatizableWrt(def, l) {
-			return l
+	al := alignLevel(a.m, target)
+	var out *ir.Loop
+	for l := def.Stmt.Loop; l != nil && l.Level >= al; l = l.Parent {
+		if a.privatizableWrt(def, l) {
+			out = l
 		}
 	}
-	return nil
+	return out
 }
 
-// alignLevel computes the paper's AlignLevel(r): the maximum
-// SubscriptAlignLevel over the subscripts appearing in partitioned
-// dimensions of r. restrictGrid, when non-nil, restricts the computation to
-// array dimensions mapped to those grid dimensions (partial privatization).
-func (a *analyzer) alignLevel(r *ir.Ref, restrictGrid map[int]bool) int {
-	if !r.Var.IsArray() {
-		return 0
-	}
-	am := a.m.Arrays[r.Var]
-	if am == nil {
+// alignLevel computes the paper's AlignLevel(r) under mapping m: the maximum
+// SubscriptAlignLevel over the subscripts appearing in distributed
+// dimensions of r.
+func alignLevel(m *dist.Mapping, r *ir.Ref) int {
+	am := m.Arrays[r.Var]
+	if !r.Var.IsArray() || am == nil {
 		return 0
 	}
 	lvl := 0
 	for dim, ax := range am.Axes {
-		if !ax.Distributed {
-			continue
-		}
-		if restrictGrid != nil && !restrictGrid[ax.GridDim] {
-			continue
-		}
-		if s := ir.SubscriptAlignLevel(r.Subs[dim], r.Stmt); s > lvl {
-			lvl = s
+		if ax.Distributed {
+			lvl = max(lvl, ir.SubscriptAlignLevel(r.Subs[dim], r.Stmt))
 		}
 	}
 	return lvl
 }
 
-// propagateToSiblings records the same mapping for every reaching definition
-// of every reached use of def — the compiler's restriction that all reaching
-// definitions of a use share one mapping.
-func (a *analyzer) propagateToSiblings(def *ssa.Value, m *ScalarMapping) {
-	for _, ru := range a.ssa.ReachedUses(def) {
-		for _, d := range a.ssa.ReachingDefs(ru.Ref) {
-			if d == def || d.Kind != ssa.VDef {
-				continue
-			}
-			if a.res.Scalars[d] == nil {
-				sib := *m
-				sib.Def = d
-				// The copy-out belongs to def alone.
-				sib.LastPrivate = false
-				a.res.Scalars[d] = &sib
-			}
+// ---------------------------------------------------------------------------
+// Ranking
+
+// candidate is an alignment target as ranked: the reference, its owner
+// pattern under the decisions so far, and its score. The zero value ranks
+// below every partitioned reference.
+type candidate struct {
+	ref   *ir.Ref
+	pat   dist.OwnerPattern
+	score int
+}
+
+// offer ranks ref (nil: no candidate) as an alignment target for a
+// definition at defStmt whose value is used at useStmt, and keeps it in best
+// when it ranks above every earlier offer. Partitioned references whose
+// distributed dimension is traversed in the innermost common loop of the
+// definition and the use rank highest (the paper prefers A(i) over A(1)
+// inside an i-loop); a replicated reference is never kept.
+func (a *analyzer) offer(best *candidate, ref *ir.Ref, defStmt, useStmt *ir.Stmt) {
+	if ref == nil {
+		return
+	}
+	pat := a.res.RefPattern(ref)
+	if pat.IsReplicated() {
+		return
+	}
+	score := 1
+	for l := ir.InnermostCommonLoop(defStmt.Loop, useStmt.Loop); l != nil; l = l.Parent {
+		if pat.VariesInLoop(l) {
+			score = 2
+			break
 		}
+	}
+	if score > best.score {
+		*best = candidate{ref, pat, score}
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Consumer selection
 
-// selectConsumer traverses the reached uses of def and picks a consumer
-// alignment target. The second result is true when some use forces the
-// dummy replicated reference (the value is needed on all processors:
-// loop-bound uses and broadcast subscripts), terminating the traversal.
+// consumer traverses the reached uses of def and ranks their consumer
+// alignment targets. forced is true when some use forces the dummy
+// replicated reference (the value is needed on all processors: loop-bound
+// uses and broadcast subscripts), terminating the traversal. resolve
+// controls whether privatizable-scalar consumers are resolved recursively.
 // skipOutside, when non-nil, excludes uses outside that loop from the
 // traversal (a lastprivate copy-out serves them).
-func (a *analyzer) selectConsumer(def *ssa.Value, skipOutside *ir.Loop) (*ir.Ref, bool) {
-	return a.selectConsumerMode(def, true, skipOutside)
-}
-
-// selectConsumerMode is selectConsumer with control over whether
-// privatizable-scalar consumers are resolved recursively.
-func (a *analyzer) selectConsumerMode(def *ssa.Value, resolve bool, skipOutside *ir.Loop) (*ir.Ref, bool) {
-	var best *ir.Ref
-	bestScore := -1
-	consider := func(cand *ir.Ref, use *ir.Ref) {
-		if cand == nil {
-			return
-		}
-		score := a.scoreTarget(cand, def.Stmt, use.Stmt)
-		if score > bestScore {
-			best, bestScore = cand, score
-		}
-	}
+func (a *analyzer) consumer(def *ssa.Value, resolve bool, skipOutside *ir.Loop) (best candidate, forced bool) {
 	for _, ru := range a.ssa.ReachedUses(def) {
 		u := ru.Ref
 		st := u.Stmt
@@ -337,53 +316,52 @@ func (a *analyzer) selectConsumerMode(def *ssa.Value, resolve bool, skipOutside 
 		switch {
 		case st.Kind == ir.SLoopBounds:
 			// Loop bounds must be evaluated by every processor.
-			return nil, true
+			return candidate{}, true
 
 		case u.InSubscript:
 			encl := u.EnclosingRef
 			if encl == nil {
-				return nil, true
+				return candidate{}, true
 			}
 			if encl.IsDef {
 				// Subscript of the lhs: if it indexes a distributed
 				// dimension, every processor needs it to evaluate the
 				// ownership guard.
 				if a.subscriptOnDistributedDim(u, encl) {
-					return nil, true
+					return candidate{}, true
 				}
-				consider(encl, u)
+				a.offer(&best, encl, def.Stmt, st)
 				continue
 			}
 			// Subscript of an rhs reference: needed only by the statement's
 			// executors when the reference itself needs no communication;
 			// otherwise it must be broadcast (phpf's §2.1 optimization).
 			if a.refNeedsComm(encl, st) {
-				return nil, true
+				return candidate{}, true
 			}
 			if st.Kind == ir.SAssign {
-				consider(st.Lhs, u)
+				a.offer(&best, st.Lhs, def.Stmt, st)
 			}
-			continue
 
 		case st.Kind == ir.SIf || st.Kind == ir.SIfGoto:
 			// Predicate use: the consumer is the union of processors
 			// executing control-dependent statements. When that union is
 			// representable by the lhs of a dependent assignment, use it;
 			// otherwise force replication.
-			if cand := a.controlConsumer(st); cand != nil {
-				consider(cand, u)
-				continue
+			cand := a.controlConsumer(st)
+			if cand == nil {
+				return candidate{}, true
 			}
-			return nil, true
+			a.offer(&best, cand, def.Stmt, st)
 
 		case st.Kind == ir.SAssign:
 			if resolve || st.Lhs.Var.IsArray() {
-				consider(a.consumerRefOf(st), u)
+				a.offer(&best, a.consumerRefOf(st), def.Stmt, st)
 			}
 
 		default:
 			// Redistribute or other statements: value needed everywhere.
-			return nil, true
+			return candidate{}, true
 		}
 	}
 	return best, false
@@ -393,12 +371,8 @@ func (a *analyzer) selectConsumerMode(def *ssa.Value, resolve bool, skipOutside 
 // of the assignment. Privatizable-scalar lhs references are resolved
 // recursively to their own alignment target (paper §2.2).
 func (a *analyzer) consumerRefOf(st *ir.Stmt) *ir.Ref {
-	lhs := st.Lhs
-	if lhs.Var.IsArray() {
-		if a.res.RefPattern(lhs).IsReplicated() {
-			return nil // consumer refers to replicated data: ignore
-		}
-		return lhs
+	if st.Lhs.Var.IsArray() {
+		return st.Lhs
 	}
 	// Scalar lhs: recursively determine its mapping.
 	lhsDef := a.ssa.DefOf[st]
@@ -489,22 +463,18 @@ func (a *analyzer) refNeedsComm(ref *ir.Ref, st *ir.Stmt) bool {
 // ---------------------------------------------------------------------------
 // Producer selection
 
-// selectProducer picks a partitioned rhs reference of the statement (array
-// references first, then aligned scalars' targets), preferring references
-// that traverse a distributed dimension in the statement's innermost loop.
-func (a *analyzer) selectProducer(st *ir.Stmt) *ir.Ref {
-	var best *ir.Ref
-	bestScore := -1
+// producer ranks the partitioned rhs references of the statement (array
+// references, and aligned scalars' targets) as alignment targets.
+func (a *analyzer) producer(st *ir.Stmt) (best candidate) {
 	for _, u := range st.Uses {
 		if u.InSubscript {
 			continue
 		}
-		var cand *ir.Ref
-		if u.Var.IsArray() {
-			cand = u
-		} else {
+		cand := u
+		if !u.Var.IsArray() {
 			// A scalar rhs whose mapping is (already) aligned contributes
 			// its target.
+			cand = nil
 			for _, d := range a.ssa.ReachingDefs(u) {
 				if mm := a.res.Scalars[d]; mm != nil && mm.Kind == ScalarAligned {
 					cand = mm.Target
@@ -512,55 +482,25 @@ func (a *analyzer) selectProducer(st *ir.Stmt) *ir.Ref {
 				}
 			}
 		}
-		if cand == nil {
-			continue
-		}
-		if a.res.RefPattern(cand).IsReplicated() {
-			continue
-		}
-		score := a.scoreTarget(cand, st, st)
-		if score > bestScore {
-			best, bestScore = cand, score
-		}
+		a.offer(&best, cand, st, st)
 	}
 	return best
-}
-
-// scoreTarget ranks an alignment candidate: partitioned references whose
-// distributed dimension is traversed in the innermost common loop of the
-// definition and the use score highest (the paper prefers A(i) over A(1)
-// inside an i-loop).
-func (a *analyzer) scoreTarget(cand *ir.Ref, defStmt, useStmt *ir.Stmt) int {
-	pat := a.res.RefPattern(cand)
-	if pat.IsReplicated() {
-		return -1
-	}
-	icl := ir.InnermostCommonLoop(defStmt.Loop, useStmt.Loop)
-	score := 1
-	for l := icl; l != nil; l = l.Parent {
-		if pat.VariesInLoop(l) {
-			score = 2
-			break
-		}
-	}
-	return score
 }
 
 // ---------------------------------------------------------------------------
 // Inner-loop communication test
 
-// innerLoopCommWith reports whether aligning the scalar defined by st with
-// target would require communication placed inside st's innermost loop for
-// some rhs reference of st — i.e. a message per iteration rather than a
-// vectorized one (§2.1's x-versus-y distinction). The question is put to the
-// planner's own placement test, so the selector cannot believe in a hoisting
-// the plan will not perform, nor fear one it will.
-func (a *analyzer) innerLoopCommWith(st *ir.Stmt, target *ir.Ref) bool {
+// innerLoopCommWith reports whether aligning the scalar defined by st with a
+// target of owner pattern dst would require communication placed inside st's
+// innermost loop for some rhs reference of st — i.e. a message per iteration
+// rather than a vectorized one (§2.1's x-versus-y distinction). The question
+// is put to the planner's own placement test, so the selector cannot believe
+// in a hoisting the plan will not perform, nor fear one it will.
+func (a *analyzer) innerLoopCommWith(st *ir.Stmt, dst dist.OwnerPattern) bool {
 	loop := st.Loop
 	if loop == nil {
 		return false
 	}
-	dst := a.res.RefPattern(target)
 	for _, u := range st.Uses {
 		if u.InSubscript && u.EnclosingRef == st.Lhs {
 			continue

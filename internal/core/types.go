@@ -338,11 +338,10 @@ type Result struct {
 // Decisions records the final decisions by stable names, each target with
 // the selector's own alignLevel of it. Nothing on the compile path builds it.
 func (r *Result) Decisions() *decide.Decisions {
-	a := &analyzer{m: r.Mapping}
 	d := &decide.Decisions{Grid: r.Mapping.Grid.String(), Privatization: r.Opts.Privatization.String()}
 	add := func(e decide.Entry, target *ir.Ref) {
 		if target != nil {
-			e.Target, e.AlignLevel = decide.RefOf(target), a.alignLevel(target, nil)
+			e.Target, e.AlignLevel = decide.RefOf(target), alignLevel(r.Mapping, target)
 		}
 		d.Entries = append(d.Entries, e)
 	}

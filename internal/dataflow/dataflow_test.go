@@ -432,9 +432,8 @@ end
 	if !Privatizable(e.s, d, loop) {
 		t.Error("x should be privatizable wrt the i-loop")
 	}
-	lvl, l := PrivatizationLevel(e.s, d)
-	if lvl != 1 || l != loop {
-		t.Errorf("privatization level = %d", lvl)
+	if l := PrivatizationLevel(e.s, d); l != loop {
+		t.Errorf("privatization loop = %v, want the i-loop", l)
 	}
 }
 
@@ -497,9 +496,8 @@ end do
 end
 `)
 	d := e.s.DefOf[assign(e.p, "x", 0)]
-	lvl, l := PrivatizationLevel(e.s, d)
-	if lvl != 1 || l.Index.Name != "i" {
-		t.Errorf("level = %d loop = %v, want outermost (1, i)", lvl, l)
+	if l := PrivatizationLevel(e.s, d); l == nil || l.Level != 1 || l.Index.Name != "i" {
+		t.Errorf("loop = %v, want the outermost (level 1, i)", l)
 	}
 	if !Privatizable(e.s, d, e.p.Loops[1]) {
 		t.Error("also privatizable wrt the j-loop")
@@ -531,9 +529,8 @@ end
 	if Privatizable(e.s, d, jL) {
 		t.Error("x defined outside j-loop; not privatizable wrt it")
 	}
-	lvl, _ := PrivatizationLevel(e.s, d)
-	if lvl != 1 {
-		t.Errorf("level = %d, want 1", lvl)
+	if l := PrivatizationLevel(e.s, d); l != iL {
+		t.Errorf("loop = %v, want the i-loop", l)
 	}
 }
 

@@ -31,27 +31,18 @@ func Privatizable(s *ssa.SSA, def *ssa.Value, L *ir.Loop) bool {
 	return true
 }
 
-// PrivatizationLevel returns the outermost loop level l such that def is
-// privatizable with respect to its enclosing loop at level l, together with
-// that loop. Returns (0, nil) when the definition is not privatizable with
-// respect to any enclosing loop.
-//
-// Privatizability is monotone in nesting: privatizable at level l implies
-// privatizable at every shallower enclosing loop that still contains all
-// uses; we simply scan from the outermost loop inward.
-func PrivatizationLevel(s *ssa.SSA, def *ssa.Value) (int, *ir.Loop) {
-	if def == nil || def.Kind != ssa.VDef || def.Stmt.Loop == nil {
-		return 0, nil
+// PrivatizationLevel returns the enclosing loop at def's privatization
+// level: the outermost loop with respect to which def is privatizable, nil
+// when there is none.
+func PrivatizationLevel(s *ssa.SSA, def *ssa.Value) *ir.Loop {
+	if def == nil || def.Kind != ssa.VDef {
+		return nil
 	}
-	// Collect enclosing loops outermost-first.
-	var chain []*ir.Loop
+	var out *ir.Loop
 	for l := def.Stmt.Loop; l != nil; l = l.Parent {
-		chain = append([]*ir.Loop{l}, chain...)
-	}
-	for _, l := range chain {
 		if Privatizable(s, def, l) {
-			return l.Level, l
+			out = l
 		}
 	}
-	return 0, nil
+	return out
 }

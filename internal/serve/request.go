@@ -149,7 +149,7 @@ func (spec *RunSpec) validate(cfg Config, needBackend bool) (*validated, error) 
 	}
 	v := &validated{
 		source: src,
-		key:    phpf.CacheKey(src, spec.Procs, opts, reduce),
+		key:    phpf.CacheKey(src, spec.Procs, opts),
 		procs:  spec.Procs,
 		opts:   opts,
 	}

@@ -139,9 +139,6 @@ func New(cfg Config) *Server {
 // Metrics returns the server's live metrics (for tests and final flushes).
 func (s *Server) Metrics() *Metrics { return s.met }
 
-// CacheStats returns the compiled-program cache counters.
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
-
 // Sheds returns the number of load-shed requests so far.
 func (s *Server) Sheds() int64 { return s.adm.Sheds() }
 
@@ -409,10 +406,6 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer a.release()
-	if a.spec.Backend != "" {
-		s.writeError(w, badRequest("diff always runs both backends; backend does not apply"))
-		return
-	}
 	v, err := a.spec.validate(s.cfg, false)
 	if err != nil {
 		s.writeError(w, err)

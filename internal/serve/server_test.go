@@ -113,6 +113,44 @@ func TestServeHappyPaths(t *testing.T) {
 	}
 }
 
+// TestServeOneEntryPerProgram: the reduce mode is a run option, so one
+// program asked for under two modes compiles once. The privatize run hits
+// the entry the collective run filled, and only it merges partials.
+func TestServeOneEntryPerProgram(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src := programs.Histogram(96, 16, 2)
+	var stats []string
+	for _, mode := range []string{"collective", "privatize"} {
+		resp, body := postJSON(t, ts.URL+"/v1/run", fmt.Sprintf(`{"source":%q,"procs":4,"reduce":%q}`, src, mode), nil)
+		if resp.StatusCode != 200 {
+			t.Fatalf("run(reduce=%s): %d %s", mode, resp.StatusCode, body)
+		}
+		if want := map[string]string{"collective": "miss", "privatize": "hit"}[mode]; resp.Header.Get("X-Cache") != want {
+			t.Errorf("run(reduce=%s): X-Cache = %q, want %s", mode, resp.Header.Get("X-Cache"), want)
+		}
+		var rr RunResponse
+		if err := json.Unmarshal(body, &rr); err != nil {
+			t.Fatalf("run(reduce=%s) response: %v (%s)", mode, err, body)
+		}
+		stats = append(stats, rr.Stats)
+	}
+	if strings.Contains(stats[0], "merge=") || !strings.Contains(stats[1], "merge=") {
+		t.Errorf("stats collective %q, privatize %q: want merge= on the privatize run alone", stats[0], stats[1])
+	}
+}
+
+// TestServeBackendDoesNotApply: /v1/compile and /v1/diff take no backend;
+// naming one is a coded configuration error.
+func TestServeBackendDoesNotApply(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/compile", "/v1/diff"} {
+		resp, body := postJSON(t, ts.URL+path, `{"figure":"figure1","procs":4,"backend":"sim"}`, nil)
+		if resp.StatusCode != 400 || errCode(t, body) != diag.CodeConfig {
+			t.Errorf("%s with a backend: %d %s, want 400 %s", path, resp.StatusCode, body, diag.CodeConfig)
+		}
+	}
+}
+
 // TestServeNaNScalars: figure programs leave NaN in uninitialized cells; the
 // response must still be valid JSON (the encode-before-status regression).
 func TestServeNaNScalars(t *testing.T) {

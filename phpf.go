@@ -220,20 +220,18 @@ type Compiled struct {
 	SPMD   *spmd.Program
 }
 
-// CacheKey returns a stable content hash identifying a compilation input
-// plus the reduction strategy it will run under: two calls with the same
-// source text, processor count, option set, and reduce mode return the same
-// key, and any difference in them changes it. Serving layers key
-// compiled-program caches on it (compile once, serve many); because the key
-// covers the full input, a hit can reuse the Compiled without revalidation.
-// The reduce mode is part of the key even though one Compiled can execute
-// under any strategy: serving paths attach per-entry execution defaults to
-// cache entries, so entries for different strategies must not collide.
-func CacheKey(source string, nprocs int, opts Options, reduce ReduceMode) string {
+// CacheKey returns a stable content hash identifying a compilation input:
+// two calls with the same source text, processor count and option set
+// return the same key, and any difference in them changes it. Serving
+// layers key compiled-program caches on it (compile once, serve many);
+// because the key covers the full input, a hit can reuse the Compiled
+// without revalidation. The reduce mode is not part of the key: it is a
+// run option, and one Compiled executes under any mode.
+func CacheKey(source string, nprocs int, opts Options) string {
 	h := sha256.New()
 	// The version tag invalidates every cached key when the encoding (or
 	// the meaning of an option) changes incompatibly.
-	fmt.Fprintf(h, "phpf-cache-v4\x00procs=%d\x00opts=%+v\x00reduce=%s\x00", nprocs, opts, reduce)
+	fmt.Fprintf(h, "phpf-cache-v5\x00procs=%d\x00opts=%+v\x00", nprocs, opts)
 	h.Write([]byte(source))
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -248,6 +248,19 @@ if grep -nE '\.New\b|\.NoDeps|InferredNew|InferredLast' $corefiles ||
     exit 1
 fi
 
+# One-alignment-step gate (DESIGN.md §13, "The selector: choose, then align or
+# replicate"): both Table 1 strategies choose a target and hand it to the one
+# align step, reductions are looked up in the reduceplan's index, and
+# AlignLevel has no per-grid-dimension variant nothing calls. Fail when
+# non-test internal/core keeps its own map of reductions (reductionOf), makes
+# a scalar ScalarAligned outside align, or restrictGrid comes back.
+if grep -nE '\breductionOf\b' $corefiles ||
+    awk '/^func /{fn=$0} /([^=!:<>]=[^=]|Kind:)[^=]*ScalarAligned([^A-Za-z0-9_]|$)/ && fn !~ /\) align\(/ {print FILENAME":"FNR": "$0; bad=1} END{exit !bad}' $corefiles ||
+    grep -rn 'restrictGrid' --include='*.go' --exclude-dir=bench .; then
+    echo "check: internal/core maps reductions itself (reductionOf), aligns a scalar outside align, or restrictGrid is back; one path chooses, align aligns, ReducePlan.Of indexes reductions" >&2
+    exit 1
+fi
+
 # One-meaning gates (DESIGN.md §14): the value of an expression, the rebuilding
 # of its tree, the commutative-update matcher and the intrinsic table each
 # have ONE definition — ast.Fold, ast.Rewrite, dataflow's matchUpdate,

@@ -191,29 +191,24 @@ func TestCompiledConcurrentFirstExecution(t *testing.T) {
 	}
 }
 
-// TestCacheKeyStability pins the cache key's discriminants: source, procs,
-// options, and the reduce mode all partition the key space; identical
-// inputs collide.
+// TestCacheKeyStability pins the cache key's discriminants: source, procs
+// and options partition the key space; identical inputs collide. The reduce
+// mode is a run option, not a discriminant: internal/serve's
+// TestServeOneEntryPerProgram holds the cache to that.
 func TestCacheKeyStability(t *testing.T) {
 	src := programs.Smooth(16, 1)
-	k := CacheKey(src, 4, SelectedOptions(), ReduceAuto)
-	if k != CacheKey(src, 4, SelectedOptions(), ReduceAuto) {
+	k := CacheKey(src, 4, SelectedOptions())
+	if k != CacheKey(src, 4, SelectedOptions()) {
 		t.Fatal("identical inputs must produce identical keys")
 	}
-	if k == CacheKey(src+" ", 4, SelectedOptions(), ReduceAuto) {
+	if k == CacheKey(src+" ", 4, SelectedOptions()) {
 		t.Fatal("source must discriminate the key")
 	}
-	if k == CacheKey(src, 8, SelectedOptions(), ReduceAuto) {
+	if k == CacheKey(src, 8, SelectedOptions()) {
 		t.Fatal("procs must discriminate the key")
 	}
-	if k == CacheKey(src, 4, NaiveOptions(), ReduceAuto) {
+	if k == CacheKey(src, 4, NaiveOptions()) {
 		t.Fatal("options must discriminate the key")
-	}
-	// Reduce-mode regression (cache-v3 on): flipping only the mode must miss — cache
-	// entries carry per-strategy execution defaults, so a v2-style key that
-	// ignored the mode would serve the wrong strategy on a hit.
-	if k == CacheKey(src, 4, SelectedOptions(), ReduceCollective) {
-		t.Fatal("reduce mode must discriminate the key")
 	}
 	if len(k) != 64 {
 		t.Fatalf("key is %d hex chars, want 64 (sha256)", len(k))
