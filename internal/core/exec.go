@@ -94,9 +94,8 @@ func (r *Result) ExecPattern(st *ir.Stmt) dist.OwnerPattern {
 	}
 	// Union of the execution sets of the other owner-driven statements in
 	// the statement's innermost loop body.
-	g := r.Mapping.Grid
 	if st.Loop == nil {
-		return dist.ReplicatedPattern(g)
+		return r.repl
 	}
 	var out dist.OwnerPattern
 	for _, other := range r.Prog.Stmts {
@@ -121,7 +120,7 @@ func (r *Result) ExecPattern(st *ir.Stmt) dist.OwnerPattern {
 		}
 	}
 	if out.Dims == nil {
-		return dist.ReplicatedPattern(g)
+		return r.repl
 	}
 	// Dims whose determination varies in loops nested inside st.Loop are
 	// widened too (the union ranges over those inner iterations).
@@ -143,7 +142,7 @@ func (r *Result) patternOf(e Exec) dist.OwnerPattern {
 	case ExecPattern:
 		return e.Scalar.Pattern
 	}
-	return dist.ReplicatedPattern(r.Mapping.Grid)
+	return r.repl
 }
 
 // Hoistable reports whether communication moving use u from src to dst can be

@@ -116,17 +116,11 @@ func (a *analyzer) choose(def *ssa.Value, m *ScalarMapping, rhsRepl, lastPriv bo
 // align aligns def with the chosen target at the outermost loop where both
 // the privatization and the alignment are valid, records the mapping and
 // shares it with the sibling definitions. It reports false, with a
-// diagnostic, when the target's owner pattern is degenerate or no loop level
-// admits the alignment.
+// diagnostic, when no loop level admits the alignment.
 func (a *analyzer) align(def *ssa.Value, m *ScalarMapping, target candidate, toConsumer, lastPriv bool) bool {
-	noun, with := "alignment candidate", ""
+	with := ""
 	if a.opts.Scalars == ScalarsProducerAligned {
-		noun, with = "producer candidate", "producer "
-	}
-	if !patternValid(target.pat) {
-		a.diagf(def.Stmt.Pos(), "scalar-mapping", def.Var.Name,
-			"%s %s has an invalid owner pattern; falling back to replication", noun, target.ref)
-		return false
+		with = "producer "
 	}
 	lp := a.alignmentLoop(def, target.ref)
 	if lp == nil {
@@ -138,22 +132,6 @@ func (a *analyzer) align(def *ssa.Value, m *ScalarMapping, target candidate, toC
 	m.PrivLoop, m.LastPrivate = lp, lastPriv
 	a.record(def, m)
 	a.propagateToSiblings(def, m)
-	return true
-}
-
-// patternValid rejects owner patterns with degenerate distributions: a
-// non-replicated grid dimension must have a positive block size and extent,
-// or downstream cost computations divide by zero. Such a candidate is not
-// alignable; the caller degrades to replication with a diagnostic.
-func patternValid(p dist.OwnerPattern) bool {
-	for _, d := range p.Dims {
-		if d.Repl {
-			continue
-		}
-		if d.Block <= 0 || d.Extent <= 0 {
-			return false
-		}
-	}
 	return true
 }
 

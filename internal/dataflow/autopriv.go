@@ -122,12 +122,13 @@ func ClassifyPrivatization(p *ir.Program, g *ir.CFG, s *ssa.SSA, cp *ConstProp, 
 		redVar[red.Var] = true
 	}
 
-	// stmt → CFG block, for the reachability liveness test.
-	blockOf := map[*ir.Stmt]*ir.Block{}
+	var after *reach
 	if g != nil {
+		after = &reach{g: g, blockOf: make([]*ir.Block, len(p.Stmts)),
+			set: make([]uint64, (len(g.Blocks)+63)/64), work: make([]*ir.Block, 0, len(g.Blocks))}
 		for _, b := range g.Blocks {
 			for _, st := range b.Stmts {
-				blockOf[st] = b
+				after.blockOf[st.ID] = b
 			}
 		}
 	}
@@ -136,7 +137,7 @@ func ClassifyPrivatization(p *ir.Program, g *ir.CFG, s *ssa.SSA, cp *ConstProp, 
 		for _, v := range candidateVars(p, L, redVar) {
 			var c PrivClass
 			if v.IsArray() {
-				c = classifyArray(p, g, blockOf, v, L)
+				c = classifyArray(p, after, v, L)
 			} else {
 				if s == nil {
 					continue
@@ -353,7 +354,7 @@ func tripAtLeastOnce(cp *ConstProp, l *ir.Loop) bool {
 // classifyArray classifies array v with respect to L: every read inside L
 // must be covered by writes earlier in the same iteration, and no read
 // reachable after the loop may consume values written in it.
-func classifyArray(p *ir.Program, g *ir.CFG, blockOf map[*ir.Stmt]*ir.Block, v *ir.Var, L *ir.Loop) PrivClass {
+func classifyArray(p *ir.Program, after *reach, v *ir.Var, L *ir.Loop) PrivClass {
 	c := PrivClass{Var: v, Loop: L}
 
 	var writes []*ir.Ref
@@ -373,7 +374,7 @@ func classifyArray(p *ir.Program, g *ir.CFG, blockOf map[*ir.Stmt]*ir.Block, v *
 			continue
 		}
 		if !ir.Encloses(L, r.Stmt.Loop) {
-			if readsAfterLoop(g, blockOf, r, L) {
+			if after.readsAfterLoop(r, L) {
 				c.Decision, c.Blocking = PrivSerialized, r
 				c.why, c.at = "serialized because %s reads the array after the loop", r
 				return c
@@ -391,33 +392,41 @@ func classifyArray(p *ir.Program, g *ir.CFG, blockOf map[*ir.Stmt]*ir.Block, v *
 	return c
 }
 
+// reach holds the blocks reachable from one loop's exit block, a bit per
+// Block.ID, computed when a read outside that loop first asks, and the block
+// of each statement, by Stmt.ID.
+type reach struct {
+	g       *ir.CFG
+	blockOf []*ir.Block
+	loop    *ir.Loop // whose exit set describes (nil: none yet)
+	set     []uint64
+	work    []*ir.Block
+}
+
 // readsAfterLoop reports whether the read (outside L) can execute after L
 // completes: its block is reachable from L's exit block on the CFG. Without
-// a CFG the answer is conservatively true.
-func readsAfterLoop(g *ir.CFG, blockOf map[*ir.Stmt]*ir.Block, r *ir.Ref, L *ir.Loop) bool {
-	if g == nil {
+// a CFG (a nil reach) the answer is conservatively true.
+func (a *reach) readsAfterLoop(r *ir.Ref, L *ir.Loop) bool {
+	if a == nil || a.g.ExitOf[L] == nil || a.blockOf[r.Stmt.ID] == nil {
 		return true
 	}
-	exit := g.ExitOf[L]
-	target := blockOf[r.Stmt]
-	if exit == nil || target == nil {
-		return true
-	}
-	seen := map[*ir.Block]bool{}
-	work := []*ir.Block{exit}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		if b == target {
-			return true
+	if exit := a.g.ExitOf[L]; a.loop != L {
+		a.loop = L
+		clear(a.set)
+		a.set[exit.ID/64] |= 1 << (exit.ID % 64)
+		for work := append(a.work, exit); len(work) > 0; {
+			b := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, s := range b.Succs {
+				if a.set[s.ID/64]&(1<<(s.ID%64)) == 0 {
+					a.set[s.ID/64] |= 1 << (s.ID % 64)
+					work = append(work, s)
+				}
+			}
 		}
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		work = append(work, b.Succs...)
 	}
-	return false
+	id := a.blockOf[r.Stmt.ID].ID
+	return a.set[id/64]&(1<<(id%64)) != 0
 }
 
 // readCovered reports whether some write covers the read within one

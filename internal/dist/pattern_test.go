@@ -6,6 +6,7 @@ import (
 
 	"phpf/internal/ir"
 	"phpf/internal/parser"
+	"phpf/internal/programs"
 )
 
 // mkPatternEnv builds a program with two aligned arrays and one offset
@@ -191,5 +192,69 @@ func TestArrayMapHelpers(t *testing.T) {
 	// g is (*,cyclic): 100 columns over 4 procs = 25 each, times 100 rows.
 	if n := g.LocalElems(m.Grid, []int{0}); n != 2500 {
 		t.Errorf("g local elems = %d", n)
+	}
+}
+
+// TestOwnerPatternsNonDegenerate: every distributed axis a resolution makes,
+// and every partitioned dimension of every owner pattern, has a block and an
+// extent of at least 1 — the IR rejects extents below 1, grid extents are
+// positive, Block is ceil(Extent/shape) and PatternOf pins the dimensions no
+// axis reaches at Block 1 and Extent 1 — so no alignment target's pattern is
+// degenerate. The sources are the corpus programs and the parser's fuzz
+// seeds, resolved leniently at several processor counts.
+func TestOwnerPatternsNonDegenerate(t *testing.T) {
+	srcs := []string{
+		programs.TOMCATV(17, 2), programs.TOMCATV(65, 3), programs.DGEFA(16), programs.DGEFA(96),
+		programs.APPSP(6, 6, 6, 1, true), programs.APPSP(6, 6, 6, 1, false),
+		programs.Smooth(64, 2), programs.Histogram(64, 16, 2), programs.DotSweep(16, 12),
+		"program t\ndo i = 1, 10\nend\n",
+		"program t\nreal a(2,2,2,2,2,2,2,2)\n!hpf$ processors p(2,2,2,2,2,2,2,2)\n" +
+			"!hpf$ distribute (block,block,block,block,block,block,block,block) :: a\na(1,1,1,1,1,1,1,1) = 1.0\nend\n",
+		lenientSrc,
+	}
+	for _, f := range []map[string]string{programs.Figures, programs.FiguresUnannotated} {
+		for _, src := range f {
+			srcs = append(srcs, src)
+		}
+	}
+	checked := 0
+	for _, src := range srcs {
+		ap, err := parser.Parse(src)
+		if err != nil {
+			continue
+		}
+		p, err := ir.Build(ap)
+		if err != nil {
+			continue
+		}
+		for _, procs := range []int{1, 3, 4, 16, 64} {
+			m, _, err := ResolveLenient(p, procs)
+			if err != nil {
+				continue
+			}
+			bad := func(what string, ax AxisMap) {
+				if ax.Distributed && (ax.Block < 1 || ax.Extent < 1) {
+					t.Errorf("%s: P=%d: %s has block %d, extent %d", p.Name, procs, what, ax.Block, ax.Extent)
+				}
+			}
+			for v, am := range m.Arrays {
+				for _, ax := range am.Axes {
+					bad(v.Name+"'s axis", ax)
+				}
+			}
+			for _, r := range p.Refs {
+				if am := m.Arrays[r.Var]; am != nil {
+					for _, d := range PatternOf(m.Grid, am, r).Dims {
+						if !d.Repl {
+							bad("the pattern of "+r.String(), d.AxisMap)
+							checked++
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no partitioned pattern dimension checked")
 	}
 }

@@ -308,6 +308,20 @@ if grep -nE '\bsort\.Slice\(' $(ls internal/ssa/*.go | grep -v '_test\.go$'); th
     exit 1
 fi
 
+# Once-per-compile gates (DESIGN.md §16, "Once per compile"): SSA
+# construction keeps its working sets in arrays by variable number, Block.ID
+# or Value.ID, the liveness test of array privatization asks one reachability
+# bitset per loop, and a Result's owner patterns are made once and shared.
+# Fail when non-test internal/ssa declares a map keyed by variable or block,
+# non-test internal/dataflow makes a map[*ir.Block]bool, or RefPattern,
+# ScalarPattern or patternOf build a replicated pattern again.
+if grep -nE 'map\[\*ir\.(Var|Block)\]' $(ls internal/ssa/*.go | grep -v '_test\.go$') ||
+    grep -nE 'map\[\*ir\.Block\]bool' $(ls internal/dataflow/*.go | grep -v '_test\.go$') ||
+    awk '/^func /{fn=$0} /dist\.ReplicatedPattern\(/ && fn ~ /\) (RefPattern|ScalarPattern|patternOf)\(/ {print FILENAME":"FNR": "$0; bad=1} END{exit !bad}' $corefiles; then
+    echo "check: internal/ssa keys a map by variable or block, internal/dataflow makes a map[*ir.Block]bool, or RefPattern, ScalarPattern or patternOf build a replicated pattern; construction uses dense arrays, reachability one bitset per loop, and a Result shares its patterns" >&2
+    exit 1
+fi
+
 # One-decision-printer gate (DESIGN.md §17): decision text is formatted by
 # one package, internal/decide, from the decision record. Fail when a String
 # method on a decision type of core or dataflow comes back, or when non-test
