@@ -21,10 +21,10 @@ type Var struct {
 	Type ast.Type
 	Dims []int64 // evaluated extents; empty for scalars (1-based indexing)
 
-	// Slot is the dense 0-based index AssignSlots gave this variable
-	// (declaration order). Valid only after AssignSlots ran; the
-	// interpreter's State uses it to index flat value slices instead of
-	// probing pointer-keyed maps.
+	// Slot is the variable's dense 0-based index in Program.VarList
+	// (declaration order), set when the IR is built: SSA construction and
+	// the interpreter's State index flat slices by it instead of probing
+	// pointer-keyed maps.
 	Slot int32
 
 	IsLoopIndex bool // used as a DO index somewhere in the program
@@ -292,7 +292,7 @@ func Build(src *ast.Program) (*Program, error) {
 		if _, isParam := b.prog.Params[d.Name]; isParam {
 			return nil, errfAt(diag.Pos{Line: d.Line, Col: d.Col}, "%s already declared as parameter", d.Name)
 		}
-		v := &Var{Name: d.Name, Type: d.Type}
+		v := &Var{Name: d.Name, Type: d.Type, Slot: int32(len(b.prog.VarList))}
 		if len(d.Dims) > 0 {
 			v.Dims = make([]int64, 0, len(d.Dims))
 		}

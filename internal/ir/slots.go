@@ -12,21 +12,18 @@ type SlotTable struct {
 	Vars []*Var
 }
 
-// AssignSlots numbers every variable of the program and caches the slot on
-// every expression reference (ast.Ref.Slot, 1-based so the zero value means
-// "unassigned"). It is idempotent: a program that already carries a table
-// keeps it. The call mutates the program and is not safe to run
-// concurrently with other users of the same program; run it from the
-// pipeline (or any other single-threaded consumer) before execution.
+// AssignSlots tables the program's variables by the slot the IR builder gave
+// each (Var.Slot) and caches the slot on every expression reference
+// (ast.Ref.Slot, 1-based so the zero value means "unassigned"). It is
+// idempotent: a program that already carries a table keeps it. The call
+// mutates the program and is not safe to run concurrently with other users
+// of the same program; run it from the pipeline (or any other
+// single-threaded consumer) before execution.
 func AssignSlots(p *Program) *SlotTable {
 	if p.Slots != nil {
 		return p.Slots
 	}
-	t := &SlotTable{Vars: make([]*Var, len(p.VarList))}
-	for i, v := range p.VarList {
-		v.Slot = int32(i)
-		t.Vars[i] = v
-	}
+	t := &SlotTable{Vars: p.VarList}
 	// Cache slots on every reference the interpreter can evaluate: both
 	// statement expressions and loop bounds. Loop-index references share
 	// ast.Ref nodes between the IR reference list and the expressions, so

@@ -248,7 +248,8 @@ func (p *Program) PlanOf(st *ir.Stmt) *StmtPlan { return p.Stmts[st.ID] }
 // LoopPlanOf returns the plan of a loop.
 func (p *Program) LoopPlanOf(l *ir.Loop) *LoopPlan { return p.Loops[l.ID] }
 
-// Generate builds the SPMD program for a mapping result.
+// Generate builds the SPMD program for a mapping result, the compile's last
+// step: it drops the result's compile-time owner patterns (DropPatterns).
 func Generate(res *core.Result) *Program {
 	plan := comm.Analyze(res)
 	p := &Program{
@@ -317,6 +318,7 @@ func Generate(res *core.Result) *Program {
 		}
 	}
 	p.Diags = plan.Diags
+	res.DropPatterns()
 	return p
 }
 
