@@ -14,6 +14,9 @@
 //	phpfbench -trace-summary  # communication matrix for every sweep point
 //	phpfbench -reduce-sweep   # collective vs privatized commutative updates
 //	phpfbench -reduce collective  # force a reduction strategy on the table runs
+//
+// Each sweep runs instead of the tables: naming two sweeps, or -table beside
+// one, or a table other than 1, 2 or 3, exits 2.
 package main
 
 import (
@@ -21,29 +24,65 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"phpf"
 	"phpf/internal/programs"
 )
 
-func main() {
-	table := flag.Int("table", 0, "which table to run (1, 2, 3; 0 = all)")
-	large := flag.Bool("large", false, "use sizes closer to the paper's (slower)")
-	maxSec := flag.Float64("max", 100, "per-run simulated-time abort threshold in seconds (the paper's '1 day' scaled to our problem sizes; 0 = unlimited)")
-	faults := flag.Bool("faults", false, "run the fault sweep (loss rates x strategies x benchmarks) instead of the tables")
-	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for the fault sweep")
-	diff := flag.Bool("diff", false, "run the differential oracle (concurrent executor vs sequential simulator) instead of the tables")
-	chaos := flag.Bool("chaos", false, "run the chaos sweep (seeded loss/dup/crash/checkpoint plans on the concurrent backend, crashes healed for real, oracle-checked against the simulator) instead of the tables")
-	traceSummary := flag.Bool("trace-summary", false, "trace every sweep point (benchmark x strategy x procs) and print its communication matrix instead of the tables")
-	privatize := flag.String("privatize", "", "privatization mode for the table runs: directives, infer (default), infer-strict")
-	reduce := flag.String("reduce", "", "runtime reduction strategy for the table runs: auto (default), collective, privatize")
-	reduceSweep := flag.Bool("reduce-sweep", false, "run the reduce sweep (collective vs privatized commutative updates on the histogram and dot-product kernels) instead of the tables")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "phpfbench: %v\n", err)
-		os.Exit(1)
+// run is phpfbench with its arguments and output streams; it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("phpfbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.Int("table", 0, "which table to run (1, 2, 3; 0 = all)")
+	large := fs.Bool("large", false, "use sizes closer to the paper's (slower)")
+	maxSec := fs.Float64("max", 100, "per-run simulated-time abort threshold in seconds (the paper's '1 day' scaled to our problem sizes; 0 = unlimited)")
+	faults := fs.Bool("faults", false, "run the fault sweep (loss rates x strategies x benchmarks) instead of the tables")
+	faultSeed := fs.Int64("fault-seed", 1, "deterministic seed for the fault sweep")
+	diff := fs.Bool("diff", false, "run the differential oracle (concurrent executor vs sequential simulator) instead of the tables")
+	chaos := fs.Bool("chaos", false, "run the chaos sweep (seeded loss/dup/crash/checkpoint plans on the concurrent backend, crashes healed for real, oracle-checked against the simulator) instead of the tables")
+	traceSummary := fs.Bool("trace-summary", false, "trace every sweep point (benchmark x strategy x procs) and print its communication matrix instead of the tables")
+	privatize := fs.String("privatize", "", "privatization mode for the table runs: directives, infer (default), infer-strict")
+	reduce := fs.String("reduce", "", "runtime reduction strategy for the table runs: auto (default), collective, privatize")
+	reduceSweep := fs.Bool("reduce-sweep", false, "run the reduce sweep (collective vs privatized commutative updates on the histogram and dot-product kernels) instead of the tables")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "phpfbench: "+format+"\n", args...)
+		return 2
+	}
+	// One run at a time: a sweep, or the tables -table names.
+	var sweeps []string
+	tableSet := false
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "reduce-sweep", "trace-summary", "chaos", "diff", "faults":
+			if f.Value.String() == "true" {
+				sweeps = append(sweeps, "-"+f.Name)
+			}
+		case "table":
+			tableSet = true
+		}
+	})
+	switch {
+	case len(sweeps) > 1:
+		return usage("%s and %s each select a sweep; give one", sweeps[0], sweeps[1])
+	case *table < 0 || *table > 3:
+		return usage("unknown -table %d; valid: 1, 2, 3 (0 = all)", *table)
+	case tableSet && len(sweeps) == 1:
+		return usage("-table selects the paper tables, %s a sweep instead; give one", sweeps[0])
+	}
+
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "phpfbench: %v\n", err)
+		return 1
 	}
 	// -privatize and -reduce rewrite every column of the paper tables. Each
 	// column's options start from the inferring default, which is also what an
@@ -51,18 +90,18 @@ func main() {
 	privOpts, err := phpf.OptionsByName("", *privatize)
 	reduceMode, rerr := phpf.ParseReduceMode(*reduce)
 	if err := errors.Join(err, rerr); err != nil {
-		fmt.Fprintf(os.Stderr, "phpfbench: %v\n", err)
-		os.Exit(2)
+		return usage("%v", err)
 	}
-	printTable := func(t *phpf.Table) {
+	printTable := func(t *phpf.Table) error {
 		for i := range t.Cols {
 			t.Cols[i].Opts.Privatization = privOpts.Privatization
 			t.Cols[i].Run.Reduce = reduceMode
 		}
-		if err := t.Run(); err != nil {
-			fail(err)
+		err := t.Run()
+		if err == nil {
+			fmt.Fprintln(stdout, t)
 		}
-		fmt.Println(t)
+		return err
 	}
 
 	procs := []int{1, 2, 4, 8, 16}
@@ -108,19 +147,19 @@ func main() {
 		}
 		t := phpf.ReduceSweep(kernels, procs, *maxSec)
 		if err := t.Run(); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Print(phpf.FormatReduceSweep(t))
-		return
+		fmt.Fprint(stdout, phpf.FormatReduceSweep(t))
+		return 0
 	}
 
 	if *traceSummary {
 		points, err := phpf.TraceSweep(context.Background(), sweepProgs, []int{4, 8}, *maxSec)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Print(phpf.FormatTraceSweep(points))
-		return
+		fmt.Fprint(stdout, phpf.FormatTraceSweep(points))
+		return 0
 	}
 
 	if *chaos {
@@ -133,31 +172,29 @@ func main() {
 		}
 		rows, err := phpf.ChaosSweep(context.Background(), chaosProgs, 4, phpf.DefaultChaosPlans())
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Print(phpf.FormatChaosSweep(rows))
+		fmt.Fprint(stdout, phpf.FormatChaosSweep(rows))
 		for _, r := range rows {
 			if !r.Match() {
-				fmt.Fprintln(os.Stderr, "phpfbench: chaos sweep found mismatches")
-				os.Exit(1)
+				return fail(errors.New("chaos sweep found mismatches"))
 			}
 		}
-		return
+		return 0
 	}
 
 	if *diff {
 		rows, err := phpf.DiffSweep(context.Background(), sweepProgs, []int{1, 4, 8})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Print(phpf.FormatDiffSweep(rows))
+		fmt.Fprint(stdout, phpf.FormatDiffSweep(rows))
 		for _, r := range rows {
 			if !r.Match() {
-				fmt.Fprintln(os.Stderr, "phpfbench: differential oracle found mismatches")
-				os.Exit(1)
+				return fail(errors.New("differential oracle found mismatches"))
 			}
 		}
-		return
+		return 0
 	}
 
 	if *faults {
@@ -174,20 +211,24 @@ func main() {
 		for _, s := range sweeps {
 			t := phpf.FaultSweep(s.title, s.source, s.procs, rates, *faultSeed, *maxSec)
 			if err := t.Run(); err != nil {
-				fail(err)
+				return fail(err)
 			}
-			fmt.Println(t)
+			fmt.Fprintln(stdout, t)
 		}
-		return
+		return 0
 	}
 
-	if *table == 0 || *table == 1 {
-		printTable(phpf.Table1TOMCATV(tomN, tomIter, procs, *maxSec))
+	for i, t := range []*phpf.Table{
+		phpf.Table1TOMCATV(tomN, tomIter, procs, *maxSec),
+		phpf.Table2DGEFA(dgeN, procs[1:], *maxSec),
+		phpf.Table3APPSP(apN, apN, apN, apIter, procs[1:], *maxSec),
+	} {
+		if *table != 0 && *table != i+1 {
+			continue
+		}
+		if err := printTable(t); err != nil {
+			return fail(err)
+		}
 	}
-	if *table == 0 || *table == 2 {
-		printTable(phpf.Table2DGEFA(dgeN, procs[1:], *maxSec))
-	}
-	if *table == 0 || *table == 3 {
-		printTable(phpf.Table3APPSP(apN, apN, apN, apIter, procs[1:], *maxSec))
-	}
+	return 0
 }

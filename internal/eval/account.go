@@ -1,9 +1,9 @@
-// The accountant: the cost-model half of every operation of the schedule. The
-// simulator's operations are these charges; the concurrent executor's
-// accountant (worker 0, or every worker when faults or checkpoints are on)
-// makes them before it transmits — which is what keeps the two backends'
-// statistics, simulated time, fault draws and, on a traced run, per-statement
-// time attribution identical.
+// The accountant: the cost-model half of every operation of the schedule,
+// which charges it before the backend performs the operation (Meter). The
+// simulator's State keeps one; of the concurrent executor's, worker 0's, or
+// every worker's when faults or checkpoints are on — one rule, in one place,
+// is what keeps the two backends' statistics, simulated time, fault draws and,
+// on a traced run, per-statement time attribution identical.
 package eval
 
 import (
@@ -19,11 +19,9 @@ import (
 	"phpf/internal/spmd"
 )
 
-// Account charges the operations of the schedule to a simulated machine. It
-// implements every operation of Ops but CrashSite, Tick and Iteration (its
-// Charges, then a tick), which can end a run and are the backend's, so a
-// backend that only models the machine embeds it. A charge cannot fail: the
-// error results are Ops's and always nil.
+// Account charges the operations of the schedule to a simulated machine. The
+// schedule is its one caller (Run); a backend asks it only at its crash sites
+// (RecoverCrashes) and for the report. A charge cannot fail.
 type Account struct {
 	// M is the machine charged: its Time and Stats are the run's.
 	M *machine.Machine
@@ -32,7 +30,8 @@ type Account struct {
 	inj *fault.Injector // nil on fault-free runs
 	// stopless: no site inside an iteration can stop the run — no fault plan
 	// fires a crash there and no time limit ends it — so a per-instance
-	// transfer may be charged from its owner run's list (schedule.lists).
+	// transfer may be charged from its owner run's list (schedule.lists),
+	// and a strip of quiet iterations closed at once (schedule.each).
 	stopless bool
 	// interval is the checkpoint interval; lastCkpt the simulated time of the
 	// last coordinated checkpoint or recovery (the free one at t=0 until then).
@@ -58,26 +57,16 @@ func NewAccount(st *State, cfg RunOptions) *Account {
 	return a
 }
 
-// account is what Run asks of an Ops that embeds the accountant.
-func (a *Account) account() *Account { return a }
-
 func (a *Account) elem() int64       { return a.M.Params.ElemBytes }
 func (a *Account) all() dist.ProcSet { return dist.AllProcs(a.st.grid) }
 
-// CheckpointSite charges the checkpoint, when one is due.
-func (a *Account) CheckpointSite() error {
-	a.Checkpoint()
-	return nil
-}
-
 // Vectorized charges one hoisted communication.
-func (a *Account) Vectorized(req *comm.Requirement, op VectorizedOp) error {
+func (a *Account) Vectorized(req *comm.Requirement, op VectorizedOp) {
 	if a.hot != nil {
 		a.attribute(req.Stmt, false, func() { a.vectorized(req, op) })
-		return nil
+		return
 	}
 	a.vectorized(req, op)
-	return nil
 }
 
 func (a *Account) vectorized(req *comm.Requirement, op VectorizedOp) {
@@ -110,13 +99,12 @@ func (a *Account) guard(req *comm.Requirement) {
 }
 
 // Transfer charges one per-instance element transfer.
-func (a *Account) Transfer(req *comm.Requirement, op InstanceOp) error {
+func (a *Account) Transfer(req *comm.Requirement, op InstanceOp) {
 	if a.hot != nil {
 		a.attribute(req.Stmt, false, func() { a.transfer(req, op) })
-		return nil
+		return
 	}
 	a.transfer(req, op)
-	return nil
 }
 
 func (a *Account) transfer(req *comm.Requirement, op InstanceOp) {
@@ -157,8 +145,21 @@ func (a *Account) Charges(charges []Charge, n int64) {
 	}
 	for ; n > 0; n-- {
 		for i := range charges {
-			charges[i].Issue(a, a.elem())
+			a.charge(&charges[i])
 		}
+	}
+}
+
+// charge makes one charge of a statement instance: its Guard, Transfer or
+// Compute.
+func (a *Account) charge(c *Charge) {
+	switch {
+	case c.Req == nil:
+		a.Compute(c.Stmt, c.Set, c.Flops)
+	case c.From < 0:
+		a.Guard(c.Req)
+	default:
+		a.Transfer(c.Req, InstanceOp{From: int(c.From), Dst: c.Set, Bytes: a.elem()})
 	}
 }
 
@@ -214,47 +215,37 @@ func defStmt(m *core.ScalarMapping) int {
 }
 
 // Reduce charges the collective combine of a reduction scalar over set.
-func (a *Account) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
+func (a *Account) Reduce(m *core.ScalarMapping, set dist.ProcSet) {
 	a.M.SetAttr(defStmt(m), -1, dist.CommNone)
 	a.M.Reduce(set, a.elem())
 	a.M.ClearAttr()
 	a.summed = false
-	return nil
 }
 
 // TreeMerge charges the merge of a privatized combine's partial rows.
-func (a *Account) TreeMerge(c *spmd.Combine, elems int64) error {
+func (a *Account) TreeMerge(c *spmd.Combine, elems int64) {
 	a.M.SetAttr(c.Red.Stmt.ID, -1, dist.CommNone)
 	a.M.TreeMerge(a.all(), elems*a.elem(), a.st.Prog.NProcs())
 	a.M.ClearAttr()
 	a.summed = false
-	return nil
 }
 
 // CopyOut charges a lastprivate scalar's broadcast from root, after which
 // the scalar is replicated again.
-func (a *Account) CopyOut(m *core.ScalarMapping, root int) error {
+func (a *Account) CopyOut(m *core.ScalarMapping, root int) {
 	a.M.SetAttr(defStmt(m), -1, dist.CommBcast)
 	a.M.Multicast(root, a.all(), a.elem())
 	a.M.ClearAttr()
 	a.summed = false
-	return nil
 }
 
 // AllToAll charges the exchange an executable redistribution performs.
-func (a *Account) AllToAll(st *ir.Stmt) error {
+func (a *Account) AllToAll(st *ir.Stmt) {
 	a.M.SetAttr(st.ID, -1, dist.CommGeneral)
 	a.M.AllToAll(a.all(), a.st.RedistBytesPerProc(st, a.elem()))
 	a.M.ClearAttr()
 	a.summed = false
-	return nil
 }
-
-// Move and Operands move values between States that each hold their
-// processor's: nothing the cost model charges, and nothing for one State that
-// holds every processor's.
-func (a *Account) Move(MoveKind, int, dist.ProcSet, dist.ProcSet, []float64) error { return nil }
-func (a *Account) Operands(*comm.Requirement) error                                { return nil }
 
 // Checkpoint takes a coordinated checkpoint (each processor's partition of
 // the arrays plus its scalar copies, written to stable storage at link speed)

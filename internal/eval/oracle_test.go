@@ -913,7 +913,7 @@ const Strip = strip
 // swept through its kernel and those whose kernel ran them in iteration order
 // (the dependence test refused the sweep); the rest lie in loops that have no
 // kernel, and are run by their programs. Strips counts the operations that
-// closed the quiet iterations (Ops.Iteration): a strip of up to Strip where
+// closed the quiet iterations (schedule.iterations): a strip of up to Strip where
 // the kernel runs them, one iteration where the programs do.
 type Census struct {
 	Quiet, Loud, General int64
@@ -924,10 +924,11 @@ type Census struct {
 
 // loweredSim is the production side of the same comparison: the accountant,
 // with nothing that can end a run early. It counts the statement instances in
-// the operations, as each closes with a compute — the schedule itself is the
-// Backend, so the walk takes the path production takes.
+// the charges, as each closes with a compute (the charge seam) — the schedule
+// itself is the Backend, so the walk takes the path production takes.
 type loweredSim struct {
-	*Account
+	Unbound
+	st     *State
 	census Census
 	stamp  uint64 // of the last owner run seen
 }
@@ -943,36 +944,38 @@ func (l *loweredSim) inRun(runs *int64) {
 	}
 }
 
-func (l *loweredSim) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
-	if l.st.run != 0 {
-		l.census.Loud++
-		l.inRun(&l.census.LoudRuns)
-	} else {
-		l.census.General++
-	}
-	l.Account.Compute(st, set, flops)
-}
-
-// Iteration closes a strip as internal/sim's does with nothing to show or to
-// stop at: the charges of its n iterations in one operation, on the machine's
-// strip path — which the oracle's clocks then hold to the bit.
-func (l *loweredSim) Iteration(charges []Charge, n int64) (int64, error) {
-	for _, c := range charges {
-		if c.Req != nil {
-			continue
+// charge counts a compute charged on its own, and a strip's instances: its
+// charges are those of n iterations in one operation, on the machine's strip
+// path — which the oracle's clocks then hold to the bit.
+func (l *loweredSim) charge(method string, args ...any) {
+	switch method {
+	case "Charge":
+		if args[0].(Charge).Req != nil {
+			return
 		}
-		l.census.Quiet += n
-		switch l.st.swept {
-		case 1:
-			l.census.Swept += n
-		case -1:
-			l.census.Ordered += n
+		if l.st.run != 0 {
+			l.census.Loud++
+			l.inRun(&l.census.LoudRuns)
+		} else {
+			l.census.General++
 		}
+	case "Charges":
+		n := args[1].(int64)
+		for _, c := range args[0].([]Charge) {
+			if c.Req != nil {
+				continue
+			}
+			l.census.Quiet += n
+			switch l.st.swept {
+			case 1:
+				l.census.Swept += n
+			case -1:
+				l.census.Ordered += n
+			}
+		}
+		l.census.Strips++
+		l.inRun(&l.census.QuietRuns)
 	}
-	l.census.Strips++
-	l.inRun(&l.census.QuietRuns)
-	l.Charges(charges, n)
-	return n, nil
 }
 
 // LoweredSimulate runs the program through the production walker, schedule
@@ -988,8 +991,10 @@ func LoweredSimulate(p *spmd.Program, reduce core.ReduceMode) (*OracleResult, er
 		return nil, err
 	}
 	acct := NewAccount(st, RunOptions{Params: machine.SP2()})
-	ops := &loweredSim{Account: acct}
-	err = Run(st, ops, acct.elem(), nil)
+	ops := &loweredSim{st: st}
+	chargeSeam = ops.charge
+	err = Run(st, ops, Meter{Account: acct}, acct.elem(), nil)
+	chargeSeam = nil
 	c := ops.census
 	res := &OracleResult{Time: acct.M.Time(), Clocks: acct.M.Clock, Stats: acct.M.Stats,
 		Instances: c.Quiet + c.Loud + c.General, Census: c}

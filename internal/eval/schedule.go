@@ -2,8 +2,9 @@
 // consumer of the spmd plan's loop and statement annotations (hoisted
 // requirements, combines, copy-outs, per-instance requirements) and the one
 // place that fixes their order and where the checkpoint and crash-check sites
-// fall. The two execution backends implement the operations (Ops) and
-// nothing of the order, so they cannot disagree on it.
+// fall, and the one caller of the account that charges them (Meter). The two
+// execution backends implement what an operation does beyond its charge (Ops)
+// and nothing of the order, so they cannot disagree on it.
 package eval
 
 import (
@@ -15,36 +16,26 @@ import (
 	"phpf/internal/spmd"
 )
 
-// Ops is what a backend does at each operation of the schedule: the
-// simulator charges its machine (see Account), the concurrent executor has
-// its accountant charge the same and then transmits. Decisions arrive
+// Ops is what a backend does at each operation of the schedule beside its
+// charge, which the schedule makes itself (Meter): the traffic of a State
+// bound to a processor, and the sites where a run can stop. Decisions arrive
 // resolved — an operation is told who sends what to whom, never asked to read
-// the plan. An error aborts the walk.
+// the plan. An error aborts the walk. A backend whose one State holds every
+// processor's values has no traffic (Unbound).
 type Ops interface {
-	// CheckpointSite is a point where a coordinated checkpoint may be taken:
-	// the entry of an outermost loop or of one with hoisted communication,
-	// before any of it (nothing aggregated is in flight, so a consistent
-	// checkpoint needs no draining). State.Cursor names the point.
-	CheckpointSite() error
+	// Checkpoint follows a coordinated checkpoint the account took at a
+	// checkpoint site: the entry of an outermost loop or of one with hoisted
+	// communication, before any of it (nothing aggregated is in flight, so a
+	// consistent checkpoint needs no draining). State.Cursor names the point.
+	Checkpoint() error
 	// CrashSite is a point where scheduled fail-stop crashes that have come
 	// due fire: after each hoisted communication, per-instance transfer and
 	// redistribution that took place (a skipped one is not a site).
 	CrashSite() error
 	// Vectorized performs one hoisted communication (never a VecSkip).
 	Vectorized(req *comm.Requirement, op VectorizedOp) error
-	// Guard is the ownership test of one per-instance requirement, paid by
-	// every processor whether or not a message flows.
-	Guard(req *comm.Requirement)
 	// Transfer moves the element of one per-instance requirement.
 	Transfer(req *comm.Requirement, op InstanceOp) error
-	// Compute closes every statement instance: set executes its flops
-	// floating-point operations (possibly none).
-	Compute(st *ir.Stmt, set dist.ProcSet, flops int)
-	// Reduce is the collective combine of a mapped reduction scalar over set.
-	Reduce(m *core.ScalarMapping, set dist.ProcSet) error
-	// TreeMerge follows the merge of a privatized combine's partial rows of
-	// elems elements, already folded into the State.
-	TreeMerge(c *spmd.Combine, elems int64) error
 	// CopyOut broadcasts a lastprivate scalar's final value from root.
 	CopyOut(m *core.ScalarMapping, root int) error
 	// AllToAll is the exchange behind an executable redistribution, already
@@ -63,16 +54,6 @@ type Ops interface {
 	// that accumulates it, where it lives elsewhere: hoisted, at the loop
 	// entry, or per instance.
 	Operands(req *comm.Requirement) error
-	// Iteration closes n iterations of a quiet owner run, whose statement
-	// instances issued nothing of their own: for each, their charges —
-	// guards, transfers and computes — in order, then what Tick does. With
-	// no charges, they are iterations a State bound to a processor skipped
-	// in a shrunk loop (walker.shrink). It returns how many it closed: n, or
-	// as many as up to and including the one that failed. A backend may
-	// close them all at once — the charges of n rounds, one tick — where
-	// nothing it does or observes at an iteration's end could tell, and
-	// closes them one at a time (EachIteration) where something could.
-	Iteration(charges []Charge, n int64) (int64, error)
 }
 
 // MoveKind is what an Ops.Move carries; the schedule resolves whom to.
@@ -85,23 +66,25 @@ const (
 	MoveMerged                   // the merged row, processor 0 to every other
 )
 
-// EachIteration closes n iterations one at a time, each by close, up to the
-// first that fails: Ops.Iteration for a backend that has something to do or
-// to stop at in every iteration.
-func EachIteration(n int64, close func() error) (int64, error) {
-	for k := int64(1); ; k++ {
-		if err := close(); err != nil || k == n {
-			return k, err
-		}
-	}
-}
+// Unbound is the traffic of a backend whose one State holds every
+// processor's values: none. Such a backend embeds it beside its sites.
+type Unbound struct{}
 
-// Charge is one resolved charge of a quiet owner run (see schedule.resolve):
-// the guard of a per-instance requirement, paid by every processor (Req set,
-// From -1); the transfer of its element from processor From to Set — to To
-// where Set is that one processor, -1 otherwise (Req set); or the compute that
-// closes an instance of Stmt, Flops operations on Set (Req nil). A guard's and
-// a compute's From and To are -1.
+func (Unbound) Checkpoint() error                                               { return nil }
+func (Unbound) Vectorized(*comm.Requirement, VectorizedOp) error                { return nil }
+func (Unbound) Transfer(*comm.Requirement, InstanceOp) error                    { return nil }
+func (Unbound) CopyOut(*core.ScalarMapping, int) error                          { return nil }
+func (Unbound) AllToAll(*ir.Stmt) error                                         { return nil }
+func (Unbound) Move(MoveKind, int, dist.ProcSet, dist.ProcSet, []float64) error { return nil }
+func (Unbound) Operands(*comm.Requirement) error                                { return nil }
+
+// Charge is one resolved charge of a statement instance (schedule.charge), as
+// a quiet owner run lists them (schedule.resolve): the guard of a
+// per-instance requirement, paid by every processor (Req set, From -1); the
+// transfer of its element from processor From to Set — to To where Set is
+// that one processor, -1 otherwise (Req set); or the compute that closes an
+// instance of Stmt, Flops operations on Set (Req nil). A guard's and a
+// compute's From and To are -1.
 type Charge struct {
 	Req      *comm.Requirement
 	Stmt     *ir.Stmt
@@ -110,47 +93,66 @@ type Charge struct {
 	From, To int32
 }
 
-// Issue makes the charge through to's Guard, Transfer or Compute — the
-// operation it stands for, on a backend that sees each one; elem is the size
-// of a transferred element.
-func (c *Charge) Issue(to interface {
-	Guard(req *comm.Requirement)
-	Transfer(req *comm.Requirement, op InstanceOp) error
-	Compute(st *ir.Stmt, set dist.ProcSet, flops int)
-}, elem int64) {
-	switch {
-	case c.Req == nil:
-		to.Compute(c.Stmt, c.Set, c.Flops)
-	case c.From < 0:
-		to.Guard(c.Req)
-	default:
-		_ = to.Transfer(c.Req, InstanceOp{From: int(c.From), Dst: c.Set, Bytes: elem})
-	}
+// Meter is how the schedule of a run charges its operations.
+type Meter struct {
+	// Account is charged at each operation, before the backend performs it;
+	// nil where the State keeps none.
+	Account *Account
+	// Replay, while it points at true, suspends the charges: the run is
+	// re-executing an interval it charged before a restore.
+	Replay *bool
+	// EachTick has every quiet iteration closed on its own, with its tick,
+	// where the backend has something to do or to see at each one
+	// (schedule.iterations).
+	EachTick bool
 }
 
 // Run interprets the program over s on the schedule, from the top or from a
-// cursor captured at an earlier CheckpointSite (see WalkResume). elemBytes is
-// the size of one transferred element.
-func Run(s *State, ops Ops, elemBytes int64, from *Cursor) error {
-	s.sched = schedule{st: s, ops: ops, elem: elemBytes}
-	if a, ok := ops.(interface{ account() *Account }); ok {
-		s.sched.lists = s.proc < 0 && a.account().stopless
-	}
+// cursor captured at an earlier checkpoint site (see WalkResume), charging as
+// m says. elemBytes is the size of one transferred element.
+func Run(s *State, ops Ops, m Meter, elemBytes int64, from *Cursor) error {
+	a := m.Account
+	s.sched = schedule{st: s, ops: ops, acct: a, replay: m.Replay, elem: elemBytes,
+		each:  m.EachTick || a != nil && !a.stopless,
+		lists: s.proc < 0 && a != nil && a.stopless}
 	return WalkResume(s, &s.sched, from)
 }
 
-// schedule turns the walk's events into operations.
+// chargeSeam, nil outside tests, sees each charge of the schedule, in order,
+// as the Account method that takes it and that method's arguments — whether or
+// not the State keeps an account.
+var chargeSeam func(method string, args ...any)
+
+// schedule turns the walk's events into charges and operations.
 type schedule struct {
-	st   *State
-	ops  Ops
-	elem int64
-	run  runCharges // stands in for ops while resolve lists an owner run's charges
+	st     *State
+	ops    Ops
+	acct   *Account
+	replay *bool
+	elem   int64
+	// each: a quiet owner run's iterations are closed one at a time
+	// (iterations) — the backend asked for it, or a site at an iteration's
+	// end can stop the run (Account.stopless).
+	each bool
 	// lists: an owner run's per-instance transfers are charges of its list,
-	// not operations of their own (runCharges.Transfer) — where the State
-	// interprets for every processor, so that nothing it holds is a
-	// transfer's payload, and ops embeds an accountant on which no site
-	// inside an iteration can stop the run (Account.stopless).
+	// not operations of their own — where the State interprets for every
+	// processor, so that nothing it holds is a transfer's payload, and the
+	// account is one on which no site inside an iteration can stop the run.
 	lists bool
+	// listing: resolve is issuing an owner run's instances to its charge list
+	// (State.charges), not to the account and the backend; loud, that one of
+	// them made a move or a transfer a list cannot hold.
+	listing, loud bool
+}
+
+// charging is the schedule's one charge point: the account the operation in
+// hand is charged to — none where the State keeps none, or while the run
+// replays an interval charged before a restore.
+func (d *schedule) charging() *Account {
+	if d.replay != nil && *d.replay {
+		return nil
+	}
+	return d.acct
 }
 
 // privArray reports a statement that updates a privatized elementwise
@@ -163,8 +165,13 @@ func (d *schedule) privArray(sp *spmd.StmtPlan) bool {
 
 func (d *schedule) LoopEntry(l *ir.Loop, lp *spmd.LoopPlan) error {
 	if len(lp.Hoisted) > 0 || l.Parent == nil {
-		if err := d.ops.CheckpointSite(); err != nil {
-			return err
+		if chargeSeam != nil {
+			chargeSeam("Checkpoint")
+		}
+		if a := d.charging(); a != nil && a.Checkpoint() {
+			if err := d.ops.Checkpoint(); err != nil {
+				return err
+			}
 		}
 	}
 	for _, req := range lp.Hoisted {
@@ -182,6 +189,12 @@ func (d *schedule) LoopEntry(l *ir.Loop, lp *spmd.LoopPlan) error {
 		}
 		if op.Kind == VecSkip {
 			continue // nothing moved: not a crash site either
+		}
+		if chargeSeam != nil {
+			chargeSeam("Vectorized", req, op)
+		}
+		if a := d.charging(); a != nil {
+			a.Vectorized(req, op)
 		}
 		if err := d.ops.Vectorized(req, op); err != nil {
 			return err
@@ -204,12 +217,25 @@ func (d *schedule) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 		case s.PrivatizedActive(c):
 			elems := s.PartialElems(c)
 			if _, err = s.mergePartials(c, d.ops); err == nil {
-				err = d.ops.TreeMerge(c, elems)
+				if chargeSeam != nil {
+					chargeSeam("TreeMerge", c, elems)
+				}
+				if a := d.charging(); a != nil {
+					a.TreeMerge(c, elems)
+				}
 			}
 		case c.Mapping != nil:
+			// No value travels in the combine itself: the accumulator was
+			// folded in iteration order where the updates ran, and the
+			// hand-off brings its combined value to every member of set.
 			set := s.ScalarSet(c.Mapping)
-			if err = d.handOff(d.ops, c.Var(), set); err == nil {
-				err = d.ops.Reduce(c.Mapping, set)
+			if err = d.handOff(c.Var(), set); err == nil {
+				if chargeSeam != nil {
+					chargeSeam("Reduce", c.Mapping, set)
+				}
+				if a := d.charging(); a != nil {
+					a.Reduce(c.Mapping, set)
+				}
 			}
 			s.Hold(c.Var(), set)
 			// (A collective elementwise reduction has no combine operation:
@@ -227,6 +253,12 @@ func (d *schedule) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 		if src.Count() == all.Count() {
 			continue // degenerate alignment: already everywhere
 		}
+		if chargeSeam != nil {
+			chargeSeam("CopyOut", m, src.First())
+		}
+		if a := d.charging(); a != nil {
+			a.CopyOut(m, src.First())
+		}
 		if err := d.ops.CopyOut(m, src.First()); err != nil {
 			return err
 		}
@@ -236,13 +268,13 @@ func (d *schedule) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
 }
 
 func (d *schedule) Statement(_ *ir.Stmt, sp *spmd.StmtPlan) error {
-	return d.instance(sp, d.ops)
+	return d.instance(sp)
 }
 
 // instance is the one definition of what a statement instance issues, and in
-// which order: to the backend's operations, now, or to the charge list of the
-// owner run it opens (resolve).
-func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
+// which order: charges and operations now, or to the charge list of the owner
+// run it opens (resolve, listing).
+func (d *schedule) instance(sp *spmd.StmtPlan) error {
 	s, st := d.st, sp.Stmt
 	if d.privArray(sp) {
 		// The compute charge lands on the data owners.
@@ -258,12 +290,14 @@ func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
 		}
 		for i := 0; i < len(sp.PerInstance) && s.proc >= 0; i++ {
 			if req := sp.PerInstance[i]; s.code.reqs[req.ID].operand {
-				if err := to.Operands(req); err != nil {
+				if d.listing {
+					d.loud = true
+				} else if err := d.ops.Operands(req); err != nil {
 					return err
 				}
 			}
 		}
-		to.Compute(st, set, sp.Flops)
+		d.charge(Charge{Stmt: st, Set: set, Flops: sp.Flops, From: -1, To: -1})
 		return nil
 	}
 	for _, req := range sp.PerInstance {
@@ -274,14 +308,27 @@ func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
 		// Communication left inside a loop defeats loop-bound shrinking:
 		// every processor traverses the iteration space evaluating the
 		// guard, whether or not it communicates.
-		to.Guard(req)
+		d.charge(Charge{Req: req, Stmt: req.Stmt, Set: dist.AllProcs(s.grid), From: -1, To: -1})
 		if op.Skip {
 			continue
 		}
-		if err := to.Transfer(req, op); err != nil {
+		to, one := op.Dst.IsSingle()
+		if !one {
+			to = -1
+		}
+		// Where the schedule does not list transfers a listed one is loud: its
+		// crash site can stop the run inside an iteration and (on a bound
+		// State) it stores into the image its statement is about to read, so
+		// such a run's operations stay with their instances.
+		d.loud = d.loud || d.listing && !d.lists
+		d.charge(Charge{Req: req, Stmt: req.Stmt, Set: op.Dst, From: int32(op.From), To: int32(to)})
+		if d.listing {
+			continue
+		}
+		if err := d.ops.Transfer(req, op); err != nil {
 			return err
 		}
-		if err := to.CrashSite(); err != nil {
+		if err := d.ops.CrashSite(); err != nil {
 			return err
 		}
 	}
@@ -290,17 +337,60 @@ func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
 		return err
 	}
 	if c := sp.Combine; c != nil && c.Mapping != nil && !s.PrivatizedActive(c) {
-		if err := d.handOff(to, c.Var(), set); err != nil { // a collective update
+		if err := d.handOff(c.Var(), set); err != nil { // a collective update
 			return err
 		}
 	}
 	for i := 0; s.proc >= 0 && i < len(s.code.reads[st.ID]); i++ {
-		if err := d.handOff(to, s.code.reads[st.ID][i], set); err != nil {
+		if err := d.handOff(s.code.reads[st.ID][i], set); err != nil {
 			return err
 		}
 	}
-	to.Compute(st, set, sp.Flops)
+	d.charge(Charge{Stmt: st, Set: set, Flops: sp.Flops, From: -1, To: -1})
 	return nil
+}
+
+// charge makes one charge of a statement instance — a guard, a transfer or
+// the compute that closes it: to the charge list of the owner run resolve
+// lists, or now.
+func (d *schedule) charge(c Charge) {
+	if d.listing {
+		d.st.charges = append(d.st.charges, c)
+		return
+	}
+	if chargeSeam != nil {
+		chargeSeam("Charge", c)
+	}
+	if a := d.charging(); a != nil {
+		a.charge(&c)
+	}
+}
+
+// iterations is the one strip closer: it closes n iterations of a quiet owner
+// run, whose statement instances made no operation of their own — for each,
+// their charges (guards, transfers and computes) in order, then a tick. With
+// no charges, they are iterations a State bound to a processor skipped in a
+// shrunk loop (walker.shrink). It returns how many it closed: n, or as many as
+// up to and including the one whose tick failed. Where nothing at an
+// iteration's end can stop the run or be seen (each unset), the n rounds of
+// charges are one (Account.Charges) and the tick one; otherwise each
+// iteration is closed on its own.
+func (d *schedule) iterations(charges []Charge, n int64) (int64, error) {
+	k := n
+	if d.each {
+		k = 1
+	}
+	for done := k; ; done += k {
+		if chargeSeam != nil {
+			chargeSeam("Charges", charges, k)
+		}
+		if a := d.charging(); a != nil {
+			a.Charges(charges, k)
+		}
+		if err := d.ops.Tick(); err != nil || done == n {
+			return done, err
+		}
+	}
 }
 
 // handOff is the one rule by which a collective reduction's accumulator v
@@ -311,16 +401,18 @@ func (d *schedule) instance(sp *spmd.StmtPlan, to Ops) error {
 // holds it then (dropping the others costs at most a message; a union of two
 // boxes can name processors that hold nothing). An owner run's listing only
 // notes the move, which makes the run loud, walked instance by instance.
-func (d *schedule) handOff(to Ops, v *ir.Var, set dist.ProcSet) error {
+func (d *schedule) handOff(v *ir.Var, set dist.ProcSet) error {
 	s := d.st
 	if s.proc < 0 || s.held[v.Slot].CoversSet(set) {
 		return nil
 	}
-	held := s.held[v.Slot]
-	if to == d.ops {
-		s.held[v.Slot] = set
+	if d.listing {
+		d.loud = true
+		return nil
 	}
-	return to.Move(MoveHandOff, held.First(), set, held, s.ScalarSlot(v))
+	held := s.held[v.Slot]
+	s.held[v.Slot] = set
+	return d.ops.Move(MoveHandOff, held.First(), set, held, s.ScalarSlot(v))
 }
 
 // outcome is the one destination rule of a predicate's outcome, on bound
@@ -340,21 +432,6 @@ func (d *schedule) outcome(st *ir.Stmt, set dist.ProcSet, taken, aside bool) (bo
 	err := d.ops.Move(MoveOutcome, set.First(), in, set, s.told[:])
 	return s.told[0] > 0, err
 }
-
-// runCharges takes the backend's place while resolve issues an owner run's
-// instances: a guard or a compute is listed in the State's scratch, not
-// charged, and so is a transfer where the schedule lists them. Elsewhere a
-// transfer marks the run loud — it is a crash site that can stop the run
-// inside an iteration and (in exec) stores into the image its statement is
-// about to read, so such a run's operations stay with their instances; a
-// move or an operand delivery too.
-type runCharges struct {
-	Ops  // the backend's: an instance issues none of the others
-	st   *State
-	loud bool
-}
-
-func (r *runCharges) list(c Charge) { r.st.charges = append(r.st.charges, c) }
 
 // listStrip lists, once per owner run, its charges as the machine makes a strip
 // of them (machine.ComputeStrip), with the processors each names — Set's, a
@@ -378,31 +455,6 @@ func (s *State) listStrip(charges []Charge, p machine.Params) []machine.Listed {
 	return s.strip
 }
 
-func (r *runCharges) Transfer(req *comm.Requirement, op InstanceOp) error {
-	if !r.st.sched.lists {
-		r.loud = true
-		return nil
-	}
-	to, one := op.Dst.IsSingle()
-	if !one {
-		to = -1
-	}
-	r.list(Charge{Req: req, Stmt: req.Stmt, Set: op.Dst, From: int32(op.From), To: int32(to)})
-	return nil
-}
-func (r *runCharges) Move(MoveKind, int, dist.ProcSet, dist.ProcSet, []float64) error {
-	r.loud = true
-	return nil
-}
-func (r *runCharges) Operands(*comm.Requirement) error { r.loud = true; return nil }
-func (r *runCharges) CrashSite() error                 { return nil }
-func (r *runCharges) Guard(req *comm.Requirement) {
-	r.list(Charge{Req: req, Stmt: req.Stmt, Set: dist.AllProcs(r.st.grid), From: -1, To: -1})
-}
-func (r *runCharges) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
-	r.list(Charge{Stmt: st, Set: set, Flops: flops, From: -1, To: -1})
-}
-
 // resolve issues one instance of each statement of the owner run just opened
 // to its charge list, filling the set table on the way: quiet is nil when the
 // run is loud, ok false when a set cannot be evaluated (the iteration takes
@@ -412,20 +464,27 @@ func (r *runCharges) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 func (d *schedule) resolve(stmts []stmtCode) (quiet []Charge, ok bool) {
 	s := d.st
 	s.charges, s.listed, s.strip = s.charges[:0], s.listed[:0], s.strip[:0]
-	d.run = runCharges{Ops: d.ops, st: s}
+	d.listing, d.loud = true, false
 	for i := range stmts {
-		if d.instance(stmts[i].plan, &d.run) != nil {
+		if d.instance(stmts[i].plan) != nil {
+			d.listing = false
 			return nil, false
 		}
-		d.run.loud = d.run.loud || s.proc >= 0 && s.code.reads[stmts[i].plan.Stmt.ID] != nil
+		d.loud = d.loud || s.proc >= 0 && s.code.reads[stmts[i].plan.Stmt.ID] != nil
 	}
-	if d.run.loud {
+	if d.listing = false; d.loud {
 		return nil, true
 	}
 	return s.charges, true
 }
 
 func (d *schedule) Redistribute(st *ir.Stmt) error {
+	if chargeSeam != nil {
+		chargeSeam("AllToAll", st)
+	}
+	if a := d.charging(); a != nil {
+		a.AllToAll(st)
+	}
 	if err := d.ops.AllToAll(st); err != nil {
 		return err
 	}

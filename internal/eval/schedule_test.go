@@ -14,9 +14,11 @@ import (
 	"phpf/internal/spmd"
 )
 
-// opRecorder is an Ops fake that records the schedule: one line per
-// operation, naming the statement by source line.
+// opRecorder records the schedule: one line per operation — a site of the
+// backend's, or, through the charge seam, a charge — naming the statement by
+// source line. It holds every processor's values, so it moves nothing.
 type opRecorder struct {
+	Unbound
 	st  *State // the image the run interprets (set by record)
 	ops []string
 	// onCompute, when set, sees every statement instance's execution set.
@@ -28,24 +30,52 @@ func (r *opRecorder) add(format string, args ...any) error {
 	return nil
 }
 
-func (r *opRecorder) CheckpointSite() error { return r.add("checkpoint-site") }
-func (r *opRecorder) CrashSite() error      { return r.add("crash-site") }
-func (r *opRecorder) Tick() error           { return r.add("tick") }
+func (r *opRecorder) CrashSite() error { return r.add("crash-site") }
+func (r *opRecorder) Tick() error      { return r.add("tick") }
 
-func (r *opRecorder) Vectorized(req *comm.Requirement, op VectorizedOp) error {
-	kind := map[VecKind]string{VecShift: "shift", VecBcast: "bcast", VecExchange: "exchange"}[op.Kind]
-	return r.add("%s %s for L%d", kind, req.Use.Var.Name, req.Stmt.Line)
+// charge records what the schedule charges (the charge seam).
+func (r *opRecorder) charge(method string, args ...any) {
+	switch method {
+	case "Checkpoint":
+		r.add("checkpoint-site")
+	case "Vectorized":
+		req, op := args[0].(*comm.Requirement), args[1].(VectorizedOp)
+		kind := map[VecKind]string{VecShift: "shift", VecBcast: "bcast", VecExchange: "exchange"}[op.Kind]
+		r.add("%s %s for L%d", kind, req.Use.Var.Name, req.Stmt.Line)
+	case "Charge":
+		r.charged(args[0].(Charge))
+	case "Charges":
+		// A strip reads as the charges it stands for, n times over.
+		for n := args[1].(int64); n > 0; n-- {
+			for _, c := range args[0].([]Charge) {
+				r.charged(c)
+			}
+		}
+	case "Reduce":
+		r.add("reduce %s", args[0].(*core.ScalarMapping).Def.Var.Name)
+	case "TreeMerge":
+		c := args[0].(*spmd.Combine)
+		r.add("tree-merge %s (%d elems, %d hops)", c.Var().Name, args[1].(int64), r.st.Prog.NProcs()-1)
+	case "CopyOut":
+		r.add("copy-out %s from p%d", args[0].(*core.ScalarMapping).Def.Var.Name, args[1].(int))
+	case "AllToAll":
+		r.add("all-to-all %s", args[0].(*ir.Stmt).Redist.Array.Name)
+	}
 }
 
-func (r *opRecorder) Guard(req *comm.Requirement) {
-	r.add("guard %s for L%d", req.Use.Var.Name, req.Stmt.Line)
+// charged records an instance's guard, transfer or compute.
+func (r *opRecorder) charged(c Charge) {
+	switch {
+	case c.Req == nil:
+		r.compute(c.Stmt, c.Set, c.Flops)
+	case c.From < 0:
+		r.add("guard %s for L%d", c.Req.Use.Var.Name, c.Stmt.Line)
+	default:
+		r.add("transfer %s for L%d", c.Req.Use.Var.Name, c.Stmt.Line)
+	}
 }
 
-func (r *opRecorder) Transfer(req *comm.Requirement, op InstanceOp) error {
-	return r.add("transfer %s for L%d", req.Use.Var.Name, req.Stmt.Line)
-}
-
-func (r *opRecorder) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
+func (r *opRecorder) compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	if flops == 0 {
 		return // bookkeeping statements (CONTINUE, bounds, predicates) say nothing
 	}
@@ -55,40 +85,17 @@ func (r *opRecorder) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
 	}
 }
 
-// Iteration reads as the operations it stands for, n times over.
-func (r *opRecorder) Iteration(charges []Charge, n int64) (int64, error) {
-	return EachIteration(n, func() error {
-		for i := range charges {
-			charges[i].Issue(r, 8)
-		}
-		return r.Tick()
-	})
+// watch has r see the charges of the walks that follow, until the returned
+// call.
+func (r *opRecorder) watch() (unwatch func()) {
+	chargeSeam = r.charge
+	return func() { chargeSeam = nil }
 }
 
-func (r *opRecorder) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
-	return r.add("reduce %s", m.Def.Var.Name)
-}
-
-func (r *opRecorder) TreeMerge(c *spmd.Combine, elems int64) error {
-	return r.add("tree-merge %s (%d elems, %d hops)", c.Var().Name, elems, r.st.Prog.NProcs()-1)
-}
-
-func (r *opRecorder) CopyOut(m *core.ScalarMapping, root int) error {
-	return r.add("copy-out %s from p%d", m.Def.Var.Name, root)
-}
-
-// Move and Operands move values between bound States only: the simulator's
-// State, which this schedule runs over, asks nothing of them.
-func (r *opRecorder) Move(MoveKind, int, dist.ProcSet, dist.ProcSet, []float64) error { return nil }
-func (r *opRecorder) Operands(*comm.Requirement) error                                { return nil }
-
-func (r *opRecorder) AllToAll(st *ir.Stmt) error {
-	return r.add("all-to-all %s", st.Redist.Array.Name)
-}
-
-// record runs p on the schedule with a recording fake and checks what holds
-// of every schedule: a crash site follows each communication that took place
-// — hoisted, per instance, or a redistribution — and nothing else.
+// record runs p on the schedule with a recording fake, every quiet iteration
+// closed on its own, and checks what holds of every schedule: a crash site
+// follows each communication that took place — hoisted, per instance, or a
+// redistribution — and nothing else.
 func record(t *testing.T, p *spmd.Program, reduce core.ReduceMode, r *opRecorder) []string {
 	t.Helper()
 	st, err := RunOptions{Reduce: reduce}.NewState(p)
@@ -96,7 +103,8 @@ func record(t *testing.T, p *spmd.Program, reduce core.ReduceMode, r *opRecorder
 		t.Fatal(err)
 	}
 	r.st = st
-	if err := Run(st, r, 8, nil); err != nil {
+	defer r.watch()()
+	if err := Run(st, r, Meter{EachTick: true}, 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	moved := func(op string) bool {
@@ -273,7 +281,9 @@ func TestScheduleAPPSP2D(t *testing.T) {
 	}
 	r := &opRecorder{}
 	h := &hoistedEntries{schedule: &schedule{st: st, ops: r, elem: 8}}
-	if err := Walk(st, h); err != nil {
+	unwatch := r.watch()
+	err = Walk(st, h)
+	if unwatch(); err != nil {
 		t.Fatal(err)
 	}
 	sites, moved := 0, 0

@@ -12,11 +12,11 @@
 // The core also owns what the backends must agree on beyond values: the
 // schedule (schedule.go) that turns the walk's events into operations — which
 // communication happens where, in which order, and where the checkpoint and
-// crash sites fall — and the accountant (account.go) that charges each
-// operation to the simulated machine. A backend implements the operations
-// (Ops): the simulator is the accountant plus a time limit, the executor
-// adds real message passing. The walk itself (walk.go) knows nothing of
-// either and reports to any Backend.
+// crash sites fall — and charges each, before the backend performs it, to the
+// State's accountant (account.go), the simulated machine's one caller. A
+// backend implements what is left of an operation (Ops): the simulator its
+// time limit and cancellation, the executor real message passing. The walk
+// itself (walk.go) knows nothing of either and reports to any Backend.
 package eval
 
 import (

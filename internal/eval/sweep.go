@@ -441,8 +441,8 @@ func (s *State) sweepable(pairs []kpair, n int64) bool {
 }
 
 // sweep executes the n iterations of a quiet owner run whose kernel is ops a
-// strip at a time: the strip's iterations are closed first, by one operation
-// that charges them in order, then their value semantics run through the
+// strip at a time: the strip's iterations are closed first, their charges
+// made in order (schedule.iterations), then their value semantics run through the
 // kernel — by the strip kernel over the whole strip at once, statement by
 // statement, where sweepable accepted the run (State.swept 1), and by the
 // scalar pass one iteration at a time where it refused. Nothing a charge
@@ -453,7 +453,7 @@ func (w *walker) sweep(ops []kop, slot int32, step, n, stmts int64) error {
 	s := w.s
 	for {
 		s.registers(min(n, strip))
-		m, err := w.sched.ops.Iteration(w.quiet, min(n, strip))
+		m, err := w.sched.iterations(w.quiet, min(n, strip))
 		if s.swept > 0 {
 			s.kernel(ops, slot, step, int(m))
 			s.advance(slot, step, m-1)

@@ -317,7 +317,7 @@ func (w *walker) iterate(l *ir.Loop, lp *spmd.LoopPlan, lo, hi, step int64) (con
 		}
 		s.shrunk.Walked, s.shrunk.Skipped = s.shrunk.Walked+o.n-o.skipped, s.shrunk.Skipped+o.skipped
 		if o.skipped > 0 {
-			if _, err := w.sched.ops.Iteration(nil, o.skipped*o.span); err != nil {
+			if _, err := w.sched.iterations(nil, o.skipped*o.span); err != nil {
 				return control{}, err
 			}
 		}
@@ -517,7 +517,7 @@ func (w *walker) beginRun(lc *loopCode, slot int32, step, left int64) int64 {
 // of which iterate has set up: the same events and value semantics in the
 // same order as the general walk's, with the statements taken straight from
 // the lowered body. An iteration of a quiet run is its value semantics, then
-// one operation for its charges and its tick: nothing between them reads what
+// its charges and its tick (schedule.iterations): nothing between them reads what
 // the other writes, so only a value error could tell the order, and it is
 // given what the general walk had charged when it met the error. A quiet run
 // of a loop with a run kernel is closed a strip of iterations at a time, its
@@ -530,7 +530,7 @@ func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
 	if w.skip {
 		// A quiet run that excludes this State's processor: its charges, and
 		// the index and epoch where the run leaves them.
-		_, err := w.sched.ops.Iteration(w.quiet, n)
+		_, err := w.sched.iterations(w.quiet, n)
 		s.indices[slot] += (n - 1) * step
 		s.epoch += n - 1
 		return err
@@ -552,7 +552,7 @@ func (w *walker) run(lc *loopCode, slot int32, step, n int64) error {
 					return err
 				}
 			}
-			_, err = w.sched.ops.Iteration(w.quiet, 1)
+			_, err = w.sched.iterations(w.quiet, 1)
 		} else {
 			for i := range stmts {
 				if err := w.assign(&stmts[i]); err != nil {

@@ -101,17 +101,13 @@ func (w *worker) CrashSite() error {
 	return &crashSignal{crashes: crashes, target: w.sites}
 }
 
-// CheckpointSite takes a coordinated checkpoint when the account says one is
-// due — the same condition, at the same sites, as the simulator — then
-// synchronizes all workers with a real barrier and takes a snapshot.
-// Suppressed during replay: by definition no checkpoint fired between the
-// restored checkpoint and the crash, so none may fire during re-execution.
-func (w *worker) CheckpointSite() error {
-	if !w.ex.chaos || w.replay || !w.acct.Checkpoint() {
-		return nil
-	}
-	// The barrier makes the checkpoint coordinated for real, as the model
-	// charges it: no worker passes it before every worker has reached it.
+// Checkpoint follows a coordinated checkpoint the account took — the same
+// condition, at the same sites, as the simulator's, and none during a replay,
+// as none fired between the restored checkpoint and the crash: it
+// synchronizes all workers with a real barrier and takes a snapshot. The
+// barrier makes the checkpoint coordinated for real, as the model charges
+// it: no worker passes it before every worker has reached it.
+func (w *worker) Checkpoint() error {
 	if err := w.starBarrier(tagCkpt, tagCkptRelease); err != nil {
 		return err
 	}
@@ -122,7 +118,7 @@ func (w *worker) CheckpointSite() error {
 
 // takeSnapshot replaces this worker's checkpoint with its state now.
 func (w *worker) takeSnapshot() {
-	cur, _ := w.st.Cursor() // zero cursor (resume from start) outside a CheckpointSite
+	cur, _ := w.st.Cursor() // zero cursor (resume from start) outside a checkpoint site
 	w.snap = workerSnap{state: w.st.Snapshot(), cursor: cur}
 }
 

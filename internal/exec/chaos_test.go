@@ -3,7 +3,9 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -126,6 +128,37 @@ func TestChaosReproducible(t *testing.T) {
 		t.Fatalf("seeded fault statistics not reproducible:\n%v\n%v", a.Stats, b.Stats)
 	}
 	sameMemory(t, "second seeded run", b, a)
+}
+
+// TestConsistencyComparesEveryClock: in chaos mode every worker keeps an
+// account, cross-checked against worker 0's after the run. One that differs
+// only in a clock below the largest — which leaves Time and Stats as they
+// are — fails the run, naming that clock.
+func TestConsistencyComparesEveryClock(t *testing.T) {
+	prog := compile(t, programs.DGEFA(12), 4, core.DefaultOptions())
+	cfg := Config{Fault: &fault.Plan{Seed: 42, LossRate: 0.25}}
+	perturbed := -1
+	nudge := func(workers []*worker) {
+		m := workers[1].acct.M
+		for q := range m.Clock {
+			if m.Clock[q] < m.Time() {
+				m.Clock[q] = math.Nextafter(m.Clock[q], math.Inf(1))
+				perturbed = q
+				return
+			}
+		}
+	}
+	_, err := run(context.Background(), prog, cfg, hooks{joined: nudge})
+	if perturbed < 0 {
+		t.Fatal("every clock of worker 1's account is the largest: nothing to perturb")
+	}
+	var de *DivergenceError
+	if !errors.As(err, &de) || de.Proc != 1 || !strings.Contains(de.What, fmt.Sprintf("clock of p%d", perturbed)) {
+		t.Fatalf("a perturbed clock of p%d in worker 1's account: got %v, want a DivergenceError naming it", perturbed, err)
+	}
+	if _, err := run(context.Background(), prog, cfg, hooks{}); err != nil {
+		t.Fatalf("unperturbed: %v", err)
+	}
 }
 
 // sameMemory fails unless got's final scalars and arrays equal want's, bit

@@ -65,13 +65,15 @@
 // decisions, who computes what, and the schedule of operations (eval.Ops) —
 // is internal/eval's and shared with the sequential simulator (internal/sim),
 // whose one State interprets for every processor: this package implements
-// each operation as real traffic and knows nothing of their order.
-// Communication statistics are the simulator's by construction: worker 0,
-// which observes every operation in program order like the simulator does, is
-// the accountant (in chaos mode every worker keeps one: RunOptions.Keepers),
-// handing each one to the same eval.Account the simulator charges before
-// transmitting it (one goroutine owns the account, so it needs no locking).
-// That is what lets the differential oracle (Diff) demand bit-for-bit
+// each operation as real traffic and knows nothing of their order, nor of
+// their charges. Communication statistics are the simulator's by
+// construction: worker 0, which observes every operation in program order
+// like the simulator does, keeps an account (in chaos mode every worker keeps
+// one: RunOptions.Keepers), and its schedule charges each operation to that
+// eval.Account — the one the simulator's schedule charges, at the same point —
+// before the worker transmits (one goroutine owns the account, so it needs no
+// locking); a replay after a restore charges nothing (eval.Meter). That is
+// what lets the differential oracle (Diff) demand bit-for-bit
 // agreement of memory, statistics, simulated time and, on a traced run, the
 // per-statement time attribution the account keeps. The real
 // channel traffic is checked independently, through per-edge sequence
@@ -141,13 +143,15 @@ type Result = eval.Report
 // both ends — no message, no store — while the accountant still charges it,
 // so that only memory can tell; tick runs at every loop-iteration tick;
 // sent sees the tag of every message a worker sends (from every worker's
-// goroutine); done sees the workers' States after a run that succeeded;
-// mailboxDepth overrides DefaultMailboxDepth.
+// goroutine); joined sees the workers once they have all finished, before
+// their accounts are cross-checked; done sees the workers' States after a run
+// that succeeded; mailboxDepth overrides DefaultMailboxDepth.
 type hooks struct {
 	dropSend     func(proc int, req *comm.Requirement) bool
 	drop         func(req *comm.Requirement) bool
 	tick         func(proc int) error
 	sent         func(tag int)
+	joined       func(workers []*worker)
 	done         func(states []*eval.State)
 	mailboxDepth int
 }
@@ -377,6 +381,9 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
+	if hk.joined != nil {
+		hk.joined(workers)
+	}
 	if err := checkConsistency(workers); err != nil {
 		return nil, err
 	}
@@ -399,9 +406,12 @@ func run(ctx context.Context, p *spmd.Program, cfg Config, hk hooks) (*Result, e
 }
 
 // run interprets the program on this worker from a checkpoint cursor (zero:
-// from the top).
+// from the top). The schedule charges the worker's account, if it keeps one,
+// but not during a replay; in chaos mode (a crash site per tick) or under the
+// tick hook it closes each quiet iteration on its own.
 func (w *worker) run(from eval.Cursor) error {
-	return eval.Run(w.st, w, w.elemBytes(), &from)
+	m := eval.Meter{Account: w.acct, Replay: &w.replay, EachTick: w.ex.chaos || w.ex.hooks.tick != nil}
+	return eval.Run(w.st, w, m, w.elemBytes(), &from)
 }
 
 // pickError selects the run's verdict from the per-worker errors: the first
@@ -437,7 +447,7 @@ func pickError(errs []error) error {
 }
 
 // checkConsistency verifies, where every worker kept an account (chaos
-// mode), that each account's simulated time and statistics are bitwise
+// mode), that each account's every processor clock and statistics are bitwise
 // worker 0's: proof that the replicated fault draws never diverged.
 func checkConsistency(workers []*worker) error {
 	ref := workers[0]
@@ -447,9 +457,11 @@ func checkConsistency(workers []*worker) error {
 			continue
 		}
 		m, rm := w.acct.M, ref.acct.M
-		if math.Float64bits(m.Time()) != math.Float64bits(rm.Time()) {
-			return &DivergenceError{Proc: p, Peer: 0, What: "accounted simulated time",
-				Got: m.Time(), Want: rm.Time()}
+		for q := range m.Clock {
+			if math.Float64bits(m.Clock[q]) != math.Float64bits(rm.Clock[q]) {
+				return &DivergenceError{Proc: p, Peer: 0, What: fmt.Sprintf("accounted clock of p%d", q),
+					Got: m.Clock[q], Want: rm.Clock[q]}
+			}
 		}
 		for _, c := range counters(rm.Stats, m.Stats) {
 			if c.got != c.want {
@@ -501,8 +513,9 @@ type worker struct {
 	// exactly up to the crash point.
 	sites int64
 	// replay is true while re-executing the interval [checkpoint, crash]
-	// after a coordinated restore: accounting, tracing, and checkpointing
-	// are suppressed; real communication still flows (with fresh sequence
+	// after a coordinated restore: the schedule charges nothing
+	// (eval.Meter.Replay), so no checkpoint falls due either, and tracing is
+	// suppressed; real communication still flows (with fresh sequence
 	// numbers, consistent across workers).
 	replay       bool
 	replayTarget int64
@@ -531,11 +544,6 @@ func (w *worker) emit(k trace.Kind, peer int, dur float64, bytes int64, req int)
 
 // elemBytes is the payload size of one element message.
 func (w *worker) elemBytes() int64 { return int64(w.ex.cfg.Params.ElemBytes) }
-
-// charges reports whether this worker charges the cost model right now: it
-// keeps an account (worker 0 always; every worker in chaos mode) and is not
-// re-executing an already-accounted interval after a restore.
-func (w *worker) charges() bool { return w.acct != nil && !w.replay }
 
 // traces reports whether this worker emits trace events right now (replay
 // re-executes already-traced work, so emission is suppressed).
@@ -790,9 +798,6 @@ func (w *worker) Tick() error {
 // non-participants are muted (the cost model does not charge them, and
 // neither does the simulator's trace).
 func (w *worker) Vectorized(req *comm.Requirement, op eval.VectorizedOp) error {
-	if w.charges() {
-		w.acct.Vectorized(req, op)
-	}
 	if w.dropped(req) {
 		return nil
 	}
@@ -857,17 +862,6 @@ func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) err
 	return w.exchange(req.ID, planned, w.st.Section(req), w.silent(req))
 }
 
-// Reduce charges the collective combine of a reduction scalar.
-// No value travels here: the accumulator was folded in iteration order where
-// the updates ran, and the schedule's hand-off has brought its combined value
-// to every member of set (Move).
-func (w *worker) Reduce(m *core.ScalarMapping, set dist.ProcSet) error {
-	if w.charges() {
-		w.acct.Reduce(m, set)
-	}
-	return nil
-}
-
 // Move delivers what the schedule resolved, under its kind's tag. An
 // outcome's magnitude names the IF instance it answers: a receiver that
 // expected another reports it.
@@ -888,9 +882,6 @@ func (w *worker) Move(kind eval.MoveKind, from int, in, except dist.ProcSet, pay
 // iteration's owner, and every receiver stores it. The cost model charges the
 // broadcast (machine.Multicast), so its messages are traced (tracePlanned).
 func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
-	if w.charges() {
-		w.acct.CopyOut(m, root)
-	}
 	if w.traces() && m.Def.Stmt != nil {
 		w.setAttr(m.Def.Stmt.ID, dist.CommBcast, w.elemBytes())
 	}
@@ -908,30 +899,12 @@ func (w *worker) Operands(req *comm.Requirement) error {
 	return w.exchange(tagSection, nil, w.st.Section(req), w.silent(req))
 }
 
-// TreeMerge charges the merge whose rows the schedule moved (Move).
-func (w *worker) TreeMerge(c *spmd.Combine, elems int64) error {
-	if w.charges() {
-		w.acct.TreeMerge(c, elems)
-	}
-	return nil
-}
-
-// Guard has no traffic: only the accountant pays it.
-func (w *worker) Guard(req *comm.Requirement) {
-	if w.charges() {
-		w.acct.Guard(req)
-	}
-}
-
 // Transfer sends the element of one per-instance requirement now, as the
-// account charges it: point-to-point (a self-send uses the self edge, which
+// schedule charges it: point-to-point (a self-send uses the self edge, which
 // the cost model charges too) or by multicast, which excludes the sender. The
 // message carries the sender's element, which each receiver stores where its
 // instance reads it.
 func (w *worker) Transfer(req *comm.Requirement, op eval.InstanceOp) error {
-	if w.charges() {
-		w.acct.Transfer(req, op)
-	}
 	if w.proc != op.From && !op.Dst.Contains(w.proc) || w.dropped(req) {
 		return nil
 	}
@@ -955,39 +928,10 @@ func (w *worker) Transfer(req *comm.Requirement, op eval.InstanceOp) error {
 	return err
 }
 
-// Compute has no traffic: only the accountant pays it.
-func (w *worker) Compute(st *ir.Stmt, set dist.ProcSet, flops int) {
-	if w.charges() {
-		w.acct.Compute(st, set, flops)
-	}
-}
-
-// Iteration is the accountant's charges and the tick: a quiet iteration has
-// no traffic. In chaos mode (a crash site per tick) or under a tick hook each
-// iteration is closed on its own; otherwise the strip's charges are one
-// operation, and its end the one watchdog tick and cancellation poll.
-func (w *worker) Iteration(charges []eval.Charge, n int64) (int64, error) {
-	if w.ex.chaos || w.ex.hooks.tick != nil {
-		return eval.EachIteration(n, func() error {
-			if w.charges() {
-				w.acct.Charges(charges, 1)
-			}
-			return w.Tick()
-		})
-	}
-	if w.charges() {
-		w.acct.Charges(charges, n)
-	}
-	return n, w.Tick()
-}
-
 // AllToAll realizes an executable redistribution, already applied to every
 // worker's mapping: each element moves from its old owners to its new ones,
 // then a barrier closes the exchange.
 func (w *worker) AllToAll(st *ir.Stmt) error {
-	if w.charges() {
-		w.acct.AllToAll(st)
-	}
 	if err := w.exchange(tagRedist, nil, w.st.Redistributed(st), false); err != nil {
 		return err
 	}

@@ -128,9 +128,9 @@ func New(cfg Config) *Server {
 		},
 	}
 	s.stopCtx, s.stopCancel = context.WithCancel(context.Background())
-	s.mux.HandleFunc("POST /v1/compile", s.handleCompile)
-	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/diff", s.handleDiff)
+	s.mux.HandleFunc("POST /v1/compile", s.handle(&s.met.reqCompile, false, s.compileTail))
+	s.mux.HandleFunc("POST /v1/run", s.handle(&s.met.reqRun, true, s.runTail))
+	s.mux.HandleFunc("POST /v1/diff", s.handle(&s.met.reqDiff, false, s.diffTail))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	return s
@@ -231,17 +231,21 @@ func (s *Server) retryAfterSeconds(queued int) int {
 	return secs
 }
 
-// admitted is the per-request state the admission path assembles before a
-// handler does endpoint-specific work.
+// admitted is a request past admission (admit) and, in handle, the validated
+// spec and its compilation, for the endpoint's tail.
 type admitted struct {
 	spec    *RunSpec
 	release func()
 	queueMS float64
+	start   time.Time
+	v       *validated
+	c       *phpf.Compiled
+	outcome CacheOutcome
 }
 
-// admit runs the shared front half of every /v1 endpoint: drain check,
-// bounded body read, strict decode, admission. On a non-nil error the
-// response has already been written.
+// admit is handle's first step: drain check, bounded body read, strict
+// decode, admission. When it reports false the response has already been
+// written.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (*admitted, bool) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
@@ -304,85 +308,72 @@ func (s *Server) execCtx(r *http.Request, v *validated) (context.Context, contex
 // ---------------------------------------------------------------------------
 // Handlers
 
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	s.met.reqCompile.Add(1)
-	s.met.inflight.Add(1)
-	s.inflight.Add(1)
-	defer func() { s.met.inflight.Add(-1); s.inflight.Done() }()
-	start := time.Now()
+// handle is the front half of the compiling endpoints: it counts the request
+// on count, holds it in flight, admits it, validates its spec (run: as a
+// /v1/run spec) and compiles it through the cache, which X-Cache reports.
+// tail then answers; an error from any step is written as the response.
+func (s *Server) handle(count *atomic.Int64, run bool, tail func(http.ResponseWriter, *http.Request, *admitted) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		count.Add(1)
+		s.met.inflight.Add(1)
+		s.inflight.Add(1)
+		defer func() { s.met.inflight.Add(-1); s.inflight.Done() }()
+		start := time.Now()
 
-	a, ok := s.admit(w, r)
-	if !ok {
-		return
+		a, ok := s.admit(w, r)
+		if !ok {
+			return
+		}
+		defer a.release()
+		a.start = start
+		var err error
+		if a.v, err = a.spec.validate(s.cfg, run); err == nil {
+			a.c, a.outcome, err = s.compileCached(a.v)
+		}
+		if err == nil {
+			w.Header().Set("X-Cache", string(a.outcome))
+			err = tail(w, r, a)
+		}
+		if err != nil {
+			s.writeError(w, err)
+		}
 	}
-	defer a.release()
-	v, err := a.spec.validate(s.cfg, false)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	c, outcome, err := s.compileCached(v)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.met.service.observe(time.Since(start))
-	w.Header().Set("X-Cache", string(outcome))
-	writeJSON(w, http.StatusOK, CompileResponse{
-		Key:   v.key,
-		Cache: string(outcome),
-		Procs: v.procs,
-		Diags: diagStrings(c),
-	})
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.met.reqRun.Add(1)
-	s.met.inflight.Add(1)
-	s.inflight.Add(1)
-	defer func() { s.met.inflight.Add(-1); s.inflight.Done() }()
-	start := time.Now()
+func (s *Server) compileTail(w http.ResponseWriter, _ *http.Request, a *admitted) error {
+	s.met.service.observe(time.Since(a.start))
+	writeJSON(w, http.StatusOK, CompileResponse{
+		Key:   a.v.key,
+		Cache: string(a.outcome),
+		Procs: a.v.procs,
+		Diags: diagStrings(a.c),
+	})
+	return nil
+}
 
-	a, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer a.release()
-	v, err := a.spec.validate(s.cfg, true)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	c, outcome, err := s.compileCached(v)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.Header().Set("X-Cache", string(outcome))
-
-	ctx, cancel := s.execCtx(r, v)
+func (s *Server) runTail(w http.ResponseWriter, r *http.Request, a *admitted) error {
+	ctx, cancel := s.execCtx(r, a.v)
 	defer cancel()
 	execStart := time.Now()
-	rep, err := s.execute(ctx, c, v.backend, v.run)
+	rep, err := s.execute(ctx, a.c, a.v.backend, a.v.run)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return err
 	}
-	s.met.service.observe(time.Since(start))
+	s.met.service.observe(time.Since(a.start))
 
 	resp := RunResponse{
-		Key:        v.key,
-		Cache:      string(outcome),
+		Key:        a.v.key,
+		Cache:      string(a.outcome),
 		Backend:    rep.Backend,
 		Time:       jsonF64(rep.Time),
 		Stats:      rep.Stats.String(),
 		Scalars:    jsonScalars(rep.Scalars),
 		ArrayCells: map[string]int64{},
-		Diags:      diagStrings(c),
+		Diags:      diagStrings(a.c),
 		TimingMS: map[string]float64{
 			"queue":   a.queueMS,
 			"exec":    ms(time.Since(execStart)),
-			"service": ms(time.Since(start)),
+			"service": ms(time.Since(a.start)),
 		},
 	}
 	for name, cells := range rep.Arrays {
@@ -392,52 +383,30 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		resp.Arrays = jsonArrays(rep.Arrays)
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	s.met.reqDiff.Add(1)
-	s.met.inflight.Add(1)
-	s.inflight.Add(1)
-	defer func() { s.met.inflight.Add(-1); s.inflight.Done() }()
-	start := time.Now()
-
-	a, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer a.release()
-	v, err := a.spec.validate(s.cfg, false)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	c, outcome, err := s.compileCached(v)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.Header().Set("X-Cache", string(outcome))
-
-	ctx, cancel := s.execCtx(r, v)
+func (s *Server) diffTail(w http.ResponseWriter, r *http.Request, a *admitted) error {
+	ctx, cancel := s.execCtx(r, a.v)
 	defer cancel()
-	rep, err := c.Diff(ctx, v.run)
+	rep, err := a.c.Diff(ctx, a.v.run)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return err
 	}
-	s.met.service.observe(time.Since(start))
+	s.met.service.observe(time.Since(a.start))
 	writeJSON(w, http.StatusOK, DiffResponse{
-		Key:        v.key,
-		Cache:      string(outcome),
+		Key:        a.v.key,
+		Cache:      string(a.outcome),
 		Match:      rep.Match(),
 		Mismatches: rep.Mismatches,
 		Time:       jsonF64(rep.Sim.Time),
 		Stats:      rep.Sim.Stats.String(),
 		TimingMS: map[string]float64{
 			"queue":   a.queueMS,
-			"service": ms(time.Since(start)),
+			"service": ms(time.Since(a.start)),
 		},
 	})
+	return nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -10,9 +10,10 @@
 // the differential oracle.
 //
 // The interpretation core — value semantics, execution sets, communication
-// decisions, the schedule of operations and the accountant that charges them
-// — lives in internal/eval and is shared with internal/exec; this package
-// runs it against one machine and adds the time limit and the trace recorder.
+// decisions, the schedule of operations and its charges to the accountant —
+// lives in internal/eval and is shared with internal/exec; this package gives
+// the schedule one account on one machine, moves nothing (eval.Unbound), and
+// adds the time limit, cancellation and the trace recorder.
 package sim
 
 import (
@@ -64,14 +65,15 @@ func RunContext(ctx context.Context, p *spmd.Program, cfg Config) (*Result, erro
 	}
 	ended, unhook := eval.Ended(ctx)
 	defer unhook()
-	in := &interp{Account: eval.NewAccount(st, cfg), ctx: ctx, ended: ended, maxSeconds: cfg.MaxSeconds}
-	mach := in.M
+	acct := eval.NewAccount(st, cfg)
+	in := &interp{acct: acct, ctx: ctx, ended: ended, maxSeconds: cfg.MaxSeconds}
+	mach := acct.M
 	if cfg.Trace != nil {
 		mach.Rec = trace.New(nprocs, 1, *cfg.Trace)
 		mach.Rec.SetLabels(p.StmtLabels())
 	}
 	aborted := false
-	if err := eval.Run(st, in, cfg.Params.ElemBytes, nil); err != nil {
+	if err := eval.Run(st, in, eval.Meter{Account: acct}, cfg.Params.ElemBytes, nil); err != nil {
 		var ge *eval.GotoEscapeError
 		switch {
 		case errors.As(err, &ge):
@@ -85,7 +87,7 @@ func RunContext(ctx context.Context, p *spmd.Program, cfg Config) (*Result, erro
 		}
 	}
 	res := &Result{Backend: eval.BackendSim, Time: mach.Time(), Stats: mach.Stats, Aborted: aborted,
-		HotStatements: in.HotStatements(), Trace: mach.Rec}
+		HotStatements: acct.HotStatements(), Trace: mach.Rec}
 	res.Scalars, res.Arrays = st.Export()
 	return res, nil
 }
@@ -99,12 +101,13 @@ func simError(err error) error {
 	return fmt.Errorf("sim: %w", err)
 }
 
-// interp is the simulator's side of the shared schedule (eval.Ops): every
-// operation is its charge to the simulated machine — the embedded account —
-// and the sites where a run can end are its time-limit and cancellation
-// checks.
+// interp is the simulator's side of the shared schedule (eval.Ops), which
+// charges the one account: its one State holds every processor's values, so
+// it moves nothing, and its sites are where a run ends — crashes, the time
+// limit and cancellation.
 type interp struct {
-	*eval.Account
+	eval.Unbound
+	acct       *eval.Account
 	ctx        context.Context
 	ended      *atomic.Bool // eval.Ended(ctx): what the sites poll
 	maxSeconds float64
@@ -115,29 +118,13 @@ func (in *interp) CrashSite() error {
 	if in.ended != nil && in.ended.Load() {
 		return in.ctx.Err()
 	}
-	if in.M.Fault != nil { // no plan, no crash to come due: the test is all a site pays
-		in.RecoverCrashes()
+	if in.acct.M.Fault != nil { // no plan, no crash to come due: the test is all a site pays
+		in.acct.RecoverCrashes()
 	}
-	if in.maxSeconds > 0 && in.M.Time() > in.maxSeconds {
+	if in.maxSeconds > 0 && in.acct.M.Time() > in.maxSeconds {
 		return errAbort{}
 	}
 	return nil
 }
 
 func (in *interp) Tick() error { return in.CrashSite() }
-
-// Iteration closes a strip of quiet iterations. With a fault plan or a time
-// limit an iteration's end can stop something, and each is closed on its own;
-// otherwise the strip's charges are one call (which a traced run's recorder
-// and attribution still see charge by charge) and its end the one
-// cancellation poll.
-func (in *interp) Iteration(charges []eval.Charge, n int64) (int64, error) {
-	if in.M.Fault != nil || in.maxSeconds > 0 {
-		return eval.EachIteration(n, func() error {
-			in.Charges(charges, 1)
-			return in.Tick()
-		})
-	}
-	in.Charges(charges, n)
-	return n, in.Tick()
-}

@@ -71,6 +71,21 @@ if grep -nE '^func \([a-z]+ \*[A-Za-z]+\) (Branch|HandOff|MergeRow)\(|(^|[^A-Za-
     echo "check: internal/exec decides where a protocol move goes (a Branch, HandOff or MergeRow method, accounts(), or Holders( outside the refetch check); the schedule resolves every move (eval.Ops.Move)" >&2
     exit 1
 fi
+# One-charge-point gate (DESIGN.md §12, "One charge point"): the schedule
+# charges the State's account at each operation, then calls the backend, so
+# eval.Ops holds only traffic and the sites where a run can stop, and neither
+# backend charges the account: they ask it only for due crashes
+# (RecoverCrashes), the clocks and the report. Run takes the account; the
+# schedule asks no Ops for one. Fail when an Ops method charges again, a
+# backend calls a charge method, or schedule.go looks for an account().
+opsdecl="$(awk '/^type Ops interface \{/,/^\}/' internal/eval/schedule.go)"
+if printf '%s\n' "$opsdecl" | grep -nE '^[[:space:]]+(Guard|Compute|Reduce|TreeMerge|Iteration)\(' ||
+    grep -nE '\.(Guard|Compute|Reduce|TreeMerge|Vectorized|Transfer|CopyOut|AllToAll|Charges|Checkpoint)\(' \
+        $(ls internal/sim/*.go internal/exec/*.go | grep -v '_test\.go$') ||
+    grep -n 'account()' internal/eval/schedule.go; then
+    echo "check: a charge is made outside the schedule (an eval.Ops charge method, a backend calling the account's charge methods, or an account() lookup in schedule.go); the schedule is the account's one caller" >&2
+    exit 1
+fi
 # One-shrinking gate (DESIGN.md §12): which loops shrink is decided once, by
 # spmd.ShrinkableLoops, which -dump spmd prints, and which iterations a
 # processor walks once, by ShrinkInfo.LocalRange, which the walker reads; no
